@@ -712,8 +712,8 @@ impl MarketEngine {
             .enumerate()
             .map(|(i, agent)| {
                 let u = match &agent.source {
-                    ObservationSource::GroundTruth(truth) => truth.clone(),
-                    _ => agent.reported_utility(),
+                    ObservationSource::GroundTruth(truth) => truth,
+                    _ => &reported[i],
                 };
                 let delivered = u.value_slice(allocation.bundle(i).as_slice());
                 let entitled = u.value_slice(&equal_share);

@@ -1,6 +1,9 @@
 //! Stride scheduling: the deterministic counterpart of lottery scheduling
 //! (Waldspurger & Weihl), with bounded allocation error.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// A stride scheduler over clients holding tickets.
 ///
 /// Each client has `stride = S / tickets` and a pass value; every quantum
@@ -23,8 +26,18 @@
 #[derive(Debug, Clone)]
 pub struct StrideScheduler {
     strides: Vec<f64>,
-    passes: Vec<f64>,
+    /// One [`key`] per client, smallest on top: the next winner.
+    passes: BinaryHeap<Reverse<u128>>,
     quanta: Vec<u64>,
+}
+
+/// `(pass, client)` packed so that one integer comparison orders by pass,
+/// then by client: equal passes go to the lowest client index, as a
+/// first-minimum scan over the clients would pick. Passes are positive
+/// (possibly infinite), never NaN or `-0.0`, and for such floats the bit
+/// pattern orders as the number does.
+fn key(pass: f64, client: usize) -> u128 {
+    (u128::from(pass.to_bits()) << 64) | client as u128
 }
 
 /// The common stride numerator.
@@ -45,7 +58,11 @@ impl StrideScheduler {
             return Err("ticket counts must be finite and positive".to_string());
         }
         let strides: Vec<f64> = tickets.iter().map(|t| STRIDE_ONE / t).collect();
-        let passes = strides.clone();
+        let passes = strides
+            .iter()
+            .enumerate()
+            .map(|(client, pass)| Reverse(key(*pass, client)))
+            .collect();
         let n = tickets.len();
         Ok(StrideScheduler {
             strides,
@@ -61,14 +78,10 @@ impl StrideScheduler {
 
     /// Grants the next quantum to the client with the minimum pass.
     pub fn next_quantum(&mut self) -> usize {
-        let winner = self
-            .passes
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite passes"))
-            .expect("at least one client")
-            .0;
-        self.passes[winner] += self.strides[winner];
+        // Advancing the top in place costs one sift-down, not a pop and a push.
+        let mut top = self.passes.peek_mut().expect("at least one client");
+        let (pass, winner) = (f64::from_bits((top.0 >> 64) as u64), top.0 as u64 as usize);
+        *top = Reverse(key(pass + self.strides[winner], winner));
         self.quanta[winner] += 1;
         winner
     }

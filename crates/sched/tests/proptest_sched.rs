@@ -9,6 +9,60 @@ fn weights() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.05..5.0f64, 2..6)
 }
 
+/// The stride scheduler as it stood before the heap: every quantum scans
+/// all passes for the first minimum. Kept as the reference the heap must
+/// reproduce winner for winner.
+struct ScanStride {
+    strides: Vec<f64>,
+    passes: Vec<f64>,
+}
+
+impl ScanStride {
+    fn new(tickets: &[f64]) -> ScanStride {
+        let strides: Vec<f64> = tickets.iter().map(|t| (1_u64 << 20) as f64 / t).collect();
+        ScanStride {
+            passes: strides.clone(),
+            strides,
+        }
+    }
+
+    fn next_quantum(&mut self) -> usize {
+        let winner = self
+            .passes
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite passes"))
+            .expect("at least one client")
+            .0;
+        self.passes[winner] += self.strides[winner];
+        winner
+    }
+}
+
+/// The floor the market engine puts under a vanishing share.
+const MIN_STRIDE_WEIGHT: f64 = 1e-9;
+
+/// Weights as the market hands them to the scheduler: a few distinct levels
+/// dealt to many clients, so equal passes are the rule (at the start, and
+/// again whenever multiples of two strides coincide), some shares at the
+/// floor, and now and then a ticket count whose stride is infinite.
+fn tied_weights() -> impl Strategy<Value = Vec<f64>> {
+    (
+        prop::collection::vec(0.001..1.0f64, 1..5),
+        prop::collection::vec(0usize..7, 1..48),
+    )
+        .prop_map(|(levels, picks)| {
+            picks
+                .into_iter()
+                .map(|p| match p {
+                    5 => MIN_STRIDE_WEIGHT,
+                    6 => f64::MIN_POSITIVE,
+                    p => levels[p % levels.len()],
+                })
+                .collect()
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -25,6 +79,21 @@ proptest! {
         for (share, weight) in s.service_shares().iter().zip(&w) {
             prop_assert!((share - weight / total).abs() < 5e-3, "{share} vs {}", weight / total);
         }
+    }
+
+    /// The heap grants every quantum to the client a first-minimum scan of
+    /// the passes would pick, ties included.
+    #[test]
+    fn stride_heap_matches_the_scan(w in tied_weights()) {
+        let mut heap = StrideScheduler::new(w.clone()).unwrap();
+        let mut scan = ScanStride::new(&w);
+        let mut granted = vec![0_u64; w.len()];
+        for quantum in 0..600 {
+            let winner = scan.next_quantum();
+            prop_assert_eq!(heap.next_quantum(), winner, "quantum {}", quantum);
+            granted[winner] += 1;
+        }
+        prop_assert_eq!(heap.quanta(), &granted[..]);
     }
 
     /// Backlogged WFQ achieves the target proportions for arbitrary
