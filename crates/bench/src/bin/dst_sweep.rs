@@ -2,20 +2,21 @@
 //! against the in-process fleet, every standing invariant checked.
 //!
 //! Each seed drives [`ref_dst::run_seed`]: a 2-shard fleet with a
-//! primary and standby per shard, real WALs on simulated disks, the real
-//! replication frame protocol over a simulated network, and a seeded mix
-//! of crashes, partitions, torn writes, failed fsyncs, bit flips,
-//! divergence injection, and delay storms. A violation prints the seed
-//! and the full per-event trace; `--seed N` replays that exact run
-//! bit-identically.
+//! primary and standby per shard, real WALs on simulated disks, the
+//! server's own `ReplCore` and `RouterCore` over a simulated network,
+//! and a seeded mix of crashes, partitions, torn writes, failed fsyncs,
+//! bit flips, divergence injection, and delay storms. A violation prints
+//! the seed and the full per-event trace; `--seed N` replays that exact
+//! run bit-identically.
 //!
 //! ```text
 //! cargo run --release -p ref-bench --bin dst_sweep -- [--seeds 2000]
 //!     [--quick] [--seed N] [--out BENCH_dst.json]
 //! ```
 //!
-//! `--break-invariant ack|si` (test-only) deliberately breaks an
-//! invariant to prove the sweep catches and reproduces violations.
+//! `--break-invariant ack|si` (test-only) makes the simulator's driver
+//! override a verdict of the real cores, to prove the sweep catches and
+//! reproduces violations.
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -16,7 +16,7 @@
 //! quick-config tasks — those are dominated by pool dispatch overhead
 //! and sit near 1.0x no matter how many cores exist — while
 //! `speedup_scaled` times tasks big enough to amortize dispatch, and is
-//! the honest parallelism figure (the legacy `speedup` key aliases it).
+//! the honest parallelism figure.
 //! The JSON also records `host_threads` so downstream tooling can tell
 //! "no speedup" from "no parallelism available".
 //!
@@ -372,7 +372,6 @@ fn main() {
          \"benchmarks\": {},\n  \"grid_points\": 25,\n  \
          \"sim_cycles_per_sec\": {cps:.0},\n  \
          \"serial_secs\": {serial_quick_secs:.6},\n  \"parallel_secs\": {parallel_quick_secs:.6},\n  \
-         \"speedup\": {speedup_scaled:.3},\n  \
          \"speedup_quick\": {speedup_quick:.3},\n  \"speedup_scaled\": {speedup_scaled:.3},\n  \
          \"scaled_serial_secs\": {serial_scaled_secs:.6},\n  \
          \"scaled_parallel_secs\": {parallel_scaled_secs:.6},\n  \
@@ -402,215 +401,4 @@ fn main() {
     );
     std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
     println!("wrote BENCH_pipeline.json");
-
-    aggregate_report(&json);
-}
-
-/// Folds the serving benchmark (`BENCH_serve.json`, produced by
-/// `cargo run --release -p ref-serve --bin loadgen`), the chaos
-/// harness (`BENCH_chaos.json`, produced by
-/// `cargo run --release -p ref-bench --bin chaos`), the failover
-/// harness (`BENCH_failover.json`, produced by
-/// `cargo run --release -p ref-bench --bin failover`), the sharded
-/// scale harness (`BENCH_shard.json`, produced by
-/// `cargo run --release -p ref-bench --bin shard_scale`), and the
-/// credit-market harness (`BENCH_credit.json`, produced by
-/// `cargo run --release -p ref-bench --bin credit_bench`), and the
-/// shard-chaos harness (`BENCH_shard_chaos.json`, produced by
-/// `cargo run --release -p ref-bench --bin shard_chaos`), and the
-/// deterministic-simulation sweep (`BENCH_dst.json`, produced by
-/// `cargo run --release -p ref-bench --bin dst_sweep`) together with
-/// the pipeline numbers into one `BENCH_report.json`, so a single
-/// artifact tracks the offline pipeline, the online front-end, crash
-/// recovery, replicated failover, shard scaling, temporal fairness,
-/// partition tolerance, and seeded fault simulation.
-fn aggregate_report(pipeline_json: &str) {
-    use ref_serve::json::Value;
-
-    let pipeline = Value::parse(pipeline_json).expect("pipeline JSON is valid");
-    let serve = match std::fs::read_to_string("BENCH_serve.json") {
-        Ok(text) => match Value::parse(text.trim()) {
-            Ok(v) => {
-                let levels = v
-                    .get("levels")
-                    .and_then(Value::as_array)
-                    .map_or(0, <[_]>::len);
-                println!("aggregating BENCH_serve.json ({levels} load levels)");
-                v
-            }
-            Err(e) => {
-                eprintln!("FATAL: BENCH_serve.json exists but is malformed: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => {
-            println!("no BENCH_serve.json found; report covers the pipeline only");
-            Value::Null
-        }
-    };
-    let chaos = match std::fs::read_to_string("BENCH_chaos.json") {
-        Ok(text) => match Value::parse(text.trim()) {
-            Ok(v) => {
-                if v.get("identical").and_then(Value::as_bool) != Some(true) {
-                    eprintln!("FATAL: BENCH_chaos.json records a recovery divergence");
-                    std::process::exit(1);
-                }
-                let rounds = v
-                    .get("rounds")
-                    .and_then(Value::as_array)
-                    .map_or(0, <[_]>::len);
-                println!("aggregating BENCH_chaos.json ({rounds} kill-and-recover rounds)");
-                v
-            }
-            Err(e) => {
-                eprintln!("FATAL: BENCH_chaos.json exists but is malformed: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => {
-            println!("no BENCH_chaos.json found; report skips crash recovery");
-            Value::Null
-        }
-    };
-    let failover = match std::fs::read_to_string("BENCH_failover.json") {
-        Ok(text) => match Value::parse(text.trim()) {
-            Ok(v) => {
-                if v.get("identical").and_then(Value::as_bool) != Some(true)
-                    || v.get("events_lost").and_then(Value::as_u64) != Some(0)
-                {
-                    eprintln!("FATAL: BENCH_failover.json records divergence or event loss");
-                    std::process::exit(1);
-                }
-                let rounds = v
-                    .get("rounds")
-                    .and_then(Value::as_array)
-                    .map_or(0, <[_]>::len);
-                println!("aggregating BENCH_failover.json ({rounds} kill-and-promote rounds)");
-                v
-            }
-            Err(e) => {
-                eprintln!("FATAL: BENCH_failover.json exists but is malformed: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => {
-            println!("no BENCH_failover.json found; report skips failover");
-            Value::Null
-        }
-    };
-    let shard = match std::fs::read_to_string("BENCH_shard.json") {
-        Ok(text) => match Value::parse(text.trim()) {
-            Ok(v) => {
-                if v.get("replay_identical").and_then(Value::as_bool) != Some(true) {
-                    eprintln!("FATAL: BENCH_shard.json records a per-shard replay divergence");
-                    std::process::exit(1);
-                }
-                let speedup = v
-                    .get("scaling")
-                    .and_then(|s| s.get("speedup"))
-                    .and_then(Value::as_f64)
-                    .unwrap_or(0.0);
-                println!("aggregating BENCH_shard.json ({speedup:.2}x shard speedup)");
-                v
-            }
-            Err(e) => {
-                eprintln!("FATAL: BENCH_shard.json exists but is malformed: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => {
-            println!("no BENCH_shard.json found; report skips shard scaling");
-            Value::Null
-        }
-    };
-    let credit = match std::fs::read_to_string("BENCH_credit.json") {
-        Ok(text) => match Value::parse(text.trim()) {
-            Ok(v) => {
-                let gates = v.get("gates");
-                if gates.and_then(|g| g.get("all_ok")).and_then(Value::as_bool) != Some(true) {
-                    eprintln!("FATAL: BENCH_credit.json records a failed temporal-SI gate");
-                    std::process::exit(1);
-                }
-                let saved = gates
-                    .and_then(|g| g.get("bursty_ref_violations"))
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0);
-                println!(
-                    "aggregating BENCH_credit.json (credit erased {saved} bursty \
-                     temporal-SI violations)"
-                );
-                v
-            }
-            Err(e) => {
-                eprintln!("FATAL: BENCH_credit.json exists but is malformed: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => {
-            println!("no BENCH_credit.json found; report skips temporal fairness");
-            Value::Null
-        }
-    };
-    let shard_chaos = match std::fs::read_to_string("BENCH_shard_chaos.json") {
-        Ok(text) => match Value::parse(text.trim()) {
-            Ok(v) => {
-                if v.get("all_ok").and_then(Value::as_bool) != Some(true) {
-                    eprintln!("FATAL: BENCH_shard_chaos.json records a failed partition gate");
-                    std::process::exit(1);
-                }
-                let restarts = v
-                    .get("recovery")
-                    .and_then(|r| r.get("shard_restarts"))
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0);
-                println!("aggregating BENCH_shard_chaos.json ({restarts} in-place shard restarts)");
-                v
-            }
-            Err(e) => {
-                eprintln!("FATAL: BENCH_shard_chaos.json exists but is malformed: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => {
-            println!("no BENCH_shard_chaos.json found; report skips partition tolerance");
-            Value::Null
-        }
-    };
-    let dst = match std::fs::read_to_string("BENCH_dst.json") {
-        Ok(text) => match Value::parse(text.trim()) {
-            Ok(v) => {
-                let broke_on_purpose =
-                    !matches!(v.get("break_invariant"), None | Some(Value::Null));
-                if !broke_on_purpose && v.get("violations").and_then(Value::as_u64) != Some(0) {
-                    eprintln!("FATAL: BENCH_dst.json records a simulation invariant violation");
-                    std::process::exit(1);
-                }
-                let seeds = v.get("seeds_run").and_then(Value::as_u64).unwrap_or(0);
-                let events = v.get("sim_events").and_then(Value::as_u64).unwrap_or(0);
-                println!("aggregating BENCH_dst.json ({seeds} seeds, {events} sim events)");
-                v
-            }
-            Err(e) => {
-                eprintln!("FATAL: BENCH_dst.json exists but is malformed: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => {
-            println!("no BENCH_dst.json found; report skips deterministic simulation");
-            Value::Null
-        }
-    };
-    let report = Value::obj(vec![
-        ("pipeline", pipeline),
-        ("serve", serve),
-        ("chaos", chaos),
-        ("failover", failover),
-        ("shard", shard),
-        ("credit", credit),
-        ("shard_chaos", shard_chaos),
-        ("dst", dst),
-    ]);
-    std::fs::write("BENCH_report.json", format!("{}\n", report.encode()))
-        .expect("write BENCH_report.json");
-    println!("wrote BENCH_report.json");
 }

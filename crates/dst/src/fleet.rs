@@ -1,15 +1,17 @@
 //! The simulated fleet: sharded cores, a replicated pair per shard, a
-//! router model, scripted clients — all single-threaded on virtual time.
+//! router, scripted clients — all single-threaded on virtual time.
 //!
 //! Every node hosts a real [`ServiceCore`] recovered through a
 //! [`SimDisk`], so the WAL codec, checkpointing, recovery, scrub, and
-//! the market engine all run production code. Replication is the real
-//! wire protocol — `rec`/`ack`/`hb`/`hello`/`meta`/`refuse`/`diverged`
-//! frames built by [`ref_serve::repl::message`] and routed through
-//! [`SimNet`] — with the thread-shaped parts (sinks, pullers, tickers)
-//! replaced by this deterministic event loop. The router tier
-//! (fan-out ticks, the quorum gate, coordinator reallotment, supervisor
-//! resync) is modeled against the real [`Coordinator`].
+//! the market engine all run production code. So do the protocols: each
+//! node's replication, election and fencing decisions are made by the
+//! real [`ReplCore`], and the fleet's health tracking, quorum gate,
+//! reallotment delivery and fencing-token floor by the real
+//! [`RouterCore`] — the same two state machines the threaded server
+//! drives. This file only *drives* them: it moves their frames through
+//! [`SimNet`], reads [`SimClock`], owns what a connection is (attached
+//! or reset), and plays operator (which role a restarted node is booted
+//! into). It decides no reply.
 //!
 //! After every schedule the standing invariants are checked:
 //!
@@ -25,21 +27,21 @@
 //! 5. **No phantom audits** — fleet temporal-SI accounting never folds
 //!    in epochs from a partial (below-full-report) round.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use ref_core::resource::Capacity;
 use ref_core::utility::CobbDouglas;
-use ref_market::{MarketConfig, ObservationSource};
-use ref_serve::protocol::event_to_value;
+use ref_market::{MarketConfig, MarketEvent, ObservationSource};
+use ref_serve::protocol::{error_response, event_to_value, shard_unavailable_response};
 use ref_serve::repl::{kind, message, parse_message};
+use ref_serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream};
 use ref_serve::wal::read_events_with;
 use ref_serve::{
-    decode_frame, default_quorum, replay, shard_market_config, Clock, Coordinator, FaultPlan,
-    FrameDecode, HashRing, JournalLimit, ReplApply, Request, Role, ServeMetrics, ServiceCore,
-    Storage, Value, WalConfig,
+    decode_frame, default_quorum, replay, shard_market_config, Clock, FaultPlan, FrameDecode,
+    HashRing, JournalLimit, ReplApply, ReplConfig, ReplCore, Request, Role, RouterCore,
+    ServeMetrics, ServiceCore, ShardHealth, Storage, TickOutcome, Value, WalConfig,
 };
 
 use crate::disk::SimDisk;
@@ -53,10 +55,12 @@ use crate::sim::{mix64, SimClock, SimRng, Trace};
 const STEP: Duration = Duration::from_micros(500);
 /// Primary heartbeat cadence.
 const HB_EVERY: Duration = Duration::from_millis(10);
-/// Base election timeout (jittered up to 1.5× per node per boot).
+/// Base election timeout (the core jitters it up to 1.5× per boot).
 const ELECTION_BASE: Duration = Duration::from_millis(50);
 /// How long a primary holds a client reply for the standby's ack.
 const ACK_TIMEOUT: Duration = Duration::from_millis(25);
+/// How often a silent standby re-dials its primary.
+const REDIAL_EVERY: Duration = Duration::from_millis(20);
 /// Delay before a node crashed by a poisoned WAL recovers.
 const POISON_RESTART: Duration = Duration::from_millis(40);
 /// Fault-free convergence window after the scripted horizon.
@@ -68,10 +72,12 @@ const REALLOT_TOLERANCE: f64 = 2e-4;
 
 /// Which invariant to deliberately break (test-only): proves the sweep
 /// catches violations and reproduces them bit-identically from a seed.
+/// Both are implemented *here*, by overriding a verdict the cores
+/// return — no test-only flag enters the cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakKind {
-    /// Ack client mutations without waiting for (or sending) the
-    /// replication stream — failovers then lose acked events.
+    /// Release client replies without waiting for the standby's ack —
+    /// failovers then lose acked events.
     AckUnreplicated,
     /// Fold per-shard fairness audits into the fleet view even on
     /// partial rounds — phantom temporal-SI accounting.
@@ -116,51 +122,30 @@ struct Node {
     disk: SimDisk,
     core: Option<ServiceCore>,
     metrics: ServeMetrics,
-    role: Role,
-    term: u64,
-    last_heard: Duration,
-    election_timeout: Duration,
+    /// The node's replication machine, rebuilt on every boot. Its role
+    /// and term are carried over a restart, as if the node kept them on
+    /// disk (the threaded server does not: see DESIGN.md §15).
+    repl: ReplCore,
     boots: u64,
-    /// This node's view (as a primary) of whether its peer is an
-    /// attached, streaming standby. Only changes on *observable*
-    /// events: handshakes, peer crashes, divergence detection.
+    /// Whether this node (as a primary) has a live replication
+    /// connection from its peer. Only changes on *observable* events:
+    /// accepted handshakes, crashes (connection reset), divergence.
     peer_attached: bool,
     /// Ground truth: a corrupting fault was injected into this replica.
     diverged: bool,
-    /// Primary-side memory: this node caught its peer diverging and
-    /// must never re-attach it (the real sender thread exits and a
-    /// fenced standby never reconnects).
-    peer_diverged: bool,
     promoted_ever: bool,
-    /// Whether this standby has heard *anything* from its primary since
-    /// its last boot. A standby that never attached cannot lose a
-    /// leader it never had, so it must not elect itself — it retries
-    /// the handshake instead.
-    heard_any: bool,
-    /// The primary's log position as last advertised (heartbeats carry
-    /// `seq`). Electing while behind this would promote a stale log.
-    primary_seq: u64,
     last_hello: Duration,
     /// A bit flip landed on this node's disk (scrub must notice).
     bitflip_hit: bool,
-    /// Recovery lease: a restarted primary refuses mutations until its
-    /// standby re-attaches or this deadline passes — a standby whose
-    /// election timer is already running may depose it any moment, and
-    /// solo-acking into that window would lose acked events.
-    grace_until: Duration,
-    /// Tick fingerprints keyed by log position after the tick record —
-    /// `have → (epoch, fp)` — mirroring the real primary's ring.
-    epoch_fps: BTreeMap<u64, (u64, u64)>,
 }
 
+/// A client mutation whose reply the primary is holding for the ack.
 #[derive(Debug)]
 struct Pending {
     primary: usize,
-    shard: usize,
     seq: u64,
     deadline: Duration,
-    /// `Some` for client mutations: the encoded event to ledger on ack.
-    event_json: Option<String>,
+    event_json: String,
 }
 
 #[derive(Debug)]
@@ -181,13 +166,15 @@ struct Sim {
     trace: Trace,
     nodes: Vec<Node>,
     ring: HashRing,
-    coord: Coordinator,
-    quorum: usize,
+    router: RouterCore,
     shard_config: MarketConfig,
     total_capacity: Vec<f64>,
     demands: Vec<Vec<f64>>,
-    router_known_primary: [Option<usize>; SHARDS],
-    router_term: [u64; SHARDS],
+    epochs: Vec<u64>,
+    /// The node each shard was last served by; a change means the
+    /// shard's state came from another WAL and needs its allotment
+    /// replayed (the supervisor's resync).
+    known_primary: [Option<usize>; SHARDS],
     round: u64,
     pending: Vec<Pending>,
     acked: Vec<AckedEvent>,
@@ -208,12 +195,19 @@ fn wal_config(dir: &std::path::Path) -> WalConfig {
         .with_retain_history(true)
 }
 
-/// Election jitter mirroring the serve-side seam: `base × [1.0, 1.5)`,
-/// a pure function of `(seed, node, boot)`.
-fn jittered(base: Duration, seed: u64, node: usize, boot: u64) -> Duration {
-    let frac = u64::from((mix64(seed ^ ((node as u64) << 32) ^ boot ^ 0x00E1_EC71) >> 32) as u32);
-    let extra = (((base.as_nanos() as u64 as u128) * u128::from(frac)) >> 32) as u64 / 2;
-    base + Duration::from_nanos(extra)
+/// The "address" of node `id` (leader hints are strings).
+fn addr(id: usize) -> String {
+    format!("n{id}")
+}
+
+/// The replication config node `id` boots with in `role` (a fenced node
+/// is booted as a standby and fenced again).
+fn repl_config(id: usize, role: Role) -> ReplConfig {
+    let config = match role {
+        Role::Primary => ReplConfig::primary(addr(id)),
+        Role::Standby | Role::Fenced => ReplConfig::standby(addr(id), addr(id ^ 1)),
+    };
+    config.with_election_timeout(ELECTION_BASE)
 }
 
 fn is_ok(reply: &Value) -> bool {
@@ -222,12 +216,6 @@ fn is_ok(reply: &Value) -> bool {
 
 fn err_code(reply: &Value) -> &str {
     reply.get("error").and_then(Value::as_str).unwrap_or("")
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AppKind {
-    Client,
-    Internal,
 }
 
 /// Simulates one seed end to end and checks every standing invariant.
@@ -263,34 +251,28 @@ impl Sim {
                 schedule.horizon.as_millis()
             ),
         );
-        let mut nodes = Vec::with_capacity(NODES);
-        for id in 0..NODES {
-            nodes.push(Node {
-                dir: PathBuf::from(format!("/sim/node-{id}")),
-                disk: SimDisk::new(),
-                core: None,
-                metrics: ServeMetrics::new(),
-                role: if id % REPLICAS == 0 {
+        let nodes = (0..NODES)
+            .map(|id| {
+                let role = if id % REPLICAS == 0 {
                     Role::Primary
                 } else {
                     Role::Standby
-                },
-                term: 1,
-                last_heard: Duration::ZERO,
-                election_timeout: ELECTION_BASE,
-                boots: 0,
-                peer_attached: id % REPLICAS == 0,
-                diverged: false,
-                peer_diverged: false,
-                promoted_ever: false,
-                heard_any: false,
-                primary_seq: 0,
-                last_hello: Duration::ZERO,
-                bitflip_hit: false,
-                grace_until: Duration::ZERO,
-                epoch_fps: BTreeMap::new(),
-            });
-        }
+                };
+                Node {
+                    dir: PathBuf::from(format!("/sim/node-{id}")),
+                    disk: SimDisk::new(),
+                    core: None,
+                    metrics: ServeMetrics::new(),
+                    repl: ReplCore::new(&repl_config(id, role), 0, 0, 0, Duration::ZERO),
+                    boots: 0,
+                    peer_attached: role == Role::Primary,
+                    diverged: false,
+                    promoted_ever: false,
+                    last_hello: Duration::ZERO,
+                    bitflip_hit: false,
+                }
+            })
+            .collect();
         let _ = rng.next_u64(); // reserve a draw for future layout changes
         let mut sim = Sim {
             seed,
@@ -303,13 +285,18 @@ impl Sim {
             trace,
             nodes,
             ring: HashRing::new(SHARDS, 0xD5),
-            coord: Coordinator::new(total_capacity.clone(), SHARDS, 0.05),
-            quorum: default_quorum(SHARDS),
+            router: RouterCore::new(
+                total_capacity.clone(),
+                SHARDS,
+                0.05,
+                default_quorum(SHARDS),
+                2,
+            ),
             shard_config,
             total_capacity,
             demands: vec![vec![0.0; 2]; SHARDS],
-            router_known_primary: [None; SHARDS],
-            router_term: [0; SHARDS],
+            epochs: vec![0; SHARDS],
+            known_primary: [None; SHARDS],
             round: 0,
             pending: Vec::new(),
             acked: Vec::new(),
@@ -322,7 +309,8 @@ impl Sim {
             pending_restarts: Vec::new(),
         };
         for id in 0..NODES {
-            sim.boot_node(id);
+            let role = sim.nodes[id].repl.role();
+            sim.boot_node(id, role);
         }
         sim
     }
@@ -338,8 +326,9 @@ impl Sim {
     }
 
     /// Recovers the node's core from its disk and scrubs the log,
-    /// mirroring `Server::recover`.
-    fn boot_node(&mut self, id: usize) {
+    /// mirroring `Server::recover`, then builds the replication machine
+    /// for `role` at the term the node had before it went down.
+    fn boot_node(&mut self, id: usize, role: Role) {
         let now = self.now();
         let node = &mut self.nodes[id];
         let storage: Arc<dyn Storage> = Arc::new(node.disk.clone());
@@ -360,22 +349,23 @@ impl Sim {
                     ServeMetrics::bump_by(&node.metrics.wal_scrub_errors, scrub_errors);
                 }
                 node.boots += 1;
-                node.election_timeout = jittered(ELECTION_BASE, self.seed, id, node.boots);
-                node.last_heard = now;
-                node.heard_any = false;
-                node.primary_seq = 0;
+                let (term, seq) = (node.repl.term(), core.events_applied());
+                let jitter_seed = mix64(self.seed ^ ((id as u64) << 32) ^ node.boots);
+                node.repl = ReplCore::new(&repl_config(id, role), jitter_seed, term, seq, now);
+                node.repl.set_addrs(addr(id), addr(id));
+                if role == Role::Fenced {
+                    node.repl.fence(term);
+                }
                 node.last_hello = now;
                 // Recovery replays the WAL from disk, so any in-memory
                 // corruption injected before the crash is gone: the
                 // rebooted replica is genuinely clean again.
                 node.diverged = false;
-                let seq = core.events_applied();
                 node.core = Some(core);
                 self.trace.push(
                     now,
                     format!(
-                        "n{id} boot role={:?} term={} seq={seq} scrub_errors={scrub_errors}",
-                        node.role, node.term
+                        "n{id} boot role={role:?} term={term} seq={seq} scrub_errors={scrub_errors}"
                     ),
                 );
             }
@@ -393,108 +383,74 @@ impl Sim {
         self.net.send(now, from, to, frame, &mut self.rng);
     }
 
-    /// The node currently serving `shard` as primary (highest term wins
-    /// during a split-brain window, as an informed router would pick).
-    fn live_primary(&self, shard: usize) -> Option<usize> {
-        (shard * REPLICAS..shard * REPLICAS + REPLICAS)
-            .filter(|id| self.nodes[*id].core.is_some() && self.nodes[*id].role == Role::Primary)
-            .max_by_key(|id| (self.nodes[*id].term, usize::MAX - id))
+    fn alive(&self, id: usize) -> bool {
+        self.nodes[id].core.is_some()
     }
 
-    /// The primary the router routes to: [`live_primary`] filtered by
-    /// the fencing-token floor. Once the router has seen term `t` for a
-    /// shard it never again routes below it — a crashed high-term
-    /// primary must not fail routing back to a deposed one whose
-    /// solo acks would die with its branch.
-    ///
-    /// [`live_primary`]: Sim::live_primary
-    fn routed_primary(&self, shard: usize) -> Option<usize> {
-        self.live_primary(shard)
-            .filter(|id| self.nodes[*id].term >= self.router_term[shard])
+    fn applied(&self, id: usize) -> u64 {
+        self.nodes[id]
+            .core
+            .as_ref()
+            .map_or(0, |c| c.events_applied())
     }
 
-    /// Routes to a primary, ratcheting the shard's fencing-token floor.
+    /// The primary the router serves `shard` from: the [`RouterCore`]
+    /// picks among the shard's live nodes (what a `ping` of each would
+    /// report) and holds its fencing-token floor.
     fn route(&mut self, shard: usize) -> Option<usize> {
-        let p = self.routed_primary(shard)?;
-        self.router_term[shard] = self.nodes[p].term;
-        Some(p)
+        let nodes = &self.nodes;
+        let candidates = (shard * REPLICAS..(shard + 1) * REPLICAS)
+            .filter(|id| nodes[*id].core.is_some())
+            .map(|id| (id, nodes[id].repl.role(), nodes[id].repl.term()));
+        self.router.pick_primary(shard, candidates)
     }
 
-    /// Applies one request on a primary, replicating event-bearing
-    /// records and holding client acks for the standby (sync mode).
-    fn primary_apply(&mut self, id: usize, req: &Request, app: AppKind) -> Value {
+    /// Applies one request on a primary the way its ticker would: the
+    /// core's role gate first, then the service core, then publish the
+    /// record and hold client replies for the standby (sync mode).
+    fn primary_apply(&mut self, id: usize, req: &Request, client: bool) -> Value {
         let now = self.now();
         let event = req.to_event();
-        if event.is_some() && !self.nodes[id].peer_attached && now < self.nodes[id].grace_until {
-            self.trace
-                .push(now, format!("n{id} in recovery grace: refusing mutation"));
-            return ref_serve::protocol::error_response(
-                "unavailable",
-                Some("recovering: standby not yet re-attached"),
-                Some(10),
-            );
-        }
-        let (reply, seq_after, poisoned, tick_fp) = {
-            let node = &mut self.nodes[id];
-            let core = node.core.as_mut().expect("primary core present");
-            let reply = core.handle(req, &node.metrics);
-            let tick_fp = matches!(req, Request::Tick)
-                .then(|| (core.engine().epoch(), core.engine().state_fingerprint()));
-            let poisoned = core.wal().map(|w| w.poisoned()).unwrap_or(false);
-            (reply, core.events_applied(), poisoned, tick_fp)
-        };
-        let appended = event.is_some() && err_code(&reply) != "wal";
-        if appended {
-            if let Some((epoch, fp)) = tick_fp {
-                let node = &mut self.nodes[id];
-                node.epoch_fps.insert(seq_after, (epoch, fp));
-                while node.epoch_fps.len() > 64 {
-                    let oldest = *node.epoch_fps.keys().next().expect("non-empty");
-                    node.epoch_fps.remove(&oldest);
-                }
+        if event.is_some() {
+            if let Some(refusal) = self.nodes[id].repl.admit_mutation(now, None) {
+                self.trace
+                    .push(now, format!("n{id} refuses: {}", err_code(&refusal)));
+                return refusal;
             }
-            let seq = seq_after - 1;
-            let event = event.expect("event-bearing");
+        }
+        let node = &mut self.nodes[id];
+        let Some(core) = node.core.as_mut() else {
+            // The node crashed under an earlier request of this batch.
+            return error_response("internal", Some("connection reset"), None);
+        };
+        let reply = core.handle(req, &node.metrics);
+        let seq_after = core.events_applied();
+        let poisoned = core.wal().map(|w| w.poisoned()).unwrap_or(false);
+        if let Some(event) = event.filter(|_| err_code(&reply) != "wal") {
+            node.repl.note_log(seq_after);
+            if matches!(event, MarketEvent::EpochTick) {
+                let engine = core.engine();
+                node.repl
+                    .push_epoch_fp(seq_after, engine.epoch(), engine.state_fingerprint());
+            }
+            let (seq, attached) = (seq_after - 1, node.peer_attached);
             let event_value = event_to_value(&event);
-            let event_json = event_value.encode();
-            let shard = id / REPLICAS;
-            let peer = id ^ 1;
-            let broken_ack = self.opts.break_invariant == Some(BreakKind::AckUnreplicated);
-            if self.nodes[id].peer_attached {
+            if client {
+                self.pending.push(Pending {
+                    primary: id,
+                    seq,
+                    deadline: now + ACK_TIMEOUT,
+                    event_json: event_value.encode(),
+                });
+            }
+            if attached {
                 let frame = message(
                     "rec",
                     vec![("seq", Value::from_u64(seq)), ("event", event_value)],
                 );
-                self.send_frame(id, peer, frame);
-                self.pending.push(Pending {
-                    primary: id,
-                    shard,
-                    seq,
-                    deadline: now + ACK_TIMEOUT,
-                    event_json: (app == AppKind::Client && !broken_ack).then(|| event_json.clone()),
-                });
-                if broken_ack && app == AppKind::Client {
-                    // BROKEN (test-only): ack the client before the
-                    // standby confirms — a failover inside the
-                    // replication window now loses the acked tail.
-                    self.trace
-                        .push(now, format!("n{id} BROKEN eager-ack seq={seq}"));
-                    self.acked.push(AckedEvent {
-                        shard,
-                        seq,
-                        event_json,
-                    });
-                }
-            } else if app == AppKind::Client {
-                // No attached standby: the primary degrades to solo
-                // durability and acks from its own log.
-                self.trace.push(now, format!("n{id} local-ack seq={seq}"));
-                self.acked.push(AckedEvent {
-                    shard,
-                    seq,
-                    event_json,
-                });
+                self.send_frame(id, id ^ 1, frame);
             }
+            self.release_acks(id);
         }
         if poisoned {
             self.trace
@@ -505,78 +461,84 @@ impl Sim {
         reply
     }
 
+    /// Releases every held client reply the core says may go: acked by
+    /// the standby, or no standby attached (solo durability).
+    fn release_acks(&mut self, primary: usize) {
+        let now = self.now();
+        let node = &self.nodes[primary];
+        let broken = self.opts.break_invariant == Some(BreakKind::AckUnreplicated);
+        let mut released = Vec::new();
+        self.pending.retain(|p| {
+            if p.primary != primary {
+                return true;
+            }
+            // BROKEN (test-only): override the core's verdict and release
+            // before the standby confirms — a failover inside the
+            // replication window now loses the acked tail.
+            let verdict = match node.repl.ack_state(p.seq + 1, node.peer_attached) {
+                AckWait::Pending if broken => AckWait::Acked,
+                verdict => verdict,
+            };
+            if verdict != AckWait::Pending {
+                released.push((verdict, p.seq, p.event_json.clone()));
+            }
+            verdict == AckWait::Pending
+        });
+        for (verdict, seq, event_json) in released {
+            self.trace
+                .push(now, format!("n{primary} acked seq={seq} ({verdict:?})"));
+            self.acked.push(AckedEvent {
+                shard: primary / REPLICAS,
+                seq,
+                event_json,
+            });
+        }
+    }
+
     fn crash(&mut self, id: usize) {
-        if self.nodes[id].core.is_none() {
+        if !self.alive(id) {
             return;
         }
         let now = self.now();
         self.nodes[id].core = None;
         self.nodes[id].peer_attached = false;
-        // A dead peer is observable (connection reset): its primary
-        // stops counting it as an attached standby. Divergence memory is
-        // connection-scoped — a replica that crashes and recovers replays
-        // its WAL from disk, so the peer starts judging the next
-        // connection on its own merits.
-        self.nodes[id ^ 1].peer_attached = false;
-        self.nodes[id ^ 1].peer_diverged = false;
         // Clients talking to a crashed primary get connection drops,
         // never acks.
         self.pending.retain(|p| p.primary != id);
         self.trace.push(now, format!("n{id} crash"));
+        // A dead peer is observable (connection reset): its primary
+        // stops counting it as an attached standby.
+        self.nodes[id ^ 1].peer_attached = false;
+        self.release_acks(id ^ 1);
     }
 
+    /// Restarts a node the way an operator would: as a standby of its
+    /// peer when that peer is serving at no lower a term, else in the
+    /// role it went down with (a primary resumes — under the core's
+    /// recovery lease; a standby whose primary is also down waits, since
+    /// self-appointing could resurrect a log missing solo-acked events).
     fn restart(&mut self, id: usize) {
-        if self.nodes[id].core.is_some() {
+        if self.alive(id) {
             return;
         }
-        let now = self.now();
-        self.boot_node(id);
-        if self.nodes[id].core.is_none() {
-            return; // recovery failure already recorded
-        }
-        let peer = id ^ 1;
-        let peer_is_primary = self.nodes[peer].core.is_some()
-            && self.nodes[peer].role == Role::Primary
-            && self.nodes[peer].term >= self.nodes[id].term;
-        if peer_is_primary {
-            self.nodes[id].role = Role::Standby;
-            let term = self.nodes[id].term;
-            let have = self.nodes[id]
-                .core
-                .as_ref()
-                .expect("just booted")
-                .events_applied();
-            self.trace
-                .push(now, format!("n{id} rejoin as standby have={have}"));
-            let frame = message(
-                "hello",
-                vec![
-                    ("term", Value::from_u64(term)),
-                    ("have_seq", Value::from_u64(have)),
-                ],
-            );
-            self.send_frame(id, peer, frame);
-        } else if self.nodes[id].role == Role::Fenced {
-            self.trace.push(now, format!("n{id} restart still fenced"));
-        } else if self.nodes[id].role == Role::Primary {
-            self.nodes[id].role = Role::Primary;
-            self.nodes[id].grace_until = now + 2 * ELECTION_BASE;
-            self.trace.push(
-                now,
-                format!("n{id} resume primary term={}", self.nodes[id].term),
-            );
+        let peer = &self.nodes[id ^ 1].repl;
+        let rejoin = self.alive(id ^ 1)
+            && peer.role() == Role::Primary
+            && peer.term() >= self.nodes[id].repl.term();
+        let role = if rejoin {
+            Role::Standby
         } else {
-            // A crashed standby whose primary is also down must wait:
-            // self-appointing could resurrect a log missing events the
-            // primary acked solo. The hello retry loop rejoins it the
-            // moment a primary reappears.
-            self.trace
-                .push(now, format!("n{id} restart awaiting a primary"));
+            self.nodes[id].repl.role()
+        };
+        self.boot_node(id, role);
+        if rejoin && self.alive(id) {
+            let hello = self.nodes[id].repl.hello();
+            self.send_frame(id, id ^ 1, hello);
         }
     }
 
     // ------------------------------------------------------------------
-    // Frame handling: the real wire protocol, minus the threads.
+    // Frame handling: every verdict is the core's.
     // ------------------------------------------------------------------
 
     fn on_frame(&mut self, from: usize, to: usize, frame: &[u8]) {
@@ -586,306 +548,97 @@ impl Sim {
         let Some(msg) = parse_message(&payload) else {
             return;
         };
-        if self.nodes[to].core.is_none() {
+        if !self.alive(to) {
             return;
         }
+        let now = self.now();
+        let was = self.nodes[to].repl.role();
         match kind(&msg) {
-            "rec" => self.on_rec(from, to, &msg),
-            "ack" => self.on_ack(from, to, &msg),
-            "hb" => self.on_hb(from, to, &msg),
-            "hello" => self.on_hello(from, to, &msg),
-            "meta" => self.on_meta(from, to, &msg),
-            "refuse" => self.on_refuse(from, to, &msg),
-            "diverged" => {
-                let now = self.now();
-                self.nodes[to].role = Role::Fenced;
-                self.nodes[to].peer_attached = false;
-                self.trace
-                    .push(now, format!("n{to} fenced: diverged notice from n{from}"));
-            }
-            _ => {}
+            "hello" => match self.nodes[to].repl.on_hello(&msg) {
+                Hello::Accept { have, meta } => self.attach_standby(to, from, have, meta),
+                Hello::Refuse(refusal) => self.send_frame(to, from, refusal),
+            },
+            // Acks ride the replication connection: none arrives once
+            // the primary considers it reset.
+            "ack" if self.nodes[to].peer_attached => match self.nodes[to].repl.on_ack(&msg) {
+                Ack::Ignored => {}
+                Ack::Progress(_) => self.release_acks(to),
+                Ack::Diverged { have, notice } => {
+                    self.trace.push(
+                        now,
+                        format!("n{to} divergence detected: n{from} at have={have}"),
+                    );
+                    // The real primary closes the socket after the
+                    // notice; the close is observed as reliably as the
+                    // notice, so the pair rides a reliable send.
+                    self.net.send_reliable(now, to, from, notice);
+                    self.nodes[to].peer_attached = false;
+                    self.release_acks(to);
+                }
+            },
+            "ack" => {}
+            _ => match self.nodes[to].repl.on_frame(&msg, &addr(from), now) {
+                Stream::Apply { seq, event } => self.standby_apply(from, to, seq, event),
+                // `retain_history` keeps every log whole: no snapshots.
+                Stream::Following | Stream::Drop | Stream::Restore { .. } => {}
+            },
+        }
+        if was != Role::Fenced && self.nodes[to].repl.role() == Role::Fenced {
+            self.nodes[to].peer_attached = false;
+            self.trace.push(
+                now,
+                format!("n{to} fenced: {} notice from n{from}", kind(&msg)),
+            );
         }
     }
 
-    fn on_rec(&mut self, from: usize, to: usize, msg: &Value) {
+    /// Applies a record the core cleared, through the standby's own
+    /// append-before-apply path, and acks with the core's frame.
+    fn standby_apply(&mut self, from: usize, to: usize, seq: u64, event: MarketEvent) {
         let now = self.now();
         let node = &mut self.nodes[to];
-        node.last_heard = now;
-        node.heard_any = true;
-        if node.role != Role::Standby {
-            return;
-        }
-        let seq = msg.get("seq").and_then(Value::as_u64).unwrap_or(0);
-        node.primary_seq = node.primary_seq.max(seq + 1);
-        let Some(event) = msg
-            .get("event")
-            .and_then(|v| ref_serve::protocol::value_to_event(v).ok())
-        else {
-            return;
-        };
         let core = node.core.as_mut().expect("checked in on_frame");
-        match core.apply_repl(seq, event, &node.metrics) {
+        let outcome = core.apply_repl(seq, event, &node.metrics);
+        let have = core.events_applied();
+        let reply = match outcome {
             ReplApply::Applied { epoch_fp } => {
-                let have = core.events_applied();
-                let mut fields = vec![("have", Value::from_u64(have))];
-                if let Some((epoch, fp)) = epoch_fp {
-                    fields.push(("epoch", Value::from_u64(epoch)));
-                    fields.push(("fp", Value::str(format!("{fp:016x}"))));
-                }
                 self.trace
                     .push(now, format!("n{to} applied seq={seq} have={have}"));
-                let frame = message("ack", fields);
-                self.send_frame(to, from, frame);
+                node.repl.ack(have, epoch_fp)
             }
-            ReplApply::Skipped => {
-                let have = node.core.as_ref().expect("present").events_applied();
-                let frame = message("ack", vec![("have", Value::from_u64(have))]);
-                self.send_frame(to, from, frame);
-            }
+            ReplApply::Skipped => node.repl.ack(have, None),
+            // A hole cannot be repaired in-stream: reconnect.
             ReplApply::Gap => {
-                let term = node.term;
-                let have = node.core.as_ref().expect("present").events_applied();
                 self.trace
                     .push(now, format!("n{to} gap at seq={seq} have={have}: resync"));
-                let frame = message(
-                    "hello",
-                    vec![
-                        ("term", Value::from_u64(term)),
-                        ("have_seq", Value::from_u64(have)),
-                    ],
-                );
-                self.send_frame(to, from, frame);
+                node.repl.hello()
             }
             ReplApply::WalError => {
-                let poisoned = node
-                    .core
-                    .as_ref()
-                    .and_then(|c| c.wal())
-                    .map(|w| w.poisoned());
-                if poisoned == Some(true) {
+                if core.wal().is_some_and(|w| w.poisoned()) {
                     self.trace
                         .push(now, format!("n{to} standby wal poisoned: crashing"));
                     self.crash(to);
                     self.pending_restarts.push((now + POISON_RESTART, to));
                 }
-            }
-        }
-    }
-
-    fn on_ack(&mut self, from: usize, to: usize, msg: &Value) {
-        let now = self.now();
-        if self.nodes[to].role != Role::Primary {
-            return;
-        }
-        let have = msg.get("have").and_then(Value::as_u64).unwrap_or(0);
-        // Fingerprint audit: a mismatched epoch fingerprint is a
-        // diverged replica — fence it, stop trusting its acks.
-        let epoch = msg.get("epoch").and_then(Value::as_u64);
-        let fp = msg
-            .get("fp")
-            .and_then(Value::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok());
-        if let (Some(epoch), Some(fp)) = (epoch, fp) {
-            if let Some((want_epoch, expected)) = self.nodes[to].epoch_fps.get(&have).copied() {
-                if want_epoch != epoch || expected != fp {
-                    self.trace.push(
-                        now,
-                        format!(
-                            "n{to} divergence detected: n{from} at have={have} epoch={epoch} fp={fp:016x} expected epoch={want_epoch} fp={expected:016x}"
-                        ),
-                    );
-                    self.nodes[to].peer_attached = false;
-                    self.nodes[to].peer_diverged = true;
-                    let frame = message(
-                        "diverged",
-                        vec![
-                            ("epoch", Value::from_u64(epoch)),
-                            ("expected", Value::str(format!("{expected:016x}"))),
-                            ("got", Value::str(format!("{fp:016x}"))),
-                        ],
-                    );
-                    // The real primary closes the replication socket after
-                    // the notice; the close (EOF) is observed by the peer
-                    // as reliably as the notice itself, so the combined
-                    // "you are diverged" signal rides a reliable send.
-                    self.net.send_reliable(now, to, from, frame);
-                    return;
-                }
-            }
-        }
-        // Reconnect path: an ack from a peer the primary does not have
-        // attached is an implicit re-handshake (the real standby
-        // reconnects and re-hellos; the ack carries the same have_seq).
-        if !self.nodes[to].peer_attached && from == (to ^ 1) && !self.nodes[to].peer_diverged {
-            let my_seq = self.nodes[to]
-                .core
-                .as_ref()
-                .expect("present")
-                .events_applied();
-            if have <= my_seq {
-                self.attach_standby(to, from, have);
-            } else {
-                let term = self.nodes[to].term;
-                let frame = message(
-                    "refuse",
-                    vec![
-                        ("reason", Value::str("standby_ahead")),
-                        ("term", Value::from_u64(term)),
-                    ],
-                );
-                self.send_frame(to, from, frame);
                 return;
             }
-        }
-        let mut resolved: Vec<AckedEvent> = Vec::new();
-        self.pending.retain(|p| {
-            if p.primary == to && p.seq < have {
-                if let Some(event_json) = &p.event_json {
-                    resolved.push(AckedEvent {
-                        shard: p.shard,
-                        seq: p.seq,
-                        event_json: event_json.clone(),
-                    });
-                }
-                false
-            } else {
-                true
-            }
-        });
-        for acked in resolved {
-            self.trace
-                .push(now, format!("n{to} acked seq={} (replicated)", acked.seq));
-            self.acked.push(acked);
-        }
+        };
+        self.send_frame(to, from, reply);
     }
 
-    fn on_hb(&mut self, from: usize, to: usize, msg: &Value) {
+    /// The core accepted a standby at `have`: send its `meta`, then
+    /// stream the log tail — the catch-up `handle_standby` performs from
+    /// disk — and count the connection as live.
+    fn attach_standby(&mut self, primary: usize, standby: usize, have: u64, meta: Vec<u8>) {
         let now = self.now();
-        let term = msg.get("term").and_then(Value::as_u64).unwrap_or(0);
-        match self.nodes[to].role {
-            Role::Standby => {
-                let node = &mut self.nodes[to];
-                node.last_heard = now;
-                node.heard_any = true;
-                if term >= node.term {
-                    node.term = term;
-                }
-                node.primary_seq = node
-                    .primary_seq
-                    .max(msg.get("seq").and_then(Value::as_u64).unwrap_or(0));
-                let have = node.core.as_ref().expect("present").events_applied();
-                let frame = message("ack", vec![("have", Value::from_u64(have))]);
-                self.send_frame(to, from, frame);
-            }
-            Role::Primary => {
-                if term < self.nodes[to].term {
-                    // A deposed primary is still beating: fence it on
-                    // contact by presenting the higher term.
-                    let my_term = self.nodes[to].term;
-                    let frame = message(
-                        "hello",
-                        vec![
-                            ("term", Value::from_u64(my_term)),
-                            ("have_seq", Value::from_u64(0)),
-                        ],
-                    );
-                    self.send_frame(to, from, frame);
-                } else if term > self.nodes[to].term {
-                    self.nodes[to].role = Role::Fenced;
-                    self.trace
-                        .push(now, format!("n{to} fenced: higher-term heartbeat"));
-                }
-            }
-            Role::Fenced => {}
-        }
-    }
-
-    /// A hello presented to this node (fence notice or catch-up
-    /// request), handled exactly like `repl::handle_standby`'s preamble.
-    fn on_hello(&mut self, from: usize, to: usize, msg: &Value) {
-        let now = self.now();
-        let their_term = msg.get("term").and_then(Value::as_u64).unwrap_or(0);
-        let have = msg.get("have_seq").and_then(Value::as_u64).unwrap_or(0);
-        if their_term > self.nodes[to].term {
-            if self.nodes[to].role != Role::Fenced {
-                self.nodes[to].role = Role::Fenced;
-                self.trace
-                    .push(now, format!("n{to} fenced: hello with term {their_term}"));
-            }
-            let frame = message(
-                "refuse",
-                vec![
-                    ("reason", Value::str("fenced")),
-                    ("term", Value::from_u64(their_term)),
-                ],
-            );
-            self.send_frame(to, from, frame);
-            return;
-        }
-        if self.nodes[to].role != Role::Primary {
-            let term = self.nodes[to].term;
-            let frame = message(
-                "refuse",
-                vec![
-                    ("reason", Value::str("not_primary")),
-                    ("term", Value::from_u64(term)),
-                ],
-            );
-            self.send_frame(to, from, frame);
-            return;
-        }
-        let my_seq = self.nodes[to]
-            .core
-            .as_ref()
-            .expect("present")
-            .events_applied();
-        if have > my_seq {
-            let term = self.nodes[to].term;
-            let frame = message(
-                "refuse",
-                vec![
-                    ("reason", Value::str("standby_ahead")),
-                    ("term", Value::from_u64(term)),
-                ],
-            );
-            self.send_frame(to, from, frame);
-            return;
-        }
-        if self.nodes[to].peer_diverged && from == (to ^ 1) {
-            // A replica we caught diverging carries garbage state; its
-            // only way back is an operator rebuild, not a re-handshake.
-            // Re-state the verdict reliably so a hello that raced a lost
-            // notice still learns it must fence.
-            let frame = message(
-                "diverged",
-                vec![
-                    ("epoch", Value::from_u64(0)),
-                    ("expected", Value::str("0")),
-                    ("got", Value::str("0")),
-                ],
-            );
-            self.net.send_reliable(now, to, from, frame);
-            return;
-        }
-        self.attach_standby(to, from, have);
-    }
-
-    /// Accepts a standby at `have`: meta, then stream the log tail —
-    /// the catch-up the real `handle_standby` performs from disk.
-    fn attach_standby(&mut self, primary: usize, standby: usize, have: u64) {
-        let now = self.now();
-        let term = self.nodes[primary].term;
-        let meta = message("meta", vec![("term", Value::from_u64(term))]);
         self.send_frame(primary, standby, meta);
-        let events = {
-            let core = self.nodes[primary].core.as_ref().expect("present");
-            match core.wal().expect("wal-backed").read_events() {
-                Ok((first, mut events)) => {
-                    debug_assert_eq!(first, 0, "retain_history keeps the full log");
-                    events.split_off((have as usize).min(events.len()))
-                }
-                Err(_) => Vec::new(),
+        let core = self.nodes[primary].core.as_ref().expect("present");
+        let events = match core.wal().expect("wal-backed").read_events() {
+            Ok((first, mut events)) => {
+                debug_assert_eq!(first, 0, "retain_history keeps the full log");
+                events.split_off((have as usize).min(events.len()))
             }
+            Err(_) => Vec::new(),
         };
         let count = events.len();
         for (i, event) in events.into_iter().enumerate() {
@@ -905,33 +658,6 @@ impl Sim {
         );
     }
 
-    fn on_meta(&mut self, from: usize, to: usize, msg: &Value) {
-        let now = self.now();
-        let term = msg.get("term").and_then(Value::as_u64).unwrap_or(0);
-        let node = &mut self.nodes[to];
-        if node.role == Role::Standby {
-            node.last_heard = now;
-            node.heard_any = true;
-            if term >= node.term {
-                node.term = term;
-            }
-            self.trace
-                .push(now, format!("n{to} meta from n{from} term={term}"));
-        }
-    }
-
-    fn on_refuse(&mut self, from: usize, to: usize, msg: &Value) {
-        let now = self.now();
-        let reason = msg.get("reason").and_then(Value::as_str).unwrap_or("");
-        if reason == "standby_ahead" && self.nodes[to].role == Role::Standby {
-            // This replica holds history the primary lacks: accepting a
-            // truncation would fork the past. Terminal fence.
-            self.nodes[to].role = Role::Fenced;
-            self.trace
-                .push(now, format!("n{to} fenced: ahead of primary n{from}"));
-        }
-    }
-
     // ------------------------------------------------------------------
     // Timers: heartbeats, elections, ack deadlines, delayed restarts.
     // ------------------------------------------------------------------
@@ -939,98 +665,55 @@ impl Sim {
     fn timers(&mut self) {
         let now = self.now();
         // Delayed restarts (poison crashes).
-        let due: Vec<usize> = {
-            let mut due = Vec::new();
-            self.pending_restarts.retain(|(at, id)| {
-                if *at <= now {
-                    due.push(*id);
-                    false
-                } else {
-                    true
-                }
-            });
-            due
-        };
-        for id in due {
+        let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending_restarts)
+            .into_iter()
+            .partition(|(at, _)| *at <= now);
+        self.pending_restarts = later;
+        for (_, id) in due {
             self.restart(id);
         }
-        // Heartbeats.
+        // Heartbeats ride the replication connection: a primary with no
+        // attached standby has no socket to write them to, so a detached
+        // standby goes silent and falls into its re-dial loop.
         if now >= self.next_hb {
             self.next_hb = now + HB_EVERY;
             for id in 0..NODES {
-                let node = &self.nodes[id];
-                // Heartbeats ride the replication connection: a primary
-                // with no attached standby has no socket to write them
-                // to, so a detached standby goes silent and falls into
-                // its hello-retry loop instead of idling on fresh hbs.
-                let Some(core) = node.core.as_ref() else {
+                if !self.alive(id) || !self.nodes[id].peer_attached {
                     continue;
-                };
-                if node.role == Role::Primary && node.peer_attached {
-                    let term = node.term;
-                    let seq = core.events_applied();
-                    let frame = message(
-                        "hb",
-                        vec![
-                            ("term", Value::from_u64(term)),
-                            ("seq", Value::from_u64(seq)),
-                        ],
-                    );
-                    self.send_frame(id, id ^ 1, frame);
+                }
+                if let Some(hb) = self.nodes[id].repl.heartbeat() {
+                    self.send_frame(id, id ^ 1, hb);
                 }
             }
         }
         // Ack deadlines: the client gets a loud replication error; the
         // event stays applied locally but is never ledgered as acked.
-        let mut expired = Vec::new();
+        let trace = &mut self.trace;
         self.pending.retain(|p| {
             if p.deadline <= now {
-                expired.push((p.primary, p.seq, p.event_json.is_some()));
-                false
-            } else {
-                true
+                let (primary, seq) = (p.primary, p.seq);
+                trace.push(
+                    now,
+                    format!("n{primary} ack timeout seq={seq}: not confirmed"),
+                );
             }
+            p.deadline > now
         });
-        for (primary, seq, client) in expired {
-            self.trace.push(
-                now,
-                format!("n{primary} ack timeout seq={seq} client={client}: not confirmed"),
-            );
-        }
-        // Standby handshake retries and elections.
+        // Standbys: elect when the core's gate opens, else re-dial a
+        // primary that has gone quiet.
         for id in 0..NODES {
             let node = &self.nodes[id];
-            if node.role != Role::Standby || node.core.is_none() {
+            if node.core.is_none() || node.repl.role() != Role::Standby {
                 continue;
             }
-            if now.saturating_sub(node.last_heard) > node.election_timeout {
-                // Only a standby that was actually streaming may elect:
-                // one that never heard its primary this boot cannot have
-                // lost it, and one behind the primary's advertised log
-                // position would promote a stale branch.
-                let applied = node.core.as_ref().expect("present").events_applied();
-                if node.heard_any && applied >= node.primary_seq {
-                    self.promote(id);
-                    continue;
-                }
-            }
-            // Reconnect loop: a detached standby re-presents its hello
-            // every 20ms until a primary accepts it.
-            let node = &self.nodes[id];
-            let silent = now.saturating_sub(node.last_heard) > Duration::from_millis(20);
-            let due = now.saturating_sub(node.last_hello) > Duration::from_millis(20);
-            if silent && due {
-                let term = node.term;
-                let have = node.core.as_ref().expect("present").events_applied();
+            if node.repl.election_due(now) {
+                self.promote(id);
+            } else if node.repl.silence(now) > REDIAL_EVERY
+                && now.saturating_sub(node.last_hello) > REDIAL_EVERY
+            {
+                let hello = node.repl.hello();
                 self.nodes[id].last_hello = now;
-                let frame = message(
-                    "hello",
-                    vec![
-                        ("term", Value::from_u64(term)),
-                        ("have_seq", Value::from_u64(have)),
-                    ],
-                );
-                self.send_frame(id, id ^ 1, frame);
+                self.send_frame(id, id ^ 1, hello);
             }
         }
     }
@@ -1043,120 +726,117 @@ impl Sim {
             // before its election timer can fire.
             self.violation(format!("diverged standby n{id} promoted itself"));
         }
-        let node = &mut self.nodes[id];
-        node.term += 1;
-        node.role = Role::Primary;
-        node.promoted_ever = true;
-        node.peer_attached = false;
-        node.epoch_fps.clear();
-        let term = node.term;
+        let Promotion::Promoted { term, depose } = self.nodes[id].repl.promote() else {
+            return;
+        };
+        self.nodes[id].promoted_ever = true;
+        self.nodes[id].peer_attached = false;
         self.trace.push(now, format!("n{id} promote term={term}"));
         // Depose the old primary if it is somehow still reachable.
-        let frame = message(
-            "hello",
-            vec![
-                ("term", Value::from_u64(term)),
-                ("have_seq", Value::from_u64(0)),
-            ],
-        );
-        self.send_frame(id, id ^ 1, frame);
+        if let Some((_, hello)) = depose {
+            self.send_frame(id, id ^ 1, hello);
+        }
     }
 
     // ------------------------------------------------------------------
-    // The router model: fan ticks, quorum gate, coordinator, resync.
+    // The router: fan ticks, feed the RouterCore, deliver what it says.
     // ------------------------------------------------------------------
+
+    /// Delivers a reallotment as a journaled event; a primary that
+    /// refuses (say, inside its recovery lease) never journaled the
+    /// split, so the core is told to offer it again.
+    fn deliver(&mut self, shard: usize, capacity: Vec<f64>, why: &str) {
+        let now = self.now();
+        let delivered = self
+            .route(shard)
+            .is_some_and(|p| is_ok(&self.primary_apply(p, &Request::Reallot { capacity }, false)));
+        if !delivered {
+            self.router.undelivered(shard);
+            self.trace
+                .push(now, format!("{why} shard={shard} undelivered"));
+        }
+    }
 
     fn fleet_tick(&mut self) {
         let now = self.now();
         self.round += 1;
         let round = self.round;
-        // Supervisor resync: a shard whose serving primary changed is
-        // offered its current allotment again — WAL recovery may have
-        // restored an older journaled split.
         for shard in 0..SHARDS {
             let Some(p) = self.route(shard) else { continue };
-            if self.router_known_primary[shard] != Some(p) {
-                let first = self.router_known_primary[shard].is_none();
-                self.router_known_primary[shard] = Some(p);
-                if !first {
-                    let capacity = self.coord.resync_delivery(shard);
+            // Supervisor resync: a shard whose serving primary changed
+            // is offered its current allotment again — WAL recovery may
+            // have restored an older journaled split.
+            if self.known_primary[shard]
+                .replace(p)
+                .is_some_and(|was| was != p)
+            {
+                self.trace
+                    .push(now, format!("router resync shard={shard} via n{p}"));
+                let capacity = self.router.resync(shard);
+                self.deliver(shard, capacity, "router resync");
+            }
+            // Supervisor probe: the fan skips a Down shard, so only an
+            // answered query (and the catch-up ticks the core counts)
+            // lets it back in, at Suspect.
+            if self.router.health(shard) == ShardHealth::Down {
+                let reply = self.primary_apply(p, &Request::Query { agent: None }, false);
+                if is_ok(&reply) {
+                    self.epochs[shard] = reply.get("epoch").and_then(Value::as_u64).unwrap_or(0);
+                    let ticks = RouterCore::catch_up_ticks(&self.epochs, shard);
                     self.trace
-                        .push(now, format!("router resync shard={shard} via n{p}"));
-                    let reply =
-                        self.primary_apply(p, &Request::Reallot { capacity }, AppKind::Internal);
-                    if !is_ok(&reply) {
-                        // A refusing primary (e.g. in its recovery grace)
-                        // never journaled the split: keep it pending so a
-                        // later round re-offers instead of drifting.
-                        self.coord.mark_undelivered(shard);
-                        self.trace
-                            .push(now, format!("router resync shard={shard} undelivered"));
+                        .push(now, format!("router probe shard={shard} catch-up={ticks}"));
+                    for _ in 0..ticks {
+                        self.primary_apply(p, &Request::Tick, false);
                     }
+                    self.router.readmit(shard);
                 }
             }
         }
-        let mut delivered = [false; SHARDS];
-        let mut reports: Vec<Option<Value>> = vec![None, None];
+        let mut replies = Vec::with_capacity(SHARDS);
         for shard in 0..SHARDS {
-            let Some(p) = self.route(shard) else { continue };
-            let reply = self.primary_apply(p, &Request::Tick, AppKind::Internal);
-            if is_ok(&reply) {
-                delivered[shard] = true;
-                reports[shard] = reply.get("report").cloned();
-                self.demands[shard] = self.nodes[p]
-                    .core
-                    .as_ref()
-                    .map(|c| c.engine().aggregate_demand())
-                    .unwrap_or_else(|| self.demands[shard].clone());
-            }
+            let reply = if self.router.health(shard) == ShardHealth::Down {
+                shard_unavailable_response(shard as u64, 0)
+            } else if let Some(p) = self.route(shard) {
+                let reply = self.primary_apply(p, &Request::Tick, false);
+                if is_ok(&reply) {
+                    self.epochs[shard] = reply.get("epoch").and_then(Value::as_u64).unwrap_or(0);
+                    if let Some(core) = self.nodes[p].core.as_ref() {
+                        self.demands[shard] = core.engine().aggregate_demand();
+                    }
+                }
+                reply
+            } else {
+                // Nobody to ask: the tick budget lapses.
+                error_response("timeout", None, None)
+            };
+            replies.push(reply);
         }
-        let reported = delivered.iter().filter(|d| **d).count();
-        let full = reported == SHARDS;
-        if !full {
+        let outcomes: Vec<TickOutcome> = replies.iter().map(TickOutcome::of).collect();
+        let verdict = self.router.tick_round(&outcomes, &self.demands);
+        let reported = SHARDS - verdict.missing.len();
+        if !verdict.missing.is_empty() {
             self.partial_rounds += 1;
         }
-        if reported < self.quorum {
-            // Below quorum the demand picture is too partial to act on:
-            // freeze allotments; undelivered updates stay pending.
+        if verdict.frozen {
             self.quorum_freezes += 1;
             self.trace.push(
                 now,
-                format!("round={round} quorum freeze ({reported}/{})", SHARDS),
+                format!("round={round} quorum freeze ({reported}/{SHARDS})"),
             );
-        } else {
-            let mut updates = self.coord.step(&self.demands);
-            for (shard, update) in updates.iter_mut().enumerate() {
-                if update.is_some() && !delivered[shard] {
-                    self.coord.mark_undelivered(shard);
-                    *update = None;
-                }
-            }
-            for (shard, update) in updates.into_iter().enumerate() {
-                let Some(capacity) = update else { continue };
-                let p = self.route(shard).expect("delivered shard has a primary");
-                let reply =
-                    self.primary_apply(p, &Request::Reallot { capacity }, AppKind::Internal);
-                if !is_ok(&reply) {
-                    // The shard never journaled the new split: re-offer
-                    // it next round instead of letting it drift.
-                    self.coord.mark_undelivered(shard);
-                    self.trace.push(
-                        now,
-                        format!("round={round} reallot undelivered shard={shard}"),
-                    );
-                }
-            }
         }
-        // Fleet fairness accounting: temporal-SI only merges over a
-        // full picture — a partial fleet would be phantom data.
-        let si: u64 = reports
+        for (shard, capacity) in verdict.reallots {
+            self.deliver(shard, capacity, &format!("round={round} reallot"));
+        }
+        // Fleet fairness accounting: the core's verdict is that only a
+        // full round may be merged — a partial fleet is phantom data.
+        let si: u64 = replies
             .iter()
-            .flatten()
-            .filter_map(|r| r.get("temporal_violations").and_then(Value::as_u64))
+            .filter_map(|r| r.get("report")?.get("temporal_violations")?.as_u64())
             .sum();
-        if full {
+        if verdict.missing.is_empty() {
             self.fleet_temporal_si += si;
         } else if self.opts.break_invariant == Some(BreakKind::SiDuringPartial) {
+            // BROKEN (test-only): override the verdict.
             self.fleet_temporal_si += si;
             self.si_partial_accruals += 1;
             self.trace.push(
@@ -1174,40 +854,39 @@ impl Sim {
 
     fn apply_client(&mut self, op: &ClientOp) {
         let now = self.now();
-        let (agent, req) = match op {
+        let truth =
+            |e0: f64| CobbDouglas::new(1.0, vec![e0, 1.0 - e0]).expect("valid elasticities");
+        let (agent, req) = match *op {
             ClientOp::Join { agent, e0 } => (
-                *agent,
+                agent,
                 Request::Join {
-                    agent: *agent,
-                    source: ObservationSource::GroundTruth(
-                        CobbDouglas::new(1.0, vec![*e0, 1.0 - *e0]).expect("valid elasticities"),
-                    ),
+                    agent,
+                    source: ObservationSource::GroundTruth(truth(e0)),
                 },
             ),
-            ClientOp::Leave { agent } => (*agent, Request::Leave { agent: *agent }),
+            ClientOp::Leave { agent } => (agent, Request::Leave { agent }),
             ClientOp::Demand { agent, e0 } => (
-                *agent,
+                agent,
                 Request::Demand {
-                    agent: *agent,
-                    truth: Some(CobbDouglas::new(1.0, vec![*e0, 1.0 - *e0]).expect("valid")),
+                    agent,
+                    truth: Some(truth(e0)),
                 },
             ),
-            ClientOp::Query { agent } => (
-                *agent,
-                Request::Query {
-                    agent: Some(*agent),
-                },
-            ),
+            ClientOp::Query { agent } => (agent, Request::Query { agent: Some(agent) }),
         };
         let shard = self.ring.shard_of(agent);
-        let Some(p) = self.route(shard) else {
+        // Dispatch fails fast on a Down shard, like the real router.
+        let primary = (self.router.health(shard) != ShardHealth::Down)
+            .then(|| self.route(shard))
+            .flatten();
+        let Some(p) = primary else {
             self.trace.push(
                 now,
                 format!("client agent={agent} shard={shard} unavailable"),
             );
             return;
         };
-        let reply = self.primary_apply(p, &req, AppKind::Client);
+        let reply = self.primary_apply(p, &req, true);
         self.trace.push(
             now,
             format!(
@@ -1223,9 +902,7 @@ impl Sim {
             FaultOp::Crash { node } => self.crash(*node),
             FaultOp::Restart { node } => self.restart(*node),
             FaultOp::Partition { shard, both } => {
-                let a = shard * REPLICAS;
-                let b = a + 1;
-                let p = self.live_primary(*shard).unwrap_or(a);
+                let p = self.known_primary[*shard].unwrap_or(shard * REPLICAS);
                 let s = p ^ 1;
                 self.net.cut(p, s, None);
                 if *both {
@@ -1235,7 +912,6 @@ impl Sim {
                     now,
                     format!("partition shard={shard} n{p}->n{s} both={both}"),
                 );
-                let _ = (a, b);
             }
             FaultOp::Heal { shard } => {
                 let a = shard * REPLICAS;
@@ -1257,29 +933,20 @@ impl Sim {
             }
             FaultOp::BitFlip { node } => {
                 let dir = self.nodes[*node].dir.clone();
-                match self.nodes[*node].disk.flip_bit_in_covered_checkpoint(&dir) {
-                    Some(path) => {
-                        self.nodes[*node].bitflip_hit = true;
-                        self.trace.push(
-                            now,
-                            format!(
-                                "bit flip n{node} in {}",
-                                path.file_name().unwrap_or_default().to_string_lossy()
-                            ),
-                        );
-                    }
-                    None => {
-                        self.trace.push(
-                            now,
-                            format!("bit flip n{node} skipped: no covered checkpoint"),
-                        );
-                    }
-                }
+                let flipped = self.nodes[*node].disk.flip_bit_in_covered_checkpoint(&dir);
+                self.nodes[*node].bitflip_hit |= flipped.is_some();
+                let what = match &flipped {
+                    Some(path) => format!(
+                        "in {}",
+                        path.file_name().unwrap_or_default().to_string_lossy()
+                    ),
+                    None => "skipped: no covered checkpoint".to_string(),
+                };
+                self.trace.push(now, format!("bit flip n{node} {what}"));
             }
             FaultOp::Diverge { shard } => {
-                let target = (shard * REPLICAS..shard * REPLICAS + REPLICAS).find(|id| {
-                    self.nodes[*id].role == Role::Standby && self.nodes[*id].core.is_some()
-                });
+                let target = (shard * REPLICAS..shard * REPLICAS + REPLICAS)
+                    .find(|id| self.nodes[*id].repl.role() == Role::Standby && self.alive(*id));
                 let Some(id) = target else {
                     self.trace
                         .push(now, format!("diverge shard={shard} skipped: no standby"));
@@ -1312,10 +979,9 @@ impl Sim {
             Op::FleetTick => self.fleet_tick(),
             Op::Scrub { node } => {
                 let now = self.now();
-                if self.nodes[*node].core.is_some() {
-                    let node_ref = &mut self.nodes[*node];
-                    let core = node_ref.core.as_mut().expect("present");
-                    let reply = core.handle(&Request::Scrub, &node_ref.metrics);
+                let target = &mut self.nodes[*node];
+                if let Some(core) = target.core.as_mut() {
+                    let reply = core.handle(&Request::Scrub, &target.metrics);
                     let errors = reply
                         .get("errors")
                         .and_then(Value::as_array)
@@ -1334,17 +1000,10 @@ impl Sim {
     fn step_to(&mut self, t: Duration) {
         self.clock.set(t);
         // Scheduled operations due at or before t.
-        let ops: Vec<Op> = {
-            let mut ops = Vec::new();
-            while self.next_op < self.schedule.ops.len() && self.schedule.ops[self.next_op].at <= t
-            {
-                ops.push(self.schedule.ops[self.next_op].op.clone());
-                self.next_op += 1;
-            }
-            ops
-        };
-        for op in &ops {
-            self.apply_op(op);
+        while let Some(due) = self.schedule.ops.get(self.next_op).filter(|s| s.at <= t) {
+            let op = due.op.clone();
+            self.next_op += 1;
+            self.apply_op(&op);
         }
         // Network deliveries due at or before t.
         let packets = self.net.pop_due(t);
@@ -1370,28 +1029,11 @@ impl Sim {
         let start = self.now();
         self.net.heal_all();
         self.trace.push(start, "settle: heal all links".to_string());
-        // Fire the script's leftover restarts immediately, then any
-        // poison restarts, then anything still down.
-        let leftovers: Vec<Op> = self.schedule.ops[self.next_op..]
-            .iter()
-            .filter(|s| matches!(s.op, Op::Fault(FaultOp::Restart { .. })))
-            .map(|s| s.op.clone())
-            .collect();
+        // The script is over: restart whatever is still down, whether
+        // its restart was scripted, delayed by a poisoned WAL, or neither.
         self.next_op = self.schedule.ops.len();
-        for op in &leftovers {
-            self.apply_op(op);
-        }
-        let down: Vec<usize> = {
-            let mut down: Vec<usize> = self.pending_restarts.drain(..).map(|(_, id)| id).collect();
-            for id in 0..NODES {
-                if self.nodes[id].core.is_none() && !down.contains(&id) {
-                    down.push(id);
-                }
-            }
-            down.sort_unstable();
-            down
-        };
-        for id in down {
+        self.pending_restarts.clear();
+        for id in 0..NODES {
             self.restart(id);
         }
         let end = start + SETTLE;
@@ -1405,23 +1047,19 @@ impl Sim {
             }
             t += STEP;
         }
-        // Drain whatever is still in flight.
-        let mut guard = 0;
-        while self.net.in_flight() > 0 && guard < 2000 {
-            t += STEP;
-            self.step_to(t);
-            guard += 1;
-        }
-        // Two final full rounds over the quiesced fleet.
-        self.fleet_tick();
-        t += STEP;
-        self.step_to(t);
-        self.fleet_tick();
-        let mut guard = 0;
-        while self.net.in_flight() > 0 && guard < 2000 {
-            t += STEP;
-            self.step_to(t);
-            guard += 1;
+        // Two final full rounds over the quiesced fleet, each once
+        // whatever is still in flight has drained.
+        for round in 0..3 {
+            for _ in 0..2000 {
+                if self.net.in_flight() == 0 {
+                    break;
+                }
+                t += STEP;
+                self.step_to(t);
+            }
+            if round < 2 {
+                self.fleet_tick();
+            }
         }
     }
 
@@ -1429,21 +1067,28 @@ impl Sim {
     // Standing invariants.
     // ------------------------------------------------------------------
 
-    fn authoritative(&self, shard: usize) -> Option<usize> {
-        self.routed_primary(shard).or_else(|| {
+    /// Whose log the oracle judges acked events against: the primary the
+    /// router serves the shard from, else the unfenced live node furthest
+    /// along.
+    fn authoritative(&mut self, shard: usize) -> Option<usize> {
+        self.route(shard).or_else(|| {
             (shard * REPLICAS..shard * REPLICAS + REPLICAS)
-                .filter(|id| self.nodes[*id].core.is_some() && self.nodes[*id].role != Role::Fenced)
-                .max_by_key(|id| {
-                    (
-                        self.nodes[*id].term,
-                        self.nodes[*id]
-                            .core
-                            .as_ref()
-                            .expect("present")
-                            .events_applied(),
-                    )
-                })
+                .filter(|id| self.alive(*id) && self.nodes[*id].repl.role() != Role::Fenced)
+                .max_by_key(|id| (self.nodes[*id].repl.term(), self.applied(*id)))
         })
+    }
+
+    /// Node `id`'s whole on-disk history (a violation if it is unreadable
+    /// or no longer reaches back to event 0).
+    fn history(&mut self, id: usize) -> Option<Vec<MarketEvent>> {
+        match read_events_with(&self.nodes[id].disk, &self.nodes[id].dir) {
+            Ok((0, events)) => return Some(events),
+            Ok((first, _)) => {
+                self.violation(format!("n{id} history starts at {first}, expected 0"));
+            }
+            Err(e) => self.violation(format!("n{id} log unreadable: {e}")),
+        }
+        None
     }
 
     fn check_invariants(&mut self) {
@@ -1457,20 +1102,8 @@ impl Sim {
                 }
                 continue;
             };
-            let dir = self.nodes[auth].dir.clone();
-            let disk = self.nodes[auth].disk.clone();
-            let events = match read_events_with(&disk, &dir) {
-                Ok((0, events)) => events,
-                Ok((first, _)) => {
-                    self.violation(format!(
-                        "shard {shard} history starts at {first}, expected 0"
-                    ));
-                    continue;
-                }
-                Err(e) => {
-                    self.violation(format!("shard {shard} authoritative log unreadable: {e}"));
-                    continue;
-                }
+            let Some(events) = self.history(auth) else {
+                continue;
             };
             let acked: Vec<(u64, String)> = self
                 .acked
@@ -1497,21 +1130,11 @@ impl Sim {
         }
         // 2. Bit-identical replay on every live, unfenced node.
         for id in 0..NODES {
-            if self.nodes[id].core.is_none() || self.nodes[id].role == Role::Fenced {
+            if !self.alive(id) || self.nodes[id].repl.role() == Role::Fenced {
                 continue;
             }
-            let dir = self.nodes[id].dir.clone();
-            let disk = self.nodes[id].disk.clone();
-            let events = match read_events_with(&disk, &dir) {
-                Ok((0, events)) => events,
-                Ok((first, _)) => {
-                    self.violation(format!("n{id} history starts at {first}, expected 0"));
-                    continue;
-                }
-                Err(e) => {
-                    self.violation(format!("n{id} log unreadable for replay: {e}"));
-                    continue;
-                }
+            let Some(events) = self.history(id) else {
+                continue;
             };
             let live = self.nodes[id]
                 .core
@@ -1538,10 +1161,10 @@ impl Sim {
             }
             if node.promoted_ever {
                 self.violation(format!("diverged replica n{id} was promoted"));
-            } else if node.core.is_some() && node.role != Role::Fenced {
+            } else if node.core.is_some() && node.repl.role() != Role::Fenced {
                 self.violation(format!(
                     "diverged replica n{id} ended {:?}, expected Fenced",
-                    node.role
+                    node.repl.role()
                 ));
             }
         }
@@ -1551,7 +1174,7 @@ impl Sim {
         let mut live_total = vec![0.0f64; self.total_capacity.len()];
         let mut all_live = true;
         for shard in 0..SHARDS {
-            let Some(p) = self.routed_primary(shard) else {
+            let Some(p) = self.route(shard) else {
                 all_live = false;
                 continue;
             };
@@ -1564,7 +1187,7 @@ impl Sim {
                 .capacity
                 .as_slice()
                 .to_vec();
-            let want = self.coord.allotments()[shard].clone();
+            let want = self.router.allotments()[shard].clone();
             for (r, (cap, want_r)) in capacity.iter().zip(&want).enumerate() {
                 let tolerance = REALLOT_TOLERANCE * self.total_capacity[r];
                 if (cap - want_r).abs() > tolerance {

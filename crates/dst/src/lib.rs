@@ -3,11 +3,14 @@
 //! A FoundationDB-style, single-threaded, virtual-time fault simulator
 //! that hosts the *whole* fleet in-process: two sharded [`ServiceCore`]s
 //! with real WALs behind an in-memory [`SimDisk`], a primary and standby
-//! per shard speaking the real replication frame protocol over a
-//! [`SimNet`] that delays, drops, duplicates, partitions, and heals, a
-//! router model with the real [`Coordinator`] and quorum gate, and
-//! scripted clients — all driven by one seeded schedule on a
-//! [`SimClock`] that only moves when the event loop says so.
+//! per shard whose replication, election and fencing decisions are made
+//! by the server's own [`ReplCore`] over a [`SimNet`] that delays,
+//! drops, duplicates, partitions, and heals, a router whose health
+//! tracking, quorum gate and reallotment are the server's own
+//! [`RouterCore`], and scripted clients — all driven by one seeded
+//! schedule on a [`SimClock`] that only moves when the event loop says
+//! so. The simulator drives those two state machines; it carries no
+//! model of them.
 //!
 //! [`run_seed`] simulates one seed end to end and judges the standing
 //! invariants (zero acked-event loss, bit-identical replay, divergence
@@ -17,7 +20,8 @@
 //! bit-identically.
 //!
 //! [`ServiceCore`]: ref_serve::ServiceCore
-//! [`Coordinator`]: ref_serve::Coordinator
+//! [`ReplCore`]: ref_serve::ReplCore
+//! [`RouterCore`]: ref_serve::RouterCore
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1008,9 +1008,9 @@ impl MarketEngine {
                 return Err(MarketError::DuplicateAgent(a.id));
             }
         }
-        // A v2 snapshot carries no ledger; open a zeroed entry for every
-        // live agent so weights and settlement behave as after a fresh
-        // admission (admit is idempotent for v3 ledgers).
+        // A hand-built snapshot may omit ledger entries; open a zeroed one
+        // for every live agent so weights and settlement behave as after
+        // a fresh admission (admit is idempotent for entries present).
         let mut ledger = snapshot.ledger.clone();
         for id in population.keys() {
             ledger.admit(*id);

@@ -125,7 +125,7 @@ impl CreditLedger {
     }
 
     /// Opens a zeroed entry for a newly admitted agent (idempotent — a
-    /// v2-snapshot restore may re-admit agents the ledger already holds).
+    /// snapshot restore re-admits agents the ledger already holds).
     pub fn admit(&mut self, id: AgentId) {
         self.entries.entry(id).or_default();
     }

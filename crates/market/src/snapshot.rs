@@ -11,10 +11,8 @@
 //! restored market's next epoch allocates identically to the original's.
 //! Lines are self-describing (`capacity …`, `agent …`, `o …`), parsed
 //! strictly in order, and the leading `refmarket-snapshot v3` magic
-//! rejects foreign or future documents up front. v2 documents (written
-//! before the credit ledger existed) still decode: the missing sections
-//! take their zero/default values and the snapshot is upgraded to v3 on
-//! read, so re-encoding always writes the current format.
+//! rejects foreign, older and future documents up front with a typed
+//! `unsupported version` error.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -31,7 +29,7 @@ use crate::ledger::{CreditLedger, LedgerEntry};
 use crate::metrics::MarketMetrics;
 use crate::warm::WarmStartCache;
 
-/// The snapshot format version this build writes (it reads v2 and v3).
+/// The snapshot format version this build reads and writes.
 ///
 /// v2 added the allocation mechanism to the config section, the
 /// warm-start cache section, and the warm-start/incremental-refit
@@ -39,12 +37,6 @@ use crate::warm::WarmStartCache;
 /// the credit ledger section, the fingerprint tilt line, and the
 /// temporal/credit counters on the auditor and metrics lines.
 pub const SNAPSHOT_VERSION: u32 = 3;
-
-/// The previous format version, still accepted by
-/// [`MarketSnapshot::decode`] and upgraded to [`SNAPSHOT_VERSION`] on
-/// read (missing sections take zero/default values, bit-identical to a
-/// market that had never accrued credit).
-pub const SNAPSHOT_VERSION_V2: u32 = 2;
 
 const MAGIC: &str = "refmarket-snapshot";
 
@@ -92,7 +84,7 @@ pub struct MarketSnapshot {
     /// original's would have.
     pub warm: WarmStartCache,
     /// The credit ledger: per-agent balances and delivered/entitled
-    /// windows (empty for a decoded v2 document).
+    /// windows.
     pub ledger: CreditLedger,
     /// Live agents in ascending id order.
     pub agents: Vec<AgentSnapshot>,
@@ -293,13 +285,11 @@ impl MarketSnapshot {
             .and_then(|v| v.strip_prefix('v'))
             .and_then(|v| v.parse::<u32>().ok())
             .ok_or_else(|| bad(format!("not a {MAGIC} document: {header:?}")))?;
-        if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_V2 {
+        if version != SNAPSHOT_VERSION {
             return Err(bad(format!(
-                "unsupported version {version} (supported: \
-                 {SNAPSHOT_VERSION_V2}, {SNAPSHOT_VERSION})"
+                "unsupported version {version} (supported: {SNAPSHOT_VERSION})"
             )));
         }
-        let v3 = version == SNAPSHOT_VERSION;
 
         let capacity =
             Capacity::new(lines.tagged_f64s("capacity")?).map_err(|e| bad(e.to_string()))?;
@@ -317,23 +307,13 @@ impl MarketSnapshot {
                 MechanismKind::from_label(label)
                     .ok_or_else(|| bad(format!("unknown mechanism {label:?}")))?
             },
-            // v2 documents predate the temporal audit; the defaults below
-            // must match `MarketConfig::new`.
-            temporal_window: if v3 {
-                lines.tagged_u64("temporal-window")?
-            } else {
-                16
-            },
-            temporal_slack: if v3 {
-                lines.tagged_f64("temporal-slack")?
-            } else {
-                0.05
-            },
+            temporal_window: lines.tagged_u64("temporal-window")?,
+            temporal_slack: lines.tagged_f64("temporal-slack")?,
         };
         let epoch = lines.tagged_u64("epoch")?;
         let stable_since = lines.tagged_u64("stable-since")?;
 
-        let a = lines.tagged_u64s("auditor", if v3 { 9 } else { 7 })?;
+        let a = lines.tagged_u64s("auditor", 9)?;
         let auditor = Auditor {
             epochs_audited: a[0],
             si_violation_epochs: a[1],
@@ -342,10 +322,10 @@ impl MarketSnapshot {
             si_after_warmup: a[4],
             ef_after_warmup: a[5],
             pe_after_warmup: a[6],
-            temporal_si_violation_epochs: if v3 { a[7] } else { 0 },
-            temporal_si_after_warmup: if v3 { a[8] } else { 0 },
+            temporal_si_violation_epochs: a[7],
+            temporal_si_after_warmup: a[8],
         };
-        let m = lines.tagged_u64s("metrics", if v3 { 19 } else { 16 })?;
+        let m = lines.tagged_u64s("metrics", 19)?;
         let metrics = MarketMetrics {
             epochs: m[0],
             events: m[1],
@@ -363,9 +343,9 @@ impl MarketSnapshot {
             warm_start_hits: m[13],
             warm_start_misses: m[14],
             incremental_refits: m[15],
-            credits_accrued: if v3 { m[16] } else { 0 },
-            credits_spent: if v3 { m[17] } else { 0 },
-            temporal_si_violations: if v3 { m[18] } else { 0 },
+            credits_accrued: m[16],
+            credits_spent: m[17],
+            temporal_si_violations: m[18],
         };
 
         let cache = match lines.tagged("cache")? {
@@ -391,15 +371,11 @@ impl MarketSnapshot {
                         u64::from_str_radix(t, 16).map_err(|e| bad(format!("fp-capacity: {e}")))
                     })
                     .collect::<Result<Vec<_>>>()?;
-                let tilt = if v3 {
-                    lines
-                        .tagged("fp-tilt")?
-                        .split_whitespace()
-                        .map(|t| t.parse::<i64>().map_err(|e| bad(format!("fp-tilt: {e}"))))
-                        .collect::<Result<Vec<_>>>()?
-                } else {
-                    Vec::new()
-                };
+                let tilt = lines
+                    .tagged("fp-tilt")?
+                    .split_whitespace()
+                    .map(|t| t.parse::<i64>().map_err(|e| bad(format!("fp-tilt: {e}"))))
+                    .collect::<Result<Vec<_>>>()?;
                 let n = lines.tagged_u64("bundles")? as usize;
                 let mut bundles = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -441,41 +417,37 @@ impl MarketSnapshot {
             WarmStartCache::from_parts(bundles, aux, barrier_t)
         };
 
-        let ledger = if v3 {
-            let num_entries = lines.tagged_u64("ledger")? as usize;
-            let mut entries = Vec::with_capacity(num_entries);
-            for _ in 0..num_entries {
-                let line = lines.tagged("l")?;
-                let mut toks = line.split_whitespace();
-                let id = toks
-                    .next()
-                    .and_then(|t| t.parse::<AgentId>().ok())
-                    .ok_or_else(|| bad(format!("ledger entry {line:?}")))?;
-                let balance = toks
-                    .next()
-                    .map(parse_f64)
-                    .transpose()?
-                    .ok_or_else(|| bad(format!("ledger entry {line:?}")))?;
-                let window_len = toks
-                    .next()
-                    .and_then(|t| t.parse::<usize>().ok())
-                    .ok_or_else(|| bad(format!("ledger entry {line:?}")))?;
-                let pairs = toks.map(parse_f64).collect::<Result<Vec<_>>>()?;
-                if pairs.len() != 2 * window_len {
-                    return Err(bad(format!(
-                        "ledger entry for agent {id}: expected {window_len} \
-                         window pairs, got {} values",
-                        pairs.len()
-                    )));
-                }
-                let window: VecDeque<(f64, f64)> =
-                    pairs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-                entries.push((id, LedgerEntry { balance, window }));
+        let num_entries = lines.tagged_u64("ledger")? as usize;
+        let mut entries = Vec::with_capacity(num_entries);
+        for _ in 0..num_entries {
+            let line = lines.tagged("l")?;
+            let mut toks = line.split_whitespace();
+            let id = toks
+                .next()
+                .and_then(|t| t.parse::<AgentId>().ok())
+                .ok_or_else(|| bad(format!("ledger entry {line:?}")))?;
+            let balance = toks
+                .next()
+                .map(parse_f64)
+                .transpose()?
+                .ok_or_else(|| bad(format!("ledger entry {line:?}")))?;
+            let window_len = toks
+                .next()
+                .and_then(|t| t.parse::<usize>().ok())
+                .ok_or_else(|| bad(format!("ledger entry {line:?}")))?;
+            let pairs = toks.map(parse_f64).collect::<Result<Vec<_>>>()?;
+            if pairs.len() != 2 * window_len {
+                return Err(bad(format!(
+                    "ledger entry for agent {id}: expected {window_len} \
+                     window pairs, got {} values",
+                    pairs.len()
+                )));
             }
-            CreditLedger::from_parts(entries)
-        } else {
-            CreditLedger::new()
-        };
+            let window: VecDeque<(f64, f64)> =
+                pairs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+            entries.push((id, LedgerEntry { balance, window }));
+        }
+        let ledger = CreditLedger::from_parts(entries);
 
         let num_agents = lines.tagged_u64("agents")? as usize;
         let mut agents = Vec::with_capacity(num_agents);
@@ -535,10 +507,7 @@ impl MarketSnapshot {
         }
 
         Ok(MarketSnapshot {
-            // Upgrade-on-read: a decoded v2 document becomes a v3 snapshot
-            // (with zeroed ledger/counters), so re-encoding always writes
-            // the current format.
-            version: SNAPSHOT_VERSION,
+            version,
             config,
             epoch,
             stable_since,
@@ -823,83 +792,15 @@ mod tests {
         ));
     }
 
-    /// Rewrites a v3 document as the v2 format this build's predecessor
-    /// wrote: v2 header, no temporal config lines, 7-counter auditor,
-    /// 16-counter metrics, no fp-tilt line and no ledger section.
-    fn downgrade_to_v2(v3: &str) -> String {
-        let mut out = Vec::new();
-        let mut skip = 0usize;
-        for line in v3.lines() {
-            if skip > 0 {
-                skip -= 1;
-                continue;
-            }
-            if line.starts_with("refmarket-snapshot v3") {
-                out.push("refmarket-snapshot v2".to_string());
-            } else if line.starts_with("temporal-window")
-                || line.starts_with("temporal-slack")
-                || line.starts_with("fp-tilt")
-            {
-                continue;
-            } else if let Some(rest) = line.strip_prefix("auditor ") {
-                let kept: Vec<&str> = rest.split_whitespace().take(7).collect();
-                out.push(format!("auditor {}", kept.join(" ")));
-            } else if let Some(rest) = line.strip_prefix("metrics ") {
-                let kept: Vec<&str> = rest.split_whitespace().take(16).collect();
-                out.push(format!("metrics {}", kept.join(" ")));
-            } else if let Some(n) = line.strip_prefix("ledger ") {
-                skip = n.trim().parse::<usize>().unwrap();
-            } else {
-                out.push(line.to_string());
-            }
-        }
-        out.join("\n") + "\n"
-    }
-
     #[test]
-    fn v2_documents_decode_and_upgrade_to_v3() {
-        let snap = busy_market().snapshot();
-        assert_eq!(snap.version, SNAPSHOT_VERSION);
-        assert!(!snap.ledger.is_empty());
-        let v2_text = downgrade_to_v2(&snap.encode());
-        assert!(v2_text.starts_with("refmarket-snapshot v2\n"));
-
-        let decoded = MarketSnapshot::decode(&v2_text).unwrap();
-        // Upgrade-on-read: the decoded document is a v3 snapshot whose
-        // new sections hold their zero/default values...
-        assert_eq!(decoded.version, SNAPSHOT_VERSION);
-        assert!(decoded.ledger.is_empty());
-        assert_eq!(decoded.config.temporal_window, 16);
-        assert_eq!(decoded.config.temporal_slack, 0.05);
-        assert_eq!(decoded.metrics.credits_accrued, 0);
-        assert_eq!(decoded.auditor.temporal_si_violation_epochs, 0);
-        // ...while everything the v2 document carried survives bit-exactly.
-        assert_eq!(decoded.agents, snap.agents);
-        assert_eq!(decoded.warm, snap.warm);
-        assert_eq!(decoded.epoch, snap.epoch);
-        let (fp_old, alloc_old) = snap.cache.as_ref().unwrap();
-        let (fp_new, alloc_new) = decoded.cache.as_ref().unwrap();
-        assert_eq!(fp_new.ids, fp_old.ids);
-        assert_eq!(fp_new.quantized, fp_old.quantized);
-        assert_eq!(alloc_new, alloc_old);
-
-        // The restored v2 market ticks: allocations stay bit-identical to
-        // the v3 original's because non-credit mechanisms never read the
-        // ledger (only the credit counters diverge, starting from zero).
-        let mut original = MarketEngine::restore(&snap).unwrap();
-        let mut restored = MarketEngine::restore(&decoded).unwrap();
-        for _ in 0..4 {
-            original.submit(MarketEvent::EpochTick);
-            restored.submit(MarketEvent::EpochTick);
-            let a = original.pump().unwrap().pop().unwrap();
-            let b = restored.pump().unwrap().pop().unwrap();
-            assert_eq!(a.realloc, b.realloc);
-            let (x, y) = (a.allocation.unwrap(), b.allocation.unwrap());
-            for (bx, by) in x.bundles().iter().zip(y.bundles()) {
-                for r in 0..bx.num_resources() {
-                    assert_eq!(bx.get(r).to_bits(), by.get(r).to_bits());
-                }
+    fn v2_documents_get_the_unsupported_version_error() {
+        let text = busy_market().snapshot().encode();
+        let v2 = text.replacen("refmarket-snapshot v3", "refmarket-snapshot v2", 1);
+        match MarketSnapshot::decode(&v2) {
+            Err(MarketError::Snapshot(msg)) => {
+                assert!(msg.contains("unsupported version 2"), "{msg}");
             }
+            other => panic!("a v2 document decoded: {other:?}"),
         }
     }
 }

@@ -23,6 +23,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::json::Value;
+use crate::router::TermFloor;
 
 /// Retry policy for [`Client::call_with`].
 ///
@@ -186,6 +187,11 @@ pub struct Client {
     /// Keeping the hints per shard means a redirect from one shard's
     /// standby never discards what we know about the others.
     leader_hints: HashMap<u64, String>,
+    /// The highest primary term seen per shard slot — the same fencing
+    /// token floor the router keeps. A node claiming to be the primary
+    /// below it was deposed; its acks would die with its branch, so it
+    /// is never adopted, not even as a read fallback.
+    floor: TermFloor,
 }
 
 impl Client {
@@ -205,6 +211,7 @@ impl Client {
             current,
             seeds: Vec::new(),
             leader_hints: HashMap::new(),
+            floor: TermFloor::default(),
         })
     }
 
@@ -238,10 +245,12 @@ impl Client {
 
     /// Drops the current connection and dials the best node it can
     /// find: the last `leader` hint first, then the current address,
-    /// then every seed. A node whose `ping` reports `role:"primary"` is
-    /// adopted immediately (one level of `leader` redirect is followed);
-    /// otherwise the first reachable node is kept, so reads still work
-    /// during an election.
+    /// then every seed. A node whose `ping` reports `role:"primary"` at
+    /// or above the highest term this client has seen is adopted
+    /// immediately (one level of `leader` redirect is followed); a
+    /// primary below that term was deposed and is skipped; otherwise the
+    /// first reachable non-primary is kept, so reads still work during
+    /// an election.
     ///
     /// # Errors
     ///
@@ -285,8 +294,12 @@ impl Client {
             };
             let role = reply.get("role").and_then(Value::as_str).unwrap_or("");
             if role == "primary" {
-                self.adopt(probe, addr);
-                return Ok(());
+                let term = reply.get("term").and_then(Value::as_u64).unwrap_or(0);
+                if self.floor.admit(shard.unwrap_or(0), term) {
+                    self.adopt(probe.reader, probe.writer, addr);
+                    return Ok(());
+                }
+                continue;
             }
             if let Some(leader) = reply.get("leader").and_then(Value::as_str) {
                 push(&mut worklist, leader.to_string());
@@ -296,7 +309,7 @@ impl Client {
             }
         }
         if let Some((probe, addr)) = fallback {
-            self.adopt(probe, addr);
+            self.adopt(probe.reader, probe.writer, addr);
             return Ok(());
         }
         Err(ClientError::Io(std::io::Error::new(
@@ -305,9 +318,9 @@ impl Client {
         )))
     }
 
-    fn adopt(&mut self, probe: Client, addr: String) {
-        self.reader = probe.reader;
-        self.writer = probe.writer;
+    fn adopt(&mut self, reader: BufReader<TcpStream>, writer: TcpStream, addr: String) {
+        self.reader = reader;
+        self.writer = writer;
         self.current = addr;
     }
 
@@ -399,8 +412,9 @@ impl Client {
         }
     }
 
-    /// Like [`Client::call`], but rides out `overloaded` and
-    /// `shard_unavailable` rejections with the [`CallOpts`] backoff
+    /// Like [`Client::call`], but rides out `overloaded`,
+    /// `shard_unavailable` and `unavailable` (a recovered primary still
+    /// inside its lease) rejections with the [`CallOpts`] backoff
     /// policy — seeded jittered exponential delays floored at the
     /// server's `retry_after_ms` hint, all under an optional
     /// total-deadline budget — *and* fails over: a broken
@@ -443,8 +457,12 @@ impl Client {
             // cause: the owning shard is down and the router is telling
             // us when its supervisor may have it back. Back off on the
             // same connection — redialing cannot move an agent off its
-            // shard.
-            let overloaded = matches!(error.code(), Some("overloaded" | "shard_unavailable"));
+            // shard. `unavailable` is a recovered primary waiting out its
+            // lease: the hint says when it ends.
+            let overloaded = matches!(
+                error.code(),
+                Some("overloaded" | "shard_unavailable" | "unavailable")
+            );
             if !failover && !overloaded {
                 return Err(error);
             }
@@ -712,22 +730,24 @@ mod tests {
 
     use super::*;
 
-    /// A single-use fake node: accepts one connection and answers every
-    /// line with `canned`. Returns its address.
+    /// A fake node: answers every line of every connection with
+    /// `canned`. Returns its address.
     fn fake_node(canned: &'static str) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
-            if let Ok((stream, _)) = listener.accept() {
-                let mut writer = stream.try_clone().unwrap();
-                let mut reader = BufReader::new(stream);
-                let mut line = String::new();
-                while reader.read_line(&mut line).unwrap_or(0) > 0 {
-                    if writeln!(writer, "{canned}").is_err() || writer.flush().is_err() {
-                        return;
+            for stream in listener.incoming().flatten() {
+                std::thread::spawn(move || {
+                    let mut writer = stream.try_clone().unwrap();
+                    let mut reader = BufReader::new(stream);
+                    let mut line = String::new();
+                    while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                        if writeln!(writer, "{canned}").is_err() || writer.flush().is_err() {
+                            return;
+                        }
+                        line.clear();
                     }
-                    line.clear();
-                }
+                });
             }
         });
         addr
@@ -771,6 +791,37 @@ mod tests {
             Some("127.0.0.1:1")
         );
         assert!(!client.leader_hints.contains_key(&2));
+    }
+
+    #[test]
+    fn redial_never_adopts_a_primary_below_the_highest_term_seen() {
+        let fresh = fake_node(r#"{"ok":true,"role":"primary","term":3}"#);
+        let deposed = fake_node(r#"{"ok":true,"role":"primary","term":1}"#);
+        let standby = fake_node(r#"{"ok":true,"role":"standby","term":3}"#);
+        // Adopting the term-3 primary ratchets the floor...
+        let mut client = Client::connect(standby.as_str()).unwrap();
+        client.seeds = vec![fresh.clone()];
+        client.redial().unwrap();
+        assert_eq!(client.current_addr(), fresh);
+        // ...so a deposed term-1 "primary" is passed over even when a
+        // stale hint puts it first in line.
+        client.leader_hints.insert(0, deposed.clone());
+        client.redial().unwrap();
+        assert_eq!(client.current_addr(), fresh);
+        // With no primary at the floor, the client keeps a standby for
+        // reads rather than write to the branch that lost the election.
+        let mut client = Client::connect(standby.as_str()).unwrap();
+        assert!(client.floor.admit(0, 3));
+        client.seeds = vec![deposed.clone()];
+        client.redial().unwrap();
+        assert_eq!(client.current_addr(), standby);
+        // With only the deposed node reachable there is nobody to adopt.
+        let mut client = Client::connect(deposed.as_str()).unwrap();
+        assert!(client.floor.admit(0, 3));
+        assert!(matches!(client.redial(), Err(ClientError::Io(_))));
+        // Floors are per shard slot: slot 7 has seen nothing yet.
+        client.redial_for(Some(7)).unwrap();
+        assert_eq!(client.current_addr(), deposed);
     }
 
     #[test]

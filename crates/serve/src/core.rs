@@ -17,7 +17,7 @@ use crate::fault::FaultPlan;
 use crate::json::Value;
 use crate::metrics::ServeMetrics;
 use crate::protocol::{error_response, event_to_value, ok_response, Request};
-use crate::repl::{AckWait, ReplShared, Role};
+use crate::repl::{ReplShared, Role};
 use crate::storage::{FsStorage, Storage};
 use crate::wal::{Wal, WalConfig};
 
@@ -302,17 +302,14 @@ impl ServiceCore {
         if let Some(repl) = self
             .repl
             .as_ref()
-            .filter(|r| r.sync() && r.role() == Role::Primary)
+            .filter(|r| r.config().sync && r.role() == Role::Primary)
         {
-            match repl.wait_applied(self.events_applied, repl.ack_timeout()) {
-                AckWait::Acked | AckWait::NoStandby => {}
-                AckWait::TimedOut => {
-                    return error_response(
-                        "repl",
-                        Some("applied locally but the standby ack timed out; not confirmed replicated"),
-                        None,
-                    );
-                }
+            if !repl.wait_applied(self.events_applied) {
+                return error_response(
+                    "repl",
+                    Some("applied locally but the standby ack timed out; not confirmed replicated"),
+                    None,
+                );
             }
         }
         response

@@ -42,6 +42,10 @@
 //!   per-epoch state fingerprints that detect a divergent replica and
 //!   fence it rather than ever promote it. [`Client`] fails over across
 //!   a seed list by following `not_primary` redirects and `ping`.
+//!   Every rule of it — who is refused, who fences, when a standby may
+//!   elect itself, when a recovered primary may take writes again — is
+//!   one sans-IO state machine, [`repl_core::ReplCore`]; [`repl`] is its
+//!   threaded driver and the deterministic simulator its other one.
 //! * **Sharding** ([`shard`] + [`server`]'s router): optionally
 //!   partitions agents across N independent market shards via a seeded
 //!   consistent-hash ring. Each shard keeps its own ticker, bus, WAL
@@ -57,6 +61,9 @@
 //!   `partial: true` and never audited as fleet-wide fairness), and a
 //!   supervisor thread restarts a degraded shard in place from its own
 //!   WAL, resynchronizing it to the fleet epoch.
+//!   The health transitions, the quorum gate, delivery/rollback of
+//!   reallotments and the fencing-token floor are the sans-IO
+//!   [`router::RouterCore`]; [`server`] drives it once per fleet tick.
 //!
 //! # Quickstart
 //!
@@ -93,6 +100,8 @@ pub mod json;
 pub mod metrics;
 pub mod protocol;
 pub mod repl;
+pub mod repl_core;
+pub mod router;
 pub mod server;
 pub mod shard;
 pub mod storage;
@@ -107,6 +116,8 @@ pub use json::Value;
 pub use metrics::{HistogramSnapshot, LatencyHistogram, ServeMetrics, ServeMetricsSnapshot};
 pub use protocol::{parse_request, Class, Envelope, Request};
 pub use repl::{decode_frame, encode_frame, FrameDecode, ReplConfig, ReplShared, Role};
+pub use repl_core::ReplCore;
+pub use router::{RouterCore, TermFloor, TickOutcome};
 pub use server::{ServeConfig, Server, ShardShutdown, ShutdownReport};
 pub use shard::{
     default_quorum, shard_market_config, CoordinationStatus, Coordinator, HashRing, ShardHealth,

@@ -38,13 +38,22 @@
 //! a replication `hello` fences itself — a deposed primary refuses
 //! mutations from that moment on, closing the split-brain window to the
 //! election timeout.
+//!
+//! Every one of those rules — who is refused, who fences, when a standby
+//! may elect itself, when a recovered primary may take writes again —
+//! is decided by [`ReplCore`], the sans-IO state machine the
+//! deterministic simulator drives too. This module is its threaded
+//! driver: sockets, the frame codec, sink queues, and the blocking
+//! sync-mode wait. Threads lock the core briefly per frame and publish
+//! its role and term to atomics, so the per-request role gate never
+//! takes a lock.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,40 +62,11 @@ use ref_market::MarketEvent;
 use crate::clock::Clock;
 use crate::json::Value;
 use crate::metrics::ServeMetrics;
-use crate::protocol::{event_to_value, value_to_event, Class};
+use crate::protocol::{event_to_value, Class};
+pub use crate::repl_core::Role;
+use crate::repl_core::{Ack, AckWait, Hello, Promotion, ReplCore, Stream};
 use crate::server::{Item, Shared};
 use crate::wal::{self, crc32, MAX_FRAME_BYTES, RECORD_HEADER_BYTES};
-
-/// How a node currently participates in the replicated pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Accepts mutations, streams its WAL to standbys.
-    Primary = 0,
-    /// Applies the primary's stream; serves reads; refuses mutations.
-    Standby = 1,
-    /// Deposed (saw a higher term) or diverged: refuses mutations *and*
-    /// promotion. Terminal until the process is restarted.
-    Fenced = 2,
-}
-
-impl Role {
-    /// Wire/JSON name of the role.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Role::Primary => "primary",
-            Role::Standby => "standby",
-            Role::Fenced => "fenced",
-        }
-    }
-
-    fn from_u8(x: u8) -> Role {
-        match x {
-            0 => Role::Primary,
-            1 => Role::Standby,
-            _ => Role::Fenced,
-        }
-    }
-}
 
 /// Replication knobs for one node of a primary/standby pair.
 #[derive(Debug, Clone)]
@@ -332,8 +312,9 @@ enum SinkMsg {
     Raw(Vec<u8>),
 }
 
-/// One connected standby, from the primary's point of view.
-#[derive(Debug)]
+/// One connected standby, from the primary's point of view: the queue
+/// feeding its sender thread, its ack progress, and whether it is live.
+#[derive(Debug, Clone)]
 struct Sink {
     id: u64,
     tx: mpsc::SyncSender<SinkMsg>,
@@ -341,100 +322,61 @@ struct Sink {
     alive: Arc<AtomicBool>,
 }
 
-struct SinkHandle {
-    id: u64,
-    rx: mpsc::Receiver<SinkMsg>,
-    tx: mpsc::SyncSender<SinkMsg>,
-    acked: Arc<AtomicU64>,
-    alive: Arc<AtomicBool>,
-}
-
-/// What a sync-mode wait for a standby ack concluded.
-pub(crate) enum AckWait {
-    /// A standby confirmed applying up to the target.
-    Acked,
-    /// No standby is connected; replication degrades to async.
-    NoStandby,
-    /// The timeout lapsed with the standby still behind.
-    TimedOut,
-}
-
-/// Per-epoch fingerprints the primary keeps for divergence checks.
-const FP_RING: usize = 8192;
-
 /// How many queued records a standby connection may fall behind before
 /// the primary drops it (it reconnects and catches up from disk).
 const SINK_QUEUE: usize = 4096;
 
 /// Replication state shared between the ticker, the transport threads,
-/// and the replication threads.
+/// and the replication threads: the [`ReplCore`] behind a mutex, its
+/// role/term/lease published to atomics, and the I/O plumbing (sink
+/// queues, the ack channel) the core knows nothing about.
 #[derive(Debug)]
 pub struct ReplShared {
     config: ReplConfig,
     wal_dir: PathBuf,
+    core: Mutex<ReplCore>,
+    /// Signalled (under `core`) whenever an ack lands or a sink drops.
+    ack_signal: Condvar,
     role: AtomicU8,
     term: AtomicU64,
+    /// Whether the core's recovery lease may still refuse mutations.
+    lease: AtomicBool,
     /// Standby: set when the stream hit an unrecoverable ordering gap
     /// and the puller must reconnect to resynchronize.
     resync: AtomicBool,
-    self_client: Mutex<String>,
-    self_repl: Mutex<String>,
-    leader_client: Mutex<Option<String>>,
-    leader_repl: Mutex<Option<String>>,
     sinks: Mutex<Vec<Sink>>,
     next_sink_id: AtomicU64,
-    /// Highest `have` acknowledged by any standby (sync-mode wait).
-    acked: Mutex<u64>,
-    ack_signal: Condvar,
-    epoch_fps: Mutex<std::collections::VecDeque<(u64, u64, u64)>>,
     /// Standby: channel to the ack-writer thread of the live stream.
     ack_tx: Mutex<Option<mpsc::Sender<Vec<u8>>>>,
-    /// Clock reading (see [`Clock::now`]) of the last frame heard from
-    /// the primary. A `Duration` since the clock's origin, not an
-    /// `Instant`, so the deterministic simulator can drive elections.
-    last_heard: Mutex<Duration>,
     clock: Arc<dyn Clock>,
-    /// Election timeout after seeded jitter: the configured timeout
-    /// scaled by a per-node factor in `[1.0, 1.5)` derived from the
-    /// serve RNG seed, so two standbys racing to promote after a primary
-    /// death deterministically stagger instead of colliding.
-    election_timeout_jittered: Duration,
 }
 
 impl ReplShared {
+    /// `log_seq` is the recovered log position the node boots with;
+    /// `rng_seed` feeds the election jitter.
     pub(crate) fn new(
         config: ReplConfig,
         wal_dir: PathBuf,
         clock: Arc<dyn Clock>,
         rng_seed: u64,
+        log_seq: u64,
     ) -> ReplShared {
-        let role = if config.standby_of.is_some() {
-            Role::Standby
-        } else {
-            Role::Primary
-        };
-        let leader_repl = config.standby_of.clone();
-        let election_timeout_jittered = jitter_timeout(config.election_timeout, rng_seed);
+        // The server keeps no durable term: every boot starts at 0.
         let now = clock.now();
+        let core = ReplCore::new(&config, rng_seed, 0, log_seq, now);
         ReplShared {
+            role: AtomicU8::new(core.role() as u8),
+            term: AtomicU64::new(core.term()),
+            lease: AtomicBool::new(core.lease_live(now)),
+            core: Mutex::new(core),
+            ack_signal: Condvar::new(),
             config,
             wal_dir,
-            role: AtomicU8::new(role as u8),
-            term: AtomicU64::new(0),
             resync: AtomicBool::new(false),
-            self_client: Mutex::new(String::new()),
-            self_repl: Mutex::new(String::new()),
-            leader_client: Mutex::new(None),
-            leader_repl: Mutex::new(leader_repl),
             sinks: Mutex::new(Vec::new()),
             next_sink_id: AtomicU64::new(0),
-            acked: Mutex::new(0),
-            ack_signal: Condvar::new(),
-            epoch_fps: Mutex::new(std::collections::VecDeque::new()),
             ack_tx: Mutex::new(None),
-            last_heard: Mutex::new(now),
             clock,
-            election_timeout_jittered,
         }
     }
 
@@ -448,105 +390,89 @@ impl ReplShared {
         Role::from_u8(self.role.load(Ordering::SeqCst))
     }
 
-    pub(crate) fn set_role(&self, role: Role) {
-        self.role.store(role as u8, Ordering::SeqCst);
-    }
-
     /// The node's current term.
     pub fn term(&self) -> u64 {
         self.term.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn set_term(&self, term: u64) {
-        self.term.fetch_max(term, Ordering::SeqCst);
+    fn core(&self) -> MutexGuard<'_, ReplCore> {
+        self.core.lock().expect("repl lock poisoned")
     }
 
-    /// Fences this node: it saw evidence of a newer primary (term) or
-    /// of its own divergence, and refuses mutations and promotion from
-    /// now on. Loud by design — the gauge flips and stays flipped.
-    pub(crate) fn fence(&self, term: u64, metrics: &ServeMetrics) {
-        self.set_term(term);
-        self.set_role(Role::Fenced);
-        metrics.fenced.store(1, Ordering::Relaxed);
+    /// Runs one transition of the core at the current clock reading,
+    /// then publishes what it decided: role, term and lease to the
+    /// atomics, a fence to the (sticky, loud) gauge, and a wake-up to
+    /// any sync-mode waiter.
+    fn drive<R>(
+        &self,
+        metrics: &ServeMetrics,
+        step: impl FnOnce(&mut ReplCore, Duration) -> R,
+    ) -> R {
+        let now = self.clock.now();
+        let mut core = self.core();
+        let out = step(&mut core, now);
+        self.role.store(core.role() as u8, Ordering::SeqCst);
+        self.term.store(core.term(), Ordering::SeqCst);
+        self.lease.store(core.lease_live(now), Ordering::SeqCst);
+        if core.role() == Role::Fenced {
+            metrics.fenced.store(1, Ordering::Relaxed);
+        }
         self.ack_signal.notify_all();
+        out
     }
 
-    /// Standby→primary transition: bumps the term, points the leader
-    /// addresses at this node, flips the role, and returns the new term
-    /// plus the old leader's replication address (to depose it).
-    pub(crate) fn promote(&self, metrics: &ServeMetrics) -> (u64, Option<String>) {
-        let term = self.term.load(Ordering::SeqCst) + 1;
-        self.term.store(term, Ordering::SeqCst);
-        let old_leader = self
-            .leader_repl
-            .lock()
-            .expect("repl lock poisoned")
-            .replace(self.self_repl());
-        self.set_leader_client(Some(self.self_client()));
-        self.set_role(Role::Primary);
-        ServeMetrics::bump(&metrics.promotions);
-        (term, old_leader)
+    /// The role gate for an event-bearing request (`None` admits it).
+    /// Lock-free on a primary whose recovery lease is over.
+    pub(crate) fn admit_mutation(
+        &self,
+        metrics: &ServeMetrics,
+        shard_tag: Option<u64>,
+    ) -> Option<Value> {
+        if self.role() == Role::Primary && !self.lease.load(Ordering::SeqCst) {
+            return None;
+        }
+        self.drive(metrics, |core, now| core.admit_mutation(now, shard_tag))
     }
 
-    pub(crate) fn sync(&self) -> bool {
-        self.config.sync
-    }
-
-    pub(crate) fn ack_timeout(&self) -> Duration {
-        self.config.ack_timeout
+    /// Standby→primary transition (or the reason there is none).
+    pub(crate) fn promote(&self, metrics: &ServeMetrics) -> Promotion {
+        let promotion = self.drive(metrics, |core, _| core.promote());
+        if matches!(promotion, Promotion::Promoted { .. }) {
+            ServeMetrics::bump(&metrics.promotions);
+        }
+        promotion
     }
 
     pub(crate) fn set_self_addrs(&self, client: String, repl: String) {
-        *self.self_client.lock().expect("repl lock poisoned") = client;
-        *self.self_repl.lock().expect("repl lock poisoned") = repl;
-    }
-
-    fn self_client(&self) -> String {
-        self.self_client.lock().expect("repl lock poisoned").clone()
-    }
-
-    pub(crate) fn self_repl(&self) -> String {
-        self.self_repl.lock().expect("repl lock poisoned").clone()
+        self.core().set_addrs(client, repl);
     }
 
     /// The current leader's *client* address, as far as this node knows.
     pub fn leader_client(&self) -> Option<String> {
-        self.leader_client
+        self.core().leader_client().map(str::to_string)
+    }
+
+    fn register_sink(&self) -> (Sink, mpsc::Receiver<SinkMsg>) {
+        let (tx, rx) = mpsc::sync_channel(SINK_QUEUE);
+        let sink = Sink {
+            id: self.next_sink_id.fetch_add(1, Ordering::SeqCst),
+            tx,
+            acked: Arc::new(AtomicU64::new(0)),
+            alive: Arc::new(AtomicBool::new(true)),
+        };
+        self.sinks
             .lock()
             .expect("repl lock poisoned")
-            .clone()
+            .push(sink.clone());
+        (sink, rx)
     }
 
-    fn set_leader_client(&self, addr: Option<String>) {
-        *self.leader_client.lock().expect("repl lock poisoned") = addr;
-    }
-
-    fn leader_repl(&self) -> Option<String> {
-        self.leader_repl.lock().expect("repl lock poisoned").clone()
-    }
-
-    fn set_leader_repl(&self, addr: Option<String>) {
-        *self.leader_repl.lock().expect("repl lock poisoned") = addr;
-    }
-
-    fn register_sink(&self) -> SinkHandle {
-        let id = self.next_sink_id.fetch_add(1, Ordering::SeqCst);
-        let (tx, rx) = mpsc::sync_channel(SINK_QUEUE);
-        let acked = Arc::new(AtomicU64::new(0));
-        let alive = Arc::new(AtomicBool::new(true));
-        self.sinks.lock().expect("repl lock poisoned").push(Sink {
-            id,
-            tx: tx.clone(),
-            acked: Arc::clone(&acked),
-            alive: Arc::clone(&alive),
-        });
-        SinkHandle {
-            id,
-            rx,
-            tx,
-            acked,
-            alive,
-        }
+    /// Wakes the sync-mode waiter after the sink set changed. Taking the
+    /// core lock first means the waiter is either before its check (and
+    /// sees the change) or already parked (and gets the signal).
+    fn sinks_changed(&self) {
+        let _core = self.core();
+        self.ack_signal.notify_all();
     }
 
     fn drop_sink(&self, id: u64) {
@@ -554,7 +480,7 @@ impl ReplShared {
             .lock()
             .expect("repl lock poisoned")
             .retain(|s| s.id != id);
-        self.ack_signal.notify_all();
+        self.sinks_changed();
     }
 
     /// Connected (live) standby count.
@@ -579,10 +505,13 @@ impl ReplShared {
             .unwrap_or(0)
     }
 
-    /// Streams one just-appended record to every live standby. A sink
-    /// whose queue is full is dropped (it reconnects and catches up from
-    /// the log) — a slow replica must never stall the primary's ticker.
+    /// Streams one just-appended record to every live standby, after
+    /// telling the core the log grew — a `hello` racing this very pass
+    /// is judged against the published position, not a stale export. A
+    /// sink whose queue is full is dropped (it reconnects and catches up
+    /// from the log) — a slow replica must never stall the ticker.
     pub(crate) fn publish_record(&self, seq: u64, event: &MarketEvent) {
+        self.core().note_log(seq + 1);
         let frame = message(
             "rec",
             vec![
@@ -609,121 +538,60 @@ impl ReplShared {
             }
         });
         if dropped {
-            self.ack_signal.notify_all();
+            self.sinks_changed();
         }
     }
 
-    /// Broadcasts a pre-framed control message (heartbeats).
-    pub(crate) fn publish_heartbeat(&self, term: u64, seq: u64) {
-        let frame = message(
-            "hb",
-            vec![
-                ("term", Value::from_u64(term)),
-                ("seq", Value::from_u64(seq)),
-            ],
-        );
+    /// Broadcasts the core's heartbeat (a no-op unless primary).
+    pub(crate) fn publish_heartbeat(&self) {
+        let Some(frame) = self.core().heartbeat() else {
+            return;
+        };
         self.sinks.lock().expect("repl lock poisoned").retain(|s| {
             s.alive.load(Ordering::SeqCst) && s.tx.try_send(SinkMsg::Raw(frame.clone())).is_ok()
         });
     }
 
-    fn note_ack(&self, have: u64) {
-        let mut acked = self.acked.lock().expect("repl lock poisoned");
-        if have > *acked {
-            *acked = have;
-        }
-        drop(acked);
-        self.ack_signal.notify_all();
-    }
-
-    /// Blocks until some standby has applied `target` events, no standby
-    /// is connected, or `timeout` lapses.
-    pub(crate) fn wait_applied(&self, target: u64, timeout: Duration) -> AckWait {
-        let deadline = Instant::now() + timeout;
-        let mut acked = self.acked.lock().expect("repl lock poisoned");
+    /// Blocks until some standby has applied `target` events or none is
+    /// connected (`true`: release the reply), or the configured ack
+    /// timeout lapses with the standby still behind (`false`).
+    pub(crate) fn wait_applied(&self, target: u64) -> bool {
+        let deadline = Instant::now() + self.config.ack_timeout;
+        let mut core = self.core();
         loop {
-            if *acked >= target {
-                return AckWait::Acked;
-            }
-            if self.standby_count() == 0 {
-                return AckWait::NoStandby;
+            if core.ack_state(target, self.standby_count() > 0) != AckWait::Pending {
+                return true;
             }
             let now = Instant::now();
             if now >= deadline {
-                return AckWait::TimedOut;
+                return false;
             }
             let (guard, _) = self
                 .ack_signal
-                .wait_timeout(acked, deadline - now)
+                .wait_timeout(core, deadline - now)
                 .expect("repl lock poisoned");
-            acked = guard;
+            core = guard;
         }
     }
 
     /// Records the primary's state fingerprint right after applying the
-    /// epoch tick: `have` is the log position after the tick record,
-    /// `epoch` the resulting epoch. Keying the ring by log position —
-    /// not by the epoch label a standby later *claims* — means a
-    /// replica that skipped an idle tick (a perfect mirror of a past
-    /// valid state, whose stale epoch self-consistently matches its
-    /// stale fingerprint) is still caught: at the same `have` its
-    /// reported epoch lags the primary's.
+    /// epoch tick (see [`ReplCore::push_epoch_fp`]).
     pub(crate) fn push_epoch_fp(&self, have: u64, epoch: u64, fp: u64) {
-        let mut fps = self.epoch_fps.lock().expect("repl lock poisoned");
-        fps.push_back((have, epoch, fp));
-        while fps.len() > FP_RING {
-            fps.pop_front();
-        }
+        self.core().push_epoch_fp(have, epoch, fp);
     }
 
-    /// The `(epoch, fingerprint)` the primary had after log position
-    /// `have`, if that tick is still in the ring.
-    fn fp_for_have(&self, have: u64) -> Option<(u64, u64)> {
-        self.epoch_fps
-            .lock()
-            .expect("repl lock poisoned")
-            .iter()
-            .rev()
-            .find(|(h, _, _)| *h == have)
-            .map(|(_, e, fp)| (*e, *fp))
-    }
-
-    fn set_ack_tx(&self, tx: mpsc::Sender<Vec<u8>>) {
-        *self.ack_tx.lock().expect("repl lock poisoned") = Some(tx);
-    }
-
-    fn clear_ack_tx(&self) {
-        *self.ack_tx.lock().expect("repl lock poisoned") = None;
+    fn set_ack_tx(&self, tx: Option<mpsc::Sender<Vec<u8>>>) {
+        *self.ack_tx.lock().expect("repl lock poisoned") = tx;
     }
 
     /// Standby: queues an apply-acknowledgement (with the per-epoch
     /// state fingerprint when the applied record closed an epoch) for
     /// the ack-writer thread of the live stream, if one is connected.
     pub(crate) fn send_ack(&self, have: u64, epoch_fp: Option<(u64, u64)>) {
-        let mut fields = vec![("have", Value::from_u64(have))];
-        if let Some((epoch, fp)) = epoch_fp {
-            fields.push(("epoch", Value::from_u64(epoch)));
-            fields.push(("fp", Value::str(format!("{fp:016x}"))));
-        }
-        let frame = message("ack", fields);
+        let frame = self.core().ack(have, epoch_fp);
         if let Some(tx) = self.ack_tx.lock().expect("repl lock poisoned").as_ref() {
             let _ = tx.send(frame);
         }
-    }
-
-    pub(crate) fn note_heard(&self) {
-        *self.last_heard.lock().expect("repl lock poisoned") = self.clock.now();
-    }
-
-    fn silence(&self) -> Duration {
-        let heard = *self.last_heard.lock().expect("repl lock poisoned");
-        self.clock.now().saturating_sub(heard)
-    }
-
-    /// The election timeout this node actually applies: the configured
-    /// timeout plus its seeded jitter (see `election_timeout_jittered`).
-    pub(crate) fn effective_election_timeout(&self) -> Duration {
-        self.election_timeout_jittered
     }
 
     pub(crate) fn request_resync(&self) {
@@ -733,19 +601,6 @@ impl ReplShared {
     fn take_resync(&self) -> bool {
         self.resync.swap(false, Ordering::SeqCst)
     }
-}
-
-/// Scales `timeout` by a deterministic per-seed factor in `[1.0, 1.5)`.
-///
-/// Identical seeds give identical timeouts (reproducible elections in
-/// the simulator); distinct seeds stagger, shrinking the window where
-/// two standbys promote simultaneously after a primary death.
-fn jitter_timeout(timeout: Duration, rng_seed: u64) -> Duration {
-    let frac_q32 = u64::from((crate::shard::mix64(rng_seed ^ 0x00E1_EC71_0471_37E0) >> 32) as u32);
-    let base = timeout.as_nanos() as u64;
-    // extra = base * frac / 2 where frac ∈ [0, 1) in Q32 fixed point.
-    let extra = (((u128::from(base) * u128::from(frac_q32)) >> 32) / 2) as u64;
-    Duration::from_nanos(base.saturating_add(extra))
 }
 
 // ---------------------------------------------------------------------
@@ -816,92 +671,48 @@ fn handle_standby(stream: TcpStream, shared: &Arc<Shared>) {
     if kind(&hello) != "hello" {
         return;
     }
-    let their_term = hello.get("term").and_then(Value::as_u64).unwrap_or(0);
-    let have = hello.get("have_seq").and_then(Value::as_u64).unwrap_or(0);
-    let my_term = repl.term();
-
-    if their_term > my_term {
-        // Evidence of a newer primary: this node is deposed. Fence
-        // before answering so no mutation sneaks through the window.
-        repl.fence(their_term, &shared.metrics);
-        let _ = writer.write_all(&message(
-            "refuse",
-            vec![
-                ("reason", Value::str("fenced")),
-                ("term", Value::from_u64(their_term)),
-            ],
-        ));
-        return;
-    }
-    if repl.role() != Role::Primary {
-        let mut fields = vec![
-            ("reason", Value::str("not_primary")),
-            ("term", Value::from_u64(my_term)),
-        ];
-        if let Some(leader) = repl.leader_repl() {
-            fields.push(("leader", Value::str(leader)));
+    let have = match repl.drive(&shared.metrics, |core, _| core.on_hello(&hello)) {
+        Hello::Accept { have, meta } => {
+            if writer.write_all(&meta).is_err() {
+                return;
+            }
+            have
         }
-        let _ = writer.write_all(&message("refuse", fields));
-        return;
-    }
-    if have > shared.wal_seq.load(Ordering::SeqCst) {
-        // The "standby" has more history than this primary: accepting it
-        // would mean two divergent pasts. Refuse; it fences itself.
-        let _ = writer.write_all(&message(
-            "refuse",
-            vec![
-                ("reason", Value::str("standby_ahead")),
-                ("term", Value::from_u64(my_term)),
-            ],
-        ));
-        return;
-    }
-    if writer
-        .write_all(&message(
-            "meta",
-            vec![
-                ("term", Value::from_u64(my_term)),
-                ("client_addr", Value::str(repl.self_client())),
-            ],
-        ))
-        .is_err()
-    {
-        return;
-    }
+        // A higher term fenced this node before the refusal went out,
+        // so no mutation sneaks through the window.
+        Hello::Refuse(frame) => {
+            let _ = writer.write_all(&frame);
+            return;
+        }
+    };
 
     // Register the live sink *before* reading the log, then stream the
     // disk history directly: every record appended after registration is
     // in the sink queue, everything before the read's end is on disk,
     // and the sender thread skips queue records the disk already
     // covered — no gap, no duplicate.
-    let SinkHandle {
-        id,
-        rx,
-        tx,
-        acked,
-        alive,
-    } = repl.register_sink();
+    let (sink, rx) = repl.register_sink();
     let sent_upto = match catch_up(&mut writer, repl, have) {
         Ok(upto) => upto,
         Err(_) => {
-            alive.store(false, Ordering::SeqCst);
-            repl.drop_sink(id);
+            sink.alive.store(false, Ordering::SeqCst);
+            repl.drop_sink(sink.id);
             return;
         }
     };
     let sender = {
-        let alive = Arc::clone(&alive);
+        let alive = Arc::clone(&sink.alive);
         std::thread::Builder::new()
             .name("ref-serve-repl-send".to_string())
             .spawn(move || sink_sender(writer, rx, sent_upto, &alive))
             .expect("spawn repl sender")
     };
 
-    ack_loop(&mut conn, shared, repl, &tx, &acked, &alive);
+    ack_loop(&mut conn, shared, repl, &sink);
 
-    alive.store(false, Ordering::SeqCst);
-    repl.drop_sink(id);
-    drop(tx);
+    sink.alive.store(false, Ordering::SeqCst);
+    repl.drop_sink(sink.id);
+    drop(sink);
     let _ = sender.join();
 }
 
@@ -988,17 +799,10 @@ fn sink_sender(
 
 /// Primary-side ack reader for one standby: tracks progress for the
 /// sync-mode wait and verifies the per-epoch state fingerprints.
-fn ack_loop(
-    conn: &mut FrameConn,
-    shared: &Arc<Shared>,
-    repl: &Arc<ReplShared>,
-    tx: &mpsc::SyncSender<SinkMsg>,
-    acked: &AtomicU64,
-    alive: &AtomicBool,
-) {
+fn ack_loop(conn: &mut FrameConn, shared: &Arc<Shared>, repl: &Arc<ReplShared>, sink: &Sink) {
     loop {
         if shared.stop.load(Ordering::SeqCst)
-            || !alive.load(Ordering::SeqCst)
+            || !sink.alive.load(Ordering::SeqCst)
             || repl.role() != Role::Primary
         {
             return;
@@ -1014,39 +818,25 @@ fn ack_loop(
         if kind(&msg) != "ack" {
             continue;
         }
-        let have = msg.get("have").and_then(Value::as_u64).unwrap_or(0);
-        acked.store(have, Ordering::SeqCst);
-        repl.note_ack(have);
-        shared.metrics.repl_lag_records.store(
-            repl.lag_records(shared.wal_seq.load(Ordering::SeqCst)),
-            Ordering::Relaxed,
-        );
-        let epoch = msg.get("epoch").and_then(Value::as_u64);
-        let fp = msg
-            .get("fp")
-            .and_then(Value::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok());
-        if let (Some(epoch), Some(fp)) = (epoch, fp) {
-            if let Some((want_epoch, expected)) = repl.fp_for_have(have) {
-                if want_epoch != epoch || expected != fp {
-                    // The replica's state split from ours. Halt its
-                    // replication loudly: count it, tell it (so it
-                    // fences itself), drop it. Never promote material.
-                    ServeMetrics::bump(&shared.metrics.divergences);
-                    let _ = tx.try_send(SinkMsg::Raw(message(
-                        "diverged",
-                        vec![
-                            ("epoch", Value::from_u64(epoch)),
-                            ("expected_epoch", Value::from_u64(want_epoch)),
-                            ("expected", Value::str(format!("{expected:016x}"))),
-                            ("got", Value::str(format!("{fp:016x}"))),
-                        ],
-                    )));
-                    // The sender drains the queued notice before it
-                    // observes the flag and exits.
-                    alive.store(false, Ordering::SeqCst);
-                    return;
-                }
+        match repl.drive(&shared.metrics, |core, _| core.on_ack(&msg)) {
+            Ack::Ignored => return,
+            Ack::Progress(have) => {
+                sink.acked.store(have, Ordering::SeqCst);
+                shared.metrics.repl_lag_records.store(
+                    repl.lag_records(shared.wal_seq.load(Ordering::SeqCst)),
+                    Ordering::Relaxed,
+                );
+            }
+            Ack::Diverged { notice, .. } => {
+                // The replica's state split from ours. Halt its
+                // replication loudly: count it, tell it (so it fences
+                // itself), drop it. Never promote material. The sender
+                // drains the queued notice before it observes the flag
+                // and exits.
+                ServeMetrics::bump(&shared.metrics.divergences);
+                let _ = sink.tx.try_send(SinkMsg::Raw(notice));
+                sink.alive.store(false, Ordering::SeqCst);
+                return;
             }
         }
     }
@@ -1057,19 +847,16 @@ fn ack_loop(
 // ---------------------------------------------------------------------
 
 /// Standby puller thread: connect to the primary, hand every frame to
-/// the ticker (the sole engine owner) via the bus, send apply-acks, and
-/// trigger promotion once the primary goes silent past the election
-/// timeout.
+/// the core and what it says to apply to the ticker (the sole engine
+/// owner) via the bus, send apply-acks, and trigger promotion once the
+/// core's election gate opens.
 pub(crate) fn standby_loop(shared: &Arc<Shared>) {
     let repl = Arc::clone(shared.repl.as_ref().expect("standby loop without config"));
-    repl.note_heard(); // boot grace period before any election
     loop {
         if shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Standby {
             return;
         }
-        let target = repl
-            .leader_repl()
-            .or_else(|| repl.config.standby_of.clone());
+        let target = repl.core().dial_target().map(str::to_string);
         if let Some(addr) = target {
             if let Ok(stream) = TcpStream::connect(&addr) {
                 follow_primary(shared, &repl, stream, &addr);
@@ -1087,7 +874,7 @@ pub(crate) fn standby_loop(shared: &Arc<Shared>) {
 }
 
 fn maybe_auto_promote(shared: &Arc<Shared>, repl: &Arc<ReplShared>) {
-    if !repl.config.auto_promote || repl.silence() < repl.effective_election_timeout() {
+    if !repl.core().election_due(repl.clock.now()) {
         return;
     }
     // The ticker performs the promotion so role flips are serialized
@@ -1117,19 +904,8 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>, stream: TcpStrea
         return;
     };
     let mut conn = FrameConn::new(stream);
-    if writer
-        .write_all(&message(
-            "hello",
-            vec![
-                ("term", Value::from_u64(repl.term())),
-                (
-                    "have_seq",
-                    Value::from_u64(shared.wal_seq.load(Ordering::SeqCst)),
-                ),
-            ],
-        ))
-        .is_err()
-    {
+    let hello = repl.core().hello();
+    if writer.write_all(&hello).is_err() {
         return;
     }
     let Ok(payload) = conn.read_frame_deadline(Duration::from_secs(5)) else {
@@ -1138,52 +914,17 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>, stream: TcpStrea
     let Some(first) = parse_message(&payload) else {
         return;
     };
-    match kind(&first) {
-        "meta" => {
-            let term = first.get("term").and_then(Value::as_u64).unwrap_or(0);
-            if term < repl.term() {
-                // A stale primary from a previous term; ignore it.
-                return;
-            }
-            repl.set_term(term);
-            repl.set_leader_repl(Some(addr.to_string()));
-            let leader_client = first
-                .get("client_addr")
-                .and_then(Value::as_str)
-                .map(str::to_string);
-            repl.set_leader_client(leader_client);
-        }
-        "refuse" => {
-            match first.get("reason").and_then(Value::as_str) {
-                Some("not_primary") => {
-                    // Follow the redirect when one is offered; otherwise
-                    // fall back to the configured address next round.
-                    let hint = first
-                        .get("leader")
-                        .and_then(Value::as_str)
-                        .map(str::to_string);
-                    repl.set_leader_repl(hint);
-                }
-                Some("standby_ahead") => {
-                    // Our durable history is *longer* than the primary's:
-                    // the pasts diverged and no stream can reconcile
-                    // them. Fence rather than serve either history.
-                    let term = first.get("term").and_then(Value::as_u64).unwrap_or(0);
-                    repl.fence(term.max(repl.term()), &shared.metrics);
-                }
-                _ => {
-                    repl.set_leader_repl(None);
-                }
-            }
-            return;
-        }
-        _ => return,
+    let on_frame =
+        |msg: &Value| repl.drive(&shared.metrics, |core, now| core.on_frame(msg, addr, now));
+    // The handshake reply: `meta` (follow) or `refuse` (redirect, or
+    // fence when this standby is ahead of the primary).
+    if !matches!(kind(&first), "meta" | "refuse") || on_frame(&first) != Stream::Following {
+        return;
     }
-    repl.note_heard();
 
     // Dedicated ack writer so slow ack flushes never delay frame pulls.
     let (ack_tx, ack_rx) = mpsc::channel::<Vec<u8>>();
-    repl.set_ack_tx(ack_tx);
+    repl.set_ack_tx(Some(ack_tx));
     let ack_writer = std::thread::Builder::new()
         .name("ref-serve-repl-ack".to_string())
         .spawn(move || {
@@ -1209,7 +950,7 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>, stream: TcpStrea
         let payload = match conn.read_frame() {
             Ok(Some(payload)) => payload,
             Ok(None) => {
-                if repl.silence() > repl.effective_election_timeout() {
+                if repl.core().mute(repl.clock.now()) {
                     // Connected but mute (wedged primary): treat it as
                     // dead and let the election path take over.
                     break;
@@ -1218,65 +959,26 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>, stream: TcpStrea
             }
             Err(_) => break,
         };
-        repl.note_heard();
         let Some(msg) = parse_message(&payload) else {
             break;
         };
-        match kind(&msg) {
-            "rec" => {
-                let seq = msg.get("seq").and_then(Value::as_u64);
-                let event = msg.get("event").and_then(|v| value_to_event(v).ok());
-                let (Some(seq), Some(event)) = (seq, event) else {
-                    break;
-                };
-                if shared
-                    .bus
-                    .push(
-                        Class::Control,
-                        Item::Repl(ReplCommand::Apply { seq, event }),
-                    )
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            "snap" => {
-                let seq = msg.get("seq").and_then(Value::as_u64);
-                let snapshot = msg
-                    .get("snapshot")
-                    .and_then(Value::as_str)
-                    .map(str::to_string);
-                let (Some(seq), Some(snapshot)) = (seq, snapshot) else {
-                    break;
-                };
-                if shared
-                    .bus
-                    .push(
-                        Class::Control,
-                        Item::Repl(ReplCommand::Restore { seq, snapshot }),
-                    )
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            "hb" => {
-                let term = msg.get("term").and_then(Value::as_u64).unwrap_or(0);
-                if term < repl.term() {
-                    break; // stale primary
-                }
-                repl.set_term(term);
-            }
-            "diverged" => {
-                // The primary proved our state split from its own.
-                // Never serve or promote a wrong market: fence.
-                repl.fence(repl.term(), &shared.metrics);
-                break;
-            }
-            _ => {}
+        let command = match on_frame(&msg) {
+            Stream::Following => continue,
+            // A stale primary, a divergence notice (we fenced), or a
+            // frame that makes no sense.
+            Stream::Drop => break,
+            Stream::Apply { seq, event } => ReplCommand::Apply { seq, event },
+            Stream::Restore { seq, snapshot } => ReplCommand::Restore { seq, snapshot },
+        };
+        if shared
+            .bus
+            .push(Class::Control, Item::Repl(command))
+            .is_err()
+        {
+            break;
         }
     }
-    repl.clear_ack_tx();
+    repl.set_ack_tx(None);
     let _ = ack_writer.join();
 }
 
@@ -1304,21 +1006,15 @@ pub(crate) enum ReplCommand {
 }
 
 /// Best-effort depose of an old primary after a promotion: present the
-/// new, higher term on its replication listener so it fences itself if
-/// it is somehow still alive.
-pub(crate) fn fence_notify(addr: String, term: u64) {
+/// core's higher-term `hello` on its replication listener so it fences
+/// itself if it is somehow still alive.
+pub(crate) fn fence_notify(addr: String, hello: Vec<u8>) {
     let Ok(mut stream) = TcpStream::connect(&addr) else {
         return;
     };
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.write_all(&message(
-        "hello",
-        vec![
-            ("term", Value::from_u64(term)),
-            ("have_seq", Value::from_u64(0)),
-        ],
-    ));
+    let _ = stream.write_all(&hello);
     let mut conn = FrameConn::new(stream);
     let _ = conn.read_frame_deadline(Duration::from_millis(500));
 }
@@ -1378,25 +1074,5 @@ mod tests {
         let n = frame.len();
         frame[n - 3] ^= 0x10;
         assert!(matches!(decode_frame(&frame), FrameDecode::Corrupt(_)));
-    }
-
-    #[test]
-    fn election_jitter_is_deterministic_and_bounded() {
-        let base = Duration::from_millis(300);
-        assert_eq!(jitter_timeout(base, 7), jitter_timeout(base, 7));
-        assert_ne!(jitter_timeout(base, 1), jitter_timeout(base, 2));
-        for seed in 0..256u64 {
-            let t = jitter_timeout(base, seed);
-            assert!(t >= base && t < base + base / 2, "seed {seed}: {t:?}");
-        }
-    }
-
-    #[test]
-    fn roles_round_trip_their_wire_names() {
-        for role in [Role::Primary, Role::Standby, Role::Fenced] {
-            assert_eq!(Role::from_u8(role as u8), role);
-        }
-        assert_eq!(Role::Primary.as_str(), "primary");
-        assert_eq!(Role::Fenced.as_str(), "fenced");
     }
 }

@@ -1,0 +1,566 @@
+//! `RouterCore`: the fleet-routing rules as one sans-IO state machine
+//! (DESIGN.md §14).
+//!
+//! Inputs are the shards' tick replies and demand summaries; outputs are
+//! the round's verdict — which shards are missing, whether the quorum
+//! froze, which reallotments to deliver — and the merged tick reply.
+//! The threaded router in `server.rs` and the deterministic simulator
+//! (`ref-dst`) drive this one machine.
+//!
+//! What lives here: the `Healthy → Suspect → Down` transitions from tick
+//! outcomes, the quorum gate around the [`Coordinator`] with delivery,
+//! rollback and resync of allotments, the partial-stamped merge of
+//! per-shard epoch reports, catch-up tick counts, and the per-shard
+//! fencing-token floor ([`TermFloor`]) that [`crate::Client`] shares.
+
+use std::collections::BTreeMap;
+
+use crate::json::Value;
+use crate::protocol::ok_response;
+use crate::repl_core::Role;
+use crate::shard::{CoordinationStatus, Coordinator, ShardHealth};
+
+/// What one shard's tick reply tells the router about the shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TickOutcome {
+    /// Replied `ok` within budget.
+    Clean,
+    /// Missed the tick budget (`timeout`): Suspect, Down on repeat.
+    Missed,
+    /// The ticker dropped the reply or refuses mutations (`internal`,
+    /// `degraded`): the shard itself failed, no grace period.
+    Failed,
+    /// Not asked or not answering for a reason that says nothing new
+    /// about its health (`shard_unavailable`, `shutting_down`, a
+    /// replicated primary inside its recovery lease).
+    Silent,
+}
+
+impl TickOutcome {
+    /// Classifies a shard's tick reply.
+    pub fn of(reply: &Value) -> TickOutcome {
+        if reply.get("ok") == Some(&Value::Bool(true)) {
+            return TickOutcome::Clean;
+        }
+        match reply.get("error").and_then(Value::as_str) {
+            Some("timeout") => TickOutcome::Missed,
+            Some("internal" | "degraded") => TickOutcome::Failed,
+            _ => TickOutcome::Silent,
+        }
+    }
+}
+
+/// Per-shard fencing-token floor: the highest primary term seen for each
+/// shard. Whoever routes by it never again adopts a primary below it — a
+/// crashed high-term primary must not fail routing back to a deposed one
+/// whose solo acks would die with its branch.
+#[derive(Debug, Clone, Default)]
+pub struct TermFloor(BTreeMap<u64, u64>);
+
+impl TermFloor {
+    /// Whether a primary of `shard` at `term` may be adopted; adopting
+    /// ratchets the floor up to `term`.
+    pub fn admit(&mut self, shard: u64, term: u64) -> bool {
+        let floor = self.0.entry(shard).or_insert(0);
+        if term < *floor {
+            return false;
+        }
+        *floor = term;
+        true
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Watch {
+    health: ShardHealth,
+    /// Consecutive fleet ticks the shard failed to answer.
+    missed: u64,
+    /// Consecutive clean replies since it was last Suspect.
+    clean: u64,
+}
+
+impl Watch {
+    fn entering(health: ShardHealth) -> Watch {
+        Watch {
+            health,
+            missed: 0,
+            clean: 0,
+        }
+    }
+}
+
+/// One fleet tick's verdict.
+#[derive(Debug, Clone)]
+pub struct Round {
+    /// Shards that delivered no report this tick. Non-empty means the
+    /// epoch is *partial*: no fleet-wide fairness may be merged from it.
+    pub missing: Vec<u64>,
+    /// Fewer shards than the quorum reported: allotments froze.
+    pub frozen: bool,
+    /// Reallotments to deliver, as journaled `reallot` events. A shard
+    /// that fails to journal one must be reported back through
+    /// [`RouterCore::undelivered`].
+    pub reallots: Vec<(usize, Vec<f64>)>,
+    /// The coordinator's audit state after the round.
+    pub status: CoordinationStatus,
+}
+
+/// The routing state machine of one fleet (see the module docs).
+#[derive(Debug)]
+pub struct RouterCore {
+    coord: Coordinator,
+    quorum: usize,
+    recovery_clean_ticks: u64,
+    watch: Vec<Watch>,
+    router_term: TermFloor,
+}
+
+impl RouterCore {
+    /// A router over `shards` shards splitting `total` capacity.
+    pub fn new(
+        total: Vec<f64>,
+        shards: usize,
+        drift_bound: f64,
+        quorum: usize,
+        recovery_clean_ticks: u64,
+    ) -> RouterCore {
+        RouterCore {
+            coord: Coordinator::new(total, shards, drift_bound),
+            quorum,
+            recovery_clean_ticks,
+            watch: vec![Watch::entering(ShardHealth::Healthy); shards],
+            router_term: TermFloor::default(),
+        }
+    }
+
+    /// The router's assessment of `shard` (the driver overrides it to
+    /// Down the moment the shard reports itself degraded).
+    pub fn health(&self, shard: usize) -> ShardHealth {
+        self.watch[shard].health
+    }
+
+    /// The coordinator's audit state.
+    pub fn status(&self) -> CoordinationStatus {
+        self.coord.status()
+    }
+
+    /// The current per-shard allotments.
+    pub fn allotments(&self) -> &[Vec<f64>] {
+        self.coord.allotments()
+    }
+
+    /// Folds one fleet tick in: health from each shard's outcome, then
+    /// the quorum gate — below quorum the demand picture is too partial
+    /// to act on and allotments freeze; at or above it the coordinator
+    /// steps, and an update for a shard that did not report is rolled
+    /// back (marked undelivered, re-offered once it reports again).
+    pub fn tick_round(&mut self, outcomes: &[TickOutcome], demands: &[Vec<f64>]) -> Round {
+        for (watch, outcome) in self.watch.iter_mut().zip(outcomes) {
+            match outcome {
+                TickOutcome::Clean => {
+                    watch.missed = 0;
+                    if watch.health != ShardHealth::Healthy {
+                        watch.clean += 1;
+                        if watch.clean >= self.recovery_clean_ticks {
+                            *watch = Watch::entering(ShardHealth::Healthy);
+                        }
+                    }
+                }
+                TickOutcome::Missed => {
+                    watch.clean = 0;
+                    watch.missed += 1;
+                    watch.health = if watch.missed >= 2 {
+                        ShardHealth::Down
+                    } else {
+                        ShardHealth::Suspect
+                    };
+                }
+                TickOutcome::Failed => {
+                    watch.clean = 0;
+                    watch.health = ShardHealth::Down;
+                }
+                TickOutcome::Silent => {}
+            }
+        }
+        let reported = |shard: usize| outcomes[shard] == TickOutcome::Clean;
+        let missing: Vec<u64> = (0..outcomes.len())
+            .filter(|shard| !reported(*shard))
+            .map(|shard| shard as u64)
+            .collect();
+        let frozen = outcomes.len() - missing.len() < self.quorum;
+        let mut reallots = Vec::new();
+        if !frozen {
+            for (shard, update) in self.coord.step(demands).into_iter().enumerate() {
+                match update {
+                    Some(capacity) if reported(shard) => reallots.push((shard, capacity)),
+                    Some(_) => self.coord.mark_undelivered(shard),
+                    None => {}
+                }
+            }
+        }
+        Round {
+            missing,
+            frozen,
+            reallots,
+            status: self.coord.status(),
+        }
+    }
+
+    /// `shard` never journaled the allotment it was offered: re-offer it
+    /// on the next round instead of letting the shard drift.
+    pub fn undelivered(&mut self, shard: usize) {
+        self.coord.mark_undelivered(shard);
+    }
+
+    /// The allotment to replay onto a freshly recovered `shard`, marked
+    /// delivered: recovery restored the split the shard last journaled,
+    /// which may predate reallotments issued while it was away.
+    pub fn resync(&mut self, shard: usize) -> Vec<f64> {
+        self.coord.resync_delivery(shard)
+    }
+
+    /// `shard` was restarted or answered a probe: it re-enters at
+    /// Suspect and must earn Healthy back with clean ticks.
+    pub fn readmit(&mut self, shard: usize) {
+        self.watch[shard] = Watch::entering(ShardHealth::Suspect);
+    }
+
+    /// Quota-exempt ticks that bring `shard` up to the fleet epoch (the
+    /// furthest any *other* shard got) after it was skipped or restarted.
+    pub fn catch_up_ticks(epochs: &[u64], shard: usize) -> u64 {
+        let fleet = epochs
+            .iter()
+            .enumerate()
+            .filter(|(other, _)| *other != shard)
+            .map(|(_, epoch)| *epoch)
+            .max()
+            .unwrap_or(0);
+        fleet.saturating_sub(epochs[shard])
+    }
+
+    /// Picks the node serving `shard` among `(node, role, term)`
+    /// candidates: the highest-term primary (lowest node on a tie) — if
+    /// it clears the shard's [`TermFloor`], which it then ratchets.
+    pub fn pick_primary(
+        &mut self,
+        shard: usize,
+        candidates: impl IntoIterator<Item = (usize, Role, u64)>,
+    ) -> Option<usize> {
+        let (node, _, term) = candidates
+            .into_iter()
+            .filter(|(_, role, _)| *role == Role::Primary)
+            .max_by_key(|(node, _, term)| (*term, usize::MAX - node))?;
+        self.router_term.admit(shard as u64, term).then_some(node)
+    }
+}
+
+/// Inserts a `"shard": k` tag right after the leading `ok`/`error`
+/// marker of a shard's reply, so aggregated arrays stay attributable.
+pub fn tag_shard(value: Value, shard: usize) -> Value {
+    match value {
+        Value::Obj(mut pairs) => {
+            let at = pairs.len().min(1);
+            pairs.insert(at, ("shard".to_string(), Value::from_u64(shard as u64)));
+            Value::Obj(pairs)
+        }
+        other => other,
+    }
+}
+
+/// The merged reply to a fleet `tick`: the fleet epoch, the combined
+/// report, the coordinator's drift audit, and every shard's own reply.
+pub fn tick_reply(replies: Vec<Value>, round: &Round) -> Value {
+    let epoch = replies
+        .iter()
+        .filter_map(|r| r.get("epoch").and_then(Value::as_u64))
+        .max()
+        .unwrap_or(0);
+    let mut fields: Vec<(&str, Value)> = vec![("epoch", Value::from_u64(epoch))];
+    if let Some(report) = merge_reports(&replies, &round.missing) {
+        fields.push(("report", report));
+    }
+    fields.push(("drift", Value::Num(round.status.drift)));
+    fields.push(("drift_bound_ok", Value::Bool(round.status.within_bound)));
+    let tagged = replies
+        .into_iter()
+        .enumerate()
+        .map(|(shard, reply)| tag_shard(reply, shard))
+        .collect();
+    fields.push(("shards", Value::Arr(tagged)));
+    ok_response(fields)
+}
+
+/// Combines per-shard epoch reports into a fleet-wide view: agent counts
+/// sum, warm-up ORs, fairness flags AND (with violation counts summed
+/// and the worst ratios kept), and the enforcement deviation takes the
+/// worst shard. `None` if no shard produced a report this tick. When
+/// any shard missed the tick (`missing` non-empty) the merged report is
+/// stamped `partial: true` with those shard ids and carries no fairness
+/// block: a fleet audit over a partial fleet would be phantom data.
+pub fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value> {
+    let reports: Vec<&Value> = replies.iter().filter_map(|r| r.get("report")).collect();
+    if reports.is_empty() {
+        return None;
+    }
+    let sum =
+        |of: &[&Value], key: &str| -> u64 { of.iter().filter_map(|v| v.get(key)?.as_u64()).sum() };
+    let worst = |of: &[&Value], key: &str| -> f64 {
+        of.iter()
+            .filter_map(|v| v.get(key)?.as_f64())
+            .fold(0.0f64, f64::max)
+    };
+    let all = |of: &[&Value], key: &str| {
+        let yes = Value::Bool(true);
+        of.iter().all(|v| v.get(key) == Some(&yes))
+    };
+    let epoch = reports
+        .iter()
+        .filter_map(|r| r.get("epoch")?.as_u64())
+        .max();
+    let warm = reports
+        .iter()
+        .any(|r| r.get("warm") == Some(&Value::Bool(true)));
+    let mut fields: Vec<(&str, Value)> = vec![
+        ("epoch", Value::from_u64(epoch.unwrap_or(0))),
+        ("agents", Value::from_u64(sum(&reports, "agents"))),
+        ("warm", Value::Bool(warm)),
+        (
+            "worst_enforcement_deviation",
+            Value::Num(worst(&reports, "worst_enforcement_deviation")),
+        ),
+    ];
+    if !missing.is_empty() {
+        fields.push(("partial", Value::Bool(true)));
+        fields.push((
+            "missing_shards",
+            Value::Arr(missing.iter().copied().map(Value::from_u64).collect()),
+        ));
+    }
+    // Fairness merges only when every shard audited this epoch: a
+    // partially-audited fleet must not claim fleet-wide fairness. Per-shard
+    // reports emit `envy_edges` (violation count) and `max_mrs_mismatch`;
+    // the merged view renames them to the fleet-wide reading: total
+    // violations, worst spread anywhere.
+    let f: Vec<&Value> = reports.iter().filter_map(|r| r.get("fairness")).collect();
+    if missing.is_empty() && f.len() == reports.len() {
+        fields.push((
+            "fairness",
+            Value::obj(vec![
+                (
+                    "sharing_incentives",
+                    Value::Bool(all(&f, "sharing_incentives")),
+                ),
+                ("si_violations", Value::from_u64(sum(&f, "si_violations"))),
+                ("envy_free", Value::Bool(all(&f, "envy_free"))),
+                ("ef_violations", Value::from_u64(sum(&f, "envy_edges"))),
+                ("pareto_efficient", Value::Bool(all(&f, "pareto_efficient"))),
+                ("max_mrs_spread", Value::Num(worst(&f, "max_mrs_mismatch"))),
+            ]),
+        ));
+    }
+    Some(Value::obj(fields))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::error_response;
+    use TickOutcome::{Clean, Failed, Missed, Silent};
+
+    fn router(shards: usize, quorum: usize) -> RouterCore {
+        RouterCore::new(vec![64.0, 32.0], shards, 0.25, quorum, 2)
+    }
+
+    fn skewed(shards: usize) -> Vec<Vec<f64>> {
+        let mut demands = vec![vec![1.0, 0.5]; shards];
+        demands[0] = vec![8.0, 4.0];
+        demands
+    }
+
+    #[test]
+    fn tick_replies_classify_into_outcomes() {
+        let table = [
+            (ok_response(vec![]), Clean),
+            (error_response("timeout", None, None), Missed),
+            (error_response("internal", None, None), Failed),
+            (error_response("degraded", None, None), Failed),
+            (error_response("shard_unavailable", None, None), Silent),
+            (error_response("shutting_down", None, None), Silent),
+            (error_response("unavailable", None, Some(5)), Silent),
+        ];
+        for (reply, want) in table {
+            assert_eq!(TickOutcome::of(&reply), want, "{reply}");
+        }
+    }
+
+    #[test]
+    fn health_transitions() {
+        use ShardHealth::{Down, Healthy, Suspect};
+        // Each row: outcomes fed to shard 0 in order → health after each.
+        let table: [(&[TickOutcome], &[ShardHealth]); 5] = [
+            (&[Missed, Missed], &[Suspect, Down]),
+            (&[Missed, Clean, Clean], &[Suspect, Suspect, Healthy]),
+            // A clean tick resets the miss count but a miss resets the
+            // healing progress: two *consecutive* clean ticks heal.
+            (
+                &[Missed, Clean, Missed, Clean, Clean],
+                &[Suspect, Suspect, Suspect, Suspect, Healthy],
+            ),
+            (&[Failed, Silent, Clean], &[Down, Down, Down]),
+            (&[Clean, Silent], &[Healthy, Healthy]),
+        ];
+        for (outcomes, want) in table {
+            let mut router = router(2, 1);
+            for (outcome, health) in outcomes.iter().zip(want) {
+                router.tick_round(&[*outcome, Clean], &skewed(2));
+                assert_eq!(router.health(0), *health, "{outcomes:?}");
+                assert_eq!(router.health(1), Healthy);
+            }
+        }
+        // A restart or an answered probe re-enters at Suspect.
+        let mut router = router(2, 1);
+        router.tick_round(&[Failed, Clean], &skewed(2));
+        router.readmit(0);
+        assert_eq!(router.health(0), Suspect);
+        router.tick_round(&[Clean, Clean], &skewed(2));
+        router.tick_round(&[Clean, Clean], &skewed(2));
+        assert_eq!(router.health(0), Healthy);
+    }
+
+    #[test]
+    fn below_quorum_freezes_and_marks_undelivered_without_moving_allotments() {
+        let mut router = router(3, 2);
+        let before = router.allotments().to_vec();
+        // One of three reported: below quorum. Nothing moves.
+        let round = router.tick_round(&[Clean, Missed, Failed], &skewed(3));
+        assert!(round.frozen);
+        assert_eq!(round.missing, vec![1, 2]);
+        assert!(round.reallots.is_empty());
+        assert_eq!(round.status.rounds, 0);
+        assert_eq!(router.allotments(), &before[..]);
+        // At quorum the coordinator steps, but the shard that did not
+        // report gets nothing pushed: its update is rolled back...
+        let round = router.tick_round(&[Clean, Clean, Silent], &skewed(3));
+        assert!(!round.frozen);
+        assert_eq!(round.missing, vec![2]);
+        let delivered: Vec<usize> = round.reallots.iter().map(|(s, _)| *s).collect();
+        assert_eq!(delivered, vec![0, 1]);
+        // ...and re-offered, in full, the moment it reports again — even
+        // if a freeze intervened.
+        assert!(router.tick_round(&[Silent; 3], &skewed(3)).frozen);
+        let round = router.tick_round(&[Clean; 3], &skewed(3));
+        let (shard, capacity) = round.reallots.last().unwrap();
+        assert_eq!(*shard, 2);
+        assert_eq!(capacity, &router.allotments()[2]);
+        // A delivery the shard refused is offered again too.
+        for _ in 0..64 {
+            router.tick_round(&[Clean; 3], &skewed(3));
+        }
+        assert!(router
+            .tick_round(&[Clean; 3], &skewed(3))
+            .reallots
+            .is_empty());
+        router.undelivered(1);
+        let round = router.tick_round(&[Clean; 3], &skewed(3));
+        assert_eq!(round.reallots.len(), 1);
+        // A resync hands back the same vector and quiets the shard.
+        router.undelivered(1);
+        assert_eq!(router.resync(1), router.allotments()[1]);
+        assert!(router
+            .tick_round(&[Clean; 3], &skewed(3))
+            .reallots
+            .is_empty());
+    }
+
+    #[test]
+    fn term_floor_ratchets() {
+        let mut floor = TermFloor::default();
+        assert!(floor.admit(0, 0));
+        assert!(floor.admit(0, 3));
+        assert!(!floor.admit(0, 2), "a deposed primary is never adopted");
+        assert!(floor.admit(0, 3));
+        assert!(floor.admit(1, 1), "floors are per shard");
+
+        let mut router = router(2, 1);
+        use Role::{Fenced, Primary, Standby};
+        // Highest term wins a split brain; standbys and fenced nodes
+        // are never picked.
+        let pick = router.pick_primary(0, [(0, Primary, 1), (1, Primary, 2)]);
+        assert_eq!(pick, Some(1));
+        // The high-term primary crashed: never fail back below the floor.
+        assert_eq!(router.pick_primary(0, [(0, Primary, 1)]), None);
+        assert_eq!(
+            router.pick_primary(0, [(0, Standby, 2), (1, Fenced, 9)]),
+            None
+        );
+        assert_eq!(router.pick_primary(0, [(0, Primary, 2)]), Some(0));
+        assert_eq!(router.pick_primary(1, [(2, Primary, 0)]), Some(2));
+    }
+
+    #[test]
+    fn catch_up_counts_the_gap_to_the_rest_of_the_fleet() {
+        assert_eq!(RouterCore::catch_up_ticks(&[7, 3, 5], 1), 4);
+        assert_eq!(RouterCore::catch_up_ticks(&[7, 3, 5], 0), 0);
+        assert_eq!(RouterCore::catch_up_ticks(&[4], 0), 0);
+    }
+
+    #[test]
+    fn partial_rounds_stamp_the_merge_and_drop_fairness() {
+        let shard_reply = |epoch: u64, si: u64| {
+            ok_response(vec![
+                ("epoch", Value::from_u64(epoch)),
+                (
+                    "report",
+                    Value::obj(vec![
+                        ("epoch", Value::from_u64(epoch)),
+                        ("agents", Value::from_u64(2)),
+                        ("warm", Value::Bool(false)),
+                        ("worst_enforcement_deviation", Value::Num(0.1)),
+                        (
+                            "fairness",
+                            Value::obj(vec![
+                                ("sharing_incentives", Value::Bool(si == 0)),
+                                ("si_violations", Value::from_u64(si)),
+                                ("envy_free", Value::Bool(true)),
+                                ("envy_edges", Value::from_u64(0)),
+                                ("pareto_efficient", Value::Bool(true)),
+                                ("max_mrs_mismatch", Value::Num(0.0)),
+                            ]),
+                        ),
+                    ]),
+                ),
+            ])
+        };
+        let mut router = router(2, 1);
+        let replies = vec![shard_reply(4, 0), shard_reply(4, 1)];
+        let round = router.tick_round(&[Clean, Clean], &skewed(2));
+        let full = tick_reply(replies.clone(), &round);
+        let report = full.get("report").unwrap();
+        assert_eq!(full.get("epoch").and_then(Value::as_u64), Some(4));
+        assert_eq!(report.get("agents").and_then(Value::as_u64), Some(4));
+        assert!(report.get("partial").is_none());
+        let fairness = report.get("fairness").expect("full rounds audit");
+        assert_eq!(
+            fairness.get("si_violations").and_then(Value::as_u64),
+            Some(1)
+        );
+        assert_eq!(
+            fairness.get("sharing_incentives"),
+            Some(&Value::Bool(false))
+        );
+        let shards = full.get("shards").and_then(Value::as_array).unwrap();
+        assert_eq!(shards[1].get("shard").and_then(Value::as_u64), Some(1));
+
+        let replies = vec![replies[0].clone(), error_response("timeout", None, None)];
+        let outcomes: Vec<TickOutcome> = replies.iter().map(TickOutcome::of).collect();
+        let round = router.tick_round(&outcomes, &skewed(2));
+        let partial = tick_reply(replies, &round);
+        let report = partial.get("report").unwrap();
+        assert_eq!(report.get("partial"), Some(&Value::Bool(true)));
+        assert_eq!(
+            report.get("missing_shards"),
+            Some(&Value::Arr(vec![Value::from_u64(1)]))
+        );
+        assert!(report.get("fairness").is_none());
+    }
+}

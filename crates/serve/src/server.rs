@@ -56,14 +56,15 @@ use crate::fault::FaultPlan;
 use crate::json::Value;
 use crate::metrics::{ServeMetrics, ServeMetricsSnapshot};
 use crate::protocol::{
-    error_response, not_primary_response, ok_response, parse_request, shard_unavailable_response,
-    Envelope, Request,
+    error_response, ok_response, parse_request, shard_unavailable_response, Envelope, Request,
 };
 use crate::repl::{
     fence_notify, repl_acceptor_loop, standby_loop, ReplCommand, ReplConfig, ReplShared, Role,
 };
+use crate::repl_core::Promotion;
+use crate::router::{tag_shard, tick_reply, RouterCore, TickOutcome};
 use crate::shard::{
-    default_quorum, shard_market_config, CoordinationStatus, Coordinator, HashRing, ShardHealth,
+    default_quorum, shard_market_config, CoordinationStatus, HashRing, ShardHealth,
 };
 use crate::wal::{self, WalConfig};
 
@@ -341,14 +342,10 @@ pub(crate) struct Shared {
     /// elasticities), refreshed after every epoch; the cross-shard
     /// coordinator's input.
     pub(crate) demand: Mutex<Vec<f64>>,
-    /// Router-assessed shard health ([`ShardHealth`] as its `u64`
-    /// repr), written only by the fleet-tick path and the supervisor.
+    /// The [`RouterCore`]'s assessment of this shard ([`ShardHealth`]
+    /// as its `u64` repr), published after every fleet tick and
+    /// supervisor action so dispatch reads it without a lock.
     pub(crate) health: AtomicU64,
-    /// Consecutive fleet ticks this shard failed to answer.
-    pub(crate) missed_ticks: AtomicU64,
-    /// Consecutive clean tick replies since the shard was last Suspect
-    /// (healing progress toward Healthy).
-    pub(crate) clean_ticks: AtomicU64,
     /// Supervisor → ticker: hand over the core for a WAL restart.
     pub(crate) restart: AtomicBool,
     /// Ticker → supervisor: the core was dropped; its WAL dir is free
@@ -367,14 +364,15 @@ fn effective_health(shared: &Shared) -> ShardHealth {
 }
 
 /// Router state shared by the acceptor and every reader: the shards,
-/// the placement ring, and the cross-shard coordinator.
+/// the placement ring, and the routing state machine (health, quorum
+/// gate, coordinator), locked once per fleet tick.
 pub(crate) struct Router {
     pub(crate) shards: Vec<Arc<Shared>>,
     pub(crate) ring: HashRing,
     pub(crate) stop: AtomicBool,
     pub(crate) open_connections: AtomicUsize,
     pub(crate) started: Instant,
-    pub(crate) coord: Mutex<Coordinator>,
+    pub(crate) core: Mutex<RouterCore>,
     /// Tickers respawned by the supervisor after an in-place shard
     /// recovery; joined at shutdown alongside the original set.
     pub(crate) respawned: Mutex<Vec<JoinHandle<()>>>,
@@ -396,6 +394,19 @@ impl Router {
     /// server's metrics in the single-shard case.
     fn metrics(&self) -> &ServeMetrics {
         &self.shards[0].metrics
+    }
+
+    /// Runs one transition of the routing core, then publishes every
+    /// shard's health to its atomic.
+    fn drive<R>(&self, step: impl FnOnce(&mut RouterCore) -> R) -> R {
+        let mut core = self.core.lock().expect("router lock poisoned");
+        let out = step(&mut core);
+        for (shard, shared) in self.shards.iter().enumerate() {
+            shared
+                .health
+                .store(core.health(shard) as u64, Ordering::SeqCst);
+        }
+        out
     }
 }
 
@@ -579,6 +590,7 @@ impl Server {
                     wal_dir,
                     Arc::clone(&config.clock),
                     config.rng_seed,
+                    cores[0].events_applied(),
                 ));
                 repl.set_self_addrs(addr.to_string(), repl_addr.to_string());
                 cores[0].attach_repl(Arc::clone(&repl));
@@ -606,8 +618,6 @@ impl Server {
                     wal_seq: AtomicU64::new(core.events_applied()),
                     demand: Mutex::new(vec![0.0; resources]),
                     health: AtomicU64::new(ShardHealth::Healthy as u64),
-                    missed_ticks: AtomicU64::new(0),
-                    clean_ticks: AtomicU64::new(0),
                     restart: AtomicBool::new(false),
                     released: AtomicBool::new(false),
                 })
@@ -623,10 +633,12 @@ impl Server {
             stop: AtomicBool::new(false),
             open_connections: AtomicUsize::new(0),
             started: Instant::now(),
-            coord: Mutex::new(Coordinator::new(
+            core: Mutex::new(RouterCore::new(
                 config.market.capacity.as_slice().to_vec(),
                 n,
                 config.drift_bound,
+                config.effective_quorum(),
+                config.recovery_clean_ticks,
             )),
             respawned: Mutex::new(Vec::new()),
             shards,
@@ -812,13 +824,7 @@ impl Server {
         if self.router.shards.len() == 1 {
             return None;
         }
-        Some(
-            self.router
-                .coord
-                .lock()
-                .expect("coord lock poisoned")
-                .status(),
-        )
+        Some(self.router.drive(|core| core.status()))
     }
 
     /// Current bus depth (queued, un-drained requests), summed across
@@ -1200,20 +1206,7 @@ fn dispatch_to_shard(shared: &Arc<Shared>, envelope: Envelope, config: &ServeCon
                 .deadline_ms
                 .map(|ms| Duration::from_millis(ms) + config.reply_timeout)
                 .unwrap_or(config.reply_timeout);
-            match rx.recv_timeout(wait) {
-                Ok(response) => response,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    error_response("timeout", Some("no reply from the epoch loop"), None)
-                }
-                // The ticker dropped the reply sender without answering —
-                // it panicked mid-batch. The supervisor restarts it in
-                // degraded mode; this request is the one casualty.
-                Err(mpsc::RecvTimeoutError::Disconnected) => error_response(
-                    "internal",
-                    Some("request dropped by a ticker failure"),
-                    None,
-                ),
-            }
+            await_reply(&rx, wait)
         }
         Err(SendError::Full(_)) => {
             ServeMetrics::bump(&shared.metrics.rejected_overload);
@@ -1232,6 +1225,24 @@ fn dispatch_to_shard(shared: &Arc<Shared>, envelope: Envelope, config: &ServeCon
             ServeMetrics::bump(&shared.metrics.rejected_shutdown);
             error_response("shutting_down", None, None)
         }
+    }
+}
+
+/// Awaits the ticker's reply to an admitted request for at most `wait`.
+fn await_reply(rx: &mpsc::Receiver<Value>, wait: Duration) -> Value {
+    match rx.recv_timeout(wait) {
+        Ok(response) => response,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            error_response("timeout", Some("no reply from the epoch loop"), None)
+        }
+        // The ticker dropped the reply sender without answering — it
+        // panicked mid-batch. The supervisor restarts it in degraded
+        // mode; this request is the one casualty.
+        Err(mpsc::RecvTimeoutError::Disconnected) => error_response(
+            "internal",
+            Some("request dropped by a ticker failure"),
+            None,
+        ),
     }
 }
 
@@ -1318,38 +1329,11 @@ fn fan(
             })
             .collect();
         replies.extend(ref_pool::par_map(wave.len(), |i| match &wave[i] {
-            Fanned::Rx(rx) => match rx
-                .lock()
-                .expect("receiver lock poisoned")
-                .recv_timeout(wait)
-            {
-                Ok(response) => response,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    error_response("timeout", Some("no reply from the epoch loop"), None)
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => error_response(
-                    "internal",
-                    Some("request dropped by a ticker failure"),
-                    None,
-                ),
-            },
+            Fanned::Rx(rx) => await_reply(&rx.lock().expect("receiver lock poisoned"), wait),
             Fanned::Ready(value) => value.clone(),
         }));
     }
     replies
-}
-
-/// Inserts a `"shard": k` tag right after the leading `ok`/`error`
-/// marker of a shard's reply, so aggregated arrays stay attributable.
-fn tag_shard(value: Value, shard: usize) -> Value {
-    match value {
-        Value::Obj(mut pairs) => {
-            let at = pairs.len().min(1);
-            pairs.insert(at, ("shard".to_string(), Value::from_u64(shard as u64)));
-            Value::Obj(pairs)
-        }
-        other => other,
-    }
 }
 
 /// Merges fanned non-tick replies into one response: per-shard answers
@@ -1415,16 +1399,30 @@ fn merge_fanned(request: &Request, replies: Vec<Value>) -> Value {
     ok_response(fields)
 }
 
-/// Fans an epoch tick to every shard, merges the per-shard reports into
-/// one combined report, then runs the cross-shard coordination step on
-/// the fresh demand summaries. The merged reply carries the combined
-/// report plus the coordinator's drift audit.
-///
-/// This is also where shard health is assessed: each shard's tick reply
-/// (or its absence within the per-shard tick budget) drives the
-/// `Healthy → Suspect → Down` transitions, and the coordination step is
-/// quorum-gated — below quorum the allotments freeze and the merged
-/// report is marked `partial` with the missing shard ids.
+/// Admits `request` onto a shard's bus from inside the server, quota
+/// exempt: the bus is FIFO, so it lands before anything admitted later.
+/// Fire-and-forget callers drop the returned receiver and the ticker's
+/// reply send fails harmlessly. `None` if the bus is closed.
+fn push_internal(shared: &Shared, request: Request) -> Option<mpsc::Receiver<Value>> {
+    let (reply, rx) = mpsc::channel();
+    let class = request.class();
+    let item = Item::Client {
+        request,
+        deadline: None,
+        reply,
+    };
+    shared.bus.push(class, item).ok().map(|()| rx)
+}
+
+/// Fans an epoch tick to every shard and hands the replies and the
+/// fresh demand summaries to the [`RouterCore`], which assesses shard
+/// health (`Healthy → Suspect → Down`), gates the cross-shard
+/// coordination step on the quorum, and says which reallotments to
+/// deliver. Those are pushed as journaled control events on each
+/// shard's own bus, so they land before the next epoch and replay
+/// bit-identically. The merged reply carries the combined report —
+/// marked `partial` with the missing shard ids when any shard missed
+/// the tick — plus the coordinator's drift audit.
 fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig) -> Value {
     // The tick budget caps how long any one shard may hold up the fleet
     // clock; a client deadline can only tighten it further.
@@ -1433,219 +1431,30 @@ fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig
         .unwrap_or(config.reply_timeout)
         .min(config.shard_tick_budget);
     let replies = fan(router, &Request::Tick, deadline_ms, wait, config);
-    let mut delivered = vec![false; replies.len()];
-    for (shard, reply) in replies.iter().enumerate() {
-        let shared = &router.shards[shard];
-        if reply.get("ok") == Some(&Value::Bool(true)) {
-            delivered[shard] = true;
-            shared.missed_ticks.store(0, Ordering::SeqCst);
-            if ShardHealth::from_u64(shared.health.load(Ordering::SeqCst)) != ShardHealth::Healthy {
-                let clean = shared.clean_ticks.fetch_add(1, Ordering::SeqCst) + 1;
-                if clean >= config.recovery_clean_ticks {
-                    shared
-                        .health
-                        .store(ShardHealth::Healthy as u64, Ordering::SeqCst);
-                    shared.clean_ticks.store(0, Ordering::SeqCst);
-                }
-            }
-        } else {
-            match reply.get("error").and_then(Value::as_str) {
-                // A missed tick budget: Suspect on the first, Down on
-                // repeat offenses.
-                Some("timeout") => {
-                    shared.clean_ticks.store(0, Ordering::SeqCst);
-                    let missed = shared.missed_ticks.fetch_add(1, Ordering::SeqCst) + 1;
-                    let next = if missed >= 2 {
-                        ShardHealth::Down
-                    } else {
-                        ShardHealth::Suspect
-                    };
-                    shared.health.store(next as u64, Ordering::SeqCst);
-                }
-                // The ticker dropped the reply or refused the mutation:
-                // the shard itself failed, no grace period.
-                Some("internal") | Some("degraded") => {
-                    shared.clean_ticks.store(0, Ordering::SeqCst);
-                    shared
-                        .health
-                        .store(ShardHealth::Down as u64, Ordering::SeqCst);
-                }
-                // `shard_unavailable` (already Down, not asked) and
-                // `shutting_down` carry no new health signal.
-                _ => {}
-            }
-        }
+    let outcomes: Vec<TickOutcome> = replies.iter().map(TickOutcome::of).collect();
+    let demands: Vec<Vec<f64>> = router
+        .shards
+        .iter()
+        .map(|shared| shared.demand.lock().expect("demand lock poisoned").clone())
+        .collect();
+    let mut round = router.drive(|core| core.tick_round(&outcomes, &demands));
+    for (shard, capacity) in std::mem::take(&mut round.reallots) {
+        push_internal(&router.shards[shard], Request::Reallot { capacity });
     }
     let down = router
         .shards
         .iter()
         .filter(|s| effective_health(s) == ShardHealth::Down)
         .count();
-    router
-        .metrics()
-        .shards_down
-        .store(down as u64, Ordering::SeqCst);
-
-    let reported = delivered.iter().filter(|d| **d).count();
-    let status = if reported >= config.effective_quorum() {
-        coordinate(router, &delivered)
-    } else {
-        // Below quorum the demand picture is too partial to act on:
-        // freeze allotments rather than chase phantom imbalance.
-        ServeMetrics::bump(&router.metrics().quorum_freezes);
-        router.coord.lock().expect("coord lock poisoned").status()
-    };
-    let missing: Vec<u64> = delivered
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| !**d)
-        .map(|(shard, _)| shard as u64)
-        .collect();
-    if !missing.is_empty() {
-        ServeMetrics::bump(&router.metrics().partial_epochs);
+    let metrics = router.metrics();
+    metrics.shards_down.store(down as u64, Ordering::SeqCst);
+    if round.frozen {
+        ServeMetrics::bump(&metrics.quorum_freezes);
     }
-    let epoch = replies
-        .iter()
-        .filter_map(|r| r.get("epoch").and_then(Value::as_u64))
-        .max()
-        .unwrap_or(0);
-    let mut fields: Vec<(&str, Value)> = vec![("epoch", Value::from_u64(epoch))];
-    if let Some(report) = merge_reports(&replies, &missing) {
-        fields.push(("report", report));
+    if !round.missing.is_empty() {
+        ServeMetrics::bump(&metrics.partial_epochs);
     }
-    fields.push(("drift", Value::Num(status.drift)));
-    fields.push(("drift_bound_ok", Value::Bool(status.within_bound)));
-    let tagged: Vec<Value> = replies
-        .into_iter()
-        .enumerate()
-        .map(|(shard, reply)| tag_shard(reply, shard))
-        .collect();
-    fields.push(("shards", Value::Arr(tagged)));
-    ok_response(fields)
-}
-
-/// Exchanges per-shard aggregate demand and pushes the coordinator's
-/// capacity reallotments onto the shards that need them. Reallotments
-/// are journaled control events on each shard's own bus, so they land
-/// before the next epoch and replay bit-identically. A shard that did
-/// not answer this tick (`delivered[shard] == false`) gets nothing
-/// pushed — the coordinator remembers the allotment as undelivered and
-/// re-offers it once the shard reports again.
-fn coordinate(router: &Arc<Router>, delivered: &[bool]) -> CoordinationStatus {
-    let demands: Vec<Vec<f64>> = router
-        .shards
-        .iter()
-        .map(|shared| shared.demand.lock().expect("demand lock poisoned").clone())
-        .collect();
-    let mut coord = router.coord.lock().expect("coord lock poisoned");
-    let mut updates = coord.step(&demands);
-    for (shard, update) in updates.iter_mut().enumerate() {
-        if update.is_some() && !delivered.get(shard).copied().unwrap_or(false) {
-            coord.mark_undelivered(shard);
-            *update = None;
-        }
-    }
-    let status = coord.status();
-    drop(coord);
-    for (shard, update) in updates.into_iter().enumerate() {
-        if let Some(capacity) = update {
-            let request = Request::Reallot { capacity };
-            let (tx, _rx) = mpsc::channel();
-            let item = Item::Client {
-                request: request.clone(),
-                deadline: None,
-                reply: tx,
-            };
-            // Fire and forget: the ticker applies it before the next
-            // epoch (the bus is FIFO) and journals it like any other
-            // control event. `_rx` is dropped; the ticker's reply send
-            // fails harmlessly.
-            let _ = router.shards[shard].bus.push(request.class(), item);
-        }
-    }
-    status
-}
-
-/// Combines per-shard epoch reports into a fleet-wide view: agent counts
-/// sum, warm-up ORs, fairness flags AND (with violation counts summed
-/// and the worst ratios kept), and the enforcement deviation takes the
-/// worst shard. `None` if no shard produced a report this tick. When
-/// any shard missed the tick (`missing` non-empty) the merged report is
-/// stamped `partial: true` with those shard ids and carries no fairness
-/// block: a fleet audit over a partial fleet would be phantom data.
-fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value> {
-    let reports: Vec<&Value> = replies.iter().filter_map(|r| r.get("report")).collect();
-    if reports.is_empty() {
-        return None;
-    }
-    let u = |key: &str| -> u64 {
-        reports
-            .iter()
-            .filter_map(|r| r.get(key).and_then(Value::as_u64))
-            .sum()
-    };
-    let epoch = reports
-        .iter()
-        .filter_map(|r| r.get("epoch").and_then(Value::as_u64))
-        .max()
-        .unwrap_or(0);
-    let warm = reports
-        .iter()
-        .any(|r| r.get("warm").and_then(Value::as_bool) == Some(true));
-    let worst_dev = reports
-        .iter()
-        .filter_map(|r| r.get("worst_enforcement_deviation").and_then(Value::as_f64))
-        .fold(0.0f64, f64::max);
-    let mut fields: Vec<(&str, Value)> = vec![
-        ("epoch", Value::from_u64(epoch)),
-        ("agents", Value::from_u64(u("agents"))),
-        ("warm", Value::Bool(warm)),
-        ("worst_enforcement_deviation", Value::Num(worst_dev)),
-    ];
-    if !missing.is_empty() {
-        fields.push(("partial", Value::Bool(true)));
-        fields.push((
-            "missing_shards",
-            Value::Arr(missing.iter().copied().map(Value::from_u64).collect()),
-        ));
-    }
-    // Fairness merges only when every shard audited this epoch: a
-    // partially-audited fleet must not claim fleet-wide fairness.
-    let fairness: Vec<&Value> = reports.iter().filter_map(|r| r.get("fairness")).collect();
-    if missing.is_empty() && fairness.len() == reports.len() {
-        let all = |key: &str| {
-            fairness
-                .iter()
-                .all(|f| f.get(key).and_then(Value::as_bool) == Some(true))
-        };
-        let count = |key: &str| -> u64 {
-            fairness
-                .iter()
-                .filter_map(|f| f.get(key).and_then(Value::as_u64))
-                .sum()
-        };
-        let worst = |key: &str| -> f64 {
-            fairness
-                .iter()
-                .filter_map(|f| f.get(key).and_then(Value::as_f64))
-                .fold(0.0f64, f64::max)
-        };
-        // Per-shard reports emit `envy_edges` (violation count) and
-        // `max_mrs_mismatch`; the merged view renames them to the
-        // fleet-wide reading: total violations, worst spread anywhere.
-        fields.push((
-            "fairness",
-            Value::obj(vec![
-                ("sharing_incentives", Value::Bool(all("sharing_incentives"))),
-                ("si_violations", Value::from_u64(count("si_violations"))),
-                ("envy_free", Value::Bool(all("envy_free"))),
-                ("ef_violations", Value::from_u64(count("envy_edges"))),
-                ("pareto_efficient", Value::Bool(all("pareto_efficient"))),
-                ("max_mrs_spread", Value::Num(worst("max_mrs_mismatch"))),
-            ]),
-        ));
-    }
-    Some(Value::obj(fields))
+    tick_reply(replies, &round)
 }
 
 /// The timed-epoch clock of a sharded server: the shard tickers run no
@@ -1770,50 +1579,15 @@ fn try_restart(
     // lands on the bus ahead of any client traffic that arrives once
     // the degraded gate clears, and the catch-up ticks bring the shard
     // to the fleet epoch (the bus is FIFO).
-    {
-        let capacity = router
-            .coord
-            .lock()
-            .expect("coord lock poisoned")
-            .resync_delivery(shard);
-        let request = Request::Reallot { capacity };
-        let (tx, _rx) = mpsc::channel();
-        let _ = shared.bus.push(
-            request.class(),
-            Item::Client {
-                request,
-                deadline: None,
-                reply: tx,
-            },
-        );
-    }
-    let fleet_epoch = router
-        .shards
-        .iter()
-        .enumerate()
-        .filter(|(k, _)| *k != shard)
-        .map(|(_, s)| s.epoch.load(Ordering::SeqCst))
-        .max()
-        .unwrap_or(0);
-    for _ in 0..fleet_epoch.saturating_sub(core.engine().epoch()) {
-        let (tx, _rx) = mpsc::channel();
-        let _ = shared.bus.push(
-            Request::Tick.class(),
-            Item::Client {
-                request: Request::Tick,
-                deadline: None,
-                reply: tx,
-            },
-        );
-    }
+    let capacity = router.drive(|core| {
+        core.readmit(shard);
+        core.resync(shard)
+    });
+    push_internal(shared, Request::Reallot { capacity });
+    catch_up(router, shard, core.engine().epoch());
     shared.released.store(false, Ordering::SeqCst);
     shared.restart.store(false, Ordering::SeqCst);
     shared.metrics.degraded.store(0, Ordering::SeqCst);
-    shared
-        .health
-        .store(ShardHealth::Suspect as u64, Ordering::SeqCst);
-    shared.missed_ticks.store(0, Ordering::SeqCst);
-    shared.clean_ticks.store(0, Ordering::SeqCst);
     ServeMetrics::bump(&router.metrics().shard_restarts);
     let handle = std::thread::Builder::new()
         .name(format!("ref-serve-ticker-{shard}"))
@@ -1830,6 +1604,20 @@ fn try_restart(
         .push(handle);
 }
 
+/// Pushes the quota-exempt ticks that close the epoch gap `shard` (now
+/// at `shard_epoch`) accumulated while the fan skipped it.
+fn catch_up(router: &Router, shard: usize, shard_epoch: u64) {
+    let mut epochs: Vec<u64> = router
+        .shards
+        .iter()
+        .map(|s| s.epoch.load(Ordering::SeqCst))
+        .collect();
+    epochs[shard] = shard_epoch;
+    for _ in 0..RouterCore::catch_up_ticks(&epochs, shard) {
+        push_internal(&router.shards[shard], Request::Tick);
+    }
+}
+
 /// Probes a shard the router marked Down on tick timeouts alone: its
 /// ticker may simply have been slow, not dead. A quick query answered
 /// in time demotes it to Suspect (the fan includes Suspect shards, so
@@ -1837,50 +1625,14 @@ fn try_restart(
 /// ticks close the epoch gap it accumulated while skipped.
 fn probe_shard(router: &Arc<Router>, shard: usize) {
     let shared = &router.shards[shard];
-    let (tx, rx) = mpsc::channel();
-    let request = Request::Query { agent: None };
-    if shared
-        .bus
-        .push(
-            request.class(),
-            Item::Client {
-                request,
-                deadline: None,
-                reply: tx,
-            },
-        )
-        .is_err()
-    {
+    let Some(rx) = push_internal(shared, Request::Query { agent: None }) else {
         return;
-    }
-    match rx.recv_timeout(Duration::from_millis(100)) {
-        Ok(reply) if reply.get("ok") == Some(&Value::Bool(true)) => {
-            let fleet_epoch = router
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(k, _)| *k != shard)
-                .map(|(_, s)| s.epoch.load(Ordering::SeqCst))
-                .max()
-                .unwrap_or(0);
-            for _ in 0..fleet_epoch.saturating_sub(shared.epoch.load(Ordering::SeqCst)) {
-                let (tx, _rx) = mpsc::channel();
-                let _ = shared.bus.push(
-                    Request::Tick.class(),
-                    Item::Client {
-                        request: Request::Tick,
-                        deadline: None,
-                        reply: tx,
-                    },
-                );
-            }
-            shared
-                .health
-                .store(ShardHealth::Suspect as u64, Ordering::SeqCst);
-            shared.missed_ticks.store(0, Ordering::SeqCst);
-            shared.clean_ticks.store(0, Ordering::SeqCst);
+    };
+    if let Ok(reply) = rx.recv_timeout(Duration::from_millis(100)) {
+        if reply.get("ok") == Some(&Value::Bool(true)) {
+            catch_up(router, shard, shared.epoch.load(Ordering::SeqCst));
+            router.drive(|core| core.readmit(shard));
         }
-        _ => {}
     }
 }
 
@@ -2103,26 +1855,16 @@ fn ticker_pass(
             continue;
         }
         if request.to_event().is_some() {
-            // Role gate: only a primary mutates. Standbys redirect the
-            // client to the leader; a fenced node refuses outright.
-            if let Some(repl) = shared.repl.as_ref() {
-                match repl.role() {
-                    Role::Primary => {}
-                    Role::Standby => {
-                        let leader = repl.leader_client();
-                        let _ =
-                            reply.send(not_primary_response(leader.as_deref(), config.shard_tag));
-                        continue;
-                    }
-                    Role::Fenced => {
-                        let _ = reply.send(error_response(
-                            "fenced",
-                            Some("this node was deposed or diverged; it refuses mutations"),
-                            None,
-                        ));
-                        continue;
-                    }
-                }
+            // Role gate: only a primary mutates, and a recovered one
+            // only once its lease is over. Standbys redirect the client
+            // to the leader; a fenced node refuses outright.
+            let refusal = shared
+                .repl
+                .as_ref()
+                .and_then(|repl| repl.admit_mutation(&shared.metrics, config.shard_tag));
+            if let Some(refusal) = refusal {
+                let _ = reply.send(refusal);
+                continue;
             }
             if state.degraded {
                 let _ = reply.send(error_response(
@@ -2233,7 +1975,7 @@ fn ticker_pass(
         if repl.role() == Role::Primary {
             let now = config.clock.now();
             if state.next_hb.is_none_or(|at| now >= at) {
-                repl.publish_heartbeat(repl.term(), core.events_applied());
+                repl.publish_heartbeat();
                 state.next_hb = Some(now + repl.config().heartbeat_interval);
             }
         }
@@ -2266,32 +2008,31 @@ fn handle_promote(state: &mut TickerState, shared: &Arc<Shared>, config: &ServeC
     let Some(repl) = shared.repl.as_ref() else {
         return error_response("protocol", Some("replication is not configured"), None);
     };
-    match repl.role() {
-        Role::Fenced => error_response(
+    let standing = |term: u64| {
+        ok_response(vec![
+            ("role", Value::str("primary")),
+            ("term", Value::from_u64(term)),
+        ])
+    };
+    match repl.promote(&shared.metrics) {
+        Promotion::Fenced => error_response(
             "fenced",
             Some("this node was deposed or diverged; it cannot be promoted"),
             None,
         ),
         // Idempotent: promoting a primary reports its standing.
-        Role::Primary => ok_response(vec![
-            ("role", Value::str("primary")),
-            ("term", Value::from_u64(repl.term())),
-        ]),
-        Role::Standby => {
-            let (term, old_leader) = repl.promote(&shared.metrics);
+        Promotion::Standing(term) => standing(term),
+        Promotion::Promoted { term, depose } => {
             state.next_tick = config.epoch_interval.map(|i| config.clock.now() + i);
             state.next_hb = Some(config.clock.now());
-            if let Some(addr) = old_leader {
+            if let Some((addr, hello)) = depose {
                 // Detached: never block the ticker on a dead peer's TCP
                 // timeout.
                 let _ = std::thread::Builder::new()
                     .name("ref-serve-fence".to_string())
-                    .spawn(move || fence_notify(addr, term));
+                    .spawn(move || fence_notify(addr, hello));
             }
-            ok_response(vec![
-                ("role", Value::str("primary")),
-                ("term", Value::from_u64(term)),
-            ])
+            standing(term)
         }
     }
 }

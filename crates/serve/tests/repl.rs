@@ -325,3 +325,189 @@ fn divergent_standby_is_fenced_never_promoted() {
     }
     standby.shutdown();
 }
+
+fn observe_req(agent: u64, performance: f64) -> Value {
+    Value::obj(vec![
+        ("op", Value::str("observe")),
+        ("agent", Value::from_u64(agent)),
+        ("allocation", Value::num_array(&[1.0, 1.0])),
+        ("performance", Value::Num(performance)),
+    ])
+}
+
+/// Runs a primary on `dir` long enough to leave history behind, then
+/// "crashes" it and recovers it with the given election timeout.
+fn recovered_primary(dir: &Path, election_timeout: Duration) -> Server {
+    let first_life = start_primary(dir, None);
+    let mut client = Client::connect(first_life.addr()).unwrap();
+    client.join_external(1).unwrap();
+    client.observe(1, &[1.0, 1.0], 1.0).unwrap();
+    first_life.shutdown();
+    let config = ServeConfig::new(market())
+        .with_epoch_interval(None)
+        .with_wal(WalConfig::new(dir))
+        .with_repl(ReplConfig::primary("127.0.0.1:0").with_election_timeout(election_timeout));
+    Server::recover("127.0.0.1:0", config).unwrap()
+}
+
+#[test]
+fn recovered_primary_refuses_mutations_until_its_standby_reattaches() {
+    let (pdir, sdir) = (TempDir::new("lease-p"), TempDir::new("lease-s"));
+    // A 60 s lease: only a re-attaching standby can end it in time.
+    let primary = recovered_primary(pdir.path(), Duration::from_secs(30));
+    assert_eq!(primary.role(), Role::Primary);
+    let mut client = Client::connect(primary.addr()).unwrap();
+    // A standby whose election timer is already running may depose this
+    // node any moment: a solo ack now could die with its branch.
+    match client.call(&observe_req(1, 2.0)) {
+        Err(ClientError::Server {
+            code,
+            retry_after_ms,
+            ..
+        }) => {
+            assert_eq!(code, "unavailable");
+            assert!(
+                retry_after_ms.is_some_and(|ms| ms > 1_000),
+                "{retry_after_ms:?}"
+            );
+        }
+        other => panic!("a recovering primary took a mutation: {other:?}"),
+    }
+    // Reads and probes are served throughout.
+    assert_eq!(ping_u64(&mut client, "wal_seq"), 2);
+    client.query_agent(1).unwrap();
+
+    let standby = start_standby(
+        sdir.path(),
+        &primary,
+        standby_config(&primary).with_auto_promote(false),
+    );
+    wait_for(
+        "the lease to end on re-attach",
+        Duration::from_secs(10),
+        || client.call(&observe_req(1, 2.0)).is_ok(),
+    );
+    let mut sping = Client::connect(standby.addr()).unwrap();
+    wait_for("standby catch-up", Duration::from_secs(10), || {
+        ping_u64(&mut sping, "wal_seq") == 3
+    });
+    let standby_report = standby.shutdown();
+    let primary_report = primary.shutdown();
+    assert_eq!(standby_report.snapshot, primary_report.snapshot);
+}
+
+#[test]
+fn recovered_primary_admits_mutations_once_the_lease_lapses() {
+    let pdir = TempDir::new("lapse-p");
+    // No standby ever shows up: the lease (2 × 400 ms) has to lapse.
+    let primary = recovered_primary(pdir.path(), Duration::from_millis(400));
+    let mut client = Client::connect(primary.addr()).unwrap();
+    let refused = client.call(&observe_req(1, 2.0)).unwrap_err();
+    assert_eq!(refused.code(), Some("unavailable"), "{refused:?}");
+    // `call_with` backs off on it like on `overloaded`: the hint is the
+    // lease's remainder, so one sleep rides it out.
+    let opts = CallOpts::default().with_retries(3);
+    let (reply, retries) = client.call_with(&observe_req(1, 2.0), &opts).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Value::Bool(true)));
+    assert!((1..=2).contains(&retries), "retries {retries}");
+    primary.shutdown();
+}
+
+/// A scripted standby: a raw socket speaking the replication frames.
+struct ScriptedStandby {
+    stream: std::net::TcpStream,
+    buf: Vec<u8>,
+}
+
+impl ScriptedStandby {
+    fn hello(primary: &Server, term: u64, have: u64) -> ScriptedStandby {
+        use std::io::Write;
+        let mut stream = std::net::TcpStream::connect(primary.repl_addr().unwrap()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .write_all(&ref_serve::repl::message(
+                "hello",
+                vec![
+                    ("term", Value::from_u64(term)),
+                    ("have_seq", Value::from_u64(have)),
+                ],
+            ))
+            .unwrap();
+        ScriptedStandby {
+            stream,
+            buf: Vec::new(),
+        }
+    }
+
+    fn next(&mut self) -> Value {
+        use std::io::Read;
+        loop {
+            if let ref_serve::FrameDecode::Complete { payload, consumed } =
+                ref_serve::decode_frame(&self.buf)
+            {
+                self.buf.drain(..consumed);
+                return ref_serve::repl::parse_message(&payload).expect("a replication message");
+            }
+            let mut chunk = [0u8; 4096];
+            let n = self.stream.read(&mut chunk).expect("primary went quiet");
+            assert!(n > 0, "primary closed the replication stream");
+            self.buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    fn next_of(&mut self, kind: &str) -> Value {
+        loop {
+            let msg = self.next();
+            if ref_serve::repl::kind(&msg) == kind {
+                return msg;
+            }
+        }
+    }
+}
+
+#[test]
+fn a_hello_landing_mid_pass_is_judged_against_the_published_position() {
+    // Regression: records are published mid-pass but the ticker exported
+    // its log position only at the end of a pass, so a standby that
+    // reconnected in between, already holding the record, was refused as
+    // "ahead" — and fenced itself for good.
+    use std::io::Write;
+    let pdir = TempDir::new("midpass-p");
+    let mut repl = ReplConfig::primary("127.0.0.1:0").with_sync(true);
+    repl.ack_timeout = Duration::from_secs(20);
+    let config = ServeConfig::new(market())
+        .with_epoch_interval(None)
+        .with_wal(WalConfig::new(pdir.path()))
+        .with_repl(repl);
+    let primary = Server::start("127.0.0.1:0", config).unwrap();
+
+    // A first standby attaches and then never acks: the pass that
+    // publishes the next record stays open, waiting for it.
+    let mut mute = ScriptedStandby::hello(&primary, 0, 0);
+    assert_eq!(ref_serve::repl::kind(&mute.next()), "meta");
+    let addr = primary.addr();
+    let writer = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        client.join_external(1)
+    });
+    let rec = mute.next_of("rec");
+    assert_eq!(rec.get("seq").and_then(Value::as_u64), Some(0));
+
+    // Mid-pass: record 0 is published, the pass has not ended. A standby
+    // that already holds it says hello.
+    let mut caught_up = ScriptedStandby::hello(&primary, 0, 1);
+    let verdict = caught_up.next();
+    assert_eq!(ref_serve::repl::kind(&verdict), "meta", "{verdict}");
+    // Its ack releases the held reply.
+    caught_up
+        .stream
+        .write_all(&ref_serve::repl::message(
+            "ack",
+            vec![("have", Value::from_u64(1))],
+        ))
+        .unwrap();
+    writer.join().unwrap().expect("the join was acked");
+    primary.shutdown();
+}

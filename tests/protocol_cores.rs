@@ -1,0 +1,199 @@
+//! The two protocol state machines, wired back to back with no sockets,
+//! threads or clocks: a primary/standby pair of [`ReplCore`]s hands over
+//! without losing an acked record, and a [`RouterCore`] keeps routing
+//! and reallotment safe across the failover. The per-rule transition
+//! tables live next to the cores in `ref-serve`; this scenario runs in
+//! tier-1 so `cargo test -q` fails when the protocols regress.
+
+use std::time::Duration;
+
+use ref_fairness::market::MarketEvent;
+use ref_fairness::serve::protocol::{event_to_value, ok_response};
+use ref_fairness::serve::repl::{message, parse_message};
+use ref_fairness::serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream};
+use ref_fairness::serve::{
+    decode_frame, FrameDecode, ReplConfig, ReplCore, Role, RouterCore, ShardHealth, TickOutcome,
+    Value,
+};
+
+const MS: Duration = Duration::from_millis(1);
+const TIMEOUT: Duration = Duration::from_millis(100);
+
+fn unframe(frame: &[u8]) -> Value {
+    let FrameDecode::Complete { payload, .. } = decode_frame(frame) else {
+        panic!("a core emitted a frame that does not decode");
+    };
+    parse_message(&payload).expect("a core emitted a frame that does not parse")
+}
+
+fn node(standby: bool, log_seq: u64) -> ReplCore {
+    let config = if standby {
+        ReplConfig::standby("s:repl", "p:repl")
+    } else {
+        ReplConfig::primary("p:repl")
+    };
+    let config = config.with_election_timeout(TIMEOUT);
+    let mut core = ReplCore::new(&config, 42, 0, log_seq, Duration::ZERO);
+    let name = if standby { "s" } else { "p" };
+    core.set_addrs(format!("{name}:client"), format!("{name}:repl"));
+    core
+}
+
+fn error_of(reply: &Value) -> Option<&str> {
+    reply.get("error").and_then(Value::as_str)
+}
+
+#[test]
+fn a_pair_hands_over_without_losing_an_acked_record() {
+    let (mut primary, mut standby) = (node(false, 0), node(true, 0));
+    let mut router = RouterCore::new(vec![8.0], 1, 0.25, 1, 2);
+
+    // Handshake: hello → meta; the standby learns where the leader is.
+    let Hello::Accept { have: 0, meta } = primary.on_hello(&unframe(&standby.hello())) else {
+        panic!("a fresh standby is accepted");
+    };
+    assert_eq!(
+        standby.on_frame(&unframe(&meta), "p:repl", MS),
+        Stream::Following
+    );
+    assert_eq!(standby.leader_client(), Some("p:client"));
+    // A mutation on the standby is redirected there.
+    let redirect = standby
+        .admit_mutation(MS, Some(3))
+        .expect("standbys refuse");
+    assert_eq!(error_of(&redirect), Some("not_primary"));
+    assert_eq!(
+        redirect.get("leader").and_then(Value::as_str),
+        Some("p:client")
+    );
+    assert!(primary.admit_mutation(MS, None).is_none());
+
+    // One record: published, streamed, applied, acked — only then may
+    // the client's reply go.
+    primary.note_log(1);
+    assert_eq!(primary.ack_state(1, true), AckWait::Pending);
+    let rec = message(
+        "rec",
+        vec![
+            ("seq", Value::from_u64(0)),
+            ("event", event_to_value(&MarketEvent::EpochTick)),
+        ],
+    );
+    let Stream::Apply { seq: 0, event } = standby.on_frame(&unframe(&rec), "p:repl", 2 * MS) else {
+        panic!("the standby applies the stream");
+    };
+    assert_eq!(event, MarketEvent::EpochTick);
+    let ack = standby.ack(1, None);
+    assert_eq!(primary.on_ack(&unframe(&ack)), Ack::Progress(1));
+    assert_eq!(primary.ack_state(1, true), AckWait::Acked);
+    let hb = primary.heartbeat().expect("primaries heartbeat");
+    assert_eq!(
+        standby.on_frame(&unframe(&hb), "p:repl", 3 * MS),
+        Stream::Following
+    );
+    assert_eq!(
+        router.pick_primary(0, [(0, primary.role(), 0), (1, standby.role(), 0)]),
+        Some(0)
+    );
+
+    // The primary goes quiet. The standby heard it this boot and holds
+    // everything it advertised, so once the jittered timeout lapses it
+    // elects itself and deposes the old leader.
+    assert!(!standby.election_due(3 * MS + TIMEOUT - MS));
+    let later = 3 * MS + 2 * TIMEOUT;
+    assert!(standby.election_due(later));
+    let Promotion::Promoted {
+        term: 1,
+        depose: Some((old, hello)),
+    } = standby.promote()
+    else {
+        panic!("the standby promotes");
+    };
+    assert_eq!(old, "p:repl");
+    assert!(standby.admit_mutation(later, None).is_none());
+
+    // Split brain until the deposing hello lands: the router picks the
+    // higher term, and its floor never lets it fall back.
+    let split = [(0, Role::Primary, 0), (1, Role::Primary, 1)];
+    assert_eq!(router.pick_primary(0, split), Some(1));
+    assert_eq!(router.pick_primary(0, [(0, Role::Primary, 0)]), None);
+
+    assert!(matches!(
+        primary.on_hello(&unframe(&hello)),
+        Hello::Refuse(_)
+    ));
+    assert_eq!((primary.role(), primary.term()), (Role::Fenced, 1));
+    let refusal = primary.admit_mutation(later, None).expect("fenced");
+    assert_eq!(error_of(&refusal), Some("fenced"));
+    assert_eq!(primary.promote(), Promotion::Fenced);
+    assert!(primary.heartbeat().is_none());
+
+    // The acked record is in the new primary's log: a late-joining
+    // standby at 0 is accepted and streamed from there; one claiming
+    // more than that log holds is refused.
+    assert!(matches!(
+        standby.on_hello(&unframe(&node(true, 0).hello())),
+        Hello::Accept { have: 0, .. }
+    ));
+    assert!(matches!(
+        standby.on_hello(&unframe(&node(true, 2).hello())),
+        Hello::Refuse(_)
+    ));
+}
+
+#[test]
+fn a_recovered_primary_waits_out_its_lease() {
+    let mut recovered = node(false, 5);
+    let refusal = recovered.admit_mutation(MS, None).expect("lease");
+    assert_eq!(error_of(&refusal), Some("unavailable"));
+    assert_eq!(
+        refusal.get("retry_after_ms").and_then(Value::as_u64),
+        Some(199)
+    );
+    // The router reads it as "no report", not as a failed shard.
+    assert_eq!(TickOutcome::of(&refusal), TickOutcome::Silent);
+    assert!(recovered.admit_mutation(2 * TIMEOUT, None).is_none());
+    let mut standby = node(true, 5);
+    assert!(matches!(
+        recovered.on_hello(&unframe(&standby.hello())),
+        Hello::Accept { have: 5, .. }
+    ));
+    assert!(recovered.admit_mutation(MS, None).is_none());
+    standby.fence(0);
+    assert_eq!(standby.promote(), Promotion::Fenced);
+}
+
+#[test]
+fn the_router_freezes_below_quorum_and_never_half_applies() {
+    let mut router = RouterCore::new(vec![30.0, 12.0], 3, 0.25, 2, 2);
+    let demands = vec![vec![9.0, 3.0], vec![1.0, 1.0], vec![1.0, 1.0]];
+    let before = router.allotments().to_vec();
+    let (ok, timeout) = (
+        ok_response(vec![]),
+        ref_fairness::serve::protocol::error_response("timeout", None, None),
+    );
+
+    let lone: Vec<TickOutcome> = [&ok, &timeout, &timeout].map(TickOutcome::of).to_vec();
+    let round = router.tick_round(&lone, &demands);
+    assert!(round.frozen && round.reallots.is_empty());
+    assert_eq!(round.missing, vec![1, 2]);
+    assert_eq!(router.allotments(), &before[..]);
+    assert_eq!(router.health(1), ShardHealth::Suspect);
+    router.tick_round(&lone, &demands);
+    assert_eq!(router.health(1), ShardHealth::Down);
+
+    // At quorum capacity moves, but only onto shards that reported; the
+    // third gets its whole allotment the round it comes back.
+    let two = [TickOutcome::Clean, TickOutcome::Clean, TickOutcome::Silent];
+    let round = router.tick_round(&two, &demands);
+    assert!(!round.frozen);
+    assert!(round.reallots.iter().all(|(shard, _)| *shard != 2));
+    let round = router.tick_round(&[TickOutcome::Clean; 3], &demands);
+    let offered = round.reallots.iter().find(|(shard, _)| *shard == 2);
+    assert_eq!(offered.map(|(_, c)| c), Some(&router.allotments()[2]));
+    for r in 0..2 {
+        let sum: f64 = router.allotments().iter().map(|a| a[r]).sum();
+        assert!((sum - [30.0, 12.0][r]).abs() < 1e-9, "resource {r}: {sum}");
+    }
+    assert_eq!(RouterCore::catch_up_ticks(&[9, 4, 9], 1), 5);
+}
