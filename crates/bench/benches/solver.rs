@@ -2,12 +2,16 @@
 //! squares) and the geometric-programming mechanisms (Cholesky-based Newton
 //! steps, full GP solves), plus the fast-path comparisons — incremental
 //! row-append vs from-scratch refactorization, and warm- vs cold-started
-//! GP solves. The fast-path groups assert agreement (1e-10 coefficients,
-//! 1e-6 allocations) before timing, so a numerical regression fails the
-//! bench run rather than silently shifting the numbers.
+//! GP solves over the scripted credit-market drift
+//! ([`ref_bench::gp_drift`]). The fast-path groups assert agreement before
+//! timing (1e-10 coefficients; 1e-6 allocations against the closed form,
+//! warm Newton iterations no more than cold on any epoch, no hint
+//! abandoned), so a numerical regression fails the bench run rather than
+//! silently shifting the numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ref_solver::gp::{GeometricProgram, GpWarmStart, Monomial, Posynomial};
+use ref_bench::gp_drift;
+use ref_solver::gp::{GeometricProgram, Monomial, Posynomial};
 use ref_solver::{lstsq, Cholesky, Matrix, Qr, UpdatableLstsq};
 
 fn design_25x3() -> (Matrix, Vec<f64>) {
@@ -148,52 +152,19 @@ fn bench_append_vs_refactor(c: &mut Criterion) {
     group.finish();
 }
 
-fn paper_nash_gp() -> (GeometricProgram, Vec<f64>) {
-    let welfare = Monomial::new(1.0, vec![0.6, 0.4, 0.2, 0.8]).unwrap();
-    let mut gp = GeometricProgram::minimize(4, welfare.reciprocal().into()).unwrap();
-    gp.add_constraint(
-        Posynomial::from_monomials(vec![
-            Monomial::new(1.0 / 24.0, vec![1.0, 0.0, 0.0, 0.0]).unwrap(),
-            Monomial::new(1.0 / 24.0, vec![0.0, 0.0, 1.0, 0.0]).unwrap(),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    gp.add_constraint(
-        Posynomial::from_monomials(vec![
-            Monomial::new(1.0 / 12.0, vec![0.0, 1.0, 0.0, 0.0]).unwrap(),
-            Monomial::new(1.0 / 12.0, vec![0.0, 0.0, 0.0, 1.0]).unwrap(),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    (gp, vec![6.0, 3.0, 6.0, 3.0])
-}
-
 fn bench_warm_vs_cold_gp(c: &mut Criterion) {
-    let (gp, x0) = paper_nash_gp();
-    let cold = gp.solve(&x0).unwrap();
-    let hint = GpWarmStart::from_solution(&cold);
-
-    // Agreement gate: warm-started allocations must match the cold solve
-    // to 1e-6 before any timing is trusted.
-    let warm = gp.solve_warm(&x0, Some(&hint)).unwrap();
-    for (a, b) in cold.x.iter().zip(&warm.x) {
-        assert!(
-            (a - b).abs() < 1e-6,
-            "warm-started GP diverged from cold solve: {a} vs {b}"
-        );
-    }
+    // Agreement gate, on counts: the drift script solved both ways must
+    // match the closed form, and a warm solve must never cost more Newton
+    // iterations than the cold solve of the same epoch.
+    let run = gp_drift::run();
+    run.check().unwrap_or_else(|gate| panic!("{gate}: {run:?}"));
 
     let mut group = c.benchmark_group("warm_vs_cold_gp");
-    group.bench_function("cold_start", |b| {
-        b.iter(|| gp.solve(std::hint::black_box(&x0)).unwrap())
+    group.bench_function("cold_every_epoch", |b| {
+        b.iter(|| gp_drift::solve_all(std::hint::black_box(false)))
     });
-    group.bench_function("warm_start", |b| {
-        b.iter(|| {
-            gp.solve_warm(std::hint::black_box(&x0), Some(&hint))
-                .unwrap()
-        })
+    group.bench_function("warm_chain", |b| {
+        b.iter(|| gp_drift::solve_all(std::hint::black_box(true)))
     });
     group.finish();
 }

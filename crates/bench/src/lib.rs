@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod gp_drift;
 pub mod pipeline;
 
 pub use pipeline::{

@@ -190,6 +190,7 @@ impl Mechanism for CreditMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::WarmOutcome;
     use crate::utility::Utility;
 
     fn paper_agents() -> Vec<CobbDouglas> {
@@ -289,6 +290,49 @@ mod tests {
                         "{inner:?} agent {i} resource {r}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn cold_solve_starts_interior_and_a_drifted_resolve_re_enters_the_path() {
+        // The market's credit epoch: 48 agents on 16 elasticity levels.
+        let agents: Vec<CobbDouglas> = (0..48)
+            .map(|i| {
+                let a = 0.1 + 0.8 * (f64::from(i % 16) + 0.5) / 16.0;
+                CobbDouglas::new(1.0, vec![a, 1.0 - a]).unwrap()
+            })
+            .collect();
+        let c = Capacity::new(vec![96.0, 48.0]).unwrap();
+        let weights = |tilt: f64| -> Vec<f64> {
+            (0..48).map(|i| 1.0 + tilt * f64::from(i % 5 - 2)).collect()
+        };
+        let before = CreditMechanism::new(CreditInner::MaxWelfare, weights(0.050)).unwrap();
+        let (_, hint) = before.allocate_warm(&agents, &c, None).unwrap();
+        let hint = hint.unwrap();
+        // The start is strictly inside the capacity constraints: no phase
+        // I, and the whole path in at most 45 Newton iterations.
+        assert_eq!(hint.stats.warm, WarmOutcome::Cold);
+        assert_eq!(hint.stats.phase_one_iterations, 0);
+        assert!(hint.stats.newton_iterations <= 45, "{:?}", hint.stats);
+
+        let after = CreditMechanism::new(CreditInner::MaxWelfare, weights(0.051)).unwrap();
+        let (cold, cold_hint) = after.allocate_warm(&agents, &c, None).unwrap();
+        let (warm, warm_hint) = after.allocate_warm(&agents, &c, Some(&hint)).unwrap();
+        let (cold_stats, warm_stats) = (cold_hint.unwrap().stats, warm_hint.unwrap().stats);
+        assert_eq!(warm_stats.warm, WarmOutcome::Used);
+        assert!(
+            2 * warm_stats.newton_iterations <= cold_stats.newton_iterations,
+            "{warm_stats:?} vs {cold_stats:?}"
+        );
+        // Both paths end on the same stage, so on the same central point.
+        for i in 0..48 {
+            for r in 0..2 {
+                let (w, k) = (warm.bundle(i).get(r), cold.bundle(i).get(r));
+                assert!(
+                    (w / k - 1.0).abs() < 1e-9,
+                    "agent {i} resource {r}: {w} vs {k}"
+                );
             }
         }
     }

@@ -94,9 +94,7 @@ impl Mechanism for EqualSlowdown {
         let t_var = n * r_count;
 
         // Objective: maximize t, i.e. minimize t^{-1}.
-        let mut exp = vec![0.0; num_vars];
-        exp[t_var] = -1.0;
-        let objective = Monomial::new(1.0, exp)?;
+        let objective = Monomial::sparse(1.0, num_vars, &[(t_var, -1.0)])?;
         let mut gp = GeometricProgram::minimize(num_vars, objective.into())?;
 
         for c in max_welfare::capacity_constraints(n, capacity, num_vars)? {
@@ -114,29 +112,28 @@ impl Mechanism for EqualSlowdown {
             }
         }
         // t <= U_i(x_i): t * u_i(C) / u_i(x_i) <= 1.
+        let whole = capacity.as_bundle();
+        let mut exp = Vec::with_capacity(r_count + 1);
         for (i, agent) in agents.iter().enumerate() {
-            let u_c = agent.value(&capacity.as_bundle());
-            let mut exp = vec![0.0; num_vars];
-            exp[t_var] = 1.0;
+            exp.clear();
+            exp.push((t_var, 1.0));
             for r in 0..r_count {
-                exp[i * r_count + r] = -agent.elasticity(r);
+                exp.push((i * r_count + r, -agent.elasticity(r)));
             }
-            gp.add_constraint(Monomial::new(u_c / agent.scale(), exp)?.into())?;
+            let u_c = agent.value(&whole);
+            gp.add_constraint(Monomial::sparse(u_c / agent.scale(), num_vars, &exp)?.into())?;
         }
 
-        // Start at the equal division, where every U_i is strictly between
-        // 0 and 1; t0 below the smallest U_i is strictly feasible.
-        let equal = capacity.equal_split(n);
+        // Start strictly inside every bundle constraint, with the level at
+        // half the smallest U_i there: every U_i is strictly between 0 and
+        // 1, so that is strictly feasible too and phase I never runs.
+        let mut x0 = vec![0.0; num_vars];
+        max_welfare::interior_start(agents, capacity, self.fairness, &mut x0)?;
         let min_u = agents
             .iter()
-            .map(|a| a.value(&equal) / a.value(&capacity.as_bundle()))
+            .enumerate()
+            .map(|(i, a)| a.value_slice(&x0[i * r_count..(i + 1) * r_count]) / a.value(&whole))
             .fold(f64::INFINITY, f64::min);
-        let mut x0 = vec![0.0; num_vars];
-        for i in 0..n {
-            for r in 0..r_count {
-                x0[i * r_count + r] = capacity.get(r) / n as f64;
-            }
-        }
         x0[t_var] = (min_u * 0.5).max(1e-12);
         let sol = gp.solve_warm(&x0, warm)?;
         let hint = GpWarmStart::from_solution(&sol);
@@ -287,6 +284,27 @@ mod tests {
         let u0 = weighted_utility(&agents[0], rewarmed.bundle(0), &c);
         let u1 = weighted_utility(&agents[1], rewarmed.bundle(1), &c);
         assert!((u0 - u1).abs() < 1e-3, "U0 {u0} U1 {u1}");
+    }
+
+    #[test]
+    fn both_variants_start_strictly_inside() {
+        // Neither start sits on the capacity boundary (the equal split
+        // does), so the solver never runs phase I.
+        let agents = vec![
+            CobbDouglas::new(1.2, vec![0.8, 0.3]).unwrap(),
+            CobbDouglas::new(0.7, vec![0.2, 0.6]).unwrap(),
+            CobbDouglas::new(1.0, vec![0.5, 0.5]).unwrap(),
+        ];
+        let c = paper_capacity();
+        for mech in [EqualSlowdown::new(), EqualSlowdown::with_fairness()] {
+            let (_, hint) = mech.allocate_warm(&agents, &c, None).unwrap();
+            assert_eq!(
+                hint.unwrap().stats.phase_one_iterations,
+                0,
+                "{}",
+                mech.name()
+            );
+        }
     }
 
     #[test]

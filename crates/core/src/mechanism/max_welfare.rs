@@ -92,13 +92,16 @@ pub(crate) fn capacity_constraints(
     let r_count = capacity.num_resources();
     let mut out = Vec::with_capacity(r_count);
     for r in 0..r_count {
-        let mut terms = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut exp = vec![0.0; num_vars];
-            exp[idx(i, r, r_count)] = 1.0;
-            terms.push(Monomial::new(1.0 / capacity.get(r), exp)?);
-        }
-        out.push(Posynomial::from_monomials(terms)?);
+        let terms: ref_solver::Result<Vec<Monomial>> = (0..n)
+            .map(|i| {
+                Monomial::sparse(
+                    1.0 / capacity.get(r),
+                    num_vars,
+                    &[(idx(i, r, r_count), 1.0)],
+                )
+            })
+            .collect();
+        out.push(Posynomial::from_monomials(terms?)?);
     }
     Ok(out)
 }
@@ -111,18 +114,23 @@ pub(crate) fn envy_free_constraints(
 ) -> Result<Vec<Monomial>> {
     let n = agents.len();
     let mut out = Vec::new();
+    let mut exp = Vec::with_capacity(2 * num_resources);
     for i in 0..n {
         for j in 0..n {
             if i == j {
                 continue;
             }
-            let mut exp = vec![0.0; num_vars];
+            exp.clear();
             for r in 0..num_resources {
                 let a = agents[i].elasticity(r);
-                exp[idx(j, r, num_resources)] += a;
-                exp[idx(i, r, num_resources)] -= a;
+                exp.push((idx(j, r, num_resources), a));
+                exp.push((idx(i, r, num_resources), -a));
             }
-            out.push(Monomial::new(1.0 / (1.0 + FAIRNESS_SLACK), exp)?);
+            out.push(Monomial::sparse(
+                1.0 / (1.0 + FAIRNESS_SLACK),
+                num_vars,
+                &exp,
+            )?);
         }
     }
     Ok(out)
@@ -139,13 +147,17 @@ pub(crate) fn sharing_incentive_constraints(
     let mut out = Vec::with_capacity(n);
     for (i, agent) in agents.iter().enumerate() {
         let mut coeff = 1.0;
-        let mut exp = vec![0.0; num_vars];
+        let mut exp = Vec::with_capacity(r_count);
         for r in 0..r_count {
             let a = agent.elasticity(r);
             coeff *= (capacity.get(r) / n as f64).powf(a);
-            exp[idx(i, r, r_count)] -= a;
+            exp.push((idx(i, r, r_count), -a));
         }
-        out.push(Monomial::new(coeff / (1.0 + FAIRNESS_SLACK), exp)?);
+        out.push(Monomial::sparse(
+            coeff / (1.0 + FAIRNESS_SLACK),
+            num_vars,
+            &exp,
+        )?);
     }
     Ok(out)
 }
@@ -171,15 +183,51 @@ pub(crate) fn pareto_constraints(
             // MRS_i(r, 0) = MRS_0(r, 0):
             // (a_ir / a_i0) (x_i0 / x_ir) * (a_00 / a_0r) (x_0r / x_00) = 1.
             let coeff = (a_ir / a_i0) * (a_00 / a_0r);
-            let mut exp = vec![0.0; num_vars];
-            exp[idx(i, 0, num_resources)] += 1.0;
-            exp[idx(i, r, num_resources)] -= 1.0;
-            exp[idx(0, r, num_resources)] += 1.0;
-            exp[idx(0, 0, num_resources)] -= 1.0;
-            out.push(Monomial::new(coeff, exp)?);
+            out.push(Monomial::sparse(
+                coeff,
+                num_vars,
+                &[
+                    (idx(i, 0, num_resources), 1.0),
+                    (idx(i, r, num_resources), -1.0),
+                    (idx(0, r, num_resources), 1.0),
+                    (idx(0, 0, num_resources), -1.0),
+                ],
+            )?);
         }
     }
     Ok(out)
+}
+
+/// A strictly interior start for a GP over the bundle variables, written
+/// into `x0[..n * R]`, so the solver skips phase I. With fairness
+/// constraints it is the (slightly shrunk) REF allocation, which is
+/// provably fair and therefore strictly feasible under the relaxed
+/// constraints; without them, half the equal division — the equal division
+/// itself exhausts every capacity constraint, which is the boundary.
+pub(crate) fn interior_start(
+    agents: &[CobbDouglas],
+    capacity: &Capacity,
+    fairness: bool,
+    x0: &mut [f64],
+) -> Result<()> {
+    let n = agents.len();
+    let r_count = capacity.num_resources();
+    if fairness {
+        let fair = crate::mechanism::ProportionalElasticity.allocate(agents, capacity)?;
+        for i in 0..n {
+            for r in 0..r_count {
+                x0[idx(i, r, r_count)] =
+                    (fair.bundle(i).get(r) * (1.0 - 1e-4)).max(1e-9 * capacity.get(r));
+            }
+        }
+    } else {
+        for i in 0..n {
+            for r in 0..r_count {
+                x0[idx(i, r, r_count)] = 0.5 * capacity.get(r) / n as f64;
+            }
+        }
+    }
+    Ok(())
 }
 
 impl Mechanism for MaxWelfare {
@@ -209,14 +257,14 @@ impl Mechanism for MaxWelfare {
 
         // Objective: minimize prod_i u_i(x_i)^{-1}, a monomial.
         let mut coeff = 1.0;
-        let mut exp = vec![0.0; num_vars];
+        let mut exp = Vec::with_capacity(num_vars);
         for (i, agent) in agents.iter().enumerate() {
             coeff /= agent.scale();
             for r in 0..r_count {
-                exp[idx(i, r, r_count)] -= agent.elasticity(r);
+                exp.push((idx(i, r, r_count), -agent.elasticity(r)));
             }
         }
-        let objective = Monomial::new(coeff, exp).map_err(CoreError::from)?;
+        let objective = Monomial::sparse(coeff, num_vars, &exp).map_err(CoreError::from)?;
         let mut gp = GeometricProgram::minimize(num_vars, objective.into())?;
         for c in capacity_constraints(n, capacity, num_vars)? {
             gp.add_constraint(c)?;
@@ -232,26 +280,8 @@ impl Mechanism for MaxWelfare {
                 gp.add_monomial_equality_with_tolerance(m, PE_BAND)?;
             }
         }
-        // Warm start. With fairness constraints, start from the (slightly
-        // shrunk) REF allocation, which is provably fair and therefore
-        // strictly feasible under the relaxed constraints; without them,
-        // the equal division suffices (phase I handles the boundary).
         let mut x0 = vec![0.0; num_vars];
-        if self.fairness {
-            let warm = crate::mechanism::ProportionalElasticity.allocate(agents, capacity)?;
-            for i in 0..n {
-                for r in 0..r_count {
-                    x0[idx(i, r, r_count)] =
-                        (warm.bundle(i).get(r) * (1.0 - 1e-4)).max(1e-9 * capacity.get(r));
-                }
-            }
-        } else {
-            for i in 0..n {
-                for r in 0..r_count {
-                    x0[idx(i, r, r_count)] = capacity.get(r) / n as f64;
-                }
-            }
-        }
+        interior_start(agents, capacity, self.fairness, &mut x0)?;
         let sol = gp.solve_warm(&x0, warm)?;
         let hint = GpWarmStart::from_solution(&sol);
         let bundles: Result<Vec<Bundle>> = (0..n)

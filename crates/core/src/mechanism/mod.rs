@@ -25,6 +25,7 @@ pub use equal_slowdown::EqualSlowdown;
 pub use max_welfare::MaxWelfare;
 pub use proportional_elasticity::ProportionalElasticity;
 
+pub use ref_solver::barrier::{SolveStats, WarmOutcome};
 pub use ref_solver::gp::GpWarmStart;
 
 use crate::error::{CoreError, Result};
@@ -54,11 +55,14 @@ pub trait Mechanism {
     ///
     /// Optimization-backed mechanisms ([`MaxWelfare`], [`EqualSlowdown`])
     /// thread the hint into the interior-point solver, which re-enters the
-    /// central path near where the last solve left off; an unusable hint
-    /// (wrong shape after population churn, non-positive or non-finite
-    /// values) silently falls back to the cold start. Closed-form
-    /// mechanisms ignore the hint and return `None` — there is nothing to
-    /// warm.
+    /// central path at the latest stage the hint is still central for; an
+    /// unusable hint (wrong shape after population churn, non-positive or
+    /// non-finite values) is ignored, and one that does not help is
+    /// abandoned after a bounded attempt — either way the cold start
+    /// produces the allocation. The returned hint's
+    /// [`stats`](GpWarmStart::stats) say which it was and what the solve
+    /// cost in Newton iterations. Closed-form mechanisms ignore the hint
+    /// and return `None` — there is nothing to warm.
     ///
     /// # Errors
     ///

@@ -29,7 +29,7 @@ use rand_chacha::ChaCha8Rng;
 
 use ref_core::mechanism::{
     CreditInner, CreditMechanism, EqualSlowdown, GpWarmStart, MaxWelfare, Mechanism,
-    ProportionalElasticity,
+    ProportionalElasticity, WarmOutcome,
 };
 use ref_core::online::OnlineEstimator;
 use ref_core::properties::FairnessReport;
@@ -661,8 +661,9 @@ impl MarketEngine {
                 let kind = self.config.mechanism;
                 let num_resources = self.config.capacity.num_resources();
                 // Seed optimization-backed mechanisms from the previous
-                // epoch's optimum; the solver falls back to the cold start
-                // on any unusable hint, so a hit can only save work.
+                // epoch's optimum. The solver abandons a hint that does
+                // not help after a bounded attempt and reports it, which
+                // `warm_start_fallbacks` counts.
                 let hint = if kind.warm_startable() {
                     let hint = self.warm.hint(&ids, num_resources);
                     if hint.is_some() {
@@ -677,7 +678,12 @@ impl MarketEngine {
                 let (alloc, next_hint) =
                     kind.allocate_warm(&reported, &self.config.capacity, hint.as_ref(), &weights)?;
                 match next_hint {
-                    Some(w) => self.warm.store(&ids, num_resources, &w),
+                    Some(w) => {
+                        if w.stats.warm == WarmOutcome::FellBack {
+                            self.metrics.warm_start_fallbacks += 1;
+                        }
+                        self.warm.store(&ids, num_resources, &w);
+                    }
                     None => self.warm.clear(),
                 }
                 self.cache = Some((fingerprint, alloc.clone()));
@@ -1441,6 +1447,7 @@ mod tests {
         assert_eq!(m.warm_start_misses, 1, "{m}");
         assert!(m.warm_start_hits > 0, "{m}");
         assert_eq!(m.warm_start_hits + m.warm_start_misses, m.reallocations);
+        assert_eq!(m.warm_start_fallbacks, 0, "{m:?}");
         assert!(!market.warm_cache().is_empty());
         assert!(market.auditor().clean_after_warmup());
         // Warm-started solves still land on the REF point the fitted
@@ -1449,13 +1456,17 @@ mod tests {
         assert!((alloc.bundle(0).get(0) - 18.0).abs() < 0.8, "{alloc:?}");
         assert!((alloc.bundle(1).get(1) - 8.0).abs() < 0.8, "{alloc:?}");
         // A departure only drops the leaver's block: the survivor's cached
-        // optimum still covers the shrunken id set, so the next solve stays
-        // warm. An arrival, by contrast, changes the problem shape and
-        // forces a cold start.
+        // optimum still covers the shrunken id set, so the next solve is
+        // offered it — a hit. But a bundle sized for a shared machine is
+        // nowhere near central once the survivor has it to itself: the
+        // solver abandons the hint, and says so. An arrival, by contrast,
+        // changes the problem shape and forces a cold start.
         market.submit(MarketEvent::AgentLeft { id: 2 });
         market.submit(MarketEvent::EpochTick);
         market.pump().unwrap();
         assert_eq!(market.metrics().warm_start_misses, 1);
+        assert_eq!(market.metrics().warm_start_hits, m.warm_start_hits + 1);
+        assert_eq!(market.metrics().warm_start_fallbacks, 1);
         market.submit(MarketEvent::AgentJoined {
             id: 3,
             source: truth(0.5, 0.5),
@@ -1779,9 +1790,11 @@ mod tests {
         let alloc = reports.last().unwrap().allocation.as_ref().unwrap();
         assert!((alloc.bundle(0).get(0) - 18.0).abs() < 1.5, "{alloc:?}");
         assert!((alloc.bundle(1).get(1) - 8.0).abs() < 1.5, "{alloc:?}");
-        // The tilted GP warm-starts across epochs like any other GP.
+        // The tilted GP warm-starts across epochs like any other GP, and
+        // ledger-sized weight drift never costs it a hint.
         let m = market.metrics();
         assert!(m.warm_start_hits > 0, "{m}");
+        assert_eq!(m.warm_start_fallbacks, 0, "{m:?}");
         // No post-warm-up temporal violations on a steady population.
         assert_eq!(m.temporal_si_violations, 0, "{m}");
         assert_eq!(market.auditor().temporal_si_violations_after_warmup(), 0);

@@ -69,14 +69,20 @@ pub struct MarketMetrics {
     /// Capacity reallotments applied (cross-shard coordination updates
     /// delivered as [`crate::MarketEvent::CapacityRealloted`]).
     pub reallotments: u64,
-    /// Optimization-backed reallocations seeded from the warm-start cache
-    /// (the previous epoch's optimum). Closed-form mechanisms never touch
-    /// this counter.
+    /// Optimization-backed reallocations offered a hint from the warm-start
+    /// cache (the previous epoch's optimum). Closed-form mechanisms never
+    /// touch this counter.
     pub warm_start_hits: u64,
     /// Optimization-backed reallocations that ran from a cold start (no
     /// usable cached optimum: first solve, membership churn, demand
     /// change, reallotment or quarantine invalidation).
     pub warm_start_misses: u64,
+    /// Hits whose hint the solver tried and abandoned, so the cold path
+    /// produced the allocation after all: `warm_start_hits -
+    /// warm_start_fallbacks` solves were actually served warm. A solver
+    /// diagnostic of this process, not market state: snapshots do not
+    /// carry it and a restored engine counts from zero.
+    pub warm_start_fallbacks: u64,
     /// Successful estimator refits served by the incremental `O(R^2)`
     /// triangle-append path rather than a from-scratch refactorization.
     pub incremental_refits: u64,
@@ -117,7 +123,8 @@ impl MarketMetrics {
              \"reallocations\":{},\"cache_hits\":{},\"refits\":{},\
              \"rejected_events\":{},\"degenerate_refits\":{},\
              \"quarantines\":{},\"reallotments\":{},\"warm_start_hits\":{},\
-             \"warm_start_misses\":{},\"incremental_refits\":{},\
+             \"warm_start_misses\":{},\"warm_start_fallbacks\":{},\
+             \"incremental_refits\":{},\
              \"credits_accrued\":{},\"credits_spent\":{},\
              \"temporal_si_violations\":{},\"cache_hit_rate\":{}}}",
             self.epochs,
@@ -135,6 +142,7 @@ impl MarketMetrics {
             self.reallotments,
             self.warm_start_hits,
             self.warm_start_misses,
+            self.warm_start_fallbacks,
             self.incremental_refits,
             self.credits_accrued,
             self.credits_spent,
@@ -166,6 +174,7 @@ impl MarketMetrics {
             ("refmarket_reallotments", self.reallotments),
             ("refmarket_warm_start_hits", self.warm_start_hits),
             ("refmarket_warm_start_misses", self.warm_start_misses),
+            ("refmarket_warm_start_fallbacks", self.warm_start_fallbacks),
             ("refmarket_incremental_refits", self.incremental_refits),
             ("refmarket_credits_accrued", self.credits_accrued),
             ("refmarket_credits_spent", self.credits_spent),
@@ -337,6 +346,7 @@ mod tests {
             reallotments: 8,
             warm_start_hits: 11,
             warm_start_misses: 4,
+            warm_start_fallbacks: 2,
             incremental_refits: 9,
             credits_accrued: 13,
             credits_spent: 12,
@@ -349,11 +359,12 @@ mod tests {
              \"reallocations\":4,\"cache_hits\":6,\"refits\":9,\
              \"rejected_events\":5,\"degenerate_refits\":2,\
              \"quarantines\":1,\"reallotments\":8,\"warm_start_hits\":11,\
-             \"warm_start_misses\":4,\"incremental_refits\":9,\
+             \"warm_start_misses\":4,\"warm_start_fallbacks\":2,\
+             \"incremental_refits\":9,\
              \"credits_accrued\":13,\"credits_spent\":12,\
              \"temporal_si_violations\":3,\"cache_hit_rate\":0.6}"
         );
-        assert_eq!(MarketMetrics::new().to_json().matches(':').count(), 20);
+        assert_eq!(MarketMetrics::new().to_json().matches(':').count(), 21);
     }
 
     #[test]
@@ -365,7 +376,7 @@ mod tests {
         };
         let text = m.to_text();
         assert!(text.starts_with("refmarket_epochs 2\nrefmarket_events 3\n"));
-        assert_eq!(text.lines().count(), 19);
+        assert_eq!(text.lines().count(), 20);
         assert!(text.ends_with("refmarket_temporal_si_violations 0\n"));
     }
 

@@ -342,6 +342,8 @@ impl MarketSnapshot {
             reallotments: m[12],
             warm_start_hits: m[13],
             warm_start_misses: m[14],
+            // A process-lifetime solver diagnostic, not replicated state.
+            warm_start_fallbacks: 0,
             incremental_refits: m[15],
             credits_accrued: m[16],
             credits_spent: m[17],

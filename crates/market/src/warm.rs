@@ -90,6 +90,7 @@ impl WarmStartCache {
         Some(GpWarmStart {
             x,
             t: self.barrier_t,
+            ..GpWarmStart::default()
         })
     }
 
@@ -140,7 +141,11 @@ mod tests {
     use super::*;
 
     fn warm(x: Vec<f64>, t: f64) -> GpWarmStart {
-        GpWarmStart { x, t }
+        GpWarmStart {
+            x,
+            t,
+            ..GpWarmStart::default()
+        }
     }
 
     #[test]

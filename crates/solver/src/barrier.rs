@@ -1,8 +1,8 @@
-//! Log-barrier interior-point method for inequality-constrained convex
-//! minimization.
+//! Log-barrier interior-point method for convex minimization under
+//! log-sum-exp inequality constraints.
 //!
 //! Solves `minimize f0(x) subject to f_i(x) <= 0` where `f0` and every `f_i`
-//! implement [`Objective`] and are convex. This is the engine behind the
+//! are [`LogSumExp`] functions. This is the engine behind the
 //! geometric-programming layer ([`crate::gp`]) that replaces CVX in the REF
 //! paper's evaluation.
 //!
@@ -10,12 +10,16 @@
 //! Vandenberghe, ch. 11): a phase-I problem finds a strictly feasible point
 //! when the caller's start is not, and the central path is then traced by
 //! minimizing `t f0(x) + phi(x)` with damped Newton for geometrically
-//! increasing `t`, where `phi(x) = -sum_i log(-f_i(x))`.
+//! increasing `t`, where `phi(x) = -sum_i log(-f_i(x))`. Each Newton system
+//! is assembled in one pass over the constraints' non-zeros
+//! ([`LogSumExp::add_derivatives`]) into buffers that live as long as the
+//! solve.
 
 use crate::error::{Result, SolverError};
-use crate::func::Objective;
+use crate::func::{LogSumExp, Objective};
 use crate::matrix::Matrix;
-use crate::newton::{self, NewtonOptions};
+use crate::newton::{self, NewtonOptions, Workspace};
+use crate::vec_ops;
 
 /// Options controlling the interior-point iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +56,33 @@ impl Default for BarrierOptions {
     }
 }
 
+/// What became of a warm-start hint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum WarmOutcome {
+    /// No usable hint was offered: the solve ran the cold path.
+    #[default]
+    Cold,
+    /// The path re-entered from the hint and produced the answer.
+    Used,
+    /// The hint was tried and abandoned (it is infeasible for this
+    /// problem, or re-centering from it exceeded its budget); the cold
+    /// path produced the answer.
+    FellBack,
+}
+
+/// Work a solve performed, in Newton systems assembled and solved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SolveStats {
+    /// All Newton iterations: phase I, an abandoned warm attempt (its
+    /// re-entry probe counts as one) and the path that produced the answer.
+    pub newton_iterations: usize,
+    /// The phase-I share of `newton_iterations`; zero when the start was
+    /// strictly feasible.
+    pub phase_one_iterations: usize,
+    /// What became of the warm-start hint, if one was offered.
+    pub warm: WarmOutcome,
+}
+
 /// Outcome of a barrier-method minimization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BarrierResult {
@@ -59,137 +90,164 @@ pub struct BarrierResult {
     pub x: Vec<f64>,
     /// Objective value at the minimizer.
     pub value: f64,
-    /// Number of outer (centering) iterations.
+    /// Number of outer (centering) iterations on the path that produced
+    /// the answer.
     pub outer_iterations: usize,
-    /// Path parameter `t` at which the final centering converged. Feeding
-    /// it (divided by `mu`) back into [`minimize_warm`] alongside the final
-    /// `x` lets a re-solve of a nearby problem skip most of the path.
+    /// Path parameter `t` at which the final centering converged.
     pub final_t: f64,
+    /// Work performed.
+    pub stats: SolveStats,
 }
 
-/// The barrier-augmented objective `t f0(x) - sum_i log(-f_i(x))`.
-struct BarrierObjective<'a> {
+/// A previous optimum of a nearby problem, offered to [`minimize_warm`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WarmStart<'a> {
+    /// The previous minimizer.
+    pub x: &'a [f64],
+    /// The path parameter it converged at; re-entry never starts above it.
+    pub t: f64,
+}
+
+/// Half-width of the box phase I keeps its iterate in, around the start.
+/// Without it the phase-I centering problem need not have a minimizer; it
+/// is huge relative to any sensible problem scaling, so it never hides a
+/// feasible point in practice.
+const PHASE_ONE_BOX: f64 = 50.0;
+
+/// Newton iterations the first centering of a warm re-entry that skips
+/// stages may spend before the hint is abandoned. A stage of the path takes
+/// 6-10 on the REF programs; re-entry from a hint worth having takes no
+/// more, and one that needs more has hit the slow damped phase next to the
+/// boundary, where hundreds of iterations can go. With the probe, an
+/// abandoned hint therefore costs at most 11 iterations.
+const WARM_CENTERING_BUDGET: usize = 10;
+
+/// Newton decrement `lambda^2 / 2` at which a re-entry centering that is
+/// not the last stage stops: `lambda` about 0.14, inside the region
+/// (`lambda < 1/4`) where Newton's method converges quadratically.
+const RE_ENTRY_TOLERANCE: f64 = 1e-2;
+
+/// The barrier-augmented objective `t f0(x) - sum_i log(-f_i(x))`, plus —
+/// for phase I, where the last variable is the slack `s` — the diagonal
+/// barrier of `s >= -1` and of the box around `centre`.
+struct Centering<'a> {
     t: f64,
-    f0: &'a dyn Objective,
-    constraints: &'a [&'a dyn Objective],
+    f0: &'a LogSumExp,
+    constraints: &'a [LogSumExp],
+    phase_one_centre: Option<&'a [f64]>,
+    /// Softmax weights of the function being visited.
+    p: Vec<f64>,
+    /// Dense gradient scratch for [`LogSumExp::add_derivatives`].
+    g: Vec<f64>,
 }
 
-impl Objective for BarrierObjective<'_> {
+impl<'a> Centering<'a> {
+    fn new(f0: &'a LogSumExp, constraints: &'a [LogSumExp]) -> Centering<'a> {
+        Centering {
+            t: 0.0,
+            f0,
+            constraints,
+            phase_one_centre: None,
+            p: Vec::new(),
+            g: vec![0.0; f0.dim()],
+        }
+    }
+
+    /// Number of inequality constraints, the `m` of the duality gap `m / t`.
+    fn num_constraints(&self) -> usize {
+        self.constraints.len() + self.phase_one_centre.map_or(0, |c| 2 * c.len() + 1)
+    }
+}
+
+/// Slacks of the phase-I box `|z_j - c_j| <= B`.
+fn box_slacks(z: f64, c: f64) -> (f64, f64) {
+    (PHASE_ONE_BOX - (z - c), PHASE_ONE_BOX + (z - c))
+}
+
+impl Objective for Centering<'_> {
     fn dim(&self) -> usize {
         self.f0.dim()
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
-        let mut v = self.t * self.f0.value(x);
+    fn value(&mut self, x: &[f64]) -> f64 {
+        let mut v = self.t * self.f0.value(x, &mut self.p);
         for c in self.constraints {
-            let fi = c.value(x);
+            let fi = c.value(x, &mut self.p);
             if fi >= 0.0 || !fi.is_finite() {
                 return f64::INFINITY;
             }
             v -= (-fi).ln();
         }
+        if let Some(centre) = self.phase_one_centre {
+            let s = x[centre.len()] + 1.0;
+            if s <= 0.0 {
+                return f64::INFINITY;
+            }
+            v -= s.ln();
+            for (&z, &c) in x.iter().zip(centre) {
+                let (up, down) = box_slacks(z, c);
+                if up <= 0.0 || down <= 0.0 {
+                    return f64::INFINITY;
+                }
+                v -= up.ln() + down.ln();
+            }
+        }
         v
     }
 
-    fn gradient(&self, x: &[f64]) -> Vec<f64> {
-        let mut g: Vec<f64> = self.f0.gradient(x).iter().map(|v| v * self.t).collect();
+    fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Matrix) -> f64 {
+        grad.fill(0.0);
+        hess.as_mut_slice().fill(0.0);
+        let t = self.t;
+        let mut v = t * self.f0.eval(x, &mut self.p);
+        self.f0
+            .add_derivatives(&self.p, t, t, -t, grad, hess, &mut self.g);
         for c in self.constraints {
-            let fi = c.value(x);
-            let gi = c.gradient(x);
-            let w = -1.0 / fi; // fi < 0 at feasible points
-            for (gj, gij) in g.iter_mut().zip(&gi) {
-                *gj += w * gij;
-            }
-        }
-        g
-    }
-
-    fn hessian(&self, x: &[f64]) -> Matrix {
-        let mut h = self.f0.hessian(x).scaled(self.t);
-        for c in self.constraints {
-            let fi = c.value(x);
-            let gi = c.gradient(x);
-            let hi = c.hessian(x);
+            let fi = c.eval(x, &mut self.p);
+            v -= (-fi).ln();
+            // -log(-f) has gradient g / -f and Hessian
+            // g g^T / f^2 + H_f / -f, with H_f = sum_k p_k a_k a_k^T - g g^T.
             let w1 = 1.0 / (fi * fi);
-            let w2 = -1.0 / fi;
-            h.rank_one_update(w1, &gi);
-            h.axpy_matrix(w2, &hi).expect("dimensions agree");
+            let w2 = -1.0 / fi; // fi < 0 at feasible points
+            c.add_derivatives(&self.p, w2, w2, w1 - w2, grad, hess, &mut self.g);
         }
-        h
-    }
-}
-
-/// Phase-I objective over the extended variable `(x, s)`: minimize `s`.
-struct PhaseIObjective {
-    n: usize,
-}
-
-impl Objective for PhaseIObjective {
-    fn dim(&self) -> usize {
-        self.n + 1
-    }
-
-    fn value(&self, z: &[f64]) -> f64 {
-        z[self.n]
-    }
-
-    fn gradient(&self, _z: &[f64]) -> Vec<f64> {
-        let mut g = vec![0.0; self.n + 1];
-        g[self.n] = 1.0;
-        g
-    }
-
-    fn hessian(&self, _z: &[f64]) -> Matrix {
-        Matrix::zeros(self.n + 1, self.n + 1)
-    }
-}
-
-/// Phase-I constraint `f_i(x) - s <= 0` over the extended variable.
-struct PhaseIConstraint<'a> {
-    inner: &'a dyn Objective,
-    n: usize,
-}
-
-impl Objective for PhaseIConstraint<'_> {
-    fn dim(&self) -> usize {
-        self.n + 1
-    }
-
-    fn value(&self, z: &[f64]) -> f64 {
-        self.inner.value(&z[..self.n]) - z[self.n]
-    }
-
-    fn gradient(&self, z: &[f64]) -> Vec<f64> {
-        let mut g = self.inner.gradient(&z[..self.n]);
-        g.push(-1.0);
-        g
-    }
-
-    fn hessian(&self, z: &[f64]) -> Matrix {
-        let hi = self.inner.hessian(&z[..self.n]);
-        let mut h = Matrix::zeros(self.n + 1, self.n + 1);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                h[(i, j)] = hi[(i, j)];
+        if let Some(centre) = self.phase_one_centre {
+            let n = centre.len();
+            let s = x[n] + 1.0;
+            v -= s.ln();
+            grad[n] -= 1.0 / s;
+            hess[(n, n)] += 1.0 / (s * s);
+            for (j, (&z, &c)) in x.iter().zip(centre).enumerate() {
+                let (up, down) = box_slacks(z, c);
+                v -= up.ln() + down.ln();
+                grad[j] += 1.0 / up - 1.0 / down;
+                hess[(j, j)] += 1.0 / (up * up) + 1.0 / (down * down);
             }
         }
-        h
+        v
     }
 }
 
 /// Returns the largest constraint value at `x`, or `None` when there are no
 /// constraints.
-pub fn max_violation(constraints: &[&dyn Objective], x: &[f64]) -> Option<f64> {
+pub fn max_violation(constraints: &[LogSumExp], x: &[f64]) -> Option<f64> {
+    let mut p = Vec::new();
     constraints
         .iter()
-        .map(|c| c.value(x))
+        .map(|c| c.value(x, &mut p))
         .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
+}
+
+/// Whether `x` clears every constraint by the feasibility margin.
+fn strictly_feasible(constraints: &[LogSumExp], x: &[f64], opts: &BarrierOptions) -> bool {
+    max_violation(constraints, x).is_none_or(|v| v < -opts.feasibility_margin)
 }
 
 /// Minimizes `f0` subject to `f_i(x) <= 0` for every constraint.
 ///
-/// `x0` is any starting point in the domain of the functions; a phase-I
-/// solve is performed automatically if it is not strictly feasible.
+/// `x0` is any starting point; a phase-I solve is performed first if it is
+/// not strictly feasible (by [`BarrierOptions::feasibility_margin`]), so a
+/// caller that knows an interior point saves that work by passing it.
 ///
 /// # Errors
 ///
@@ -200,121 +258,144 @@ pub fn max_violation(constraints: &[&dyn Objective], x: &[f64]) -> Option<f64> {
 ///
 /// # Examples
 ///
-/// Minimize `x + y` subject to `x^2 + y^2 <= 1` (optimum at
-/// `(-1/sqrt 2, -1/sqrt 2)`):
+/// Minimize `-x - y` subject to `e^x + e^y <= 1` (optimum at
+/// `x = y = log 1/2`):
 ///
 /// ```
 /// use ref_solver::barrier::{minimize, BarrierOptions};
-/// use ref_solver::func::{Affine, Objective, Quadratic};
-/// use ref_solver::Matrix;
+/// use ref_solver::func::LogSumExp;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// struct Disk;
-/// impl Objective for Disk {
-///     fn dim(&self) -> usize { 2 }
-///     fn value(&self, x: &[f64]) -> f64 { x[0] * x[0] + x[1] * x[1] - 1.0 }
-///     fn gradient(&self, x: &[f64]) -> Vec<f64> { vec![2.0 * x[0], 2.0 * x[1]] }
-///     fn hessian(&self, _x: &[f64]) -> Matrix { Matrix::diagonal(&[2.0, 2.0]) }
-/// }
-/// let objective = Affine::new(vec![1.0, 1.0], 0.0);
-/// let disk = Disk;
-/// let constraints: Vec<&dyn Objective> = vec![&disk];
-/// let r = minimize(&objective, &constraints, &[0.0, 0.0], &BarrierOptions::default())?;
-/// let s = 1.0 / 2.0_f64.sqrt();
-/// assert!((r.x[0] + s).abs() < 1e-4);
-/// assert!((r.x[1] + s).abs() < 1e-4);
+/// let objective = LogSumExp::affine(2, &[(0, -1.0), (1, -1.0)], 0.0)?;
+/// let budget = LogSumExp::from_terms(2, [(&[(0, 1.0)][..], 0.0), (&[(1, 1.0)][..], 0.0)])?;
+/// let r = minimize(&objective, &[budget], &[-2.0, -2.0], &BarrierOptions::default())?;
+/// assert!((r.x[0] - 0.5_f64.ln()).abs() < 1e-4);
+/// assert!((r.x[1] - 0.5_f64.ln()).abs() < 1e-4);
 /// # Ok(())
 /// # }
 /// ```
 pub fn minimize(
-    f0: &dyn Objective,
-    constraints: &[&dyn Objective],
+    f0: &LogSumExp,
+    constraints: &[LogSumExp],
     x0: &[f64],
     opts: &BarrierOptions,
 ) -> Result<BarrierResult> {
     minimize_warm(f0, constraints, x0, opts, None)
 }
 
-/// [`minimize`] with an optional warm-started path parameter.
+/// [`minimize`], re-entering the central path from a previous optimum of a
+/// nearby problem when `warm` is given.
 ///
-/// `t_start` overrides the initial path parameter `opts.t0`. A caller that
-/// re-solves a slightly perturbed problem passes the previous result's
-/// `x` as `x0` and something like `(prev.final_t / opts.mu).max(opts.t0)`
-/// as `t_start`: the near-optimal start is already strictly feasible (so
-/// phase I is skipped by the ordinary feasibility check) and the path
-/// resumes close to where it ended instead of from `t0`, cutting the outer
-/// iterations to one or two. With `t_start = None` this is exactly
+/// The hint is advisory, and used only when `x0` is strictly feasible. The
+/// stage of the cold schedule `t0 mu^k` to re-enter at is read off the
+/// Newton decrement at the hint, and the hint is pulled back along the
+/// segment towards `x0` to where the centering objective at that stage is
+/// smallest (DESIGN.md section 12). If the first centering of a re-entry
+/// that skips stages does not converge within a fixed budget, or the hint
+/// is central for no stage at all, the solve is the cold solve from `x0`
+/// and [`SolveStats::warm`] says so. Both paths end at the same `t`, hence
+/// on the same central point. With `warm = None` this is exactly
 /// [`minimize`] — same iterates bit for bit.
 ///
 /// # Errors
 ///
-/// As [`minimize`], plus [`SolverError::InvalidArgument`] for a
-/// non-finite or non-positive `t_start`.
+/// As [`minimize`], plus [`SolverError::InvalidArgument`] for a hint of
+/// the wrong dimension or with a non-finite or non-positive `t`.
 pub fn minimize_warm(
-    f0: &dyn Objective,
-    constraints: &[&dyn Objective],
+    f0: &LogSumExp,
+    constraints: &[LogSumExp],
     x0: &[f64],
     opts: &BarrierOptions,
-    t_start: Option<f64>,
+    warm: Option<WarmStart<'_>>,
 ) -> Result<BarrierResult> {
-    if let Some(t) = t_start {
-        if !t.is_finite() || t <= 0.0 {
-            return Err(SolverError::InvalidArgument(format!(
-                "warm-start path parameter must be finite and positive, got {t}"
-            )));
-        }
+    let n = f0.dim();
+    if warm.is_some_and(|w| !(w.t > 0.0 && w.t.is_finite())) {
+        return Err(SolverError::InvalidArgument(
+            "warm-start path parameter must be finite and positive".to_string(),
+        ));
     }
-    if x0.len() != f0.dim() {
+    if x0.len() != n
+        || warm.is_some_and(|w| w.x.len() != n)
+        || constraints.iter().any(|c| c.dim() != n)
+    {
         return Err(SolverError::InvalidArgument(format!(
-            "start point has dimension {}, objective expects {}",
-            x0.len(),
-            f0.dim()
+            "start point, hint and constraints must all have the objective's {n} variables"
         )));
     }
-    for c in constraints {
-        if c.dim() != f0.dim() {
-            return Err(SolverError::InvalidArgument(
-                "constraint dimension differs from objective dimension".to_string(),
-            ));
+    let mut stats = SolveStats::default();
+    let mut ws = Workspace::new(n);
+    let mut centering = Centering::new(f0, constraints);
+    let x0_interior = strictly_feasible(constraints, x0, opts);
+    if let Some(w) = warm {
+        stats.warm = WarmOutcome::FellBack;
+        // The pull-back needs an interior `x0` to pull towards, and without
+        // constraints there is no path to re-enter.
+        if x0_interior && !constraints.is_empty() {
+            if let Some((x, t)) = re_enter(&mut centering, &w, x0, opts, &mut ws, &mut stats) {
+                // Skipping stages is a bet, so its first centering is
+                // budgeted. At t0 nothing is skipped: the warm path does
+                // the cold path's own first stage, from a point where the
+                // centering objective is no higher than at `x0`.
+                let mut first = opts.newton.clone();
+                if t > opts.t0 {
+                    first.max_iterations = WARM_CENTERING_BUDGET;
+                }
+                // Unless it is the last, the re-entry centering only has
+                // to reach Newton's quadratic phase: the stage after it
+                // starts m (mu - 1)^2 from central whatever it is handed.
+                if centering.num_constraints() as f64 / t >= opts.tolerance {
+                    first.tolerance = first.tolerance.max(RE_ENTRY_TOLERANCE);
+                }
+                let path = central_path(&mut centering, x, t, &first, opts, &mut ws, &mut stats);
+                if let Ok(mut r) = path {
+                    r.stats.warm = WarmOutcome::Used;
+                    return Ok(r);
+                }
+            }
         }
     }
-    let x_start = match max_violation(constraints, x0) {
-        Some(v) if v >= -opts.feasibility_margin => phase_one(constraints, x0, opts)?,
-        _ => x0.to_vec(),
+    let x_start = if x0_interior {
+        x0.to_vec()
+    } else {
+        phase_one(constraints, x0, opts, &mut stats)?
     };
-    central_path(f0, constraints, &x_start, opts, t_start)
+    central_path(
+        &mut centering,
+        x_start,
+        opts.t0,
+        &opts.newton,
+        opts,
+        &mut ws,
+        &mut stats,
+    )
 }
 
+/// Traces the central path from `x` at parameter `t` until the duality gap
+/// `m / t` meets the tolerance. The first centering runs under `first`
+/// (a warm re-entry budgets it), the rest under `opts.newton`.
 fn central_path(
-    f0: &dyn Objective,
-    constraints: &[&dyn Objective],
-    x0: &[f64],
+    centering: &mut Centering<'_>,
+    mut x: Vec<f64>,
+    mut t: f64,
+    first: &NewtonOptions,
     opts: &BarrierOptions,
-    t_start: Option<f64>,
+    ws: &mut Workspace,
+    stats: &mut SolveStats,
 ) -> Result<BarrierResult> {
-    let m = constraints.len();
-    if m == 0 {
-        // Unconstrained: a single Newton solve suffices.
-        let r = newton::minimize(f0, x0, &opts.newton)?;
-        return Ok(BarrierResult {
-            x: r.x,
-            value: r.value,
-            outer_iterations: 1,
-            final_t: t_start.unwrap_or(opts.t0),
-        });
-    }
-    let mut x = x0.to_vec();
-    let mut t = t_start.unwrap_or(opts.t0);
+    let m = centering.num_constraints() as f64;
+    let mut newton = first;
     for outer in 0..opts.max_outer_iterations {
-        let barrier = BarrierObjective { t, f0, constraints };
-        let r = newton::minimize(&barrier, &x, &opts.newton)?;
-        x = r.x;
-        if m as f64 / t < opts.tolerance {
+        centering.t = t;
+        newton::minimize_in(centering, &mut x, newton, ws, &mut stats.newton_iterations)?;
+        newton = &opts.newton;
+        if m / t < opts.tolerance {
+            let value = centering.f0.value(&x, &mut centering.p);
             return Ok(BarrierResult {
-                x: x.clone(),
-                value: f0.value(&x),
+                x,
+                value,
                 outer_iterations: outer + 1,
                 final_t: t,
+                stats: *stats,
             });
         }
         t *= opts.mu;
@@ -324,11 +405,116 @@ fn central_path(
     })
 }
 
-/// Solves the phase-I problem to find a strictly feasible point.
-fn phase_one(
-    constraints: &[&dyn Objective],
+/// Moves `x` half of the way to `target`.
+fn halve_towards(x: &mut [f64], target: &[f64]) {
+    for (xi, t) in x.iter_mut().zip(target) {
+        *xi = t + 0.5 * (*xi - t);
+    }
+}
+
+/// Chooses where a warm start re-enters the central path — the point and
+/// the path parameter — or `None` when the hint is central for no stage of
+/// the path. Costs one Newton system (counted in `stats`) and a few dozen
+/// function values.
+///
+/// At the hint `x`, with `g0` the objective's gradient and `g`, `H` the
+/// barrier's gradient and Hessian, the Newton decrement of the centering
+/// problem at parameter `t` is `(t g0 + g)^T H^-1 (t g0 + g)` — a quadratic
+/// in `t` (exactly when the objective is affine, as every monomial
+/// objective is in log space; its curvature is ignored otherwise, which
+/// can only cost iterations). It is smallest at `t_c = -(g0^T H^-1 g) /
+/// (g0^T H^-1 g0)`, the parameter the hint is closest to central for (Boyd
+/// & Vandenberghe section 11.3.1, in the affine-invariant norm), and back
+/// at its `t = 0` value — following the objective is no worse than
+/// ignoring it — at `2 t_c`. Re-entry is at the last stage of the cold
+/// schedule `t0 mu^k` not past `min(2 t_c, hint.t)`, so from there on the
+/// warm path visits the parameters the cold path would and ends on the
+/// same central point.
+///
+/// An optimum sits `1 / (t lambda_i)` from its active constraints: too
+/// close for any smaller `t`, and a Newton step can at best double a
+/// slack. So the hint is pulled back along the segment towards the
+/// interior start `x0`, halving the distance while the centering objective
+/// at the chosen `t` keeps falling. A hint whose active constraints moved
+/// past it is pulled back the same way to the first strictly feasible
+/// halving before anything else.
+fn re_enter(
+    centering: &mut Centering<'_>,
+    hint: &WarmStart<'_>,
     x0: &[f64],
     opts: &BarrierOptions,
+    ws: &mut Workspace,
+    stats: &mut SolveStats,
+) -> Option<(Vec<f64>, f64)> {
+    let interior = |x: &[f64]| strictly_feasible(centering.constraints, x, opts);
+    let mut base = hint.x.to_vec();
+    if !interior(&base) {
+        base.copy_from_slice(x0);
+        let mut closer = base.clone();
+        for _ in 0..f64::MANTISSA_DIGITS {
+            halve_towards(&mut closer, hint.x);
+            if !interior(&closer) {
+                break;
+            }
+            base.copy_from_slice(&closer);
+        }
+    }
+
+    // With t = 0 the centering objective is the barrier alone: the Newton
+    // system there yields g and -H^-1 g (`ws.step`).
+    centering.t = 0.0;
+    stats.newton_iterations += 1;
+    ws.newton_step(centering, &base).ok()?;
+    let mut g0 = vec![0.0; base.len()];
+    centering.f0.eval(&base, &mut centering.p);
+    let no_hessian = &mut Matrix::zeros(0, 0);
+    centering.f0.add_derivatives(
+        &centering.p,
+        1.0,
+        0.0,
+        0.0,
+        &mut g0,
+        no_hessian,
+        &mut centering.g,
+    );
+    let mut h_inv_g0 = vec![0.0; base.len()];
+    ws.solve_factored(&g0, &mut h_inv_g0).ok()?;
+    let t_central = vec_ops::dot(&g0, &ws.step) / vec_ops::dot(&g0, &h_inv_g0);
+    let t_max = (2.0 * t_central).min(hint.t);
+    if !(t_max >= opts.t0) {
+        return None; // also when the probe produced a NaN
+    }
+    let m = centering.num_constraints() as f64;
+    let mut t = opts.t0;
+    while m / t >= opts.tolerance && t * opts.mu <= t_max {
+        t *= opts.mu;
+    }
+
+    centering.t = t;
+    let mut best = (centering.value(&base), base.clone());
+    let mut x = x0.to_vec();
+    let mut last = f64::INFINITY;
+    for _ in 0..f64::MANTISSA_DIGITS {
+        let v = centering.value(&x);
+        if v >= last {
+            break;
+        }
+        last = v;
+        if v < best.0 {
+            best = (v, x.clone());
+        }
+        halve_towards(&mut x, &base);
+    }
+    Some((best.1, t))
+}
+
+/// Solves the phase-I problem — minimize `s` over `(x, s)` subject to
+/// `f_i(x) - s <= 0` — to find a strictly feasible point.
+fn phase_one(
+    constraints: &[LogSumExp],
+    x0: &[f64],
+    opts: &BarrierOptions,
+    stats: &mut SolveStats,
 ) -> Result<Vec<f64>> {
     let n = x0.len();
     let worst = max_violation(constraints, x0).unwrap_or(0.0);
@@ -337,53 +523,35 @@ fn phase_one(
             "phase-I start point is outside the constraint domain".to_string(),
         ));
     }
-    let mut z0 = x0.to_vec();
-    z0.push(worst + 1.0);
+    let mut z = x0.to_vec();
+    z.push(worst + 1.0);
 
-    let objective = PhaseIObjective { n };
-    let wrapped: Vec<PhaseIConstraint> = constraints
-        .iter()
-        .map(|c| PhaseIConstraint { inner: *c, n })
-        .collect();
-    // Keep the subproblem bounded. Without these the phase-I centering
-    // problem need not have a minimizer: s >= -1 (any s < 0 already proves
-    // strict feasibility), and a generous box |x_j - x0_j| <= B around the
-    // start (B is huge relative to any sensible problem scaling, so it
-    // never hides a feasible point in practice).
-    const BOX: f64 = 50.0;
-    let mut bounds: Vec<crate::func::Affine> = Vec::with_capacity(2 * n + 1);
-    let mut s_coeffs = vec![0.0; n + 1];
-    s_coeffs[n] = -1.0;
-    bounds.push(crate::func::Affine::new(s_coeffs, -1.0));
-    for j in 0..n {
-        let mut up = vec![0.0; n + 1];
-        up[j] = 1.0;
-        bounds.push(crate::func::Affine::new(up, -(x0[j] + BOX)));
-        let mut down = vec![0.0; n + 1];
-        down[j] = -1.0;
-        bounds.push(crate::func::Affine::new(down, x0[j] - BOX));
-    }
-    let mut refs: Vec<&dyn Objective> = wrapped.iter().map(|c| c as &dyn Objective).collect();
-    for b in &bounds {
-        refs.push(b as &dyn Objective);
-    }
+    let objective = LogSumExp::affine(n + 1, &[(n, 1.0)], 0.0)?;
+    let lifted: Vec<LogSumExp> = constraints.iter().map(LogSumExp::minus_slack).collect();
+    // s >= -1 (any s < 0 already proves strict feasibility) and the box
+    // keep the subproblem bounded; both are diagonal terms of the
+    // centering objective, not constraints of their own.
+    let mut centering = Centering::new(&objective, &lifted);
+    centering.phase_one_centre = Some(x0);
+    let mut ws = Workspace::new(n + 1);
 
     // Trace the phase-I central path, stopping early once s is comfortably
     // negative.
-    let m = refs.len().max(1) as f64;
-    let mut z = z0;
+    let m = centering.num_constraints() as f64;
     let mut t = opts.t0;
     for _ in 0..opts.max_outer_iterations {
-        let barrier = BarrierObjective {
-            t,
-            f0: &objective,
-            constraints: &refs,
-        };
-        let r = newton::minimize(&barrier, &z, &opts.newton)?;
-        z = r.x;
-        let s = z[n];
-        if s < -10.0 * opts.feasibility_margin.max(1e-12) {
-            return Ok(z[..n].to_vec());
+        centering.t = t;
+        newton::minimize_in(
+            &mut centering,
+            &mut z,
+            &opts.newton,
+            &mut ws,
+            &mut stats.phase_one_iterations,
+        )?;
+        if z[n] < -10.0 * opts.feasibility_margin.max(1e-12) {
+            stats.newton_iterations += stats.phase_one_iterations;
+            z.truncate(n);
+            return Ok(z);
         }
         if m / t < opts.tolerance {
             // Converged with s >= 0: no strictly feasible point.
@@ -399,43 +567,72 @@ fn phase_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::{Affine, LogSumExpAffine};
+    use crate::func::dense::{self, Objective as _};
+    use proptest::prelude::*;
+
+    fn affine(dim: usize, a: &[(usize, f64)], b: f64) -> LogSumExp {
+        LogSumExp::affine(dim, a, b).unwrap()
+    }
+
+    /// `0 <= x, y <= 1` as four affine constraints.
+    fn unit_box() -> Vec<LogSumExp> {
+        vec![
+            affine(2, &[(0, 1.0)], -1.0),
+            affine(2, &[(1, 1.0)], -1.0),
+            affine(2, &[(0, -1.0)], 0.0),
+            affine(2, &[(1, -1.0)], 0.0),
+        ]
+    }
+
+    /// `e^x + e^y <= 1`.
+    fn budget() -> LogSumExp {
+        LogSumExp::from_terms(2, [(&[(0, 1.0)][..], 0.0), (&[(1, 1.0)][..], 0.0)]).unwrap()
+    }
 
     #[test]
     fn linear_program_box() {
-        // minimize -x - 2y s.t. x <= 1, y <= 1, -x <= 0, -y <= 0.
-        let f0 = Affine::new(vec![-1.0, -2.0], 0.0);
-        let c1 = Affine::new(vec![1.0, 0.0], -1.0);
-        let c2 = Affine::new(vec![0.0, 1.0], -1.0);
-        let c3 = Affine::new(vec![-1.0, 0.0], 0.0);
-        let c4 = Affine::new(vec![0.0, -1.0], 0.0);
-        let cons: Vec<&dyn Objective> = vec![&c1, &c2, &c3, &c4];
-        let r = minimize(&f0, &cons, &[0.5, 0.5], &BarrierOptions::default()).unwrap();
+        // minimize -x - 2y over the unit box.
+        let f0 = affine(2, &[(0, -1.0), (1, -2.0)], 0.0);
+        let r = minimize(&f0, &unit_box(), &[0.5, 0.5], &BarrierOptions::default()).unwrap();
         assert!((r.x[0] - 1.0).abs() < 1e-4, "{:?}", r.x);
         assert!((r.x[1] - 1.0).abs() < 1e-4, "{:?}", r.x);
         assert!((r.value + 3.0).abs() < 1e-3);
+        assert_eq!(r.stats.phase_one_iterations, 0);
+        assert_eq!(r.stats.warm, WarmOutcome::Cold);
     }
 
     #[test]
     fn phase_one_recovers_feasibility() {
         // Start outside the box; phase I should pull the iterate inside.
-        let f0 = Affine::new(vec![1.0, 0.0], 0.0);
-        let c1 = Affine::new(vec![1.0, 0.0], -1.0);
-        let c2 = Affine::new(vec![-1.0, 0.0], 0.0);
-        let c3 = Affine::new(vec![0.0, 1.0], -1.0);
-        let c4 = Affine::new(vec![0.0, -1.0], 0.0);
-        let cons: Vec<&dyn Objective> = vec![&c1, &c2, &c3, &c4];
-        let r = minimize(&f0, &cons, &[5.0, 5.0], &BarrierOptions::default()).unwrap();
+        let f0 = affine(2, &[(0, 1.0)], 0.0);
+        let r = minimize(&f0, &unit_box(), &[5.0, 5.0], &BarrierOptions::default()).unwrap();
         assert!(r.x[0].abs() < 1e-3, "{:?}", r.x);
+        assert!(r.stats.phase_one_iterations > 0);
+        assert!(r.stats.newton_iterations > r.stats.phase_one_iterations);
+    }
+
+    #[test]
+    fn phase_one_runs_from_the_boundary_and_not_from_inside() {
+        // x = y = log 1/2 exhausts the budget exactly: not strictly
+        // feasible, so phase I has to run; from inside, it must not.
+        let f0 = affine(2, &[(0, -1.0), (1, -1.0)], 0.0);
+        let edge = 0.5_f64.ln();
+        let opts = BarrierOptions::default();
+        let on = minimize(&f0, &[budget()], &[edge, edge], &opts).unwrap();
+        assert!(on.stats.phase_one_iterations > 0);
+        let inside = minimize(&f0, &[budget()], &[edge - 0.5, edge - 0.5], &opts).unwrap();
+        assert_eq!(inside.stats.phase_one_iterations, 0);
+        assert!(inside.stats.newton_iterations < on.stats.newton_iterations);
+        for (a, b) in on.x.iter().zip(&inside.x) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
     }
 
     #[test]
     fn infeasible_problem_detected() {
         // x <= -1 and -x <= -1 cannot both hold.
-        let f0 = Affine::new(vec![1.0], 0.0);
-        let c1 = Affine::new(vec![1.0], 1.0); // x + 1 <= 0
-        let c2 = Affine::new(vec![-1.0], 1.0); // -x + 1 <= 0
-        let cons: Vec<&dyn Objective> = vec![&c1, &c2];
+        let f0 = affine(1, &[(0, 1.0)], 0.0);
+        let cons = [affine(1, &[(0, 1.0)], 1.0), affine(1, &[(0, -1.0)], 1.0)];
         assert!(matches!(
             minimize(&f0, &cons, &[0.0], &BarrierOptions::default()),
             Err(SolverError::Infeasible)
@@ -443,82 +640,283 @@ mod tests {
     }
 
     #[test]
-    fn unconstrained_falls_back_to_newton() {
-        let a = Matrix::from_rows(&[&[1.0], &[-1.0]]).unwrap();
-        let f = LogSumExpAffine::new(a, vec![0.0, 0.0]);
+    fn unconstrained_is_a_single_newton_solve() {
+        let f =
+            LogSumExp::from_terms(1, [(&[(0, 1.0)][..], 0.0), (&[(0, -1.0)][..], 0.0)]).unwrap();
         let r = minimize(&f, &[], &[3.0], &BarrierOptions::default()).unwrap();
         assert!(r.x[0].abs() < 1e-6);
+        assert_eq!(r.outer_iterations, 1);
+        // A hint is of no use without a path; it is reported as unused.
+        let hint = WarmStart { x: &r.x, t: 1.0 };
+        let again = minimize_warm(&f, &[], &[3.0], &BarrierOptions::default(), Some(hint)).unwrap();
+        assert_eq!(again.stats.warm, WarmOutcome::FellBack);
+        assert_eq!(again.x, r.x);
     }
 
     #[test]
     fn lse_constraint_respected() {
-        // minimize -x - y subject to log(e^x + e^y) <= 0, i.e. e^x + e^y <= 1.
-        let f0 = Affine::new(vec![-1.0, -1.0], 0.0);
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let lse = LogSumExpAffine::new(a, vec![0.0, 0.0]);
-        let cons: Vec<&dyn Objective> = vec![&lse];
-        let r = minimize(&f0, &cons, &[-2.0, -2.0], &BarrierOptions::default()).unwrap();
+        // minimize -x - y subject to e^x + e^y <= 1.
+        let f0 = affine(2, &[(0, -1.0), (1, -1.0)], 0.0);
+        let r = minimize(&f0, &[budget()], &[-2.0, -2.0], &BarrierOptions::default()).unwrap();
         // Symmetric optimum at x = y = log(1/2).
         let expect = 0.5_f64.ln();
         assert!((r.x[0] - expect).abs() < 1e-4, "{:?}", r.x);
         assert!((r.x[1] - expect).abs() < 1e-4, "{:?}", r.x);
     }
 
+    /// minimize `-a x - b y` subject to `e^x + e^y <= 1`: the optimum puts
+    /// `a / (a + b)` of the budget on `x`.
+    fn split(a: f64, b: f64) -> LogSumExp {
+        affine(2, &[(0, -a), (1, -b)], 0.0)
+    }
+
     #[test]
-    fn warm_restart_agrees_and_skips_most_of_the_path() {
-        let f0 = Affine::new(vec![-1.0, -2.0], 0.0);
-        let c1 = Affine::new(vec![1.0, 0.0], -1.0);
-        let c2 = Affine::new(vec![0.0, 1.0], -1.0);
-        let c3 = Affine::new(vec![-1.0, 0.0], 0.0);
-        let c4 = Affine::new(vec![0.0, -1.0], 0.0);
-        let cons: Vec<&dyn Objective> = vec![&c1, &c2, &c3, &c4];
+    fn warm_restart_lands_on_the_cold_answer_in_fewer_iterations() {
         let opts = BarrierOptions::default();
-        let cold = minimize(&f0, &cons, &[0.5, 0.5], &opts).unwrap();
-        assert!(cold.final_t >= cons.len() as f64 / opts.tolerance / opts.mu);
-        let warm = minimize_warm(
-            &f0,
-            &cons,
-            &cold.x,
-            &opts,
-            Some((cold.final_t / opts.mu).max(opts.t0)),
-        )
-        .unwrap();
-        assert!(warm.outer_iterations <= 2, "{}", warm.outer_iterations);
+        let cons = [budget()];
+        let start = [-2.0, -2.0];
+        let before = minimize(&split(1.0, 2.0), &cons, &start, &opts).unwrap();
+        let hint = WarmStart {
+            x: &before.x,
+            t: before.final_t,
+        };
+        // The same problem again: re-entry at the last stage.
+        let same = minimize_warm(&split(1.0, 2.0), &cons, &start, &opts, Some(hint)).unwrap();
+        assert_eq!(same.stats.warm, WarmOutcome::Used);
+        assert_eq!(same.outer_iterations, 1);
+        assert!(same.stats.newton_iterations <= 4, "{:?}", same.stats);
+        // A nearby problem: some stages skipped, same final stage as cold.
+        let f0 = split(1.0, 2.02);
+        let cold = minimize(&f0, &cons, &start, &opts).unwrap();
+        let warm = minimize_warm(&f0, &cons, &start, &opts, Some(hint)).unwrap();
+        assert_eq!(warm.stats.warm, WarmOutcome::Used);
+        assert_eq!(warm.final_t, cold.final_t);
         assert!(warm.outer_iterations < cold.outer_iterations);
+        assert!(warm.stats.newton_iterations < cold.stats.newton_iterations);
         for (w, c) in warm.x.iter().zip(&cold.x) {
-            assert!((w - c).abs() < 1e-4, "{w} vs {c}");
+            assert!((w - c).abs() < 1e-9, "{w} vs {c}");
         }
     }
 
     #[test]
-    fn warm_start_rejects_bad_path_parameter() {
-        let f0 = Affine::new(vec![1.0], 0.0);
-        let c = Affine::new(vec![1.0], -1.0);
-        let cons: Vec<&dyn Objective> = vec![&c];
+    fn an_unhelpful_hint_costs_a_bounded_number_of_iterations() {
+        let opts = BarrierOptions::default();
+        let cons = [budget()];
+        let start = [-2.0, -2.0];
+        let before = minimize(&split(1.0, 200.0), &cons, &start, &opts).unwrap();
+        // The optimum of the mirrored problem is in the wrong corner.
+        let f0 = split(200.0, 1.0);
+        let cold = minimize(&f0, &cons, &start, &opts).unwrap();
+        let hint = WarmStart {
+            x: &before.x,
+            t: before.final_t,
+        };
+        let warm = minimize_warm(&f0, &cons, &start, &opts, Some(hint)).unwrap();
+        let extra = 1 + WARM_CENTERING_BUDGET;
+        assert!(
+            warm.stats.newton_iterations <= cold.stats.newton_iterations + extra,
+            "{:?} vs {:?}",
+            warm.stats,
+            cold.stats
+        );
+        for (w, c) in warm.x.iter().zip(&cold.x) {
+            assert!((w - c).abs() < 1e-9, "{w} vs {c}");
+        }
+        // A hint outside the feasible set is pulled inside before use.
+        let outside = WarmStart {
+            x: &[0.0, 0.0],
+            t: before.final_t,
+        };
+        let rescued = minimize_warm(&f0, &cons, &start, &opts, Some(outside)).unwrap();
+        assert!(rescued.stats.newton_iterations <= cold.stats.newton_iterations + extra);
+        for (w, c) in rescued.x.iter().zip(&cold.x) {
+            assert!((w - c).abs() < 1e-9, "{w} vs {c}");
+        }
+    }
+
+    #[test]
+    fn a_hint_is_not_tried_from_an_infeasible_start() {
+        let opts = BarrierOptions::default();
+        let cons = [budget()];
+        let f0 = split(1.0, 2.0);
+        let cold = minimize(&f0, &cons, &[5.0, 5.0], &opts).unwrap();
+        assert!(cold.stats.phase_one_iterations > 0);
+        let hint = WarmStart {
+            x: &cold.x,
+            t: cold.final_t,
+        };
+        let warm = minimize_warm(&f0, &cons, &[5.0, 5.0], &opts, Some(hint)).unwrap();
+        assert_eq!(warm.stats.warm, WarmOutcome::FellBack);
+        assert_eq!(warm.stats.newton_iterations, cold.stats.newton_iterations);
+        assert_eq!(warm.x, cold.x);
+    }
+
+    #[test]
+    fn warm_start_rejects_malformed_hints() {
+        let f0 = affine(1, &[(0, 1.0)], 0.0);
+        let cons = [affine(1, &[(0, -1.0)], -1.0)];
+        let opts = BarrierOptions::default();
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let hint = WarmStart { x: &[0.0], t: bad };
             assert!(matches!(
-                minimize_warm(&f0, &cons, &[0.0], &BarrierOptions::default(), Some(bad)),
+                minimize_warm(&f0, &cons, &[0.0], &opts, Some(hint)),
                 Err(SolverError::InvalidArgument(_))
             ));
         }
+        let hint = WarmStart {
+            x: &[0.0, 0.0],
+            t: 1.0,
+        };
+        assert!(minimize_warm(&f0, &cons, &[0.0], &opts, Some(hint)).is_err());
     }
 
     #[test]
     fn dimension_mismatch_rejected() {
-        let f0 = Affine::new(vec![1.0], 0.0);
-        let c = Affine::new(vec![1.0, 1.0], 0.0);
-        let cons: Vec<&dyn Objective> = vec![&c];
+        let f0 = affine(1, &[(0, 1.0)], 0.0);
+        let cons = [affine(2, &[(0, 1.0), (1, 1.0)], 0.0)];
         assert!(minimize(&f0, &cons, &[0.0], &BarrierOptions::default()).is_err());
         assert!(minimize(&f0, &[], &[0.0, 0.0], &BarrierOptions::default()).is_err());
     }
 
     #[test]
     fn max_violation_reports_worst() {
-        let c1 = Affine::new(vec![1.0], -2.0);
-        let c2 = Affine::new(vec![-1.0], 0.5);
-        let cons: Vec<&dyn Objective> = vec![&c1, &c2];
-        let v = max_violation(&cons, &[1.0]).unwrap();
-        assert_eq!(v, -0.5);
+        let cons = [affine(1, &[(0, 1.0)], -2.0), affine(1, &[(0, -1.0)], 0.5)];
+        assert_eq!(max_violation(&cons, &[1.0]).unwrap(), -0.5);
         assert!(max_violation(&[], &[1.0]).is_none());
+    }
+
+    /// Terms with every offset lowered so the function is `-slack` at `x`.
+    fn feasible_at(mut terms: dense::Terms, x: &[f64], slack: f64) -> dense::Terms {
+        let shift = dense::twins(x.len(), &terms).1.value(x) + slack;
+        for (_, b) in &mut terms {
+            *b -= shift;
+        }
+        terms
+    }
+
+    /// `grad`/`hess` of the sparse centering objective against the dense
+    /// assembly, to 1e-12 of the largest entry.
+    fn assert_matches_dense(
+        centering: &mut Centering<'_>,
+        reference: &dense::BarrierObjective<'_>,
+        x: &[f64],
+    ) -> std::result::Result<(), TestCaseError> {
+        let n = x.len();
+        let (mut g, mut h) = (vec![0.0; n], Matrix::zeros(n, n));
+        let v = centering.eval(x, &mut g, &mut h);
+        prop_assert_eq!(centering.value(x), v);
+        let want = reference.value(x);
+        prop_assert!(
+            (v - want).abs() <= 1e-12 * want.abs().max(1.0),
+            "{v} vs {want}"
+        );
+        let want = reference.gradient(x);
+        let scale = vec_ops::norm_inf(&want).max(1.0);
+        for (a, b) in g.iter().zip(&want) {
+            prop_assert!((a - b).abs() <= 1e-12 * scale, "{a} vs {b}");
+        }
+        let gap = dense::lower_triangle_gap(&h, &reference.hessian(x));
+        prop_assert!(gap <= 1e-12, "Hessian gap {gap:e}");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn fused_assembly_matches_the_dense_barrier_objective(
+            objective in dense::arb_case(),
+            raw in collection::vec((dense::arb_case(), 1e-6..2.0_f64), 1..5),
+            t in 0.5..1e6_f64,
+        ) {
+            let (objective_terms, x) = objective;
+            let n = x.len();
+            // Every function over the objective's variables: drop columns
+            // that do not exist there.
+            let fit = |terms: dense::Terms| -> dense::Terms {
+                terms
+                    .into_iter()
+                    .map(|(e, b)| (e.into_iter().map(|(c, v)| (c % n, v)).collect(), b))
+                    .collect()
+            };
+            let constraint_terms: Vec<_> = raw
+                .into_iter()
+                .map(|((terms, _), slack)| feasible_at(fit(terms), &x, slack))
+                .collect();
+            let (f0, f0_dense) = dense::twins(n, &objective_terms);
+            let (sparse, reference): (Vec<_>, Vec<_>) =
+                constraint_terms.iter().map(|c| dense::twins(n, c)).unzip();
+            let refs: Vec<&dyn dense::Objective> =
+                reference.iter().map(|c| c as &dyn dense::Objective).collect();
+            let mut centering = Centering::new(&f0, &sparse);
+            centering.t = t;
+            let reference = dense::BarrierObjective { t, f0: &f0_dense, constraints: &refs };
+            assert_matches_dense(&mut centering, &reference, &x)?;
+        }
+
+        #[test]
+        fn phase_one_diagonal_bounds_match_dense_affine_bounds(
+            raw in collection::vec(dense::arb_case(), 1..4),
+            offsets in collection::vec(-3.0..3.0_f64, 6),
+            t in 0.5..1e4_f64,
+        ) {
+            let n = raw[0].1.len();
+            let x0 = raw[0].1.clone();
+            let x: Vec<f64> = x0.iter().zip(&offsets).map(|(c, d)| c + d).collect();
+            let constraint_terms: Vec<dense::Terms> = raw
+                .into_iter()
+                .map(|(terms, _)| {
+                    terms
+                        .into_iter()
+                        .map(|(e, b)| (e.into_iter().map(|(c, v)| (c % n, v)).collect(), b))
+                        .collect()
+                })
+                .collect();
+            let worst = constraint_terms
+                .iter()
+                .map(|c| dense::twins(n, c).1.value(&x))
+                .fold(f64::NEG_INFINITY, f64::max);
+            let mut z = x.clone();
+            z.push((worst + 0.5).max(-0.5));
+
+            // Sparse: lifted constraints, bounds folded into the objective.
+            let lifted: Vec<LogSumExp> = constraint_terms
+                .iter()
+                .map(|c| dense::twins(n, c).0.minus_slack())
+                .collect();
+            let objective = affine(n + 1, &[(n, 1.0)], 0.0);
+            let mut centering = Centering::new(&objective, &lifted);
+            centering.phase_one_centre = Some(&x0);
+            centering.t = t;
+
+            // Dense: the same constraints plus 2n + 1 affine bounds.
+            let mut all: Vec<Box<dyn dense::Objective>> = Vec::new();
+            for c in &constraint_terms {
+                let with_slack: Vec<_> = c
+                    .iter()
+                    .map(|(e, b)| {
+                        let mut e = e.clone();
+                        e.push((n, -1.0));
+                        (e, *b)
+                    })
+                    .collect();
+                all.push(Box::new(dense::twins(n + 1, &with_slack).1));
+            }
+            let unit = |j: usize, sign: f64| {
+                let mut a = vec![0.0; n + 1];
+                a[j] = sign;
+                a
+            };
+            all.push(Box::new(dense::Affine { a: unit(n, -1.0), b: -1.0 }));
+            for j in 0..n {
+                all.push(Box::new(dense::Affine { a: unit(j, 1.0), b: -(x0[j] + PHASE_ONE_BOX) }));
+                all.push(Box::new(dense::Affine { a: unit(j, -1.0), b: x0[j] - PHASE_ONE_BOX }));
+            }
+            let refs: Vec<&dyn dense::Objective> = all.iter().map(|c| c.as_ref()).collect();
+            prop_assert_eq!(refs.len(), centering.num_constraints());
+            let f0_dense = dense::Affine { a: unit(n, 1.0), b: 0.0 };
+            let reference = dense::BarrierObjective { t, f0: &f0_dense, constraints: &refs };
+            assert_matches_dense(&mut centering, &reference, &z)?;
+        }
     }
 }

@@ -41,6 +41,27 @@ impl Cholesky {
     /// [`SolverError::NotPositiveDefinite`] if a non-positive pivot is
     /// encountered.
     pub fn new(a: &Matrix) -> Result<Cholesky> {
+        let mut ch = Cholesky::with_dim(a.rows());
+        ch.refactor(a)?;
+        Ok(ch)
+    }
+
+    /// Storage for the factor of an `n x n` matrix, to be filled by
+    /// [`refactor`](Cholesky::refactor).
+    pub fn with_dim(n: usize) -> Cholesky {
+        Cholesky {
+            l: Matrix::zeros(n, n),
+        }
+    }
+
+    /// Factors `a` into this factor's storage, reallocating only when the
+    /// dimension changes — the Newton loop factors one Hessian per iterate.
+    /// On error the factor holds garbage until the next successful call.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::new`].
+    pub fn refactor(&mut self, a: &Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(SolverError::NotSquare {
                 rows: a.rows(),
@@ -48,7 +69,10 @@ impl Cholesky {
             });
         }
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
+        if self.l.rows() != n {
+            self.l = Matrix::zeros(n, n);
+        }
+        let l = &mut self.l;
         for i in 0..n {
             for j in 0..=i {
                 let mut s = a[(i, j)];
@@ -71,7 +95,7 @@ impl Cholesky {
                 }
             }
         }
-        Ok(Cholesky { l })
+        Ok(())
     }
 
     /// The lower-triangular factor.
@@ -86,33 +110,45 @@ impl Cholesky {
     /// Returns [`SolverError::ShapeMismatch`] if `b.len()` differs from the
     /// dimension of `A`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let mut x = vec![0.0; self.l.rows()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`solve`](Cholesky::solve) into a caller-owned buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::ShapeMismatch`] if `b.len()` or `x.len()`
+    /// differs from the dimension of `A`.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
         let n = self.l.rows();
-        if b.len() != n {
+        if b.len() != n || x.len() != n {
             return Err(SolverError::ShapeMismatch(format!(
-                "rhs length {} but matrix dimension {n}",
-                b.len()
+                "rhs length {} and solution length {} but matrix dimension {n}",
+                b.len(),
+                x.len()
             )));
         }
-        // Forward substitution: L y = b.
-        let mut y = vec![0.0; n];
+        // Forward substitution: L y = b, with y stored in x.
         for i in 0..n {
             let row = self.l.row(i);
             let mut s = b[i];
             for k in 0..i {
-                s -= row[k] * y[k];
+                s -= row[k] * x[k];
             }
-            y[i] = s / row[i];
+            x[i] = s / row[i];
         }
-        // Back substitution: L^T x = y.
-        let mut x = vec![0.0; n];
+        // Back substitution in place: L^T x = y. Entry i of y is consumed
+        // before x[i] overwrites it, and only x[k] for k > i is read.
         for i in (0..n).rev() {
-            let mut s = y[i];
+            let mut s = x[i];
             for k in i + 1..n {
                 s -= self.l[(k, i)] * x[k];
             }
             x[i] = s / self.l[(i, i)];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Log-determinant of `A`, i.e. `2 * sum_i log L_ii`.
@@ -148,28 +184,49 @@ impl Cholesky {
 /// # }
 /// ```
 pub fn solve_regularized(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    match Cholesky::new(a) {
-        Ok(ch) => return ch.solve(b),
+    let mut a = a.clone();
+    let mut ch = Cholesky::with_dim(a.rows());
+    let mut x = vec![0.0; b.len()];
+    solve_regularized_into(&mut a, b, &mut ch, &mut x)?;
+    Ok(x)
+}
+
+/// [`solve_regularized`] with caller-owned storage: `ch` is refactored in
+/// place and the solution lands in `x`. Ridge retries rewrite `a`'s
+/// diagonal and restore it before returning, so `a` is unchanged.
+///
+/// # Errors
+///
+/// As [`solve_regularized`].
+pub fn solve_regularized_into(
+    a: &mut Matrix,
+    b: &[f64],
+    ch: &mut Cholesky,
+    x: &mut [f64],
+) -> Result<()> {
+    match ch.refactor(a) {
+        Ok(()) => return ch.solve_into(b, x),
         Err(SolverError::NotPositiveDefinite) => {}
         Err(e) => return Err(e),
     }
-    // One clone serves every retry: each attempt rewrites the diagonal from
-    // the saved original, which produces the same ridged matrix as a fresh
-    // clone plus `+= tau` would.
     let mut tau = tol::initial_ridge(a.max_abs());
-    let mut reg = a.clone();
     let orig_diag: Vec<f64> = (0..a.rows()).map(|i| a[(i, i)]).collect();
+    let mut factored = Err(SolverError::NotPositiveDefinite);
     for _ in 0..tol::RIDGE_RETRIES {
         for (i, &d) in orig_diag.iter().enumerate() {
-            reg[(i, i)] = d + tau;
+            a[(i, i)] = d + tau;
         }
-        match Cholesky::new(&reg) {
-            Ok(ch) => return ch.solve(b),
+        factored = ch.refactor(a);
+        match factored {
             Err(SolverError::NotPositiveDefinite) => tau *= tol::RIDGE_GROWTH,
-            Err(e) => return Err(e),
+            _ => break,
         }
     }
-    Err(SolverError::NotPositiveDefinite)
+    for (i, &d) in orig_diag.iter().enumerate() {
+        a[(i, i)] = d;
+    }
+    factored?;
+    ch.solve_into(b, x)
 }
 
 #[cfg(test)]

@@ -12,14 +12,15 @@
 //! monomial/posynomial constraints. See `ref-core`'s mechanism modules for
 //! the formulations.
 
-use crate::barrier::{self, BarrierOptions};
+use crate::barrier::{self, BarrierOptions, SolveStats, WarmStart};
 use crate::error::{Result, SolverError};
-use crate::func::{Affine, LogSumExpAffine, Objective};
-use crate::matrix::Matrix;
+use crate::func::LogSumExp;
 
 /// A monomial `c * prod_j x_j^{a_j}` with positive coefficient `c`.
 ///
 /// Exponents may be any real numbers (negative exponents express ratios).
+/// Only the non-zero exponents are stored: the REF mechanisms' monomials
+/// touch a few of their `N * R` variables each.
 ///
 /// # Examples
 ///
@@ -30,36 +31,67 @@ use crate::matrix::Matrix;
 /// // 2 * x^0.6 * y^0.4
 /// let m = Monomial::new(2.0, vec![0.6, 0.4])?;
 /// assert!((m.eval(&[1.0, 1.0]) - 2.0).abs() < 1e-12);
+/// // The same, naming only the variables that appear.
+/// let n = Monomial::sparse(2.0, 4, &[(0, 0.6), (3, 0.4)])?;
+/// assert!((n.eval(&[1.0, 7.0, 7.0, 1.0]) - 2.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Monomial {
     coefficient: f64,
-    exponents: Vec<f64>,
+    dim: usize,
+    /// `(variable, exponent)` pairs with non-zero exponents, as given: a
+    /// variable named twice carries the sum (the log-space image merges
+    /// them).
+    exponents: Vec<(usize, f64)>,
 }
 
 impl Monomial {
-    /// Creates `c * prod_j x_j^{a_j}`.
+    /// Creates `c * prod_j x_j^{a_j}` from one exponent per variable.
     ///
     /// # Errors
     ///
     /// Returns [`SolverError::InvalidArgument`] if `coefficient` is not
     /// strictly positive and finite, or any exponent is non-finite.
     pub fn new(coefficient: f64, exponents: Vec<f64>) -> Result<Monomial> {
+        let sparse: Vec<(usize, f64)> = exponents.iter().copied().enumerate().collect();
+        Monomial::sparse(coefficient, exponents.len(), &sparse)
+    }
+
+    /// Creates `c * prod x_j^{a_j}` over `dim` variables from `(j, a_j)`
+    /// pairs; variables not named have exponent zero, and pairs naming the
+    /// same variable add up.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::InvalidArgument`] if `coefficient` is not
+    /// strictly positive and finite, an exponent is non-finite, or a
+    /// variable index is `dim` or more.
+    pub fn sparse(coefficient: f64, dim: usize, exponents: &[(usize, f64)]) -> Result<Monomial> {
         if !(coefficient > 0.0 && coefficient.is_finite()) {
             return Err(SolverError::InvalidArgument(format!(
                 "monomial coefficient must be positive and finite, got {coefficient}"
             )));
         }
-        if exponents.iter().any(|e| !e.is_finite()) {
+        if exponents.iter().any(|(_, e)| !e.is_finite()) {
             return Err(SolverError::InvalidArgument(
                 "monomial exponents must be finite".to_string(),
             ));
         }
+        if let Some((j, _)) = exponents.iter().find(|(j, _)| *j >= dim) {
+            return Err(SolverError::InvalidArgument(format!(
+                "variable index {j} out of range for {dim} variables"
+            )));
+        }
         Ok(Monomial {
             coefficient,
-            exponents,
+            dim,
+            exponents: exponents
+                .iter()
+                .copied()
+                .filter(|&(_, e)| e != 0.0)
+                .collect(),
         })
     }
 
@@ -69,14 +101,7 @@ impl Monomial {
     ///
     /// Returns [`SolverError::InvalidArgument`] if `j >= n`.
     pub fn variable(n: usize, j: usize) -> Result<Monomial> {
-        if j >= n {
-            return Err(SolverError::InvalidArgument(format!(
-                "variable index {j} out of range for {n} variables"
-            )));
-        }
-        let mut exponents = vec![0.0; n];
-        exponents[j] = 1.0;
-        Monomial::new(1.0, exponents)
+        Monomial::sparse(1.0, n, &[(j, 1.0)])
     }
 
     /// The positive coefficient `c`.
@@ -84,36 +109,32 @@ impl Monomial {
         self.coefficient
     }
 
-    /// The per-variable exponents.
-    pub fn exponents(&self) -> &[f64] {
-        &self.exponents
+    /// Number of variables.
+    pub fn dim(&self) -> usize {
+        self.dim
     }
 
     /// Evaluates the monomial at strictly positive `x`.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` differs from the number of exponents.
+    /// Panics if `x.len()` differs from the number of variables.
     pub fn eval(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.exponents.len(), "dimension mismatch");
+        assert_eq!(x.len(), self.dim, "dimension mismatch");
         self.coefficient
-            * x.iter()
-                .zip(&self.exponents)
-                .map(|(&xi, &ai)| xi.powf(ai))
+            * self
+                .exponents
+                .iter()
+                .map(|&(j, a)| x[j].powf(a))
                 .product::<f64>()
-    }
-
-    /// The log-space affine image: `(a, log c)` such that
-    /// `log m(e^t) = a . t + log c`.
-    fn log_affine(&self) -> (Vec<f64>, f64) {
-        (self.exponents.clone(), self.coefficient.ln())
     }
 
     /// The reciprocal monomial `1 / m`, itself a monomial.
     pub fn reciprocal(&self) -> Monomial {
         Monomial {
             coefficient: 1.0 / self.coefficient,
-            exponents: self.exponents.iter().map(|e| -e).collect(),
+            dim: self.dim,
+            exponents: self.exponents.iter().map(|&(j, e)| (j, -e)).collect(),
         }
     }
 
@@ -123,19 +144,13 @@ impl Monomial {
     ///
     /// Panics if the dimensions differ.
     pub fn product(&self, other: &Monomial) -> Monomial {
-        assert_eq!(
-            self.exponents.len(),
-            other.exponents.len(),
-            "dimension mismatch"
-        );
+        assert_eq!(self.dim, other.dim, "dimension mismatch");
+        let mut exponents = self.exponents.clone();
+        exponents.extend_from_slice(&other.exponents);
         Monomial {
             coefficient: self.coefficient * other.coefficient,
-            exponents: self
-                .exponents
-                .iter()
-                .zip(&other.exponents)
-                .map(|(a, b)| a + b)
-                .collect(),
+            dim: self.dim,
+            exponents,
         }
     }
 }
@@ -174,8 +189,8 @@ impl Posynomial {
                 "posynomial needs at least one term".to_string(),
             ));
         }
-        let n = terms[0].exponents.len();
-        if terms.iter().any(|t| t.exponents.len() != n) {
+        let n = terms[0].dim;
+        if terms.iter().any(|t| t.dim != n) {
             return Err(SolverError::InvalidArgument(
                 "posynomial terms must share a dimension".to_string(),
             ));
@@ -190,7 +205,7 @@ impl Posynomial {
 
     /// Number of variables.
     pub fn dim(&self) -> usize {
-        self.terms[0].exponents.len()
+        self.terms[0].dim
     }
 
     /// Evaluates the posynomial at strictly positive `x`.
@@ -202,19 +217,16 @@ impl Posynomial {
         self.terms.iter().map(|t| t.eval(x)).sum()
     }
 
-    /// Log-space image as a [`LogSumExpAffine`].
-    fn to_lse(&self) -> LogSumExpAffine {
-        let n = self.dim();
-        let mut a = Matrix::zeros(self.terms.len(), n);
-        let mut b = Vec::with_capacity(self.terms.len());
-        for (i, t) in self.terms.iter().enumerate() {
-            let (row, off) = t.log_affine();
-            for (j, v) in row.iter().enumerate() {
-                a[(i, j)] = *v;
-            }
-            b.push(off);
-        }
-        LogSumExpAffine::new(a, b)
+    /// Log-space image: with `x = e^t`, `log p(x)` is the log-sum-exp of
+    /// the terms' `a . t + log c`.
+    fn to_lse(&self) -> LogSumExp {
+        LogSumExp::from_terms(
+            self.dim(),
+            self.terms
+                .iter()
+                .map(|m| (m.exponents.as_slice(), m.coefficient.ln())),
+        )
+        .expect("monomials hold finite in-range exponents and positive coefficients")
     }
 }
 
@@ -273,17 +285,25 @@ pub struct GpSolution {
     /// Barrier path parameter at convergence; feed it back through
     /// [`GpWarmStart`] to warm-start a nearby re-solve.
     pub final_t: f64,
+    /// Newton iterations spent, how many of them in phase I, and whether a
+    /// warm-start hint produced the answer.
+    pub stats: SolveStats,
 }
 
 /// Warm-start hint for [`GeometricProgram::solve_warm`]: the optimum of a
 /// previous, nearby instance in the *original* (positive) variable space
 /// plus the barrier path parameter it converged at.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GpWarmStart {
     /// Previous optimum (strictly positive, original space).
     pub x: Vec<f64>,
     /// `final_t` reported by the previous solve.
     pub t: f64,
+    /// The work report of the solve this hint was taken from (all zero for
+    /// a hint assembled by hand or from a cache). It rides along so callers
+    /// that only see hints — [`solve_warm`](GeometricProgram::solve_warm)
+    /// never reads it — can count iterations and abandoned warm starts.
+    pub stats: SolveStats,
 }
 
 impl GpWarmStart {
@@ -292,6 +312,7 @@ impl GpWarmStart {
         GpWarmStart {
             x: sol.x.clone(),
             t: sol.final_t,
+            stats: sol.stats,
         }
     }
 }
@@ -369,7 +390,7 @@ impl GeometricProgram {
         }
         let upper = Monomial {
             coefficient: m.coefficient / (1.0 + eps),
-            exponents: m.exponents.clone(),
+            ..m.clone()
         };
         let mut lower = m.reciprocal();
         lower.coefficient *= 1.0 - eps;
@@ -396,8 +417,9 @@ impl GeometricProgram {
 
     /// Solves the program starting from the strictly positive point `x0`.
     ///
-    /// `x0` need not be feasible (a phase-I solve runs automatically) but
-    /// every entry must be positive because the solve happens in log space.
+    /// `x0` need not be feasible (a phase-I solve runs automatically when it
+    /// is not strictly feasible) but every entry must be positive because
+    /// the solve happens in log space.
     ///
     /// # Errors
     ///
@@ -415,11 +437,12 @@ impl GeometricProgram {
     /// A usable hint must match the problem's variable count, be strictly
     /// positive and finite, and carry a finite path parameter at or above
     /// the configured `t0` — anything else (a shape change, a poisoned
-    /// cache entry) makes the hint *ignored*, not an error: the solve
-    /// falls back to the cold path from `x0`. The warm path also falls
-    /// back to cold if it fails for any reason (e.g. the previous optimum
-    /// is infeasible for the new instance in a way phase I cannot fix from
-    /// there), so `solve_warm` never errors where `solve` would succeed.
+    /// cache entry) makes the hint *ignored*, not an error: the solve is
+    /// the cold solve from `x0`, bit for bit. A usable hint re-enters the
+    /// central path where [`barrier::minimize_warm`] reads off that it can;
+    /// if the attempt fails for any reason the cold path runs instead and
+    /// [`GpSolution::stats`] reports the fallback, so `solve_warm` never
+    /// errors where `solve` would succeed.
     ///
     /// # Errors
     ///
@@ -437,34 +460,28 @@ impl GeometricProgram {
                 "start point must be strictly positive".to_string(),
             ));
         }
-        // Log-space objective. A one-term posynomial maps to an affine
-        // objective, which keeps Newton exact for monomial objectives.
-        let obj_lse = self.objective.to_lse();
-        let obj_affine;
-        let objective: &dyn Objective = if self.objective.terms().len() == 1 {
-            let (a, b) = self.objective.terms()[0].log_affine();
-            obj_affine = Affine::new(a, b);
-            &obj_affine
-        } else {
-            &obj_lse
-        };
-        let lses: Vec<LogSumExpAffine> = self.constraints.iter().map(|c| c.to_lse()).collect();
-        let refs: Vec<&dyn Objective> = lses.iter().map(|c| c as &dyn Objective).collect();
-        if let Some(w) = warm {
-            if self.warm_start_usable(w) {
-                let t_warm: Vec<f64> = w.x.iter().map(|v| v.ln()).collect();
-                let t_start = (w.t / self.options.mu).max(self.options.t0);
-                if let Ok(r) =
-                    barrier::minimize_warm(objective, &refs, &t_warm, &self.options, Some(t_start))
-                {
-                    return Ok(self.finish(r));
-                }
-                // Fall through to the cold start below.
-            }
-        }
-        let t0: Vec<f64> = x0.iter().map(|v| v.ln()).collect();
-        let r = barrier::minimize(objective, &refs, &t0, &self.options)?;
-        Ok(self.finish(r))
+        let objective = self.objective.to_lse();
+        let constraints: Vec<LogSumExp> = self.constraints.iter().map(|c| c.to_lse()).collect();
+        let log = |x: &[f64]| -> Vec<f64> { x.iter().map(|v| v.ln()).collect() };
+        let hint = warm
+            .filter(|w| self.warm_start_usable(w))
+            .map(|w| (log(&w.x), w.t));
+        let r = barrier::minimize_warm(
+            &objective,
+            &constraints,
+            &log(x0),
+            &self.options,
+            hint.as_ref().map(|(x, t)| WarmStart { x, t: *t }),
+        )?;
+        let x: Vec<f64> = r.x.iter().map(|t| t.exp()).collect();
+        let objective_value = self.objective.eval(&x);
+        Ok(GpSolution {
+            x,
+            objective_value,
+            outer_iterations: r.outer_iterations,
+            final_t: r.final_t,
+            stats: r.stats,
+        })
     }
 
     /// Whether a warm-start hint is safe to seed the barrier method with.
@@ -474,23 +491,12 @@ impl GeometricProgram {
             && w.t.is_finite()
             && w.t >= self.options.t0
     }
-
-    /// Maps a barrier result back to the original positive variables.
-    fn finish(&self, r: barrier::BarrierResult) -> GpSolution {
-        let x: Vec<f64> = r.x.iter().map(|t| t.exp()).collect();
-        let objective_value = self.objective.eval(&x);
-        GpSolution {
-            x,
-            objective_value,
-            outer_iterations: r.outer_iterations,
-            final_t: r.final_t,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::barrier::WarmOutcome;
 
     #[test]
     fn monomial_validation() {
@@ -523,18 +529,8 @@ mod tests {
 
     #[test]
     fn maximize_product_under_budget() {
-        // max x y s.t. x + y <= 2 -> x = y = 1.
-        let xy = Monomial::new(1.0, vec![1.0, 1.0]).unwrap();
-        let mut gp = GeometricProgram::minimize(2, xy.reciprocal().into()).unwrap();
-        gp.add_constraint(
-            Posynomial::from_monomials(vec![
-                Monomial::new(0.5, vec![1.0, 0.0]).unwrap(),
-                Monomial::new(0.5, vec![0.0, 1.0]).unwrap(),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        let sol = gp.solve(&[0.2, 1.5]).unwrap();
+        // -> x = y = 1.
+        let sol = product_under_budget().solve(&[0.2, 1.5]).unwrap();
         assert!((sol.x[0] - 1.0).abs() < 1e-3, "{:?}", sol.x);
         assert!((sol.x[1] - 1.0).abs() < 1e-3, "{:?}", sol.x);
         assert!((sol.objective_value - 1.0).abs() < 1e-3);
@@ -584,8 +580,8 @@ mod tests {
         assert!((sol.x[0] - 2.0).abs() < 1e-2, "{:?}", sol.x);
     }
 
-    #[test]
-    fn warm_solve_agrees_with_cold_and_converges_faster() {
+    /// max x y s.t. x + y <= 2.
+    fn product_under_budget() -> GeometricProgram {
         let xy = Monomial::new(1.0, vec![1.0, 1.0]).unwrap();
         let mut gp = GeometricProgram::minimize(2, xy.reciprocal().into()).unwrap();
         gp.add_constraint(
@@ -596,55 +592,90 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
+        gp
+    }
+
+    #[test]
+    fn warm_solve_agrees_with_cold_and_converges_faster() {
+        let gp = product_under_budget();
         let cold = gp.solve(&[0.2, 1.5]).unwrap();
+        assert_eq!(cold.stats.warm, WarmOutcome::Cold);
+        assert_eq!(cold.stats.phase_one_iterations, 0);
         let warm = GpWarmStart::from_solution(&cold);
+        assert_eq!(warm.stats, cold.stats);
         let rewarmed = gp.solve_warm(&[0.2, 1.5], Some(&warm)).unwrap();
+        assert_eq!(rewarmed.stats.warm, WarmOutcome::Used);
         assert!(rewarmed.outer_iterations < cold.outer_iterations);
+        assert!(rewarmed.stats.newton_iterations < cold.stats.newton_iterations);
+        assert_eq!(rewarmed.final_t, cold.final_t);
         for (w, c) in rewarmed.x.iter().zip(&cold.x) {
-            assert!((w - c).abs() < 1e-3, "{w} vs {c}");
+            assert!((w - c).abs() < 1e-9, "{w} vs {c}");
         }
     }
 
     #[test]
+    fn boundary_start_pays_for_phase_one_and_reports_it() {
+        let gp = product_under_budget();
+        // x + y = 2 exactly: feasible, not strictly.
+        let edge = gp.solve(&[0.5, 1.5]).unwrap();
+        assert!(edge.stats.phase_one_iterations > 0);
+        let inside = gp.solve(&[0.25, 0.75]).unwrap();
+        assert_eq!(inside.stats.phase_one_iterations, 0);
+        assert!(inside.stats.newton_iterations < edge.stats.newton_iterations);
+    }
+
+    #[test]
+    fn sparse_and_dense_monomials_are_the_same_function() {
+        let dense = Monomial::new(2.0, vec![0.0, 0.5, 0.0, -1.0]).unwrap();
+        // Any order, a variable named twice, an explicit zero.
+        let sparse =
+            Monomial::sparse(2.0, 4, &[(3, -0.25), (1, 0.5), (3, -0.75), (2, 0.0)]).unwrap();
+        assert_eq!(sparse.dim(), 4);
+        let x = [1.3, 0.7, 2.9, 1.9];
+        assert!((dense.eval(&x) - sparse.eval(&x)).abs() < 1e-15);
+        assert_eq!(
+            Posynomial::from(dense).to_lse(),
+            Posynomial::from(sparse).to_lse()
+        );
+        assert!(Monomial::sparse(1.0, 2, &[(2, 1.0)]).is_err());
+        assert!(Monomial::sparse(1.0, 2, &[(0, f64::INFINITY)]).is_err());
+    }
+
+    #[test]
     fn unusable_warm_hints_fall_back_to_cold_path() {
-        let xy = Monomial::new(1.0, vec![1.0, 1.0]).unwrap();
-        let mut gp = GeometricProgram::minimize(2, xy.reciprocal().into()).unwrap();
-        gp.add_constraint(
-            Posynomial::from_monomials(vec![
-                Monomial::new(0.5, vec![1.0, 0.0]).unwrap(),
-                Monomial::new(0.5, vec![0.0, 1.0]).unwrap(),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let gp = product_under_budget();
         let cold = gp.solve(&[0.2, 1.5]).unwrap();
         let bad_hints = [
             GpWarmStart {
                 x: vec![1.0],
                 t: 1e7,
+                ..GpWarmStart::default()
             }, // wrong shape
             GpWarmStart {
                 x: vec![1.0, f64::NAN],
                 t: 1e7,
+                ..GpWarmStart::default()
             }, // non-finite point
             GpWarmStart {
                 x: vec![1.0, -1.0],
                 t: 1e7,
+                ..GpWarmStart::default()
             }, // non-positive point
             GpWarmStart {
                 x: vec![1.0, 1.0],
                 t: f64::NAN,
+                ..GpWarmStart::default()
             }, // non-finite t
             GpWarmStart {
                 x: vec![1.0, 1.0],
                 t: 0.5,
+                ..GpWarmStart::default()
             }, // t below t0
         ];
         for hint in &bad_hints {
             let sol = gp.solve_warm(&[0.2, 1.5], Some(hint)).unwrap();
             // The hint is rejected up front, so the solve is the cold solve.
-            assert_eq!(sol.x, cold.x, "hint {hint:?} was not ignored");
-            assert_eq!(sol.outer_iterations, cold.outer_iterations);
+            assert_eq!(sol, cold, "hint {hint:?} was not ignored");
         }
     }
 
