@@ -133,6 +133,10 @@ fn main() {
     let mut total_acked = 0u64;
     let mut total_freezes = 0u64;
     let mut total_partial = 0u64;
+    // Seeds on which a primary's audit caught a standby's fingerprint
+    // disagreeing with its own: the sweep must prove detection, not only
+    // agreement.
+    let mut divergences_detected = 0u64;
     let mut class_histogram: BTreeMap<String, u64> = BTreeMap::new();
     let mut hash_of_hashes: u64 = 0xCBF2_9CE4_8422_2325;
 
@@ -142,6 +146,13 @@ fn main() {
         total_acked += outcome.acked_events;
         total_freezes += outcome.quorum_freezes;
         total_partial += outcome.partial_rounds;
+        if outcome
+            .trace
+            .iter()
+            .any(|l| l.contains("divergence detected"))
+        {
+            divergences_detected += 1;
+        }
         for class in &outcome.classes {
             *class_histogram.entry(class.clone()).or_insert(0) += 1;
         }
@@ -209,6 +220,10 @@ fn main() {
         ("acked_events", Value::from_u64(total_acked)),
         ("quorum_freezes", Value::from_u64(total_freezes)),
         ("partial_rounds", Value::from_u64(total_partial)),
+        (
+            "divergences_detected",
+            Value::from_u64(divergences_detected),
+        ),
         ("classes", classes),
         (
             "fleet_trace_hash",
@@ -226,12 +241,13 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "dst_sweep: {} seeds, {} sim events ({:.0}/s), {} acked, {} freezes, {} violation(s) -> {}",
+        "dst_sweep: {} seeds, {} sim events ({:.0}/s), {} acked, {} freezes, {} divergence(s) caught, {} violation(s) -> {}",
         seeds.len(),
         total_events,
         events_per_sec,
         total_acked,
         total_freezes,
+        divergences_detected,
         total_violations,
         args.out
     );

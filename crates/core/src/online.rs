@@ -19,9 +19,15 @@
 //! observations (`O(m R^2)`). [`OnlineEstimator::with_window`] bounds the
 //! design to a sliding window by downdating the oldest row as new ones
 //! arrive, so long-lived agents track drifting workloads at constant cost.
+//!
+//! The estimator also carries a running 64-bit *digest* of its log
+//! ([`OnlineEstimator::log_digest`]), extended in `O(R)` per observation,
+//! so a replica can prove it holds the same log as its peer without
+//! either side re-reading a history that only ever grows.
 
 use ref_solver::update::UpdatableLstsq;
 
+use crate::digest;
 use crate::error::{CoreError, Result};
 use crate::fitting::FitPoint;
 use crate::utility::CobbDouglas;
@@ -52,6 +58,9 @@ use crate::utility::CobbDouglas;
 pub struct OnlineEstimator {
     num_resources: usize,
     observations: Vec<FitPoint>,
+    /// [`OnlineEstimator::digest_of`] `observations`, maintained as they
+    /// arrive (the field is private so nothing else can move the log).
+    log_digest: u64,
     /// Updatable triangular factor of the log-design `[1, ln x_1..ln x_R]`
     /// with response `ln u`; mirrors `observations` row for row.
     triangle: UpdatableLstsq,
@@ -83,6 +92,7 @@ impl OnlineEstimator {
         Ok(OnlineEstimator {
             num_resources,
             observations: Vec::new(),
+            log_digest: digest::SEED,
             triangle: UpdatableLstsq::new(num_resources + 1),
             window: None,
             current: prior,
@@ -156,6 +166,34 @@ impl OnlineEstimator {
     /// Number of accumulated observations.
     pub fn num_observations(&self) -> usize {
         self.observations.len()
+    }
+
+    /// A 64-bit digest of [`OnlineEstimator::observations`]: every bit of
+    /// every observation, in arrival order. Always equal to
+    /// [`OnlineEstimator::digest_of`] the current log, but read in `O(1)`:
+    /// [`OnlineEstimator::observe`] extends it by the new row alone.
+    pub fn log_digest(&self) -> u64 {
+        self.log_digest
+    }
+
+    /// The digest of an observation log, computed from scratch: what
+    /// [`OnlineEstimator::log_digest`] reports for an estimator holding
+    /// exactly `observations`. Changing one value — by as little as one
+    /// bit — always changes it; reordering, dropping or adding rows does
+    /// unless 64 bits collide (see [`digest::mix`]). The value is only
+    /// comparable between builds that share this definition.
+    pub fn digest_of(observations: &[FitPoint]) -> u64 {
+        observations.iter().fold(digest::SEED, Self::extend_digest)
+    }
+
+    /// One observation's step: the output's bits, then each input's.
+    fn extend_digest(log_digest: u64, point: &FitPoint) -> u64 {
+        point
+            .inputs
+            .iter()
+            .fold(digest::mix(log_digest, point.output.to_bits()), |d, x| {
+                digest::mix(d, x.to_bits())
+            })
     }
 
     /// Number of successful refits so far.
@@ -237,10 +275,15 @@ impl OnlineEstimator {
         self.triangle
             .append(&Self::log_row(&point), point.output.ln())
             .expect("validated observation rows are finite");
+        self.log_digest = Self::extend_digest(self.log_digest, &point);
         self.observations.push(point);
         if let Some(window) = self.window {
             if self.observations.len() > window {
                 let evicted = self.observations.remove(0);
+                // A running digest cannot forget its oldest row; an
+                // eviction re-digests the survivors, `O(window · R)`
+                // beside the `O(window)` shift `remove(0)` already costs.
+                self.log_digest = Self::digest_of(&self.observations);
                 if self
                     .triangle
                     .downdate(&Self::log_row(&evicted), evicted.output.ln())
@@ -509,6 +552,72 @@ mod tests {
             );
         }
         assert!((bounded.utility().scale() - suffix.utility().scale()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn log_digest_tracks_the_surviving_rows_across_evictions() {
+        // The middle of the stream repeats one allocation, so evicting
+        // the last distinct row leaves a collinear design: that downdate
+        // is refused and the factor rebuilt. The digest must describe
+        // the surviving rows either way.
+        let window = 5;
+        let mut unbounded = OnlineEstimator::new(2).unwrap();
+        let mut bounded = OnlineEstimator::with_window(2, window).unwrap();
+        assert_eq!(bounded.log_digest(), OnlineEstimator::digest_of(&[]));
+        let mut digests = vec![bounded.log_digest()];
+        for i in 0..30_u32 {
+            let (x, y) = if (8..16).contains(&i) {
+                (2.0, 3.0)
+            } else {
+                (1.0 + f64::from(i % 5) * 1.3, 0.5 + f64::from(i % 4) * 0.9)
+            };
+            let perf = x.powf(0.6) * y.powf(0.3) * (1.0 + f64::from(i) * 1e-3);
+            unbounded.observe(vec![x, y], perf).unwrap();
+            bounded.observe(vec![x, y], perf).unwrap();
+            for est in [&unbounded, &bounded] {
+                let replayed = OnlineEstimator::from_observations(2, est.observations()).unwrap();
+                assert_eq!(est.log_digest(), replayed.log_digest(), "step {i}");
+                assert_eq!(
+                    est.log_digest(),
+                    OnlineEstimator::digest_of(est.observations())
+                );
+            }
+            let all = unbounded.observations();
+            assert_eq!(
+                bounded.observations(),
+                &all[all.len().saturating_sub(window)..]
+            );
+            digests.push(bounded.log_digest());
+        }
+        // Every step moved the digest, and no two logs shared one.
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), 31);
+    }
+
+    #[test]
+    fn log_digest_sees_every_bit_and_the_order() {
+        let points = [
+            FitPoint::new(vec![1.0, 2.0], 3.0).unwrap(),
+            FitPoint::new(vec![2.0, 1.0], 3.5).unwrap(),
+            FitPoint::new(vec![4.0, 0.5], 2.0).unwrap(),
+        ];
+        let base = OnlineEstimator::digest_of(&points);
+        for at in 0..points.len() {
+            for field in 0..3 {
+                let mut other = points.clone();
+                let value = match field {
+                    0 => &mut other[at].output,
+                    f => &mut other[at].inputs[f - 1],
+                };
+                *value = f64::from_bits(value.to_bits() ^ 1);
+                assert_ne!(OnlineEstimator::digest_of(&other), base, "{at}/{field}");
+            }
+        }
+        let mut swapped = points.clone();
+        swapped.swap(0, 2);
+        assert_ne!(OnlineEstimator::digest_of(&swapped), base);
+        assert_ne!(OnlineEstimator::digest_of(&points[..2]), base);
     }
 
     #[test]

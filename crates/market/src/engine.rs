@@ -42,6 +42,7 @@ use ref_workloads::profiles::by_name;
 
 use crate::agent::{AgentId, AgentState, ObservationSource};
 use crate::audit::Auditor;
+use crate::digest::{self, AgentDigest, Sections, StateHasher};
 use crate::epoch::{EnforcementSummary, EpochReport, ReallocationOutcome};
 use crate::error::{MarketError, Result};
 use crate::events::{EventQueue, MarketEvent};
@@ -972,12 +973,40 @@ impl MarketEngine {
         }
     }
 
-    /// The [`MarketSnapshot::fingerprint`] of the current state — a
-    /// cheap-to-compare 64-bit digest of the full serialized market.
-    /// Bit-identical replicas agree; any divergence (one event skipped,
-    /// one float perturbed) disagrees with overwhelming probability.
+    /// A 64-bit digest of the full market state — everything
+    /// [`MarketEngine::snapshot`] would serialize — equal to that
+    /// snapshot's [`MarketSnapshot::fingerprint`]. Bit-identical replicas
+    /// agree; any divergence (one event skipped, one float perturbed)
+    /// disagrees with overwhelming probability.
+    ///
+    /// Costs `O(live agents × resources)` however long the market has
+    /// run: each agent's observation log enters through the running
+    /// digest its estimator maintains, not by being re-read.
     pub fn state_fingerprint(&self) -> u64 {
-        self.snapshot().fingerprint()
+        self.state_hasher().finish()
+    }
+
+    fn state_hasher(&self) -> StateHasher {
+        digest::fingerprint(
+            &Sections {
+                version: SNAPSHOT_VERSION,
+                config: &self.config,
+                epoch: self.epoch,
+                stable_since: self.stable_since,
+                auditor: &self.auditor,
+                metrics: &self.metrics,
+                cache: self.cache.as_ref(),
+                warm: &self.warm,
+                ledger: &self.ledger,
+            },
+            self.population.values().map(|a| AgentDigest {
+                id: a.id,
+                joined_epoch: a.joined_epoch,
+                source: &a.source,
+                observations: a.estimator.num_observations(),
+                log_digest: a.estimator.log_digest(),
+            }),
+        )
     }
 
     /// Rebuilds a market from a snapshot.
@@ -1867,5 +1896,52 @@ mod tests {
                 assert_eq!(x.get(r).to_bits(), y.get(r).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn state_fingerprint_work_does_not_grow_with_history() {
+        // The same 128 agents with 10 and with 10,000 observations each,
+        // one epoch run on both so the cache and the ledger are
+        // populated. Work is counted in words fed to the hasher, the
+        // only thing the fingerprint does, so the assertion is exact.
+        let market_with = |observations: u32| {
+            let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
+            let mut market = MarketEngine::new(config).unwrap();
+            for id in 0..128 {
+                market
+                    .apply_now(MarketEvent::AgentJoined {
+                        id,
+                        source: ObservationSource::External,
+                    })
+                    .unwrap();
+                for i in 0..observations {
+                    let x = 1.0 + f64::from(i % 7) * 0.9;
+                    let y = 0.5 + f64::from(i % 5) * 1.1;
+                    market
+                        .apply_now(MarketEvent::ObservationReported {
+                            id,
+                            allocation: vec![x, y],
+                            performance: x.powf(0.6) * y.powf(0.4) + f64::from(i) * 1e-7,
+                        })
+                        .unwrap();
+                }
+            }
+            market.apply_now(MarketEvent::EpochTick).unwrap();
+            market
+        };
+        let (short, long) = (market_with(10), market_with(10_000));
+        assert_eq!(
+            long.agent(127).unwrap().estimator.num_observations(),
+            10_000
+        );
+        assert_eq!(
+            short.state_hasher().words(),
+            long.state_hasher().words(),
+            "fingerprint work depends on how many observations the logs hold"
+        );
+        assert!(short.state_hasher().words() < 128 * 64);
+        // Cheap, and still a digest of all of it.
+        assert_ne!(short.state_fingerprint(), long.state_fingerprint());
+        assert_eq!(long.state_fingerprint(), long.snapshot().fingerprint());
     }
 }

@@ -90,6 +90,7 @@
 
 pub mod agent;
 pub mod audit;
+mod digest;
 pub mod engine;
 pub mod epoch;
 pub mod error;

@@ -18,11 +18,13 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use ref_core::fitting::FitPoint;
+use ref_core::online::OnlineEstimator;
 use ref_core::resource::{Allocation, Bundle, Capacity};
 use ref_core::utility::CobbDouglas;
 
 use crate::agent::{AgentId, ObservationSource};
 use crate::audit::Auditor;
+use crate::digest::{self, AgentDigest, Sections};
 use crate::engine::{Fingerprint, MarketConfig, MechanismKind};
 use crate::error::{MarketError, Result};
 use crate::ledger::{CreditLedger, LedgerEntry};
@@ -92,17 +94,6 @@ pub struct MarketSnapshot {
 
 fn hex(x: f64) -> String {
     format!("{:016x}", x.to_bits())
-}
-
-/// 64-bit FNV-1a over `bytes` (offset basis 0xcbf29ce484222325,
-/// prime 0x100000001b3).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn push_hexes(line: &mut String, values: &[f64]) {
@@ -259,15 +250,38 @@ impl MarketSnapshot {
         out
     }
 
-    /// A 64-bit FNV-1a fingerprint of the encoded snapshot text.
+    /// A 64-bit digest of everything [`MarketSnapshot::encode`] writes,
+    /// computed from the fields themselves (no text is produced).
     ///
     /// Two engines whose histories diverged — even by one bit of one
     /// `f64` — produce different fingerprints with overwhelming
-    /// probability, while bit-identical replicas always agree. Used by
-    /// the replication layer to detect standby divergence per epoch
-    /// without shipping full snapshots.
+    /// probability, while bit-identical replicas always agree. Equal to
+    /// [`MarketEngine::state_fingerprint`](crate::engine::MarketEngine::state_fingerprint)
+    /// of the engine the snapshot was taken from (and of one restored
+    /// from it), which gets there without re-reading any observation
+    /// log; this one digests every log from scratch.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a64(self.encode().as_bytes())
+        digest::fingerprint(
+            &Sections {
+                version: self.version,
+                config: &self.config,
+                epoch: self.epoch,
+                stable_since: self.stable_since,
+                auditor: &self.auditor,
+                metrics: &self.metrics,
+                cache: self.cache.as_ref(),
+                warm: &self.warm,
+                ledger: &self.ledger,
+            },
+            self.agents.iter().map(|a| AgentDigest {
+                id: a.id,
+                joined_epoch: a.joined_epoch,
+                source: &a.source,
+                observations: a.observations.len(),
+                log_digest: OnlineEstimator::digest_of(&a.observations),
+            }),
+        )
+        .finish()
     }
 
     /// Parses a snapshot from the text wire format.

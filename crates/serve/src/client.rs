@@ -18,11 +18,12 @@
 //! rejected, duplicate observations only add weight).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::json::Value;
+use crate::protocol::write_line;
 use crate::router::TermFloor;
 
 /// Retry policy for [`Client::call_with`].
@@ -178,6 +179,10 @@ impl ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Staging for the outgoing line ([`write_line`]) and the incoming
+    /// one, kept across calls so a request allocates neither.
+    outgoing: Vec<u8>,
+    incoming: String,
     /// The address of the current connection.
     current: String,
     /// Alternative node addresses for failover (may be empty).
@@ -208,6 +213,8 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
+            outgoing: Vec::new(),
+            incoming: String::new(),
             current,
             seeds: Vec::new(),
             leader_hints: HashMap::new(),
@@ -332,16 +339,15 @@ impl Client {
     /// [`ClientError::Io`] on connection failure, [`ClientError::Protocol`]
     /// if the reply line is not valid JSON.
     pub fn call_line(&mut self, line: &str) -> Result<Value, ClientError> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
+        write_line(&mut self.writer, &mut self.outgoing, line)?;
+        self.incoming.clear();
+        if self.reader.read_line(&mut self.incoming)? == 0 {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             )));
         }
-        Value::parse(reply.trim_end()).map_err(|e| ClientError::Protocol(e.to_string()))
+        Value::parse(self.incoming.trim_end()).map_err(|e| ClientError::Protocol(e.to_string()))
     }
 
     /// Sends one request value and returns the reply, turning
@@ -740,9 +746,9 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut writer = stream.try_clone().unwrap();
                     let mut reader = BufReader::new(stream);
-                    let mut line = String::new();
+                    let (mut line, mut out) = (String::new(), Vec::new());
                     while reader.read_line(&mut line).unwrap_or(0) > 0 {
-                        if writeln!(writer, "{canned}").is_err() || writer.flush().is_err() {
+                        if write_line(&mut writer, &mut out, canned).is_err() {
                             return;
                         }
                         line.clear();

@@ -8,7 +8,7 @@
 //! uses Rust's shortest round-trip `Display`, so a value that survives an
 //! encode → decode cycle is bit-identical.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +116,7 @@ impl Value {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(x) => {
                 if x.is_finite() {
-                    out.push_str(&format!("{x}"));
+                    let _ = write!(out, "{x}");
                 } else {
                     out.push_str("null");
                 }
@@ -180,7 +180,7 @@ fn write_string(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

@@ -32,10 +32,37 @@
 //! per class: a flood of cheap `query`s cannot crowd out `observe`s, and
 //! vice versa.
 
+use std::io::{self, Write};
+
 use ref_core::utility::CobbDouglas;
 use ref_market::{AgentId, MarketEvent, ObservationSource};
 
 use crate::json::Value;
+
+/// Longest request line the server reads, newline excluded: over 10,000
+/// times a typical request and well past any legitimate one (requests
+/// carry a handful of numbers; the large messages are *replies*). A
+/// connection that sends more without a newline is answered `protocol`
+/// / "request line too long" and closed, so one peer cannot grow the
+/// server's memory without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Sends one protocol message: `message` and its newline in a single
+/// `write_all`, staged in `buf` (the connection's reusable buffer).
+///
+/// `writeln!` straight onto a socket issues one `write` for the payload
+/// and a second for the `"\n"` — two syscalls and, under `TCP_NODELAY`,
+/// two segments per message.
+///
+/// # Errors
+///
+/// Whatever the writer reports.
+pub fn write_line(writer: &mut impl Write, buf: &mut Vec<u8>, message: &str) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(message.as_bytes());
+    buf.push(b'\n');
+    writer.write_all(buf)
+}
 
 /// Admission class of a request, used for per-class queue quotas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -566,6 +593,29 @@ mod tests {
             let back = value_to_event(&value).unwrap_or_else(|e| panic!("{value}: {e}"));
             assert_eq!(back, event, "{value}");
         }
+    }
+
+    #[test]
+    fn a_message_is_one_write() {
+        /// Counts `write` calls; accepts everything it is handed.
+        struct Counting(Vec<Vec<u8>>);
+        impl Write for Counting {
+            fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+                self.0.push(bytes.to_vec());
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let (mut sink, mut buf) = (Counting(Vec::new()), Vec::new());
+        write_line(&mut sink, &mut buf, r#"{"op":"tick"}"#).unwrap();
+        write_line(&mut sink, &mut buf, "").unwrap();
+        write_line(&mut sink, &mut buf, &"x".repeat(100_000)).unwrap();
+        assert_eq!(sink.0.len(), 3, "one write per message");
+        assert_eq!(sink.0[0], b"{\"op\":\"tick\"}\n");
+        assert_eq!(sink.0[1], b"\n");
+        assert_eq!(sink.0[2].len(), 100_001);
     }
 
     #[test]

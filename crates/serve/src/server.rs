@@ -39,7 +39,7 @@
 //! complete, byte-for-byte replayable history. With one shard (the
 //! default) the wire behavior is exactly the unsharded server's.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -56,7 +56,8 @@ use crate::fault::FaultPlan;
 use crate::json::Value;
 use crate::metrics::{ServeMetrics, ServeMetricsSnapshot};
 use crate::protocol::{
-    error_response, ok_response, parse_request, shard_unavailable_response, Envelope, Request,
+    error_response, ok_response, parse_request, shard_unavailable_response, write_line, Envelope,
+    Request, MAX_REQUEST_LINE,
 };
 use crate::repl::{
     fence_notify, repl_acceptor_loop, standby_loop, ReplCommand, ReplConfig, ReplShared, Role,
@@ -990,15 +991,12 @@ fn acceptor_loop(
                 if router.open_connections.load(Ordering::SeqCst) >= config.max_connections {
                     ServeMetrics::bump(&router.metrics().rejected_overload);
                     let mut stream = stream;
-                    let _ = writeln!(
-                        stream,
-                        "{}",
-                        error_response(
-                            "overloaded",
-                            Some("connection limit reached"),
-                            Some(config.retry_after_ms),
-                        )
+                    let bounce = error_response(
+                        "overloaded",
+                        Some("connection limit reached"),
+                        Some(config.retry_after_ms),
                     );
+                    let _ = write_line(&mut stream, &mut Vec::new(), &bounce.encode());
                     continue;
                 }
                 router.open_connections.fetch_add(1, Ordering::SeqCst);
@@ -1059,26 +1057,23 @@ fn reap_finished_readers(readers: &Mutex<Vec<JoinHandle<()>>>) {
 fn reader_loop(stream: TcpStream, router: &Arc<Router>, config: &ServeConfig) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let mut writer = write_half;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    let mut out = Vec::new();
     loop {
-        // `read_line` appends, so bytes delivered before a read timeout
+        // `read_until` appends, so bytes delivered before a read timeout
         // stay in `line` and the next pass resumes the same line; `line`
-        // is only cleared once a complete line has been processed.
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                // EOF; a final unterminated line is still one request.
-                if !line.trim().is_empty() {
-                    let response = dispatch(&line, router, config);
-                    let _ = writeln!(writer, "{response}");
-                    let _ = writer.flush();
-                }
-                return;
-            }
+        // is only cleared once a complete line has been processed. The
+        // `take` stops one byte past the cap, which is all the proof an
+        // over-long line needs.
+        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            // EOF with nothing pending; after an unterminated final line
+            // (still one request) this is the pass that follows it.
+            Ok(0) => return,
             Ok(_) => {}
             Err(e)
                 if matches!(
@@ -1093,13 +1088,27 @@ fn reader_loop(stream: TcpStream, router: &Arc<Router>, config: &ServeConfig) {
             }
             Err(_) => return,
         }
-        if line.trim().is_empty() {
-            line.clear();
-            continue;
-        }
-        let response = dispatch(&line, router, config);
-        if writeln!(writer, "{response}").is_err() || writer.flush().is_err() {
+        if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            ServeMetrics::bump(&router.metrics().protocol_errors);
+            let response = error_response("protocol", Some("request line too long"), None);
+            let _ = write_line(&mut writer, &mut out, &response.encode());
+            // Say goodbye first, then discard (a bounded amount of) what
+            // the peer already sent: closing over unread input resets the
+            // connection, and a reset may overtake the reply.
+            let _ = writer.shutdown(std::net::Shutdown::Write);
+            let mut rest = (&mut reader).take(16 * MAX_REQUEST_LINE as u64);
+            let _ = std::io::copy(&mut rest, &mut std::io::sink());
             return;
+        }
+        // Not text: nothing to parse and nothing to say.
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return;
+        };
+        if !text.trim().is_empty() {
+            let response = dispatch(text, router, config);
+            if write_line(&mut writer, &mut out, &response.encode()).is_err() {
+                return;
+            }
         }
         line.clear();
     }
@@ -2088,6 +2097,8 @@ fn handle_repl_command(
 
 #[cfg(test)]
 mod tests {
+    use std::io::Write;
+
     use super::*;
     use crate::client::Client;
     use ref_core::resource::Capacity;
@@ -2254,6 +2265,51 @@ mod tests {
         let report = server.shutdown();
         assert_eq!(report.metrics.protocol_errors, 0);
         assert_eq!(report.metrics.epochs, 1);
+    }
+
+    #[test]
+    fn an_endless_request_line_is_refused_at_the_cap_and_closed() {
+        // A peer that never sends a newline must not grow the server's
+        // memory without bound: at the cap it gets the typed error and a
+        // clean close, and nobody else notices.
+        let server = Server::start("127.0.0.1:0", tick_on_demand_config()).unwrap();
+        let mut hostile = TcpStream::connect(server.addr()).unwrap();
+        // The writer may be cut off once the server has seen enough.
+        let mut writer = hostile.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let chunk = vec![b'a'; 64 * 1024];
+            for _ in 0..(2 * MAX_REQUEST_LINE / chunk.len()) {
+                if writer.write_all(&chunk).is_err() {
+                    return;
+                }
+            }
+        });
+        let mut replies = String::new();
+        hostile.read_to_string(&mut replies).expect("a clean close");
+        flood.join().unwrap();
+        let mut lines = replies.lines();
+        let reply = Value::parse(lines.next().expect("one reply before the close")).unwrap();
+        assert_eq!(reply.get("error").and_then(Value::as_str), Some("protocol"));
+        assert_eq!(
+            reply.get("detail").and_then(Value::as_str),
+            Some("request line too long")
+        );
+        assert_eq!(lines.next(), None);
+
+        // A line of exactly the cap is still a request (a malformed one
+        // here), and the connection survives it.
+        let mut client = Client::connect(server.addr()).unwrap();
+        let reply = client.call_line(&"b".repeat(MAX_REQUEST_LINE)).unwrap();
+        assert_eq!(reply.get("error").and_then(Value::as_str), Some("protocol"));
+        assert_ne!(
+            reply.get("detail").and_then(Value::as_str),
+            Some("request line too long")
+        );
+        client.join_external(1).unwrap();
+        let report = server.shutdown();
+        assert_eq!(report.metrics.protocol_errors, 2);
+        assert_eq!(report.metrics.reader_panics, 0);
+        assert_eq!(report.journal.len(), 1);
     }
 
     #[test]

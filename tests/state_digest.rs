@@ -1,0 +1,140 @@
+//! The per-epoch replication audit, end to end and without sockets: a
+//! primary and a standby [`ServiceCore`] fed the same records agree on
+//! every epoch's state fingerprint, a standby that silently skips one
+//! record disagrees from that epoch on, and the [`ReplCore`] pair turns
+//! exactly that disagreement into a `diverged` verdict. The digest's own
+//! properties are tested beside it in `ref-market`; this scenario runs
+//! in tier-1 so `cargo test -q` fails when the audit stops detecting.
+
+use std::time::Duration;
+
+use ref_fairness::core::resource::Capacity;
+use ref_fairness::market::{MarketConfig, MarketSnapshot};
+use ref_fairness::serve::repl::parse_message;
+use ref_fairness::serve::repl_core::Ack;
+use ref_fairness::serve::{
+    decode_frame, parse_request, FaultPlan, FrameDecode, JournalLimit, ReplApply, ReplConfig,
+    ReplCore, Request, ServeMetrics, ServiceCore, Value,
+};
+
+/// Joins, measurements for the external agent, a demand change, a
+/// departure and ten ticks. The last event of the script is a tick.
+fn script() -> Vec<String> {
+    let mut lines = vec![
+        r#"{"op":"join","agent":1,"source":{"kind":"truth","elasticities":[0.6,0.4]}}"#.to_string(),
+        r#"{"op":"join","agent":2,"source":{"kind":"truth","elasticities":[0.2,0.8]}}"#.to_string(),
+        r#"{"op":"join","agent":3,"source":{"kind":"external"}}"#.to_string(),
+    ];
+    for round in 0..10_u32 {
+        let (x, y) = (1.0 + f64::from(round % 4), 0.5 + f64::from(round % 3));
+        lines.push(format!(
+            r#"{{"op":"observe","agent":3,"allocation":[{x},{y}],"performance":{}}}"#,
+            x.powf(0.7) * y.powf(0.3)
+        ));
+        if round == 4 {
+            lines.push(r#"{"op":"demand","agent":1}"#.to_string());
+        }
+        if round == 7 {
+            lines.push(r#"{"op":"leave","agent":2}"#.to_string());
+        }
+        lines.push(r#"{"op":"tick"}"#.to_string());
+    }
+    lines
+}
+
+fn core(faults: FaultPlan) -> ServiceCore {
+    let market = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
+    ServiceCore::new(market, JournalLimit(1 << 16))
+        .unwrap()
+        .with_faults(faults)
+}
+
+fn unframe(frame: &[u8]) -> Value {
+    let FrameDecode::Complete { payload, .. } = decode_frame(frame) else {
+        panic!("a core emitted a frame that does not decode");
+    };
+    parse_message(&payload).expect("a core emitted a frame that does not parse")
+}
+
+/// Runs the script through a primary and a standby built with `faults`;
+/// returns, per tick, whether the standby's fingerprint matched and the
+/// verdict the primary's [`ReplCore`] reached on the standby's ack.
+fn replicate(faults: FaultPlan) -> Vec<(bool, Ack)> {
+    let metrics = ServeMetrics::default();
+    let (mut primary, mut standby) = (core(FaultPlan::none()), core(faults));
+    let mut audit = ReplCore::new(&ReplConfig::primary("p:repl"), 42, 0, 0, Duration::ZERO);
+    let mut acker = ReplCore::new(
+        &ReplConfig::standby("s:repl", "p:repl"),
+        43,
+        0,
+        0,
+        Duration::ZERO,
+    );
+    let mut ticks = Vec::new();
+    for line in script() {
+        let request = parse_request(&line).unwrap().request;
+        let event = request.to_event().expect("the script only mutates");
+        let seq = primary.events_applied();
+        let reply = primary.handle(&request, &metrics);
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{line}: {reply}");
+        let ReplApply::Applied { epoch_fp } = standby.apply_repl(seq, event, &metrics) else {
+            panic!("the standby applies an in-order record");
+        };
+        let is_tick = matches!(request, Request::Tick);
+        assert_eq!(
+            epoch_fp.is_some(),
+            is_tick,
+            "acks carry a fingerprint per epoch"
+        );
+        let Some(got) = epoch_fp else { continue };
+        let want = (
+            primary.engine().epoch(),
+            primary.engine().state_fingerprint(),
+        );
+        let have = primary.events_applied();
+        audit.push_epoch_fp(have, want.0, want.1);
+        let verdict = audit.on_ack(&unframe(&acker.ack(have, Some(got))));
+        ticks.push((got == want, verdict));
+    }
+    // Whatever the standby holds, the fingerprint describes it: the
+    // incremental digest and the from-scratch one over its snapshot.
+    for node in [&primary, &standby] {
+        let snapshot = MarketSnapshot::decode(&node.final_snapshot()).unwrap();
+        assert_eq!(snapshot.fingerprint(), node.engine().state_fingerprint());
+    }
+    ticks
+}
+
+#[test]
+fn replicas_fed_the_same_records_agree_on_every_epoch() {
+    let ticks = replicate(FaultPlan::none());
+    assert_eq!(ticks.len(), 10);
+    for (epoch, (agreed, verdict)) in ticks.iter().enumerate() {
+        assert!(agreed, "epoch {epoch}: bit-identical replicas disagree");
+        assert!(
+            matches!(verdict, Ack::Progress(_)),
+            "epoch {epoch}: {verdict:?}"
+        );
+    }
+}
+
+#[test]
+fn a_standby_that_skips_one_record_disagrees_from_that_epoch_on() {
+    // Record 7 is the observation of the third round (3 joins, then
+    // observe + tick per round): ticks 0 and 1 are clean, tick 2 and
+    // everything after it audits a standby that is one observation short.
+    let ticks = replicate(FaultPlan {
+        corrupt_standby_at: Some(7),
+        ..FaultPlan::none()
+    });
+    assert_eq!(ticks.len(), 10);
+    for (epoch, (agreed, verdict)) in ticks.iter().enumerate() {
+        if epoch < 2 {
+            assert!(agreed, "epoch {epoch} precedes the skipped record");
+            assert!(matches!(verdict, Ack::Progress(_)), "{verdict:?}");
+        } else {
+            assert!(!agreed, "epoch {epoch}: the skipped record went unnoticed");
+            assert!(matches!(verdict, Ack::Diverged { .. }), "{verdict:?}");
+        }
+    }
+}
