@@ -1,37 +1,46 @@
-//! The bounded MPSC event bus between connection readers and the ticker.
+//! Per-shard admission control and the queue of work pushed to the shard
+//! thread.
 //!
-//! A single global FIFO preserves cross-client arrival order (the engine's
-//! determinism contract needs one total order), while **per-class quotas**
-//! bound each admission class independently: a flood of `query`s can fill
-//! the query quota and start bouncing, but `observe` and control traffic
-//! keep flowing until their own quotas fill. Rejection is immediate and
-//! explicit — `try_send` never blocks — so backpressure surfaces to the
-//! client as an `overloaded` response with a `retry_after_ms` hint rather
-//! than as unbounded queueing or silent drops.
+//! A client request is served to completion on the connection thread that
+//! read it, so there is no queue of client requests any more. What is left
+//! of one is its bound: [`Bus::admit`] counts the requests that are *in
+//! flight* — admitted and not yet answered: waiting for the shard lock,
+//! being served, or having their reply written — per admission class,
+//! and refuses the one that would exceed its class quota.
+//! A flood of `query`s fills the query quota and starts bouncing while
+//! `observe` and control traffic keep flowing until their own quotas fill.
+//! Rejection is immediate and explicit — `admit` never blocks — so
+//! backpressure surfaces to the client as an `overloaded` response with a
+//! `retry_after_ms` hint rather than as unbounded waiting or silent drops.
+//!
+//! The queue that remains carries what is *pushed* to the shard's own
+//! thread from inside the server — fanned ticks and inspections, journaled
+//! reallotments, probes, `shutdown` — in FIFO order and exempt from the
+//! quotas: [`Bus::push`], [`Bus::wait`], [`Bus::drain`].
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::protocol::{Class, NUM_CLASSES};
 
-/// Why an item was not admitted.
+/// Why a request was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendError {
-    /// The item's class quota is exhausted; retry after the hint.
+    /// The request's class quota is exhausted; retry after the hint.
     Full(Class),
     /// The bus is closed (server shutting down).
     Closed,
 }
 
-/// Per-class queue quotas.
+/// Per-class quotas of in-flight requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quotas {
-    /// Maximum queued `Control` items.
+    /// Maximum in-flight `Control` requests.
     pub control: usize,
-    /// Maximum queued `Observe` items.
+    /// Maximum in-flight `Observe` requests.
     pub observe: usize,
-    /// Maximum queued `Query` items.
+    /// Maximum in-flight `Query` requests.
     pub query: usize,
 }
 
@@ -56,13 +65,19 @@ impl Default for Quotas {
 }
 
 struct BusState<T> {
-    queue: VecDeque<(Class, T)>,
-    counts: [usize; NUM_CLASSES],
+    queue: VecDeque<T>,
+    in_flight: [usize; NUM_CLASSES],
     closed: bool,
     depth_max: usize,
 }
 
-/// A bounded multi-producer single-consumer queue with class quotas.
+impl<T> BusState<T> {
+    fn depth(&self) -> usize {
+        self.queue.len() + self.in_flight.iter().sum::<usize>()
+    }
+}
+
+/// The in-flight admission guard and pushed-work queue of one shard.
 pub struct Bus<T> {
     state: Mutex<BusState<T>>,
     available: Condvar,
@@ -75,13 +90,34 @@ impl<T> std::fmt::Debug for Bus<T> {
     }
 }
 
+/// One admitted request; dropping it ends the request's flight.
+pub struct Admitted<'a, T> {
+    bus: &'a Bus<T>,
+    class: Class,
+    /// The bus depth right after this admission (this request included).
+    pub depth: usize,
+}
+
+impl<T> Drop for Admitted<'_, T> {
+    fn drop(&mut self) {
+        let mut state = self.bus.state();
+        state.in_flight[self.class as usize] -= 1;
+        let drained = state.closed && state.depth() == 0;
+        drop(state);
+        if drained {
+            // The shard thread may be waiting for exactly this.
+            self.bus.available.notify_all();
+        }
+    }
+}
+
 impl<T> Bus<T> {
     /// Creates an open bus with the given quotas.
     pub fn new(quotas: Quotas) -> Bus<T> {
         Bus {
             state: Mutex::new(BusState {
                 queue: VecDeque::new(),
-                counts: [0; NUM_CLASSES],
+                in_flight: [0; NUM_CLASSES],
                 closed: false,
                 depth_max: 0,
             }),
@@ -90,99 +126,106 @@ impl<T> Bus<T> {
         }
     }
 
+    fn state(&self) -> MutexGuard<'_, BusState<T>> {
+        self.state.lock().expect("bus lock poisoned")
+    }
+
     /// The configured quotas.
     pub fn quotas(&self) -> Quotas {
         self.quotas
     }
 
-    /// Admits one item, or rejects immediately.
+    /// Admits one request of `class`, or rejects it immediately. The
+    /// request is in flight until the returned guard is dropped.
     ///
     /// # Errors
     ///
-    /// [`SendError::Full`] when the item's class quota is exhausted,
+    /// [`SendError::Full`] when the class quota is exhausted,
     /// [`SendError::Closed`] once [`Bus::close`] has been called.
-    pub fn try_send(&self, class: Class, item: T) -> Result<(), SendError> {
-        let mut state = self.state.lock().expect("bus lock poisoned");
+    pub fn admit(&self, class: Class) -> Result<Admitted<'_, T>, SendError> {
+        let mut state = self.state();
         if state.closed {
             return Err(SendError::Closed);
         }
-        if state.counts[class as usize] >= self.quotas.limit(class) {
+        if state.in_flight[class as usize] >= self.quotas.limit(class) {
             return Err(SendError::Full(class));
         }
-        state.counts[class as usize] += 1;
-        state.queue.push_back((class, item));
-        state.depth_max = state.depth_max.max(state.queue.len());
-        drop(state);
-        self.available.notify_one();
-        Ok(())
+        state.in_flight[class as usize] += 1;
+        let depth = state.depth();
+        state.depth_max = state.depth_max.max(depth);
+        Ok(Admitted {
+            bus: self,
+            class,
+            depth,
+        })
     }
 
-    /// Admits one item *bypassing its class quota* (still refused once
-    /// the bus is closed). Reserved for internal producers with their
-    /// own flow control — the replication puller is paced by TCP and by
-    /// the primary, so bouncing its records with `overloaded` would turn
-    /// backpressure into replica divergence. External client traffic
-    /// must keep using [`Bus::try_send`].
+    /// Queues one item for the shard thread, exempt from the quotas (still
+    /// refused once the bus is closed). Reserved for producers inside the
+    /// server: fleet-wide control must not be bounced by one shard's
+    /// backpressure. External client traffic goes through [`Bus::admit`].
     ///
     /// # Errors
     ///
     /// [`SendError::Closed`] once [`Bus::close`] has been called.
-    pub fn push(&self, class: Class, item: T) -> Result<(), SendError> {
-        let mut state = self.state.lock().expect("bus lock poisoned");
+    pub fn push(&self, item: T) -> Result<(), SendError> {
+        let mut state = self.state();
         if state.closed {
             return Err(SendError::Closed);
         }
-        state.counts[class as usize] += 1;
-        state.queue.push_back((class, item));
-        state.depth_max = state.depth_max.max(state.queue.len());
+        state.queue.push_back(item);
+        let depth = state.depth();
+        state.depth_max = state.depth_max.max(depth);
         drop(state);
         self.available.notify_one();
         Ok(())
     }
 
     /// Removes and returns every queued item in arrival order.
-    pub fn drain(&self) -> Vec<(Class, T)> {
-        let mut state = self.state.lock().expect("bus lock poisoned");
-        state.counts = [0; NUM_CLASSES];
-        state.queue.drain(..).collect()
+    pub fn drain(&self) -> Vec<T> {
+        self.state().queue.drain(..).collect()
     }
 
-    /// Blocks until the bus is non-empty, closed, or `timeout` elapses.
-    /// Returns `true` when items are (probably) available.
-    pub fn wait(&self, timeout: Duration) -> bool {
-        let state = self.state.lock().expect("bus lock poisoned");
-        if !state.queue.is_empty() || state.closed {
-            return !state.queue.is_empty();
+    /// Blocks until an item is queued, the bus is closed with nothing left
+    /// queued or in flight, [`Bus::wake`] is called, or `timeout` elapses.
+    pub fn wait(&self, timeout: Duration) {
+        let state = self.state();
+        if !state.queue.is_empty() || (state.closed && state.depth() == 0) {
+            return;
         }
-        let (state, _) = self
+        let _ = self
             .available
             .wait_timeout(state, timeout)
             .expect("bus lock poisoned");
-        !state.queue.is_empty()
     }
 
-    /// Closes the bus: subsequent `try_send`s fail with
-    /// [`SendError::Closed`]; already-queued items remain drainable.
+    /// Cuts a [`Bus::wait`] short, so its caller re-reads whatever it
+    /// schedules by.
+    pub fn wake(&self) {
+        self.available.notify_all();
+    }
+
+    /// Closes the bus: subsequent `admit`s and `push`es fail with
+    /// [`SendError::Closed`]; queued items remain drainable and requests
+    /// in flight finish.
     pub fn close(&self) {
-        let mut state = self.state.lock().expect("bus lock poisoned");
-        state.closed = true;
-        drop(state);
+        self.state().closed = true;
         self.available.notify_all();
     }
 
     /// Whether the bus is closed.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("bus lock poisoned").closed
+        self.state().closed
     }
 
-    /// Current queue depth.
+    /// Requests in flight plus items queued.
     pub fn depth(&self) -> usize {
-        self.state.lock().expect("bus lock poisoned").queue.len()
+        self.state().depth()
     }
 
-    /// High-water mark of the queue depth since creation.
+    /// High-water mark of the depth since creation.
     pub fn depth_max(&self) -> usize {
-        self.state.lock().expect("bus lock poisoned").depth_max
+        self.state().depth_max
     }
 }
 
@@ -192,13 +235,13 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn preserves_global_fifo_order_across_classes() {
+    fn pushed_items_drain_in_fifo_order() {
         let bus: Bus<u32> = Bus::new(Quotas::default());
-        bus.try_send(Class::Query, 1).unwrap();
-        bus.try_send(Class::Control, 2).unwrap();
-        bus.try_send(Class::Observe, 3).unwrap();
-        let drained: Vec<u32> = bus.drain().into_iter().map(|(_, x)| x).collect();
-        assert_eq!(drained, vec![1, 2, 3]);
+        for item in 1..=3 {
+            bus.push(item).unwrap();
+        }
+        assert_eq!(bus.depth(), 3);
+        assert_eq!(bus.drain(), vec![1, 2, 3]);
         assert_eq!(bus.depth(), 0);
         assert_eq!(bus.depth_max(), 3);
     }
@@ -210,23 +253,26 @@ mod tests {
             observe: 1,
             query: 1,
         });
-        bus.try_send(Class::Query, 0).unwrap();
+        let query = bus.admit(Class::Query).unwrap();
         // The query quota is exhausted; queries bounce with the class.
         assert_eq!(
-            bus.try_send(Class::Query, 1),
-            Err(SendError::Full(Class::Query))
+            bus.admit(Class::Query).err(),
+            Some(SendError::Full(Class::Query))
         );
         // Other classes are unaffected by the full query quota.
-        bus.try_send(Class::Observe, 2).unwrap();
-        bus.try_send(Class::Control, 3).unwrap();
-        bus.try_send(Class::Control, 4).unwrap();
+        let _observe = bus.admit(Class::Observe).unwrap();
+        let _first = bus.admit(Class::Control).unwrap();
+        let second = bus.admit(Class::Control).unwrap();
+        assert_eq!(second.depth, 4);
         assert_eq!(
-            bus.try_send(Class::Control, 5),
-            Err(SendError::Full(Class::Control))
+            bus.admit(Class::Control).err(),
+            Some(SendError::Full(Class::Control))
         );
-        // Draining resets every quota.
-        assert_eq!(bus.drain().len(), 4);
-        bus.try_send(Class::Query, 6).unwrap();
+        // A request that lands frees its slot, and only its own.
+        drop(query);
+        assert_eq!(bus.depth(), 3);
+        let _query = bus.admit(Class::Query).unwrap();
+        assert_eq!(bus.depth_max(), 4);
     }
 
     #[test]
@@ -236,62 +282,99 @@ mod tests {
             observe: 1,
             query: 1,
         });
-        bus.try_send(Class::Control, 1).unwrap();
-        assert_eq!(
-            bus.try_send(Class::Control, 2),
-            Err(SendError::Full(Class::Control))
-        );
-        bus.push(Class::Control, 3).unwrap();
-        assert_eq!(bus.drain().len(), 2);
+        let _held = bus.admit(Class::Control).unwrap();
+        assert!(bus.admit(Class::Control).is_err());
+        bus.push(3).unwrap();
+        assert_eq!(bus.drain().len(), 1);
         bus.close();
-        assert_eq!(bus.push(Class::Control, 4), Err(SendError::Closed));
+        assert_eq!(bus.push(4), Err(SendError::Closed));
     }
 
     #[test]
-    fn close_rejects_new_items_but_keeps_queued_ones() {
+    fn close_rejects_new_work_but_keeps_what_was_admitted() {
         let bus: Bus<u32> = Bus::new(Quotas::default());
-        bus.try_send(Class::Control, 1).unwrap();
+        bus.push(1).unwrap();
+        let held = bus.admit(Class::Observe).unwrap();
         bus.close();
-        assert_eq!(bus.try_send(Class::Control, 2), Err(SendError::Closed));
+        assert_eq!(bus.admit(Class::Control).err(), Some(SendError::Closed));
         assert!(bus.is_closed());
         assert_eq!(bus.drain().len(), 1);
+        assert_eq!(bus.depth(), 1);
+        drop(held);
+        assert_eq!(bus.depth(), 0);
     }
 
     #[test]
-    fn wait_wakes_on_send_and_expires_on_timeout() {
+    fn wait_wakes_on_push_and_expires_on_timeout() {
         let bus: Arc<Bus<u32>> = Arc::new(Bus::new(Quotas::default()));
-        assert!(!bus.wait(Duration::from_millis(10)));
+        bus.wait(Duration::from_millis(10));
+        assert_eq!(bus.depth(), 0);
         let sender = Arc::clone(&bus);
-        let handle = std::thread::spawn(move || {
-            sender.try_send(Class::Observe, 7).unwrap();
-        });
-        assert!(bus.wait(Duration::from_secs(5)));
+        let handle = std::thread::spawn(move || sender.push(7).unwrap());
+        while bus.depth() == 0 {
+            bus.wait(Duration::from_secs(5));
+        }
         handle.join().unwrap();
-        assert_eq!(bus.drain().len(), 1);
+        assert_eq!(bus.drain(), vec![7]);
     }
 
     #[test]
-    fn concurrent_producers_respect_the_quota_exactly() {
+    fn a_closed_bus_wakes_its_waiter_when_the_last_flight_lands() {
+        let bus: Arc<Bus<u32>> = Arc::new(Bus::new(Quotas::default()));
+        let (admitted, landed) = (
+            Arc::new(std::sync::Barrier::new(2)),
+            Arc::new(std::sync::Barrier::new(2)),
+        );
+        let flight = {
+            let (bus, admitted, landed) =
+                (Arc::clone(&bus), Arc::clone(&admitted), Arc::clone(&landed));
+            std::thread::spawn(move || {
+                let held = bus.admit(Class::Observe).unwrap();
+                admitted.wait();
+                landed.wait();
+                drop(held);
+            })
+        };
+        admitted.wait();
+        bus.close();
+        // Closed but not drained: the wait parks instead of spinning.
+        let started = std::time::Instant::now();
+        bus.wait(Duration::from_millis(20));
+        assert!(started.elapsed() >= Duration::from_millis(20));
+        landed.wait();
+        while bus.depth() > 0 {
+            bus.wait(Duration::from_secs(5));
+        }
+        flight.join().unwrap();
+        // Drained: the wait returns at once.
+        let started = std::time::Instant::now();
+        bus.wait(Duration::from_secs(5));
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn concurrent_admissions_respect_the_quota_exactly() {
         let bus: Arc<Bus<usize>> = Arc::new(Bus::new(Quotas {
             control: 256,
             observe: 50,
             query: 256,
         }));
+        // Every thread keeps what it was admitted until all have tried.
+        let tried = Arc::new(std::sync::Barrier::new(8));
         let mut handles = Vec::new();
-        for t in 0..8 {
-            let bus = Arc::clone(&bus);
+        for _ in 0..8 {
+            let (bus, tried) = (Arc::clone(&bus), Arc::clone(&tried));
             handles.push(std::thread::spawn(move || {
-                let mut admitted = 0;
-                for i in 0..100 {
-                    if bus.try_send(Class::Observe, t * 100 + i).is_ok() {
-                        admitted += 1;
-                    }
-                }
-                admitted
+                let held: Vec<_> = (0..100)
+                    .filter_map(|_| bus.admit(Class::Observe).ok())
+                    .collect();
+                tried.wait();
+                held.len()
             }));
         }
         let admitted: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(admitted, 50, "quota must bound admissions exactly");
-        assert_eq!(bus.drain().len(), 50);
+        assert_eq!(bus.depth(), 0);
+        assert_eq!(bus.depth_max(), 50);
     }
 }

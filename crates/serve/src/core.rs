@@ -2,15 +2,15 @@
 //! journal, driven by parsed [`Request`]s.
 //!
 //! The network layer is a pure transport around this type: every request
-//! the server admits is handled here, single-threaded, in admission
-//! order. That makes the server's behaviour replayable — feeding the
+//! the server admits is handled here, one at a time, in the order the
+//! shard lock was taken. That makes the server's behaviour replayable — feeding the
 //! journal back through [`replay`] reconstructs the exact engine state,
 //! bit for bit — and makes the core testable without opening a socket.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use ref_market::{EpochReport, Result as MarketResult};
+use ref_market::{EpochReport, MarketMetrics, Result as MarketResult};
 use ref_market::{MarketConfig, MarketEngine, MarketEvent, MarketSnapshot};
 
 use crate::fault::FaultPlan;
@@ -199,6 +199,22 @@ impl ServiceCore {
         self.wal.as_ref()
     }
 
+    /// Publishes the log's size gauges; called wherever the log changed
+    /// (append, checkpoint, reset), so a scrape never reads a stale size.
+    pub(crate) fn publish_wal_gauges(&self, metrics: &ServeMetrics) {
+        let Some(wal) = &self.wal else {
+            return;
+        };
+        let gauges = [
+            (&metrics.wal_segments, wal.segment_count() as u64),
+            (&metrics.wal_bytes, wal.total_bytes()),
+            (&metrics.checkpoint_bytes, wal.checkpoint_bytes()),
+        ];
+        for (gauge, value) in gauges {
+            gauge.store(value, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
     /// Events ever applied to the engine (including recovery replay).
     pub fn events_applied(&self) -> u64 {
         self.events_applied
@@ -248,6 +264,7 @@ impl ServiceCore {
                 return error_response("wal", Some(&format!("append failed: {e}")), None);
             }
             ServeMetrics::bump(&metrics.wal_appends);
+            self.publish_wal_gauges(metrics);
         }
         if self.faults.panic_on_event == Some(seq) {
             // After the append, before the apply: the record is durable
@@ -257,7 +274,7 @@ impl ServiceCore {
         // Stream to standbys right after the durable append, before the
         // local apply, so replication overlaps the engine work.
         if let Some(repl) = self.repl.as_ref().filter(|r| r.role() == Role::Primary) {
-            repl.publish_record(seq, &event);
+            repl.publish_record(seq, &event, metrics);
             ServeMetrics::bump(&metrics.repl_records_sent);
         }
         self.record(&event);
@@ -282,10 +299,7 @@ impl ServiceCore {
                 }
                 let mut fields = vec![("epoch", Value::from_u64(epoch))];
                 if let Some(report) = report {
-                    fields.push((
-                        "report",
-                        Value::parse(&report.to_json()).expect("report JSON is valid"),
-                    ));
+                    fields.push(("report", report_value(&report)));
                     self.last_report = Some(report);
                 }
                 ok_response(fields)
@@ -315,6 +329,15 @@ impl ServiceCore {
         response
     }
 
+    /// Whether applying one more event makes a checkpoint due (so the
+    /// transport can choose the thread that takes it).
+    pub(crate) fn checkpoint_due_next(&self) -> bool {
+        self.wal.as_ref().is_some_and(|wal| {
+            let every = wal.checkpoint_every();
+            every != 0 && (self.events_applied + 1).is_multiple_of(every)
+        })
+    }
+
     /// Takes a snapshot checkpoint when the configured cadence is due;
     /// a failed checkpoint is logged in metrics but never fatal — the
     /// WAL tail simply stays longer.
@@ -330,6 +353,7 @@ impl ServiceCore {
             Ok(()) => ServeMetrics::bump(&metrics.checkpoints),
             Err(_) => ServeMetrics::bump(&metrics.wal_errors),
         }
+        self.publish_wal_gauges(metrics);
     }
 
     /// Applies one *replicated* record on a standby: the same
@@ -360,6 +384,7 @@ impl ServiceCore {
                 return ReplApply::WalError;
             }
             ServeMetrics::bump(&metrics.wal_appends);
+            self.publish_wal_gauges(metrics);
         }
         // Divergence injection: log and acknowledge the record but skip
         // the engine apply, exactly like a buggy replica would.
@@ -438,10 +463,7 @@ impl ServiceCore {
                     ),
                 ];
                 if let Some(report) = &self.last_report {
-                    fields.push((
-                        "report",
-                        Value::parse(&report.to_json()).expect("report JSON is valid"),
-                    ));
+                    fields.push(("report", report_value(report)));
                 }
                 ok_response(fields)
             }
@@ -489,11 +511,7 @@ impl ServiceCore {
                     ok_response(vec![("text", Value::str(out))])
                 } else {
                     ok_response(vec![
-                        (
-                            "market",
-                            Value::parse(&self.engine.metrics().to_json())
-                                .expect("metrics JSON is valid"),
-                        ),
+                        ("market", market_metrics_value(self.engine.metrics())),
                         (
                             "ledger",
                             Value::obj(vec![
@@ -585,8 +603,8 @@ impl ServiceCore {
                 Some("shutdown is handled by the transport"),
                 None,
             ),
-            // Like Shutdown: the transport answers these (ping straight
-            // on the reader thread, promote in the ticker's role logic).
+            // Like Shutdown: the transport answers these (ping from
+            // exported atomics, promote in its role logic).
             Request::Ping { .. } => {
                 error_response("protocol", Some("ping is handled by the transport"), None)
             }
@@ -609,6 +627,87 @@ impl ServiceCore {
     pub fn final_snapshot(&self) -> String {
         self.engine.snapshot().encode()
     }
+}
+
+/// [`EpochReport::to_json`] as a [`Value`], built directly: the encoded
+/// bytes are the same, without writing the text and parsing it back
+/// (which for a 2,000-agent allocation was most of a tick's own time).
+fn report_value(report: &EpochReport) -> Value {
+    let count = |n: usize| Value::from_u64(n as u64);
+    let allocation = report.allocation.as_ref().map_or(Value::Null, |alloc| {
+        let bundles = alloc.bundles().iter();
+        Value::Arr(bundles.map(|b| Value::num_array(b.as_slice())).collect())
+    });
+    let fairness = report.fairness.as_ref().map_or(Value::Null, |fair| {
+        Value::obj(vec![
+            ("sharing_incentives", Value::Bool(fair.sharing_incentives())),
+            ("envy_free", Value::Bool(fair.envy_free())),
+            ("pareto_efficient", Value::Bool(fair.pareto_efficient)),
+            ("si_violations", count(fair.si_violations.len())),
+            ("envy_edges", count(fair.envy_edges.len())),
+            ("max_mrs_mismatch", Value::Num(fair.max_mrs_mismatch)),
+        ])
+    });
+    let enforcement = report.enforcement.iter().map(|e| {
+        Value::obj(vec![
+            ("resource", count(e.resource)),
+            ("max_deviation", Value::Num(e.max_deviation)),
+        ])
+    });
+    Value::obj(vec![
+        ("epoch", Value::from_u64(report.epoch)),
+        (
+            "agents",
+            Value::Arr(report.agents.iter().copied().map(Value::from_u64).collect()),
+        ),
+        ("realloc", Value::str(report.realloc.label())),
+        ("warm", Value::Bool(report.warm)),
+        ("observations", count(report.observations)),
+        ("refits", count(report.refits)),
+        ("temporal_violations", count(report.temporal_violations)),
+        (
+            "worst_temporal_ratio",
+            Value::Num(report.worst_temporal_ratio),
+        ),
+        ("allocation", allocation),
+        ("fairness", fairness),
+        ("enforcement", Value::Arr(enforcement.collect())),
+        (
+            "worst_enforcement_deviation",
+            Value::Num(report.worst_enforcement_deviation()),
+        ),
+    ])
+}
+
+/// [`MarketMetrics::to_json`] as a [`Value`], likewise byte for byte.
+fn market_metrics_value(m: &MarketMetrics) -> Value {
+    let mut fields: Vec<(&str, Value)> = [
+        ("epochs", m.epochs),
+        ("events", m.events),
+        ("joins", m.joins),
+        ("leaves", m.leaves),
+        ("demand_changes", m.demand_changes),
+        ("external_observations", m.external_observations),
+        ("reallocations", m.reallocations),
+        ("cache_hits", m.cache_hits),
+        ("refits", m.refits),
+        ("rejected_events", m.rejected_events),
+        ("degenerate_refits", m.degenerate_refits),
+        ("quarantines", m.quarantines),
+        ("reallotments", m.reallotments),
+        ("warm_start_hits", m.warm_start_hits),
+        ("warm_start_misses", m.warm_start_misses),
+        ("warm_start_fallbacks", m.warm_start_fallbacks),
+        ("incremental_refits", m.incremental_refits),
+        ("credits_accrued", m.credits_accrued),
+        ("credits_spent", m.credits_spent),
+        ("temporal_si_violations", m.temporal_si_violations),
+    ]
+    .into_iter()
+    .map(|(name, count)| (name, Value::from_u64(count)))
+    .collect();
+    fields.push(("cache_hit_rate", Value::Num(m.cache_hit_rate())));
+    Value::obj(fields)
 }
 
 /// Outcome of applying one replicated record on a standby.
@@ -734,6 +833,215 @@ mod tests {
         // The engine keeps serving regardless.
         let tick = core.handle(&Request::Tick, &metrics);
         assert_eq!(tick.get("ok"), Some(&Value::Bool(true)));
+    }
+
+    fn golden_reports() -> Vec<EpochReport> {
+        use ref_core::resource::{Allocation, Bundle};
+        use ref_market::epoch::EnforcementSummary;
+        use ref_market::ReallocationOutcome;
+        let empty = EpochReport {
+            epoch: 0,
+            agents: vec![],
+            realloc: ReallocationOutcome::EmptyMarket,
+            allocation: None,
+            fairness: None,
+            enforcement: vec![],
+            warm: true,
+            observations: 0,
+            refits: 0,
+            temporal_violations: 0,
+            worst_temporal_ratio: 1.0,
+        };
+        let capacity = Capacity::new(vec![24.0, 12.0]).unwrap();
+        let bundles = vec![
+            Bundle::new(vec![18.0, 4.0]).unwrap(),
+            Bundle::new(vec![6.0, 8.0]).unwrap(),
+        ];
+        let cached = EpochReport {
+            epoch: 7,
+            agents: vec![1, 2],
+            realloc: ReallocationOutcome::CacheHit,
+            allocation: Some(Allocation::new(bundles, &capacity).unwrap()),
+            fairness: None,
+            enforcement: vec![EnforcementSummary {
+                resource: 0,
+                target: vec![0.75, 0.25],
+                achieved: vec![0.74, 0.26],
+                max_deviation: 0.01,
+            }],
+            warm: false,
+            observations: 2,
+            refits: 1,
+            temporal_violations: 1,
+            worst_temporal_ratio: 0.875,
+        };
+        vec![empty, cached]
+    }
+
+    #[test]
+    fn report_value_encodes_to_the_golden_report_bytes() {
+        // The same two reports `ref-market` pins `to_json` on.
+        let reports = golden_reports();
+        for report in &reports {
+            assert_eq!(report_value(report).encode(), report.to_json());
+        }
+        assert_eq!(
+            report_value(&reports[1]).encode(),
+            "{\"epoch\":7,\"agents\":[1,2],\"realloc\":\"cache_hit\",\"warm\":false,\
+             \"observations\":2,\"refits\":1,\"temporal_violations\":1,\
+             \"worst_temporal_ratio\":0.875,\"allocation\":[[18,4],[6,8]],\
+             \"fairness\":null,\
+             \"enforcement\":[{\"resource\":0,\"max_deviation\":0.01}],\
+             \"worst_enforcement_deviation\":0.01}"
+        );
+        // A live engine's report, fairness block included.
+        let metrics = ServeMetrics::new();
+        let mut core = ServiceCore::new(config(), JournalLimit::default()).unwrap();
+        core.handle(&join(1, 0.6), &metrics);
+        core.handle(&join(2, 0.2), &metrics);
+        let tick = core.handle(&Request::Tick, &metrics);
+        let report = core.last_report().unwrap();
+        assert!(report.fairness.is_some() && report.allocation.is_some());
+        assert_eq!(tick.get("report").unwrap().encode(), report.to_json());
+        let market = core.handle(&Request::Metrics { text: false }, &metrics);
+        assert_eq!(
+            market.get("market").unwrap().encode(),
+            core.engine().metrics().to_json()
+        );
+    }
+
+    mod wire_bytes {
+        use super::super::{market_metrics_value, report_value};
+        use proptest::prelude::*;
+        use ref_core::properties::{EnvyEdge, FairnessReport, SiViolation};
+        use ref_core::resource::{Allocation, Bundle, Capacity};
+        use ref_market::epoch::EnforcementSummary;
+        use ref_market::{EpochReport, MarketMetrics, ReallocationOutcome};
+
+        /// Any `f64` at all: non-finite values must come out `null` and
+        /// `-0`, subnormals and 17-digit values digit for digit.
+        fn any_f64(bits: u64) -> f64 {
+            f64::from_bits(bits)
+        }
+
+        /// A report assembled from raw words, including the shapes a live
+        /// engine produces only in corners: no allocation (an empty
+        /// market), no fairness block (an epoch that was not audited),
+        /// agents without bundles.
+        ///
+        /// Unless `wide`, every integer is below 2^53, what a JSON number
+        /// holds exactly (and ids on the wire must stay below).
+        fn report(words: &[u64], agents: &[u64], resources: usize, wide: bool) -> EpochReport {
+            let word = |i: usize| words[i % words.len()];
+            let int = |n: u64| if wide { n } else { n >> 11 };
+            let agents: Vec<u64> = agents.iter().copied().map(int).collect();
+            let flags = word(0);
+            let allocation = (flags & 1 == 1 && !agents.is_empty()).then(|| {
+                let bundles: Vec<Bundle> = (0..agents.len())
+                    .map(|a| {
+                        let quantity = |r| any_f64(word(7 + a * resources + r) >> 2);
+                        Bundle::new((0..resources).map(quantity).collect()).unwrap()
+                    })
+                    .collect();
+                // Exponent's top bits cleared: every quantity is below 2.
+                let capacity = Capacity::new(vec![2.0 * agents.len() as f64; resources]).unwrap();
+                Allocation::new(bundles, &capacity).unwrap()
+            });
+            let fairness = (flags & 2 == 2).then(|| FairnessReport {
+                si_violations: vec![
+                    SiViolation {
+                        agent: 0,
+                        allocated_utility: 0.5,
+                        equal_split_utility: 1.0,
+                    };
+                    (flags >> 8) as usize % 4
+                ],
+                envy_edges: vec![
+                    EnvyEdge {
+                        envious: 0,
+                        envied: 1,
+                        own_utility: 0.5,
+                        other_utility: 1.0,
+                    };
+                    (flags >> 12) as usize % 4
+                ],
+                pareto_efficient: flags & 4 == 4,
+                max_mrs_mismatch: any_f64(word(1)),
+            });
+            let enforcement = (0..(flags >> 16) as usize % (resources + 1))
+                .map(|resource| EnforcementSummary {
+                    resource,
+                    target: vec![],
+                    achieved: vec![],
+                    max_deviation: any_f64(word(2 + resource)),
+                })
+                .collect();
+            EpochReport {
+                epoch: int(word(3)),
+                agents,
+                realloc: match flags >> 20 & 3 {
+                    0 => ReallocationOutcome::Reallocated,
+                    1 => ReallocationOutcome::CacheHit,
+                    _ => ReallocationOutcome::EmptyMarket,
+                },
+                allocation,
+                fairness,
+                enforcement,
+                warm: flags & 8 == 8,
+                observations: int(word(4)) as usize,
+                refits: int(word(5)) as usize,
+                temporal_violations: (word(6) >> 40) as usize,
+                worst_temporal_ratio: any_f64(word(6)),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn report_value_encodes_to_the_bytes_of_to_json(
+                words in collection::vec(0u64..=u64::MAX, 8..40),
+                agents in collection::vec(0u64..=u64::MAX, 0..6),
+                resources in 1usize..4,
+            ) {
+                let exact = report(&words, &agents, resources, false);
+                prop_assert_eq!(report_value(&exact).encode(), exact.to_json());
+                // Past 2^53 the text and the number part ways; what went
+                // on the wire was the text parsed and encoded again.
+                let wide = report(&words, &agents, resources, true);
+                let parsed = crate::json::Value::parse(&wide.to_json()).unwrap();
+                prop_assert_eq!(report_value(&wide).encode(), parsed.encode());
+            }
+
+            #[test]
+            fn market_metrics_value_encodes_to_the_bytes_of_to_json(
+                counts in collection::vec(0u64..(1 << 53), 20),
+            ) {
+                let metrics = MarketMetrics {
+                    epochs: counts[0],
+                    events: counts[1],
+                    joins: counts[2],
+                    leaves: counts[3],
+                    demand_changes: counts[4],
+                    external_observations: counts[5],
+                    reallocations: counts[6],
+                    cache_hits: counts[7],
+                    refits: counts[8],
+                    rejected_events: counts[9],
+                    degenerate_refits: counts[10],
+                    quarantines: counts[11],
+                    reallotments: counts[12],
+                    warm_start_hits: counts[13],
+                    warm_start_misses: counts[14],
+                    warm_start_fallbacks: counts[15],
+                    incremental_refits: counts[16],
+                    credits_accrued: counts[17],
+                    credits_spent: counts[18],
+                    temporal_si_violations: counts[19],
+                };
+                prop_assert_eq!(market_metrics_value(&metrics).encode(), metrics.to_json());
+            }
+        }
     }
 
     #[test]

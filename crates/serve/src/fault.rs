@@ -25,10 +25,11 @@ pub struct FaultPlan {
     /// append — the written bytes are rolled back and the event is not
     /// applied. Fires once, like `fail_append_at`.
     pub fail_sync_at: Option<u64>,
-    /// Panic the ticker while applying WAL record `seq`, *after* the
-    /// record is durable but *before* the engine applies it. Exercises
-    /// the supervised-ticker path: the server must degrade, keep serving
-    /// reads, and recovery must replay the orphaned record.
+    /// Panic the thread applying WAL record `seq` (under the shard lock),
+    /// *after* the record is durable but *before* the engine applies it.
+    /// Exercises the contained-panic path: that request fails, the server
+    /// must degrade, keep serving reads, and recovery must replay the
+    /// orphaned record.
     pub panic_on_event: Option<u64>,
     /// Panic the reader thread whose request line contains this token,
     /// exercising connection isolation: the poisoned connection dies
@@ -41,8 +42,8 @@ pub struct FaultPlan {
     /// carried on its acks must catch it: the primary fences the replica
     /// instead of ever promoting it.
     pub corrupt_standby_at: Option<u64>,
-    /// `(shard, epoch, delay_ms)`: stall shard `shard`'s ticker for
-    /// `delay_ms` milliseconds right before it applies the tick that
+    /// `(shard, epoch, delay_ms)`: stall shard `shard` (under its lock)
+    /// for `delay_ms` milliseconds right before it applies the tick that
     /// would close epoch `epoch`. Models a GC pause / IO stall on one
     /// shard: the router's per-shard tick budget must expire, the shard
     /// must turn Suspect (then Down if the stall outlasts further
@@ -50,13 +51,13 @@ pub struct FaultPlan {
     /// construction — the epoch ordinal only passes once.
     pub slow_shard_tick: Option<(u64, u64, u64)>,
     /// `(shard, epoch)`: shard `shard` applies (and journals) the tick
-    /// closing epoch `epoch` but never sends the reply, as a ticker
+    /// closing epoch `epoch` but never sends the reply, as a shard
     /// wedged *after* the durable work would. The router sees a tick
     /// timeout while the shard's state stays consistent — the
     /// reply-loss and state-loss failure modes are decoupled.
     pub drop_tick_reply: Option<(u64, u64)>,
-    /// `(shard, epoch)`: panic shard `shard`'s ticker immediately after
-    /// it applies the tick closing epoch `epoch` (the tick is already
+    /// `(shard, epoch)`: panic shard `shard` immediately after it
+    /// applies the tick closing epoch `epoch` (the tick is already
     /// durable). Exercises the full shard-recovery path: degraded mode,
     /// `shard_unavailable` fast-fails, supervisor restart from the
     /// shard's own WAL, and epoch resynchronization. Cannot re-fire

@@ -7,17 +7,20 @@
 //!
 //! * **Transport** ([`server`]): a std-only TCP server speaking
 //!   newline-delimited JSON ([`protocol`]). An acceptor thread spawns one
-//!   reader per connection; readers parse and *admit* requests, they
-//!   never touch the engine.
-//! * **Backpressure** ([`bus`]): admitted requests enter a bounded FIFO
-//!   with per-class quotas (control / observe / query). When a class
-//!   quota is full, the client gets an immediate `overloaded` rejection
-//!   with a `retry_after_ms` hint — queueing is never unbounded and
-//!   rejection is never silent.
-//! * **Batching** ([`server`]'s ticker): a single thread drains the bus
-//!   in arrival order, applies each request to the engine, runs timed
-//!   epochs, and fans replies back over per-request channels. One thread,
-//!   one total order — the engine stays deterministic.
+//!   thread per connection, and each request runs to completion on the
+//!   thread that read it: parse, admit, take the shard lock, serve,
+//!   encode, write.
+//! * **Backpressure** ([`bus`]): per-class quotas (control / observe /
+//!   query) bound the requests in flight — admitted and not yet
+//!   answered. When a class quota is full, the client
+//!   gets an immediate `overloaded` rejection with a `retry_after_ms`
+//!   hint — waiting is never unbounded and rejection is never silent.
+//! * **One total order** ([`server`]'s shard lock): whoever holds a
+//!   shard's lock may touch its core, and nobody else. The order in which
+//!   the lock is taken is the order events are journaled, logged and
+//!   applied — the engine stays deterministic. The shard's own thread
+//!   takes the same lock for timed epochs and for what is pushed to it
+//!   (fanned fleet ops, reallotments, `shutdown`).
 //! * **Replayability** ([`core`]): every event submitted to the engine is
 //!   journaled; [`core::replay`] reconstructs the final engine state
 //!   byte-for-byte from the journal, making the server a *pure
@@ -31,10 +34,12 @@
 //!   applied; periodic snapshot checkpoints truncate old segments; and
 //!   [`Server::recover`] resumes after a crash — tolerating a torn final
 //!   record — with state bit-identical to an offline replay.
-//! * **Supervision** ([`server`]): reader threads and the ticker run
-//!   under `catch_unwind`. A panicking connection dies alone; a ticker
-//!   panic flips the server into a degraded mode that refuses mutations
-//!   but keeps serving reads. A deterministic [`fault::FaultPlan`]
+//! * **Supervision** ([`server`]): connection threads, and everything
+//!   done under a shard lock, run under `catch_unwind`. A connection that
+//!   panics outside the lock dies alone; a panic under the lock costs
+//!   that one request and flips the shard into a degraded mode that
+//!   refuses mutations but keeps serving reads (the lock is never
+//!   poisoned). A deterministic [`fault::FaultPlan`]
 //!   injects crashes, torn writes, and failed syncs for testing.
 //! * **Replication** ([`repl`]): an optional hot standby fed by WAL
 //!   shipping over the same checksummed record framing. Automatic (or
@@ -48,8 +53,8 @@
 //!   threaded driver and the deterministic simulator its other one.
 //! * **Sharding** ([`shard`] + [`server`]'s router): optionally
 //!   partitions agents across N independent market shards via a seeded
-//!   consistent-hash ring. Each shard keeps its own ticker, bus, WAL
-//!   directory and journal (crash safety and replay compose per shard
+//!   consistent-hash ring. Each shard keeps its own lock, thread,
+//!   admission quotas, WAL directory and journal (crash safety and replay compose per shard
 //!   unchanged); `tick` fans out to every shard and a cross-shard
 //!   coordinator rebalances per-resource capacity between shards after
 //!   each epoch, with a temporal-drift bound audited next to SI/EF/PE.
@@ -107,7 +112,7 @@ pub mod shard;
 pub mod storage;
 pub mod wal;
 
-pub use bus::{Bus, Quotas, SendError};
+pub use bus::{Admitted, Bus, Quotas, SendError};
 pub use client::{CallOpts, Client, ClientError};
 pub use clock::{Clock, RealClock};
 pub use core::{replay, JournalLimit, ReplApply, ServiceCore};

@@ -1,7 +1,7 @@
 //! Server-side counters and the epoch-latency histogram.
 //!
-//! All counters are atomics so connection readers, the acceptor and the
-//! ticker update them without a lock; [`ServeMetrics::snapshot`] takes a
+//! All counters are atomics so connection threads, the acceptor and the
+//! shard threads update them without a lock; [`ServeMetrics::snapshot`] takes a
 //! point-in-time copy for serialization. The histogram uses power-of-two
 //! microsecond buckets — coarse, but monotone and allocation-free — and
 //! reports conservative (upper-bound) percentile estimates.
@@ -118,23 +118,25 @@ impl HistogramSnapshot {
 pub struct ServeMetrics {
     /// Connections accepted over the server's lifetime.
     pub connections: AtomicU64,
-    /// Requests admitted to the bus.
+    /// Requests admitted (past the class quotas, or pushed to a shard
+    /// thread as part of a fleet-wide op).
     pub accepted: AtomicU64,
     /// Requests bounced by a full class quota.
     pub rejected_overload: AtomicU64,
-    /// Requests dropped in-queue past their deadline.
+    /// Requests whose deadline passed while they waited to be served.
     pub rejected_deadline: AtomicU64,
     /// Requests bounced because the server was draining.
     pub rejected_shutdown: AtomicU64,
     /// Lines that failed to parse or validate.
     pub protocol_errors: AtomicU64,
-    /// Epochs executed by the ticker.
+    /// Epochs executed.
     pub epochs: AtomicU64,
-    /// Queue depth observed at the shard's last drain (gauge); on a
-    /// sharded server each shard keeps its own, so scrapes see per-shard
-    /// backlog, not just the high-water mark.
+    /// Requests in flight on the shard (admitted and not yet answered,
+    /// plus whatever is queued for its thread) at the last admission
+    /// (gauge); on a sharded server each shard keeps its own, so scrapes
+    /// see per-shard backlog, not just the high-water mark.
     pub queue_depth: AtomicU64,
-    /// High-water mark of queue depth observed at drain time.
+    /// High-water mark of that depth, observed at admission.
     pub queue_depth_max: AtomicU64,
     /// Events appended durably to the write-ahead log.
     pub wal_appends: AtomicU64,
@@ -169,15 +171,16 @@ pub struct ServeMetrics {
     pub fenced: AtomicU64,
     /// Reader threads that died to a panic (connections lost alone).
     pub reader_panics: AtomicU64,
-    /// Ticker panics caught by the supervisor.
+    /// Panics caught under a shard lock, whichever thread held it (the
+    /// name dates from when only the ticker thread did).
     pub ticker_panics: AtomicU64,
-    /// Degraded-mode gauge: 1 after a ticker panic (mutations refused,
+    /// Degraded-mode gauge: 1 after such a panic (mutations refused,
     /// reads still served), 0 in normal operation.
     pub degraded: AtomicU64,
     /// Shards currently Down (gauge, router-wide; lives on shard 0's
     /// metrics like the other transport-level counters).
     pub shards_down: AtomicU64,
-    /// Shard tickers restarted in place by the supervisor (counter).
+    /// Shards restarted in place by the supervisor (counter).
     pub shard_restarts: AtomicU64,
     /// Fleet epochs that completed without every shard reporting — the
     /// merged report carried `partial: true` (counter).
@@ -252,11 +255,11 @@ impl ServeMetrics {
 pub struct ServeMetricsSnapshot {
     /// Connections accepted.
     pub connections: u64,
-    /// Requests admitted to the bus.
+    /// Requests admitted.
     pub accepted: u64,
     /// Requests bounced by quota.
     pub rejected_overload: u64,
-    /// Requests expired in-queue.
+    /// Requests expired while waiting.
     pub rejected_deadline: u64,
     /// Requests bounced during drain.
     pub rejected_shutdown: u64,
@@ -264,7 +267,7 @@ pub struct ServeMetricsSnapshot {
     pub protocol_errors: u64,
     /// Epochs executed.
     pub epochs: u64,
-    /// Queue depth at the last drain (gauge).
+    /// Requests in flight at the last admission (gauge).
     pub queue_depth: u64,
     /// Queue depth high-water mark.
     pub queue_depth_max: u64,
@@ -296,13 +299,13 @@ pub struct ServeMetricsSnapshot {
     pub fenced: u64,
     /// Reader threads lost to panics.
     pub reader_panics: u64,
-    /// Ticker panics caught by the supervisor.
+    /// Panics caught under a shard lock.
     pub ticker_panics: u64,
     /// Degraded-mode gauge (1 = mutations refused).
     pub degraded: u64,
     /// Shards currently Down (router-wide gauge).
     pub shards_down: u64,
-    /// Shard tickers restarted in place by the supervisor.
+    /// Shards restarted in place by the supervisor.
     pub shard_restarts: u64,
     /// Fleet epochs whose merged report was `partial: true`.
     pub partial_epochs: u64,

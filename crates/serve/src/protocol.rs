@@ -169,6 +169,19 @@ impl Request {
         }
     }
 
+    /// Whether [`Request::to_event`] yields an event (without building it).
+    pub fn bears_event(&self) -> bool {
+        matches!(
+            self,
+            Request::Join { .. }
+                | Request::Leave { .. }
+                | Request::Demand { .. }
+                | Request::Observe { .. }
+                | Request::Tick
+                | Request::Reallot { .. }
+        )
+    }
+
     /// The market event this request submits, if it is event-bearing.
     pub fn to_event(&self) -> Option<MarketEvent> {
         match self {
@@ -455,11 +468,11 @@ pub fn not_primary_response(leader: Option<&str>, shard: Option<u64>) -> Value {
 }
 
 /// Builds the `shard_unavailable` rejection the sharded router answers
-/// with when a request targets a shard whose ticker is Down (panicked,
+/// with when a request targets a shard that is Down (panicked,
 /// restarting, or repeatedly missing its tick budget). Fail-fast by
 /// design: the client gets the rejection — and a `retry_after_ms`
-/// backoff hint — immediately, instead of burning the reply timeout
-/// waiting on a ticker that cannot answer. The `shard` tag names the
+/// backoff hint — immediately, instead of waiting on a shard that
+/// cannot answer. The `shard` tag names the
 /// unavailable shard so fleet-wide aggregates stay attributable.
 pub fn shard_unavailable_response(shard: u64, retry_after_ms: u64) -> Value {
     Value::obj(vec![
@@ -498,6 +511,7 @@ mod tests {
                 Class::Control,
             ),
             (r#"{"op":"leave","agent":2}"#, Class::Control),
+            (r#"{"op":"demand","agent":2,"truth":null}"#, Class::Control),
             (
                 r#"{"op":"observe","agent":1,"allocation":[1,2],"performance":1.5}"#,
                 Class::Observe,
@@ -518,6 +532,8 @@ mod tests {
         for (line, class) in cases {
             let env = parse_request(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(env.request.class(), class, "{line}");
+            let bears = env.request.to_event().is_some();
+            assert_eq!(env.request.bears_event(), bears, "{line}");
         }
     }
 

@@ -43,8 +43,11 @@
 //! may elect itself, when a recovered primary may take writes again —
 //! is decided by [`ReplCore`], the sans-IO state machine the
 //! deterministic simulator drives too. This module is its threaded
-//! driver: sockets, the frame codec, sink queues, and the blocking
-//! sync-mode wait. Threads lock the core briefly per frame and publish
+//! driver: sockets, the frame codec, and the blocking sync-mode wait.
+//! There are no relay threads: the thread that appended a record writes
+//! its `rec` frame to every standby socket itself, and the standby's
+//! puller applies each frame under the standby's shard lock and writes
+//! the `ack` itself. Threads lock the core briefly per frame and publish
 //! its role and term to atomics, so the per-request role gate never
 //! takes a lock.
 
@@ -52,7 +55,6 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -60,12 +62,13 @@ use std::time::{Duration, Instant};
 use ref_market::MarketEvent;
 
 use crate::clock::Clock;
+use crate::core::ReplApply;
 use crate::json::Value;
 use crate::metrics::ServeMetrics;
-use crate::protocol::{event_to_value, Class};
+use crate::protocol::event_to_value;
 pub use crate::repl_core::Role;
 use crate::repl_core::{Ack, AckWait, Hello, Promotion, ReplCore, Stream};
-use crate::server::{Item, Shared};
+use crate::server::{handle_promote, ShardCell, Shared};
 use crate::wal::{self, crc32, MAX_FRAME_BYTES, RECORD_HEADER_BYTES};
 
 /// Replication knobs for one node of a primary/standby pair.
@@ -303,33 +306,142 @@ impl FrameConn {
 // Shared replication state.
 // ---------------------------------------------------------------------
 
-/// A replicated record or raw frame queued for one standby connection.
-enum SinkMsg {
-    /// A live WAL record; `seq` lets the sender skip records the disk
-    /// catch-up already covered.
-    Rec { seq: u64, frame: Vec<u8> },
-    /// A pre-framed control message (heartbeat, diverged notice).
-    Raw(Vec<u8>),
-}
-
-/// One connected standby, from the primary's point of view: the queue
-/// feeding its sender thread, its ack progress, and whether it is live.
-#[derive(Debug, Clone)]
+/// One connected standby, from the primary's point of view: the socket
+/// records are written to, its ack progress, and whether it is live.
+#[derive(Debug)]
 struct Sink {
     id: u64,
-    tx: mpsc::SyncSender<SinkMsg>,
-    acked: Arc<AtomicU64>,
-    alive: Arc<AtomicBool>,
+    out: Mutex<SinkOut>,
+    acked: AtomicU64,
+    alive: AtomicBool,
 }
 
-/// How many queued records a standby connection may fall behind before
+/// The write side of a standby connection.
+#[derive(Debug)]
+struct SinkOut {
+    stream: TcpStream,
+    /// `Some` while the handler thread is still streaming disk history
+    /// down the same socket: live records wait here, in order, and the
+    /// handler sends them when the history is through.
+    held: Option<Vec<(u64, Vec<u8>)>>,
+    /// The next record sequence the socket is owed.
+    next_send: u64,
+}
+
+/// How many live records may wait for a standby's disk catch-up before
 /// the primary drops it (it reconnects and catches up from disk).
 const SINK_QUEUE: usize = 4096;
 
-/// Replication state shared between the ticker, the transport threads,
-/// and the replication threads: the [`ReplCore`] behind a mutex, its
-/// role/term/lease published to atomics, and the I/O plumbing (sink
-/// queues, the ack channel) the core knows nothing about.
+/// How long a write to a caught-up standby's socket may block. Writes
+/// happen under the primary's shard lock, so this bounds what a replica
+/// that stopped reading can cost: past it the sink is dropped, exactly
+/// as one whose queue was full.
+const SEND_TIMEOUT: Duration = Duration::from_millis(100);
+
+impl Sink {
+    /// Marks the sink dead and closes its socket, so the handler's ack
+    /// read ends and the standby sees the drop at once and reconnects.
+    fn kill(&self, out: &SinkOut) {
+        self.alive.store(false, Ordering::SeqCst);
+        let _ = out.stream.shutdown(std::net::Shutdown::Both);
+    }
+
+    fn out(&self) -> MutexGuard<'_, SinkOut> {
+        self.out.lock().expect("repl lock poisoned")
+    }
+
+    /// Sends (or, during catch-up, holds) one live record. `false` once
+    /// the sink is dead: a full hold, a hole in the sequence, or a write
+    /// that failed or timed out — possibly mid-frame, so the connection
+    /// is unusable either way.
+    fn send_rec(&self, seq: u64, frame: &[u8]) -> bool {
+        if !self.alive.load(Ordering::SeqCst) {
+            return false;
+        }
+        let mut out = self.out();
+        let out = &mut *out;
+        let sent = match &mut out.held {
+            Some(held) if held.len() < SINK_QUEUE => {
+                held.push((seq, frame.to_vec()));
+                true
+            }
+            Some(_) => false,
+            None => match seq.cmp(&out.next_send) {
+                // The disk catch-up already shipped it.
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Equal => {
+                    out.next_send = seq + 1;
+                    out.stream.write_all(frame).is_ok()
+                }
+                // A hole between what was sent and the live record
+                // should be impossible; never paper over it.
+                std::cmp::Ordering::Greater => false,
+            },
+        };
+        if !sent {
+            self.kill(out);
+        }
+        sent
+    }
+
+    /// Sends a heartbeat to a caught-up sink; one still catching up is
+    /// hearing from the primary anyway.
+    fn send_heartbeat(&self, frame: &[u8]) -> bool {
+        if !self.alive.load(Ordering::SeqCst) {
+            return false;
+        }
+        let mut out = self.out();
+        if out.held.is_none() && out.stream.write_all(frame).is_err() {
+            self.kill(&out);
+            return false;
+        }
+        true
+    }
+
+    /// Retires the sink with a parting frame: nothing is written to the
+    /// socket after it, and the write side is closed behind it.
+    fn send_last(&self, frame: &[u8]) {
+        let mut out = self.out();
+        self.alive.store(false, Ordering::SeqCst);
+        let _ = out.stream.write_all(frame);
+        let _ = out.stream.shutdown(std::net::Shutdown::Write);
+    }
+
+    /// Ends the catch-up: sends what was held while the disk history
+    /// streamed (everything from `next` on), then lets appenders write
+    /// to the socket directly. The sink's lock is only ever held to swap
+    /// the hold out, so no appender waits on this socket.
+    fn go_live(&self, writer: &mut TcpStream, mut next: u64) -> std::io::Result<()> {
+        writer.set_write_timeout(Some(SEND_TIMEOUT))?;
+        loop {
+            let batch = {
+                let mut out = self.out();
+                let held = out.held.as_mut().expect("go_live runs once per sink");
+                if held.is_empty() {
+                    out.held = None;
+                    out.next_send = next;
+                    return Ok(());
+                }
+                std::mem::take(held)
+            };
+            for (seq, frame) in batch {
+                if seq < next {
+                    continue;
+                }
+                if seq > next {
+                    return Err(std::io::Error::other("hole in the held records"));
+                }
+                writer.write_all(&frame)?;
+                next = seq + 1;
+            }
+        }
+    }
+}
+
+/// Replication state shared between the threads that serve requests and
+/// the replication threads: the [`ReplCore`] behind a mutex, its
+/// role/term/lease published to atomics, and the standby sockets the
+/// core knows nothing about.
 #[derive(Debug)]
 pub struct ReplShared {
     config: ReplConfig,
@@ -341,13 +453,8 @@ pub struct ReplShared {
     term: AtomicU64,
     /// Whether the core's recovery lease may still refuse mutations.
     lease: AtomicBool,
-    /// Standby: set when the stream hit an unrecoverable ordering gap
-    /// and the puller must reconnect to resynchronize.
-    resync: AtomicBool,
-    sinks: Mutex<Vec<Sink>>,
+    sinks: Mutex<Vec<Arc<Sink>>>,
     next_sink_id: AtomicU64,
-    /// Standby: channel to the ack-writer thread of the live stream.
-    ack_tx: Mutex<Option<mpsc::Sender<Vec<u8>>>>,
     clock: Arc<dyn Clock>,
 }
 
@@ -372,10 +479,8 @@ impl ReplShared {
             ack_signal: Condvar::new(),
             config,
             wal_dir,
-            resync: AtomicBool::new(false),
             sinks: Mutex::new(Vec::new()),
             next_sink_id: AtomicU64::new(0),
-            ack_tx: Mutex::new(None),
             clock,
         }
     }
@@ -452,65 +557,86 @@ impl ReplShared {
         self.core().leader_client().map(str::to_string)
     }
 
-    fn register_sink(&self) -> (Sink, mpsc::Receiver<SinkMsg>) {
-        let (tx, rx) = mpsc::sync_channel(SINK_QUEUE);
-        let sink = Sink {
-            id: self.next_sink_id.fetch_add(1, Ordering::SeqCst),
-            tx,
-            acked: Arc::new(AtomicU64::new(0)),
-            alive: Arc::new(AtomicBool::new(true)),
-        };
-        self.sinks
-            .lock()
-            .expect("repl lock poisoned")
-            .push(sink.clone());
-        (sink, rx)
+    fn sinks(&self) -> MutexGuard<'_, Vec<Arc<Sink>>> {
+        self.sinks.lock().expect("repl lock poisoned")
     }
 
-    /// Wakes the sync-mode waiter after the sink set changed. Taking the
-    /// core lock first means the waiter is either before its check (and
-    /// sees the change) or already parked (and gets the signal).
-    fn sinks_changed(&self) {
+    /// Registers a standby connection that is about to be caught up from
+    /// disk: live records are held for it from this moment on.
+    fn register_sink(&self, stream: TcpStream, metrics: &ServeMetrics) -> Arc<Sink> {
+        let sink = Arc::new(Sink {
+            id: self.next_sink_id.fetch_add(1, Ordering::SeqCst),
+            out: Mutex::new(SinkOut {
+                stream,
+                held: Some(Vec::new()),
+                next_send: 0,
+            }),
+            acked: AtomicU64::new(0),
+            alive: AtomicBool::new(true),
+        });
+        self.sinks().push(Arc::clone(&sink));
+        self.sinks_changed(metrics);
+        sink
+    }
+
+    /// Publishes the connected-standby gauge and wakes the sync-mode
+    /// waiter after the sink set changed. Taking the core lock first
+    /// means the waiter is either before its check (and sees the change)
+    /// or already parked (and gets the signal).
+    fn sinks_changed(&self, metrics: &ServeMetrics) {
+        metrics
+            .standby_connected
+            .store(self.standby_count(), Ordering::Relaxed);
         let _core = self.core();
         self.ack_signal.notify_all();
     }
 
-    fn drop_sink(&self, id: u64) {
-        self.sinks
-            .lock()
-            .expect("repl lock poisoned")
-            .retain(|s| s.id != id);
-        self.sinks_changed();
+    fn drop_sink(&self, sink: &Sink, metrics: &ServeMetrics) {
+        sink.kill(&sink.out());
+        self.sinks().retain(|s| s.id != sink.id);
+        self.sinks_changed(metrics);
     }
 
     /// Connected (live) standby count.
     pub(crate) fn standby_count(&self) -> u64 {
-        self.sinks
-            .lock()
-            .expect("repl lock poisoned")
+        self.sinks()
             .iter()
             .filter(|s| s.alive.load(Ordering::SeqCst))
             .count() as u64
     }
 
-    /// Records the slowest live standby still trails `next_seq` by.
-    pub(crate) fn lag_records(&self, next_seq: u64) -> u64 {
-        self.sinks
-            .lock()
-            .expect("repl lock poisoned")
+    /// Publishes how many records the slowest live standby still trails
+    /// `next_seq` by.
+    fn publish_lag(&self, metrics: &ServeMetrics, next_seq: u64) {
+        let lag = self
+            .sinks()
             .iter()
             .filter(|s| s.alive.load(Ordering::SeqCst))
             .map(|s| next_seq.saturating_sub(s.acked.load(Ordering::SeqCst)))
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0);
+        metrics.repl_lag_records.store(lag, Ordering::Relaxed);
     }
 
-    /// Streams one just-appended record to every live standby, after
-    /// telling the core the log grew — a `hello` racing this very pass
-    /// is judged against the published position, not a stale export. A
-    /// sink whose queue is full is dropped (it reconnects and catches up
-    /// from the log) — a slow replica must never stall the ticker.
-    pub(crate) fn publish_record(&self, seq: u64, event: &MarketEvent) {
+    /// Offers `send` to every standby; one it fails on is dropped.
+    fn broadcast(&self, metrics: &ServeMetrics, send: impl Fn(&Sink) -> bool) {
+        let mut sinks = self.sinks();
+        let before = sinks.len();
+        sinks.retain(|s| send(s));
+        let dropped = sinks.len() < before;
+        drop(sinks);
+        if dropped {
+            self.sinks_changed(metrics);
+        }
+    }
+
+    /// Streams one just-appended record to every live standby, on the
+    /// calling thread, after telling the core the log grew — a `hello`
+    /// racing this very request is judged against the published
+    /// position, not a stale export. A sink that cannot take the record
+    /// (see [`Sink::send_rec`]) is dropped: it reconnects and catches up
+    /// from the log — a slow replica must never stall the primary.
+    pub(crate) fn publish_record(&self, seq: u64, event: &MarketEvent, metrics: &ServeMetrics) {
         self.core().note_log(seq + 1);
         let frame = message(
             "rec",
@@ -519,37 +645,16 @@ impl ReplShared {
                 ("event", event_to_value(event)),
             ],
         );
-        let mut dropped = false;
-        self.sinks.lock().expect("repl lock poisoned").retain(|s| {
-            if !s.alive.load(Ordering::SeqCst) {
-                dropped = true;
-                return false;
-            }
-            match s.tx.try_send(SinkMsg::Rec {
-                seq,
-                frame: frame.clone(),
-            }) {
-                Ok(()) => true,
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    s.alive.store(false, Ordering::SeqCst);
-                    dropped = true;
-                    false
-                }
-            }
-        });
-        if dropped {
-            self.sinks_changed();
-        }
+        self.broadcast(metrics, |sink| sink.send_rec(seq, &frame));
+        self.publish_lag(metrics, seq + 1);
     }
 
     /// Broadcasts the core's heartbeat (a no-op unless primary).
-    pub(crate) fn publish_heartbeat(&self) {
+    pub(crate) fn publish_heartbeat(&self, metrics: &ServeMetrics) {
         let Some(frame) = self.core().heartbeat() else {
             return;
         };
-        self.sinks.lock().expect("repl lock poisoned").retain(|s| {
-            s.alive.load(Ordering::SeqCst) && s.tx.try_send(SinkMsg::Raw(frame.clone())).is_ok()
-        });
+        self.broadcast(metrics, |sink| sink.send_heartbeat(&frame));
     }
 
     /// Blocks until some standby has applied `target` events or none is
@@ -579,85 +684,66 @@ impl ReplShared {
     pub(crate) fn push_epoch_fp(&self, have: u64, epoch: u64, fp: u64) {
         self.core().push_epoch_fp(have, epoch, fp);
     }
-
-    fn set_ack_tx(&self, tx: Option<mpsc::Sender<Vec<u8>>>) {
-        *self.ack_tx.lock().expect("repl lock poisoned") = tx;
-    }
-
-    /// Standby: queues an apply-acknowledgement (with the per-epoch
-    /// state fingerprint when the applied record closed an epoch) for
-    /// the ack-writer thread of the live stream, if one is connected.
-    pub(crate) fn send_ack(&self, have: u64, epoch_fp: Option<(u64, u64)>) {
-        let frame = self.core().ack(have, epoch_fp);
-        if let Some(tx) = self.ack_tx.lock().expect("repl lock poisoned").as_ref() {
-            let _ = tx.send(frame);
-        }
-    }
-
-    pub(crate) fn request_resync(&self) {
-        self.resync.store(true, Ordering::SeqCst);
-    }
-
-    fn take_resync(&self) -> bool {
-        self.resync.swap(false, Ordering::SeqCst)
-    }
 }
 
 // ---------------------------------------------------------------------
 // Primary side: accept standbys, catch them up, stream, verify acks.
 // ---------------------------------------------------------------------
 
+/// Joins and discards the handles of threads that have already exited,
+/// so a registry stays bounded by *open* connections rather than growing
+/// with every connection ever accepted.
+pub(crate) fn reap_finished(handles: &Mutex<Vec<JoinHandle<()>>>) {
+    let mut handles = handles.lock().expect("thread registry lock poisoned");
+    let mut i = 0;
+    while i < handles.len() {
+        if handles[i].is_finished() {
+            // Joining a finished thread returns immediately.
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
 /// Accept loop of the replication listener. Mirrors the client
-/// acceptor: non-blocking accepts, one handler thread per standby,
-/// finished handles reaped as it goes.
+/// acceptor: blocks in `accept` (the stopping server wakes it with a
+/// connection of its own), one handler thread per standby, finished
+/// handles reaped on each accept.
 pub(crate) fn repl_acceptor_loop(
     listener: TcpListener,
     shared: &Arc<Shared>,
     handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     loop {
+        let Ok((stream, _)) = listener.accept() else {
+            return;
+        };
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        {
-            let mut live = handlers.lock().expect("repl handlers lock poisoned");
-            let mut i = 0;
-            while i < live.len() {
-                if live[i].is_finished() {
-                    let _ = live.swap_remove(i).join();
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("ref-serve-repl".to_string())
-                    .spawn(move || handle_standby(stream, &shared))
-                    .expect("spawn repl handler");
-                handlers
-                    .lock()
-                    .expect("repl handlers lock poisoned")
-                    .push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => return,
-        }
+        reap_finished(handlers);
+        let shared = Arc::clone(shared);
+        let handle = std::thread::Builder::new()
+            .name("ref-serve-repl".to_string())
+            .spawn(move || handle_standby(stream, &shared))
+            .expect("spawn repl handler");
+        handlers
+            .lock()
+            .expect("thread registry lock poisoned")
+            .push(handle);
     }
 }
 
 /// Serves one standby connection end to end: handshake, disk catch-up,
-/// live streaming (on a dedicated sender thread), and the ack-reading
-/// loop with per-epoch fingerprint verification.
+/// the hand-over to live streaming (appenders write to the socket from
+/// then on), and the ack-reading loop with per-epoch fingerprint
+/// verification.
 fn handle_standby(stream: TcpStream, shared: &Arc<Shared>) {
     let repl = shared.repl.as_ref().expect("repl handler without config");
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let Ok(mut writer) = stream.try_clone() else {
+    let (Ok(mut writer), Ok(live)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
     let mut conn = FrameConn::new(stream);
@@ -686,40 +772,25 @@ fn handle_standby(stream: TcpStream, shared: &Arc<Shared>) {
         }
     };
 
-    // Register the live sink *before* reading the log, then stream the
-    // disk history directly: every record appended after registration is
-    // in the sink queue, everything before the read's end is on disk,
-    // and the sender thread skips queue records the disk already
-    // covered — no gap, no duplicate.
-    let (sink, rx) = repl.register_sink();
-    let sent_upto = match catch_up(&mut writer, repl, have) {
-        Ok(upto) => upto,
-        Err(_) => {
-            sink.alive.store(false, Ordering::SeqCst);
-            repl.drop_sink(sink.id);
-            return;
-        }
-    };
-    let sender = {
-        let alive = Arc::clone(&sink.alive);
-        std::thread::Builder::new()
-            .name("ref-serve-repl-send".to_string())
-            .spawn(move || sink_sender(writer, rx, sent_upto, &alive))
-            .expect("spawn repl sender")
-    };
-
-    ack_loop(&mut conn, shared, repl, &sink);
-
-    sink.alive.store(false, Ordering::SeqCst);
-    repl.drop_sink(sink.id);
-    drop(sink);
-    let _ = sender.join();
+    // Register the sink *before* reading the log, then stream the disk
+    // history directly: every record appended after registration is held
+    // in the sink, everything before the read's end is on disk, and the
+    // hand-over skips held records the disk already covered — no gap, no
+    // duplicate.
+    let sink = repl.register_sink(live, &shared.metrics);
+    let caught_up =
+        catch_up(&mut writer, repl, have).and_then(|upto| sink.go_live(&mut writer, upto));
+    if caught_up.is_ok() {
+        ack_loop(&mut conn, shared, repl, &sink);
+    }
+    repl.drop_sink(&sink, &shared.metrics);
 }
 
 /// Streams the snapshot (when the standby is behind the retained log)
 /// and the on-disk records from `have` onward; returns the first
-/// sequence *not* covered. Reading the live directory is safe: the
-/// ticker is the sole writer and records become visible only whole.
+/// sequence *not* covered. Reading the live directory is safe: appends
+/// are serialized by the shard lock and records become visible only
+/// whole.
 fn catch_up(writer: &mut TcpStream, repl: &ReplShared, have: u64) -> std::io::Result<u64> {
     let (first, events) = wal::read_events(&repl.wal_dir)?;
     let mut from = have;
@@ -755,48 +826,6 @@ fn catch_up(writer: &mut TcpStream, repl: &ReplShared, have: u64) -> std::io::Re
     Ok((first + events.len() as u64).max(from))
 }
 
-/// Sender thread of one standby connection: drains the sink queue,
-/// skipping records the disk catch-up already shipped.
-fn sink_sender(
-    mut writer: TcpStream,
-    rx: mpsc::Receiver<SinkMsg>,
-    mut next_send: u64,
-    alive: &AtomicBool,
-) {
-    loop {
-        let msg = match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(msg) => msg,
-            Err(RecvTimeoutError::Timeout) => {
-                if !alive.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        let frame = match msg {
-            SinkMsg::Rec { seq, frame } => {
-                if seq < next_send {
-                    continue;
-                }
-                if seq > next_send {
-                    // A hole between disk catch-up and the live queue
-                    // should be impossible; never paper over it.
-                    alive.store(false, Ordering::SeqCst);
-                    return;
-                }
-                next_send = seq + 1;
-                frame
-            }
-            SinkMsg::Raw(frame) => frame,
-        };
-        if writer.write_all(&frame).is_err() {
-            alive.store(false, Ordering::SeqCst);
-            return;
-        }
-    }
-}
-
 /// Primary-side ack reader for one standby: tracks progress for the
 /// sync-mode wait and verifies the per-epoch state fingerprints.
 fn ack_loop(conn: &mut FrameConn, shared: &Arc<Shared>, repl: &Arc<ReplShared>, sink: &Sink) {
@@ -822,20 +851,19 @@ fn ack_loop(conn: &mut FrameConn, shared: &Arc<Shared>, repl: &Arc<ReplShared>, 
             Ack::Ignored => return,
             Ack::Progress(have) => {
                 sink.acked.store(have, Ordering::SeqCst);
-                shared.metrics.repl_lag_records.store(
-                    repl.lag_records(shared.wal_seq.load(Ordering::SeqCst)),
-                    Ordering::Relaxed,
-                );
+                repl.publish_lag(&shared.metrics, shared.wal_seq.load(Ordering::SeqCst));
             }
             Ack::Diverged { notice, .. } => {
                 // The replica's state split from ours. Halt its
                 // replication loudly: count it, tell it (so it fences
-                // itself), drop it. Never promote material. The sender
-                // drains the queued notice before it observes the flag
-                // and exits.
+                // itself), drop it. Never promote material.
                 ServeMetrics::bump(&shared.metrics.divergences);
-                let _ = sink.tx.try_send(SinkMsg::Raw(notice));
-                sink.alive.store(false, Ordering::SeqCst);
+                sink.send_last(&notice);
+                // Read on until the replica hangs up (the notice makes
+                // it): closing over its unread acks would reset the
+                // connection, and a reset may overtake the notice.
+                let until = Instant::now() + Duration::from_secs(1);
+                while Instant::now() < until && conn.read_frame().is_ok() {}
                 return;
             }
         }
@@ -843,13 +871,12 @@ fn ack_loop(conn: &mut FrameConn, shared: &Arc<Shared>, repl: &Arc<ReplShared>, 
 }
 
 // ---------------------------------------------------------------------
-// Standby side: follow the primary, apply through the ticker, promote.
+// Standby side: follow the primary, apply under the shard lock, promote.
 // ---------------------------------------------------------------------
 
 /// Standby puller thread: connect to the primary, hand every frame to
-/// the core and what it says to apply to the ticker (the sole engine
-/// owner) via the bus, send apply-acks, and trigger promotion once the
-/// core's election gate opens.
+/// the core, apply what it says to apply under the shard lock, write the
+/// apply-ack, and promote once the core's election gate opens.
 pub(crate) fn standby_loop(shared: &Arc<Shared>) {
     let repl = Arc::clone(shared.repl.as_ref().expect("standby loop without config"));
     loop {
@@ -865,7 +892,16 @@ pub(crate) fn standby_loop(shared: &Arc<Shared>) {
         if shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Standby {
             return;
         }
-        maybe_auto_promote(shared, &repl);
+        if repl.core().election_due(repl.clock.now()) {
+            // Under the shard lock, so the role flip is serialized with
+            // event application. A degraded node's engine already missed
+            // an event its WAL holds: it must not lead.
+            shared.locked(|cell| {
+                if !cell.degraded && repl.role() == Role::Standby {
+                    let _ = handle_promote(shared);
+                }
+            });
+        }
         if repl.role() != Role::Standby {
             return;
         }
@@ -873,30 +909,55 @@ pub(crate) fn standby_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn maybe_auto_promote(shared: &Arc<Shared>, repl: &Arc<ReplShared>) {
-    if !repl.core().election_due(repl.clock.now()) {
-        return;
+/// What applying one stream verdict on the standby came to.
+enum Applied {
+    /// Applied (or already held): send this framed `ack`.
+    Ack(Vec<u8>),
+    /// Not this node's to apply (no longer a standby, degraded, stopped).
+    Ignored,
+    /// A hole or a failed append cannot be repaired in-stream: reconnect
+    /// and catch up from the log.
+    Resync,
+}
+
+/// Applies one [`Stream::Apply`] / [`Stream::Restore`] verdict to the
+/// standby's core. The caller holds the shard lock.
+fn apply_stream(
+    cell: &mut ShardCell,
+    shared: &Shared,
+    repl: &ReplShared,
+    verdict: Stream,
+) -> Applied {
+    // A degraded node must not keep applying the stream: the engine
+    // already missed an event its WAL holds.
+    if cell.degraded || shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Standby {
+        return Applied::Ignored;
     }
-    // The ticker performs the promotion so role flips are serialized
-    // with event application; we just wait for the flip.
-    if shared
-        .bus
-        .push(Class::Control, Item::Repl(ReplCommand::AutoPromote))
-        .is_err()
-    {
-        return;
-    }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline
-        && repl.role() == Role::Standby
-        && !shared.stop.load(Ordering::SeqCst)
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let Some(core) = cell.core.as_mut() else {
+        return Applied::Ignored;
+    };
+    let epoch_fp = match verdict {
+        Stream::Restore { seq, snapshot } => {
+            if core.restore_from_snapshot(seq, &snapshot).is_err() {
+                ServeMetrics::bump(&shared.metrics.wal_errors);
+                return Applied::Resync;
+            }
+            core.publish_wal_gauges(&shared.metrics);
+            None
+        }
+        Stream::Apply { seq, event } => match core.apply_repl(seq, event, &shared.metrics) {
+            ReplApply::Applied { epoch_fp } => epoch_fp,
+            ReplApply::Skipped => None,
+            ReplApply::Gap | ReplApply::WalError => return Applied::Resync,
+        },
+        Stream::Following | Stream::Drop => return Applied::Ignored,
+    };
+    Applied::Ack(repl.core().ack(core.events_applied(), epoch_fp))
 }
 
 /// One connected session against the primary: handshake, then pull
-/// frames into the bus until disconnect, role change, or divergence.
+/// frames, apply and ack them until disconnect, role change, or
+/// divergence.
 fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>, stream: TcpStream, addr: &str) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
@@ -922,30 +983,9 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>, stream: TcpStrea
         return;
     }
 
-    // Dedicated ack writer so slow ack flushes never delay frame pulls.
-    let (ack_tx, ack_rx) = mpsc::channel::<Vec<u8>>();
-    repl.set_ack_tx(Some(ack_tx));
-    let ack_writer = std::thread::Builder::new()
-        .name("ref-serve-repl-ack".to_string())
-        .spawn(move || {
-            while let Ok(frame) = ack_rx.recv() {
-                if writer.write_all(&frame).is_err() {
-                    return;
-                }
-            }
-        })
-        .expect("spawn repl ack writer");
-
     loop {
-        if shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Standby || repl.take_resync()
-        {
-            break;
-        }
-        if shared.bus.depth() > 8192 {
-            // The ticker is behind; let TCP back the primary off instead
-            // of ballooning the bus.
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
+        if shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Standby {
+            return;
         }
         let payload = match conn.read_frame() {
             Ok(Some(payload)) => payload,
@@ -953,56 +993,34 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>, stream: TcpStrea
                 if repl.core().mute(repl.clock.now()) {
                     // Connected but mute (wedged primary): treat it as
                     // dead and let the election path take over.
-                    break;
+                    return;
                 }
                 continue;
             }
-            Err(_) => break,
+            Err(_) => return,
         };
         let Some(msg) = parse_message(&payload) else {
-            break;
+            return;
         };
-        let command = match on_frame(&msg) {
+        let verdict = match on_frame(&msg) {
             Stream::Following => continue,
             // A stale primary, a divergence notice (we fenced), or a
             // frame that makes no sense.
-            Stream::Drop => break,
-            Stream::Apply { seq, event } => ReplCommand::Apply { seq, event },
-            Stream::Restore { seq, snapshot } => ReplCommand::Restore { seq, snapshot },
+            Stream::Drop => return,
+            verdict => verdict,
         };
-        if shared
-            .bus
-            .push(Class::Control, Item::Repl(command))
-            .is_err()
-        {
-            break;
+        // A panic while applying degrades the shard (`None`); the stream
+        // is ignored from then on, like any other degraded node's.
+        match shared.locked(|cell| apply_stream(cell, shared, repl, verdict)) {
+            Some(Applied::Ack(frame)) => {
+                if writer.write_all(&frame).is_err() {
+                    return;
+                }
+            }
+            Some(Applied::Ignored) | None => {}
+            Some(Applied::Resync) => return,
         }
     }
-    repl.set_ack_tx(None);
-    let _ = ack_writer.join();
-}
-
-/// Commands a replication stream injects into the ticker (the sole
-/// engine mutator), keeping the standby's apply path identical to the
-/// primary's.
-#[derive(Debug)]
-pub(crate) enum ReplCommand {
-    /// Reset engine + WAL to a bootstrap checkpoint from the primary.
-    Restore {
-        /// Events the snapshot already covers.
-        seq: u64,
-        /// The snapshot text.
-        snapshot: String,
-    },
-    /// Apply one replicated record.
-    Apply {
-        /// The record's WAL sequence.
-        seq: u64,
-        /// The event itself.
-        event: MarketEvent,
-    },
-    /// The election timeout lapsed; promote if still a standby.
-    AutoPromote,
 }
 
 /// Best-effort depose of an old primary after a promotion: present the

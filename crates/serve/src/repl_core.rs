@@ -4,8 +4,8 @@
 //! Inputs are decoded replication messages plus clock readings (a
 //! `Duration` since the driver's clock origin); outputs are verdict
 //! enums that carry the frames to send. Nothing in here opens a socket,
-//! spawns, sleeps or blocks. The threaded server (`repl.rs`, the ticker
-//! in `server.rs`) and the deterministic simulator (`ref-dst`) drive
+//! spawns, sleeps or blocks. The threaded server (`repl.rs`, the request
+//! path in `server.rs`) and the deterministic simulator (`ref-dst`) drive
 //! this one machine, so a rule a simulated sweep certifies is the rule
 //! the server runs.
 //!

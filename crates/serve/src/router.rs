@@ -27,7 +27,7 @@ pub enum TickOutcome {
     Clean,
     /// Missed the tick budget (`timeout`): Suspect, Down on repeat.
     Missed,
-    /// The ticker dropped the reply or refuses mutations (`internal`,
+    /// The shard dropped the reply or refuses mutations (`internal`,
     /// `degraded`): the shard itself failed, no grace period.
     Failed,
     /// Not asked or not answering for a reason that says nothing new

@@ -3,7 +3,7 @@
 //!
 //! A sharded server (see [`crate::ServeConfig::with_shards`]) partitions
 //! the agent population across N independent [`crate::ServiceCore`]s,
-//! each with its own ticker thread, bounded bus, and WAL directory. Two
+//! each with its own lock, thread, admission quotas, and WAL directory. Two
 //! pieces of pure, deterministic logic live here:
 //!
 //! - [`HashRing`]: placement. Agent ids map to shards through a seeded
@@ -59,7 +59,7 @@ const REALLOT_EPSILON: f64 = 1e-4;
 /// expected to be far from the fair point.
 pub const COORD_WARMUP_ROUNDS: u64 = 8;
 
-/// Router-observed health of one shard's ticker.
+/// Router-observed health of one shard.
 ///
 /// Driven entirely from the routing tier (no shard cooperation needed):
 /// tick replies within budget are *clean*, tick timeouts are *misses*,
@@ -75,8 +75,8 @@ pub const COORD_WARMUP_ROUNDS: u64 = 8;
 /// ```
 ///
 /// A Down shard is skipped by fan-outs and answered `shard_unavailable`
-/// at dispatch; the supervisor probes it (or restarts its ticker from
-/// the WAL) and re-enters it at Suspect, which must then earn Healthy
+/// at dispatch; the supervisor probes it (or restarts it from the
+/// WAL) and re-enters it at Suspect, which must then earn Healthy
 /// back with M consecutive clean ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {

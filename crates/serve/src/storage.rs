@@ -54,8 +54,7 @@ pub trait StorageFile: std::fmt::Debug + Send {
 /// The filesystem surface the WAL needs (see the module docs).
 ///
 /// Implementations must be usable from multiple threads: the server's
-/// per-shard tickers each own a [`crate::wal::Wal`] over a shared
-/// storage handle.
+/// shards each own a [`crate::wal::Wal`] over a shared storage handle.
 pub trait Storage: std::fmt::Debug + Send + Sync {
     /// Creates `dir` and any missing parents.
     ///

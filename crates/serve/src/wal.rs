@@ -1,7 +1,7 @@
 //! A segmented, checksummed write-ahead log for market events.
 //!
-//! Durability contract (DESIGN.md §9): the ticker appends every admitted
-//! event here *before* applying it to the engine, and a failed append
+//! Durability contract (DESIGN.md §9): whoever holds the shard lock appends
+//! every admitted event here *before* applying it to the engine, and a failed append
 //! means the event is not applied — on disk, the WAL is always exactly
 //! the sequence of applied events (never behind, and self-healed so it
 //! is never ahead either, except for a torn tail left by a crash).
@@ -753,7 +753,8 @@ impl Wal {
     /// Reads every decodable event still on disk, in order, together
     /// with the sequence number of the first one. Tolerates a torn tail
     /// (stops there) without modifying any file — safe to call while
-    /// the log is open for appends, since the ticker is the only writer.
+    /// the log is open for appends, since appends are serialized by the
+    /// shard lock and records become visible only whole.
     ///
     /// # Errors
     ///
@@ -843,8 +844,8 @@ impl ScrubReport {
 /// Walks *all* retained segments and checkpoints in `dir`, verifying
 /// every record CRC and every checkpoint checksum — not just the tail
 /// that [`Wal::open`] validates. Read-only: nothing is repaired or
-/// truncated, so it is safe on a live directory (the ticker is the only
-/// writer, and it is the one calling). Damage is reported in the
+/// truncated, so it is safe on a live directory (the shard lock's holder
+/// is the only writer, and it is the one calling). Damage is reported in the
 /// [`ScrubReport`], one finding per file.
 ///
 /// # Errors
