@@ -3,14 +3,17 @@
 //! steps, full GP solves), plus the fast-path comparisons — incremental
 //! row-append vs from-scratch refactorization, and warm- vs cold-started
 //! GP solves over the scripted credit-market drift
-//! ([`ref_bench::gp_drift`]). The fast-path groups assert agreement before
-//! timing (1e-10 coefficients; 1e-6 allocations against the closed form,
-//! warm Newton iterations no more than cold on any epoch, no hint
-//! abandoned), so a numerical regression fails the bench run rather than
-//! silently shifting the numbers.
+//! ([`ref_bench::gp_drift`]) and, as the GP half of the epoch-scaling
+//! curve, at 12 to 384 agents under both credit mechanisms. The fast-path
+//! groups assert agreement before timing (1e-10 coefficients; 1e-6
+//! allocations against the closed form, warm Newton iterations no more
+//! than cold on any epoch, no hint abandoned; every point of the curve
+//! against its oracle), so a numerical regression fails the bench run
+//! rather than silently shifting the numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ref_bench::gp_drift;
+use ref_core::mechanism::CreditInner;
 use ref_solver::gp::{GeometricProgram, Monomial, Posynomial};
 use ref_solver::{lstsq, Cholesky, Matrix, Qr, UpdatableLstsq};
 
@@ -166,6 +169,28 @@ fn bench_warm_vs_cold_gp(c: &mut Criterion) {
     group.bench_function("warm_chain", |b| {
         b.iter(|| gp_drift::solve_all(std::hint::black_box(true)))
     });
+
+    // The scaling curve: one epoch of the script at each size, cold and
+    // from the previous epoch's optimum. Iterations ride along as a line
+    // of their own; a per-solve time divided by them is a Newton iterate.
+    for inner in [CreditInner::MaxWelfare, CreditInner::EqualSlowdown] {
+        for agents in gp_drift::SCALING_AGENTS {
+            let point = gp_drift::ScalingPoint::new(inner, agents);
+            let (cold, warm) = point.check().unwrap_or_else(|gate| panic!("{gate}"));
+            println!(
+                "credit-{} x {agents}: Newton iterations cold {}, warm {} ({:?})",
+                inner.label(),
+                cold.newton_iterations,
+                warm.newton_iterations,
+                warm.warm
+            );
+            for (label, from_hint) in [("cold", false), ("warm", true)] {
+                group.bench_function(format!("credit-{}/{agents}/{label}", inner.label()), |b| {
+                    b.iter(|| point.solve(std::hint::black_box(from_hint)))
+                });
+            }
+        }
+    }
     group.finish();
 }
 

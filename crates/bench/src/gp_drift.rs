@@ -9,15 +9,25 @@
 //! this one definition. What they gate on are counts (Newton iterations,
 //! abandoned hints), which repeat exactly; the wall times are reported,
 //! never gated.
+//!
+//! The same script at other market sizes ([`ScalingPoint`]) is the GP half
+//! of the epoch-scaling curve: its first epoch solved cold, its second
+//! cold and from the first's optimum, under either credit mechanism.
 
 use std::time::Instant;
 
-use ref_core::mechanism::{CreditInner, CreditMechanism, GpWarmStart, Mechanism, WarmOutcome};
+use ref_core::mechanism::{
+    CreditInner, CreditMechanism, GpWarmStart, Mechanism, SolveStats, WarmOutcome,
+};
 use ref_core::resource::{Allocation, Capacity};
 use ref_core::utility::CobbDouglas;
+use ref_core::welfare::egalitarian_gap;
 
 /// Agents in the scripted market.
 pub const AGENTS: usize = 48;
+
+/// Market sizes on the GP half of the epoch-scaling curve.
+pub const SCALING_AGENTS: [usize; 4] = [12, 48, 192, 384];
 
 /// Epochs in the script.
 pub const EPOCHS: usize = 16;
@@ -39,7 +49,13 @@ pub struct DriftEpoch {
 
 /// Capacity of the scripted market.
 pub fn capacity() -> Capacity {
-    Capacity::new(vec![96.0, 48.0]).expect("positive capacities")
+    capacity_for(AGENTS)
+}
+
+/// Capacity of the script's market at `agents` agents: two units of the
+/// first resource and one of the second per agent.
+fn capacity_for(agents: usize) -> Capacity {
+    Capacity::new(vec![2.0 * agents as f64, agents as f64]).expect("positive capacities")
 }
 
 /// Utility at elasticity level `level`: `[a, 1 - a]` with `a` one of 16
@@ -64,10 +80,15 @@ fn noise(epoch: usize, agent: usize) -> f64 {
 /// epoch one agent takes another elasticity level; at [`SHOCK_EPOCH`]
 /// every weight moves by 10%, half of them up and half down.
 pub fn script() -> Vec<DriftEpoch> {
-    let mut levels: Vec<u64> = (0..AGENTS as u64).map(|i| i % LEVELS).collect();
-    let mut weights: Vec<f64> = (0..AGENTS).map(|i| 1.0 + 0.2 * noise(0, i)).collect();
-    let mut epochs = Vec::with_capacity(EPOCHS);
-    for epoch in 0..EPOCHS {
+    script_for(AGENTS, EPOCHS)
+}
+
+/// The first `count` epochs of the script for a market of `agents`.
+fn script_for(agents: usize, count: usize) -> Vec<DriftEpoch> {
+    let mut levels: Vec<u64> = (0..agents as u64).map(|i| i % LEVELS).collect();
+    let mut weights: Vec<f64> = (0..agents).map(|i| 1.0 + 0.2 * noise(0, i)).collect();
+    let mut epochs = Vec::with_capacity(count);
+    for epoch in 0..count {
         if epoch > 0 {
             for (i, w) in weights.iter_mut().enumerate() {
                 let step = if epoch == SHOCK_EPOCH {
@@ -82,7 +103,7 @@ pub fn script() -> Vec<DriftEpoch> {
                 *w = (*w * (1.0 + step)).clamp(0.4, 1.6);
             }
             if epoch % 4 == 3 {
-                let who = (7 * epoch) % AGENTS;
+                let who = (7 * epoch) % agents;
                 levels[who] = (levels[who] + 5 + (epoch / 4) as u64) % LEVELS;
             }
         }
@@ -231,6 +252,96 @@ pub fn run() -> DriftRun {
     run
 }
 
+/// One point of the epoch-scaling curve: the script's first two epochs at
+/// a market size under one credit mechanism. The first epoch is solved
+/// cold on construction; what is measured is the second, cold and warm
+/// from the first's optimum — the step a credit market takes every tick.
+#[derive(Debug)]
+pub struct ScalingPoint {
+    inner: CreditInner,
+    capacity: Capacity,
+    epoch: DriftEpoch,
+    hint: GpWarmStart,
+}
+
+impl ScalingPoint {
+    /// The point at `agents` agents under `inner`.
+    pub fn new(inner: CreditInner, agents: usize) -> ScalingPoint {
+        let [first, epoch]: [DriftEpoch; 2] = script_for(agents, 2)
+            .try_into()
+            .expect("two epochs were asked for");
+        let mut point = ScalingPoint {
+            inner,
+            capacity: capacity_for(agents),
+            epoch: first,
+            hint: GpWarmStart::default(),
+        };
+        point.hint = point.solve(false).1;
+        point.epoch = epoch;
+        point
+    }
+
+    fn mechanism(&self) -> CreditMechanism {
+        CreditMechanism::new(self.inner, self.epoch.weights.clone()).expect("positive weights")
+    }
+
+    /// Solves the measured epoch: from the previous epoch's optimum when
+    /// `warm`, otherwise cold.
+    pub fn solve(&self, warm: bool) -> (Allocation, GpWarmStart) {
+        let (alloc, hint) = self
+            .mechanism()
+            .allocate_warm(
+                &self.epoch.agents,
+                &self.capacity,
+                warm.then_some(&self.hint),
+            )
+            .expect("the scripted programs are feasible");
+        (alloc, hint.expect("a GP mechanism returns a hint"))
+    }
+
+    /// The agreement gate: both solves of the measured epoch against an
+    /// oracle that shares nothing with the solver — the closed form to
+    /// 1e-6 for `credit-max-welfare`; for `credit-equal-slowdown` the
+    /// lowest weighted level `U_i^{w_i}` (the weighted utility of the
+    /// tilted agent) within 1e-5 of the max-min bound
+    /// ([`egalitarian_gap`]) and every capacity exhausted within 1e-3.
+    /// Returns the `(cold, warm)` work reports, which are for the curve
+    /// and not gated here: the warm start's count gates are
+    /// [`DriftRun::check`]'s, on the program they were tuned on.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first solve that disagreed.
+    pub fn check(&self) -> Result<(SolveStats, SolveStats), String> {
+        let (cold, warm) = (self.solve(false), self.solve(true));
+        for (label, (alloc, hint)) in [("cold", &cold), ("warm", &warm)] {
+            let (gap, limit) = match self.inner {
+                CreditInner::MaxWelfare => {
+                    let oracle = closed_form(&self.epoch, &self.capacity);
+                    (divergence(alloc, &oracle), 1e-6)
+                }
+                CreditInner::EqualSlowdown => {
+                    let tilted = self
+                        .mechanism()
+                        .tilted(&self.epoch.agents)
+                        .expect("one weight per agent");
+                    let level = *hint.x.last().expect("the level variable is last");
+                    (egalitarian_gap(&tilted, alloc, &self.capacity, level), 1e-5)
+                }
+            };
+            if gap.is_nan() || gap > limit || !alloc.is_exhaustive(&self.capacity, 1e-3) {
+                return Err(format!(
+                    "{label} {} solve at {} agents is {gap:.2e} from its oracle \
+                     or leaves capacity unused",
+                    self.inner.label(),
+                    self.epoch.agents.len()
+                ));
+            }
+        }
+        Ok((cold.1.stats, warm.1.stats))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,5 +390,27 @@ mod tests {
             3 * sum(&run.warm_newton_iters) <= 2 * sum(&run.cold_newton_iters),
             "{run:?}"
         );
+    }
+
+    #[test]
+    fn scaling_points_agree_with_their_oracles_at_the_ends_of_the_curve() {
+        // The sizes in between are gated where they are timed (the
+        // `warm_vs_cold_gp` bench group).
+        for inner in [CreditInner::MaxWelfare, CreditInner::EqualSlowdown] {
+            for agents in [SCALING_AGENTS[0], SCALING_AGENTS[3]] {
+                let point = ScalingPoint::new(inner, agents);
+                let (cold, warm) = point.check().unwrap_or_else(|gate| panic!("{gate}"));
+                println!("{} x {agents}: cold {cold:?}, warm {warm:?}", inner.label());
+                assert_eq!(cold.phase_one_iterations, 0);
+                if inner == CreditInner::MaxWelfare {
+                    assert_eq!(warm.warm, WarmOutcome::Used);
+                    assert!(warm.newton_iterations <= cold.newton_iterations);
+                }
+            }
+        }
+        // At the script's own size a point is the script's second epoch.
+        let point = ScalingPoint::new(CreditInner::MaxWelfare, AGENTS);
+        assert_eq!(point.epoch.weights, script()[1].weights);
+        assert_eq!(point.capacity, capacity());
     }
 }

@@ -130,8 +130,15 @@ impl CreditMechanism {
     }
 
     /// Raises each agent's utility to its weight: `u^w` is Cobb-Douglas
-    /// with scale `a0^w` and elasticities `w * a`.
-    fn tilted(&self, agents: &[CobbDouglas]) -> Result<Vec<CobbDouglas>> {
+    /// with scale `a0^w` and elasticities `w * a`. These are the agents the
+    /// inner mechanism sees; the weighted level `U_i(x_i)^{w_i}` is the
+    /// weighted utility of the tilted agent `i`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidArgument`] if `agents.len()` differs
+    /// from the number of weights.
+    pub fn tilted(&self, agents: &[CobbDouglas]) -> Result<Vec<CobbDouglas>> {
         if agents.len() != self.weights.len() {
             return Err(CoreError::InvalidArgument(format!(
                 "credit mechanism holds {} weights for {} agents",

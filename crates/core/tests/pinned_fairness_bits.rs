@@ -1,0 +1,99 @@
+//! The programs whose Newton systems stay dense — an envy constraint
+//! couples every pair of agents, so every `g g^T` piece is added into the
+//! envelope and the envelope is the whole lower triangle — must not notice
+//! the structured kernel: same accumulation order, same factorization,
+//! same iterates. The bits below were recorded from the dense-`Matrix`
+//! kernel (the commit before the envelope Cholesky, debug and release) and
+//! every entry of the four allocations must still match them exactly.
+//!
+//! `exp` and `ln` come from the platform's libm, so the pin is to the
+//! platform it was recorded on.
+#![cfg(all(target_arch = "x86_64", target_os = "linux"))]
+
+use ref_core::mechanism::{EqualSlowdown, MaxWelfare, Mechanism};
+use ref_core::resource::Capacity;
+use ref_core::utility::CobbDouglas;
+
+/// The paper's two-agent example.
+fn paper_agents() -> Vec<CobbDouglas> {
+    vec![
+        CobbDouglas::new(1.0, vec![0.6, 0.4]).unwrap(),
+        CobbDouglas::new(1.0, vec![0.2, 0.8]).unwrap(),
+    ]
+}
+
+/// The market of `max_welfare::tests::four_agents_solve`.
+fn four_agents() -> Vec<CobbDouglas> {
+    vec![
+        CobbDouglas::new(0.8, vec![0.7, 0.3]).unwrap(),
+        CobbDouglas::new(1.1, vec![0.3, 0.7]).unwrap(),
+        CobbDouglas::new(0.9, vec![0.5, 0.5]).unwrap(),
+        CobbDouglas::new(1.3, vec![0.9, 0.1]).unwrap(),
+    ]
+}
+
+fn assert_bits(mechanism: &dyn Mechanism, agents: &[CobbDouglas], want: &[u64]) {
+    let capacity = Capacity::new(vec![24.0, 12.0]).unwrap();
+    let alloc = mechanism.allocate(agents, &capacity).unwrap();
+    let got: Vec<u64> = (0..agents.len())
+        .flat_map(|i| (0..2).map(move |r| (i, r)))
+        .map(|(i, r)| alloc.bundle(i).get(r).to_bits())
+        .collect();
+    assert_eq!(got, want, "{} moved: {alloc:?}", mechanism.name());
+}
+
+#[test]
+fn max_welfare_with_fairness_is_bit_identical_to_the_dense_kernel() {
+    assert_bits(
+        &MaxWelfare::with_fairness(),
+        &paper_agents(),
+        &[
+            0x4032000007350645,
+            0x400fffffda953a29,
+            0x4017ffffc3b6d71a,
+            0x40200000041c8426,
+        ],
+    );
+    assert_bits(
+        &MaxWelfare::with_fairness(),
+        &four_agents(),
+        &[
+            0x401c0000a729aefa,
+            0x4002000021aea32a,
+            0x4007ffff27eec946,
+            0x4014ffffab332594,
+            0x401400005b36e9ef,
+            0x400e0000afde026f,
+            0x4021ffffaf95d3fd,
+            0x3fe7ffff214a1e30,
+        ],
+    );
+}
+
+#[test]
+fn egalitarian_with_fairness_is_bit_identical_to_the_dense_kernel() {
+    assert_bits(
+        &EqualSlowdown::with_fairness(),
+        &paper_agents(),
+        &[
+            0x40320e5ccf503bda,
+            0x40102238b4163b1a,
+            0x4017c68c840724fa,
+            0x401fddc736e5d926,
+        ],
+    );
+    assert_bits(
+        &EqualSlowdown::with_fairness(),
+        &four_agents(),
+        &[
+            0x401d793a9ca16d35,
+            0x4002bb3e0c48c309,
+            0x400753783afce84a,
+            0x40143275302cb934,
+            0x401522f2b74fbebb,
+            0x400f4ff02d9a6940,
+            0x4020dd0b32481f35,
+            0x3fe63f9c9be914ad,
+        ],
+    );
+}

@@ -1,25 +1,48 @@
-//! `credit-max-welfare` against an independent oracle. Weighted Nash
-//! welfare over Cobb-Douglas utilities has the closed form
-//! `x_ir = C_r w_i a_ir / L_r` with `L_r = sum_j w_j a_jr`, and so does the
-//! barrier method's whole central path for it: at path parameter `t` the
-//! central point is `x_ir exp(-1 / (t L_r))` (stationarity gives each
-//! capacity constraint the slack `1 / (t L_r)` and leaves the shares
-//! untouched). The solver must land on that point at the `t` it reports,
-//! cold and warm; how close that is to the optimum itself is then
-//! arithmetic: within 1e-6 wherever `t L_r >= 2e6`, which covers every
-//! market with a few agents who care about the resource.
+//! The credit-tilted GP mechanisms against oracles that share no code with
+//! the solver.
+//!
+//! `credit-max-welfare`: weighted Nash welfare over Cobb-Douglas utilities
+//! has the closed form `x_ir = C_r w_i a_ir / L_r` with
+//! `L_r = sum_j w_j a_jr`, and so does the barrier method's whole central
+//! path for it: at path parameter `t` the central point is
+//! `x_ir exp(-1 / (t L_r))` (stationarity gives each capacity constraint
+//! the slack `1 / (t L_r)` and leaves the shares untouched). The solver
+//! must land on that point at the `t` it reports, cold and warm; how close
+//! that is to the optimum itself is then arithmetic: within 1e-6 wherever
+//! `t L_r >= 2e6`, which covers every market with a few agents who care
+//! about the resource.
+//!
+//! `credit-equal-slowdown` has no closed form, but max-min has a
+//! certificate: for any multipliers `lambda` on the simplex,
+//! `min_i L_i <= prod_i L_i^{lambda_i}`, whose maximum over feasible
+//! allocations is a weighted Nash welfare in closed form
+//! ([`ref_core::welfare::egalitarian_bound`]). The allocation's lowest
+//! weighted level `L_i = U_i(x_i)^{w_i}` must come within 1e-5 of that
+//! bound at the multipliers its own slacks suggest, and exhaust every
+//! capacity within 1e-3. (The levels themselves need not be equal at a
+//! central point: an agent of small elasticity mass reaches the common
+//! level on a 1e-18 share, costs the others nothing, and is left well
+//! above it at any path parameter a solver stops at — on the dense kernel
+//! as much as on this one.)
+//!
+//! Markets run to 384 agents: a Newton iterate costs `O(N R^2)` in the
+//! structured kernel, where a dense 1,536-variable Hessian would cost a
+//! gigaflop to factor. The max-min markets stop at 192: beyond some 200
+//! agents on a single resource the damped Newton centering — on the dense
+//! kernel exactly as on this one — can run past its 300-iteration cap.
 
 use proptest::prelude::*;
 use ref_core::mechanism::{CreditInner, CreditMechanism, GpWarmStart, Mechanism};
 use ref_core::resource::{Allocation, Capacity};
 use ref_core::utility::CobbDouglas;
+use ref_core::welfare::egalitarian_gap;
 
-const MAX_AGENTS: usize = 64;
+const MAX_AGENTS: usize = 384;
 const MAX_RESOURCES: usize = 4;
 
-/// A market of 2..=64 agents on 1..=4 resources: elasticities log-uniform
-/// in `[1e-6, 1]`, credit weights in `[0.25, 4]`, capacities log-uniform
-/// in `[1e-3, 1e6]`, and a second set of weights up to 2% away.
+/// A market on 1..=4 resources: credit weights in `[0.25, 4]`, capacities
+/// log-uniform in `[1e-3, 1e6]`, and a second set of weights up to 2%
+/// away.
 #[derive(Debug)]
 struct Market {
     agents: Vec<CobbDouglas>,
@@ -28,20 +51,22 @@ struct Market {
     capacity: Capacity,
 }
 
-fn market() -> impl Strategy<Value = Market> {
+/// Markets of `2..=max_agents` agents whose elasticities are
+/// `elasticity(u)` of uniform `u` in `[0, 1)`.
+fn market(max_agents: usize, elasticity: fn(f64) -> f64) -> impl Strategy<Value = Market> {
     (
-        2..=MAX_AGENTS,
+        2..=max_agents,
         1..=MAX_RESOURCES,
         prop::collection::vec(0.0..1.0f64, MAX_AGENTS * MAX_RESOURCES),
         prop::collection::vec((0.25..4.0f64, -0.02..0.02f64), MAX_AGENTS),
         prop::collection::vec(0.0..1.0f64, MAX_RESOURCES),
     )
-        .prop_map(|(n, r, elasticities, weights, capacities)| Market {
+        .prop_map(move |(n, r, elasticities, weights, capacities)| Market {
             agents: elasticities
                 .chunks(MAX_RESOURCES)
                 .take(n)
                 .map(|row| {
-                    let row = row[..r].iter().map(|u| 10f64.powf(-6.0 * u)).collect();
+                    let row = row[..r].iter().map(|&u| elasticity(u)).collect();
                     CobbDouglas::new(1.0, row).expect("positive elasticities")
                 })
                 .collect(),
@@ -60,9 +85,24 @@ fn market() -> impl Strategy<Value = Market> {
         })
 }
 
-/// Checks `alloc` against the closed forms for `weights` at the path
-/// parameter the solve reported.
-fn check(
+impl Market {
+    fn solve(
+        &self,
+        inner: CreditInner,
+        weights: &[f64],
+        hint: Option<&GpWarmStart>,
+    ) -> (Allocation, GpWarmStart) {
+        let (alloc, next) = CreditMechanism::new(inner, weights.to_vec())
+            .unwrap()
+            .allocate_warm(&self.agents, &self.capacity, hint)
+            .unwrap();
+        (alloc, next.unwrap())
+    }
+}
+
+/// Checks `alloc` against the closed forms of weighted Nash welfare for
+/// `weights` at the path parameter the solve reported.
+fn check_max_welfare(
     market: &Market,
     weights: &[f64],
     alloc: &Allocation,
@@ -92,26 +132,66 @@ fn check(
     Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// Checks that `alloc` is a max-min point for `weights`: its lowest
+/// weighted level within 1e-5 of a certified upper bound on any feasible
+/// allocation's, every capacity exhausted within 1e-3.
+fn check_equal_slowdown(
+    market: &Market,
+    weights: &[f64],
+    alloc: &Allocation,
+    hint: &GpWarmStart,
+) -> Result<(), TestCaseError> {
+    let tilted = CreditMechanism::new(CreditInner::EqualSlowdown, weights.to_vec())
+        .and_then(|m| m.tilted(&market.agents))
+        .expect("one positive weight per agent");
+    let level = *hint.x.last().expect("the level variable is last");
+    let gap = egalitarian_gap(&tilted, alloc, &market.capacity, level);
+    prop_assert!(
+        gap <= 1e-5,
+        "lowest weighted level {gap:e} short of the bound ({:?})",
+        hint.stats
+    );
+    prop_assert!(alloc.is_exhaustive(&market.capacity, 1e-3), "{alloc:?}");
+    Ok(())
+}
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// 2..=384 agents, elasticities log-uniform in `[1e-6, 1]`.
     #[test]
-    fn credit_max_welfare_lands_on_the_closed_form_cold_and_warm(market in market()) {
-        let solve = |weights: &[f64], hint: Option<&GpWarmStart>| {
-            let (alloc, next) = CreditMechanism::new(CreditInner::MaxWelfare, weights.to_vec())
-                .unwrap()
-                .allocate_warm(&market.agents, &market.capacity, hint)
-                .unwrap();
-            (alloc, next.unwrap())
-        };
-        let (alloc, hint) = solve(&market.weights, None);
+    fn credit_max_welfare_lands_on_the_closed_form_cold_and_warm(
+        market in market(MAX_AGENTS, |u| 10f64.powf(-6.0 * u)),
+    ) {
+        let inner = CreditInner::MaxWelfare;
+        let (alloc, hint) = market.solve(inner, &market.weights, None);
         prop_assert_eq!(hint.stats.phase_one_iterations, 0);
-        check(&market, &market.weights, &alloc, &hint)?;
+        check_max_welfare(&market, &market.weights, &alloc, &hint)?;
         // Re-solve after the weights drift, seeded with that optimum, and
         // cold for comparison: the same stage, the same point.
-        let (warm, warm_hint) = solve(&market.drifted, Some(&hint));
-        check(&market, &market.drifted, &warm, &warm_hint)?;
-        let (_, cold_hint) = solve(&market.drifted, None);
+        let (warm, warm_hint) = market.solve(inner, &market.drifted, Some(&hint));
+        check_max_welfare(&market, &market.drifted, &warm, &warm_hint)?;
+        let (_, cold_hint) = market.solve(inner, &market.drifted, None);
+        prop_assert_eq!(warm_hint.t, cold_hint.t);
+    }
+}
+
+proptest! {
+    // A max-min solve takes two to four times the Newton iterations of a
+    // Nash one.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// 2..=192 agents, elasticities uniform in `[0.05, 1]`.
+    #[test]
+    fn credit_equal_slowdown_reaches_the_max_min_bound_and_exhausts_capacity_cold_and_warm(
+        market in market(MAX_AGENTS / 2, |u| 0.05 + 0.95 * u),
+    ) {
+        let inner = CreditInner::EqualSlowdown;
+        let (alloc, hint) = market.solve(inner, &market.weights, None);
+        check_equal_slowdown(&market, &market.weights, &alloc, &hint)?;
+        let (warm, warm_hint) = market.solve(inner, &market.drifted, Some(&hint));
+        check_equal_slowdown(&market, &market.drifted, &warm, &warm_hint)?;
+        let (_, cold_hint) = market.solve(inner, &market.drifted, None);
         prop_assert_eq!(warm_hint.t, cold_hint.t);
     }
 }

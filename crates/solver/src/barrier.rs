@@ -13,11 +13,12 @@
 //! increasing `t`, where `phi(x) = -sum_i log(-f_i(x))`. Each Newton system
 //! is assembled in one pass over the constraints' non-zeros
 //! ([`LogSumExp::add_derivatives`]) into buffers that live as long as the
-//! solve.
+//! solve, as a sparse matrix plus the few dense rank-one terms that would
+//! fill it ([`Hessian`]); which terms are kept apart is read off the
+//! program's sparsity once per solve.
 
 use crate::error::{Result, SolverError};
-use crate::func::{LogSumExp, Objective};
-use crate::matrix::Matrix;
+use crate::func::{Hessian, LogSumExp, Objective};
 use crate::newton::{self, NewtonOptions, Workspace};
 use crate::vec_ops;
 
@@ -139,17 +140,85 @@ struct Centering<'a> {
     p: Vec<f64>,
     /// Dense gradient scratch for [`LogSumExp::add_derivatives`].
     g: Vec<f64>,
+    /// Profile of the envelope part `S` of the Hessian `S + U diag(c) U^T`.
+    first: Vec<usize>,
+    /// Per constraint, the column of `U` its `g g^T` piece is kept in;
+    /// `None` where it is added into `S`.
+    columns: Vec<Option<usize>>,
 }
 
 impl<'a> Centering<'a> {
+    /// The centering objective of a program, with its Hessian's structure
+    /// chosen from the program's sparsity alone.
+    ///
+    /// `S` takes, entry by entry, the objective's curvature, every
+    /// constraint's `w2 sum_k p_k a_k a_k^T` and every one-term
+    /// constraint's `w1 a a^T`: its profile is the first column any of
+    /// them pairs each variable with. What fills a Hessian is the
+    /// `(w1 - w2) g g^T` of a constraint with several terms, dense over
+    /// its whole support (a capacity constraint: one variable of every
+    /// agent). Visiting those in order, each is added into `S` if that
+    /// costs no more than keeping it as one more column of `U` does, in
+    /// multiply-adds per Newton iterate: growth of the factorization's
+    /// `sum_i len_i^2 / 2` over the rows `i` of the profile, against one
+    /// more solve with the factor (`2 sum_i len_i`), a rank-one
+    /// correction of the step (`n`) and a larger `k x k` system.
     fn new(f0: &'a LogSumExp, constraints: &'a [LogSumExp]) -> Centering<'a> {
+        let n = f0.dim();
+        let mut first: Vec<usize> = (0..n).collect();
+        let fill = |first: &mut [usize], support: &[usize]| {
+            for &i in support {
+                first[i] = first[i].min(support[0]);
+            }
+        };
+        if f0.terms() > 1 {
+            f0.mark_terms(&mut first);
+            fill(&mut first, f0.support());
+        }
+        for c in constraints {
+            c.mark_terms(&mut first);
+        }
+        let mut stored: u64 = first
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (i - f + 1) as u64)
+            .sum();
+        let mut k = 0;
+        let columns = constraints
+            .iter()
+            .map(|c| {
+                if c.terms() == 1 {
+                    return None;
+                }
+                let support = c.support();
+                let (mut more_squares, mut more_stored) = (0, 0);
+                for &i in support {
+                    let (now, then) = ((i - first[i] + 1) as u64, (i - support[0] + 1) as u64);
+                    if then > now {
+                        more_squares += then * then - now * now;
+                        more_stored += then - now;
+                    }
+                }
+                let one_more_column = 2 * stored + n as u64 + 3 * k * k;
+                if more_squares / 2 <= one_more_column {
+                    fill(&mut first, support);
+                    stored += more_stored;
+                    None
+                } else {
+                    k += 1;
+                    Some(k as usize - 1)
+                }
+            })
+            .collect();
         Centering {
             t: 0.0,
             f0,
             constraints,
             phase_one_centre: None,
             p: Vec::new(),
-            g: vec![0.0; f0.dim()],
+            g: vec![0.0; n],
+            first,
+            columns,
         }
     }
 
@@ -195,33 +264,42 @@ impl Objective for Centering<'_> {
         v
     }
 
-    fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Matrix) -> f64 {
+    fn hessian(&self) -> Hessian {
+        let kept_apart = self.constraints.iter().zip(&self.columns);
+        Hessian::new(
+            self.first.clone(),
+            kept_apart.filter_map(|(c, column)| column.map(|_| c.support())),
+        )
+    }
+
+    fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Hessian) -> f64 {
         grad.fill(0.0);
-        hess.as_mut_slice().fill(0.0);
         let t = self.t;
         let mut v = t * self.f0.eval(x, &mut self.p);
         self.f0
-            .add_derivatives(&self.p, t, t, -t, grad, hess, &mut self.g);
-        for c in self.constraints {
+            .add_derivatives(&self.p, t, t, -t, grad, hess, None, &mut self.g);
+        for (c, &column) in self.constraints.iter().zip(&self.columns) {
             let fi = c.eval(x, &mut self.p);
             v -= (-fi).ln();
             // -log(-f) has gradient g / -f and Hessian
             // g g^T / f^2 + H_f / -f, with H_f = sum_k p_k a_k a_k^T - g g^T.
+            // The coefficient w1 - w2 of g g^T is zero at f = -1 and
+            // negative beyond.
             let w1 = 1.0 / (fi * fi);
             let w2 = -1.0 / fi; // fi < 0 at feasible points
-            c.add_derivatives(&self.p, w2, w2, w1 - w2, grad, hess, &mut self.g);
+            c.add_derivatives(&self.p, w2, w2, w1 - w2, grad, hess, column, &mut self.g);
         }
         if let Some(centre) = self.phase_one_centre {
             let n = centre.len();
             let s = x[n] + 1.0;
             v -= s.ln();
             grad[n] -= 1.0 / s;
-            hess[(n, n)] += 1.0 / (s * s);
+            hess.add(n, n, 1.0 / (s * s));
             for (j, (&z, &c)) in x.iter().zip(centre).enumerate() {
                 let (up, down) = box_slacks(z, c);
                 v -= up.ln() + down.ln();
                 grad[j] += 1.0 / up - 1.0 / down;
-                hess[(j, j)] += 1.0 / (up * up) + 1.0 / (down * down);
+                hess.add(j, j, 1.0 / (up * up) + 1.0 / (down * down));
             }
         }
         v
@@ -323,8 +401,8 @@ pub fn minimize_warm(
         )));
     }
     let mut stats = SolveStats::default();
-    let mut ws = Workspace::new(n);
     let mut centering = Centering::new(f0, constraints);
+    let mut ws = Workspace::new(&centering);
     let x0_interior = strictly_feasible(constraints, x0, opts);
     if let Some(w) = warm {
         stats.warm = WarmOutcome::FellBack;
@@ -467,7 +545,7 @@ fn re_enter(
     ws.newton_step(centering, &base).ok()?;
     let mut g0 = vec![0.0; base.len()];
     centering.f0.eval(&base, &mut centering.p);
-    let no_hessian = &mut Matrix::zeros(0, 0);
+    let no_hessian = &mut Hessian::dense(0);
     centering.f0.add_derivatives(
         &centering.p,
         1.0,
@@ -475,6 +553,7 @@ fn re_enter(
         0.0,
         &mut g0,
         no_hessian,
+        None,
         &mut centering.g,
     );
     let mut h_inv_g0 = vec![0.0; base.len()];
@@ -533,7 +612,7 @@ fn phase_one(
     // centering objective, not constraints of their own.
     let mut centering = Centering::new(&objective, &lifted);
     centering.phase_one_centre = Some(x0);
-    let mut ws = Workspace::new(n + 1);
+    let mut ws = Workspace::new(&centering);
 
     // Trace the phase-I central path, stopping early once s is comfortably
     // negative.
@@ -568,6 +647,7 @@ fn phase_one(
 mod tests {
     use super::*;
     use crate::func::dense::{self, Objective as _};
+    use crate::matrix::Matrix;
     use proptest::prelude::*;
 
     fn affine(dim: usize, a: &[(usize, f64)], b: f64) -> LogSumExp {
@@ -801,8 +881,7 @@ mod tests {
         reference: &dense::BarrierObjective<'_>,
         x: &[f64],
     ) -> std::result::Result<(), TestCaseError> {
-        let n = x.len();
-        let (mut g, mut h) = (vec![0.0; n], Matrix::zeros(n, n));
+        let (mut g, mut h) = (vec![0.0; x.len()], centering.hessian());
         let v = centering.eval(x, &mut g, &mut h);
         prop_assert_eq!(centering.value(x), v);
         let want = reference.value(x);
@@ -815,7 +894,7 @@ mod tests {
         for (a, b) in g.iter().zip(&want) {
             prop_assert!((a - b).abs() <= 1e-12 * scale, "{a} vs {b}");
         }
-        let gap = dense::lower_triangle_gap(&h, &reference.hessian(x));
+        let gap = dense::lower_triangle_gap(&h.to_lower(), &reference.hessian(x));
         prop_assert!(gap <= 1e-12, "Hessian gap {gap:e}");
         Ok(())
     }
@@ -918,5 +997,362 @@ mod tests {
             let reference = dense::BarrierObjective { t, f0: &f0_dense, constraints: &refs };
             assert_matches_dense(&mut centering, &reference, &z)?;
         }
+    }
+
+    /// The programs the REF mechanisms build, in log space over `agents x
+    /// resources` bundle variables (agent-major, as `ref-core` lays them
+    /// out).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        /// Weighted Nash welfare under capacity constraints alone.
+        Capacity,
+        /// Max-min: one more variable `t`, last, and a level monomial
+        /// `t <= U_i(x_i)` per agent.
+        Levels,
+        /// Capacity plus an envy row per ordered pair and a
+        /// sharing-incentive row per agent.
+        Fairness,
+        /// The capacity program's phase I: every row gains the slack, last.
+        PhaseOne,
+    }
+
+    /// A program of one of the shapes with elasticities `a[i * resources +
+    /// r]`, as terms whose offsets put constraint `i` at `-slack(i)` at `x`.
+    fn ref_shaped(
+        shape: Shape,
+        (agents, resources): (usize, usize),
+        a: &[f64],
+        x: &[f64],
+        slack: impl Fn(usize) -> f64,
+    ) -> (dense::Terms, Vec<dense::Terms>) {
+        let bundle = agents * resources;
+        let own = |i: usize, sign: f64| -> Vec<(usize, f64)> {
+            (0..resources)
+                .map(|r| (i * resources + r, sign * a[i * resources + r]))
+                .collect()
+        };
+        let objective = match shape {
+            Shape::Levels => vec![(vec![(bundle, -1.0)], 0.0)],
+            _ => vec![((0..agents).flat_map(|i| own(i, -1.0)).collect(), 0.0)],
+        };
+        let mut constraints: Vec<dense::Terms> = (0..resources)
+            .map(|r| {
+                (0..agents)
+                    .map(|i| (vec![(i * resources + r, 1.0)], 0.0))
+                    .collect()
+            })
+            .collect();
+        for i in 0..agents {
+            match shape {
+                Shape::Levels => {
+                    let mut row = own(i, -1.0);
+                    row.push((bundle, 1.0));
+                    constraints.push(vec![(row, 0.0)]);
+                }
+                Shape::Fairness => {
+                    for j in (0..agents).filter(|&j| j != i) {
+                        let mut row = own(i, -1.0);
+                        row.extend(
+                            (0..resources).map(|r| (j * resources + r, a[i * resources + r])),
+                        );
+                        constraints.push(vec![(row, 0.0)]);
+                    }
+                    constraints.push(vec![(own(i, -1.0), 0.0)]);
+                }
+                Shape::Capacity | Shape::PhaseOne => {}
+            }
+        }
+        let constraints = constraints
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| feasible_at(c, x, slack(i)))
+            .collect();
+        (objective, constraints)
+    }
+
+    /// The sparse centering problem of a [`ref_shaped`] program and the
+    /// dense one it is checked against, both at `x` (for phase I: at `x`
+    /// with the slack variable appended, the box centred on `x`).
+    struct Twins {
+        x: Vec<f64>,
+        centre: Option<Vec<f64>>,
+        f0: LogSumExp,
+        constraints: Vec<LogSumExp>,
+        f0_dense: Box<dyn dense::Objective>,
+        dense: Vec<Box<dyn dense::Objective>>,
+    }
+
+    impl Twins {
+        fn new(
+            shape: Shape,
+            size: (usize, usize),
+            a: &[f64],
+            x: &[f64],
+            slack: impl Fn(usize) -> f64,
+        ) -> Twins {
+            let (objective, constraints) = ref_shaped(shape, size, a, x, slack);
+            let n = x.len();
+            if shape != Shape::PhaseOne {
+                let (f0, f0_dense) = dense::twins(n, &objective);
+                let (sparse, reference): (Vec<_>, Vec<_>) =
+                    constraints.iter().map(|c| dense::twins(n, c)).unzip();
+                return Twins {
+                    x: x.to_vec(),
+                    centre: None,
+                    f0,
+                    constraints: sparse,
+                    f0_dense: Box::new(f0_dense),
+                    dense: reference
+                        .into_iter()
+                        .map(|c| Box::new(c) as Box<dyn dense::Objective>)
+                        .collect(),
+                };
+            }
+            // Phase I: f_i(x) - s with s = 0.5 clears every constraint (the
+            // slacks are positive); bounds as explicit affine constraints
+            // on the dense side.
+            let mut z = x.to_vec();
+            z.push(0.5);
+            let unit = |j: usize, sign: f64| {
+                let mut e = vec![0.0; n + 1];
+                e[j] = sign;
+                e
+            };
+            let mut all: Vec<Box<dyn dense::Objective>> = Vec::new();
+            for c in &constraints {
+                let with_slack: dense::Terms = c
+                    .iter()
+                    .map(|(e, b)| {
+                        let mut e = e.clone();
+                        e.push((n, -1.0));
+                        (e, *b)
+                    })
+                    .collect();
+                all.push(Box::new(dense::twins(n + 1, &with_slack).1));
+            }
+            all.push(Box::new(dense::Affine {
+                a: unit(n, -1.0),
+                b: -1.0,
+            }));
+            for j in 0..n {
+                all.push(Box::new(dense::Affine {
+                    a: unit(j, 1.0),
+                    b: -(x[j] + PHASE_ONE_BOX),
+                }));
+                all.push(Box::new(dense::Affine {
+                    a: unit(j, -1.0),
+                    b: x[j] - PHASE_ONE_BOX,
+                }));
+            }
+            Twins {
+                x: z,
+                centre: Some(x.to_vec()),
+                f0: affine(n + 1, &[(n, 1.0)], 0.0),
+                constraints: constraints
+                    .iter()
+                    .map(|c| dense::twins(n, c).0.minus_slack())
+                    .collect(),
+                f0_dense: Box::new(dense::Affine {
+                    a: unit(n, 1.0),
+                    b: 0.0,
+                }),
+                dense: all,
+            }
+        }
+
+        fn centering(&self, t: f64) -> Centering<'_> {
+            let mut centering = Centering::new(&self.f0, &self.constraints);
+            centering.phase_one_centre = self.centre.as_deref();
+            centering.t = t;
+            centering
+        }
+
+        /// The structured Newton step at `t` beside the dense Cholesky
+        /// step (`None` where round-off has cost the dense Hessian its
+        /// definiteness), with the Hessian and right-hand side `-grad` the
+        /// dense step solved. With `independent` those come from the dense
+        /// per-constraint assembly, which the structured one is checked
+        /// against on the way; without, they are the structured assembly
+        /// written out — next to the boundary the two evaluate a slack of
+        /// 1e-9 to seven digits each, and only the solves are compared.
+        #[allow(clippy::type_complexity)]
+        fn steps(
+            &self,
+            t: f64,
+            independent: bool,
+        ) -> std::result::Result<(Vec<f64>, Matrix, Vec<f64>, Option<Vec<f64>>), TestCaseError>
+        {
+            let mut centering = self.centering(t);
+            let mut ws = Workspace::new(&centering);
+            ws.newton_step(&mut centering, &self.x).unwrap();
+            let (h, b): (Matrix, Vec<f64>) = if independent {
+                let refs: Vec<&dyn dense::Objective> =
+                    self.dense.iter().map(|c| c.as_ref()).collect();
+                let reference = dense::BarrierObjective {
+                    t,
+                    f0: self.f0_dense.as_ref(),
+                    constraints: &refs,
+                };
+                assert_matches_dense(&mut centering, &reference, &self.x)?;
+                let b = reference.gradient(&self.x).iter().map(|g| -g).collect();
+                (reference.hessian(&self.x), b)
+            } else {
+                let (mut g, mut h) = (vec![0.0; self.x.len()], centering.hessian());
+                centering.eval(&self.x, &mut g, &mut h);
+                let lower = h.to_lower();
+                let h = Matrix::from_fn(g.len(), g.len(), |i, j| lower[(i.max(j), i.min(j))]);
+                (h, g.iter().map(|g| -g).collect())
+            };
+            let want =
+                crate::cholesky::dense::factor(&h).map(|l| crate::cholesky::dense::solve(&l, &b));
+            Ok((ws.step.clone(), h, b, want))
+        }
+    }
+
+    /// `||H d - b||` relative to `||H|| ||d|| + ||b||`, in the max norm
+    /// (`||H||` as the largest row sum).
+    fn relative_residual(h: &Matrix, d: &[f64], b: &[f64]) -> f64 {
+        let hd = h.matvec(d).unwrap();
+        let residual = hd
+            .iter()
+            .zip(b)
+            .fold(0.0_f64, |m, (p, q)| m.max((p - q).abs()));
+        let norm = (0..h.rows())
+            .map(|i| h.row(i).iter().map(|v| v.abs()).sum::<f64>())
+            .fold(0.0_f64, f64::max);
+        residual / (norm * vec_ops::norm_inf(d) + vec_ops::norm_inf(b))
+    }
+
+    const SHAPES: [Shape; 4] = [
+        Shape::Capacity,
+        Shape::Levels,
+        Shape::Fairness,
+        Shape::PhaseOne,
+    ];
+
+    /// Variables of a shape over `agents x resources` bundles.
+    fn dim(shape: Shape, (agents, resources): (usize, usize)) -> usize {
+        agents * resources + usize::from(shape == Shape::Levels)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn structured_step_matches_the_dense_cholesky_step_on_ref_shaped_programs(
+            shape in 0usize..4,
+            agents in 2usize..=7,
+            resources in 1usize..=3,
+            a in collection::vec(0.05..1.0_f64, 21),
+            x in collection::vec(-2.0..1.0_f64, 22),
+            slacks in collection::vec(1e-3..4.0_f64, 64),
+            t in 0.5..1e6_f64,
+        ) {
+            // Slacks from 1e-3 to 4: coefficients c = w1 - w2 of both signs.
+            let (shape, size) = (SHAPES[shape], (agents, resources));
+            let x = &x[..dim(shape, size)];
+            let twins = Twins::new(shape, size, &a, x, |i| slacks[i % slacks.len()]);
+            let (got, _, _, want) = twins.steps(t, true)?;
+            let want = want.expect("positive definite");
+            let scale = vec_ops::norm_inf(&want);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert!((g - w).abs() <= 1e-9 * scale, "{g} vs {w} ({scale:e})");
+            }
+        }
+
+        #[test]
+        fn structured_step_is_as_good_as_the_dense_one_at_the_end_of_the_path(
+            shape in 0usize..4,
+            agents in 2usize..=7,
+            resources in 1usize..=3,
+            a in collection::vec(0.05..1.0_f64, 21),
+            x in collection::vec(-2.0..1.0_f64, 22),
+            exponents in collection::vec(0.0..9.0_f64, 64),
+            t in 1e3..1e9_f64,
+        ) {
+            // Slacks down to 1e-9, where w1 / w2 is 1e9 and the dense step
+            // is itself only good to cond * eps: hold both to one residual
+            // bound instead of to each other.
+            let (shape, size) = (SHAPES[shape], (agents, resources));
+            let x = &x[..dim(shape, size)];
+            let slack = |i: usize| 10f64.powf(-exponents[i % exponents.len()]);
+            let twins = Twins::new(shape, size, &a, x, slack);
+            let (got, h, b, want) = twins.steps(t, false)?;
+            for (name, d) in [("structured", Some(&got)), ("dense", want.as_ref())] {
+                let Some(d) = d else { continue };
+                let residual = relative_residual(&h, d, &b);
+                prop_assert!(residual <= 1e-9, "{name} step leaves {residual:e}");
+                prop_assert!(vec_ops::dot(&b, d) > 0.0, "{name} step is not a descent direction");
+            }
+        }
+    }
+
+    #[test]
+    fn a_constraint_at_minus_one_and_one_beyond_it_enter_with_c_zero_and_negative() {
+        // Levels shape: every variable has curvature from its level
+        // monomial, so the capacity rows can sit anywhere. Resource 0 is
+        // held almost entirely by agent 0 — the other terms vanish against
+        // 1 in the sum — which puts that constraint at f = -1 exactly;
+        // resource 1 sits at f = -2.5.
+        let (agents, resources) = (5, 2);
+        let a: Vec<f64> = (0..10).map(|k| 0.1 + 0.08 * k as f64).collect();
+        let mut x: Vec<f64> = (0..11).map(|k| -0.5 - 0.1 * k as f64).collect();
+        for i in 1..agents {
+            x[i * resources] = x[0] - 40.0 - i as f64;
+        }
+        let slack = |i: usize| if i == 1 { 2.5 } else { 0.7 };
+        let mut twins = Twins::new(Shape::Levels, (agents, resources), &a, &x, slack);
+        let pinned: dense::Terms = (0..agents)
+            .map(|i| (vec![(i * resources, 1.0)], -1.0 - x[0]))
+            .collect();
+        let (sparse, reference) = dense::twins(x.len(), &pinned);
+        assert_eq!(sparse.value(&x, &mut Vec::new()), -1.0);
+        twins.constraints[0] = sparse;
+        twins.dense[0] = Box::new(reference);
+
+        let mut centering = twins.centering(7.0);
+        let (mut g, mut h) = (vec![0.0; x.len()], centering.hessian());
+        centering.eval(&x, &mut g, &mut h);
+        assert_eq!(h.rank(), 2);
+        assert_eq!(h.column(0).0, 0.0);
+        assert!(h.column(1).0 < 0.0, "{}", h.column(1).0);
+        let (got, _, _, want) = twins.steps(7.0, true).unwrap();
+        let want = want.expect("positive definite");
+        let scale = vec_ops::norm_inf(&want);
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() <= 1e-9 * scale, "{g} vs {w} ({scale:e})");
+        }
+    }
+
+    #[test]
+    fn hessian_structure_of_the_three_program_shapes_at_48_by_2() {
+        let size = (48, 2);
+        let a: Vec<f64> = (0..96)
+            .map(|k| 0.1 + 0.8 * f64::from(k % 16) / 16.0)
+            .collect();
+        let structure = |shape: Shape| {
+            let x = vec![-1.0; dim(shape, size)];
+            let twins = Twins::new(shape, size, &a, &x, |_| 0.5);
+            let h = twins.centering(1.0).hessian();
+            (h.s().stored(), h.rank())
+        };
+        // Max welfare: a diagonal, the two capacity rows' g g^T kept apart.
+        assert_eq!(structure(Shape::Capacity), (96, 2));
+        // Equal slowdown: 48 blocks of 2 x 2 from the level monomials plus
+        // the dense row of the level variable, which is last — an arrow,
+        // so the factor fills nothing.
+        assert_eq!(structure(Shape::Levels), (48 * 3 + 48 * 2 + 1, 2));
+        // With fairness an envy row couples every pair of agents: the
+        // envelope is the whole triangle, and adding the capacity rows'
+        // g g^T into it costs nothing.
+        assert_eq!(structure(Shape::Fairness), (96 * 97 / 2, 0));
+        // Phase I of max welfare: the slack is last, an arrow again.
+        assert_eq!(structure(Shape::PhaseOne), (96 + 97, 2));
+        // A program small enough that two extra solves cost more than a
+        // filled triangle keeps everything in S.
+        let x = vec![-1.0; 4];
+        let small = Twins::new(Shape::Capacity, (2, 2), &a, &x, |_| 0.5);
+        let h = small.centering(1.0).hessian();
+        assert_eq!((h.s().stored(), h.rank()), (8, 0));
     }
 }

@@ -2,11 +2,16 @@
 //!
 //! The [`Objective`] trait is the interface between a function and the
 //! Newton minimizer ([`crate::newton`]): one call yields value, gradient
-//! and Hessian in caller-owned buffers. [`LogSumExp`] — the log-space image
-//! of a posynomial, with sparse exponent rows — is what the barrier method
-//! ([`crate::barrier`]) and the geometric-programming layer ([`crate::gp`])
-//! are built from; [`Quadratic`] exercises the minimizer in tests.
+//! and Hessian in caller-owned buffers, the Hessian as a [`Hessian`] — a
+//! symmetric matrix in envelope storage plus a few rank-one terms kept
+//! apart, so that a program whose curvature is sparse but for a handful of
+//! dense outer products never stores or factors an `n x n` matrix.
+//! [`LogSumExp`] — the log-space image of a posynomial, with sparse
+//! exponent rows — is what the barrier method ([`crate::barrier`]) and the
+//! geometric-programming layer ([`crate::gp`]) are built from;
+//! [`Quadratic`] exercises the minimizer in tests.
 
+use crate::cholesky::Envelope;
 use crate::error::{Result, SolverError};
 use crate::matrix::Matrix;
 use crate::vec_ops;
@@ -26,11 +31,153 @@ pub trait Objective {
     /// Function value at `x`, or `f64::INFINITY` outside the domain.
     fn value(&mut self, x: &[f64]) -> f64;
 
+    /// A zero Hessian with the sparsity [`eval`](Objective::eval) fills:
+    /// the buffer a minimizer allocates once and hands to every `eval`.
+    /// Dense unless the implementation knows better.
+    fn hessian(&self) -> Hessian {
+        Hessian::dense(self.dim())
+    }
+
     /// Value, gradient and Hessian at `x` in one pass (caller guarantees
-    /// `value(x)` is finite). Overwrites `grad` and `hess`; the minimizers
-    /// read only the lower triangle of `hess`, so an implementation may
-    /// leave the strict upper triangle zero.
-    fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Matrix) -> f64;
+    /// `value(x)` is finite). Overwrites `grad`; `hess` has the structure
+    /// of [`hessian`](Objective::hessian) and arrives all zero, so an
+    /// implementation adds its entries. Only the lower triangle exists.
+    fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Hessian) -> f64;
+}
+
+/// The Hessian of an [`Objective`] as `H = S + U diag(c) U^T`.
+///
+/// `S` is symmetric with its lower triangle in envelope storage
+/// ([`Envelope`]); `U` has a few sparse columns whose outer products would
+/// fill `S` if they were added into it, each with a coefficient `c_j` of
+/// either sign. The Newton minimizer factors `S` alone and accounts for
+/// the rest through a `k x k` system ([`crate::newton`]). The structure —
+/// `S`'s profile, the rows of each column of `U` — is fixed at
+/// construction; [`dense`](Hessian::dense) is the full profile and no
+/// columns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Hessian {
+    s: Envelope,
+    /// Column `j` of `U` has its non-zeros in rows
+    /// `u_rows[u_starts[j]..u_starts[j + 1]]`, ascending, and their values
+    /// at the same positions of `u_vals`.
+    u_starts: Vec<usize>,
+    u_rows: Vec<usize>,
+    u_vals: Vec<f64>,
+    c: Vec<f64>,
+}
+
+impl Hessian {
+    /// The zero Hessian over `n` variables with every lower-triangle entry
+    /// stored.
+    pub fn dense(n: usize) -> Hessian {
+        Hessian::new(vec![0; n], std::iter::empty())
+    }
+
+    /// The zero Hessian whose `S` has the given profile (see
+    /// [`Envelope::zeros`]) and whose `U` has one column per item of
+    /// `columns`, with non-zeros in those (ascending) rows.
+    pub(crate) fn new<'a>(
+        first: Vec<usize>,
+        columns: impl IntoIterator<Item = &'a [usize]>,
+    ) -> Hessian {
+        let mut h = Hessian {
+            s: Envelope::zeros(first),
+            u_starts: vec![0],
+            u_rows: Vec::new(),
+            u_vals: Vec::new(),
+            c: Vec::new(),
+        };
+        for rows in columns {
+            h.u_rows.extend_from_slice(rows);
+            h.u_starts.push(h.u_rows.len());
+        }
+        h.u_vals = vec![0.0; h.u_rows.len()];
+        h.c = vec![0.0; h.u_starts.len() - 1];
+        h
+    }
+
+    /// Dimension `n` of the argument vector.
+    pub fn dim(&self) -> usize {
+        self.s.dim()
+    }
+
+    /// Sets every entry of `S`, `U` and `c` to zero.
+    pub fn clear(&mut self) {
+        self.s.clear();
+        self.u_vals.fill(0.0);
+        self.c.fill(0.0);
+    }
+
+    /// Adds `v` to entry `(i, j)` of `S`, `i >= j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry lies outside `S`'s profile.
+    pub fn add(&mut self, i: usize, j: usize, v: f64) {
+        let first = self.s.first(i);
+        self.s.row_mut(i)[j - first] += v;
+    }
+
+    /// Adds the lower triangle of `w v v^T` to `S`, for the sparse vector
+    /// with entry `val(k)` in row `rows[k]` (rows ascending).
+    pub(crate) fn add_outer(&mut self, w: f64, rows: &[usize], val: impl Fn(usize) -> f64) {
+        for (i, &r) in rows.iter().enumerate() {
+            let wv = w * val(i);
+            let first = self.s.first(r);
+            let row = self.s.row_mut(r);
+            for (j, &c) in rows[..=i].iter().enumerate() {
+                row[c - first] += wv * val(j);
+            }
+        }
+    }
+
+    /// Sets column `j` of `U` to the entries `val(k)`, `k` counting the
+    /// column's rows, and its coefficient to `c`.
+    pub(crate) fn set_column(&mut self, j: usize, c: f64, val: impl Fn(usize) -> f64) {
+        self.c[j] = c;
+        let vals = &mut self.u_vals[self.u_starts[j]..self.u_starts[j + 1]];
+        for (k, v) in vals.iter_mut().enumerate() {
+            *v = val(k);
+        }
+    }
+
+    /// The envelope part `S`.
+    pub(crate) fn s(&self) -> &Envelope {
+        &self.s
+    }
+
+    /// Number of columns of `U`.
+    pub(crate) fn rank(&self) -> usize {
+        self.c.len()
+    }
+
+    /// Coefficient, rows and values of column `j` of `U`.
+    pub(crate) fn column(&self, j: usize) -> (f64, &[usize], &[f64]) {
+        let (lo, hi) = (self.u_starts[j], self.u_starts[j + 1]);
+        (self.c[j], &self.u_rows[lo..hi], &self.u_vals[lo..hi])
+    }
+
+    /// `c_j u_j . x` for column `j` of `U`: entry `j` of `C U^T x`.
+    pub(crate) fn column_dot(&self, j: usize, x: &[f64]) -> f64 {
+        let (c, rows, vals) = self.column(j);
+        c * rows.iter().zip(vals).map(|(&r, &u)| u * x[r]).sum::<f64>()
+    }
+
+    /// The lower triangle of `S + U diag(c) U^T` written out.
+    #[cfg(test)]
+    pub(crate) fn to_lower(&self) -> Matrix {
+        let mut h = self.s.to_lower();
+        for j in 0..self.rank() {
+            let (c, rows, vals) = self.column(j);
+            for (a, &i) in rows.iter().enumerate() {
+                for (b, &k) in rows[..=a].iter().enumerate() {
+                    h[(i, k)] += c * vals[a] * vals[b];
+                }
+            }
+        }
+        h
+    }
 }
 
 /// Convex quadratic `0.5 x^T Q x + c . x` with symmetric `Q`.
@@ -66,12 +213,16 @@ impl Objective for Quadratic {
         0.5 * vec_ops::dot(x, &qx) + vec_ops::dot(&self.c, x)
     }
 
-    fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Matrix) -> f64 {
+    fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Hessian) -> f64 {
         let qx = self.q.matvec(x).expect("dimension checked at construction");
         for ((g, q), c) in grad.iter_mut().zip(&qx).zip(&self.c) {
             *g = q + c;
         }
-        hess.as_mut_slice().copy_from_slice(self.q.as_slice());
+        for i in 0..self.dim() {
+            for (j, &q) in self.q.row(i)[..=i].iter().enumerate() {
+                hess.add(i, j, q);
+            }
+        }
         0.5 * vec_ops::dot(x, &qx) + vec_ops::dot(&self.c, x)
     }
 }
@@ -194,6 +345,25 @@ impl LogSumExp {
         self.offsets.len()
     }
 
+    /// Sorted distinct columns over all terms: where the gradient `g` can
+    /// be non-zero, hence the rows and columns `g g^T` fills.
+    pub(crate) fn support(&self) -> &[usize] {
+        &self.support
+    }
+
+    /// Lowers `first[i]` to the first column of every term that names
+    /// variable `i`: the profile `sum_k p_k a_k a_k^T` needs of a lower
+    /// triangle (for a one-term function, that of `a a^T`).
+    pub(crate) fn mark_terms(&self, first: &mut [usize]) {
+        for k in 0..self.terms() {
+            if let Some((&c0, rest)) = self.cols[self.starts[k]..self.starts[k + 1]].split_first() {
+                for &c in rest {
+                    first[c] = first[c].min(c0);
+                }
+            }
+        }
+    }
+
     /// The same function of `(x, s)` minus `s`: every term gains the entry
     /// `(dim, -1)`. This is the phase-I constraint `f(x) - s <= 0`.
     pub(crate) fn minus_slack(&self) -> LogSumExp {
@@ -253,12 +423,16 @@ impl LogSumExp {
 
     /// Adds this function's share of a Newton system, given the softmax
     /// weights `p` that [`eval`](LogSumExp::eval) left:
-    /// `grad += alpha * g` and, on the lower triangle,
+    /// `grad += alpha * g` and
     /// `hess += beta * sum_k p_k a_k a_k^T + gamma * g g^T`, where
     /// `g = sum_k p_k a_k` is the gradient. (`beta = 1, gamma = -1` is the
-    /// function's own Hessian.) Only entries in the rows' non-zeros are
-    /// touched. `g` is scratch of length `dim`, all zero on entry and again
-    /// on return.
+    /// function's own Hessian.) The first piece goes to `S` of
+    /// `hess = S + U diag(c) U^T`, entry by entry over the rows'
+    /// non-zeros; the second — dense over the whole support — is added
+    /// into `S` the same way when `column` is `None`, and otherwise
+    /// becomes that column of `U` (whose rows must be the support) with
+    /// `c = gamma`. `g` is scratch of length `dim`, all zero on entry and
+    /// again on return.
     #[allow(clippy::too_many_arguments)]
     pub fn add_derivatives(
         &self,
@@ -267,7 +441,8 @@ impl LogSumExp {
         beta: f64,
         gamma: f64,
         grad: &mut [f64],
-        hess: &mut Matrix,
+        hess: &mut Hessian,
+        column: Option<usize>,
         g: &mut [f64],
     ) {
         for (k, &pk) in p.iter().enumerate() {
@@ -286,24 +461,18 @@ impl LogSumExp {
         if beta != 0.0 {
             for (k, &pk) in p.iter().enumerate() {
                 let (lo, hi) = (self.starts[k], self.starts[k + 1]);
-                let w = beta * pk;
-                for i in lo..hi {
-                    let wv = w * self.vals[i];
-                    let row = hess.row_mut(self.cols[i]);
-                    for j in lo..=i {
-                        row[self.cols[j]] += wv * self.vals[j];
-                    }
-                }
+                let vals = &self.vals[lo..hi];
+                hess.add_outer(beta * pk, &self.cols[lo..hi], |i| vals[i]);
             }
         }
-        for (i, &c) in self.support.iter().enumerate() {
+        for &c in &self.support {
             grad[c] += alpha * g[c];
-            if gamma != 0.0 {
-                let wg = gamma * g[c];
-                let row = hess.row_mut(c);
-                for &d in &self.support[..=i] {
-                    row[d] += wg * g[d];
-                }
+        }
+        if gamma != 0.0 {
+            let on_support = |i: usize| g[self.support[i]];
+            match column {
+                None => hess.add_outer(gamma, &self.support, on_support),
+                Some(j) => hess.set_column(j, gamma, on_support),
             }
         }
         for &c in &self.support {
@@ -533,10 +702,10 @@ mod tests {
         let mut f = Quadratic::new(q, vec![-1.0, 0.0]);
         assert_eq!(f.value(&[1.0, 1.0]), 0.5 * (2.0 + 4.0) - 1.0);
         let mut g = vec![0.0; 2];
-        let mut h = Matrix::zeros(2, 2);
+        let mut h = f.hessian();
         assert_eq!(f.eval(&[1.0, 1.0], &mut g, &mut h), 2.0);
         assert_eq!(g, vec![1.0, 4.0]);
-        assert_eq!(h[(1, 1)], 4.0);
+        assert_eq!(h.to_lower()[(1, 1)], 4.0);
     }
 
     #[test]
@@ -569,10 +738,10 @@ mod tests {
         let mut p = Vec::new();
         assert_eq!(f.eval(&x, &mut p), 3.0 * 0.3 - 0.9 + 0.7);
         assert_eq!(p, vec![1.0]);
-        let (mut g, mut h, mut scratch) = (vec![0.0; 2], Matrix::zeros(2, 2), vec![0.0; 2]);
-        f.add_derivatives(&p, 1.0, 1.0, -1.0, &mut g, &mut h, &mut scratch);
+        let (mut g, mut h, mut scratch) = (vec![0.0; 2], Hessian::dense(2), vec![0.0; 2]);
+        f.add_derivatives(&p, 1.0, 1.0, -1.0, &mut g, &mut h, None, &mut scratch);
         assert_eq!(g, vec![3.0, -1.0]);
-        assert_eq!(h.max_abs(), 0.0);
+        assert_eq!(h.to_lower().max_abs(), 0.0);
         assert_eq!(scratch, vec![0.0; 2]);
     }
 
@@ -598,15 +767,28 @@ mod tests {
         assert!((shifted - (plain - 0.3)).abs() < 1e-15);
     }
 
-    /// Gradient and Hessian of `f` at `x` through the fused pass.
-    fn derivatives(f: &LogSumExp, x: &[f64]) -> (f64, Vec<f64>, Matrix) {
+    /// Gradient and Hessian of `f` at `x` through the fused pass, the
+    /// `g g^T` piece added into a dense `S` or kept as a column of `U`.
+    fn derivatives_in(f: &LogSumExp, x: &[f64], split: bool) -> (f64, Vec<f64>, Matrix) {
         let n = f.dim();
-        let (mut p, mut g, mut h, mut scratch) =
-            (Vec::new(), vec![0.0; n], Matrix::zeros(n, n), vec![0.0; n]);
+        let (mut p, mut g, mut scratch) = (Vec::new(), vec![0.0; n], vec![0.0; n]);
+        let mut h = if split {
+            // The profile of the per-term piece alone, and one column.
+            let mut first: Vec<usize> = (0..n).collect();
+            f.mark_terms(&mut first);
+            Hessian::new(first, [f.support()])
+        } else {
+            Hessian::dense(n)
+        };
         let v = f.eval(x, &mut p);
-        f.add_derivatives(&p, 1.0, 1.0, -1.0, &mut g, &mut h, &mut scratch);
+        let column = split.then_some(0);
+        f.add_derivatives(&p, 1.0, 1.0, -1.0, &mut g, &mut h, column, &mut scratch);
         assert!(scratch.iter().all(|&s| s == 0.0), "scratch left dirty");
-        (v, g, h)
+        (v, g, h.to_lower())
+    }
+
+    fn derivatives(f: &LogSumExp, x: &[f64]) -> (f64, Vec<f64>, Matrix) {
+        derivatives_in(f, x, false)
     }
 
     proptest! {
@@ -628,6 +810,11 @@ mod tests {
             }
             let gap = dense::lower_triangle_gap(&h, &reference.hessian(&x));
             prop_assert!(gap <= 1e-12, "Hessian gap {gap:e}");
+            // Keeping g g^T apart changes where it is stored, not what it is.
+            let (_, g_split, h_split) = derivatives_in(&sparse, &x, true);
+            prop_assert_eq!(g_split, g);
+            let gap = dense::lower_triangle_gap(&h_split, &h);
+            prop_assert!(gap <= 1e-14, "split gap {gap:e}");
         }
 
         #[test]
@@ -664,15 +851,18 @@ mod tests {
         let x = [0.2, -0.4, 0.6];
         let (alpha, beta, gamma) = (0.7, 1.3, 2.1);
         let (mut p, mut g, mut h, mut scratch) =
-            (Vec::new(), vec![1.0; 3], Matrix::identity(3), vec![0.0; 3]);
+            (Vec::new(), vec![1.0; 3], Hessian::dense(3), vec![0.0; 3]);
+        for i in 0..3 {
+            h.add(i, i, 1.0);
+        }
         f.eval(&x, &mut p);
-        f.add_derivatives(&p, alpha, beta, gamma, &mut g, &mut h, &mut scratch);
+        f.add_derivatives(&p, alpha, beta, gamma, &mut g, &mut h, None, &mut scratch);
         let grad = reference.gradient(&x);
         // beta sum p a a^T + gamma g g^T = beta H + (beta + gamma) g g^T.
         let mut want = reference.hessian(&x).scaled(beta);
         want.rank_one_update(beta + gamma, &grad);
         want.axpy_matrix(1.0, &Matrix::identity(3)).unwrap();
-        assert!(dense::lower_triangle_gap(&h, &want) < 1e-14);
+        assert!(dense::lower_triangle_gap(&h.to_lower(), &want) < 1e-14);
         for (got, d) in g.iter().zip(&grad) {
             assert!((got - (1.0 + alpha * d)).abs() < 1e-14);
         }

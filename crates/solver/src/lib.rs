@@ -7,7 +7,8 @@
 //! The crate provides three layers:
 //!
 //! 1. **Linear algebra** — [`Matrix`], Householder QR ([`Qr`]), Cholesky
-//!    factorization ([`Cholesky`]), LU with partial pivoting ([`lu::Lu`])
+//!    factorization in envelope storage ([`Cholesky`],
+//!    [`cholesky::Envelope`]), LU with partial pivoting ([`lu::Lu`])
 //!    and ordinary least squares
 //!    ([`lstsq::fit`]), which `ref-core` uses to fit log-linearized
 //!    Cobb-Douglas utilities (Eq. 16 of the paper).

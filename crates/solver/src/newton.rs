@@ -1,15 +1,28 @@
 //! Damped Newton minimization of smooth convex functions.
 //!
 //! Used as the inner loop of the barrier method ([`crate::barrier`]). Each
-//! iteration solves `H d = -g` (with a Levenberg ridge when `H` loses
-//! definiteness to round-off) and backtracks until the Armijo condition
+//! iteration solves `H d = -g` and backtracks until the Armijo condition
 //! holds. Convergence is declared when the Newton decrement
 //! `lambda^2 = -g . d` falls below tolerance.
+//!
+//! The Hessian arrives as `H = S + U diag(c) U^T` ([`Hessian`]): `S`
+//! sparse in envelope storage, `U` a few columns. Only `S` is factored
+//! ([`Cholesky`], in its envelope); the rest enters through the
+//! capacitance matrix `M = I + C U^T Z` with `Z = S^-1 U`,
+//! `H^-1 b = S^-1 b - Z M^-1 C U^T S^-1 b` — the form of the
+//! Sherman-Morrison-Woodbury identity that never divides by a coefficient
+//! `c_j`, which may be zero or negative. With no columns this is a plain
+//! Cholesky solve. When `S` loses definiteness to round-off, or the
+//! direction that comes out is not a finite descent direction (`M` is not
+//! positive definite by construction the way `L L^T` is), the system is
+//! solved again with a growing Levenberg ridge on `S`'s diagonal.
 
-use crate::cholesky::{solve_regularized_into, Cholesky};
+use crate::cholesky::Cholesky;
 use crate::error::{Result, SolverError};
-use crate::func::Objective;
+use crate::func::{Hessian, Objective};
+use crate::lu::Lu;
 use crate::matrix::Matrix;
+use crate::tol;
 use crate::vec_ops;
 
 /// Options controlling the Newton iteration.
@@ -48,58 +61,155 @@ pub struct NewtonResult {
     pub iterations: usize,
 }
 
-/// Buffers one Newton loop needs, sized for `n` variables: the barrier
+/// The Newton system `H = S + U diag(c) U^T` as the objective wrote it, and
+/// its factorization.
+#[derive(Debug)]
+struct System {
+    hess: Hessian,
+    /// Factor of `S`, plus the ridge if one was needed.
+    factor: Cholesky,
+    /// `Z = S^-1 U`, one dense column of length `n` after the other.
+    z: Vec<f64>,
+    /// The factored capacitance matrix `M = I + C U^T Z`, while `U` has
+    /// columns.
+    capacitance: Option<Lu>,
+}
+
+impl System {
+    fn new(hess: Hessian) -> System {
+        let (n, k) = (hess.dim(), hess.rank());
+        System {
+            hess,
+            factor: Cholesky::with_profile(&[]),
+            z: vec![0.0; n * k],
+            capacitance: None,
+        }
+    }
+
+    /// Factors `S + tau I`, then forms `Z` and factors `M`.
+    fn factor(&mut self, tau: f64) -> Result<()> {
+        self.factor.refactor(self.hess.s(), tau)?;
+        let (n, k) = (self.hess.dim(), self.hess.rank());
+        if k == 0 {
+            return Ok(());
+        }
+        for (j, z) in self.z.chunks_exact_mut(n).enumerate() {
+            let (_, rows, vals) = self.hess.column(j);
+            z.fill(0.0);
+            for (&r, &v) in rows.iter().zip(vals) {
+                z[r] = v;
+            }
+            self.factor.solve_in_place(z)?;
+        }
+        let m = Matrix::from_fn(k, k, |i, j| {
+            let identity = if i == j { 1.0 } else { 0.0 };
+            identity + self.hess.column_dot(i, &self.z[j * n..(j + 1) * n])
+        });
+        self.capacitance = Some(Lu::new(&m)?);
+        Ok(())
+    }
+
+    /// `out = H^-1 v` for the `H` last factored.
+    fn solve(&self, v: &[f64], out: &mut [f64]) -> Result<()> {
+        self.factor.solve_into(v, out)?;
+        let Some(lu) = &self.capacitance else {
+            return Ok(());
+        };
+        let cu: Vec<f64> = (0..self.hess.rank())
+            .map(|j| self.hess.column_dot(j, out))
+            .collect();
+        let w = lu.solve(&cu)?;
+        for (wj, z) in w.iter().zip(self.z.chunks_exact(out.len())) {
+            vec_ops::axpy(-wj, z, out);
+        }
+        Ok(())
+    }
+}
+
+/// Buffers one Newton loop needs, sized for one objective: the barrier
 /// method allocates them once per solve and every centering step reuses
-/// them, so an iterate costs no allocation.
+/// them, so an iterate allocates nothing beyond the `k x k` capacitance
+/// factor.
 #[derive(Debug)]
 pub(crate) struct Workspace {
     /// Gradient at the point of the last [`newton_step`](Workspace::newton_step).
     pub(crate) grad: Vec<f64>,
-    hess: Matrix,
-    factor: Cholesky,
+    system: System,
     /// The Newton step `-H^-1 grad` there.
     pub(crate) step: Vec<f64>,
     candidate: Vec<f64>,
 }
 
 impl Workspace {
-    pub(crate) fn new(n: usize) -> Workspace {
+    /// Buffers for minimizing `f`, whose Hessian structure is read here,
+    /// once.
+    pub(crate) fn new(f: &dyn Objective) -> Workspace {
+        let n = f.dim();
         Workspace {
             grad: vec![0.0; n],
-            hess: Matrix::zeros(n, n),
-            factor: Cholesky::with_dim(n),
+            system: System::new(f.hessian()),
             step: vec![0.0; n],
             candidate: vec![0.0; n],
         }
     }
 
     /// Assembles and solves the Newton system of `f` at `x`, filling
-    /// `grad` and `step`.
-    pub(crate) fn newton_step(&mut self, f: &mut dyn Objective, x: &[f64]) -> Result<()> {
-        f.eval(x, &mut self.grad, &mut self.hess);
+    /// `grad` and `step`, and returns the slope `grad . step` along the
+    /// step: finite and negative — a descent direction — or zero where the
+    /// gradient is exactly zero. When `S` is not numerically positive
+    /// definite, or the direction that comes out is not such a step, the
+    /// system is solved again with a growing ridge on `S`'s diagonal.
+    ///
+    /// # Errors
+    ///
+    /// [`SolverError::NonFinite`] for a non-finite gradient or Hessian;
+    /// [`SolverError::NotPositiveDefinite`] (a finite direction, never a
+    /// descent direction) or `NonFinite("newton step")` when no ridge of
+    /// the schedule in [`crate::tol`] repairs the system.
+    pub(crate) fn newton_step(&mut self, f: &mut dyn Objective, x: &[f64]) -> Result<f64> {
+        self.system.hess.clear();
+        f.eval(x, &mut self.grad, &mut self.system.hess);
         if !vec_ops::all_finite(&self.grad) {
             return Err(SolverError::NonFinite("gradient".to_string()));
-        }
-        if !self.hess.is_finite() {
-            return Err(SolverError::NonFinite("hessian".to_string()));
         }
         // The negated gradient borrows the candidate buffer, which is idle
         // until the line search.
         for (n, g) in self.candidate.iter_mut().zip(&self.grad) {
             *n = -g;
         }
-        solve_regularized_into(
-            &mut self.hess,
-            &self.candidate,
-            &mut self.factor,
-            &mut self.step,
-        )
+        let stationary = self.grad.iter().all(|&g| g == 0.0);
+        let mut failure = SolverError::NotPositiveDefinite;
+        let mut tau = 0.0;
+        for _ in 0..=tol::RIDGE_RETRIES {
+            match self.system.factor(tau) {
+                Ok(()) => {
+                    self.system.solve(&self.candidate, &mut self.step)?;
+                    let gd = vec_ops::dot(&self.grad, &self.step);
+                    if (gd < 0.0 && gd.is_finite()) || (gd == 0.0 && stationary) {
+                        return Ok(gd);
+                    }
+                    failure = if gd.is_finite() {
+                        SolverError::NotPositiveDefinite
+                    } else {
+                        SolverError::NonFinite("newton step".to_string())
+                    };
+                }
+                Err(e @ (SolverError::NotPositiveDefinite | SolverError::Singular)) => failure = e,
+                Err(e) => return Err(e),
+            }
+            tau = if tau == 0.0 {
+                tol::initial_ridge(self.system.hess.s().max_abs())
+            } else {
+                tau * tol::RIDGE_GROWTH
+            };
+        }
+        Err(failure)
     }
 
     /// `H^-1 v` for the (possibly ridged) Hessian
     /// [`newton_step`](Workspace::newton_step) last factored.
     pub(crate) fn solve_factored(&self, v: &[f64], out: &mut [f64]) -> Result<()> {
-        self.factor.solve_into(v, out)
+        self.system.solve(v, out)
     }
 }
 
@@ -135,7 +245,7 @@ impl Workspace {
 /// ```
 pub fn minimize(f: &mut dyn Objective, x0: &[f64], opts: &NewtonOptions) -> Result<NewtonResult> {
     let mut x = x0.to_vec();
-    let mut ws = Workspace::new(x0.len());
+    let mut ws = Workspace::new(&*f);
     let mut iterations = 0;
     let value = minimize_in(f, &mut x, opts, &mut ws, &mut iterations)?;
     Ok(NewtonResult {
@@ -171,17 +281,8 @@ pub(crate) fn minimize_in(
     let mut stalled = 0_u32;
     for _ in 0..opts.max_iterations {
         *iterations += 1;
-        ws.newton_step(f, x)?;
-        let gd = vec_ops::dot(&ws.grad, &ws.step);
-        let decrement = -gd;
-        if decrement <= 0.0 {
-            // Direction is not a descent direction (can happen when the
-            // ridge dominates); fall back to steepest descent.
-            if vec_ops::dot(&ws.grad, &ws.grad).sqrt() <= opts.tolerance {
-                return Ok(fx);
-            }
-        }
-        if decrement / 2.0 <= opts.tolerance {
+        let gd = ws.newton_step(f, x)?;
+        if -gd / 2.0 <= opts.tolerance {
             return Ok(fx);
         }
         // Backtracking line search with domain guard.
@@ -231,7 +332,8 @@ mod tests {
         let r = minimize(&mut f, &[5.0, -5.0], &NewtonOptions::default()).unwrap();
         // Optimum solves Qx = -c.
         let mut g = vec![0.0; 2];
-        f.eval(&r.x, &mut g, &mut Matrix::zeros(2, 2));
+        let mut h = f.hessian();
+        f.eval(&r.x, &mut g, &mut h);
         assert!(vec_ops::norm_inf(&g) < 1e-8);
         // One step, and the system that found the decrement at zero.
         assert_eq!(r.iterations, 2);
@@ -247,15 +349,15 @@ mod tests {
         fn value(&mut self, x: &[f64]) -> f64 {
             (2.0 * x[0].cosh() + 2.0 * x[1].cosh()).ln()
         }
-        fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Matrix) -> f64 {
+        fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Hessian) -> f64 {
             let s = 2.0 * x[0].cosh() + 2.0 * x[1].cosh();
             for i in 0..2 {
                 grad[i] = 2.0 * x[i].sinh() / s;
             }
             for i in 0..2 {
-                for j in 0..2 {
+                for j in 0..=i {
                     let own = if i == j { 2.0 * x[i].cosh() / s } else { 0.0 };
-                    hess[(i, j)] = own - grad[i] * grad[j];
+                    hess.add(i, j, own - grad[i] * grad[j]);
                 }
             }
             s.ln()
@@ -293,10 +395,10 @@ mod tests {
                     f64::INFINITY
                 }
             }
-            fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Matrix) -> f64 {
+            fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Hessian) -> f64 {
                 let d = 1.0 - x[0] * x[0];
                 grad[0] = 2.0 * x[0] / d;
-                hess[(0, 0)] = (2.0 * d + 4.0 * x[0] * x[0]) / (d * d);
+                hess.add(0, 0, (2.0 * d + 4.0 * x[0] * x[0]) / (d * d));
                 -d.ln()
             }
         }
@@ -326,7 +428,7 @@ mod tests {
     #[test]
     fn iterations_are_counted_across_calls_and_on_failure() {
         let mut f = Quadratic::new(Matrix::identity(2), vec![1.0, 1.0]);
-        let mut ws = Workspace::new(2);
+        let mut ws = Workspace::new(&f);
         let mut x = vec![10.0, 10.0];
         let mut iterations = 0;
         let one = NewtonOptions {
@@ -346,5 +448,93 @@ mod tests {
         .unwrap();
         assert_eq!(iterations, 2);
         assert!((x[0] + 1.0).abs() < 1e-12 && (x[1] + 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_singular_hessian_is_solved_with_a_ridge() {
+        // Q = [[1, 1], [1, 1]] is only semidefinite: every x with
+        // x0 + x1 = 2 minimizes, and the ridge picks the symmetric one.
+        let q = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
+        let mut f = Quadratic::new(q, vec![-2.0, -2.0]);
+        let r = minimize(&mut f, &[0.0, 0.0], &NewtonOptions::default()).unwrap();
+        assert!((r.x[0] - 1.0).abs() < 1e-5 && (r.x[1] - 1.0).abs() < 1e-5);
+    }
+
+    /// `|x|^2 / 2` over two variables, whose `eval` reports the Hessian as
+    /// `I + c e0 e0^T` with the rank-one term kept apart: what a
+    /// low-rank correction that has lost its definiteness looks like.
+    struct Misreported {
+        c: f64,
+    }
+
+    impl Objective for Misreported {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn value(&mut self, x: &[f64]) -> f64 {
+            0.5 * vec_ops::dot(x, x)
+        }
+        fn hessian(&self) -> Hessian {
+            Hessian::new(vec![0, 1], [&[0][..]])
+        }
+        fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Hessian) -> f64 {
+            grad.copy_from_slice(x);
+            hess.add(0, 0, 1.0);
+            hess.add(1, 1, 1.0);
+            hess.set_column(0, self.c, |_| 1.0);
+            self.value(x)
+        }
+    }
+
+    #[test]
+    fn a_non_descent_direction_is_re_solved_with_a_ridge_not_reported_as_convergence() {
+        // H = diag(-2, 1) at (1, 0): the Woodbury step points uphill, and
+        // a negative decrement used to pass the convergence test. A ridge
+        // of 10 on S makes it a descent direction.
+        let mut f = Misreported { c: -3.0 };
+        let mut ws = Workspace::new(&f);
+        ws.newton_step(&mut f, &[1.0, 0.0]).unwrap();
+        assert!((ws.step[0] + 1.0 / 8.0).abs() < 1e-12, "{:?}", ws.step);
+        let r = minimize(&mut f, &[1.0, 0.0], &NewtonOptions::default()).unwrap();
+        assert!(r.x[0].abs() < 1e-4 && r.iterations > 2, "{r:?}");
+    }
+
+    #[test]
+    fn a_direction_no_ridge_repairs_is_an_error_never_convergence() {
+        // Finite, but uphill under every ridge of the schedule.
+        let mut hopeless = Misreported { c: -1e40 };
+        assert_eq!(
+            minimize(&mut hopeless, &[1.0, 0.0], &NewtonOptions::default()),
+            Err(SolverError::NotPositiveDefinite)
+        );
+        // A non-finite coefficient reaches the capacitance matrix.
+        let mut poisoned = Misreported { c: f64::NAN };
+        assert!(matches!(
+            minimize(&mut poisoned, &[1.0, 0.0], &NewtonOptions::default()),
+            Err(SolverError::NonFinite(_))
+        ));
+
+        /// Finite derivatives whose Newton step overflows: `g . d` is
+        /// infinite, every Armijo test fails, and the line search giving
+        /// up used to be read as "converged".
+        struct Overflowing;
+        impl Objective for Overflowing {
+            fn dim(&self) -> usize {
+                2
+            }
+            fn value(&mut self, _x: &[f64]) -> f64 {
+                0.0
+            }
+            fn eval(&mut self, _x: &[f64], grad: &mut [f64], hess: &mut Hessian) -> f64 {
+                grad.fill(1e308);
+                hess.add(0, 0, 1e-300);
+                hess.add(1, 1, 1e-300);
+                0.0
+            }
+        }
+        assert_eq!(
+            minimize(&mut Overflowing, &[0.0, 0.0], &NewtonOptions::default()),
+            Err(SolverError::NonFinite("newton step".to_string()))
+        );
     }
 }

@@ -24,9 +24,9 @@
 /// well-conditioned design while still flagging genuinely collinear data.
 pub const RANK_TOL: f64 = 1e-12;
 
-/// Relative size of the initial ridge `tau` used by
-/// [`crate::cholesky::solve_regularized`] when a Hessian loses positive
-/// definiteness to round-off. Grows by [`RIDGE_GROWTH`] per retry.
+/// Relative size of the initial ridge `tau` a Newton step
+/// ([`crate::newton`]) puts on its Hessian's diagonal when the system loses
+/// positive definiteness to round-off. Grows by [`RIDGE_GROWTH`] per retry.
 pub const RIDGE_TOL: f64 = 1e-12;
 
 /// Multiplicative growth of the ridge between factorization retries.
