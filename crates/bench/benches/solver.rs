@@ -9,7 +9,10 @@
 //! allocations against the closed form, warm Newton iterations no more
 //! than cold on any epoch, no hint abandoned; every point of the curve
 //! against its oracle), so a numerical regression fails the bench run
-//! rather than silently shifting the numbers.
+//! rather than silently shifting the numbers. The incremental epoch fit
+//! must also beat refactoring every epoch by at least 5x.
+
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ref_bench::gp_drift;
@@ -104,6 +107,38 @@ fn epoch_stream(epochs: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     (inputs, ys)
 }
 
+/// Minimum throughput ratio of the incremental epoch-fit loop over
+/// rebuilding the least-squares problem every epoch.
+const EPOCH_FIT_GATE: f64 = 5.0;
+
+/// The epoch-fit loop as it ran before the fast path: rebuild the design
+/// matrix and refactorize from scratch after every observation.
+fn refactor_every_epoch(inputs: &[Vec<f64>], ys: &[f64]) -> f64 {
+    let mut last = 0.0;
+    for m in 4..=inputs.len() {
+        let design = lstsq::design_with_intercept(std::hint::black_box(&inputs[..m])).unwrap();
+        let fit = lstsq::fit(&design, &ys[..m]).unwrap();
+        last = fit.coefficients()[1];
+    }
+    last
+}
+
+/// The epoch-fit loop every market agent runs: one Givens row appended to
+/// the packed triangle per observation, then a refit.
+fn append_every_epoch(inputs: &[Vec<f64>], ys: &[f64]) -> f64 {
+    let mut triangle = UpdatableLstsq::new(3);
+    let mut last = 0.0;
+    for (m, (row, y)) in inputs.iter().zip(ys).enumerate() {
+        triangle
+            .append(std::hint::black_box(&[1.0, row[0], row[1]]), *y)
+            .unwrap();
+        if m + 1 >= 4 {
+            last = triangle.solve().unwrap().coefficients()[1];
+        }
+    }
+    last
+}
+
 fn bench_append_vs_refactor(c: &mut Criterion) {
     const EPOCHS: usize = 48;
     let (inputs, ys) = epoch_stream(EPOCHS);
@@ -124,33 +159,34 @@ fn bench_append_vs_refactor(c: &mut Criterion) {
         );
     }
 
+    // Speed gate: the fastest of a few repetitions of each loop, so one
+    // descheduled repetition cannot fail the run.
+    let fastest = |epoch_fit: fn(&[Vec<f64>], &[f64]) -> f64| {
+        (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..20 {
+                    std::hint::black_box(epoch_fit(&inputs, &ys));
+                }
+                start.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let ratio =
+        fastest(refactor_every_epoch).as_secs_f64() / fastest(append_every_epoch).as_secs_f64();
+    println!("append_vs_refactor: incremental epoch fit {ratio:.1}x faster");
+    assert!(
+        ratio >= EPOCH_FIT_GATE,
+        "incremental epoch-fit speedup {ratio:.2}x is below the {EPOCH_FIT_GATE}x gate"
+    );
+
     let mut group = c.benchmark_group("append_vs_refactor");
     group.bench_function("refactor_every_epoch", |b| {
-        b.iter(|| {
-            let mut last = 0.0;
-            for m in 4..=EPOCHS {
-                let design =
-                    lstsq::design_with_intercept(std::hint::black_box(&inputs[..m])).unwrap();
-                let fit = lstsq::fit(&design, &ys[..m]).unwrap();
-                last = fit.coefficients()[1];
-            }
-            last
-        })
+        b.iter(|| refactor_every_epoch(&inputs, &ys))
     });
     group.bench_function("append_every_epoch", |b| {
-        b.iter(|| {
-            let mut triangle = UpdatableLstsq::new(3);
-            let mut last = 0.0;
-            for (m, (row, y)) in inputs.iter().zip(&ys).enumerate() {
-                triangle
-                    .append(std::hint::black_box(&[1.0, row[0], row[1]]), *y)
-                    .unwrap();
-                if m + 1 >= 4 {
-                    last = triangle.solve().unwrap().coefficients()[1];
-                }
-            }
-            last
-        })
+        b.iter(|| append_every_epoch(&inputs, &ys))
     });
     group.finish();
 }

@@ -5,10 +5,9 @@
 //! epoch's optimum, as the market's warm-start cache would — warm, and
 //! both answers are checked against the weighted-Nash closed form.
 //!
-//! `perf_report`, the `solver` Criterion bench and the tests below share
-//! this one definition. What they gate on are counts (Newton iterations,
-//! abandoned hints), which repeat exactly; the wall times are reported,
-//! never gated.
+//! The `solver` Criterion bench and the tests below share this one
+//! definition. What they gate on are counts (Newton iterations, abandoned
+//! hints), which repeat exactly; the wall times are recorded, never gated.
 //!
 //! The same script at other market sizes ([`ScalingPoint`]) is the GP half
 //! of the epoch-scaling curve: its first epoch solved cold, its second

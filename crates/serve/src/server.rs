@@ -2298,6 +2298,15 @@ mod tests {
             Some(true),
             "{tick}"
         );
+        // The merged report carries the fleet-wide SI/EF/PE audit.
+        let fairness = tick.get("report").and_then(|r| r.get("fairness")).unwrap();
+        for property in ["sharing_incentives", "envy_free", "pareto_efficient"] {
+            assert_eq!(
+                fairness.get(property).and_then(Value::as_bool),
+                Some(true),
+                "{property}: {tick}"
+            );
+        }
         // Market-wide query sums agents across shards and reports the
         // fleet epoch.
         let query = client.query().unwrap();

@@ -8,37 +8,14 @@
 //! shard router (a credit market only boots when the equal capacity
 //! split is exact). Each test pins one of those seams.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
 use ref_core::mechanism::CreditInner;
 use ref_core::resource::Capacity;
 use ref_market::{MarketConfig, MarketEngine, MechanismKind};
 use ref_serve::{shard_market_config, Client, JournalLimit, ServeConfig, Server, Value, WalConfig};
 
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("ref-credit-{tag}-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+use common::TempDir;
 
 fn credit_config() -> MarketConfig {
     // 16 and 8 split exactly across 4 shards (4.0 and 2.0 per shard).

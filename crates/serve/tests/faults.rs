@@ -3,36 +3,13 @@
 //! contracts promise — no lost state, no wedged threads, no lying
 //! responses.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
 use ref_core::resource::Capacity;
 use ref_market::MarketConfig;
 use ref_serve::{wal, Client, ClientError, FaultPlan, ServeConfig, Server, WalConfig};
 
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("ref-faults-{tag}-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+use common::TempDir;
 
 fn market() -> MarketConfig {
     MarketConfig::new(Capacity::new(vec![16.0, 8.0]).unwrap())

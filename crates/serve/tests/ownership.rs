@@ -4,11 +4,12 @@
 //! connection thread, the shard thread's share of the lock under inline
 //! load, and replication without relay threads.
 
-use std::fs;
+mod common;
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ref_core::resource::Capacity;
@@ -19,28 +20,7 @@ use ref_serve::{
     ReplConfig, ServeConfig, Server, ShardHealth, Value, WalConfig,
 };
 
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("ref-own-{tag}-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+use common::TempDir;
 
 fn market() -> MarketConfig {
     MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap())

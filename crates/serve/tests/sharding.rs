@@ -17,9 +17,7 @@
 //! 3. **Per-shard durability**: a WAL-enabled sharded server recovers
 //!    from its `shard-{k}` directories with every shard bit-identical.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
 use proptest::prelude::*;
 
@@ -30,28 +28,7 @@ use ref_serve::{
     WalConfig,
 };
 
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("ref-shard-{tag}-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+use common::TempDir;
 
 // ---------------------------------------------------------------------------
 // 1. Ring laws

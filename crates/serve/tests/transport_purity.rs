@@ -7,9 +7,7 @@
 //! own `submit_all` + pump-to-completion — and both must match the
 //! server's final snapshot byte for byte.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
 use proptest::prelude::*;
 
@@ -17,28 +15,7 @@ use ref_core::resource::Capacity;
 use ref_market::{MarketConfig, MarketEngine, MarketEvent};
 use ref_serve::{wal, Client, ClientError, JournalLimit, ServeConfig, Server, WalConfig};
 
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("ref-purity-{tag}-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+use common::TempDir;
 
 #[derive(Debug, Clone)]
 enum Op {

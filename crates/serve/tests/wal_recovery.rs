@@ -7,9 +7,9 @@
 //! can tear at most the final record, and recovery never invents,
 //! drops, or reorders an applied event.
 
+mod common;
+
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
@@ -18,28 +18,7 @@ use ref_market::{MarketConfig, MarketEngine, MarketEvent, ObservationSource};
 use ref_serve::wal::{self, Wal, WalConfig};
 use ref_serve::FaultPlan;
 
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("ref-walrec-{tag}-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+use common::TempDir;
 
 fn event_strategy() -> impl Strategy<Value = MarketEvent> {
     (0u8..6, 0u64..4, 0.5f64..8.0, 0.1f64..4.0).prop_map(|(sel, agent, a0, perf)| match sel {
