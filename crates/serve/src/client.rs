@@ -358,28 +358,9 @@ impl Client {
     /// See [`ClientError`].
     pub fn call(&mut self, request: &Value) -> Result<Value, ClientError> {
         let reply = self.call_line(&request.encode())?;
-        match reply.get("ok") {
-            Some(&Value::Bool(true)) => Ok(reply),
-            Some(&Value::Bool(false)) => Err(ClientError::Server {
-                code: reply
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                detail: reply
-                    .get("detail")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-                retry_after_ms: reply.get("retry_after_ms").and_then(Value::as_u64),
-                leader: reply
-                    .get("leader")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-                shard: reply.get("shard").and_then(Value::as_u64),
-            }),
-            _ => Err(ClientError::Protocol(format!(
-                "reply missing \"ok\" field: {reply}"
-            ))),
+        match reply_error(&reply) {
+            Some(error) => Err(error),
+            None => Ok(reply),
         }
     }
 
@@ -665,18 +646,16 @@ impl Client {
         ]))
     }
 
-    /// The full market snapshot in its text wire format.
+    /// Every shard's market snapshot in its text wire format, in shard
+    /// order.
     ///
     /// # Errors
     ///
-    /// See [`ClientError`].
-    pub fn snapshot(&mut self) -> Result<String, ClientError> {
+    /// See [`ClientError`]; a shard that answered with an error fails the
+    /// call with that error.
+    pub fn snapshot(&mut self) -> Result<Vec<String>, ClientError> {
         let reply = self.call(&Value::obj(vec![("op", Value::str("snapshot"))]))?;
-        reply
-            .get("snapshot")
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ClientError::Protocol("snapshot reply missing text".to_string()))
+        per_shard(&reply, "snapshot", |v| v.as_str().map(str::to_string))
     }
 
     /// Market and server metrics as JSON sections.
@@ -705,22 +684,19 @@ impl Client {
             .ok_or_else(|| ClientError::Protocol("metrics reply missing text".to_string()))
     }
 
-    /// The accepted-event journal.
+    /// Every shard's accepted-event journal, in shard order.
     ///
     /// # Errors
     ///
-    /// See [`ClientError`]; `journal_overflow` if the server dropped it.
-    pub fn journal(&mut self) -> Result<Vec<Value>, ClientError> {
+    /// See [`ClientError`]; `journal_overflow` if a shard dropped its
+    /// journal.
+    pub fn journal(&mut self) -> Result<Vec<Vec<Value>>, ClientError> {
         let reply = self.call(&Value::obj(vec![("op", Value::str("journal"))]))?;
-        reply
-            .get("events")
-            .and_then(Value::as_array)
-            .map(<[Value]>::to_vec)
-            .ok_or_else(|| ClientError::Protocol("journal reply missing events".to_string()))
+        per_shard(&reply, "events", |v| v.as_array().map(<[Value]>::to_vec))
     }
 
-    /// Asks the server to drain and stop; the reply carries the final
-    /// snapshot.
+    /// Asks the server to drain and stop; each shard's reply carries its
+    /// final snapshot.
     ///
     /// # Errors
     ///
@@ -728,6 +704,55 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<Value, ClientError> {
         self.call(&Value::obj(vec![("op", Value::str("shutdown"))]))
     }
+}
+
+/// What a reply that is not `ok` says went wrong: a `{"ok":false}` reply
+/// as [`ClientError::Server`]; `None` for an `ok` reply.
+fn reply_error(reply: &Value) -> Option<ClientError> {
+    match reply.get("ok") {
+        Some(&Value::Bool(true)) => None,
+        Some(&Value::Bool(false)) => Some(ClientError::Server {
+            code: reply
+                .get("error")
+                .and_then(Value::as_str)
+                .unwrap_or("unknown")
+                .to_string(),
+            detail: reply
+                .get("detail")
+                .and_then(Value::as_str)
+                .map(str::to_string),
+            retry_after_ms: reply.get("retry_after_ms").and_then(Value::as_u64),
+            leader: reply
+                .get("leader")
+                .and_then(Value::as_str)
+                .map(str::to_string),
+            shard: reply.get("shard").and_then(Value::as_u64),
+        }),
+        _ => Some(ClientError::Protocol(format!(
+            "reply missing \"ok\" field: {reply}"
+        ))),
+    }
+}
+
+/// `field` of every shard's reply in a fleet reply's `shards` array, read
+/// by `read`, in shard order.
+fn per_shard<T>(
+    reply: &Value,
+    field: &str,
+    read: impl Fn(&Value) -> Option<T>,
+) -> Result<Vec<T>, ClientError> {
+    let missing = || ClientError::Protocol(format!("reply missing per-shard {field}: {reply}"));
+    let shards = reply
+        .get("shards")
+        .and_then(Value::as_array)
+        .ok_or_else(missing)?;
+    shards
+        .iter()
+        .map(|shard| match reply_error(shard) {
+            Some(error) => Err(error),
+            None => shard.get(field).and_then(&read).ok_or_else(missing),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub struct FaultPlan {
     pub drop_tick_reply: Option<(u64, u64)>,
     /// `(shard, epoch)`: panic shard `shard` immediately after it
     /// applies the tick closing epoch `epoch` (the tick is already
-    /// durable). Exercises the full shard-recovery path: degraded mode,
+    /// durable). Exercises the full shard-recovery path: the shard Down,
     /// `shard_unavailable` fast-fails, supervisor restart from the
     /// shard's own WAL, and epoch resynchronization. Cannot re-fire
     /// after recovery: the recovered engine is already past `epoch`.

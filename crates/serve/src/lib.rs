@@ -7,9 +7,9 @@
 //!
 //! * **Transport** ([`server`]): a std-only TCP server speaking
 //!   newline-delimited JSON ([`protocol`]). An acceptor thread spawns one
-//!   thread per connection, and each request runs to completion on the
-//!   thread that read it: parse, admit, take the shard lock, serve,
-//!   encode, write.
+//!   thread per connection, and each agent-scoped request runs to
+//!   completion on the thread that read it: parse, admit, take the shard
+//!   lock, serve, encode, write.
 //! * **Backpressure** ([`bus`]): per-class quotas (control / observe /
 //!   query) bound the requests in flight — admitted and not yet
 //!   answered. When a class quota is full, the client
@@ -19,8 +19,8 @@
 //!   shard's lock may touch its core, and nobody else. The order in which
 //!   the lock is taken is the order events are journaled, logged and
 //!   applied — the engine stays deterministic. The shard's own thread
-//!   takes the same lock for timed epochs and for what is pushed to it
-//!   (fanned fleet ops, reallotments, `shutdown`).
+//!   takes the same lock for what is pushed to it (fanned fleet ops,
+//!   reallotments, `shutdown`).
 //! * **Replayability** ([`core`]): every event submitted to the engine is
 //!   journaled; [`core::replay`] reconstructs the final engine state
 //!   byte-for-byte from the journal, making the server a *pure
@@ -37,10 +37,10 @@
 //! * **Supervision** ([`server`]): connection threads, and everything
 //!   done under a shard lock, run under `catch_unwind`. A connection that
 //!   panics outside the lock dies alone; a panic under the lock costs
-//!   that one request and flips the shard into a degraded mode that
-//!   refuses mutations but keeps serving reads (the lock is never
-//!   poisoned). A deterministic [`fault::FaultPlan`]
-//!   injects crashes, torn writes, and failed syncs for testing.
+//!   that one request and takes the shard Down (the lock is never
+//!   poisoned) until the supervisor restarts it from its WAL. A
+//!   deterministic [`fault::FaultPlan`] injects crashes, torn writes, and
+//!   failed syncs for testing.
 //! * **Replication** ([`repl`]): an optional hot standby fed by WAL
 //!   shipping over the same checksummed record framing. Automatic (or
 //!   `promote`-driven) failover with monotone terms and fencing, and
@@ -51,21 +51,26 @@
 //!   elect itself, when a recovered primary may take writes again — is
 //!   one sans-IO state machine, [`repl_core::ReplCore`]; [`repl`] is its
 //!   threaded driver and the deterministic simulator its other one.
-//! * **Sharding** ([`shard`] + [`server`]'s router): optionally
-//!   partitions agents across N independent market shards via a seeded
-//!   consistent-hash ring. Each shard keeps its own lock, thread,
-//!   admission quotas, WAL directory and journal (crash safety and replay compose per shard
-//!   unchanged); `tick` fans out to every shard and a cross-shard
-//!   coordinator rebalances per-resource capacity between shards after
-//!   each epoch, with a temporal-drift bound audited next to SI/EF/PE.
+//! * **Sharding** ([`shard`] + [`server`]'s router): partitions agents
+//!   across N independent market shards via a seeded consistent-hash
+//!   ring, one code path for every N (one shard is a one-node fleet).
+//!   Each shard keeps its own lock, thread, admission quotas, WAL
+//!   directory and journal (crash safety and replay compose per shard
+//!   unchanged); fleet ops fan out to every shard and reply with the
+//!   merged scalars plus each shard's own reply, and a cross-shard
+//!   coordinator runs timed epochs and rebalances per-resource capacity
+//!   between shards after each, with a temporal-drift bound audited next
+//!   to SI/EF/PE.
 //! * **Shard fault tolerance** ([`server`]'s router + supervisor): the
 //!   router tracks per-shard health (`Healthy → Suspect → Down`) from
 //!   tick timeouts and failure replies, fails agent ops to a Down shard
 //!   fast with `shard_unavailable` + `retry_after_ms`, gates cross-shard
 //!   reallotment on a reporting quorum (partial epochs are stamped
 //!   `partial: true` and never audited as fleet-wide fairness), and a
-//!   supervisor thread restarts a degraded shard in place from its own
-//!   WAL, resynchronizing it to the fleet epoch.
+//!   supervisor thread restarts a panicked shard in place from its own
+//!   WAL, resynchronizing it to the fleet epoch (a replicated node is
+//!   not restarted: it stops heartbeating, and its standby's election
+//!   replaces it).
 //!   The health transitions, the quorum gate, delivery/rollback of
 //!   reallotments and the fencing-token floor are the sans-IO
 //!   [`router::RouterCore`]; [`server`] drives it once per fleet tick.

@@ -133,8 +133,8 @@ pub struct ServeMetrics {
     pub epochs: AtomicU64,
     /// Requests in flight on the shard (admitted and not yet answered,
     /// plus whatever is queued for its thread) at the last admission
-    /// (gauge); on a sharded server each shard keeps its own, so scrapes
-    /// see per-shard backlog, not just the high-water mark.
+    /// (gauge); each shard keeps its own, so scrapes see per-shard
+    /// backlog, not just the high-water mark.
     pub queue_depth: AtomicU64,
     /// High-water mark of that depth, observed at admission.
     pub queue_depth_max: AtomicU64,
@@ -174,8 +174,8 @@ pub struct ServeMetrics {
     /// Panics caught under a shard lock, whichever thread held it (the
     /// name dates from when only the ticker thread did).
     pub ticker_panics: AtomicU64,
-    /// Degraded-mode gauge: 1 after such a panic (mutations refused,
-    /// reads still served), 0 in normal operation.
+    /// Degraded gauge: 1 after such a panic (the shard is Down until the
+    /// supervisor restarts it), 0 in normal operation.
     pub degraded: AtomicU64,
     /// Shards currently Down (gauge, router-wide; lives on shard 0's
     /// metrics like the other transport-level counters).

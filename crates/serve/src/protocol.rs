@@ -11,12 +11,19 @@
 //!          | "scrub" | "ping" | "promote" | "shutdown"
 //! response = { "ok": true,  ...result fields... } "\n"
 //!          | { "ok": false, "error": code, "detail"?: string,
-//!              "retry_after_ms"?: number, "leader"?: string } "\n"
+//!              "retry_after_ms"?: number, "leader"?: string,
+//!              "shard"?: number } "\n"
 //! code     = "protocol" | "overloaded" | "deadline" | "market"
 //!          | "shutting_down" | "timeout" | "journal_overflow"
-//!          | "journal_truncated" | "wal" | "degraded" | "not_primary"
-//!          | "fenced" | "repl" | "internal" | "shard_unavailable"
+//!          | "journal_truncated" | "wal" | "not_primary" | "fenced"
+//!          | "repl" | "internal" | "shard_unavailable" | "unavailable"
 //! ```
+//!
+//! Fleet ops — `tick`, `query` without an agent, `snapshot`, `journal`,
+//! `metrics`, `scrub`, `promote`, `shutdown` — reply `{"ok": true,
+//! ...merged fields..., "shards": [...]}` with every shard's own reply,
+//! tagged with its `"shard"` index; when no shard answered `ok`, the
+//! reply is the first shard's error, tagged.
 //!
 //! `ping` is answered directly on the reader thread from shared atomics
 //! (it must work even when the epoch loop is wedged) and returns
@@ -113,8 +120,8 @@ pub enum Request {
     },
     /// Run one epoch now.
     Tick,
-    /// Replace the market's per-resource capacity (the sharded router's
-    /// cross-shard coordinator issues these; operators may too).
+    /// Replace the market's per-resource capacity. The cross-shard
+    /// coordinator issues these; on the wire the server refuses them.
     Reallot {
         /// New per-resource capacities.
         capacity: Vec<f64>,
@@ -467,7 +474,7 @@ pub fn not_primary_response(leader: Option<&str>, shard: Option<u64>) -> Value {
     Value::obj(pairs)
 }
 
-/// Builds the `shard_unavailable` rejection the sharded router answers
+/// Builds the `shard_unavailable` rejection the router answers
 /// with when a request targets a shard that is Down (panicked,
 /// restarting, or repeatedly missing its tick budget). Fail-fast by
 /// design: the client gets the rejection — and a `retry_after_ms`

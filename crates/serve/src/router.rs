@@ -27,8 +27,8 @@ pub enum TickOutcome {
     Clean,
     /// Missed the tick budget (`timeout`): Suspect, Down on repeat.
     Missed,
-    /// The shard dropped the reply or refuses mutations (`internal`,
-    /// `degraded`): the shard itself failed, no grace period.
+    /// The shard dropped the reply (`internal`): the shard itself
+    /// failed, no grace period.
     Failed,
     /// Not asked or not answering for a reason that says nothing new
     /// about its health (`shard_unavailable`, `shutting_down`, a
@@ -44,7 +44,7 @@ impl TickOutcome {
         }
         match reply.get("error").and_then(Value::as_str) {
             Some("timeout") => TickOutcome::Missed,
-            Some("internal" | "degraded") => TickOutcome::Failed,
+            Some("internal") => TickOutcome::Failed,
             _ => TickOutcome::Silent,
         }
     }
@@ -134,7 +134,7 @@ impl RouterCore {
     }
 
     /// The router's assessment of `shard` (the driver overrides it to
-    /// Down the moment the shard reports itself degraded).
+    /// Down the moment the shard reports a panic under its lock).
     pub fn health(&self, shard: usize) -> ShardHealth {
         self.watch[shard].health
     }
@@ -255,16 +255,39 @@ impl RouterCore {
 }
 
 /// Inserts a `"shard": k` tag right after the leading `ok`/`error`
-/// marker of a shard's reply, so aggregated arrays stay attributable.
+/// marker of a shard's reply, so aggregated arrays stay attributable. A
+/// reply that already names its shard (`shard_unavailable`, or a
+/// redirect from one shard of an externally sharded deployment) keeps
+/// that tag.
 pub fn tag_shard(value: Value, shard: usize) -> Value {
     match value {
-        Value::Obj(mut pairs) => {
+        Value::Obj(mut pairs) if !pairs.iter().any(|(key, _)| key == "shard") => {
             let at = pairs.len().min(1);
             pairs.insert(at, ("shard".to_string(), Value::from_u64(shard as u64)));
             Value::Obj(pairs)
         }
         other => other,
     }
+}
+
+/// The reply to a fleet op: the merged scalars `fields` and every
+/// shard's own reply in a shard-tagged `shards` array. When no shard
+/// answered `ok` there is nothing to merge, and the reply is the first
+/// shard's error, tagged — so a lone standby still answers `not_primary`
+/// with its `leader`, and a fleet with every shard Down answers
+/// `shard_unavailable` with its `retry_after_ms`.
+pub fn fleet_reply(mut fields: Vec<(&str, Value)>, replies: Vec<Value>) -> Value {
+    let ok = Value::Bool(true);
+    let answered = replies.iter().any(|reply| reply.get("ok") == Some(&ok));
+    let mut tagged = replies
+        .into_iter()
+        .enumerate()
+        .map(|(shard, reply)| tag_shard(reply, shard));
+    if !answered {
+        return tagged.next().expect("a fleet has at least one shard");
+    }
+    fields.push(("shards", Value::Arr(tagged.collect())));
+    ok_response(fields)
 }
 
 /// The merged reply to a fleet `tick`: the fleet epoch, the combined
@@ -281,22 +304,17 @@ pub fn tick_reply(replies: Vec<Value>, round: &Round) -> Value {
     }
     fields.push(("drift", Value::Num(round.status.drift)));
     fields.push(("drift_bound_ok", Value::Bool(round.status.within_bound)));
-    let tagged = replies
-        .into_iter()
-        .enumerate()
-        .map(|(shard, reply)| tag_shard(reply, shard))
-        .collect();
-    fields.push(("shards", Value::Arr(tagged)));
-    ok_response(fields)
+    fleet_reply(fields, replies)
 }
 
-/// Combines per-shard epoch reports into a fleet-wide view: agent counts
-/// sum, warm-up ORs, fairness flags AND (with violation counts summed
-/// and the worst ratios kept), and the enforcement deviation takes the
-/// worst shard. `None` if no shard produced a report this tick. When
-/// any shard missed the tick (`missing` non-empty) the merged report is
-/// stamped `partial: true` with those shard ids and carries no fairness
-/// block: a fleet audit over a partial fleet would be phantom data.
+/// Combines per-shard epoch reports into a fleet-wide view: agent and
+/// temporal-violation counts sum, warm-up ORs, fairness flags AND (with
+/// violation counts summed and the worst ratios kept), and the
+/// enforcement deviation takes the worst shard. `None` if no shard
+/// produced a report this tick. When any shard missed the tick
+/// (`missing` non-empty) the merged report is stamped `partial: true`
+/// with those shard ids and carries no fairness block: a fleet audit
+/// over a partial fleet would be phantom data.
 pub fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value> {
     let reports: Vec<&Value> = replies.iter().filter_map(|r| r.get("report")).collect();
     if reports.is_empty() {
@@ -320,10 +338,20 @@ pub fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value> {
     let warm = reports
         .iter()
         .any(|r| r.get("warm") == Some(&Value::Bool(true)));
+    // A shard report lists its live agents' ids; the fleet counts them.
+    let agents: usize = reports
+        .iter()
+        .filter_map(|r| r.get("agents")?.as_array())
+        .map(<[Value]>::len)
+        .sum();
     let mut fields: Vec<(&str, Value)> = vec![
         ("epoch", Value::from_u64(epoch.unwrap_or(0))),
-        ("agents", Value::from_u64(sum(&reports, "agents"))),
+        ("agents", Value::from_u64(agents as u64)),
         ("warm", Value::Bool(warm)),
+        (
+            "temporal_violations",
+            Value::from_u64(sum(&reports, "temporal_violations")),
+        ),
         (
             "worst_enforcement_deviation",
             Value::Num(worst(&reports, "worst_enforcement_deviation")),
@@ -336,13 +364,17 @@ pub fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value> {
             Value::Arr(missing.iter().copied().map(Value::from_u64).collect()),
         ));
     }
-    // Fairness merges only when every shard audited this epoch: a
-    // partially-audited fleet must not claim fleet-wide fairness. Per-shard
-    // reports emit `envy_edges` (violation count) and `max_mrs_mismatch`;
-    // the merged view renames them to the fleet-wide reading: total
-    // violations, worst spread anywhere.
-    let f: Vec<&Value> = reports.iter().filter_map(|r| r.get("fairness")).collect();
-    if missing.is_empty() && f.len() == reports.len() {
+    // A shard without agents has nothing to audit (`"fairness": null`)
+    // and no say in the fleet verdict; with no audit anywhere there is no
+    // verdict. Per-shard reports emit `envy_edges` (violation count) and
+    // `max_mrs_mismatch`; the merged view renames them to the fleet-wide
+    // reading: total violations, worst spread anywhere.
+    let f: Vec<&Value> = reports
+        .iter()
+        .filter_map(|r| r.get("fairness"))
+        .filter(|fairness| **fairness != Value::Null)
+        .collect();
+    if missing.is_empty() && !f.is_empty() {
         fields.push((
             "fairness",
             Value::obj(vec![
@@ -364,7 +396,12 @@ pub fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::error_response;
+    use crate::core::{JournalLimit, ServiceCore};
+    use crate::metrics::ServeMetrics;
+    use crate::protocol::{error_response, shard_unavailable_response, Request};
+    use ref_core::resource::Capacity;
+    use ref_core::utility::CobbDouglas;
+    use ref_market::{MarketConfig, ObservationSource};
     use TickOutcome::{Clean, Failed, Missed, Silent};
 
     fn router(shards: usize, quorum: usize) -> RouterCore {
@@ -383,7 +420,6 @@ mod tests {
             (ok_response(vec![]), Clean),
             (error_response("timeout", None, None), Missed),
             (error_response("internal", None, None), Failed),
-            (error_response("degraded", None, None), Failed),
             (error_response("shard_unavailable", None, None), Silent),
             (error_response("shutting_down", None, None), Silent),
             (error_response("unavailable", None, Some(5)), Silent),
@@ -504,56 +540,94 @@ mod tests {
         assert_eq!(RouterCore::catch_up_ticks(&[4], 0), 0);
     }
 
+    /// A real shard's reply to its first tick after `agents` joined: the
+    /// bytes `merge_reports` meets on the wire.
+    fn shard_tick(agents: &[u64]) -> Value {
+        let metrics = ServeMetrics::new();
+        let market = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
+        let mut core = ServiceCore::new(market, JournalLimit::default()).unwrap();
+        for &agent in agents {
+            let e0 = 0.2 + 0.1 * agent as f64;
+            let truth = CobbDouglas::new(1.0, vec![e0, 1.0 - e0]).unwrap();
+            let source = ObservationSource::GroundTruth(truth);
+            core.handle(&Request::Join { agent, source }, &metrics);
+        }
+        core.handle(&Request::Tick, &metrics)
+    }
+
     #[test]
-    fn partial_rounds_stamp_the_merge_and_drop_fairness() {
-        let shard_reply = |epoch: u64, si: u64| {
-            ok_response(vec![
-                ("epoch", Value::from_u64(epoch)),
-                (
-                    "report",
-                    Value::obj(vec![
-                        ("epoch", Value::from_u64(epoch)),
-                        ("agents", Value::from_u64(2)),
-                        ("warm", Value::Bool(false)),
-                        ("worst_enforcement_deviation", Value::Num(0.1)),
-                        (
-                            "fairness",
-                            Value::obj(vec![
-                                ("sharing_incentives", Value::Bool(si == 0)),
-                                ("si_violations", Value::from_u64(si)),
-                                ("envy_free", Value::Bool(true)),
-                                ("envy_edges", Value::from_u64(0)),
-                                ("pareto_efficient", Value::Bool(true)),
-                                ("max_mrs_mismatch", Value::Num(0.0)),
-                            ]),
-                        ),
-                    ]),
-                ),
-            ])
-        };
-        let mut router = router(2, 1);
-        let replies = vec![shard_reply(4, 0), shard_reply(4, 1)];
-        let round = router.tick_round(&[Clean, Clean], &skewed(2));
+    fn merges_count_agents_and_leave_shards_without_an_audit_out() {
+        let replies = vec![shard_tick(&[1, 2]), shard_tick(&[]), shard_tick(&[3, 4, 5])];
+        let round = router(3, 1).tick_round(&[Clean; 3], &skewed(3));
         let full = tick_reply(replies.clone(), &round);
         let report = full.get("report").unwrap();
-        assert_eq!(full.get("epoch").and_then(Value::as_u64), Some(4));
-        assert_eq!(report.get("agents").and_then(Value::as_u64), Some(4));
+        assert_eq!(full.get("epoch").and_then(Value::as_u64), Some(1));
+        assert_eq!(report.get("agents").and_then(Value::as_u64), Some(5));
+        let temporal: u64 = replies
+            .iter()
+            .filter_map(|r| r.get("report")?.get("temporal_violations")?.as_u64())
+            .sum();
+        assert_eq!(
+            report.get("temporal_violations").and_then(Value::as_u64),
+            Some(temporal)
+        );
         assert!(report.get("partial").is_none());
+        // Shard 1 has no agents and reports `"fairness": null`; it has no
+        // say in the verdict of the two that audited.
+        assert_eq!(
+            replies[1].get("report").unwrap().get("fairness"),
+            Some(&Value::Null)
+        );
         let fairness = report.get("fairness").expect("full rounds audit");
+        for property in ["sharing_incentives", "envy_free", "pareto_efficient"] {
+            assert_eq!(fairness.get(property), Some(&Value::Bool(true)), "{full}");
+        }
+        assert_eq!(
+            fairness.get("si_violations").and_then(Value::as_u64),
+            Some(0)
+        );
+        let shards = full.get("shards").and_then(Value::as_array).unwrap();
+        assert_eq!(shards[1].get("shard").and_then(Value::as_u64), Some(1));
+
+        // One shard's failed audit fails the fleet's, and its violations
+        // are counted; the fair shard beside it changes nothing.
+        let fair = r#""fairness":{"sharing_incentives":true,"envy_free":true,"pareto_efficient":true,"si_violations":0,"envy_edges":0,"#;
+        let unfair = r#""fairness":{"sharing_incentives":false,"envy_free":false,"pareto_efficient":false,"si_violations":1,"envy_edges":2,"#;
+        let text = replies[0].encode();
+        assert!(text.contains(fair), "{text}");
+        let violated = Value::parse(&text.replace(fair, unfair)).unwrap();
+        let merged = tick_reply(
+            vec![violated, replies[1].clone(), replies[2].clone()],
+            &round,
+        );
+        let fairness = merged.get("report").unwrap().get("fairness").unwrap();
+        for property in ["sharing_incentives", "envy_free", "pareto_efficient"] {
+            assert_eq!(
+                fairness.get(property),
+                Some(&Value::Bool(false)),
+                "{merged}"
+            );
+        }
         assert_eq!(
             fairness.get("si_violations").and_then(Value::as_u64),
             Some(1)
         );
         assert_eq!(
-            fairness.get("sharing_incentives"),
-            Some(&Value::Bool(false))
+            fairness.get("ef_violations").and_then(Value::as_u64),
+            Some(2)
         );
-        let shards = full.get("shards").and_then(Value::as_array).unwrap();
-        assert_eq!(shards[1].get("shard").and_then(Value::as_u64), Some(1));
 
+        // No shard audited: no verdict, as for a single empty market.
+        let round = router(2, 1).tick_round(&[Clean; 2], &skewed(2));
+        let idle = tick_reply(vec![shard_tick(&[]), shard_tick(&[])], &round);
+        let report = idle.get("report").unwrap();
+        assert_eq!(report.get("agents").and_then(Value::as_u64), Some(0));
+        assert!(report.get("fairness").is_none(), "{idle}");
+
+        // A shard missed the tick: the merge is stamped and drops fairness.
         let replies = vec![replies[0].clone(), error_response("timeout", None, None)];
         let outcomes: Vec<TickOutcome> = replies.iter().map(TickOutcome::of).collect();
-        let round = router.tick_round(&outcomes, &skewed(2));
+        let round = router(2, 1).tick_round(&outcomes, &skewed(2));
         let partial = tick_reply(replies, &round);
         let report = partial.get("report").unwrap();
         assert_eq!(report.get("partial"), Some(&Value::Bool(true)));
@@ -562,5 +636,27 @@ mod tests {
             Some(&Value::Arr(vec![Value::from_u64(1)]))
         );
         assert!(report.get("fairness").is_none());
+    }
+
+    #[test]
+    fn a_fleet_reply_with_no_ok_shard_is_the_first_error_tagged() {
+        let refused = |shard| error_response("not_primary", Some(&format!("{shard}")), None);
+        let reply = fleet_reply(
+            vec![("epoch", Value::from_u64(3))],
+            vec![refused(0), refused(1)],
+        );
+        assert_eq!(
+            reply.encode(),
+            r#"{"ok":false,"shard":0,"error":"not_primary","detail":"0"}"#
+        );
+        // A reply that already names its shard keeps the name.
+        let down = shard_unavailable_response(7, 5);
+        assert_eq!(fleet_reply(vec![], vec![down.clone()]), down);
+        // One `ok` is enough for the merged shape.
+        let reply = fleet_reply(vec![], vec![down, ok_response(vec![])]);
+        assert_eq!(
+            reply.encode(),
+            r#"{"ok":true,"shards":[{"ok":false,"error":"shard_unavailable","shard":7,"detail":"the owning shard is down; retry after backoff","retry_after_ms":5},{"ok":true,"shard":1}]}"#
+        );
     }
 }

@@ -12,47 +12,53 @@
 //!                                    └──────────────────────┘    └────────────┘
 //!                                       pushes (fan, reallot,          ▲
 //!                                       probe, shutdown) ──▶ bus ──▶ shard thread
-//!                                                                  (+ timed epochs,
-//!                                                                   heartbeats)
+//!                                                                   (+ heartbeats)
+//!            coordinator (timed epochs) ──▶ fan      supervisor ──▶ restart, probe
 //! ```
 //!
-//! The rule is *whoever holds the shard lock may touch the core*. A
-//! request for one shard runs to completion on the connection thread that
-//! read it: parse, pass the shard's admission guard (`overloaded`,
-//! `shutting_down`), take the shard lock, `serve_request`, unlock,
-//! encode, write — no queue, no second thread, no reply channel. The
-//! order of application is the order in which the lock was taken, which
-//! is the order the journal and the WAL record, so replay stays
-//! bit-identical. The shard's own thread calls the same function under
-//! the same lock for what is *pushed* to it: fanned ticks and inspections
-//! (which must be abandonable at the tick budget), journaled
-//! reallotments, probes, `shutdown`, the one event in `checkpoint_every`
-//! that makes a checkpoint due, timed epochs and heartbeats. A panic
-//! under the lock is caught before it unwinds the guard: the request gets
-//! `internal`, the shard turns degraded (mutations refused, reads still
-//! served), the lock is never poisoned. Graceful shutdown (the `shutdown`
-//! op or [`Server::shutdown`]) closes the bus, lets every admitted
-//! request finish, flushes a final snapshot, and joins every thread.
+//! The rule is *whoever holds the shard lock may touch the core*. An
+//! agent-scoped request runs to completion on the connection thread that
+//! read it: parse, route to the owning shard on the ring, pass that
+//! shard's admission guard (`overloaded`, `shutting_down`), take the
+//! shard lock, `serve_request`, unlock, encode, write — no queue, no
+//! second thread, no reply channel. The order of application is the
+//! order in which the lock was taken, which is the order the journal and
+//! the WAL record, so replay stays bit-identical. The shard's own thread
+//! calls the same function under the same lock for what is *pushed* to
+//! it: fleet ops (which must be abandonable at the tick budget),
+//! journaled reallotments, probes, `shutdown`, the one event in
+//! `checkpoint_every` that makes a checkpoint due, and heartbeats. A
+//! panic under the lock is caught before it unwinds the guard: the
+//! request gets `internal`, the shard turns degraded and is Down until
+//! the supervisor restarts it, the lock is never poisoned. Graceful
+//! shutdown (the `shutdown` op or [`Server::shutdown`]) closes the bus,
+//! lets every admitted request finish, flushes a final snapshot, and
+//! joins every thread.
 //!
-//! ## Sharded serving
+//! ## One fleet of N shards
 //!
-//! With [`ServeConfig::with_shards`] the server becomes a thin routing
-//! tier over N independent shards, each owning its own [`ServiceCore`],
-//! shard lock and thread, admission guard, and WAL directory. Connection
-//! threads hash each agent-bearing request to its owning shard through a
-//! seeded consistent-hash ring ([`crate::shard::HashRing`]) and serve it
-//! there; `tick` fans out to every shard in parallel and merges the
-//! per-shard epoch reports; `snapshot`/`metrics`/`journal` aggregate with
-//! shard-tagged JSON. After every fleet-wide epoch a coordinator
-//! ([`crate::shard::Coordinator`]) rebalances capacity allotments
-//! between shards from their aggregate demand, delivering each change
-//! as a journaled `reallot` event so every shard's WAL stays a
-//! complete, byte-for-byte replayable history. With one shard (the
-//! default) the wire behavior is exactly the unsharded server's.
+//! A server is a thin routing tier over [`ServeConfig::shards`]
+//! independent shards — one by default — each owning its own
+//! [`ServiceCore`], shard lock and thread, admission guard, and WAL
+//! directory. There is one code path for every N. Connection threads
+//! hash each agent-bearing request to its owning shard through a seeded
+//! consistent-hash ring ([`crate::shard::HashRing`]) and serve it there.
+//! Fleet ops — `tick`, `query` without an agent, `snapshot`, `journal`,
+//! `metrics`, `scrub`, `promote`, `shutdown` — fan out to every shard's
+//! thread and reply `{ok, <merged scalars>, shards:[...]}` with each
+//! shard's reply tagged with its index, or, when no shard answered `ok`,
+//! with the first shard's error ([`crate::router::fleet_reply`]). After
+//! every fleet-wide epoch a coordinator ([`crate::shard::Coordinator`])
+//! rebalances capacity allotments between shards from their aggregate
+//! demand, delivering each change as a journaled `reallot` event so every
+//! shard's WAL stays a complete, byte-for-byte replayable history; it
+//! also runs timed epochs, and a supervisor restarts a panicked shard in
+//! place from its WAL.
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -74,11 +80,11 @@ use crate::repl::{
     fence_notify, reap_finished, repl_acceptor_loop, standby_loop, ReplConfig, ReplShared, Role,
 };
 use crate::repl_core::Promotion;
-use crate::router::{tag_shard, tick_reply, RouterCore, TickOutcome};
+use crate::router::{fleet_reply, tick_reply, RouterCore, TickOutcome};
 use crate::shard::{
     default_quorum, shard_market_config, CoordinationStatus, HashRing, ShardHealth,
 };
-use crate::wal::{self, WalConfig};
+use crate::wal::{self, Wal, WalConfig};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -115,11 +121,11 @@ pub struct ServeConfig {
     /// Deterministic fault injection (testing seam; injects nothing by
     /// default).
     pub faults: FaultPlan,
-    /// Number of market shards. 1 (the default) is the classic
-    /// single-core server with unchanged wire behavior; above 1 the
-    /// server routes agents across independent shards (see the module
-    /// docs). Sharding currently excludes in-process replication — run
-    /// one replicated pair per shard instead.
+    /// Number of market shards (default 1). The server routes agents
+    /// across them and fans fleet ops to all of them the same way at
+    /// every count (see the module docs); one shard is a one-node fleet.
+    /// More than one shard excludes in-process replication — run one
+    /// replicated pair per shard instead.
     pub shards: usize,
     /// Seed of the consistent-hash ring assigning agents to shards.
     /// Every process that agrees on `(ring_seed, shards)` agrees on
@@ -134,11 +140,6 @@ pub struct ServeConfig {
     /// instantaneous fair targets must stay within this fraction of
     /// total capacity.
     pub drift_bound: f64,
-    /// Minimum number of shards that must report a tick before the
-    /// coordinator reallots capacity; below it allotments freeze (see
-    /// the module docs). `None` (the default) uses the rounded-up
-    /// majority ⌈(N+1)/2⌉ from [`default_quorum`].
-    pub quorum: Option<usize>,
     /// How long the router waits for any one shard's tick reply before
     /// declaring the tick missed. A budget far below `reply_timeout`
     /// keeps one slow shard from stalling the fleet clock.
@@ -176,7 +177,6 @@ impl ServeConfig {
             ring_seed: 0x5EED,
             shard_tag: None,
             drift_bound: 0.25,
-            quorum: None,
             shard_tick_budget: Duration::from_secs(5),
             recovery_clean_ticks: 3,
             clock: Arc::new(RealClock),
@@ -262,12 +262,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets an explicit coordination quorum (clamped to `1..=shards`).
-    pub fn with_quorum(mut self, quorum: usize) -> ServeConfig {
-        self.quorum = Some(quorum);
-        self
-    }
-
     /// Sets the per-shard tick budget of the fleet clock.
     pub fn with_shard_tick_budget(mut self, budget: Duration) -> ServeConfig {
         self.shard_tick_budget = budget;
@@ -278,13 +272,6 @@ impl ServeConfig {
     pub fn with_recovery_clean_ticks(mut self, ticks: u64) -> ServeConfig {
         self.recovery_clean_ticks = ticks.max(1);
         self
-    }
-
-    /// The quorum actually enforced: the configured one clamped to
-    /// `1..=shards`, or the rounded-up majority by default.
-    pub fn effective_quorum(&self) -> usize {
-        let n = self.shards.max(1);
-        self.quorum.unwrap_or_else(|| default_quorum(n)).clamp(1, n)
     }
 }
 
@@ -310,8 +297,8 @@ pub struct ShutdownReport {
     pub metrics: ServeMetricsSnapshot,
     /// Market counters at shutdown, as their stable JSON line.
     pub market_metrics_json: String,
-    /// Per-shard reports, one per shard in shard order. With one shard
-    /// this holds a single entry mirroring the legacy top-level fields.
+    /// Per-shard reports, one per shard in shard order; the top-level
+    /// fields above are shard 0's.
     pub shards: Vec<ShardShutdown>,
 }
 
@@ -338,9 +325,9 @@ pub(crate) struct ShardCell {
     /// WAL waits for the supervisor's next attempt.
     pub(crate) core: Option<ServiceCore>,
     /// Set by a panic under the lock: the engine may have missed an
-    /// event the WAL already holds, so mutations are refused from then
-    /// on — the durable log, not this process, is the source of truth —
-    /// while reads keep serving the pre-panic state.
+    /// event the WAL already holds — the durable log, not this process,
+    /// is the source of truth — so the shard is Down and refuses every
+    /// request until the supervisor restarts it from that log.
     pub(crate) degraded: bool,
 }
 
@@ -411,6 +398,10 @@ pub(crate) struct Router {
     pub(crate) open_connections: AtomicUsize,
     pub(crate) started: Instant,
     pub(crate) core: Mutex<RouterCore>,
+    /// How many shards a fan asks at once (see [`fan`]): the worker
+    /// pool's width, read once — the host's parallelism costs syscalls to
+    /// look up, and every tick fans.
+    fan_width: usize,
 }
 
 impl Router {
@@ -425,10 +416,19 @@ impl Router {
     }
 
     /// Transport-level counters (connection accounting, protocol
-    /// errors) live on shard 0's metrics, which is also the whole
-    /// server's metrics in the single-shard case.
+    /// errors) live on shard 0's metrics.
     fn metrics(&self) -> &ServeMetrics {
         &self.shards[0].metrics
+    }
+
+    /// The node's replication role: `Primary` when unreplicated.
+    /// Replication attaches to shard 0, the only shard a replicated node
+    /// has.
+    fn role(&self) -> Role {
+        self.shards[0]
+            .repl
+            .as_ref()
+            .map_or(Role::Primary, |repl| repl.role())
     }
 
     /// Runs one transition of the routing core, then publishes every
@@ -487,23 +487,12 @@ impl Server {
     /// Returns the bind error, an invalid [`MarketConfig`] as
     /// [`std::io::ErrorKind::InvalidInput`], or — when a WAL is
     /// configured and its directory already holds state — an
-    /// `InvalidInput` error directing the caller to [`Server::recover`],
-    /// so a fresh boot can never silently shadow recoverable history.
+    /// `InvalidInput` error: one directing the caller to
+    /// [`Server::recover`] for state in this shard count's layout, one
+    /// naming the layout for another count's. A fresh boot can never
+    /// silently shadow recoverable history.
     pub fn start(addr: &str, config: ServeConfig) -> std::io::Result<Server> {
-        for shard in 0..config.shards.max(1) {
-            if let Some(wal_config) = shard_wal_config(&config, shard) {
-                if wal::dir_has_state(&wal_config.dir)? {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!(
-                            "wal directory {:?} already holds state; use Server::recover",
-                            wal_config.dir
-                        ),
-                    ));
-                }
-            }
-        }
-        Server::launch(addr, config)
+        Server::launch(addr, config, true)
     }
 
     /// Binds `addr` and resumes the market persisted in the configured
@@ -516,9 +505,10 @@ impl Server {
     /// # Errors
     ///
     /// Everything [`Server::start`] returns, plus recovery failures:
-    /// interior WAL corruption, or a checkpoint from a different market
+    /// interior WAL corruption, a checkpoint from a different market
     /// configuration ([`std::io::ErrorKind::InvalidData`] /
-    /// [`std::io::ErrorKind::InvalidInput`]).
+    /// [`std::io::ErrorKind::InvalidInput`]), or a directory laid out
+    /// for a different shard count (`InvalidInput`).
     pub fn recover(addr: &str, config: ServeConfig) -> std::io::Result<Server> {
         if config.wal.is_none() {
             return Err(std::io::Error::new(
@@ -526,10 +516,14 @@ impl Server {
                 "Server::recover needs a WAL (ServeConfig::with_wal)",
             ));
         }
-        Server::launch(addr, config)
+        Server::launch(addr, config, false)
     }
 
-    fn launch(addr: &str, config: ServeConfig) -> std::io::Result<Server> {
+    /// Validates `config`, opens every shard's core and starts the
+    /// threads. A `fresh` launch refuses state in this shard count's own
+    /// WAL directories; state laid out for another count is refused
+    /// either way.
+    fn launch(addr: &str, config: ServeConfig, fresh: bool) -> std::io::Result<Server> {
         let invalid = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
         if config.shards == 0 {
             return Err(invalid("a server needs at least one shard"));
@@ -554,7 +548,7 @@ impl Server {
         // cluster capacity, so cross-shard credit balances stop being
         // comparable — reject loudly instead of serving a subtly skewed
         // market.
-        if n > 1 && config.market.mechanism.credit_weighted() {
+        if config.market.mechanism.credit_weighted() {
             for (r, &c) in config.market.capacity.as_slice().iter().enumerate() {
                 let split = c / n as f64;
                 if split * n as f64 != c {
@@ -567,44 +561,27 @@ impl Server {
                 }
             }
         }
+        let (ours, foreign) = wal_dirs_with_state(&config)?;
+        if let Some(dir) = foreign.first() {
+            return Err(invalid(&format!(
+                "wal directory {dir:?} holds state laid out for a different \
+                 shard count than {n}"
+            )));
+        }
+        if let (true, Some(dir)) = (fresh, ours.first()) {
+            return Err(invalid(&format!(
+                "wal directory {dir:?} already holds state; use Server::recover"
+            )));
+        }
 
         // One core per shard. Each shard's market starts from the equal
         // capacity split (the coordinator reallots from there) and owns
         // its own WAL directory, so crash recovery and replay stay
         // strictly per shard.
+        let metrics: Vec<ServeMetrics> = (0..n).map(|_| ServeMetrics::new()).collect();
         let mut cores = Vec::with_capacity(n);
-        let mut scrub_errors = vec![0u64; n];
-        for (shard, scrub_slot) in scrub_errors.iter_mut().enumerate() {
-            let market = if n == 1 {
-                config.market.clone()
-            } else {
-                shard_market_config(&config.market, n)
-            };
-            let core = match shard_wal_config(&config, shard) {
-                Some(wal_config) => {
-                    let core = ServiceCore::recover(
-                        market,
-                        config.journal_limit,
-                        wal_config,
-                        config.faults.clone(),
-                    )?;
-                    // Post-recovery scrub: recovery validates only the
-                    // replay path, so verify every retained byte (old
-                    // checkpoints included) and surface latent rot in
-                    // the `wal_scrub_errors` counter rather than letting
-                    // it wait silently for the next failover.
-                    *scrub_slot = match core.wal().map(|wal| wal.scrub()) {
-                        Some(Ok(report)) => report.errors.len() as u64,
-                        Some(Err(_)) => 1,
-                        None => 0,
-                    };
-                    core
-                }
-                None => ServiceCore::new(market, config.journal_limit)
-                    .map_err(|e| invalid(&e.to_string()))?
-                    .with_faults(config.faults.clone()),
-            };
-            cores.push(core);
+        for (shard, metrics) in metrics.iter().enumerate() {
+            cores.push(open_core(&config, shard, config.faults.clone(), metrics)?);
         }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -635,12 +612,9 @@ impl Server {
         let resources = config.market.capacity.num_resources();
         let shards: Vec<Arc<Shared>> = cores
             .into_iter()
-            .zip(&scrub_errors)
+            .zip(metrics)
             .enumerate()
-            .map(|(shard, (core, scrub_errors))| {
-                let metrics = ServeMetrics::new();
-                ServeMetrics::bump_by(&metrics.wal_scrub_errors, *scrub_errors);
-                core.publish_wal_gauges(&metrics);
+            .map(|(shard, (core, metrics))| {
                 Arc::new(Shared {
                     bus: Bus::new(config.quotas),
                     metrics,
@@ -666,11 +640,12 @@ impl Server {
             stop: AtomicBool::new(false),
             open_connections: AtomicUsize::new(0),
             started: Instant::now(),
+            fan_width: ref_pool::threads().clamp(1, n),
             core: Mutex::new(RouterCore::new(
                 config.market.capacity.as_slice().to_vec(),
                 n,
                 config.drift_bound,
-                config.effective_quorum(),
+                default_quorum(n),
                 config.recovery_clean_ticks,
             )),
             shards,
@@ -678,53 +653,36 @@ impl Server {
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let repl_handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        // In sharded mode the shard threads run no clocks of their own:
-        // the coordinator fans synchronized ticks to every shard, so
-        // epochs advance in lockstep fleet-wide.
-        let shard_config = if n == 1 {
-            config.clone()
-        } else {
-            config.clone().with_epoch_interval(None)
-        };
         let shard_threads: Vec<JoinHandle<()>> = router
             .shards
             .iter()
             .enumerate()
             .map(|(shard, shared)| {
                 let shared = Arc::clone(shared);
-                let config = shard_config.clone();
+                let config = config.clone();
                 std::thread::Builder::new()
                     .name(format!("ref-serve-shard-{shard}"))
                     .spawn(move || shard_loop(shard, &shared, &config))
                     .expect("spawn shard thread")
             })
             .collect();
-        let coordinator = if n > 1 && config.epoch_interval.is_some() {
+        // The coordinator is the only epoch clock: it fans synchronized
+        // ticks to every shard, so epochs advance in lockstep fleet-wide.
+        let coordinator = config.epoch_interval.is_some().then(|| {
             let router = Arc::clone(&router);
             let config = config.clone();
-            Some(
-                std::thread::Builder::new()
-                    .name("ref-serve-coord".to_string())
-                    .spawn(move || coordinator_loop(&router, &config))
-                    .expect("spawn coordinator"),
-            )
-        } else {
-            None
-        };
-        // Shard supervision is a fleet concern: on a single-shard server
-        // a panic under the shard lock degrades to read-only; on a
-        // sharded one the supervisor restarts the shard in place.
-        let supervisor = if n > 1 {
+            std::thread::Builder::new()
+                .name("ref-serve-coord".to_string())
+                .spawn(move || coordinator_loop(&router, &config))
+                .expect("spawn coordinator")
+        });
+        let supervisor = {
             let router = Arc::clone(&router);
             let config = config.clone();
-            Some(
-                std::thread::Builder::new()
-                    .name("ref-serve-supervisor".to_string())
-                    .spawn(move || supervisor_loop(&router, &config))
-                    .expect("spawn supervisor"),
-            )
-        } else {
-            None
+            std::thread::Builder::new()
+                .name("ref-serve-supervisor".to_string())
+                .spawn(move || supervisor_loop(&router, &config))
+                .expect("spawn supervisor")
         };
         let acceptor = {
             let router = Arc::clone(&router);
@@ -769,7 +727,7 @@ impl Server {
             acceptor: Some(acceptor),
             shard_threads,
             coordinator,
-            supervisor,
+            supervisor: Some(supervisor),
             readers,
             repl_threads,
             repl_handlers,
@@ -790,10 +748,7 @@ impl Server {
     /// The node's current replication role (`Primary` for an
     /// unreplicated server).
     pub fn role(&self) -> Role {
-        self.router.shards[0]
-            .repl
-            .as_ref()
-            .map_or(Role::Primary, |repl| repl.role())
+        self.router.role()
     }
 
     /// The node's current replication term (0 when unreplicated).
@@ -809,10 +764,10 @@ impl Server {
         &self.config
     }
 
-    /// Point-in-time server counters. On a sharded server these are
-    /// shard 0's counters, which also carry the transport-level counts
-    /// (connections, protocol errors, reader panics) for the whole
-    /// server; see [`Server::shard_metrics`] for the rest.
+    /// Point-in-time server counters: shard 0's, which also carry the
+    /// transport-level counts (connections, protocol errors, reader
+    /// panics, shard restarts) for the whole server; see
+    /// [`Server::shard_metrics`] for the rest.
     pub fn metrics(&self) -> ServeMetricsSnapshot {
         self.router.metrics().snapshot()
     }
@@ -845,20 +800,9 @@ impl Server {
         self.router.ring.shard_of(agent)
     }
 
-    /// The cross-shard coordinator's status, when this server is
-    /// sharded (`None` on a single-shard server, which needs no
-    /// coordination).
-    pub fn coordination(&self) -> Option<CoordinationStatus> {
-        if self.router.shards.len() == 1 {
-            return None;
-        }
-        Some(self.router.drive(|core| core.status()))
-    }
-
-    /// Current bus depth (queued, un-drained requests), summed across
-    /// shards.
-    pub fn queue_depth(&self) -> usize {
-        self.router.shards.iter().map(|s| s.bus.depth()).sum()
+    /// The cross-shard coordinator's status.
+    pub fn coordination(&self) -> CoordinationStatus {
+        self.router.drive(|core| core.status())
     }
 
     /// Gracefully stops the server: drains every admitted request, runs
@@ -916,8 +860,8 @@ impl Server {
                 }
             })
             .collect();
-        // The legacy top-level fields mirror shard 0, which for a
-        // single-shard server (the default) is the whole story.
+        // The top-level fields mirror shard 0, which for a one-shard
+        // server (the default) is the whole story.
         let first = &shards[0];
         ShutdownReport {
             snapshot: first.snapshot.clone(),
@@ -1007,6 +951,68 @@ fn shard_wal_config(config: &ServeConfig, shard: usize) -> Option<WalConfig> {
     let mut wal = wal.clone();
     wal.dir = wal.dir.join(format!("shard-{shard}"));
     Some(wal)
+}
+
+/// The directories of the configured WAL tree that hold state — the
+/// configured directory itself and every `shard-<k>` subdirectory —
+/// split into this shard count's own (those [`shard_wal_config`] gives
+/// it) and those laid out for another count. Serving beside a foreign
+/// one would start fresh next to recoverable history, or silently drop
+/// the shards this count does not have.
+fn wal_dirs_with_state(config: &ServeConfig) -> std::io::Result<(Vec<PathBuf>, Vec<PathBuf>)> {
+    let Some(wal) = &config.wal else {
+        return Ok((Vec::new(), Vec::new()));
+    };
+    let ours: Vec<PathBuf> = (0..config.shards)
+        .filter_map(|shard| shard_wal_config(config, shard))
+        .map(|wal| wal.dir)
+        .collect();
+    let mut dirs = vec![wal.dir.clone()];
+    if wal.dir.is_dir() {
+        for entry in std::fs::read_dir(&wal.dir)? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|name| name.to_str());
+            if name.is_some_and(|name| name.starts_with("shard-")) {
+                dirs.push(path);
+            }
+        }
+    }
+    let mut held = Vec::new();
+    for dir in dirs {
+        if wal::dir_has_state(&dir)? {
+            held.push(dir);
+        }
+    }
+    Ok(held.into_iter().partition(|dir| ours.contains(dir)))
+}
+
+/// Opens shard `shard`'s core — the one way launch and the supervisor's
+/// restart both do it: recovered from the shard's WAL directory and
+/// scrubbed when the server is durable, fresh otherwise. Recovery
+/// validates only the replay path, so the scrub verifies every retained
+/// byte (old checkpoints included) and surfaces latent rot in
+/// `wal_scrub_errors` rather than letting it wait for the next failover.
+fn open_core(
+    config: &ServeConfig,
+    shard: usize,
+    faults: FaultPlan,
+    metrics: &ServeMetrics,
+) -> std::io::Result<ServiceCore> {
+    let market = shard_market_config(&config.market, config.shards);
+    let Some(wal_config) = shard_wal_config(config, shard) else {
+        return ServiceCore::new(market, config.journal_limit)
+            .map(|core| core.with_faults(faults))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()));
+    };
+    let core = ServiceCore::recover(market, config.journal_limit, wal_config, faults)?;
+    let scrub_errors = match core.wal().map(Wal::scrub) {
+        Some(Ok(report)) => report.errors.len() as u64,
+        Some(Err(_)) => 1,
+        None => 0,
+    };
+    ServeMetrics::bump_by(&metrics.wal_scrub_errors, scrub_errors);
+    core.publish_wal_gauges(metrics);
+    Ok(core)
 }
 
 fn acceptor_loop(
@@ -1136,11 +1142,9 @@ fn reader_loop(stream: TcpStream, router: &Arc<Router>, config: &ServeConfig) {
 }
 
 /// Parses, admits, routes and serves one request line; always produces a
-/// response. On a single-shard server every request goes straight to
-/// shard 0 and the wire behavior is exactly the classic server's. On a
-/// sharded server, agent-scoped requests hash to their owning shard,
-/// `tick` fans to every shard and runs the coordination step, and
-/// inspection requests aggregate shard-tagged answers.
+/// response. Agent-scoped requests hash to their owning shard, `tick`
+/// fans to every shard and runs the coordination step, and the other
+/// fleet ops aggregate shard-tagged answers.
 fn dispatch<'r>(
     line: &str,
     router: &'r Arc<Router>,
@@ -1169,9 +1173,6 @@ fn dispatch<'r>(
         ServeMetrics::bump(&router.metrics().accepted);
         return ping_response(router, config, agent);
     }
-    if router.shards.len() == 1 {
-        return dispatch_to_shard(&router.shards[0], 0, envelope, config, in_flight);
-    }
     match &envelope.request {
         Request::Join { agent, .. }
         | Request::Leave { agent }
@@ -1187,15 +1188,11 @@ fn dispatch<'r>(
             }
             dispatch_to_shard(shared, shard, envelope, config, in_flight)
         }
-        // The coordinator owns capacity splits on a sharded server; an
-        // out-of-band reallot would silently fight it.
+        // The coordinator owns capacity splits; an out-of-band reallot
+        // would silently fight it.
         Request::Reallot { .. } => {
             ServeMetrics::bump(&router.metrics().protocol_errors);
-            error_response(
-                "protocol",
-                Some("reallot is coordinator-managed on a sharded server"),
-                None,
-            )
+            error_response("protocol", Some("reallot is coordinator-managed"), None)
         }
         Request::Tick => fan_tick(router, envelope.deadline_ms, config),
         Request::Query { agent: None }
@@ -1219,11 +1216,10 @@ fn dispatch<'r>(
     }
 }
 
-/// Serves one request for a single shard to completion on the calling
+/// Serves one agent-scoped request to completion on the calling
 /// (connection) thread: admission guard, shard lock, [`serve_request`].
-/// Two things are handed to the shard thread instead: `shutdown`, which
-/// it sequences the drain for and answers at retirement, and the event
-/// that makes a checkpoint due (see [`serve_locked`]).
+/// The event that makes a checkpoint due is handed to the shard thread
+/// instead (see [`serve_locked`]).
 fn dispatch_to_shard<'r>(
     shared: &'r Arc<Shared>,
     shard: usize,
@@ -1234,12 +1230,6 @@ fn dispatch_to_shard<'r>(
     let deadline = envelope
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    if matches!(envelope.request, Request::Shutdown) {
-        return match push_item(shared, envelope.request, deadline) {
-            Some(rx) => await_reply(&rx, reply_wait(envelope.deadline_ms, config)),
-            None => error_response("shutting_down", None, None),
-        };
-    }
     let admitted = match shared.bus.admit(envelope.request.class()) {
         Ok(admitted) => in_flight.insert(admitted),
         Err(SendError::Full(_)) => {
@@ -1392,10 +1382,10 @@ fn fan(
     // at once makes more shard threads runnable than the host has cores, and
     // the preempt-interleaved epochs evict each other's caches — on a
     // single-core host that alone costs ~20% of the audit throughput.
-    // Waves keep at most `threads()` epochs in flight, which is also the
-    // most that can genuinely run in parallel.
+    // Waves keep at most the pool's width of epochs in flight, which is
+    // also the most that can genuinely run in parallel.
     let shards = router.shards.len();
-    let width = ref_pool::threads().clamp(1, shards);
+    let width = router.fan_width;
     let mut replies = Vec::with_capacity(shards);
     for wave_start in (0..shards).step_by(width) {
         let wave: Vec<Fanned> = router.shards[wave_start..(wave_start + width).min(shards)]
@@ -1415,75 +1405,77 @@ fn fan(
                 }
             })
             .collect();
-        replies.extend(ref_pool::par_map(wave.len(), |i| match &wave[i] {
-            Fanned::Rx(rx) => await_reply(&rx.lock().expect("receiver lock poisoned"), wait),
-            Fanned::Ready(value) => value.clone(),
-        }));
+        replies.extend(ref_pool::par_map_threads(
+            wave.len(),
+            width,
+            |i| match &wave[i] {
+                Fanned::Rx(rx) => await_reply(&rx.lock().expect("receiver lock poisoned"), wait),
+                Fanned::Ready(value) => value.clone(),
+            },
+        ));
     }
     replies
 }
 
-/// Merges fanned non-tick replies into one response: per-shard answers
-/// ride in a shard-tagged `shards` array, and the handful of scalar
-/// fields clients key on (`epoch`, `agents`) are combined.
+/// Merges fanned non-tick replies into one [`fleet_reply`]: per-shard
+/// answers ride in a shard-tagged `shards` array, and the handful of
+/// fields clients key on (`epoch`, `agents`, `clean`, `text`) are
+/// combined.
 fn merge_fanned(request: &Request, replies: Vec<Value>) -> Value {
-    if let Request::Metrics { text: true } = request {
-        // The text form concatenates per-shard exports with each series
-        // labeled by shard, which is what a scraper wants to ingest.
-        let mut out = String::new();
-        for (shard, reply) in replies.iter().enumerate() {
-            if let Some(text) = reply.get("text").and_then(Value::as_str) {
-                for line in text.lines() {
-                    match line.split_once(' ') {
-                        Some((name, rest)) => {
-                            out.push_str(&format!("{name}{{shard=\"{shard}\"}} {rest}\n"));
-                        }
-                        None => {
-                            out.push_str(line);
-                            out.push('\n');
+    let mut fields: Vec<(&str, Value)> = Vec::new();
+    match request {
+        Request::Metrics { text: true } => {
+            // The text form concatenates per-shard exports with each series
+            // labeled by shard, which is what a scraper wants to ingest.
+            let mut out = String::new();
+            for (shard, reply) in replies.iter().enumerate() {
+                if let Some(text) = reply.get("text").and_then(Value::as_str) {
+                    for line in text.lines() {
+                        match line.split_once(' ') {
+                            Some((name, rest)) => {
+                                out.push_str(&format!("{name}{{shard=\"{shard}\"}} {rest}\n"));
+                            }
+                            None => {
+                                out.push_str(line);
+                                out.push('\n');
+                            }
                         }
                     }
                 }
             }
+            fields.push(("text", Value::str(out)));
         }
-        return ok_response(vec![("text", Value::str(out))]);
+        Request::Scrub => {
+            // A fleet is clean only when every shard's log scrubbed clean.
+            let clean = replies
+                .iter()
+                .all(|r| r.get("clean") == Some(&Value::Bool(true)));
+            fields.push(("clean", Value::Bool(clean)));
+        }
+        Request::Query { agent: None } => {
+            let epoch = replies
+                .iter()
+                .filter_map(|r| r.get("epoch").and_then(Value::as_u64))
+                .max()
+                .unwrap_or(0);
+            // Live-agent id lists concatenate across shards, sorted so the
+            // merged view is stable regardless of shard reply order.
+            let mut agents: Vec<u64> = replies
+                .iter()
+                .filter_map(|r| r.get("agents").and_then(Value::as_array))
+                .flatten()
+                .filter_map(Value::as_u64)
+                .collect();
+            agents.sort_unstable();
+            fields.push(("epoch", Value::from_u64(epoch)));
+            fields.push((
+                "agents",
+                Value::Arr(agents.into_iter().map(Value::from_u64).collect()),
+            ));
+        }
+        _ => {}
     }
-    let mut fields: Vec<(&str, Value)> = Vec::new();
-    if let Request::Scrub = request {
-        // A fleet is clean only when every shard's log scrubbed clean.
-        let clean = replies
-            .iter()
-            .all(|r| r.get("clean") == Some(&Value::Bool(true)));
-        fields.push(("clean", Value::Bool(clean)));
-    }
-    if let Request::Query { agent: None } = request {
-        let epoch = replies
-            .iter()
-            .filter_map(|r| r.get("epoch").and_then(Value::as_u64))
-            .max()
-            .unwrap_or(0);
-        // Live-agent id lists concatenate across shards, sorted so the
-        // merged view is stable regardless of shard reply order.
-        let mut agents: Vec<u64> = replies
-            .iter()
-            .filter_map(|r| r.get("agents").and_then(Value::as_array))
-            .flatten()
-            .filter_map(Value::as_u64)
-            .collect();
-        agents.sort_unstable();
-        fields.push(("epoch", Value::from_u64(epoch)));
-        fields.push((
-            "agents",
-            Value::Arr(agents.into_iter().map(Value::from_u64).collect()),
-        ));
-    }
-    let tagged: Vec<Value> = replies
-        .into_iter()
-        .enumerate()
-        .map(|(shard, reply)| tag_shard(reply, shard))
-        .collect();
-    fields.push(("shards", Value::Arr(tagged)));
-    ok_response(fields)
+    fleet_reply(fields, replies)
 }
 
 /// Pushes one of the server's own requests (reallotments, catch-up
@@ -1559,9 +1551,10 @@ fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig
     tick_reply(replies, &round)
 }
 
-/// The timed-epoch clock of a sharded server: the shard threads run no
-/// timers of their own, so this loop fans synchronized ticks (and the
-/// coordination step after each) at the configured cadence.
+/// The timed-epoch clock: the shard threads run no timers of their own,
+/// so this loop fans synchronized ticks (and the coordination step after
+/// each) at the configured cadence — while the node leads. A standby
+/// runs no clock: its epochs arrive on the replication stream.
 fn coordinator_loop(router: &Arc<Router>, config: &ServeConfig) {
     let interval = config
         .epoch_interval
@@ -1578,16 +1571,17 @@ fn coordinator_loop(router: &Arc<Router>, config: &ServeConfig) {
             std::thread::sleep((next - now).min(Duration::from_millis(20)));
             continue;
         }
-        let _ = fan_tick(router, None, config);
+        if router.role() == Role::Primary {
+            let _ = fan_tick(router, None, config);
+        }
         next = config.clock.now() + interval;
     }
 }
 
-/// The shard supervisor of a sharded server: sweeps the fleet, restarts
-/// degraded shards in place from their own WAL, and probes shards the
-/// router marked Down on timeouts alone (a Down shard is skipped by the
-/// fan, so without a probe it could never produce the clean replies
-/// that heal it).
+/// The shard supervisor: sweeps the fleet, restarts degraded shards in
+/// place from their own WAL, and probes shards the router marked Down on
+/// timeouts alone (a Down shard is skipped by the fan, so without a probe
+/// it could never produce the clean replies that heal it).
 fn supervisor_loop(router: &Arc<Router>, config: &ServeConfig) {
     loop {
         if router.stopped() || router.shards.iter().any(|s| s.bus.is_closed()) {
@@ -1598,10 +1592,14 @@ fn supervisor_loop(router: &Arc<Router>, config: &ServeConfig) {
                 continue;
             }
             if shared.metrics.degraded.load(Ordering::SeqCst) == 1 {
-                // Without a WAL there is nothing to recover from: the
-                // shard stays degraded and read-only, as always.
-                if let Some(wal_config) = shard_wal_config(config, shard) {
-                    restart_shard(router, shard, wal_config, config);
+                // Without a WAL there is nothing to recover from, and a
+                // replicated node recovers by failover: the record whose
+                // apply panicked was appended but never streamed, so a
+                // restart from the log would leave the standby one record
+                // short (`shard_loop` stops its heartbeats instead, so the
+                // standby elects itself). Either way the shard stays Down.
+                if config.wal.is_some() && shared.repl.is_none() {
+                    restart_shard(router, shard, config);
                 }
             } else if ShardHealth::from_u64(shared.health.load(Ordering::SeqCst))
                 == ShardHealth::Down
@@ -1614,13 +1612,13 @@ fn supervisor_loop(router: &Arc<Router>, config: &ServeConfig) {
 }
 
 /// Restarts one degraded shard in place, under its lock: drop the core
-/// the panic left behind (releasing the WAL's file handles), re-run WAL
-/// recovery from the shard's own directory, and resynchronize the
-/// recovered core with the fleet (the coordinator's current allotment
-/// covers every `reallot` it missed; quota-exempt ticks catch its epoch
-/// up). A failed recovery leaves the shard degraded and core-less for
-/// the next sweep to retry.
-fn restart_shard(router: &Arc<Router>, shard: usize, wal_config: WalConfig, config: &ServeConfig) {
+/// the panic left behind (releasing the WAL's file handles), reopen it
+/// from the shard's own WAL directory, and resynchronize the recovered
+/// core with the fleet (the coordinator's current allotment covers every
+/// `reallot` it missed; quota-exempt ticks catch its epoch up). A failed
+/// recovery leaves the shard degraded and core-less for the next sweep
+/// to retry.
+fn restart_shard(router: &Arc<Router>, shard: usize, config: &ServeConfig) {
     let shared = &router.shards[shard];
     shared.locked(|cell| {
         // Shutdown wins over a restart: the drain retires what is there.
@@ -1628,14 +1626,11 @@ fn restart_shard(router: &Arc<Router>, shard: usize, wal_config: WalConfig, conf
             return;
         }
         cell.core = None;
-        let market = shard_market_config(&config.market, config.shards);
         // The recovered core runs with a disarmed fault plan: every armed
         // fault already fired (that is why we are here), and re-arming
         // append/sync faults against the replayed sequence numbers would
         // re-break the shard on its first post-recovery event.
-        let recovered =
-            ServiceCore::recover(market, config.journal_limit, wal_config, FaultPlan::none());
-        let Ok(core) = recovered else {
+        let Ok(core) = open_core(config, shard, FaultPlan::none(), &shared.metrics) else {
             ServeMetrics::bump(&shared.metrics.wal_errors);
             return;
         };
@@ -1649,7 +1644,6 @@ fn restart_shard(router: &Arc<Router>, shard: usize, wal_config: WalConfig, conf
         });
         push_internal(shared, Request::Reallot { capacity }, None);
         catch_up(router, shard, core.engine().epoch());
-        core.publish_wal_gauges(&shared.metrics);
         cell.core = Some(core);
         cell.degraded = false;
         shared.metrics.degraded.store(0, Ordering::SeqCst);
@@ -1744,20 +1738,16 @@ fn ping_response(router: &Arc<Router>, config: &ServeConfig, agent: Option<Agent
                 .collect(),
         ),
     ));
-    // Per-shard health only appears on an actually sharded server, so
-    // single-shard ping replies stay byte-identical.
-    if router.shards.len() > 1 {
-        fields.push((
-            "shard_health",
-            Value::Arr(
-                router
-                    .shards
-                    .iter()
-                    .map(|s| Value::str(effective_health(s).as_str()))
-                    .collect(),
-            ),
-        ));
-    }
+    fields.push((
+        "shard_health",
+        Value::Arr(
+            router
+                .shards
+                .iter()
+                .map(|s| Value::str(effective_health(s).as_str()))
+                .collect(),
+        ),
+    ));
     if let Some(agent) = agent {
         fields.push((
             "shard_of",
@@ -1770,43 +1760,35 @@ fn ping_response(router: &Arc<Router>, config: &ServeConfig, agent: Option<Agent
     ok_response(fields)
 }
 
-/// How long an idle shard thread parks between looks at its clocks.
+/// How long an idle shard thread parks between looks at its bus.
 const IDLE_PARK: Duration = Duration::from_millis(50);
 
 /// The shard's own thread: serves what is pushed to it under the same
 /// lock and through the same [`serve_request`] as the connection
-/// threads, runs the clocks (timed epochs, replication heartbeats), and
-/// retires the core once the bus is closed and everything admitted has
-/// been served.
+/// threads, publishes replication heartbeats, and retires the core once
+/// the bus is closed and everything admitted has been served.
 fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
     let repl = shared.repl.as_deref();
     // Clock readings ([`Clock::now`]) rather than `Instant`s, so the
     // deterministic simulator can drive the schedule.
-    let mut next_tick = config.epoch_interval.map(|i| config.clock.now() + i);
     let mut next_hb = None;
-    let mut leading = false;
     let mut shutdown_replies = Vec::new();
     loop {
         let now = config.clock.now();
         // A replicated node that boots as the primary heartbeats from
-        // the first pass; a standby restarts its epoch clock and starts
-        // heartbeating when a promotion (which wakes this thread) is
-        // first seen here.
-        let leads = repl.is_some_and(|repl| repl.role() == Role::Primary);
-        if leads && !leading {
-            next_tick = config.epoch_interval.map(|i| now + i);
-            next_hb = Some(now);
-        } else if !leads {
-            next_hb = None;
-        }
-        leading = leads;
+        // the first pass; a standby starts when a promotion (which wakes
+        // this thread) is first seen here. A degraded primary goes quiet:
+        // it is never restarted in place, so its standby's election
+        // timer is what replaces it.
+        let leads = repl.is_some_and(|repl| repl.role() == Role::Primary)
+            && shared.metrics.degraded.load(Ordering::SeqCst) == 0;
+        next_hb = if leads { next_hb.or(Some(now)) } else { None };
         if !shared.bus.is_closed() {
-            let due = [next_tick, next_hb].into_iter().flatten().min();
-            let park = due.map_or(IDLE_PARK, |at| at.saturating_sub(now));
+            let park = next_hb.map_or(IDLE_PARK, |at| at.saturating_sub(now));
             if !park.is_zero() {
                 // The park itself is a real (blocking) wait even under a
                 // virtual clock; it is interrupted by any push, and the
-                // due checks below re-read the configured clock.
+                // due check below re-reads the configured clock.
                 shared.bus.wait(park);
             }
         }
@@ -1857,24 +1839,6 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
                 next_hb = Some(now + repl.config().heartbeat_interval);
             }
         }
-
-        if let (Some(interval), Some(at)) = (config.epoch_interval, next_tick) {
-            if config.clock.now() >= at {
-                // A degraded shard stops advancing epochs: the engine is
-                // behind its log, and piling ticks on top would widen the
-                // divergence recovery has to repair. A standby does not
-                // run its own clock either — its epochs arrive on the
-                // stream.
-                if repl.is_none() || leads {
-                    shared.locked(|cell| {
-                        if let (Some(core), false) = (cell.core.as_mut(), cell.degraded) {
-                            let _ = core.handle(&Request::Tick, &shared.metrics);
-                        }
-                    });
-                }
-                next_tick = Some(config.clock.now() + interval);
-            }
-        }
     }
 }
 
@@ -1903,7 +1867,9 @@ fn serve_request(
     if matches!(request, Request::Promote) {
         return Some(handle_promote(shared));
     }
-    let Some(core) = cell.core.as_mut() else {
+    // A degraded shard's engine is behind its log: it serves nothing
+    // until the supervisor has restarted it.
+    let (false, Some(core)) = (cell.degraded, cell.core.as_mut()) else {
         return Some(shard_unavailable_response(
             shard as u64,
             config.retry_after_ms,
@@ -1919,15 +1885,6 @@ fn serve_request(
             .and_then(|repl| repl.admit_mutation(&shared.metrics, config.shard_tag));
         if refusal.is_some() {
             return refusal;
-        }
-        if cell.degraded {
-            return Some(error_response(
-                "degraded",
-                Some(
-                    "a request failed under the shard lock; mutations refused, reads still served",
-                ),
-                None,
-            ));
         }
     }
     let is_tick = matches!(request, Request::Tick);
@@ -1970,8 +1927,8 @@ fn serve_request(
 
 /// Performs a standby→primary promotion; the caller holds the shard
 /// lock, so the role flip is serialized with event application. Bumps
-/// the term, flips the role, wakes the shard thread (which restarts
-/// timed epochs and heartbeats on seeing the new role), and best-effort
+/// the term, flips the role, wakes the shard thread (which starts
+/// heartbeating on seeing the new role), and best-effort
 /// deposes the old primary by presenting it the new term.
 pub(crate) fn handle_promote(shared: &Shared) -> Value {
     let Some(repl) = shared.repl.as_ref() else {
@@ -2061,7 +2018,8 @@ mod tests {
         a.join_truth(1, 1.0, &[0.5, 0.5]).unwrap();
         a.tick().unwrap();
         let reply = b.shutdown().unwrap();
-        let snapshot = reply.get("snapshot").unwrap().as_str().unwrap();
+        let shards = reply.get("shards").and_then(Value::as_array).unwrap();
+        let snapshot = shards[0].get("snapshot").unwrap().as_str().unwrap();
         assert!(snapshot.starts_with("refmarket-snapshot"));
         // Post-shutdown requests are refused at admission.
         let late = a.call_line(r#"{"op":"tick"}"#).unwrap();
@@ -2361,63 +2319,54 @@ mod tests {
 
     #[test]
     fn sharded_timed_epochs_run_in_lockstep() {
-        let market = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
-        let config = ServeConfig::new(market)
-            .with_epoch_interval(Some(Duration::from_millis(2)))
-            .with_shards(2);
-        let server = Server::start("127.0.0.1:0", config).unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        for agent in 0..6u64 {
-            client.join_truth(agent, 1.0, &[0.5, 0.5]).unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let reply = client.query().unwrap();
-            if reply.get("epoch").unwrap().as_u64().unwrap() >= 5 {
-                break;
+        for shards in [1usize, 2] {
+            let market = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
+            let config = ServeConfig::new(market)
+                .with_epoch_interval(Some(Duration::from_millis(2)))
+                .with_shards(shards);
+            let server = Server::start("127.0.0.1:0", config).unwrap();
+            let mut client = Client::connect(server.addr()).unwrap();
+            for agent in 0..6u64 {
+                client.join_truth(agent, 1.0, &[0.5, 0.5]).unwrap();
             }
-            assert!(Instant::now() < deadline, "coordinator never ticked");
-            std::thread::sleep(Duration::from_millis(5));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while server.coordination().rounds < 5 {
+                assert!(Instant::now() < deadline, "coordinator never ticked");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let reply = client.query().unwrap();
+            assert!(
+                reply.get("epoch").unwrap().as_u64().unwrap() >= 5,
+                "{reply}"
+            );
+            let report = server.shutdown();
+            // Lockstep: the shards' epoch counts differ by at most the
+            // one round that may be in flight at shutdown.
+            let epochs: Vec<u64> = report.shards.iter().map(|s| s.metrics.epochs).collect();
+            let (lo, hi) = (epochs.iter().min().unwrap(), epochs.iter().max().unwrap());
+            assert!(hi - lo <= 1, "epochs diverged: {epochs:?}");
+            assert!(*lo >= 5, "{epochs:?}");
         }
-        let status = server.coordination().unwrap();
-        assert!(status.rounds >= 5, "{status:?}");
-        let report = server.shutdown();
-        // Lockstep: the two shards' epoch counts differ by at most the
-        // one round that may be in flight at shutdown.
-        let a = report.shards[0].metrics.epochs;
-        let b = report.shards[1].metrics.epochs;
-        assert!(a.abs_diff(b) <= 1, "epochs diverged: {a} vs {b}");
     }
 
     #[test]
-    fn wire_reallot_is_an_operator_op_single_shard_only() {
-        // Single shard: an operator reallot is a journaled control op.
-        let server = Server::start("127.0.0.1:0", sharded_config(1)).unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        client.join_truth(1, 1.0, &[0.5, 0.5]).unwrap();
-        let reply = client
-            .call_line(r#"{"op":"reallot","capacity":[30.0,10.0]}"#)
-            .unwrap();
-        assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{reply}");
-        client.tick().unwrap();
-        let report = server.shutdown();
-        assert!(report
-            .journal
-            .iter()
-            .any(|e| matches!(e, MarketEvent::CapacityRealloted { capacity } if capacity == &vec![30.0, 10.0])));
-
-        // Sharded: the coordinator owns the capacity split.
-        let server = Server::start("127.0.0.1:0", sharded_config(2)).unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        let reply = client
-            .call_line(r#"{"op":"reallot","capacity":[30.0,10.0]}"#)
-            .unwrap();
-        assert_eq!(
-            reply.get("error").and_then(Value::as_str),
-            Some("protocol"),
-            "{reply}"
-        );
-        server.shutdown();
+    fn wire_reallot_is_refused_at_every_shard_count() {
+        // The coordinator owns the capacity split, even of one shard.
+        for shards in [1usize, 2] {
+            let server = Server::start("127.0.0.1:0", sharded_config(shards)).unwrap();
+            let mut client = Client::connect(server.addr()).unwrap();
+            let reply = client
+                .call_line(r#"{"op":"reallot","capacity":[30.0,10.0]}"#)
+                .unwrap();
+            assert_eq!(
+                reply.get("error").and_then(Value::as_str),
+                Some("protocol"),
+                "{reply}"
+            );
+            let report = server.shutdown();
+            assert_eq!(report.metrics.protocol_errors, 1);
+            assert!(report.journal.is_empty());
+        }
     }
 
     #[test]
@@ -2471,7 +2420,7 @@ mod tests {
         for _ in 0..12 {
             client.tick().unwrap();
         }
-        let status = server.coordination().unwrap();
+        let status = server.coordination();
         assert!(status.rounds >= 12, "{status:?}");
         let report = server.shutdown();
         // Shard 0 received reallotments granting it more than the equal
@@ -2580,7 +2529,7 @@ mod tests {
             panic_shard_ticker: Some((2, 1)),
             ..FaultPlan::default()
         });
-        assert_eq!(config.effective_quorum(), 2);
+        assert_eq!(default_quorum(3), 2);
         let server = Server::start("127.0.0.1:0", config).unwrap();
         let ring = HashRing::new(3, server.config().ring_seed);
         let mut client = Client::connect(server.addr()).unwrap();
@@ -2594,7 +2543,7 @@ mod tests {
         let tick = client.tick().unwrap();
         let report = tick.get("report").expect("merged report");
         assert_eq!(report.get("partial"), Some(&Value::Bool(true)), "{tick}");
-        let status = server.coordination().unwrap();
+        let status = server.coordination();
         assert_eq!(status.rounds, 2, "{status:?}");
         let metrics = server.metrics();
         assert!(metrics.partial_epochs >= 2, "{metrics:?}");
@@ -2605,22 +2554,22 @@ mod tests {
 
     #[test]
     fn below_quorum_freezes_allotments() {
-        // Same fleet, but the operator demands all 3 shards: one dead
-        // shard drops the fleet below quorum and the coordinator never
-        // steps.
-        let config = sharded_config(3).with_quorum(3).with_faults(FaultPlan {
-            panic_shard_ticker: Some((2, 1)),
+        // 2 shards, default quorum ⌈3/2⌉ = 2: one dead shard drops the
+        // fleet below quorum and the coordinator never steps.
+        let config = sharded_config(2).with_faults(FaultPlan {
+            panic_shard_ticker: Some((1, 1)),
             ..FaultPlan::default()
         });
+        assert_eq!(default_quorum(2), 2);
         let server = Server::start("127.0.0.1:0", config).unwrap();
-        let ring = HashRing::new(3, server.config().ring_seed);
+        let ring = HashRing::new(2, server.config().ring_seed);
         let mut client = Client::connect(server.addr()).unwrap();
         client
             .join_truth(agent_on(&ring, 0), 1.0, &[0.7, 0.3])
             .unwrap();
         client.tick().unwrap();
         client.tick().unwrap();
-        let status = server.coordination().unwrap();
+        let status = server.coordination();
         assert_eq!(status.rounds, 0, "{status:?}");
         let metrics = server.metrics();
         assert_eq!(metrics.quorum_freezes, 2, "{metrics:?}");
@@ -2632,7 +2581,7 @@ mod tests {
         // A partial fleet must never book temporal-SI violations against
         // agents on the missing shard: its epochs freeze (no audits run
         // there) rather than run against phantom allotments.
-        let config = sharded_config(2).with_quorum(1).with_faults(FaultPlan {
+        let config = sharded_config(2).with_faults(FaultPlan {
             panic_shard_ticker: Some((1, 2)),
             ..FaultPlan::default()
         });
@@ -2660,6 +2609,41 @@ mod tests {
             "{}",
             report.shards[1].market_metrics_json
         );
+    }
+
+    #[test]
+    fn a_fleet_with_agents_on_one_shard_audits_that_shard() {
+        // Three shards have no agents and nothing to audit; the fleet
+        // verdict is the fourth's, and the count is its agents'.
+        let server = Server::start("127.0.0.1:0", sharded_config(4)).unwrap();
+        let ring = HashRing::new(4, server.config().ring_seed);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let agents: Vec<u64> = (0..u64::MAX)
+            .filter(|a| ring.shard_of(*a) == 2)
+            .take(3)
+            .collect();
+        for (k, &agent) in agents.iter().enumerate() {
+            let e0 = 0.3 + 0.2 * k as f64;
+            client.join_truth(agent, 1.0, &[e0, 1.0 - e0]).unwrap();
+        }
+        for _ in 0..3 {
+            let tick = client.tick().unwrap();
+            let report = tick.get("report").expect("a merged report");
+            assert_eq!(
+                report.get("agents").and_then(Value::as_u64),
+                Some(3),
+                "{tick}"
+            );
+            let fairness = report.get("fairness").expect("a fleet verdict");
+            for property in ["sharing_incentives", "envy_free", "pareto_efficient"] {
+                assert_eq!(
+                    fairness.get(property),
+                    Some(&Value::Bool(true)),
+                    "{property}: {tick}"
+                );
+            }
+        }
+        server.shutdown();
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub const COORD_WARMUP_ROUNDS: u64 = 8;
 ///
 /// Driven entirely from the routing tier (no shard cooperation needed):
 /// tick replies within budget are *clean*, tick timeouts are *misses*,
-/// and a `internal`/`degraded` reply or the shard's own degraded gauge
-/// is an immediate failure. The lifecycle is
+/// and an `internal` reply or the shard's own degraded gauge (a panic
+/// under its lock) is an immediate failure. The lifecycle is
 ///
 /// ```text
 ///            miss            2nd consecutive miss,

@@ -42,20 +42,26 @@ fn credit_market_exposes_balances_and_ledger_metrics_over_the_wire() {
     let credit = reply.get("credit").unwrap().as_f64().unwrap();
     assert!(credit.is_finite(), "{reply}");
 
-    // The metrics reply carries ledger totals; conservation holds live.
+    // The metrics reply carries the shard's ledger totals; conservation
+    // holds live.
     let metrics = client.metrics().unwrap();
-    let ledger = metrics.get("ledger").unwrap();
+    let ledger = metrics.get("shards").and_then(Value::as_array).unwrap()[0]
+        .get("ledger")
+        .unwrap();
     assert_eq!(ledger.get("agents").unwrap().as_u64(), Some(2));
     assert!(
         ledger.get("total").unwrap().as_f64().unwrap().abs() < 1e-9,
         "{metrics}"
     );
     let text = client.metrics_text().unwrap();
-    assert!(text.contains("refmarket_ledger_agents 2\n"), "{text}");
+    assert!(
+        text.contains("refmarket_ledger_agents{shard=\"0\"} 2\n"),
+        "{text}"
+    );
     assert!(text.contains("refmarket_credits_accrued"), "{text}");
 
     // Snapshots taken over the wire are v3 documents.
-    let snapshot = client.snapshot().unwrap();
+    let snapshot = &client.snapshot().unwrap()[0];
     assert!(
         snapshot.starts_with("refmarket-snapshot v3\n"),
         "{snapshot}"

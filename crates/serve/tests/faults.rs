@@ -5,9 +5,13 @@
 
 mod common;
 
+use std::time::Duration;
+
 use ref_core::resource::Capacity;
 use ref_market::MarketConfig;
-use ref_serve::{wal, Client, ClientError, FaultPlan, ServeConfig, Server, WalConfig};
+use ref_serve::{
+    wal, CallOpts, Client, ClientError, FaultPlan, HashRing, ServeConfig, Server, Value, WalConfig,
+};
 
 use common::TempDir;
 
@@ -20,6 +24,13 @@ fn code_of(err: &ClientError) -> Option<&str> {
         ClientError::Server { code, .. } => Some(code.as_str()),
         _ => None,
     }
+}
+
+/// Shard 0's server counters, from a fleet `metrics` reply.
+fn server_metrics(client: &mut Client) -> Value {
+    let reply = client.metrics().unwrap();
+    let shards = reply.get("shards").and_then(Value::as_array).unwrap();
+    shards[0].get("server").unwrap().clone()
 }
 
 #[test]
@@ -45,18 +56,9 @@ fn transient_wal_append_failure_rejects_the_event_then_recovers() {
     // The fault is transient: retrying the same event succeeds.
     client.join_external(2).unwrap();
 
-    let m = client.metrics().unwrap();
-    let server_metrics = m.get("server").unwrap();
-    assert_eq!(
-        server_metrics.get("wal_errors").unwrap().as_u64(),
-        Some(1),
-        "{m:?}"
-    );
-    assert_eq!(
-        server_metrics.get("wal_appends").unwrap().as_u64(),
-        Some(2),
-        "{m:?}"
-    );
+    let m = server_metrics(&mut client);
+    assert_eq!(m.get("wal_errors").unwrap().as_u64(), Some(1), "{m:?}");
+    assert_eq!(m.get("wal_appends").unwrap().as_u64(), Some(2), "{m:?}");
 
     let report = server.shutdown();
     assert_eq!(report.journal.len(), 2);
@@ -69,63 +71,62 @@ fn transient_wal_append_failure_rejects_the_event_then_recovers() {
 }
 
 #[test]
-fn ticker_panic_degrades_the_server_but_reads_and_recovery_survive() {
-    let dir = TempDir::new("tickpanic");
-    let config = ServeConfig::new(market())
-        .with_epoch_interval(None)
-        .with_wal(WalConfig::new(dir.path()))
-        .with_faults(FaultPlan {
+fn a_panic_under_the_lock_restarts_the_shard_from_its_wal() {
+    for shards in [1usize, 2] {
+        let dir = TempDir::new("tickpanic");
+        let config = ServeConfig::new(market())
+            .with_epoch_interval(None)
+            .with_shards(shards)
+            .with_wal(WalConfig::new(dir.path()));
+        let faults = FaultPlan {
             panic_on_event: Some(1),
             ..FaultPlan::default()
-        });
-    let server = Server::start("127.0.0.1:0", config).unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
+        };
+        let server = Server::start("127.0.0.1:0", config.clone().with_faults(faults)).unwrap();
+        let ring = HashRing::new(shards, server.config().ring_seed);
+        let on0: Vec<u64> = (0..u64::MAX)
+            .filter(|a| ring.shard_of(*a) == 0)
+            .take(2)
+            .collect();
+        let mut client = Client::connect(server.addr()).unwrap();
 
-    client.join_external(1).unwrap();
-    // Seq 1 is appended durably, then the ticker panics before applying
-    // it: the carrying request's reply channel dies.
-    let err = client.join_external(2).unwrap_err();
-    assert_eq!(code_of(&err), Some("internal"), "{err}");
+        client.join_external(on0[0]).unwrap();
+        // Seq 1 is appended durably, then the thread applying it panics:
+        // the carrying request is the one casualty.
+        let err = client.join_external(on0[1]).unwrap_err();
+        assert_eq!(code_of(&err), Some("internal"), "{err}");
 
-    // The supervisor flips the server into degraded mode: mutations are
-    // refused...
-    let err = client.join_external(3).unwrap_err();
-    assert_eq!(code_of(&err), Some("degraded"), "{err}");
-    let err = client.tick().unwrap_err();
-    assert_eq!(code_of(&err), Some("degraded"), "{err}");
-    // ...but reads keep serving.
-    let q = client.query().unwrap();
-    assert_eq!(q.get("agents").unwrap().as_array().unwrap().len(), 1);
-    client.snapshot().unwrap();
-    let m = client.metrics().unwrap();
-    let server_metrics = m.get("server").unwrap();
-    assert_eq!(
-        server_metrics.get("ticker_panics").unwrap().as_u64(),
-        Some(1)
-    );
-    assert_eq!(server_metrics.get("degraded").unwrap().as_u64(), Some(1));
+        // The shard is Down (`shard_unavailable`) until the supervisor has
+        // restarted it from its WAL; `call_with` rides that out, and the
+        // durable-but-unapplied event is served live.
+        let query = Value::obj(vec![
+            ("op", Value::str("query")),
+            ("agent", Value::from_u64(on0[1])),
+        ]);
+        let opts = CallOpts::default()
+            .with_retries(100)
+            .with_deadline(Duration::from_secs(10));
+        let (reply, _) = client.call_with(&query, &opts).unwrap();
+        assert_eq!(reply.get("agent").and_then(Value::as_u64), Some(on0[1]));
+        let q = client.query().unwrap();
+        assert_eq!(
+            q.get("agents").unwrap().as_array().unwrap().len(),
+            2,
+            "{shards} shard(s): {q}"
+        );
+        assert_eq!(server.metrics().shard_restarts, 1);
+        let m = server_metrics(&mut client);
+        assert_eq!(m.get("ticker_panics").unwrap().as_u64(), Some(1));
+        assert_eq!(m.get("degraded").unwrap().as_u64(), Some(0));
+        client.join_external(on0[1] + 1_000_000).unwrap();
 
-    // Shutdown still drains; the live engine never saw the orphaned
-    // event...
-    let report = server.shutdown();
-    assert_eq!(report.journal.len(), 1);
-    // ...but the WAL kept it, so recovery replays it: crash-then-recover
-    // loses nothing that was admitted and durably logged.
-    let recovered = Server::recover(
-        "127.0.0.1:0",
-        ServeConfig::new(market())
-            .with_epoch_interval(None)
-            .with_wal(WalConfig::new(dir.path())),
-    )
-    .unwrap();
-    let mut client = Client::connect(recovered.addr()).unwrap();
-    let q = client.query().unwrap();
-    assert_eq!(
-        q.get("agents").unwrap().as_array().unwrap().len(),
-        2,
-        "recovery must replay the durable-but-unapplied event"
-    );
-    recovered.shutdown();
+        // Every shard's WAL recovers exactly its shutdown snapshot.
+        let report = server.shutdown();
+        let recovered = Server::recover("127.0.0.1:0", config).unwrap().shutdown();
+        for (live, recovered) in report.shards.iter().zip(&recovered.shards) {
+            assert_eq!(live.snapshot, recovered.snapshot, "{shards} shard(s)");
+        }
+    }
 }
 
 #[test]
@@ -151,12 +152,8 @@ fn reader_panic_kills_only_its_own_connection() {
     bystander.tick().unwrap();
     let q = bystander.query().unwrap();
     assert_eq!(q.get("agents").unwrap().as_array().unwrap().len(), 2);
-    let m = bystander.metrics().unwrap();
-    let server_metrics = m.get("server").unwrap();
-    assert_eq!(
-        server_metrics.get("reader_panics").unwrap().as_u64(),
-        Some(1)
-    );
+    let m = server_metrics(&mut bystander);
+    assert_eq!(m.get("reader_panics").unwrap().as_u64(), Some(1));
     // The poisoned connection stays dead.
     assert!(victim.tick().is_err());
 

@@ -176,68 +176,49 @@ fn pipelined_lines_are_answered_in_order() {
 }
 
 #[test]
-fn a_panic_on_a_connection_thread_degrades_the_shard_not_the_lock() {
-    let dir = TempDir::new("panic1");
-    let config1 = config(1)
-        .with_wal(WalConfig::new(dir.path()))
-        .with_faults(FaultPlan {
-            panic_on_event: Some(1),
-            ..FaultPlan::default()
-        });
-    let server = Server::start("127.0.0.1:0", config1).unwrap();
-    let mut victim = Client::connect(server.addr()).unwrap();
-    let mut other = Client::connect(server.addr()).unwrap();
-    victim.join_external(1).unwrap();
-    // Seq 1 is durable, then the thread serving it — this connection's
-    // own — panics under the shard lock.
-    let err = victim.join_external(2).unwrap_err();
-    assert_eq!(code_of(&err), Some("internal"), "{err}");
-    // The lock is not poisoned: another connection reads, mutations are
-    // refused, and the connection whose request panicked still works.
-    let seen = other.query().unwrap();
-    assert_eq!(seen.get("agents").unwrap().as_array().unwrap().len(), 1);
-    let err = other.join_external(3).unwrap_err();
-    assert_eq!(code_of(&err), Some("degraded"), "{err}");
-    victim.query_agent(1).unwrap();
-    let report = server.shutdown();
-    assert_eq!(report.metrics.ticker_panics, 1);
-    assert_eq!(report.metrics.reader_panics, 0);
-    assert_eq!(report.metrics.degraded, 1);
-
-    // Sharded, the supervisor restarts the shard from its WAL, and the
-    // durable record whose apply panicked is replayed.
-    let dir = TempDir::new("panic2");
-    let config2 = config(2)
-        .with_wal(WalConfig::new(dir.path()))
-        .with_faults(FaultPlan {
-            panic_on_event: Some(1),
-            ..FaultPlan::default()
-        });
-    let server = Server::start("127.0.0.1:0", config2).unwrap();
-    let ring = HashRing::new(2, server.config().ring_seed);
-    let on0 = agents_on(&ring, 0, 3);
-    let mut client = Client::connect(server.addr()).unwrap();
-    client.join_external(on0[0]).unwrap();
-    let err = client.join_external(on0[1]).unwrap_err();
-    assert_eq!(code_of(&err), Some("internal"), "{err}");
-    // (Shard 1 runs the same plan and panics on its own second record,
-    // one of the ticks below; it is restarted the same way.)
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while (0..2).any(|shard| server.shard_health(shard) != ShardHealth::Healthy)
-        || server.metrics().shard_restarts < 2
-    {
-        assert!(Instant::now() < deadline, "the shards never healed");
-        client.tick().unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    client.query_agent(on0[1]).unwrap();
-    client.join_external(on0[2]).unwrap();
-    let report = server.shutdown();
-    assert_eq!(report.metrics.shard_restarts, 2);
-    for shard in &report.shards {
-        assert_eq!(shard.metrics.ticker_panics, 1);
-        assert_eq!(shard.metrics.reader_panics, 0);
-        assert_eq!(shard.metrics.degraded, 0);
+fn a_panic_on_a_connection_thread_costs_one_request_not_the_lock() {
+    for shards in [1usize, 2] {
+        let dir = TempDir::new("panic");
+        let config = config(shards)
+            .with_wal(WalConfig::new(dir.path()))
+            .with_faults(FaultPlan {
+                panic_on_event: Some(1),
+                ..FaultPlan::default()
+            });
+        let server = Server::start("127.0.0.1:0", config).unwrap();
+        let ring = HashRing::new(shards, server.config().ring_seed);
+        let on0 = agents_on(&ring, 0, 3);
+        let mut victim = Client::connect(server.addr()).unwrap();
+        let mut other = Client::connect(server.addr()).unwrap();
+        victim.join_external(on0[0]).unwrap();
+        // Seq 1 is durable, then the thread serving it — this
+        // connection's own — panics under the shard lock.
+        let err = victim.join_external(on0[1]).unwrap_err();
+        assert_eq!(code_of(&err), Some("internal"), "{err}");
+        // The lock is not poisoned: the supervisor restarts the shard
+        // from its WAL, replaying the durable record whose apply
+        // panicked. (With two shards, shard 1 runs the same plan and
+        // panics on its own second record, one of the ticks below; it is
+        // restarted the same way.)
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while (0..shards).any(|shard| server.shard_health(shard) != ShardHealth::Healthy)
+            || server.metrics().shard_restarts < shards as u64
+        {
+            assert!(Instant::now() < deadline, "{shards} shard(s) never healed");
+            // While every shard is Down the tick is refused.
+            let _ = other.tick();
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        other.query_agent(on0[1]).unwrap();
+        // The connection whose request panicked still works.
+        victim.join_external(on0[2]).unwrap();
+        let report = server.shutdown();
+        assert_eq!(report.metrics.shard_restarts, shards as u64);
+        for shard in &report.shards {
+            assert_eq!(shard.metrics.ticker_panics, 1);
+            assert_eq!(shard.metrics.reader_panics, 0);
+            assert_eq!(shard.metrics.degraded, 0);
+        }
     }
 }
 

@@ -179,8 +179,12 @@ fn explicit_promote_fences_the_deposed_primary() {
     }
 
     let reply = on_standby.promote().unwrap();
-    assert_eq!(reply.get("role").and_then(Value::as_str), Some("primary"));
-    assert_eq!(reply.get("term").and_then(Value::as_u64), Some(1));
+    let promoted = &reply.get("shards").and_then(Value::as_array).unwrap()[0];
+    assert_eq!(
+        promoted.get("role").and_then(Value::as_str),
+        Some("primary")
+    );
+    assert_eq!(promoted.get("term").and_then(Value::as_u64), Some(1));
     assert_eq!(standby.role(), Role::Primary);
 
     // The deposed primary hears the higher term and fences itself: its
@@ -489,4 +493,130 @@ fn a_hello_landing_mid_pass_is_judged_against_the_published_position() {
         .unwrap();
     writer.join().unwrap().expect("the join was acked");
     primary.shutdown();
+}
+
+fn op(name: &str) -> Value {
+    Value::obj(vec![("op", Value::str(name))])
+}
+
+#[test]
+fn fleet_ops_pass_a_standbys_refusals_through_and_clients_redial() {
+    let (pdir, sdir) = (TempDir::new("pass-p"), TempDir::new("pass-s"));
+    let primary = start_primary(pdir.path(), None);
+    let standby = start_standby(
+        sdir.path(),
+        &primary,
+        standby_config(&primary).with_auto_promote(false),
+    );
+    let mut client = Client::connect(primary.addr()).unwrap();
+    client.join_external(1).unwrap();
+    let mut sping = Client::connect(standby.addr()).unwrap();
+    wait_for("standby catch-up", Duration::from_secs(10), || {
+        ping_u64(&mut sping, "wal_seq") == 1
+    });
+
+    // A fleet tick on the standby answers the one shard's redirect, with
+    // its leader hint, tagged with the shard.
+    let mut on_standby = Client::connect(standby.addr()).unwrap();
+    match on_standby.tick() {
+        Err(ClientError::Server {
+            code,
+            leader,
+            shard,
+            ..
+        }) => {
+            assert_eq!(code, "not_primary");
+            assert_eq!(leader, Some(primary.addr().to_string()));
+            assert_eq!(shard, Some(0));
+        }
+        other => panic!("a standby ticked: {other:?}"),
+    }
+    // Reads are served, in the fleet shape.
+    let query = on_standby.query().unwrap();
+    assert_eq!(
+        query
+            .get("agents")
+            .and_then(Value::as_array)
+            .map(<[Value]>::len),
+        Some(1)
+    );
+    assert_eq!(on_standby.snapshot().unwrap(), client.snapshot().unwrap());
+    // `call_with` follows the passed-through hint to the primary.
+    let seeds = [standby.addr().to_string(), primary.addr().to_string()];
+    let mut failover = Client::connect_seeds(&seeds).unwrap();
+    let (tick, retries) = failover
+        .call_with(&op("tick"), &CallOpts::default())
+        .unwrap();
+    assert!(retries >= 1, "{tick}");
+    assert_eq!(failover.current_addr(), primary.addr().to_string());
+
+    // Promoted, the standby fences the old primary, whose fleet ops then
+    // pass `fenced` through — `promote` included.
+    on_standby.promote().unwrap();
+    wait_for("old primary fenced", Duration::from_secs(10), || {
+        primary.role() == Role::Fenced
+    });
+    for name in ["tick", "promote"] {
+        let err = client.call(&op(name)).unwrap_err();
+        assert_eq!(err.code(), Some("fenced"), "{name}: {err:?}");
+    }
+    standby.shutdown();
+    primary.shutdown();
+}
+
+#[test]
+fn a_replicated_primary_that_panics_is_not_restarted_in_place() {
+    // The record whose apply panicked was appended but never streamed: a
+    // restart from the log would leave the standby one record short, so
+    // the node stays Down and stops heartbeating, and its standby's
+    // election replaces it.
+    let (pdir, sdir) = (TempDir::new("panic-p"), TempDir::new("panic-s"));
+    let heartbeat = Duration::from_millis(10);
+    let config = ServeConfig::new(market())
+        .with_epoch_interval(None)
+        .with_wal(WalConfig::new(pdir.path()))
+        .with_repl(ReplConfig::primary("127.0.0.1:0").with_heartbeat_interval(heartbeat))
+        .with_faults(FaultPlan {
+            panic_on_event: Some(1),
+            ..FaultPlan::default()
+        });
+    let primary = Server::start("127.0.0.1:0", config).unwrap();
+    let standby = start_standby(
+        sdir.path(),
+        &primary,
+        standby_config(&primary)
+            .with_heartbeat_interval(heartbeat)
+            .with_election_timeout(Duration::from_millis(150)),
+    );
+    let mut client = Client::connect(primary.addr()).unwrap();
+    client.join_external(1).unwrap();
+    let mut sping = Client::connect(standby.addr()).unwrap();
+    wait_for("standby catch-up", Duration::from_secs(10), || {
+        ping_u64(&mut sping, "wal_seq") == 1
+    });
+    let err = client.join_external(2).unwrap_err();
+    assert_eq!(err.code(), Some("internal"), "{err:?}");
+
+    // The standby elects itself and serves the history the pair agreed
+    // on: agent 1, without the record that panicked. It takes writes.
+    wait_for("auto-promotion", Duration::from_secs(10), || {
+        standby.role() == Role::Primary
+    });
+    let mut on_standby = Client::connect(standby.addr()).unwrap();
+    let query = on_standby.query().unwrap();
+    assert_eq!(
+        query.get("agents").and_then(Value::as_array),
+        Some(&[Value::from_u64(1)][..]),
+        "{query}"
+    );
+    on_standby.join_external(2).unwrap();
+
+    // Many supervisor sweeps later the old primary is still Down.
+    assert_eq!(primary.shard_health(0), ref_serve::ShardHealth::Down);
+    let err = client.join_external(3).unwrap_err();
+    assert_eq!(err.code(), Some("shard_unavailable"), "{err:?}");
+    standby.shutdown();
+    let report = primary.shutdown();
+    assert_eq!(report.metrics.shard_restarts, 0);
+    assert_eq!(report.metrics.degraded, 1);
 }

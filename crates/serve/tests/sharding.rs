@@ -267,6 +267,51 @@ fn sharded_wal_recovery_restores_every_shard() {
     }
 }
 
+#[test]
+fn a_wal_laid_out_for_another_shard_count_is_refused() {
+    let serve_config = |dir: &TempDir, shards: usize| {
+        ServeConfig::new(config())
+            .with_epoch_interval(None)
+            .with_shards(shards)
+            .with_wal(WalConfig::new(dir.path()))
+    };
+    // A directory holding the history of a server with `shards` shards.
+    let history = |shards: usize| {
+        let dir = TempDir::new("layout");
+        let server = Server::start("127.0.0.1:0", serve_config(&dir, shards)).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        for agent in 0..8u64 {
+            client.join_external(agent).unwrap();
+        }
+        client.tick().unwrap();
+        server.shutdown();
+        dir
+    };
+    for (was, now) in [(1, 2), (4, 1), (4, 2)] {
+        let dir = history(was);
+        for boot in [Server::start, Server::recover] {
+            let err = boot("127.0.0.1:0", serve_config(&dir, now)).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidInput,
+                "{was} -> {now} shards: {err}"
+            );
+        }
+    }
+    // The matching count recovers what it wrote, to the byte.
+    for shards in [1, 4] {
+        let dir = history(shards);
+        let err = Server::start("127.0.0.1:0", serve_config(&dir, shards)).unwrap_err();
+        assert!(err.to_string().contains("use Server::recover"), "{err}");
+        let recovered = Server::recover("127.0.0.1:0", serve_config(&dir, shards)).unwrap();
+        let mut client = Client::connect(recovered.addr()).unwrap();
+        let query = client.query().unwrap();
+        let agents = query.get("agents").and_then(ref_serve::Value::as_array);
+        assert_eq!(agents.map(<[_]>::len), Some(8), "{shards} shard(s)");
+        recovered.shutdown();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 4. Client behavior under shard failures
 // ---------------------------------------------------------------------------

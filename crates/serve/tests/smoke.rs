@@ -188,7 +188,8 @@ fn drain_completes_every_admitted_request() {
         std::thread::sleep(Duration::from_millis(20));
         let mut admin = Client::connect(addr).unwrap();
         let reply = admin.shutdown().unwrap();
-        assert!(reply
+        let shards = reply.get("shards").and_then(Value::as_array).unwrap();
+        assert!(shards[0]
             .get("snapshot")
             .and_then(Value::as_str)
             .unwrap()

@@ -97,9 +97,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n=== Wire snapshot / offline restore round-trip ===");
-    let text = client.snapshot()?;
+    // Fleet ops answer per shard; this server is a one-shard fleet.
+    let text = &client.snapshot()?[0];
     println!("    snapshot over the wire: {} bytes", text.len());
-    let mut restored = MarketEngine::restore(&MarketSnapshot::decode(&text)?)?;
+    let mut restored = MarketEngine::restore(&MarketSnapshot::decode(text)?)?;
     // Tick the server and the restored engine one epoch each; the served
     // market must allocate bit-identically to its offline twin.
     let served = client.tick()?;
@@ -109,7 +110,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         restored.pump()?.pop().unwrap()
     };
     let wire_alloc = served
-        .get("report")
+        .get("shards")
+        .and_then(Value::as_array)
+        .and_then(<[Value]>::first)
+        .and_then(|shard| shard.get("report"))
         .and_then(|r| r.get("allocation"))
         .and_then(Value::as_array)
         .expect("tick reply carries the allocation");
@@ -137,7 +141,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\n=== Service summary ===");
-    let metrics = client.metrics()?;
+    let reply = client.metrics()?;
+    let metrics = reply
+        .get("shards")
+        .and_then(Value::as_array)
+        .and_then(<[Value]>::first)
+        .expect("metrics reply carries shard 0");
     let epochs = metrics
         .get("market")
         .and_then(|m| m.get("epochs"))

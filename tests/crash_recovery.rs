@@ -303,7 +303,7 @@ fn killed_and_sheared_servers_recover_bit_identically() {
             .unwrap();
         recovered.shutdown();
         assert!(
-            served == expected,
+            served == [expected],
             "round {round}: the recovered server diverges from the offline expectation"
         );
         // Recovery repaired the log: no torn bytes are left behind for
