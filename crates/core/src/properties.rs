@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::resource::{Allocation, Capacity};
+use crate::resource::{Allocation, Bundle, Capacity};
 use crate::utility::{CobbDouglas, Utility};
 
 /// Relative tolerance used by [`FairnessReport::check`].
@@ -91,9 +91,11 @@ impl FairnessReport {
     /// relative to the compared utilities.
     ///
     /// Envy-freeness is decided for every ordered pair of agents. Most
-    /// pairs are proven envy-free in log space at a multiply-add per
-    /// resource; the rest are evaluated, and the report is the one
-    /// evaluating all of them would give, bit for bit.
+    /// agents are proven envy-free towards everyone at once by a budget
+    /// certificate in `O(R)`; most pairs of the rest are proven envy-free in
+    /// log space at a multiply-add per resource; the remaining pairs are
+    /// evaluated, and the report is the one evaluating all of them would
+    /// give, bit for bit.
     ///
     /// # Panics
     ///
@@ -143,127 +145,250 @@ impl FairnessReport {
     }
 }
 
-/// Relative size of the filter's safety margin, per term of the log-space
-/// sum: `margin = LOG_MARGIN_PER_TERM · (R + 2) · (1 + Σ a·max|ln x| +
-/// |ln(1 − tol)|)`. The rounding the margin has to dominate — `ln` and the
-/// `R`-term dot product on the log side, `R` `powf`s and `R + 1` products
-/// on the exact side — is below `(36 R + 12) · 2⁻⁵³` of the same magnitude
-/// (DESIGN §6), more than two orders of magnitude under this.
+/// Relative size of the safety margin, per term of the log-space sums:
+/// `margin = LOG_MARGIN_PER_TERM · (R + 2) · (1 + size + |ln(1 − tol)|)`,
+/// where `size` is `Σ a·max|ln x|` for the row filter and that plus the
+/// certificate's own terms for the certificate. The rounding the margin has
+/// to dominate — `ln`s and `R`-term sums on the log side, `R` `powf`s and
+/// `R + 1` products on the exact side — is below `(38 R + 12) · 2⁻⁵³` of the
+/// same size (DESIGN §6), more than two orders of magnitude under this.
 const LOG_MARGIN_PER_TERM: f64 = 1e-12;
 
-/// The filter is trusted for an agent only while `|ln scale| + Σ a·max|ln x|
-/// + |ln(1 − tol)|` stays below this: then every factor and partial product
-/// of [`Utility::value`] lies in `e^±700`, inside the normal `f64` range
-/// (`e^-708 … e^709`), where each operation's relative error is bounded.
+/// The log-space tiers are trusted for an agent only while `|ln scale| +
+/// Σ a·max|ln x| + |ln(1 − tol)|` stays below this: then every factor and
+/// partial product of [`Utility::value`] lies in `e^±700`, inside the normal
+/// `f64` range (`e^-708 … e^709`), where each operation's relative error is
+/// bounded.
 const LOG_RANGE_LIMIT: f64 = 700.0;
 
-/// `ln` of every bundle entry, resource-major, for the envy filter.
-struct LogBundles {
-    num_agents: usize,
-    /// `ln_x[r · N + j] = ln x_jr`.
-    ln_x: Vec<f64>,
+/// The work one envy audit did, tier by tier (DESIGN §6).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EnvyWork {
+    /// Agents the budget certificate proved envy-free in `O(R)`.
+    pub certified: u64,
+    /// Rows of log utilities formed: one per agent inside the range guard
+    /// that the certificate could not clear.
+    pub rows: u64,
+    /// Ordered pairs evaluated on [`Utility::value`].
+    pub evaluated: u64,
+}
+
+/// The envy half of [`FairnessReport::check_with_tolerance`]: the same
+/// edges in the same order, with the work each tier did to find them.
+///
+/// # Panics
+///
+/// Panics if `agents.len()` differs from the allocation's agent count.
+pub fn envy_audit(
+    agents: &[CobbDouglas],
+    allocation: &Allocation,
+    tol: f64,
+) -> (Vec<EnvyEdge>, EnvyWork) {
+    assert_eq!(
+        agents.len(),
+        allocation.num_agents(),
+        "one utility per agent"
+    );
+    let own: Vec<f64> = agents
+        .iter()
+        .zip(allocation.bundles())
+        .map(|(u, x)| u.value(x))
+        .collect();
+    find_envy(agents, allocation, &own, tol)
+}
+
+/// What the audit learns about an allocation in `O(N·R)`, before any row of
+/// log utilities is formed: the range guard's extents, the tolerance's
+/// slack, and the budget certificate's prices and largest budget.
+struct Screen {
     /// `max_j |ln x_jr|` per resource: infinite when any holding is zero.
     max_abs: Vec<f64>,
     /// `−ln(1 − tol) ≥ 0`, from the same `1.0 − tol` the exact test uses.
     slack: f64,
     margin_rel: f64,
+    /// The allocation's own CEEI price, `p_r = Σ_i (a_ir / A_i) / Σ_i x_ir`.
+    price: Vec<f64>,
+    /// `ln B*`, with `B* = max_j p·x_j`. The budgets sum to `N`, so `B* ≥ 1`;
+    /// on a REF allocation every budget is exactly 1.
+    ln_budget: f64,
 }
 
-impl LogBundles {
-    fn new(allocation: &Allocation, tol: f64) -> LogBundles {
-        let n = allocation.num_agents();
+impl Screen {
+    fn new(agents: &[CobbDouglas], allocation: &Allocation, tol: f64) -> Screen {
         let r_count = allocation.num_resources();
-        let mut ln_x = Vec::with_capacity(r_count * n);
-        let mut max_abs = Vec::with_capacity(r_count);
-        for r in 0..r_count {
-            let mut worst = 0.0_f64;
-            for x in allocation.bundles() {
-                let l = x.get(r).ln();
-                worst = worst.max(l.abs());
-                ln_x.push(l);
+        let mut demand = vec![0.0_f64; r_count];
+        let mut supply = vec![0.0_f64; r_count];
+        let mut lo = vec![f64::INFINITY; r_count];
+        let mut hi = vec![0.0_f64; r_count];
+        for (u, x) in agents.iter().zip(allocation.bundles()) {
+            let sum = u.elasticity_sum();
+            for (r, (&a, &q)) in u.elasticities().iter().zip(x.as_slice()).enumerate() {
+                demand[r] += a / sum;
+                supply[r] += q;
+                lo[r] = lo[r].min(q);
+                hi[r] = hi[r].max(q);
             }
-            max_abs.push(worst);
         }
-        LogBundles {
-            num_agents: n,
-            ln_x,
-            max_abs,
+        let price: Vec<f64> = demand.iter().zip(&supply).map(|(d, s)| d / s).collect();
+        // A budget is NaN only beside a zero holding, which fails every
+        // agent's range guard, so `max` skipping NaN clears nobody.
+        let budget = allocation
+            .bundles()
+            .iter()
+            .map(|x| price.iter().zip(x.as_slice()).map(|(p, q)| p * q).sum())
+            .fold(0.0_f64, f64::max);
+        Screen {
+            max_abs: lo
+                .iter()
+                .zip(&hi)
+                .map(|(l, h)| l.ln().abs().max(h.ln().abs()))
+                .collect(),
             slack: -(1.0 - tol).ln(),
             margin_rel: LOG_MARGIN_PER_TERM * (r_count + 2) as f64,
+            price,
+            ln_budget: budget.ln(),
         }
     }
 
-    /// Fills `row[j] = Σ_r a_r · ln x_jr` for agent `i` (and `−∞` at `i`
-    /// itself, which is no pair) and returns the value at or below which a
-    /// pair is proven envy-free, or `None` when the agent fails the range
-    /// guard (written so NaN fails it too) and every one of its pairs must
-    /// be evaluated.
-    fn row(&self, u: &CobbDouglas, i: usize, row: &mut [f64]) -> Option<f64> {
+    /// `Σ_r a_r · max_j |ln x_jr|` for an agent inside the range guard, or
+    /// `None` (NaN included) when every one of its pairs must be evaluated.
+    fn reach(&self, u: &CobbDouglas) -> Option<f64> {
         let reach: f64 = u
             .elasticities()
             .iter()
             .zip(&self.max_abs)
             .map(|(a, m)| a * m)
             .sum();
-        let in_range = u.scale().ln().abs() + reach + self.slack <= LOG_RANGE_LIMIT;
-        if !in_range {
-            return None;
+        (u.scale().ln().abs() + reach + self.slack <= LOG_RANGE_LIMIT).then_some(reach)
+    }
+
+    fn margin(&self, size: f64) -> f64 {
+        self.margin_rel * (1.0 + size + self.slack)
+    }
+
+    /// Whether agent `u`, holding `x`, provably envies nobody.
+    ///
+    /// Over any bundle `y` of cost `p·y ≤ B`, `Σ_r a_r · ln y_r` peaks at
+    /// the Cobb-Douglas demand `y_r = (a_r / A) · B / p_r`, so every other
+    /// agent's log utility to `u` is at most `A · ln B* + Σ_r a_r · ln(a_r /
+    /// (A · p_r))`. Less `u`'s own log utility, that is the gap `A · ln B* +
+    /// Σ_r a_r · ln(a_r / (A · p_r · x_r))`, and a gap at most `−ln(1 − tol)
+    /// − margin` clears every pair of the agent as the exact test computes
+    /// it. A quotient that is not a normal number refuses: one that
+    /// underflows to zero would clear the agent outright.
+    fn certifies(&self, u: &CobbDouglas, x: &Bundle, reach: f64) -> bool {
+        let sum = u.elasticity_sum();
+        let mut gap = sum * self.ln_budget;
+        let mut size = reach + sum * (1.0 + self.ln_budget.abs());
+        for ((&a, &q), &p) in u.elasticities().iter().zip(x.as_slice()).zip(&self.price) {
+            if a == 0.0 {
+                continue;
+            }
+            let ratio = a / (sum * (p * q));
+            if !ratio.is_normal() {
+                return false;
+            }
+            let l = ratio.ln();
+            gap += a * l;
+            size += a * l.abs();
         }
-        let mut terms = u
-            .elasticities()
-            .iter()
-            .zip(self.ln_x.chunks_exact(self.num_agents));
-        let (a, column) = terms.next()?;
-        for (acc, l) in row.iter_mut().zip(column) {
-            *acc = a * l;
+        gap <= self.slack - self.margin(size)
+    }
+}
+
+/// `ln` of every bundle entry, resource-major, for the row filter, and the
+/// row being filtered.
+struct LogBundles {
+    num_agents: usize,
+    /// `ln_x[r · N + j] = ln x_jr`.
+    ln_x: Vec<f64>,
+    row: Vec<f64>,
+}
+
+impl LogBundles {
+    fn new(allocation: &Allocation) -> LogBundles {
+        let n = allocation.num_agents();
+        let r_count = allocation.num_resources();
+        let mut ln_x = Vec::with_capacity(r_count * n);
+        for r in 0..r_count {
+            ln_x.extend(allocation.bundles().iter().map(|x| x.get(r).ln()));
         }
-        for (a, column) in terms {
-            for (acc, l) in row.iter_mut().zip(column) {
+        LogBundles {
+            num_agents: n,
+            ln_x,
+            row: vec![0.0; n],
+        }
+    }
+
+    /// Fills `row[j] = Σ_r a_r · ln x_jr` for agent `i`, sets `row[i]` to
+    /// `−∞` (it is no pair) and returns the value it held.
+    fn fill(&mut self, u: &CobbDouglas, i: usize) -> f64 {
+        self.row.fill(0.0);
+        let columns = self.ln_x.chunks_exact(self.num_agents);
+        for (a, column) in u.elasticities().iter().zip(columns) {
+            for (acc, l) in self.row.iter_mut().zip(column) {
                 *acc += a * l;
             }
         }
-        let margin = self.margin_rel * (1.0 + reach + self.slack);
-        let limit = row[i] + self.slack - margin;
-        row[i] = f64::NEG_INFINITY;
-        Some(limit)
+        std::mem::replace(&mut self.row[i], f64::NEG_INFINITY)
     }
 }
 
 /// Every ordered pair `(i, j)` with `u_i(x_i) < u_i(x_j) · (1 − tol)`, in
-/// `(i, j)` order, plus the number of pairs that had to be evaluated.
+/// `(i, j)` order, plus the work it took.
 ///
-/// A pair is first tried in log space, where it costs one multiply-add per
-/// resource: `a_i · ln x_j ≤ a_i · ln x_i − ln(1 − tol) − margin` proves
-/// `u_i(x_i) ≥ u_i(x_j) · (1 − tol)` *as the floating-point test below
-/// computes it*, because the margin exceeds the combined rounding of both
-/// forms. The filter only ever clears; a pair it cannot clear — and every
-/// pair of an agent outside the range guard, or of an audit whose `tol` is
-/// outside `[0, 1)` — runs the exact test on [`Utility::value`], so the edge
-/// list is the double loop's, bit for bit.
+/// Three tiers, each of which only ever clears (DESIGN §6):
+///
+/// 1. The budget certificate ([`Screen::certifies`]) clears an agent
+///    against everyone in `O(R)`; on a REF allocation it clears them all.
+/// 2. An agent it cannot clear forms its row of log utilities, and a pair
+///    costs one multiply-add per resource: `a_i · ln x_j ≤ a_i · ln x_i −
+///    ln(1 − tol) − margin` clears it.
+/// 3. A pair neither tier clears runs the exact test on [`Utility::value`].
+///
+/// Both log-space tiers prove `u_i(x_i) ≥ u_i(x_j) · (1 − tol)` *as the
+/// floating-point test computes it*, because their margins exceed the
+/// combined rounding of both forms. Every pair of an agent outside the range
+/// guard, or of an audit whose `tol` is outside `[0, 1)`, goes straight to
+/// the exact test, so the edge list is the double loop's, bit for bit. The
+/// log table is built only once some agent needs a row.
 fn find_envy(
     agents: &[CobbDouglas],
     allocation: &Allocation,
     own: &[f64],
     tol: f64,
-) -> (Vec<EnvyEdge>, u64) {
+) -> (Vec<EnvyEdge>, EnvyWork) {
     let n = agents.len();
-    let logs = (0.0..1.0)
+    let screen = (0.0..1.0)
         .contains(&tol)
-        .then(|| LogBundles::new(allocation, tol));
-    let mut row = vec![0.0_f64; n];
+        .then(|| Screen::new(agents, allocation, tol));
+    let mut logs: Option<LogBundles> = None;
     let mut edges = Vec::new();
-    let mut evaluated = 0_u64;
+    let mut work = EnvyWork::default();
     for (i, u) in agents.iter().enumerate() {
-        let limit = logs.as_ref().and_then(|logs| logs.row(u, i, &mut row));
+        let mut filter: Option<(&[f64], f64)> = None;
+        let screened = screen
+            .as_ref()
+            .and_then(|s| s.reach(u).map(|reach| (s, reach)));
+        if let Some((screen, reach)) = screened {
+            if screen.certifies(u, allocation.bundle(i), reach) {
+                work.certified += 1;
+                continue;
+            }
+            let logs = logs.get_or_insert_with(|| LogBundles::new(allocation));
+            let own_log = logs.fill(u, i);
+            work.rows += 1;
+            filter = Some((&logs.row, own_log + screen.slack - screen.margin(reach)));
+        }
         // A branch-free sweep first: most agents have nobody left to evaluate.
-        if limit.is_some_and(|limit| row.iter().filter(|&&l| l <= limit).count() == n) {
+        if filter.is_some_and(|(row, limit)| row.iter().filter(|&&l| l <= limit).count() == n) {
             continue;
         }
         for j in 0..n {
-            if i == j || limit.is_some_and(|limit| row[j] <= limit) {
+            if i == j || filter.is_some_and(|(row, limit)| row[j] <= limit) {
                 continue;
             }
-            evaluated += 1;
+            work.evaluated += 1;
             let other = u.value(allocation.bundle(j));
             if own[i] < other * (1.0 - tol) {
                 edges.push(EnvyEdge {
@@ -275,7 +400,7 @@ fn find_envy(
             }
         }
     }
-    (edges, evaluated)
+    (edges, work)
 }
 
 impl fmt::Display for FairnessReport {
@@ -334,8 +459,9 @@ pub fn max_mrs_mismatch(agents: &[CobbDouglas], allocation: &Allocation) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::{EqualShare, Mechanism, ProportionalElasticity};
-    use crate::resource::Bundle;
+    use crate::mechanism::{
+        CreditInner, CreditMechanism, EqualShare, MaxWelfare, Mechanism, ProportionalElasticity,
+    };
 
     fn fixture() -> (Vec<CobbDouglas>, Capacity) {
         (
@@ -462,33 +588,113 @@ mod tests {
         assert!(report.to_string().contains("envy"));
     }
 
-    /// Own-bundle utilities and the envy pass, as `check_with_tolerance`
-    /// runs them, with the count of pairs the filter could not clear.
+    /// The envy pass with the count of pairs no tier could clear.
     fn envy_pass(agents: &[CobbDouglas], alloc: &Allocation, tol: f64) -> (Vec<EnvyEdge>, u64) {
-        let own: Vec<f64> = agents
-            .iter()
-            .zip(alloc.bundles())
-            .map(|(u, x)| u.value(x))
-            .collect();
-        find_envy(agents, alloc, &own, tol)
+        let (edges, work) = envy_audit(agents, alloc, tol);
+        (edges, work.evaluated)
     }
 
     #[test]
-    fn filter_clears_every_pair_of_a_large_ref_allocation() {
-        let n = 2_000_usize;
-        let agents: Vec<CobbDouglas> = (0..n)
+    fn certificate_clears_every_agent_of_a_large_ref_allocation() {
+        for n in [2_000_usize, 20_000] {
+            let agents: Vec<CobbDouglas> = (0..n)
+                .map(|i| {
+                    // 16 elasticity levels dealt in turn, so many agents hold
+                    // the same bundle and sit at equal log utility.
+                    let a = 0.1 + 0.8 * (i % 16) as f64 / 15.0;
+                    CobbDouglas::new(1.0 + (i % 7) as f64, vec![a, 1.0 - a]).unwrap()
+                })
+                .collect();
+            let c = Capacity::new(vec![2.0 * n as f64, n as f64]).unwrap();
+            let alloc = ProportionalElasticity.allocate(&agents, &c).unwrap();
+            let (edges, work) = envy_audit(&agents, &alloc, 1e-2);
+            assert!(edges.is_empty());
+            let all = EnvyWork {
+                certified: n as u64,
+                rows: 0,
+                evaluated: 0,
+            };
+            assert_eq!(work, all, "of {} pairs", n * (n - 1));
+        }
+    }
+
+    #[test]
+    fn lopsided_allocation_forms_rows_only_for_agents_not_certified() {
+        // Three like-minded agents; agent 0 holds most of both resources, in
+        // the proportions it demands at the allocation's own prices. It is
+        // certified; the other two envy it and need their rows.
+        let agents = vec![CobbDouglas::new(1.0, vec![0.5, 0.5]).unwrap(); 3];
+        let c = Capacity::new(vec![24.0, 12.0]).unwrap();
+        let alloc = Allocation::new(
+            vec![
+                Bundle::new(vec![20.0, 10.0]).unwrap(),
+                Bundle::new(vec![2.0, 1.0]).unwrap(),
+                Bundle::new(vec![2.0, 1.0]).unwrap(),
+            ],
+            &c,
+        )
+        .unwrap();
+        let (edges, work) = envy_audit(&agents, &alloc, 1e-2);
+        let pairs: Vec<(usize, usize)> = edges.iter().map(|e| (e.envious, e.envied)).collect();
+        assert_eq!(pairs, [(1, 0), (2, 0)]);
+        // Agents 1 and 2 hold identical bundles: the row filter clears that
+        // pair, and only the edges themselves are evaluated.
+        let want = EnvyWork {
+            certified: 1,
+            rows: 2,
+            evaluated: 2,
+        };
+        assert_eq!(work, want);
+
+        // The paper's pair at the lopsided split: neither agent holds its
+        // own demand at these prices, so both form rows.
+        let (agents, c) = fixture();
+        let alloc = Allocation::new(
+            vec![
+                Bundle::new(vec![23.0, 11.0]).unwrap(),
+                Bundle::new(vec![1.0, 1.0]).unwrap(),
+            ],
+            &c,
+        )
+        .unwrap();
+        let (edges, work) = envy_audit(&agents, &alloc, 1e-2);
+        assert_eq!((edges[0].envious, edges[0].envied), (1, 0));
+        let want = EnvyWork {
+            certified: 0,
+            rows: 2,
+            evaluated: 1,
+        };
+        assert_eq!(work, want);
+    }
+
+    /// Reports, without gating it, how much of the audit the certificate
+    /// takes off optimization-backed allocations (`--nocapture` prints it).
+    #[test]
+    fn certificate_coverage_of_optimized_allocations() {
+        let agents: Vec<CobbDouglas> = (0..48)
             .map(|i| {
-                // 16 elasticity levels dealt in turn, so many agents hold
-                // the same bundle and sit at equal log utility.
-                let a = 0.1 + 0.8 * (i % 16) as f64 / 15.0;
-                CobbDouglas::new(1.0 + (i % 7) as f64, vec![a, 1.0 - a]).unwrap()
+                let a = 0.1 + 0.8 * ((i * 7) % 16) as f64 / 15.0;
+                CobbDouglas::new(1.0, vec![a, 1.0 - a]).unwrap()
             })
             .collect();
-        let c = Capacity::new(vec![4000.0, 2000.0]).unwrap();
-        let alloc = ProportionalElasticity.allocate(&agents, &c).unwrap();
-        let (edges, evaluated) = envy_pass(&agents, &alloc, 1e-2);
-        assert!(edges.is_empty());
-        assert_eq!(evaluated, 0, "of {} pairs", n * (n - 1));
+        let weights: Vec<f64> = (0..48).map(|i| 0.8 + 0.4 * (i % 5) as f64 / 4.0).collect();
+        let c = Capacity::new(vec![24.0, 12.0]).unwrap();
+        let with_fairness = MaxWelfare::with_fairness();
+        let credit = CreditMechanism::new(CreditInner::MaxWelfare, weights).unwrap();
+        let cases: [(&dyn Mechanism, &[CobbDouglas]); 2] =
+            [(&with_fairness, &agents[..12]), (&credit, &agents)];
+        for (mechanism, agents) in cases {
+            let alloc = mechanism.allocate(agents, &c).unwrap();
+            for tol in [1e-6, 1e-2] {
+                let (_, work) = envy_audit(agents, &alloc, tol);
+                assert_eq!(work.certified + work.rows, agents.len() as u64);
+                println!(
+                    "{} at {} agents, tol {tol:e}: {work:?}",
+                    mechanism.name(),
+                    agents.len()
+                );
+            }
+        }
     }
 
     #[test]
@@ -550,6 +756,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(envy_pass(&agents, &alloc, 1e-2).1, 2);
+    }
+
+    #[test]
+    fn a_quotient_that_underflows_cannot_clear_an_agent() {
+        // Agent 0 values resource 1 at the smallest subnormal elasticity, so
+        // its certificate term `a · ln(a / (A · p · x))` is `a · ln 0 = −∞`
+        // as computed, though it is 0 in truth. Agent 0 envies agent 1.
+        let agents = vec![
+            CobbDouglas::new(1.0, vec![10.0, f64::from_bits(1)]).unwrap(),
+            CobbDouglas::new(1.0, vec![0.5, 0.5]).unwrap(),
+        ];
+        let c = Capacity::new(vec![10.0, 10.0]).unwrap();
+        let alloc = Allocation::new(
+            vec![
+                Bundle::new(vec![2.0, 5.0]).unwrap(),
+                Bundle::new(vec![8.0, 5.0]).unwrap(),
+            ],
+            &c,
+        )
+        .unwrap();
+        let (edges, work) = envy_audit(&agents, &alloc, 1e-2);
+        assert_eq!((edges.len(), edges[0].envious, edges[0].envied), (1, 0, 1));
+        let want = EnvyWork {
+            certified: 0,
+            rows: 2,
+            evaluated: 1,
+        };
+        assert_eq!(work, want);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The fairness audit against the double loop it replaced.
 //!
-//! `FairnessReport::check_with_tolerance` clears most ordered pairs in log
-//! space and evaluates the rest; the claim is that its report is the one the
-//! plain `powf` double loop produces, bit for bit, on every input. The
-//! reference below is that loop, kept verbatim. The corpus aims at where the
-//! two could part: pairs on the tolerance boundary, utilities that leave the
-//! normal `f64` range, zero holdings and zero elasticities, tolerances the
-//! filter must refuse.
+//! `FairnessReport::check_with_tolerance` clears most agents with a budget
+//! certificate and most pairs of the rest in log space, and evaluates what
+//! is left; the claim is that its report is the one the plain `powf` double
+//! loop produces, bit for bit, on every input. The reference below is that
+//! loop, kept verbatim. The corpus aims at where the two could part: agents
+//! and pairs on the tolerance boundary, utilities that leave the normal
+//! `f64` range, zero holdings and zero elasticities, tolerances the log-space
+//! tiers must refuse.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -14,7 +15,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ref_core::mechanism::{Mechanism, ProportionalElasticity};
-use ref_core::properties::{EnvyEdge, FairnessReport, SiViolation};
+use ref_core::properties::{envy_audit, EnvyEdge, FairnessReport, SiViolation};
 use ref_core::resource::{Allocation, Bundle, Capacity};
 use ref_core::utility::{CobbDouglas, Utility};
 
@@ -109,14 +110,19 @@ enum Layout {
     /// Every bundle is agent 0's scaled so that agent 0 sits on the
     /// tolerance boundary against it, give or take a few ulps.
     Boundary,
+    /// A market at its own prices (`x_jr = â_jr · b_j / p_r`) in which one
+    /// agent's budget ratio to the richest puts its certificate on the
+    /// tolerance boundary, give or take a few ulps.
+    Budget,
 }
 
-const LAYOUTS: [Layout; 5] = [
+const LAYOUTS: [Layout; 6] = [
     Layout::Ref,
     Layout::EqualSplit,
     Layout::Random,
     Layout::Lopsided,
     Layout::Boundary,
+    Layout::Budget,
 ];
 
 /// Decimal exponent range of the capacities.
@@ -138,7 +144,15 @@ fn nudge(x: f64, ulps: i64) -> f64 {
     f64::from_bits((x.to_bits() as i64 + ulps) as u64)
 }
 
-fn population(rng: &mut ChaCha8Rng, n: usize, r: usize, band: Band) -> Vec<CobbDouglas> {
+/// `zeros` lets a few elasticities be zero, keeping one resource each
+/// agent values.
+fn population(
+    rng: &mut ChaCha8Rng,
+    n: usize,
+    r: usize,
+    band: Band,
+    zeros: bool,
+) -> Vec<CobbDouglas> {
     (0..n)
         .map(|_| {
             let mut es: Vec<f64> = (0..r)
@@ -151,10 +165,9 @@ fn population(rng: &mut ChaCha8Rng, n: usize, r: usize, band: Band) -> Vec<CobbD
                     Band::Extreme => rng.gen_range(0.05..4.5),
                 })
                 .collect();
-            // Zero elasticities, keeping one resource the agent values.
             let keep = rng.gen_range(0..r);
             for (k, e) in es.iter_mut().enumerate() {
-                if k != keep && rng.gen_bool(0.15) {
+                if zeros && k != keep && rng.gen_bool(0.15) {
                     *e = 0.0;
                 }
             }
@@ -193,9 +206,11 @@ fn from_shares(shares: &[Vec<f64>], cap: &[f64]) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// The bundles of a case. `Layout::Budget` also makes one agent share
+/// another's elasticities.
 fn bundles(
     rng: &mut ChaCha8Rng,
-    agents: &[CobbDouglas],
+    agents: &mut [CobbDouglas],
     cap: &[f64],
     layout: Layout,
     tol: f64,
@@ -257,11 +272,50 @@ fn bundles(
                 })
                 .collect()
         }
+        Layout::Budget => {
+            // Every budget is 1 except `poor`'s and `rich`'s, which sum to 2,
+            // and `rich` demands like `poor`. Then Σ_j â_jr · b_j = Σ_j â_jr,
+            // the allocation's own price Σâ/Σx is the price it was built at,
+            // and `poor`'s certificate is tight: its gap is A · ln(b_rich /
+            // b_poor), which the ratio sets to −ln(1 − tol).
+            let poor = rng.gen_range(0..n);
+            let rich = (poor + rng.gen_range(1..n)) % n;
+            let elasticities = agents[poor].elasticities().to_vec();
+            agents[rich] = CobbDouglas::new(log_uniform(rng, -3.0, 3.0), elasticities)
+                .expect("valid by construction");
+            let ratio = (1.0 - tol).powf(-1.0 / agents[poor].elasticity_sum());
+            let ratio = if ratio.is_finite() {
+                nudge(ratio, rng.gen_range(-4_i64..5))
+            } else {
+                1.0
+            };
+            let b_poor = 2.0 / (1.0 + ratio);
+            let shares: Vec<Vec<f64>> = agents
+                .iter()
+                .enumerate()
+                .map(|(j, u)| {
+                    let budget = if j == poor {
+                        b_poor
+                    } else if j == rich {
+                        ratio * b_poor
+                    } else {
+                        1.0
+                    };
+                    let sum = u.elasticity_sum();
+                    u.elasticities().iter().map(|a| a / sum * budget).collect()
+                })
+                .collect();
+            from_shares(&shares, cap)
+        }
     }
 }
 
 /// Envy edges the reference found over the whole corpus.
 static ENVY_EDGES: AtomicU64 = AtomicU64::new(0);
+/// Agents the certificate cleared, and agents inside the range guard it
+/// could not clear (each forms a row), over the whole corpus.
+static CERTIFIED: AtomicU64 = AtomicU64::new(0);
+static ROWS: AtomicU64 = AtomicU64::new(0);
 static CASES_RUN: AtomicU64 = AtomicU64::new(0);
 const CASES: u32 = 4_000;
 
@@ -280,9 +334,9 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (layout, tol) = (LAYOUTS[layout], TOLERANCES[tol]);
         let band = if extreme == 0 { Band::Extreme } else { Band::Wide };
-        let agents = population(&mut rng, n, r, band);
+        let mut agents = population(&mut rng, n, r, band, !matches!(layout, Layout::Budget));
         let cap = capacity(&mut rng, r, band);
-        let rows = bundles(&mut rng, &agents, &cap, layout, tol);
+        let rows = bundles(&mut rng, &mut agents, &cap, layout, tol);
         let capacity = Capacity::new(cap).expect("positive capacity");
         let allocation = Allocation::new(
             rows.into_iter()
@@ -312,11 +366,17 @@ proptest! {
 
         // Cases run one after another inside this test, so the last one sees
         // the whole corpus: it must have held real envy, or the equalities
-        // above compared empty lists.
+        // above compared empty lists, and both outcomes of the certificate,
+        // or one tier went untested.
+        let (_, work) = envy_audit(&agents, &allocation, tol);
         let edges = ENVY_EDGES.fetch_add(want.envy_edges.len() as u64, Ordering::Relaxed)
             + want.envy_edges.len() as u64;
+        let certified = CERTIFIED.fetch_add(work.certified, Ordering::Relaxed) + work.certified;
+        let rows = ROWS.fetch_add(work.rows, Ordering::Relaxed) + work.rows;
         if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == u64::from(CASES) {
             prop_assert!(edges > 1_000, "corpus held only {edges} envy edges");
+            prop_assert!(certified > 1_000, "certificate cleared only {certified} agents");
+            prop_assert!(rows > 1_000, "only {rows} agents fell through to a row");
         }
     }
 }

@@ -181,9 +181,9 @@ pub struct MarketConfig {
     /// grid when fingerprinting the population, so estimate drift below
     /// the tolerance reuses the cached allocation.
     pub realloc_tolerance: f64,
-    /// Relative tolerance for the per-epoch SI/EF/PE audit. Must absorb
-    /// the drift incremental reallocation permits: a cache-hit epoch may
-    /// serve an allocation computed from utilities up to
+    /// Relative tolerance for the per-epoch SI/EF/PE audit, in `(0, 1)`.
+    /// Must absorb the drift incremental reallocation permits: a cache-hit
+    /// epoch may serve an allocation computed from utilities up to
     /// `realloc_tolerance` stale, so this should sit comfortably above
     /// that (the default is an order of magnitude over the default
     /// reallocation tolerance).
@@ -321,9 +321,10 @@ impl MarketConfig {
                 self.realloc_tolerance
             )));
         }
-        if !(self.audit_tolerance.is_finite() && self.audit_tolerance > 0.0) {
+        // At 1 or above `x · (1 − tol) ≤ 0`, so no SI or EF test could fire.
+        if !(self.audit_tolerance > 0.0 && self.audit_tolerance < 1.0) {
             return Err(MarketError::InvalidArgument(format!(
-                "audit tolerance must be positive and finite, got {}",
+                "audit tolerance must lie in (0, 1), got {}",
                 self.audit_tolerance
             )));
         }
@@ -1199,6 +1200,28 @@ mod tests {
         let cap = Capacity::new(vec![10.0]).unwrap();
         assert!(MarketEngine::new(MarketConfig::new(cap.clone()).with_excitation(0.7)).is_err());
         assert!(MarketEngine::new(MarketConfig::new(cap).with_realloc_tolerance(0.0)).is_err());
+    }
+
+    #[test]
+    fn audit_tolerances_outside_the_unit_interval_are_refused() {
+        let snapshot = two_agent_market().snapshot();
+        assert!(MarketEngine::restore(&snapshot).is_ok());
+        for tol in [1.0, 1.5, f64::NAN] {
+            let config = snapshot.config.clone().with_audit_tolerance(tol);
+            let refused = MarketEngine::new(config.clone());
+            assert!(
+                matches!(refused, Err(MarketError::InvalidArgument(_))),
+                "tol {tol}"
+            );
+            let restored = MarketEngine::restore(&MarketSnapshot {
+                config,
+                ..snapshot.clone()
+            });
+            assert!(
+                matches!(restored, Err(MarketError::InvalidArgument(_))),
+                "tol {tol}"
+            );
+        }
     }
 
     #[test]
