@@ -4,8 +4,8 @@
 //! Each seed drives [`ref_dst::run_seed`]: a 2-shard fleet with a
 //! primary and standby per shard, real WALs on simulated disks, the
 //! server's own `ReplCore` and `RouterCore` over a simulated network,
-//! and a seeded mix of crashes, partitions, torn writes, failed fsyncs,
-//! bit flips, divergence injection, and delay storms. A violation prints
+//! and a seeded mix of crashes, panics, partitions, torn writes, failed
+//! fsyncs, bit flips, divergence injection, and delay storms. A violation prints
 //! the seed and the full per-event trace; `--seed N` replays that exact
 //! run bit-identically.
 //!
@@ -14,9 +14,9 @@
 //!     [--quick] [--seed N] [--out BENCH_dst.json]
 //! ```
 //!
-//! `--break-invariant ack|si` (test-only) makes the simulator's driver
-//! override a verdict of the real cores, to prove the sweep catches and
-//! reproduces violations.
+//! `--break-invariant ack|si|hb` (test-only) makes the simulator's
+//! driver override a verdict of the real cores, to prove the sweep
+//! catches and reproduces violations.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -68,7 +68,8 @@ fn parse_args() -> Args {
                 args.break_invariant = Some(match value("--break-invariant").as_str() {
                     "ack" => BreakKind::AckUnreplicated,
                     "si" => BreakKind::SiDuringPartial,
-                    other => panic!("unknown invariant to break: {other} (want ack|si)"),
+                    "hb" => BreakKind::HeartbeatWhileDown,
+                    other => panic!("unknown invariant to break: {other} (want ack|si|hb)"),
                 });
             }
             "--out" => args.out = value("--out"),
@@ -209,6 +210,7 @@ fn main() {
                 None => Value::Null,
                 Some(BreakKind::AckUnreplicated) => Value::str("ack"),
                 Some(BreakKind::SiDuringPartial) => Value::str("si"),
+                Some(BreakKind::HeartbeatWhileDown) => Value::str("hb"),
             },
         ),
         ("violations", Value::from_u64(total_violations)),

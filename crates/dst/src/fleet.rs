@@ -8,10 +8,14 @@
 //! real [`ReplCore`], and the fleet's health tracking, quorum gate,
 //! reallotment delivery and fencing-token floor by the real
 //! [`RouterCore`] — the same two state machines the threaded server
-//! drives. This file only *drives* them: it moves their frames through
-//! [`SimNet`], reads [`SimClock`], owns what a connection is (attached
-//! or reset), and plays operator (which role a restarted node is booted
-//! into). It decides no reply.
+//! drives. So are the node rules: when the router fans a timed tick, which
+//! shards a fan skips, when a Down shard is probed, whether a panicked
+//! shard is restarted in place or failed over, how a recovered shard is
+//! re-offered its allotment and caught up, and when a node heartbeats,
+//! re-dials or elects itself. This file only *drives* them: it moves
+//! their frames through [`SimNet`], reads [`SimClock`], owns what a
+//! connection is (attached or reset), and plays operator (which role a
+//! restarted node is booted into). It decides no reply.
 //!
 //! After every schedule the standing invariants are checked:
 //!
@@ -26,6 +30,8 @@
 //!    undelivered reallotments rather than half-applying them.
 //! 5. **No phantom audits** — fleet temporal-SI accounting never folds
 //!    in epochs from a partial (below-full-report) round.
+//! 6. **Liveness** — after the settle, every shard has a routable
+//!    primary and the last round reported every shard.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -36,12 +42,13 @@ use ref_core::utility::CobbDouglas;
 use ref_market::{MarketConfig, MarketEvent, ObservationSource};
 use ref_serve::protocol::{error_response, event_to_value, shard_unavailable_response};
 use ref_serve::repl::{kind, message, parse_message};
-use ref_serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream};
+use ref_serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream, Timer};
+use ref_serve::router::{asks, AfterPanic, Duty, Readmit};
 use ref_serve::wal::read_events_with;
 use ref_serve::{
     decode_frame, default_quorum, replay, shard_market_config, Clock, FaultPlan, FrameDecode,
     HashRing, JournalLimit, ReplApply, ReplConfig, ReplCore, Request, Role, RouterCore,
-    ServeMetrics, ServiceCore, ShardHealth, Storage, TickOutcome, Value, WalConfig,
+    ServeMetrics, ServiceCore, Storage, Value, WalConfig,
 };
 
 use crate::disk::SimDisk;
@@ -59,8 +66,6 @@ const HB_EVERY: Duration = Duration::from_millis(10);
 const ELECTION_BASE: Duration = Duration::from_millis(50);
 /// How long a primary holds a client reply for the standby's ack.
 const ACK_TIMEOUT: Duration = Duration::from_millis(25);
-/// How often a silent standby re-dials its primary.
-const REDIAL_EVERY: Duration = Duration::from_millis(20);
 /// Delay before a node crashed by a poisoned WAL recovers.
 const POISON_RESTART: Duration = Duration::from_millis(40);
 /// Fault-free convergence window after the scripted horizon.
@@ -72,7 +77,7 @@ const REALLOT_TOLERANCE: f64 = 2e-4;
 
 /// Which invariant to deliberately break (test-only): proves the sweep
 /// catches violations and reproduces them bit-identically from a seed.
-/// Both are implemented *here*, by overriding a verdict the cores
+/// Each is implemented *here*, by overriding a verdict the cores
 /// return — no test-only flag enters the cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakKind {
@@ -82,6 +87,9 @@ pub enum BreakKind {
     /// Fold per-shard fairness audits into the fleet view even on
     /// partial rounds — phantom temporal-SI accounting.
     SiDuringPartial,
+    /// Keep a panicked primary leading — its heartbeats keep its standby
+    /// from electing itself, so the shard never comes back.
+    HeartbeatWhileDown,
 }
 
 /// Simulation options.
@@ -134,7 +142,9 @@ struct Node {
     /// Ground truth: a corrupting fault was injected into this replica.
     diverged: bool,
     promoted_ever: bool,
-    last_hello: Duration,
+    /// A panic left the engine behind its log: the node serves nothing
+    /// until it reboots (the server's degraded shard).
+    down: bool,
     /// A bit flip landed on this node's disk (scrub must notice).
     bitflip_hit: bool,
 }
@@ -170,12 +180,12 @@ struct Sim {
     shard_config: MarketConfig,
     total_capacity: Vec<f64>,
     demands: Vec<Vec<f64>>,
-    epochs: Vec<u64>,
-    /// The node each shard was last served by; a change means the
-    /// shard's state came from another WAL and needs its allotment
-    /// replayed (the supervisor's resync).
-    known_primary: [Option<usize>; SHARDS],
+    /// The node (and its boot count) each shard was last served by; a
+    /// change means the shard is served from a recovered WAL.
+    known_primary: [Option<(usize, u64)>; SHARDS],
     round: u64,
+    /// Shards the latest round heard no report from.
+    last_missing: Vec<u64>,
     pending: Vec<Pending>,
     acked: Vec<AckedEvent>,
     violations: Vec<String>,
@@ -183,7 +193,6 @@ struct Sim {
     partial_rounds: u64,
     fleet_temporal_si: u64,
     si_partial_accruals: u64,
-    next_hb: Duration,
     pending_restarts: Vec<(Duration, usize)>,
 }
 
@@ -207,7 +216,9 @@ fn repl_config(id: usize, role: Role) -> ReplConfig {
         Role::Primary => ReplConfig::primary(addr(id)),
         Role::Standby | Role::Fenced => ReplConfig::standby(addr(id), addr(id ^ 1)),
     };
-    config.with_election_timeout(ELECTION_BASE)
+    config
+        .with_election_timeout(ELECTION_BASE)
+        .with_heartbeat_interval(HB_EVERY)
 }
 
 fn is_ok(reply: &Value) -> bool {
@@ -268,7 +279,7 @@ impl Sim {
                     peer_attached: role == Role::Primary,
                     diverged: false,
                     promoted_ever: false,
-                    last_hello: Duration::ZERO,
+                    down: false,
                     bitflip_hit: false,
                 }
             })
@@ -291,13 +302,14 @@ impl Sim {
                 0.05,
                 default_quorum(SHARDS),
                 2,
-            ),
+            )
+            .with_node(true, true, Some(TICK_EVERY)),
             shard_config,
             total_capacity,
             demands: vec![vec![0.0; 2]; SHARDS],
-            epochs: vec![0; SHARDS],
             known_primary: [None; SHARDS],
             round: 0,
+            last_missing: Vec::new(),
             pending: Vec::new(),
             acked: Vec::new(),
             violations: Vec::new(),
@@ -305,7 +317,6 @@ impl Sim {
             partial_rounds: 0,
             fleet_temporal_si: 0,
             si_partial_accruals: 0,
-            next_hb: HB_EVERY,
             pending_restarts: Vec::new(),
         };
         for id in 0..NODES {
@@ -325,29 +336,24 @@ impl Sim {
         self.violations.push(msg);
     }
 
-    /// Recovers the node's core from its disk and scrubs the log,
-    /// mirroring `Server::recover`, then builds the replication machine
-    /// for `role` at the term the node had before it went down.
+    /// Opens the node's core from its disk the way the server does
+    /// ([`ServiceCore::open`]), then builds the replication machine for
+    /// `role` at the term the node had before it went down.
     fn boot_node(&mut self, id: usize, role: Role) {
         let now = self.now();
         let node = &mut self.nodes[id];
         let storage: Arc<dyn Storage> = Arc::new(node.disk.clone());
-        match ServiceCore::recover_with(
+        let scrubbed = node.metrics.snapshot().wal_scrub_errors;
+        match ServiceCore::open(
             storage,
             self.shard_config.clone(),
             JournalLimit::default(),
             wal_config(&node.dir),
             FaultPlan::default(),
+            &node.metrics,
         ) {
             Ok(core) => {
-                let scrub_errors = match core.wal().map(|w| w.scrub()) {
-                    Some(Ok(report)) => report.errors.len() as u64,
-                    Some(Err(_)) => 1,
-                    None => 0,
-                };
-                if scrub_errors > 0 {
-                    ServeMetrics::bump_by(&node.metrics.wal_scrub_errors, scrub_errors);
-                }
+                let scrub_errors = node.metrics.snapshot().wal_scrub_errors - scrubbed;
                 node.boots += 1;
                 let (term, seq) = (node.repl.term(), core.events_applied());
                 let jitter_seed = mix64(self.seed ^ ((id as u64) << 32) ^ node.boots);
@@ -356,7 +362,7 @@ impl Sim {
                 if role == Role::Fenced {
                     node.repl.fence(term);
                 }
-                node.last_hello = now;
+                node.down = false;
                 // Recovery replays the WAL from disk, so any in-memory
                 // corruption injected before the crash is gone: the
                 // rebooted replica is genuinely clean again.
@@ -410,6 +416,9 @@ impl Sim {
     /// record and hold client replies for the standby (sync mode).
     fn primary_apply(&mut self, id: usize, req: &Request, client: bool) -> Value {
         let now = self.now();
+        if self.nodes[id].down {
+            return shard_unavailable_response((id / REPLICAS) as u64, 0);
+        }
         let event = req.to_event();
         if event.is_some() {
             if let Some(refusal) = self.nodes[id].repl.admit_mutation(now, None) {
@@ -506,10 +515,14 @@ impl Sim {
         // never acks.
         self.pending.retain(|p| p.primary != id);
         self.trace.push(now, format!("n{id} crash"));
-        // A dead peer is observable (connection reset): its primary
-        // stops counting it as an attached standby.
-        self.nodes[id ^ 1].peer_attached = false;
-        self.release_acks(id ^ 1);
+        // A dead peer is observable (connection reset) over an open link:
+        // its primary stops counting it as an attached standby, and its
+        // standby's session is over. Behind a partition nothing arrives.
+        if !self.net.is_cut(id, id ^ 1, now) {
+            self.nodes[id ^ 1].peer_attached = false;
+            self.nodes[id ^ 1].repl.hang_up();
+            self.release_acks(id ^ 1);
+        }
     }
 
     /// Restarts a node the way an operator would: as a standby of its
@@ -517,6 +530,7 @@ impl Sim {
     /// role it went down with (a primary resumes — under the core's
     /// recovery lease; a standby whose primary is also down waits, since
     /// self-appointing could resurrect a log missing solo-acked events).
+    /// A standby dials its primary on its core's first timer.
     fn restart(&mut self, id: usize) {
         if self.alive(id) {
             return;
@@ -531,10 +545,6 @@ impl Sim {
             self.nodes[id].repl.role()
         };
         self.boot_node(id, role);
-        if rejoin && self.alive(id) {
-            let hello = self.nodes[id].repl.hello();
-            self.send_frame(id, id ^ 1, hello);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -579,8 +589,9 @@ impl Sim {
             "ack" => {}
             _ => match self.nodes[to].repl.on_frame(&msg, &addr(from), now) {
                 Stream::Apply { seq, event } => self.standby_apply(from, to, seq, event),
+                Stream::Drop => self.nodes[to].repl.hang_up(),
                 // `retain_history` keeps every log whole: no snapshots.
-                Stream::Following | Stream::Drop | Stream::Restore { .. } => {}
+                Stream::Following | Stream::Restore { .. } => {}
             },
         }
         if was != Role::Fenced && self.nodes[to].repl.role() == Role::Fenced {
@@ -611,7 +622,7 @@ impl Sim {
             ReplApply::Gap => {
                 self.trace
                     .push(now, format!("n{to} gap at seq={seq} have={have}: resync"));
-                node.repl.hello()
+                node.repl.dial(now)
             }
             ReplApply::WalError => {
                 if core.wal().is_some_and(|w| w.poisoned()) {
@@ -659,7 +670,8 @@ impl Sim {
     }
 
     // ------------------------------------------------------------------
-    // Timers: heartbeats, elections, ack deadlines, delayed restarts.
+    // Clocks: every node's replication timer, ack deadlines, delayed
+    // restarts, and the router's clock.
     // ------------------------------------------------------------------
 
     fn timers(&mut self) {
@@ -672,18 +684,26 @@ impl Sim {
         for (_, id) in due {
             self.restart(id);
         }
-        // Heartbeats ride the replication connection: a primary with no
-        // attached standby has no socket to write them to, so a detached
-        // standby goes silent and falls into its re-dial loop.
-        if now >= self.next_hb {
-            self.next_hb = now + HB_EVERY;
-            for id in 0..NODES {
-                if !self.alive(id) || !self.nodes[id].peer_attached {
-                    continue;
+        for id in 0..NODES {
+            if !self.alive(id) {
+                continue;
+            }
+            match self.nodes[id].repl.timer(now) {
+                // Heartbeats ride the replication connection: a primary
+                // with no attached standby has no socket to write them to,
+                // so a detached standby goes silent and re-dials.
+                Timer::Heartbeat => {
+                    let hb = self.nodes[id].repl.beat(now);
+                    if let Some(hb) = hb.filter(|_| self.nodes[id].peer_attached) {
+                        self.send_frame(id, id ^ 1, hb);
+                    }
                 }
-                if let Some(hb) = self.nodes[id].repl.heartbeat() {
-                    self.send_frame(id, id ^ 1, hb);
+                Timer::Elect => self.promote(id),
+                Timer::Redial => {
+                    let hello = self.nodes[id].repl.dial(now);
+                    self.send_frame(id, id ^ 1, hello);
                 }
+                Timer::Idle(_) => {}
             }
         }
         // Ack deadlines: the client gets a loud replication error; the
@@ -699,21 +719,23 @@ impl Sim {
             }
             p.deadline > now
         });
-        // Standbys: elect when the core's gate opens, else re-dial a
-        // primary that has gone quiet.
-        for id in 0..NODES {
-            let node = &self.nodes[id];
-            if node.core.is_none() || node.repl.role() != Role::Standby {
-                continue;
-            }
-            if node.repl.election_due(now) {
-                self.promote(id);
-            } else if node.repl.silence(now) > REDIAL_EVERY
-                && now.saturating_sub(node.last_hello) > REDIAL_EVERY
-            {
-                let hello = node.repl.hello();
-                self.nodes[id].last_hello = now;
-                self.send_frame(id, id ^ 1, hello);
+        // The router is not replicated: it always leads.
+        for duty in self.router.clock(now, true) {
+            match duty {
+                Duty::Tick => self.fleet_tick(),
+                // Reboot the serving node from its own WAL, in its role.
+                Duty::Restart(shard) => {
+                    if let Some(p) = self.route(shard) {
+                        self.crash(p);
+                        self.restart(p);
+                    }
+                }
+                Duty::Probe(shard) => {
+                    let reply = self.ask(shard, &Request::Query { agent: None });
+                    if let Some(readmit) = self.router.probed(shard, &reply) {
+                        self.rejoin(readmit, "probe");
+                    }
+                }
             }
         }
     }
@@ -739,21 +761,90 @@ impl Sim {
     }
 
     // ------------------------------------------------------------------
-    // The router: fan ticks, feed the RouterCore, deliver what it says.
+    // The router: carry out the RouterCore's verdicts.
     // ------------------------------------------------------------------
 
-    /// Delivers a reallotment as a journaled event; a primary that
-    /// refuses (say, inside its recovery lease) never journaled the
-    /// split, so the core is told to offer it again.
+    /// Delivers a reallotment as a journaled event and hands the reply
+    /// to the core (a primary that refuses, say inside its recovery
+    /// lease, never journaled the split).
     fn deliver(&mut self, shard: usize, capacity: Vec<f64>, why: &str) {
         let now = self.now();
-        let delivered = self
-            .route(shard)
-            .is_some_and(|p| is_ok(&self.primary_apply(p, &Request::Reallot { capacity }, false)));
-        if !delivered {
-            self.router.undelivered(shard);
+        let reply = self.ask(shard, &Request::Reallot { capacity });
+        self.router.delivered(shard, &reply);
+        if !is_ok(&reply) {
             self.trace
                 .push(now, format!("{why} shard={shard} undelivered"));
+        }
+    }
+
+    /// Carries out a [`Readmit`]: the re-offer, then the catch-up ticks.
+    fn rejoin(&mut self, readmit: Readmit, why: &str) {
+        let now = self.now();
+        let shard = readmit.shard;
+        self.trace.push(
+            now,
+            format!("router {why} shard={shard} catch-up={}", readmit.catch_up),
+        );
+        if let Some(capacity) = readmit.capacity {
+            self.deliver(shard, capacity, &format!("router {why}"));
+        }
+        for _ in 0..readmit.catch_up {
+            self.ask(shard, &Request::Tick);
+        }
+    }
+
+    /// Tells the core which shards are now served from a recovered WAL:
+    /// a new primary, or the same node rebooted.
+    fn note_recoveries(&mut self) {
+        for shard in 0..SHARDS {
+            let Some(p) = self.route(shard) else { continue };
+            let serving = (p, self.nodes[p].boots);
+            if self.known_primary[shard]
+                .replace(serving)
+                .is_some_and(|was| was != serving)
+            {
+                let epoch = self.nodes[p].core.as_ref().map(|c| c.engine().epoch());
+                let readmit = self.router.recovered(shard, epoch.unwrap_or(0));
+                self.rejoin(readmit, &format!("recovered via n{p}"));
+            }
+        }
+    }
+
+    /// A panic under the serving node's lock — the same notice
+    /// `Shared::locked` feeds the core on a caught panic.
+    fn panic(&mut self, id: usize) {
+        let now = self.now();
+        let shard = id / REPLICAS;
+        if self.nodes[id].down || self.route(shard) != Some(id) {
+            self.trace
+                .push(now, format!("panic n{id} skipped: not serving"));
+            return;
+        }
+        self.nodes[id].down = true;
+        ServeMetrics::bump(&self.nodes[id].metrics.ticker_panics);
+        let after = self.router.panicked(shard);
+        self.trace
+            .push(now, format!("n{id} panic shard={shard}: {after:?}"));
+        match after {
+            AfterPanic::StopLeading
+                if self.opts.break_invariant == Some(BreakKind::HeartbeatWhileDown) =>
+            {
+                // BROKEN (test-only): override the verdict and keep
+                // leading — the standby never elects.
+                self.trace
+                    .push(now, format!("n{id} BROKEN: heartbeats while Down"));
+            }
+            AfterPanic::StopLeading => self.nodes[id].repl.mark_down(),
+            AfterPanic::Restart => {}
+        }
+    }
+
+    /// Puts `request` to the node serving `shard`; with nobody to ask,
+    /// the tick budget lapses.
+    fn ask(&mut self, shard: usize, request: &Request) -> Value {
+        match self.route(shard) {
+            Some(p) => self.primary_apply(p, request, false),
+            None => error_response("timeout", None, None),
         }
     }
 
@@ -761,58 +852,21 @@ impl Sim {
         let now = self.now();
         self.round += 1;
         let round = self.round;
-        for shard in 0..SHARDS {
-            let Some(p) = self.route(shard) else { continue };
-            // Supervisor resync: a shard whose serving primary changed
-            // is offered its current allotment again — WAL recovery may
-            // have restored an older journaled split.
-            if self.known_primary[shard]
-                .replace(p)
-                .is_some_and(|was| was != p)
-            {
-                self.trace
-                    .push(now, format!("router resync shard={shard} via n{p}"));
-                let capacity = self.router.resync(shard);
-                self.deliver(shard, capacity, "router resync");
-            }
-            // Supervisor probe: the fan skips a Down shard, so only an
-            // answered query (and the catch-up ticks the core counts)
-            // lets it back in, at Suspect.
-            if self.router.health(shard) == ShardHealth::Down {
-                let reply = self.primary_apply(p, &Request::Query { agent: None }, false);
-                if is_ok(&reply) {
-                    self.epochs[shard] = reply.get("epoch").and_then(Value::as_u64).unwrap_or(0);
-                    let ticks = RouterCore::catch_up_ticks(&self.epochs, shard);
-                    self.trace
-                        .push(now, format!("router probe shard={shard} catch-up={ticks}"));
-                    for _ in 0..ticks {
-                        self.primary_apply(p, &Request::Tick, false);
-                    }
-                    self.router.readmit(shard);
-                }
-            }
-        }
+        self.note_recoveries();
         let mut replies = Vec::with_capacity(SHARDS);
         for shard in 0..SHARDS {
-            let reply = if self.router.health(shard) == ShardHealth::Down {
-                shard_unavailable_response(shard as u64, 0)
-            } else if let Some(p) = self.route(shard) {
-                let reply = self.primary_apply(p, &Request::Tick, false);
-                if is_ok(&reply) {
-                    self.epochs[shard] = reply.get("epoch").and_then(Value::as_u64).unwrap_or(0);
-                    if let Some(core) = self.nodes[p].core.as_ref() {
-                        self.demands[shard] = core.engine().aggregate_demand();
-                    }
-                }
-                reply
+            let reply = if asks(self.router.health(shard), &Request::Tick) {
+                self.ask(shard, &Request::Tick)
             } else {
-                // Nobody to ask: the tick budget lapses.
-                error_response("timeout", None, None)
+                shard_unavailable_response(shard as u64, 0)
             };
+            let serving = self.route(shard).and_then(|p| self.nodes[p].core.as_ref());
+            if let (true, Some(core)) = (is_ok(&reply), serving) {
+                self.demands[shard] = core.engine().aggregate_demand();
+            }
             replies.push(reply);
         }
-        let outcomes: Vec<TickOutcome> = replies.iter().map(TickOutcome::of).collect();
-        let verdict = self.router.tick_round(&outcomes, &self.demands);
+        let verdict = self.router.tick_round(&replies, &self.demands);
         let reported = SHARDS - verdict.missing.len();
         if !verdict.missing.is_empty() {
             self.partial_rounds += 1;
@@ -844,6 +898,7 @@ impl Sim {
                 format!("round={round} BROKEN: fairness merged while partial"),
             );
         }
+        self.last_missing = verdict.missing;
         self.trace
             .push(now, format!("round={round} reported={reported} si={si}"));
     }
@@ -876,7 +931,7 @@ impl Sim {
         };
         let shard = self.ring.shard_of(agent);
         // Dispatch fails fast on a Down shard, like the real router.
-        let primary = (self.router.health(shard) != ShardHealth::Down)
+        let primary = asks(self.router.health(shard), &req)
             .then(|| self.route(shard))
             .flatten();
         let Some(p) = primary else {
@@ -902,7 +957,7 @@ impl Sim {
             FaultOp::Crash { node } => self.crash(*node),
             FaultOp::Restart { node } => self.restart(*node),
             FaultOp::Partition { shard, both } => {
-                let p = self.known_primary[*shard].unwrap_or(shard * REPLICAS);
+                let p = self.known_primary[*shard].map_or(shard * REPLICAS, |(p, _)| p);
                 let s = p ^ 1;
                 self.net.cut(p, s, None);
                 if *both {
@@ -969,6 +1024,7 @@ impl Sim {
                 self.net.jitter *= *factor;
                 self.trace.push(now, format!("delay bump x{factor}"));
             }
+            FaultOp::Panic { node } => self.panic(*node),
         }
     }
 
@@ -976,7 +1032,6 @@ impl Sim {
         match op {
             Op::Client(c) => self.apply_client(c),
             Op::Fault(f) => self.apply_fault(f),
-            Op::FleetTick => self.fleet_tick(),
             Op::Scrub { node } => {
                 let now = self.now();
                 let target = &mut self.nodes[*node];
@@ -1022,7 +1077,8 @@ impl Sim {
         }
     }
 
-    /// Heals everything, recovers every crashed node, and runs a
+    /// Heals everything, recovers every crashed node (a panicked one
+    /// stays Down: failover is what must replace it), and runs a
     /// fault-free convergence window so elections, catch-ups, fencing,
     /// and reallotments all complete before the invariants are judged.
     fn settle(&mut self) {
@@ -1037,14 +1093,9 @@ impl Sim {
             self.restart(id);
         }
         let end = start + SETTLE;
-        let mut next_tick = start + TICK_EVERY;
         let mut t = start;
         while t <= end {
             self.step_to(t);
-            if t >= next_tick {
-                self.fleet_tick();
-                next_tick += TICK_EVERY;
-            }
             t += STEP;
         }
         // Two final full rounds over the quiesced fleet, each once
@@ -1219,6 +1270,20 @@ impl Sim {
                 self.si_partial_accruals
             ));
         }
+        // 6. Liveness: every shard is routable and reported last round.
+        for shard in 0..SHARDS {
+            if self.route(shard).is_none() {
+                self.violation(format!(
+                    "shard {shard} has no routable primary after settle"
+                ));
+            }
+        }
+        if !self.last_missing.is_empty() {
+            self.violation(format!(
+                "the last round missed shard(s) {:?} after settle",
+                self.last_missing
+            ));
+        }
         // Scrub expectation: injected rot must have been found.
         for id in 0..NODES {
             if self.nodes[id].bitflip_hit {
@@ -1357,6 +1422,29 @@ mod tests {
             }
         }
         assert!(seen, "no seed in 0..60 exercised divergence detection");
+    }
+
+    #[test]
+    fn a_panicked_primary_is_failed_over_not_restarted() {
+        let mut seen = false;
+        for seed in 0..60 {
+            let outcome = run_seed(seed, &quick());
+            assert!(
+                outcome.violations.is_empty(),
+                "seed {seed}: {:?}",
+                outcome.violations
+            );
+            let panicked = outcome.trace.iter().position(|l| l.contains("StopLeading"));
+            if let Some(at) = panicked {
+                let after = &outcome.trace[at..];
+                assert!(after.iter().any(|l| l.contains("promote term=")));
+                assert!(after.iter().any(|l| l.contains("router recovered via")));
+                assert!(!after.iter().any(|l| l.contains("in place")));
+                seen = true;
+                break;
+            }
+        }
+        assert!(seen, "no seed in 0..60 panicked a serving primary");
     }
 
     #[test]

@@ -9,12 +9,16 @@
 //! tracking, quorum gate and reallotment are the server's own
 //! [`RouterCore`], and scripted clients — all driven by one seeded
 //! schedule on a [`SimClock`] that only moves when the event loop says
-//! so. The simulator drives those two state machines; it carries no
-//! model of them.
+//! so. The node rules ride on the same two machines: the router's clock
+//! fans the ticks and sweeps for probes and restarts, a panic notice
+//! decides restart or failover, and each node's heartbeats, re-dials and
+//! elections are its [`ReplCore`]'s timer verdicts. The simulator drives
+//! those two state machines; it carries no model of them.
 //!
 //! [`run_seed`] simulates one seed end to end and judges the standing
 //! invariants (zero acked-event loss, bit-identical replay, divergence
-//! fencing, reallotment consistency, no phantom fairness accounting).
+//! fencing, reallotment consistency, no phantom fairness accounting,
+//! and liveness: every shard routable and reporting after the settle).
 //! Any violation carries the seed and the full per-event trace, and
 //! `cargo run -p ref-bench --bin dst_sweep -- --seed N` replays it
 //! bit-identically.

@@ -7,7 +7,7 @@
 //!
 //! Fault classes mix freely across a run with one safety constraint: a
 //! shard given a **divergence** fault (a standby that silently corrupts
-//! an apply) never also gets a partition or a primary crash. Divergence
+//! an apply) never also gets a partition, a primary crash or a panic. Divergence
 //! detection rides the ack fingerprint channel; cutting that channel
 //! while the replica is divergent models a *doubly* faulty world the
 //! fencing invariant does not claim to cover.
@@ -22,7 +22,8 @@ pub const SHARDS: usize = 2;
 pub const REPLICAS: usize = 2;
 /// Total simulated nodes.
 pub const NODES: usize = SHARDS * REPLICAS;
-/// Virtual interval between fleet coordination ticks.
+/// The router's timed-epoch cadence: one fleet coordination tick every
+/// interval.
 pub const TICK_EVERY: Duration = Duration::from_millis(20);
 
 /// A scripted client-side operation.
@@ -112,6 +113,13 @@ pub enum FaultOp {
         /// Multiplier applied to base delay and jitter.
         factor: u32,
     },
+    /// Panic under the lock of the node serving a shard: the node goes
+    /// Down through the router core's panic notice, as a caught panic
+    /// does in the server (skipped when the node is not serving).
+    Panic {
+        /// Node id.
+        node: usize,
+    },
 }
 
 /// One scheduled operation.
@@ -121,8 +129,6 @@ pub enum Op {
     Client(ClientOp),
     /// A fault injection.
     Fault(FaultOp),
-    /// One router coordination round (fan Tick, quorum gate, reallot).
-    FleetTick,
     /// An online `scrub` request against the node.
     Scrub {
         /// Node id.
@@ -199,16 +205,6 @@ pub fn generate(seed: u64, quick: bool) -> Schedule {
         });
     }
 
-    // Coordination rounds on a fixed cadence.
-    let mut t = TICK_EVERY;
-    while t < horizon {
-        ops.push(Scheduled {
-            at: t,
-            op: Op::FleetTick,
-        });
-        t += TICK_EVERY;
-    }
-
     // Fault incidents. Track, per shard, whether a divergence fault or
     // a connectivity fault landed, to keep the two apart.
     let mut diverged_shard = [false; SHARDS];
@@ -225,7 +221,7 @@ pub fn generate(seed: u64, quick: bool) -> Schedule {
         let lo = horizon.as_millis() as u64 / 5;
         let hi = horizon.as_millis() as u64 * 7 / 10;
         let at = ms(rng.range(lo, hi));
-        match rng.below(100) {
+        match rng.below(110) {
             // Crash one node; restart it after a spell. Never crash a
             // node twice, and never both replicas of one shard.
             0..=24 => {
@@ -323,7 +319,7 @@ pub fn generate(seed: u64, quick: bool) -> Schedule {
                 });
             }
             // Divergence: the fingerprint channel must fence the replica.
-            _ => {
+            93..=99 => {
                 let shard = rng.below(SHARDS as u64) as usize;
                 if connectivity_shard[shard] || diverged_shard[shard] || fsync_shard[shard] {
                     continue;
@@ -333,6 +329,22 @@ pub fn generate(seed: u64, quick: bool) -> Schedule {
                 ops.push(Scheduled {
                     at,
                     op: Op::Fault(FaultOp::Diverge { shard }),
+                });
+            }
+            // A panic on the shard's booted primary: it stays Down and
+            // its standby's election replaces it. Kept apart from other
+            // node faults on the shard, like a crash.
+            _ => {
+                let node = rng.below(SHARDS as u64) as usize * REPLICAS;
+                if crashed_node[node] || crashed_node[node ^ 1] || diverged_shard[node / REPLICAS] {
+                    continue;
+                }
+                crashed_node[node] = true;
+                connectivity_shard[node / REPLICAS] = true;
+                push_class(&mut classes, "panic");
+                ops.push(Scheduled {
+                    at,
+                    op: Op::Fault(FaultOp::Panic { node }),
                 });
             }
         }
@@ -381,9 +393,11 @@ mod tests {
                 );
                 let connectivity = s.ops.iter().any(|o| match &o.op {
                     Op::Fault(FaultOp::Partition { shard: sh, .. }) => *sh == shard,
-                    Op::Fault(FaultOp::Crash { node }) | Op::Fault(FaultOp::TornWrite { node }) => {
-                        node / REPLICAS == shard
-                    }
+                    Op::Fault(
+                        FaultOp::Crash { node }
+                        | FaultOp::TornWrite { node }
+                        | FaultOp::Panic { node },
+                    ) => node / REPLICAS == shard,
                     _ => false,
                 });
                 assert!(
@@ -412,6 +426,7 @@ mod tests {
             "fsync",
             "bit-flip",
             "diverge",
+            "panic",
         ] {
             assert!(seen.contains(&class), "class {class} never generated");
         }

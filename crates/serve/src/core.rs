@@ -183,6 +183,35 @@ impl ServiceCore {
         })
     }
 
+    /// Opens a recovered core the one way every boot and restart does —
+    /// the server's and the simulator's: [`ServiceCore::recover_with`],
+    /// then a scrub of every retained byte (recovery validates only the
+    /// replay path, so latent rot in old checkpoints surfaces in
+    /// `wal_scrub_errors` now rather than at the next failover), then the
+    /// WAL gauges published.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`ServiceCore::recover`].
+    pub fn open(
+        storage: Arc<dyn Storage>,
+        config: MarketConfig,
+        journal_limit: JournalLimit,
+        wal_config: WalConfig,
+        faults: FaultPlan,
+        metrics: &ServeMetrics,
+    ) -> std::io::Result<ServiceCore> {
+        let core = ServiceCore::recover_with(storage, config, journal_limit, wal_config, faults)?;
+        let scrub_errors = match core.wal().map(Wal::scrub) {
+            Some(Ok(report)) => report.errors.len() as u64,
+            Some(Err(_)) => 1,
+            None => 0,
+        };
+        ServeMetrics::bump_by(&metrics.wal_scrub_errors, scrub_errors);
+        core.publish_wal_gauges(metrics);
+        Ok(core)
+    }
+
     /// Attaches replication state; the core will stream appended records
     /// (as a primary) and track per-epoch state fingerprints.
     pub fn attach_repl(&mut self, repl: Arc<ReplShared>) {

@@ -61,19 +61,21 @@
 //!   coordinator runs timed epochs and rebalances per-resource capacity
 //!   between shards after each, with a temporal-drift bound audited next
 //!   to SI/EF/PE.
-//! * **Shard fault tolerance** ([`server`]'s router + supervisor): the
+//! * **Shard fault tolerance** ([`server`]'s router + clock): the
 //!   router tracks per-shard health (`Healthy → Suspect → Down`) from
-//!   tick timeouts and failure replies, fails agent ops to a Down shard
-//!   fast with `shard_unavailable` + `retry_after_ms`, gates cross-shard
-//!   reallotment on a reporting quorum (partial epochs are stamped
-//!   `partial: true` and never audited as fleet-wide fairness), and a
-//!   supervisor thread restarts a panicked shard in place from its own
-//!   WAL, resynchronizing it to the fleet epoch (a replicated node is
-//!   not restarted: it stops heartbeating, and its standby's election
-//!   replaces it).
-//!   The health transitions, the quorum gate, delivery/rollback of
-//!   reallotments and the fencing-token floor are the sans-IO
-//!   [`router::RouterCore`]; [`server`] drives it once per fleet tick.
+//!   tick timeouts, failure replies and panic notices, fails agent ops to
+//!   a Down shard fast with `shard_unavailable` + `retry_after_ms`, gates
+//!   cross-shard reallotment on a reporting quorum (partial epochs are
+//!   stamped `partial: true` and never audited as fleet-wide fairness),
+//!   re-offers a reallotment a shard refused, and restarts a panicked
+//!   shard in place from its own WAL, resynchronizing it to the fleet
+//!   epoch (a replicated node is not restarted: it stops leading, and
+//!   its standby's election replaces it).
+//!   Every one of those rules — health, quorum, delivery and rollback of
+//!   reallotments, the fan, timed ticks, the supervisor's restart-or-
+//!   failover and probes, re-offers and catch-up, the fencing-token
+//!   floor — is a verdict of the sans-IO [`router::RouterCore`];
+//!   [`server`] and the deterministic simulator only carry them out.
 //!
 //! # Quickstart
 //!

@@ -67,7 +67,7 @@ use crate::json::Value;
 use crate::metrics::ServeMetrics;
 use crate::protocol::event_to_value;
 pub use crate::repl_core::Role;
-use crate::repl_core::{Ack, AckWait, Hello, Promotion, ReplCore, Stream};
+use crate::repl_core::{Ack, AckWait, Hello, Promotion, ReplCore, Stream, Timer};
 use crate::server::{handle_promote, ShardCell, Shared};
 use crate::wal::{self, crc32, MAX_FRAME_BYTES, RECORD_HEADER_BYTES};
 
@@ -649,12 +649,33 @@ impl ReplShared {
         self.publish_lag(metrics, seq + 1);
     }
 
-    /// Broadcasts the core's heartbeat (a no-op unless primary).
-    pub(crate) fn publish_heartbeat(&self, metrics: &ServeMetrics) {
-        let Some(frame) = self.core().heartbeat() else {
-            return;
+    /// The heartbeat half of the core's [`Timer`] verdict: broadcasts a
+    /// heartbeat when one is due, and says how long until the next
+    /// (`None` when this node does not lead).
+    pub(crate) fn heartbeat(&self, metrics: &ServeMetrics) -> Option<Duration> {
+        let now = self.clock.now();
+        let frame = {
+            let mut core = self.core();
+            match core.timer(now) {
+                Timer::Heartbeat => core.beat(now),
+                Timer::Idle(Some(at)) => return Some(at.saturating_sub(now)),
+                Timer::Elect | Timer::Redial | Timer::Idle(None) => return None,
+            }
         };
-        self.broadcast(metrics, |sink| sink.send_heartbeat(&frame));
+        if let Some(frame) = frame {
+            self.broadcast(metrics, |sink| sink.send_heartbeat(&frame));
+        }
+        Some(self.config.heartbeat_interval)
+    }
+
+    /// Whether the node leads (see [`ReplCore::leads`]).
+    pub(crate) fn leads(&self) -> bool {
+        self.core().leads()
+    }
+
+    /// Feeds the core the node's Down fact (see [`ReplCore::mark_down`]).
+    pub(crate) fn mark_down(&self, metrics: &ServeMetrics) {
+        self.drive(metrics, |core, _| core.mark_down());
     }
 
     /// Blocks until some standby has applied `target` events or none is
@@ -874,38 +895,35 @@ fn ack_loop(conn: &mut FrameConn, shared: &Arc<Shared>, repl: &Arc<ReplShared>, 
 // Standby side: follow the primary, apply under the shard lock, promote.
 // ---------------------------------------------------------------------
 
-/// Standby puller thread: connect to the primary, hand every frame to
-/// the core, apply what it says to apply under the shard lock, write the
-/// apply-ack, and promote once the core's election gate opens.
+/// Standby puller thread, for as long as the node is a standby: carries
+/// out the core's [`Timer`] verdicts — dial the primary and follow it
+/// (hand every frame to the core, apply what it says to apply under the
+/// shard lock, write the apply-ack), or elect itself.
 pub(crate) fn standby_loop(shared: &Arc<Shared>) {
     let repl = Arc::clone(shared.repl.as_ref().expect("standby loop without config"));
     loop {
         if shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Standby {
             return;
         }
-        let target = repl.core().dial_target().map(str::to_string);
-        if let Some(addr) = target {
-            if let Ok(stream) = TcpStream::connect(&addr) {
-                follow_primary(shared, &repl, stream, &addr);
+        // Bound first: a guard in the scrutinee would live through the arms.
+        let timer = repl.core().timer(repl.clock.now());
+        match timer {
+            Timer::Redial => {
+                follow_primary(shared, &repl);
+                repl.core().hang_up();
             }
-        }
-        if shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Standby {
-            return;
-        }
-        if repl.core().election_due(repl.clock.now()) {
             // Under the shard lock, so the role flip is serialized with
-            // event application. A degraded node's engine already missed
-            // an event its WAL holds: it must not lead.
-            shared.locked(|cell| {
-                if !cell.degraded && repl.role() == Role::Standby {
-                    let _ = handle_promote(shared);
-                }
-            });
+            // event application and a panic that took the node Down
+            // meanwhile is seen: the verdict is read again there.
+            Timer::Elect => {
+                shared.locked(|_| {
+                    if repl.core().timer(repl.clock.now()) == Timer::Elect {
+                        let _ = handle_promote(shared);
+                    }
+                });
+            }
+            Timer::Heartbeat | Timer::Idle(_) => std::thread::sleep(Duration::from_millis(20)),
         }
-        if repl.role() != Role::Standby {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -955,17 +973,25 @@ fn apply_stream(
     Applied::Ack(repl.core().ack(core.events_applied(), epoch_fp))
 }
 
-/// One connected session against the primary: handshake, then pull
+/// One session against the primary: dial it, handshake, then pull
 /// frames, apply and ack them until disconnect, role change, or
 /// divergence.
-fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>, stream: TcpStream, addr: &str) {
+fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>) {
+    let (addr, hello) = {
+        let mut core = repl.core();
+        let hello = core.dial(repl.clock.now());
+        (core.dial_target().map(str::to_string), hello)
+    };
+    let Some(addr) = addr else { return };
+    let Ok(stream) = TcpStream::connect(&addr) else {
+        return;
+    };
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
     let mut conn = FrameConn::new(stream);
-    let hello = repl.core().hello();
     if writer.write_all(&hello).is_err() {
         return;
     }
@@ -976,7 +1002,7 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>, stream: TcpStrea
         return;
     };
     let on_frame =
-        |msg: &Value| repl.drive(&shared.metrics, |core, now| core.on_frame(msg, addr, now));
+        |msg: &Value| repl.drive(&shared.metrics, |core, now| core.on_frame(msg, &addr, now));
     // The handshake reply: `meta` (follow) or `refuse` (redirect, or
     // fence when this standby is ahead of the primary).
     if !matches!(kind(&first), "meta" | "refuse") || on_frame(&first) != Stream::Following {

@@ -13,7 +13,10 @@
 //! jitter, the election gate (silent past the timeout *and* heard this
 //! boot *and* caught up to the log position the primary last
 //! advertised), the post-recovery grace lease, the `have → (epoch, fp)`
-//! audit ring, and the verdict for every replication message.
+//! audit ring, the verdict for every replication message, and the one
+//! [`Timer`] verdict behind the heartbeat, election and re-dial cadence —
+//! which takes the node's Down fact as an input, so a Down node neither
+//! heartbeats nor elects itself.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -57,6 +60,25 @@ impl Role {
 
 /// Per-epoch fingerprints the primary keeps for divergence checks.
 const FP_RING: usize = 8192;
+
+/// How long a standby that hears no primary waits between dials.
+const REDIAL_EVERY: Duration = Duration::from_millis(20);
+
+/// What a node's replication clock asks of its driver (see
+/// [`ReplCore::timer`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Timer {
+    /// A leading primary's heartbeat is due: broadcast [`ReplCore::beat`].
+    Heartbeat,
+    /// The standby's election gate is open: promote.
+    Elect,
+    /// The standby hears no primary: send [`ReplCore::dial`]'s `hello`
+    /// to [`ReplCore::dial_target`].
+    Redial,
+    /// Nothing is due; a leading primary's next heartbeat is at this
+    /// reading.
+    Idle(Option<Duration>),
+}
 
 /// Scales `timeout` by a deterministic per-seed factor in `[1.0, 1.5)`.
 ///
@@ -195,6 +217,16 @@ pub struct ReplCore {
     grace_until: Option<Duration>,
     /// `(have, epoch, fingerprint)` after each tick this primary applied.
     epoch_fps: VecDeque<(u64, u64, u64)>,
+    heartbeat_interval: Duration,
+    /// When a leading primary's next heartbeat is due (`None`: at once).
+    next_beat: Option<Duration>,
+    /// When this standby last dialed its primary (`None`: not this boot).
+    last_dial: Option<Duration>,
+    /// Whether the session that dial opened is still up, as far as the
+    /// driver saw.
+    following: bool,
+    /// The node is Down: its engine is behind its log until it reboots.
+    down: bool,
 }
 
 impl ReplCore {
@@ -226,7 +258,73 @@ impl ReplCore {
             grace_until: (role == Role::Primary && log_seq > 0)
                 .then(|| now + 2 * config.election_timeout),
             epoch_fps: VecDeque::new(),
+            heartbeat_interval: config.heartbeat_interval,
+            next_beat: None,
+            last_dial: None,
+            following: false,
+            down: false,
         }
+    }
+
+    /// The node went Down (a panic under its lock left the engine behind
+    /// its log): from now on it neither heartbeats nor elects itself, so
+    /// the standby's election replaces it.
+    pub fn mark_down(&mut self) {
+        self.down = true;
+    }
+
+    /// Whether the node leads: a primary that is not Down.
+    pub fn leads(&self) -> bool {
+        self.role == Role::Primary && !self.down
+    }
+
+    /// The replication clock at `now`: a leading primary's heartbeat
+    /// every `heartbeat_interval`; a standby's election once its gate
+    /// opens, else a dial on boot, and again once its session is over (or
+    /// mute) and both the primary and the last dial have been quiet
+    /// longer than `REDIAL_EVERY` (20 ms). Pure: the driver's
+    /// [`ReplCore::beat`], [`ReplCore::dial`], [`ReplCore::hang_up`] and
+    /// [`ReplCore::promote`] are what move the clock on.
+    pub fn timer(&self, now: Duration) -> Timer {
+        if self.leads() {
+            return match self.next_beat {
+                Some(at) if now < at => Timer::Idle(Some(at)),
+                _ => Timer::Heartbeat,
+            };
+        }
+        if self.election_due(now) {
+            return Timer::Elect;
+        }
+        let quiet = |since: Duration| now.saturating_sub(since) > REDIAL_EVERY;
+        let redial = self.last_dial.is_none_or(|at| {
+            quiet(at) && quiet(self.last_heard) && (!self.following || self.mute(now))
+        });
+        if self.role == Role::Standby && !self.down && redial {
+            Timer::Redial
+        } else {
+            Timer::Idle(None)
+        }
+    }
+
+    /// The heartbeat frame a [`Timer::Heartbeat`] verdict sends at `now`;
+    /// the next one is due a `heartbeat_interval` later.
+    pub fn beat(&mut self, now: Duration) -> Option<Vec<u8>> {
+        self.next_beat = Some(now + self.heartbeat_interval);
+        self.heartbeat()
+    }
+
+    /// The `hello` a [`Timer::Redial`] verdict sends at `now`, opening a
+    /// session.
+    pub fn dial(&mut self, now: Duration) -> Vec<u8> {
+        self.last_dial = Some(now);
+        self.following = true;
+        self.hello()
+    }
+
+    /// The session with the primary is over: the connection failed or
+    /// was reset, or the driver dropped it on a [`Stream::Drop`].
+    pub fn hang_up(&mut self) {
+        self.following = false;
     }
 
     /// Records the addresses this node is reachable at (leader hints).
@@ -423,6 +521,7 @@ impl ReplCore {
                 self.leader_repl = Some(self.self_repl.clone());
                 self.leader_client = Some(self.self_client.clone());
                 self.epoch_fps.clear();
+                self.next_beat = None;
                 let hello = message(
                     "hello",
                     vec![
@@ -533,23 +632,20 @@ impl ReplCore {
         verdict
     }
 
-    /// How long ago this standby last heard its primary (or booted).
-    pub fn silence(&self, now: Duration) -> Duration {
-        now.saturating_sub(self.last_heard)
-    }
-
     /// Whether the primary has been silent past the election timeout.
     pub fn mute(&self, now: Duration) -> bool {
-        self.silence(now) >= self.election_timeout
+        now.saturating_sub(self.last_heard) >= self.election_timeout
     }
 
-    /// Whether this standby should promote itself at `now`: the primary
-    /// is mute, was heard this boot (a standby that never attached has
-    /// lost nothing), and this log reaches the position it last
-    /// advertised (electing behind it would promote a stale branch).
+    /// Whether this standby should promote itself at `now`: it is not
+    /// Down, the primary is mute, was heard this boot (a standby that
+    /// never attached has lost nothing), and this log reaches the
+    /// position it last advertised (electing behind it would promote a
+    /// stale branch).
     pub fn election_due(&self, now: Duration) -> bool {
         self.auto_promote
             && self.role == Role::Standby
+            && !self.down
             && self.mute(now)
             && self.heard_any
             && self.log_seq >= self.primary_seq
@@ -764,6 +860,45 @@ mod tests {
         assert_eq!(standby.on_frame(&hb(3, 0), "p:1", MS), Stream::Drop);
         assert_eq!(standby.term(), 4);
         assert!(!standby.election_due(Duration::from_secs(9)));
+    }
+
+    #[test]
+    fn the_timer_beats_dials_and_elects_and_a_down_node_does_neither() {
+        let hb = |seq: u64| msg("hb", vec![("term", u(0)), ("seq", u(seq))]);
+        // A leading primary beats at once, then every interval.
+        let mut primary = core(false, 0, 0);
+        assert!(primary.leads());
+        assert_eq!(primary.timer(MS), Timer::Heartbeat);
+        assert!(primary.beat(MS).is_some());
+        let next = MS + primary.heartbeat_interval;
+        assert_eq!(primary.timer(2 * MS), Timer::Idle(Some(next)));
+        assert_eq!(primary.timer(next), Timer::Heartbeat);
+        // Down, it goes quiet for good.
+        primary.mark_down();
+        assert!(!primary.leads());
+        assert_eq!(primary.timer(Duration::from_secs(9)), Timer::Idle(None));
+
+        // A standby dials on boot, then only once its session is over (or
+        // mute) and both the primary and the last dial are quieter than
+        // the re-dial cadence.
+        let mut standby = core(true, 0, 0);
+        assert_eq!(standby.timer(Duration::ZERO), Timer::Redial);
+        standby.dial(Duration::ZERO);
+        standby.on_frame(&hb(0), "p:1", 15 * MS);
+        assert_eq!(standby.timer(36 * MS), Timer::Idle(None));
+        standby.hang_up();
+        assert_eq!(standby.timer(30 * MS), Timer::Idle(None));
+        assert_eq!(standby.timer(36 * MS), Timer::Redial);
+        // Past the election timeout it elects instead, unless Down.
+        let late = Duration::from_secs(1);
+        assert_eq!(standby.timer(late), Timer::Elect);
+        standby.mark_down();
+        assert_eq!(standby.timer(late), Timer::Idle(None));
+        assert!(!standby.election_due(late));
+        // A promoted node beats at once.
+        let mut standby = core(true, 0, 0);
+        standby.promote();
+        assert_eq!(standby.timer(MS), Timer::Heartbeat);
     }
 
     #[test]

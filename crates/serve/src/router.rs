@@ -1,24 +1,87 @@
-//! `RouterCore`: the fleet-routing rules as one sans-IO state machine
-//! (DESIGN.md §14).
+//! `RouterCore`: the fleet-routing and node-supervision rules as one
+//! sans-IO state machine (DESIGN.md §9, §14).
 //!
-//! Inputs are the shards' tick replies and demand summaries; outputs are
-//! the round's verdict — which shards are missing, whether the quorum
-//! froze, which reallotments to deliver — and the merged tick reply.
-//! The threaded router in `server.rs` and the deterministic simulator
-//! (`ref-dst`) drive this one machine.
+//! Inputs are the shards' tick replies and demand summaries, the replies
+//! to reallotments and probes, a panic notice for a shard, the notice
+//! that a shard is served from a recovered WAL, and clock readings.
+//! Outputs are verdicts: the round's (which shards are missing, whether
+//! the quorum froze, which reallotments to deliver), the clock's
+//! [`Duty`] (fan a timed tick, restart or probe a shard), what a panic
+//! makes of a shard ([`AfterPanic`]), and how a shard comes back
+//! ([`Readmit`]). The threaded server (`server.rs`) and the
+//! deterministic simulator (`ref-dst`) drive this one machine; neither
+//! compares a health, a role or an epoch itself.
 //!
-//! What lives here: the `Healthy → Suspect → Down` transitions from tick
-//! outcomes, the quorum gate around the [`Coordinator`] with delivery,
-//! rollback and resync of allotments, the partial-stamped merge of
-//! per-shard epoch reports, catch-up tick counts, and the per-shard
-//! fencing-token floor ([`TermFloor`]) that [`crate::Client`] shares.
+//! What lives here: the `Healthy → Suspect → Down` transitions, which
+//! shards a fan asks ([`asks`]), the restart-or-failover rule, the
+//! supervisor's sweep and the timed-epoch clock, the quorum gate around
+//! the [`Coordinator`] with delivery, rollback and resync of allotments,
+//! catch-up tick counts, the partial-stamped merge of per-shard epoch
+//! reports, and the per-shard fencing-token floor ([`TermFloor`]) that
+//! [`crate::Client`] shares.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use crate::json::Value;
-use crate::protocol::ok_response;
+use crate::protocol::{ok_response, Request};
 use crate::repl_core::Role;
 use crate::shard::{CoordinationStatus, Coordinator, ShardHealth};
+
+/// How often the supervisor sweeps the fleet for shards to restart or
+/// probe.
+pub(crate) const SWEEP_EVERY: Duration = Duration::from_millis(25);
+
+/// Whether a request is put to a shard of `health` at all. A Down shard
+/// is answered `shard_unavailable` without being asked — except for
+/// `shutdown`, which must close every bus, and `promote`, which must
+/// reach every shard.
+pub fn asks(health: ShardHealth, request: &Request) -> bool {
+    health != ShardHealth::Down || matches!(request, Request::Shutdown | Request::Promote)
+}
+
+/// What the node's clock asks of its driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Duty {
+    /// Fan a timed tick to the fleet.
+    Tick,
+    /// Restart this shard in place from its WAL, then report the
+    /// recovered core through [`RouterCore::recovered`].
+    Restart(usize),
+    /// Ask this Down shard a quick query and feed the reply to
+    /// [`RouterCore::probed`].
+    Probe(usize),
+}
+
+/// What a panic makes of a shard (see [`RouterCore::panicked`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AfterPanic {
+    /// The sweep restarts it in place from its WAL: it is durable and
+    /// unreplicated.
+    Restart,
+    /// It stays Down for failover, and its node stops leading — no
+    /// heartbeat, no election — so a standby's election replaces it.
+    /// Without a WAL there is nothing to restart from; with replication
+    /// the record whose apply panicked was appended but never streamed,
+    /// so a restart from the log would leave the standby one record
+    /// short.
+    StopLeading,
+}
+
+/// How a shard comes back into the fleet: deliver `capacity` (when some)
+/// as a journaled `reallot`, then push `catch_up` quota-exempt ticks, in
+/// that order and ahead of anything the fleet pushes later.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Readmit {
+    /// The shard.
+    pub shard: usize,
+    /// The allotment to re-offer: a recovered WAL holds the split the
+    /// shard last journaled, which may predate reallotments issued while
+    /// it was away.
+    pub capacity: Option<Vec<f64>>,
+    /// Ticks that close the epoch gap to the rest of the fleet.
+    pub catch_up: u64,
+}
 
 /// What one shard's tick reply tells the router about the shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +102,7 @@ pub enum TickOutcome {
 impl TickOutcome {
     /// Classifies a shard's tick reply.
     pub fn of(reply: &Value) -> TickOutcome {
-        if reply.get("ok") == Some(&Value::Bool(true)) {
+        if is_ok(reply) {
             return TickOutcome::Clean;
         }
         match reply.get("error").and_then(Value::as_str) {
@@ -77,6 +140,9 @@ struct Watch {
     missed: u64,
     /// Consecutive clean replies since it was last Suspect.
     clean: u64,
+    /// Down by a panic: its engine is behind its log, so only a recovery
+    /// (never a probe) brings it back.
+    panicked: bool,
 }
 
 impl Watch {
@@ -85,6 +151,7 @@ impl Watch {
             health,
             missed: 0,
             clean: 0,
+            panicked: false,
         }
     }
 }
@@ -97,15 +164,17 @@ pub struct Round {
     pub missing: Vec<u64>,
     /// Fewer shards than the quorum reported: allotments froze.
     pub frozen: bool,
-    /// Reallotments to deliver, as journaled `reallot` events. A shard
-    /// that fails to journal one must be reported back through
-    /// [`RouterCore::undelivered`].
+    /// Reallotments to deliver, as journaled `reallot` events. Each
+    /// shard's reply goes back through [`RouterCore::delivered`].
     pub reallots: Vec<(usize, Vec<f64>)>,
+    /// Shards Down after the round.
+    pub down: usize,
     /// The coordinator's audit state after the round.
     pub status: CoordinationStatus,
 }
 
-/// The routing state machine of one fleet (see the module docs).
+/// The routing and supervision state machine of one node's fleet (see
+/// the module docs).
 #[derive(Debug)]
 pub struct RouterCore {
     coord: Coordinator,
@@ -113,10 +182,19 @@ pub struct RouterCore {
     recovery_clean_ticks: u64,
     watch: Vec<Watch>,
     router_term: TermFloor,
+    durable: bool,
+    replicated: bool,
+    /// Each shard's epoch as its replies last showed it.
+    epochs: Vec<u64>,
+    epoch_interval: Option<Duration>,
+    next_epoch: Option<Duration>,
+    next_sweep: Duration,
 }
 
 impl RouterCore {
-    /// A router over `shards` shards splitting `total` capacity.
+    /// A router over `shards` shards splitting `total` capacity, with no
+    /// WAL, no replication and no timed epochs (see
+    /// [`RouterCore::with_node`]).
     pub fn new(
         total: Vec<f64>,
         shards: usize,
@@ -130,13 +208,140 @@ impl RouterCore {
             recovery_clean_ticks,
             watch: vec![Watch::entering(ShardHealth::Healthy); shards],
             router_term: TermFloor::default(),
+            durable: false,
+            replicated: false,
+            epochs: vec![0; shards],
+            epoch_interval: None,
+            next_epoch: None,
+            next_sweep: Duration::ZERO,
         }
     }
 
-    /// The router's assessment of `shard` (the driver overrides it to
-    /// Down the moment the shard reports a panic under its lock).
+    /// The node the router runs in: whether its shards keep a WAL,
+    /// whether they are replicated, and the timed-epoch cadence (`None`:
+    /// epochs run only on `tick` requests).
+    #[must_use]
+    pub fn with_node(
+        mut self,
+        durable: bool,
+        replicated: bool,
+        epoch_interval: Option<Duration>,
+    ) -> RouterCore {
+        self.durable = durable;
+        self.replicated = replicated;
+        self.epoch_interval = epoch_interval;
+        self
+    }
+
+    /// The router's assessment of `shard`.
     pub fn health(&self, shard: usize) -> ShardHealth {
         self.watch[shard].health
+    }
+
+    /// The restart-or-failover rule: a panicked shard is restarted in
+    /// place iff it is durable and unreplicated.
+    fn restarts_in_place(&self) -> bool {
+        self.durable && !self.replicated
+    }
+
+    /// A panic under `shard`'s lock: the shard is Down at once (it knows
+    /// before any tick can time out), and the verdict says whether the
+    /// sweep restarts it or its node stops leading.
+    pub fn panicked(&mut self, shard: usize) -> AfterPanic {
+        self.watch[shard] = Watch {
+            panicked: true,
+            ..Watch::entering(ShardHealth::Down)
+        };
+        if self.restarts_in_place() {
+            AfterPanic::Restart
+        } else {
+            AfterPanic::StopLeading
+        }
+    }
+
+    /// The node's clocks at `now`: a timed tick every `epoch_interval`
+    /// while the node `leads`, and every `SWEEP_EVERY` (25 ms) the
+    /// supervisor's sweep — restart a panicked shard the rule restarts,
+    /// probe one Down on timeouts alone (a Down shard is skipped by the
+    /// fan, so without a probe it could never produce the clean replies
+    /// that heal it). A panicked shard left for failover gets neither.
+    pub fn clock(&mut self, now: Duration, leads: bool) -> Vec<Duty> {
+        let mut duties = Vec::new();
+        if let Some(interval) = self.epoch_interval {
+            let due = *self.next_epoch.get_or_insert(now + interval);
+            if now >= due {
+                self.next_epoch = Some(now + interval);
+                if leads {
+                    duties.push(Duty::Tick);
+                }
+            }
+        }
+        if now >= self.next_sweep {
+            self.next_sweep = now + SWEEP_EVERY;
+            for (shard, watch) in self.watch.iter().enumerate() {
+                match (watch.health, watch.panicked) {
+                    (_, true) if self.restarts_in_place() => duties.push(Duty::Restart(shard)),
+                    (ShardHealth::Down, false) => duties.push(Duty::Probe(shard)),
+                    _ => {}
+                }
+            }
+        }
+        duties
+    }
+
+    /// The clock reading at which [`RouterCore::clock`] next has
+    /// something to say.
+    pub fn next_clock(&self) -> Duration {
+        self.next_epoch
+            .map_or(self.next_sweep, |epoch| epoch.min(self.next_sweep))
+    }
+
+    /// `shard` is now served from a recovered WAL — restarted in place,
+    /// or a new primary. It re-enters at Suspect, must earn Healthy back
+    /// with clean ticks, and is re-offered its allotment and caught up to
+    /// the fleet from `epoch`, the recovered one.
+    pub fn recovered(&mut self, shard: usize, epoch: u64) -> Readmit {
+        let capacity = self.coord.resync_delivery(shard);
+        self.readmit(shard, epoch, Some(capacity))
+    }
+
+    /// A reply to the probe of `shard`. Answered in time, a shard Down on
+    /// timeouts alone re-enters at Suspect (the fan includes Suspect
+    /// shards, so clean ticks can finish the healing) after catch-up
+    /// ticks close the gap it accumulated while skipped.
+    pub fn probed(&mut self, shard: usize, reply: &Value) -> Option<Readmit> {
+        let watch = &self.watch[shard];
+        if !is_ok(reply) || watch.health != ShardHealth::Down || watch.panicked {
+            return None;
+        }
+        Some(self.readmit(shard, epoch_of(reply), None))
+    }
+
+    /// Re-enters `shard`, now at `epoch`, at Suspect, with the ticks that
+    /// bring it up to the furthest any *other* shard got.
+    fn readmit(&mut self, shard: usize, epoch: u64, capacity: Option<Vec<f64>>) -> Readmit {
+        self.watch[shard] = Watch::entering(ShardHealth::Suspect);
+        let fleet = (self.epochs.iter().enumerate())
+            .filter(|(other, _)| *other != shard)
+            .map(|(_, epoch)| *epoch)
+            .max()
+            .unwrap_or(0);
+        let catch_up = fleet.saturating_sub(epoch);
+        self.epochs[shard] = epoch + catch_up;
+        Readmit {
+            shard,
+            capacity,
+            catch_up,
+        }
+    }
+
+    /// `shard`'s reply to a reallotment or re-offer. A shard that did not
+    /// journal the split (a WAL append error, a recovery lease, a Down
+    /// shard) is offered it again on the next round instead of drifting.
+    pub fn delivered(&mut self, shard: usize, reply: &Value) {
+        if !is_ok(reply) {
+            self.coord.mark_undelivered(shard);
+        }
     }
 
     /// The coordinator's audit state.
@@ -149,15 +354,18 @@ impl RouterCore {
         self.coord.allotments()
     }
 
-    /// Folds one fleet tick in: health from each shard's outcome, then
+    /// Folds one fleet tick in: health from each shard's reply (and, from
+    /// a clean one, the epoch catch-up counts start from), then
     /// the quorum gate — below quorum the demand picture is too partial
     /// to act on and allotments freeze; at or above it the coordinator
     /// steps, and an update for a shard that did not report is rolled
     /// back (marked undelivered, re-offered once it reports again).
-    pub fn tick_round(&mut self, outcomes: &[TickOutcome], demands: &[Vec<f64>]) -> Round {
-        for (watch, outcome) in self.watch.iter_mut().zip(outcomes) {
+    pub fn tick_round(&mut self, replies: &[Value], demands: &[Vec<f64>]) -> Round {
+        let outcomes: Vec<TickOutcome> = replies.iter().map(TickOutcome::of).collect();
+        for (shard, (watch, outcome)) in self.watch.iter_mut().zip(&outcomes).enumerate() {
             match outcome {
                 TickOutcome::Clean => {
+                    self.epochs[shard] = epoch_of(&replies[shard]);
                     watch.missed = 0;
                     if watch.health != ShardHealth::Healthy {
                         watch.clean += 1;
@@ -202,40 +410,13 @@ impl RouterCore {
             missing,
             frozen,
             reallots,
+            down: self
+                .watch
+                .iter()
+                .filter(|watch| watch.health == ShardHealth::Down)
+                .count(),
             status: self.coord.status(),
         }
-    }
-
-    /// `shard` never journaled the allotment it was offered: re-offer it
-    /// on the next round instead of letting the shard drift.
-    pub fn undelivered(&mut self, shard: usize) {
-        self.coord.mark_undelivered(shard);
-    }
-
-    /// The allotment to replay onto a freshly recovered `shard`, marked
-    /// delivered: recovery restored the split the shard last journaled,
-    /// which may predate reallotments issued while it was away.
-    pub fn resync(&mut self, shard: usize) -> Vec<f64> {
-        self.coord.resync_delivery(shard)
-    }
-
-    /// `shard` was restarted or answered a probe: it re-enters at
-    /// Suspect and must earn Healthy back with clean ticks.
-    pub fn readmit(&mut self, shard: usize) {
-        self.watch[shard] = Watch::entering(ShardHealth::Suspect);
-    }
-
-    /// Quota-exempt ticks that bring `shard` up to the fleet epoch (the
-    /// furthest any *other* shard got) after it was skipped or restarted.
-    pub fn catch_up_ticks(epochs: &[u64], shard: usize) -> u64 {
-        let fleet = epochs
-            .iter()
-            .enumerate()
-            .filter(|(other, _)| *other != shard)
-            .map(|(_, epoch)| *epoch)
-            .max()
-            .unwrap_or(0);
-        fleet.saturating_sub(epochs[shard])
     }
 
     /// Picks the node serving `shard` among `(node, role, term)`
@@ -252,6 +433,14 @@ impl RouterCore {
             .max_by_key(|(node, _, term)| (*term, usize::MAX - node))?;
         self.router_term.admit(shard as u64, term).then_some(node)
     }
+}
+
+fn is_ok(reply: &Value) -> bool {
+    reply.get("ok") == Some(&Value::Bool(true))
+}
+
+fn epoch_of(reply: &Value) -> u64 {
+    reply.get("epoch").and_then(Value::as_u64).unwrap_or(0)
 }
 
 /// Inserts a `"shard": k` tag right after the leading `ok`/`error`
@@ -408,6 +597,17 @@ mod tests {
         RouterCore::new(vec![64.0, 32.0], shards, 0.25, quorum, 2)
     }
 
+    /// Tick replies that classify as `outcomes`, the clean ones at epoch 1.
+    fn said(outcomes: &[TickOutcome]) -> Vec<Value> {
+        let reply = |outcome: &TickOutcome| match outcome {
+            Clean => ok_response(vec![("epoch", Value::from_u64(1))]),
+            Missed => error_response("timeout", None, None),
+            Failed => error_response("internal", None, None),
+            Silent => shard_unavailable_response(0, 5),
+        };
+        outcomes.iter().map(reply).collect()
+    }
+
     fn skewed(shards: usize) -> Vec<Vec<f64>> {
         let mut demands = vec![vec![1.0, 0.5]; shards];
         demands[0] = vec![8.0, 4.0];
@@ -448,19 +648,92 @@ mod tests {
         for (outcomes, want) in table {
             let mut router = router(2, 1);
             for (outcome, health) in outcomes.iter().zip(want) {
-                router.tick_round(&[*outcome, Clean], &skewed(2));
+                router.tick_round(&said(&[*outcome, Clean]), &skewed(2));
                 assert_eq!(router.health(0), *health, "{outcomes:?}");
                 assert_eq!(router.health(1), Healthy);
             }
         }
-        // A restart or an answered probe re-enters at Suspect.
+        // An answered probe re-enters at Suspect.
         let mut router = router(2, 1);
-        router.tick_round(&[Failed, Clean], &skewed(2));
-        router.readmit(0);
+        router.tick_round(&said(&[Failed, Clean]), &skewed(2));
+        assert!(router.probed(0, &ok_response(vec![])).is_some());
         assert_eq!(router.health(0), Suspect);
-        router.tick_round(&[Clean, Clean], &skewed(2));
-        router.tick_round(&[Clean, Clean], &skewed(2));
+        router.tick_round(&said(&[Clean, Clean]), &skewed(2));
+        router.tick_round(&said(&[Clean, Clean]), &skewed(2));
         assert_eq!(router.health(0), Healthy);
+    }
+
+    #[test]
+    fn fans_skip_down_shards_but_shutdown_and_promote_reach_them() {
+        use ShardHealth::{Down, Healthy, Suspect};
+        for health in [Healthy, Suspect] {
+            assert!(asks(health, &Request::Tick));
+        }
+        assert!(!asks(Down, &Request::Tick));
+        assert!(!asks(Down, &Request::Query { agent: Some(1) }));
+        assert!(asks(Down, &Request::Shutdown));
+        assert!(asks(Down, &Request::Promote));
+    }
+
+    #[test]
+    fn a_panic_restarts_in_place_iff_durable_and_unreplicated() {
+        use ShardHealth::{Down, Suspect};
+        // (durable, replicated) → verdict; the sweep restarts exactly the
+        // shards the verdict says, and probes none of them.
+        let table = [
+            (true, false, AfterPanic::Restart),
+            (true, true, AfterPanic::StopLeading),
+            (false, false, AfterPanic::StopLeading),
+            (false, true, AfterPanic::StopLeading),
+        ];
+        for (durable, replicated, want) in table {
+            let mut router = router(2, 1).with_node(durable, replicated, None);
+            router.tick_round(&said(&[Clean, Clean]), &skewed(2));
+            assert_eq!(router.panicked(1), want, "{durable} {replicated}");
+            assert_eq!(router.health(1), Down);
+            let sweep = router.clock(Duration::ZERO, true);
+            let restart = (want == AfterPanic::Restart).then_some(Duty::Restart(1));
+            assert_eq!(sweep, restart.into_iter().collect::<Vec<_>>());
+            // A probe answer never readmits a panicked shard: its engine
+            // is behind its log.
+            assert!(router.probed(1, &ok_response(vec![])).is_none());
+            assert_eq!(router.health(1), Down);
+            // Served from a recovered WAL, it re-enters at Suspect with
+            // its allotment and the ticks it missed, and is not swept.
+            let readmit = router.recovered(1, 0);
+            assert_eq!(
+                readmit.capacity.as_deref(),
+                Some(&router.allotments()[1][..])
+            );
+            assert_eq!(readmit.catch_up, 1);
+            assert_eq!(router.health(1), Suspect);
+            assert!(router.clock(SWEEP_EVERY, true).is_empty());
+        }
+    }
+
+    #[test]
+    fn the_clock_ticks_while_leading_and_sweeps_on_its_own_cadence() {
+        let ms = Duration::from_millis;
+        let mut router = router(2, 1).with_node(false, false, Some(ms(10)));
+        // The first sweep is at once; the first tick one interval later.
+        assert!(router.clock(ms(0), true).is_empty());
+        assert_eq!(router.next_clock(), ms(10));
+        assert_eq!(router.clock(ms(10), true), vec![Duty::Tick]);
+        // A node that does not lead lets its beat pass.
+        assert!(router.clock(ms(20), false).is_empty());
+        assert_eq!(router.clock(ms(25), true), vec![]);
+        // Down on timeouts: probed on the sweep, and readmitted with the
+        // ticks it missed once it answers.
+        router.tick_round(&said(&[Missed, Clean]), &skewed(2));
+        router.tick_round(&said(&[Missed, Clean]), &skewed(2));
+        assert_eq!(router.next_clock(), ms(30));
+        assert_eq!(router.clock(ms(30), true), vec![Duty::Tick]);
+        assert_eq!(router.clock(ms(50), true), vec![Duty::Tick, Duty::Probe(0)]);
+        let refused = error_response("timeout", None, None);
+        assert!(router.probed(0, &refused).is_none());
+        let readmit = router.probed(0, &ok_response(vec![])).unwrap();
+        assert_eq!((readmit.capacity, readmit.catch_up), (None, 1));
+        assert!(router.clock(ms(75), false).is_empty());
     }
 
     #[test]
@@ -468,7 +741,7 @@ mod tests {
         let mut router = router(3, 2);
         let before = router.allotments().to_vec();
         // One of three reported: below quorum. Nothing moves.
-        let round = router.tick_round(&[Clean, Missed, Failed], &skewed(3));
+        let round = router.tick_round(&said(&[Clean, Missed, Failed]), &skewed(3));
         assert!(round.frozen);
         assert_eq!(round.missing, vec![1, 2]);
         assert!(round.reallots.is_empty());
@@ -476,34 +749,41 @@ mod tests {
         assert_eq!(router.allotments(), &before[..]);
         // At quorum the coordinator steps, but the shard that did not
         // report gets nothing pushed: its update is rolled back...
-        let round = router.tick_round(&[Clean, Clean, Silent], &skewed(3));
+        let round = router.tick_round(&said(&[Clean, Clean, Silent]), &skewed(3));
         assert!(!round.frozen);
         assert_eq!(round.missing, vec![2]);
         let delivered: Vec<usize> = round.reallots.iter().map(|(s, _)| *s).collect();
         assert_eq!(delivered, vec![0, 1]);
         // ...and re-offered, in full, the moment it reports again — even
         // if a freeze intervened.
-        assert!(router.tick_round(&[Silent; 3], &skewed(3)).frozen);
-        let round = router.tick_round(&[Clean; 3], &skewed(3));
+        assert!(router.tick_round(&said(&[Silent; 3]), &skewed(3)).frozen);
+        let round = router.tick_round(&said(&[Clean; 3]), &skewed(3));
         let (shard, capacity) = round.reallots.last().unwrap();
         assert_eq!(*shard, 2);
         assert_eq!(capacity, &router.allotments()[2]);
         // A delivery the shard refused is offered again too.
         for _ in 0..64 {
-            router.tick_round(&[Clean; 3], &skewed(3));
+            router.tick_round(&said(&[Clean; 3]), &skewed(3));
         }
         assert!(router
-            .tick_round(&[Clean; 3], &skewed(3))
+            .tick_round(&said(&[Clean; 3]), &skewed(3))
             .reallots
             .is_empty());
-        router.undelivered(1);
-        let round = router.tick_round(&[Clean; 3], &skewed(3));
-        assert_eq!(round.reallots.len(), 1);
-        // A resync hands back the same vector and quiets the shard.
-        router.undelivered(1);
-        assert_eq!(router.resync(1), router.allotments()[1]);
+        let refused = error_response("wal", None, None);
+        router.delivered(1, &ok_response(vec![]));
         assert!(router
-            .tick_round(&[Clean; 3], &skewed(3))
+            .tick_round(&said(&[Clean; 3]), &skewed(3))
+            .reallots
+            .is_empty());
+        router.delivered(1, &refused);
+        let round = router.tick_round(&said(&[Clean; 3]), &skewed(3));
+        assert_eq!(round.reallots.len(), 1);
+        // A recovery hands back the same vector and quiets the shard.
+        router.delivered(1, &refused);
+        let readmit = router.recovered(1, 0);
+        assert_eq!(readmit.capacity.unwrap(), router.allotments()[1]);
+        assert!(router
+            .tick_round(&said(&[Clean; 3]), &skewed(3))
             .reallots
             .is_empty());
     }
@@ -535,9 +815,13 @@ mod tests {
 
     #[test]
     fn catch_up_counts_the_gap_to_the_rest_of_the_fleet() {
-        assert_eq!(RouterCore::catch_up_ticks(&[7, 3, 5], 1), 4);
-        assert_eq!(RouterCore::catch_up_ticks(&[7, 3, 5], 0), 0);
-        assert_eq!(RouterCore::catch_up_ticks(&[4], 0), 0);
+        let at = |epoch| ok_response(vec![("epoch", Value::from_u64(epoch))]);
+        let mut fleet = router(3, 1);
+        fleet.tick_round(&[at(7), at(3), at(5)], &skewed(3));
+        assert_eq!(fleet.recovered(1, 3).catch_up, 4);
+        // The recovered shard now counts at the epoch it catches up to.
+        assert_eq!(fleet.recovered(0, 7).catch_up, 0);
+        assert_eq!(router(1, 1).recovered(0, 4).catch_up, 0);
     }
 
     /// A real shard's reply to its first tick after `agents` joined: the
@@ -558,7 +842,7 @@ mod tests {
     #[test]
     fn merges_count_agents_and_leave_shards_without_an_audit_out() {
         let replies = vec![shard_tick(&[1, 2]), shard_tick(&[]), shard_tick(&[3, 4, 5])];
-        let round = router(3, 1).tick_round(&[Clean; 3], &skewed(3));
+        let round = router(3, 1).tick_round(&said(&[Clean; 3]), &skewed(3));
         let full = tick_reply(replies.clone(), &round);
         let report = full.get("report").unwrap();
         assert_eq!(full.get("epoch").and_then(Value::as_u64), Some(1));
@@ -618,7 +902,7 @@ mod tests {
         );
 
         // No shard audited: no verdict, as for a single empty market.
-        let round = router(2, 1).tick_round(&[Clean; 2], &skewed(2));
+        let round = router(2, 1).tick_round(&said(&[Clean; 2]), &skewed(2));
         let idle = tick_reply(vec![shard_tick(&[]), shard_tick(&[])], &round);
         let report = idle.get("report").unwrap();
         assert_eq!(report.get("agents").and_then(Value::as_u64), Some(0));
@@ -626,8 +910,7 @@ mod tests {
 
         // A shard missed the tick: the merge is stamped and drops fairness.
         let replies = vec![replies[0].clone(), error_response("timeout", None, None)];
-        let outcomes: Vec<TickOutcome> = replies.iter().map(TickOutcome::of).collect();
-        let round = router(2, 1).tick_round(&outcomes, &skewed(2));
+        let round = router(2, 1).tick_round(&replies, &skewed(2));
         let partial = tick_reply(replies, &round);
         let report = partial.get("report").unwrap();
         assert_eq!(report.get("partial"), Some(&Value::Bool(true)));

@@ -13,8 +13,15 @@
 //!                                       pushes (fan, reallot,          ▲
 //!                                       probe, shutdown) ──▶ bus ──▶ shard thread
 //!                                                                   (+ heartbeats)
-//!            coordinator (timed epochs) ──▶ fan      supervisor ──▶ restart, probe
+//!      ┌────────────┐  verdicts   clock ──▶ timed tick (fan), restart, probe
+//!      │ RouterCore │ ──────────▶ fan   ──▶ ask or skip each shard, reallot
+//!      │ (one lock) │             panic ──▶ restart later, or stop leading
+//!      └────────────┘             recovery / probe ──▶ re-offer + catch-up ticks
 //! ```
+//!
+//! Every node-level decision above is a verdict of the sans-IO
+//! [`RouterCore`] (and the heartbeat/election cadence one of
+//! [`crate::repl_core::ReplCore`]'s); this module only carries them out.
 //!
 //! The rule is *whoever holds the shard lock may touch the core*. An
 //! agent-scoped request runs to completion on the connection thread that
@@ -29,8 +36,9 @@
 //! journaled reallotments, probes, `shutdown`, the one event in
 //! `checkpoint_every` that makes a checkpoint due, and heartbeats. A
 //! panic under the lock is caught before it unwinds the guard: the
-//! request gets `internal`, the shard turns degraded and is Down until
-//! the supervisor restarts it, the lock is never poisoned. Graceful
+//! request gets `internal`, the shard turns degraded, the lock is never
+//! poisoned, and the router core hears of it at once: the shard is Down
+//! until it is restarted from its WAL or failed over. Graceful
 //! shutdown (the `shutdown` op or [`Server::shutdown`]) closes the bus,
 //! lets every admitted request finish, flushes a final snapshot, and
 //! joins every thread.
@@ -51,9 +59,10 @@
 //! every fleet-wide epoch a coordinator ([`crate::shard::Coordinator`])
 //! rebalances capacity allotments between shards from their aggregate
 //! demand, delivering each change as a journaled `reallot` event so every
-//! shard's WAL stays a complete, byte-for-byte replayable history; it
-//! also runs timed epochs, and a supervisor restarts a panicked shard in
-//! place from its WAL.
+//! shard's WAL stays a complete, byte-for-byte replayable history. One
+//! clock thread runs the timed epochs and the supervisor's sweep, which
+//! restarts a panicked shard in place from its WAL or probes one Down on
+//! timeouts.
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -80,11 +89,14 @@ use crate::repl::{
     fence_notify, reap_finished, repl_acceptor_loop, standby_loop, ReplConfig, ReplShared, Role,
 };
 use crate::repl_core::Promotion;
-use crate::router::{fleet_reply, tick_reply, RouterCore, TickOutcome};
+use crate::router::{
+    asks, fleet_reply, tick_reply, AfterPanic, Duty, Readmit, RouterCore, SWEEP_EVERY,
+};
 use crate::shard::{
     default_quorum, shard_market_config, CoordinationStatus, HashRing, ShardHealth,
 };
-use crate::wal::{self, Wal, WalConfig};
+use crate::storage::FsStorage;
+use crate::wal::{self, WalConfig};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -326,12 +338,16 @@ pub(crate) struct ShardCell {
     pub(crate) core: Option<ServiceCore>,
     /// Set by a panic under the lock: the engine may have missed an
     /// event the WAL already holds — the durable log, not this process,
-    /// is the source of truth — so the shard is Down and refuses every
-    /// request until the supervisor restarts it from that log.
+    /// is the source of truth — so the shard refuses every request until
+    /// it is restarted from that log.
     pub(crate) degraded: bool,
 }
 
 pub(crate) struct Shared {
+    /// This shard's index.
+    shard: usize,
+    /// The router core, which a panic under the lock notifies at once.
+    node: Arc<Mutex<RouterCore>>,
     pub(crate) bus: Bus<Item>,
     cell: Mutex<ShardCell>,
     pub(crate) metrics: ServeMetrics,
@@ -349,15 +365,16 @@ pub(crate) struct Shared {
     /// refreshed after every epoch; the cross-shard coordinator's input.
     pub(crate) demand: Mutex<Vec<f64>>,
     /// The [`RouterCore`]'s assessment of this shard ([`ShardHealth`]
-    /// as its `u64` repr), published after every fleet tick and
-    /// supervisor action so dispatch reads it without a lock.
+    /// as its `u64` repr), published after every transition of the core
+    /// so dispatch and fans read it without a lock.
     pub(crate) health: AtomicU64,
 }
 
 impl Shared {
     /// Runs `step` on the shard's cell under the shard lock — the only
     /// way to the core. A panic in `step` stops here (`None`): it is
-    /// counted, the shard turns degraded, and since the guard does not
+    /// counted, the shard turns degraded, the router core is told (and a
+    /// node it says to stop leading stops), and since the guard does not
     /// unwind the lock is not poisoned.
     pub(crate) fn locked<R>(&self, step: impl FnOnce(&mut ShardCell) -> R) -> Option<R> {
         let mut cell = self
@@ -369,6 +386,16 @@ impl Shared {
             ServeMetrics::bump(&self.metrics.ticker_panics);
             self.metrics.degraded.store(1, Ordering::SeqCst);
             cell.degraded = true;
+            let after = {
+                let mut node = self.node.lock().expect("router lock poisoned");
+                let after = node.panicked(self.shard);
+                self.health
+                    .store(node.health(self.shard) as u64, Ordering::SeqCst);
+                after
+            };
+            if let (AfterPanic::StopLeading, Some(repl)) = (after, &self.repl) {
+                repl.mark_down(&self.metrics);
+            }
         }
         if let Some(core) = &cell.core {
             self.epoch.store(core.engine().epoch(), Ordering::SeqCst);
@@ -376,28 +403,27 @@ impl Shared {
         }
         outcome.ok()
     }
-}
 
-/// A shard's health as the router acts on it: the stored assessment,
-/// overridden to Down the instant the shard reports itself degraded (the
-/// shard knows before any tick can time out).
-fn effective_health(shared: &Shared) -> ShardHealth {
-    if shared.metrics.degraded.load(Ordering::SeqCst) == 1 {
-        return ShardHealth::Down;
+    /// The router core's published assessment of this shard.
+    pub(crate) fn health(&self) -> ShardHealth {
+        ShardHealth::from_u64(self.health.load(Ordering::SeqCst))
     }
-    ShardHealth::from_u64(shared.health.load(Ordering::SeqCst))
 }
 
 /// Router state shared by the acceptor and every reader: the shards,
 /// the placement ring, and the routing state machine (health, quorum
-/// gate, coordinator), locked once per fleet tick.
+/// gate, coordinator, supervision), locked once per fleet tick.
 pub(crate) struct Router {
     pub(crate) shards: Vec<Arc<Shared>>,
     pub(crate) ring: HashRing,
     pub(crate) stop: AtomicBool,
     pub(crate) open_connections: AtomicUsize,
     pub(crate) started: Instant,
-    pub(crate) core: Mutex<RouterCore>,
+    pub(crate) core: Arc<Mutex<RouterCore>>,
+    /// Reply channels of reallotments pushed and not yet answered. The
+    /// bus is FIFO, so each is answered before the next tick the fan
+    /// pushes to its shard: the fan collects them without waiting.
+    deliveries: Mutex<Vec<(usize, mpsc::Receiver<Value>)>>,
     /// How many shards a fan asks at once (see [`fan`]): the worker
     /// pool's width, read once — the host's parallelism costs syscalls to
     /// look up, and every tick fans.
@@ -431,6 +457,12 @@ impl Router {
             .map_or(Role::Primary, |repl| repl.role())
     }
 
+    /// Whether the node leads: always when unreplicated, else as its
+    /// replication core says.
+    fn leads(&self) -> bool {
+        self.shards[0].repl.as_ref().is_none_or(|repl| repl.leads())
+    }
+
     /// Runs one transition of the routing core, then publishes every
     /// shard's health to its atomic.
     fn drive<R>(&self, step: impl FnOnce(&mut RouterCore) -> R) -> R {
@@ -442,6 +474,43 @@ impl Router {
                 .store(core.health(shard) as u64, Ordering::SeqCst);
         }
         out
+    }
+
+    /// Pushes a reallotment to `shard`'s thread as a journaled control
+    /// event, keeping the reply for [`Router::delivery_replies`].
+    fn reallot(&self, shard: usize, capacity: Vec<f64>) {
+        if let Some(rx) = push_internal(&self.shards[shard], Request::Reallot { capacity }, None) {
+            self.deliveries
+                .lock()
+                .expect("delivery lock poisoned")
+                .push((shard, rx));
+        }
+    }
+
+    /// The replies to reallotments that are in, by shard. (A channel
+    /// closed unanswered belongs to a shard thread that has retired.)
+    fn delivery_replies(&self) -> Vec<(usize, Value)> {
+        let mut replies = Vec::new();
+        let mut pending = self.deliveries.lock().expect("delivery lock poisoned");
+        pending.retain(|(shard, rx)| match rx.try_recv() {
+            Ok(reply) => {
+                replies.push((*shard, reply));
+                false
+            }
+            Err(closed) => closed == mpsc::TryRecvError::Empty,
+        });
+        replies
+    }
+
+    /// Carries out a [`Readmit`]: the re-offer, then the catch-up ticks,
+    /// queued on the shard's thread ahead of anything pushed later.
+    fn rejoin(&self, readmit: Readmit) {
+        if let Some(capacity) = readmit.capacity {
+            self.reallot(readmit.shard, capacity);
+        }
+        for _ in 0..readmit.catch_up {
+            push_internal(&self.shards[readmit.shard], Request::Tick, None);
+        }
     }
 }
 
@@ -463,8 +532,7 @@ pub struct Server {
     config: ServeConfig,
     acceptor: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
-    coordinator: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
+    clock: Option<JoinHandle<()>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     repl_threads: Vec<JoinHandle<()>>,
     repl_handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -610,12 +678,28 @@ impl Server {
         };
 
         let resources = config.market.capacity.num_resources();
+        let node = Arc::new(Mutex::new(
+            RouterCore::new(
+                config.market.capacity.as_slice().to_vec(),
+                n,
+                config.drift_bound,
+                default_quorum(n),
+                config.recovery_clean_ticks,
+            )
+            .with_node(
+                config.wal.is_some(),
+                config.repl.is_some(),
+                config.epoch_interval,
+            ),
+        ));
         let shards: Vec<Arc<Shared>> = cores
             .into_iter()
             .zip(metrics)
             .enumerate()
             .map(|(shard, (core, metrics))| {
                 Arc::new(Shared {
+                    shard,
+                    node: Arc::clone(&node),
                     bus: Bus::new(config.quotas),
                     metrics,
                     stop: AtomicBool::new(false),
@@ -641,13 +725,8 @@ impl Server {
             open_connections: AtomicUsize::new(0),
             started: Instant::now(),
             fan_width: ref_pool::threads().clamp(1, n),
-            core: Mutex::new(RouterCore::new(
-                config.market.capacity.as_slice().to_vec(),
-                n,
-                config.drift_bound,
-                default_quorum(n),
-                config.recovery_clean_ticks,
-            )),
+            core: node,
+            deliveries: Mutex::new(Vec::new()),
             shards,
         });
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -666,23 +745,15 @@ impl Server {
                     .expect("spawn shard thread")
             })
             .collect();
-        // The coordinator is the only epoch clock: it fans synchronized
-        // ticks to every shard, so epochs advance in lockstep fleet-wide.
-        let coordinator = config.epoch_interval.is_some().then(|| {
+        // The only epoch clock: it fans synchronized ticks to every
+        // shard, so epochs advance in lockstep fleet-wide.
+        let clock = {
             let router = Arc::clone(&router);
             let config = config.clone();
             std::thread::Builder::new()
-                .name("ref-serve-coord".to_string())
-                .spawn(move || coordinator_loop(&router, &config))
-                .expect("spawn coordinator")
-        });
-        let supervisor = {
-            let router = Arc::clone(&router);
-            let config = config.clone();
-            std::thread::Builder::new()
-                .name("ref-serve-supervisor".to_string())
-                .spawn(move || supervisor_loop(&router, &config))
-                .expect("spawn supervisor")
+                .name("ref-serve-clock".to_string())
+                .spawn(move || clock_loop(&router, &config))
+                .expect("spawn clock")
         };
         let acceptor = {
             let router = Arc::clone(&router);
@@ -726,8 +797,7 @@ impl Server {
             config,
             acceptor: Some(acceptor),
             shard_threads,
-            coordinator,
-            supervisor: Some(supervisor),
+            clock: Some(clock),
             readers,
             repl_threads,
             repl_handlers,
@@ -792,7 +862,7 @@ impl Server {
     ///
     /// Panics if `shard >= self.shards()`.
     pub fn shard_health(&self, shard: usize) -> ShardHealth {
-        effective_health(&self.router.shards[shard])
+        self.router.shards[shard].health()
     }
 
     /// The shard that owns `agent` under the configured ring.
@@ -877,10 +947,7 @@ impl Server {
         for handle in std::mem::take(&mut self.shard_threads) {
             let _ = handle.join();
         }
-        if let Some(handle) = self.coordinator.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.supervisor.take() {
+        if let Some(handle) = self.clock.take() {
             let _ = handle.join();
         }
         self.router.stop.store(true, Ordering::SeqCst);
@@ -986,12 +1053,9 @@ fn wal_dirs_with_state(config: &ServeConfig) -> std::io::Result<(Vec<PathBuf>, V
     Ok(held.into_iter().partition(|dir| ours.contains(dir)))
 }
 
-/// Opens shard `shard`'s core — the one way launch and the supervisor's
-/// restart both do it: recovered from the shard's WAL directory and
-/// scrubbed when the server is durable, fresh otherwise. Recovery
-/// validates only the replay path, so the scrub verifies every retained
-/// byte (old checkpoints included) and surfaces latent rot in
-/// `wal_scrub_errors` rather than letting it wait for the next failover.
+/// Opens shard `shard`'s core — the one way launch and a restart both do
+/// it: [`ServiceCore::open`] on the shard's WAL directory when the
+/// server is durable, fresh otherwise.
 fn open_core(
     config: &ServeConfig,
     shard: usize,
@@ -1004,15 +1068,15 @@ fn open_core(
             .map(|core| core.with_faults(faults))
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()));
     };
-    let core = ServiceCore::recover(market, config.journal_limit, wal_config, faults)?;
-    let scrub_errors = match core.wal().map(Wal::scrub) {
-        Some(Ok(report)) => report.errors.len() as u64,
-        Some(Err(_)) => 1,
-        None => 0,
-    };
-    ServeMetrics::bump_by(&metrics.wal_scrub_errors, scrub_errors);
-    core.publish_wal_gauges(metrics);
-    Ok(core)
+    let limit = config.journal_limit;
+    ServiceCore::open(
+        Arc::new(FsStorage),
+        market,
+        limit,
+        wal_config,
+        faults,
+        metrics,
+    )
 }
 
 fn acceptor_loop(
@@ -1183,7 +1247,7 @@ fn dispatch<'r>(
             let shared = &router.shards[shard];
             // Fail fast: the owning shard is Down, so tell the client
             // when to come back.
-            if effective_health(shared) == ShardHealth::Down {
+            if !asks(shared.health(), &envelope.request) {
                 return shard_unavailable_response(shard as u64, config.retry_after_ms);
             }
             dispatch_to_shard(shared, shard, envelope, config, in_flight)
@@ -1362,11 +1426,9 @@ enum Fanned {
 /// fleet-wide control must not be bounced by one shard's backpressure;
 /// on the shard thread, not this one: a shard that overruns `wait` is
 /// abandoned, not waited out) and collects the replies within `wait` in
-/// parallel over `ref-pool`. A Down shard is answered with
-/// `shard_unavailable` instead of being asked — except for
-/// `shutdown`/`promote`, which must reach every shard — and a shard that
-/// is already shut down answers with a placeholder error instead of
-/// stalling the fan-out.
+/// parallel over `ref-pool`. A shard the core says not to ask ([`asks`])
+/// is answered with `shard_unavailable`, and a shard that is already shut
+/// down answers with a placeholder error instead of stalling the fan-out.
 fn fan(
     router: &Arc<Router>,
     request: &Request,
@@ -1375,9 +1437,6 @@ fn fan(
     config: &ServeConfig,
 ) -> Vec<Value> {
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    // Shutdown must close every bus and promote must reach every
-    // shard, even a degraded one.
-    let skip_down = !matches!(request, Request::Shutdown | Request::Promote);
     // Fan in waves no wider than the worker pool: asking every shard
     // at once makes more shard threads runnable than the host has cores, and
     // the preempt-interleaved epochs evict each other's caches — on a
@@ -1393,7 +1452,7 @@ fn fan(
             .enumerate()
             .map(|(i, shared)| {
                 let shard = wave_start + i;
-                if skip_down && effective_health(shared) == ShardHealth::Down {
+                if !asks(shared.health(), request) {
                     return Fanned::Ready(shard_unavailable_response(
                         shard as u64,
                         config.retry_after_ms,
@@ -1517,7 +1576,9 @@ fn push_item(
 /// coordination step on the quorum, and says which reallotments to
 /// deliver. Those are pushed as journaled control events on each
 /// shard's own thread, so they land before the next epoch and replay
-/// bit-identically. The merged reply carries the combined report —
+/// bit-identically; their replies reach the core with the next round,
+/// so a shard that failed to journal one is offered it again. The merged
+/// reply carries the combined report —
 /// marked `partial` with the missing shard ids when any shard missed
 /// the tick — plus the coordinator's drift audit.
 fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig) -> Value {
@@ -1525,23 +1586,25 @@ fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig
     // clock; a client deadline can only tighten it further.
     let wait = reply_wait(deadline_ms, config).min(config.shard_tick_budget);
     let replies = fan(router, &Request::Tick, deadline_ms, wait, config);
-    let outcomes: Vec<TickOutcome> = replies.iter().map(TickOutcome::of).collect();
     let demands: Vec<Vec<f64>> = router
         .shards
         .iter()
         .map(|shared| shared.demand.lock().expect("demand lock poisoned").clone())
         .collect();
-    let mut round = router.drive(|core| core.tick_round(&outcomes, &demands));
+    let delivered = router.delivery_replies();
+    let mut round = router.drive(|core| {
+        for (shard, reply) in &delivered {
+            core.delivered(*shard, reply);
+        }
+        core.tick_round(&replies, &demands)
+    });
     for (shard, capacity) in std::mem::take(&mut round.reallots) {
-        push_internal(&router.shards[shard], Request::Reallot { capacity }, None);
+        router.reallot(shard, capacity);
     }
-    let down = router
-        .shards
-        .iter()
-        .filter(|s| effective_health(s) == ShardHealth::Down)
-        .count();
     let metrics = router.metrics();
-    metrics.shards_down.store(down as u64, Ordering::SeqCst);
+    metrics
+        .shards_down
+        .store(round.down as u64, Ordering::SeqCst);
     if round.frozen {
         ServeMetrics::bump(&metrics.quorum_freezes);
     }
@@ -1551,78 +1614,45 @@ fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig
     tick_reply(replies, &round)
 }
 
-/// The timed-epoch clock: the shard threads run no timers of their own,
-/// so this loop fans synchronized ticks (and the coordination step after
-/// each) at the configured cadence — while the node leads. A standby
-/// runs no clock: its epochs arrive on the replication stream.
-fn coordinator_loop(router: &Arc<Router>, config: &ServeConfig) {
-    let interval = config
-        .epoch_interval
-        .expect("coordinator requires timed epochs");
-    let mut next = config.clock.now() + interval;
+/// The node's clock: carries out what [`RouterCore::clock`] says at each
+/// reading — a timed tick while the node leads (a standby's epochs arrive
+/// on the replication stream), and the supervisor's restarts and probes.
+/// The shard threads run no timers of their own.
+fn clock_loop(router: &Arc<Router>, config: &ServeConfig) {
     loop {
         if router.stopped() || router.shards.iter().any(|s| s.bus.is_closed()) {
             return;
         }
         let now = config.clock.now();
-        if now < next {
-            // Short sleeps keep shutdown latency bounded (and re-read a
-            // virtual clock promptly).
-            std::thread::sleep((next - now).min(Duration::from_millis(20)));
-            continue;
-        }
-        if router.role() == Role::Primary {
-            let _ = fan_tick(router, None, config);
-        }
-        next = config.clock.now() + interval;
-    }
-}
-
-/// The shard supervisor: sweeps the fleet, restarts degraded shards in
-/// place from their own WAL, and probes shards the router marked Down on
-/// timeouts alone (a Down shard is skipped by the fan, so without a probe
-/// it could never produce the clean replies that heal it).
-fn supervisor_loop(router: &Arc<Router>, config: &ServeConfig) {
-    loop {
-        if router.stopped() || router.shards.iter().any(|s| s.bus.is_closed()) {
-            return;
-        }
-        for (shard, shared) in router.shards.iter().enumerate() {
-            if shared.stop.load(Ordering::SeqCst) {
-                continue;
-            }
-            if shared.metrics.degraded.load(Ordering::SeqCst) == 1 {
-                // Without a WAL there is nothing to recover from, and a
-                // replicated node recovers by failover: the record whose
-                // apply panicked was appended but never streamed, so a
-                // restart from the log would leave the standby one record
-                // short (`shard_loop` stops its heartbeats instead, so the
-                // standby elects itself). Either way the shard stays Down.
-                if config.wal.is_some() && shared.repl.is_none() {
-                    restart_shard(router, shard, config);
+        let leads = router.leads();
+        let (duties, next) = router.drive(|core| (core.clock(now, leads), core.next_clock()));
+        for duty in duties {
+            match duty {
+                Duty::Tick => {
+                    let _ = fan_tick(router, None, config);
                 }
-            } else if ShardHealth::from_u64(shared.health.load(Ordering::SeqCst))
-                == ShardHealth::Down
-            {
-                probe_shard(router, shard);
+                Duty::Restart(shard) => restart_shard(router, shard, config),
+                Duty::Probe(shard) => probe_shard(router, shard),
             }
         }
-        std::thread::sleep(Duration::from_millis(25));
+        // Sleeps no longer than a sweep keep shutdown latency bounded
+        // (and re-read a virtual clock promptly).
+        let now = config.clock.now();
+        std::thread::sleep(next.saturating_sub(now).min(SWEEP_EVERY));
     }
 }
 
-/// Restarts one degraded shard in place, under its lock: drop the core
+/// Restarts one panicked shard in place, under its lock: drop the core
 /// the panic left behind (releasing the WAL's file handles), reopen it
-/// from the shard's own WAL directory, and resynchronize the recovered
-/// core with the fleet (the coordinator's current allotment covers every
-/// `reallot` it missed; quota-exempt ticks catch its epoch up). A failed
-/// recovery leaves the shard degraded and core-less for the next sweep
-/// to retry.
+/// from the shard's own WAL directory, and readmit it as the core says —
+/// queued for the shard thread before mutations are admitted again. A
+/// failed recovery leaves the shard Down and core-less: the next sweep
+/// retries.
 fn restart_shard(router: &Arc<Router>, shard: usize, config: &ServeConfig) {
     let shared = &router.shards[shard];
     shared.locked(|cell| {
         // Shutdown wins over a restart: the drain retires what is there.
-        if !cell.degraded || shared.bus.is_closed() {
+        if shared.bus.is_closed() {
             return;
         }
         cell.core = None;
@@ -1634,16 +1664,8 @@ fn restart_shard(router: &Arc<Router>, shard: usize, config: &ServeConfig) {
             ServeMetrics::bump(&shared.metrics.wal_errors);
             return;
         };
-        // Resynchronize before mutations are admitted again: the
-        // re-offered allotment and the catch-up ticks are queued for the
-        // shard thread ahead of anything the fleet pushes once the shard
-        // is readmitted.
-        let capacity = router.drive(|core| {
-            core.readmit(shard);
-            core.resync(shard)
-        });
-        push_internal(shared, Request::Reallot { capacity }, None);
-        catch_up(router, shard, core.engine().epoch());
+        let epoch = core.engine().epoch();
+        router.rejoin(router.drive(|node| node.recovered(shard, epoch)));
         cell.core = Some(core);
         cell.degraded = false;
         shared.metrics.degraded.store(0, Ordering::SeqCst);
@@ -1651,35 +1673,17 @@ fn restart_shard(router: &Arc<Router>, shard: usize, config: &ServeConfig) {
     });
 }
 
-/// Pushes the quota-exempt ticks that close the epoch gap `shard` (now
-/// at `shard_epoch`) accumulated while the fan skipped it.
-fn catch_up(router: &Router, shard: usize, shard_epoch: u64) {
-    let mut epochs: Vec<u64> = router
-        .shards
-        .iter()
-        .map(|s| s.epoch.load(Ordering::SeqCst))
-        .collect();
-    epochs[shard] = shard_epoch;
-    for _ in 0..RouterCore::catch_up_ticks(&epochs, shard) {
-        push_internal(&router.shards[shard], Request::Tick, None);
-    }
-}
-
-/// Probes a shard the router marked Down on tick timeouts alone: it may
-/// simply have been slow, not dead. A quick query answered in time
-/// demotes it to Suspect (the fan includes Suspect shards, so clean
-/// ticks can finish the healing) after quota-exempt catch-up ticks close
-/// the epoch gap it accumulated while skipped.
+/// Probes a shard Down on tick timeouts alone — it may simply have been
+/// slow, not dead — with a quick query, and readmits it if the core says
+/// so.
 fn probe_shard(router: &Arc<Router>, shard: usize) {
-    let shared = &router.shards[shard];
-    let Some(rx) = push_internal(shared, Request::Query { agent: None }, None) else {
+    let Some(rx) = push_internal(&router.shards[shard], Request::Query { agent: None }, None)
+    else {
         return;
     };
-    if let Ok(reply) = rx.recv_timeout(Duration::from_millis(100)) {
-        if reply.get("ok") == Some(&Value::Bool(true)) {
-            catch_up(router, shard, shared.epoch.load(Ordering::SeqCst));
-            router.drive(|core| core.readmit(shard));
-        }
+    let reply = await_reply(&rx, Duration::from_millis(100));
+    if let Some(readmit) = router.drive(|core| core.probed(shard, &reply)) {
+        router.rejoin(readmit);
     }
 }
 
@@ -1744,7 +1748,7 @@ fn ping_response(router: &Arc<Router>, config: &ServeConfig, agent: Option<Agent
             router
                 .shards
                 .iter()
-                .map(|s| Value::str(effective_health(s).as_str()))
+                .map(|s| Value::str(s.health().as_str()))
                 .collect(),
         ),
     ));
@@ -1765,32 +1769,33 @@ const IDLE_PARK: Duration = Duration::from_millis(50);
 
 /// The shard's own thread: serves what is pushed to it under the same
 /// lock and through the same [`serve_request`] as the connection
-/// threads, publishes replication heartbeats, and retires the core once
-/// the bus is closed and everything admitted has been served.
+/// threads, sends the replication heartbeats its core's timer calls for,
+/// and retires the core once the bus is closed and everything admitted
+/// has been served.
 fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
-    let repl = shared.repl.as_deref();
-    // Clock readings ([`Clock::now`]) rather than `Instant`s, so the
-    // deterministic simulator can drive the schedule.
-    let mut next_hb = None;
     let mut shutdown_replies = Vec::new();
+    // When a leader's next heartbeat is due. Its timer is not asked again
+    // before then: the replication core's lock is shared with every
+    // replicated mutation.
+    let mut beat_at = None;
     loop {
+        // A leading primary's next heartbeat bounds the park; a promotion
+        // wakes this thread, so a new leader beats at once.
         let now = config.clock.now();
-        // A replicated node that boots as the primary heartbeats from
-        // the first pass; a standby starts when a promotion (which wakes
-        // this thread) is first seen here. A degraded primary goes quiet:
-        // it is never restarted in place, so its standby's election
-        // timer is what replaces it.
-        let leads = repl.is_some_and(|repl| repl.role() == Role::Primary)
-            && shared.metrics.degraded.load(Ordering::SeqCst) == 0;
-        next_hb = if leads { next_hb.or(Some(now)) } else { None };
-        if !shared.bus.is_closed() {
-            let park = next_hb.map_or(IDLE_PARK, |at| at.saturating_sub(now));
-            if !park.is_zero() {
-                // The park itself is a real (blocking) wait even under a
-                // virtual clock; it is interrupted by any push, and the
-                // due check below re-reads the configured clock.
-                shared.bus.wait(park);
+        let park = match (shared.repl.as_ref(), beat_at) {
+            (Some(_), Some(at)) if now < at => at - now,
+            (Some(repl), _) => {
+                let next = repl.heartbeat(&shared.metrics);
+                beat_at = next.map(|park| now + park);
+                next.unwrap_or(IDLE_PARK)
             }
+            (None, _) => IDLE_PARK,
+        };
+        if !shared.bus.is_closed() && !park.is_zero() {
+            // The park itself is a real (blocking) wait even under a
+            // virtual clock; it is interrupted by any push, and the next
+            // pass's timer re-reads the configured clock.
+            shared.bus.wait(park);
         }
 
         for item in shared.bus.drain() {
@@ -1830,14 +1835,6 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
                 let _ = waiter.send(reply.clone());
             }
             return;
-        }
-
-        if let (Some(repl), Some(at)) = (repl, next_hb) {
-            let now = config.clock.now();
-            if now >= at {
-                repl.publish_heartbeat(&shared.metrics);
-                next_hb = Some(now + repl.config().heartbeat_interval);
-            }
         }
     }
 }
@@ -1927,8 +1924,8 @@ fn serve_request(
 
 /// Performs a standby→primary promotion; the caller holds the shard
 /// lock, so the role flip is serialized with event application. Bumps
-/// the term, flips the role, wakes the shard thread (which starts
-/// heartbeating on seeing the new role), and best-effort
+/// the term, flips the role, wakes the shard thread (whose timer then
+/// calls for a heartbeat), and best-effort
 /// deposes the old primary by presenting it the new term.
 pub(crate) fn handle_promote(shared: &Shared) -> Value {
     let Some(repl) = shared.repl.as_ref() else {
@@ -2436,6 +2433,78 @@ mod tests {
         assert!(!realloted.is_empty(), "coordinator never realloted");
         let last = realloted.last().unwrap();
         assert!(last[0] > 12.0, "loaded shard allotment {last:?}");
+    }
+
+    #[test]
+    fn a_reallotment_a_shard_failed_to_journal_is_offered_again() {
+        // Two WAL shards, one agent each with opposite demand: every
+        // round moves capacity until the damped coordinator converges,
+        // and both shards journal the same sequence of events.
+        let run = |faults: FaultPlan, rounds: usize| {
+            let dir = std::env::temp_dir().join(format!(
+                "ref-reallot-refused-{}-{}",
+                std::process::id(),
+                faults.fail_append_at.is_some()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = sharded_config(2)
+                .with_wal(WalConfig::new(&dir))
+                .with_faults(faults);
+            let server = Server::start("127.0.0.1:0", config).unwrap();
+            let ring = HashRing::new(2, server.config().ring_seed);
+            let mut client = Client::connect(server.addr()).unwrap();
+            client
+                .join_truth(agent_on(&ring, 0), 1.0, &[0.8, 0.2])
+                .unwrap();
+            client
+                .join_truth(agent_on(&ring, 1), 1.0, &[0.2, 0.8])
+                .unwrap();
+            for _ in 0..rounds {
+                client.tick().unwrap();
+            }
+            let allotments = server.coordination().allotments;
+            let journals: Vec<Vec<MarketEvent>> = (server.shutdown().shards.into_iter())
+                .map(|shard| shard.journal)
+                .collect();
+            let _ = std::fs::remove_dir_all(&dir);
+            (journals, allotments)
+        };
+        let realloted = |journal: &[MarketEvent]| -> Vec<(usize, Vec<f64>)> {
+            (journal.iter().enumerate())
+                .filter_map(|(seq, event)| match event {
+                    MarketEvent::CapacityRealloted { capacity } => Some((seq, capacity.clone())),
+                    _ => None,
+                })
+                .collect()
+        };
+        // A fault-free run finds the sequence of the last reallotment —
+        // the one no later round would repeat by itself.
+        let (journals, _) = run(FaultPlan::default(), 40);
+        let (last, _) = realloted(&journals[0]).pop().expect("capacity moved");
+        assert!(realloted(&journals[1]).iter().any(|(seq, _)| *seq == last));
+
+        // Both shards fail to journal it; the rounds that follow must
+        // offer it again.
+        let faults = FaultPlan {
+            fail_append_at: Some(last as u64),
+            ..FaultPlan::default()
+        };
+        let (journals, allotments) = run(faults, 45);
+        let total = [24.0, 12.0];
+        for (shard, journal) in journals.iter().enumerate() {
+            let capacity = realloted(journal)
+                .pop()
+                .map_or(vec![12.0, 6.0], |(_, capacity)| capacity);
+            for r in 0..2 {
+                // The coordinator withholds moves below 1e-4 of the total.
+                let gap = (capacity[r] - allotments[shard][r]).abs();
+                assert!(
+                    gap <= 1e-4 * total[r],
+                    "shard {shard} resource {r}: capacity {capacity:?}, allotment {:?}",
+                    allotments[shard]
+                );
+            }
+        }
     }
 
     /// First agent id the ring places on `shard`.

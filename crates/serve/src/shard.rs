@@ -63,21 +63,22 @@ pub const COORD_WARMUP_ROUNDS: u64 = 8;
 ///
 /// Driven entirely from the routing tier (no shard cooperation needed):
 /// tick replies within budget are *clean*, tick timeouts are *misses*,
-/// and an `internal` reply or the shard's own degraded gauge (a panic
-/// under its lock) is an immediate failure. The lifecycle is
+/// and an `internal` reply or a panic notice (a panic under its lock) is
+/// an immediate failure. The lifecycle is
 ///
 /// ```text
 ///            miss            2nd consecutive miss,
 ///  Healthy ───────▶ Suspect ─────────────────────▶ Down
 ///     ▲                │  ▲   panic / internal       │
-///     │   M clean      │  └──────── restart ─────────┘
-///     └────ticks───────┘          (supervisor)
+///     │   M clean      │  └── probe or recovery ─────┘
+///     └────ticks───────┘
 /// ```
 ///
 /// A Down shard is skipped by fan-outs and answered `shard_unavailable`
-/// at dispatch; the supervisor probes it (or restarts it from the
-/// WAL) and re-enters it at Suspect, which must then earn Healthy
-/// back with M consecutive clean ticks.
+/// at dispatch. The supervisor probes it (or, after a panic, it is
+/// restarted from its WAL or failed over), and it re-enters at Suspect,
+/// which must then earn Healthy back with M consecutive clean ticks; the
+/// rules are [`crate::RouterCore`]'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {
     /// Replying to ticks within budget.
@@ -252,6 +253,8 @@ pub struct CoordinationStatus {
     pub drift_bound: f64,
     /// Whether the post-warmup drift has stayed within the bound.
     pub within_bound: bool,
+    /// The current per-shard allotments, `allotments[shard][resource]`.
+    pub allotments: Vec<Vec<f64>>,
 }
 
 impl Coordinator {
@@ -397,6 +400,7 @@ impl Coordinator {
             max_drift_after_warmup: self.max_drift_after_warmup,
             drift_bound: self.drift_bound,
             within_bound: self.max_drift_after_warmup <= self.drift_bound,
+            allotments: self.allotments.clone(),
         }
     }
 }

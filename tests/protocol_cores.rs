@@ -168,12 +168,13 @@ fn the_router_freezes_below_quorum_and_never_half_applies() {
     let mut router = RouterCore::new(vec![30.0, 12.0], 3, 0.25, 2, 2);
     let demands = vec![vec![9.0, 3.0], vec![1.0, 1.0], vec![1.0, 1.0]];
     let before = router.allotments().to_vec();
-    let (ok, timeout) = (
-        ok_response(vec![]),
+    let (ok, timeout, unavailable) = (
+        ok_response(vec![("epoch", Value::from_u64(9))]),
         ref_fairness::serve::protocol::error_response("timeout", None, None),
+        ref_fairness::serve::protocol::shard_unavailable_response(2, 5),
     );
 
-    let lone: Vec<TickOutcome> = [&ok, &timeout, &timeout].map(TickOutcome::of).to_vec();
+    let lone = [ok.clone(), timeout.clone(), timeout];
     let round = router.tick_round(&lone, &demands);
     assert!(round.frozen && round.reallots.is_empty());
     assert_eq!(round.missing, vec![1, 2]);
@@ -184,16 +185,23 @@ fn the_router_freezes_below_quorum_and_never_half_applies() {
 
     // At quorum capacity moves, but only onto shards that reported; the
     // third gets its whole allotment the round it comes back.
-    let two = [TickOutcome::Clean, TickOutcome::Clean, TickOutcome::Silent];
+    let two = [ok.clone(), ok.clone(), unavailable];
     let round = router.tick_round(&two, &demands);
     assert!(!round.frozen);
     assert!(round.reallots.iter().all(|(shard, _)| *shard != 2));
-    let round = router.tick_round(&[TickOutcome::Clean; 3], &demands);
+    let round = router.tick_round(&[ok.clone(), ok.clone(), ok], &demands);
     let offered = round.reallots.iter().find(|(shard, _)| *shard == 2);
     assert_eq!(offered.map(|(_, c)| c), Some(&router.allotments()[2]));
     for r in 0..2 {
         let sum: f64 = router.allotments().iter().map(|a| a[r]).sum();
         assert!((sum - [30.0, 12.0][r]).abs() < 1e-9, "resource {r}: {sum}");
     }
-    assert_eq!(RouterCore::catch_up_ticks(&[9, 4, 9], 1), 5);
+    // Served from a recovered WAL, it is re-offered its allotment and
+    // caught up to the rest of the fleet.
+    let readmit = router.recovered(1, 4);
+    assert_eq!(
+        readmit.capacity.as_deref(),
+        Some(&router.allotments()[1][..])
+    );
+    assert_eq!(readmit.catch_up, 5);
 }
