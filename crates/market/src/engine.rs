@@ -23,6 +23,7 @@
 //! therefore the exact allocations — the original would have produced.
 
 use std::collections::BTreeMap;
+use std::io;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -42,13 +43,13 @@ use ref_workloads::profiles::by_name;
 
 use crate::agent::{AgentId, AgentState, ObservationSource};
 use crate::audit::Auditor;
-use crate::digest::{self, AgentDigest, Sections, StateHasher};
+use crate::digest::StateHasher;
 use crate::epoch::{EnforcementSummary, EpochReport, ReallocationOutcome};
 use crate::error::{MarketError, Result};
 use crate::events::{EventQueue, MarketEvent};
 use crate::ledger::CreditLedger;
 use crate::metrics::MarketMetrics;
-use crate::snapshot::{AgentSnapshot, MarketSnapshot, SNAPSHOT_VERSION};
+use crate::snapshot::{AgentSnapshot, AgentView, MarketSnapshot, StateView, SNAPSHOT_VERSION};
 use crate::warm::WarmStartCache;
 
 /// Smallest scheduler weight granted to an agent whose fitted elasticity
@@ -974,6 +975,23 @@ impl MarketEngine {
         }
     }
 
+    /// Streams [`MarketEngine::snapshot`]'s encoded text to `out`, in
+    /// chunks of about 64 KiB, straight from the engine's own state:
+    /// nothing is cloned and the document is never whole in memory.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns; no chunk is handed on after it.
+    pub fn write_snapshot(&self, out: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        self.view().write_text(out)
+    }
+
+    /// [`MarketEngine::snapshot`]'s encoded text, written straight from
+    /// the engine's own state.
+    pub fn encode_snapshot(&self) -> String {
+        self.view().text()
+    }
+
     /// A 64-bit digest of the full market state — everything
     /// [`MarketEngine::snapshot`] would serialize — equal to that
     /// snapshot's [`MarketSnapshot::fingerprint`]. Bit-identical replicas
@@ -984,30 +1002,28 @@ impl MarketEngine {
     /// run: each agent's observation log enters through the running
     /// digest its estimator maintains, not by being re-read.
     pub fn state_fingerprint(&self) -> u64 {
-        self.state_hasher().finish()
+        self.view().walk(StateHasher::new()).finish()
     }
 
-    fn state_hasher(&self) -> StateHasher {
-        digest::fingerprint(
-            &Sections {
-                version: SNAPSHOT_VERSION,
-                config: &self.config,
-                epoch: self.epoch,
-                stable_since: self.stable_since,
-                auditor: &self.auditor,
-                metrics: &self.metrics,
-                cache: self.cache.as_ref(),
-                warm: &self.warm,
-                ledger: &self.ledger,
-            },
-            self.population.values().map(|a| AgentDigest {
+    fn view(&self) -> StateView<'_, impl ExactSizeIterator<Item = AgentView<'_>>> {
+        StateView {
+            version: SNAPSHOT_VERSION,
+            config: &self.config,
+            epoch: self.epoch,
+            stable_since: self.stable_since,
+            auditor: &self.auditor,
+            metrics: &self.metrics,
+            cache: self.cache.as_ref(),
+            warm: &self.warm,
+            ledger: &self.ledger,
+            agents: self.population.values().map(|a| AgentView {
                 id: a.id,
                 joined_epoch: a.joined_epoch,
                 source: &a.source,
-                observations: a.estimator.num_observations(),
-                log_digest: a.estimator.log_digest(),
+                log: a.estimator.observations(),
+                log_digest: Some(a.estimator.log_digest()),
             }),
-        )
+        }
     }
 
     /// Rebuilds a market from a snapshot.
@@ -1958,11 +1974,11 @@ mod tests {
             10_000
         );
         assert_eq!(
-            short.state_hasher().words(),
-            long.state_hasher().words(),
+            short.view().walk(StateHasher::new()).words(),
+            long.view().walk(StateHasher::new()).words(),
             "fingerprint work depends on how many observations the logs hold"
         );
-        assert!(short.state_hasher().words() < 128 * 64);
+        assert!(short.view().walk(StateHasher::new()).words() < 128 * 64);
         // Cheap, and still a digest of all of it.
         assert_ne!(short.state_fingerprint(), long.state_fingerprint());
         assert_eq!(long.state_fingerprint(), long.snapshot().fingerprint());

@@ -13,18 +13,27 @@
 //! strictly in order, and the leading `refmarket-snapshot v3` magic
 //! rejects foreign, older and future documents up front with a typed
 //! `unsupported version` error.
+//!
+//! One walker, `StateView::walk`, traverses the state in document order
+//! over a borrowed view that both [`MarketEngine`](crate::engine::MarketEngine)
+//! and [`MarketSnapshot`] provide, and drives one of two sinks: the text
+//! sink, which writes the document ([`MarketSnapshot::encode`], and the
+//! engine's [`write_snapshot`](crate::engine::MarketEngine::write_snapshot),
+//! which streams it in chunks without cloning anything), and the digest
+//! sink (`StateHasher`), which computes the state fingerprint.
+//! No other field list exists besides [`MarketSnapshot::decode`], the
+//! strict, independent parser.
 
-use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::io::{self, Write as _};
+use std::str::{FromStr, SplitWhitespace};
 
 use ref_core::fitting::FitPoint;
-use ref_core::online::OnlineEstimator;
 use ref_core::resource::{Allocation, Bundle, Capacity};
 use ref_core::utility::CobbDouglas;
 
 use crate::agent::{AgentId, ObservationSource};
 use crate::audit::Auditor;
-use crate::digest::{self, AgentDigest, Sections};
+use crate::digest::StateHasher;
 use crate::engine::{Fingerprint, MarketConfig, MechanismKind};
 use crate::error::{MarketError, Result};
 use crate::ledger::{CreditLedger, LedgerEntry};
@@ -92,43 +101,88 @@ pub struct MarketSnapshot {
     pub agents: Vec<AgentSnapshot>,
 }
 
-fn hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
+/// Borrowed market state, which [`MarketEngine`](crate::engine::MarketEngine)
+/// and [`MarketSnapshot`] both provide: what [`StateView::walk`] reads.
+pub(crate) struct StateView<'a, A> {
+    pub version: u32,
+    pub config: &'a MarketConfig,
+    pub epoch: u64,
+    pub stable_since: u64,
+    pub auditor: &'a Auditor,
+    pub metrics: &'a MarketMetrics,
+    pub cache: Option<&'a (Fingerprint, Allocation)>,
+    pub warm: &'a WarmStartCache,
+    pub ledger: &'a CreditLedger,
+    /// Live agents in ascending id order.
+    pub agents: A,
 }
 
-fn push_hexes(line: &mut String, values: &[f64]) {
-    for v in values {
-        let _ = write!(line, " {}", hex(*v));
+/// One agent's borrowed state. `log_digest` is the running digest of
+/// `log` where an estimator keeps one; `None` has the digest sink compute
+/// it from the log.
+pub(crate) struct AgentView<'a> {
+    pub id: AgentId,
+    pub joined_epoch: u64,
+    pub source: &'a ObservationSource,
+    pub log: &'a [FitPoint],
+    pub log_digest: Option<u64>,
+}
+
+/// What the walker emits, token by token: the text sink writes the
+/// snapshot document, the digest sink ([`StateHasher`]) the fingerprint.
+/// Each method says what the two make of its token.
+pub(crate) trait Sink {
+    /// The magic line; the digest takes the version.
+    fn header(&mut self, version: u32);
+    /// Starts a line. Its tag is a fixed word of the format, so only the
+    /// text carries it.
+    fn line(&mut self, tag: &'static str) -> &mut Self;
+    /// A counter, id or grid coordinate: decimal in the text, its 64-bit
+    /// two's complement in the digest.
+    fn int(&mut self, v: impl Into<i128>);
+    /// A float: the hex of its bits in the text.
+    fn f64(&mut self, x: f64);
+    /// The length of a run the text ends with its line; the digest takes
+    /// it, so two different states never feed the same words.
+    fn len(&mut self, n: usize);
+    /// The word naming a variant; the digest takes its index.
+    fn variant(&mut self, index: u64, word: &str);
+    /// A free-form name; the digest takes its length and bytes.
+    fn name(&mut self, name: &str);
+    /// An agent's observation log: one line per observation in the text,
+    /// its length and digest in the fingerprint.
+    fn log(&mut self, log: &[FitPoint], digest: Option<u64>);
+
+    /// A run of floats, prefixed by its length.
+    fn f64s(&mut self, xs: &[f64]) {
+        self.len(xs.len());
+        xs.iter().for_each(|x| self.f64(*x));
     }
 }
 
-impl MarketSnapshot {
-    /// Serializes the snapshot to the text wire format.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC} v{}", self.version);
+impl<'a, A: ExactSizeIterator<Item = AgentView<'a>>> StateView<'a, A> {
+    /// The one traversal of market state, in document order; returns
+    /// the sink.
+    pub(crate) fn walk<S: Sink>(self, mut s: S) -> S {
+        let c = self.config;
+        s.header(self.version);
+        s.line("capacity").f64s(c.capacity.as_slice());
+        s.line("tolerance").f64(c.realloc_tolerance);
+        s.line("audit-tolerance").f64(c.audit_tolerance);
+        s.line("warmup").int(c.warmup_epochs);
+        s.line("excitation").f64(c.excitation);
+        s.line("quanta").int(c.enforcement_quanta);
+        s.line("sim-instructions").int(c.sim_instructions);
+        s.line("seed").int(c.seed);
+        s.line("mechanism").name(c.mechanism.label());
+        s.line("temporal-window").int(c.temporal_window);
+        s.line("temporal-slack").f64(c.temporal_slack);
+        s.line("epoch").int(self.epoch);
+        s.line("stable-since").int(self.stable_since);
 
-        let c = &self.config;
-        let mut line = "capacity".to_string();
-        push_hexes(&mut line, c.capacity.as_slice());
-        let _ = writeln!(out, "{line}");
-        let _ = writeln!(out, "tolerance {}", hex(c.realloc_tolerance));
-        let _ = writeln!(out, "audit-tolerance {}", hex(c.audit_tolerance));
-        let _ = writeln!(out, "warmup {}", c.warmup_epochs);
-        let _ = writeln!(out, "excitation {}", hex(c.excitation));
-        let _ = writeln!(out, "quanta {}", c.enforcement_quanta);
-        let _ = writeln!(out, "sim-instructions {}", c.sim_instructions);
-        let _ = writeln!(out, "seed {}", c.seed);
-        let _ = writeln!(out, "mechanism {}", c.mechanism.label());
-        let _ = writeln!(out, "temporal-window {}", c.temporal_window);
-        let _ = writeln!(out, "temporal-slack {}", hex(c.temporal_slack));
-
-        let _ = writeln!(out, "epoch {}", self.epoch);
-        let _ = writeln!(out, "stable-since {}", self.stable_since);
-        let a = &self.auditor;
-        let _ = writeln!(
-            out,
-            "auditor {} {} {} {} {} {} {} {} {}",
+        let a = self.auditor;
+        s.line("auditor");
+        for v in [
             a.epochs_audited,
             a.si_violation_epochs,
             a.ef_violation_epochs,
@@ -137,12 +191,15 @@ impl MarketSnapshot {
             a.ef_after_warmup,
             a.pe_after_warmup,
             a.temporal_si_violation_epochs,
-            a.temporal_si_after_warmup
-        );
-        let m = &self.metrics;
-        let _ = writeln!(
-            out,
-            "metrics {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+            a.temporal_si_after_warmup,
+        ] {
+            s.int(v);
+        }
+        // `warm_start_fallbacks` is a process-lifetime solver diagnostic,
+        // not replicated state.
+        let m = self.metrics;
+        s.line("metrics");
+        for v in [
             m.epochs,
             m.events,
             m.joins,
@@ -161,93 +218,196 @@ impl MarketSnapshot {
             m.incremental_refits,
             m.credits_accrued,
             m.credits_spent,
-            m.temporal_si_violations
-        );
+            m.temporal_si_violations,
+        ] {
+            s.int(v);
+        }
 
-        match &self.cache {
-            None => {
-                let _ = writeln!(out, "cache none");
-            }
+        match self.cache {
+            None => s.line("cache").variant(0, "none"),
             Some((fp, alloc)) => {
-                let _ = writeln!(out, "cache present");
-                let mut line = "fp-ids".to_string();
-                for id in &fp.ids {
-                    let _ = write!(line, " {id}");
-                }
-                let _ = writeln!(out, "{line}");
-                let mut line = "fp-quant".to_string();
-                for q in &fp.quantized {
-                    let _ = write!(line, " {q}");
-                }
-                let _ = writeln!(out, "{line}");
-                let mut line = "fp-capacity".to_string();
-                for b in &fp.capacity_bits {
-                    let _ = write!(line, " {b:016x}");
-                }
-                let _ = writeln!(out, "{line}");
-                let mut line = "fp-tilt".to_string();
-                for t in &fp.tilt {
-                    let _ = write!(line, " {t}");
-                }
-                let _ = writeln!(out, "{line}");
-                let _ = writeln!(out, "bundles {}", alloc.num_agents());
+                s.line("cache").variant(1, "present");
+                s.line("fp-ids").len(fp.ids.len());
+                fp.ids.iter().for_each(|id| s.int(*id));
+                s.line("fp-quant").len(fp.quantized.len());
+                fp.quantized.iter().for_each(|q| s.int(*q));
+                // Capacity bits are written as the floats they are.
+                s.line("fp-capacity").len(fp.capacity_bits.len());
+                fp.capacity_bits
+                    .iter()
+                    .for_each(|b| s.f64(f64::from_bits(*b)));
+                s.line("fp-tilt").len(fp.tilt.len());
+                fp.tilt.iter().for_each(|t| s.int(*t));
+                s.line("bundles").int(alloc.num_agents() as u64);
                 for b in alloc.bundles() {
-                    let mut line = "bundle".to_string();
-                    push_hexes(&mut line, b.as_slice());
-                    let _ = writeln!(out, "{line}");
+                    s.line("bundle").f64s(b.as_slice());
                 }
             }
         }
 
         let (warm_bundles, warm_aux, warm_t) = self.warm.parts();
-        let _ = writeln!(out, "warm {}", warm_bundles.len());
+        s.line("warm").int(warm_bundles.len() as u64);
+        // An emptied cache carries nothing else.
         if !warm_bundles.is_empty() {
             for (id, bundle) in &warm_bundles {
-                let mut line = format!("w {id}");
-                push_hexes(&mut line, bundle);
-                let _ = writeln!(out, "{line}");
+                s.line("w").int(*id);
+                s.f64s(bundle);
             }
-            let mut line = "warm-aux".to_string();
-            push_hexes(&mut line, warm_aux);
-            let _ = writeln!(out, "{line}");
-            let _ = writeln!(out, "warm-t {}", hex(warm_t));
+            s.line("warm-aux").f64s(warm_aux);
+            s.line("warm-t").f64(warm_t);
         }
 
         let entries = self.ledger.parts();
-        let _ = writeln!(out, "ledger {}", entries.len());
+        s.line("ledger").int(entries.len() as u64);
         for (id, entry) in entries {
-            let mut line = format!("l {id} {} {}", hex(entry.balance), entry.window.len());
+            s.line("l").int(id);
+            s.f64(entry.balance);
+            s.int(entry.window.len() as u64);
             for (delivered, entitled) in &entry.window {
-                let _ = write!(line, " {} {}", hex(*delivered), hex(*entitled));
+                s.f64(*delivered);
+                s.f64(*entitled);
             }
-            let _ = writeln!(out, "{line}");
         }
 
-        let _ = writeln!(out, "agents {}", self.agents.len());
-        for agent in &self.agents {
-            let _ = writeln!(out, "agent {} {}", agent.id, agent.joined_epoch);
-            match &agent.source {
+        s.line("agents").int(self.agents.len() as u64);
+        for agent in self.agents {
+            s.line("agent").int(agent.id);
+            s.int(agent.joined_epoch);
+            match agent.source {
                 ObservationSource::GroundTruth(u) => {
-                    let mut line = format!("source truth {}", hex(u.scale()));
-                    push_hexes(&mut line, u.elasticities());
-                    let _ = writeln!(out, "{line}");
+                    s.line("source").variant(0, "truth");
+                    s.f64(u.scale());
+                    s.f64s(u.elasticities());
                 }
                 ObservationSource::Simulated { benchmark } => {
-                    let _ = writeln!(out, "source sim {benchmark}");
+                    s.line("source").variant(1, "sim");
+                    s.name(benchmark);
                 }
-                ObservationSource::External => {
-                    let _ = writeln!(out, "source external");
-                }
+                ObservationSource::External => s.line("source").variant(2, "external"),
             }
-            let _ = writeln!(out, "obs {}", agent.observations.len());
-            for p in &agent.observations {
-                let mut line = format!("o {}", hex(p.output));
-                push_hexes(&mut line, &p.inputs);
-                let _ = writeln!(out, "{line}");
-            }
+            s.log(agent.log, agent.log_digest);
         }
-        let _ = writeln!(out, "end");
-        out
+        s.line("end");
+        s
+    }
+
+    /// Streams the snapshot text to `out` in chunks.
+    pub(crate) fn write_text(self, out: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        let mut sink = self.walk(TextSink {
+            chunk: Vec::with_capacity(CHUNK_BYTES + 256),
+            out,
+            result: Ok(()),
+        });
+        sink.put(b"\n");
+        sink.flush();
+        sink.result
+    }
+
+    /// The snapshot text.
+    pub(crate) fn text(self) -> String {
+        let mut text = Vec::new();
+        let all = self.write_text(&mut |chunk| {
+            text.extend_from_slice(chunk);
+            Ok(())
+        });
+        all.expect("collecting text cannot fail");
+        String::from_utf8(text).expect("the snapshot text is ASCII")
+    }
+}
+
+/// How much text the text sink gathers before handing it on.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// The text sink: gathers the document in chunks for `out`, keeping the
+/// first error `out` returns. A line ends where the next one starts.
+/// Tokens are written into `chunk`, which cannot fail; the next line's
+/// `put` hands a full chunk on.
+struct TextSink<'w> {
+    chunk: Vec<u8>,
+    out: &'w mut dyn FnMut(&[u8]) -> io::Result<()>,
+    result: io::Result<()>,
+}
+
+impl TextSink<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.chunk.extend_from_slice(bytes);
+        if self.chunk.len() >= CHUNK_BYTES {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.result.is_ok() {
+            self.result = (self.out)(&self.chunk);
+        }
+        self.chunk.clear();
+    }
+}
+
+impl Sink for TextSink<'_> {
+    fn header(&mut self, version: u32) {
+        self.put(format!("{MAGIC} v{version}").as_bytes());
+    }
+
+    fn line(&mut self, tag: &'static str) -> &mut Self {
+        self.put(b"\n");
+        self.put(tag.as_bytes());
+        self
+    }
+
+    fn int(&mut self, v: impl Into<i128>) {
+        let _ = write!(self.chunk, " {}", v.into());
+    }
+
+    fn f64(&mut self, x: f64) {
+        let _ = write!(self.chunk, " {:016x}", x.to_bits());
+    }
+
+    fn len(&mut self, _: usize) {}
+
+    fn variant(&mut self, _: u64, word: &str) {
+        self.name(word);
+    }
+
+    fn name(&mut self, name: &str) {
+        self.put(b" ");
+        self.put(name.as_bytes());
+    }
+
+    fn log(&mut self, log: &[FitPoint], _: Option<u64>) {
+        self.line("obs").int(log.len() as u64);
+        for p in log {
+            self.line("o").f64(p.output);
+            p.inputs.iter().for_each(|x| self.f64(*x));
+        }
+    }
+}
+
+impl MarketSnapshot {
+    fn view(&self) -> StateView<'_, impl ExactSizeIterator<Item = AgentView<'_>>> {
+        StateView {
+            version: self.version,
+            config: &self.config,
+            epoch: self.epoch,
+            stable_since: self.stable_since,
+            auditor: &self.auditor,
+            metrics: &self.metrics,
+            cache: self.cache.as_ref(),
+            warm: &self.warm,
+            ledger: &self.ledger,
+            agents: self.agents.iter().map(|a| AgentView {
+                id: a.id,
+                joined_epoch: a.joined_epoch,
+                source: &a.source,
+                log: &a.observations,
+                log_digest: None,
+            }),
+        }
+    }
+
+    /// Serializes the snapshot to the text wire format.
+    pub fn encode(&self) -> String {
+        self.view().text()
     }
 
     /// A 64-bit digest of everything [`MarketSnapshot::encode`] writes,
@@ -261,27 +421,7 @@ impl MarketSnapshot {
     /// from it), which gets there without re-reading any observation
     /// log; this one digests every log from scratch.
     pub fn fingerprint(&self) -> u64 {
-        digest::fingerprint(
-            &Sections {
-                version: self.version,
-                config: &self.config,
-                epoch: self.epoch,
-                stable_since: self.stable_since,
-                auditor: &self.auditor,
-                metrics: &self.metrics,
-                cache: self.cache.as_ref(),
-                warm: &self.warm,
-                ledger: &self.ledger,
-            },
-            self.agents.iter().map(|a| AgentDigest {
-                id: a.id,
-                joined_epoch: a.joined_epoch,
-                source: &a.source,
-                observations: a.observations.len(),
-                log_digest: OnlineEstimator::digest_of(&a.observations),
-            }),
-        )
-        .finish()
+        self.view().walk(StateHasher::new()).finish()
     }
 
     /// Parses a snapshot from the text wire format.
@@ -367,44 +507,21 @@ impl MarketSnapshot {
         let cache = match lines.tagged("cache")? {
             "none" => None,
             "present" => {
-                let ids = lines
-                    .tagged("fp-ids")?
-                    .split_whitespace()
-                    .map(|t| {
-                        t.parse::<AgentId>()
-                            .map_err(|e| bad(format!("fp-ids: {e}")))
+                let ids = lines.tagged_all("fp-ids")?;
+                let quantized = lines.tagged_all("fp-quant")?;
+                let capacity_bits = lines.tagged_f64s("fp-capacity")?;
+                let tilt = lines.tagged_all("fp-tilt")?;
+                let bundles = (0..lines.tagged_u64("bundles")?)
+                    .map(|_| {
+                        Bundle::new(lines.tagged_f64s("bundle")?).map_err(|e| bad(e.to_string()))
                     })
                     .collect::<Result<Vec<_>>>()?;
-                let quantized = lines
-                    .tagged("fp-quant")?
-                    .split_whitespace()
-                    .map(|t| t.parse::<i64>().map_err(|e| bad(format!("fp-quant: {e}"))))
-                    .collect::<Result<Vec<_>>>()?;
-                let capacity_bits = lines
-                    .tagged("fp-capacity")?
-                    .split_whitespace()
-                    .map(|t| {
-                        u64::from_str_radix(t, 16).map_err(|e| bad(format!("fp-capacity: {e}")))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let tilt = lines
-                    .tagged("fp-tilt")?
-                    .split_whitespace()
-                    .map(|t| t.parse::<i64>().map_err(|e| bad(format!("fp-tilt: {e}"))))
-                    .collect::<Result<Vec<_>>>()?;
-                let n = lines.tagged_u64("bundles")? as usize;
-                let mut bundles = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let b = Bundle::new(lines.tagged_f64s("bundle")?)
-                        .map_err(|e| bad(e.to_string()))?;
-                    bundles.push(b);
-                }
                 let alloc = Allocation::new(bundles, &capacity).map_err(|e| bad(e.to_string()))?;
                 Some((
                     Fingerprint {
                         ids,
                         quantized,
-                        capacity_bits,
+                        capacity_bits: capacity_bits.into_iter().map(f64::to_bits).collect(),
                         tilt,
                     },
                     alloc,
@@ -417,67 +534,46 @@ impl MarketSnapshot {
         let warm = if num_warm == 0 {
             WarmStartCache::new()
         } else {
-            let mut bundles = Vec::with_capacity(num_warm);
-            for _ in 0..num_warm {
-                let line = lines.tagged("w")?;
-                let mut toks = line.split_whitespace();
-                let id = toks
-                    .next()
-                    .and_then(|t| t.parse::<AgentId>().ok())
-                    .ok_or_else(|| bad(format!("warm entry {line:?}")))?;
-                let values = toks.map(parse_f64).collect::<Result<Vec<_>>>()?;
-                bundles.push((id, values));
-            }
+            let bundles = (0..num_warm)
+                .map(|_| {
+                    let line = lines.tagged("w")?;
+                    let mut toks = line.split_whitespace();
+                    let id = next_token(&mut toks, "warm entry", line)?;
+                    Ok((id, toks.map(parse_f64).collect::<Result<_>>()?))
+                })
+                .collect::<Result<Vec<_>>>()?;
             let aux = parse_f64s(lines.tagged("warm-aux")?)?;
             let barrier_t = lines.tagged_f64("warm-t")?;
             WarmStartCache::from_parts(bundles, aux, barrier_t)
         };
 
-        let num_entries = lines.tagged_u64("ledger")? as usize;
-        let mut entries = Vec::with_capacity(num_entries);
-        for _ in 0..num_entries {
-            let line = lines.tagged("l")?;
-            let mut toks = line.split_whitespace();
-            let id = toks
-                .next()
-                .and_then(|t| t.parse::<AgentId>().ok())
-                .ok_or_else(|| bad(format!("ledger entry {line:?}")))?;
-            let balance = toks
-                .next()
-                .map(parse_f64)
-                .transpose()?
-                .ok_or_else(|| bad(format!("ledger entry {line:?}")))?;
-            let window_len = toks
-                .next()
-                .and_then(|t| t.parse::<usize>().ok())
-                .ok_or_else(|| bad(format!("ledger entry {line:?}")))?;
-            let pairs = toks.map(parse_f64).collect::<Result<Vec<_>>>()?;
-            if pairs.len() != 2 * window_len {
-                return Err(bad(format!(
-                    "ledger entry for agent {id}: expected {window_len} \
-                     window pairs, got {} values",
-                    pairs.len()
-                )));
-            }
-            let window: VecDeque<(f64, f64)> =
-                pairs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-            entries.push((id, LedgerEntry { balance, window }));
-        }
+        let entries = (0..lines.tagged_u64("ledger")?)
+            .map(|_| {
+                let line = lines.tagged("l")?;
+                let mut toks = line.split_whitespace();
+                let id: AgentId = next_token(&mut toks, "ledger entry", line)?;
+                let balance = parse_f64(toks.next().unwrap_or_default())?;
+                let window_len: usize = next_token(&mut toks, "ledger entry", line)?;
+                let pairs = toks.map(parse_f64).collect::<Result<Vec<_>>>()?;
+                if pairs.len() != 2 * window_len {
+                    return Err(bad(format!(
+                        "ledger entry for agent {id}: expected {window_len} \
+                         window pairs, got {} values",
+                        pairs.len()
+                    )));
+                }
+                let window = pairs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+                Ok((id, LedgerEntry { balance, window }))
+            })
+            .collect::<Result<Vec<_>>>()?;
         let ledger = CreditLedger::from_parts(entries);
 
-        let num_agents = lines.tagged_u64("agents")? as usize;
-        let mut agents = Vec::with_capacity(num_agents);
-        for _ in 0..num_agents {
+        let mut agents = Vec::new();
+        for _ in 0..lines.tagged_u64("agents")? {
             let head = lines.tagged("agent")?;
             let mut toks = head.split_whitespace();
-            let id = toks
-                .next()
-                .and_then(|t| t.parse::<AgentId>().ok())
-                .ok_or_else(|| bad(format!("agent header {head:?}")))?;
-            let joined_epoch = toks
-                .next()
-                .and_then(|t| t.parse::<u64>().ok())
-                .ok_or_else(|| bad(format!("agent header {head:?}")))?;
+            let id = next_token(&mut toks, "agent header", head)?;
+            let joined_epoch = next_token(&mut toks, "agent header", head)?;
             let src = lines.tagged("source")?;
             let source = if let Some(rest) = src.strip_prefix("truth") {
                 let vals = parse_f64s(rest)?;
@@ -497,16 +593,15 @@ impl MarketSnapshot {
             } else {
                 return Err(bad(format!("unknown source {src:?}")));
             };
-            let num_obs = lines.tagged_u64("obs")? as usize;
-            let mut observations = Vec::with_capacity(num_obs);
-            for _ in 0..num_obs {
-                let vals = parse_f64s(lines.tagged("o")?)?;
-                let (output, inputs) = vals
-                    .split_first()
-                    .ok_or_else(|| bad("observation needs an output".to_string()))?;
-                observations
-                    .push(FitPoint::new(inputs.to_vec(), *output).map_err(|e| bad(e.to_string()))?);
-            }
+            let observations = (0..lines.tagged_u64("obs")?)
+                .map(|_| {
+                    let vals = parse_f64s(lines.tagged("o")?)?;
+                    let (output, inputs) = vals
+                        .split_first()
+                        .ok_or_else(|| bad("observation needs an output".to_string()))?;
+                    FitPoint::new(inputs.to_vec(), *output).map_err(|e| bad(e.to_string()))
+                })
+                .collect::<Result<Vec<_>>>()?;
             agents.push(AgentSnapshot {
                 id,
                 joined_epoch,
@@ -551,6 +646,11 @@ fn parse_f64s(text: &str) -> Result<Vec<f64>> {
     text.split_whitespace().map(parse_f64).collect()
 }
 
+/// Parses the next of `line`'s tokens; `what` names the line in the error.
+fn next_token<T: FromStr>(toks: &mut SplitWhitespace<'_>, what: &str, line: &str) -> Result<T> {
+    (toks.next().and_then(|t| t.parse().ok())).ok_or_else(|| bad(format!("{what} {line:?}")))
+}
+
 /// Strict sequential line reader.
 struct Reader<'a> {
     lines: std::str::Lines<'a>,
@@ -586,12 +686,19 @@ impl<'a> Reader<'a> {
             .map_err(|e| bad(format!("{tag}: {e}")))
     }
 
+    /// Reads the next line, strips the expected tag and parses each of
+    /// the remaining tokens.
+    fn tagged_all<T: FromStr>(&mut self, tag: &str) -> Result<Vec<T>>
+    where
+        T::Err: std::fmt::Display,
+    {
+        (self.tagged(tag)?.split_whitespace())
+            .map(|t| t.parse().map_err(|e| bad(format!("{tag}: {e}"))))
+            .collect()
+    }
+
     fn tagged_u64s(&mut self, tag: &str, count: usize) -> Result<Vec<u64>> {
-        let vals = self
-            .tagged(tag)?
-            .split_whitespace()
-            .map(|t| t.parse::<u64>().map_err(|e| bad(format!("{tag}: {e}"))))
-            .collect::<Result<Vec<_>>>()?;
+        let vals: Vec<u64> = self.tagged_all(tag)?;
         if vals.len() != count {
             return Err(bad(format!(
                 "{tag}: expected {count} counters, got {}",
@@ -770,6 +877,49 @@ mod tests {
         }
         assert_eq!(original.ledger(), restored.ledger());
         assert_eq!(original.metrics(), restored.metrics());
+    }
+
+    #[test]
+    fn streamed_text_arrives_in_bounded_chunks_and_stops_at_the_first_error() {
+        // Long measurement logs make a document of several chunks.
+        let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
+        let mut market = MarketEngine::new(config).unwrap();
+        for id in 0..8 {
+            market.submit(MarketEvent::AgentJoined {
+                id,
+                source: ObservationSource::External,
+            });
+            for i in 0..600 {
+                let x = 1.0 + f64::from(i % 7);
+                market.submit(MarketEvent::ObservationReported {
+                    id,
+                    allocation: vec![x, 2.0],
+                    performance: x.sqrt() + f64::from(i) * 1e-6,
+                });
+            }
+        }
+        market.submit(MarketEvent::EpochTick);
+        market.pump().unwrap();
+
+        let mut chunks = Vec::new();
+        let streamed = market.write_snapshot(&mut |chunk| {
+            chunks.push(chunk.to_vec());
+            Ok(())
+        });
+        streamed.unwrap();
+        assert!(chunks.len() > 2, "{} chunk(s)", chunks.len());
+        assert!(chunks.iter().all(|c| c.len() < CHUNK_BYTES + 64));
+        let text = String::from_utf8(chunks.concat()).unwrap();
+        assert_eq!(text, market.snapshot().encode());
+        assert_eq!(MarketSnapshot::decode(&text).unwrap(), market.snapshot());
+
+        let mut calls = 0;
+        let failed = market.write_snapshot(&mut |_| {
+            calls += 1;
+            Err(io::Error::other("disk full"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(calls, 1, "no chunk is handed on after an error");
     }
 
     #[test]

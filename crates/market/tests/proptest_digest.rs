@@ -5,7 +5,8 @@
 //! recomputes the same value from a snapshot's own fields, re-digesting
 //! every log from scratch. The first property holds the two — and the
 //! fingerprint of a market restored from the encoded text — equal after
-//! every event of random interleavings. The second shows the digest is
+//! every event of random interleavings, and the text the engine streams
+//! from its own state equal to its snapshot's. The second shows the digest is
 //! as sensitive as the text format it replaced: every single-token
 //! perturbation of an encoded snapshot that still decodes changes it.
 
@@ -105,7 +106,13 @@ fn check_identities(market: &MarketEngine) -> Result<(), TestCaseError> {
         snapshot.fingerprint(),
         "engine vs its snapshot"
     );
-    let decoded = MarketSnapshot::decode(&snapshot.encode()).expect("own text decodes");
+    let text = snapshot.encode();
+    prop_assert_eq!(
+        &market.encode_snapshot(),
+        &text,
+        "engine's streamed text vs its snapshot's"
+    );
+    let decoded = MarketSnapshot::decode(&text).expect("own text decodes");
     prop_assert_eq!(incremental, decoded.fingerprint(), "snapshot vs decoded");
     let restored = MarketEngine::restore(&decoded).expect("own snapshot restores");
     prop_assert_eq!(

@@ -358,15 +358,6 @@ impl ServiceCore {
         response
     }
 
-    /// Whether applying one more event makes a checkpoint due (so the
-    /// transport can choose the thread that takes it).
-    pub(crate) fn checkpoint_due_next(&self) -> bool {
-        self.wal.as_ref().is_some_and(|wal| {
-            let every = wal.checkpoint_every();
-            every != 0 && (self.events_applied + 1).is_multiple_of(every)
-        })
-    }
-
     /// Takes a snapshot checkpoint when the configured cadence is due;
     /// a failed checkpoint is logged in metrics but never fatal — the
     /// WAL tail simply stays longer.
@@ -378,7 +369,10 @@ impl ServiceCore {
         if every == 0 || !self.events_applied.is_multiple_of(every) {
             return;
         }
-        match wal.checkpoint(&self.engine.snapshot().encode()) {
+        // Streamed from the engine's own state — nothing cloned, never the
+        // whole document in memory — so any thread holding the lock may
+        // take it.
+        match wal.checkpoint_with(&|out| self.engine.write_snapshot(out)) {
             Ok(()) => ServeMetrics::bump(&metrics.checkpoints),
             Err(_) => ServeMetrics::bump(&metrics.wal_errors),
         }
@@ -523,7 +517,7 @@ impl ServiceCore {
             },
             Request::Snapshot => ok_response(vec![(
                 "snapshot",
-                Value::str(self.engine.snapshot().encode()),
+                Value::str(self.engine.encode_snapshot()),
             )]),
             Request::Metrics { text } => {
                 let server = metrics.snapshot();
@@ -654,7 +648,7 @@ impl ServiceCore {
 
     /// Final snapshot text, for the shutdown drain.
     pub fn final_snapshot(&self) -> String {
-        self.engine.snapshot().encode()
+        self.engine.encode_snapshot()
     }
 }
 

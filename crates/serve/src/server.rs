@@ -33,8 +33,10 @@
 //! the WAL record, so replay stays bit-identical. The shard's own thread
 //! calls the same function under the same lock for what is *pushed* to
 //! it: fleet ops (which must be abandonable at the tick budget),
-//! journaled reallotments, probes, `shutdown`, the one event in
-//! `checkpoint_every` that makes a checkpoint due, and heartbeats. A
+//! journaled reallotments, probes, `shutdown`, and heartbeats. A WAL
+//! checkpoint is taken inline by whichever thread applies the event that
+//! makes it due: it streams from the engine's borrowed state, so it costs
+//! a connection thread no more memory than the shard thread. A
 //! panic under the lock is caught before it unwinds the guard: the
 //! request gets `internal`, the shard turns degraded, the lock is never
 //! poisoned, and the router core hears of it at once: the shard is Down
@@ -1282,8 +1284,6 @@ fn dispatch<'r>(
 
 /// Serves one agent-scoped request to completion on the calling
 /// (connection) thread: admission guard, shard lock, [`serve_request`].
-/// The event that makes a checkpoint due is handed to the shard thread
-/// instead (see [`serve_locked`]).
 fn dispatch_to_shard<'r>(
     shared: &'r Arc<Shared>,
     shard: usize,
@@ -1320,58 +1320,29 @@ fn dispatch_to_shard<'r>(
         .metrics
         .queue_depth
         .store(admitted.depth as u64, Ordering::Relaxed);
-    if let Some(reply) = serve_locked(shared, shard, &envelope.request, deadline, config, true) {
-        return reply;
-    }
-    // A checkpoint is due: the shard thread takes it (see `serve_locked`).
-    // The request stays admitted, so a drain waits for it too.
-    let wait = reply_wait(envelope.deadline_ms, config);
-    match push_internal(shared, envelope.request.clone(), deadline) {
-        Some(rx) => await_reply(&rx, wait),
-        // Closed since this request was admitted: the shard thread is
-        // waiting for it to land, so it is served here after all.
-        None => serve_locked(shared, shard, &envelope.request, deadline, config, false)
-            .expect("only a connection thread defers"),
-    }
+    serve_locked(shared, shard, &envelope.request, deadline, config)
 }
 
 /// [`serve_request`] under the shard lock. A reply lost to a panic (the
 /// shard is degraded by now) or to an injected drop is answered
 /// `internal`: that request is the one casualty.
-///
-/// `None` only with `on_connection`: the event would be the one whose
-/// append makes a checkpoint due, and it is left to the shard's own
-/// thread. A checkpoint clones and encodes the whole market — megabytes
-/// of short-lived allocation — and the allocator keeps an arena per
-/// thread: taken on whichever connection thread happens to apply event
-/// `k × checkpoint_every`, it would cost the process a snapshot's worth
-/// of resident memory per connection instead of one.
 fn serve_locked(
     shared: &Shared,
     shard: usize,
     request: &Request,
     deadline: Option<Instant>,
     config: &ServeConfig,
-    on_connection: bool,
-) -> Option<Value> {
-    let lost = || {
-        error_response(
-            "internal",
-            Some("request dropped by a failure under the shard lock"),
-            None,
-        )
-    };
-    let served = shared.locked(|cell| {
-        if on_connection
-            && request.bears_event()
-            && (cell.core.as_ref()).is_some_and(ServiceCore::checkpoint_due_next)
-        {
-            return None;
-        }
-        let reply = serve_request(cell, shard, request, deadline, shared, config);
-        Some(reply.unwrap_or_else(lost))
-    });
-    served.unwrap_or_else(|| Some(lost()))
+) -> Value {
+    shared
+        .locked(|cell| serve_request(cell, shard, request, deadline, shared, config))
+        .flatten()
+        .unwrap_or_else(|| {
+            error_response(
+                "internal",
+                Some("request dropped by a failure under the shard lock"),
+                None,
+            )
+        })
 }
 
 /// How long to await a shard thread's reply: the reply timeout, on top of
@@ -1412,23 +1383,14 @@ fn retry_hint(base_ms: u64, depth: usize, quotas: Quotas) -> u64 {
         .min(1000)
 }
 
-/// One shard's slot in a fan-out wave: a reply channel to await, or an
-/// answer already known without asking the shard.
-enum Fanned {
-    /// The request was pushed; await the shard thread's reply here.
-    Rx(Mutex<mpsc::Receiver<Value>>),
-    /// The shard was not asked (Down, or its bus closed); this is its
-    /// placeholder reply.
-    Ready(Value),
-}
-
 /// Fans one request to every shard's own thread (quota-exempt:
 /// fleet-wide control must not be bounced by one shard's backpressure;
 /// on the shard thread, not this one: a shard that overruns `wait` is
-/// abandoned, not waited out) and collects the replies within `wait` in
-/// parallel over `ref-pool`. A shard the core says not to ask ([`asks`])
-/// is answered with `shard_unavailable`, and a shard that is already shut
-/// down answers with a placeholder error instead of stalling the fan-out.
+/// abandoned, not waited out) and collects the replies here, each wave
+/// against one deadline, `wait` after the wave was asked. A shard the
+/// core says not to ask ([`asks`]) is answered with `shard_unavailable`,
+/// and a shard that is already shut down answers with a placeholder error
+/// instead of stalling the fan-out.
 fn fan(
     router: &Arc<Router>,
     request: &Request,
@@ -1443,35 +1405,27 @@ fn fan(
     // single-core host that alone costs ~20% of the audit throughput.
     // Waves keep at most the pool's width of epochs in flight, which is
     // also the most that can genuinely run in parallel.
-    let shards = router.shards.len();
-    let width = router.fan_width;
-    let mut replies = Vec::with_capacity(shards);
-    for wave_start in (0..shards).step_by(width) {
-        let wave: Vec<Fanned> = router.shards[wave_start..(wave_start + width).min(shards)]
-            .iter()
-            .enumerate()
-            .map(|(i, shared)| {
-                let shard = wave_start + i;
-                if !asks(shared.health(), request) {
-                    return Fanned::Ready(shard_unavailable_response(
+    let shards: Vec<(usize, &Arc<Shared>)> = router.shards.iter().enumerate().collect();
+    let mut replies = Vec::with_capacity(shards.len());
+    for wave in shards.chunks(router.fan_width) {
+        let cutoff = Instant::now() + wait;
+        let asked: Vec<Result<mpsc::Receiver<Value>, Value>> = (wave.iter())
+            .map(|&(shard, shared)| {
+                if asks(shared.health(), request) {
+                    push_item(shared, request.clone(), deadline)
+                        .ok_or_else(|| error_response("shutting_down", None, None))
+                } else {
+                    Err(shard_unavailable_response(
                         shard as u64,
                         config.retry_after_ms,
-                    ));
-                }
-                match push_item(shared, request.clone(), deadline) {
-                    Some(rx) => Fanned::Rx(Mutex::new(rx)),
-                    None => Fanned::Ready(error_response("shutting_down", None, None)),
+                    ))
                 }
             })
             .collect();
-        replies.extend(ref_pool::par_map_threads(
-            wave.len(),
-            width,
-            |i| match &wave[i] {
-                Fanned::Rx(rx) => await_reply(&rx.lock().expect("receiver lock poisoned"), wait),
-                Fanned::Ready(value) => value.clone(),
-            },
-        ));
+        replies.extend(asked.into_iter().map(|slot| match slot {
+            Ok(rx) => await_reply(&rx, cutoff.saturating_duration_since(Instant::now())),
+            Err(placeholder) => placeholder,
+        }));
     }
     replies
 }
@@ -1806,10 +1760,8 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
                 shutdown_replies.push(item.reply);
                 continue;
             }
-            let response = serve_locked(shared, shard, &item.request, item.deadline, config, false);
-            let _ = item
-                .reply
-                .send(response.expect("only a connection thread defers"));
+            let response = serve_locked(shared, shard, &item.request, item.deadline, config);
+            let _ = item.reply.send(response);
         }
 
         // Bus closure (a `shutdown`, [`Server::shutdown`] or Drop) is

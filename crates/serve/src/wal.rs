@@ -144,12 +144,20 @@ static CRC_TABLE: [u32; 256] = crc32_table();
 
 /// IEEE CRC32 of `bytes` (zlib-compatible).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    !crc32_update(!0, bytes)
+}
+
+/// Folds `bytes` into a running (pre-inversion) CRC32 register.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
+
+/// A checkpoint body: hands the snapshot text to its argument in chunks,
+/// the same bytes every time it is called.
+pub(crate) type Body<'a> = dyn Fn(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> + 'a;
 
 fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
     dir.join(format!("segment-{first_seq:016x}.wal"))
@@ -304,6 +312,16 @@ fn read_checkpoint_file(storage: &dyn Storage, path: &Path) -> io::Result<(u64, 
     Ok((seq, snapshot))
 }
 
+/// The newest of `checkpoints` that reads back whole and names its own
+/// sequence; damaged ones are skipped.
+fn newest_valid(storage: &dyn Storage, checkpoints: &SeqPaths) -> Option<(u64, MarketSnapshot)> {
+    checkpoints.iter().rev().find_map(|(seq, path)| {
+        read_checkpoint_file(storage, path)
+            .ok()
+            .filter(|(file_seq, _)| file_seq == seq)
+    })
+}
+
 /// The outcome of opening (and, if needed, repairing) a WAL directory.
 #[derive(Debug)]
 pub struct Recovery {
@@ -378,16 +396,7 @@ impl Wal {
         // Newest structurally-valid checkpoint wins; damaged ones are
         // skipped (a crash mid-rename can leave none — that is fine, the
         // segments still hold everything).
-        let mut checkpoint = None;
-        for (seq, path) in disk_checkpoints.iter().rev() {
-            match read_checkpoint_file(storage.as_ref(), path) {
-                Ok((file_seq, snapshot)) if file_seq == *seq => {
-                    checkpoint = Some((*seq, snapshot));
-                    break;
-                }
-                _ => continue,
-            }
-        }
+        let checkpoint = newest_valid(storage.as_ref(), &disk_checkpoints);
         let ckpt_seq = checkpoint.as_ref().map_or(0, |(seq, _)| *seq);
 
         // Replay starts in the newest segment that begins at or before
@@ -572,15 +581,9 @@ impl Wal {
     ///
     /// I/O failures writing the checkpoint or opening the fresh segment.
     pub fn reset_to_checkpoint(&mut self, seq: u64, snapshot_text: &str) -> io::Result<()> {
-        let body_crc = crc32(snapshot_text.as_bytes());
-        let content = format!("{CHECKPOINT_MAGIC}\nseq {seq}\ncrc {body_crc:08x}\n{snapshot_text}");
-        let path = checkpoint_path(&self.config.dir, seq);
-        let tmp = path.with_extension("tmp");
-        let content_len = content.len() as u64;
-        self.storage.write(&tmp, content.as_bytes())?;
-        self.storage.rename(&tmp, &path)?;
-
-        // The new checkpoint is durable; now drop the stale history.
+        self.checkpoint_bytes = self.write_checkpoint(seq, &|out| out(snapshot_text.as_bytes()))?;
+        // The new checkpoint is in place (and synced, with `fsync` on);
+        // now drop the stale history.
         let (segments, checkpoints) = list_dir(self.storage.as_ref(), &self.config.dir)?;
         for (ckpt_seq, old) in checkpoints {
             if ckpt_seq != seq {
@@ -598,7 +601,6 @@ impl Wal {
         self.next_seq = seq;
         self.poisoned = false;
         self.total_bytes = 0;
-        self.checkpoint_bytes = content_len;
         self.checkpoints_taken += 1;
         Ok(())
     }
@@ -708,27 +710,56 @@ impl Wal {
     /// Writes a checkpoint of `snapshot_text` (the engine state after
     /// all `next_seq` logged events), then prunes segments and
     /// checkpoints it covers (unless history is retained). Written via
-    /// temp file + rename, so a crash leaves the previous checkpoint.
+    /// temp file + rename, so a crash leaves the previous checkpoint;
+    /// with `fsync` on, the new one is durable before anything it covers
+    /// is deleted.
     ///
     /// # Errors
     ///
     /// I/O failures; the log itself is unaffected by a failed
     /// checkpoint (appends continue, recovery just replays more tail).
     pub fn checkpoint(&mut self, snapshot_text: &str) -> io::Result<()> {
+        self.checkpoint_with(&|out| out(snapshot_text.as_bytes()))
+    }
+
+    /// [`Wal::checkpoint`] with the snapshot text streamed by `body`,
+    /// which is called twice: once for the header's checksum, once into
+    /// the file. Errors `body` returns are returned.
+    pub(crate) fn checkpoint_with(&mut self, body: &Body<'_>) -> io::Result<()> {
         let seq = self.next_seq;
-        let body_crc = crc32(snapshot_text.as_bytes());
-        let content = format!("{CHECKPOINT_MAGIC}\nseq {seq}\ncrc {body_crc:08x}\n{snapshot_text}");
-        let path = checkpoint_path(&self.config.dir, seq);
-        let tmp = path.with_extension("tmp");
-        let content_len = content.len() as u64;
-        self.storage.write(&tmp, content.as_bytes())?;
-        self.storage.rename(&tmp, &path)?;
+        self.checkpoint_bytes = self.write_checkpoint(seq, body)?;
         self.checkpoints_taken += 1;
-        self.checkpoint_bytes = content_len;
         if !self.config.retain_history {
             self.prune(seq)?;
         }
         Ok(())
+    }
+
+    /// The one checkpoint-file writer: `magic`, `seq`, the CRC of the
+    /// body (from a first pass of `body`), then the body, into a temp
+    /// file that is synced (with `fsync` on) and renamed into place.
+    /// Returns the file's size.
+    fn write_checkpoint(&self, seq: u64, body: &Body<'_>) -> io::Result<u64> {
+        let (mut crc, mut len) = (!0, 0);
+        body(&mut |chunk| {
+            crc = crc32_update(crc, chunk);
+            len += chunk.len() as u64;
+            Ok(())
+        })?;
+        let header = format!("{CHECKPOINT_MAGIC}\nseq {seq}\ncrc {:08x}\n", !crc);
+        let path = checkpoint_path(&self.config.dir, seq);
+        let tmp = path.with_extension("tmp");
+        // Appends would land after whatever a crash left in the temp file.
+        let _ = self.storage.remove_file(&tmp);
+        let mut file = self.storage.open_append(&tmp, true)?;
+        file.write_all(header.as_bytes())?;
+        body(&mut |chunk| file.write_all(chunk))?;
+        if self.config.fsync {
+            file.sync_data()?;
+        }
+        drop(file);
+        self.storage.rename(&tmp, &path)?;
+        Ok(header.len() as u64 + len)
     }
 
     /// Deletes checkpoints older than `seq` and segments wholly below
@@ -926,14 +957,7 @@ pub fn newest_checkpoint_with(
         return Ok(None);
     }
     let (_, checkpoints) = list_dir(storage, dir)?;
-    for (seq, path) in checkpoints.iter().rev() {
-        if let Ok((file_seq, snapshot)) = read_checkpoint_file(storage, path) {
-            if file_seq == *seq {
-                return Ok(Some((*seq, snapshot.encode())));
-            }
-        }
-    }
-    Ok(None)
+    Ok(newest_valid(storage, &checkpoints).map(|(seq, snapshot)| (seq, snapshot.encode())))
 }
 
 /// Whether `dir` already holds WAL state (any non-empty segment or any
@@ -1182,6 +1206,137 @@ mod tests {
         let rec = Wal::open(WalConfig::new(dir.path()), FaultPlan::none()).unwrap();
         assert_eq!(rec.tail, all[..2].to_vec());
         assert!(rec.truncated_bytes > 0);
+    }
+
+    type OpLog = Arc<std::sync::Mutex<Vec<(&'static str, String)>>>;
+
+    /// The real filesystem, logging each mutating call as `(op, file name)`.
+    #[derive(Debug)]
+    struct Recording(OpLog);
+
+    #[derive(Debug)]
+    struct RecordingFile {
+        inner: Box<dyn StorageFile>,
+        name: String,
+        log: OpLog,
+    }
+
+    fn note(log: &OpLog, op: &'static str, path: &Path) {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        log.lock().unwrap().push((op, name));
+    }
+
+    impl StorageFile for RecordingFile {
+        fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
+            note(&self.log, "write", Path::new(&self.name));
+            self.inner.write_all(bytes)
+        }
+
+        fn sync_data(&mut self) -> io::Result<()> {
+            note(&self.log, "sync", Path::new(&self.name));
+            self.inner.sync_data()
+        }
+
+        fn set_len(&mut self, len: u64) -> io::Result<()> {
+            note(&self.log, "set_len", Path::new(&self.name));
+            self.inner.set_len(len)
+        }
+    }
+
+    impl Storage for Recording {
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            FsStorage.create_dir_all(dir)
+        }
+
+        fn list_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            FsStorage.list_dir(dir)
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            FsStorage.exists(path)
+        }
+
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            FsStorage.read(path)
+        }
+
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            note(&self.0, "write", path);
+            FsStorage.write(path, bytes)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            note(&self.0, "rename", from);
+            FsStorage.rename(from, to)
+        }
+
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            note(&self.0, "remove", path);
+            FsStorage.remove_file(path)
+        }
+
+        fn len(&self, path: &Path) -> io::Result<u64> {
+            FsStorage.len(path)
+        }
+
+        fn open_append(&self, path: &Path, create: bool) -> io::Result<Box<dyn StorageFile>> {
+            Ok(Box::new(RecordingFile {
+                inner: FsStorage.open_append(path, create)?,
+                name: path.file_name().unwrap().to_string_lossy().into_owned(),
+                log: Arc::clone(&self.0),
+            }))
+        }
+
+        fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+            note(&self.0, "truncate", path);
+            FsStorage.truncate(path, len)
+        }
+    }
+
+    #[test]
+    fn checkpoints_are_synced_before_the_rename_and_before_what_they_cover_is_deleted() {
+        let dir = TempDir::new("ckpt-order");
+        let log = OpLog::default();
+        let config = WalConfig::new(dir.path())
+            .with_segment_max_bytes(96)
+            .with_fsync(true);
+        let storage = Arc::new(Recording(Arc::clone(&log)));
+        let mut wal = Wal::open_with(storage, config, FaultPlan::none())
+            .unwrap()
+            .wal;
+        for e in &events(12) {
+            wal.append(e).unwrap();
+        }
+        let text = "refmarket-snapshot v3\nend\n";
+        for (seq, reset) in [(12, false), (40, true)] {
+            log.lock().unwrap().clear();
+            if reset {
+                wal.reset_to_checkpoint(seq, text).unwrap();
+            } else {
+                wal.checkpoint(text).unwrap();
+            }
+            // The temp file's writes and sync, its rename, then the
+            // deletion of the segments and checkpoints it covers.
+            let mut order: Vec<&str> = (log.lock().unwrap().iter())
+                .filter_map(|(op, file)| match (*op, file.ends_with(".tmp")) {
+                    ("write" | "sync" | "rename", true) | ("remove", false) => Some(*op),
+                    _ => None,
+                })
+                .collect();
+            order.dedup();
+            assert_eq!(
+                order,
+                ["write", "sync", "rename", "remove"],
+                "reset: {reset}"
+            );
+            let bytes = fs::read(checkpoint_path(dir.path(), seq)).unwrap();
+            let want = format!(
+                "{CHECKPOINT_MAGIC}\nseq {seq}\ncrc {:08x}\n{text}",
+                crc32(text.as_bytes())
+            );
+            assert_eq!(String::from_utf8(bytes).unwrap(), want);
+            assert_eq!(wal.checkpoint_bytes(), want.len() as u64);
+        }
     }
 
     #[test]

@@ -53,9 +53,9 @@ fn concurrent_inline_serving_keeps_one_replayable_order_per_shard() {
     const OPS: u64 = 500;
     for shards in [1usize, 4] {
         let dir = TempDir::new("order");
-        // Frequent checkpoints: each is taken by the shard thread, which
-        // the connection thread that would have triggered it hands its
-        // request to — mid-traffic, dozens of times per shard.
+        // Frequent checkpoints: each is streamed to disk under the shard
+        // lock by whichever thread applies the event that makes it due —
+        // mid-traffic, dozens of times per shard.
         let wal = WalConfig::new(dir.path())
             .with_checkpoint_every(64)
             .with_retain_history(true);

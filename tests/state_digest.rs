@@ -5,13 +5,20 @@
 //! exactly that disagreement into a `diverged` verdict. The digest's own
 //! properties are tested beside it in `ref-market`; this scenario runs
 //! in tier-1 so `cargo test -q` fails when the audit stops detecting.
+//! Beside it, golden pins hold the snapshot text and the fingerprint of
+//! one fixed market still.
 
 use std::time::Duration;
 
+use ref_fairness::core::mechanism::CreditInner;
 use ref_fairness::core::resource::Capacity;
-use ref_fairness::market::{MarketConfig, MarketSnapshot};
+use ref_fairness::core::utility::CobbDouglas;
+use ref_fairness::market::{
+    MarketConfig, MarketEngine, MarketEvent, MarketSnapshot, MechanismKind, ObservationSource,
+};
 use ref_fairness::serve::repl::parse_message;
 use ref_fairness::serve::repl_core::Ack;
+use ref_fairness::serve::wal::crc32;
 use ref_fairness::serve::{
     decode_frame, parse_request, FaultPlan, FrameDecode, JournalLimit, ReplApply, ReplConfig,
     ReplCore, Request, ServeMetrics, ServiceCore, Value,
@@ -103,6 +110,84 @@ fn replicate(faults: FaultPlan) -> Vec<(bool, Ack)> {
         assert_eq!(snapshot.fingerprint(), node.engine().state_fingerprint());
     }
     ticks
+}
+
+/// A credit market over the equal-slowdown GP (so the warm-start cache
+/// holds auxiliary variables) a few epochs in, with one agent of each
+/// observation source: the allocation cache is live and every ledger
+/// entry has a window.
+fn golden_market() -> MarketEngine {
+    let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap())
+        .with_mechanism(MechanismKind::Credit {
+            inner: CreditInner::EqualSlowdown,
+        })
+        .with_sim_instructions(8_000)
+        .with_warmup_epochs(2)
+        .with_temporal_window(4)
+        .with_seed(7);
+    let mut market = MarketEngine::new(config).unwrap();
+    let truth =
+        |a: f64| ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![a, 1.0 - a]).unwrap());
+    market.submit(MarketEvent::AgentJoined {
+        id: 1,
+        source: truth(0.6),
+    });
+    market.submit(MarketEvent::AgentJoined {
+        id: 2,
+        source: truth(0.25),
+    });
+    market.submit(MarketEvent::AgentJoined {
+        id: 3,
+        source: ObservationSource::Simulated {
+            benchmark: "histogram".to_string(),
+        },
+    });
+    market.submit(MarketEvent::AgentJoined {
+        id: 4,
+        source: ObservationSource::External,
+    });
+    for i in 0..6_u32 {
+        let (x, y) = (1.0 + f64::from(i % 4), 0.5 + f64::from(i % 3));
+        market.submit(MarketEvent::ObservationReported {
+            id: 4,
+            allocation: vec![x, y],
+            performance: x.powf(0.7) * y.powf(0.3),
+        });
+        market.submit(MarketEvent::EpochTick);
+    }
+    market.pump().unwrap();
+    market
+}
+
+/// `(crc32, length)` of the golden market's snapshot text, and its state
+/// fingerprint. Both were taken before the encoder and the digest became
+/// two sinks of one walker: a change here is a change of the persisted
+/// format or of the replication audit's digest.
+const GOLDEN_TEXT: (u32, usize) = (0x61c9_b514, 3068);
+const GOLDEN_FINGERPRINT: u64 = 0x01b5_ff84_3f7c_2a2c;
+
+#[test]
+fn snapshot_text_and_fingerprint_match_their_golden_pins() {
+    let market = golden_market();
+    let snapshot = market.snapshot();
+    assert!(snapshot.cache.is_some(), "no live allocation cache");
+    assert!(!snapshot.warm.is_empty(), "empty warm-start cache");
+    for id in 1..=4 {
+        let entry = snapshot.ledger.entry(id).unwrap();
+        assert!(!entry.window.is_empty(), "agent {id} has no ledger window");
+    }
+    let text = snapshot.encode();
+    assert!(
+        text.lines().any(|l| l.starts_with("warm-aux ")),
+        "no warm aux"
+    );
+    for source in ["source truth ", "source sim histogram", "source external"] {
+        assert!(text.contains(source), "no {source:?} agent");
+    }
+    assert_eq!((crc32(text.as_bytes()), text.len()), GOLDEN_TEXT);
+    assert_eq!(market.encode_snapshot(), text);
+    assert_eq!(market.state_fingerprint(), GOLDEN_FINGERPRINT);
+    assert_eq!(snapshot.fingerprint(), GOLDEN_FINGERPRINT);
 }
 
 #[test]
