@@ -97,10 +97,19 @@ fn epoch_loop_is_bit_identical_across_pool_widths() {
             "market diverged at {width} workers"
         );
     }
+    // Pool helpers persist: the widths above created at most the four that
+    // width 5 asks for, and an epoch's two fan-outs create none.
+    let helpers = ref_pool::helpers_spawned();
+    assert!(helpers <= 4, "{helpers} helpers for a widest fan-out of 5");
     ref_pool::set_threads(2);
     assert!(
         serial_churn == churning_market_reports(),
         "churning market diverged at 2 workers"
+    );
+    assert_eq!(
+        ref_pool::helpers_spawned(),
+        helpers,
+        "12 churning epochs at width 2 created threads"
     );
     ref_pool::set_threads(0); // restore the default resolution order
 }

@@ -2,7 +2,8 @@
 //!
 //! A dependency-free, std-only work-stealing thread pool for the
 //! embarrassingly parallel sweeps in the REF reproduction (profiling
-//! grids, per-benchmark fitting, per-agent market refits).
+//! grids, per-benchmark fitting, per-agent market refits, per-resource
+//! enforcement).
 //!
 //! Design constraints, in order:
 //!
@@ -10,22 +11,29 @@
 //!    the output is byte-identical to the serial `(0..len).map(f)` run no
 //!    matter how work was scheduled or stolen. [`par_map_reduce`] folds
 //!    the mapped values in index order for the same reason.
-//! 2. **No dependencies** — scoped `std::thread` workers, one
-//!    mutex-guarded deque per worker, steal-half-from-the-front when a
-//!    worker runs dry. The unit of work (one cycle-level simulation, one
-//!    utility fit) is milliseconds, so lock-free deques would buy
-//!    nothing.
-//! 3. **Panic safety** — a panicking task does not deadlock the pool:
-//!    remaining work is drained by the surviving workers, every thread is
-//!    joined, and the first panic (lowest worker id) is re-raised on the
-//!    caller.
-//! 4. **Nesting** — a `par_map` issued from inside a pool task runs
-//!    serially on that worker instead of spawning a second tree of
-//!    threads, so nested parallelism cannot oversubscribe the host.
+//! 2. **No dependencies** — `std::thread` workers, one mutex-guarded
+//!    deque per worker, steal-half-from-the-front when a worker runs dry.
+//!    The unit of work (one cycle-level simulation, one utility fit) is
+//!    microseconds to milliseconds, so lock-free deques would buy nothing.
+//! 3. **No thread per call** — the caller is worker 0. The other workers
+//!    are process-wide helper threads, created the first time a call asks
+//!    for more than exist, parked on a condition variable between calls
+//!    and woken by each call. A call waits only for the helpers that
+//!    joined it: one that wakes after the caller has drained the deques
+//!    finds nothing posted and parks again, and concurrent callers share
+//!    the helpers without deadlock (when all are busy, a caller steals its
+//!    whole job itself).
+//! 4. **Panic safety** — a panicking task does not deadlock the pool: the
+//!    call returns only after every worker has left it, the first panic
+//!    (lowest worker id) is re-raised on the caller, and the helper that
+//!    caught it parks for the next call.
+//! 5. **Nesting** — a `par_map` issued from inside a pool task runs
+//!    serially on that worker instead of fanning out again, so nested
+//!    parallelism cannot oversubscribe the host.
 //!
 //! Thread count resolution: an explicit [`set_threads`] override wins,
 //! then the `REF_THREADS` environment variable, then
-//! [`std::thread::available_parallelism`].
+//! [`std::thread::available_parallelism`] (read once per process).
 //!
 //! # Examples
 //!
@@ -45,11 +53,22 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// Process-wide thread-count override (0 = no override).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// The helper threads every call shares.
+static HELPERS: Helpers = Helpers {
+    board: Mutex::new(Board {
+        jobs: Vec::new(),
+        next_id: 0,
+        spawned: 0,
+    }),
+    posted: Condvar::new(),
+    left: Condvar::new(),
+};
 
 thread_local! {
     /// Whether the current thread is already executing pool work.
@@ -77,13 +96,24 @@ pub fn threads() -> usize {
             }
         }
     }
-    thread::available_parallelism().map_or(1, usize::from)
+    // `available_parallelism` reads the affinity mask and the cgroup
+    // quota files on every call (tens of microseconds), and an epoch asks
+    // twice.
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// Whether the calling thread is itself a pool worker (nested calls run
 /// serially).
 pub fn inside_pool() -> bool {
     IN_POOL.with(Cell::get)
+}
+
+/// Helper threads the pool has created in this process. Helpers are never
+/// torn down, so this is the widest fan-out asked for so far minus the
+/// caller, however many calls have run.
+pub fn helpers_spawned() -> usize {
+    HELPERS.board().spawned
 }
 
 /// Maps `f` over `0..len` in parallel on [`threads`] workers; results are
@@ -161,28 +191,19 @@ where
             Mutex::new((lo..hi).collect())
         })
         .collect();
-
     let base = SharedMut(items.as_mut_ptr());
-    let deques = &deques;
-    let f = &f;
-    let base = &base;
-
-    let mut panics: Vec<Box<dyn Any + Send>> = Vec::new();
-    thread::scope(|s| {
-        let handles: Vec<_> = (1..workers)
-            .map(|w| s.spawn(move || worker_loop(deques, w, base, f)))
-            .collect();
-        if let Err(payload) = worker_loop(deques, 0, base, f) {
-            panics.push(payload);
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(payload)) | Err(payload) => panics.push(payload),
-            }
+    let panics: Mutex<Vec<(usize, Box<dyn Any + Send>)>> = Mutex::new(Vec::new());
+    HELPERS.run(workers - 1, &|worker| {
+        if let Err(payload) = worker_loop(&deques, worker, &base, &f) {
+            lock(&panics).push((worker, payload));
         }
     });
-    if let Some(payload) = panics.into_iter().next() {
+    let first = panics
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .min_by_key(|&(worker, _)| worker);
+    if let Some((_, payload)) = first {
         resume_unwind(payload);
     }
 }
@@ -193,6 +214,163 @@ where
 struct SharedMut<T>(*mut T);
 
 unsafe impl<T: Send> Sync for SharedMut<T> {}
+
+/// Locks `mutex`, ignoring poison: no task code runs under the pool's
+/// own locks.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The process-wide helper threads and the jobs posted to them.
+struct Helpers {
+    board: Mutex<Board>,
+    /// Parked helpers wait here for a job to be posted.
+    posted: Condvar,
+    /// Callers wait here for the helpers inside their job to leave it.
+    left: Condvar,
+}
+
+/// What the helpers can see, under [`Helpers::board`].
+struct Board {
+    /// Jobs whose callers have not returned yet.
+    jobs: Vec<Job>,
+    next_id: u64,
+    /// Helper threads created so far; they never exit.
+    spawned: usize,
+}
+
+/// One call, as its helpers see it.
+struct Job {
+    id: u64,
+    work: WorkRef,
+    /// Helpers still welcome, and the worker id the next one takes (the
+    /// caller is 0); the caller sets it to 0 once its deques are drained.
+    wanted: usize,
+    /// Helpers inside `work` now.
+    active: usize,
+}
+
+/// `work(worker)` drains a call's deques as `worker`, catching the
+/// task's panics. The borrow's lifetime is erased: [`Helpers::run`] keeps
+/// the closure alive until no helper is inside it and none can join.
+#[derive(Clone, Copy)]
+struct WorkRef(*const (dyn Fn(usize) + Sync));
+
+// SAFETY: the closure is `Sync`, and it outlives every use (above).
+unsafe impl Send for WorkRef {}
+
+impl Helpers {
+    fn board(&self) -> MutexGuard<'_, Board> {
+        lock(&self.board)
+    }
+
+    /// Runs `work(0)` on the calling thread and offers `work(1..=wanted)`
+    /// to the helpers; returns once `work(0)` has returned and every
+    /// helper that joined has left. `work` must not unwind.
+    fn run(&'static self, wanted: usize, work: &(dyn Fn(usize) + Sync)) {
+        // SAFETY: `Withdraw` below outlives every helper's use of the
+        // pointer, and `work` outlives `Withdraw`.
+        let erased = unsafe {
+            std::mem::transmute::<
+                *const (dyn Fn(usize) + Sync + '_),
+                *const (dyn Fn(usize) + Sync + 'static),
+            >(work)
+        };
+        let id = {
+            let mut board = self.board();
+            while board.spawned < wanted && self.spawn(board.spawned + 1) {
+                board.spawned += 1;
+            }
+            let id = board.next_id;
+            board.next_id += 1;
+            board.jobs.push(Job {
+                id,
+                work: WorkRef(erased),
+                wanted,
+                active: 0,
+            });
+            id
+        };
+        let _withdraw = Withdraw { helpers: self, id };
+        for _ in 0..wanted {
+            self.posted.notify_one();
+        }
+        work(0);
+    }
+
+    /// Starts helper thread `index`; `false` if the host refused (the
+    /// callers then steal its share).
+    fn spawn(&'static self, index: usize) -> bool {
+        thread::Builder::new()
+            .name(format!("ref-pool-{index}"))
+            .spawn(move || self.helper_loop())
+            .is_ok()
+    }
+
+    /// A helper's life: join any job that still wants a helper, run it,
+    /// leave it; park while none does.
+    fn helper_loop(&self) {
+        IN_POOL.with(|flag| flag.set(true));
+        let mut board = self.board();
+        loop {
+            let Some(job) = board.jobs.iter_mut().find(|job| job.wanted > 0) else {
+                board = self
+                    .posted
+                    .wait(board)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            let (id, work, worker) = (job.id, job.work, job.wanted);
+            job.wanted -= 1;
+            job.active += 1;
+            drop(board);
+            // SAFETY: the job's caller is blocked in `Withdraw::drop` until
+            // `active` is back to 0, so the closure is alive.
+            let _ = catch_unwind(AssertUnwindSafe(|| unsafe { (*work.0)(worker) }));
+            board = self.board();
+            let job = board
+                .jobs
+                .iter_mut()
+                .find(|job| job.id == id)
+                .expect("a job stays posted while a helper is inside it");
+            job.active -= 1;
+            if job.active == 0 {
+                self.left.notify_all();
+            }
+        }
+    }
+}
+
+/// Closes a posted job to further helpers and waits for the ones inside
+/// it to leave, on return or unwind alike.
+struct Withdraw {
+    helpers: &'static Helpers,
+    id: u64,
+}
+
+impl Drop for Withdraw {
+    fn drop(&mut self) {
+        let mut board = self.helpers.board();
+        loop {
+            let index = board
+                .jobs
+                .iter()
+                .position(|job| job.id == self.id)
+                .expect("only its caller withdraws a job");
+            let job = &mut board.jobs[index];
+            job.wanted = 0;
+            if job.active == 0 {
+                board.jobs.swap_remove(index);
+                return;
+            }
+            board = self
+                .helpers
+                .left
+                .wait(board)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
 
 /// Restores the thread's previous in-pool flag even if a task panics.
 struct PoolGuard(bool);
@@ -212,7 +390,7 @@ impl Drop for PoolGuard {
 
 /// Pops local work from the back, steals from victims' fronts when dry,
 /// and applies `f` until no work remains anywhere. The closure's panics
-/// are caught and returned so the caller can join every worker first.
+/// are caught and returned so the caller can wait for every worker first.
 fn worker_loop<T, F>(
     deques: &[Mutex<VecDeque<usize>>],
     worker: usize,

@@ -426,10 +426,6 @@ pub(crate) struct Router {
     /// bus is FIFO, so each is answered before the next tick the fan
     /// pushes to its shard: the fan collects them without waiting.
     deliveries: Mutex<Vec<(usize, mpsc::Receiver<Value>)>>,
-    /// How many shards a fan asks at once (see [`fan`]): the worker
-    /// pool's width, read once — the host's parallelism costs syscalls to
-    /// look up, and every tick fans.
-    fan_width: usize,
 }
 
 impl Router {
@@ -726,7 +722,6 @@ impl Server {
             stop: AtomicBool::new(false),
             open_connections: AtomicUsize::new(0),
             started: Instant::now(),
-            fan_width: ref_pool::threads().clamp(1, n),
             core: node,
             deliveries: Mutex::new(Vec::new()),
             shards,
@@ -1407,7 +1402,7 @@ fn fan(
     // also the most that can genuinely run in parallel.
     let shards: Vec<(usize, &Arc<Shared>)> = router.shards.iter().enumerate().collect();
     let mut replies = Vec::with_capacity(shards.len());
-    for wave in shards.chunks(router.fan_width) {
+    for wave in shards.chunks(ref_pool::threads().clamp(1, shards.len())) {
         let cutoff = Instant::now() + wait;
         let asked: Vec<Result<mpsc::Receiver<Value>, Value>> = (wave.iter())
             .map(|&(shard, shared)| {
