@@ -2,9 +2,10 @@
 //! squares) and the geometric-programming mechanisms (Cholesky-based Newton
 //! steps, full GP solves), plus the fast-path comparisons — incremental
 //! row-append vs from-scratch refactorization, and warm- vs cold-started
-//! GP solves over the scripted credit-market drift
-//! ([`ref_bench::gp_drift`]) and, as the GP half of the epoch-scaling
-//! curve, at 12 to 384 agents under both credit mechanisms. The fast-path
+//! GP solves of the weighted-Nash program over the scripted credit-market
+//! drift ([`ref_bench::gp_drift`]) and, as the GP half of the
+//! epoch-scaling curve, at 12 to 384 agents for that program and for
+//! `credit-equal-slowdown`. The fast-path
 //! groups assert agreement before timing (1e-10 coefficients; 1e-6
 //! allocations against the closed form, warm Newton iterations no more
 //! than cold on any epoch, no hint abandoned; every point of the curve
@@ -214,14 +215,14 @@ fn bench_warm_vs_cold_gp(c: &mut Criterion) {
             let point = gp_drift::ScalingPoint::new(inner, agents);
             let (cold, warm) = point.check().unwrap_or_else(|gate| panic!("{gate}"));
             println!(
-                "credit-{} x {agents}: Newton iterations cold {}, warm {} ({:?})",
-                inner.label(),
+                "{} x {agents}: Newton iterations cold {}, warm {} ({:?})",
+                point.label(),
                 cold.newton_iterations,
                 warm.newton_iterations,
                 warm.warm
             );
             for (label, from_hint) in [("cold", false), ("warm", true)] {
-                group.bench_function(format!("credit-{}/{agents}/{label}", inner.label()), |b| {
+                group.bench_function(format!("{}/{agents}/{label}", point.label()), |b| {
                     b.iter(|| point.solve(std::hint::black_box(from_hint)))
                 });
             }

@@ -1,9 +1,14 @@
-//! The GP traffic a credit market produces, as a fixed script: 48 agents on
-//! two resources whose credit weights drift a little every epoch, one of
-//! whom changes its demand every fourth epoch, and whose weights all move
-//! by 10% once. Each epoch is solved cold and — chained on the previous
-//! epoch's optimum, as the market's warm-start cache would — warm, and
-//! both answers are checked against the weighted-Nash closed form.
+//! The weighted-Nash geometric program under a credit market's traffic, as
+//! a fixed script: 48 agents on two resources whose credit weights drift a
+//! little every epoch, one of whom changes its demand every fourth epoch,
+//! and whose weights all move by 10% once. Each epoch's program
+//! ([`NashProgram`] over the credit-tilted agents, the program
+//! `max-welfare-fair` extends) is solved cold and — chained on the
+//! previous epoch's optimum, as the market's warm-start cache does for the
+//! GP mechanisms — warm, and both answers are checked against the
+//! weighted-Nash closed form. (`credit-max-welfare` allocates that closed
+//! form directly; the program is kept as the solver's oracle-checked
+//! workload.)
 //!
 //! The `solver` Criterion bench and the tests below share this one
 //! definition. What they gate on are counts (Newton iterations, abandoned
@@ -11,12 +16,13 @@
 //!
 //! The same script at other market sizes ([`ScalingPoint`]) is the GP half
 //! of the epoch-scaling curve: its first epoch solved cold, its second
-//! cold and from the first's optimum, under either credit mechanism.
+//! cold and from the first's optimum, for the weighted-Nash program or the
+//! `credit-equal-slowdown` mechanism.
 
 use std::time::Instant;
 
 use ref_core::mechanism::{
-    CreditInner, CreditMechanism, GpWarmStart, Mechanism, SolveStats, WarmOutcome,
+    CreditInner, CreditMechanism, GpWarmStart, Mechanism, NashProgram, SolveStats, WarmOutcome,
 };
 use ref_core::resource::{Allocation, Capacity};
 use ref_core::utility::CobbDouglas;
@@ -115,8 +121,8 @@ fn script_for(agents: usize, count: usize) -> Vec<DriftEpoch> {
 }
 
 /// The weighted-Nash optimum in closed form,
-/// `x_ir = C_r w_i a_ir / sum_j w_j a_jr`: the independent oracle for
-/// `credit-max-welfare`.
+/// `x_ir = C_r w_i a_ir / sum_j w_j a_jr`: the independent oracle for the
+/// weighted-Nash program, computed here without `ref-core`'s kernel.
 pub fn closed_form(epoch: &DriftEpoch, capacity: &Capacity) -> Vec<Vec<f64>> {
     let resources = capacity.num_resources();
     let demand = |i: usize, r: usize| epoch.weights[i] * epoch.agents[i].elasticity(r);
@@ -130,6 +136,29 @@ pub fn closed_form(epoch: &DriftEpoch, capacity: &Capacity) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
+}
+
+/// Solves the geometric program behind `inner` at `weights`, from `hint`
+/// when given: for [`CreditInner::MaxWelfare`], whose mechanism allocates
+/// the closed form, the weighted-Nash [`NashProgram`] over the tilted
+/// agents; for [`CreditInner::EqualSlowdown`], the mechanism's own solve.
+fn solve_gp(
+    inner: CreditInner,
+    epoch: &DriftEpoch,
+    capacity: &Capacity,
+    hint: Option<&GpWarmStart>,
+) -> (Allocation, GpWarmStart) {
+    let mechanism = CreditMechanism::new(inner, epoch.weights.clone()).expect("positive weights");
+    let solved = match inner {
+        CreditInner::MaxWelfare => mechanism
+            .tilted(&epoch.agents)
+            .and_then(|tilted| NashProgram::new(&tilted, capacity))
+            .and_then(|program| program.solve_warm(hint))
+            .map(|(alloc, hint)| (alloc, Some(hint))),
+        CreditInner::EqualSlowdown => mechanism.allocate_warm(&epoch.agents, capacity, hint),
+    };
+    let (alloc, next) = solved.expect("the scripted programs are feasible");
+    (alloc, next.expect("a GP solve returns a hint"))
 }
 
 /// Largest relative gap between an allocation and the closed form.
@@ -196,20 +225,16 @@ impl DriftRun {
     }
 }
 
-/// Solves every epoch of the script: cold when `chained` is false,
-/// otherwise each seeded with the previous epoch's hint (the first epoch
-/// has none). Returns each epoch's allocation and the hint it left.
+/// Solves every epoch's weighted-Nash program: cold when `chained` is
+/// false, otherwise each seeded with the previous epoch's hint (the first
+/// epoch has none). Returns each epoch's allocation and the hint it left.
 pub fn solve_all(chained: bool) -> Vec<(Allocation, GpWarmStart)> {
     let capacity = capacity();
     let mut solved: Vec<(Allocation, GpWarmStart)> = Vec::with_capacity(EPOCHS);
     for epoch in script() {
-        let mechanism =
-            CreditMechanism::new(CreditInner::MaxWelfare, epoch.weights).expect("positive weights");
         let hint = solved.last().filter(|_| chained).map(|(_, hint)| hint);
-        let (alloc, next) = mechanism
-            .allocate_warm(&epoch.agents, &capacity, hint)
-            .expect("the scripted programs are feasible");
-        solved.push((alloc, next.expect("a GP mechanism returns a hint")));
+        let next = solve_gp(CreditInner::MaxWelfare, &epoch, &capacity, hint);
+        solved.push(next);
     }
     solved
 }
@@ -252,7 +277,8 @@ pub fn run() -> DriftRun {
 }
 
 /// One point of the epoch-scaling curve: the script's first two epochs at
-/// a market size under one credit mechanism. The first epoch is solved
+/// a market size, for one credit GP (see [`solve_gp`]). The first epoch is
+/// solved
 /// cold on construction; what is measured is the second, cold and warm
 /// from the first's optimum — the step a credit market takes every tick.
 #[derive(Debug)]
@@ -264,7 +290,7 @@ pub struct ScalingPoint {
 }
 
 impl ScalingPoint {
-    /// The point at `agents` agents under `inner`.
+    /// The point at `agents` agents for the GP behind `inner`.
     pub fn new(inner: CreditInner, agents: usize) -> ScalingPoint {
         let [first, epoch]: [DriftEpoch; 2] = script_for(agents, 2)
             .try_into()
@@ -280,27 +306,28 @@ impl ScalingPoint {
         point
     }
 
-    fn mechanism(&self) -> CreditMechanism {
-        CreditMechanism::new(self.inner, self.epoch.weights.clone()).expect("positive weights")
+    /// What is solved: `weighted-nash-gp` or `credit-equal-slowdown`.
+    pub fn label(&self) -> &'static str {
+        match self.inner {
+            CreditInner::MaxWelfare => "weighted-nash-gp",
+            CreditInner::EqualSlowdown => "credit-equal-slowdown",
+        }
     }
 
     /// Solves the measured epoch: from the previous epoch's optimum when
     /// `warm`, otherwise cold.
     pub fn solve(&self, warm: bool) -> (Allocation, GpWarmStart) {
-        let (alloc, hint) = self
-            .mechanism()
-            .allocate_warm(
-                &self.epoch.agents,
-                &self.capacity,
-                warm.then_some(&self.hint),
-            )
-            .expect("the scripted programs are feasible");
-        (alloc, hint.expect("a GP mechanism returns a hint"))
+        solve_gp(
+            self.inner,
+            &self.epoch,
+            &self.capacity,
+            warm.then_some(&self.hint),
+        )
     }
 
     /// The agreement gate: both solves of the measured epoch against an
     /// oracle that shares nothing with the solver — the closed form to
-    /// 1e-6 for `credit-max-welfare`; for `credit-equal-slowdown` the
+    /// 1e-6 for the weighted-Nash program; for `credit-equal-slowdown` the
     /// lowest weighted level `U_i^{w_i}` (the weighted utility of the
     /// tilted agent) within 1e-5 of the max-min bound
     /// ([`egalitarian_gap`]) and every capacity exhausted within 1e-3.
@@ -320,10 +347,9 @@ impl ScalingPoint {
                     (divergence(alloc, &oracle), 1e-6)
                 }
                 CreditInner::EqualSlowdown => {
-                    let tilted = self
-                        .mechanism()
-                        .tilted(&self.epoch.agents)
-                        .expect("one weight per agent");
+                    let tilted = CreditMechanism::new(self.inner, self.epoch.weights.clone())
+                        .and_then(|m| m.tilted(&self.epoch.agents))
+                        .expect("one positive weight per agent");
                     let level = *hint.x.last().expect("the level variable is last");
                     (egalitarian_gap(&tilted, alloc, &self.capacity, level), 1e-5)
                 }
@@ -332,7 +358,7 @@ impl ScalingPoint {
                 return Err(format!(
                     "{label} {} solve at {} agents is {gap:.2e} from its oracle \
                      or leaves capacity unused",
-                    self.inner.label(),
+                    self.label(),
                     self.epoch.agents.len()
                 ));
             }
@@ -399,7 +425,7 @@ mod tests {
             for agents in [SCALING_AGENTS[0], SCALING_AGENTS[3]] {
                 let point = ScalingPoint::new(inner, agents);
                 let (cold, warm) = point.check().unwrap_or_else(|gate| panic!("{gate}"));
-                println!("{} x {agents}: cold {cold:?}, warm {warm:?}", inner.label());
+                println!("{} x {agents}: cold {cold:?}, warm {warm:?}", point.label());
                 assert_eq!(cold.phase_one_iterations, 0);
                 if inner == CreditInner::MaxWelfare {
                     assert_eq!(warm.warm, WarmOutcome::Used);

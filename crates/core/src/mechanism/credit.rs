@@ -13,24 +13,25 @@
 //!
 //! The tilt is implemented by exponent scaling: a Cobb-Douglas utility
 //! raised to the power `w` is again Cobb-Douglas
-//! (`(a0 * prod x^a)^w = a0^w * prod x^{w a}`), so the weighted problem
-//! stays a geometric program and the inner solvers run unchanged:
+//! (`(a0 * prod x^a)^w = a0^w * prod x^{w a}`), so the inner mechanism runs
+//! unchanged on the tilted agents:
 //!
 //! - [`MaxWelfare`] (without fairness constraints): the objective
-//!   `prod_i u_i^{w_i}` is exactly weighted Nash social welfare.
+//!   `prod_i u_i^{w_i}` is exactly weighted Nash social welfare, whose
+//!   optimum is the closed form `x_ir = C_r w_i a_ir / sum_j w_j a_jr` —
+//!   one `O(N R)` pass, no solve and no warm-start hint.
 //! - [`EqualSlowdown`]: the solver equalizes the normalized levels
 //!   `U_i^{w_i}`; since `U_i <= 1` at any feasible point, a larger
 //!   weight shrinks `U^w`, and the max-min step compensates by granting
-//!   the agent more — the same monotone tilt.
+//!   the agent more — the same monotone tilt. This one stays a geometric
+//!   program, and because the tilted problem has the same variables as the
+//!   untilted one (one block per agent plus the level), warm hints pass
+//!   straight through: the market's `WarmStartCache` keeps seeding solves
+//!   across epochs as credit balances drift.
 //!
 //! Uniform weights (`w_i = 1` for all `i`) leave the problem — and for a
 //! warm-started solve, the exact iterate sequence — identical to the
 //! untilted inner mechanism.
-//!
-//! Because the tilted problem has the same variables as the untilted one
-//! (one block per agent plus the inner mechanism's auxiliaries), warm
-//! hints pass straight through: the market's `WarmStartCache` keeps
-//! seeding solves across epochs as credit balances drift.
 
 use ref_solver::gp::GpWarmStart;
 
@@ -180,9 +181,9 @@ impl Mechanism for CreditMechanism {
     ) -> Result<(Allocation, Option<GpWarmStart>)> {
         validate_inputs(agents, capacity)?;
         let tilted = self.tilted(agents)?;
-        // The tilted problem has the same variable layout as the inner
-        // one (agent blocks plus the inner auxiliaries), so the warm
-        // hint threads through unchanged.
+        // The tilted max-min program has the same variable layout as the
+        // untilted one (agent blocks plus the level), so the warm hint
+        // threads through unchanged.
         match self.inner {
             CreditInner::MaxWelfare => {
                 MaxWelfare::without_fairness().allocate_warm(&tilted, capacity, warm)
@@ -197,7 +198,7 @@ impl Mechanism for CreditMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::WarmOutcome;
+    use crate::mechanism::{NashProgram, WarmOutcome};
     use crate::utility::Utility;
 
     fn paper_agents() -> Vec<CobbDouglas> {
@@ -282,19 +283,31 @@ mod tests {
 
     #[test]
     fn warm_started_allocation_agrees_with_cold() {
+        // The max-min mechanism warm-starts itself; weighted Nash is
+        // closed-form, so its program is solved directly.
         let agents = paper_agents();
         let c = paper_capacity();
-        for inner in [CreditInner::MaxWelfare, CreditInner::EqualSlowdown] {
-            let m = CreditMechanism::new(inner, vec![1.2, 0.9]).unwrap();
-            let (cold, hint) = m.allocate_warm(&agents, &c, None).unwrap();
-            let hint = hint.expect("credit mechanisms are optimization-backed");
-            let (rewarmed, next) = m.allocate_warm(&agents, &c, Some(&hint)).unwrap();
-            assert!(next.is_some());
+        let weights = vec![1.2, 0.9];
+        let tilted = CreditMechanism::new(CreditInner::MaxWelfare, weights.clone())
+            .and_then(|m| m.tilted(&agents))
+            .unwrap();
+        let nash = NashProgram::new(&tilted, &c).unwrap();
+        let (cold, hint) = nash.solve_warm(None).unwrap();
+        let (rewarmed, next) = nash.solve_warm(Some(&hint)).unwrap();
+        assert_eq!(next.stats.warm, WarmOutcome::Used);
+        let mut pairs = vec![("weighted nash program", cold, rewarmed)];
+        let slowdown = CreditMechanism::new(CreditInner::EqualSlowdown, weights).unwrap();
+        let (cold, hint) = slowdown.allocate_warm(&agents, &c, None).unwrap();
+        let hint = hint.expect("the max-min mechanism solves a GP");
+        let (rewarmed, next) = slowdown.allocate_warm(&agents, &c, Some(&hint)).unwrap();
+        assert_eq!(next.unwrap().stats.warm, WarmOutcome::Used);
+        pairs.push(("credit-equal-slowdown", cold, rewarmed));
+        for (label, cold, rewarmed) in pairs {
             for i in 0..2 {
                 for r in 0..2 {
                     assert!(
                         (rewarmed.bundle(i).get(r) - cold.bundle(i).get(r)).abs() < 1e-3,
-                        "{inner:?} agent {i} resource {r}"
+                        "{label} agent {i} resource {r}"
                     );
                 }
             }
@@ -303,7 +316,8 @@ mod tests {
 
     #[test]
     fn cold_solve_starts_interior_and_a_drifted_resolve_re_enters_the_path() {
-        // The market's credit epoch: 48 agents on 16 elasticity levels.
+        // The market's credit epoch: 48 agents on 16 elasticity levels,
+        // their weighted-Nash program solved from the shared builder.
         let agents: Vec<CobbDouglas> = (0..48)
             .map(|i| {
                 let a = 0.1 + 0.8 * (f64::from(i % 16) + 0.5) / 16.0;
@@ -311,22 +325,24 @@ mod tests {
             })
             .collect();
         let c = Capacity::new(vec![96.0, 48.0]).unwrap();
-        let weights = |tilt: f64| -> Vec<f64> {
-            (0..48).map(|i| 1.0 + tilt * f64::from(i % 5 - 2)).collect()
+        let program = |tilt: f64| {
+            let weights = (0..48).map(|i| 1.0 + tilt * f64::from(i % 5 - 2)).collect();
+            let tilted = CreditMechanism::new(CreditInner::MaxWelfare, weights)
+                .and_then(|m| m.tilted(&agents))
+                .unwrap();
+            NashProgram::new(&tilted, &c).unwrap()
         };
-        let before = CreditMechanism::new(CreditInner::MaxWelfare, weights(0.050)).unwrap();
-        let (_, hint) = before.allocate_warm(&agents, &c, None).unwrap();
-        let hint = hint.unwrap();
+        let (_, hint) = program(0.050).solve_warm(None).unwrap();
         // The start is strictly inside the capacity constraints: no phase
         // I, and the whole path in at most 45 Newton iterations.
         assert_eq!(hint.stats.warm, WarmOutcome::Cold);
         assert_eq!(hint.stats.phase_one_iterations, 0);
         assert!(hint.stats.newton_iterations <= 45, "{:?}", hint.stats);
 
-        let after = CreditMechanism::new(CreditInner::MaxWelfare, weights(0.051)).unwrap();
-        let (cold, cold_hint) = after.allocate_warm(&agents, &c, None).unwrap();
-        let (warm, warm_hint) = after.allocate_warm(&agents, &c, Some(&hint)).unwrap();
-        let (cold_stats, warm_stats) = (cold_hint.unwrap().stats, warm_hint.unwrap().stats);
+        let after = program(0.051);
+        let (cold, cold_hint) = after.solve_warm(None).unwrap();
+        let (warm, warm_hint) = after.solve_warm(Some(&hint)).unwrap();
+        let (cold_stats, warm_stats) = (cold_hint.stats, warm_hint.stats);
         assert_eq!(warm_stats.warm, WarmOutcome::Used);
         assert!(
             2 * warm_stats.newton_iterations <= cold_stats.newton_iterations,
@@ -342,6 +358,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn credit_max_welfare_is_the_weighted_closed_form_and_returns_no_hint() {
+        let agents = paper_agents();
+        let c = paper_capacity();
+        let weights = [1.3, 0.7];
+        let m = CreditMechanism::new(CreditInner::MaxWelfare, weights.to_vec()).unwrap();
+        let (alloc, hint) = m.allocate_warm(&agents, &c, None).unwrap();
+        assert!(hint.is_none());
+        for r in 0..2 {
+            let demand = |i: usize| weights[i] * agents[i].elasticity(r);
+            let total = demand(0) + demand(1);
+            for i in 0..2 {
+                let want = c.get(r) * demand(i) / total;
+                assert!((alloc.bundle(i).get(r) / want - 1.0).abs() < 1e-15);
+            }
+        }
+        assert!(alloc.is_exhaustive(&c, 1e-15));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use ref_solver::gp::{GeometricProgram, GpWarmStart, Monomial, Posynomial};
 
 use crate::error::{CoreError, Result};
-use crate::mechanism::{validate_inputs, Mechanism};
+use crate::mechanism::{proportional_split, validate_inputs, Mechanism};
 use crate::resource::{Allocation, Bundle, Capacity};
 use crate::utility::CobbDouglas;
 
@@ -24,13 +24,21 @@ const FAIRNESS_SLACK: f64 = 1e-4;
 /// Maximizes Nash social welfare `prod_i U_i(x_i)`, optionally subject to
 /// the game-theoretic fairness conditions of Eq. 11.
 ///
-/// Cobb-Douglas utilities are monomials, so the product objective and every
-/// constraint (capacity, sharing incentives, envy-freeness, the Pareto
-/// tangency conditions) are posynomials or monomials: the whole problem is
-/// a geometric program, tractable exactly as the paper's footnote 2
-/// observes. The unconstrained variant is the evaluation's empirical upper
-/// bound on throughput ("Max Welfare w/o Fairness"); the constrained
-/// variant is "Max Welfare w/ Fairness".
+/// Subject to capacity alone ("Max Welfare w/o Fairness", the evaluation's
+/// empirical upper bound on throughput) the objective separates per
+/// resource: `sum_i a_ir ln x_ir` under `sum_i x_ir <= C_r` is maximized at
+/// `x_ir = C_r a_ir / sum_j a_jr`, the proportional split REF makes of its
+/// re-scaled elasticities. That closed form is the allocation: no solve,
+/// `O(N R)`, and no warm-start hint. Raising each utility to a credit
+/// weight `w_i` makes the demands `w_i a_ir`, so the credit tilt of this
+/// mechanism is closed-form too.
+///
+/// Under the fairness constraints ("Max Welfare w/ Fairness") it is a
+/// geometric program, tractable exactly as the paper's footnote 2
+/// observes: Cobb-Douglas utilities are monomials, so the product objective
+/// and every constraint (capacity, sharing incentives, envy-freeness, the
+/// Pareto tangency conditions) are posynomials or monomials. See
+/// [`NashProgram`].
 ///
 /// Normalizing each `U_i = u_i / u_i(C)` rescales the objective by a
 /// constant, so the optimizer works with the raw fitted utilities directly.
@@ -75,6 +83,99 @@ impl MaxWelfare {
     /// Whether fairness constraints are enforced.
     pub fn fairness(&self) -> bool {
         self.fairness
+    }
+}
+
+/// Nash social welfare subject to capacity as a geometric program over the
+/// bundle variables `x_ir`: minimize the monomial `prod_i u_i(x_i)^{-1}`
+/// subject to `sum_i x_ir / C_r <= 1`, started from half the equal
+/// division.
+///
+/// [`MaxWelfare::with_fairness`] solves this program extended by the Eq. 11
+/// constraints. Unextended, no mechanism solves it —
+/// [`MaxWelfare::without_fairness`] allocates its optimum in closed form —
+/// but it is the solver's fixture: the barrier method's whole central path
+/// on it is known in closed form too, so it tests the interior-point
+/// method the constrained mechanisms run on against an oracle that shares
+/// nothing with it. Pass credit-tilted agents
+/// ([`CreditMechanism::tilted`](crate::mechanism::CreditMechanism::tilted))
+/// for weighted Nash welfare.
+#[derive(Debug, Clone)]
+pub struct NashProgram {
+    gp: GeometricProgram,
+    x0: Vec<f64>,
+    capacity: Capacity,
+}
+
+impl NashProgram {
+    /// The program for `agents` sharing `capacity`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidArgument`] for an empty agent list or a
+    /// dimension mismatch.
+    pub fn new(agents: &[CobbDouglas], capacity: &Capacity) -> Result<NashProgram> {
+        validate_inputs(agents, capacity)?;
+        let n = agents.len();
+        let r_count = capacity.num_resources();
+        let num_vars = n * r_count;
+        let mut coeff = 1.0;
+        let mut exp = Vec::with_capacity(num_vars);
+        for (i, agent) in agents.iter().enumerate() {
+            coeff /= agent.scale();
+            for r in 0..r_count {
+                exp.push((idx(i, r, r_count), -agent.elasticity(r)));
+            }
+        }
+        let objective = Monomial::sparse(coeff, num_vars, &exp).map_err(CoreError::from)?;
+        let mut gp = GeometricProgram::minimize(num_vars, objective.into())?;
+        for c in capacity_constraints(n, capacity, num_vars)? {
+            gp.add_constraint(c)?;
+        }
+        let mut x0 = vec![0.0; num_vars];
+        interior_start(agents, capacity, false, &mut x0)?;
+        Ok(NashProgram {
+            gp,
+            x0,
+            capacity: capacity.clone(),
+        })
+    }
+
+    /// Adds the SI, EF and PE constraints of Eq. 11 and moves the start to
+    /// the (slightly shrunk) REF allocation, which is strictly inside them.
+    fn with_fairness(mut self, agents: &[CobbDouglas]) -> Result<NashProgram> {
+        let r_count = self.capacity.num_resources();
+        let num_vars = self.x0.len();
+        for m in envy_free_constraints(agents, r_count, num_vars)? {
+            self.gp.add_constraint(m.into())?;
+        }
+        for m in sharing_incentive_constraints(agents, &self.capacity, num_vars)? {
+            self.gp.add_constraint(m.into())?;
+        }
+        for m in pareto_constraints(agents, r_count, num_vars)? {
+            self.gp.add_monomial_equality_with_tolerance(m, PE_BAND)?;
+        }
+        interior_start(agents, &self.capacity, true, &mut self.x0)?;
+        Ok(self)
+    }
+
+    /// Solves the program, seeded from `warm` when it is usable (see
+    /// [`Mechanism::allocate_warm`]), and returns the allocation with the
+    /// hint for the next solve.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver errors.
+    pub fn solve_warm(&self, warm: Option<&GpWarmStart>) -> Result<(Allocation, GpWarmStart)> {
+        let sol = self.gp.solve_warm(&self.x0, warm)?;
+        let r_count = self.capacity.num_resources();
+        let bundles: Result<Vec<Bundle>> = sol
+            .x
+            .chunks(r_count)
+            .map(|x| Bundle::new(x.to_vec()))
+            .collect();
+        let alloc = Allocation::new(bundles?, &self.capacity)?;
+        Ok((alloc, GpWarmStart::from_solution(&sol)))
     }
 }
 
@@ -250,44 +351,14 @@ impl Mechanism for MaxWelfare {
         capacity: &Capacity,
         warm: Option<&GpWarmStart>,
     ) -> Result<(Allocation, Option<GpWarmStart>)> {
-        validate_inputs(agents, capacity)?;
-        let n = agents.len();
-        let r_count = capacity.num_resources();
-        let num_vars = n * r_count;
-
-        // Objective: minimize prod_i u_i(x_i)^{-1}, a monomial.
-        let mut coeff = 1.0;
-        let mut exp = Vec::with_capacity(num_vars);
-        for (i, agent) in agents.iter().enumerate() {
-            coeff /= agent.scale();
-            for r in 0..r_count {
-                exp.push((idx(i, r, r_count), -agent.elasticity(r)));
-            }
+        if !self.fairness {
+            validate_inputs(agents, capacity)?;
+            return Ok((proportional_split(agents, capacity)?, None));
         }
-        let objective = Monomial::sparse(coeff, num_vars, &exp).map_err(CoreError::from)?;
-        let mut gp = GeometricProgram::minimize(num_vars, objective.into())?;
-        for c in capacity_constraints(n, capacity, num_vars)? {
-            gp.add_constraint(c)?;
-        }
-        if self.fairness {
-            for m in envy_free_constraints(agents, r_count, num_vars)? {
-                gp.add_constraint(m.into())?;
-            }
-            for m in sharing_incentive_constraints(agents, capacity, num_vars)? {
-                gp.add_constraint(m.into())?;
-            }
-            for m in pareto_constraints(agents, r_count, num_vars)? {
-                gp.add_monomial_equality_with_tolerance(m, PE_BAND)?;
-            }
-        }
-        let mut x0 = vec![0.0; num_vars];
-        interior_start(agents, capacity, self.fairness, &mut x0)?;
-        let sol = gp.solve_warm(&x0, warm)?;
-        let hint = GpWarmStart::from_solution(&sol);
-        let bundles: Result<Vec<Bundle>> = (0..n)
-            .map(|i| Bundle::new((0..r_count).map(|r| sol.x[idx(i, r, r_count)]).collect()))
-            .collect();
-        Ok((Allocation::new(bundles?, capacity)?, Some(hint)))
+        let (alloc, hint) = NashProgram::new(agents, capacity)?
+            .with_fairness(agents)?
+            .solve_warm(warm)?;
+        Ok((alloc, Some(hint)))
     }
 }
 
@@ -393,23 +464,77 @@ mod tests {
 
     #[test]
     fn warm_started_allocation_agrees_with_cold() {
+        // With fairness the mechanism solves its program; without, the
+        // program it extends is solved directly.
         let agents = paper_agents();
         let c = paper_capacity();
-        for mech in [MaxWelfare::with_fairness(), MaxWelfare::without_fairness()] {
-            let (cold, hint) = mech.allocate_warm(&agents, &c, None).unwrap();
-            let hint = hint.expect("GP mechanisms always return a hint");
-            let (rewarmed, next) = mech.allocate_warm(&agents, &c, Some(&hint)).unwrap();
-            assert!(next.is_some());
+        let nash = NashProgram::new(&agents, &c).unwrap();
+        let (cold, hint) = nash.solve_warm(None).unwrap();
+        let (rewarmed, _) = nash.solve_warm(Some(&hint)).unwrap();
+        let mut pairs = vec![("nash program", cold, rewarmed)];
+        let fair = MaxWelfare::with_fairness();
+        let (cold, hint) = fair.allocate_warm(&agents, &c, None).unwrap();
+        let hint = hint.expect("the fair variant solves a GP");
+        let (rewarmed, next) = fair.allocate_warm(&agents, &c, Some(&hint)).unwrap();
+        assert!(next.is_some());
+        pairs.push(("with fairness", cold, rewarmed));
+        for (label, cold, rewarmed) in pairs {
             for i in 0..2 {
                 for r in 0..2 {
                     assert!(
                         (rewarmed.bundle(i).get(r) - cold.bundle(i).get(r)).abs() < 1e-3,
-                        "{} agent {i} resource {r}",
-                        mech.name()
+                        "{label} agent {i} resource {r}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn without_fairness_is_the_closed_form_and_returns_no_hint() {
+        // Unnormalized elasticities: Nash shares are proportional to the
+        // raw elasticities, and the closed form exhausts capacity.
+        let agents = vec![
+            CobbDouglas::new(2.0, vec![1.2, 0.8]).unwrap(),
+            CobbDouglas::new(0.5, vec![0.1, 0.4]).unwrap(),
+            CobbDouglas::new(1.0, vec![0.3, 0.0]).unwrap(),
+        ];
+        let c = paper_capacity();
+        let (alloc, hint) = MaxWelfare::without_fairness()
+            .allocate_warm(&agents, &c, None)
+            .unwrap();
+        assert!(hint.is_none());
+        assert_eq!(alloc.bundle(0).get(0), 1.2 / 1.6 * 24.0);
+        assert_eq!(alloc.bundle(2).get(1), 0.0);
+        assert!(alloc.is_exhaustive(&c, 1e-15));
+        // The GP it no longer runs lands on the same point.
+        let (solved, _) = NashProgram::new(&agents[..2], &c)
+            .unwrap()
+            .solve_warm(None)
+            .unwrap();
+        let closed = MaxWelfare::without_fairness()
+            .allocate(&agents[..2], &c)
+            .unwrap();
+        for i in 0..2 {
+            for r in 0..2 {
+                let (s, k) = (solved.bundle(i).get(r), closed.bundle(i).get(r));
+                assert!((s / k - 1.0).abs() < 1e-4, "agent {i} resource {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_resource_nobody_values_is_split_equally() {
+        let agents = vec![
+            CobbDouglas::new(1.0, vec![1.0, 0.0]).unwrap(),
+            CobbDouglas::new(1.0, vec![0.5, 0.0]).unwrap(),
+        ];
+        let alloc = MaxWelfare::without_fairness()
+            .allocate(&agents, &paper_capacity())
+            .unwrap();
+        assert_eq!(alloc.bundle(0).get(1), 6.0);
+        assert_eq!(alloc.bundle(1).get(1), 6.0);
+        assert_eq!(alloc.bundle(0).get(0), 16.0);
     }
 
     #[test]

@@ -6,12 +6,18 @@
 //! For the evaluation's comparisons (§4.5, §5.5) the crate also implements:
 //!
 //! - [`EqualShare`] — the static `C/N` division (the SI reference point);
-//! - [`MaxWelfare`] — Nash-social-welfare maximization via geometric
-//!   programming, with or without the game-theoretic fairness constraints;
+//! - [`MaxWelfare`] — Nash-social-welfare maximization: in closed form
+//!   subject to capacity alone, as a geometric program ([`NashProgram`])
+//!   under the game-theoretic fairness constraints;
 //! - [`EqualSlowdown`] — max-min weighted utility, the conventional
 //!   equal-slowdown objective of prior architecture work;
 //! - [`CreditMechanism`] — an inner mechanism tilted by per-agent credit
 //!   weights, the allocation half of cross-epoch credit fairness.
+//!
+//! REF and Nash welfare subject to capacity alone share one kernel,
+//! `proportional_split`: both give every agent a share of each resource
+//! proportional to its demand for it, REF's demand being the re-scaled
+//! elasticity and weighted Nash's the weight times the elasticity.
 
 mod credit;
 mod equal_share;
@@ -22,14 +28,14 @@ mod proportional_elasticity;
 pub use credit::{CreditInner, CreditMechanism};
 pub use equal_share::EqualShare;
 pub use equal_slowdown::EqualSlowdown;
-pub use max_welfare::MaxWelfare;
+pub use max_welfare::{MaxWelfare, NashProgram};
 pub use proportional_elasticity::ProportionalElasticity;
 
 pub use ref_solver::barrier::{SolveStats, WarmOutcome};
 pub use ref_solver::gp::GpWarmStart;
 
 use crate::error::{CoreError, Result};
-use crate::resource::{Allocation, Capacity};
+use crate::resource::{Allocation, Bundle, Capacity};
 use crate::utility::CobbDouglas;
 
 /// A multi-resource allocation mechanism for Cobb-Douglas agents.
@@ -53,8 +59,9 @@ pub trait Mechanism {
     /// optimizer from a previous optimum, and returns the hint to seed the
     /// *next* solve with.
     ///
-    /// Optimization-backed mechanisms ([`MaxWelfare`], [`EqualSlowdown`])
-    /// thread the hint into the interior-point solver, which re-enters the
+    /// Optimization-backed mechanisms ([`MaxWelfare::with_fairness`],
+    /// [`EqualSlowdown`] and the credit mechanism over it) thread the hint
+    /// into the interior-point solver, which re-enters the
     /// central path at the latest stage the hint is still central for; an
     /// unusable hint (wrong shape after population churn, non-positive or
     /// non-finite values) is ignored, and one that does not help is
@@ -96,6 +103,46 @@ pub(crate) fn validate_inputs(agents: &[CobbDouglas], capacity: &Capacity) -> Re
         }
     }
     Ok(())
+}
+
+/// The proportional-split kernel: resource `r` of capacity `C_r` goes to
+/// the agents in proportion to their demands `d_ir`, the elasticities of
+/// `demand[i]`:
+///
+/// ```text
+/// x_ir = d_ir / sum_j d_jr * C_r
+/// ```
+///
+/// A resource nobody demands is split equally (any division of it is
+/// welfare-neutral). One pass to total each resource, one to share it out:
+/// `O(N R)`, and every capacity is exhausted to rounding.
+pub(crate) fn proportional_split(
+    demand: &[CobbDouglas],
+    capacity: &Capacity,
+) -> Result<Allocation> {
+    let mut total = vec![0.0; capacity.num_resources()];
+    for d in demand {
+        for (t, &e) in total.iter_mut().zip(d.elasticities()) {
+            *t += e;
+        }
+    }
+    let share = |r: usize, e: f64| match total[r] {
+        t if t > 0.0 => e / t * capacity.get(r),
+        _ => capacity.get(r) / demand.len() as f64,
+    };
+    let bundles: Result<Vec<Bundle>> = demand
+        .iter()
+        .map(|d| {
+            Bundle::new(
+                d.elasticities()
+                    .iter()
+                    .enumerate()
+                    .map(|(r, &e)| share(r, e))
+                    .collect(),
+            )
+        })
+        .collect();
+    Allocation::new(bundles?, capacity)
 }
 
 #[cfg(test)]

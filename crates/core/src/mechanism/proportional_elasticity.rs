@@ -1,8 +1,8 @@
 //! The REF proportional-elasticity mechanism (§4.1 of the paper).
 
 use crate::error::Result;
-use crate::mechanism::{validate_inputs, Mechanism};
-use crate::resource::{Allocation, Bundle, Capacity};
+use crate::mechanism::{proportional_split, validate_inputs, Mechanism};
+use crate::resource::{Allocation, Capacity};
 use crate::utility::CobbDouglas;
 
 /// The paper's closed-form fair mechanism.
@@ -57,32 +57,7 @@ impl Mechanism for ProportionalElasticity {
     fn allocate(&self, agents: &[CobbDouglas], capacity: &Capacity) -> Result<Allocation> {
         validate_inputs(agents, capacity)?;
         let rescaled: Vec<CobbDouglas> = agents.iter().map(CobbDouglas::rescaled).collect();
-        let r = capacity.num_resources();
-        // Denominators: sum of re-scaled elasticities per resource.
-        let mut denom = vec![0.0; r];
-        for a in &rescaled {
-            for (d, &e) in denom.iter_mut().zip(a.elasticities()) {
-                *d += e;
-            }
-        }
-        let bundles: Result<Vec<Bundle>> = rescaled
-            .iter()
-            .map(|a| {
-                let q: Vec<f64> = (0..r)
-                    .map(|res| {
-                        if denom[res] > 0.0 {
-                            a.elasticity(res) / denom[res] * capacity.get(res)
-                        } else {
-                            // No agent values this resource: split equally
-                            // (any division is welfare-neutral).
-                            capacity.get(res) / agents.len() as f64
-                        }
-                    })
-                    .collect();
-                Bundle::new(q)
-            })
-            .collect();
-        Allocation::new(bundles?, capacity)
+        proportional_split(&rescaled, capacity)
     }
 }
 

@@ -6,11 +6,14 @@
 //! kernel (the commit before the envelope Cholesky, debug and release) and
 //! every entry of the four allocations must still match them exactly.
 //!
+//! REF's closed form is pinned beside them, on the paper's example, the
+//! four-agent market and a 2,000-agent one.
+//!
 //! `exp` and `ln` come from the platform's libm, so the pin is to the
 //! platform it was recorded on.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use ref_core::mechanism::{EqualSlowdown, MaxWelfare, Mechanism};
+use ref_core::mechanism::{EqualSlowdown, MaxWelfare, Mechanism, ProportionalElasticity};
 use ref_core::resource::Capacity;
 use ref_core::utility::CobbDouglas;
 
@@ -96,4 +99,73 @@ fn egalitarian_with_fairness_is_bit_identical_to_the_dense_kernel() {
             0x3fe63f9c9be914ad,
         ],
     );
+}
+
+/// 2,000 agents on the 16 elasticity levels `[a, 1 - a]`, `a` evenly
+/// spaced in `[0.1, 0.9]`, taken in turn by id — the population of the
+/// REF churn workload — on its capacity `(4000, 2000)`.
+fn churn_population() -> (Vec<CobbDouglas>, Capacity) {
+    let agents = (0..2000u32)
+        .map(|i| {
+            let a = 0.1 + 0.8 * (f64::from(i % 16) + 0.5) / 16.0;
+            CobbDouglas::new(1.0, vec![a, 1.0 - a]).unwrap()
+        })
+        .collect();
+    (agents, Capacity::new(vec![4000.0, 2000.0]).unwrap())
+}
+
+/// Every entry's bits, agent-major, folded by FNV-1a.
+fn fnv_bits(alloc: &ref_core::resource::Allocation) -> u64 {
+    alloc
+        .bundles()
+        .iter()
+        .flat_map(|b| b.as_slice().iter().map(|q| q.to_bits()))
+        .fold(0xcbf2_9ce4_8422_2325, |h, bits| {
+            (h ^ bits).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// REF's closed form (Eqs. 12–13) is arithmetic, not a solve: these bits
+/// were recorded from its own per-mechanism loop, before it shared the
+/// proportional-split kernel with weighted Nash welfare, and must not move.
+#[test]
+fn proportional_elasticity_keeps_its_bits() {
+    assert_bits(
+        &ProportionalElasticity,
+        &paper_agents(),
+        &[
+            0x4031ffffffffffff,
+            0x4010000000000000,
+            0x4018000000000000,
+            0x4020000000000000,
+        ],
+    );
+    assert_bits(
+        &ProportionalElasticity,
+        &four_agents(),
+        &[
+            0x401c000000000000,
+            0x4001ffffffffffff,
+            0x4008000000000000,
+            0x4014ffffffffffff,
+            0x4014000000000000,
+            0x400e000000000000,
+            0x4022000000000000,
+            0x3fe8000000000000,
+        ],
+    );
+    let (agents, capacity) = churn_population();
+    let alloc = ProportionalElasticity.allocate(&agents, &capacity).unwrap();
+    let bits = |i: usize| {
+        alloc
+            .bundle(i)
+            .as_slice()
+            .iter()
+            .map(|q| q.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(0), [0x3fe0000000000000, 0x3ffc000000000000]);
+    assert_eq!(bits(1), [0x3fe6666666666667, 0x3ffa666666666666]);
+    assert_eq!(bits(1999), [0x400c000000000000, 0x3fd0000000000000]);
+    assert_eq!(fnv_bits(&alloc), 0x01991c13d2431336);
 }

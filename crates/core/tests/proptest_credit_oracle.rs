@@ -1,16 +1,21 @@
-//! The credit-tilted GP mechanisms against oracles that share no code with
-//! the solver.
+//! The credit-tilted mechanisms and the weighted-Nash geometric program
+//! against oracles that share no code with the solver.
 //!
 //! `credit-max-welfare`: weighted Nash welfare over Cobb-Douglas utilities
 //! has the closed form `x_ir = C_r w_i a_ir / L_r` with
-//! `L_r = sum_j w_j a_jr`, and so does the barrier method's whole central
-//! path for it: at path parameter `t` the central point is
-//! `x_ir exp(-1 / (t L_r))` (stationarity gives each capacity constraint
-//! the slack `1 / (t L_r)` and leaves the shares untouched). The solver
-//! must land on that point at the `t` it reports, cold and warm; how close
-//! that is to the optimum itself is then arithmetic: within 1e-6 wherever
-//! `t L_r >= 2e6`, which covers every market with a few agents who care
-//! about the resource.
+//! `L_r = sum_j w_j a_jr`, and the mechanism allocates exactly that. The
+//! program it would otherwise solve ([`NashProgram`] over the tilted
+//! agents, the one `max-welfare-fair` extends) stays the solver's oracle
+//! test: the barrier method's whole central path for it is known too — at
+//! path parameter `t` the central point is `x_ir exp(-1 / (t L_r))`
+//! (stationarity gives each capacity constraint the slack `1 / (t L_r)`
+//! and leaves the shares untouched). The solver must land on that point
+//! at the `t` it reports, cold and warm; how close that is to the optimum
+//! itself is then arithmetic: within 1e-6 wherever `t L_r >= 2e6`, which
+//! covers every market with a few agents who care about the resource. Run
+//! the other way, the same bound holds the closed form to the solved
+//! program, and the closed form exhausts every capacity to 1e-12 — which a
+//! barrier stopped at a finite `t` cannot.
 //!
 //! `credit-equal-slowdown` has no closed form, but max-min has a
 //! certificate: for any multipliers `lambda` on the simplex,
@@ -32,7 +37,9 @@
 //! kernel exactly as on this one — can run past its 300-iteration cap.
 
 use proptest::prelude::*;
-use ref_core::mechanism::{CreditInner, CreditMechanism, GpWarmStart, Mechanism};
+use ref_core::mechanism::{
+    CreditInner, CreditMechanism, GpWarmStart, MaxWelfare, Mechanism, NashProgram,
+};
 use ref_core::resource::{Allocation, Capacity};
 use ref_core::utility::CobbDouglas;
 use ref_core::welfare::egalitarian_gap;
@@ -86,17 +93,30 @@ fn market(max_agents: usize, elasticity: fn(f64) -> f64) -> impl Strategy<Value 
 }
 
 impl Market {
+    /// The GP behind `inner` at `weights`: the credit-tilted max-min
+    /// mechanism's own solve, or for weighted Nash the program over the
+    /// tilted agents (the mechanism itself is closed-form).
     fn solve(
         &self,
         inner: CreditInner,
         weights: &[f64],
         hint: Option<&GpWarmStart>,
     ) -> (Allocation, GpWarmStart) {
-        let (alloc, next) = CreditMechanism::new(inner, weights.to_vec())
-            .unwrap()
-            .allocate_warm(&self.agents, &self.capacity, hint)
-            .unwrap();
-        (alloc, next.unwrap())
+        let mechanism = CreditMechanism::new(inner, weights.to_vec()).unwrap();
+        match inner {
+            CreditInner::MaxWelfare => {
+                NashProgram::new(&mechanism.tilted(&self.agents).unwrap(), &self.capacity)
+                    .unwrap()
+                    .solve_warm(hint)
+                    .unwrap()
+            }
+            CreditInner::EqualSlowdown => {
+                let (alloc, next) = mechanism
+                    .allocate_warm(&self.agents, &self.capacity, hint)
+                    .unwrap();
+                (alloc, next.unwrap())
+            }
+        }
     }
 }
 
@@ -173,6 +193,57 @@ proptest! {
         check_max_welfare(&market, &market.drifted, &warm, &warm_hint)?;
         let (_, cold_hint) = market.solve(inner, &market.drifted, None);
         prop_assert_eq!(warm_hint.t, cold_hint.t);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `credit-max-welfare` itself: the closed form, exact where the
+    /// program is only close.
+    #[test]
+    fn credit_max_welfare_is_the_closed_form_the_program_converges_to(
+        market in market(MAX_AGENTS, |u| 10f64.powf(-6.0 * u)),
+    ) {
+        let mechanism = CreditMechanism::new(CreditInner::MaxWelfare, market.weights.clone())
+            .unwrap();
+        let (exact, hint) = mechanism
+            .allocate_warm(&market.agents, &market.capacity, None)
+            .unwrap();
+        prop_assert!(hint.is_none(), "a closed form has nothing to warm");
+        // Every capacity exhausted to rounding.
+        for r in 0..market.capacity.num_resources() {
+            let used: f64 = exact.bundles().iter().map(|b| b.get(r)).sum();
+            let cap = market.capacity.get(r);
+            prop_assert!((used / cap - 1.0).abs() <= 1e-12, "resource {r}: {used} of {cap}");
+        }
+        // The solved program agrees wherever its slack is below 1e-6.
+        let (solved, hint) = market.solve(CreditInner::MaxWelfare, &market.weights, None);
+        for r in 0..market.capacity.num_resources() {
+            let total: f64 = (0..market.agents.len())
+                .map(|i| market.weights[i] * market.agents[i].elasticity(r))
+                .sum();
+            if hint.t * total < 2e6 {
+                continue;
+            }
+            for i in 0..market.agents.len() {
+                let (x, k) = (exact.bundle(i).get(r), solved.bundle(i).get(r));
+                prop_assert!((x / k - 1.0).abs() <= 1e-6, "agent {i} resource {r}: {x} vs {k}");
+            }
+        }
+        // Uniform weights are `max-welfare`, bit for bit.
+        let flat = CreditMechanism::new(CreditInner::MaxWelfare, vec![1.0; market.agents.len()])
+            .unwrap()
+            .allocate(&market.agents, &market.capacity)
+            .unwrap();
+        let plain = MaxWelfare::without_fairness()
+            .allocate(&market.agents, &market.capacity)
+            .unwrap();
+        for (a, b) in flat.bundles().iter().zip(plain.bundles()) {
+            for r in 0..market.capacity.num_resources() {
+                prop_assert_eq!(a.get(r).to_bits(), b.get(r).to_bits());
+            }
+        }
     }
 }
 

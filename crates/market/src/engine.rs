@@ -64,15 +64,17 @@ const MIN_SIM_SHARE: f64 = 0.005;
 /// Which allocation mechanism the market runs each epoch.
 ///
 /// [`MechanismKind::ProportionalElasticity`] is the paper's closed-form
-/// REF mechanism and the default. The optimization-backed kinds solve a
-/// geometric program per reallocation; for those the engine keeps a
-/// [`WarmStartCache`] and seeds each solve from the previous epoch's
-/// optimum (see [`MarketMetrics::warm_start_hits`]).
+/// REF mechanism and the default. Nash welfare subject to capacity alone
+/// (`max-welfare` and its credit tilt, `credit-max-welfare`) is closed-form
+/// too. The other kinds solve a geometric program per reallocation; for
+/// those the engine keeps a [`WarmStartCache`] and seeds each solve from
+/// the previous epoch's optimum (see [`MarketMetrics::warm_start_hits`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MechanismKind {
     /// Closed-form REF (§4.1): proportional to re-scaled elasticities.
     ProportionalElasticity,
-    /// Nash-social-welfare maximization via GP (§4.5).
+    /// Nash-social-welfare maximization (§4.5): closed-form subject to
+    /// capacity alone, a GP under the fairness constraints.
     MaxWelfare {
         /// Impose the SI/EF/PE constraints of Eq. 11.
         fairness: bool,
@@ -86,7 +88,7 @@ pub enum MechanismKind {
     /// [`CreditLedger`]'s per-agent weights, so agents cumulatively below
     /// their fair share are repaid across epochs.
     Credit {
-        /// The optimization-backed mechanism whose objective is tilted.
+        /// The mechanism whose objective is tilted.
         inner: CreditInner,
     },
 }
@@ -134,10 +136,18 @@ impl MechanismKind {
     }
 
     /// Whether this mechanism's solves benefit from a warm start (i.e. it
-    /// is optimization-backed). Closed-form mechanisms never consult the
+    /// solves a geometric program). Closed-form mechanisms — REF and Nash
+    /// welfare subject to capacity alone, tilted or not — never consult the
     /// cache and never touch the warm-start counters.
     pub fn warm_startable(&self) -> bool {
-        !matches!(self, MechanismKind::ProportionalElasticity)
+        !matches!(
+            self,
+            MechanismKind::ProportionalElasticity
+                | MechanismKind::MaxWelfare { fairness: false }
+                | MechanismKind::Credit {
+                    inner: CreditInner::MaxWelfare
+                }
+        )
     }
 
     /// Dispatches to the mechanism implementation. `weights` carries the
@@ -1801,10 +1811,19 @@ mod tests {
                 inner: CreditInner::MaxWelfare
             })
         );
-        assert!(MechanismKind::Credit {
-            inner: CreditInner::MaxWelfare
+        // The GP kinds warm-start; the closed forms have nothing to warm.
+        for (label, warm) in [
+            ("proportional-elasticity", false),
+            ("max-welfare", false),
+            ("credit-max-welfare", false),
+            ("max-welfare-fair", true),
+            ("equal-slowdown", true),
+            ("equal-slowdown-fair", true),
+            ("credit-equal-slowdown", true),
+        ] {
+            let kind = MechanismKind::from_label(label).unwrap();
+            assert_eq!(kind.warm_startable(), warm, "{label}");
         }
-        .warm_startable());
     }
 
     #[test]
@@ -1835,13 +1854,11 @@ mod tests {
         assert_eq!(market.ledger().len(), 1);
     }
 
-    #[test]
-    fn credit_market_converges_and_stays_temporally_fair() {
-        let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap()).with_mechanism(
-            MechanismKind::Credit {
-                inner: CreditInner::MaxWelfare,
-            },
-        );
+    /// Two ground-truth agents from the paper's example under `inner`,
+    /// ticked 30 epochs.
+    fn two_agent_credit_market(inner: CreditInner) -> (MarketEngine, Vec<EpochReport>) {
+        let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap())
+            .with_mechanism(MechanismKind::Credit { inner });
         let mut market = MarketEngine::new(config).unwrap();
         market.submit(MarketEvent::AgentJoined {
             id: 1,
@@ -1853,20 +1870,129 @@ mod tests {
         });
         market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 30));
         let reports = market.pump().unwrap();
+        (market, reports)
+    }
+
+    #[test]
+    fn credit_market_converges_and_stays_temporally_fair() {
+        let (market, reports) = two_agent_credit_market(CreditInner::MaxWelfare);
         // Converged balances are small, so the tilt fades and the market
         // lands near the untilted REF point (18, 4) / (6, 8).
         let alloc = reports.last().unwrap().allocation.as_ref().unwrap();
         assert!((alloc.bundle(0).get(0) - 18.0).abs() < 1.5, "{alloc:?}");
         assert!((alloc.bundle(1).get(1) - 8.0).abs() < 1.5, "{alloc:?}");
-        // The tilted GP warm-starts across epochs like any other GP, and
-        // ledger-sized weight drift never costs it a hint.
+        // The weighted-Nash closed form has nothing to warm-start.
         let m = market.metrics();
-        assert!(m.warm_start_hits > 0, "{m}");
-        assert_eq!(m.warm_start_fallbacks, 0, "{m:?}");
+        assert_eq!(
+            m.warm_start_hits + m.warm_start_misses + m.warm_start_fallbacks,
+            0,
+            "{m:?}"
+        );
         // No post-warm-up temporal violations on a steady population.
         assert_eq!(m.temporal_si_violations, 0, "{m}");
         assert_eq!(market.auditor().temporal_si_violations_after_warmup(), 0);
         assert!(reports.last().unwrap().worst_temporal_ratio > 0.9);
+    }
+
+    #[test]
+    fn credit_max_min_market_warm_starts_across_epochs() {
+        let (market, _) = two_agent_credit_market(CreditInner::EqualSlowdown);
+        // The tilted max-min GP warm-starts across epochs like any other
+        // GP, and ledger-sized weight drift never costs it a hint.
+        let m = market.metrics();
+        assert!(m.warm_start_hits > 0, "{m}");
+        assert_eq!(m.warm_start_fallbacks, 0, "{m:?}");
+        assert_eq!(m.temporal_si_violations, 0, "{m}");
+        assert!(!market.warm_cache().is_empty());
+    }
+
+    #[test]
+    fn credit_max_welfare_market_runs_no_solve_and_never_warms() {
+        // Shaped like the benchmark's credit epoch: 44 ground-truth agents
+        // on 16 elasticity levels beside 4 externally measured reporters,
+        // on (96, 48); the reporters observe every epoch and one agent
+        // changes its demand every fourth.
+        let kind = MechanismKind::Credit {
+            inner: CreditInner::MaxWelfare,
+        };
+        let config =
+            MarketConfig::new(Capacity::new(vec![96.0, 48.0]).unwrap()).with_mechanism(kind);
+        let mut market = MarketEngine::new(config).unwrap();
+        let level = |k: u64| {
+            let a = 0.1 + 0.8 * ((k % 16) as f64 + 0.5) / 16.0;
+            CobbDouglas::new(1.0, vec![a, 1.0 - a]).unwrap()
+        };
+        for id in 0..48 {
+            let source = match id {
+                0..44 => ObservationSource::GroundTruth(level(id)),
+                _ => ObservationSource::External,
+            };
+            market
+                .apply_now(MarketEvent::AgentJoined { id, source })
+                .unwrap();
+        }
+        // A hint of the right shape: a GP mechanism would use it.
+        let offered = GpWarmStart {
+            x: vec![1.0; 96],
+            t: 1.0,
+            ..GpWarmStart::default()
+        };
+        let mut reallocated = 0;
+        for epoch in 0..24u64 {
+            for id in 44..48u64 {
+                let x = 2.0 * (1.0 + 0.3 * ((epoch + id) % 5) as f64);
+                let y = 1.0 + 0.4 * ((3 * epoch + id) % 7) as f64;
+                let performance = level(id).value_slice(&[x, y]);
+                market
+                    .apply_now(MarketEvent::ObservationReported {
+                        id,
+                        allocation: vec![x, y],
+                        performance,
+                    })
+                    .unwrap();
+            }
+            if epoch % 4 == 3 {
+                market
+                    .apply_now(MarketEvent::DemandChanged {
+                        id: (7 * epoch) % 44,
+                        new_truth: Some(level(epoch + 5)),
+                    })
+                    .unwrap();
+            }
+            // What the tick allocates from: the reported fits and the
+            // ledger's weights as they stand before it.
+            let ids = market.live_agents();
+            let reported: Vec<CobbDouglas> = ids
+                .iter()
+                .map(|id| market.agent(*id).unwrap().reported_utility())
+                .collect();
+            let weights = market.ledger().weights(&ids);
+            let capacity = market.config().capacity.clone();
+            let (direct, hint) = kind
+                .allocate_warm(&reported, &capacity, Some(&offered), &weights)
+                .unwrap();
+            assert!(
+                hint.is_none(),
+                "epoch {epoch}: a closed form returned a hint"
+            );
+            let report = market.apply_now(MarketEvent::EpochTick).unwrap().unwrap();
+            if report.realloc == ReallocationOutcome::Reallocated {
+                reallocated += 1;
+                let served = report.allocation.as_ref().unwrap();
+                for (a, b) in served.bundles().iter().zip(direct.bundles()) {
+                    assert_eq!(a.as_slice(), b.as_slice(), "epoch {epoch}");
+                }
+            }
+            assert!(market.warm_cache().is_empty(), "epoch {epoch}");
+        }
+        assert!(reallocated >= 6, "{reallocated} reallocations");
+        let m = market.metrics();
+        assert_eq!(m.reallocations, reallocated);
+        assert_eq!(
+            m.warm_start_hits + m.warm_start_misses + m.warm_start_fallbacks,
+            0,
+            "{m:?}"
+        );
     }
 
     #[test]

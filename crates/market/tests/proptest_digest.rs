@@ -234,10 +234,11 @@ proptest! {
         slowdown in 0u32..2,
         seed in 0u64..1_000_000,
     ) {
-        // A credit market a few epochs in: allocation cache, warm-start
-        // cache and ledger windows all populated, one externally measured
-        // agent beside the ground-truth ones. Only the equal-slowdown GP
-        // has auxiliary variables to warm-start.
+        // A credit market a few epochs in: allocation cache and ledger
+        // windows populated, one externally measured agent beside the
+        // ground-truth ones. Only the equal-slowdown GP fills the
+        // warm-start cache (weighted Nash is closed-form), and only it has
+        // an auxiliary variable to warm-start.
         let slowdown = slowdown == 1;
         let inner = if slowdown { CreditInner::EqualSlowdown } else { CreditInner::MaxWelfare };
         let mut market = market(resources, MechanismKind::Credit { inner }, seed);
@@ -266,11 +267,13 @@ proptest! {
             "capacity", "tolerance", "audit-tolerance", "warmup", "excitation", "quanta",
             "sim-instructions", "seed", "temporal-window", "temporal-slack", "epoch",
             "stable-since", "auditor", "metrics", "fp-ids", "fp-quant", "fp-capacity",
-            "fp-tilt", "bundle", "w", "warm-t", "l", "agent", "source", "o",
+            "fp-tilt", "bundle", "l", "agent", "source", "o",
         ] {
             prop_assert!(accepted.contains_key(tag), "no {tag:?} token was perturbed: {accepted:?}");
         }
-        prop_assert_eq!(accepted.contains_key("warm-aux"), slowdown);
+        for tag in ["w", "warm-t", "warm-aux"] {
+            prop_assert_eq!(accepted.contains_key(tag), slowdown, "{:?}: {:?}", tag, accepted);
+        }
         prop_assert_eq!(accepted["auditor"], 9);
         prop_assert_eq!(accepted["metrics"], 19);
         prop_assert_eq!(accepted["agent"], 2 * (agents as usize + 1));

@@ -495,7 +495,7 @@ impl ServiceCore {
                 Some(agent) => {
                     let utility = agent.reported_utility();
                     let bundle = self.last_report.as_ref().and_then(|r| {
-                        let slot = r.agents.iter().position(|a| a == id)?;
+                        let slot = r.agents.binary_search(id).ok()?;
                         let alloc = r.allocation.as_ref()?;
                         Some(Value::num_array(alloc.bundle(slot).as_slice()))
                     });
@@ -835,6 +835,32 @@ mod tests {
         );
         let unknown = core.handle(&Request::Query { agent: Some(9) }, &metrics);
         assert_eq!(unknown.get("ok"), Some(&Value::Bool(false)));
+    }
+
+    #[test]
+    fn an_agent_that_joined_after_the_last_tick_has_no_bundle() {
+        let metrics = ServeMetrics::new();
+        let mut core = ServiceCore::new(config(), JournalLimit::default()).unwrap();
+        core.handle(&join(1, 0.6), &metrics);
+        core.handle(&join(3, 0.2), &metrics);
+        core.handle(&Request::Tick, &metrics);
+        // One newcomer between the reported ids, one after them.
+        core.handle(&join(2, 0.5), &metrics);
+        core.handle(&join(4, 0.5), &metrics);
+        let bundle = |core: &mut ServiceCore, agent| {
+            let reply = core.handle(&Request::Query { agent: Some(agent) }, &metrics);
+            assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{reply}");
+            reply.get("bundle").unwrap().clone()
+        };
+        assert_eq!(bundle(&mut core, 2), Value::Null);
+        assert_eq!(bundle(&mut core, 4), Value::Null);
+        let alloc = core.last_report().unwrap().allocation.clone().unwrap();
+        for (slot, agent) in [(0, 1), (1, 3)] {
+            assert_eq!(
+                bundle(&mut core, agent),
+                Value::num_array(alloc.bundle(slot).as_slice())
+            );
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use ref_core::resource::Capacity;
@@ -231,13 +232,20 @@ fn fanned_ticks_are_not_starved_by_inline_traffic() {
     let hot = agents_on(&ring, 0, 8);
     let stop = AtomicBool::new(false);
     let observed = AtomicU64::new(0);
+    // The eight observers and the ticker: the first tick waits until every
+    // observer has landed one observe, so the ticks below compete with
+    // traffic that is already flowing, not with thread start-up.
+    let flowing = Barrier::new(hot.len() + 1);
     std::thread::scope(|scope| {
         // Eight connections saturate shard 0 with inline observes.
         for &agent in &hot {
-            let (stop, observed) = (&stop, &observed);
+            let (stop, observed, flowing) = (&stop, &observed, &flowing);
             scope.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 client.join_external(agent).unwrap();
+                client.observe(agent, &[2.0, 1.0], 1.0).unwrap();
+                observed.fetch_add(1, Ordering::Relaxed);
+                flowing.wait();
                 while !stop.load(Ordering::Relaxed) {
                     client.observe(agent, &[2.0, 1.0], 1.0).unwrap();
                     observed.fetch_add(1, Ordering::Relaxed);
@@ -246,6 +254,7 @@ fn fanned_ticks_are_not_starved_by_inline_traffic() {
         }
         // The shard thread still gets the lock for every fanned tick.
         let mut client = Client::connect(addr).unwrap();
+        flowing.wait();
         for epoch in 1..=20u64 {
             let started = Instant::now();
             let tick = client.tick().unwrap();

@@ -1,13 +1,18 @@
-//! The credit GP mechanisms at market sizes a dense Newton system cannot
-//! reach in a debug build: a cold `credit-max-welfare` solve at 384 agents
-//! would be six gigaflops of unoptimised Cholesky, and at 2,000 agents two
-//! 128 MB Hessian buffers. With the structured kernel an iterate is
-//! `O(N R^2)`, so this file runs in seconds under plain `cargo test` — and
-//! stops doing so if the structure is lost. Answers are held to oracles
-//! that share nothing with the solver: the weighted-Nash closed form, and
-//! for max-min the weak-duality bound of `welfare::egalitarian_bound`.
+//! The credit GPs at market sizes a dense Newton system cannot reach in a
+//! debug build: a cold weighted-Nash solve at 384 agents would be six
+//! gigaflops of unoptimised Cholesky, and at 2,000 agents two 128 MB
+//! Hessian buffers. With the structured kernel an iterate is `O(N R^2)`,
+//! so this file runs in seconds under plain `cargo test` — and stops doing
+//! so if the structure is lost. `credit-max-welfare` allocates in closed
+//! form, so its program (`NashProgram` over the tilted agents, the one
+//! `max-welfare-fair` extends) is solved directly; `credit-equal-slowdown`
+//! runs its own solve. Answers are held to oracles that share nothing with
+//! the solver: the weighted-Nash closed form, and for max-min the
+//! weak-duality bound of `welfare::egalitarian_bound`.
 
-use ref_fairness::core::mechanism::{CreditInner, CreditMechanism, GpWarmStart, Mechanism};
+use ref_fairness::core::mechanism::{
+    CreditInner, CreditMechanism, GpWarmStart, Mechanism, NashProgram,
+};
 use ref_fairness::core::resource::{Allocation, Capacity};
 use ref_fairness::core::utility::CobbDouglas;
 use ref_fairness::core::welfare::egalitarian_gap;
@@ -49,17 +54,28 @@ impl Market {
         }
     }
 
+    /// The GP behind `inner` at `weights`.
     fn solve(
         &self,
         inner: CreditInner,
         weights: &[f64],
         hint: Option<&GpWarmStart>,
     ) -> (Allocation, GpWarmStart) {
-        let (alloc, next) = CreditMechanism::new(inner, weights.to_vec())
-            .unwrap()
-            .allocate_warm(&self.agents, &self.capacity, hint)
-            .unwrap();
-        (alloc, next.unwrap())
+        let mechanism = CreditMechanism::new(inner, weights.to_vec()).unwrap();
+        match inner {
+            CreditInner::MaxWelfare => {
+                NashProgram::new(&mechanism.tilted(&self.agents).unwrap(), &self.capacity)
+                    .unwrap()
+                    .solve_warm(hint)
+                    .unwrap()
+            }
+            CreditInner::EqualSlowdown => {
+                let (alloc, next) = mechanism
+                    .allocate_warm(&self.agents, &self.capacity, hint)
+                    .unwrap();
+                (alloc, next.unwrap())
+            }
+        }
     }
 
     /// Largest relative distance of `alloc` from the weighted-Nash optimum
