@@ -134,6 +134,8 @@ fn main() {
     let mut total_acked = 0u64;
     let mut total_freezes = 0u64;
     let mut total_partial = 0u64;
+    let mut total_restores = 0u64;
+    let mut total_held = 0u64;
     // Seeds on which a primary's audit caught a standby's fingerprint
     // disagreeing with its own: the sweep must prove detection, not only
     // agreement.
@@ -147,6 +149,8 @@ fn main() {
         total_acked += outcome.acked_events;
         total_freezes += outcome.quorum_freezes;
         total_partial += outcome.partial_rounds;
+        total_restores += outcome.restores;
+        total_held += outcome.held;
         if outcome
             .trace
             .iter()
@@ -222,6 +226,8 @@ fn main() {
         ("acked_events", Value::from_u64(total_acked)),
         ("quorum_freezes", Value::from_u64(total_freezes)),
         ("partial_rounds", Value::from_u64(total_partial)),
+        ("restores", Value::from_u64(total_restores)),
+        ("held", Value::from_u64(total_held)),
         (
             "divergences_detected",
             Value::from_u64(divergences_detected),
@@ -242,6 +248,14 @@ fn main() {
         eprintln!("dst_sweep: cannot write {}: {e}", args.out);
         std::process::exit(1);
     }
+    let histogram: Vec<String> = class_histogram
+        .iter()
+        .map(|(class, n)| format!("{class}={n}"))
+        .collect();
+    eprintln!(
+        "dst_sweep: classes {}; {total_restores} snap restore(s), {total_held} record(s) held during catch-up",
+        histogram.join(" ")
+    );
     eprintln!(
         "dst_sweep: {} seeds, {} sim events ({:.0}/s), {} acked, {} freezes, {} divergence(s) caught, {} violation(s) -> {}",
         seeds.len(),

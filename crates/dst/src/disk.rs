@@ -29,7 +29,7 @@ pub struct SimDisk {
     inner: Arc<Mutex<DiskInner>>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct DiskInner {
     dirs: BTreeSet<PathBuf>,
     files: BTreeMap<PathBuf, Vec<u8>>,
@@ -106,9 +106,14 @@ impl SimDisk {
         Some(victim)
     }
 
-    /// Number of bits flipped so far (trace bookkeeping).
-    pub fn bits_flipped(&self) -> u64 {
-        self.inner.lock().expect("disk lock poisoned").bits_flipped
+    /// An independent copy of this disk, armed faults included: what a
+    /// boot would find if the node crashed now, without touching the
+    /// node's own disk.
+    pub fn fork(&self) -> SimDisk {
+        let copy = self.inner.lock().expect("disk lock poisoned").clone();
+        SimDisk {
+            inner: Arc::new(Mutex::new(copy)),
+        }
     }
 }
 

@@ -2,27 +2,34 @@
 //! router, scripted clients — all single-threaded on virtual time.
 //!
 //! Every node hosts a real [`ServiceCore`] recovered through a
-//! [`SimDisk`], so the WAL codec, checkpointing, recovery, scrub, and
-//! the market engine all run production code. So do the protocols: each
-//! node's replication, election and fencing decisions are made by the
-//! real [`ReplCore`], and the fleet's health tracking, quorum gate,
-//! reallotment delivery and fencing-token floor by the real
-//! [`RouterCore`] — the same two state machines the threaded server
+//! [`SimDisk`], so the WAL codec, checkpointing, pruning, recovery,
+//! scrub, and the market engine all run production code. So do the
+//! protocols: each node's replication, election and fencing decisions
+//! are made by the real [`ReplCore`], each replication connection —
+//! catch-up from the disk, `snap` bootstrap, hold and go-live, the
+//! standby's apply verdict — by the real [`session`], and the fleet's
+//! health tracking, quorum gate, reallotment delivery and fencing-token
+//! floor by the real [`RouterCore`] — the rules the threaded server
 //! drives. So are the node rules: when the router fans a timed tick, which
 //! shards a fan skips, when a Down shard is probed, whether a panicked
 //! shard is restarted in place or failed over, how a recovered shard is
 //! re-offered its allotment and caught up, and when a node heartbeats,
 //! re-dials or elects itself. This file only *drives* them: it moves
 //! their frames through [`SimNet`], reads [`SimClock`], owns what a
-//! connection is (attached or reset), and plays operator (which role a
+//! connection is (open or reset), and plays operator (which role a
 //! restarted node is booted into). It decides no reply.
 //!
+//! Pruning takes a log's head off the disk, so the oracle keeps each
+//! node's *lineage*: its log from event 0, extended with every record
+//! its WAL takes, replaced by the sender's prefix on a `snap` restore,
+//! and checked against what the disk still holds after every run.
 //! After every schedule the standing invariants are checked:
 //!
 //! 1. **Zero acked-event loss** — every event a client saw confirmed is
-//!    in the authoritative primary's WAL, bit-identical.
+//!    in the authoritative primary's lineage, bit-identical.
 //! 2. **Bit-identical replay** — each live node's engine equals an
-//!    offline [`replay`] of its own WAL.
+//!    offline [`replay`] of its lineage from event 0, and what recovery
+//!    rebuilds from its disk's checkpoint and tail.
 //! 3. **Divergence fencing** — a replica that corrupted an apply is
 //!    fenced and never promoted.
 //! 4. **Reallotment consistency** — each shard's capacity agrees with
@@ -33,6 +40,8 @@
 //! 6. **Liveness** — after the settle, every shard has a routable
 //!    primary and the last round reported every shard.
 
+use std::collections::BTreeMap;
+use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,14 +50,15 @@ use ref_core::resource::Capacity;
 use ref_core::utility::CobbDouglas;
 use ref_market::{MarketConfig, MarketEvent, ObservationSource};
 use ref_serve::protocol::{error_response, event_to_value, shard_unavailable_response};
-use ref_serve::repl::{kind, message, parse_message};
+use ref_serve::repl::{kind, parse_message};
 use ref_serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream, Timer};
 use ref_serve::router::{asks, AfterPanic, Duty, Readmit};
+use ref_serve::session::{self, Applied, GoLive, Offer, Session};
 use ref_serve::wal::read_events_with;
 use ref_serve::{
     decode_frame, default_quorum, replay, shard_market_config, Clock, FaultPlan, FrameDecode,
-    HashRing, JournalLimit, ReplApply, ReplConfig, ReplCore, Request, Role, RouterCore,
-    ServeMetrics, ServiceCore, Storage, Value, WalConfig,
+    HashRing, JournalLimit, ReplConfig, ReplCore, Request, Role, RouterCore, ServeMetrics,
+    ServiceCore, Value, Wal, WalConfig,
 };
 
 use crate::disk::SimDisk;
@@ -66,6 +76,12 @@ const HB_EVERY: Duration = Duration::from_millis(10);
 const ELECTION_BASE: Duration = Duration::from_millis(50);
 /// How long a primary holds a client reply for the standby's ack.
 const ACK_TIMEOUT: Duration = Duration::from_millis(25);
+/// How long a primary's catch-up read of its log takes: live records
+/// appended meanwhile wait in the session's hold, and going live skips
+/// the ones the read already covered.
+const CATCH_UP: Duration = Duration::from_millis(3);
+/// WAL segment size.
+const SEGMENT_BYTES: u64 = 256;
 /// Delay before a node crashed by a poisoned WAL recovers.
 const POISON_RESTART: Duration = Duration::from_millis(40);
 /// Fault-free convergence window after the scripted horizon.
@@ -122,6 +138,10 @@ pub struct RunOutcome {
     pub quorum_freezes: u64,
     /// Coordination rounds missing at least one shard's report.
     pub partial_rounds: u64,
+    /// `snap` bootstraps standbys applied.
+    pub restores: u64,
+    /// Live records a primary held for a standby still catching up.
+    pub held: u64,
 }
 
 #[derive(Debug)]
@@ -135,10 +155,19 @@ struct Node {
     /// disk (the threaded server does not: see DESIGN.md §15).
     repl: ReplCore,
     boots: u64,
-    /// Whether this node (as a primary) has a live replication
-    /// connection from its peer. Only changes on *observable* events:
-    /// accepted handshakes, crashes (connection reset), divergence.
-    peer_attached: bool,
+    /// The primary's side of its peer's replication connection: opened
+    /// by an accepted handshake, gone on *observable* events only — a
+    /// close from either end (see [`Sim::close`]) that got through.
+    /// Heartbeats and acks only flow on one.
+    session: Option<Session>,
+    /// When the open session's catch-up reads the log, and the `have`
+    /// it reads from.
+    catch_up: Option<(Duration, u64)>,
+    /// The oracle's copy of this node's log from event 0, which pruning
+    /// takes off the disk: extended by every record the WAL takes,
+    /// replaced by the sender's prefix on a `snap` restore, cut back to
+    /// what recovery found on boot.
+    lineage: Vec<MarketEvent>,
     /// Ground truth: a corrupting fault was injected into this replica.
     diverged: bool,
     promoted_ever: bool,
@@ -154,6 +183,8 @@ struct Node {
 struct Pending {
     primary: usize,
     seq: u64,
+    /// Whether a session was live when the record went out.
+    attached: bool,
     deadline: Duration,
     event_json: String,
 }
@@ -194,14 +225,23 @@ struct Sim {
     fleet_temporal_si: u64,
     si_partial_accruals: u64,
     pending_restarts: Vec<(Duration, usize)>,
+    /// `(sender, seq)` → the sender's lineage below `seq`, captured when
+    /// its `snap` frame was built.
+    snap_prefixes: BTreeMap<(usize, u64), Vec<MarketEvent>>,
+    restores: u64,
+    held: u64,
 }
 
-fn wal_config(dir: &std::path::Path) -> WalConfig {
+/// Node `id`'s WAL. Shard 0's nodes prune what each checkpoint covers,
+/// so a standby behind the retained log is bootstrapped from a `snap`;
+/// shard 1's keep their history, so there is a covered checkpoint for
+/// the bit-flip class to rot (pruned, a log has none).
+fn wal_config(id: usize, dir: &std::path::Path) -> WalConfig {
     WalConfig::new(dir.to_path_buf())
         .with_checkpoint_every(4)
-        .with_segment_max_bytes(2048)
+        .with_segment_max_bytes(SEGMENT_BYTES)
         .with_fsync(true)
-        .with_retain_history(true)
+        .with_retain_history(id / REPLICAS == 1)
 }
 
 /// The "address" of node `id` (leader hints are strings).
@@ -276,7 +316,9 @@ impl Sim {
                     metrics: ServeMetrics::new(),
                     repl: ReplCore::new(&repl_config(id, role), 0, 0, 0, Duration::ZERO),
                     boots: 0,
-                    peer_attached: role == Role::Primary,
+                    session: None,
+                    catch_up: None,
+                    lineage: Vec::new(),
                     diverged: false,
                     promoted_ever: false,
                     down: false,
@@ -318,6 +360,9 @@ impl Sim {
             fleet_temporal_si: 0,
             si_partial_accruals: 0,
             pending_restarts: Vec::new(),
+            snap_prefixes: BTreeMap::new(),
+            restores: 0,
+            held: 0,
         };
         for id in 0..NODES {
             let role = sim.nodes[id].repl.role();
@@ -330,9 +375,14 @@ impl Sim {
         self.clock.now()
     }
 
-    fn violation(&mut self, msg: String) {
+    /// Appends `line` to the trace at the current instant.
+    fn note(&mut self, line: String) {
         let now = self.now();
-        self.trace.push(now, format!("VIOLATION: {msg}"));
+        self.trace.push(now, line);
+    }
+
+    fn violation(&mut self, msg: String) {
+        self.note(format!("VIOLATION: {msg}"));
         self.violations.push(msg);
     }
 
@@ -341,17 +391,10 @@ impl Sim {
     /// `role` at the term the node had before it went down.
     fn boot_node(&mut self, id: usize, role: Role) {
         let now = self.now();
+        let scrubbed = self.nodes[id].metrics.snapshot().wal_scrub_errors;
+        let opened = self.open(id, self.nodes[id].disk.clone(), &self.nodes[id].metrics);
         let node = &mut self.nodes[id];
-        let storage: Arc<dyn Storage> = Arc::new(node.disk.clone());
-        let scrubbed = node.metrics.snapshot().wal_scrub_errors;
-        match ServiceCore::open(
-            storage,
-            self.shard_config.clone(),
-            JournalLimit::default(),
-            wal_config(&node.dir),
-            FaultPlan::default(),
-            &node.metrics,
-        ) {
+        match opened {
             Ok(core) => {
                 let scrub_errors = node.metrics.snapshot().wal_scrub_errors - scrubbed;
                 node.boots += 1;
@@ -363,25 +406,34 @@ impl Sim {
                     node.repl.fence(term);
                 }
                 node.down = false;
+                node.session = None;
+                node.catch_up = None;
+                node.lineage.truncate(seq as usize);
                 // Recovery replays the WAL from disk, so any in-memory
                 // corruption injected before the crash is gone: the
                 // rebooted replica is genuinely clean again.
                 node.diverged = false;
                 node.core = Some(core);
-                self.trace.push(
-                    now,
-                    format!(
-                        "n{id} boot role={role:?} term={term} seq={seq} scrub_errors={scrub_errors}"
-                    ),
-                );
+                self.note(format!(
+                    "n{id} boot role={role:?} term={term} seq={seq} scrub_errors={scrub_errors}"
+                ));
             }
             Err(e) => {
-                self.trace.push(now, format!("n{id} recovery FAILED: {e}"));
+                self.note(format!("n{id} recovery FAILED: {e}"));
                 self.violation(format!(
                     "node {id} failed to recover from its own disk: {e}"
                 ));
             }
         }
+    }
+
+    /// Opens node `id`'s core from `disk` the way the server does
+    /// ([`ServiceCore::open`]).
+    fn open(&self, id: usize, disk: SimDisk, metrics: &ServeMetrics) -> io::Result<ServiceCore> {
+        let wal = wal_config(id, &self.nodes[id].dir);
+        let (config, limit) = (self.shard_config.clone(), JournalLimit::default());
+        let (disk, faults) = (Arc::new(disk), FaultPlan::default());
+        ServiceCore::open(disk, config, limit, wal, faults, metrics)
     }
 
     fn send_frame(&mut self, from: usize, to: usize, frame: Vec<u8>) {
@@ -422,8 +474,7 @@ impl Sim {
         let event = req.to_event();
         if event.is_some() {
             if let Some(refusal) = self.nodes[id].repl.admit_mutation(now, None) {
-                self.trace
-                    .push(now, format!("n{id} refuses: {}", err_code(&refusal)));
+                self.note(format!("n{id} refuses: {}", err_code(&refusal)));
                 return refusal;
             }
         }
@@ -442,28 +493,29 @@ impl Sim {
                 node.repl
                     .push_epoch_fp(seq_after, engine.epoch(), engine.state_fingerprint());
             }
-            let (seq, attached) = (seq_after - 1, node.peer_attached);
-            let event_value = event_to_value(&event);
+            let seq = seq_after - 1;
+            let event_json = event_to_value(&event).encode();
+            let frame = session::rec_frame(seq, &event);
+            node.lineage.push(event);
+            match node.session.as_mut().map(|s| s.offer(seq, &frame)) {
+                Some(Offer::Send) => self.send_frame(id, id ^ 1, frame),
+                Some(Offer::Held) => self.held += 1,
+                Some(Offer::Kill) => self.close(id),
+                Some(Offer::Skip) | None => {}
+            }
             if client {
                 self.pending.push(Pending {
                     primary: id,
                     seq,
+                    attached: self.nodes[id].session.is_some(),
                     deadline: now + ACK_TIMEOUT,
-                    event_json: event_value.encode(),
+                    event_json,
                 });
-            }
-            if attached {
-                let frame = message(
-                    "rec",
-                    vec![("seq", Value::from_u64(seq)), ("event", event_value)],
-                );
-                self.send_frame(id, id ^ 1, frame);
             }
             self.release_acks(id);
         }
         if poisoned {
-            self.trace
-                .push(now, format!("n{id} wal poisoned: crashing for recovery"));
+            self.note(format!("n{id} wal poisoned: crashing for recovery"));
             self.crash(id);
             self.pending_restarts.push((now + POISON_RESTART, id));
         }
@@ -471,9 +523,8 @@ impl Sim {
     }
 
     /// Releases every held client reply the core says may go: acked by
-    /// the standby, or no standby attached (solo durability).
+    /// the standby, or published with no session live (solo durability).
     fn release_acks(&mut self, primary: usize) {
-        let now = self.now();
         let node = &self.nodes[primary];
         let broken = self.opts.break_invariant == Some(BreakKind::AckUnreplicated);
         let mut released = Vec::new();
@@ -484,7 +535,7 @@ impl Sim {
             // BROKEN (test-only): override the core's verdict and release
             // before the standby confirms — a failover inside the
             // replication window now loses the acked tail.
-            let verdict = match node.repl.ack_state(p.seq + 1, node.peer_attached) {
+            let verdict = match node.repl.ack_state(p.seq + 1, p.attached) {
                 AckWait::Pending if broken => AckWait::Acked,
                 verdict => verdict,
             };
@@ -494,8 +545,7 @@ impl Sim {
             verdict == AckWait::Pending
         });
         for (verdict, seq, event_json) in released {
-            self.trace
-                .push(now, format!("n{primary} acked seq={seq} ({verdict:?})"));
+            self.note(format!("n{primary} acked seq={seq} ({verdict:?})"));
             self.acked.push(AckedEvent {
                 shard: primary / REPLICAS,
                 seq,
@@ -508,20 +558,27 @@ impl Sim {
         if !self.alive(id) {
             return;
         }
-        let now = self.now();
         self.nodes[id].core = None;
-        self.nodes[id].peer_attached = false;
         // Clients talking to a crashed primary get connection drops,
         // never acks.
         self.pending.retain(|p| p.primary != id);
-        self.trace.push(now, format!("n{id} crash"));
-        // A dead peer is observable (connection reset) over an open link:
-        // its primary stops counting it as an attached standby, and its
-        // standby's session is over. Behind a partition nothing arrives.
-        if !self.net.is_cut(id, id ^ 1, now) {
-            self.nodes[id ^ 1].peer_attached = false;
-            self.nodes[id ^ 1].repl.hang_up();
-            self.release_acks(id ^ 1);
+        self.note(format!("n{id} crash"));
+        // A dead peer is observable (connection reset) over an open link.
+        self.close(id);
+    }
+
+    /// `node`'s end of its replication connection closes: it is done
+    /// with it at once — its session as a primary, its following as a
+    /// standby — and its peer is when the close gets through, which it
+    /// does not across a cut link.
+    fn close(&mut self, node: usize) {
+        let now = self.now();
+        for end in [node, node ^ 1] {
+            if end == node || !self.net.is_cut(node, end, now) {
+                self.nodes[end].session = None;
+                self.nodes[end].catch_up = None;
+                self.nodes[end].repl.hang_up();
+            }
         }
     }
 
@@ -565,108 +622,125 @@ impl Sim {
         let was = self.nodes[to].repl.role();
         match kind(&msg) {
             "hello" => match self.nodes[to].repl.on_hello(&msg) {
-                Hello::Accept { have, meta } => self.attach_standby(to, from, have, meta),
+                // The session holds live records from now on; its
+                // catch-up reads the log `CATCH_UP` later.
+                Hello::Accept { have, meta } => {
+                    self.send_frame(to, from, meta);
+                    self.nodes[to].session = Some(Session::open(have));
+                    self.nodes[to].catch_up = Some((now + CATCH_UP, have));
+                }
                 Hello::Refuse(refusal) => self.send_frame(to, from, refusal),
             },
             // Acks ride the replication connection: none arrives once
             // the primary considers it reset.
-            "ack" if self.nodes[to].peer_attached => match self.nodes[to].repl.on_ack(&msg) {
+            "ack" if self.nodes[to].session.is_some() => match self.nodes[to].repl.on_ack(&msg) {
                 Ack::Ignored => {}
                 Ack::Progress(_) => self.release_acks(to),
                 Ack::Diverged { have, notice } => {
-                    self.trace.push(
-                        now,
-                        format!("n{to} divergence detected: n{from} at have={have}"),
-                    );
+                    self.note(format!("n{to} divergence detected: n{from} at have={have}"));
                     // The real primary closes the socket after the
                     // notice; the close is observed as reliably as the
                     // notice, so the pair rides a reliable send.
                     self.net.send_reliable(now, to, from, notice);
-                    self.nodes[to].peer_attached = false;
-                    self.release_acks(to);
+                    self.close(to);
                 }
             },
             "ack" => {}
             _ => match self.nodes[to].repl.on_frame(&msg, &addr(from), now) {
-                Stream::Apply { seq, event } => self.standby_apply(from, to, seq, event),
-                Stream::Drop => self.nodes[to].repl.hang_up(),
-                // `retain_history` keeps every log whole: no snapshots.
-                Stream::Following | Stream::Restore { .. } => {}
+                Stream::Following => {}
+                // A refusal closes a dial that opened no session.
+                Stream::Drop if kind(&msg) == "refuse" => self.nodes[to].repl.hang_up(),
+                Stream::Drop => self.close(to),
+                verdict => self.follow(from, to, verdict),
             },
         }
         if was != Role::Fenced && self.nodes[to].repl.role() == Role::Fenced {
-            self.nodes[to].peer_attached = false;
-            self.trace.push(
-                now,
-                format!("n{to} fenced: {} notice from n{from}", kind(&msg)),
-            );
+            self.close(to);
+            self.note(format!("n{to} fenced: {} notice from n{from}", kind(&msg)));
         }
     }
 
-    /// Applies a record the core cleared, through the standby's own
-    /// append-before-apply path, and acks with the core's frame.
-    fn standby_apply(&mut self, from: usize, to: usize, seq: u64, event: MarketEvent) {
-        let now = self.now();
+    /// Carries out the standby's verdict on a frame the core cleared
+    /// ([`session::apply`]) and acks with the core's frame. On `Resync`
+    /// it hangs up, and its timer re-dials; a poisoned WAL then crashes
+    /// the node for recovery, as an operator would.
+    fn follow(&mut self, from: usize, to: usize, verdict: Stream) {
+        let (seq, record) = match &verdict {
+            Stream::Apply { seq, event } => (*seq, Some(event.clone())),
+            Stream::Restore { seq, .. } => (*seq, None),
+            Stream::Following | Stream::Drop => return,
+        };
         let node = &mut self.nodes[to];
         let core = node.core.as_mut().expect("checked in on_frame");
-        let outcome = core.apply_repl(seq, event, &node.metrics);
-        let have = core.events_applied();
-        let reply = match outcome {
-            ReplApply::Applied { epoch_fp } => {
-                self.trace
-                    .push(now, format!("n{to} applied seq={seq} have={have}"));
-                node.repl.ack(have, epoch_fp)
+        let applied = session::apply(core, verdict, &node.metrics);
+        let (have, poisoned) = (core.events_applied(), core.wal().is_some_and(Wal::poisoned));
+        let epoch_fp = match (applied, record) {
+            (Applied::Applied { epoch_fp }, Some(event)) => {
+                node.lineage.push(event);
+                epoch_fp
             }
-            ReplApply::Skipped => node.repl.ack(have, None),
-            // A hole cannot be repaired in-stream: reconnect.
-            ReplApply::Gap => {
-                self.trace
-                    .push(now, format!("n{to} gap at seq={seq} have={have}: resync"));
-                node.repl.dial(now)
+            (Applied::Applied { .. }, None) => {
+                node.lineage = self.snap_prefixes[&(from, seq)].clone();
+                // The snapshot replaces the engine, as a reboot does: an
+                // apply corrupted before it, or armed to be, lies behind it.
+                node.diverged = false;
+                self.restores += 1;
+                None
             }
-            ReplApply::WalError => {
-                if core.wal().is_some_and(|w| w.poisoned()) {
-                    self.trace
-                        .push(now, format!("n{to} standby wal poisoned: crashing"));
+            (Applied::Skipped, _) => None,
+            (Applied::Resync | Applied::Ignored, _) => {
+                self.note(format!("n{to} resync at seq={seq} have={have}"));
+                self.close(to);
+                if poisoned {
+                    self.note(format!("n{to} standby wal poisoned: crashing"));
                     self.crash(to);
-                    self.pending_restarts.push((now + POISON_RESTART, to));
+                    let at = self.now() + POISON_RESTART;
+                    self.pending_restarts.push((at, to));
                 }
                 return;
             }
         };
-        self.send_frame(to, from, reply);
+        self.note(format!("n{to} acks seq={seq} have={have}"));
+        let ack = self.nodes[to].repl.ack(have, epoch_fp);
+        self.send_frame(to, from, ack);
     }
 
-    /// The core accepted a standby at `have`: send its `meta`, then
-    /// stream the log tail — the catch-up `handle_standby` performs from
-    /// disk — and count the connection as live.
-    fn attach_standby(&mut self, primary: usize, standby: usize, have: u64, meta: Vec<u8>) {
-        let now = self.now();
-        self.send_frame(primary, standby, meta);
-        let core = self.nodes[primary].core.as_ref().expect("present");
-        let events = match core.wal().expect("wal-backed").read_events() {
-            Ok((first, mut events)) => {
-                debug_assert_eq!(first, 0, "retain_history keeps the full log");
-                events.split_off((have as usize).min(events.len()))
+    /// `primary`'s catch-up of a standby at `have`: [`session::catch_up`]
+    /// from its own disk, then the session's hold drained until it is
+    /// live.
+    fn catch_up(&mut self, primary: usize, have: u64) {
+        let (now, standby, node) = (self.now(), primary ^ 1, &self.nodes[primary]);
+        let (net, rng) = (&mut self.net, &mut self.rng);
+        let read = session::catch_up(have, &node.disk, &node.dir, |frame| {
+            net.send(now, primary, standby, frame, rng);
+            Ok(())
+        });
+        let (snap, upto) = match read {
+            Ok(caught) => caught,
+            Err(e) => {
+                self.note(format!("n{primary} catch-up of n{standby} failed: {e}"));
+                return self.close(primary);
             }
-            Err(_) => Vec::new(),
         };
-        let count = events.len();
-        for (i, event) in events.into_iter().enumerate() {
-            let frame = message(
-                "rec",
-                vec![
-                    ("seq", Value::from_u64(have + i as u64)),
-                    ("event", event_to_value(&event)),
-                ],
-            );
-            self.send_frame(primary, standby, frame);
+        if let Some(seq) = snap {
+            let prefix = node.lineage.iter().take(seq as usize).cloned().collect();
+            self.snap_prefixes.insert((primary, seq), prefix);
         }
-        self.nodes[primary].peer_attached = true;
-        self.trace.push(
-            now,
-            format!("n{primary} attached n{standby} from seq={have} (+{count} catch-up records)"),
-        );
+        loop {
+            let session = self.nodes[primary].session.as_mut().expect("open");
+            match session.go_live(upto) {
+                GoLive::Send(frames) => {
+                    for frame in frames {
+                        self.send_frame(primary, standby, frame);
+                    }
+                }
+                GoLive::Live => break,
+                GoLive::Kill => return self.close(primary),
+            }
+        }
+        self.note(format!(
+            "n{primary} caught n{standby} up: {have}..{upto} snap={snap:?}"
+        ));
     }
 
     // ------------------------------------------------------------------
@@ -685,16 +759,21 @@ impl Sim {
             self.restart(id);
         }
         for id in 0..NODES {
+            if let Some((_, have)) = self.nodes[id].catch_up.take_if(|(at, _)| *at <= now) {
+                self.catch_up(id, have);
+            }
             if !self.alive(id) {
                 continue;
             }
             match self.nodes[id].repl.timer(now) {
-                // Heartbeats ride the replication connection: a primary
-                // with no attached standby has no socket to write them to,
-                // so a detached standby goes silent and re-dials.
+                // Heartbeats ride the replication connection, once its
+                // catch-up is through: a primary with no session has no
+                // socket to write them to, so a detached standby goes
+                // silent and re-dials.
                 Timer::Heartbeat => {
                     let hb = self.nodes[id].repl.beat(now);
-                    if let Some(hb) = hb.filter(|_| self.nodes[id].peer_attached) {
+                    let session = self.nodes[id].session.as_ref();
+                    if let (Some(hb), Some(Offer::Send)) = (hb, session.map(Session::heartbeat)) {
                         self.send_frame(id, id ^ 1, hb);
                     }
                 }
@@ -741,7 +820,6 @@ impl Sim {
     }
 
     fn promote(&mut self, id: usize) {
-        let now = self.now();
         if self.nodes[id].diverged {
             // The fencing invariant says this must be impossible: a
             // diverged replica is caught by the fingerprint channel
@@ -752,8 +830,7 @@ impl Sim {
             return;
         };
         self.nodes[id].promoted_ever = true;
-        self.nodes[id].peer_attached = false;
-        self.trace.push(now, format!("n{id} promote term={term}"));
+        self.note(format!("n{id} promote term={term}"));
         // Depose the old primary if it is somehow still reachable.
         if let Some((_, hello)) = depose {
             self.send_frame(id, id ^ 1, hello);
@@ -768,23 +845,20 @@ impl Sim {
     /// to the core (a primary that refuses, say inside its recovery
     /// lease, never journaled the split).
     fn deliver(&mut self, shard: usize, capacity: Vec<f64>, why: &str) {
-        let now = self.now();
         let reply = self.ask(shard, &Request::Reallot { capacity });
         self.router.delivered(shard, &reply);
         if !is_ok(&reply) {
-            self.trace
-                .push(now, format!("{why} shard={shard} undelivered"));
+            self.note(format!("{why} shard={shard} undelivered"));
         }
     }
 
     /// Carries out a [`Readmit`]: the re-offer, then the catch-up ticks.
     fn rejoin(&mut self, readmit: Readmit, why: &str) {
-        let now = self.now();
         let shard = readmit.shard;
-        self.trace.push(
-            now,
-            format!("router {why} shard={shard} catch-up={}", readmit.catch_up),
-        );
+        self.note(format!(
+            "router {why} shard={shard} catch-up={}",
+            readmit.catch_up
+        ));
         if let Some(capacity) = readmit.capacity {
             self.deliver(shard, capacity, &format!("router {why}"));
         }
@@ -813,26 +887,22 @@ impl Sim {
     /// A panic under the serving node's lock — the same notice
     /// `Shared::locked` feeds the core on a caught panic.
     fn panic(&mut self, id: usize) {
-        let now = self.now();
         let shard = id / REPLICAS;
         if self.nodes[id].down || self.route(shard) != Some(id) {
-            self.trace
-                .push(now, format!("panic n{id} skipped: not serving"));
+            self.note(format!("panic n{id} skipped: not serving"));
             return;
         }
         self.nodes[id].down = true;
         ServeMetrics::bump(&self.nodes[id].metrics.ticker_panics);
         let after = self.router.panicked(shard);
-        self.trace
-            .push(now, format!("n{id} panic shard={shard}: {after:?}"));
+        self.note(format!("n{id} panic shard={shard}: {after:?}"));
         match after {
             AfterPanic::StopLeading
                 if self.opts.break_invariant == Some(BreakKind::HeartbeatWhileDown) =>
             {
                 // BROKEN (test-only): override the verdict and keep
                 // leading — the standby never elects.
-                self.trace
-                    .push(now, format!("n{id} BROKEN: heartbeats while Down"));
+                self.note(format!("n{id} BROKEN: heartbeats while Down"));
             }
             AfterPanic::StopLeading => self.nodes[id].repl.mark_down(),
             AfterPanic::Restart => {}
@@ -849,7 +919,6 @@ impl Sim {
     }
 
     fn fleet_tick(&mut self) {
-        let now = self.now();
         self.round += 1;
         let round = self.round;
         self.note_recoveries();
@@ -873,10 +942,7 @@ impl Sim {
         }
         if verdict.frozen {
             self.quorum_freezes += 1;
-            self.trace.push(
-                now,
-                format!("round={round} quorum freeze ({reported}/{SHARDS})"),
-            );
+            self.note(format!("round={round} quorum freeze ({reported}/{SHARDS})"));
         }
         for (shard, capacity) in verdict.reallots {
             self.deliver(shard, capacity, &format!("round={round} reallot"));
@@ -893,14 +959,12 @@ impl Sim {
             // BROKEN (test-only): override the verdict.
             self.fleet_temporal_si += si;
             self.si_partial_accruals += 1;
-            self.trace.push(
-                now,
-                format!("round={round} BROKEN: fairness merged while partial"),
-            );
+            self.note(format!(
+                "round={round} BROKEN: fairness merged while partial"
+            ));
         }
         self.last_missing = verdict.missing;
-        self.trace
-            .push(now, format!("round={round} reported={reported} si={si}"));
+        self.note(format!("round={round} reported={reported} si={si}"));
     }
 
     // ------------------------------------------------------------------
@@ -908,7 +972,6 @@ impl Sim {
     // ------------------------------------------------------------------
 
     fn apply_client(&mut self, op: &ClientOp) {
-        let now = self.now();
         let truth =
             |e0: f64| CobbDouglas::new(1.0, vec![e0, 1.0 - e0]).expect("valid elasticities");
         let (agent, req) = match *op {
@@ -935,24 +998,17 @@ impl Sim {
             .then(|| self.route(shard))
             .flatten();
         let Some(p) = primary else {
-            self.trace.push(
-                now,
-                format!("client agent={agent} shard={shard} unavailable"),
-            );
+            self.note(format!("client agent={agent} shard={shard} unavailable"));
             return;
         };
         let reply = self.primary_apply(p, &req, true);
-        self.trace.push(
-            now,
-            format!(
-                "client agent={agent} shard={shard} n{p} ok={}",
-                is_ok(&reply)
-            ),
-        );
+        self.note(format!(
+            "client agent={agent} shard={shard} n{p} ok={}",
+            is_ok(&reply)
+        ));
     }
 
     fn apply_fault(&mut self, op: &FaultOp) {
-        let now = self.now();
         match op {
             FaultOp::Crash { node } => self.crash(*node),
             FaultOp::Restart { node } => self.restart(*node),
@@ -963,28 +1019,23 @@ impl Sim {
                 if *both {
                     self.net.cut(s, p, None);
                 }
-                self.trace.push(
-                    now,
-                    format!("partition shard={shard} n{p}->n{s} both={both}"),
-                );
+                self.note(format!("partition shard={shard} n{p}->n{s} both={both}"));
             }
             FaultOp::Heal { shard } => {
                 let a = shard * REPLICAS;
                 let b = a + 1;
                 self.net.heal(a, b);
                 self.net.heal(b, a);
-                self.trace.push(now, format!("heal shard={shard}"));
+                self.note(format!("heal shard={shard}"));
             }
             FaultOp::TornWrite { node } => {
                 let keep = self.rng.range(1, 12) as usize;
                 self.nodes[*node].disk.arm_torn_write(keep);
-                self.trace
-                    .push(now, format!("torn write armed n{node} keep={keep}"));
+                self.note(format!("torn write armed n{node} keep={keep}"));
             }
             FaultOp::FailSync { node, n } => {
                 self.nodes[*node].disk.fail_next_syncs(*n);
-                self.trace
-                    .push(now, format!("fsync failures armed n{node} n={n}"));
+                self.note(format!("fsync failures armed n{node} n={n}"));
             }
             FaultOp::BitFlip { node } => {
                 let dir = self.nodes[*node].dir.clone();
@@ -997,14 +1048,13 @@ impl Sim {
                     ),
                     None => "skipped: no covered checkpoint".to_string(),
                 };
-                self.trace.push(now, format!("bit flip n{node} {what}"));
+                self.note(format!("bit flip n{node} {what}"));
             }
             FaultOp::Diverge { shard } => {
                 let target = (shard * REPLICAS..shard * REPLICAS + REPLICAS)
                     .find(|id| self.nodes[*id].repl.role() == Role::Standby && self.alive(*id));
                 let Some(id) = target else {
-                    self.trace
-                        .push(now, format!("diverge shard={shard} skipped: no standby"));
+                    self.note(format!("diverge shard={shard} skipped: no standby"));
                     return;
                 };
                 let node = &mut self.nodes[id];
@@ -1016,13 +1066,12 @@ impl Sim {
                 };
                 node.core = Some(core.with_faults(plan));
                 node.diverged = true;
-                self.trace
-                    .push(now, format!("diverge armed n{id} at seq={seq}"));
+                self.note(format!("diverge armed n{id} at seq={seq}"));
             }
             FaultOp::DelayBump { factor } => {
                 self.net.base_delay *= *factor;
                 self.net.jitter *= *factor;
-                self.trace.push(now, format!("delay bump x{factor}"));
+                self.note(format!("delay bump x{factor}"));
             }
             FaultOp::Panic { node } => self.panic(*node),
         }
@@ -1033,7 +1082,6 @@ impl Sim {
             Op::Client(c) => self.apply_client(c),
             Op::Fault(f) => self.apply_fault(f),
             Op::Scrub { node } => {
-                let now = self.now();
                 let target = &mut self.nodes[*node];
                 if let Some(core) = target.core.as_mut() {
                     let reply = core.handle(&Request::Scrub, &target.metrics);
@@ -1041,8 +1089,7 @@ impl Sim {
                         .get("errors")
                         .and_then(Value::as_array)
                         .map(<[Value]>::len);
-                    self.trace
-                        .push(now, format!("scrub n{node} errors={errors:?}"));
+                    self.note(format!("scrub n{node} errors={errors:?}"));
                 }
             }
         }
@@ -1129,91 +1176,76 @@ impl Sim {
         })
     }
 
-    /// Node `id`'s whole on-disk history (a violation if it is unreadable
-    /// or no longer reaches back to event 0).
-    fn history(&mut self, id: usize) -> Option<Vec<MarketEvent>> {
-        match read_events_with(&self.nodes[id].disk, &self.nodes[id].dir) {
-            Ok((0, events)) => return Some(events),
-            Ok((first, _)) => {
-                self.violation(format!("n{id} history starts at {first}, expected 0"));
-            }
-            Err(e) => self.violation(format!("n{id} log unreadable: {e}")),
-        }
-        None
-    }
-
     fn check_invariants(&mut self) {
+        let mut found = Vec::new();
+        // 0. The oracle's lineages are what the disks hold: the records a
+        // WAL still holds are its lineage's tail, byte for byte.
+        for (id, node) in self.nodes.iter().enumerate() {
+            match read_events_with(&node.disk, &node.dir) {
+                Ok((first, log)) if node.lineage.get(first as usize..) == Some(&log[..]) => {}
+                Ok((first, log)) => found.push(format!(
+                    "n{id} oracle lineage ({} events) disagrees with its log ({} from {first})",
+                    node.lineage.len(),
+                    log.len()
+                )),
+                Err(e) => found.push(format!("n{id} log unreadable: {e}")),
+            }
+        }
         // 1. Zero acked-event loss.
         for shard in 0..SHARDS {
-            let Some(auth) = self.authoritative(shard) else {
-                if self.acked.iter().any(|a| a.shard == shard) {
-                    self.violation(format!(
-                        "shard {shard} has acked events but no authoritative node"
+            let auth = self.authoritative(shard);
+            let acked = self.acked.iter().filter(|a| a.shard == shard);
+            let Some(auth) = auth else {
+                if acked.count() > 0 {
+                    found.push(format!(
+                        "shard {shard} acked events but has no authoritative node"
                     ));
                 }
                 continue;
             };
-            let Some(events) = self.history(auth) else {
-                continue;
-            };
-            let acked: Vec<(u64, String)> = self
-                .acked
-                .iter()
-                .filter(|a| a.shard == shard)
-                .map(|a| (a.seq, a.event_json.clone()))
-                .collect();
-            for (seq, event_json) in acked {
-                match events.get(seq as usize) {
-                    None => self.violation(format!(
-                        "acked event lost: shard {shard} seq {seq} missing from n{auth} (log len {})",
-                        events.len()
-                    )),
-                    Some(event) => {
-                        let found = event_to_value(event).encode();
-                        if found != event_json {
-                            self.violation(format!(
-                                "acked event mutated: shard {shard} seq {seq}: acked {event_json} found {found}"
-                            ));
-                        }
-                    }
+            let lineage = &self.nodes[auth].lineage;
+            for a in acked {
+                let held = lineage
+                    .get(a.seq as usize)
+                    .map(|e| event_to_value(e).encode());
+                if held.as_ref() != Some(&a.event_json) {
+                    found.push(format!(
+                        "acked event lost: shard {shard} seq {}: acked {}, n{auth} holds {held:?}",
+                        a.seq, a.event_json
+                    ));
                 }
             }
         }
-        // 2. Bit-identical replay on every live, unfenced node.
-        for id in 0..NODES {
-            if !self.alive(id) || self.nodes[id].repl.role() == Role::Fenced {
-                continue;
-            }
-            let Some(events) = self.history(id) else {
+        // 2. Bit-identical replay on every live, unfenced node: its
+        // lineage replayed from event 0, and recovery from its disk's
+        // checkpoint and tail, both land on its live state.
+        for (id, node) in self.nodes.iter().enumerate() {
+            let (Some(core), false) = (&node.core, node.repl.role() == Role::Fenced) else {
                 continue;
             };
-            let live = self.nodes[id]
-                .core
-                .as_ref()
-                .expect("present")
-                .final_snapshot();
-            match replay(self.shard_config.clone(), &events) {
-                Ok(engine) => {
-                    if engine.snapshot().encode() != live {
-                        self.violation(format!(
-                            "n{id} replay divergence: offline replay of {} events != live state",
-                            events.len()
-                        ));
-                    }
+            let live = Ok(core.final_snapshot());
+            let replayed = replay(self.shard_config.clone(), &node.lineage)
+                .map(|engine| engine.snapshot().encode())
+                .map_err(|e| e.to_string());
+            // What recovery rebuilds from the disk right now: newest
+            // checkpoint plus the log tail.
+            let recovered = self.open(id, node.disk.fork(), &ServeMetrics::new());
+            let recovered = recovered
+                .map(|c| c.final_snapshot())
+                .map_err(|e| e.to_string());
+            for (how, state) in [("replay of its lineage", replayed), ("recovery", recovered)] {
+                if state != live {
+                    let why = state.map_or_else(|e| e, |_| "a different state".to_string());
+                    found.push(format!("n{id} {how} diverges from its live state: {why}"));
                 }
-                Err(e) => self.violation(format!("n{id} replay failed: {e}")),
             }
         }
         // 3. Diverged replicas are fenced and never promoted.
-        for id in 0..NODES {
-            let node = &self.nodes[id];
-            if !node.diverged {
-                continue;
-            }
+        for (id, node) in self.nodes.iter().enumerate().filter(|(_, n)| n.diverged) {
             if node.promoted_ever {
-                self.violation(format!("diverged replica n{id} was promoted"));
+                found.push(format!("diverged replica n{id} was promoted"));
             } else if node.core.is_some() && node.repl.role() != Role::Fenced {
-                self.violation(format!(
+                found.push(format!(
                     "diverged replica n{id} ended {:?}, expected Fenced",
                     node.repl.role()
                 ));
@@ -1229,83 +1261,64 @@ impl Sim {
                 all_live = false;
                 continue;
             };
-            let capacity: Vec<f64> = self.nodes[p]
-                .core
-                .as_ref()
-                .expect("present")
-                .engine()
-                .config()
-                .capacity
-                .as_slice()
-                .to_vec();
-            let want = self.router.allotments()[shard].clone();
-            for (r, (cap, want_r)) in capacity.iter().zip(&want).enumerate() {
+            let engine = self.nodes[p].core.as_ref().expect("present").engine();
+            let allotted = &self.router.allotments()[shard];
+            let capacity = engine.config().capacity.as_slice().iter().zip(allotted);
+            for (r, (cap, want)) in capacity.enumerate() {
                 let tolerance = REALLOT_TOLERANCE * self.total_capacity[r];
-                if (cap - want_r).abs() > tolerance {
-                    self.violation(format!(
-                        "shard {shard} capacity[{r}]={cap} but coordinator allotment={want_r} (tolerance {tolerance})",
+                if (cap - want).abs() > tolerance {
+                    found.push(format!(
+                        "shard {shard} capacity[{r}]={cap} but coordinator allotment={want} (tolerance {tolerance})",
                     ));
                 }
                 live_total[r] += cap;
             }
         }
-        if all_live {
-            let totals: Vec<(f64, f64)> = live_total
-                .iter()
-                .copied()
-                .zip(self.total_capacity.iter().copied())
-                .collect();
-            for (r, (live, total)) in totals.into_iter().enumerate() {
-                if (live - total).abs() > 1e-3 * total {
-                    self.violation(format!(
-                        "capacity not conserved: resource {r} sums to {live} of {total}",
-                    ));
-                }
+        let totals = live_total.iter().zip(&self.total_capacity).enumerate();
+        for (r, (live, total)) in totals.filter(|_| all_live) {
+            if (live - total).abs() > 1e-3 * total {
+                found.push(format!(
+                    "capacity not conserved: resource {r} sums to {live} of {total}"
+                ));
             }
         }
         // 5. Temporal-SI accounting never accrued during partial rounds.
         if self.si_partial_accruals > 0 {
-            self.violation(format!(
-                "fleet fairness merged on {} partial round(s)",
-                self.si_partial_accruals
-            ));
+            let n = self.si_partial_accruals;
+            found.push(format!("fleet fairness merged on {n} partial round(s)"));
         }
         // 6. Liveness: every shard is routable and reported last round.
         for shard in 0..SHARDS {
             if self.route(shard).is_none() {
-                self.violation(format!(
+                found.push(format!(
                     "shard {shard} has no routable primary after settle"
                 ));
             }
         }
         if !self.last_missing.is_empty() {
-            self.violation(format!(
-                "the last round missed shard(s) {:?} after settle",
-                self.last_missing
+            let missing = &self.last_missing;
+            found.push(format!(
+                "the last round missed shard(s) {missing:?} after settle"
             ));
         }
         // Scrub expectation: injected rot must have been found.
-        for id in 0..NODES {
-            if self.nodes[id].bitflip_hit {
-                let found = self.nodes[id].metrics.snapshot().wal_scrub_errors;
-                if found == 0 {
-                    self.violation(format!("bit flip on n{id} never surfaced in a scrub"));
-                }
+        for (id, node) in self.nodes.iter().enumerate().filter(|(_, n)| n.bitflip_hit) {
+            if node.metrics.snapshot().wal_scrub_errors == 0 {
+                found.push(format!("bit flip on n{id} never surfaced in a scrub"));
             }
         }
-        let now = self.now();
-        self.trace.push(
-            now,
-            format!(
-                "end acked={} rounds={} freezes={} partial={} si={} violations={}",
-                self.acked.len(),
-                self.round,
-                self.quorum_freezes,
-                self.partial_rounds,
-                self.fleet_temporal_si,
-                self.violations.len()
-            ),
-        );
+        for msg in found {
+            self.violation(msg);
+        }
+        self.note(format!(
+            "end acked={} rounds={} freezes={} partial={} si={} violations={}",
+            self.acked.len(),
+            self.round,
+            self.quorum_freezes,
+            self.partial_rounds,
+            self.fleet_temporal_si,
+            self.violations.len()
+        ));
     }
 
     fn finish(self) -> RunOutcome {
@@ -1324,6 +1337,8 @@ impl Sim {
             acked_events: self.acked.len() as u64,
             quorum_freezes: self.quorum_freezes,
             partial_rounds: self.partial_rounds,
+            restores: self.restores,
+            held: self.held,
         }
     }
 }

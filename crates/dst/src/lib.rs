@@ -4,7 +4,9 @@
 //! that hosts the *whole* fleet in-process: two sharded [`ServiceCore`]s
 //! with real WALs behind an in-memory [`SimDisk`], a primary and standby
 //! per shard whose replication, election and fencing decisions are made
-//! by the server's own [`ReplCore`] over a [`SimNet`] that delays,
+//! by the server's own [`ReplCore`], and whose catch-up, `snap`
+//! bootstrap and apply verdicts by its own replication `Session`, over a
+//! [`SimNet`] that delays,
 //! drops, duplicates, partitions, and heals, a router whose health
 //! tracking, quorum gate and reallotment are the server's own
 //! [`RouterCore`], and scripted clients — all driven by one seeded

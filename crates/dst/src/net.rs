@@ -47,10 +47,8 @@ pub struct SimNet {
     pub drop_p: f64,
     /// Probability a frame is delivered twice (a retransmit duplicate).
     pub dup_p: f64,
-    /// Frames dropped (loss or cut), delivered, and duplicated.
+    /// Frames dropped (loss or cut).
     pub dropped: u64,
-    /// Frames handed to receivers.
-    pub delivered: u64,
     /// Duplicate deliveries scheduled.
     pub duplicated: u64,
 }
@@ -68,7 +66,6 @@ impl SimNet {
             drop_p,
             dup_p,
             dropped: 0,
-            delivered: 0,
             duplicated: 0,
         }
     }
@@ -163,24 +160,14 @@ impl SimNet {
         true
     }
 
-    /// Virtual time of the next pending delivery, if any.
-    pub fn next_due(&self) -> Option<Duration> {
-        self.queue
-            .keys()
-            .next()
-            .map(|(at, _)| Duration::from_nanos(*at))
-    }
-
     /// Removes and returns every packet due at or before `now`, in
     /// deterministic `(time, send order)` order.
     pub fn pop_due(&mut self, now: Duration) -> Vec<Packet> {
         let cutoff = now.as_nanos() as u64;
         let later = self.queue.split_off(&(cutoff + 1, 0));
-        let due: Vec<Packet> = std::mem::replace(&mut self.queue, later)
+        std::mem::replace(&mut self.queue, later)
             .into_values()
-            .collect();
-        self.delivered += due.len() as u64;
-        due
+            .collect()
     }
 
     /// Number of frames still in flight.

@@ -22,6 +22,8 @@ fn outcomes_bit_identical(a: &RunOutcome, b: &RunOutcome) -> bool {
         && a.acked_events == b.acked_events
         && a.quorum_freezes == b.quorum_freezes
         && a.partial_rounds == b.partial_rounds
+        && a.restores == b.restores
+        && a.held == b.held
 }
 
 proptest! {

@@ -302,8 +302,9 @@ impl ServiceCore {
         }
         // Stream to standbys right after the durable append, before the
         // local apply, so replication overlaps the engine work.
+        let mut attached = false;
         if let Some(repl) = self.repl.as_ref().filter(|r| r.role() == Role::Primary) {
-            repl.publish_record(seq, &event, metrics);
+            attached = repl.publish_record(seq, &event, metrics);
             ServeMetrics::bump(&metrics.repl_records_sent);
         }
         self.record(&event);
@@ -347,7 +348,7 @@ impl ServiceCore {
             .as_ref()
             .filter(|r| r.config().sync && r.role() == Role::Primary)
         {
-            if !repl.wait_applied(self.events_applied) {
+            if !repl.wait_applied(self.events_applied, attached) {
                 return error_response(
                     "repl",
                     Some("applied locally but the standby ack timed out; not confirmed replicated"),
@@ -451,10 +452,13 @@ impl ServiceCore {
                 "replication snapshot belongs to a different market configuration".to_string(),
             ));
         }
-        self.engine = MarketEngine::restore(&snapshot).map_err(|e| invalid(e.to_string()))?;
+        let engine = MarketEngine::restore(&snapshot).map_err(|e| invalid(e.to_string()))?;
+        // The log first: a reset that fails leaves engine and log as they
+        // were, still in step.
         if let Some(wal) = self.wal.as_mut() {
             wal.reset_to_checkpoint(seq, snapshot_text)?;
         }
+        self.engine = engine;
         self.journal = Vec::new();
         self.journal_overflowed = seq > 0;
         self.last_report = None;

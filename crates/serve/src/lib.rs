@@ -49,8 +49,10 @@
 //!   a seed list by following `not_primary` redirects and `ping`.
 //!   Every rule of it — who is refused, who fences, when a standby may
 //!   elect itself, when a recovered primary may take writes again — is
-//!   one sans-IO state machine, [`repl_core::ReplCore`]; [`repl`] is its
-//!   threaded driver and the deterministic simulator its other one.
+//!   one sans-IO state machine, [`repl_core::ReplCore`], and every rule
+//!   of one connection (catch-up, `snap` bootstrap, hold and go-live,
+//!   the standby's apply verdict) is [`session`]'s; [`repl`] is their
+//!   threaded driver and the deterministic simulator their other one.
 //! * **Sharding** ([`shard`] + [`server`]'s router): partitions agents
 //!   across N independent market shards via a seeded consistent-hash
 //!   ring, one code path for every N (one shard is a one-node fleet).
@@ -115,6 +117,7 @@ pub mod repl;
 pub mod repl_core;
 pub mod router;
 pub mod server;
+pub mod session;
 pub mod shard;
 pub mod storage;
 pub mod wal;

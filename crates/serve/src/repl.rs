@@ -41,8 +41,10 @@
 //!
 //! Every one of those rules — who is refused, who fences, when a standby
 //! may elect itself, when a recovered primary may take writes again —
-//! is decided by [`ReplCore`], the sans-IO state machine the
-//! deterministic simulator drives too. This module is its threaded
+//! is decided by [`ReplCore`], and every rule of one connection — the
+//! catch-up, the `snap` bootstrap, the hold and go-live, the standby's
+//! apply verdict — by [`crate::session`]: sans-IO rules the
+//! deterministic simulator drives too. This module is their threaded
 //! driver: sockets, the frame codec, and the blocking sync-mode wait.
 //! There are no relay threads: the thread that appended a record writes
 //! its `rec` frame to every standby socket itself, and the standby's
@@ -62,14 +64,14 @@ use std::time::{Duration, Instant};
 use ref_market::MarketEvent;
 
 use crate::clock::Clock;
-use crate::core::ReplApply;
 use crate::json::Value;
 use crate::metrics::ServeMetrics;
-use crate::protocol::event_to_value;
 pub use crate::repl_core::Role;
 use crate::repl_core::{Ack, AckWait, Hello, Promotion, ReplCore, Stream, Timer};
-use crate::server::{handle_promote, ShardCell, Shared};
-use crate::wal::{self, crc32, MAX_FRAME_BYTES, RECORD_HEADER_BYTES};
+use crate::server::{handle_promote, Shared};
+use crate::session::{self, Applied, GoLive, Offer, Session};
+use crate::storage::Storage;
+use crate::wal::{self, crc32, Wal, MAX_FRAME_BYTES, RECORD_HEADER_BYTES};
 
 /// Replication knobs for one node of a primary/standby pair.
 #[derive(Debug, Clone)]
@@ -316,26 +318,17 @@ struct Sink {
     alive: AtomicBool,
 }
 
-/// The write side of a standby connection.
+/// The write side of a standby connection, and its [`Session`].
 #[derive(Debug)]
 struct SinkOut {
     stream: TcpStream,
-    /// `Some` while the handler thread is still streaming disk history
-    /// down the same socket: live records wait here, in order, and the
-    /// handler sends them when the history is through.
-    held: Option<Vec<(u64, Vec<u8>)>>,
-    /// The next record sequence the socket is owed.
-    next_send: u64,
+    session: Session,
 }
-
-/// How many live records may wait for a standby's disk catch-up before
-/// the primary drops it (it reconnects and catches up from disk).
-const SINK_QUEUE: usize = 4096;
 
 /// How long a write to a caught-up standby's socket may block. Writes
 /// happen under the primary's shard lock, so this bounds what a replica
 /// that stopped reading can cost: past it the sink is dropped, exactly
-/// as one whose queue was full.
+/// as one whose hold was full.
 const SEND_TIMEOUT: Duration = Duration::from_millis(100);
 
 impl Sink {
@@ -350,52 +343,24 @@ impl Sink {
         self.out.lock().expect("repl lock poisoned")
     }
 
-    /// Sends (or, during catch-up, holds) one live record. `false` once
-    /// the sink is dead: a full hold, a hole in the sequence, or a write
-    /// that failed or timed out — possibly mid-frame, so the connection
-    /// is unusable either way.
-    fn send_rec(&self, seq: u64, frame: &[u8]) -> bool {
+    /// Carries out the session's verdict on `frame` (a live record or a
+    /// heartbeat). `false` once the sink is dead: the session killed it,
+    /// or a write failed or timed out — possibly mid-frame, so the
+    /// connection is unusable either way.
+    fn send(&self, frame: &[u8], verdict: impl FnOnce(&mut Session) -> Offer) -> bool {
         if !self.alive.load(Ordering::SeqCst) {
             return false;
         }
         let mut out = self.out();
-        let out = &mut *out;
-        let sent = match &mut out.held {
-            Some(held) if held.len() < SINK_QUEUE => {
-                held.push((seq, frame.to_vec()));
-                true
-            }
-            Some(_) => false,
-            None => match seq.cmp(&out.next_send) {
-                // The disk catch-up already shipped it.
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Equal => {
-                    out.next_send = seq + 1;
-                    out.stream.write_all(frame).is_ok()
-                }
-                // A hole between what was sent and the live record
-                // should be impossible; never paper over it.
-                std::cmp::Ordering::Greater => false,
-            },
+        let sent = match verdict(&mut out.session) {
+            Offer::Held | Offer::Skip => true,
+            Offer::Send => out.stream.write_all(frame).is_ok(),
+            Offer::Kill => false,
         };
         if !sent {
-            self.kill(out);
+            self.kill(&out);
         }
         sent
-    }
-
-    /// Sends a heartbeat to a caught-up sink; one still catching up is
-    /// hearing from the primary anyway.
-    fn send_heartbeat(&self, frame: &[u8]) -> bool {
-        if !self.alive.load(Ordering::SeqCst) {
-            return false;
-        }
-        let mut out = self.out();
-        if out.held.is_none() && out.stream.write_all(frame).is_err() {
-            self.kill(&out);
-            return false;
-        }
-        true
     }
 
     /// Retires the sink with a parting frame: nothing is written to the
@@ -407,32 +372,19 @@ impl Sink {
         let _ = out.stream.shutdown(std::net::Shutdown::Write);
     }
 
-    /// Ends the catch-up: sends what was held while the disk history
-    /// streamed (everything from `next` on), then lets appenders write
-    /// to the socket directly. The sink's lock is only ever held to swap
-    /// the hold out, so no appender waits on this socket.
-    fn go_live(&self, writer: &mut TcpStream, mut next: u64) -> std::io::Result<()> {
+    /// Ends the catch-up that covered everything below `upto`: sends
+    /// the session's held frames, step by step, until it is live and
+    /// appenders write to the socket directly. The sink's lock is only
+    /// held for a step, never for a write, so no appender waits on this
+    /// socket.
+    fn go_live(&self, writer: &mut TcpStream, upto: u64) -> std::io::Result<()> {
         writer.set_write_timeout(Some(SEND_TIMEOUT))?;
         loop {
-            let batch = {
-                let mut out = self.out();
-                let held = out.held.as_mut().expect("go_live runs once per sink");
-                if held.is_empty() {
-                    out.held = None;
-                    out.next_send = next;
-                    return Ok(());
-                }
-                std::mem::take(held)
-            };
-            for (seq, frame) in batch {
-                if seq < next {
-                    continue;
-                }
-                if seq > next {
-                    return Err(std::io::Error::other("hole in the held records"));
-                }
-                writer.write_all(&frame)?;
-                next = seq + 1;
+            let step = self.out().session.go_live(upto);
+            match step {
+                GoLive::Send(frames) => frames.iter().try_for_each(|f| writer.write_all(f))?,
+                GoLive::Live => return Ok(()),
+                GoLive::Kill => return Err(std::io::Error::other("hole in the held records")),
             }
         }
     }
@@ -445,9 +397,10 @@ impl Sink {
 #[derive(Debug)]
 pub struct ReplShared {
     config: ReplConfig,
-    wal_dir: PathBuf,
+    /// The shard's log, read through the storage its WAL writes with.
+    log: (Arc<dyn Storage>, PathBuf),
     core: Mutex<ReplCore>,
-    /// Signalled (under `core`) whenever an ack lands or a sink drops.
+    /// Signalled (under `core`) whenever the core moves (an ack lands).
     ack_signal: Condvar,
     role: AtomicU8,
     term: AtomicU64,
@@ -459,18 +412,17 @@ pub struct ReplShared {
 }
 
 impl ReplShared {
-    /// `log_seq` is the recovered log position the node boots with;
-    /// `rng_seed` feeds the election jitter.
+    /// `wal` is the replicated shard's log, at the position the node
+    /// boots with; `rng_seed` feeds the election jitter.
     pub(crate) fn new(
         config: ReplConfig,
-        wal_dir: PathBuf,
+        wal: &Wal,
         clock: Arc<dyn Clock>,
         rng_seed: u64,
-        log_seq: u64,
     ) -> ReplShared {
         // The server keeps no durable term: every boot starts at 0.
         let now = clock.now();
-        let core = ReplCore::new(&config, rng_seed, 0, log_seq, now);
+        let core = ReplCore::new(&config, rng_seed, 0, wal.next_seq(), now);
         ReplShared {
             role: AtomicU8::new(core.role() as u8),
             term: AtomicU64::new(core.term()),
@@ -478,7 +430,7 @@ impl ReplShared {
             core: Mutex::new(core),
             ack_signal: Condvar::new(),
             config,
-            wal_dir,
+            log: (wal.storage(), wal.dir().to_path_buf()),
             sinks: Mutex::new(Vec::new()),
             next_sink_id: AtomicU64::new(0),
             clock,
@@ -561,15 +513,15 @@ impl ReplShared {
         self.sinks.lock().expect("repl lock poisoned")
     }
 
-    /// Registers a standby connection that is about to be caught up from
-    /// disk: live records are held for it from this moment on.
-    fn register_sink(&self, stream: TcpStream, metrics: &ServeMetrics) -> Arc<Sink> {
+    /// Registers a standby connection at `have` that is about to be
+    /// caught up from disk: its session holds live records from this
+    /// moment on.
+    fn register_sink(&self, stream: TcpStream, have: u64, metrics: &ServeMetrics) -> Arc<Sink> {
         let sink = Arc::new(Sink {
             id: self.next_sink_id.fetch_add(1, Ordering::SeqCst),
             out: Mutex::new(SinkOut {
                 stream,
-                held: Some(Vec::new()),
-                next_send: 0,
+                session: Session::open(have),
             }),
             acked: AtomicU64::new(0),
             alive: AtomicBool::new(true),
@@ -579,16 +531,13 @@ impl ReplShared {
         sink
     }
 
-    /// Publishes the connected-standby gauge and wakes the sync-mode
-    /// waiter after the sink set changed. Taking the core lock first
-    /// means the waiter is either before its check (and sees the change)
-    /// or already parked (and gets the signal).
+    /// Publishes the connected-standby gauge after the sink set changed.
+    /// The sync-mode waiter needs no wake-up: a sink that drops releases
+    /// no reply (see [`Self::wait_applied`]).
     fn sinks_changed(&self, metrics: &ServeMetrics) {
         metrics
             .standby_connected
             .store(self.standby_count(), Ordering::Relaxed);
-        let _core = self.core();
-        self.ack_signal.notify_all();
     }
 
     fn drop_sink(&self, sink: &Sink, metrics: &ServeMetrics) {
@@ -619,34 +568,37 @@ impl ReplShared {
     }
 
     /// Offers `send` to every standby; one it fails on is dropped.
-    fn broadcast(&self, metrics: &ServeMetrics, send: impl Fn(&Sink) -> bool) {
+    /// Whether any standby took it.
+    fn broadcast(&self, metrics: &ServeMetrics, send: impl Fn(&Sink) -> bool) -> bool {
         let mut sinks = self.sinks();
         let before = sinks.len();
         sinks.retain(|s| send(s));
-        let dropped = sinks.len() < before;
+        let (dropped, took) = (sinks.len() < before, !sinks.is_empty());
         drop(sinks);
         if dropped {
             self.sinks_changed(metrics);
         }
+        took
     }
 
     /// Streams one just-appended record to every live standby, on the
     /// calling thread, after telling the core the log grew — a `hello`
     /// racing this very request is judged against the published
     /// position, not a stale export. A sink that cannot take the record
-    /// (see [`Sink::send_rec`]) is dropped: it reconnects and catches up
+    /// (see [`Sink::send`]) is dropped: it reconnects and catches up
     /// from the log — a slow replica must never stall the primary.
-    pub(crate) fn publish_record(&self, seq: u64, event: &MarketEvent, metrics: &ServeMetrics) {
+    /// Whether a live session took the record (see [`Self::wait_applied`]).
+    pub(crate) fn publish_record(
+        &self,
+        seq: u64,
+        event: &MarketEvent,
+        metrics: &ServeMetrics,
+    ) -> bool {
         self.core().note_log(seq + 1);
-        let frame = message(
-            "rec",
-            vec![
-                ("seq", Value::from_u64(seq)),
-                ("event", event_to_value(event)),
-            ],
-        );
-        self.broadcast(metrics, |sink| sink.send_rec(seq, &frame));
+        let frame = session::rec_frame(seq, event);
+        let attached = self.broadcast(metrics, |sink| sink.send(&frame, |s| s.offer(seq, &frame)));
         self.publish_lag(metrics, seq + 1);
+        attached
     }
 
     /// The heartbeat half of the core's [`Timer`] verdict: broadcasts a
@@ -663,7 +615,7 @@ impl ReplShared {
             }
         };
         if let Some(frame) = frame {
-            self.broadcast(metrics, |sink| sink.send_heartbeat(&frame));
+            self.broadcast(metrics, |sink| sink.send(&frame, |s| s.heartbeat()));
         }
         Some(self.config.heartbeat_interval)
     }
@@ -678,14 +630,17 @@ impl ReplShared {
         self.drive(metrics, |core, _| core.mark_down());
     }
 
-    /// Blocks until some standby has applied `target` events or none is
-    /// connected (`true`: release the reply), or the configured ack
-    /// timeout lapses with the standby still behind (`false`).
-    pub(crate) fn wait_applied(&self, target: u64) -> bool {
+    /// Blocks until some standby has applied `target` events, or at once
+    /// when no live session took the record (`attached`, from
+    /// [`Self::publish_record`]; `true`: release the reply), or until the
+    /// configured ack timeout lapses with the standby still behind
+    /// (`false`). A session that dies meanwhile releases nothing: its
+    /// standby may have hung up to take over.
+    pub(crate) fn wait_applied(&self, target: u64, attached: bool) -> bool {
         let deadline = Instant::now() + self.config.ack_timeout;
         let mut core = self.core();
         loop {
-            if core.ack_state(target, self.standby_count() > 0) != AckWait::Pending {
+            if core.ack_state(target, attached) != AckWait::Pending {
                 return true;
             }
             let now = Instant::now();
@@ -795,56 +750,17 @@ fn handle_standby(stream: TcpStream, shared: &Arc<Shared>) {
 
     // Register the sink *before* reading the log, then stream the disk
     // history directly: every record appended after registration is held
-    // in the sink, everything before the read's end is on disk, and the
-    // hand-over skips held records the disk already covered — no gap, no
-    // duplicate.
-    let sink = repl.register_sink(live, &shared.metrics);
-    let caught_up =
-        catch_up(&mut writer, repl, have).and_then(|upto| sink.go_live(&mut writer, upto));
+    // in the session, everything before the read's end is on disk, and
+    // going live skips held records the disk already covered — no gap,
+    // no duplicate.
+    let sink = repl.register_sink(live, have, &shared.metrics);
+    let (storage, dir) = &repl.log;
+    let caught_up = session::catch_up(have, storage.as_ref(), dir, |f| writer.write_all(&f))
+        .and_then(|(_, upto)| sink.go_live(&mut writer, upto));
     if caught_up.is_ok() {
         ack_loop(&mut conn, shared, repl, &sink);
     }
     repl.drop_sink(&sink, &shared.metrics);
-}
-
-/// Streams the snapshot (when the standby is behind the retained log)
-/// and the on-disk records from `have` onward; returns the first
-/// sequence *not* covered. Reading the live directory is safe: appends
-/// are serialized by the shard lock and records become visible only
-/// whole.
-fn catch_up(writer: &mut TcpStream, repl: &ReplShared, have: u64) -> std::io::Result<u64> {
-    let (first, events) = wal::read_events(&repl.wal_dir)?;
-    let mut from = have;
-    if have < first {
-        let (seq, snapshot) = wal::newest_checkpoint(&repl.wal_dir)?.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "standby is behind the retained log and no checkpoint covers the gap",
-            )
-        })?;
-        writer.write_all(&message(
-            "snap",
-            vec![
-                ("seq", Value::from_u64(seq)),
-                ("snapshot", Value::str(snapshot)),
-            ],
-        ))?;
-        from = seq;
-    }
-    for (i, event) in events.iter().enumerate() {
-        let seq = first + i as u64;
-        if seq < from {
-            continue;
-        }
-        writer.write_all(&message(
-            "rec",
-            vec![
-                ("seq", Value::from_u64(seq)),
-                ("event", event_to_value(event)),
-            ],
-        ))?;
-    }
-    Ok((first + events.len() as u64).max(from))
 }
 
 /// Primary-side ack reader for one standby: tracks progress for the
@@ -927,52 +843,6 @@ pub(crate) fn standby_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// What applying one stream verdict on the standby came to.
-enum Applied {
-    /// Applied (or already held): send this framed `ack`.
-    Ack(Vec<u8>),
-    /// Not this node's to apply (no longer a standby, degraded, stopped).
-    Ignored,
-    /// A hole or a failed append cannot be repaired in-stream: reconnect
-    /// and catch up from the log.
-    Resync,
-}
-
-/// Applies one [`Stream::Apply`] / [`Stream::Restore`] verdict to the
-/// standby's core. The caller holds the shard lock.
-fn apply_stream(
-    cell: &mut ShardCell,
-    shared: &Shared,
-    repl: &ReplShared,
-    verdict: Stream,
-) -> Applied {
-    // A degraded node must not keep applying the stream: the engine
-    // already missed an event its WAL holds.
-    if cell.degraded || shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Standby {
-        return Applied::Ignored;
-    }
-    let Some(core) = cell.core.as_mut() else {
-        return Applied::Ignored;
-    };
-    let epoch_fp = match verdict {
-        Stream::Restore { seq, snapshot } => {
-            if core.restore_from_snapshot(seq, &snapshot).is_err() {
-                ServeMetrics::bump(&shared.metrics.wal_errors);
-                return Applied::Resync;
-            }
-            core.publish_wal_gauges(&shared.metrics);
-            None
-        }
-        Stream::Apply { seq, event } => match core.apply_repl(seq, event, &shared.metrics) {
-            ReplApply::Applied { epoch_fp } => epoch_fp,
-            ReplApply::Skipped => None,
-            ReplApply::Gap | ReplApply::WalError => return Applied::Resync,
-        },
-        Stream::Following | Stream::Drop => return Applied::Ignored,
-    };
-    Applied::Ack(repl.core().ack(core.events_applied(), epoch_fp))
-}
-
 /// One session against the primary: dial it, handshake, then pull
 /// frames, apply and ack them until disconnect, role change, or
 /// divergence.
@@ -1035,16 +905,24 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>) {
             Stream::Drop => return,
             verdict => verdict,
         };
-        // A panic while applying degrades the shard (`None`); the stream
-        // is ignored from then on, like any other degraded node's.
-        match shared.locked(|cell| apply_stream(cell, shared, repl, verdict)) {
-            Some(Applied::Ack(frame)) => {
-                if writer.write_all(&frame).is_err() {
-                    return;
-                }
-            }
-            Some(Applied::Ignored) | None => {}
-            Some(Applied::Resync) => return,
+        // Under the shard lock, which a promotion takes too. A degraded
+        // node must not keep applying the stream: the engine already
+        // missed an event its WAL holds. A panic while applying degrades
+        // the shard (`None`).
+        let step = shared.locked(|cell| {
+            let following = !shared.stop.load(Ordering::SeqCst) && repl.role() == Role::Standby;
+            let core = cell.core.as_mut().filter(|_| following && !cell.degraded)?;
+            let applied = session::apply(core, verdict, &shared.metrics);
+            Some((applied, core.events_applied()))
+        });
+        let ack = match step.flatten() {
+            Some((Applied::Applied { epoch_fp }, have)) => repl.core().ack(have, epoch_fp),
+            Some((Applied::Skipped, have)) => repl.core().ack(have, None),
+            Some((Applied::Ignored, _)) | None => continue,
+            Some((Applied::Resync, _)) => return,
+        };
+        if writer.write_all(&ack).is_err() {
+            return;
         }
     }
 }

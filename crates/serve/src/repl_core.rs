@@ -484,7 +484,8 @@ impl ReplCore {
     }
 
     /// Whether the reply to the mutation that grew the log to `target`
-    /// may be released; `attached` is whether any standby is connected.
+    /// may be released; `attached` is whether any session was live when
+    /// the record went out.
     pub fn ack_state(&self, target: u64, attached: bool) -> AckWait {
         if self.acked >= target {
             AckWait::Acked

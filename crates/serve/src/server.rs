@@ -658,15 +658,13 @@ impl Server {
         // shard 0's core.
         let repl_setup = match &config.repl {
             Some(repl_config) => {
-                let wal_dir = config.wal.as_ref().expect("checked above").dir.clone();
                 let repl_listener = TcpListener::bind(&repl_config.listen)?;
                 let repl_addr = repl_listener.local_addr()?;
                 let repl = Arc::new(ReplShared::new(
                     repl_config.clone(),
-                    wal_dir,
+                    cores[0].wal().expect("checked above"),
                     Arc::clone(&config.clock),
                     config.rng_seed,
-                    cores[0].events_applied(),
                 ));
                 repl.set_self_addrs(addr.to_string(), repl_addr.to_string());
                 cores[0].attach_repl(Arc::clone(&repl));

@@ -39,7 +39,7 @@
 //!
 //! One process at a time owns a WAL directory; there is no lock file.
 
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -546,6 +546,11 @@ impl Wal {
         &self.config.dir
     }
 
+    /// The storage this log reads and writes through.
+    pub fn storage(&self) -> Arc<dyn Storage> {
+        Arc::clone(&self.storage)
+    }
+
     /// The configured checkpoint cadence (0 = never).
     pub fn checkpoint_every(&self) -> u64 {
         self.config.checkpoint_every
@@ -940,15 +945,6 @@ pub fn scrub_with(storage: &dyn Storage, dir: &Path) -> io::Result<ScrubReport> 
 ///
 /// Propagates directory-listing failures; a missing directory yields
 /// `Ok(None)`.
-pub fn newest_checkpoint(dir: &Path) -> io::Result<Option<(u64, String)>> {
-    newest_checkpoint_with(&FsStorage, dir)
-}
-
-/// [`newest_checkpoint`] against an explicit [`Storage`] implementation.
-///
-/// # Errors
-///
-/// Exactly as [`newest_checkpoint`].
 pub fn newest_checkpoint_with(
     storage: &dyn Storage,
     dir: &Path,
@@ -990,17 +986,6 @@ pub fn dir_has_state_with(storage: &dyn Storage, dir: &Path) -> io::Result<bool>
         }
     }
     Ok(false)
-}
-
-/// Reads a file's raw bytes — test/chaos helper for poking at segments.
-///
-/// # Errors
-///
-/// Propagates the read failure.
-pub fn read_raw(path: &Path) -> io::Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    Ok(bytes)
 }
 
 /// Path of the newest (highest first-sequence) segment in `dir`, if

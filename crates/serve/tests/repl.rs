@@ -119,16 +119,29 @@ fn standby_mirrors_the_primary_bit_identically() {
 #[test]
 fn late_joining_standby_catches_up_from_checkpoint_and_log() {
     let (pdir, sdir) = (TempDir::new("late-p"), TempDir::new("late-s"));
-    let primary = start_primary(pdir.path(), None);
+    // A checkpoint every 8 records over small segments: the primary
+    // prunes what each checkpoint covers.
+    let config = ServeConfig::new(market())
+        .with_epoch_interval(None)
+        .with_wal(
+            WalConfig::new(pdir.path())
+                .with_checkpoint_every(8)
+                .with_segment_max_bytes(512),
+        )
+        .with_repl(ReplConfig::primary("127.0.0.1:0"));
+    let primary = Server::start("127.0.0.1:0", config).unwrap();
 
-    // History exists before the standby is even born.
+    // History exists before the standby is even born, and its head is
+    // pruned: only a checkpoint covers it.
     let mut client = Client::connect(primary.addr()).unwrap();
     client.join_external(1).unwrap();
-    for i in 0..30 {
+    for i in 0..60 {
         client
             .observe(1, &[2.0, 1.0], 1.0 + 0.01 * i as f64)
             .unwrap();
     }
+    let (first, _) = ref_serve::wal::read_events(pdir.path()).unwrap();
+    assert!(first > 0, "the primary kept its whole log");
 
     let standby = start_standby(
         sdir.path(),
@@ -140,6 +153,15 @@ fn late_joining_standby_catches_up_from_checkpoint_and_log() {
     let tail = ping_u64(&mut pping, "wal_seq");
     wait_for("late standby catch-up", Duration::from_secs(10), || {
         ping_u64(&mut sping, "wal_seq") == tail
+    });
+    // Bootstrapped from a `snap`: its own log starts at the checkpoint.
+    let (restored_at, _) = ref_serve::wal::read_events(sdir.path()).unwrap();
+    assert!(restored_at > 0, "the standby replayed the log from 0");
+
+    // It then follows the live stream.
+    client.observe(1, &[2.0, 1.0], 2.0).unwrap();
+    wait_for("late standby follows", Duration::from_secs(10), || {
+        ping_u64(&mut sping, "wal_seq") == tail + 1
     });
 
     let standby_report = standby.shutdown();

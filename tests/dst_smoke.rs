@@ -1,6 +1,7 @@
 //! A slice of the deterministic fleet simulation in tier-1: the real
-//! `ReplCore` and `RouterCore` — replication, routing and the node rules
-//! (fan, supervisor, restart-or-failover, heartbeats) — under seeded
+//! `ReplCore`, replication `Session` and `RouterCore` — replication,
+//! catch-up, routing and the node rules (fan, supervisor,
+//! restart-or-failover, heartbeats) — under seeded
 //! crashes, panics, partitions, torn writes, divergence and delay
 //! storms. A band of seeds must hold every standing invariant and replay
 //! to a pinned trace hash, and each deliberately broken invariant must be
@@ -19,11 +20,11 @@ fn options(break_invariant: Option<BreakKind>) -> SimOptions {
 
 /// FNV-1a over the band's per-seed trace hashes (little-endian), as
 /// `dst_sweep` folds its `fleet_trace_hash`.
-const BAND_TRACE_GOLDEN: u64 = 0x2959_439F_9CDF_EEFE;
+const BAND_TRACE_GOLDEN: u64 = 0xDC62_C467_7EB5_04D3;
 
 #[test]
 fn a_band_of_seeds_holds_every_invariant() {
-    let mut acked = 0;
+    let (mut acked, mut restores, mut held) = (0, 0, 0);
     let mut band = 0xCBF2_9CE4_8422_2325u64;
     for seed in 0..25 {
         let outcome = run_seed(seed, &options(None));
@@ -34,11 +35,21 @@ fn a_band_of_seeds_holds_every_invariant() {
             outcome.trace.iter().rev().take(30).collect::<Vec<_>>()
         );
         acked += outcome.acked_events;
+        restores += outcome.restores;
+        held += outcome.held;
         for byte in outcome.trace_hash.to_le_bytes() {
             band = (band ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
     assert!(acked > 0, "25 seeds never acked a client event");
+    // The session's two catch-up paths both run: a standby behind the
+    // pruned log is bootstrapped from a `snap`, and live records wait
+    // in the hold while a catch-up streams.
+    assert!(
+        restores > 0,
+        "25 seeds never bootstrapped a standby from a snap"
+    );
+    assert!(held > 0, "25 seeds never held a record during a catch-up");
     assert_eq!(
         band, BAND_TRACE_GOLDEN,
         "the band's trace changed ({band:016x}): a node or protocol rule moved"
