@@ -27,8 +27,6 @@
 //!   (§4.4's on-line profiling).
 //! - [`ceei`] — the competitive-equilibrium-from-equal-incomes market whose
 //!   outcome §4.2 proves equal to REF, with a tatonnement price dynamic.
-//! - [`digest`] — the 64-bit mixing step an estimator's observation-log
-//!   digest (and the market's replication audit) is built from.
 //!
 //! ## Quickstart
 //!
@@ -60,7 +58,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod ceei;
-pub mod digest;
 pub mod edgeworth;
 pub mod error;
 pub mod fitting;

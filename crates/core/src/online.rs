@@ -20,17 +20,122 @@
 //! design to a sliding window by downdating the oldest row as new ones
 //! arrive, so long-lived agents track drifting workloads at constant cost.
 //!
-//! The estimator also carries a running 64-bit *digest* of its log
-//! ([`OnlineEstimator::log_digest`]), extended in `O(R)` per observation,
-//! so a replica can prove it holds the same log as its peer without
-//! either side re-reading a history that only ever grows.
+//! Rows are not kept: the factor already holds everything a refit reads.
+//! An estimator is its [`EstimatorState`] — the factor, the current fit and
+//! four counters, `O(R^2)` however many observations it has folded in —
+//! plus, for a windowed estimator only, the rows of its window, which
+//! downdating needs. [`OnlineEstimator::state`] exposes the state and
+//! [`OnlineEstimator::from_state`] rebuilds an estimator from it bit for
+//! bit, which is what lets a restarted service resume a market mid-run
+//! without replaying its history.
 
-use ref_solver::update::UpdatableLstsq;
+use std::collections::VecDeque;
 
-use crate::digest;
+/// The triangular factor an [`EstimatorState`] holds, re-exported so that
+/// code persisting estimator states needs no direct solver dependency.
+pub use ref_solver::update::UpdatableLstsq;
+
 use crate::error::{CoreError, Result};
 use crate::fitting::FitPoint;
 use crate::utility::CobbDouglas;
+
+/// Everything an unbounded [`OnlineEstimator`] holds, in `O(R^2)`.
+///
+/// [`OnlineEstimator::from_state`] rebuilds an estimator that observes,
+/// refits and reports exactly as the one the state was taken from;
+/// [`EstimatorState::check`] says whether a state is one some sequence of
+/// observations could have produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EstimatorState {
+    /// Updatable triangular factor of the log-design `[1, ln x_1..ln x_R]`
+    /// with response `ln u`; its row count is the number of observations.
+    pub factor: UpdatableLstsq,
+    /// The current utility estimate (the naive prior until the first
+    /// successful refit).
+    pub utility: CobbDouglas,
+    /// Goodness of fit of the latest successful refit, if any.
+    pub r_squared: Option<f64>,
+    /// Successful refits.
+    pub refits: usize,
+    /// Successful refits served by the incremental append path.
+    pub incremental_refits: usize,
+    /// Refit attempts that produced a degenerate model.
+    pub degenerate_refits: usize,
+    /// Degenerate refits since the last successful one.
+    pub consecutive_degenerate: usize,
+}
+
+impl EstimatorState {
+    /// The state of a fresh estimator over `num_resources` resources: an
+    /// empty factor and the naive uniform prior `u = prod_r x_r^{1/R}`.
+    fn prior(num_resources: usize) -> Result<EstimatorState> {
+        if num_resources == 0 {
+            return Err(CoreError::InvalidArgument(
+                "need at least one resource".to_string(),
+            ));
+        }
+        Ok(EstimatorState {
+            factor: UpdatableLstsq::new(num_resources + 1),
+            utility: CobbDouglas::new(1.0, vec![1.0 / num_resources as f64; num_resources])?,
+            r_squared: None,
+            refits: 0,
+            incremental_refits: 0,
+            degenerate_refits: 0,
+            consecutive_degenerate: 0,
+        })
+    }
+
+    /// Checks that an unbounded estimator over `num_resources` resources
+    /// could have reached this state: the factor and the fit cover the
+    /// right number of resources, every refit attempt had an observation
+    /// past the first `R + 1` to be made on, the counters nest, an `R^2`
+    /// exists exactly when a refit succeeded, and an estimator that never
+    /// refit still reports its prior.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidArgument`] naming the first check that
+    /// fails.
+    pub fn check(&self, num_resources: usize) -> Result<()> {
+        let invalid = |msg: String| Err(CoreError::InvalidArgument(msg));
+        if self.factor.num_coefficients() != num_resources + 1 {
+            return invalid(format!(
+                "factor covers {} coefficients, {num_resources} resources need {}",
+                self.factor.num_coefficients(),
+                num_resources + 1
+            ));
+        }
+        if self.utility.elasticities().len() != num_resources {
+            return invalid(format!(
+                "fit covers {} resources, estimator has {num_resources}",
+                self.utility.elasticities().len()
+            ));
+        }
+        let attempts = self.refits.checked_add(self.degenerate_refits);
+        let informative = self.factor.rows().saturating_sub(num_resources + 1);
+        if attempts.is_none_or(|a| a > informative) {
+            return invalid(format!(
+                "{} refit(s) and {} degenerate one(s) need more than {} observations",
+                self.refits,
+                self.degenerate_refits,
+                self.factor.rows()
+            ));
+        }
+        if self.incremental_refits > self.refits
+            || self.consecutive_degenerate > self.degenerate_refits
+        {
+            return invalid("refit counters do not nest".to_string());
+        }
+        match (self.r_squared, self.refits) {
+            (None, 0) if self.utility != Self::prior(num_resources)?.utility => {
+                invalid("an estimator that never refit reports a fit".to_string())
+            }
+            (None, 0) => Ok(()),
+            (Some(r2), refits) if refits > 0 && r2.is_finite() => Ok(()),
+            (r2, refits) => invalid(format!("R^2 {r2:?} after {refits} successful refit(s)")),
+        }
+    }
+}
 
 /// An adaptive Cobb-Douglas estimate built from run-time observations.
 ///
@@ -57,22 +162,18 @@ use crate::utility::CobbDouglas;
 #[derive(Debug, Clone)]
 pub struct OnlineEstimator {
     num_resources: usize,
-    observations: Vec<FitPoint>,
-    /// [`OnlineEstimator::digest_of`] `observations`, maintained as they
-    /// arrive (the field is private so nothing else can move the log).
-    log_digest: u64,
-    /// Updatable triangular factor of the log-design `[1, ln x_1..ln x_R]`
-    /// with response `ln u`; mirrors `observations` row for row.
-    triangle: UpdatableLstsq,
-    /// Sliding-window bound on the design, if any (see
-    /// [`OnlineEstimator::with_window`]).
-    window: Option<usize>,
-    current: CobbDouglas,
-    refits: usize,
-    incremental_refits: usize,
-    last_r_squared: Option<f64>,
-    degenerate_refits: usize,
-    consecutive_degenerate: usize,
+    state: EstimatorState,
+    /// The sliding window, if any (see [`OnlineEstimator::with_window`]).
+    window: Option<Window>,
+    /// Scratch for the log-space design row being folded in or out.
+    row: Vec<f64>,
+}
+
+/// A bounded design: the rows still in the factor, oldest first.
+#[derive(Debug, Clone)]
+struct Window {
+    size: usize,
+    rows: VecDeque<FitPoint>,
 }
 
 impl OnlineEstimator {
@@ -83,25 +184,17 @@ impl OnlineEstimator {
     ///
     /// Returns [`CoreError::InvalidArgument`] if `num_resources == 0`.
     pub fn new(num_resources: usize) -> Result<OnlineEstimator> {
-        if num_resources == 0 {
-            return Err(CoreError::InvalidArgument(
-                "need at least one resource".to_string(),
-            ));
-        }
-        let prior = CobbDouglas::new(1.0, vec![1.0 / num_resources as f64; num_resources])?;
-        Ok(OnlineEstimator {
+        let state = EstimatorState::prior(num_resources)?;
+        Ok(OnlineEstimator::resume(num_resources, state))
+    }
+
+    fn resume(num_resources: usize, state: EstimatorState) -> OnlineEstimator {
+        OnlineEstimator {
             num_resources,
-            observations: Vec::new(),
-            log_digest: digest::SEED,
-            triangle: UpdatableLstsq::new(num_resources + 1),
+            state,
             window: None,
-            current: prior,
-            refits: 0,
-            incremental_refits: 0,
-            last_r_squared: None,
-            degenerate_refits: 0,
-            consecutive_degenerate: 0,
-        })
+            row: vec![0.0; num_resources + 1],
+        }
     }
 
     /// Creates an estimator whose design is bounded to the most recent
@@ -112,7 +205,9 @@ impl OnlineEstimator {
     /// tracks a drifting workload at `O(R^2)` per observation and constant
     /// memory instead of averaging over its entire history. When a
     /// downdate would destroy the factor's conditioning the estimator
-    /// falls back to refactorizing the surviving rows from scratch.
+    /// falls back to refactorizing the surviving rows from scratch; those
+    /// rows are what a windowed estimator keeps beside its
+    /// [`EstimatorState`].
     ///
     /// # Errors
     ///
@@ -126,79 +221,50 @@ impl OnlineEstimator {
                 num_resources + 1
             )));
         }
-        est.window = Some(window);
+        est.window = Some(Window {
+            size: window,
+            rows: VecDeque::with_capacity(window + 1),
+        });
         Ok(est)
     }
 
-    /// Rebuilds an estimator by replaying recorded observations.
-    ///
-    /// Replay is deterministic: the same observation sequence produces the
-    /// same refit count, the same fitted utility (bit for bit) and the same
-    /// goodness of fit, which is what lets a restarted service resume a
-    /// market mid-run from a serialized observation log.
+    /// Rebuilds an unbounded estimator from its [`EstimatorState`]. The
+    /// result observes, refits and reports exactly — bit for bit — as the
+    /// estimator the state was taken from.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidArgument`] if `num_resources == 0` or any
-    /// observation fails the checks [`OnlineEstimator::observe`] applies.
-    pub fn from_observations(
-        num_resources: usize,
-        observations: &[FitPoint],
-    ) -> Result<OnlineEstimator> {
-        let mut est = OnlineEstimator::new(num_resources)?;
-        for obs in observations {
-            est.observe(obs.inputs.clone(), obs.output)?;
-        }
-        Ok(est)
+    /// Returns [`CoreError::InvalidArgument`] if the state fails
+    /// [`EstimatorState::check`] (which no state passes for zero
+    /// resources).
+    pub fn from_state(num_resources: usize, state: EstimatorState) -> Result<OnlineEstimator> {
+        state.check(num_resources)?;
+        Ok(OnlineEstimator::resume(num_resources, state))
+    }
+
+    /// The estimator's state: everything it holds apart from a window's
+    /// rows. [`OnlineEstimator::from_state`] rebuilds unbounded estimators
+    /// only: a windowed one also needs its window's rows, and its refit
+    /// counters outgrow its row count.
+    pub fn state(&self) -> &EstimatorState {
+        &self.state
     }
 
     /// The current utility estimate (the naive prior until the first
     /// successful refit).
     pub fn utility(&self) -> &CobbDouglas {
-        &self.current
+        &self.state.utility
     }
 
-    /// The accumulated observations, in arrival order.
-    pub fn observations(&self) -> &[FitPoint] {
-        &self.observations
-    }
-
-    /// Number of accumulated observations.
+    /// Number of observations in the design: every one observed, or, with
+    /// a window, those still inside it.
     pub fn num_observations(&self) -> usize {
-        self.observations.len()
-    }
-
-    /// A 64-bit digest of [`OnlineEstimator::observations`]: every bit of
-    /// every observation, in arrival order. Always equal to
-    /// [`OnlineEstimator::digest_of`] the current log, but read in `O(1)`:
-    /// [`OnlineEstimator::observe`] extends it by the new row alone.
-    pub fn log_digest(&self) -> u64 {
-        self.log_digest
-    }
-
-    /// The digest of an observation log, computed from scratch: what
-    /// [`OnlineEstimator::log_digest`] reports for an estimator holding
-    /// exactly `observations`. Changing one value — by as little as one
-    /// bit — always changes it; reordering, dropping or adding rows does
-    /// unless 64 bits collide (see [`digest::mix`]). The value is only
-    /// comparable between builds that share this definition.
-    pub fn digest_of(observations: &[FitPoint]) -> u64 {
-        observations.iter().fold(digest::SEED, Self::extend_digest)
-    }
-
-    /// One observation's step: the output's bits, then each input's.
-    fn extend_digest(log_digest: u64, point: &FitPoint) -> u64 {
-        point
-            .inputs
-            .iter()
-            .fold(digest::mix(log_digest, point.output.to_bits()), |d, x| {
-                digest::mix(d, x.to_bits())
-            })
+        self.state.factor.rows()
     }
 
     /// Number of successful refits so far.
     pub fn refits(&self) -> usize {
-        self.refits
+        self.state.refits
     }
 
     /// Number of successful refits served by the incremental `O(R^2)`
@@ -207,18 +273,18 @@ impl OnlineEstimator {
     /// equals [`OnlineEstimator::refits`]; it is tracked separately so the
     /// market can report fast-path coverage.
     pub fn incremental_refits(&self) -> usize {
-        self.incremental_refits
+        self.state.incremental_refits
     }
 
     /// The sliding-window bound, if this estimator was built with
     /// [`OnlineEstimator::with_window`].
     pub fn window(&self) -> Option<usize> {
-        self.window
+        self.window.as_ref().map(|w| w.size)
     }
 
     /// Goodness of fit of the latest refit, if any.
     pub fn r_squared(&self) -> Option<f64> {
-        self.last_r_squared
+        self.state.r_squared
     }
 
     /// Total refit attempts that produced a *degenerate* model — finite
@@ -227,14 +293,14 @@ impl OnlineEstimator {
     /// estimate. Collinear designs are expected early on and are *not*
     /// counted here.
     pub fn degenerate_refits(&self) -> usize {
-        self.degenerate_refits
+        self.state.degenerate_refits
     }
 
     /// Degenerate refits since the last successful one; a run of these
     /// means new data keeps failing to produce a usable model, which is
     /// what callers use to quarantine the estimate.
     pub fn consecutive_degenerate(&self) -> usize {
-        self.consecutive_degenerate
+        self.state.consecutive_degenerate
     }
 
     /// Records a performance observation and refits if the data allows.
@@ -272,33 +338,34 @@ impl OnlineEstimator {
             )));
         }
         let point = FitPoint::new(allocation, performance)?;
-        self.triangle
-            .append(&Self::log_row(&point), point.output.ln())
+        let factor = &mut self.state.factor;
+        factor
+            .append(Self::log_row(&mut self.row, &point), point.output.ln())
             .expect("validated observation rows are finite");
-        self.log_digest = Self::extend_digest(self.log_digest, &point);
-        self.observations.push(point);
-        if let Some(window) = self.window {
-            if self.observations.len() > window {
-                let evicted = self.observations.remove(0);
-                // A running digest cannot forget its oldest row; an
-                // eviction re-digests the survivors, `O(window · R)`
-                // beside the `O(window)` shift `remove(0)` already costs.
-                self.log_digest = Self::digest_of(&self.observations);
-                if self
-                    .triangle
-                    .downdate(&Self::log_row(&evicted), evicted.output.ln())
-                    .is_err()
-                {
+        if let Some(window) = &mut self.window {
+            window.rows.push_back(point);
+            if window.rows.len() > window.size {
+                let evicted = window
+                    .rows
+                    .pop_front()
+                    .expect("the window is over its bound");
+                let row = Self::log_row(&mut self.row, &evicted);
+                if factor.downdate(row, evicted.output.ln()).is_err() {
                     // The factor is too close to singular to subtract the
                     // row stably; refactorize the surviving rows instead.
-                    self.refactorize();
+                    *factor = UpdatableLstsq::new(self.num_resources + 1);
+                    for point in &window.rows {
+                        factor
+                            .append(Self::log_row(&mut self.row, point), point.output.ln())
+                            .expect("previously accepted observations are finite");
+                    }
                 }
             }
         }
-        if self.observations.len() <= self.num_resources + 1 {
+        if factor.rows() <= self.num_resources + 1 {
             return Ok(false);
         }
-        let fit = match self.triangle.solve() {
+        let fit = match factor.solve() {
             Ok(fit) => fit,
             // A collinear design is expected early on; keep the prior.
             Err(_) => return Ok(false),
@@ -314,47 +381,38 @@ impl OnlineEstimator {
         } else {
             CobbDouglas::new(scale, elasticities)
         };
+        let state = &mut self.state;
         match utility {
             Ok(utility) => {
-                self.current = utility;
-                self.last_r_squared = Some(fit.r_squared());
-                self.refits += 1;
-                self.incremental_refits += 1;
-                self.consecutive_degenerate = 0;
+                state.utility = utility;
+                state.r_squared = Some(fit.r_squared());
+                state.refits += 1;
+                state.incremental_refits += 1;
+                state.consecutive_degenerate = 0;
                 Ok(true)
             }
             // A *degenerate* fit: individually valid points whose
             // aggregate regression produces an unusable model (e.g.
             // `exp(intercept)` overflowing the scale). Keep the last good
             // estimate and count it, instead of erroring — the point is
-            // already in the log, so an error here would leave a log that
-            // [`OnlineEstimator::from_observations`] cannot replay.
+            // already in the factor, and an error would report it as
+            // refused.
             Err(_) => {
-                self.degenerate_refits += 1;
-                self.consecutive_degenerate += 1;
+                state.degenerate_refits += 1;
+                state.consecutive_degenerate += 1;
                 Ok(false)
             }
         }
     }
 
-    /// The log-space design row for one observation: `[1, ln x_1..ln x_R]`.
-    fn log_row(point: &FitPoint) -> Vec<f64> {
-        let mut row = Vec::with_capacity(point.inputs.len() + 1);
-        row.push(1.0);
-        row.extend(point.inputs.iter().map(|x| x.ln()));
-        row
-    }
-
-    /// Rebuilds the triangular factor from the surviving observations
-    /// (used when a window downdate is refused for conditioning).
-    fn refactorize(&mut self) {
-        let mut triangle = UpdatableLstsq::new(self.num_resources + 1);
-        for point in &self.observations {
-            triangle
-                .append(&Self::log_row(point), point.output.ln())
-                .expect("previously accepted observations are finite");
+    /// Writes one observation's log-space design row, `[1, ln x_1..ln x_R]`,
+    /// into the scratch `row` and returns it.
+    fn log_row<'r>(row: &'r mut [f64], point: &FitPoint) -> &'r [f64] {
+        row[0] = 1.0;
+        for (r, x) in row[1..].iter_mut().zip(&point.inputs) {
+            *r = x.ln();
         }
-        self.triangle = triangle;
+        row
     }
 }
 
@@ -476,23 +534,23 @@ mod tests {
         assert_eq!(est.degenerate_refits(), 3);
         assert_eq!(est.consecutive_degenerate(), 3);
         assert_eq!(est.num_observations(), 6);
-        // Regression: the log must stay replayable with degenerate points
-        // in it — `from_observations` used to propagate the fit error,
-        // breaking snapshot restore of any agent that ever hit one.
-        let replayed = OnlineEstimator::from_observations(2, est.observations()).unwrap();
-        assert_eq!(replayed.degenerate_refits(), est.degenerate_refits());
-        assert_eq!(replayed.consecutive_degenerate(), 3);
-        assert_eq!(
-            replayed.utility().elasticities(),
-            est.utility().elasticities()
-        );
+        // Regression: the state must stay restorable with degenerate
+        // points in it — a restore that refit would propagate the fit
+        // error and lose every agent that ever hit one.
+        let mut resumed = OnlineEstimator::from_state(2, est.state().clone()).unwrap();
+        assert_eq!(resumed.state(), est.state());
+        assert_eq!(resumed.consecutive_degenerate(), 3);
         // Enough sane data pulls the blended fit back to a finite scale;
         // success clears the consecutive run but not the lifetime total.
+        // The restored estimator gets there on the same observation.
         let mut fixed = false;
         for i in 0..24_u32 {
             let x = 1.0 + f64::from(i % 5);
             let y = 0.5 + f64::from(i % 4);
-            if est.observe(vec![x, y], x.powf(0.7) * y.powf(0.3)).unwrap() {
+            let perf = x.powf(0.7) * y.powf(0.3);
+            let updated = est.observe(vec![x, y], perf).unwrap();
+            assert_eq!(resumed.observe(vec![x, y], perf).unwrap(), updated);
+            if updated {
                 fixed = true;
                 break;
             }
@@ -500,6 +558,7 @@ mod tests {
         assert!(fixed, "blended design never produced a finite fit");
         assert_eq!(est.consecutive_degenerate(), 0);
         assert!(est.degenerate_refits() >= 3);
+        assert_eq!(resumed.state(), est.state());
     }
 
     #[test]
@@ -555,16 +614,16 @@ mod tests {
     }
 
     #[test]
-    fn log_digest_tracks_the_surviving_rows_across_evictions() {
+    fn window_rows_track_the_surviving_rows_across_evictions() {
         // The middle of the stream repeats one allocation, so evicting
         // the last distinct row leaves a collinear design: that downdate
-        // is refused and the factor rebuilt. The digest must describe
-        // the surviving rows either way.
+        // is refused and the factor rebuilt from the kept rows. The
+        // window must hold exactly the surviving rows either way.
         let window = 5;
         let mut unbounded = OnlineEstimator::new(2).unwrap();
         let mut bounded = OnlineEstimator::with_window(2, window).unwrap();
-        assert_eq!(bounded.log_digest(), OnlineEstimator::digest_of(&[]));
-        let mut digests = vec![bounded.log_digest()];
+        let mut all = Vec::new();
+        let mut rebuilt = 0;
         for i in 0..30_u32 {
             let (x, y) = if (8..16).contains(&i) {
                 (2.0, 3.0)
@@ -574,50 +633,96 @@ mod tests {
             let perf = x.powf(0.6) * y.powf(0.3) * (1.0 + f64::from(i) * 1e-3);
             unbounded.observe(vec![x, y], perf).unwrap();
             bounded.observe(vec![x, y], perf).unwrap();
-            for est in [&unbounded, &bounded] {
-                let replayed = OnlineEstimator::from_observations(2, est.observations()).unwrap();
-                assert_eq!(est.log_digest(), replayed.log_digest(), "step {i}");
-                assert_eq!(
-                    est.log_digest(),
-                    OnlineEstimator::digest_of(est.observations())
-                );
+            all.push(FitPoint::new(vec![x, y], perf).unwrap());
+            let survivors = &all[all.len().saturating_sub(window)..];
+            let kept = &bounded.window.as_ref().unwrap().rows;
+            assert!(kept.iter().eq(survivors), "step {i}");
+            assert_eq!(bounded.num_observations(), survivors.len());
+            assert_eq!(unbounded.num_observations(), all.len());
+            // A factor refactorized from the survivors is the fresh one.
+            let mut fresh = OnlineEstimator::new(2).unwrap();
+            for p in survivors {
+                fresh.observe(p.inputs.clone(), p.output).unwrap();
             }
-            let all = unbounded.observations();
-            assert_eq!(
-                bounded.observations(),
-                &all[all.len().saturating_sub(window)..]
-            );
-            digests.push(bounded.log_digest());
+            rebuilt += usize::from(bounded.state().factor == fresh.state().factor);
         }
-        // Every step moved the digest, and no two logs shared one.
-        digests.sort_unstable();
-        digests.dedup();
-        assert_eq!(digests.len(), 31);
+        assert!(unbounded.window.is_none());
+        // Besides the five steps before the first eviction, some
+        // downdates were refused and rebuilt.
+        assert!(rebuilt > window, "{rebuilt} rebuilt factor(s)");
     }
 
     #[test]
-    fn log_digest_sees_every_bit_and_the_order() {
-        let points = [
-            FitPoint::new(vec![1.0, 2.0], 3.0).unwrap(),
-            FitPoint::new(vec![2.0, 1.0], 3.5).unwrap(),
-            FitPoint::new(vec![4.0, 0.5], 2.0).unwrap(),
-        ];
-        let base = OnlineEstimator::digest_of(&points);
-        for at in 0..points.len() {
-            for field in 0..3 {
-                let mut other = points.clone();
-                let value = match field {
-                    0 => &mut other[at].output,
-                    f => &mut other[at].inputs[f - 1],
-                };
-                *value = f64::from_bits(value.to_bits() ^ 1);
-                assert_ne!(OnlineEstimator::digest_of(&other), base, "{at}/{field}");
-            }
+    fn from_state_refuses_states_no_estimator_reaches() {
+        let truth = CobbDouglas::new(0.9, vec![0.4, 0.6]).unwrap();
+        let mut est = OnlineEstimator::new(2).unwrap();
+        for i in 0..9_u32 {
+            let x = 1.0 + f64::from(i % 4);
+            let y = 0.5 + f64::from(i % 3);
+            est.observe(vec![x, y], truth.value_slice(&[x, y])).unwrap();
         }
-        let mut swapped = points.clone();
-        swapped.swap(0, 2);
-        assert_ne!(OnlineEstimator::digest_of(&swapped), base);
-        assert_ne!(OnlineEstimator::digest_of(&points[..2]), base);
+        let good = est.state().clone();
+        assert!(good.refits > 0 && good.check(2).is_ok());
+        assert!(OnlineEstimator::from_state(0, good.clone()).is_err());
+        assert!(OnlineEstimator::from_state(3, good.clone()).is_err());
+        let with_rows = |rows: usize| {
+            let triangle: Vec<f64> = good.factor.triangle().collect();
+            UpdatableLstsq::from_parts(3, &triangle, rows, good.factor.sums()).unwrap()
+        };
+        let bad = [
+            // More refit attempts than observations past the first R + 1.
+            EstimatorState {
+                factor: with_rows(3 + good.refits - 1),
+                ..good.clone()
+            },
+            EstimatorState {
+                degenerate_refits: 9,
+                ..good.clone()
+            },
+            EstimatorState {
+                refits: usize::MAX,
+                ..good.clone()
+            },
+            EstimatorState {
+                incremental_refits: good.refits + 1,
+                ..good.clone()
+            },
+            EstimatorState {
+                consecutive_degenerate: 1,
+                ..good.clone()
+            },
+            EstimatorState {
+                r_squared: None,
+                ..good.clone()
+            },
+            EstimatorState {
+                r_squared: Some(f64::NAN),
+                ..good.clone()
+            },
+            EstimatorState {
+                utility: CobbDouglas::new(1.0, vec![0.5, 0.2, 0.3]).unwrap(),
+                ..good.clone()
+            },
+            // Never refit, yet reports a fit.
+            EstimatorState {
+                refits: 0,
+                incremental_refits: 0,
+                r_squared: None,
+                ..good.clone()
+            },
+        ];
+        for (i, state) in bad.into_iter().enumerate() {
+            assert!(
+                matches!(
+                    OnlineEstimator::from_state(2, state),
+                    Err(CoreError::InvalidArgument(_))
+                ),
+                "case {i}"
+            );
+        }
+        // A fresh estimator's state is a valid one.
+        let fresh = OnlineEstimator::new(2).unwrap();
+        assert!(OnlineEstimator::from_state(2, fresh.state().clone()).is_ok());
     }
 
     #[test]
@@ -649,27 +754,38 @@ mod tests {
     }
 
     #[test]
-    fn replay_reconstructs_estimator_exactly() {
+    fn state_round_trip_reconstructs_estimator_exactly() {
         let truth = CobbDouglas::new(0.9, vec![0.4, 0.6]).unwrap();
         let mut est = OnlineEstimator::new(2).unwrap();
+        let point = |i: u32| (1.0 + f64::from(i % 4), 0.5 + f64::from(i % 3));
         for i in 0..9_u32 {
-            let x = 1.0 + f64::from(i % 4);
-            let y = 0.5 + f64::from(i % 3);
+            let (x, y) = point(i);
             est.observe(vec![x, y], truth.value_slice(&[x, y])).unwrap();
         }
-        let replayed = OnlineEstimator::from_observations(2, est.observations()).unwrap();
-        assert_eq!(replayed.num_observations(), est.num_observations());
-        assert_eq!(replayed.refits(), est.refits());
-        assert_eq!(replayed.r_squared(), est.r_squared());
-        // Bit-exact: replay runs the identical regression on identical data.
+        let mut resumed = OnlineEstimator::from_state(2, est.state().clone()).unwrap();
+        assert_eq!(resumed.num_observations(), est.num_observations());
+        assert_eq!(resumed.refits(), est.refits());
+        assert_eq!(resumed.r_squared(), est.r_squared());
+        // Bit-exact, now and after more observations: the resumed
+        // estimator folds them into the identical factor.
+        for i in 9..15_u32 {
+            let (x, y) = point(i);
+            let perf = truth.value_slice(&[x, y]) * (1.0 + f64::from(i) * 1e-3);
+            assert_eq!(
+                resumed.observe(vec![x, y], perf).unwrap(),
+                est.observe(vec![x, y], perf).unwrap()
+            );
+        }
+        assert_eq!(resumed.state(), est.state());
         assert_eq!(
-            replayed.utility().elasticities(),
-            est.utility().elasticities()
-        );
-        assert_eq!(
-            replayed.utility().scale().to_bits(),
+            resumed.utility().scale().to_bits(),
             est.utility().scale().to_bits()
         );
+        let (a, b) = (
+            resumed.state().factor.triangle(),
+            est.state().factor.triangle(),
+        );
+        assert!(a.map(f64::to_bits).eq(b.map(f64::to_bits)));
     }
 
     #[test]

@@ -845,7 +845,7 @@ impl MarketEngine {
         // counters — and the first error, if any — are identical at every
         // thread count.
         struct ObservationSlot<'a> {
-            bundle: Vec<f64>,
+            bundle: &'a [f64],
             was_quarantined: bool,
             degen_before: usize,
             inc_before: usize,
@@ -857,7 +857,7 @@ impl MarketEngine {
             .values_mut()
             .enumerate()
             .map(|(i, agent)| ObservationSlot {
-                bundle: allocation.bundle(i).as_slice().to_vec(),
+                bundle: allocation.bundle(i).as_slice(),
                 was_quarantined: agent.quarantined(),
                 degen_before: agent.estimator.degenerate_refits(),
                 inc_before: agent.estimator.incremental_refits(),
@@ -866,7 +866,7 @@ impl MarketEngine {
             })
             .collect();
         ref_pool::par_for_each_mut(&mut work, |_, slot| {
-            slot.outcome = observe_agent(&config, epoch, &slot.bundle, slot.agent, &sim_results);
+            slot.outcome = observe_agent(&config, epoch, slot.bundle, slot.agent, &sim_results);
         });
         let mut observations = 0;
         let mut refits = 0;
@@ -956,7 +956,7 @@ impl MarketEngine {
         &self.metrics
     }
 
-    /// Captures the full market state (population, observation logs,
+    /// Captures the full market state (population, estimator states,
     /// allocation cache, counters) as a versioned snapshot.
     ///
     /// Pending events are *not* captured — pump before snapshotting to
@@ -979,7 +979,7 @@ impl MarketEngine {
                     id: a.id,
                     joined_epoch: a.joined_epoch,
                     source: a.source.clone(),
-                    observations: a.estimator.observations().to_vec(),
+                    estimator: a.estimator.state().clone(),
                 })
                 .collect(),
         }
@@ -1008,9 +1008,9 @@ impl MarketEngine {
     /// agree; any divergence (one event skipped, one float perturbed)
     /// disagrees with overwhelming probability.
     ///
-    /// Costs `O(live agents × resources)` however long the market has
-    /// run: each agent's observation log enters through the running
-    /// digest its estimator maintains, not by being re-read.
+    /// Costs `O(live agents × resources²)` however long the market has
+    /// run: each agent's estimator enters as its persisted state, the
+    /// triangular factor of its design, not as the observations behind it.
     pub fn state_fingerprint(&self) -> u64 {
         self.view().walk(StateHasher::new()).finish()
     }
@@ -1030,23 +1030,24 @@ impl MarketEngine {
                 id: a.id,
                 joined_epoch: a.joined_epoch,
                 source: &a.source,
-                log: a.estimator.observations(),
-                log_digest: Some(a.estimator.log_digest()),
+                estimator: a.estimator.state(),
             }),
         }
     }
 
     /// Rebuilds a market from a snapshot.
     ///
-    /// Estimators are reconstructed by deterministically replaying each
-    /// agent's observation log, and the allocation cache is restored
-    /// bit-exactly, so the restored market's next epoch produces the same
-    /// allocation — bit for bit — as the original would have.
+    /// Estimators are loaded from their persisted state and the allocation
+    /// cache is restored, both bit-exactly, so the restored market's next
+    /// epoch produces the same allocation — bit for bit — as the original
+    /// would have.
     ///
     /// # Errors
     ///
-    /// Returns [`MarketError::Snapshot`] for an unsupported version and
-    /// propagates validation failures from the snapshotted state.
+    /// Returns [`MarketError::Snapshot`] for an unsupported version or an
+    /// estimator state no estimator reaches
+    /// ([`EstimatorState::check`](ref_core::online::EstimatorState::check)),
+    /// and propagates other validation failures from the snapshotted state.
     pub fn restore(snapshot: &MarketSnapshot) -> Result<MarketEngine> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(MarketError::Snapshot(format!(
@@ -1059,7 +1060,8 @@ impl MarketEngine {
         let mut population = BTreeMap::new();
         for a in &snapshot.agents {
             a.source.validate(num_resources)?;
-            let estimator = OnlineEstimator::from_observations(num_resources, &a.observations)?;
+            let estimator = OnlineEstimator::from_state(num_resources, a.estimator.clone())
+                .map_err(|e| MarketError::Snapshot(format!("agent {}: {e}", a.id)))?;
             let state = AgentState {
                 id: a.id,
                 joined_epoch: a.joined_epoch,
@@ -1103,16 +1105,22 @@ fn observe_agent(
     sim_results: &BTreeMap<AgentId, (Vec<f64>, f64)>,
 ) -> Result<(usize, usize)> {
     // A quarantined agent is held on its last good fit: feeding the
-    // estimator more points would only grow a log whose aggregate fit is
-    // already degenerate. The skip is a pure function of the observation
-    // log, so snapshot replay makes the same choice.
+    // estimator more points would only grow a design whose aggregate fit
+    // is already degenerate. The skip is a pure function of the
+    // estimator's persisted counters, so a restored market makes the
+    // same choice.
     if agent.quarantined() {
         return Ok((0, 0));
     }
-    match &agent.source {
+    let AgentState {
+        id,
+        source,
+        estimator,
+        ..
+    } = agent;
+    match source {
         ObservationSource::GroundTruth(truth) => {
-            let truth = truth.clone();
-            let mut rng = ChaCha8Rng::seed_from_u64(mix(config.seed, epoch, agent.id));
+            let mut rng = ChaCha8Rng::seed_from_u64(mix(config.seed, epoch, *id));
             let jittered: Vec<f64> = bundle
                 .iter()
                 .map(|q| {
@@ -1122,15 +1130,15 @@ fn observe_agent(
                 .collect();
             let perf = truth.value_slice(&jittered);
             if perf.is_finite() && perf > 0.0 {
-                let refit = agent.estimator.observe(jittered, perf)?;
+                let refit = estimator.observe(jittered, perf)?;
                 return Ok((1, usize::from(refit)));
             }
             Ok((0, 0))
         }
         ObservationSource::Simulated { .. } => {
-            if let Some((inputs, ipc)) = sim_results.get(&agent.id) {
+            if let Some((inputs, ipc)) = sim_results.get(id) {
                 if *ipc > 0.0 {
-                    let refit = agent.estimator.observe(inputs.clone(), *ipc)?;
+                    let refit = estimator.observe(inputs.clone(), *ipc)?;
                     return Ok((1, usize::from(refit)));
                 }
             }
@@ -1445,8 +1453,8 @@ mod tests {
         market.submit(MarketEvent::EpochTick);
         market.pump().unwrap();
         assert_eq!(market.metrics().quarantines, 1);
-        // Quarantine is derived from the observation log, so it survives
-        // snapshot/restore without extra persisted state.
+        // Quarantine is derived from the estimator's counters, so it
+        // survives snapshot/restore without extra persisted state.
         let restored = MarketEngine::restore(&market.snapshot()).unwrap();
         assert!(restored.agent(1).unwrap().quarantined());
         assert_eq!(restored.metrics().quarantines, 1);

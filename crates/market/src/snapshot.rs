@@ -2,15 +2,16 @@
 //!
 //! A [`MarketSnapshot`] captures everything a restarted service needs to
 //! resume a market mid-run: configuration, epoch counters, each agent's
-//! observation log (estimators are rebuilt by deterministic replay), the
-//! allocation cache, and the audit/metric counters.
+//! estimator state (its triangular factor, fit and counters: `O(R²)` per
+//! agent however long the market has run), the allocation cache, and the
+//! audit/metric counters.
 //!
 //! The wire format is a line-oriented text document. Every `f64` is
 //! stored as the hexadecimal form of its IEEE-754 bits, so encode →
 //! decode → restore reproduces the original state *bit for bit* — the
 //! restored market's next epoch allocates identically to the original's.
-//! Lines are self-describing (`capacity …`, `agent …`, `o …`), parsed
-//! strictly in order, and the leading `refmarket-snapshot v3` magic
+//! Lines are self-describing (`capacity …`, `agent …`, `factor …`), parsed
+//! strictly in order, and the leading `refmarket-snapshot v4` magic
 //! rejects foreign, older and future documents up front with a typed
 //! `unsupported version` error.
 //!
@@ -22,12 +23,14 @@
 //! which streams it in chunks without cloning anything), and the digest
 //! sink (`StateHasher`), which computes the state fingerprint.
 //! No other field list exists besides [`MarketSnapshot::decode`], the
-//! strict, independent parser.
+//! strict, independent parser. It refuses, with
+//! [`MarketError::Snapshot`], any estimator state no sequence of
+//! observations could have produced ([`EstimatorState::check`]).
 
 use std::io::{self, Write as _};
 use std::str::{FromStr, SplitWhitespace};
 
-use ref_core::fitting::FitPoint;
+use ref_core::online::{EstimatorState, UpdatableLstsq};
 use ref_core::resource::{Allocation, Bundle, Capacity};
 use ref_core::utility::CobbDouglas;
 
@@ -46,12 +49,15 @@ use crate::warm::WarmStartCache;
 /// warm-start cache section, and the warm-start/incremental-refit
 /// counters to the metrics line. v3 added the temporal-SI audit config,
 /// the credit ledger section, the fingerprint tilt line, and the
-/// temporal/credit counters on the auditor and metrics lines.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// temporal/credit counters on the auditor and metrics lines. v4 replaced
+/// each agent's observation log (`obs`/`o` lines, replayed on restore)
+/// with its estimator state (`est`, `fit`, `r2` and `factor` lines,
+/// loaded as they are).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const MAGIC: &str = "refmarket-snapshot";
 
-/// One agent's persisted state: identity, source, observation log.
+/// One agent's persisted state: identity, source, estimator state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgentSnapshot {
     /// The agent's stable id.
@@ -60,9 +66,9 @@ pub struct AgentSnapshot {
     pub joined_epoch: u64,
     /// How the agent's observations are produced.
     pub source: ObservationSource,
-    /// The estimator's observation log, in arrival order; replaying it
-    /// reconstructs the estimator exactly.
-    pub observations: Vec<FitPoint>,
+    /// The estimator's state; restoring it reconstructs the estimator
+    /// exactly.
+    pub estimator: EstimatorState,
 }
 
 /// Full market state at a point in time.
@@ -117,15 +123,12 @@ pub(crate) struct StateView<'a, A> {
     pub agents: A,
 }
 
-/// One agent's borrowed state. `log_digest` is the running digest of
-/// `log` where an estimator keeps one; `None` has the digest sink compute
-/// it from the log.
+/// One agent's borrowed state.
 pub(crate) struct AgentView<'a> {
     pub id: AgentId,
     pub joined_epoch: u64,
     pub source: &'a ObservationSource,
-    pub log: &'a [FitPoint],
-    pub log_digest: Option<u64>,
+    pub estimator: &'a EstimatorState,
 }
 
 /// What the walker emits, token by token: the text sink writes the
@@ -149,9 +152,6 @@ pub(crate) trait Sink {
     fn variant(&mut self, index: u64, word: &str);
     /// A free-form name; the digest takes its length and bytes.
     fn name(&mut self, name: &str);
-    /// An agent's observation log: one line per observation in the text,
-    /// its length and digest in the fingerprint.
-    fn log(&mut self, log: &[FitPoint], digest: Option<u64>);
 
     /// A run of floats, prefixed by its length.
     fn f64s(&mut self, xs: &[f64]) {
@@ -285,7 +285,31 @@ impl<'a, A: ExactSizeIterator<Item = AgentView<'a>>> StateView<'a, A> {
                 }
                 ObservationSource::External => s.line("source").variant(2, "external"),
             }
-            s.log(agent.log, agent.log_digest);
+            let e = agent.estimator;
+            s.line("est");
+            for v in [
+                e.refits,
+                e.incremental_refits,
+                e.degenerate_refits,
+                e.consecutive_degenerate,
+            ] {
+                s.int(v as u64);
+            }
+            s.line("fit").f64(e.utility.scale());
+            s.f64s(e.utility.elasticities());
+            match e.r_squared {
+                None => s.line("r2").variant(0, "none"),
+                Some(r2) => {
+                    s.line("r2").variant(1, "some");
+                    s.f64(r2);
+                }
+            }
+            let (sum_y, sum_yy) = e.factor.sums();
+            s.line("factor").int(e.factor.rows() as u64);
+            s.f64(sum_y);
+            s.f64(sum_yy);
+            s.len(UpdatableLstsq::triangle_len(e.factor.num_coefficients()));
+            e.factor.triangle().for_each(|x| s.f64(x));
         }
         s.line("end");
         s
@@ -320,8 +344,9 @@ const CHUNK_BYTES: usize = 64 << 10;
 
 /// The text sink: gathers the document in chunks for `out`, keeping the
 /// first error `out` returns. A line ends where the next one starts.
-/// Tokens are written into `chunk`, which cannot fail; the next line's
-/// `put` hands a full chunk on.
+/// Tokens are written into `chunk`, which cannot fail; whichever token
+/// fills it hands the chunk on, so no chunk outgrows the bound by more
+/// than one token.
 struct TextSink<'w> {
     chunk: Vec<u8>,
     out: &'w mut dyn FnMut(&[u8]) -> io::Result<()>,
@@ -331,6 +356,10 @@ struct TextSink<'w> {
 impl TextSink<'_> {
     fn put(&mut self, bytes: &[u8]) {
         self.chunk.extend_from_slice(bytes);
+        self.spill();
+    }
+
+    fn spill(&mut self) {
         if self.chunk.len() >= CHUNK_BYTES {
             self.flush();
         }
@@ -357,10 +386,12 @@ impl Sink for TextSink<'_> {
 
     fn int(&mut self, v: impl Into<i128>) {
         let _ = write!(self.chunk, " {}", v.into());
+        self.spill();
     }
 
     fn f64(&mut self, x: f64) {
         let _ = write!(self.chunk, " {:016x}", x.to_bits());
+        self.spill();
     }
 
     fn len(&mut self, _: usize) {}
@@ -372,14 +403,6 @@ impl Sink for TextSink<'_> {
     fn name(&mut self, name: &str) {
         self.put(b" ");
         self.put(name.as_bytes());
-    }
-
-    fn log(&mut self, log: &[FitPoint], _: Option<u64>) {
-        self.line("obs").int(log.len() as u64);
-        for p in log {
-            self.line("o").f64(p.output);
-            p.inputs.iter().for_each(|x| self.f64(*x));
-        }
     }
 }
 
@@ -399,8 +422,7 @@ impl MarketSnapshot {
                 id: a.id,
                 joined_epoch: a.joined_epoch,
                 source: &a.source,
-                log: &a.observations,
-                log_digest: None,
+                estimator: &a.estimator,
             }),
         }
     }
@@ -418,8 +440,7 @@ impl MarketSnapshot {
     /// probability, while bit-identical replicas always agree. Equal to
     /// [`MarketEngine::state_fingerprint`](crate::engine::MarketEngine::state_fingerprint)
     /// of the engine the snapshot was taken from (and of one restored
-    /// from it), which gets there without re-reading any observation
-    /// log; this one digests every log from scratch.
+    /// from it): both walk the same fields.
     pub fn fingerprint(&self) -> u64 {
         self.view().walk(StateHasher::new()).finish()
     }
@@ -429,7 +450,8 @@ impl MarketSnapshot {
     /// # Errors
     ///
     /// Returns [`MarketError::Snapshot`] on bad magic, an unsupported
-    /// version, or any malformed, missing or trailing line.
+    /// version, any malformed, missing or trailing line, or an estimator
+    /// state that fails [`EstimatorState::check`].
     pub fn decode(text: &str) -> Result<MarketSnapshot> {
         let mut lines = Reader::new(text);
         let header = lines.line("header")?;
@@ -593,20 +615,12 @@ impl MarketSnapshot {
             } else {
                 return Err(bad(format!("unknown source {src:?}")));
             };
-            let observations = (0..lines.tagged_u64("obs")?)
-                .map(|_| {
-                    let vals = parse_f64s(lines.tagged("o")?)?;
-                    let (output, inputs) = vals
-                        .split_first()
-                        .ok_or_else(|| bad("observation needs an output".to_string()))?;
-                    FitPoint::new(inputs.to_vec(), *output).map_err(|e| bad(e.to_string()))
-                })
-                .collect::<Result<Vec<_>>>()?;
+            let estimator = lines.estimator(capacity.num_resources())?;
             agents.push(AgentSnapshot {
                 id,
                 joined_epoch,
                 source,
-                observations,
+                estimator,
             });
         }
 
@@ -714,6 +728,50 @@ impl<'a> Reader<'a> {
 
     fn tagged_f64s(&mut self, tag: &str) -> Result<Vec<f64>> {
         parse_f64s(self.tagged(tag)?)
+    }
+
+    /// Reads one agent's `est`, `fit`, `r2` and `factor` lines into the
+    /// state of an estimator over `num_resources` resources.
+    fn estimator(&mut self, num_resources: usize) -> Result<EstimatorState> {
+        let counters = self.tagged_u64s("est", 4)?;
+        let count = |i: usize| {
+            usize::try_from(counters[i]).map_err(|_| bad(format!("est: {} overflows", counters[i])))
+        };
+        let fit = self.tagged_f64s("fit")?;
+        let (scale, elasticities) = fit
+            .split_first()
+            .ok_or_else(|| bad("fit needs a scale".to_string()))?;
+        let utility = CobbDouglas::new(*scale, elasticities.to_vec())
+            .map_err(|e| bad(format!("fit: {e}")))?;
+        let r_squared = match self.tagged("r2")? {
+            "none" => None,
+            r2 => Some(parse_f64(r2.strip_prefix("some ").ok_or_else(|| {
+                bad(format!("r2 must be none|some <bits>, got {r2:?}"))
+            })?)?),
+        };
+        let line = self.tagged("factor")?;
+        let mut toks = line.split_whitespace();
+        let rows = next_token(&mut toks, "factor", line)?;
+        let mut vals = toks.map(parse_f64);
+        let mut sum = || {
+            vals.next()
+                .unwrap_or_else(|| Err(bad("factor needs its sums".into())))
+        };
+        let sums = (sum()?, sum()?);
+        let triangle = vals.collect::<Result<Vec<_>>>()?;
+        let factor = UpdatableLstsq::from_parts(num_resources + 1, &triangle, rows, sums)
+            .map_err(|e| bad(format!("factor: {e}")))?;
+        let state = EstimatorState {
+            factor,
+            utility,
+            r_squared,
+            refits: count(0)?,
+            incremental_refits: count(1)?,
+            degenerate_refits: count(2)?,
+            consecutive_degenerate: count(3)?,
+        };
+        state.check(num_resources).map_err(|e| bad(e.to_string()))?;
+        Ok(state)
     }
 }
 
@@ -881,15 +939,15 @@ mod tests {
 
     #[test]
     fn streamed_text_arrives_in_bounded_chunks_and_stops_at_the_first_error() {
-        // Long measurement logs make a document of several chunks.
+        // A large population makes a document of several chunks.
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
-        for id in 0..8 {
+        for id in 0..640 {
             market.submit(MarketEvent::AgentJoined {
                 id,
                 source: ObservationSource::External,
             });
-            for i in 0..600 {
+            for i in 0..6 {
                 let x = 1.0 + f64::from(i % 7);
                 market.submit(MarketEvent::ObservationReported {
                     id,
@@ -939,12 +997,128 @@ mod tests {
         // A corrupted counter line is detected.
         let corrupt = good.replace("stable-since", "stable-sinister");
         assert!(MarketSnapshot::decode(&corrupt).is_err());
+
+        // Hostile estimator lines fail closed, each with a typed error.
+        let refused = |what: &str, doc: String| match MarketSnapshot::decode(&doc) {
+            Err(MarketError::Snapshot(_)) => {}
+            other => panic!("{what}: {other:?}"),
+        };
+        let first = |tag: &str| {
+            let at = lines.iter().position(|l| l.starts_with(tag)).unwrap();
+            (at, lines[at].split(' ').collect::<Vec<_>>())
+        };
+        let with_line = |at: usize, line: String| {
+            let mut doc = lines.clone();
+            doc[at] = &line;
+            doc.join("\n")
+        };
+        let (at, factor) = first("factor ");
+        let nan = format!("{:016x}", f64::NAN.to_bits());
+        let mut entry = factor.clone();
+        entry[5] = &nan;
+        refused("non-finite factor entry", with_line(at, entry.join(" ")));
+        let mut sum = factor.clone();
+        sum[2] = &nan;
+        refused("non-finite factor sum", with_line(at, sum.join(" ")));
+        refused(
+            "short triangle",
+            with_line(at, factor[..factor.len() - 1].join(" ")),
+        );
+        refused(
+            "long triangle",
+            with_line(at, format!("{} {}", factor.join(" "), factor[4])),
+        );
+        refused(
+            "factor without sums",
+            with_line(at, "factor 13".to_string()),
+        );
+        // The first agent has refit ten times on 13 observations, the
+        // most two resources allow: the first three cannot be refit on.
+        assert_eq!(factor[1], "13");
+        let mut rows = factor.clone();
+        rows[1] = "14";
+        assert!(MarketSnapshot::decode(&with_line(at, rows.join(" "))).is_ok());
+        rows[1] = "12";
+        refused("m too small for the refits", with_line(at, rows.join(" ")));
+        let (at, fit) = first("fit ");
+        let negative = format!("{:016x}", (-0.25_f64).to_bits());
+        let zero = format!("{:016x}", 0.0_f64.to_bits());
+        for (what, tokens) in [
+            (
+                "negative elasticity",
+                vec!["fit", fit[1], &negative, fit[3]],
+            ),
+            ("all-zero elasticities", vec!["fit", fit[1], &zero, &zero]),
+            ("non-positive scale", vec!["fit", &zero, fit[2], fit[3]]),
+            (
+                "fit over three resources",
+                vec!["fit", fit[1], fit[2], fit[3], fit[3]],
+            ),
+            ("fit without a scale", vec!["fit"]),
+        ] {
+            refused(what, with_line(at, tokens.join(" ")));
+        }
+        let (at, est) = first("est ");
+        refused("truncated est line", with_line(at, est[..4].join(" ")));
+        refused(
+            "est line with a word",
+            with_line(at, format!("{} x", est.join(" "))),
+        );
+        let (at, r2) = first("r2 ");
+        refused("r2 without bits", with_line(at, "r2 some".to_string()));
+        refused(
+            "r2 of another kind",
+            with_line(at, format!("r2 maybe {}", r2[2])),
+        );
+        refused("r2 none after refits", with_line(at, "r2 none".to_string()));
+        // A document cut inside an agent's estimator.
+        let cut = lines.iter().rposition(|l| l.starts_with("r2 ")).unwrap();
+        refused("cut estimator", lines[..cut].join("\n"));
+    }
+
+    #[test]
+    fn restore_rejects_hostile_estimator_states() {
+        let snap = busy_market().snapshot();
+        let good = &snap.agents[0].estimator;
+        assert!(good.refits > 0);
+        let triangle: Vec<f64> = good.factor.triangle().collect();
+        let hostile = [
+            EstimatorState {
+                factor: UpdatableLstsq::from_parts(3, &triangle, 2, good.factor.sums()).unwrap(),
+                ..good.clone()
+            },
+            EstimatorState {
+                consecutive_degenerate: good.degenerate_refits + 1,
+                ..good.clone()
+            },
+            EstimatorState {
+                r_squared: None,
+                ..good.clone()
+            },
+            EstimatorState {
+                utility: CobbDouglas::new(1.0, vec![1.0]).unwrap(),
+                ..good.clone()
+            },
+            EstimatorState {
+                factor: UpdatableLstsq::new(2),
+                ..good.clone()
+            },
+        ];
+        for (i, estimator) in hostile.into_iter().enumerate() {
+            let mut bad = snap.clone();
+            bad.agents[0].estimator = estimator;
+            match MarketEngine::restore(&bad) {
+                Err(MarketError::Snapshot(msg)) => assert!(msg.contains("agent 1"), "{msg}"),
+                other => panic!("case {i} restored: {:?}", other.map(|m| m.epoch())),
+            }
+        }
+        assert!(MarketEngine::restore(&snap).is_ok());
     }
 
     #[test]
     fn restore_rejects_unsupported_versions_and_duplicate_agents() {
         let mut snap = busy_market().snapshot();
-        snap.version = 4;
+        snap.version = SNAPSHOT_VERSION - 1;
         assert!(matches!(
             MarketEngine::restore(&snap),
             Err(MarketError::Snapshot(_))
@@ -960,13 +1134,20 @@ mod tests {
 
     #[test]
     fn v2_documents_get_the_unsupported_version_error() {
+        // v3 documents too: there is no reader for observation logs.
         let text = busy_market().snapshot().encode();
-        let v2 = text.replacen("refmarket-snapshot v3", "refmarket-snapshot v2", 1);
-        match MarketSnapshot::decode(&v2) {
-            Err(MarketError::Snapshot(msg)) => {
-                assert!(msg.contains("unsupported version 2"), "{msg}");
+        for old in [2, 3] {
+            let doc = text.replacen(
+                "refmarket-snapshot v4",
+                &format!("refmarket-snapshot v{old}"),
+                1,
+            );
+            match MarketSnapshot::decode(&doc) {
+                Err(MarketError::Snapshot(msg)) => {
+                    assert!(msg.contains(&format!("unsupported version {old}")), "{msg}");
+                }
+                other => panic!("a v{old} document decoded: {other:?}"),
             }
-            other => panic!("a v2 document decoded: {other:?}"),
         }
     }
 }

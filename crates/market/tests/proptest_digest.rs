@@ -1,14 +1,16 @@
-//! The state fingerprint against its oracle.
+//! The state fingerprint and the snapshot against their oracle: replay.
 //!
-//! `MarketEngine::state_fingerprint` composes digests the estimators
-//! maintained as observations arrived; `MarketSnapshot::fingerprint`
-//! recomputes the same value from a snapshot's own fields, re-digesting
-//! every log from scratch. The first property holds the two — and the
-//! fingerprint of a market restored from the encoded text — equal after
-//! every event of random interleavings, and the text the engine streams
-//! from its own state equal to its snapshot's. The second shows the digest is
-//! as sensitive as the text format it replaced: every single-token
-//! perturbation of an encoded snapshot that still decodes changes it.
+//! A snapshot holds each estimator's state, not the observations behind
+//! it, so nothing in a snapshot can be re-derived to check the engine's
+//! own fingerprint against. The oracle is the event log instead: after
+//! every event of random interleavings, a fresh engine fed the same
+//! prefix must reach the same fingerprint and the same snapshot text, the
+//! text the engine streams must equal its snapshot's, and the market
+//! restored from the encoded text must fingerprint the same — and, fed
+//! the events that followed, end exactly where the original ended. The
+//! second property shows the digest is as sensitive as the text format:
+//! every single-token perturbation of an encoded snapshot that still
+//! decodes changes it.
 
 use std::collections::BTreeMap;
 
@@ -98,29 +100,44 @@ fn event(
     }
 }
 
-fn check_identities(market: &MarketEngine) -> Result<(), TestCaseError> {
-    let incremental = market.state_fingerprint();
+/// Checks `market`, which has applied `events` since it was built as
+/// `fresh()` builds one, against a replay of them; returns the market
+/// restored from its encoded snapshot.
+fn check_identities(
+    market: &MarketEngine,
+    events: &[MarketEvent],
+    fresh: impl Fn() -> MarketEngine,
+) -> Result<MarketEngine, TestCaseError> {
+    let fingerprint = market.state_fingerprint();
+    let text = market.encode_snapshot();
+    let mut replayed = fresh();
+    for event in events {
+        // Rejections replay as rejections.
+        let _ = replayed.apply_now(event.clone());
+    }
+    prop_assert_eq!(
+        fingerprint,
+        replayed.state_fingerprint(),
+        "engine vs its replay"
+    );
+    prop_assert_eq!(&text, &replayed.encode_snapshot(), "engine vs its replay");
     let snapshot = market.snapshot();
     prop_assert_eq!(
-        incremental,
-        snapshot.fingerprint(),
-        "engine vs its snapshot"
-    );
-    let text = snapshot.encode();
-    prop_assert_eq!(
-        &market.encode_snapshot(),
+        &snapshot.encode(),
         &text,
         "engine's streamed text vs its snapshot's"
     );
+    prop_assert_eq!(fingerprint, snapshot.fingerprint(), "engine vs snapshot");
     let decoded = MarketSnapshot::decode(&text).expect("own text decodes");
-    prop_assert_eq!(incremental, decoded.fingerprint(), "snapshot vs decoded");
+    prop_assert_eq!(&decoded, &snapshot, "snapshot vs decoded");
     let restored = MarketEngine::restore(&decoded).expect("own snapshot restores");
     prop_assert_eq!(
-        incremental,
+        fingerprint,
         restored.state_fingerprint(),
         "engine vs restored"
     );
-    Ok(())
+    prop_assert_eq!(&text, &restored.encode_snapshot(), "engine vs restored");
+    Ok(restored)
 }
 
 fn drive(
@@ -129,16 +146,34 @@ fn drive(
     mechanism: MechanismKind,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let mut market = market(resources, mechanism, seed);
+    let fresh = || market(resources, mechanism, seed);
+    let mut market = fresh();
     let (mut live, mut next_id) = (Vec::new(), 0);
-    check_identities(&market)?;
+    let mut events = Vec::new();
+    let mut restored = vec![check_identities(&market, &events, fresh)?];
     let mut seen = vec![market.state_fingerprint()];
     for &op in ops {
         // Errors are rejections the engine counted; the identities hold
         // after those too.
-        let _ = market.apply_now(event(op, resources, &mut live, &mut next_id));
-        check_identities(&market)?;
+        let event = event(op, resources, &mut live, &mut next_id);
+        let _ = market.apply_now(event.clone());
+        events.push(event);
+        restored.push(check_identities(&market, &events, fresh)?);
         seen.push(market.state_fingerprint());
+    }
+    // A market restored after any event, fed the events that followed,
+    // ends bit for bit where the original ended.
+    let end = market.encode_snapshot();
+    for (at, mut resumed) in restored.into_iter().enumerate() {
+        for event in &events[at..] {
+            let _ = resumed.apply_now(event.clone());
+        }
+        prop_assert_eq!(
+            &resumed.encode_snapshot(),
+            &end,
+            "restored after event {}",
+            at
+        );
     }
     // Every event moves at least one counter, so no two states along one
     // run are equal — and neither may their fingerprints be.
@@ -267,7 +302,7 @@ proptest! {
             "capacity", "tolerance", "audit-tolerance", "warmup", "excitation", "quanta",
             "sim-instructions", "seed", "temporal-window", "temporal-slack", "epoch",
             "stable-since", "auditor", "metrics", "fp-ids", "fp-quant", "fp-capacity",
-            "fp-tilt", "bundle", "l", "agent", "source", "o",
+            "fp-tilt", "bundle", "l", "agent", "source", "fit", "r2", "factor",
         ] {
             prop_assert!(accepted.contains_key(tag), "no {tag:?} token was perturbed: {accepted:?}");
         }
@@ -297,14 +332,18 @@ proptest! {
         seen.dedup();
         prop_assert_eq!(seen.len(), 4, "a mechanism or source change is invisible");
 
-        // Order within one agent's log: swap two unequal observations.
-        let at = (1..lines.len())
-            .find(|&i| {
-                lines[i].starts_with("o ") && lines[i - 1].starts_with("o ") && lines[i] != lines[i - 1]
-            })
-            .expect("some agent holds two different observations");
+        // Order within one run of floats: swap two unequal entries of an
+        // agent's triangular factor.
+        let at = lines.iter().position(|l| l.starts_with("factor ")).expect("an agent");
+        let mut tokens: Vec<&str> = lines[at].split(' ').collect();
+        let (i, j) = (4..tokens.len())
+            .flat_map(|i| (i + 1..tokens.len()).map(move |j| (i, j)))
+            .find(|&(i, j)| tokens[i] != tokens[j])
+            .expect("a factor holds two different entries");
+        tokens.swap(i, j);
+        let line = tokens.join(" ");
         let mut swapped = lines.clone();
-        swapped.swap(at - 1, at);
+        swapped[at] = &line;
         let swapped = MarketSnapshot::decode(&swapped.join("\n")).expect("reordered text decodes");
         prop_assert_ne!(swapped.fingerprint(), market.state_fingerprint());
     }

@@ -4,7 +4,7 @@
 //! server owns: the wire protocol (per-agent `credit` in queries, ledger
 //! totals in `metrics`), the journal (replay must reproduce the ledger
 //! bit for bit, because the ledger is a pure function of the event
-//! history), the v3 snapshot (WAL checkpoints round-trip it), and the
+//! history), the v4 snapshot (WAL checkpoints round-trip it), and the
 //! shard router (a credit market only boots when the equal capacity
 //! split is exact). Each test pins one of those seams.
 
@@ -60,10 +60,10 @@ fn credit_market_exposes_balances_and_ledger_metrics_over_the_wire() {
     );
     assert!(text.contains("refmarket_credits_accrued"), "{text}");
 
-    // Snapshots taken over the wire are v3 documents.
+    // Snapshots taken over the wire are v4 documents.
     let snapshot = &client.snapshot().unwrap()[0];
     assert!(
-        snapshot.starts_with("refmarket-snapshot v3\n"),
+        snapshot.starts_with("refmarket-snapshot v4\n"),
         "{snapshot}"
     );
 
@@ -104,8 +104,8 @@ fn sharded_credit_journals_replay_per_shard() {
         assert!(!shard.journal_overflowed);
         assert_eq!(shard.metrics.protocol_errors, 0);
         assert!(
-            shard.snapshot.starts_with("refmarket-snapshot v3\n"),
-            "shard {} snapshot is not v3",
+            shard.snapshot.starts_with("refmarket-snapshot v4\n"),
+            "shard {} snapshot is not v4",
             shard.shard
         );
         let mut offline = MarketEngine::new(shard_market_config(&credit_config(), 4)).unwrap();
@@ -141,7 +141,7 @@ fn sharded_credit_wal_recovery_round_trips_v3_snapshots() {
     let report = server.shutdown();
 
     // Cold recovery restores every shard — ledger included — bit for bit
-    // from v3 checkpoints plus WAL tail replay.
+    // from v4 checkpoints plus WAL tail replay.
     let recovered = Server::recover("127.0.0.1:0", serve_config()).unwrap();
     let recovered_report = recovered.shutdown();
     for (before, after) in report.shards.iter().zip(&recovered_report.shards) {

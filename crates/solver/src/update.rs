@@ -74,7 +74,13 @@ impl UpdatableFit {
 /// plus the running sums needed for `R^2` — past rows are *not* stored, so
 /// memory is constant in the number of observations. See the module docs
 /// for the math.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// [`triangle`](UpdatableLstsq::triangle), [`rows`](UpdatableLstsq::rows)
+/// and [`sums`](UpdatableLstsq::sums) export that state and
+/// [`from_parts`](UpdatableLstsq::from_parts) imports it, bit for bit: an
+/// accumulator rebuilt from its parts appends, downdates and solves
+/// exactly as the original would have. Equality compares the state only.
+#[derive(Debug, Clone)]
 pub struct UpdatableLstsq {
     /// Coefficient columns.
     k: usize,
@@ -86,7 +92,8 @@ pub struct UpdatableLstsq {
     m: usize,
     sum_y: f64,
     sum_yy: f64,
-    /// Scratch for the row being rotated in or out.
+    /// Scratch for the row being rotated in or out; it holds nothing
+    /// between calls, so equality and the exported parts leave it out.
     z: Vec<f64>,
 }
 
@@ -118,6 +125,72 @@ impl UpdatableLstsq {
     /// Rows currently folded into the window.
     pub fn rows(&self) -> usize {
         self.m
+    }
+
+    /// Running `(sum y, sum y^2)` over the window's responses.
+    pub fn sums(&self) -> (f64, f64) {
+        (self.sum_y, self.sum_yy)
+    }
+
+    /// Entries of the upper triangle of a factor over `k` columns:
+    /// `(k+1)(k+2)/2`, the response column included.
+    pub fn triangle_len(k: usize) -> usize {
+        (k + 1) * (k + 2) / 2
+    }
+
+    /// The factor's upper triangle, row by row
+    /// ([`triangle_len`](UpdatableLstsq::triangle_len) entries). Below the
+    /// diagonal the factor is zero by construction.
+    pub fn triangle(&self) -> impl Iterator<Item = f64> + '_ {
+        let p = self.p;
+        (0..p).flat_map(move |i| self.t[i * p + i..(i + 1) * p].iter().copied())
+    }
+
+    /// Rebuilds an accumulator over `k` columns from what
+    /// [`triangle`](UpdatableLstsq::triangle), [`rows`](UpdatableLstsq::rows)
+    /// and [`sums`](UpdatableLstsq::sums) exported.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::InvalidArgument`] if `k == 0`,
+    /// [`SolverError::ShapeMismatch`] if `triangle` does not hold
+    /// [`triangle_len`](UpdatableLstsq::triangle_len)`(k)` entries, and
+    /// [`SolverError::NonFinite`] if any entry or sum is not finite.
+    pub fn from_parts(
+        k: usize,
+        triangle: &[f64],
+        rows: usize,
+        (sum_y, sum_yy): (f64, f64),
+    ) -> Result<UpdatableLstsq> {
+        if k == 0 {
+            return Err(SolverError::InvalidArgument(
+                "design needs at least one column".to_string(),
+            ));
+        }
+        if triangle.len() != Self::triangle_len(k) {
+            return Err(SolverError::ShapeMismatch(format!(
+                "a factor over {k} columns has {} triangle entries, got {}",
+                Self::triangle_len(k),
+                triangle.len()
+            )));
+        }
+        if !vec_ops::all_finite(triangle) || !sum_y.is_finite() || !sum_yy.is_finite() {
+            return Err(SolverError::NonFinite(
+                "incremental least-squares state".to_string(),
+            ));
+        }
+        let mut lstsq = UpdatableLstsq::new(k);
+        let p = lstsq.p;
+        let mut entries = triangle.iter();
+        for i in 0..p {
+            for t in &mut lstsq.t[i * p + i..(i + 1) * p] {
+                *t = *entries.next().expect("length checked above");
+            }
+        }
+        lstsq.m = rows;
+        lstsq.sum_y = sum_y;
+        lstsq.sum_yy = sum_yy;
+        Ok(lstsq)
     }
 
     /// Rotates the observation `(row, y)` into the triangle.
@@ -287,6 +360,16 @@ impl UpdatableLstsq {
     }
 }
 
+impl PartialEq for UpdatableLstsq {
+    fn eq(&self, other: &UpdatableLstsq) -> bool {
+        self.k == other.k
+            && self.t == other.t
+            && self.m == other.m
+            && self.sum_y == other.sum_y
+            && self.sum_yy == other.sum_yy
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,6 +516,63 @@ mod tests {
         let fit = inc.solve().unwrap();
         assert!((fit.r_squared() - 1.0).abs() < 1e-12);
         assert!(fit.total_sum_of_squares().abs() < 1e-9);
+    }
+
+    #[test]
+    fn parts_round_trip_bit_for_bit() {
+        let (rows, y) = design_25x3();
+        let mut original = UpdatableLstsq::new(3);
+        for (r, &yi) in rows.iter().zip(&y).take(12) {
+            original.append(r, yi).unwrap();
+        }
+        let triangle: Vec<f64> = original.triangle().collect();
+        assert_eq!(triangle.len(), UpdatableLstsq::triangle_len(3));
+        let mut rebuilt =
+            UpdatableLstsq::from_parts(3, &triangle, original.rows(), original.sums()).unwrap();
+        assert_eq!(rebuilt, original);
+        // The rebuilt accumulator continues exactly as the original does.
+        for (r, &yi) in rows.iter().zip(&y).skip(12) {
+            original.append(r, yi).unwrap();
+            rebuilt.append(r, yi).unwrap();
+        }
+        original.downdate(&rows[3], y[3]).unwrap();
+        rebuilt.downdate(&rows[3], y[3]).unwrap();
+        let bits = |fit: UpdatableFit| {
+            let mut v: Vec<u64> = fit.coefficients().iter().map(|c| c.to_bits()).collect();
+            v.push(fit.r_squared().to_bits());
+            v
+        };
+        assert_eq!(
+            bits(rebuilt.solve().unwrap()),
+            bits(original.solve().unwrap())
+        );
+        assert_eq!(rebuilt.t, original.t);
+    }
+
+    #[test]
+    fn from_parts_refuses_malformed_state() {
+        let good = vec![1.0; UpdatableLstsq::triangle_len(2)];
+        assert!(UpdatableLstsq::from_parts(2, &good, 4, (1.0, 2.0)).is_ok());
+        assert!(matches!(
+            UpdatableLstsq::from_parts(0, &[1.0], 4, (1.0, 2.0)),
+            Err(SolverError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            UpdatableLstsq::from_parts(2, &good[1..], 4, (1.0, 2.0)),
+            Err(SolverError::ShapeMismatch(_))
+        ));
+        let mut bad = good.clone();
+        bad[4] = f64::NAN;
+        assert!(matches!(
+            UpdatableLstsq::from_parts(2, &bad, 4, (1.0, 2.0)),
+            Err(SolverError::NonFinite(_))
+        ));
+        for sums in [(f64::INFINITY, 2.0), (1.0, f64::NAN)] {
+            assert!(matches!(
+                UpdatableLstsq::from_parts(2, &good, 4, sums),
+                Err(SolverError::NonFinite(_))
+            ));
+        }
     }
 
     #[test]

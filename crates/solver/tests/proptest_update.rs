@@ -134,6 +134,48 @@ proptest! {
     }
 
     #[test]
+    fn exported_parts_rebuild_a_bit_identical_accumulator(
+        m in 4usize..30,
+        k in 1usize..5,
+        cut in 0usize..30,
+        jitter in prop::collection::vec(-1.0..1.0f64, 8..24),
+    ) {
+        // Export at any row count, rebuild, and feed both the rest: every
+        // bit of the factor, the sums and the solve must agree.
+        let rows = design(m, k, &jitter);
+        let y = responses(&rows, &jitter);
+        let cut = cut.min(m);
+        let mut original = UpdatableLstsq::new(k);
+        for (r, &yi) in rows[..cut].iter().zip(&y) {
+            original.append(r, yi).unwrap();
+        }
+        let triangle: Vec<f64> = original.triangle().collect();
+        let mut rebuilt =
+            UpdatableLstsq::from_parts(k, &triangle, original.rows(), original.sums()).unwrap();
+        prop_assert_eq!(&rebuilt, &original);
+        for (r, &yi) in rows[cut..].iter().zip(&y[cut..]) {
+            original.append(r, yi).unwrap();
+            rebuilt.append(r, yi).unwrap();
+        }
+        let bits = |lstsq: &UpdatableLstsq| -> Vec<u64> {
+            let (sum_y, sum_yy) = lstsq.sums();
+            lstsq.triangle().chain([sum_y, sum_yy]).map(f64::to_bits).collect()
+        };
+        prop_assert_eq!(bits(&rebuilt), bits(&original));
+        match (rebuilt.solve(), original.solve()) {
+            (Ok(a), Ok(b)) => {
+                let coefficients = |f: &ref_solver::update::UpdatableFit| -> Vec<u64> {
+                    f.coefficients().iter().map(|c| c.to_bits()).collect()
+                };
+                prop_assert_eq!(coefficients(&a), coefficients(&b));
+                prop_assert_eq!(a.r_squared().to_bits(), b.r_squared().to_bits());
+            }
+            (Err(_), Err(_)) => {}
+            (a, b) => prop_assert!(false, "classification diverged: {a:?} vs {b:?}"),
+        }
+    }
+
+    #[test]
     fn warm_started_gp_agrees_with_cold_on_random_cobb_douglas_markets(
         e in prop::collection::vec(0.15..0.9f64, 4),
         cap1 in 8.0..32.0f64,

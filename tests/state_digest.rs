@@ -104,7 +104,7 @@ fn replicate(faults: FaultPlan) -> Vec<(bool, Ack)> {
         ticks.push((got == want, verdict));
     }
     // Whatever the standby holds, the fingerprint describes it: the
-    // incremental digest and the from-scratch one over its snapshot.
+    // engine's and the one over its decoded final snapshot agree.
     for node in [&primary, &standby] {
         let snapshot = MarketSnapshot::decode(&node.final_snapshot()).unwrap();
         assert_eq!(snapshot.fingerprint(), node.engine().state_fingerprint());
@@ -160,11 +160,11 @@ fn golden_market() -> MarketEngine {
 }
 
 /// `(crc32, length)` of the golden market's snapshot text, and its state
-/// fingerprint. Both were taken before the encoder and the digest became
-/// two sinks of one walker: a change here is a change of the persisted
-/// format or of the replication audit's digest.
-const GOLDEN_TEXT: (u32, usize) = (0x61c9_b514, 3068);
-const GOLDEN_FINGERPRINT: u64 = 0x01b5_ff84_3f7c_2a2c;
+/// fingerprint. Both were re-pinned when snapshot v4 replaced each
+/// agent's observation log with its estimator state: a change here is a
+/// change of the persisted format or of the replication audit's digest.
+const GOLDEN_TEXT: (u32, usize) = (0x2f4e_acd3, 2992);
+const GOLDEN_FINGERPRINT: u64 = 0xf4ad_291c_ed60_ab8d;
 
 #[test]
 fn snapshot_text_and_fingerprint_match_their_golden_pins() {
