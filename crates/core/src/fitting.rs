@@ -30,6 +30,13 @@ impl FitPoint {
     /// not strictly positive and finite (the log transform requires
     /// positivity).
     pub fn new(inputs: Vec<f64>, output: f64) -> Result<FitPoint> {
+        FitPoint::check(&inputs, output)?;
+        Ok(FitPoint { inputs, output })
+    }
+
+    /// The checks [`FitPoint::new`] makes, for callers that fold an
+    /// observation in without keeping it.
+    pub(crate) fn check(inputs: &[f64], output: f64) -> Result<()> {
         if inputs.is_empty() {
             return Err(CoreError::InvalidArgument(
                 "observation needs at least one resource".to_string(),
@@ -45,7 +52,7 @@ impl FitPoint {
                 "output must be finite and positive, got {output}"
             )));
         }
-        Ok(FitPoint { inputs, output })
+        Ok(())
     }
 }
 

@@ -151,9 +151,9 @@ impl CreditMechanism {
             .iter()
             .zip(&self.weights)
             .map(|(u, &w)| {
-                CobbDouglas::new(
+                CobbDouglas::from_elasticities(
                     u.scale().powf(w),
-                    u.elasticities().iter().map(|a| a * w).collect(),
+                    u.elasticities().iter().map(|a| a * w),
                 )
             })
             .collect()

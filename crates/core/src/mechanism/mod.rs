@@ -133,12 +133,11 @@ pub(crate) fn proportional_split(
     let bundles: Result<Vec<Bundle>> = demand
         .iter()
         .map(|d| {
-            Bundle::new(
+            Bundle::from_quantities(
                 d.elasticities()
                     .iter()
                     .enumerate()
-                    .map(|(r, &e)| share(r, e))
-                    .collect(),
+                    .map(|(r, &e)| share(r, e)),
             )
         })
         .collect();

@@ -30,6 +30,7 @@
 //! without replaying its history.
 
 use std::collections::VecDeque;
+use std::iter;
 
 /// The triangular factor an [`EstimatorState`] holds, re-exported so that
 /// code persisting estimator states needs no direct solver dependency.
@@ -76,7 +77,10 @@ impl EstimatorState {
         }
         Ok(EstimatorState {
             factor: UpdatableLstsq::new(num_resources + 1),
-            utility: CobbDouglas::new(1.0, vec![1.0 / num_resources as f64; num_resources])?,
+            utility: CobbDouglas::from_elasticities(
+                1.0,
+                iter::repeat_n(1.0 / num_resources as f64, num_resources),
+            )?,
             r_squared: None,
             refits: 0,
             incremental_refits: 0,
@@ -316,7 +320,8 @@ impl OnlineEstimator {
     /// Returns [`CoreError::InvalidArgument`] if the allocation dimension
     /// differs from the estimator's, or quantities/performance are not
     /// strictly positive finite values.
-    pub fn observe(&mut self, allocation: Vec<f64>, performance: f64) -> Result<bool> {
+    pub fn observe(&mut self, allocation: impl AsRef<[f64]>, performance: f64) -> Result<bool> {
+        let allocation = allocation.as_ref();
         if allocation.len() != self.num_resources {
             return Err(CoreError::InvalidArgument(format!(
                 "observation covers {} resources, estimator expects {}",
@@ -337,26 +342,32 @@ impl OnlineEstimator {
                 "allocation quantities must be finite, got {q}"
             )));
         }
-        let point = FitPoint::new(allocation, performance)?;
+        FitPoint::check(allocation, performance)?;
         let factor = &mut self.state.factor;
         factor
-            .append(Self::log_row(&mut self.row, &point), point.output.ln())
+            .append(Self::log_row(&mut self.row, allocation), performance.ln())
             .expect("validated observation rows are finite");
         if let Some(window) = &mut self.window {
-            window.rows.push_back(point);
+            window.rows.push_back(FitPoint {
+                inputs: allocation.to_vec(),
+                output: performance,
+            });
             if window.rows.len() > window.size {
                 let evicted = window
                     .rows
                     .pop_front()
                     .expect("the window is over its bound");
-                let row = Self::log_row(&mut self.row, &evicted);
+                let row = Self::log_row(&mut self.row, &evicted.inputs);
                 if factor.downdate(row, evicted.output.ln()).is_err() {
                     // The factor is too close to singular to subtract the
                     // row stably; refactorize the surviving rows instead.
                     *factor = UpdatableLstsq::new(self.num_resources + 1);
                     for point in &window.rows {
                         factor
-                            .append(Self::log_row(&mut self.row, point), point.output.ln())
+                            .append(
+                                Self::log_row(&mut self.row, &point.inputs),
+                                point.output.ln(),
+                            )
                             .expect("previously accepted observations are finite");
                     }
                 }
@@ -375,11 +386,11 @@ impl OnlineEstimator {
         // intercept, clamp negative elasticities, and substitute a tiny
         // uniform profile when every elasticity clamps to zero.
         let scale = fit.coefficients()[0].exp();
-        let elasticities: Vec<f64> = fit.coefficients()[1..].iter().map(|a| a.max(0.0)).collect();
-        let utility = if elasticities.iter().all(|a| *a == 0.0) {
-            CobbDouglas::new(scale, vec![1e-9; self.num_resources])
+        let elasticities = fit.coefficients()[1..].iter().map(|a| a.max(0.0));
+        let utility = if elasticities.clone().all(|a| a == 0.0) {
+            CobbDouglas::from_elasticities(scale, iter::repeat_n(1e-9, self.num_resources))
         } else {
-            CobbDouglas::new(scale, elasticities)
+            CobbDouglas::from_elasticities(scale, elasticities)
         };
         let state = &mut self.state;
         match utility {
@@ -407,9 +418,9 @@ impl OnlineEstimator {
 
     /// Writes one observation's log-space design row, `[1, ln x_1..ln x_R]`,
     /// into the scratch `row` and returns it.
-    fn log_row<'r>(row: &'r mut [f64], point: &FitPoint) -> &'r [f64] {
+    fn log_row<'r>(row: &'r mut [f64], inputs: &[f64]) -> &'r [f64] {
         row[0] = 1.0;
-        for (r, x) in row[1..].iter_mut().zip(&point.inputs) {
+        for (r, x) in row[1..].iter_mut().zip(inputs) {
             *r = x.ln();
         }
         row

@@ -6,7 +6,81 @@
 //! mechanisms rely on (positive capacities, non-negative bundles, matching
 //! dimensions).
 
+use std::fmt;
+use std::ops::Deref;
+
 use crate::error::{CoreError, Result};
+
+/// One value per resource, stored inline for one or two resources and on
+/// the heap from three up.
+///
+/// Every agent's bundle and utility is one of these, and a market keeps
+/// thousands of them alive across epochs, so the common two-resource case
+/// (bandwidth and cache) must not cost a heap block each. The type stays
+/// exactly as large as a `Vec<f64>` (24 bytes): a wider inline buffer would
+/// grow every `MarketEvent` a service journals.
+#[derive(Clone)]
+pub(crate) enum ResourceVec {
+    One(f64),
+    Two([f64; 2]),
+    Heap(Vec<f64>),
+}
+
+impl ResourceVec {
+    /// Takes over `values`, moving one or two of them inline.
+    pub(crate) fn from_vec(values: Vec<f64>) -> ResourceVec {
+        match values[..] {
+            [a] => ResourceVec::One(a),
+            [a, b] => ResourceVec::Two([a, b]),
+            _ => ResourceVec::Heap(values),
+        }
+    }
+}
+
+impl Deref for ResourceVec {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        match self {
+            ResourceVec::One(a) => std::slice::from_ref(a),
+            ResourceVec::Two(ab) => ab,
+            ResourceVec::Heap(values) => values,
+        }
+    }
+}
+
+/// Collects without an intermediate `Vec`: the heap is touched only once a
+/// third value arrives.
+impl FromIterator<f64> for ResourceVec {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> ResourceVec {
+        let mut iter = iter.into_iter();
+        let Some(a) = iter.next() else {
+            return ResourceVec::Heap(Vec::new());
+        };
+        let Some(b) = iter.next() else {
+            return ResourceVec::One(a);
+        };
+        let Some(c) = iter.next() else {
+            return ResourceVec::Two([a, b]);
+        };
+        let mut values = Vec::with_capacity(3 + iter.size_hint().0);
+        values.extend([a, b, c]);
+        values.extend(iter);
+        ResourceVec::Heap(values)
+    }
+}
+
+impl fmt::Debug for ResourceVec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for ResourceVec {
+    fn eq(&self, other: &ResourceVec) -> bool {
+        **self == **other
+    }
+}
 
 /// A bundle of resource quantities held by one agent.
 ///
@@ -23,7 +97,7 @@ use crate::error::{CoreError, Result};
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Bundle(Vec<f64>);
+pub struct Bundle(ResourceVec);
 
 impl Bundle {
     /// Creates a bundle from per-resource quantities.
@@ -33,6 +107,16 @@ impl Bundle {
     /// Returns [`CoreError::InvalidArgument`] if `quantities` is empty or
     /// contains a negative or non-finite entry.
     pub fn new(quantities: Vec<f64>) -> Result<Bundle> {
+        Bundle::checked(ResourceVec::from_vec(quantities))
+    }
+
+    /// A bundle of the quantities `iter` yields, checked as
+    /// [`Bundle::new`] checks them.
+    pub(crate) fn from_quantities(iter: impl IntoIterator<Item = f64>) -> Result<Bundle> {
+        Bundle::checked(iter.into_iter().collect())
+    }
+
+    fn checked(quantities: ResourceVec) -> Result<Bundle> {
         if quantities.is_empty() {
             return Err(CoreError::InvalidArgument(
                 "bundle must cover at least one resource".to_string(),
@@ -144,7 +228,7 @@ impl Capacity {
 
     /// The whole machine as a bundle (used for weighted utility `u(C)`).
     pub fn as_bundle(&self) -> Bundle {
-        Bundle(self.0.clone())
+        Bundle(self.0.iter().copied().collect())
     }
 }
 
@@ -263,6 +347,18 @@ impl Allocation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_or_two_values_are_stored_inline() {
+        for n in 0..6 {
+            let values: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
+            let collected: ResourceVec = values.iter().copied().collect();
+            for v in [collected, ResourceVec::from_vec(values.clone())] {
+                assert_eq!(*v, values[..]);
+                assert_eq!(matches!(v, ResourceVec::Heap(_)), n == 0 || n > 2);
+            }
+        }
+    }
 
     #[test]
     fn bundle_validation() {

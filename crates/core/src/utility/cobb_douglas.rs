@@ -1,7 +1,7 @@
 //! Cobb-Douglas utility functions (Eq. 1 of the paper).
 
 use crate::error::{CoreError, Result};
-use crate::resource::Bundle;
+use crate::resource::{Bundle, ResourceVec};
 use crate::utility::Utility;
 
 /// A Cobb-Douglas utility `u(x) = a0 * prod_r x_r^{a_r}`.
@@ -34,7 +34,7 @@ use crate::utility::Utility;
 #[derive(Debug, Clone, PartialEq)]
 pub struct CobbDouglas {
     scale: f64,
-    elasticities: Vec<f64>,
+    elasticities: ResourceVec,
 }
 
 impl CobbDouglas {
@@ -46,6 +46,19 @@ impl CobbDouglas {
     /// positive and finite, `elasticities` is empty, any elasticity is
     /// negative or non-finite, or all elasticities are zero.
     pub fn new(scale: f64, elasticities: Vec<f64>) -> Result<CobbDouglas> {
+        CobbDouglas::checked(scale, ResourceVec::from_vec(elasticities))
+    }
+
+    /// `a0 * prod_r x_r^{a_r}` over the elasticities `iter` yields,
+    /// checked as [`CobbDouglas::new`] checks them.
+    pub(crate) fn from_elasticities(
+        scale: f64,
+        iter: impl IntoIterator<Item = f64>,
+    ) -> Result<CobbDouglas> {
+        CobbDouglas::checked(scale, iter.into_iter().collect())
+    }
+
+    fn checked(scale: f64, elasticities: ResourceVec) -> Result<CobbDouglas> {
         if !(scale > 0.0 && scale.is_finite()) {
             return Err(CoreError::InvalidArgument(format!(
                 "scale must be positive and finite, got {scale}"
@@ -203,7 +216,7 @@ impl Utility for CobbDouglas {
         );
         self.scale
             * x.iter()
-                .zip(&self.elasticities)
+                .zip(self.elasticities.iter())
                 .map(|(&xi, &ai)| xi.powf(ai))
                 .product::<f64>()
     }

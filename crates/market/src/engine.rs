@@ -1121,14 +1121,20 @@ fn observe_agent(
     match source {
         ObservationSource::GroundTruth(truth) => {
             let mut rng = ChaCha8Rng::seed_from_u64(mix(config.seed, epoch, *id));
-            let jittered: Vec<f64> = bundle
-                .iter()
-                .map(|q| {
-                    let f = 1.0 - config.excitation + 2.0 * config.excitation * rng.gen::<f64>();
-                    (q * f).max(1e-9)
-                })
-                .collect();
-            let perf = truth.value_slice(&jittered);
+            // The point lives on the stack for up to four resources.
+            let (mut stack, mut heap) = ([0.0; 4], Vec::new());
+            let jittered = match stack.get_mut(..bundle.len()) {
+                Some(point) => point,
+                None => {
+                    heap.resize(bundle.len(), 0.0);
+                    &mut heap[..]
+                }
+            };
+            for (x, q) in jittered.iter_mut().zip(bundle) {
+                let f = 1.0 - config.excitation + 2.0 * config.excitation * rng.gen::<f64>();
+                *x = (q * f).max(1e-9);
+            }
+            let perf = truth.value_slice(jittered);
             if perf.is_finite() && perf > 0.0 {
                 let refit = estimator.observe(jittered, perf)?;
                 return Ok((1, usize::from(refit)));
@@ -1138,7 +1144,7 @@ fn observe_agent(
         ObservationSource::Simulated { .. } => {
             if let Some((inputs, ipc)) = sim_results.get(id) {
                 if *ipc > 0.0 {
-                    let refit = estimator.observe(inputs.clone(), *ipc)?;
+                    let refit = estimator.observe(inputs, *ipc)?;
                     return Ok((1, usize::from(refit)));
                 }
             }

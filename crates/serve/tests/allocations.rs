@@ -1,0 +1,150 @@
+//! Heap allocations per `serve_mem` op class, taken through
+//! `ServiceCore::handle`: a WAL-less core fronting 128 external agents on
+//! `[64, 32]` under REF, fed `serve_mem`'s op rule (a `tick` every 128th
+//! op, else an agent `query` every third op, else an `observe`). This is
+//! a reading, not a budget: each class's median is pinned to a stated
+//! band so that a change which moves it shows up here first, and the
+//! parse and encode around `handle` are counted beside it.
+//!
+//! This binary holds a single test on purpose. Its counting global
+//! allocator sees every thread of the process (the pool's helper threads
+//! do part of a tick), so a second test running beside it would pollute
+//! the counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use ref_core::resource::Capacity;
+use ref_market::MarketConfig;
+use ref_serve::{parse_request, JournalLimit, ServeMetrics, ServiceCore, Value};
+
+/// Counts allocations (a reallocation is one).
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter is a side effect only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+const AGENTS: u64 = 128;
+const TICK_EVERY: usize = 128;
+
+/// Allocations `f` makes, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+/// Op `i` of the `serve_mem` rule, as its request line.
+fn op(i: usize, draw: &mut u64) -> (usize, String) {
+    let agent = 1 + i as u64 % AGENTS;
+    if i % TICK_EVERY == TICK_EVERY - 1 {
+        return (TICK, r#"{"op":"tick"}"#.to_string());
+    }
+    if i % 3 == 2 {
+        return (QUERY, format!(r#"{{"op":"query","agent":{agent}}}"#));
+    }
+    // A log-uniform point in [1/4, 4] times the equal share, measured
+    // under the agent's hidden `x^a y^(1-a)`.
+    let mut next = || {
+        *draw = draw
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((*draw >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * 4f64.ln()
+    };
+    let (x, y) = (0.5 * next().exp(), 0.25 * next().exp());
+    let a = 0.1 + 0.8 * ((agent % 16) as f64 + 0.5) / 16.0;
+    let performance = x.powf(a) * y.powf(1.0 - a);
+    let line = format!(
+        r#"{{"op":"observe","agent":{agent},"allocation":[{x},{y}],"performance":{performance}}}"#
+    );
+    (OBSERVE, line)
+}
+
+const OBSERVE: usize = 0;
+const QUERY: usize = 1;
+const TICK: usize = 2;
+const CLASSES: [&str; 3] = ["observe", "query", "tick"];
+
+fn median(counts: &mut [u64]) -> u64 {
+    counts.sort_unstable();
+    counts[counts.len() / 2]
+}
+
+#[test]
+fn serve_mem_ops_allocate_a_stated_handful() {
+    // A fixed width makes the per-call helper bookkeeping a fixed count.
+    ref_pool::set_threads(2);
+    let config = MarketConfig::new(Capacity::new(vec![64.0, 32.0]).unwrap());
+    let mut core = ServiceCore::new(config, JournalLimit::default()).unwrap();
+    let metrics = ServeMetrics::default();
+    for agent in 1..=AGENTS {
+        let line = format!(r#"{{"op":"join","agent":{agent},"source":{{"kind":"external"}}}}"#);
+        let request = parse_request(&line).unwrap().request;
+        assert_eq!(
+            core.handle(&request, &metrics).get("ok"),
+            Some(&Value::Bool(true))
+        );
+    }
+
+    // (parse, handle, encode) counts per class, after four ticks of
+    // warm-up, over twelve ticks' worth of ops.
+    let mut counts: [[Vec<u64>; 3]; 3] = Default::default();
+    let mut draw = 0x5EED;
+    for i in 0..16 * TICK_EVERY {
+        let (class, line) = op(i, &mut draw);
+        let (parse, envelope) = counted(|| parse_request(&line).unwrap());
+        let (handle, reply) = counted(|| core.handle(&envelope.request, &metrics));
+        let (encode, text) = counted(|| reply.encode());
+        assert!(text.starts_with(r#"{"ok":true"#), "{line}: {text}");
+        drop((envelope, reply, text));
+        if i >= 4 * TICK_EVERY {
+            for (stage, n) in [parse, handle, encode].into_iter().enumerate() {
+                counts[class][stage].push(n);
+            }
+        }
+    }
+
+    // Medians per class: (parse, handle, encode).
+    let medians: Vec<[u64; 3]> = counts
+        .iter_mut()
+        .map(|stages| [0, 1, 2].map(|s| median(&mut stages[s])))
+        .collect();
+    for (class, m) in CLASSES.iter().zip(&medians) {
+        println!("{class}: parse {} handle {} encode {}", m[0], m[1], m[2]);
+    }
+    // The bands `handle`'s median stays in, per class. Reading: 9, 16 and
+    // about 220; parse 10, 4 and 3; encode 3, 6 and 11.
+    let bands = [(6, 12), (12, 20), (180, 280)];
+    for ((class, m), (lo, hi)) in CLASSES.iter().zip(&medians).zip(bands) {
+        assert!(
+            (lo..=hi).contains(&m[1]),
+            "a {class} handled with {} allocations (median), band {lo}..={hi}",
+            m[1]
+        );
+    }
+}
