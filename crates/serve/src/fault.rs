@@ -2,11 +2,19 @@
 //!
 //! A [`FaultPlan`] is plain data threaded through the WAL writer and the
 //! request path. Every trigger is counted against a deterministic event
-//! ordinal (the WAL append sequence, or an explicit line token), so a
-//! test that injects "fail the 7th append" fails the same append on
-//! every run. The default plan injects nothing and costs two branch
-//! checks per append — it is always compiled, never feature-gated, so
-//! the production code path *is* the tested code path.
+//! ordinal (the WAL append sequence, an epoch, or an explicit line
+//! token), so a test that injects "fail the 7th append" fails the same
+//! append on every run. The default plan injects nothing and costs one
+//! branch check per append — it is always compiled, never feature-gated,
+//! so the production code path *is* the tested code path.
+//!
+//! Disk faults are not modelled here. A torn write, a failed fsync or a
+//! failed rename is injected *below* the log, by a
+//! [`crate::storage::Storage`] that misbehaves (the deterministic
+//! simulator's `SimDisk`, or a test's fault-arming storage), so the WAL's
+//! real self-heal and poison paths handle it. [`FaultPlan::fail_append_at`]
+//! is the one log-level fault: it is the disk fault a threaded server's
+//! tests can reach without a storage of their own.
 
 /// A deterministic schedule of injected faults. `Default` injects none.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -16,15 +24,6 @@ pub struct FaultPlan {
     /// once — a retry of the same sequence succeeds, modeling a transient
     /// disk error.
     pub fail_append_at: Option<u64>,
-    /// Tear the append of WAL record `seq`: write only the first `bytes`
-    /// bytes of the framed record, then report an I/O error and poison
-    /// the log (as a dying disk would). Recovery must truncate the torn
-    /// tail back to the last complete record.
-    pub torn_append_at: Option<(u64, usize)>,
-    /// Fail the fsync after WAL record `seq`; treated like a failed
-    /// append — the written bytes are rolled back and the event is not
-    /// applied. Fires once, like `fail_append_at`.
-    pub fail_sync_at: Option<u64>,
     /// Panic the thread applying WAL record `seq` (under the shard lock),
     /// *after* the record is durable but *before* the engine applies it.
     /// Exercises the contained-panic path: that request fails, the server
@@ -63,44 +62,6 @@ pub struct FaultPlan {
     /// shard's own WAL, and epoch resynchronization. Cannot re-fire
     /// after recovery: the recovered engine is already past `epoch`.
     pub panic_shard_ticker: Option<(u64, u64)>,
-    /// Schedule-driven WAL faults: an arbitrary list of injections, each
-    /// keyed to an append sequence and fired once when that sequence is
-    /// attempted. This is the simulator's interface — `ref-dst` compiles
-    /// a seeded virtual-time schedule down to the WAL sequences it
-    /// expects each node to reach, so one plan can tear *several* writes
-    /// across a run where the single-shot fields above inject exactly
-    /// one. Entries may target the same sequences as the single-shot
-    /// fields; the single-shot fields win ties (they are checked first).
-    pub wal_schedule: Vec<ScheduledWalFault>,
-}
-
-/// One entry in [`FaultPlan::wal_schedule`]: inject `kind` when the WAL
-/// attempts to append sequence `at_seq`. Fires once and is consumed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduledWalFault {
-    /// The append sequence the fault triggers on.
-    pub at_seq: u64,
-    /// What to inject.
-    pub kind: WalFaultKind,
-}
-
-/// The kinds of WAL write fault a schedule can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalFaultKind {
-    /// Fail the append before any bytes land (transient; a retry of the
-    /// same sequence succeeds). Mirrors [`FaultPlan::fail_append_at`].
-    FailAppend,
-    /// Fail the fsync after the bytes land; the bytes are rolled back
-    /// and the append reports an error. Mirrors
-    /// [`FaultPlan::fail_sync_at`].
-    FailSync,
-    /// Write only the first `bytes` bytes of the framed record, then
-    /// poison the log — a crash mid-write. Mirrors
-    /// [`FaultPlan::torn_append_at`].
-    Torn {
-        /// How many bytes of the framed record land before the tear.
-        bytes: usize,
-    },
 }
 
 impl FaultPlan {

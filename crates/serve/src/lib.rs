@@ -39,8 +39,9 @@
 //!   panics outside the lock dies alone; a panic under the lock costs
 //!   that one request and takes the shard Down (the lock is never
 //!   poisoned) until the supervisor restarts it from its WAL. A
-//!   deterministic [`fault::FaultPlan`] injects crashes, torn writes, and
-//!   failed syncs for testing.
+//!   deterministic [`fault::FaultPlan`] injects crashes, stalls and
+//!   failed appends for testing; disk faults are injected below the WAL,
+//!   through [`storage::Storage`].
 //! * **Replication** ([`repl`]): an optional hot standby fed by WAL
 //!   shipping over the same checksummed record framing. Automatic (or
 //!   `promote`-driven) failover with monotone terms and fencing, and
@@ -126,7 +127,7 @@ pub use bus::{Admitted, Bus, Quotas, SendError};
 pub use client::{CallOpts, Client, ClientError};
 pub use clock::{Clock, RealClock};
 pub use core::{replay, JournalLimit, ReplApply, ServiceCore};
-pub use fault::{FaultPlan, ScheduledWalFault, WalFaultKind};
+pub use fault::FaultPlan;
 pub use json::Value;
 pub use metrics::{HistogramSnapshot, LatencyHistogram, ServeMetrics, ServeMetricsSnapshot};
 pub use protocol::{parse_request, Class, Envelope, Request};

@@ -71,7 +71,7 @@ use crate::repl_core::{Ack, AckWait, Hello, Promotion, ReplCore, Stream, Timer};
 use crate::server::{handle_promote, Shared};
 use crate::session::{self, Applied, GoLive, Offer, Session};
 use crate::storage::Storage;
-use crate::wal::{self, crc32, Wal, MAX_FRAME_BYTES, RECORD_HEADER_BYTES};
+use crate::wal::{self, FrameCheck, Wal};
 
 /// Replication knobs for one node of a primary/standby pair.
 #[derive(Debug, Clone)]
@@ -189,25 +189,13 @@ pub enum FrameDecode {
 /// the header or payload yields [`FrameDecode::Corrupt`] (up to CRC32
 /// collision odds) — a partial or damaged record is never applied.
 pub fn decode_frame(buf: &[u8]) -> FrameDecode {
-    if buf.len() < RECORD_HEADER_BYTES {
-        return FrameDecode::Incomplete;
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_BYTES {
-        return FrameDecode::Corrupt(format!("frame length {len} exceeds {MAX_FRAME_BYTES}"));
-    }
-    let crc = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let body = &buf[RECORD_HEADER_BYTES..];
-    if (body.len() as u64) < u64::from(len) {
-        return FrameDecode::Incomplete;
-    }
-    let payload = &body[..len as usize];
-    if crc32(payload) != crc {
-        return FrameDecode::Corrupt("frame payload fails its checksum".to_string());
-    }
-    FrameDecode::Complete {
-        payload: payload.to_vec(),
-        consumed: RECORD_HEADER_BYTES + len as usize,
+    match wal::check_frame(buf) {
+        FrameCheck::Whole(payload, consumed) => FrameDecode::Complete {
+            payload: payload.to_vec(),
+            consumed,
+        },
+        FrameCheck::Short => FrameDecode::Incomplete,
+        FrameCheck::Bad(why) => FrameDecode::Corrupt(why),
     }
 }
 
@@ -944,6 +932,7 @@ pub(crate) fn fence_notify(addr: String, hello: Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::MAX_FRAME_BYTES;
 
     #[test]
     fn frames_round_trip_and_concatenate() {

@@ -95,10 +95,23 @@ use crate::router::{
     asks, fleet_reply, tick_reply, AfterPanic, Duty, Readmit, RouterCore, SWEEP_EVERY,
 };
 use crate::shard::{
-    default_quorum, shard_market_config, CoordinationStatus, HashRing, ShardHealth,
+    default_quorum, shard_market_config, CoordinationStatus, HashRing, ShardHealth, RING_SEED,
 };
 use crate::storage::FsStorage;
 use crate::wal::{self, WalConfig};
+
+/// Retry hint attached to `overloaded` and `shard_unavailable` responses,
+/// in milliseconds.
+const RETRY_AFTER_MS: u64 = 5;
+
+/// Reader poll interval: how long a blocked read waits before re-checking
+/// the shutdown flag.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// How long a connection waits for a shard thread's reply to a request
+/// pushed to it (a fanned fleet op, `shutdown`) before giving up with a
+/// `timeout` response.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -110,20 +123,11 @@ pub struct ServeConfig {
     pub epoch_interval: Option<Duration>,
     /// Per-class quotas of in-flight requests (the backpressure bound).
     pub quotas: Quotas,
-    /// Retry hint attached to `overloaded` responses, in milliseconds.
-    pub retry_after_ms: u64,
     /// Maximum simultaneously open connections; further accepts are
     /// bounced with `overloaded`.
     pub max_connections: usize,
     /// Journal retention cap (see [`JournalLimit`]).
     pub journal_limit: JournalLimit,
-    /// Reader poll interval: how long a blocked read waits before
-    /// re-checking the shutdown flag.
-    pub read_timeout: Duration,
-    /// How long a connection waits for a shard thread's reply to a
-    /// request pushed to it (a fanned fleet op, `shutdown`) before giving
-    /// up with a `timeout` response.
-    pub reply_timeout: Duration,
     /// Durability: when set, every admitted event is appended to this
     /// write-ahead log before it is applied, and [`Server::recover`]
     /// can resume the market after a crash.
@@ -141,10 +145,6 @@ pub struct ServeConfig {
     /// More than one shard excludes in-process replication — run one
     /// replicated pair per shard instead.
     pub shards: usize,
-    /// Seed of the consistent-hash ring assigning agents to shards.
-    /// Every process that agrees on `(ring_seed, shards)` agrees on
-    /// placement.
-    pub ring_seed: u64,
     /// When this server fronts exactly one shard of an externally
     /// sharded deployment, tags `not_primary` redirects (and `ping`)
     /// with that shard index so clients scope their leader hints.
@@ -155,8 +155,9 @@ pub struct ServeConfig {
     /// total capacity.
     pub drift_bound: f64,
     /// How long the router waits for any one shard's tick reply before
-    /// declaring the tick missed. A budget far below `reply_timeout`
-    /// keeps one slow shard from stalling the fleet clock.
+    /// declaring the tick missed. A budget far below the 30 s a pushed
+    /// request waits for its reply keeps one slow shard from stalling
+    /// the fleet clock.
     pub shard_tick_budget: Duration,
     /// Consecutive clean ticks a Suspect shard must deliver before the
     /// router declares it Healthy again.
@@ -179,16 +180,12 @@ impl ServeConfig {
             market,
             epoch_interval: Some(Duration::from_millis(10)),
             quotas: Quotas::default(),
-            retry_after_ms: 5,
             max_connections: 256,
             journal_limit: JournalLimit::default(),
-            read_timeout: Duration::from_millis(50),
-            reply_timeout: Duration::from_secs(30),
             wal: None,
             repl: None,
             faults: FaultPlan::default(),
             shards: 1,
-            ring_seed: 0x5EED,
             shard_tag: None,
             drift_bound: 0.25,
             shard_tick_budget: Duration::from_secs(5),
@@ -255,12 +252,6 @@ impl ServeConfig {
     /// Sets the number of market shards (at least 1).
     pub fn with_shards(mut self, shards: usize) -> ServeConfig {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the consistent-hash ring seed.
-    pub fn with_ring_seed(mut self, seed: u64) -> ServeConfig {
-        self.ring_seed = seed;
         self
     }
 
@@ -716,7 +707,7 @@ impl Server {
             })
             .collect();
         let router = Arc::new(Router {
-            ring: HashRing::new(n, config.ring_seed),
+            ring: HashRing::new(n, RING_SEED),
             stop: AtomicBool::new(false),
             open_connections: AtomicUsize::new(0),
             started: Instant::now(),
@@ -1041,7 +1032,7 @@ fn wal_dirs_with_state(config: &ServeConfig) -> std::io::Result<(Vec<PathBuf>, V
     }
     let mut held = Vec::new();
     for dir in dirs {
-        if wal::dir_has_state(&dir)? {
+        if wal::dir_has_state_with(&FsStorage, &dir)? {
             held.push(dir);
         }
     }
@@ -1096,7 +1087,7 @@ fn acceptor_loop(
             let bounce = error_response(
                 "overloaded",
                 Some("connection limit reached"),
-                Some(config.retry_after_ms),
+                Some(RETRY_AFTER_MS),
             );
             let _ = write_line(&mut stream, &mut Vec::new(), &bounce.encode());
             continue;
@@ -1139,7 +1130,7 @@ impl Drop for ConnectionSlot {
 
 fn reader_loop(stream: TcpStream, router: &Arc<Router>, config: &ServeConfig) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
@@ -1243,7 +1234,7 @@ fn dispatch<'r>(
             // Fail fast: the owning shard is Down, so tell the client
             // when to come back.
             if !asks(shared.health(), &envelope.request) {
-                return shard_unavailable_response(shard as u64, config.retry_after_ms);
+                return shard_unavailable_response(shard as u64, RETRY_AFTER_MS);
             }
             dispatch_to_shard(shared, shard, envelope, config, in_flight)
         }
@@ -1261,14 +1252,8 @@ fn dispatch<'r>(
         | Request::Scrub
         | Request::Promote
         | Request::Shutdown => {
-            let wait = reply_wait(envelope.deadline_ms, config);
-            let replies = fan(
-                router,
-                &envelope.request,
-                envelope.deadline_ms,
-                wait,
-                config,
-            );
+            let wait = reply_wait(envelope.deadline_ms);
+            let replies = fan(router, &envelope.request, envelope.deadline_ms, wait);
             merge_fanned(&envelope.request, replies)
         }
         Request::Ping { .. } => unreachable!("ping answered above"),
@@ -1299,7 +1284,7 @@ fn dispatch_to_shard<'r>(
             return error_response(
                 "overloaded",
                 None,
-                Some(retry_hint(config.retry_after_ms, depth, config.quotas)),
+                Some(retry_hint(RETRY_AFTER_MS, depth, config.quotas)),
             );
         }
         Err(SendError::Closed) => {
@@ -1340,8 +1325,8 @@ fn serve_locked(
 
 /// How long to await a shard thread's reply: the reply timeout, on top of
 /// whatever the request allowed itself to wait in the queue.
-fn reply_wait(deadline_ms: Option<u64>, config: &ServeConfig) -> Duration {
-    config.reply_timeout + Duration::from_millis(deadline_ms.unwrap_or(0))
+fn reply_wait(deadline_ms: Option<u64>) -> Duration {
+    REPLY_TIMEOUT + Duration::from_millis(deadline_ms.unwrap_or(0))
 }
 
 /// Awaits a shard thread's reply to a request pushed to it, for at most
@@ -1389,7 +1374,6 @@ fn fan(
     request: &Request,
     deadline_ms: Option<u64>,
     wait: Duration,
-    config: &ServeConfig,
 ) -> Vec<Value> {
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     // Fan in waves no wider than the worker pool: asking every shard
@@ -1408,10 +1392,7 @@ fn fan(
                     push_item(shared, request.clone(), deadline)
                         .ok_or_else(|| error_response("shutting_down", None, None))
                 } else {
-                    Err(shard_unavailable_response(
-                        shard as u64,
-                        config.retry_after_ms,
-                    ))
+                    Err(shard_unavailable_response(shard as u64, RETRY_AFTER_MS))
                 }
             })
             .collect();
@@ -1531,8 +1512,8 @@ fn push_item(
 fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig) -> Value {
     // The tick budget caps how long any one shard may hold up the fleet
     // clock; a client deadline can only tighten it further.
-    let wait = reply_wait(deadline_ms, config).min(config.shard_tick_budget);
-    let replies = fan(router, &Request::Tick, deadline_ms, wait, config);
+    let wait = reply_wait(deadline_ms).min(config.shard_tick_budget);
+    let replies = fan(router, &Request::Tick, deadline_ms, wait);
     let demands: Vec<Vec<f64>> = router
         .shards
         .iter()
@@ -1775,7 +1756,7 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
             });
             let reply = farewell
                 .flatten()
-                .unwrap_or_else(|| shard_unavailable_response(shard as u64, config.retry_after_ms));
+                .unwrap_or_else(|| shard_unavailable_response(shard as u64, RETRY_AFTER_MS));
             for waiter in shutdown_replies {
                 let _ = waiter.send(reply.clone());
             }
@@ -1812,10 +1793,7 @@ fn serve_request(
     // A degraded shard's engine is behind its log: it serves nothing
     // until the supervisor has restarted it.
     let (false, Some(core)) = (cell.degraded, cell.core.as_mut()) else {
-        return Some(shard_unavailable_response(
-            shard as u64,
-            config.retry_after_ms,
-        ));
+        return Some(shard_unavailable_response(shard as u64, RETRY_AFTER_MS));
     };
     if request.bears_event() {
         // Role gate: only a primary mutates, and a recovered one only
@@ -2243,10 +2221,7 @@ mod tests {
             assert!(shard.journal.contains(&MarketEvent::EpochTick));
         }
         // Each join landed exactly where the ring says it should.
-        let ring = HashRing::new(
-            4,
-            ServeConfig::new(MarketConfig::new(Capacity::new(vec![1.0]).unwrap())).ring_seed,
-        );
+        let ring = HashRing::new(4, RING_SEED);
         for agent in 0..16u64 {
             let owner = ring.shard_of(agent);
             for (k, shard) in report.shards.iter().enumerate() {
@@ -2348,7 +2323,7 @@ mod tests {
         // coordinated epochs the loaded shard's capacity allotment must
         // exceed the idle shard's.
         let server = Server::start("127.0.0.1:0", sharded_config(2)).unwrap();
-        let ring = HashRing::new(2, server.config().ring_seed);
+        let ring = HashRing::new(2, RING_SEED);
         let mut client = Client::connect(server.addr()).unwrap();
         let mut joined = 0u64;
         let mut agent = 0u64;
@@ -2396,7 +2371,7 @@ mod tests {
                 .with_wal(WalConfig::new(&dir))
                 .with_faults(faults);
             let server = Server::start("127.0.0.1:0", config).unwrap();
-            let ring = HashRing::new(2, server.config().ring_seed);
+            let ring = HashRing::new(2, RING_SEED);
             let mut client = Client::connect(server.addr()).unwrap();
             client
                 .join_truth(agent_on(&ring, 0), 1.0, &[0.8, 0.2])
@@ -2469,7 +2444,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let server = Server::start("127.0.0.1:0", config).unwrap();
-        let ring = HashRing::new(2, server.config().ring_seed);
+        let ring = HashRing::new(2, RING_SEED);
         let mut client = Client::connect(server.addr()).unwrap();
         let on1 = agent_on(&ring, 1);
         client
@@ -2545,7 +2520,7 @@ mod tests {
         });
         assert_eq!(default_quorum(3), 2);
         let server = Server::start("127.0.0.1:0", config).unwrap();
-        let ring = HashRing::new(3, server.config().ring_seed);
+        let ring = HashRing::new(3, RING_SEED);
         let mut client = Client::connect(server.addr()).unwrap();
         client
             .join_truth(agent_on(&ring, 0), 1.0, &[0.7, 0.3])
@@ -2576,7 +2551,7 @@ mod tests {
         });
         assert_eq!(default_quorum(2), 2);
         let server = Server::start("127.0.0.1:0", config).unwrap();
-        let ring = HashRing::new(2, server.config().ring_seed);
+        let ring = HashRing::new(2, RING_SEED);
         let mut client = Client::connect(server.addr()).unwrap();
         client
             .join_truth(agent_on(&ring, 0), 1.0, &[0.7, 0.3])
@@ -2600,7 +2575,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let server = Server::start("127.0.0.1:0", config).unwrap();
-        let ring = HashRing::new(2, server.config().ring_seed);
+        let ring = HashRing::new(2, RING_SEED);
         let mut client = Client::connect(server.addr()).unwrap();
         client
             .join_truth(agent_on(&ring, 0), 1.0, &[0.7, 0.3])
@@ -2630,7 +2605,7 @@ mod tests {
         // Three shards have no agents and nothing to audit; the fleet
         // verdict is the fourth's, and the count is its agents'.
         let server = Server::start("127.0.0.1:0", sharded_config(4)).unwrap();
-        let ring = HashRing::new(4, server.config().ring_seed);
+        let ring = HashRing::new(4, RING_SEED);
         let mut client = Client::connect(server.addr()).unwrap();
         let agents: Vec<u64> = (0..u64::MAX)
             .filter(|a| ring.shard_of(*a) == 2)
@@ -2678,7 +2653,7 @@ mod tests {
                 ..FaultPlan::default()
             });
         let server = Server::start("127.0.0.1:0", config).unwrap();
-        let ring = HashRing::new(2, server.config().ring_seed);
+        let ring = HashRing::new(2, RING_SEED);
         let mut client = Client::connect(server.addr()).unwrap();
         let on1 = agent_on(&ring, 1);
         client

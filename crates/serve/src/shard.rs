@@ -8,7 +8,7 @@
 //!
 //! - [`HashRing`]: placement. Agent ids map to shards through a seeded
 //!   consistent-hash ring, so placement is a pure function of
-//!   `(ring_seed, shard_count, agent_id)` — identical across processes,
+//!   `(RING_SEED, shard_count, agent_id)` — identical across processes,
 //!   restarts, and replicas, and minimally disturbed when the shard
 //!   count changes (growing from `k` to `k+1` shards remaps only
 //!   ~`1/(k+1)` of the ids).
@@ -27,6 +27,10 @@
 
 use ref_core::resource::Capacity;
 use ref_market::{AgentId, MarketConfig};
+
+/// Seed of the consistent-hash ring a server places agents on: every
+/// process that agrees on the shard count agrees on placement.
+pub const RING_SEED: u64 = 0x5EED;
 
 /// Virtual nodes per shard on the ring. More vnodes smooth the key
 /// distribution and shrink remap variance at a small lookup cost.

@@ -8,7 +8,9 @@
 //! byte-level behavior, same error kinds. Under deterministic simulation
 //! (the `ref-dst` crate) it is an in-memory `SimDisk` that can inject
 //! torn tails, failed fsyncs and bit flips on a seeded schedule while
-//! reusing the real segment codec above it.
+//! reusing the real segment codec above it. This is the one place disk
+//! faults are injected: the WAL above it carries no model of them, so
+//! its real self-heal and poison paths meet every fault a test arms.
 //!
 //! The trait is deliberately small: it models exactly the operations the
 //! WAL performs (there is no general `open`, no cursors, no permissions)

@@ -45,17 +45,13 @@ use std::sync::Arc;
 
 use ref_market::{MarketEvent, MarketSnapshot};
 
-use crate::fault::{FaultPlan, WalFaultKind};
+use crate::fault::FaultPlan;
 use crate::json::Value;
 use crate::protocol::{event_to_value, value_to_event};
 use crate::storage::{FsStorage, Storage, StorageFile};
 
 /// Per-record framing overhead in bytes (length + checksum).
 pub const RECORD_HEADER_BYTES: usize = 8;
-
-/// Records larger than this are treated as corruption, not allocation
-/// requests — a sane event payload is a few hundred bytes.
-const MAX_RECORD_BYTES: u32 = 1 << 26;
 
 const CHECKPOINT_MAGIC: &str = "refserve-checkpoint v1";
 
@@ -179,8 +175,42 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Maximum framed payload size shared by WAL records and replication
-/// frames; larger length prefixes are treated as corruption.
-pub const MAX_FRAME_BYTES: u32 = MAX_RECORD_BYTES;
+/// frames; larger length prefixes are treated as corruption, not
+/// allocation requests — a sane event payload is a few hundred bytes.
+pub const MAX_FRAME_BYTES: u32 = 1 << 26;
+
+/// The verdict of [`check_frame`] on a byte prefix.
+pub(crate) enum FrameCheck<'a> {
+    /// One whole frame: its checksummed payload and the bytes it occupies.
+    Whole(&'a [u8], usize),
+    /// Too few bytes for a verdict yet.
+    Short,
+    /// Bytes that can never become a valid frame.
+    Bad(String),
+}
+
+/// The one check of a record's envelope — header, [`MAX_FRAME_BYTES`],
+/// body length and CRC — for the segment reader and the replication
+/// stream's [`crate::repl::decode_frame`] alike.
+pub(crate) fn check_frame(buf: &[u8]) -> FrameCheck<'_> {
+    if buf.len() < RECORD_HEADER_BYTES {
+        return FrameCheck::Short;
+    }
+    let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
+    if len > MAX_FRAME_BYTES {
+        return FrameCheck::Bad(format!("frame length {len} exceeds {MAX_FRAME_BYTES}"));
+    }
+    let crc = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
+    let body = &buf[RECORD_HEADER_BYTES..];
+    if (body.len() as u64) < u64::from(len) {
+        return FrameCheck::Short;
+    }
+    let payload = &body[..len as usize];
+    if crc32(payload) != crc {
+        return FrameCheck::Bad("frame payload fails its checksum".to_string());
+    }
+    FrameCheck::Whole(payload, RECORD_HEADER_BYTES + len as usize)
+}
 
 fn encode_event(event: &MarketEvent) -> Vec<u8> {
     event_to_value(event).encode().into_bytes()
@@ -203,52 +233,27 @@ struct SegmentScan {
 fn parse_records(bytes: &[u8]) -> SegmentScan {
     let mut events = Vec::new();
     let mut offset = 0usize;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < RECORD_HEADER_BYTES {
-            return SegmentScan {
-                events,
-                torn_at: Some(offset as u64),
-            };
+    let torn_at = loop {
+        if offset == bytes.len() {
+            break None;
         }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        let body = &rest[RECORD_HEADER_BYTES..];
-        if len > MAX_RECORD_BYTES || (body.len() as u64) < u64::from(len) {
-            return SegmentScan {
-                events,
-                torn_at: Some(offset as u64),
-            };
-        }
-        let payload = &body[..len as usize];
-        if crc32(payload) != crc {
-            return SegmentScan {
-                events,
-                torn_at: Some(offset as u64),
-            };
-        }
+        let FrameCheck::Whole(payload, consumed) = check_frame(&bytes[offset..]) else {
+            break Some(offset as u64);
+        };
         let event = std::str::from_utf8(payload)
             .ok()
             .and_then(|text| Value::parse(text).ok())
             .and_then(|v| value_to_event(&v).ok());
-        match event {
-            Some(event) => events.push(event),
-            // A checksum-valid record that does not decode is treated
-            // like a torn record: the caller decides whether a tail may
-            // be dropped here or the segment is corrupt.
-            None => {
-                return SegmentScan {
-                    events,
-                    torn_at: Some(offset as u64),
-                }
-            }
-        }
-        offset += RECORD_HEADER_BYTES + len as usize;
-    }
-    SegmentScan {
-        events,
-        torn_at: None,
-    }
+        // A checksum-valid record that does not decode is treated like a
+        // torn record: the caller decides whether a tail may be dropped
+        // here or the segment is corrupt.
+        let Some(event) = event else {
+            break Some(offset as u64);
+        };
+        events.push(event);
+        offset += consumed;
+    };
+    SegmentScan { events, torn_at }
 }
 
 /// `(first_seq_or_seq, path)` pairs in ascending sequence order.
@@ -279,6 +284,69 @@ fn list_dir(storage: &dyn Storage, dir: &Path) -> io::Result<(SeqPaths, SeqPaths
     segments.sort_unstable_by_key(|(seq, _)| *seq);
     checkpoints.sort_unstable_by_key(|(seq, _)| *seq);
     Ok((segments, checkpoints))
+}
+
+/// One segment of a listing, read and parsed.
+struct Scanned<'a> {
+    first: u64,
+    path: &'a Path,
+    /// The file's size in bytes.
+    len: u64,
+    scan: SegmentScan,
+    is_last: bool,
+}
+
+impl Scanned<'_> {
+    /// Checks that this segment starts at `cursor` and that only the last
+    /// segment ends torn; returns the sequence the next segment must
+    /// start at.
+    fn follows(&self, cursor: u64) -> io::Result<u64> {
+        if self.first != cursor {
+            return Err(corrupt(format!(
+                "sequence gap: segment {:?} starts at {}, expected {cursor}",
+                self.path, self.first
+            )));
+        }
+        match self.scan.torn_at {
+            Some(at) if !self.is_last => Err(corrupt(format!(
+                "corrupt record at byte {at} of non-final segment {:?}",
+                self.path
+            ))),
+            _ => Ok(self.first + self.scan.events.len() as u64),
+        }
+    }
+}
+
+/// The one pass over a listing's segments that recovery,
+/// [`read_events_with`] and [`scrub_with`] share: each segment read and
+/// parsed in order, one at a time.
+fn scan_segments<'a>(
+    storage: &'a dyn Storage,
+    segments: &'a [(u64, PathBuf)],
+) -> impl Iterator<Item = io::Result<Scanned<'a>>> + 'a {
+    segments.iter().enumerate().map(move |(i, (first, path))| {
+        let bytes = storage.read(path)?;
+        Ok(Scanned {
+            first: *first,
+            path,
+            len: bytes.len() as u64,
+            scan: parse_records(&bytes),
+            is_last: i + 1 == segments.len(),
+        })
+    })
+}
+
+/// Creates the segment whose first record will be `seq`: the one place a
+/// segment file comes into being (rotation, a reset, and recovery's fresh
+/// segment).
+fn create_segment(
+    storage: &dyn Storage,
+    dir: &Path,
+    seq: u64,
+) -> io::Result<(PathBuf, Box<dyn StorageFile>)> {
+    let path = segment_path(dir, seq);
+    let file = storage.open_append(&path, true)?;
+    Ok((path, file))
 }
 
 fn read_checkpoint_file(storage: &dyn Storage, path: &Path) -> io::Result<(u64, MarketSnapshot)> {
@@ -341,7 +409,9 @@ pub struct Recovery {
 #[derive(Debug)]
 pub struct Wal {
     config: WalConfig,
-    faults: FaultPlan,
+    /// [`FaultPlan::fail_append_at`]: the one fault injected at this
+    /// layer (disk faults are injected below it, through [`Storage`]).
+    fail_append_at: Option<u64>,
     storage: Arc<dyn Storage>,
     file: Box<dyn StorageFile>,
     /// On-disk segments in ascending first-sequence order; the last one
@@ -353,8 +423,6 @@ pub struct Wal {
     segment_records: u64,
     next_seq: u64,
     poisoned: bool,
-    appends: u64,
-    checkpoints_taken: u64,
     /// Total bytes across every retained segment (disk-usage gauge).
     total_bytes: u64,
     /// Size of the newest checkpoint file in bytes (0 when none).
@@ -420,42 +488,22 @@ impl Wal {
             .get(start)
             .map_or(ckpt_seq, |(first, _)| *first);
         let mut kept_segments: Vec<(u64, PathBuf)> = disk_segments[..start].to_vec();
-        let mut last_bytes = 0u64;
-        let mut last_records = 0u64;
-        for (i, (first, path)) in disk_segments[start..].iter().enumerate() {
-            let is_last = start + i == disk_segments.len() - 1;
-            if *first != cursor {
-                return Err(corrupt(format!(
-                    "sequence gap: segment {path:?} starts at {first}, expected {cursor}"
-                )));
-            }
-            let bytes = storage.read(path)?;
-            let scan = parse_records(&bytes);
-            let parsed_bytes: u64 =
-                bytes.len() as u64 - scan.torn_at.map_or(0, |at| bytes.len() as u64 - at);
-            if let Some(at) = scan.torn_at {
-                if !is_last {
-                    return Err(corrupt(format!(
-                        "corrupt record at byte {at} of non-final segment {path:?}"
-                    )));
-                }
+        let (mut last_bytes, mut last_records) = (0u64, 0u64);
+        for segment in scan_segments(storage.as_ref(), &disk_segments[start..]) {
+            let segment = segment?;
+            cursor = segment.follows(cursor)?;
+            let torn_at = segment.scan.torn_at;
+            if let Some(at) = torn_at {
                 // Torn tail: truncate the file back to the last complete
                 // record so future appends extend a clean log.
-                truncated_bytes = bytes.len() as u64 - at;
-                storage.truncate(path, at)?;
+                truncated_bytes = segment.len - at;
+                storage.truncate(segment.path, at)?;
             }
-            for (j, event) in scan.events.iter().enumerate() {
-                let seq = first + j as u64;
-                if seq >= ckpt_seq {
-                    tail.push(event.clone());
-                }
-            }
-            cursor = first + scan.events.len() as u64;
-            kept_segments.push((*first, path.clone()));
-            if is_last {
-                last_bytes = parsed_bytes;
-                last_records = scan.events.len() as u64;
-            }
+            last_bytes = torn_at.unwrap_or(segment.len);
+            last_records = segment.scan.events.len() as u64;
+            kept_segments.push((segment.first, segment.path.to_path_buf()));
+            let covered = ckpt_seq.saturating_sub(segment.first) as usize;
+            tail.extend(segment.scan.events.into_iter().skip(covered));
         }
 
         // A deliberately-truncated tail can land the log *behind* the
@@ -473,8 +521,7 @@ impl Wal {
             }
         }
         let (file, segment_bytes, segment_records) = if fresh_segment {
-            let path = segment_path(&config.dir, next_seq);
-            let file = storage.open_append(&path, true)?;
+            let (path, file) = create_segment(storage.as_ref(), &config.dir, next_seq)?;
             kept_segments.push((next_seq, path));
             (file, 0, 0)
         } else {
@@ -496,7 +543,7 @@ impl Wal {
         Ok(Recovery {
             wal: Wal {
                 config,
-                faults,
+                fail_append_at: faults.fail_append_at,
                 storage,
                 file,
                 segments: kept_segments,
@@ -504,8 +551,6 @@ impl Wal {
                 segment_records,
                 next_seq,
                 poisoned: false,
-                appends: 0,
-                checkpoints_taken: 0,
                 total_bytes,
                 checkpoint_bytes,
             },
@@ -524,16 +569,6 @@ impl Wal {
     /// First sequence still present on disk (0 unless pruned).
     pub fn first_retained_seq(&self) -> u64 {
         self.segments.first().map_or(self.next_seq, |(s, _)| *s)
-    }
-
-    /// Successful appends since this handle was opened.
-    pub fn appends(&self) -> u64 {
-        self.appends
-    }
-
-    /// Checkpoints taken since this handle was opened.
-    pub fn checkpoints_taken(&self) -> u64 {
-        self.checkpoints_taken
     }
 
     /// Whether a failed write poisoned the log (further appends refuse).
@@ -598,15 +633,11 @@ impl Wal {
         for (_, old) in segments {
             let _ = self.storage.remove_file(&old);
         }
-        let segment = segment_path(&self.config.dir, seq);
-        self.file = self.storage.open_append(&segment, true)?;
-        self.segments = vec![(seq, segment)];
-        self.segment_bytes = 0;
-        self.segment_records = 0;
+        self.segments.clear();
+        self.total_bytes = 0;
+        self.start_segment(seq)?;
         self.next_seq = seq;
         self.poisoned = false;
-        self.total_bytes = 0;
-        self.checkpoints_taken += 1;
         Ok(())
     }
 
@@ -624,25 +655,10 @@ impl Wal {
             return Err(io::Error::other("wal poisoned by an earlier failed write"));
         }
         let seq = self.next_seq;
-        // Schedule-driven faults compile down to the same three
-        // injection points as the single-shot fields; the matching entry
-        // is consumed so each fires once. Single-shot fields win ties by
-        // being checked first at each point.
-        let scheduled = self
-            .faults
-            .wal_schedule
-            .iter()
-            .position(|f| f.at_seq == seq)
-            .map(|i| self.faults.wal_schedule.remove(i).kind);
-        if self.faults.fail_append_at == Some(seq) {
+        if self.fail_append_at == Some(seq) {
             // Transient by design: the fault fires once, so a retry of
             // the same sequence (the caller never advanced) succeeds.
-            self.faults.fail_append_at = None;
-            return Err(io::Error::other(format!(
-                "injected append failure at seq {seq}"
-            )));
-        }
-        if scheduled == Some(WalFaultKind::FailAppend) {
+            self.fail_append_at = None;
             return Err(io::Error::other(format!(
                 "injected append failure at seq {seq}"
             )));
@@ -651,36 +667,7 @@ impl Wal {
             self.rotate()?;
         }
         let record = frame(&encode_event(event));
-        let torn = match self.faults.torn_append_at {
-            Some((torn_seq, bytes)) if torn_seq == seq => Some(bytes),
-            _ => match scheduled {
-                Some(WalFaultKind::Torn { bytes }) => Some(bytes),
-                _ => None,
-            },
-        };
-        if let Some(bytes) = torn {
-            // Simulate dying mid-write: leave a partial record on
-            // disk and refuse all further writes.
-            let cut = bytes.min(record.len().saturating_sub(1)).max(1);
-            let _ = self.file.write_all(&record[..cut]);
-            let _ = self.file.sync_data();
-            self.poisoned = true;
-            return Err(io::Error::other(format!(
-                "injected torn write at seq {seq}"
-            )));
-        }
-        let inject_sync_failure =
-            self.faults.fail_sync_at == Some(seq) || scheduled == Some(WalFaultKind::FailSync);
-        if self.faults.fail_sync_at == Some(seq) {
-            // Transient, like `fail_append_at`.
-            self.faults.fail_sync_at = None;
-        }
         let outcome = self.file.write_all(&record).and_then(|()| {
-            if inject_sync_failure {
-                return Err(io::Error::other(format!(
-                    "injected fsync failure at seq {seq}"
-                )));
-            }
             if self.config.fsync {
                 self.file.sync_data()?;
             }
@@ -698,15 +685,19 @@ impl Wal {
         self.total_bytes += record.len() as u64;
         self.segment_records += 1;
         self.next_seq += 1;
-        self.appends += 1;
         Ok(seq)
     }
 
     fn rotate(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
-        let path = segment_path(&self.config.dir, self.next_seq);
-        self.file = self.storage.open_append(&path, true)?;
-        self.segments.push((self.next_seq, path));
+        self.start_segment(self.next_seq)
+    }
+
+    /// Switches appends to a fresh segment starting at `seq`.
+    fn start_segment(&mut self, seq: u64) -> io::Result<()> {
+        let (path, file) = create_segment(self.storage.as_ref(), &self.config.dir, seq)?;
+        self.file = file;
+        self.segments.push((seq, path));
         self.segment_bytes = 0;
         self.segment_records = 0;
         Ok(())
@@ -733,7 +724,6 @@ impl Wal {
     pub(crate) fn checkpoint_with(&mut self, body: &Body<'_>) -> io::Result<()> {
         let seq = self.next_seq;
         self.checkpoint_bytes = self.write_checkpoint(seq, body)?;
-        self.checkpoints_taken += 1;
         if !self.config.retain_history {
             self.prune(seq)?;
         }
@@ -820,37 +810,14 @@ impl Wal {
 ///
 /// I/O failures, or [`io::ErrorKind::InvalidData`] for interior
 /// corruption or sequence gaps.
-pub fn read_events(dir: &Path) -> io::Result<(u64, Vec<MarketEvent>)> {
-    read_events_with(&FsStorage, dir)
-}
-
-/// [`read_events`] against an explicit [`Storage`] implementation.
-///
-/// # Errors
-///
-/// Exactly as [`read_events`].
 pub fn read_events_with(storage: &dyn Storage, dir: &Path) -> io::Result<(u64, Vec<MarketEvent>)> {
     let (segments, _) = list_dir(storage, dir)?;
-    let Some(&(first_seq, _)) = segments.first() else {
-        return Ok((0, Vec::new()));
-    };
-    let mut events = Vec::new();
-    let mut cursor = first_seq;
-    for (i, (first, path)) in segments.iter().enumerate() {
-        if *first != cursor {
-            return Err(corrupt(format!(
-                "sequence gap: segment {path:?} starts at {first}, expected {cursor}"
-            )));
-        }
-        let bytes = storage.read(path)?;
-        let scan = parse_records(&bytes);
-        if scan.torn_at.is_some() && i != segments.len() - 1 {
-            return Err(corrupt(format!(
-                "corrupt record in non-final segment {path:?}"
-            )));
-        }
-        cursor = first + scan.events.len() as u64;
-        events.extend(scan.events);
+    let first_seq = segments.first().map_or(0, |(first, _)| *first);
+    let (mut cursor, mut events) = (first_seq, Vec::new());
+    for segment in scan_segments(storage, &segments) {
+        let segment = segment?;
+        cursor = segment.follows(cursor)?;
+        events.extend(segment.scan.events);
     }
     Ok((first_seq, events))
 }
@@ -903,11 +870,15 @@ pub fn scrub_with(storage: &dyn Storage, dir: &Path) -> io::Result<ScrubReport> 
         return Ok(report);
     }
     let (segments, checkpoints) = list_dir(storage, dir)?;
-    let last = segments.len().saturating_sub(1);
-    for (i, (first, path)) in segments.iter().enumerate() {
+    for segment in scan_segments(storage, &segments) {
+        let Scanned {
+            first,
+            path,
+            scan,
+            is_last,
+            ..
+        } = segment?;
         report.segments += 1;
-        let bytes = storage.read(path)?;
-        let scan = parse_records(&bytes);
         report.records += scan.events.len() as u64;
         if let Some(at) = scan.torn_at {
             // An open log legitimately ends mid-record only if the
@@ -918,7 +889,7 @@ pub fn scrub_with(storage: &dyn Storage, dir: &Path) -> io::Result<ScrubReport> 
             let seq = first + scan.events.len() as u64;
             report.errors.push(format!(
                 "segment {path:?}: invalid record at byte {at} (seq {seq}{})",
-                if i == last { ", torn tail" } else { "" }
+                if is_last { ", torn tail" } else { "" }
             ));
         }
     }
@@ -963,15 +934,6 @@ pub fn newest_checkpoint_with(
 /// # Errors
 ///
 /// Propagates directory-listing failures.
-pub fn dir_has_state(dir: &Path) -> io::Result<bool> {
-    dir_has_state_with(&FsStorage, dir)
-}
-
-/// [`dir_has_state`] against an explicit [`Storage`] implementation.
-///
-/// # Errors
-///
-/// Exactly as [`dir_has_state`].
 pub fn dir_has_state_with(storage: &dyn Storage, dir: &Path) -> io::Result<bool> {
     if !storage.exists(dir) {
         return Ok(false);
@@ -988,21 +950,9 @@ pub fn dir_has_state_with(storage: &dyn Storage, dir: &Path) -> io::Result<bool>
     Ok(false)
 }
 
-/// Path of the newest (highest first-sequence) segment in `dir`, if
-/// any — the one a torn-write test would truncate.
-///
-/// # Errors
-///
-/// Propagates directory-listing failures.
-pub fn last_segment_path(dir: &Path) -> io::Result<Option<PathBuf>> {
-    let (segments, _) = list_dir(&FsStorage, dir)?;
-    Ok(segments.into_iter().next_back().map(|(_, path)| path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::ScheduledWalFault;
     use ref_market::ObservationSource;
     use std::fs::{self, OpenOptions};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1094,7 +1044,7 @@ mod tests {
             }
             assert!(wal.segments.len() > 2, "tiny segments must rotate");
         }
-        let (first, read) = read_events(dir.path()).unwrap();
+        let (first, read) = read_events_with(&FsStorage, dir.path()).unwrap();
         assert_eq!(first, 0);
         assert_eq!(read, all);
         // Appending after recovery continues the same numbering.
@@ -1173,58 +1123,100 @@ mod tests {
         assert_eq!(wal.append(&join(2)).unwrap(), 1);
     }
 
-    #[test]
-    fn injected_torn_append_poisons_and_recovery_repairs() {
-        let dir = TempDir::new("torninj");
-        let faults = FaultPlan {
-            torn_append_at: Some((2, 5)),
-            ..FaultPlan::default()
-        };
-        let all = events(4);
-        let mut wal = Wal::open(WalConfig::new(dir.path()), faults).unwrap().wal;
-        wal.append(&all[0]).unwrap();
-        wal.append(&all[1]).unwrap();
-        assert!(wal.append(&all[2]).is_err());
-        assert!(wal.poisoned());
-        assert!(wal.append(&all[3]).is_err(), "poisoned log refuses appends");
-        drop(wal);
-        let rec = Wal::open(WalConfig::new(dir.path()), FaultPlan::none()).unwrap();
-        assert_eq!(rec.tail, all[..2].to_vec());
-        assert!(rec.truncated_bytes > 0);
+    /// What [`Recording`] saw, and the faults armed in it.
+    #[derive(Debug, Default)]
+    struct Disk {
+        /// Every call as `(op, file name)`, failed ones included.
+        ops: Vec<(&'static str, String)>,
+        /// Each fires once, at the next matching call.
+        armed: Vec<Arm>,
     }
 
-    type OpLog = Arc<std::sync::Mutex<Vec<(&'static str, String)>>>;
+    /// A fault armed in [`Recording`]: the next `op` on a file whose name
+    /// ends with `suffix` fails. A `write` first lands `keep` bytes; if
+    /// any land, the `set_len` heal that follows fails once too, as
+    /// `SimDisk`'s torn write does.
+    #[derive(Debug, Clone, Copy)]
+    struct Arm {
+        op: &'static str,
+        suffix: &'static str,
+        keep: usize,
+    }
 
-    /// The real filesystem, logging each mutating call as `(op, file name)`.
-    #[derive(Debug)]
-    struct Recording(OpLog);
+    type Shared = Arc<std::sync::Mutex<Disk>>;
+
+    /// The real filesystem, logging each call as `(op, file name)` and
+    /// failing the ones armed. `sync` is logged but not passed down:
+    /// nothing here outlives the process, and a real `fdatasync` per
+    /// record would make the fault sweep below take seconds.
+    #[derive(Debug, Default, Clone)]
+    struct Recording(Shared);
+
+    impl Recording {
+        fn arm(&self, op: &'static str, suffix: &'static str, keep: usize) {
+            let arm = Arm { op, suffix, keep };
+            self.0.lock().unwrap().armed.push(arm);
+        }
+
+        /// The calls logged since the last `take_ops`.
+        fn take_ops(&self) -> Vec<(&'static str, String)> {
+            std::mem::take(&mut self.0.lock().unwrap().ops)
+        }
+
+        fn fired(&self) -> bool {
+            self.0.lock().unwrap().armed.is_empty()
+        }
+    }
+
+    /// Logs `op` on `path`; the armed fault it trips, if any.
+    fn call(disk: &Shared, op: &'static str, path: &Path) -> Option<Arm> {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let mut disk = disk.lock().unwrap();
+        let hit = (disk.armed.iter()).position(|a| a.op == op && name.ends_with(a.suffix));
+        disk.ops.push((op, name));
+        hit.map(|i| disk.armed.remove(i))
+    }
+
+    fn injected(op: &str) -> io::Error {
+        io::Error::other(format!("injected {op} failure"))
+    }
 
     #[derive(Debug)]
     struct RecordingFile {
         inner: Box<dyn StorageFile>,
-        name: String,
-        log: OpLog,
-    }
-
-    fn note(log: &OpLog, op: &'static str, path: &Path) {
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        log.lock().unwrap().push((op, name));
+        path: PathBuf,
+        disk: Shared,
     }
 
     impl StorageFile for RecordingFile {
         fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
-            note(&self.log, "write", Path::new(&self.name));
-            self.inner.write_all(bytes)
+            let Some(arm) = call(&self.disk, "write", &self.path) else {
+                return self.inner.write_all(bytes);
+            };
+            if arm.keep > 0 {
+                self.inner.write_all(&bytes[..arm.keep.min(bytes.len())])?;
+                let heal = Arm {
+                    op: "set_len",
+                    keep: 0,
+                    ..arm
+                };
+                self.disk.lock().unwrap().armed.push(heal);
+            }
+            Err(injected("write"))
         }
 
         fn sync_data(&mut self) -> io::Result<()> {
-            note(&self.log, "sync", Path::new(&self.name));
-            self.inner.sync_data()
+            match call(&self.disk, "sync", &self.path) {
+                Some(_) => Err(injected("sync")),
+                None => Ok(()),
+            }
         }
 
         fn set_len(&mut self, len: u64) -> io::Result<()> {
-            note(&self.log, "set_len", Path::new(&self.name));
-            self.inner.set_len(len)
+            match call(&self.disk, "set_len", &self.path) {
+                Some(_) => Err(injected("set_len")),
+                None => self.inner.set_len(len),
+            }
         }
     }
 
@@ -1246,18 +1238,24 @@ mod tests {
         }
 
         fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-            note(&self.0, "write", path);
-            FsStorage.write(path, bytes)
+            match call(&self.0, "write", path) {
+                Some(_) => Err(injected("write")),
+                None => FsStorage.write(path, bytes),
+            }
         }
 
         fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-            note(&self.0, "rename", from);
-            FsStorage.rename(from, to)
+            match call(&self.0, "rename", from) {
+                Some(_) => Err(injected("rename")),
+                None => FsStorage.rename(from, to),
+            }
         }
 
         fn remove_file(&self, path: &Path) -> io::Result<()> {
-            note(&self.0, "remove", path);
-            FsStorage.remove_file(path)
+            match call(&self.0, "remove", path) {
+                Some(_) => Err(injected("remove")),
+                None => FsStorage.remove_file(path),
+            }
         }
 
         fn len(&self, path: &Path) -> io::Result<u64> {
@@ -1265,36 +1263,84 @@ mod tests {
         }
 
         fn open_append(&self, path: &Path, create: bool) -> io::Result<Box<dyn StorageFile>> {
+            if call(&self.0, "open", path).is_some() {
+                return Err(injected("open"));
+            }
             Ok(Box::new(RecordingFile {
                 inner: FsStorage.open_append(path, create)?,
-                name: path.file_name().unwrap().to_string_lossy().into_owned(),
-                log: Arc::clone(&self.0),
+                path: path.to_path_buf(),
+                disk: Arc::clone(&self.0),
             }))
         }
 
         fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-            note(&self.0, "truncate", path);
-            FsStorage.truncate(path, len)
+            match call(&self.0, "truncate", path) {
+                Some(_) => Err(injected("truncate")),
+                None => FsStorage.truncate(path, len),
+            }
         }
+    }
+
+    /// `(op, name of the segment starting at seq)`, as [`Recording`] logs it.
+    fn op(op: &'static str, seq: u64) -> (&'static str, String) {
+        let path = segment_path(Path::new(""), seq);
+        (op, path.to_string_lossy().into_owned())
+    }
+
+    #[test]
+    fn injected_torn_append_poisons_and_recovery_repairs() {
+        let dir = TempDir::new("torninj");
+        let disk = Recording::default();
+        let all = events(4);
+        let config = WalConfig::new(dir.path());
+        let mut wal = Wal::open_with(Arc::new(disk.clone()), config, FaultPlan::none())
+            .unwrap()
+            .wal;
+        wal.append(&all[0]).unwrap();
+        wal.append(&all[1]).unwrap();
+        // Five bytes of the record land, and the heal that would cut
+        // them off fails: the log poisons itself.
+        disk.arm("write", ".wal", 5);
+        disk.take_ops();
+        assert!(wal.append(&all[2]).is_err());
+        assert_eq!(disk.take_ops(), [op("write", 0), op("set_len", 0)]);
+        assert!(wal.poisoned());
+        assert!(wal.append(&all[3]).is_err(), "poisoned log refuses appends");
+        assert!(disk.take_ops().is_empty());
+        drop(wal);
+        let rec = Wal::open(WalConfig::new(dir.path()), FaultPlan::none()).unwrap();
+        assert_eq!(rec.tail, all[..2].to_vec());
+        assert_eq!(rec.truncated_bytes, 5);
     }
 
     #[test]
     fn checkpoints_are_synced_before_the_rename_and_before_what_they_cover_is_deleted() {
         let dir = TempDir::new("ckpt-order");
-        let log = OpLog::default();
+        let disk = Recording::default();
         let config = WalConfig::new(dir.path())
             .with_segment_max_bytes(96)
             .with_fsync(true);
-        let storage = Arc::new(Recording(Arc::clone(&log)));
-        let mut wal = Wal::open_with(storage, config, FaultPlan::none())
+        let mut wal = Wal::open_with(Arc::new(disk.clone()), config, FaultPlan::none())
             .unwrap()
             .wal;
-        for e in &events(12) {
+        let all = events(12);
+        // Two records fill the first segment; the third rotates, and the
+        // full segment is synced before the next one is created.
+        for e in &all[..2] {
+            wal.append(e).unwrap();
+        }
+        disk.take_ops();
+        wal.append(&all[2]).unwrap();
+        assert_eq!(
+            disk.take_ops(),
+            [op("sync", 0), op("open", 2), op("write", 2), op("sync", 2)]
+        );
+        for e in &all[3..] {
             wal.append(e).unwrap();
         }
         let text = "refmarket-snapshot v3\nend\n";
         for (seq, reset) in [(12, false), (40, true)] {
-            log.lock().unwrap().clear();
+            disk.take_ops();
             if reset {
                 wal.reset_to_checkpoint(seq, text).unwrap();
             } else {
@@ -1302,7 +1348,7 @@ mod tests {
             }
             // The temp file's writes and sync, its rename, then the
             // deletion of the segments and checkpoints it covers.
-            let mut order: Vec<&str> = (log.lock().unwrap().iter())
+            let mut order: Vec<&str> = (disk.take_ops().iter())
                 .filter_map(|(op, file)| match (*op, file.ends_with(".tmp")) {
                     ("write" | "sync" | "rename", true) | ("remove", false) => Some(*op),
                     _ => None,
@@ -1322,6 +1368,89 @@ mod tests {
             assert_eq!(String::from_utf8(bytes).unwrap(), want);
             assert_eq!(wal.checkpoint_bytes(), want.len() as u64);
         }
+    }
+
+    /// Thirty appends across two rotations and one checkpoint, with
+    /// `fsync` on, each run failing one storage call once: a segment
+    /// write (nothing lands, or a prefix lands and the heal fails), a
+    /// segment sync, rotation's open, or the checkpoint temp file's
+    /// write, sync or rename. The log must reopen with every `Ok` append
+    /// in order, and without the failed one unless it poisoned the log.
+    #[test]
+    fn a_single_failing_storage_call_leaves_a_recoverable_log() {
+        use ref_core::resource::Capacity;
+        use ref_market::{MarketConfig, MarketEngine};
+
+        const CHECKPOINT_AT: usize = 15;
+        let market = MarketConfig::new(Capacity::new(vec![8.0, 4.0]).unwrap());
+        let text = MarketEngine::new(market).unwrap().snapshot().encode();
+        let all = events(30);
+        let segment_arms = [("write", 0), ("write", 5), ("sync", 0), ("open", 0)];
+        let checkpoint_arms = [("write", 0), ("sync", 0), ("rename", 0)];
+        let runs = (segment_arms.iter())
+            .flat_map(|&(op, keep)| (0..all.len()).map(move |at| (op, ".wal", keep, at)))
+            .chain((checkpoint_arms.iter()).map(|&(op, keep)| (op, ".tmp", keep, CHECKPOINT_AT)));
+        let mut fired = std::collections::BTreeMap::new();
+        for (op, suffix, keep, at) in runs {
+            let run = format!("{op} {suffix} keeping {keep}, armed before append {at}");
+            let dir = TempDir::new("onefault");
+            let disk = Recording::default();
+            let config = WalConfig::new(dir.path())
+                .with_segment_max_bytes(640)
+                .with_fsync(true);
+            let mut wal = Wal::open_with(Arc::new(disk.clone()), config.clone(), FaultPlan::none())
+                .unwrap()
+                .wal;
+            let (mut oks, mut failed, mut ckpt_seq) = (Vec::new(), None, None);
+            for (i, e) in all.iter().enumerate() {
+                if i == at {
+                    disk.arm(op, suffix, keep);
+                }
+                if i == CHECKPOINT_AT {
+                    let seq = wal.next_seq();
+                    ckpt_seq = wal.checkpoint(&text).is_ok().then_some(seq);
+                }
+                match wal.append(e) {
+                    Ok(_) => oks.push(e.clone()),
+                    Err(_) if failed.is_none() => failed = Some(e.clone()),
+                    Err(_) => assert!(wal.poisoned(), "{run}: one fault, one failed append"),
+                }
+                if i == CHECKPOINT_AT && ckpt_seq.is_none() {
+                    assert!(
+                        failed.is_none(),
+                        "{run}: appends go on after a failed checkpoint"
+                    );
+                }
+            }
+            let poisoned = wal.poisoned();
+            *fired.entry((op, suffix, keep)).or_insert(0) += u32::from(disk.fired());
+            let opens = (disk.take_ops().iter())
+                .filter(|(o, f)| *o == "open" && f.ends_with(".wal"))
+                .count();
+            assert!(
+                poisoned || opens >= 3,
+                "{run}: two rotations, {opens} opens"
+            );
+            drop(wal);
+
+            let rec = Wal::open(config, FaultPlan::none())
+                .unwrap_or_else(|e| panic!("{run}: reopen failed: {e}"));
+            let covered = rec.checkpoint.as_ref().map(|(seq, _)| *seq);
+            assert_eq!(covered, ckpt_seq, "{run}");
+            let mut history = oks[..covered.unwrap_or(0) as usize].to_vec();
+            history.extend(rec.tail);
+            let with_failed: Vec<MarketEvent> = oks.iter().chain(&failed).cloned().collect();
+            assert!(
+                history == oks || (poisoned && history == with_failed),
+                "{run}: recovered {} events, {} appends returned Ok (poisoned: {poisoned})",
+                history.len(),
+                oks.len()
+            );
+        }
+        // Every arm fired in some run (one armed after the last call of
+        // its kind does not).
+        assert_eq!(fired.len(), 7, "{fired:?}");
+        assert!(fired.values().all(|&n| n > 0), "{fired:?}");
     }
 
     #[test]
@@ -1379,7 +1508,7 @@ mod tests {
         // Tear the final record: the log now ends at seq 7, *behind* the
         // checkpoint at 8 — that record survives only inside the
         // checkpoint.
-        let last = last_segment_path(dir.path()).unwrap().unwrap();
+        let last = segment_path(dir.path(), 0);
         let len = fs::metadata(&last).unwrap().len();
         fs::OpenOptions::new()
             .write(true)
@@ -1397,7 +1526,7 @@ mod tests {
         assert_eq!(seq, 8);
         let restored = MarketEngine::restore(&snapshot).unwrap();
         assert_eq!(restored.snapshot().encode(), engine.snapshot().encode());
-        let (first, read) = read_events(dir.path()).unwrap();
+        let (first, read) = read_events_with(&FsStorage, dir.path()).unwrap();
         assert_eq!((first, read.len()), (8, 0), "no gap left behind");
     }
 
@@ -1481,41 +1610,42 @@ mod tests {
     #[test]
     fn scheduled_faults_fire_once_each_at_their_sequences() {
         let dir = TempDir::new("sched");
-        let faults = FaultPlan {
-            wal_schedule: vec![
-                ScheduledWalFault {
-                    at_seq: 1,
-                    kind: WalFaultKind::FailAppend,
-                },
-                ScheduledWalFault {
-                    at_seq: 2,
-                    kind: WalFaultKind::FailSync,
-                },
-                ScheduledWalFault {
-                    at_seq: 4,
-                    kind: WalFaultKind::Torn { bytes: 5 },
-                },
-            ],
-            ..FaultPlan::default()
-        };
-        assert!(faults.is_armed());
+        let disk = Recording::default();
+        let config = WalConfig::new(dir.path()).with_fsync(true);
         let all = events(6);
-        let mut wal = Wal::open(WalConfig::new(dir.path()), faults).unwrap().wal;
+        let mut wal = Wal::open_with(Arc::new(disk.clone()), config.clone(), FaultPlan::none())
+            .unwrap()
+            .wal;
+        let size = || fs::metadata(segment_path(dir.path(), 0)).unwrap().len();
         wal.append(&all[0]).unwrap();
-        // seq 1: scheduled append failure, then the retry succeeds.
+        // seq 1: the write fails with nothing landing; the retry succeeds.
+        disk.arm("write", ".wal", 0);
+        let before = size();
         assert!(wal.append(&all[1]).is_err());
+        assert_eq!(size(), before);
+        assert!(!wal.poisoned());
         assert_eq!(wal.append(&all[1]).unwrap(), 1);
-        // seq 2: scheduled fsync failure rolls the bytes back, retry ok.
+        // seq 2: the fsync fails; the heal rolls the bytes back, retry ok.
+        disk.arm("sync", ".wal", 0);
+        let before = size();
+        disk.take_ops();
         assert!(wal.append(&all[2]).is_err());
+        assert_eq!(
+            disk.take_ops(),
+            [op("write", 0), op("sync", 0), op("set_len", 0)]
+        );
+        assert_eq!(size(), before);
+        assert!(!wal.poisoned());
         assert_eq!(wal.append(&all[2]).unwrap(), 2);
         wal.append(&all[3]).unwrap();
-        // seq 4: scheduled torn write poisons the log.
+        // seq 4: a torn write whose heal fails poisons the log.
+        disk.arm("write", ".wal", 5);
         assert!(wal.append(&all[4]).is_err());
         assert!(wal.poisoned());
         drop(wal);
-        let rec = Wal::open(WalConfig::new(dir.path()), FaultPlan::none()).unwrap();
+        let rec = Wal::open(config, FaultPlan::none()).unwrap();
         assert_eq!(rec.tail, all[..4].to_vec());
-        assert!(rec.truncated_bytes > 0);
+        assert_eq!(rec.truncated_bytes, 5);
     }
 
     #[test]

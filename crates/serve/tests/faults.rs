@@ -9,8 +9,10 @@ use std::time::Duration;
 
 use ref_core::resource::Capacity;
 use ref_market::MarketConfig;
+use ref_serve::shard::RING_SEED;
 use ref_serve::{
-    wal, CallOpts, Client, ClientError, FaultPlan, HashRing, ServeConfig, Server, Value, WalConfig,
+    wal, CallOpts, Client, ClientError, FaultPlan, FsStorage, HashRing, ServeConfig, Server, Value,
+    WalConfig,
 };
 
 use common::TempDir;
@@ -63,7 +65,7 @@ fn transient_wal_append_failure_rejects_the_event_then_recovers() {
     let report = server.shutdown();
     assert_eq!(report.journal.len(), 2);
     // The on-disk log is exactly the applied events — never ahead.
-    let (first, events) = wal::read_events(dir.path()).unwrap();
+    let (first, events) = wal::read_events_with(&FsStorage, dir.path()).unwrap();
     assert_eq!(first, 0);
     assert_eq!(events, report.journal);
     let replayed = ref_serve::replay(market(), &events).unwrap();
@@ -83,7 +85,7 @@ fn a_panic_under_the_lock_restarts_the_shard_from_its_wal() {
             ..FaultPlan::default()
         };
         let server = Server::start("127.0.0.1:0", config.clone().with_faults(faults)).unwrap();
-        let ring = HashRing::new(shards, server.config().ring_seed);
+        let ring = HashRing::new(shards, RING_SEED);
         let on0: Vec<u64> = (0..u64::MAX)
             .filter(|a| ring.shard_of(*a) == 0)
             .take(2)

@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use ref_core::resource::Capacity;
 use ref_market::MarketConfig;
 use ref_serve::repl::{kind, message, parse_message};
+use ref_serve::shard::RING_SEED;
 use ref_serve::{
     decode_frame, shard_market_config, Client, ClientError, FaultPlan, FrameDecode, HashRing,
     ReplConfig, ServeConfig, Server, ShardHealth, Value, WalConfig,
@@ -187,7 +188,7 @@ fn a_panic_on_a_connection_thread_costs_one_request_not_the_lock() {
                 ..FaultPlan::default()
             });
         let server = Server::start("127.0.0.1:0", config).unwrap();
-        let ring = HashRing::new(shards, server.config().ring_seed);
+        let ring = HashRing::new(shards, RING_SEED);
         let on0 = agents_on(&ring, 0, 3);
         let mut victim = Client::connect(server.addr()).unwrap();
         let mut other = Client::connect(server.addr()).unwrap();
@@ -228,7 +229,7 @@ fn fanned_ticks_are_not_starved_by_inline_traffic() {
     let budget = Duration::from_secs(2);
     let server = Server::start("127.0.0.1:0", config(2).with_shard_tick_budget(budget)).unwrap();
     let addr = server.addr();
-    let ring = HashRing::new(2, server.config().ring_seed);
+    let ring = HashRing::new(2, RING_SEED);
     let hot = agents_on(&ring, 0, 8);
     let stop = AtomicBool::new(false);
     let observed = AtomicU64::new(0);

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use ref_core::resource::Capacity;
 use ref_market::MarketConfig;
 use ref_serve::{
-    CallOpts, Client, ClientError, FaultPlan, ReplConfig, Role, ServeConfig, Server, Value,
-    WalConfig,
+    wal, CallOpts, Client, ClientError, FaultPlan, FsStorage, ReplConfig, Role, ServeConfig,
+    Server, Value, WalConfig,
 };
 
 use common::TempDir;
@@ -140,7 +140,7 @@ fn late_joining_standby_catches_up_from_checkpoint_and_log() {
             .observe(1, &[2.0, 1.0], 1.0 + 0.01 * i as f64)
             .unwrap();
     }
-    let (first, _) = ref_serve::wal::read_events(pdir.path()).unwrap();
+    let (first, _) = wal::read_events_with(&FsStorage, pdir.path()).unwrap();
     assert!(first > 0, "the primary kept its whole log");
 
     let standby = start_standby(
@@ -155,7 +155,7 @@ fn late_joining_standby_catches_up_from_checkpoint_and_log() {
         ping_u64(&mut sping, "wal_seq") == tail
     });
     // Bootstrapped from a `snap`: its own log starts at the checkpoint.
-    let (restored_at, _) = ref_serve::wal::read_events(sdir.path()).unwrap();
+    let (restored_at, _) = wal::read_events_with(&FsStorage, sdir.path()).unwrap();
     assert!(restored_at > 0, "the standby replayed the log from 0");
 
     // It then follows the live stream.

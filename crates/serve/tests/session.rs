@@ -363,7 +363,7 @@ fn the_standby_verdict() {
     let (ckpt, snapshot) = newest_checkpoint_with(&FsStorage, pdir.path())
         .unwrap()
         .unwrap();
-    let (_, log) = ref_serve::wal::read_events(pdir.path()).unwrap();
+    let (_, log) = ref_serve::wal::read_events_with(&FsStorage, pdir.path()).unwrap();
     let first = primary.wal().unwrap().first_retained_seq();
     let record = |seq: u64| Stream::Apply {
         seq,
@@ -417,6 +417,6 @@ fn the_standby_verdict() {
     }
     assert_eq!(standby.final_snapshot(), primary.final_snapshot());
     // The restored standby's own log starts at the checkpoint.
-    let (standby_first, _) = ref_serve::wal::read_events(sdir.path()).unwrap();
+    let (standby_first, _) = ref_serve::wal::read_events_with(&FsStorage, sdir.path()).unwrap();
     assert!(standby_first >= ckpt, "{standby_first}");
 }

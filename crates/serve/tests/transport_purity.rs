@@ -13,7 +13,9 @@ use proptest::prelude::*;
 
 use ref_core::resource::Capacity;
 use ref_market::{MarketConfig, MarketEngine, MarketEvent};
-use ref_serve::{wal, Client, ClientError, JournalLimit, ServeConfig, Server, WalConfig};
+use ref_serve::{
+    wal, Client, ClientError, FsStorage, JournalLimit, ServeConfig, Server, WalConfig,
+};
 
 use common::TempDir;
 
@@ -122,7 +124,7 @@ proptest! {
         prop_assert_eq!(report.metrics.protocol_errors, 0);
 
         // The on-disk log IS the journal.
-        let (first, events) = wal::read_events(dir.path()).unwrap();
+        let (first, events) = wal::read_events_with(&FsStorage, dir.path()).unwrap();
         if first == 0 {
             prop_assert_eq!(&events, &report.journal);
         }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use ref_core::resource::Capacity;
 use ref_market::{MarketConfig, MarketEngine, MarketEvent, ObservationSource};
-use ref_serve::wal::{self, Wal, WalConfig};
+use ref_serve::wal::{Wal, WalConfig};
 use ref_serve::FaultPlan;
 
 use common::TempDir;
@@ -64,14 +64,15 @@ proptest! {
         let mut snapshots = vec![engine.snapshot().encode()];
         let mut boundaries = vec![0u64];
         let mut latest_ckpt = 0u64;
+        // The default segment size never rotates at this length.
+        let segment = dir.path().join("segment-0000000000000000.wal");
         {
             let mut w = Wal::open(wal_config.clone(), FaultPlan::none()).unwrap().wal;
             for (i, e) in events.iter().enumerate() {
                 prop_assert_eq!(w.append(e).unwrap(), i as u64);
                 let _ = engine.apply_now(e.clone());
                 snapshots.push(engine.snapshot().encode());
-                let path = wal::last_segment_path(dir.path()).unwrap().unwrap();
-                boundaries.push(fs::metadata(&path).unwrap().len());
+                boundaries.push(fs::metadata(&segment).unwrap().len());
                 if every > 0 && (i as u64 + 1).is_multiple_of(every) {
                     w.checkpoint(&snapshots[i + 1]).unwrap();
                     latest_ckpt = i as u64 + 1;
@@ -80,12 +81,11 @@ proptest! {
         }
 
         // Crash: truncate the (single) segment at an arbitrary byte.
-        let path = wal::last_segment_path(dir.path()).unwrap().unwrap();
-        let total = fs::metadata(&path).unwrap().len();
+        let total = fs::metadata(&segment).unwrap().len();
         let cut = (total as f64 * cut_fraction) as u64;
         fs::OpenOptions::new()
             .write(true)
-            .open(&path)
+            .open(&segment)
             .unwrap()
             .set_len(cut)
             .unwrap();

@@ -58,7 +58,7 @@
 // Numeric kernels index several arrays with one loop variable; iterator
 // rewrites obscure the linear-algebra correspondence.
 #![allow(clippy::needless_range_loop)]
-// Bracket checks like `!(lo < hi)` are deliberate: they also reject NaN.
+// Checks like `!(t_max >= t0)` are deliberate: they also reject NaN.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod barrier;
@@ -71,7 +71,6 @@ pub mod lu;
 pub mod matrix;
 pub mod newton;
 pub mod qr;
-pub mod roots;
 pub mod tol;
 pub mod update;
 pub mod vec_ops;

@@ -29,7 +29,9 @@ use std::time::{Duration, Instant};
 use ref_fairness::core::resource::Capacity;
 use ref_fairness::market::{MarketConfig, MarketEngine, MarketEvent};
 use ref_fairness::serve::wal::{self, Wal, WalConfig};
-use ref_fairness::serve::{Client, FaultPlan, ReplConfig, Role, ServeConfig, Server, Value};
+use ref_fairness::serve::{
+    Client, FaultPlan, FsStorage, ReplConfig, Role, ServeConfig, Server, Value,
+};
 
 use common::TempDir;
 
@@ -81,7 +83,7 @@ fn child() {
             let config = ServeConfig::new(market())
                 .with_epoch_interval(Some(Duration::from_millis(1)))
                 .with_wal(chaos_wal(dir));
-            let server = if wal::dir_has_state(dir).unwrap() {
+            let server = if wal::dir_has_state_with(&FsStorage, dir).unwrap() {
                 Server::recover("127.0.0.1:0", config)
             } else {
                 Server::start("127.0.0.1:0", config)
@@ -243,7 +245,13 @@ fn offline_expectation(config: WalConfig) -> (String, u64, u64) {
 
 /// Shears `bytes` off the live segment's tail; returns how many went.
 fn shear_tail(dir: &Path, bytes: u64) -> u64 {
-    let path = wal::last_segment_path(dir).unwrap().unwrap();
+    // Segment names carry their first sequence zero-padded, so the
+    // greatest name is the live segment.
+    let path = (std::fs::read_dir(dir).unwrap())
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "wal"))
+        .max()
+        .unwrap();
     let len = std::fs::metadata(&path).unwrap().len();
     let cut = bytes.min(len);
     let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
@@ -276,7 +284,7 @@ fn killed_and_sheared_servers_recover_bit_identically() {
             "round {round}: {reported} events reported, {logged} recovered"
         );
 
-        let (first, events) = wal::read_events(dir.path()).unwrap();
+        let (first, events) = wal::read_events_with(&FsStorage, dir.path()).unwrap();
         eprintln!(
             "round {round}: log holds seqs {first}..{}, sheared {sheared} B, torn {torn} B",
             first + events.len() as u64
@@ -387,8 +395,8 @@ fn a_killed_sync_primary_fails_over_without_losing_an_acked_event() {
             "round {round}: the promoted snapshot diverges from its own WAL"
         );
 
-        let (s_first, s_events) = wal::read_events(sdir.path()).unwrap();
-        let (p_first, p_events) = wal::read_events(pdir.path()).unwrap();
+        let (s_first, s_events) = wal::read_events_with(&FsStorage, sdir.path()).unwrap();
+        let (p_first, p_events) = wal::read_events_with(&FsStorage, pdir.path()).unwrap();
         assert_eq!(
             (s_first, p_first),
             (0, 0),
