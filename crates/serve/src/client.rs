@@ -616,7 +616,9 @@ impl Client {
         ]))
     }
 
-    /// Runs one epoch now.
+    /// Runs one epoch now. The reply carries the epoch's verdict (agent
+    /// count, SI/EF/PE audit, enforcement), not the bundles: those are
+    /// read one agent at a time with [`Client::query_agent`].
     ///
     /// # Errors
     ///
@@ -625,7 +627,7 @@ impl Client {
         self.call(&Value::obj(vec![("op", Value::str("tick"))]))
     }
 
-    /// Market-wide state: epoch, live agents, last epoch report.
+    /// Market-wide state: epoch, live agent ids, last epoch's verdict.
     ///
     /// # Errors
     ///

@@ -151,9 +151,14 @@ impl ServiceCore {
             None => MarketEngine::new(config).map_err(|e| invalid(e.to_string()))?,
         };
         // Replay the tail exactly as the live core does: rejections are
-        // part of faithful replay.
+        // part of faithful replay, and the last tick's report is kept.
+        // (A checkpoint holds no report: with no tick after it, `query
+        // {agent}` answers no bundle until the next epoch.)
+        let mut last_report = None;
         for event in &recovery.tail {
-            let _ = engine.apply_now(event.clone());
+            if let Ok(Some(report)) = engine.apply_now(event.clone()) {
+                last_report = Some(report);
+            }
         }
         let wal = recovery.wal;
         let events_applied = wal.next_seq();
@@ -175,7 +180,7 @@ impl ServiceCore {
             journal,
             journal_limit: journal_limit.0,
             journal_overflowed,
-            last_report: None,
+            last_report,
             wal: Some(wal),
             events_applied,
             faults,
@@ -418,8 +423,12 @@ impl ServiceCore {
         let is_tick = matches!(event, MarketEvent::EpochTick);
         let started = Instant::now();
         if !skip_apply {
-            // Rejections are part of faithful replay, same as recovery.
-            let _ = self.engine.apply_now(event);
+            // Rejections are part of faithful replay, same as recovery;
+            // a tick's report is kept, as on the primary, so `query
+            // {agent}` answers the same bundle here.
+            if let Ok(Some(report)) = self.engine.apply_now(event) {
+                self.last_report = Some(report);
+            }
         }
         let mut epoch_fp = None;
         if is_tick {
@@ -656,15 +665,13 @@ impl ServiceCore {
     }
 }
 
-/// [`EpochReport::to_json`] as a [`Value`], built directly: the encoded
-/// bytes are the same, without writing the text and parsing it back
-/// (which for a 2,000-agent allocation was most of a tick's own time).
+/// The wire form of an epoch's verdict, what `tick` and the market-wide
+/// `query` carry: [`EpochReport::to_json`]'s fields in its order, but
+/// `agents` as a count and no `allocation`, so the reply grows with
+/// resources, never with agents. An agent's bundle is answered by
+/// `query {agent}`.
 fn report_value(report: &EpochReport) -> Value {
     let count = |n: usize| Value::from_u64(n as u64);
-    let allocation = report.allocation.as_ref().map_or(Value::Null, |alloc| {
-        let bundles = alloc.bundles().iter();
-        Value::Arr(bundles.map(|b| Value::num_array(b.as_slice())).collect())
-    });
     let fairness = report.fairness.as_ref().map_or(Value::Null, |fair| {
         Value::obj(vec![
             ("sharing_incentives", Value::Bool(fair.sharing_incentives())),
@@ -683,10 +690,7 @@ fn report_value(report: &EpochReport) -> Value {
     });
     Value::obj(vec![
         ("epoch", Value::from_u64(report.epoch)),
-        (
-            "agents",
-            Value::Arr(report.agents.iter().copied().map(Value::from_u64).collect()),
-        ),
+        ("agents", count(report.agents.len())),
         ("realloc", Value::str(report.realloc.label())),
         ("warm", Value::Bool(report.warm)),
         ("observations", count(report.observations)),
@@ -696,7 +700,6 @@ fn report_value(report: &EpochReport) -> Value {
             "worst_temporal_ratio",
             Value::Num(report.worst_temporal_ratio),
         ),
-        ("allocation", allocation),
         ("fairness", fairness),
         ("enforcement", Value::Arr(enforcement.collect())),
         (
@@ -931,19 +934,41 @@ mod tests {
         vec![empty, cached]
     }
 
+    /// The oracle of the wire report: [`EpochReport::to_json`] parsed,
+    /// with the agent id list replaced by its length and the allocation
+    /// dropped, then encoded again.
+    fn verdict_of(report: &EpochReport) -> String {
+        let Value::Obj(mut fields) = Value::parse(&report.to_json()).unwrap() else {
+            panic!("to_json is an object");
+        };
+        fields.retain(|(key, _)| key != "allocation");
+        for (key, value) in &mut fields {
+            if key == "agents" {
+                *value = Value::from_u64(value.as_array().unwrap().len() as u64);
+            }
+        }
+        Value::Obj(fields).encode()
+    }
+
     #[test]
     fn report_value_encodes_to_the_golden_report_bytes() {
         // The same two reports `ref-market` pins `to_json` on.
         let reports = golden_reports();
         for report in &reports {
-            assert_eq!(report_value(report).encode(), report.to_json());
+            assert_eq!(report_value(report).encode(), verdict_of(report));
         }
         assert_eq!(
+            report_value(&reports[0]).encode(),
+            "{\"epoch\":0,\"agents\":0,\"realloc\":\"empty_market\",\"warm\":true,\
+             \"observations\":0,\"refits\":0,\"temporal_violations\":0,\
+             \"worst_temporal_ratio\":1,\"fairness\":null,\"enforcement\":[],\
+             \"worst_enforcement_deviation\":0}"
+        );
+        assert_eq!(
             report_value(&reports[1]).encode(),
-            "{\"epoch\":7,\"agents\":[1,2],\"realloc\":\"cache_hit\",\"warm\":false,\
+            "{\"epoch\":7,\"agents\":2,\"realloc\":\"cache_hit\",\"warm\":false,\
              \"observations\":2,\"refits\":1,\"temporal_violations\":1,\
-             \"worst_temporal_ratio\":0.875,\"allocation\":[[18,4],[6,8]],\
-             \"fairness\":null,\
+             \"worst_temporal_ratio\":0.875,\"fairness\":null,\
              \"enforcement\":[{\"resource\":0,\"max_deviation\":0.01}],\
              \"worst_enforcement_deviation\":0.01}"
         );
@@ -955,7 +980,7 @@ mod tests {
         let tick = core.handle(&Request::Tick, &metrics);
         let report = core.last_report().unwrap();
         assert!(report.fairness.is_some() && report.allocation.is_some());
-        assert_eq!(tick.get("report").unwrap().encode(), report.to_json());
+        assert_eq!(tick.get("report").unwrap().encode(), verdict_of(report));
         let market = core.handle(&Request::Metrics { text: false }, &metrics);
         assert_eq!(
             market.get("market").unwrap().encode(),
@@ -963,8 +988,72 @@ mod tests {
         );
     }
 
+    /// Every `query {agent}` reply of `core` for agents `1..=last`,
+    /// encoded (an unknown agent's error included).
+    fn agent_answers(core: &mut ServiceCore, last: u64) -> Vec<String> {
+        let metrics = ServeMetrics::new();
+        (1..=last)
+            .map(|agent| {
+                let request = Request::Query { agent: Some(agent) };
+                core.handle(&request, &metrics).encode()
+            })
+            .collect()
+    }
+
+    /// Six agents over a dozen epochs with a departure, then a newcomer
+    /// after the last tick (which has no bundle yet).
+    fn history(core: &mut ServiceCore, metrics: &ServeMetrics) {
+        for agent in 1..=6 {
+            core.handle(&join(agent, 0.1 + 0.13 * agent as f64), metrics);
+        }
+        for epoch in 0..12 {
+            if epoch == 7 {
+                core.handle(&Request::Leave { agent: 4 }, metrics);
+            }
+            core.handle(&Request::Tick, metrics);
+        }
+        core.handle(&join(7, 0.5), metrics);
+    }
+
+    #[test]
+    fn a_standby_answers_agent_queries_as_its_primary_does() {
+        let metrics = ServeMetrics::new();
+        let mut primary = ServiceCore::new(config(), JournalLimit::default()).unwrap();
+        history(&mut primary, &metrics);
+        let mut standby = ServiceCore::new(config(), JournalLimit::default()).unwrap();
+        for (seq, event) in primary.journal().to_vec().into_iter().enumerate() {
+            let applied = standby.apply_repl(seq as u64, event, &metrics);
+            assert!(matches!(applied, ReplApply::Applied { .. }), "{applied:?}");
+        }
+        let answers = agent_answers(&mut primary, 8);
+        assert!(answers[0].contains("\"bundle\":["), "{}", answers[0]);
+        assert!(answers[6].contains("\"bundle\":null"), "{}", answers[6]);
+        assert_eq!(agent_answers(&mut standby, 8), answers);
+    }
+
+    #[test]
+    fn a_recovered_core_answers_agent_queries_as_before_the_crash() {
+        let dir = std::env::temp_dir().join(format!("ref-core-recover-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            let wal = WalConfig::new(&dir);
+            ServiceCore::recover(config(), JournalLimit::default(), wal, FaultPlan::none()).unwrap()
+        };
+        let metrics = ServeMetrics::new();
+        let mut core = open();
+        history(&mut core, &metrics);
+        let answers = agent_answers(&mut core, 8);
+        assert!(answers[0].contains("\"bundle\":["), "{}", answers[0]);
+        drop(core);
+        // Every tick is in the WAL tail: no checkpoint was due.
+        let mut recovered = open();
+        assert_eq!(agent_answers(&mut recovered, 8), answers);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     mod wire_bytes {
         use super::super::{market_metrics_value, report_value};
+        use super::verdict_of;
         use proptest::prelude::*;
         use ref_core::properties::{EnvyEdge, FairnessReport, SiViolation};
         use ref_core::resource::{Allocation, Bundle, Capacity};
@@ -1058,12 +1147,11 @@ mod tests {
                 resources in 1usize..4,
             ) {
                 let exact = report(&words, &agents, resources, false);
-                prop_assert_eq!(report_value(&exact).encode(), exact.to_json());
-                // Past 2^53 the text and the number part ways; what went
-                // on the wire was the text parsed and encoded again.
+                prop_assert_eq!(report_value(&exact).encode(), verdict_of(&exact));
+                // Past 2^53 a count goes out as the nearest f64, which is
+                // what parsing the text gives.
                 let wide = report(&words, &agents, resources, true);
-                let parsed = crate::json::Value::parse(&wide.to_json()).unwrap();
-                prop_assert_eq!(report_value(&wide).encode(), parsed.encode());
+                prop_assert_eq!(report_value(&wide).encode(), verdict_of(&wide));
             }
 
             #[test]

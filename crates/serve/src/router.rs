@@ -496,7 +496,7 @@ pub fn tick_reply(replies: Vec<Value>, round: &Round) -> Value {
     fleet_reply(fields, replies)
 }
 
-/// Combines per-shard epoch reports into a fleet-wide view: agent and
+/// Combines per-shard epoch verdicts into a fleet-wide view: agent and
 /// temporal-violation counts sum, warm-up ORs, fairness flags AND (with
 /// violation counts summed and the worst ratios kept), and the
 /// enforcement deviation takes the worst shard. `None` if no shard
@@ -527,15 +527,9 @@ pub fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value> {
     let warm = reports
         .iter()
         .any(|r| r.get("warm") == Some(&Value::Bool(true)));
-    // A shard report lists its live agents' ids; the fleet counts them.
-    let agents: usize = reports
-        .iter()
-        .filter_map(|r| r.get("agents")?.as_array())
-        .map(<[Value]>::len)
-        .sum();
     let mut fields: Vec<(&str, Value)> = vec![
         ("epoch", Value::from_u64(epoch.unwrap_or(0))),
-        ("agents", Value::from_u64(agents as u64)),
+        ("agents", Value::from_u64(sum(&reports, "agents"))),
         ("warm", Value::Bool(warm)),
         (
             "temporal_violations",

@@ -4,7 +4,10 @@
 //! op, else an agent `query` every third op, else an `observe`). This is
 //! a reading, not a budget: each class's median is pinned to a stated
 //! band so that a change which moves it shows up here first, and the
-//! parse and encode around `handle` are counted beside it.
+//! parse and encode around `handle` are counted beside it. The same rule
+//! over 2,000 agents checks that what a tick allocates beyond the
+//! engine's own tick (its reply, the journal) does not grow with the
+//! market.
 //!
 //! This binary holds a single test on purpose. Its counting global
 //! allocator sees every thread of the process (the pool's helper threads
@@ -15,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ref_core::resource::Capacity;
-use ref_market::MarketConfig;
+use ref_market::{MarketConfig, MarketEngine};
 use ref_serve::{parse_request, JournalLimit, ServeMetrics, ServiceCore, Value};
 
 /// Counts allocations (a reallocation is one).
@@ -59,9 +62,10 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
 }
 
-/// Op `i` of the `serve_mem` rule, as its request line.
-fn op(i: usize, draw: &mut u64) -> (usize, String) {
-    let agent = 1 + i as u64 % AGENTS;
+/// Op `i` of the `serve_mem` rule over `agents` agents, as its request
+/// line.
+fn op(i: usize, agents: u64, draw: &mut u64) -> (usize, String) {
+    let agent = 1 + i as u64 % agents;
     if i % TICK_EVERY == TICK_EVERY - 1 {
         return (TICK, r#"{"op":"tick"}"#.to_string());
     }
@@ -95,51 +99,66 @@ fn median(counts: &mut [u64]) -> u64 {
     counts[counts.len() / 2]
 }
 
-#[test]
-fn serve_mem_ops_allocate_a_stated_handful() {
-    // A fixed width makes the per-call helper bookkeeping a fixed count.
-    ref_pool::set_threads(2);
+/// One run of the rule over `agents` external agents: the median
+/// (parse, handle, encode) counts per class, after four ticks of warm-up,
+/// over twelve ticks' worth of ops, and the median of what `handle`
+/// allocates for a tick beyond the engine's own tick (read on a twin
+/// engine fed the same events).
+fn reading(agents: u64) -> ([[u64; 3]; 3], u64) {
     let config = MarketConfig::new(Capacity::new(vec![64.0, 32.0]).unwrap());
-    let mut core = ServiceCore::new(config, JournalLimit::default()).unwrap();
+    let mut core = ServiceCore::new(config.clone(), JournalLimit::default()).unwrap();
+    let mut twin = MarketEngine::new(config).unwrap();
     let metrics = ServeMetrics::default();
-    for agent in 1..=AGENTS {
+    for agent in 1..=agents {
         let line = format!(r#"{{"op":"join","agent":{agent},"source":{{"kind":"external"}}}}"#);
         let request = parse_request(&line).unwrap().request;
         assert_eq!(
             core.handle(&request, &metrics).get("ok"),
             Some(&Value::Bool(true))
         );
+        twin.apply_now(request.to_event().unwrap()).unwrap();
     }
 
-    // (parse, handle, encode) counts per class, after four ticks of
-    // warm-up, over twelve ticks' worth of ops.
     let mut counts: [[Vec<u64>; 3]; 3] = Default::default();
+    let mut beyond_engine = Vec::new();
     let mut draw = 0x5EED;
     for i in 0..16 * TICK_EVERY {
-        let (class, line) = op(i, &mut draw);
+        let (class, line) = op(i, agents, &mut draw);
         let (parse, envelope) = counted(|| parse_request(&line).unwrap());
         let (handle, reply) = counted(|| core.handle(&envelope.request, &metrics));
         let (encode, text) = counted(|| reply.encode());
         assert!(text.starts_with(r#"{"ok":true"#), "{line}: {text}");
+        let engine = envelope.request.to_event().map(|event| {
+            let (n, applied) = counted(|| twin.apply_now(event));
+            assert!(applied.is_ok(), "{line}");
+            n
+        });
         drop((envelope, reply, text));
         if i >= 4 * TICK_EVERY {
             for (stage, n) in [parse, handle, encode].into_iter().enumerate() {
                 counts[class][stage].push(n);
             }
+            if class == TICK {
+                beyond_engine.push(handle - engine.unwrap());
+            }
         }
     }
+    let medians = counts.map(|mut stages| [0, 1, 2].map(|s| median(&mut stages[s])));
+    (medians, median(&mut beyond_engine))
+}
 
-    // Medians per class: (parse, handle, encode).
-    let medians: Vec<[u64; 3]> = counts
-        .iter_mut()
-        .map(|stages| [0, 1, 2].map(|s| median(&mut stages[s])))
-        .collect();
+#[test]
+fn serve_mem_ops_allocate_a_stated_handful() {
+    // A fixed width makes the per-call helper bookkeeping a fixed count.
+    ref_pool::set_threads(2);
+    let (medians, beyond_engine) = reading(AGENTS);
     for (class, m) in CLASSES.iter().zip(&medians) {
         println!("{class}: parse {} handle {} encode {}", m[0], m[1], m[2]);
     }
     // The bands `handle`'s median stays in, per class. Reading: 9, 16 and
-    // about 220; parse 10, 4 and 3; encode 3, 6 and 11.
-    let bands = [(6, 12), (12, 20), (180, 280)];
+    // 90 (217 to 220 while a tick reply listed every agent and bundle);
+    // parse 10, 4 and 3; encode 3, 6 and 7.
+    let bands = [(6, 12), (12, 20), (70, 110)];
     for ((class, m), (lo, hi)) in CLASSES.iter().zip(&medians).zip(bands) {
         assert!(
             (lo..=hi).contains(&m[1]),
@@ -147,4 +166,16 @@ fn serve_mem_ops_allocate_a_stated_handful() {
             m[1]
         );
     }
+
+    // What a tick allocates beyond the engine's own tick (the reply and
+    // the journal) does not grow with the market: 2,000 agents read as
+    // 128 do, within a few.
+    let (_, beyond_engine_2000) = reading(2_000);
+    println!(
+        "tick beyond the engine: {beyond_engine} at {AGENTS} agents, {beyond_engine_2000} at 2,000"
+    );
+    assert!(
+        beyond_engine_2000 <= beyond_engine + 4,
+        "a 2,000-agent tick allocates {beyond_engine_2000} beyond the engine, {beyond_engine} at {AGENTS}"
+    );
 }

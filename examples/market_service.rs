@@ -109,20 +109,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         restored.submit(MarketEvent::EpochTick);
         restored.pump()?.pop().unwrap()
     };
-    let wire_alloc = served
-        .get("shards")
-        .and_then(Value::as_array)
-        .and_then(<[Value]>::first)
-        .and_then(|shard| shard.get("report"))
-        .and_then(|r| r.get("allocation"))
-        .and_then(Value::as_array)
-        .expect("tick reply carries the allocation");
+    // The tick reply carries the verdict, agents as a count; each bundle
+    // is read back with `query {agent}`.
+    let served_agents = served.get("report").and_then(|r| r.get("agents"));
+    assert_eq!(
+        served_agents.and_then(Value::as_u64),
+        Some(offline.agents.len() as u64)
+    );
     let offline_alloc = offline.allocation.expect("offline tick allocates");
-    for (slot, row) in wire_alloc.iter().enumerate() {
-        for (r, v) in row.as_array().unwrap().iter().enumerate() {
+    for (slot, &id) in offline.agents.iter().enumerate() {
+        let reply = client.query_agent(id)?;
+        let wire = reply
+            .get("bundle")
+            .and_then(Value::as_array)
+            .expect("an agent of the last tick has a bundle");
+        assert_eq!(wire.len(), offline_alloc.bundle(slot).as_slice().len());
+        for (v, want) in wire.iter().zip(offline_alloc.bundle(slot).as_slice()) {
             assert_eq!(
                 v.as_f64().unwrap().to_bits(),
-                offline_alloc.bundle(slot).get(r).to_bits(),
+                want.to_bits(),
                 "served allocation diverged from the restored engine"
             );
         }
