@@ -776,10 +776,12 @@ impl MarketEngine {
         })
     }
 
-    /// Drives a stride scheduler per resource against the granted shares.
-    /// Resources are independent schedulers, so they fan out across the
-    /// worker pool; summaries are returned in resource order regardless of
-    /// the thread count.
+    /// Drives a stride scheduler per resource against the granted shares;
+    /// [`StrideScheduler::run`] grants the epoch's quanta in bulk, bit for
+    /// bit as one `next_quantum` call per quantum would. Resources are
+    /// independent schedulers, so they fan out across the worker pool;
+    /// summaries are returned in resource order regardless of the thread
+    /// count.
     fn enforce(&self, allocation: &Allocation) -> Result<Vec<EnforcementSummary>> {
         if self.config.enforcement_quanta == 0 {
             return Ok(Vec::new());
@@ -794,9 +796,7 @@ impl MarketEngine {
                 .collect();
             let weights: Vec<f64> = target.iter().map(|w| w.max(MIN_STRIDE_WEIGHT)).collect();
             let mut stride = StrideScheduler::new(weights).map_err(MarketError::InvalidArgument)?;
-            for _ in 0..quanta {
-                stride.next_quantum();
-            }
+            stride.run(quanta);
             let achieved = stride.service_shares();
             let max_deviation = achieved
                 .iter()

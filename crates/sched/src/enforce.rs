@@ -123,9 +123,7 @@ pub fn enforcement_comparison<R: Rng>(
     });
 
     let mut stride = StrideScheduler::new(weights.to_vec())?;
-    for _ in 0..quanta {
-        stride.next_quantum();
-    }
+    stride.run(quanta);
     let achieved = stride.service_shares();
     out.push(EnforcementOutcome {
         scheduler: "stride",
