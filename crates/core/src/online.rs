@@ -35,6 +35,7 @@ use std::iter;
 /// The triangular factor an [`EstimatorState`] holds, re-exported so that
 /// code persisting estimator states needs no direct solver dependency.
 pub use ref_solver::update::UpdatableLstsq;
+use ref_solver::vec_ops;
 
 use crate::error::{CoreError, Result};
 use crate::fitting::FitPoint;
@@ -169,8 +170,6 @@ pub struct OnlineEstimator {
     state: EstimatorState,
     /// The sliding window, if any (see [`OnlineEstimator::with_window`]).
     window: Option<Window>,
-    /// Scratch for the log-space design row being folded in or out.
-    row: Vec<f64>,
 }
 
 /// A bounded design: the rows still in the factor, oldest first.
@@ -197,7 +196,6 @@ impl OnlineEstimator {
             num_resources,
             state,
             window: None,
-            row: vec![0.0; num_resources + 1],
         }
     }
 
@@ -343,9 +341,13 @@ impl OnlineEstimator {
             )));
         }
         FitPoint::check(allocation, performance)?;
+        // One scratch buffer, on the stack for up to six resources: the
+        // log-space design rows folded in or out, then the coefficients.
+        let (mut stack, mut heap) = ([0.0; 7], Vec::new());
+        let scratch = vec_ops::scratch(&mut stack, &mut heap, self.num_resources + 1);
         let factor = &mut self.state.factor;
         factor
-            .append(Self::log_row(&mut self.row, allocation), performance.ln())
+            .append(Self::log_row(scratch, allocation), performance.ln())
             .expect("validated observation rows are finite");
         if let Some(window) = &mut self.window {
             window.rows.push_back(FitPoint {
@@ -357,17 +359,14 @@ impl OnlineEstimator {
                     .rows
                     .pop_front()
                     .expect("the window is over its bound");
-                let row = Self::log_row(&mut self.row, &evicted.inputs);
+                let row = Self::log_row(scratch, &evicted.inputs);
                 if factor.downdate(row, evicted.output.ln()).is_err() {
                     // The factor is too close to singular to subtract the
                     // row stably; refactorize the surviving rows instead.
                     *factor = UpdatableLstsq::new(self.num_resources + 1);
                     for point in &window.rows {
                         factor
-                            .append(
-                                Self::log_row(&mut self.row, &point.inputs),
-                                point.output.ln(),
-                            )
+                            .append(Self::log_row(scratch, &point.inputs), point.output.ln())
                             .expect("previously accepted observations are finite");
                     }
                 }
@@ -376,7 +375,8 @@ impl OnlineEstimator {
         if factor.rows() <= self.num_resources + 1 {
             return Ok(false);
         }
-        let fit = match factor.solve() {
+        let coefficients = scratch;
+        let fit = match factor.solve_into(coefficients) {
             Ok(fit) => fit,
             // A collinear design is expected early on; keep the prior.
             Err(_) => return Ok(false),
@@ -385,8 +385,8 @@ impl OnlineEstimator {
         // ([`crate::fitting::fit_cobb_douglas`]) does: exponentiate the
         // intercept, clamp negative elasticities, and substitute a tiny
         // uniform profile when every elasticity clamps to zero.
-        let scale = fit.coefficients()[0].exp();
-        let elasticities = fit.coefficients()[1..].iter().map(|a| a.max(0.0));
+        let scale = coefficients[0].exp();
+        let elasticities = coefficients[1..].iter().map(|a| a.max(0.0));
         let utility = if elasticities.clone().all(|a| a == 0.0) {
             CobbDouglas::from_elasticities(scale, iter::repeat_n(1e-9, self.num_resources))
         } else {
@@ -396,7 +396,7 @@ impl OnlineEstimator {
         match utility {
             Ok(utility) => {
                 state.utility = utility;
-                state.r_squared = Some(fit.r_squared());
+                state.r_squared = Some(fit.r_squared);
                 state.refits += 1;
                 state.incremental_refits += 1;
                 state.consecutive_degenerate = 0;
@@ -462,6 +462,24 @@ mod tests {
         assert!((est.utility().elasticity(1) - 0.5).abs() < 1e-9);
         assert!((est.utility().scale() - 0.7).abs() < 1e-9);
         assert!(est.r_squared().unwrap() > 0.999);
+    }
+
+    #[test]
+    fn seven_resources_refit_through_heap_scratch() {
+        // Past six resources the design row and coefficients leave the
+        // stack; the fit must come out the same way.
+        let truth = [0.05, 0.1, 0.15, 0.2, 0.05, 0.25, 0.2];
+        let mut est = OnlineEstimator::new(truth.len()).unwrap();
+        for i in 0..24_u32 {
+            let x: Vec<f64> = (0..truth.len())
+                .map(|r| 1.5 + f64::sin((0.37 + 0.29 * r as f64) * f64::from(i) + r as f64))
+                .collect();
+            let perf = x.iter().zip(&truth).map(|(x, a)| x.powf(*a)).product();
+            est.observe(x, perf).unwrap();
+        }
+        for (r, a) in truth.iter().enumerate() {
+            assert!((est.utility().elasticity(r) - a).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -1072,9 +1072,21 @@ impl MarketEngine {
                 return Err(MarketError::DuplicateAgent(a.id));
             }
         }
-        // A hand-built snapshot may omit ledger entries; open a zeroed one
-        // for every live agent so weights and settlement behave as after
-        // a fresh admission (admit is idempotent for entries present).
+        // Ledger ids are the live agents. An entry for an agent the
+        // snapshot does not hold would never settle, and its window would
+        // stay in every temporal audit. A hand-built snapshot may omit
+        // entries; open a zeroed one for every live agent so weights and
+        // settlement behave as after a fresh admission (admit is
+        // idempotent for entries present).
+        if let Some((ghost, _)) = snapshot
+            .ledger
+            .iter()
+            .find(|(id, _)| !population.contains_key(id))
+        {
+            return Err(MarketError::Snapshot(format!(
+                "ledger entry for agent {ghost}, which the snapshot does not hold"
+            )));
+        }
         let mut ledger = snapshot.ledger.clone();
         for id in population.keys() {
             ledger.admit(*id);

@@ -42,8 +42,7 @@
 //! of its own. Snapshots carry it only so a restored market resumes
 //! bit-identically without replaying history.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::fmt;
 
 use crate::agent::AgentId;
 
@@ -63,22 +62,63 @@ pub const CREDIT_TILT: f64 = 0.6;
 /// zero (an agent entitled to nothing cannot be under-served).
 const ENTITLED_FLOOR: f64 = 1e-300;
 
-/// One agent's ledger state.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LedgerEntry {
+/// The smallest ring a window outgrowing its ring is given, unless the
+/// window bound is shorter: the default temporal window, so a market on
+/// the default sizes its rings once.
+const RING_MIN: usize = 16;
+
+/// One epoch's `(delivered, entitled)` utilities.
+type Pair = (f64, f64);
+
+/// One agent's ledger state, borrowed from the ledger's columns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LedgerEntry<'a> {
     /// The credit balance: positive when cumulatively under-served.
     pub balance: f64,
-    /// Sliding `(delivered, entitled)` window, oldest first, at most
-    /// `temporal_window` entries.
-    pub window: VecDeque<(f64, f64)>,
+    /// Sliding `(delivered, entitled)` window, oldest first.
+    pub window: Window<'a>,
 }
 
-impl LedgerEntry {
-    /// Cumulative `(delivered, entitled)` over the current window.
-    pub fn window_sums(&self) -> (f64, f64) {
-        self.window
-            .iter()
+/// An agent's `(delivered, entitled)` window, oldest first: the two runs
+/// of its ring, the older one first.
+#[derive(Clone, Copy)]
+pub struct Window<'a> {
+    older: &'a [Pair],
+    newer: &'a [Pair],
+}
+
+impl<'a> Window<'a> {
+    /// Pairs in the window.
+    pub fn len(&self) -> usize {
+        self.older.len() + self.newer.len()
+    }
+
+    /// Whether the window holds no pairs.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The pairs, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + 'a {
+        self.older.iter().chain(self.newer).copied()
+    }
+
+    /// Cumulative `(delivered, entitled)`, folded oldest first.
+    pub fn sums(&self) -> (f64, f64) {
+        self.iter()
             .fold((0.0, 0.0), |(d, e), (dd, ee)| (d + dd, e + ee))
+    }
+}
+
+impl fmt::Debug for Window<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for Window<'_> {
+    fn eq(&self, other: &Window<'_>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -92,10 +132,28 @@ pub struct AccrualSummary {
     pub spent: u64,
 }
 
-/// The market's credit ledger: one entry per live agent.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// The market's credit ledger: one entry per live agent, stored in slot
+/// columns.
+///
+/// Each agent owns a *slot*: its balance in one `f64` column and its
+/// window in a ring of `cap` pairs inside one flat buffer. An id-ordered
+/// index maps ids to slots, so every walk that must be in id order (the
+/// sums, the snapshot) is, and an id-ordered epoch finds its slots in one
+/// merge walk. A settled agent's slot goes on a free list for the next
+/// admission. Equality compares entries, not slots.
+#[derive(Clone, Default)]
 pub struct CreditLedger {
-    entries: BTreeMap<AgentId, LedgerEntry>,
+    /// `(id, slot)` per live agent, ascending by id.
+    index: Vec<(AgentId, usize)>,
+    /// Balance per slot; a free slot's is meaningless until it is reused.
+    balances: Vec<f64>,
+    /// `(start, len)` of each slot's window within its ring.
+    spans: Vec<(usize, usize)>,
+    /// `cap` pairs per slot: slot `s` owns `ring[s * cap..(s + 1) * cap]`.
+    ring: Vec<Pair>,
+    cap: usize,
+    /// Slots released by settled agents.
+    free: Vec<usize>,
 }
 
 impl CreditLedger {
@@ -106,45 +164,46 @@ impl CreditLedger {
 
     /// Number of entries (one per live agent).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether the ledger holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// One agent's entry, if present.
-    pub fn entry(&self, id: AgentId) -> Option<&LedgerEntry> {
-        self.entries.get(&id)
+    pub fn entry(&self, id: AgentId) -> Option<LedgerEntry<'_>> {
+        self.slot(id).map(|slot| self.view(slot))
+    }
+
+    /// Every entry, in ascending id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (AgentId, LedgerEntry<'_>)> {
+        self.index.iter().map(|&(id, slot)| (id, self.view(slot)))
     }
 
     /// An agent's balance (0 for unknown agents).
     pub fn balance(&self, id: AgentId) -> f64 {
-        self.entries.get(&id).map_or(0.0, |e| e.balance)
+        self.slot(id).map_or(0.0, |slot| self.balances[slot])
     }
 
     /// Opens a zeroed entry for a newly admitted agent (idempotent — a
     /// snapshot restore re-admits agents the ledger already holds).
     pub fn admit(&mut self, id: AgentId) {
-        self.entries.entry(id).or_default();
+        self.slot_or_admit(id);
     }
 
     /// Settles a departing agent: the entry is removed and its balance is
     /// redistributed equally across the remaining entries, so the ledger
     /// sum is unchanged by churn. A missing id is a no-op.
     pub fn settle(&mut self, id: AgentId) {
-        let Some(entry) = self.entries.remove(&id) else {
+        let Ok(at) = self.find(id) else {
             return;
         };
-        let n = self.entries.len();
-        if n == 0 || entry.balance == 0.0 {
-            return;
-        }
-        let share = entry.balance / n as f64;
-        for e in self.entries.values_mut() {
-            e.balance += share;
-        }
+        let (_, slot) = self.index.remove(at);
+        self.spans[slot] = (0, 0);
+        self.free.push(slot);
+        self.redistribute(self.balances[slot], self.index.len());
     }
 
     /// Re-baselines an agent in place: its balance is redistributed to
@@ -154,20 +213,19 @@ impl CreditLedger {
     /// transitions, so accrual from a stale estimation regime never buys
     /// future weight.
     pub fn rebaseline(&mut self, id: AgentId) {
-        if !self.entries.contains_key(&id) {
+        let Some(slot) = self.slot(id) else {
             return;
-        }
-        self.settle(id);
-        self.admit(id);
+        };
+        self.spans[slot] = (0, 0);
+        self.redistribute(self.balances[slot], self.index.len() - 1);
+        self.balances[slot] = 0.0;
     }
 
     /// Drops every window (capacity reallotments change the entitlement
     /// scale mid-window, so the evidence is discarded; balances — which
     /// are normalized ratios — survive).
     pub fn clear_windows(&mut self) {
-        for e in self.entries.values_mut() {
-            e.window.clear();
-        }
+        self.spans.fill((0, 0));
     }
 
     /// Folds one epoch's `(agent, delivered, entitled)` measurements into
@@ -178,17 +236,8 @@ impl CreditLedger {
         if measured.is_empty() {
             return AccrualSummary::default();
         }
-        let gaps: Vec<f64> = measured
-            .iter()
-            .map(|&(_, delivered, entitled)| {
-                if entitled <= ENTITLED_FLOOR || !entitled.is_finite() || !delivered.is_finite() {
-                    0.0
-                } else {
-                    ((entitled - delivered) / entitled).clamp(-1.0, 1.0)
-                }
-            })
-            .collect();
-        let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
+        let mean = measured.iter().map(gap).sum::<f64>() / measured.len() as f64;
+        let slots = self.locate(measured);
         let mut summary = AccrualSummary::default();
         // Clamping an outlier balance would silently destroy the zero-sum
         // invariant, so the clamp residual is collected and redistributed
@@ -197,28 +246,23 @@ impl CreditLedger {
         // balance back inside. The weight tilt clamps independently, so an
         // overshoot never buys extra weight.
         let mut residual = 0.0;
-        for (&(id, delivered, entitled), gap) in measured.iter().zip(&gaps) {
-            let centered = gap - mean;
-            let entry = self.entries.entry(id).or_default();
+        for (m, &slot) in measured.iter().zip(&slots) {
+            let centered = gap(m) - mean;
+            let balance = &mut self.balances[slot];
             if centered > 0.0 {
                 summary.accrued += 1;
-            } else if centered < 0.0 && entry.balance > 0.0 {
+            } else if centered < 0.0 && *balance > 0.0 {
                 summary.spent += 1;
             }
-            let tentative = (entry.balance + centered) * (1.0 - CREDIT_DECAY);
-            entry.balance = tentative.clamp(-CREDIT_CAP, CREDIT_CAP);
-            residual += tentative - entry.balance;
-            entry.window.push_back((delivered, entitled));
-            while entry.window.len() > window {
-                entry.window.pop_front();
-            }
+            let tentative = (*balance + centered) * (1.0 - CREDIT_DECAY);
+            *balance = tentative.clamp(-CREDIT_CAP, CREDIT_CAP);
+            residual += tentative - *balance;
+            self.push(slot, (m.1, m.2), window);
         }
         if residual != 0.0 {
             let share = residual / measured.len() as f64;
-            for &(id, _, _) in measured {
-                if let Some(entry) = self.entries.get_mut(&id) {
-                    entry.balance += share;
-                }
+            for &slot in &slots {
+                self.balances[slot] += share;
             }
         }
         summary
@@ -244,11 +288,14 @@ impl CreditLedger {
     pub fn temporal_check(&self, window: usize, slack: f64) -> (usize, f64) {
         let mut violations = 0;
         let mut worst: f64 = 1.0;
-        for entry in self.entries.values() {
-            if window == 0 || entry.window.len() < window {
+        if window == 0 {
+            return (violations, worst);
+        }
+        for &(_, slot) in &self.index {
+            if self.spans[slot].1 < window {
                 continue;
             }
-            let (delivered, entitled) = entry.window_sums();
+            let (delivered, entitled) = self.view(slot).window.sums();
             if entitled <= ENTITLED_FLOOR {
                 continue;
             }
@@ -265,32 +312,238 @@ impl CreditLedger {
     /// is exactly zero-sum, settlement and clamp-residual redistribution
     /// preserve the sum, and decay only shrinks whatever residue remains).
     pub fn total(&self) -> f64 {
-        self.entries.values().map(|e| e.balance).sum()
+        self.iter().map(|(_, e)| e.balance).sum()
     }
 
     /// Sum of absolute balances — how much credit is outstanding.
     pub fn total_abs(&self) -> f64 {
-        self.entries.values().map(|e| e.balance.abs()).sum()
+        self.iter().map(|(_, e)| e.balance.abs()).sum()
     }
 
     /// Largest absolute balance.
     pub fn max_abs(&self) -> f64 {
-        self.entries
-            .values()
-            .map(|e| e.balance.abs())
+        self.iter()
+            .map(|(_, e)| e.balance.abs())
             .fold(0.0, f64::max)
     }
 
-    /// The entries in ascending id order, for serialization.
-    pub(crate) fn parts(&self) -> Vec<(AgentId, &LedgerEntry)> {
-        self.entries.iter().map(|(id, e)| (*id, e)).collect()
+    /// Appends a decoded snapshot entry: `id` with `balance` and the
+    /// window `pairs` (flattened `delivered, entitled`, oldest first),
+    /// its ring sized for windows of up to `limit`. Returns `false`,
+    /// changing nothing, unless `id` is above every id held: a snapshot
+    /// lists its entries in strictly ascending id order.
+    pub(crate) fn push_decoded(
+        &mut self,
+        id: AgentId,
+        balance: f64,
+        pairs: &[f64],
+        limit: usize,
+    ) -> bool {
+        if self.index.last().is_some_and(|&(last, _)| last >= id) {
+            return false;
+        }
+        let len = pairs.len() / 2;
+        if len > self.cap {
+            self.grow(len, limit);
+        }
+        let slot = self.open_slot();
+        self.index.push((id, slot));
+        self.balances[slot] = balance;
+        let ring = &mut self.ring[slot * self.cap..];
+        for (to, pair) in ring.iter_mut().zip(pairs.chunks_exact(2)) {
+            *to = (pair[0], pair[1]);
+        }
+        self.spans[slot] = (0, len);
+        true
     }
 
-    /// Rebuilds a ledger from serialized parts.
-    pub(crate) fn from_parts(entries: Vec<(AgentId, LedgerEntry)>) -> CreditLedger {
-        CreditLedger {
-            entries: entries.into_iter().collect(),
+    fn find(&self, id: AgentId) -> Result<usize, usize> {
+        self.index.binary_search_by_key(&id, |&(held, _)| held)
+    }
+
+    fn slot(&self, id: AgentId) -> Option<usize> {
+        self.find(id).ok().map(|at| self.index[at].1)
+    }
+
+    fn view(&self, slot: usize) -> LedgerEntry<'_> {
+        let (older, newer) = runs(&self.ring, self.cap, slot, self.spans[slot]);
+        LedgerEntry {
+            balance: self.balances[slot],
+            window: Window { older, newer },
         }
+    }
+
+    fn slot_or_admit(&mut self, id: AgentId) -> usize {
+        match self.find(id) {
+            Ok(at) => self.index[at].1,
+            Err(at) => {
+                let slot = self.open_slot();
+                self.index.insert(at, (id, slot));
+                slot
+            }
+        }
+    }
+
+    /// A zeroed slot with an empty window: a free one, or a new one.
+    fn open_slot(&mut self) -> usize {
+        if let Some(slot) = self.free.pop() {
+            self.balances[slot] = 0.0;
+            return slot;
+        }
+        self.balances.push(0.0);
+        self.spans.push((0, 0));
+        self.ring.resize(self.ring.len() + self.cap, (0.0, 0.0));
+        self.balances.len() - 1
+    }
+
+    /// Adds `balance / among` to every slot's balance — to a free or
+    /// re-baselined slot too, whose balance is reset before it counts
+    /// again. Every live balance gets the one addition settlement owes
+    /// it, and addition to distinct balances has no order to keep.
+    fn redistribute(&mut self, balance: f64, among: usize) {
+        if among == 0 || balance == 0.0 {
+            return;
+        }
+        let share = balance / among as f64;
+        for b in &mut self.balances {
+            *b += share;
+        }
+    }
+
+    /// Each measurement's slot, admitting ids the ledger lacks. Measured
+    /// ids in ascending order — an epoch's — are found in one merge walk
+    /// against the index, which absorbs unseen ids as it meets them; any
+    /// other order looks each id up.
+    fn locate(&mut self, measured: &[(AgentId, f64, f64)]) -> Vec<usize> {
+        if !measured.windows(2).all(|w| w[0].0 <= w[1].0) {
+            return measured
+                .iter()
+                .map(|&(id, ..)| self.slot_or_admit(id))
+                .collect();
+        }
+        let mut slots = Vec::with_capacity(measured.len());
+        let mut fresh: Vec<(AgentId, usize)> = Vec::new();
+        let mut at = 0;
+        for &(id, ..) in measured {
+            while self.index.get(at).is_some_and(|&(held, _)| held < id) {
+                at += 1;
+            }
+            let slot = match (self.index.get(at), fresh.last()) {
+                (Some(&(held, slot)), _) if held == id => slot,
+                (_, Some(&(last, slot))) if last == id => slot,
+                _ => {
+                    let slot = self.open_slot();
+                    fresh.push((id, slot));
+                    slot
+                }
+            };
+            slots.push(slot);
+        }
+        self.merge(&fresh);
+        slots
+    }
+
+    /// Merges ascending `fresh` entries into the index, in place from the
+    /// back.
+    fn merge(&mut self, fresh: &[(AgentId, usize)]) {
+        let mut held = self.index.len();
+        self.index.extend_from_slice(fresh);
+        let mut to = self.index.len();
+        for &entry in fresh.iter().rev() {
+            while held > 0 && self.index[held - 1].0 > entry.0 {
+                held -= 1;
+                to -= 1;
+                self.index[to] = self.index[held];
+            }
+            to -= 1;
+            self.index[to] = entry;
+        }
+    }
+
+    /// Appends `pair` to `slot`'s window, dropping the oldest pairs past
+    /// `window`, exactly as a deque's push-back then pop-front would.
+    fn push(&mut self, slot: usize, pair: Pair, window: usize) {
+        if window == 0 {
+            self.spans[slot] = (0, 0);
+            return;
+        }
+        let len = self.spans[slot].1;
+        if len == self.cap && len < window {
+            self.grow(len + 1, window);
+        }
+        let (start, len) = self.spans[slot];
+        let cap = self.cap;
+        // Free, or the oldest pair, which is about to drop.
+        self.ring[slot * cap + wrap(start + len, cap)] = pair;
+        self.spans[slot] = if len < window {
+            (start, len + 1)
+        } else {
+            (wrap(start + len + 1 - window, cap), window)
+        };
+    }
+
+    /// Re-lays the rings out at a larger capacity: at least `needed`, at
+    /// most `limit` unless `needed` is larger, doubling otherwise. Each
+    /// window keeps its order and starts its new ring.
+    fn grow(&mut self, needed: usize, limit: usize) {
+        let cap = limit.min((2 * self.cap).max(RING_MIN)).max(needed);
+        let mut ring = vec![(0.0, 0.0); self.spans.len() * cap];
+        for (slot, span) in self.spans.iter_mut().enumerate() {
+            let (older, newer) = runs(&self.ring, self.cap, slot, *span);
+            let to = &mut ring[slot * cap..];
+            to[..older.len()].copy_from_slice(older);
+            to[older.len()..span.1].copy_from_slice(newer);
+            span.0 = 0;
+        }
+        self.ring = ring;
+        self.cap = cap;
+    }
+}
+
+/// The normalized gap of one `(agent, delivered, entitled)` measurement.
+fn gap(&(_, delivered, entitled): &(AgentId, f64, f64)) -> f64 {
+    if entitled <= ENTITLED_FLOOR || !entitled.is_finite() || !delivered.is_finite() {
+        0.0
+    } else {
+        ((entitled - delivered) / entitled).clamp(-1.0, 1.0)
+    }
+}
+
+/// `i` reduced into a ring of `cap`, for `i < 2 * cap`: a start plus a
+/// length, neither past the ring.
+fn wrap(i: usize, cap: usize) -> usize {
+    debug_assert!(i < 2 * cap);
+    if i >= cap {
+        i - cap
+    } else {
+        i
+    }
+}
+
+/// A window's two runs within slot `slot` of rings of `cap` pairs.
+fn runs(
+    ring: &[Pair],
+    cap: usize,
+    slot: usize,
+    (start, len): (usize, usize),
+) -> (&[Pair], &[Pair]) {
+    if len == 0 {
+        return (&[], &[]);
+    }
+    let ring = &ring[slot * cap..(slot + 1) * cap];
+    let first = len.min(cap - start);
+    (&ring[start..start + first], &ring[..len - first])
+}
+
+impl PartialEq for CreditLedger {
+    fn eq(&self, other: &CreditLedger) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for CreditLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -414,12 +667,48 @@ mod tests {
         ledger.admit(3);
         ledger.admit(9);
         ledger.accrue(&measured(&[(3, 0.4, 1.0), (9, 1.6, 1.0)]), 4);
-        let parts = ledger
-            .parts()
-            .into_iter()
-            .map(|(id, e)| (id, e.clone()))
-            .collect();
-        assert_eq!(CreditLedger::from_parts(parts), ledger);
+        let mut rebuilt = CreditLedger::new();
+        let mut pairs = Vec::new();
+        for (id, entry) in ledger.iter() {
+            pairs.clear();
+            pairs.extend(entry.window.iter().flat_map(|(d, e)| [d, e]));
+            assert!(rebuilt.push_decoded(id, entry.balance, &pairs, 4));
+        }
+        assert_eq!(rebuilt, ledger);
+        // A repeated or lower id is refused and changes nothing.
+        assert!(!rebuilt.push_decoded(9, 0.0, &[], 4));
+        assert!(!rebuilt.push_decoded(4, 0.0, &[], 4));
+        assert_eq!(rebuilt, ledger);
+    }
+
+    #[test]
+    fn slots_are_reused_and_windows_outgrow_their_rings() {
+        let mut ledger = CreditLedger::new();
+        for id in [5, 1, 3] {
+            ledger.admit(id);
+        }
+        ledger.settle(3);
+        ledger.admit(2);
+        assert_eq!(ledger.balances.len(), 3, "the settled slot is reused");
+        assert_eq!(
+            ledger.iter().map(|(id, _)| id).collect::<Vec<_>>(),
+            [1, 2, 5]
+        );
+        // Windows longer than the first ring force a re-layout that keeps
+        // every pair in order.
+        for epoch in 0..40 {
+            let e = f64::from(epoch);
+            ledger.accrue(&measured(&[(1, e, 1.0), (2, e, 2.0), (5, e, 3.0)]), 40);
+        }
+        let window: Vec<(f64, f64)> = ledger.entry(2).unwrap().window.iter().collect();
+        assert_eq!(
+            window,
+            (0..40).map(|e| (f64::from(e), 2.0)).collect::<Vec<_>>()
+        );
+        // A shorter bound trims only the windows it advances.
+        ledger.accrue(&measured(&[(1, 40.0, 1.0)]), 3);
+        assert_eq!(ledger.entry(1).unwrap().window.len(), 3);
+        assert_eq!(ledger.entry(5).unwrap().window.len(), 40);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::audit::Auditor;
 use crate::digest::StateHasher;
 use crate::engine::{Fingerprint, MarketConfig, MechanismKind};
 use crate::error::{MarketError, Result};
-use crate::ledger::{CreditLedger, LedgerEntry};
+use crate::ledger::CreditLedger;
 use crate::metrics::MarketMetrics;
 use crate::warm::WarmStartCache;
 
@@ -257,15 +257,14 @@ impl<'a, A: ExactSizeIterator<Item = AgentView<'a>>> StateView<'a, A> {
             s.line("warm-t").f64(warm_t);
         }
 
-        let entries = self.ledger.parts();
-        s.line("ledger").int(entries.len() as u64);
-        for (id, entry) in entries {
+        s.line("ledger").int(self.ledger.len() as u64);
+        for (id, entry) in self.ledger.iter() {
             s.line("l").int(id);
             s.f64(entry.balance);
             s.int(entry.window.len() as u64);
-            for (delivered, entitled) in &entry.window {
-                s.f64(*delivered);
-                s.f64(*entitled);
+            for (delivered, entitled) in entry.window.iter() {
+                s.f64(delivered);
+                s.f64(entitled);
             }
         }
 
@@ -569,26 +568,39 @@ impl MarketSnapshot {
             WarmStartCache::from_parts(bundles, aux, barrier_t)
         };
 
-        let entries = (0..lines.tagged_u64("ledger")?)
-            .map(|_| {
-                let line = lines.tagged("l")?;
-                let mut toks = line.split_whitespace();
-                let id: AgentId = next_token(&mut toks, "ledger entry", line)?;
-                let balance = parse_f64(toks.next().unwrap_or_default())?;
-                let window_len: usize = next_token(&mut toks, "ledger entry", line)?;
-                let pairs = toks.map(parse_f64).collect::<Result<Vec<_>>>()?;
-                if pairs.len() != 2 * window_len {
-                    return Err(bad(format!(
-                        "ledger entry for agent {id}: expected {window_len} \
-                         window pairs, got {} values",
-                        pairs.len()
-                    )));
-                }
-                let window = pairs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-                Ok((id, LedgerEntry { balance, window }))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let ledger = CreditLedger::from_parts(entries);
+        let mut ledger = CreditLedger::new();
+        let mut pairs = Vec::new();
+        for _ in 0..lines.tagged_u64("ledger")? {
+            let line = lines.tagged("l")?;
+            let mut toks = line.split_whitespace();
+            let id: AgentId = next_token(&mut toks, "ledger entry", line)?;
+            let balance = parse_f64(toks.next().unwrap_or_default())?;
+            let window_len: u64 = next_token(&mut toks, "ledger entry", line)?;
+            pairs.clear();
+            for tok in toks {
+                pairs.push(parse_f64(tok)?);
+            }
+            let entry = |what: String| Err(bad(format!("ledger entry for agent {id}: {what}")));
+            if !balance.is_finite() {
+                return entry(format!("balance {balance} is not finite"));
+            }
+            if window_len > config.temporal_window {
+                return entry(format!(
+                    "a window of {window_len} exceeds the temporal window of {}",
+                    config.temporal_window
+                ));
+            }
+            if pairs.len() % 2 != 0 || (pairs.len() / 2) as u64 != window_len {
+                return entry(format!(
+                    "expected {window_len} window pairs, got {} values",
+                    pairs.len()
+                ));
+            }
+            let limit = usize::try_from(config.temporal_window).unwrap_or(usize::MAX);
+            if !ledger.push_decoded(id, balance, &pairs, limit) {
+                return entry("ids must be strictly ascending".to_string());
+            }
+        }
 
         let mut agents = Vec::new();
         for _ in 0..lines.tagged_u64("agents")? {
@@ -777,6 +789,8 @@ impl<'a> Reader<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::iter;
+
     use super::*;
     use crate::engine::MarketEngine;
     use crate::events::MarketEvent;
@@ -1074,6 +1088,127 @@ mod tests {
         // A document cut inside an agent's estimator.
         let cut = lines.iter().rposition(|l| l.starts_with("r2 ")).unwrap();
         refused("cut estimator", lines[..cut].join("\n"));
+    }
+
+    /// The busy market's document with its ledger section replaced by
+    /// `entries`, each the tokens of an `l` line after its tag.
+    fn with_ledger(entries: &[String]) -> String {
+        let good = busy_market().snapshot().encode();
+        let lines: Vec<&str> = good.lines().collect();
+        let start = lines.iter().position(|l| l.starts_with("ledger ")).unwrap();
+        let end = lines.iter().position(|l| l.starts_with("agents ")).unwrap();
+        let ledger = iter::once(format!("ledger {}", entries.len()))
+            .chain(entries.iter().map(|e| format!("l {e}")));
+        let doc: Vec<String> = lines[..start]
+            .iter()
+            .map(|l| l.to_string())
+            .chain(ledger)
+            .chain(lines[end..].iter().map(|l| l.to_string()))
+            .collect();
+        doc.join("\n")
+    }
+
+    /// An `l` line's tokens: `id`, `balance` and `window` pairs.
+    fn entry(id: AgentId, balance: f64, window: usize) -> String {
+        let pair = format!(" {:016x} {:016x}", 0.5_f64.to_bits(), 1.0_f64.to_bits());
+        format!(
+            "{id} {:016x} {window}{}",
+            balance.to_bits(),
+            pair.repeat(window)
+        )
+    }
+
+    fn refused(what: &str, doc: &str) -> String {
+        match MarketSnapshot::decode(doc) {
+            Err(MarketError::Snapshot(msg)) => msg,
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ledger_entries_rebuild_the_engines_ledger() {
+        let snap = busy_market().snapshot();
+        let entries: Vec<String> = (1..=3).map(|id| entry(id, 0.25, 16)).collect();
+        let decoded = MarketSnapshot::decode(&with_ledger(&entries)).unwrap();
+        assert_eq!(decoded.ledger.len(), 3);
+        assert_eq!(decoded.ledger.entry(2).unwrap().window.len(), 16);
+        let restored = MarketEngine::restore(&decoded).unwrap();
+        assert_eq!(restored.ledger(), &decoded.ledger);
+        assert_eq!(
+            MarketSnapshot::decode(&snap.encode()).unwrap().ledger,
+            snap.ledger
+        );
+    }
+
+    #[test]
+    fn decode_refuses_an_overflowing_window_length() {
+        let huge = format!("1 {:016x} 9223372036854775808", 0.0_f64.to_bits());
+        let msg = refused(
+            "2^63 window pairs",
+            &with_ledger(std::slice::from_ref(&huge)),
+        );
+        assert!(msg.contains("agent 1"), "{msg}");
+        // With a temporal window as large, the pair count still refuses
+        // it, with no doubling to overflow.
+        let doc = with_ledger(&[huge]).replace(
+            "temporal-window 16",
+            &format!("temporal-window {}", u64::MAX),
+        );
+        let msg = refused("2^63 window pairs under a 2^64 window", &doc);
+        assert!(msg.contains("window pairs"), "{msg}");
+        let odd = format!("{} {:016x}", entry(1, 0.0, 1), 0.5_f64.to_bits());
+        refused("an odd value count", &with_ledger(&[odd]));
+    }
+
+    #[test]
+    fn decode_refuses_repeated_or_unordered_ledger_ids() {
+        let repeated = [entry(1, 0.25, 2), entry(1, -0.25, 2)];
+        let msg = refused("a repeated id", &with_ledger(&repeated));
+        assert!(msg.contains("strictly ascending"), "{msg}");
+        let repeated_nan = [entry(1, 0.25, 2), entry(1, f64::NAN, 2)];
+        refused(
+            "a repeated id with a NaN balance",
+            &with_ledger(&repeated_nan),
+        );
+        let unordered = [entry(2, 0.0, 0), entry(1, 0.0, 0)];
+        refused("descending ids", &with_ledger(&unordered));
+    }
+
+    #[test]
+    fn decode_refuses_a_non_finite_ledger_balance() {
+        for balance in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let msg = refused(
+                "a non-finite balance",
+                &with_ledger(&[entry(2, balance, 1)]),
+            );
+            assert!(msg.contains("not finite"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn decode_refuses_a_window_longer_than_the_temporal_window() {
+        let msg = refused("17 pairs under 16", &with_ledger(&[entry(1, 0.0, 17)]));
+        assert!(msg.contains("exceeds the temporal window of 16"), "{msg}");
+        assert!(MarketSnapshot::decode(&with_ledger(&[entry(1, 0.0, 16)])).is_ok());
+    }
+
+    #[test]
+    fn restore_refuses_a_ledger_entry_without_an_agent() {
+        // Agent 7 is not in the market; its full window would otherwise
+        // be audited every epoch, and its entry would never settle.
+        let entries = [entry(1, 0.0, 16), entry(7, 0.0, 16)];
+        let decoded = MarketSnapshot::decode(&with_ledger(&entries)).unwrap();
+        match MarketEngine::restore(&decoded) {
+            Err(MarketError::Snapshot(msg)) => assert!(msg.contains("agent 7"), "{msg}"),
+            other => panic!("a ghost entry restored: {:?}", other.map(|m| m.epoch())),
+        }
+        // A hand-built snapshot is held to the same rule.
+        let mut snap = busy_market().snapshot();
+        snap.ledger.admit(99);
+        assert!(matches!(
+            MarketEngine::restore(&snap),
+            Err(MarketError::Snapshot(_))
+        ));
     }
 
     #[test]

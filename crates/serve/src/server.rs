@@ -1103,11 +1103,14 @@ fn acceptor_loop(
                 // poisoned connection dies alone.
                 let _slot = ConnectionSlot(Arc::clone(&router));
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    reader_loop(stream, &router, &config);
+                    reader_loop(&stream, &router, &config);
                 }));
                 if outcome.is_err() {
                     ServeMetrics::bump(&router.metrics().reader_panics);
                 }
+                // The socket closes only here, after the count: a client
+                // that sees its connection die finds the panic counted.
+                drop(stream);
             })
             .expect("spawn reader");
         readers
@@ -1128,7 +1131,7 @@ impl Drop for ConnectionSlot {
     }
 }
 
-fn reader_loop(stream: TcpStream, router: &Arc<Router>, config: &ServeConfig) {
+fn reader_loop(stream: &TcpStream, router: &Arc<Router>, config: &ServeConfig) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let Ok(mut writer) = stream.try_clone() else {

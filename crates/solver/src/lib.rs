@@ -79,4 +79,4 @@ pub use cholesky::Cholesky;
 pub use error::{Result, SolverError};
 pub use matrix::Matrix;
 pub use qr::Qr;
-pub use update::{UpdatableFit, UpdatableLstsq};
+pub use update::{FitQuality, UpdatableFit, UpdatableLstsq};

@@ -36,13 +36,24 @@ use crate::error::{Result, SolverError};
 use crate::tol;
 use crate::vec_ops;
 
+/// What a solve reports besides the coefficients; see
+/// [`UpdatableLstsq::solve_into`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FitQuality {
+    /// Coefficient of determination, with the same zero-variance
+    /// conventions as [`crate::lstsq::Fit::r_squared`].
+    pub r_squared: f64,
+    /// Residual sum of squares `||y - X b||^2`.
+    pub residual_sum_of_squares: f64,
+    /// Total sum of squares `sum (y_i - mean(y))^2`.
+    pub total_sum_of_squares: f64,
+}
+
 /// Result of solving an [`UpdatableLstsq`] at its current window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdatableFit {
     coefficients: Vec<f64>,
-    r_squared: f64,
-    residual_sum_of_squares: f64,
-    total_sum_of_squares: f64,
+    quality: FitQuality,
 }
 
 impl UpdatableFit {
@@ -54,19 +65,23 @@ impl UpdatableFit {
     /// Coefficient of determination, with the same zero-variance
     /// conventions as [`crate::lstsq::Fit::r_squared`].
     pub fn r_squared(&self) -> f64 {
-        self.r_squared
+        self.quality.r_squared
     }
 
     /// Residual sum of squares `||y - X b||^2`.
     pub fn residual_sum_of_squares(&self) -> f64 {
-        self.residual_sum_of_squares
+        self.quality.residual_sum_of_squares
     }
 
     /// Total sum of squares `sum (y_i - mean(y))^2`.
     pub fn total_sum_of_squares(&self) -> f64 {
-        self.total_sum_of_squares
+        self.quality.total_sum_of_squares
     }
 }
+
+/// Triangle sides up to which a row's scratch lives on the stack: designs
+/// of up to seven columns, a market of up to six resources.
+const STACK_SIDE: usize = 8;
 
 /// Least-squares state supporting `O(k^2)` row append and downdate.
 ///
@@ -92,9 +107,6 @@ pub struct UpdatableLstsq {
     m: usize,
     sum_y: f64,
     sum_yy: f64,
-    /// Scratch for the row being rotated in or out; it holds nothing
-    /// between calls, so equality and the exported parts leave it out.
-    z: Vec<f64>,
 }
 
 impl UpdatableLstsq {
@@ -113,7 +125,6 @@ impl UpdatableLstsq {
             m: 0,
             sum_y: 0.0,
             sum_yy: 0.0,
-            z: vec![0.0; p],
         }
     }
 
@@ -201,10 +212,12 @@ impl UpdatableLstsq {
     /// [`SolverError::NonFinite`] for non-finite values (the triangle is
     /// left untouched in both cases).
     pub fn append(&mut self, row: &[f64], y: f64) -> Result<()> {
-        self.load_row(row, y)?;
+        let (mut stack, mut heap) = ([0.0; STACK_SIDE], Vec::new());
+        let z = vec_ops::scratch(&mut stack, &mut heap, self.p);
+        self.load_row(row, y, z)?;
         let p = self.p;
         for i in 0..p {
-            let b = self.z[i];
+            let b = z[i];
             if b == 0.0 {
                 continue;
             }
@@ -214,9 +227,9 @@ impl UpdatableLstsq {
             self.t[i * p + i] = r;
             for j in i + 1..p {
                 let tij = self.t[i * p + j];
-                let zj = self.z[j];
+                let zj = z[j];
                 self.t[i * p + j] = c * tij + s * zj;
-                self.z[j] = c * zj - s * tij;
+                z[j] = c * zj - s * tij;
             }
         }
         self.m += 1;
@@ -239,8 +252,10 @@ impl UpdatableLstsq {
     /// [`tol::DOWNDATE_TOL`]) — the caller should refactorize from its
     /// retained rows instead. On any error the triangle is unchanged.
     pub fn downdate(&mut self, row: &[f64], y: f64) -> Result<()> {
-        self.load_row(row, y)?;
         let p = self.p;
+        let (mut z_stack, mut z_heap) = ([0.0; STACK_SIDE], Vec::new());
+        let z = vec_ops::scratch(&mut z_stack, &mut z_heap, p);
+        self.load_row(row, y, z)?;
         if self.m == 0 {
             return Err(SolverError::InvalidArgument(
                 "cannot downdate an empty window".to_string(),
@@ -250,17 +265,17 @@ impl UpdatableLstsq {
         let diag_scale = (0..p).fold(0.0_f64, |acc, i| acc.max(self.t[i * p + i].abs()));
         let threshold = tol::rank_threshold(diag_scale);
         for i in 0..p {
-            let mut s = self.z[i];
+            let mut s = z[i];
             for j in 0..i {
-                s -= self.t[j * p + i] * self.z[j];
+                s -= self.t[j * p + i] * z[j];
             }
             let d = self.t[i * p + i];
             if d.abs() <= threshold {
                 return Err(SolverError::RankDeficient);
             }
-            self.z[i] = s / d;
+            z[i] = s / d;
         }
-        let norm_sq = vec_ops::dot(&self.z, &self.z);
+        let norm_sq = vec_ops::dot(z, z);
         let alpha_sq = 1.0 - norm_sq;
         if alpha_sq <= tol::DOWNDATE_TOL {
             return Err(SolverError::RankDeficient);
@@ -268,12 +283,14 @@ impl UpdatableLstsq {
         // Build the rotation sequence bottom-up, then sweep it through every
         // column top-down; `xx` reconstructs the removed row as it goes.
         let mut alpha = alpha_sq.sqrt();
-        let mut c = vec![0.0; p];
-        let mut s = vec![0.0; p];
+        let (mut c_stack, mut c_heap) = ([0.0; STACK_SIDE], Vec::new());
+        let c = vec_ops::scratch(&mut c_stack, &mut c_heap, p);
+        let (mut s_stack, mut s_heap) = ([0.0; STACK_SIDE], Vec::new());
+        let s = vec_ops::scratch(&mut s_stack, &mut s_heap, p);
         for i in (0..p).rev() {
-            let scale = alpha + self.z[i].abs();
+            let scale = alpha + z[i].abs();
             let aa = alpha / scale;
-            let bb = self.z[i] / scale;
+            let bb = z[i] / scale;
             let norm = (aa * aa + bb * bb).sqrt();
             c[i] = aa / norm;
             s[i] = bb / norm;
@@ -298,15 +315,39 @@ impl UpdatableLstsq {
     ///
     /// # Errors
     ///
-    /// Returns [`SolverError::RankDeficient`] when the leading `k x k`
-    /// block of the triangle has a numerically zero diagonal — the same
-    /// relative test ([`tol::rank_threshold`]) the batch QR path applies,
-    /// which an underdetermined window (`rows() < k`) always fails.
+    /// As [`solve_into`](UpdatableLstsq::solve_into).
     pub fn solve(&self) -> Result<UpdatableFit> {
+        let mut coefficients = vec![0.0; self.k];
+        let quality = self.solve_into(&mut coefficients)?;
+        Ok(UpdatableFit {
+            coefficients,
+            quality,
+        })
+    }
+
+    /// Solves the least-squares problem over the current window into
+    /// `coefficients`, one per design column, and returns the fit's
+    /// quality: [`solve`](UpdatableLstsq::solve) without the allocation.
+    /// On error `coefficients` holds no meaningful values.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::ShapeMismatch`] unless `coefficients` has
+    /// one entry per design column, and [`SolverError::RankDeficient`]
+    /// when the leading `k x k` block of the triangle has a numerically
+    /// zero diagonal — the same relative test ([`tol::rank_threshold`])
+    /// the batch QR path applies, which an underdetermined window
+    /// (`rows() < k`) always fails.
+    pub fn solve_into(&self, coefficients: &mut [f64]) -> Result<FitQuality> {
         let (k, p) = (self.k, self.p);
+        if coefficients.len() != k {
+            return Err(SolverError::ShapeMismatch(format!(
+                "{} coefficient slots for a design of {k} columns",
+                coefficients.len()
+            )));
+        }
         let scale = (0..k).fold(0.0_f64, |acc, i| acc.max(self.t[i * p + i].abs()));
         let threshold = tol::rank_threshold(scale);
-        let mut coefficients = vec![0.0; k];
         for i in (0..k).rev() {
             let rii = self.t[i * p + i];
             if rii.abs() <= threshold {
@@ -332,16 +373,15 @@ impl UpdatableLstsq {
         } else {
             0.0
         };
-        Ok(UpdatableFit {
-            coefficients,
+        Ok(FitQuality {
             r_squared,
             residual_sum_of_squares,
             total_sum_of_squares,
         })
     }
 
-    /// Validates `(row, y)` and stages it into the rotation scratch.
-    fn load_row(&mut self, row: &[f64], y: f64) -> Result<()> {
+    /// Validates `(row, y)` and stages it into the rotation scratch `z`.
+    fn load_row(&self, row: &[f64], y: f64, z: &mut [f64]) -> Result<()> {
         if row.len() != self.k {
             return Err(SolverError::ShapeMismatch(format!(
                 "observation has {} covariates, design has {}",
@@ -354,8 +394,8 @@ impl UpdatableLstsq {
                 "incremental least-squares observation".to_string(),
             ));
         }
-        self.z[..self.k].copy_from_slice(row);
-        self.z[self.k] = y;
+        z[..self.k].copy_from_slice(row);
+        z[self.k] = y;
         Ok(())
     }
 }
@@ -573,6 +613,46 @@ mod tests {
                 Err(SolverError::NonFinite(_))
             ));
         }
+    }
+
+    #[test]
+    fn wide_designs_take_the_heap_scratch_and_solve_into_matches_solve() {
+        // Ten columns: past the stack scratch, so append, downdate and the
+        // rotation sequence all run on heap buffers.
+        let k = 10;
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                (0..k)
+                    .map(|j| match j {
+                        0 => 1.0,
+                        _ => f64::sin((0.37 + 0.29 * j as f64) * i as f64 + j as f64),
+                    })
+                    .collect()
+            })
+            .collect();
+        let y: Vec<f64> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| r.iter().sum::<f64>() + 0.01 * f64::cos(i as f64))
+            .collect();
+        let mut inc = UpdatableLstsq::new(k);
+        for (r, &yi) in rows.iter().zip(&y) {
+            inc.append(r, yi).unwrap();
+        }
+        inc.downdate(&rows[0], y[0]).unwrap();
+        let fit = inc.solve().unwrap();
+        let reference = batch(&rows[1..], &y[1..]);
+        for (a, b) in fit.coefficients().iter().zip(reference.coefficients()) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+        let mut coefficients = vec![f64::NAN; k];
+        let quality = inc.solve_into(&mut coefficients).unwrap();
+        assert_eq!(coefficients, fit.coefficients());
+        assert_eq!(quality.r_squared.to_bits(), fit.r_squared().to_bits());
+        assert!(matches!(
+            inc.solve_into(&mut [0.0; 3]),
+            Err(SolverError::ShapeMismatch(_))
+        ));
     }
 
     #[test]

@@ -88,6 +88,28 @@ pub fn mean(a: &[f64]) -> f64 {
     }
 }
 
+/// `n` zeroed floats of scratch: the front of `stack` when it is long
+/// enough, otherwise `heap`, grown to `n`. A caller sizes `stack` for the
+/// designs it expects, so small ones never allocate.
+///
+/// # Examples
+///
+/// ```
+/// let (mut stack, mut heap) = ([0.0; 4], Vec::new());
+/// assert_eq!(ref_solver::vec_ops::scratch(&mut stack, &mut heap, 3).len(), 3);
+/// assert_eq!(ref_solver::vec_ops::scratch(&mut stack, &mut heap, 9).len(), 9);
+/// assert_eq!(heap.len(), 9);
+/// ```
+pub fn scratch<'a>(stack: &'a mut [f64], heap: &'a mut Vec<f64>, n: usize) -> &'a mut [f64] {
+    match stack.get_mut(..n) {
+        Some(front) => front,
+        None => {
+            heap.resize(n, 0.0);
+            &mut heap[..]
+        }
+    }
+}
+
 /// Whether every entry is finite.
 pub fn all_finite(a: &[f64]) -> bool {
     a.iter().all(|v| v.is_finite())
