@@ -23,6 +23,9 @@ pub enum MarketError {
     InvalidArgument(String),
     /// A snapshot could not be encoded or decoded.
     Snapshot(String),
+    /// Bytes are not an event record
+    /// ([`MarketEvent::read_record`](crate::events::MarketEvent::read_record)).
+    Record(String),
     /// An underlying core-library operation failed.
     Core(CoreError),
 }
@@ -39,6 +42,7 @@ impl fmt::Display for MarketError {
             ),
             MarketError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             MarketError::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
+            MarketError::Record(msg) => write!(f, "event record error: {msg}"),
             MarketError::Core(e) => write!(f, "core error: {e}"),
         }
     }

@@ -131,11 +131,13 @@ mod tests {
 
     use super::*;
 
-    /// A service without a WAL journals its events in memory, up to 2^20
-    /// of them, so the per-resource vectors `ref-core` stores inline must
-    /// not grow a `MarketEvent`: a four-wide inline buffer grew it from 48
-    /// to 64 bytes and `serve_mem`'s peak RSS by 9 %. The sizes are those
-    /// of the `Vec<f64>`-backed types on a 64-bit target.
+    /// The per-resource vectors `ref-core` stores inline must not grow a
+    /// `MarketEvent`, which every request carries from parse to apply and
+    /// the engine's queue holds by value. (The serving tier's journal keeps
+    /// compact records, not events; while it kept events, a four-wide
+    /// inline buffer grew one from 48 to 64 bytes and `serve_mem`'s peak
+    /// RSS by 9 %.) The sizes are those of the `Vec<f64>`-backed types on a
+    /// 64-bit target.
     #[test]
     fn inline_per_resource_vectors_do_not_grow_journalled_events() {
         assert_eq!(size_of::<Bundle>(), size_of::<Vec<f64>>());

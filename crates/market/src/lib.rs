@@ -31,7 +31,10 @@
 //!
 //! - [`events`] — the event API ([`MarketEvent`](events::MarketEvent)):
 //!   `AgentJoined`, `AgentLeft`, `DemandChanged`, `ObservationReported`,
-//!   `EpochTick`, processed in submission-order batches.
+//!   `EpochTick`, processed in submission-order batches; each event has a
+//!   compact binary record
+//!   ([`write_record`](events::MarketEvent::write_record) /
+//!   [`read_record`](events::MarketEvent::read_record)).
 //! - [`agent`] — per-agent state: an
 //!   [`OnlineEstimator`](ref_core::online::OnlineEstimator) plus the
 //!   agent's observation source (hidden ground truth, the cycle-level
@@ -97,6 +100,7 @@ pub mod error;
 pub mod events;
 pub mod ledger;
 pub mod metrics;
+mod record;
 pub mod snapshot;
 pub mod warm;
 

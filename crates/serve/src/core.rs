@@ -31,6 +31,11 @@ use crate::wal::{Wal, WalConfig};
 /// requests then fail loudly instead of returning a silently truncated
 /// history; with a WAL the cap is only a cache bound — `journal`
 /// requests fall back to reading the log from disk.
+///
+/// The journal keeps each event as its compact record, so the default
+/// cap of 2^20 events costs about 27 MiB on `serve_mem`'s mix (a
+/// two-resource observation is 27 bytes, a tick one), plus the column's
+/// growth slack; as `MarketEvent`s the same history took about 80 MiB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalLimit(pub usize);
 
@@ -40,12 +45,39 @@ impl Default for JournalLimit {
     }
 }
 
+/// The accepted-event journal as one byte column: each event's record
+/// ([`MarketEvent::write_record`]) end to end, and how many there are.
+#[derive(Debug, Default)]
+struct Journal {
+    bytes: Vec<u8>,
+    events: usize,
+}
+
+impl Journal {
+    fn push(&mut self, event: &MarketEvent) {
+        event.write_record(&mut self.bytes);
+        self.events += 1;
+    }
+
+    /// Every journaled event in order, decoded and passed through `each`.
+    fn decoded<T>(&self, mut each: impl FnMut(MarketEvent) -> T) -> MarketResult<Vec<T>> {
+        let mut out = Vec::with_capacity(self.events);
+        let mut rest = self.bytes.as_slice();
+        while !rest.is_empty() {
+            let (event, len) = MarketEvent::read_record(rest)?;
+            out.push(each(event));
+            rest = &rest[len..];
+        }
+        Ok(out)
+    }
+}
+
 /// The engine, its journal, the optional write-ahead log, and the last
 /// epoch's report.
 #[derive(Debug)]
 pub struct ServiceCore {
     engine: MarketEngine,
-    journal: Vec<MarketEvent>,
+    journal: Journal,
     journal_limit: usize,
     journal_overflowed: bool,
     last_report: Option<EpochReport>,
@@ -71,7 +103,7 @@ impl ServiceCore {
     pub fn new(config: MarketConfig, journal_limit: JournalLimit) -> MarketResult<ServiceCore> {
         Ok(ServiceCore {
             engine: MarketEngine::new(config)?,
-            journal: Vec::new(),
+            journal: Journal::default(),
             journal_limit: journal_limit.0,
             journal_overflowed: false,
             last_report: None,
@@ -166,11 +198,11 @@ impl ServiceCore {
         // Re-warm the in-memory journal cache when the log still holds
         // the complete history and it fits; otherwise the cache starts
         // overflowed and `journal` requests stream from the WAL.
-        let mut journal = Vec::new();
+        let mut journal = Journal::default();
         let mut journal_overflowed = true;
         if let Ok((0, events)) = wal.read_events() {
             if events.len() as u64 == events_applied && events.len() <= journal_limit.0 {
-                journal = events;
+                events.iter().for_each(|event| journal.push(event));
                 journal_overflowed = false;
             }
         }
@@ -254,10 +286,18 @@ impl ServiceCore {
         self.events_applied
     }
 
-    /// The accepted-event journal (empty once overflowed — check
-    /// [`ServiceCore::journal_overflowed`]).
-    pub fn journal(&self) -> &[MarketEvent] {
-        &self.journal
+    /// The accepted-event journal, decoded from its records (empty once
+    /// overflowed — check [`ServiceCore::journal_overflowed`]).
+    ///
+    /// # Panics
+    ///
+    /// If a record does not decode: only a utility that
+    /// [`CobbDouglas::new`](ref_core::utility::CobbDouglas::new) refuses
+    /// can do that, and the wire protocol builds none.
+    pub fn journal(&self) -> Vec<MarketEvent> {
+        self.journal
+            .decoded(|event| event)
+            .expect("the journal decodes the records it wrote")
     }
 
     /// Whether the journal hit its cap and stopped recording.
@@ -274,12 +314,12 @@ impl ServiceCore {
         if self.journal_overflowed {
             return;
         }
-        if self.journal.len() >= self.journal_limit {
+        if self.journal.events >= self.journal_limit {
             self.journal_overflowed = true;
-            self.journal = Vec::new();
+            self.journal = Journal::default();
             return;
         }
-        self.journal.push(event.clone());
+        self.journal.push(event);
     }
 
     /// Applies one event-bearing request to the engine, logging it
@@ -468,7 +508,7 @@ impl ServiceCore {
             wal.reset_to_checkpoint(seq, snapshot_text)?;
         }
         self.engine = engine;
-        self.journal = Vec::new();
+        self.journal = Journal::default();
         self.journal_overflowed = seq > 0;
         self.last_report = None;
         self.events_applied = seq;
@@ -563,10 +603,14 @@ impl ServiceCore {
             }
             Request::Journal => {
                 if !self.journal_overflowed {
-                    return ok_response(vec![(
-                        "events",
-                        Value::Arr(self.journal.iter().map(event_to_value).collect()),
-                    )]);
+                    return match self.journal.decoded(|event| event_to_value(&event)) {
+                        Ok(events) => ok_response(vec![("events", Value::Arr(events))]),
+                        Err(e) => error_response(
+                            "internal",
+                            Some(&format!("journal record unreadable: {e}")),
+                            None,
+                        ),
+                    };
                 }
                 // The in-memory cache overflowed; with a WAL that is not
                 // a correctness limit — stream the history from disk, as
@@ -763,7 +807,7 @@ pub enum ReplApply {
 /// past rejected events exactly as the live core does.
 ///
 /// The result is bit-identical to the engine that produced the journal:
-/// `replay(config, core.journal()).snapshot().encode() ==
+/// `replay(config, &core.journal()).snapshot().encode() ==
 /// core.final_snapshot()`.
 ///
 /// # Errors
@@ -812,7 +856,7 @@ mod tests {
         core.handle(&Request::Leave { agent: 99 }, &metrics); // unknown: rejected
         core.handle(&Request::Tick, &metrics);
 
-        let replayed = replay(config(), core.journal()).unwrap();
+        let replayed = replay(config(), &core.journal()).unwrap();
         assert_eq!(replayed.snapshot().encode(), core.final_snapshot());
         assert_eq!(metrics.snapshot().epochs, 13);
     }
@@ -1021,7 +1065,7 @@ mod tests {
         let mut primary = ServiceCore::new(config(), JournalLimit::default()).unwrap();
         history(&mut primary, &metrics);
         let mut standby = ServiceCore::new(config(), JournalLimit::default()).unwrap();
-        for (seq, event) in primary.journal().to_vec().into_iter().enumerate() {
+        for (seq, event) in primary.journal().into_iter().enumerate() {
             let applied = standby.apply_repl(seq as u64, event, &metrics);
             assert!(matches!(applied, ReplApply::Applied { .. }), "{applied:?}");
         }

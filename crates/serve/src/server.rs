@@ -897,7 +897,7 @@ impl Server {
                     Some(core) => ShardShutdown {
                         shard,
                         snapshot: core.final_snapshot(),
-                        journal: core.journal().to_vec(),
+                        journal: core.journal(),
                         journal_overflowed: core.journal_overflowed(),
                         metrics: shared.metrics.snapshot(),
                         market_metrics_json: core.engine().metrics().to_json(),

@@ -155,9 +155,10 @@ fn serve_mem_ops_allocate_a_stated_handful() {
     for (class, m) in CLASSES.iter().zip(&medians) {
         println!("{class}: parse {} handle {} encode {}", m[0], m[1], m[2]);
     }
-    // The bands `handle`'s median stays in, per class. Reading: 9, 16 and
-    // 90 (217 to 220 while a tick reply listed every agent and bundle);
-    // parse 10, 4 and 3; encode 3, 6 and 7.
+    // The bands `handle`'s median stays in, per class. Reading: 7, 16 and
+    // 87 to 92 (an observe was 8 while the journal kept a clone of each
+    // event, not its record; a tick 217 to 220 while its reply listed
+    // every agent and bundle); parse 10, 4 and 3; encode 3, 6 and 7.
     let bands = [(6, 12), (12, 20), (70, 110)];
     for ((class, m), (lo, hi)) in CLASSES.iter().zip(&medians).zip(bands) {
         assert!(
