@@ -29,23 +29,23 @@ use ref_core::utility::CobbDouglas;
 use ref_core::welfare::egalitarian_gap;
 
 /// Agents in the scripted market.
-pub const AGENTS: usize = 48;
+pub(crate) const AGENTS: usize = 48;
 
 /// Market sizes on the GP half of the epoch-scaling curve.
 pub const SCALING_AGENTS: [usize; 4] = [12, 48, 192, 384];
 
 /// Epochs in the script.
-pub const EPOCHS: usize = 16;
+pub(crate) const EPOCHS: usize = 16;
 
 /// The epoch at which every weight moves by 10%.
-pub const SHOCK_EPOCH: usize = 10;
+pub(crate) const SHOCK_EPOCH: usize = 10;
 
 /// Distinct elasticity levels the agents draw from.
 const LEVELS: u64 = 16;
 
 /// One epoch's problem: the reported utilities and the credit weights.
 #[derive(Debug, Clone)]
-pub struct DriftEpoch {
+pub(crate) struct DriftEpoch {
     /// One utility per agent.
     pub agents: Vec<CobbDouglas>,
     /// One credit weight per agent, in the ledger's `[0.4, 1.6]` band.
@@ -53,7 +53,7 @@ pub struct DriftEpoch {
 }
 
 /// Capacity of the scripted market.
-pub fn capacity() -> Capacity {
+pub(crate) fn capacity() -> Capacity {
     capacity_for(AGENTS)
 }
 
@@ -82,9 +82,9 @@ fn noise(epoch: usize, agent: usize) -> f64 {
 /// The script. Weights start spread over `[0.8, 1.2]`; every epoch each
 /// moves by up to 0.5% (what a settled ledger does: a steady 48-agent
 /// credit market moves its weights 0.2-0.5% rms per epoch); every fourth
-/// epoch one agent takes another elasticity level; at [`SHOCK_EPOCH`]
+/// epoch one agent takes another elasticity level; at `SHOCK_EPOCH`
 /// every weight moves by 10%, half of them up and half down.
-pub fn script() -> Vec<DriftEpoch> {
+pub(crate) fn script() -> Vec<DriftEpoch> {
     script_for(AGENTS, EPOCHS)
 }
 
@@ -123,7 +123,7 @@ fn script_for(agents: usize, count: usize) -> Vec<DriftEpoch> {
 /// The weighted-Nash optimum in closed form,
 /// `x_ir = C_r w_i a_ir / sum_j w_j a_jr`: the independent oracle for the
 /// weighted-Nash program, computed here without `ref-core`'s kernel.
-pub fn closed_form(epoch: &DriftEpoch, capacity: &Capacity) -> Vec<Vec<f64>> {
+pub(crate) fn closed_form(epoch: &DriftEpoch, capacity: &Capacity) -> Vec<Vec<f64>> {
     let resources = capacity.num_resources();
     let demand = |i: usize, r: usize| epoch.weights[i] * epoch.agents[i].elasticity(r);
     let totals: Vec<f64> = (0..resources)
@@ -277,7 +277,7 @@ pub fn run() -> DriftRun {
 }
 
 /// One point of the epoch-scaling curve: the script's first two epochs at
-/// a market size, for one credit GP (see [`solve_gp`]). The first epoch is
+/// a market size, for one credit GP (see `solve_gp`). The first epoch is
 /// solved
 /// cold on construction; what is measured is the second, cold and warm
 /// from the first's optimum — the step a credit market takes every tick.

@@ -8,7 +8,7 @@
 //! fair set.
 
 use crate::error::{CoreError, Result};
-use crate::resource::{Allocation, Bundle, Capacity};
+use crate::resource::Capacity;
 use crate::utility::{CobbDouglas, Utility};
 
 /// A point in the box, expressed as agent 1's holdings `(x, y)` of the two
@@ -80,20 +80,9 @@ impl EdgeworthBox {
         &self.u2
     }
 
-    /// The capacity (box dimensions).
-    pub fn capacity(&self) -> &Capacity {
-        &self.capacity
-    }
-
     /// Agent 2's bundle at a point (the complement of agent 1's).
     pub fn complement(&self, p: BoxPoint) -> (f64, f64) {
         (self.capacity.get(0) - p.x, self.capacity.get(1) - p.y)
-    }
-
-    /// Whether the point lies inside the box (both agents hold
-    /// non-negative quantities).
-    pub fn contains(&self, p: BoxPoint) -> bool {
-        p.x >= 0.0 && p.y >= 0.0 && p.x <= self.capacity.get(0) && p.y <= self.capacity.get(1)
     }
 
     /// Both agents' utilities at a point.
@@ -131,7 +120,7 @@ impl EdgeworthBox {
     /// Setting the two agents' marginal rates of substitution equal gives a
     /// closed form: with `k1 = a1/b1` and `k2 = a2/b2`,
     /// `y = k2 * Cy * x / (k1 * (Cx - x) + k2 * x)`.
-    pub fn contract_curve_y(&self, x: f64) -> Option<f64> {
+    pub(crate) fn contract_curve_y(&self, x: f64) -> Option<f64> {
         let (cx, cy) = (self.capacity.get(0), self.capacity.get(1));
         if !(x > 0.0 && x < cx) {
             return None;
@@ -194,48 +183,12 @@ impl EdgeworthBox {
             y: alloc.bundle(0).get(1),
         }
     }
-
-    /// Converts a box point into a two-agent [`Allocation`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidArgument`] if the point lies outside the
-    /// box.
-    pub fn to_allocation(&self, p: BoxPoint) -> Result<Allocation> {
-        if !self.contains(p) {
-            return Err(CoreError::InvalidArgument(format!(
-                "point ({}, {}) lies outside the box",
-                p.x, p.y
-            )));
-        }
-        let (x2, y2) = self.complement(p);
-        Allocation::new(
-            vec![Bundle::new(vec![p.x, p.y])?, Bundle::new(vec![x2, y2])?],
-            &self.capacity,
-        )
-    }
-
-    /// Samples an indifference curve of agent 1 through `p` (Fig. 3):
-    /// points `(x, y)` with `u1(x, y) = u1(p)`.
-    pub fn indifference_curve_1(&self, p: BoxPoint, n: usize) -> Vec<BoxPoint> {
-        let level = self.u1.value_slice(&[p.x, p.y]);
-        let cx = self.capacity.get(0);
-        (1..=n)
-            .filter_map(|i| {
-                let x = cx * i as f64 / (n + 1) as f64;
-                self.u1
-                    .indifference_y(level, x)
-                    .ok()
-                    .map(|y| BoxPoint { x, y })
-            })
-            .filter(|q| self.contains(*q))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resource::Bundle;
 
     fn paper_box() -> EdgeworthBox {
         EdgeworthBox::new(
@@ -321,27 +274,6 @@ mod tests {
         for p in &fair_si {
             assert!(eb.sharing_incentives(*p));
         }
-    }
-
-    #[test]
-    fn indifference_curve_stays_on_level() {
-        let eb = paper_box();
-        let p = BoxPoint { x: 6.0, y: 8.0 };
-        let level = eb.u1().value_slice(&[p.x, p.y]);
-        for q in eb.indifference_curve_1(p, 50) {
-            let v = eb.u1().value_slice(&[q.x, q.y]);
-            assert!((v - level).abs() < 1e-9 * level);
-        }
-    }
-
-    #[test]
-    fn to_allocation_round_trips() {
-        let eb = paper_box();
-        let p = BoxPoint { x: 18.0, y: 4.0 };
-        let alloc = eb.to_allocation(p).unwrap();
-        assert_eq!(alloc.bundle(0).as_slice(), &[18.0, 4.0]);
-        assert_eq!(alloc.bundle(1).as_slice(), &[6.0, 8.0]);
-        assert!(eb.to_allocation(BoxPoint { x: 25.0, y: 1.0 }).is_err());
     }
 
     #[test]

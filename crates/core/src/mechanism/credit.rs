@@ -54,16 +54,6 @@ pub enum CreditInner {
     EqualSlowdown,
 }
 
-impl CreditInner {
-    /// Stable lower-kebab-case label for wire formats.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CreditInner::MaxWelfare => "max-welfare",
-            CreditInner::EqualSlowdown => "equal-slowdown",
-        }
-    }
-}
-
 /// An inner mechanism tilted by per-agent credit weights.
 ///
 /// # Examples
@@ -118,16 +108,6 @@ impl CreditMechanism {
             )));
         }
         Ok(CreditMechanism { inner, weights })
-    }
-
-    /// The inner mechanism being tilted.
-    pub fn inner(&self) -> CreditInner {
-        self.inner
-    }
-
-    /// The per-agent weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
     }
 
     /// Raises each agent's utility to its weight: `u^w` is Cobb-Douglas
@@ -384,9 +364,7 @@ mod tests {
         let mw = CreditMechanism::new(CreditInner::MaxWelfare, vec![1.0]).unwrap();
         let es = CreditMechanism::new(CreditInner::EqualSlowdown, vec![1.0]).unwrap();
         assert_ne!(mw.name(), es.name());
-        assert_eq!(CreditInner::MaxWelfare.label(), "max-welfare");
-        assert_eq!(CreditInner::EqualSlowdown.label(), "equal-slowdown");
-        assert_eq!(mw.inner(), CreditInner::MaxWelfare);
-        assert_eq!(mw.weights(), &[1.0]);
+        assert_eq!(mw.inner, CreditInner::MaxWelfare);
+        assert_eq!(mw.weights, [1.0]);
     }
 }

@@ -59,11 +59,6 @@ impl EqualSlowdown {
     pub fn with_fairness() -> EqualSlowdown {
         EqualSlowdown { fairness: true }
     }
-
-    /// Whether fairness constraints are enforced.
-    pub fn fairness(&self) -> bool {
-        self.fairness
-    }
 }
 
 impl Mechanism for EqualSlowdown {
@@ -313,8 +308,8 @@ mod tests {
             EqualSlowdown::new().name(),
             EqualSlowdown::with_fairness().name()
         );
-        assert!(EqualSlowdown::with_fairness().fairness());
-        assert!(!EqualSlowdown::new().fairness());
+        assert!(EqualSlowdown::with_fairness().fairness);
+        assert!(!EqualSlowdown::new().fairness);
     }
 
     #[test]

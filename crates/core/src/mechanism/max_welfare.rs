@@ -79,11 +79,6 @@ impl MaxWelfare {
     pub fn without_fairness() -> MaxWelfare {
         MaxWelfare { fairness: false }
     }
-
-    /// Whether fairness constraints are enforced.
-    pub fn fairness(&self) -> bool {
-        self.fairness
-    }
 }
 
 /// Nash social welfare subject to capacity as a geometric program over the
@@ -568,7 +563,7 @@ mod tests {
             MaxWelfare::with_fairness().name(),
             MaxWelfare::without_fairness().name()
         );
-        assert!(MaxWelfare::with_fairness().fairness());
-        assert!(!MaxWelfare::without_fairness().fairness());
+        assert!(MaxWelfare::with_fairness().fairness);
+        assert!(!MaxWelfare::without_fairness().fairness);
     }
 }

@@ -278,12 +278,6 @@ impl OnlineEstimator {
         self.state.incremental_refits
     }
 
-    /// The sliding-window bound, if this estimator was built with
-    /// [`OnlineEstimator::with_window`].
-    pub fn window(&self) -> Option<usize> {
-        self.window.as_ref().map(|w| w.size)
-    }
-
     /// Goodness of fit of the latest refit, if any.
     pub fn r_squared(&self) -> Option<f64> {
         self.state.r_squared
@@ -601,7 +595,7 @@ mod tests {
         }
         assert!(est.refits() > 0);
         assert_eq!(est.incremental_refits(), est.refits());
-        assert_eq!(est.window(), None);
+        assert!(est.window.is_none());
     }
 
     #[test]
@@ -609,7 +603,7 @@ mod tests {
         assert!(OnlineEstimator::with_window(2, 3).is_err());
         assert!(OnlineEstimator::with_window(0, 9).is_err());
         let est = OnlineEstimator::with_window(2, 4).unwrap();
-        assert_eq!(est.window(), Some(4));
+        assert_eq!(est.window.map(|w| w.size), Some(4));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::resource::{Allocation, Bundle, Capacity};
 use crate::utility::{CobbDouglas, Utility};
 
 /// Relative tolerance used by [`FairnessReport::check`].
-pub const DEFAULT_TOLERANCE: f64 = 1e-6;
+pub(crate) const DEFAULT_TOLERANCE: f64 = 1e-6;
 
 /// A sharing-incentive violation: an agent that strictly prefers the equal
 /// division to its allocation.
@@ -70,7 +70,7 @@ impl FairnessReport {
         self.sharing_incentives() && self.envy_free() && self.pareto_efficient
     }
 
-    /// Checks an allocation with [`DEFAULT_TOLERANCE`].
+    /// Checks an allocation with `DEFAULT_TOLERANCE`.
     ///
     /// # Panics
     ///
@@ -431,7 +431,7 @@ impl fmt::Display for FairnessReport {
 /// substitution, over all resource pairs (the PE tangency condition,
 /// Eq. 10). Pairs with undefined MRS (zero elasticity or zero holdings)
 /// are skipped.
-pub fn max_mrs_mismatch(agents: &[CobbDouglas], allocation: &Allocation) -> f64 {
+pub(crate) fn max_mrs_mismatch(agents: &[CobbDouglas], allocation: &Allocation) -> f64 {
     let r_count = allocation.num_resources();
     let mut worst = 0.0_f64;
     for r in 0..r_count {

@@ -138,11 +138,6 @@ impl CobbDouglas {
         }
     }
 
-    /// Whether the elasticities sum to one within `tol`.
-    pub fn is_homogeneous_degree_one(&self, tol: f64) -> bool {
-        (self.elasticity_sum() - 1.0).abs() <= tol
-    }
-
     /// Marginal rate of substitution of resource `r` for resource `s` at
     /// `x` (Eq. 9): `(a_r / a_s) * (x_s / x_r)`.
     ///
@@ -262,7 +257,7 @@ mod tests {
     fn rescaling_normalizes() {
         let u = CobbDouglas::new(2.5, vec![0.3, 0.9]).unwrap();
         let r = u.rescaled();
-        assert!(r.is_homogeneous_degree_one(1e-12));
+        assert!((r.elasticity_sum() - 1.0).abs() <= 1e-12);
         assert_eq!(r.scale(), 1.0);
         assert!((r.elasticity(0) - 0.25).abs() < 1e-12);
         assert!((r.elasticity(1) - 0.75).abs() < 1e-12);

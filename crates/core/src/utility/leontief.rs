@@ -51,30 +51,6 @@ impl Leontief {
         }
         Ok(Leontief { demands })
     }
-
-    /// The demand vector.
-    pub fn demands(&self) -> &[f64] {
-        &self.demands
-    }
-
-    /// The dominant share of a bundle relative to capacities — the quantity
-    /// DRF equalizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions mismatch.
-    pub fn dominant_share(&self, x: &[f64], capacity: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.demands.len(), "bundle dimension mismatch");
-        assert_eq!(
-            capacity.len(),
-            self.demands.len(),
-            "capacity dimension mismatch"
-        );
-        x.iter()
-            .zip(capacity)
-            .map(|(xi, ci)| xi / ci)
-            .fold(0.0_f64, f64::max)
-    }
 }
 
 impl Utility for Leontief {
@@ -121,15 +97,6 @@ mod tests {
         let a = Bundle::new(vec![2.0, 2.0]).unwrap();
         let b = Bundle::new(vec![1.0, 5.0]).unwrap();
         assert!(u.prefers(&a, &b));
-    }
-
-    #[test]
-    fn dominant_share_is_max_normalized() {
-        let u = Leontief::new(vec![1.0, 1.0]).unwrap();
-        let s = u.dominant_share(&[6.0, 3.0], &[24.0, 12.0]);
-        assert!((s - 0.25).abs() < 1e-12);
-        let s = u.dominant_share(&[12.0, 3.0], &[24.0, 12.0]);
-        assert!((s - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -35,10 +35,10 @@ impl Draws {
 #[allow(dead_code)]
 mod reference {
     #[derive(Debug)]
-    pub struct Bundle(pub Vec<f64>);
+    pub(crate) struct Bundle(pub Vec<f64>);
 
     #[derive(Debug)]
-    pub struct CobbDouglas {
+    pub(crate) struct CobbDouglas {
         pub scale: f64,
         pub elasticities: Vec<f64>,
     }

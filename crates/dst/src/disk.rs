@@ -25,7 +25,7 @@ use ref_serve::{Storage, StorageFile};
 
 /// The shared in-memory filesystem. Cloning shares the contents.
 #[derive(Debug, Clone, Default)]
-pub struct SimDisk {
+pub(crate) struct SimDisk {
     inner: Arc<Mutex<DiskInner>>,
 }
 
@@ -51,21 +51,21 @@ fn not_found(path: &Path) -> io::Error {
 
 impl SimDisk {
     /// An empty disk.
-    pub fn new() -> SimDisk {
+    pub(crate) fn new() -> SimDisk {
         SimDisk::default()
     }
 
     /// Arms a torn write: the next `write_all` through any handle keeps
     /// only its first `keep` bytes and errors, and the follow-up
     /// self-heal `set_len` errors once as well.
-    pub fn arm_torn_write(&self, keep: usize) {
+    pub(crate) fn arm_torn_write(&self, keep: usize) {
         let mut inner = self.inner.lock().expect("disk lock poisoned");
         inner.torn_keep = Some(keep);
         inner.torn_block_heal = true;
     }
 
     /// Makes the next `n` `sync_data` calls fail.
-    pub fn fail_next_syncs(&self, n: u32) {
+    pub(crate) fn fail_next_syncs(&self, n: u32) {
         self.inner.lock().expect("disk lock poisoned").fail_syncs = n;
     }
 
@@ -73,7 +73,7 @@ impl SimDisk {
     /// newer checkpoint covers it (so recovery is untouched and only a
     /// scrub can notice). Returns the damaged path, or `None` when no
     /// covered checkpoint exists yet.
-    pub fn flip_bit_in_covered_checkpoint(&self, dir: &Path) -> Option<PathBuf> {
+    pub(crate) fn flip_bit_in_covered_checkpoint(&self, dir: &Path) -> Option<PathBuf> {
         let mut inner = self.inner.lock().expect("disk lock poisoned");
         let checkpoints: Vec<PathBuf> = inner
             .files
@@ -109,7 +109,7 @@ impl SimDisk {
     /// An independent copy of this disk, armed faults included: what a
     /// boot would find if the node crashed now, without touching the
     /// node's own disk.
-    pub fn fork(&self) -> SimDisk {
+    pub(crate) fn fork(&self) -> SimDisk {
         let copy = self.inner.lock().expect("disk lock poisoned").clone();
         SimDisk {
             inner: Arc::new(Mutex::new(copy)),
@@ -119,7 +119,7 @@ impl SimDisk {
 
 /// An open append-only handle into a [`SimDisk`] file.
 #[derive(Debug)]
-pub struct SimFile {
+pub(crate) struct SimFile {
     inner: Arc<Mutex<DiskInner>>,
     path: PathBuf,
 }

@@ -2,15 +2,15 @@
 //!
 //! A FoundationDB-style, single-threaded, virtual-time fault simulator
 //! that hosts the *whole* fleet in-process: two sharded [`ServiceCore`]s
-//! with real WALs behind an in-memory [`SimDisk`], a primary and standby
+//! with real WALs behind an in-memory `SimDisk`, a primary and standby
 //! per shard whose replication, election and fencing decisions are made
 //! by the server's own [`ReplCore`], and whose catch-up, `snap`
 //! bootstrap and apply verdicts by its own replication `Session`, over a
-//! [`SimNet`] that delays,
+//! `SimNet` that delays,
 //! drops, duplicates, partitions, and heals, a router whose health
 //! tracking, quorum gate and reallotment are the server's own
 //! [`RouterCore`], and scripted clients — all driven by one seeded
-//! schedule on a [`SimClock`] that only moves when the event loop says
+//! schedule on a `SimClock` that only moves when the event loop says
 //! so. The node rules ride on the same two machines: the router's clock
 //! fans the ticks and sweeps for probes and restarts, a panic notice
 //! decides restart or failover, and each node's heartbeats, re-dials and
@@ -32,14 +32,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod disk;
-pub mod fleet;
-pub mod net;
-pub mod schedule;
-pub mod sim;
+mod disk;
+mod fleet;
+mod net;
+mod schedule;
+mod sim;
 
-pub use disk::SimDisk;
 pub use fleet::{run_seed, BreakKind, RunOutcome, SimOptions};
-pub use net::{Packet, SimNet};
-pub use schedule::{generate, Schedule};
-pub use sim::{mix64, SimClock, SimRng, Trace};
+pub use sim::mix64;

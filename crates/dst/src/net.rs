@@ -19,7 +19,7 @@ use crate::sim::SimRng;
 
 /// One frame in flight between two nodes.
 #[derive(Debug, Clone)]
-pub struct Packet {
+pub(crate) struct Packet {
     /// Sending node id.
     pub from: usize,
     /// Receiving node id.
@@ -30,7 +30,7 @@ pub struct Packet {
 
 /// The simulated network (see the module docs).
 #[derive(Debug)]
-pub struct SimNet {
+pub(crate) struct SimNet {
     queue: BTreeMap<(u64, u64), Packet>,
     seq: u64,
     /// Per-link FIFO floor: nanosecond delivery time of the last frame
@@ -55,7 +55,7 @@ pub struct SimNet {
 
 impl SimNet {
     /// A network with the given base delay/jitter and loss/dup rates.
-    pub fn new(base_delay: Duration, jitter: Duration, drop_p: f64, dup_p: f64) -> SimNet {
+    pub(crate) fn new(base_delay: Duration, jitter: Duration, drop_p: f64, dup_p: f64) -> SimNet {
         SimNet {
             queue: BTreeMap::new(),
             seq: 0,
@@ -71,32 +71,32 @@ impl SimNet {
     }
 
     /// Whether the directional link `from → to` is cut at `now`.
-    pub fn is_cut(&self, from: usize, to: usize, now: Duration) -> bool {
+    pub(crate) fn is_cut(&self, from: usize, to: usize, now: Duration) -> bool {
         self.cuts
             .get(&(from, to))
             .is_some_and(|until| *until > now.as_nanos() as u64)
     }
 
     /// Cuts the directional link until `until` (`None` = until healed).
-    pub fn cut(&mut self, from: usize, to: usize, until: Option<Duration>) {
+    pub(crate) fn cut(&mut self, from: usize, to: usize, until: Option<Duration>) {
         let until = until.map_or(u64::MAX, |d| d.as_nanos() as u64);
         self.cuts.insert((from, to), until);
     }
 
     /// Reopens the directional link.
-    pub fn heal(&mut self, from: usize, to: usize) {
+    pub(crate) fn heal(&mut self, from: usize, to: usize) {
         self.cuts.remove(&(from, to));
     }
 
     /// Reopens every link.
-    pub fn heal_all(&mut self) {
+    pub(crate) fn heal_all(&mut self) {
         self.cuts.clear();
     }
 
     /// Sends `frame` from `from` to `to` at virtual time `now`. Returns
     /// `true` if at least one delivery was scheduled (frames on a cut
     /// link or lost to `drop_p` vanish without a trace at the receiver).
-    pub fn send(
+    pub(crate) fn send(
         &mut self,
         now: Duration,
         from: usize,
@@ -145,7 +145,13 @@ impl SimNet {
     /// Models signals the transport itself guarantees — a TCP connection
     /// close (EOF) is reliably observed by the peer unless the link is
     /// partitioned, unlike an individual datagram which `send` may drop.
-    pub fn send_reliable(&mut self, now: Duration, from: usize, to: usize, frame: Vec<u8>) -> bool {
+    pub(crate) fn send_reliable(
+        &mut self,
+        now: Duration,
+        from: usize,
+        to: usize,
+        frame: Vec<u8>,
+    ) -> bool {
         if self.is_cut(from, to, now) {
             self.dropped += 1;
             return false;
@@ -162,7 +168,7 @@ impl SimNet {
 
     /// Removes and returns every packet due at or before `now`, in
     /// deterministic `(time, send order)` order.
-    pub fn pop_due(&mut self, now: Duration) -> Vec<Packet> {
+    pub(crate) fn pop_due(&mut self, now: Duration) -> Vec<Packet> {
         let cutoff = now.as_nanos() as u64;
         let later = self.queue.split_off(&(cutoff + 1, 0));
         std::mem::replace(&mut self.queue, later)
@@ -171,7 +177,7 @@ impl SimNet {
     }
 
     /// Number of frames still in flight.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.queue.len()
     }
 }

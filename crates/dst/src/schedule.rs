@@ -17,18 +17,18 @@ use std::time::Duration;
 use crate::sim::SimRng;
 
 /// Number of shards in the simulated fleet.
-pub const SHARDS: usize = 2;
+pub(crate) const SHARDS: usize = 2;
 /// Replicas per shard (primary + standby).
-pub const REPLICAS: usize = 2;
+pub(crate) const REPLICAS: usize = 2;
 /// Total simulated nodes.
-pub const NODES: usize = SHARDS * REPLICAS;
+pub(crate) const NODES: usize = SHARDS * REPLICAS;
 /// The router's timed-epoch cadence: one fleet coordination tick every
 /// interval.
-pub const TICK_EVERY: Duration = Duration::from_millis(20);
+pub(crate) const TICK_EVERY: Duration = Duration::from_millis(20);
 
 /// A scripted client-side operation.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ClientOp {
+pub(crate) enum ClientOp {
     /// Admit agent `agent` with a ground-truth Cobb-Douglas utility of
     /// bandwidth elasticity `e0` (cache elasticity is `1 - e0`).
     Join {
@@ -58,7 +58,7 @@ pub enum ClientOp {
 
 /// A scripted fault injection.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultOp {
+pub(crate) enum FaultOp {
     /// Kill the node (its disk survives; a restart is scheduled).
     Crash {
         /// Node id.
@@ -124,7 +124,7 @@ pub enum FaultOp {
 
 /// One scheduled operation.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Op {
+pub(crate) enum Op {
     /// A client request.
     Client(ClientOp),
     /// A fault injection.
@@ -138,7 +138,7 @@ pub enum Op {
 
 /// An operation pinned to a virtual instant.
 #[derive(Debug, Clone)]
-pub struct Scheduled {
+pub(crate) struct Scheduled {
     /// When the operation fires.
     pub at: Duration,
     /// What fires.
@@ -147,7 +147,7 @@ pub struct Scheduled {
 
 /// A complete generated run script.
 #[derive(Debug, Clone)]
-pub struct Schedule {
+pub(crate) struct Schedule {
     /// Operations in chronological order (stable on ties).
     pub ops: Vec<Scheduled>,
     /// Distinct fault classes present (for sweep accounting).
@@ -164,7 +164,7 @@ fn ms(x: u64) -> Duration {
 
 /// Generates the run script for `seed`. `quick` shortens the horizon
 /// for CI smoke sweeps; the structure is identical.
-pub fn generate(seed: u64, quick: bool) -> Schedule {
+pub(crate) fn generate(seed: u64, quick: bool) -> Schedule {
     let mut rng = SimRng::new(seed ^ 0x5C8E_D01E);
     let horizon = if quick { ms(280) } else { ms(640) };
     let mut ops: Vec<Scheduled> = Vec::new();

@@ -18,24 +18,16 @@ use ref_serve::Clock;
 /// serve [`Clock`] seam. Cloning shares the counter, so the fleet and
 /// every component it hands the clock to observe the same instant.
 #[derive(Debug, Clone, Default)]
-pub struct SimClock(Arc<AtomicU64>);
+pub(crate) struct SimClock(Arc<AtomicU64>);
 
 impl SimClock {
     /// A clock at virtual time zero.
-    pub fn new() -> SimClock {
+    pub(crate) fn new() -> SimClock {
         SimClock::default()
     }
 
-    /// Moves time forward by `d`. Time never moves backwards.
-    pub fn advance(&self, d: Duration) {
-        self.0.fetch_add(
-            u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
-            Ordering::SeqCst,
-        );
-    }
-
     /// Jumps to an absolute virtual instant (ignored if in the past).
-    pub fn set(&self, at: Duration) {
+    pub(crate) fn set(&self, at: Duration) {
         let nanos = u64::try_from(at.as_nanos()).unwrap_or(u64::MAX);
         self.0.fetch_max(nanos, Ordering::SeqCst);
     }
@@ -63,50 +55,43 @@ pub fn mix64(mut x: u64) -> u64 {
 /// derives an independent stream for a sub-concern so inserting a draw
 /// in one component cannot shift every draw after it fleet-wide.
 #[derive(Debug, Clone)]
-pub struct SimRng {
+pub(crate) struct SimRng {
     state: u64,
 }
 
 impl SimRng {
     /// A stream seeded (and stirred) from `seed`.
-    pub fn new(seed: u64) -> SimRng {
+    pub(crate) fn new(seed: u64) -> SimRng {
         SimRng {
             state: mix64(seed ^ 0x00D5_7000_0D57),
         }
     }
 
     /// The next 64 uniformly random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         mix64(self.state)
     }
 
     /// Uniform in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform integer in `[0, n)` (`0` when `n == 0`), via the
     /// multiply-high reduction — no modulo bias worth caring about.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
     }
 
     /// Uniform integer in `[lo, hi)` (`lo` when the range is empty).
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.below(hi.saturating_sub(lo))
     }
 
     /// `true` with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// An independent stream for the sub-concern tagged `tag`.
-    pub fn fork(&self, tag: u64) -> SimRng {
-        SimRng {
-            state: mix64(self.state ^ mix64(tag ^ 0xF04C)),
-        }
     }
 }
 
@@ -121,7 +106,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// violation prints so `dst_sweep --seed N` reproduces the failure
 /// event-for-event.
 #[derive(Debug)]
-pub struct Trace {
+pub(crate) struct Trace {
     lines: Vec<String>,
     hash: u64,
     events: u64,
@@ -139,12 +124,12 @@ impl Default for Trace {
 
 impl Trace {
     /// An empty trace.
-    pub fn new() -> Trace {
+    pub(crate) fn new() -> Trace {
         Trace::default()
     }
 
     /// Records one event at virtual time `at`.
-    pub fn push(&mut self, at: Duration, line: impl Into<String>) {
+    pub(crate) fn push(&mut self, at: Duration, line: impl Into<String>) {
         let line = line.into();
         let stamped = format!("t={:>9}us {}", at.as_micros(), line);
         for byte in stamped.as_bytes() {
@@ -158,22 +143,17 @@ impl Trace {
     }
 
     /// The running FNV-1a hash over every event so far.
-    pub fn hash(&self) -> u64 {
+    pub(crate) fn hash(&self) -> u64 {
         self.hash
     }
 
     /// Number of events recorded.
-    pub fn events(&self) -> u64 {
+    pub(crate) fn events(&self) -> u64 {
         self.events
     }
 
-    /// The recorded lines (chronological).
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
     /// Consumes the trace, returning the lines.
-    pub fn into_lines(self) -> Vec<String> {
+    pub(crate) fn into_lines(self) -> Vec<String> {
         self.lines
     }
 }
@@ -186,7 +166,7 @@ mod tests {
     fn sim_clock_advances_only_on_request() {
         let clock = SimClock::new();
         assert_eq!(clock.now(), Duration::ZERO);
-        clock.advance(Duration::from_millis(5));
+        clock.set(Duration::from_millis(5));
         assert_eq!(clock.now(), Duration::from_millis(5));
         let shared = clock.clone();
         shared.set(Duration::from_millis(3)); // past: ignored
@@ -202,9 +182,8 @@ mod tests {
         let draws_a: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let draws_b: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(draws_a, draws_b);
-        let mut f1 = SimRng::new(42).fork(1);
-        let mut f2 = SimRng::new(42).fork(2);
-        assert_ne!(f1.next_u64(), f2.next_u64());
+        let mut c = SimRng::new(43);
+        assert_ne!(c.next_u64(), draws_a[0]);
     }
 
     #[test]

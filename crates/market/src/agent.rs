@@ -14,7 +14,7 @@ pub type AgentId = u64;
 /// driving allocation) until a demand change resets it. Three in a row
 /// distinguishes a workload that has genuinely gone pathological from a
 /// single unlucky measurement.
-pub const QUARANTINE_THRESHOLD: usize = 3;
+pub(crate) const QUARANTINE_THRESHOLD: usize = 3;
 
 /// Where an agent's per-epoch performance observations come from.
 ///
@@ -44,7 +44,7 @@ pub enum ObservationSource {
 
 impl ObservationSource {
     /// Validates the source against the market's resource dimension.
-    pub fn validate(&self, num_resources: usize) -> Result<()> {
+    pub(crate) fn validate(&self, num_resources: usize) -> Result<()> {
         match self {
             ObservationSource::GroundTruth(u) => {
                 if u.elasticities().len() != num_resources {
@@ -88,7 +88,7 @@ pub struct AgentState {
 
 impl AgentState {
     /// Admits a new agent with the naive uniform prior.
-    pub fn new(
+    pub(crate) fn new(
         id: AgentId,
         joined_epoch: u64,
         source: ObservationSource,

@@ -39,7 +39,7 @@ pub struct Auditor {
 
 impl Auditor {
     /// Creates an auditor with zeroed counters.
-    pub fn new() -> Auditor {
+    pub(crate) fn new() -> Auditor {
         Auditor::default()
     }
 
@@ -47,7 +47,7 @@ impl Auditor {
     ///
     /// `warm` is whether the epoch still falls in the warm-up window (the
     /// engine derives it from epochs-since-last-membership-change).
-    pub fn record(&mut self, report: &FairnessReport, warm: bool) {
+    pub(crate) fn record(&mut self, report: &FairnessReport, warm: bool) {
         self.epochs_audited += 1;
         if !report.sharing_incentives() {
             self.si_violation_epochs += 1;
@@ -72,7 +72,7 @@ impl Auditor {
     /// Records one epoch's temporal sharing-incentive verdict (whether any
     /// agent's full delivered-vs-entitled window fell below the slack).
     /// Called once per audited epoch, alongside [`Auditor::record`].
-    pub fn record_temporal(&mut self, violated: bool, warm: bool) {
+    pub(crate) fn record_temporal(&mut self, violated: bool, warm: bool) {
         if violated {
             self.temporal_si_violation_epochs += 1;
             if !warm {
@@ -84,11 +84,6 @@ impl Auditor {
     /// SI violations after warm-up (the headline service objective).
     pub fn si_violations_after_warmup(&self) -> u64 {
         self.si_after_warmup
-    }
-
-    /// Temporal SI violations after warm-up.
-    pub fn temporal_si_violations_after_warmup(&self) -> u64 {
-        self.temporal_si_after_warmup
     }
 
     /// Whether every audited epoch after warm-up satisfied all three
@@ -162,10 +157,10 @@ mod tests {
         assert_eq!(a.temporal_si_violation_epochs, 0);
         a.record_temporal(true, true);
         assert_eq!(a.temporal_si_violation_epochs, 1);
-        assert_eq!(a.temporal_si_violations_after_warmup(), 0);
+        assert_eq!(a.temporal_si_after_warmup, 0);
         a.record_temporal(true, false);
         assert_eq!(a.temporal_si_violation_epochs, 2);
-        assert_eq!(a.temporal_si_violations_after_warmup(), 1);
+        assert_eq!(a.temporal_si_after_warmup, 1);
         // Temporal verdicts do not touch the per-epoch SLO.
         assert!(a.clean_after_warmup());
     }

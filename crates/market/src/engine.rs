@@ -139,7 +139,7 @@ impl MechanismKind {
     /// solves a geometric program). Closed-form mechanisms — REF and Nash
     /// welfare subject to capacity alone, tilted or not — never consult the
     /// cache and never touch the warm-start counters.
-    pub fn warm_startable(&self) -> bool {
+    pub(crate) fn warm_startable(&self) -> bool {
         !matches!(
             self,
             MechanismKind::ProportionalElasticity
@@ -244,27 +244,9 @@ impl MarketConfig {
         }
     }
 
-    /// Sets the reallocation tolerance.
-    pub fn with_realloc_tolerance(mut self, tol: f64) -> MarketConfig {
-        self.realloc_tolerance = tol;
-        self
-    }
-
-    /// Sets the audit tolerance.
-    pub fn with_audit_tolerance(mut self, tol: f64) -> MarketConfig {
-        self.audit_tolerance = tol;
-        self
-    }
-
     /// Sets the audit warm-up window.
     pub fn with_warmup_epochs(mut self, epochs: u64) -> MarketConfig {
         self.warmup_epochs = epochs;
-        self
-    }
-
-    /// Sets the excitation amplitude.
-    pub fn with_excitation(mut self, excitation: f64) -> MarketConfig {
-        self.excitation = excitation;
         self
     }
 
@@ -929,18 +911,14 @@ impl MarketEngine {
         self.population.get(&id)
     }
 
-    /// Events submitted but not yet pumped.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// The fairness auditor.
     pub fn auditor(&self) -> &Auditor {
         &self.auditor
     }
 
     /// The warm-start cache seeding optimization-backed mechanisms.
-    pub fn warm_cache(&self) -> &WarmStartCache {
+    #[cfg(test)]
+    pub(crate) fn warm_cache(&self) -> &WarmStartCache {
         &self.warm
     }
 
@@ -1250,8 +1228,16 @@ mod tests {
     #[test]
     fn config_validation_rejects_bad_tuning() {
         let cap = Capacity::new(vec![10.0]).unwrap();
-        assert!(MarketEngine::new(MarketConfig::new(cap.clone()).with_excitation(0.7)).is_err());
-        assert!(MarketEngine::new(MarketConfig::new(cap).with_realloc_tolerance(0.0)).is_err());
+        let excitation = MarketConfig {
+            excitation: 0.7,
+            ..MarketConfig::new(cap.clone())
+        };
+        assert!(MarketEngine::new(excitation).is_err());
+        let realloc = MarketConfig {
+            realloc_tolerance: 0.0,
+            ..MarketConfig::new(cap)
+        };
+        assert!(MarketEngine::new(realloc).is_err());
     }
 
     #[test]
@@ -1259,7 +1245,10 @@ mod tests {
         let snapshot = two_agent_market().snapshot();
         assert!(MarketEngine::restore(&snapshot).is_ok());
         for tol in [1.0, 1.5, f64::NAN] {
-            let config = snapshot.config.clone().with_audit_tolerance(tol);
+            let config = MarketConfig {
+                audit_tolerance: tol,
+                ..snapshot.config.clone()
+            };
             let refused = MarketEngine::new(config.clone());
             assert!(
                 matches!(refused, Err(MarketError::InvalidArgument(_))),
@@ -1333,7 +1322,7 @@ mod tests {
         });
         market.submit(MarketEvent::EpochTick);
         assert!(matches!(market.pump(), Err(MarketError::DuplicateAgent(1))));
-        assert_eq!(market.pending_events(), 1);
+        assert_eq!(market.queue.len(), 1);
         assert_eq!(market.metrics().rejected_events, 1);
         market.submit(MarketEvent::AgentLeft { id: 99 });
         assert!(matches!(
@@ -1745,7 +1734,7 @@ mod tests {
         market.submit(MarketEvent::EpochTick);
         assert!(matches!(market.pump(), Err(MarketError::UnknownAgent(1))));
         assert_eq!(market.num_live_agents(), 0);
-        assert_eq!(market.pending_events(), 1);
+        assert_eq!(market.queue.len(), 1);
         // The retried pump drains the tick; the market is now empty.
         let reports = market.pump().unwrap();
         assert_eq!(reports[0].realloc, ReallocationOutcome::EmptyMarket);
@@ -1916,7 +1905,7 @@ mod tests {
         );
         // No post-warm-up temporal violations on a steady population.
         assert_eq!(m.temporal_si_violations, 0, "{m}");
-        assert_eq!(market.auditor().temporal_si_violations_after_warmup(), 0);
+        assert_eq!(market.auditor().temporal_si_after_warmup, 0);
         assert!(reports.last().unwrap().worst_temporal_ratio > 0.9);
     }
 

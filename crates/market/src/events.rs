@@ -92,34 +92,30 @@ pub enum MarketEvent {
 
 /// FIFO queue of pending events.
 #[derive(Debug, Clone, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     pending: VecDeque<MarketEvent>,
 }
 
 impl EventQueue {
     /// Creates an empty queue.
-    pub fn new() -> EventQueue {
+    pub(crate) fn new() -> EventQueue {
         EventQueue::default()
     }
 
     /// Appends an event.
-    pub fn push(&mut self, event: MarketEvent) {
+    pub(crate) fn push(&mut self, event: MarketEvent) {
         self.pending.push_back(event);
     }
 
     /// Removes and returns the oldest pending event.
-    pub fn pop(&mut self) -> Option<MarketEvent> {
+    pub(crate) fn pop(&mut self) -> Option<MarketEvent> {
         self.pending.pop_front()
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 }
 
@@ -157,7 +153,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(MarketEvent::AgentLeft { id: 2 }));
         assert_eq!(q.pop(), Some(MarketEvent::EpochTick));
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.pop(), None);
     }
 }

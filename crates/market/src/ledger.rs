@@ -89,7 +89,7 @@ pub struct Window<'a> {
 
 impl<'a> Window<'a> {
     /// Pairs in the window.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.older.len() + self.newer.len()
     }
 
@@ -104,7 +104,7 @@ impl<'a> Window<'a> {
     }
 
     /// Cumulative `(delivered, entitled)`, folded oldest first.
-    pub fn sums(&self) -> (f64, f64) {
+    pub(crate) fn sums(&self) -> (f64, f64) {
         self.iter()
             .fold((0.0, 0.0), |(d, e), (dd, ee)| (d + dd, e + ee))
     }
@@ -271,7 +271,7 @@ impl CreditLedger {
     /// The allocation weight an agent's balance buys:
     /// `1 + CREDIT_TILT * clamp(balance / CREDIT_CAP, -1, 1)`. Unknown
     /// agents weigh 1.
-    pub fn weight(&self, id: AgentId) -> f64 {
+    pub(crate) fn weight(&self, id: AgentId) -> f64 {
         1.0 + CREDIT_TILT * (self.balance(id) / CREDIT_CAP).clamp(-1.0, 1.0)
     }
 

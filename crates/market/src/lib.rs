@@ -29,38 +29,36 @@
 //!          └────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! - [`events`] — the event API ([`MarketEvent`](events::MarketEvent)):
+//! - `events` — the event API ([`MarketEvent`]):
 //!   `AgentJoined`, `AgentLeft`, `DemandChanged`, `ObservationReported`,
 //!   `EpochTick`, processed in submission-order batches; each event has a
 //!   compact binary record
-//!   ([`write_record`](events::MarketEvent::write_record) /
-//!   [`read_record`](events::MarketEvent::read_record)).
-//! - [`agent`] — per-agent state: an
+//!   ([`write_record`](MarketEvent::write_record) /
+//!   [`read_record`](MarketEvent::read_record)).
+//! - `agent` — per-agent state: an
 //!   [`OnlineEstimator`](ref_core::online::OnlineEstimator) plus the
 //!   agent's observation source (hidden ground truth, the cycle-level
 //!   simulator, or externally reported measurements).
-//! - [`engine`] — the [`MarketEngine`](engine::MarketEngine) epoch loop
+//! - `engine` — the [`MarketEngine`] epoch loop
 //!   with incremental reallocation (a population fingerprint keyed on
 //!   fitted elasticities skips recomputation when nothing moved beyond a
 //!   tolerance).
 //! - [`epoch`] — the per-epoch report: allocation, fairness verdicts,
 //!   enforcement deviations, refits, observations.
-//! - [`audit`] — SI/EF/PE property auditing with violation counters and a
+//! - `audit` — SI/EF/PE property auditing with violation counters and a
 //!   warm-up grace window.
-//! - [`ledger`] — the [`CreditLedger`](ledger::CreditLedger): cross-epoch
+//! - [`ledger`] — the [`CreditLedger`]: cross-epoch
 //!   delivered-vs-entitled accounting that powers the credit mechanism's
 //!   weight tilt and the temporal (W-window) sharing-incentive audit.
-//! - [`snapshot`] — versioned, text-serialized full market state; a
+//! - `snapshot` — versioned, text-serialized full market state; a
 //!   restarted service resumes mid-market with bit-identical allocations.
-//! - [`metrics`] — service counters (events, reallocations vs cache hits,
+//! - `metrics` — service counters (events, reallocations vs cache hits,
 //!   refits, violations).
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use ref_market::agent::ObservationSource;
-//! use ref_market::engine::{MarketConfig, MarketEngine};
-//! use ref_market::events::MarketEvent;
+//! use ref_market::{MarketConfig, MarketEngine, MarketEvent, ObservationSource};
 //! use ref_core::resource::Capacity;
 //! use ref_core::utility::CobbDouglas;
 //!
@@ -91,18 +89,18 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod agent;
-pub mod audit;
+mod agent;
+mod audit;
 mod digest;
-pub mod engine;
+mod engine;
 pub mod epoch;
-pub mod error;
-pub mod events;
+mod error;
+mod events;
 pub mod ledger;
-pub mod metrics;
+mod metrics;
 mod record;
-pub mod snapshot;
-pub mod warm;
+mod snapshot;
+mod warm;
 
 pub use agent::{AgentId, AgentState, ObservationSource};
 pub use audit::Auditor;

@@ -99,7 +99,7 @@ pub struct MarketMetrics {
 
 impl MarketMetrics {
     /// Creates zeroed counters.
-    pub fn new() -> MarketMetrics {
+    pub(crate) fn new() -> MarketMetrics {
         MarketMetrics::default()
     }
 

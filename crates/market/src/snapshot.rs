@@ -53,7 +53,7 @@ use crate::warm::WarmStartCache;
 /// each agent's observation log (`obs`/`o` lines, replayed on restore)
 /// with its estimator state (`est`, `fit`, `r2` and `factor` lines,
 /// loaded as they are).
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub(crate) const SNAPSHOT_VERSION: u32 = 4;
 
 const MAGIC: &str = "refmarket-snapshot";
 
@@ -79,7 +79,7 @@ pub struct AgentSnapshot {
 /// convert to and from the text wire format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarketSnapshot {
-    /// Format version ([`SNAPSHOT_VERSION`]).
+    /// Format version (`SNAPSHOT_VERSION`).
     pub version: u32,
     /// The market's static configuration.
     pub config: MarketConfig,

@@ -97,7 +97,7 @@ impl WarmStartCache {
     /// Drops one agent's entry (departure, demand change, quarantine).
     /// Subsequent [`WarmStartCache::hint`] calls miss until the next
     /// optimum is stored.
-    pub fn invalidate(&mut self, id: AgentId) {
+    pub(crate) fn invalidate(&mut self, id: AgentId) {
         self.bundles.remove(&id);
     }
 

@@ -19,7 +19,7 @@ const ENTITLED_FLOOR: f64 = 1e-300;
 
 /// One agent's ledger state.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct ReferenceEntry {
+pub(crate) struct ReferenceEntry {
     /// The credit balance: positive when cumulatively under-served.
     pub balance: f64,
     /// Sliding `(delivered, entitled)` window, oldest first, at most
@@ -29,7 +29,7 @@ pub struct ReferenceEntry {
 
 impl ReferenceEntry {
     /// Cumulative `(delivered, entitled)` over the current window.
-    pub fn window_sums(&self) -> (f64, f64) {
+    pub(crate) fn window_sums(&self) -> (f64, f64) {
         self.window
             .iter()
             .fold((0.0, 0.0), |(d, e), (dd, ee)| (d + dd, e + ee))
@@ -38,46 +38,46 @@ impl ReferenceEntry {
 
 /// The market's credit ledger: one entry per live agent.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct ReferenceLedger {
+pub(crate) struct ReferenceLedger {
     entries: BTreeMap<AgentId, ReferenceEntry>,
 }
 
 impl ReferenceLedger {
     /// Creates an empty ledger.
-    pub fn new() -> ReferenceLedger {
+    pub(crate) fn new() -> ReferenceLedger {
         ReferenceLedger::default()
     }
 
     /// Number of entries (one per live agent).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the ledger holds no entries.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// One agent's entry, if present.
-    pub fn entry(&self, id: AgentId) -> Option<&ReferenceEntry> {
+    pub(crate) fn entry(&self, id: AgentId) -> Option<&ReferenceEntry> {
         self.entries.get(&id)
     }
 
     /// An agent's balance (0 for unknown agents).
-    pub fn balance(&self, id: AgentId) -> f64 {
+    pub(crate) fn balance(&self, id: AgentId) -> f64 {
         self.entries.get(&id).map_or(0.0, |e| e.balance)
     }
 
     /// Opens a zeroed entry for a newly admitted agent (idempotent — a
     /// snapshot restore re-admits agents the ledger already holds).
-    pub fn admit(&mut self, id: AgentId) {
+    pub(crate) fn admit(&mut self, id: AgentId) {
         self.entries.entry(id).or_default();
     }
 
     /// Settles a departing agent: the entry is removed and its balance is
     /// redistributed equally across the remaining entries, so the ledger
     /// sum is unchanged by churn. A missing id is a no-op.
-    pub fn settle(&mut self, id: AgentId) {
+    pub(crate) fn settle(&mut self, id: AgentId) {
         let Some(entry) = self.entries.remove(&id) else {
             return;
         };
@@ -97,7 +97,7 @@ impl ReferenceLedger {
     /// (including the quarantine lift they perform) and on quarantine
     /// transitions, so accrual from a stale estimation regime never buys
     /// future weight.
-    pub fn rebaseline(&mut self, id: AgentId) {
+    pub(crate) fn rebaseline(&mut self, id: AgentId) {
         if !self.entries.contains_key(&id) {
             return;
         }
@@ -108,7 +108,7 @@ impl ReferenceLedger {
     /// Drops every window (capacity reallotments change the entitlement
     /// scale mid-window, so the evidence is discarded; balances — which
     /// are normalized ratios — survive).
-    pub fn clear_windows(&mut self) {
+    pub(crate) fn clear_windows(&mut self) {
         for e in self.entries.values_mut() {
             e.window.clear();
         }
@@ -118,7 +118,11 @@ impl ReferenceLedger {
     /// the ledger: gaps are normalized, mean-centered, decayed and
     /// capped, and each agent's sliding window advances (bounded by
     /// `window`). Agents missing an entry are admitted on the fly.
-    pub fn accrue(&mut self, measured: &[(AgentId, f64, f64)], window: usize) -> AccrualSummary {
+    pub(crate) fn accrue(
+        &mut self,
+        measured: &[(AgentId, f64, f64)],
+        window: usize,
+    ) -> AccrualSummary {
         if measured.is_empty() {
             return AccrualSummary::default();
         }
@@ -171,12 +175,12 @@ impl ReferenceLedger {
     /// The allocation weight an agent's balance buys:
     /// `1 + CREDIT_TILT * clamp(balance / CREDIT_CAP, -1, 1)`. Unknown
     /// agents weigh 1.
-    pub fn weight(&self, id: AgentId) -> f64 {
+    pub(crate) fn weight(&self, id: AgentId) -> f64 {
         1.0 + CREDIT_TILT * (self.balance(id) / CREDIT_CAP).clamp(-1.0, 1.0)
     }
 
     /// The weights for `ids`, in order.
-    pub fn weights(&self, ids: &[AgentId]) -> Vec<f64> {
+    pub(crate) fn weights(&self, ids: &[AgentId]) -> Vec<f64> {
         ids.iter().map(|&id| self.weight(id)).collect()
     }
 
@@ -185,7 +189,7 @@ impl ReferenceLedger {
     /// `sum(delivered) < (1 - slack) * sum(entitled)`. Returns the
     /// violation count and the worst (smallest) delivered/entitled ratio
     /// seen (1.0 when no agent has a full window yet).
-    pub fn temporal_check(&self, window: usize, slack: f64) -> (usize, f64) {
+    pub(crate) fn temporal_check(&self, window: usize, slack: f64) -> (usize, f64) {
         let mut violations = 0;
         let mut worst: f64 = 1.0;
         for entry in self.entries.values() {
@@ -208,17 +212,17 @@ impl ReferenceLedger {
     /// Sum of all balances (≈ 0 up to floating-point error: mean-centering
     /// is exactly zero-sum, settlement and clamp-residual redistribution
     /// preserve the sum, and decay only shrinks whatever residue remains).
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.entries.values().map(|e| e.balance).sum()
     }
 
     /// Sum of absolute balances — how much credit is outstanding.
-    pub fn total_abs(&self) -> f64 {
+    pub(crate) fn total_abs(&self) -> f64 {
         self.entries.values().map(|e| e.balance.abs()).sum()
     }
 
     /// Largest absolute balance.
-    pub fn max_abs(&self) -> f64 {
+    pub(crate) fn max_abs(&self) -> f64 {
         self.entries
             .values()
             .map(|e| e.balance.abs())
@@ -226,13 +230,13 @@ impl ReferenceLedger {
     }
 
     /// The entries in ascending id order.
-    pub fn entries(&self) -> impl Iterator<Item = (AgentId, &ReferenceEntry)> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (AgentId, &ReferenceEntry)> {
         self.entries.iter().map(|(id, e)| (*id, e))
     }
 
     /// The ledger section of a snapshot document, as the text sink writes
     /// it: a `ledger` count line, then one `l` line per entry.
-    pub fn snapshot_section(&self) -> String {
+    pub(crate) fn snapshot_section(&self) -> String {
         let mut text = format!("ledger {}", self.entries.len());
         for (id, entry) in &self.entries {
             text += &format!(

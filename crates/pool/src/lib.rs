@@ -9,8 +9,7 @@
 //!
 //! 1. **Determinism** — [`par_map`] returns results placed by index, so
 //!    the output is byte-identical to the serial `(0..len).map(f)` run no
-//!    matter how work was scheduled or stolen. [`par_map_reduce`] folds
-//!    the mapped values in index order for the same reason.
+//!    matter how work was scheduled or stolen.
 //! 2. **No dependencies** — `std::thread` workers, one mutex-guarded
 //!    deque per worker, steal-half-from-the-front when a worker runs dry.
 //!    The unit of work ranges from a fraction of a microsecond to
@@ -45,9 +44,6 @@
 //! ```
 //! let squares = ref_pool::par_map(8, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//!
-//! let total = ref_pool::par_map_reduce(100, |i| i as u64, 0u64, |acc, x| acc + x);
-//! assert_eq!(total, 4950);
 //! ```
 
 #![warn(missing_docs)]
@@ -148,18 +144,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("every index is computed exactly once"))
         .collect()
-}
-
-/// Maps in parallel, then folds the mapped values **in index order**, so
-/// the reduction is deterministic even for non-associative folds
-/// (floating-point sums included).
-pub fn par_map_reduce<T, A, M, R>(len: usize, map: M, init: A, fold: R) -> A
-where
-    T: Send,
-    M: Fn(usize) -> T + Sync,
-    R: FnMut(A, T) -> A,
-{
-    par_map(len, map).into_iter().fold(init, fold)
 }
 
 /// Runs `f(i, &mut items[i])` for every index in parallel on [`threads`]
@@ -457,12 +441,6 @@ mod tests {
             let serial: Vec<usize> = (0..257).map(|i| i * 31 + 7).collect();
             assert_eq!(parallel, serial, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn reduce_folds_in_index_order() {
-        let digits = par_map_reduce(5, |i| i as u64, 0u64, |acc, d| acc * 10 + d);
-        assert_eq!(digits, 1234, "non-associative fold must stay ordered");
     }
 
     #[test]

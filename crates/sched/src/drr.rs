@@ -19,7 +19,7 @@ struct Queued<T> {
 /// # Examples
 ///
 /// ```
-/// use ref_sched::drr::DeficitRoundRobin;
+/// use ref_sched::DeficitRoundRobin;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut q = DeficitRoundRobin::new(vec![3.0, 1.0])?;
@@ -72,11 +72,6 @@ impl<T> DeficitRoundRobin<T> {
         })
     }
 
-    /// Number of clients.
-    pub fn num_clients(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Enqueues a request of the given cost for a client.
     ///
     /// # Errors
@@ -122,11 +117,6 @@ impl<T> DeficitRoundRobin<T> {
         }
     }
 
-    /// Total cost served per client so far.
-    pub fn service(&self) -> &[f64] {
-        &self.service
-    }
-
     /// Achieved service fractions (zeros before any service).
     pub fn service_shares(&self) -> Vec<f64> {
         let total: f64 = self.service.iter().sum();
@@ -135,16 +125,6 @@ impl<T> DeficitRoundRobin<T> {
         } else {
             self.service.iter().map(|s| s / total).collect()
         }
-    }
-
-    /// Pending request count.
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    /// Whether any request is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -222,8 +202,8 @@ mod tests {
     #[test]
     fn empty_state() {
         let q = DeficitRoundRobin::<u32>::new(vec![1.0, 2.0]).unwrap();
-        assert!(q.is_empty());
+        assert!(q.queues.iter().all(VecDeque::is_empty));
         assert_eq!(q.service_shares(), vec![0.0, 0.0]);
-        assert_eq!(q.num_clients(), 2);
+        assert_eq!(q.weights.len(), 2);
     }
 }

@@ -6,11 +6,11 @@
 //! schedulers. This crate implements the two it cites plus the classic
 //! deterministic variant:
 //!
-//! - [`wfq`] — weighted fair queueing (Demers, Keshav & Shenker).
-//! - [`lottery`] — lottery scheduling (Waldspurger & Weihl).
+//! - [`WeightedFairQueue`] — weighted fair queueing (Demers, Keshav & Shenker).
+//! - [`LotteryScheduler`] — lottery scheduling (Waldspurger & Weihl).
 //! - [`stride`] — stride scheduling, lottery's deterministic counterpart
 //!   with bounded allocation error.
-//! - [`drr`] — deficit round robin, the O(1) fair-queueing variant.
+//! - [`DeficitRoundRobin`] — deficit round robin, the O(1) fair-queueing variant.
 //! - [`enforce`] — glue that turns a [`ref_core::resource::Allocation`]
 //!   into scheduler weights and measures achieved shares.
 //!
@@ -33,11 +33,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod drr;
+mod drr;
 pub mod enforce;
-pub mod lottery;
+mod lottery;
 pub mod stride;
-pub mod wfq;
+mod wfq;
 
 pub use drr::DeficitRoundRobin;
 pub use enforce::{enforcement_comparison, weights_for_resource, EnforcementOutcome};

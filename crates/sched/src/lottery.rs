@@ -14,7 +14,7 @@ use rand::Rng;
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use ref_sched::lottery::LotteryScheduler;
+/// use ref_sched::LotteryScheduler;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut s = LotteryScheduler::new(vec![750.0, 250.0])?;
@@ -62,11 +62,6 @@ impl LotteryScheduler {
         self
     }
 
-    /// Number of clients.
-    pub fn num_clients(&self) -> usize {
-        self.tickets.len()
-    }
-
     /// Draws one quantum, returning the winning client.
     pub fn draw<R: Rng>(&mut self, rng: &mut R) -> usize {
         let ticket = rng.gen_range(0.0..self.total);
@@ -96,28 +91,6 @@ impl LotteryScheduler {
         } else {
             self.wins.iter().map(|w| *w as f64 / total as f64).collect()
         }
-    }
-
-    /// Transfers tickets between clients (ticket transfers are the
-    /// original paper's mechanism for avoiding priority inversion).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if indices are out of range, `amount` is not
-    /// positive and finite, or the donor would be left without tickets.
-    pub fn transfer(&mut self, from: usize, to: usize, amount: f64) -> Result<(), String> {
-        if from >= self.tickets.len() || to >= self.tickets.len() {
-            return Err("client index out of range".to_string());
-        }
-        if !(amount.is_finite() && amount > 0.0) {
-            return Err(format!("transfer amount must be positive, got {amount}"));
-        }
-        if self.tickets[from] - amount <= 0.0 {
-            return Err("donor must retain a positive ticket balance".to_string());
-        }
-        self.tickets[from] -= amount;
-        self.tickets[to] += amount;
-        Ok(())
     }
 }
 
@@ -160,31 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn transfer_shifts_shares() {
-        let mut s = LotteryScheduler::new(vec![500.0, 500.0]).unwrap();
-        s.transfer(0, 1, 400.0).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for _ in 0..20_000 {
-            s.draw(&mut rng);
-        }
-        let shares = s.service_shares();
-        assert!((shares[1] - 0.9).abs() < 0.02, "{shares:?}");
-    }
-
-    #[test]
-    fn transfer_validation() {
-        let mut s = LotteryScheduler::new(vec![10.0, 10.0]).unwrap();
-        assert!(s.transfer(0, 5, 1.0).is_err());
-        assert!(s.transfer(0, 1, 0.0).is_err());
-        assert!(s.transfer(0, 1, 10.0).is_err()); // would zero the donor
-        assert!(s.transfer(0, 1, 5.0).is_ok());
-    }
-
-    #[test]
     fn shares_before_draws_are_zero() {
         let s = LotteryScheduler::new(vec![1.0]).unwrap();
         assert_eq!(s.service_shares(), vec![0.0]);
         assert_eq!(s.wins(), &[0]);
-        assert_eq!(s.num_clients(), 1);
+        assert_eq!(s.tickets.len(), 1);
     }
 }

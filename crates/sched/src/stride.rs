@@ -81,11 +81,6 @@ impl StrideScheduler {
         })
     }
 
-    /// Number of clients.
-    pub fn num_clients(&self) -> usize {
-        self.strides.len()
-    }
-
     /// Grants the next quantum to the client with the minimum pass.
     pub fn next_quantum(&mut self) -> usize {
         // Advancing the top in place costs one sift-down, not a pop and a push.
@@ -310,6 +305,6 @@ mod tests {
     fn zero_state_before_running() {
         let s = StrideScheduler::new(vec![1.0, 1.0]).unwrap();
         assert_eq!(s.service_shares(), vec![0.0, 0.0]);
-        assert_eq!(s.num_clients(), 2);
+        assert_eq!(s.strides.len(), 2);
     }
 }

@@ -23,7 +23,7 @@ struct Queued<T> {
 /// # Examples
 ///
 /// ```
-/// use ref_sched::wfq::WeightedFairQueue;
+/// use ref_sched::WeightedFairQueue;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut q = WeightedFairQueue::new(vec![3.0, 1.0])?;
@@ -70,11 +70,6 @@ impl<T> WeightedFairQueue<T> {
         })
     }
 
-    /// Number of clients.
-    pub fn num_clients(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Enqueues a request of the given cost for a client.
     ///
     /// # Errors
@@ -115,11 +110,6 @@ impl<T> WeightedFairQueue<T> {
         Some((client, head.item))
     }
 
-    /// Total cost served per client so far.
-    pub fn service(&self) -> &[f64] {
-        &self.service
-    }
-
     /// Achieved service fractions (empty service yields zeros).
     pub fn service_shares(&self) -> Vec<f64> {
         let total: f64 = self.service.iter().sum();
@@ -133,11 +123,6 @@ impl<T> WeightedFairQueue<T> {
     /// Whether any request is pending.
     pub fn is_empty(&self) -> bool {
         self.queues.iter().all(VecDeque::is_empty)
-    }
-
-    /// Pending request count.
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
     }
 }
 
@@ -218,7 +203,7 @@ mod tests {
         // Equal weights: the cheap request finishes first in virtual time.
         assert_eq!(q.dequeue().unwrap().0, 1);
         assert_eq!(q.dequeue().unwrap().0, 0);
-        assert_eq!(q.service(), &[3.0, 1.0]);
+        assert_eq!(q.service, [3.0, 1.0]);
     }
 
     #[test]
@@ -226,7 +211,7 @@ mod tests {
         let mut q = WeightedFairQueue::new(vec![1.0]).unwrap();
         assert!(q.is_empty());
         q.enqueue(0, 1_u32, 1.0).unwrap();
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.queues[0].len(), 1);
         q.dequeue();
         assert!(q.is_empty());
         assert!(q.dequeue().is_none());

@@ -26,7 +26,7 @@ use crate::protocol::{Class, NUM_CLASSES};
 
 /// Why a request was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendError {
+pub(crate) enum SendError {
     /// The request's class quota is exhausted; retry after the hint.
     Full(Class),
     /// The bus is closed (server shutting down).
@@ -68,7 +68,6 @@ struct BusState<T> {
     queue: VecDeque<T>,
     in_flight: [usize; NUM_CLASSES],
     closed: bool,
-    depth_max: usize,
 }
 
 impl<T> BusState<T> {
@@ -78,7 +77,7 @@ impl<T> BusState<T> {
 }
 
 /// The in-flight admission guard and pushed-work queue of one shard.
-pub struct Bus<T> {
+pub(crate) struct Bus<T> {
     state: Mutex<BusState<T>>,
     available: Condvar,
     quotas: Quotas,
@@ -91,7 +90,7 @@ impl<T> std::fmt::Debug for Bus<T> {
 }
 
 /// One admitted request; dropping it ends the request's flight.
-pub struct Admitted<'a, T> {
+pub(crate) struct Admitted<'a, T> {
     bus: &'a Bus<T>,
     class: Class,
     /// The bus depth right after this admission (this request included).
@@ -113,13 +112,12 @@ impl<T> Drop for Admitted<'_, T> {
 
 impl<T> Bus<T> {
     /// Creates an open bus with the given quotas.
-    pub fn new(quotas: Quotas) -> Bus<T> {
+    pub(crate) fn new(quotas: Quotas) -> Bus<T> {
         Bus {
             state: Mutex::new(BusState {
                 queue: VecDeque::new(),
                 in_flight: [0; NUM_CLASSES],
                 closed: false,
-                depth_max: 0,
             }),
             available: Condvar::new(),
             quotas,
@@ -130,11 +128,6 @@ impl<T> Bus<T> {
         self.state.lock().expect("bus lock poisoned")
     }
 
-    /// The configured quotas.
-    pub fn quotas(&self) -> Quotas {
-        self.quotas
-    }
-
     /// Admits one request of `class`, or rejects it immediately. The
     /// request is in flight until the returned guard is dropped.
     ///
@@ -142,7 +135,7 @@ impl<T> Bus<T> {
     ///
     /// [`SendError::Full`] when the class quota is exhausted,
     /// [`SendError::Closed`] once [`Bus::close`] has been called.
-    pub fn admit(&self, class: Class) -> Result<Admitted<'_, T>, SendError> {
+    pub(crate) fn admit(&self, class: Class) -> Result<Admitted<'_, T>, SendError> {
         let mut state = self.state();
         if state.closed {
             return Err(SendError::Closed);
@@ -152,7 +145,6 @@ impl<T> Bus<T> {
         }
         state.in_flight[class as usize] += 1;
         let depth = state.depth();
-        state.depth_max = state.depth_max.max(depth);
         Ok(Admitted {
             bus: self,
             class,
@@ -168,27 +160,25 @@ impl<T> Bus<T> {
     /// # Errors
     ///
     /// [`SendError::Closed`] once [`Bus::close`] has been called.
-    pub fn push(&self, item: T) -> Result<(), SendError> {
+    pub(crate) fn push(&self, item: T) -> Result<(), SendError> {
         let mut state = self.state();
         if state.closed {
             return Err(SendError::Closed);
         }
         state.queue.push_back(item);
-        let depth = state.depth();
-        state.depth_max = state.depth_max.max(depth);
         drop(state);
         self.available.notify_one();
         Ok(())
     }
 
     /// Removes and returns every queued item in arrival order.
-    pub fn drain(&self) -> Vec<T> {
+    pub(crate) fn drain(&self) -> Vec<T> {
         self.state().queue.drain(..).collect()
     }
 
     /// Blocks until an item is queued, the bus is closed with nothing left
     /// queued or in flight, [`Bus::wake`] is called, or `timeout` elapses.
-    pub fn wait(&self, timeout: Duration) {
+    pub(crate) fn wait(&self, timeout: Duration) {
         let state = self.state();
         if !state.queue.is_empty() || (state.closed && state.depth() == 0) {
             return;
@@ -201,31 +191,26 @@ impl<T> Bus<T> {
 
     /// Cuts a [`Bus::wait`] short, so its caller re-reads whatever it
     /// schedules by.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         self.available.notify_all();
     }
 
     /// Closes the bus: subsequent `admit`s and `push`es fail with
     /// [`SendError::Closed`]; queued items remain drainable and requests
     /// in flight finish.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state().closed = true;
         self.available.notify_all();
     }
 
     /// Whether the bus is closed.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.state().closed
     }
 
     /// Requests in flight plus items queued.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.state().depth()
-    }
-
-    /// High-water mark of the depth since creation.
-    pub fn depth_max(&self) -> usize {
-        self.state().depth_max
     }
 }
 
@@ -243,7 +228,6 @@ mod tests {
         assert_eq!(bus.depth(), 3);
         assert_eq!(bus.drain(), vec![1, 2, 3]);
         assert_eq!(bus.depth(), 0);
-        assert_eq!(bus.depth_max(), 3);
     }
 
     #[test]
@@ -272,7 +256,6 @@ mod tests {
         drop(query);
         assert_eq!(bus.depth(), 3);
         let _query = bus.admit(Class::Query).unwrap();
-        assert_eq!(bus.depth_max(), 4);
     }
 
     #[test]
@@ -375,6 +358,5 @@ mod tests {
         let admitted: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(admitted, 50, "quota must bound admissions exactly");
         assert_eq!(bus.depth(), 0);
-        assert_eq!(bus.depth_max(), 50);
     }
 }

@@ -41,14 +41,6 @@ pub struct CallOpts {
     /// When the budget would be exceeded by the next backoff sleep, the
     /// call gives up with the last server error instead of oversleeping.
     pub deadline: Option<Duration>,
-    /// Cap on *cumulative backoff sleep* across the whole call; `None`
-    /// is unbounded. Unlike `deadline` (wall clock, including the time
-    /// the calls themselves take), this bounds only the sleeping — so a
-    /// server whose `retry_after_ms` hint is enormous cannot stretch a
-    /// "polite" retry loop far past what the caller budgeted: each sleep
-    /// is clamped to the remaining budget, and once it is spent the call
-    /// returns the last rejection instead of sleeping again.
-    pub retry_budget: Option<Duration>,
     /// First backoff step.
     pub base_delay: Duration,
     /// Backoff ceiling.
@@ -62,7 +54,6 @@ impl Default for CallOpts {
         CallOpts {
             retries: 8,
             deadline: None,
-            retry_budget: None,
             base_delay: Duration::from_millis(2),
             max_delay: Duration::from_millis(200),
             seed: 0x005e_ed0f_ca11,
@@ -85,13 +76,6 @@ impl CallOpts {
         self
     }
 
-    /// Sets the cumulative backoff-sleep budget.
-    #[must_use]
-    pub fn with_retry_budget(mut self, budget: Duration) -> CallOpts {
-        self.retry_budget = Some(budget);
-        self
-    }
-
     /// Sets the jitter seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> CallOpts {
@@ -102,7 +86,7 @@ impl CallOpts {
     /// The backoff before retry `attempt` (0-based), already jittered;
     /// `hint_ms` is the server's `retry_after_ms` floor. Pure, so tests
     /// can pin the schedule.
-    pub fn backoff(&self, attempt: u32, hint_ms: Option<u64>) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, hint_ms: Option<u64>) -> Duration {
         let base = self.base_delay.as_millis() as u64;
         let exp = base.saturating_mul(1u64 << attempt.min(20)) as f64;
         let capped = exp.min(self.max_delay.as_millis() as f64);
@@ -251,30 +235,21 @@ impl Client {
     }
 
     /// Drops the current connection and dials the best node it can
-    /// find: the last `leader` hint first, then the current address,
+    /// find: `shard`'s last `leader` hint first, then the current address,
     /// then every seed. A node whose `ping` reports `role:"primary"` at
     /// or above the highest term this client has seen is adopted
     /// immediately (one level of `leader` redirect is followed); a
     /// primary below that term was deposed and is skipped; otherwise the
     /// first reachable non-primary is kept, so reads still work during
-    /// an election.
+    /// an election. Only `shard`'s leader hint is consumed (`None` is the
+    /// unsharded slot), so a `not_primary` redirect bouncing between one
+    /// shard's pair leaves the hints (and thereby the seeds) serving other
+    /// shards untouched.
     ///
     /// # Errors
     ///
     /// [`ClientError::Io`] when no candidate is reachable.
-    pub fn redial(&mut self) -> Result<(), ClientError> {
-        self.redial_for(None)
-    }
-
-    /// [`Client::redial`] scoped to one shard's routing slot: only that
-    /// shard's leader hint is consumed, so a `not_primary` redirect
-    /// bouncing between one shard's pair leaves the hints (and thereby
-    /// the seeds) serving other shards untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Io`] when no candidate is reachable.
-    pub fn redial_for(&mut self, shard: Option<u64>) -> Result<(), ClientError> {
+    pub(crate) fn redial_for(&mut self, shard: Option<u64>) -> Result<(), ClientError> {
         let mut worklist: Vec<String> = Vec::new();
         let push = |list: &mut Vec<String>, addr: String| {
             if !addr.is_empty() && !list.contains(&addr) {
@@ -406,7 +381,7 @@ impl Client {
     /// server's `retry_after_ms` hint, all under an optional
     /// total-deadline budget — *and* fails over: a broken
     /// connection, a `not_primary` redirect, or a `fenced` /
-    /// `shutting_down` rejection triggers a [`Client::redial`] (guided
+    /// `shutting_down` rejection triggers a `Client::redial_for` (guided
     /// by the reply's `leader` hint and the seed list) before the retry.
     /// Returns the number of retries taken alongside the reply.
     ///
@@ -424,7 +399,6 @@ impl Client {
     ) -> Result<(Value, u64), ClientError> {
         let started = Instant::now();
         let mut attempt: u32 = 0;
-        let mut slept = Duration::ZERO;
         loop {
             let error = match self.call(request) {
                 Ok(reply) => return Ok((reply, u64::from(attempt))),
@@ -470,17 +444,7 @@ impl Client {
                 }
                 _ => (None, None),
             };
-            let mut backoff = opts.backoff(attempt, hint);
-            if let Some(budget) = opts.retry_budget {
-                // The cumulative-sleep budget beats any server hint: a
-                // huge `retry_after_ms` is clamped to what remains, and
-                // a spent budget ends the loop with the last rejection.
-                let remaining = budget.saturating_sub(slept);
-                if remaining.is_zero() {
-                    return Err(error);
-                }
-                backoff = backoff.min(remaining);
-            }
+            let backoff = opts.backoff(attempt, hint);
             if let Some(deadline) = opts.deadline {
                 // Give up rather than oversleep the budget.
                 if started.elapsed() + backoff > deadline {
@@ -488,7 +452,6 @@ impl Client {
                 }
             }
             std::thread::sleep(backoff);
-            slept += backoff;
             if failover {
                 // Best-effort: when every candidate is down, keep the
                 // old (broken) connection and let the next attempt's
@@ -834,24 +797,24 @@ mod tests {
         // Adopting the term-3 primary ratchets the floor...
         let mut client = Client::connect(standby.as_str()).unwrap();
         client.seeds = vec![fresh.clone()];
-        client.redial().unwrap();
+        client.redial_for(None).unwrap();
         assert_eq!(client.current_addr(), fresh);
         // ...so a deposed term-1 "primary" is passed over even when a
         // stale hint puts it first in line.
         client.leader_hints.insert(0, deposed.clone());
-        client.redial().unwrap();
+        client.redial_for(None).unwrap();
         assert_eq!(client.current_addr(), fresh);
         // With no primary at the floor, the client keeps a standby for
         // reads rather than write to the branch that lost the election.
         let mut client = Client::connect(standby.as_str()).unwrap();
         assert!(client.floor.admit(0, 3));
         client.seeds = vec![deposed.clone()];
-        client.redial().unwrap();
+        client.redial_for(None).unwrap();
         assert_eq!(client.current_addr(), standby);
         // With only the deposed node reachable there is nobody to adopt.
         let mut client = Client::connect(deposed.as_str()).unwrap();
         assert!(client.floor.admit(0, 3));
-        assert!(matches!(client.redial(), Err(ClientError::Io(_))));
+        assert!(matches!(client.redial_for(None), Err(ClientError::Io(_))));
         // Floors are per shard slot: slot 7 has seen nothing yet.
         client.redial_for(Some(7)).unwrap();
         assert_eq!(client.current_addr(), deposed);
@@ -897,7 +860,6 @@ mod tests {
         let opts = CallOpts {
             retries: 4,
             deadline: None,
-            retry_budget: None,
             base_delay: Duration::from_millis(8),
             max_delay: Duration::from_secs(10),
             seed: 7,
@@ -909,17 +871,17 @@ mod tests {
     }
 
     #[test]
-    fn retry_budget_caps_cumulative_sleep_despite_huge_server_hints() {
+    fn deadline_bounds_a_call_despite_huge_server_hints() {
         // A server that is permanently overloaded and, adversarially,
-        // hints clients to come back in ten seconds. Without the budget
-        // a polite client would sleep the full hint per retry; with it,
-        // total sleeping is clamped to the budget and the call returns
-        // the rejection promptly.
+        // hints clients to come back in ten seconds. Without a deadline
+        // a polite client would sleep the full hint per retry; with one,
+        // a sleep that would overrun it is not taken and the call
+        // returns the rejection promptly.
         let addr = fake_node(r#"{"ok":false,"error":"overloaded","retry_after_ms":10000}"#);
         let mut client = Client::connect(addr.as_str()).unwrap();
         let opts = CallOpts::default()
             .with_retries(50)
-            .with_retry_budget(Duration::from_millis(80));
+            .with_deadline(Duration::from_millis(80));
         let started = Instant::now();
         let err = client
             .call_with(&Value::obj(vec![("op", Value::str("tick"))]), &opts)
@@ -928,7 +890,7 @@ mod tests {
         let elapsed = started.elapsed();
         assert!(
             elapsed < Duration::from_secs(5),
-            "budgeted retries took {elapsed:?}"
+            "deadline-bounded retries took {elapsed:?}"
         );
     }
 }

@@ -27,7 +27,7 @@ pub trait Clock: std::fmt::Debug + Send + Sync {
 /// The process monotonic clock ([`Instant`] under the hood), measured
 /// from the first reading taken anywhere in the process.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct RealClock;
+pub(crate) struct RealClock;
 
 static ORIGIN: OnceLock<Instant> = OnceLock::new();
 

@@ -251,7 +251,7 @@ impl ServiceCore {
 
     /// Attaches replication state; the core will stream appended records
     /// (as a primary) and track per-epoch state fingerprints.
-    pub fn attach_repl(&mut self, repl: Arc<ReplShared>) {
+    pub(crate) fn attach_repl(&mut self, repl: Arc<ReplShared>) {
         self.repl = Some(repl);
     }
 
@@ -303,11 +303,6 @@ impl ServiceCore {
     /// Whether the journal hit its cap and stopped recording.
     pub fn journal_overflowed(&self) -> bool {
         self.journal_overflowed
-    }
-
-    /// The most recent epoch report, if any epoch has run.
-    pub fn last_report(&self) -> Option<&EpochReport> {
-        self.last_report.as_ref()
     }
 
     fn record(&mut self, event: &MarketEvent) {
@@ -493,7 +488,11 @@ impl ServiceCore {
     /// An undecodable snapshot or one for a different market
     /// configuration as [`std::io::ErrorKind::InvalidInput`]; WAL reset
     /// I/O errors verbatim.
-    pub fn restore_from_snapshot(&mut self, seq: u64, snapshot_text: &str) -> std::io::Result<()> {
+    pub(crate) fn restore_from_snapshot(
+        &mut self,
+        seq: u64,
+        snapshot_text: &str,
+    ) -> std::io::Result<()> {
         let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
         let snapshot = MarketSnapshot::decode(snapshot_text).map_err(|e| invalid(e.to_string()))?;
         if !snapshot.config.compatible_with(self.engine.config()) {
@@ -905,7 +904,13 @@ mod tests {
         };
         assert_eq!(bundle(&mut core, 2), Value::Null);
         assert_eq!(bundle(&mut core, 4), Value::Null);
-        let alloc = core.last_report().unwrap().allocation.clone().unwrap();
+        let alloc = core
+            .last_report
+            .as_ref()
+            .unwrap()
+            .allocation
+            .clone()
+            .unwrap();
         for (slot, agent) in [(0, 1), (1, 3)] {
             assert_eq!(
                 bundle(&mut core, agent),
@@ -1022,7 +1027,7 @@ mod tests {
         core.handle(&join(1, 0.6), &metrics);
         core.handle(&join(2, 0.2), &metrics);
         let tick = core.handle(&Request::Tick, &metrics);
-        let report = core.last_report().unwrap();
+        let report = core.last_report.as_ref().unwrap();
         assert!(report.fairness.is_some() && report.allocation.is_some());
         assert_eq!(tick.get("report").unwrap().encode(), verdict_of(report));
         let market = core.handle(&Request::Metrics { text: false }, &metrics);

@@ -72,7 +72,7 @@ impl FaultPlan {
 
     /// Whether any fault is armed (used to skip per-request checks in
     /// the common case).
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         *self != FaultPlan::default()
     }
 }

@@ -39,7 +39,7 @@ impl Value {
     }
 
     /// Builds a number value from anything convertible to `f64`.
-    pub fn num(x: impl Into<f64>) -> Value {
+    pub(crate) fn num(x: impl Into<f64>) -> Value {
         Value::Num(x.into())
     }
 

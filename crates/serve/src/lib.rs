@@ -5,28 +5,28 @@
 //! machine. This crate puts it on the wire without giving up its
 //! determinism contract:
 //!
-//! * **Transport** ([`server`]): a std-only TCP server speaking
+//! * **Transport** (`server`): a std-only TCP server speaking
 //!   newline-delimited JSON ([`protocol`]). An acceptor thread spawns one
 //!   thread per connection, and each agent-scoped request runs to
 //!   completion on the thread that read it: parse, admit, take the shard
 //!   lock, serve, encode, write.
-//! * **Backpressure** ([`bus`]): per-class quotas (control / observe /
+//! * **Backpressure** (`bus`): per-class quotas (control / observe /
 //!   query) bound the requests in flight — admitted and not yet
 //!   answered. When a class quota is full, the client
 //!   gets an immediate `overloaded` rejection with a `retry_after_ms`
 //!   hint — waiting is never unbounded and rejection is never silent.
-//! * **One total order** ([`server`]'s shard lock): whoever holds a
+//! * **One total order** (`server`'s shard lock): whoever holds a
 //!   shard's lock may touch its core, and nobody else. The order in which
 //!   the lock is taken is the order events are journaled, logged and
 //!   applied — the engine stays deterministic. The shard's own thread
 //!   takes the same lock for what is pushed to it (fanned fleet ops,
 //!   reallotments, `shutdown`).
-//! * **Replayability** ([`core`]): every event submitted to the engine is
+//! * **Replayability** (`core`): every event submitted to the engine is
 //!   journaled; [`core::replay`] reconstructs the final engine state
 //!   byte-for-byte from the journal, making the server a *pure
 //!   transport*: accepted events in, the same allocations an offline
 //!   `submit_all` would produce out.
-//! * **Observability** ([`metrics`]): lock-free server counters and a
+//! * **Observability** (`metrics`): lock-free server counters and a
 //!   log2 epoch-latency histogram, served next to the market's own
 //!   [`ref_market::MarketMetrics`] in stable JSON or scrape-style text.
 //! * **Durability** ([`wal`]): an optional segmented, checksummed
@@ -34,7 +34,7 @@
 //!   applied; periodic snapshot checkpoints truncate old segments; and
 //!   [`Server::recover`] resumes after a crash — tolerating a torn final
 //!   record — with state bit-identical to an offline replay.
-//! * **Supervision** ([`server`]): connection threads, and everything
+//! * **Supervision** (`server`): connection threads, and everything
 //!   done under a shard lock, run under `catch_unwind`. A connection that
 //!   panics outside the lock dies alone; a panic under the lock costs
 //!   that one request and takes the shard Down (the lock is never
@@ -54,7 +54,7 @@
 //!   of one connection (catch-up, `snap` bootstrap, hold and go-live,
 //!   the standby's apply verdict) is [`session`]'s; [`repl`] is their
 //!   threaded driver and the deterministic simulator their other one.
-//! * **Sharding** ([`shard`] + [`server`]'s router): partitions agents
+//! * **Sharding** ([`shard`] + `server`'s router): partitions agents
 //!   across N independent market shards via a seeded consistent-hash
 //!   ring, one code path for every N (one shard is a one-node fleet).
 //!   Each shard keeps its own lock, thread, admission quotas, WAL
@@ -64,7 +64,7 @@
 //!   coordinator runs timed epochs and rebalances per-resource capacity
 //!   between shards after each, with a temporal-drift bound audited next
 //!   to SI/EF/PE.
-//! * **Shard fault tolerance** ([`server`]'s router + clock): the
+//! * **Shard fault tolerance** (`server`'s router + clock): the
 //!   router tracks per-shard health (`Healthy → Suspect → Down`) from
 //!   tick timeouts, failure replies and panic notices, fails agent ops to
 //!   a Down shard fast with `shard_unavailable` + `retry_after_ms`, gates
@@ -78,7 +78,7 @@
 //!   reallotments, the fan, timed ticks, the supervisor's restart-or-
 //!   failover and probes, re-offers and catch-up, the fencing-token
 //!   floor — is a verdict of the sans-IO [`router::RouterCore`];
-//!   [`server`] and the deterministic simulator only carry them out.
+//!   `server` and the deterministic simulator only carry them out.
 //!
 //! # Quickstart
 //!
@@ -106,37 +106,35 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bus;
-pub mod client;
-pub mod clock;
-pub mod core;
-pub mod fault;
+mod bus;
+mod client;
+mod clock;
+mod core;
+mod fault;
 pub mod json;
-pub mod metrics;
+mod metrics;
 pub mod protocol;
 pub mod repl;
 pub mod repl_core;
 pub mod router;
-pub mod server;
+mod server;
 pub mod session;
 pub mod shard;
 pub mod storage;
 pub mod wal;
 
-pub use bus::{Admitted, Bus, Quotas, SendError};
+pub use bus::Quotas;
 pub use client::{CallOpts, Client, ClientError};
-pub use clock::{Clock, RealClock};
+pub use clock::Clock;
 pub use core::{replay, JournalLimit, ReplApply, ServiceCore};
 pub use fault::FaultPlan;
 pub use json::Value;
-pub use metrics::{HistogramSnapshot, LatencyHistogram, ServeMetrics, ServeMetricsSnapshot};
-pub use protocol::{parse_request, Class, Envelope, Request};
-pub use repl::{decode_frame, encode_frame, FrameDecode, ReplConfig, ReplShared, Role};
+pub use metrics::ServeMetrics;
+pub use protocol::{parse_request, Envelope, Request};
+pub use repl::{decode_frame, encode_frame, FrameDecode, ReplConfig, Role};
 pub use repl_core::ReplCore;
-pub use router::{RouterCore, TermFloor, TickOutcome};
+pub use router::{RouterCore, TickOutcome};
 pub use server::{ServeConfig, Server, ShardShutdown, ShutdownReport};
-pub use shard::{
-    default_quorum, shard_market_config, CoordinationStatus, Coordinator, HashRing, ShardHealth,
-};
+pub use shard::{default_quorum, shard_market_config, Coordinator, HashRing, ShardHealth};
 pub use storage::{FsStorage, Storage, StorageFile};
 pub use wal::{Recovery, ScrubReport, Wal, WalConfig};

@@ -13,7 +13,7 @@ use crate::json::Value;
 /// Number of log2 microsecond buckets: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` µs, except bucket 0 (`< 2` µs) and the last bucket
 /// (everything from ~67 s up).
-pub const HISTOGRAM_BUCKETS: usize = 27;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 27;
 
 /// A fixed-bucket log2 latency histogram over microseconds.
 #[derive(Debug, Default)]
@@ -24,24 +24,19 @@ pub struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> LatencyHistogram {
-        LatencyHistogram::default()
-    }
-
     fn bucket_index(us: u64) -> usize {
         ((64 - us.max(1).leading_zeros() as usize) - 1).min(HISTOGRAM_BUCKETS - 1)
     }
 
     /// Records one sample, in microseconds.
-    pub fn record_us(&self, us: u64) {
+    pub(crate) fn record_us(&self, us: u64) {
         self.buckets[Self::bucket_index(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of the bucket counts.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
             count: self.count.load(Ordering::Relaxed),
@@ -69,7 +64,7 @@ impl HistogramSnapshot {
 
     /// Conservative `q`-quantile estimate in microseconds (the upper edge
     /// of the bucket containing the quantile), or 0 with no samples.
-    pub fn quantile_us(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -84,18 +79,9 @@ impl HistogramSnapshot {
         Self::bucket_upper_us(HISTOGRAM_BUCKETS - 1)
     }
 
-    /// Mean sample in microseconds (0 with no samples).
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
-    }
-
     /// Stable JSON form: count, sum, p50/p99 estimates, non-empty buckets
     /// as `[index, count]` pairs.
-    pub fn to_json_value(&self) -> Value {
+    pub(crate) fn to_json_value(&self) -> Value {
         let nonzero: Vec<Value> = self
             .buckets
             .iter()
@@ -204,12 +190,12 @@ impl ServeMetrics {
     }
 
     /// Bumps a counter by `n`.
-    pub fn bump_by(counter: &AtomicU64, n: u64) {
+    pub(crate) fn bump_by(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Raises `queue_depth_max` to at least `depth`.
-    pub fn observe_depth(&self, depth: u64) {
+    pub(crate) fn observe_depth(&self, depth: u64) {
         self.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
     }
 
@@ -317,7 +303,7 @@ pub struct ServeMetricsSnapshot {
 
 impl ServeMetricsSnapshot {
     /// Stable JSON form with fixed field order.
-    pub fn to_json_value(&self) -> Value {
+    pub(crate) fn to_json_value(&self) -> Value {
         Value::obj(vec![
             ("connections", Value::from_u64(self.connections)),
             ("accepted", Value::from_u64(self.accepted)),
@@ -353,7 +339,7 @@ impl ServeMetricsSnapshot {
     }
 
     /// Stable `name value` text form for scrape endpoints.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (name, value) in [
@@ -423,7 +409,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_conservative_upper_bounds() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         for _ in 0..99 {
             h.record_us(100); // bucket 6: [64, 128)
         }
@@ -433,14 +419,14 @@ mod tests {
         assert_eq!(snap.quantile_us(0.50), 128);
         assert_eq!(snap.quantile_us(0.99), 128);
         assert_eq!(snap.quantile_us(1.0), 1 << 20);
-        assert!(snap.mean_us() > 100.0);
+        assert!(snap.sum_us > 100 * snap.count);
     }
 
     #[test]
     fn empty_histogram_reports_zeroes() {
-        let snap = LatencyHistogram::new().snapshot();
+        let snap = LatencyHistogram::default().snapshot();
         assert_eq!(snap.quantile_us(0.5), 0);
-        assert_eq!(snap.mean_us(), 0.0);
+        assert_eq!(snap.sum_us, 0);
     }
 
     #[test]

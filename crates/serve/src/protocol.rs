@@ -35,7 +35,7 @@
 //! optional `"shard"` tag so a redirect from one shard's standby does
 //! not poison the client's hints for seeds serving other shards.
 //!
-//! Every op maps to an admission [`Class`] so backpressure can be applied
+//! Every op maps to an admission `Class` so backpressure can be applied
 //! per class: a flood of cheap `query`s cannot crowd out `observe`s, and
 //! vice versa.
 
@@ -52,7 +52,7 @@ use crate::json::Value;
 /// connection that sends more without a newline is answered `protocol`
 /// / "request line too long" and closed, so one peer cannot grow the
 /// server's memory without bound.
-pub const MAX_REQUEST_LINE: usize = 1 << 20;
+pub(crate) const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Sends one protocol message: `message` and its newline in a single
 /// `write_all`, staged in `buf` (the connection's reusable buffer).
@@ -64,7 +64,11 @@ pub const MAX_REQUEST_LINE: usize = 1 << 20;
 /// # Errors
 ///
 /// Whatever the writer reports.
-pub fn write_line(writer: &mut impl Write, buf: &mut Vec<u8>, message: &str) -> io::Result<()> {
+pub(crate) fn write_line(
+    writer: &mut impl Write,
+    buf: &mut Vec<u8>,
+    message: &str,
+) -> io::Result<()> {
     buf.clear();
     buf.extend_from_slice(message.as_bytes());
     buf.push(b'\n');
@@ -73,7 +77,7 @@ pub fn write_line(writer: &mut impl Write, buf: &mut Vec<u8>, message: &str) -> 
 
 /// Admission class of a request, used for per-class queue quotas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Class {
+pub(crate) enum Class {
     /// Membership and epoch control: `join`, `leave`, `demand`, `tick`,
     /// `shutdown`.
     Control = 0,
@@ -85,7 +89,7 @@ pub enum Class {
 }
 
 /// Number of admission classes.
-pub const NUM_CLASSES: usize = 3;
+pub(crate) const NUM_CLASSES: usize = 3;
 
 /// A parsed, validated request.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,7 +161,7 @@ pub enum Request {
 
 impl Request {
     /// The request's admission class.
-    pub fn class(&self) -> Class {
+    pub(crate) fn class(&self) -> Class {
         match self {
             Request::Join { .. }
             | Request::Leave { .. }
@@ -177,7 +181,7 @@ impl Request {
     }
 
     /// Whether [`Request::to_event`] yields an event (without building it).
-    pub fn bears_event(&self) -> bool {
+    pub(crate) fn bears_event(&self) -> bool {
         matches!(
             self,
             Request::Join { .. }
@@ -456,7 +460,7 @@ pub fn ok_response(fields: Vec<(&str, Value)>) -> Value {
 /// can fail over directly instead of walking their seed list. `shard`
 /// scopes the redirect when this node serves one shard of a sharded
 /// deployment: clients then update only that shard's leader hint.
-pub fn not_primary_response(leader: Option<&str>, shard: Option<u64>) -> Value {
+pub(crate) fn not_primary_response(leader: Option<&str>, shard: Option<u64>) -> Value {
     let mut pairs = vec![
         ("ok", Value::Bool(false)),
         ("error", Value::str("not_primary")),

@@ -4,7 +4,7 @@
 //! A primary streams its durable history — an optional bootstrap
 //! checkpoint followed by every WAL record — over a dedicated TCP
 //! listener to any number of standbys. Frames reuse the WAL's record
-//! envelope (`[len:u32][crc32:u32][payload]`, [`wal::frame`]) with a
+//! envelope (`[len:u32][crc32:u32][payload]`, `wal::frame`) with a
 //! one-line JSON payload per message, so the stream inherits the log's
 //! corruption detection: a truncated or bit-flipped frame is caught by
 //! the length or CRC check and never half-applied.
@@ -383,7 +383,7 @@ impl Sink {
 /// role/term/lease published to atomics, and the standby sockets the
 /// core knows nothing about.
 #[derive(Debug)]
-pub struct ReplShared {
+pub(crate) struct ReplShared {
     config: ReplConfig,
     /// The shard's log, read through the storage its WAL writes with.
     log: (Arc<dyn Storage>, PathBuf),
@@ -426,17 +426,17 @@ impl ReplShared {
     }
 
     /// The node's replication configuration.
-    pub fn config(&self) -> &ReplConfig {
+    pub(crate) fn config(&self) -> &ReplConfig {
         &self.config
     }
 
     /// The node's current role.
-    pub fn role(&self) -> Role {
+    pub(crate) fn role(&self) -> Role {
         Role::from_u8(self.role.load(Ordering::SeqCst))
     }
 
     /// The node's current term.
-    pub fn term(&self) -> u64 {
+    pub(crate) fn term(&self) -> u64 {
         self.term.load(Ordering::SeqCst)
     }
 
@@ -493,7 +493,7 @@ impl ReplShared {
     }
 
     /// The current leader's *client* address, as far as this node knows.
-    pub fn leader_client(&self) -> Option<String> {
+    pub(crate) fn leader_client(&self) -> Option<String> {
         self.core().leader_client().map(str::to_string)
     }
 

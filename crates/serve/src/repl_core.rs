@@ -41,7 +41,7 @@ pub enum Role {
 
 impl Role {
     /// Wire/JSON name of the role.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Role::Primary => "primary",
             Role::Standby => "standby",
@@ -73,7 +73,7 @@ pub enum Timer {
     /// The standby's election gate is open: promote.
     Elect,
     /// The standby hears no primary: send [`ReplCore::dial`]'s `hello`
-    /// to [`ReplCore::dial_target`].
+    /// to `ReplCore::dial_target`.
     Redial,
     /// Nothing is due; a leading primary's next heartbeat is at this
     /// reading.
@@ -85,7 +85,7 @@ pub enum Timer {
 /// Identical seeds give identical timeouts (reproducible elections in
 /// the simulator); distinct seeds stagger, shrinking the window where
 /// two standbys promote simultaneously after a primary death.
-pub fn jittered(timeout: Duration, seed: u64) -> Duration {
+pub(crate) fn jittered(timeout: Duration, seed: u64) -> Duration {
     let frac_q32 = u64::from((crate::shard::mix64(seed ^ 0x00E1_EC71_0471_37E0) >> 32) as u32);
     let base = timeout.as_nanos() as u64;
     // extra = base * frac / 2 where frac ∈ [0, 1) in Q32 fixed point.
@@ -274,7 +274,7 @@ impl ReplCore {
     }
 
     /// Whether the node leads: a primary that is not Down.
-    pub fn leads(&self) -> bool {
+    pub(crate) fn leads(&self) -> bool {
         self.role == Role::Primary && !self.down
     }
 
@@ -350,12 +350,12 @@ impl ReplCore {
 
     /// The replication address a standby should dial: the last leader
     /// hint, else the configured primary.
-    pub fn dial_target(&self) -> Option<&str> {
+    pub(crate) fn dial_target(&self) -> Option<&str> {
         self.leader_repl.as_deref().or(self.standby_of.as_deref())
     }
 
     /// Whether the recovery lease is still refusing mutations at `now`.
-    pub fn lease_live(&self, now: Duration) -> bool {
+    pub(crate) fn lease_live(&self, now: Duration) -> bool {
         self.role == Role::Primary && self.grace_until.is_some_and(|until| now < until)
     }
 
@@ -634,7 +634,7 @@ impl ReplCore {
     }
 
     /// Whether the primary has been silent past the election timeout.
-    pub fn mute(&self, now: Duration) -> bool {
+    pub(crate) fn mute(&self, now: Duration) -> bool {
         now.saturating_sub(self.last_heard) >= self.election_timeout
     }
 

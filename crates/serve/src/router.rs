@@ -17,7 +17,7 @@
 //! supervisor's sweep and the timed-epoch clock, the quorum gate around
 //! the [`Coordinator`] with delivery, rollback and resync of allotments,
 //! catch-up tick counts, the partial-stamped merge of per-shard epoch
-//! reports, and the per-shard fencing-token floor ([`TermFloor`]) that
+//! reports, and the per-shard fencing-token floor (`TermFloor`) that
 //! [`crate::Client`] shares.
 
 use std::collections::BTreeMap;
@@ -118,12 +118,12 @@ impl TickOutcome {
 /// crashed high-term primary must not fail routing back to a deposed one
 /// whose solo acks would die with its branch.
 #[derive(Debug, Clone, Default)]
-pub struct TermFloor(BTreeMap<u64, u64>);
+pub(crate) struct TermFloor(BTreeMap<u64, u64>);
 
 impl TermFloor {
     /// Whether a primary of `shard` at `term` may be adopted; adopting
     /// ratchets the floor up to `term`.
-    pub fn admit(&mut self, shard: u64, term: u64) -> bool {
+    pub(crate) fn admit(&mut self, shard: u64, term: u64) -> bool {
         let floor = self.0.entry(shard).or_insert(0);
         if term < *floor {
             return false;
@@ -291,7 +291,7 @@ impl RouterCore {
 
     /// The clock reading at which [`RouterCore::clock`] next has
     /// something to say.
-    pub fn next_clock(&self) -> Duration {
+    pub(crate) fn next_clock(&self) -> Duration {
         self.next_epoch
             .map_or(self.next_sweep, |epoch| epoch.min(self.next_sweep))
     }
@@ -345,7 +345,8 @@ impl RouterCore {
     }
 
     /// The coordinator's audit state.
-    pub fn status(&self) -> CoordinationStatus {
+    #[cfg(test)]
+    pub(crate) fn status(&self) -> CoordinationStatus {
         self.coord.status()
     }
 
@@ -421,7 +422,7 @@ impl RouterCore {
 
     /// Picks the node serving `shard` among `(node, role, term)`
     /// candidates: the highest-term primary (lowest node on a tie) — if
-    /// it clears the shard's [`TermFloor`], which it then ratchets.
+    /// it clears the shard's `TermFloor`, which it then ratchets.
     pub fn pick_primary(
         &mut self,
         shard: usize,
@@ -448,7 +449,7 @@ fn epoch_of(reply: &Value) -> u64 {
 /// reply that already names its shard (`shard_unavailable`, or a
 /// redirect from one shard of an externally sharded deployment) keeps
 /// that tag.
-pub fn tag_shard(value: Value, shard: usize) -> Value {
+pub(crate) fn tag_shard(value: Value, shard: usize) -> Value {
     match value {
         Value::Obj(mut pairs) if !pairs.iter().any(|(key, _)| key == "shard") => {
             let at = pairs.len().min(1);
@@ -465,7 +466,7 @@ pub fn tag_shard(value: Value, shard: usize) -> Value {
 /// shard's error, tagged — so a lone standby still answers `not_primary`
 /// with its `leader`, and a fleet with every shard Down answers
 /// `shard_unavailable` with its `retry_after_ms`.
-pub fn fleet_reply(mut fields: Vec<(&str, Value)>, replies: Vec<Value>) -> Value {
+pub(crate) fn fleet_reply(mut fields: Vec<(&str, Value)>, replies: Vec<Value>) -> Value {
     let ok = Value::Bool(true);
     let answered = replies.iter().any(|reply| reply.get("ok") == Some(&ok));
     let mut tagged = replies
@@ -481,7 +482,7 @@ pub fn fleet_reply(mut fields: Vec<(&str, Value)>, replies: Vec<Value>) -> Value
 
 /// The merged reply to a fleet `tick`: the fleet epoch, the combined
 /// report, the coordinator's drift audit, and every shard's own reply.
-pub fn tick_reply(replies: Vec<Value>, round: &Round) -> Value {
+pub(crate) fn tick_reply(replies: Vec<Value>, round: &Round) -> Value {
     let epoch = replies
         .iter()
         .filter_map(|r| r.get("epoch").and_then(Value::as_u64))
@@ -504,7 +505,7 @@ pub fn tick_reply(replies: Vec<Value>, round: &Round) -> Value {
 /// (`missing` non-empty) the merged report is stamped `partial: true`
 /// with those shard ids and carries no fairness block: a fleet audit
 /// over a partial fleet would be phantom data.
-pub fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value> {
+pub(crate) fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value> {
     let reports: Vec<&Value> = replies.iter().filter_map(|r| r.get("report")).collect();
     if reports.is_empty() {
         return None;

@@ -94,15 +94,17 @@ use crate::repl_core::Promotion;
 use crate::router::{
     asks, fleet_reply, tick_reply, AfterPanic, Duty, Readmit, RouterCore, SWEEP_EVERY,
 };
-use crate::shard::{
-    default_quorum, shard_market_config, CoordinationStatus, HashRing, ShardHealth, RING_SEED,
-};
+use crate::shard::{default_quorum, shard_market_config, HashRing, ShardHealth, RING_SEED};
 use crate::storage::FsStorage;
 use crate::wal::{self, WalConfig};
 
 /// Retry hint attached to `overloaded` and `shard_unavailable` responses,
 /// in milliseconds.
 const RETRY_AFTER_MS: u64 = 5;
+
+/// Consecutive clean ticks a Suspect shard must deliver before the router
+/// declares it Healthy again.
+const RECOVERY_CLEAN_TICKS: u64 = 3;
 
 /// Reader poll interval: how long a blocked read waits before re-checking
 /// the shutdown flag.
@@ -159,11 +161,8 @@ pub struct ServeConfig {
     /// request waits for its reply keeps one slow shard from stalling
     /// the fleet clock.
     pub shard_tick_budget: Duration,
-    /// Consecutive clean ticks a Suspect shard must deliver before the
-    /// router declares it Healthy again.
-    pub recovery_clean_ticks: u64,
     /// The clock that heartbeat, election, and timed-epoch scheduling
-    /// read. [`RealClock`] (the default) is a zero-cost monotonic
+    /// read. `RealClock` (the default) is a zero-cost monotonic
     /// reading; the deterministic simulator substitutes virtual time.
     /// The seam covers time *reads* — blocking waits stay real.
     pub clock: Arc<dyn Clock>,
@@ -189,7 +188,6 @@ impl ServeConfig {
             shard_tag: None,
             drift_bound: 0.25,
             shard_tick_budget: Duration::from_secs(5),
-            recovery_clean_ticks: 3,
             clock: Arc::new(RealClock),
             rng_seed: 0x5EED,
         }
@@ -270,12 +268,6 @@ impl ServeConfig {
     /// Sets the per-shard tick budget of the fleet clock.
     pub fn with_shard_tick_budget(mut self, budget: Duration) -> ServeConfig {
         self.shard_tick_budget = budget;
-        self
-    }
-
-    /// Sets how many consecutive clean ticks heal a Suspect shard.
-    pub fn with_recovery_clean_ticks(mut self, ticks: u64) -> ServeConfig {
-        self.recovery_clean_ticks = ticks.max(1);
         self
     }
 }
@@ -671,7 +663,7 @@ impl Server {
                 n,
                 config.drift_bound,
                 default_quorum(n),
-                config.recovery_clean_ticks,
+                RECOVERY_CLEAN_TICKS,
             )
             .with_node(
                 config.wal.is_some(),
@@ -822,42 +814,24 @@ impl Server {
 
     /// Point-in-time server counters: shard 0's, which also carry the
     /// transport-level counts (connections, protocol errors, reader
-    /// panics, shard restarts) for the whole server; see
-    /// [`Server::shard_metrics`] for the rest.
+    /// panics, shard restarts) for the whole server. Every shard's own
+    /// counters come back in [`ShutdownReport::shards`].
     pub fn metrics(&self) -> ServeMetricsSnapshot {
         self.router.metrics().snapshot()
-    }
-
-    /// Point-in-time counters of one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shards()`.
-    pub fn shard_metrics(&self, shard: usize) -> ServeMetricsSnapshot {
-        self.router.shards[shard].metrics.snapshot()
-    }
-
-    /// Number of market shards this server runs.
-    pub fn shards(&self) -> usize {
-        self.router.shards.len()
     }
 
     /// The router's current health assessment of one shard.
     ///
     /// # Panics
     ///
-    /// Panics if `shard >= self.shards()`.
+    /// Panics if `shard` is not below the configured shard count.
     pub fn shard_health(&self, shard: usize) -> ShardHealth {
         self.router.shards[shard].health()
     }
 
-    /// The shard that owns `agent` under the configured ring.
-    pub fn shard_of(&self, agent: AgentId) -> usize {
-        self.router.ring.shard_of(agent)
-    }
-
     /// The cross-shard coordinator's status.
-    pub fn coordination(&self) -> CoordinationStatus {
+    #[cfg(test)]
+    pub(crate) fn coordination(&self) -> crate::shard::CoordinationStatus {
         self.router.drive(|core| core.status())
     }
 
@@ -2204,7 +2178,7 @@ mod tests {
         let ping = client.call_line(r#"{"op":"ping","agent":3}"#).unwrap();
         assert_eq!(ping.get("shards").and_then(Value::as_u64), Some(4));
         let shard_of = ping.get("shard_of").and_then(Value::as_u64).unwrap();
-        assert_eq!(shard_of, server.shard_of(3) as u64);
+        assert_eq!(shard_of, server.router.ring.shard_of(3) as u64);
         assert_eq!(
             ping.get("wal_seqs")
                 .and_then(Value::as_array)

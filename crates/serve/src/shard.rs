@@ -61,7 +61,7 @@ const REALLOT_EPSILON: f64 = 1e-4;
 /// Coordination rounds before the drift audit arms, mirroring the
 /// market's own warmup: the first rounds after boot or churn are
 /// expected to be far from the fair point.
-pub const COORD_WARMUP_ROUNDS: u64 = 8;
+pub(crate) const COORD_WARMUP_ROUNDS: u64 = 8;
 
 /// Router-observed health of one shard.
 ///
@@ -95,7 +95,7 @@ pub enum ShardHealth {
 
 impl ShardHealth {
     /// Stable lowercase label, used in `ping` replies.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ShardHealth::Healthy => "healthy",
             ShardHealth::Suspect => "suspect",
@@ -105,7 +105,7 @@ impl ShardHealth {
 
     /// Decodes the atomic-stored representation (unknown values read as
     /// Down — fail safe).
-    pub fn from_u64(raw: u64) -> ShardHealth {
+    pub(crate) fn from_u64(raw: u64) -> ShardHealth {
         match raw {
             0 => ShardHealth::Healthy,
             1 => ShardHealth::Suspect,
@@ -132,7 +132,7 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 
 /// A seeded consistent-hash ring mapping agent ids to shards.
 ///
-/// Each shard contributes [`VNODES`] points to a 64-bit ring; an agent
+/// Each shard contributes `VNODES` points to a 64-bit ring; an agent
 /// id hashes to a ring position and is owned by the first point at or
 /// after it (wrapping). Construction and lookup are pure functions of
 /// the seed, so every process that agrees on `(seed, shards)` agrees on
@@ -181,11 +181,6 @@ impl HashRing {
         self.shards
     }
 
-    /// The seed the ring was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The shard owning `agent`. Total: every id maps to exactly one
     /// shard.
     pub fn shard_of(&self, agent: AgentId) -> usize {
@@ -220,12 +215,12 @@ pub fn shard_market_config(base: &MarketConfig, shards: usize) -> MarketConfig {
 /// demand vector (per-resource sum of its agents' reported
 /// elasticities). The coordinator computes each shard's instantaneous
 /// fair *target* — capacity proportional to smoothed demand — and moves
-/// the live allotments a fixed fraction ([`COORD_GAIN`]) of the way
+/// the live allotments a fixed fraction (`COORD_GAIN`) of the way
 /// there, floored and renormalized so the allotments always sum to the
 /// cluster capacity and stay strictly positive. The worst per-resource
 /// distance between allotment and target, as a fraction of total
 /// capacity, is the round's *temporal drift*; after
-/// [`COORD_WARMUP_ROUNDS`] it must stay within the configured bound.
+/// `COORD_WARMUP_ROUNDS` it must stay within the configured bound.
 #[derive(Debug, Clone)]
 pub struct Coordinator {
     /// Cluster-wide capacity per resource (the sum of all allotments).
@@ -282,7 +277,7 @@ impl Coordinator {
     /// Runs one coordination round over the shards' demand vectors.
     ///
     /// Returns, per shard, the new allotment to deliver — `None` when
-    /// the shard's allotment moved less than [`REALLOT_EPSILON`] of the
+    /// the shard's allotment moved less than `REALLOT_EPSILON` of the
     /// total on every resource and no event needs to be journaled.
     pub fn step(&mut self, demands: &[Vec<f64>]) -> Vec<Option<Vec<f64>>> {
         let n = self.allotments.len();
@@ -372,7 +367,7 @@ impl Coordinator {
     }
 
     /// The current per-shard allotments.
-    pub fn allotments(&self) -> &[Vec<f64>] {
+    pub(crate) fn allotments(&self) -> &[Vec<f64>] {
         &self.allotments
     }
 
@@ -381,7 +376,7 @@ impl Coordinator {
     /// the next step unconditionally returns an update for the shard,
     /// so a recovering shard is offered its current allotment again
     /// instead of silently drifting on a stale capacity split.
-    pub fn mark_undelivered(&mut self, shard: usize) {
+    pub(crate) fn mark_undelivered(&mut self, shard: usize) {
         for slot in &mut self.delivered[shard] {
             *slot = f64::INFINITY;
         }
@@ -391,13 +386,13 @@ impl Coordinator {
     /// delivered: WAL recovery restored the shard to the last allotment
     /// it *journaled*, which may predate reallotments issued while it
     /// was Down — the supervisor pushes this as one catch-up `reallot`.
-    pub fn resync_delivery(&mut self, shard: usize) -> Vec<f64> {
+    pub(crate) fn resync_delivery(&mut self, shard: usize) -> Vec<f64> {
         self.delivered[shard] = self.allotments[shard].clone();
         self.allotments[shard].clone()
     }
 
     /// Snapshot of the coordination audit state.
-    pub fn status(&self) -> CoordinationStatus {
+    pub(crate) fn status(&self) -> CoordinationStatus {
         CoordinationStatus {
             rounds: self.rounds,
             drift: self.drift,

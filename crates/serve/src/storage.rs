@@ -134,7 +134,7 @@ pub struct FsStorage;
 
 /// A real [`std::fs::File`] opened in append mode.
 #[derive(Debug)]
-pub struct FsFile(fs::File);
+pub(crate) struct FsFile(fs::File);
 
 impl StorageFile for FsFile {
     fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {

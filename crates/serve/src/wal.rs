@@ -51,7 +51,7 @@ use crate::protocol::{event_to_value, value_to_event};
 use crate::storage::{FsStorage, Storage, StorageFile};
 
 /// Per-record framing overhead in bytes (length + checksum).
-pub const RECORD_HEADER_BYTES: usize = 8;
+pub(crate) const RECORD_HEADER_BYTES: usize = 8;
 
 const CHECKPOINT_MAGIC: &str = "refserve-checkpoint v1";
 
@@ -166,7 +166,7 @@ fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
 /// Frames `payload` as one record: `[len:u32][crc32:u32][payload]`,
 /// little-endian. Shared with the replication stream, which ships WAL
 /// records over TCP in exactly this envelope.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -177,7 +177,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// Maximum framed payload size shared by WAL records and replication
 /// frames; larger length prefixes are treated as corruption, not
 /// allocation requests — a sane event payload is a few hundred bytes.
-pub const MAX_FRAME_BYTES: u32 = 1 << 26;
+pub(crate) const MAX_FRAME_BYTES: u32 = 1 << 26;
 
 /// The verdict of [`check_frame`] on a byte prefix.
 pub(crate) enum FrameCheck<'a> {
@@ -453,7 +453,7 @@ impl Wal {
     /// # Errors
     ///
     /// Exactly as [`Wal::open`].
-    pub fn open_with(
+    pub(crate) fn open_with(
         storage: Arc<dyn Storage>,
         config: WalConfig,
         faults: FaultPlan,
@@ -577,32 +577,32 @@ impl Wal {
     }
 
     /// The WAL directory.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.config.dir
     }
 
     /// The storage this log reads and writes through.
-    pub fn storage(&self) -> Arc<dyn Storage> {
+    pub(crate) fn storage(&self) -> Arc<dyn Storage> {
         Arc::clone(&self.storage)
     }
 
     /// The configured checkpoint cadence (0 = never).
-    pub fn checkpoint_every(&self) -> u64 {
+    pub(crate) fn checkpoint_every(&self) -> u64 {
         self.config.checkpoint_every
     }
 
     /// Number of retained segments on disk (including the open one).
-    pub fn segment_count(&self) -> usize {
+    pub(crate) fn segment_count(&self) -> usize {
         self.segments.len()
     }
 
     /// Total bytes across every retained segment.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
 
     /// Size in bytes of the newest checkpoint file (0 when none).
-    pub fn checkpoint_bytes(&self) -> u64 {
+    pub(crate) fn checkpoint_bytes(&self) -> u64 {
         self.checkpoint_bytes
     }
 
@@ -786,7 +786,7 @@ impl Wal {
     ///
     /// I/O failures, or [`io::ErrorKind::InvalidData`] for interior
     /// corruption or sequence gaps.
-    pub fn read_events(&self) -> io::Result<(u64, Vec<MarketEvent>)> {
+    pub(crate) fn read_events(&self) -> io::Result<(u64, Vec<MarketEvent>)> {
         read_events_with(self.storage.as_ref(), &self.config.dir)
     }
 
@@ -797,13 +797,13 @@ impl Wal {
     ///
     /// Propagates I/O failures *reading* the directory; verification
     /// findings are reported in the [`ScrubReport`], not as errors.
-    pub fn scrub(&self) -> io::Result<ScrubReport> {
+    pub(crate) fn scrub(&self) -> io::Result<ScrubReport> {
         scrub_with(self.storage.as_ref(), &self.config.dir)
     }
 }
 
 /// Reads all decodable events from a WAL directory (see
-/// [`Wal::read_events`]); usable offline, e.g. for audits or the chaos
+/// `Wal::read_events`); usable offline, e.g. for audits or the chaos
 /// harness's independent verification.
 ///
 /// # Errors
@@ -864,7 +864,7 @@ pub fn scrub(dir: &Path) -> io::Result<ScrubReport> {
 /// # Errors
 ///
 /// Exactly as [`scrub`].
-pub fn scrub_with(storage: &dyn Storage, dir: &Path) -> io::Result<ScrubReport> {
+pub(crate) fn scrub_with(storage: &dyn Storage, dir: &Path) -> io::Result<ScrubReport> {
     let mut report = ScrubReport::default();
     if !storage.exists(dir) {
         return Ok(report);

@@ -39,7 +39,7 @@ impl CacheStats {
     /// # Panics
     ///
     /// Panics if `earlier` has larger counters than `self`.
-    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
+    pub(crate) fn since(&self, earlier: &CacheStats) -> CacheStats {
         assert!(
             self.accesses >= earlier.accesses && self.hits >= earlier.hits,
             "snapshot is not earlier than self"
@@ -63,7 +63,7 @@ impl CacheStats {
 /// Outcome of a read/write access, including any write-back the fill
 /// displaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessResponse {
+pub(crate) struct AccessResponse {
     /// Hit or miss.
     pub result: AccessResult,
     /// Base address of an evicted dirty block that must be written back,
@@ -154,21 +154,21 @@ impl SetAssociativeCache {
     /// # Panics
     ///
     /// Panics if the configured geometry is degenerate (see
-    /// [`CacheConfig::sets`]).
+    /// `CacheConfig::sets`).
     pub fn from_config(cfg: &CacheConfig) -> SetAssociativeCache {
         SetAssociativeCache::new(cfg.sets(), cfg.ways, cfg.block_bytes)
     }
 
     /// Reads the block containing `addr`, filling on a miss (any displaced
     /// dirty block's write-back is dropped; use
-    /// [`access_rw`](SetAssociativeCache::access_rw) to observe it).
+    /// `access_rw` to observe it).
     pub fn access(&mut self, addr: u64) -> AccessResult {
         self.access_rw(addr, false).result
     }
 
     /// Accesses the block containing `addr`, marking it dirty on a write,
     /// and reports any dirty block the fill displaced.
-    pub fn access_rw(&mut self, addr: u64, write: bool) -> AccessResponse {
+    pub(crate) fn access_rw(&mut self, addr: u64, write: bool) -> AccessResponse {
         self.clock += 1;
         self.stats.accesses = self.stats.accesses.saturating_add(1);
         let (set, tag) = self.locate(addr);
@@ -230,29 +230,9 @@ impl SetAssociativeCache {
         self.stats
     }
 
-    /// Resets statistics but keeps cache contents (for warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Number of ways.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
     /// Block size in bytes.
-    pub fn block_bytes(&self) -> u64 {
+    pub(crate) fn block_bytes(&self) -> u64 {
         self.block_bytes
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.sets as u64 * self.ways as u64 * self.block_bytes
     }
 }
 
@@ -310,7 +290,7 @@ pub fn partition_ways(total_ways: usize, shares: &[f64]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheSize, PlatformConfig};
+    use crate::config::PlatformConfig;
 
     #[test]
     fn cold_miss_then_hit() {
@@ -381,19 +361,9 @@ mod tests {
     fn from_config_matches_geometry() {
         let p = PlatformConfig::asplos14();
         let c = SetAssociativeCache::from_config(&p.l1);
-        assert_eq!(c.capacity_bytes(), CacheSize::from_kib(32).bytes());
-        assert_eq!(c.ways(), 4);
+        assert_eq!(c.ways, 4);
         assert_eq!(c.block_bytes(), 64);
-        assert_eq!(c.sets(), 128);
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c = SetAssociativeCache::new(2, 2, 64);
-        c.access(0);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses, 0);
-        assert_eq!(c.access(0), AccessResult::Hit);
+        assert_eq!(c.sets, 128);
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl CacheSize {
         self.0
     }
 
-    /// The capacity in KiB (floor).
-    pub fn kib(self) -> u64 {
-        self.0 / 1024
-    }
-
     /// The capacity in MiB as a float (used when fitting utilities).
     pub fn mib_f64(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0)
@@ -93,19 +88,6 @@ impl Bandwidth {
         Bandwidth(gb * 1e9)
     }
 
-    /// Creates a bandwidth from raw bytes per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not strictly positive and finite.
-    pub fn from_bytes_per_sec(bytes: f64) -> Bandwidth {
-        assert!(
-            bytes > 0.0 && bytes.is_finite(),
-            "bandwidth must be positive and finite, got {bytes}"
-        );
-        Bandwidth(bytes)
-    }
-
     /// Bandwidth in bytes per second.
     pub fn bytes_per_sec(self) -> f64 {
         self.0
@@ -117,7 +99,7 @@ impl Bandwidth {
     }
 
     /// Bytes transferred per core cycle at the given clock.
-    pub fn bytes_per_cycle(self, clock_hz: f64) -> f64 {
+    pub(crate) fn bytes_per_cycle(self, clock_hz: f64) -> f64 {
         self.0 / clock_hz
     }
 }
@@ -148,7 +130,7 @@ impl CacheConfig {
     ///
     /// Panics if the geometry is degenerate (zero ways/block, or capacity
     /// smaller than one way of blocks).
-    pub fn sets(&self) -> usize {
+    pub(crate) fn sets(&self) -> usize {
         assert!(self.ways > 0 && self.block_bytes > 0, "degenerate geometry");
         let sets = self.size.bytes() / (self.ways as u64 * self.block_bytes);
         assert!(
@@ -336,7 +318,7 @@ mod tests {
     #[test]
     fn cache_size_conversions() {
         assert_eq!(CacheSize::from_kib(128).bytes(), 131072);
-        assert_eq!(CacheSize::from_mib(2).kib(), 2048);
+        assert_eq!(CacheSize::from_mib(2).bytes(), 2048 * 1024);
         assert!((CacheSize::from_kib(512).mib_f64() - 0.5).abs() < 1e-12);
     }
 
@@ -376,7 +358,10 @@ mod tests {
 
     #[test]
     fn table1_sweeps_match_paper() {
-        let l2: Vec<u64> = PlatformConfig::l2_sweep().iter().map(|c| c.kib()).collect();
+        let l2: Vec<u64> = PlatformConfig::l2_sweep()
+            .iter()
+            .map(|c| c.bytes() / 1024)
+            .collect();
         assert_eq!(l2, vec![128, 256, 512, 1024, 2048]);
         let bw: Vec<f64> = PlatformConfig::bandwidth_sweep()
             .iter()
@@ -399,7 +384,7 @@ mod tests {
         let p = PlatformConfig::asplos14()
             .with_l2_size(CacheSize::from_kib(256))
             .with_bandwidth(Bandwidth::from_gb_per_sec(0.8));
-        assert_eq!(p.l2.size.kib(), 256);
+        assert_eq!(p.l2.size.bytes(), 256 * 1024);
         assert!((p.dram.bandwidth.gb_per_sec() - 0.8).abs() < 1e-12);
         // Other fields untouched.
         assert_eq!(p.core.issue_width, 4);

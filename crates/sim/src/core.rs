@@ -54,7 +54,7 @@ impl SimReport {
     ///
     /// Panics if `earlier` is not actually an earlier snapshot of the same
     /// run.
-    pub fn since(&self, earlier: &SimReport) -> SimReport {
+    pub(crate) fn since(&self, earlier: &SimReport) -> SimReport {
         assert!(
             self.instructions >= earlier.instructions && self.cycles >= earlier.cycles,
             "snapshot is not earlier than self"
@@ -126,7 +126,7 @@ impl MissQueue {
 /// One core with private L1 and (a partition of) L2, issuing to a shared
 /// DRAM channel.
 #[derive(Debug, Clone)]
-pub struct Core {
+pub(crate) struct Core {
     cfg: CoreConfig,
     l1: SetAssociativeCache,
     l2: SetAssociativeCache,
@@ -146,7 +146,7 @@ impl Core {
     /// The L2 passed here is this core's own partition when the physical L2
     /// is shared (way partitioning gives each agent a private slice; see
     /// [`crate::cache::partition_ways`]).
-    pub fn new(platform: &PlatformConfig, l2: SetAssociativeCache) -> Core {
+    pub(crate) fn new(platform: &PlatformConfig, l2: SetAssociativeCache) -> Core {
         Core {
             cfg: platform.core,
             l1: SetAssociativeCache::from_config(&platform.l1),
@@ -164,7 +164,7 @@ impl Core {
     /// Retires one instruction, advancing the core clock.
     ///
     /// `agent` is this core's index on the shared DRAM channel.
-    pub fn step(&mut self, op: Op, dram: &mut Dram, agent: usize) {
+    pub(crate) fn step(&mut self, op: Op, dram: &mut Dram, agent: usize) {
         self.instructions = self.instructions.saturating_add(1);
         self.now += 1.0 / f64::from(self.cfg.issue_width);
         let addr = match op.address() {
@@ -227,7 +227,7 @@ impl Core {
     }
 
     /// Drains outstanding misses and returns the final report.
-    pub fn finish(&mut self) -> SimReport {
+    pub(crate) fn finish(&mut self) -> SimReport {
         if let Some(earliest) = self.outstanding.drain_earliest() {
             self.now = self.now.max(earliest as f64);
         }
@@ -235,7 +235,7 @@ impl Core {
     }
 
     /// The report so far, without draining outstanding misses.
-    pub fn report(&self) -> SimReport {
+    pub(crate) fn report(&self) -> SimReport {
         SimReport {
             instructions: self.instructions,
             cycles: self.now,
@@ -247,7 +247,7 @@ impl Core {
     }
 
     /// Current core clock in cycles.
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.now
     }
 

@@ -41,17 +41,6 @@ pub struct DramStats {
     pub row_hits: u64,
 }
 
-impl DramStats {
-    /// Mean request latency in cycles; `0.0` with no requests.
-    pub fn mean_latency(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_latency_cycles as f64 / self.requests as f64
-        }
-    }
-}
-
 /// A single-channel DRAM with banks and per-agent bandwidth shares.
 ///
 /// # Examples
@@ -142,7 +131,7 @@ impl Dram {
     }
 
     /// Creates a channel dedicated to a single agent at full bandwidth.
-    pub fn single_agent(cfg: &DramConfig, clock_hz: f64) -> Dram {
+    pub(crate) fn single_agent(cfg: &DramConfig, clock_hz: f64) -> Dram {
         Dram::new(cfg, clock_hz, &[1.0])
     }
 
@@ -208,11 +197,6 @@ impl Dram {
     /// Accumulated channel statistics.
     pub fn stats(&self) -> DramStats {
         self.stats
-    }
-
-    /// Number of agents sharing the channel.
-    pub fn num_agents(&self) -> usize {
-        self.ports.len()
     }
 }
 
@@ -330,14 +314,6 @@ mod tests {
         let b = d.access(0, 1024 * 64, a);
         assert_eq!(b - a, 126, "row conflict re-opens");
         assert_eq!(d.stats().row_hits, 0);
-    }
-
-    #[test]
-    fn mean_latency_accumulates() {
-        let mut d = dram_with_bw(12.8, &[1.0]);
-        d.access(0, 0, 0);
-        assert!(d.stats().mean_latency() >= 126.0);
-        assert_eq!(DramStats::default().mean_latency(), 0.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! - [`cache`] — set-associative caches with LRU and way partitioning.
 //! - [`dram`] — single-channel closed-page DRAM with banks and per-agent
 //!   bandwidth shares (token buckets).
-//! - [`core`] — an out-of-order core timing model with memory-level
+//! - `core` — an out-of-order core timing model with memory-level
 //!   parallelism bounded by MSHRs.
 //! - [`system`] — single-core profiling runs and multi-core partitioned
 //!   runs that enforce a REF allocation.
@@ -37,7 +37,7 @@
 
 pub mod cache;
 pub mod config;
-pub mod core;
+mod core;
 pub mod dram;
 pub mod system;
 pub mod trace;

@@ -139,7 +139,7 @@ impl MulticoreSystem {
     }
 
     /// Number of agents.
-    pub fn num_agents(&self) -> usize {
+    pub(crate) fn num_agents(&self) -> usize {
         self.cache_shares.len()
     }
 

@@ -1,7 +1,7 @@
 //! Instruction traces consumed by the timing model.
 //!
 //! Workload generators (crate `ref-workloads`) produce iterators of [`Op`];
-//! the core model ([`crate::core`]) replays them against the memory
+//! the core model (`crate::core`) replays them against the memory
 //! hierarchy. Keeping the interface at the instruction level lets the same
 //! trace drive both single-core profiling and multi-core partitioned runs.
 
@@ -31,14 +31,6 @@ impl Op {
     }
 }
 
-/// A finite or unbounded stream of instructions.
-///
-/// Blanket-implemented for every iterator over [`Op`], so workload
-/// generators just implement `Iterator`.
-pub trait InstructionStream: Iterator<Item = Op> {}
-
-impl<T: Iterator<Item = Op>> InstructionStream for T {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,14 +47,5 @@ mod tests {
         assert!(!Op::Compute.is_memory());
         assert!(Op::Load(0).is_memory());
         assert!(Op::Store(0).is_memory());
-    }
-
-    #[test]
-    fn any_iterator_is_a_stream() {
-        fn takes_stream<S: InstructionStream>(s: S) -> usize {
-            s.count()
-        }
-        let v = vec![Op::Compute, Op::Load(0)];
-        assert_eq!(takes_stream(v.into_iter()), 2);
     }
 }

@@ -2,7 +2,7 @@
 //! log-sum-exp inequality constraints.
 //!
 //! Solves `minimize f0(x) subject to f_i(x) <= 0` where `f0` and every `f_i`
-//! are [`LogSumExp`] functions. This is the engine behind the
+//! are `LogSumExp` functions. This is the engine behind the
 //! geometric-programming layer ([`crate::gp`]) that replaces CVX in the REF
 //! paper's evaluation.
 //!
@@ -12,9 +12,9 @@
 //! minimizing `t f0(x) + phi(x)` with damped Newton for geometrically
 //! increasing `t`, where `phi(x) = -sum_i log(-f_i(x))`. Each Newton system
 //! is assembled in one pass over the constraints' non-zeros
-//! ([`LogSumExp::add_derivatives`]) into buffers that live as long as the
+//! (`LogSumExp::add_derivatives`) into buffers that live as long as the
 //! solve, as a sparse matrix plus the few dense rank-one terms that would
-//! fill it ([`Hessian`]); which terms are kept apart is read off the
+//! fill it (`Hessian`); which terms are kept apart is read off the
 //! program's sparsity once per solve.
 
 use crate::error::{Result, SolverError};
@@ -86,7 +86,7 @@ pub struct SolveStats {
 
 /// Outcome of a barrier-method minimization.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BarrierResult {
+pub(crate) struct BarrierResult {
     /// Minimizer.
     pub x: Vec<f64>,
     /// Objective value at the minimizer.
@@ -102,7 +102,7 @@ pub struct BarrierResult {
 
 /// A previous optimum of a nearby problem, offered to [`minimize_warm`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WarmStart<'a> {
+pub(crate) struct WarmStart<'a> {
     /// The previous minimizer.
     pub x: &'a [f64],
     /// The path parameter it converged at; re-entry never starts above it.
@@ -308,7 +308,7 @@ impl Objective for Centering<'_> {
 
 /// Returns the largest constraint value at `x`, or `None` when there are no
 /// constraints.
-pub fn max_violation(constraints: &[LogSumExp], x: &[f64]) -> Option<f64> {
+pub(crate) fn max_violation(constraints: &[LogSumExp], x: &[f64]) -> Option<f64> {
     let mut p = Vec::new();
     constraints
         .iter()
@@ -321,48 +321,13 @@ fn strictly_feasible(constraints: &[LogSumExp], x: &[f64], opts: &BarrierOptions
     max_violation(constraints, x).is_none_or(|v| v < -opts.feasibility_margin)
 }
 
-/// Minimizes `f0` subject to `f_i(x) <= 0` for every constraint.
+/// Minimizes `f0` subject to `f_i(x) <= 0` for every constraint,
+/// re-entering the central path from a previous optimum of a nearby
+/// problem when `warm` is given.
 ///
 /// `x0` is any starting point; a phase-I solve is performed first if it is
 /// not strictly feasible (by [`BarrierOptions::feasibility_margin`]), so a
 /// caller that knows an interior point saves that work by passing it.
-///
-/// # Errors
-///
-/// - [`SolverError::Infeasible`] if no strictly feasible point exists.
-/// - [`SolverError::MaxIterationsExceeded`] if the central path does not
-///   reach the target gap.
-/// - Errors propagated from the inner Newton solves.
-///
-/// # Examples
-///
-/// Minimize `-x - y` subject to `e^x + e^y <= 1` (optimum at
-/// `x = y = log 1/2`):
-///
-/// ```
-/// use ref_solver::barrier::{minimize, BarrierOptions};
-/// use ref_solver::func::LogSumExp;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let objective = LogSumExp::affine(2, &[(0, -1.0), (1, -1.0)], 0.0)?;
-/// let budget = LogSumExp::from_terms(2, [(&[(0, 1.0)][..], 0.0), (&[(1, 1.0)][..], 0.0)])?;
-/// let r = minimize(&objective, &[budget], &[-2.0, -2.0], &BarrierOptions::default())?;
-/// assert!((r.x[0] - 0.5_f64.ln()).abs() < 1e-4);
-/// assert!((r.x[1] - 0.5_f64.ln()).abs() < 1e-4);
-/// # Ok(())
-/// # }
-/// ```
-pub fn minimize(
-    f0: &LogSumExp,
-    constraints: &[LogSumExp],
-    x0: &[f64],
-    opts: &BarrierOptions,
-) -> Result<BarrierResult> {
-    minimize_warm(f0, constraints, x0, opts, None)
-}
-
-/// [`minimize`], re-entering the central path from a previous optimum of a
-/// nearby problem when `warm` is given.
 ///
 /// The hint is advisory, and used only when `x0` is strictly feasible. The
 /// stage of the cold schedule `t0 mu^k` to re-enter at is read off the
@@ -372,14 +337,18 @@ pub fn minimize(
 /// that skips stages does not converge within a fixed budget, or the hint
 /// is central for no stage at all, the solve is the cold solve from `x0`
 /// and [`SolveStats::warm`] says so. Both paths end at the same `t`, hence
-/// on the same central point. With `warm = None` this is exactly
-/// [`minimize`] — same iterates bit for bit.
+/// on the same central point. With `warm = None` this is the cold solve —
+/// same iterates bit for bit.
 ///
 /// # Errors
 ///
-/// As [`minimize`], plus [`SolverError::InvalidArgument`] for a hint of
-/// the wrong dimension or with a non-finite or non-positive `t`.
-pub fn minimize_warm(
+/// - [`SolverError::Infeasible`] if no strictly feasible point exists.
+/// - [`SolverError::MaxIterationsExceeded`] if the central path does not
+///   reach the target gap.
+/// - [`SolverError::InvalidArgument`] for a hint of the wrong dimension or
+///   with a non-finite or non-positive `t`.
+/// - Errors propagated from the inner Newton solves.
+pub(crate) fn minimize_warm(
     f0: &LogSumExp,
     constraints: &[LogSumExp],
     x0: &[f64],
@@ -650,6 +619,16 @@ mod tests {
     use crate::matrix::Matrix;
     use proptest::prelude::*;
 
+    /// [`minimize_warm`] with no hint.
+    fn minimize(
+        f0: &LogSumExp,
+        constraints: &[LogSumExp],
+        x0: &[f64],
+        opts: &BarrierOptions,
+    ) -> Result<BarrierResult> {
+        minimize_warm(f0, constraints, x0, opts, None)
+    }
+
     fn affine(dim: usize, a: &[(usize, f64)], b: f64) -> LogSumExp {
         LogSumExp::affine(dim, a, b).unwrap()
     }
@@ -742,6 +721,22 @@ mod tests {
         let expect = 0.5_f64.ln();
         assert!((r.x[0] - expect).abs() < 1e-4, "{:?}", r.x);
         assert!((r.x[1] - expect).abs() < 1e-4, "{:?}", r.x);
+    }
+
+    #[test]
+    fn budget_split_evenly_from_the_lse_constructors() {
+        let objective = LogSumExp::affine(2, &[(0, -1.0), (1, -1.0)], 0.0).unwrap();
+        let budget =
+            LogSumExp::from_terms(2, [(&[(0, 1.0)][..], 0.0), (&[(1, 1.0)][..], 0.0)]).unwrap();
+        let r = minimize(
+            &objective,
+            &[budget],
+            &[-2.0, -2.0],
+            &BarrierOptions::default(),
+        )
+        .unwrap();
+        assert!((r.x[0] - 0.5_f64.ln()).abs() < 1e-4);
+        assert!((r.x[1] - 0.5_f64.ln()).abs() < 1e-4);
     }
 
     /// minimize `-a x - b y` subject to `e^x + e^y <= 1`: the optimum puts

@@ -16,21 +16,8 @@ use crate::matrix::Matrix;
 /// A symmetric matrix whose lower triangle is stored row by row, each row
 /// from its first stored column to the diagonal (envelope, or skyline,
 /// storage). Entries left of a row's first column are structural zeros.
-///
-/// # Examples
-///
-/// ```
-/// use ref_solver::cholesky::Envelope;
-///
-/// // An arrow: a diagonal plus a dense last row.
-/// let mut a = Envelope::zeros(vec![0, 1, 0]);
-/// assert_eq!((a.dim(), a.stored()), (3, 5));
-/// a.row_mut(2).copy_from_slice(&[1.0, 2.0, 9.0]);
-/// assert_eq!(a.get(2, 1), 2.0);
-/// assert_eq!(a.get(1, 0), 0.0);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// First stored column of each row, `first[i] <= i`.
     first: Vec<usize>,
     /// Row `i` owns `vals[starts[i]..starts[i + 1]]`: columns
@@ -47,7 +34,7 @@ impl Envelope {
     ///
     /// Panics if some `first[i]` exceeds `i` (the diagonal is always
     /// stored).
-    pub fn zeros(first: Vec<usize>) -> Envelope {
+    pub(crate) fn zeros(first: Vec<usize>) -> Envelope {
         let mut starts = Vec::with_capacity(first.len() + 1);
         let mut stored = 0;
         starts.push(0);
@@ -69,7 +56,7 @@ impl Envelope {
     /// # Errors
     ///
     /// Returns [`SolverError::NotSquare`] for rectangular input.
-    pub fn from_lower(a: &Matrix) -> Result<Envelope> {
+    pub(crate) fn from_lower(a: &Matrix) -> Result<Envelope> {
         if !a.is_square() {
             return Err(SolverError::NotSquare {
                 rows: a.rows(),
@@ -84,32 +71,34 @@ impl Envelope {
     }
 
     /// Dimension `n` of the `n x n` matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.first.len()
     }
 
     /// Number of stored entries.
-    pub fn stored(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stored(&self) -> usize {
         self.vals.len()
     }
 
     /// First stored column of row `i`.
-    pub fn first(&self, i: usize) -> usize {
+    pub(crate) fn first(&self, i: usize) -> usize {
         self.first[i]
     }
 
     /// The stored part of row `i`: columns `first(i)..=i`.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.vals[self.starts[i]..self.starts[i + 1]]
     }
 
     /// Mutable access to the stored part of row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.vals[self.starts[i]..self.starts[i + 1]]
     }
 
     /// Entry `(i, j)` of the symmetric matrix; zero outside the envelope.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         let (i, j) = if i >= j { (i, j) } else { (j, i) };
         match j.checked_sub(self.first[i]) {
             Some(k) => self.row(i)[k],
@@ -118,17 +107,18 @@ impl Envelope {
     }
 
     /// Sets every stored entry to zero.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.vals.fill(0.0);
     }
 
     /// Largest absolute stored entry, or `0.0` for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
+    pub(crate) fn max_abs(&self) -> f64 {
         self.vals.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 
     /// The lower triangle as a dense matrix (strict upper triangle zero).
-    pub fn to_lower(&self) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn to_lower(&self) -> Matrix {
         Matrix::from_fn(self.dim(), self.dim(), |i, j| {
             if j <= i {
                 self.get(i, j)
@@ -144,8 +134,8 @@ impl Envelope {
 ///
 /// The factorization is the dense row-oriented algorithm with every
 /// product by a structural zero left out: a factor entry outside `A`'s
-/// envelope is an exact zero, so factor, solution and log-determinant are
-/// those of the dense algorithm bit for bit whatever the profile.
+/// envelope is an exact zero, so factor and solution are those of the
+/// dense algorithm bit for bit whatever the profile.
 ///
 /// # Examples
 ///
@@ -180,7 +170,7 @@ impl Cholesky {
     /// # Errors
     ///
     /// Returns [`SolverError::NotSquare`] for rectangular input, and the
-    /// errors of [`refactor`](Cholesky::refactor).
+    /// errors of `refactor`.
     pub fn new(a: &Matrix) -> Result<Cholesky> {
         let a = Envelope::from_lower(a)?;
         let mut ch = Cholesky::with_profile(&a.first);
@@ -191,7 +181,7 @@ impl Cholesky {
     /// Storage for the factor of a matrix with the given profile (see
     /// [`Envelope::zeros`]), to be filled by
     /// [`refactor`](Cholesky::refactor).
-    pub fn with_profile(first: &[usize]) -> Cholesky {
+    pub(crate) fn with_profile(first: &[usize]) -> Cholesky {
         let l = Envelope::zeros(first.to_vec());
         let n = first.len();
         let mut col_starts = vec![0; n + 1];
@@ -229,7 +219,7 @@ impl Cholesky {
     /// Returns [`SolverError::NotPositiveDefinite`] if a non-positive pivot
     /// is encountered and [`SolverError::NonFinite`] if a pivot is not
     /// finite (every non-finite entry of `a` reaches its row's pivot).
-    pub fn refactor(&mut self, a: &Envelope, ridge: f64) -> Result<()> {
+    pub(crate) fn refactor(&mut self, a: &Envelope, ridge: f64) -> Result<()> {
         if self.l.first != a.first {
             *self = Cholesky::with_profile(&a.first);
         }
@@ -271,7 +261,8 @@ impl Cholesky {
     }
 
     /// The lower-triangular factor.
-    pub fn l(&self) -> &Envelope {
+    #[cfg(test)]
+    pub(crate) fn l(&self) -> &Envelope {
         &self.l
     }
 
@@ -293,7 +284,7 @@ impl Cholesky {
     ///
     /// Returns [`SolverError::ShapeMismatch`] if `b.len()` or `x.len()`
     /// differs from the dimension of `A`.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+    pub(crate) fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
         if b.len() != x.len() {
             return Err(SolverError::ShapeMismatch(format!(
                 "rhs length {} but solution length {}",
@@ -312,7 +303,7 @@ impl Cholesky {
     ///
     /// Returns [`SolverError::ShapeMismatch`] if `x.len()` differs from the
     /// dimension of `A`.
-    pub fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
+    pub(crate) fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
         let n = self.l.dim();
         if x.len() != n {
             return Err(SolverError::ShapeMismatch(format!(
@@ -345,19 +336,11 @@ impl Cholesky {
         }
         Ok(())
     }
-
-    /// Log-determinant of `A`, i.e. `2 * sum_i log L_ii`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.dim())
-            .map(|i| self.l.row(i)[i - self.l.first[i]].ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 /// The dense row-oriented algorithm the envelope factorization is held to:
-/// factor, both substitutions and the log-determinant over a full matrix,
-/// multiplying through every zero.
+/// factor and both substitutions over a full matrix, multiplying through
+/// every zero.
 #[cfg(test)]
 pub(crate) mod dense {
     use crate::matrix::Matrix;
@@ -406,11 +389,6 @@ pub(crate) mod dense {
         }
         x
     }
-
-    /// `2 sum_i log L_ii`.
-    pub(crate) fn log_det(l: &Matrix) -> f64 {
-        (0..l.rows()).map(|i| l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -420,6 +398,16 @@ mod tests {
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} != {b} (tol {tol})");
+    }
+
+    #[test]
+    fn an_arrow_envelope_stores_its_profile() {
+        // An arrow: a diagonal plus a dense last row.
+        let mut a = Envelope::zeros(vec![0, 1, 0]);
+        assert_eq!((a.dim(), a.stored()), (3, 5));
+        a.row_mut(2).copy_from_slice(&[1.0, 2.0, 9.0]);
+        assert_eq!(a.get(2, 1), 2.0);
+        assert_eq!(a.get(1, 0), 0.0);
     }
 
     #[test]
@@ -481,13 +469,6 @@ mod tests {
         let ch = Cholesky::new(&a).unwrap();
         assert!(ch.solve(&[1.0]).is_err());
         assert!(ch.solve_into(&[1.0, 1.0], &mut [0.0]).is_err());
-    }
-
-    #[test]
-    fn log_det_matches() {
-        let a = Matrix::from_rows(&[&[4.0, 0.0], &[0.0, 9.0]]).unwrap();
-        let ch = Cholesky::new(&a).unwrap();
-        assert_close(ch.log_det(), 36.0_f64.ln(), 1e-12);
     }
 
     #[test]
@@ -584,12 +565,10 @@ mod tests {
             // profile, and the same bits where nothing is skipped.
             prop_assert_eq!(&l, &want_l);
             prop_assert_eq!(&x, &want_x);
-            prop_assert_eq!(ch.log_det(), dense::log_det(&want_l));
             if kind == 3 {
                 let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(l.as_slice()), bits(want_l.as_slice()));
                 prop_assert_eq!(bits(&x), bits(&want_x));
-                prop_assert_eq!(ch.log_det().to_bits(), dense::log_det(&want_l).to_bits());
             }
             // And it does solve the system.
             let ax = a.matvec(&x).unwrap();

@@ -9,12 +9,10 @@
 //! [`LogSumExp`] — the log-space image of a posynomial, with sparse
 //! exponent rows — is what the barrier method ([`crate::barrier`]) and the
 //! geometric-programming layer ([`crate::gp`]) are built from;
-//! [`Quadratic`] exercises the minimizer in tests.
+//! the tests also exercise the minimizer on a quadratic.
 
 use crate::cholesky::Envelope;
 use crate::error::{Result, SolverError};
-use crate::matrix::Matrix;
-use crate::vec_ops;
 
 /// A twice-differentiable scalar function `f: R^n -> R`.
 ///
@@ -24,7 +22,7 @@ use crate::vec_ops;
 /// (used by barrier compositions); `eval` is only invoked at points with
 /// finite value. The methods take `&mut self` so an implementation can keep
 /// scratch space between calls instead of allocating per call.
-pub trait Objective {
+pub(crate) trait Objective {
     /// Dimension `n` of the argument vector.
     fn dim(&self) -> usize;
 
@@ -56,7 +54,7 @@ pub trait Objective {
 /// construction; [`dense`](Hessian::dense) is the full profile and no
 /// columns.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Hessian {
+pub(crate) struct Hessian {
     s: Envelope,
     /// Column `j` of `U` has its non-zeros in rows
     /// `u_rows[u_starts[j]..u_starts[j + 1]]`, ascending, and their values
@@ -70,7 +68,7 @@ pub struct Hessian {
 impl Hessian {
     /// The zero Hessian over `n` variables with every lower-triangle entry
     /// stored.
-    pub fn dense(n: usize) -> Hessian {
+    pub(crate) fn dense(n: usize) -> Hessian {
         Hessian::new(vec![0; n], std::iter::empty())
     }
 
@@ -98,12 +96,12 @@ impl Hessian {
     }
 
     /// Dimension `n` of the argument vector.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.s.dim()
     }
 
     /// Sets every entry of `S`, `U` and `c` to zero.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.s.clear();
         self.u_vals.fill(0.0);
         self.c.fill(0.0);
@@ -114,7 +112,7 @@ impl Hessian {
     /// # Panics
     ///
     /// Panics if the entry lies outside `S`'s profile.
-    pub fn add(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn add(&mut self, i: usize, j: usize, v: f64) {
         let first = self.s.first(i);
         self.s.row_mut(i)[j - first] += v;
     }
@@ -166,7 +164,7 @@ impl Hessian {
 
     /// The lower triangle of `S + U diag(c) U^T` written out.
     #[cfg(test)]
-    pub(crate) fn to_lower(&self) -> Matrix {
+    pub(crate) fn to_lower(&self) -> crate::matrix::Matrix {
         let mut h = self.s.to_lower();
         for j in 0..self.rank() {
             let (c, rows, vals) = self.column(j);
@@ -180,53 +178,6 @@ impl Hessian {
     }
 }
 
-/// Convex quadratic `0.5 x^T Q x + c . x` with symmetric `Q`.
-///
-/// Primarily used to exercise the minimizers in tests; Newton converges on a
-/// quadratic in one step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Quadratic {
-    q: Matrix,
-    c: Vec<f64>,
-}
-
-impl Quadratic {
-    /// Creates `0.5 x^T Q x + c . x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not square or its dimension differs from `c.len()`.
-    pub fn new(q: Matrix, c: Vec<f64>) -> Quadratic {
-        assert!(q.is_square(), "quadratic form requires a square matrix");
-        assert_eq!(q.rows(), c.len(), "dimension mismatch");
-        Quadratic { q, c }
-    }
-}
-
-impl Objective for Quadratic {
-    fn dim(&self) -> usize {
-        self.c.len()
-    }
-
-    fn value(&mut self, x: &[f64]) -> f64 {
-        let qx = self.q.matvec(x).expect("dimension checked at construction");
-        0.5 * vec_ops::dot(x, &qx) + vec_ops::dot(&self.c, x)
-    }
-
-    fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut Hessian) -> f64 {
-        let qx = self.q.matvec(x).expect("dimension checked at construction");
-        for ((g, q), c) in grad.iter_mut().zip(&qx).zip(&self.c) {
-            *g = q + c;
-        }
-        for i in 0..self.dim() {
-            for (j, &q) in self.q.row(i)[..=i].iter().enumerate() {
-                hess.add(i, j, q);
-            }
-        }
-        0.5 * vec_ops::dot(x, &qx) + vec_ops::dot(&self.c, x)
-    }
-}
-
 /// Log-sum-exp of affine functions, `f(x) = log sum_k exp(a_k . x + b_k)`,
 /// with each row `a_k` stored sparse.
 ///
@@ -236,22 +187,8 @@ impl Objective for Quadratic {
 /// constraints touch a handful of the `N * R` variables each (a capacity
 /// term one, a sharing-incentive row `R`, an envy row `2R`), so evaluation
 /// and the derivative pass cost time in the non-zeros, not in `n` or `n^2`.
-///
-/// # Examples
-///
-/// ```
-/// use ref_solver::func::LogSumExp;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // log(e^x + e^-x) is minimized at 0 with value log 2.
-/// let f = LogSumExp::from_terms(1, [(&[(0, 1.0)][..], 0.0), (&[(0, -1.0)][..], 0.0)])?;
-/// let mut weights = Vec::new();
-/// assert!((f.value(&[0.0], &mut weights) - 2.0_f64.ln()).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct LogSumExp {
+pub(crate) struct LogSumExp {
     dim: usize,
     /// Term `k` owns entries `starts[k]..starts[k + 1]` of `cols`/`vals`,
     /// sorted by column with duplicates merged and zeros dropped.
@@ -273,7 +210,7 @@ impl LogSumExp {
     ///
     /// Returns [`SolverError::InvalidArgument`] if there are no terms, a
     /// column is out of range, or a coefficient or offset is not finite.
-    pub fn from_terms<'a, I>(dim: usize, terms: I) -> Result<LogSumExp>
+    pub(crate) fn from_terms<'a, I>(dim: usize, terms: I) -> Result<LogSumExp>
     where
         I: IntoIterator<Item = (&'a [(usize, f64)], f64)>,
     {
@@ -331,17 +268,17 @@ impl LogSumExp {
     /// # Errors
     ///
     /// As [`from_terms`](LogSumExp::from_terms).
-    pub fn affine(dim: usize, a: &[(usize, f64)], b: f64) -> Result<LogSumExp> {
+    pub(crate) fn affine(dim: usize, a: &[(usize, f64)], b: f64) -> Result<LogSumExp> {
         LogSumExp::from_terms(dim, [(a, b)])
     }
 
     /// Dimension `n` of the argument vector.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
     /// Number of exponential terms.
-    pub fn terms(&self) -> usize {
+    pub(crate) fn terms(&self) -> usize {
         self.offsets.len()
     }
 
@@ -405,14 +342,14 @@ impl LogSumExp {
     }
 
     /// Function value at `x`. `p` is scratch (resized as needed).
-    pub fn value(&self, x: &[f64], p: &mut Vec<f64>) -> f64 {
+    pub(crate) fn value(&self, x: &[f64], p: &mut Vec<f64>) -> f64 {
         let (max, sum) = self.shifted_terms(x, p);
         max + sum.ln()
     }
 
     /// Function value at `x`, leaving the softmax weight of each term in
     /// `p` for [`add_derivatives`](LogSumExp::add_derivatives).
-    pub fn eval(&self, x: &[f64], p: &mut Vec<f64>) -> f64 {
+    pub(crate) fn eval(&self, x: &[f64], p: &mut Vec<f64>) -> f64 {
         let (max, sum) = self.shifted_terms(x, p);
         let inv = 1.0 / sum;
         for w in p.iter_mut() {
@@ -434,7 +371,7 @@ impl LogSumExp {
     /// `c = gamma`. `g` is scratch of length `dim`, all zero on entry and
     /// again on return.
     #[allow(clippy::too_many_arguments)]
-    pub fn add_derivatives(
+    pub(crate) fn add_derivatives(
         &self,
         p: &[f64],
         alpha: f64,
@@ -484,11 +421,58 @@ impl LogSumExp {
 /// The dense log-sum-exp and the value / gradient / Hessian-per-function
 /// interface the solver assembled its Newton systems from before the fused
 /// sparse pass, kept as the reference [`LogSumExp`] and the barrier's
-/// assembly are tested against.
+/// assembly are tested against; and a quadratic test objective.
 #[cfg(test)]
 pub(crate) mod dense {
     use crate::matrix::Matrix;
     use crate::vec_ops;
+
+    /// Convex quadratic `0.5 x^T Q x + c . x` with symmetric `Q`.
+    ///
+    /// Exercises the Newton minimizer: it converges on a quadratic in one
+    /// step.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct Quadratic {
+        q: Matrix,
+        c: Vec<f64>,
+    }
+
+    impl Quadratic {
+        /// Creates `0.5 x^T Q x + c . x`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `q` is not square or its dimension differs from `c.len()`.
+        pub(crate) fn new(q: Matrix, c: Vec<f64>) -> Quadratic {
+            assert!(q.is_square(), "quadratic form requires a square matrix");
+            assert_eq!(q.rows(), c.len(), "dimension mismatch");
+            Quadratic { q, c }
+        }
+    }
+
+    impl super::Objective for Quadratic {
+        fn dim(&self) -> usize {
+            self.c.len()
+        }
+
+        fn value(&mut self, x: &[f64]) -> f64 {
+            let qx = self.q.matvec(x).expect("dimension checked at construction");
+            0.5 * vec_ops::dot(x, &qx) + vec_ops::dot(&self.c, x)
+        }
+
+        fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut super::Hessian) -> f64 {
+            let qx = self.q.matvec(x).expect("dimension checked at construction");
+            for ((g, q), c) in grad.iter_mut().zip(&qx).zip(&self.c) {
+                *g = q + c;
+            }
+            for i in 0..self.dim() {
+                for (j, &q) in self.q.row(i)[..=i].iter().enumerate() {
+                    hess.add(i, j, q);
+                }
+            }
+            0.5 * vec_ops::dot(x, &qx) + vec_ops::dot(&self.c, x)
+        }
+    }
 
     /// `(entries, offset)` per term, entries as `(column, coefficient)`.
     pub(crate) type Terms = Vec<(Vec<(usize, f64)>, f64)>;
@@ -694,12 +678,23 @@ pub(crate) mod dense {
 mod tests {
     use super::dense::{self, Objective as _};
     use super::*;
+    use crate::matrix::Matrix;
+    use crate::vec_ops;
     use proptest::prelude::*;
+
+    #[test]
+    fn log_sum_exp_of_x_and_minus_x_is_log_2_at_zero() {
+        // log(e^x + e^-x) is minimized at 0 with value log 2.
+        let f =
+            LogSumExp::from_terms(1, [(&[(0, 1.0)][..], 0.0), (&[(0, -1.0)][..], 0.0)]).unwrap();
+        let mut weights = Vec::new();
+        assert!((f.value(&[0.0], &mut weights) - 2.0_f64.ln()).abs() < 1e-12);
+    }
 
     #[test]
     fn quadratic_value_and_derivatives() {
         let q = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]).unwrap();
-        let mut f = Quadratic::new(q, vec![-1.0, 0.0]);
+        let mut f = dense::Quadratic::new(q, vec![-1.0, 0.0]);
         assert_eq!(f.value(&[1.0, 1.0]), 0.5 * (2.0 + 4.0) - 1.0);
         let mut g = vec![0.0; 2];
         let mut h = f.hessian();

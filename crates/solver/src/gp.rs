@@ -95,25 +95,6 @@ impl Monomial {
         })
     }
 
-    /// A monomial equal to the single variable `x_j` among `n` variables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::InvalidArgument`] if `j >= n`.
-    pub fn variable(n: usize, j: usize) -> Result<Monomial> {
-        Monomial::sparse(1.0, n, &[(j, 1.0)])
-    }
-
-    /// The positive coefficient `c`.
-    pub fn coefficient(&self) -> f64 {
-        self.coefficient
-    }
-
-    /// Number of variables.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Evaluates the monomial at strictly positive `x`.
     ///
     /// # Panics
@@ -135,22 +116,6 @@ impl Monomial {
             coefficient: 1.0 / self.coefficient,
             dim: self.dim,
             exponents: self.exponents.iter().map(|&(j, e)| (j, -e)).collect(),
-        }
-    }
-
-    /// The product of two monomials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn product(&self, other: &Monomial) -> Monomial {
-        assert_eq!(self.dim, other.dim, "dimension mismatch");
-        let mut exponents = self.exponents.clone();
-        exponents.extend_from_slice(&other.exponents);
-        Monomial {
-            coefficient: self.coefficient * other.coefficient,
-            dim: self.dim,
-            exponents,
         }
     }
 }
@@ -198,13 +163,8 @@ impl Posynomial {
         Ok(Posynomial { terms })
     }
 
-    /// The monomial terms.
-    pub fn terms(&self) -> &[Monomial] {
-        &self.terms
-    }
-
     /// Number of variables.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.terms[0].dim
     }
 
@@ -358,21 +318,12 @@ impl GeometricProgram {
     }
 
     /// Adds the monomial equality `m(x) = 1`, encoded as the relaxed band
-    /// `1 - eps <= m(x) <= 1 + eps` with `eps = 1e-6`.
+    /// `1 - eps <= m(x) <= 1 + eps`.
     ///
     /// An exact equality has no strict interior, which a log-barrier method
     /// cannot center in; the relaxation perturbs the optimum by at most
-    /// `O(eps)`, far below the solver's duality-gap tolerance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::ShapeMismatch`] on dimension mismatch.
-    pub fn add_monomial_equality(&mut self, m: Monomial) -> Result<&mut GeometricProgram> {
-        self.add_monomial_equality_with_tolerance(m, 1e-6)
-    }
-
-    /// As [`add_monomial_equality`](GeometricProgram::add_monomial_equality)
-    /// with an explicit relaxation half-width `eps`.
+    /// `O(eps)`, so `eps = 1e-6` is far below the solver's duality-gap
+    /// tolerance.
     ///
     /// # Errors
     ///
@@ -405,16 +356,6 @@ impl GeometricProgram {
         self
     }
 
-    /// Number of variables.
-    pub fn num_variables(&self) -> usize {
-        self.n
-    }
-
-    /// Number of posynomial constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Solves the program starting from the strictly positive point `x0`.
     ///
     /// `x0` need not be feasible (a phase-I solve runs automatically when it
@@ -439,7 +380,7 @@ impl GeometricProgram {
     /// the configured `t0` — anything else (a shape change, a poisoned
     /// cache entry) makes the hint *ignored*, not an error: the solve is
     /// the cold solve from `x0`, bit for bit. A usable hint re-enters the
-    /// central path where [`barrier::minimize_warm`] reads off that it can;
+    /// central path where `barrier::minimize_warm` reads off that it can;
     /// if the attempt fails for any reason the cold path runs instead and
     /// [`GpSolution::stats`] reports the fallback, so `solve_warm` never
     /// errors where `solve` would succeed.
@@ -504,7 +445,7 @@ mod tests {
         assert!(Monomial::new(-1.0, vec![1.0]).is_err());
         assert!(Monomial::new(1.0, vec![f64::NAN]).is_err());
         assert!(Monomial::new(2.5, vec![0.3, -0.7]).is_ok());
-        assert!(Monomial::variable(2, 2).is_err());
+        assert!(Monomial::sparse(1.0, 2, &[(2, 1.0)]).is_err());
     }
 
     #[test]
@@ -513,8 +454,6 @@ mod tests {
         assert!((m.eval(&[4.0, 2.0]) - 2.0).abs() < 1e-12);
         let r = m.reciprocal();
         assert!((m.eval(&[4.0, 2.0]) * r.eval(&[4.0, 2.0]) - 1.0).abs() < 1e-12);
-        let p = m.product(&r);
-        assert!((p.eval(&[3.0, 7.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -569,9 +508,9 @@ mod tests {
     #[test]
     fn monomial_equality_pins_value() {
         // minimize x subject to x y = 4, y <= 2 -> y = 2, x = 2.
-        let x = Monomial::variable(2, 0).unwrap();
+        let x = Monomial::sparse(1.0, 2, &[(0, 1.0)]).unwrap();
         let mut gp = GeometricProgram::minimize(2, x.into()).unwrap();
-        gp.add_monomial_equality(Monomial::new(0.25, vec![1.0, 1.0]).unwrap())
+        gp.add_monomial_equality_with_tolerance(Monomial::new(0.25, vec![1.0, 1.0]).unwrap(), 1e-6)
             .unwrap();
         gp.add_constraint(Monomial::new(0.5, vec![0.0, 1.0]).unwrap().into())
             .unwrap();
@@ -630,7 +569,7 @@ mod tests {
         // Any order, a variable named twice, an explicit zero.
         let sparse =
             Monomial::sparse(2.0, 4, &[(3, -0.25), (1, 0.5), (3, -0.75), (2, 0.0)]).unwrap();
-        assert_eq!(sparse.dim(), 4);
+        assert_eq!(sparse.dim, 4);
         let x = [1.3, 0.7, 2.9, 1.9];
         assert!((dense.eval(&x) - sparse.eval(&x)).abs() < 1e-15);
         assert_eq!(
@@ -682,7 +621,7 @@ mod tests {
     #[test]
     fn solve_delegates_to_cold_warm_path() {
         // `solve` and `solve_warm(.., None)` must be the same computation.
-        let x = Monomial::variable(1, 0).unwrap();
+        let x = Monomial::sparse(1.0, 1, &[(0, 1.0)]).unwrap();
         let mut gp = GeometricProgram::minimize(1, x.into()).unwrap();
         gp.add_constraint(Monomial::new(0.5, vec![-1.0]).unwrap().into())
             .unwrap();
@@ -704,7 +643,7 @@ mod tests {
     #[test]
     fn infeasible_gp_detected() {
         // x <= 1/2 and 1/x <= 1/2 (i.e. x >= 2) conflict.
-        let x = Monomial::variable(1, 0).unwrap();
+        let x = Monomial::sparse(1.0, 1, &[(0, 1.0)]).unwrap();
         let mut gp = GeometricProgram::minimize(1, x.clone().into()).unwrap();
         gp.add_constraint(Monomial::new(2.0, vec![1.0]).unwrap().into())
             .unwrap();

@@ -7,14 +7,13 @@
 //! The crate provides three layers:
 //!
 //! 1. **Linear algebra** — [`Matrix`], Householder QR ([`Qr`]), Cholesky
-//!    factorization in envelope storage ([`Cholesky`],
-//!    [`cholesky::Envelope`]), LU with partial pivoting ([`lu::Lu`])
-//!    and ordinary least squares
+//!    factorization in envelope storage ([`Cholesky`]), incremental least
+//!    squares ([`UpdatableLstsq`]) and ordinary least squares
 //!    ([`lstsq::fit`]), which `ref-core` uses to fit log-linearized
 //!    Cobb-Douglas utilities (Eq. 16 of the paper).
-//! 2. **Smooth convex minimization** — the [`func::Objective`] trait,
-//!    damped Newton ([`newton::minimize`]) and a log-barrier interior-point
-//!    method ([`barrier::minimize`]).
+//! 2. **Smooth convex minimization** — damped Newton over sparse
+//!    log-sum-exp functions and the log-barrier interior-point method
+//!    built on it ([`barrier`]).
 //! 3. **Geometric programming** — [`gp::GeometricProgram`] in standard form
 //!    (posynomial objective and constraints over positive variables), the
 //!    formulation the paper uses for Nash-welfare and equal-slowdown
@@ -62,15 +61,15 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod barrier;
-pub mod cholesky;
-pub mod error;
-pub mod func;
+mod cholesky;
+mod error;
+mod func;
 pub mod gp;
 pub mod lstsq;
-pub mod lu;
-pub mod matrix;
-pub mod newton;
-pub mod qr;
+mod lu;
+mod matrix;
+mod newton;
+mod qr;
 pub mod tol;
 pub mod update;
 pub mod vec_ops;

@@ -2,7 +2,7 @@
 //!
 //! This is the statistical layer the REF paper runs in Matlab: fit a linear
 //! model `y ~ X b` by least squares and report the coefficient of
-//! determination (R-squared). [`crate::qr`] provides the numerics.
+//! determination (R-squared). `crate::qr` provides the numerics.
 
 use crate::error::{Result, SolverError};
 use crate::matrix::Matrix;
@@ -29,21 +29,14 @@ use crate::vec_ops;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fit {
     coefficients: Vec<f64>,
-    residuals: Vec<f64>,
     r_squared: f64,
     residual_sum_of_squares: f64,
-    total_sum_of_squares: f64,
 }
 
 impl Fit {
     /// Fitted coefficients, one per design-matrix column.
     pub fn coefficients(&self) -> &[f64] {
         &self.coefficients
-    }
-
-    /// Residuals `y - X b`, one per observation.
-    pub fn residuals(&self) -> &[f64] {
-        &self.residuals
     }
 
     /// Coefficient of determination.
@@ -60,20 +53,6 @@ impl Fit {
     /// Residual sum of squares `||y - X b||^2`.
     pub fn residual_sum_of_squares(&self) -> f64 {
         self.residual_sum_of_squares
-    }
-
-    /// Total sum of squares `sum (y_i - mean(y))^2`.
-    pub fn total_sum_of_squares(&self) -> f64 {
-        self.total_sum_of_squares
-    }
-
-    /// Predicts the response for a new row of covariates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len()` differs from the number of coefficients.
-    pub fn predict(&self, row: &[f64]) -> f64 {
-        vec_ops::dot(&self.coefficients, row)
     }
 }
 
@@ -117,10 +96,8 @@ pub fn fit(x: &Matrix, y: &[f64]) -> Result<Fit> {
     };
     Ok(Fit {
         coefficients,
-        residuals,
         r_squared,
         residual_sum_of_squares: ss_res,
-        total_sum_of_squares: ss_tot,
     })
 }
 
@@ -182,7 +159,7 @@ mod tests {
         assert_close(f.coefficients()[0], 2.0, 1e-10);
         assert_close(f.coefficients()[1], 3.0, 1e-10);
         assert_close(f.r_squared(), 1.0, 1e-12);
-        assert!(f.residuals().iter().all(|r| r.abs() < 1e-10));
+        assert!(f.residual_sum_of_squares() < 1e-18);
     }
 
     #[test]
@@ -193,7 +170,6 @@ mod tests {
         let f = fit(&x, &y).unwrap();
         assert!(f.r_squared() > 0.9 && f.r_squared() < 1.0);
         assert!(f.residual_sum_of_squares() > 0.0);
-        assert!(f.total_sum_of_squares() > f.residual_sum_of_squares());
     }
 
     #[test]
@@ -202,13 +178,6 @@ mod tests {
         // Zero variance, perfectly fit by the intercept.
         let f = fit(&x, &[5.0, 5.0, 5.0]).unwrap();
         assert_close(f.r_squared(), 1.0, 1e-12);
-    }
-
-    #[test]
-    fn predict_uses_coefficients() {
-        let x = design_with_intercept(&[vec![0.0], vec![2.0]]).unwrap();
-        let f = fit(&x, &[1.0, 5.0]).unwrap();
-        assert_close(f.predict(&[1.0, 4.0]), 9.0, 1e-10);
     }
 
     #[test]

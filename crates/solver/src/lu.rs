@@ -1,38 +1,21 @@
 //! LU factorization with partial pivoting.
 //!
 //! Complements [`crate::qr`] for square systems: `P A = L U` supports
-//! solves, determinants and inverses. The interior-point stack uses
-//! Cholesky for its (symmetric) Newton systems; LU is the general-purpose
-//! fallback and powers [`Matrix`] inversion in downstream analyses.
+//! solves. The interior-point stack uses Cholesky for its (symmetric)
+//! Newton systems; LU factors the small capacitance matrix of a Newton
+//! step, which is square but not symmetric.
 
 use crate::error::{Result, SolverError};
 use crate::matrix::Matrix;
 
 /// Packed LU factorization `P A = L U` of a square matrix.
-///
-/// # Examples
-///
-/// ```
-/// use ref_solver::{lu::Lu, Matrix};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let a = Matrix::from_rows(&[&[0.0, 2.0], &[3.0, 1.0]])?;
-/// let lu = Lu::new(&a)?;
-/// let x = lu.solve(&[4.0, 5.0])?;
-/// assert!((x[0] - 1.0).abs() < 1e-12);
-/// assert!((x[1] - 2.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone)]
-pub struct Lu {
+pub(crate) struct Lu {
     /// Combined factors: `U` on and above the diagonal, `L` (unit diagonal
     /// implicit) below.
     packed: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    sign: f64,
 }
 
 /// Relative pivot threshold below which the matrix counts as singular.
@@ -46,7 +29,7 @@ impl Lu {
     /// Returns [`SolverError::NotSquare`] for rectangular input,
     /// [`SolverError::NonFinite`] for non-finite entries, and
     /// [`SolverError::Singular`] if a pivot vanishes.
-    pub fn new(a: &Matrix) -> Result<Lu> {
+    pub(crate) fn new(a: &Matrix) -> Result<Lu> {
         if !a.is_square() {
             return Err(SolverError::NotSquare {
                 rows: a.rows(),
@@ -59,7 +42,6 @@ impl Lu {
         let n = a.rows();
         let mut m = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         let scale = a.max_abs().max(1.0);
         for k in 0..n {
             // Partial pivot: largest magnitude in column k at or below row k.
@@ -75,7 +57,6 @@ impl Lu {
             if pivot_row != k {
                 m.swap_rows(pivot_row, k);
                 perm.swap(pivot_row, k);
-                sign = -sign;
             }
             let pivot = m[(k, k)];
             for i in k + 1..n {
@@ -87,15 +68,11 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu {
-            packed: m,
-            perm,
-            sign,
-        })
+        Ok(Lu { packed: m, perm })
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.packed.rows()
     }
 
@@ -105,7 +82,7 @@ impl Lu {
     ///
     /// Returns [`SolverError::ShapeMismatch`] if `b.len()` differs from the
     /// dimension.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let n = self.dim();
         if b.len() != n {
             return Err(SolverError::ShapeMismatch(format!(
@@ -131,58 +108,6 @@ impl Lu {
         }
         Ok(y)
     }
-
-    /// Determinant of `A`.
-    pub fn det(&self) -> f64 {
-        self.sign
-            * (0..self.dim())
-                .map(|i| self.packed[(i, i)])
-                .product::<f64>()
-    }
-
-    /// Inverse of `A`, column by column.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors (which cannot occur for a successfully
-    /// factored matrix).
-    pub fn inverse(&self) -> Result<Matrix> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-            e[j] = 0.0;
-        }
-        Ok(inv)
-    }
-}
-
-/// Solves the square system `A x = b` via LU with partial pivoting.
-///
-/// # Errors
-///
-/// As [`Lu::new`] and [`Lu::solve`].
-///
-/// # Examples
-///
-/// ```
-/// use ref_solver::{lu, Matrix};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]])?;
-/// let x = lu::solve(&a, &[5.0, 10.0])?;
-/// assert!((x[0] - 1.0).abs() < 1e-12);
-/// assert!((x[1] - 3.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    Lu::new(a)?.solve(b)
 }
 
 #[cfg(test)]
@@ -197,7 +122,7 @@ mod tests {
     fn solves_with_pivoting() {
         // Leading zero forces a row swap.
         let a = Matrix::from_rows(&[&[0.0, 1.0, 2.0], &[3.0, 0.0, 1.0], &[1.0, 1.0, 1.0]]).unwrap();
-        let x = solve(&a, &[8.0, 7.0, 6.0]).unwrap();
+        let x = Lu::new(&a).unwrap().solve(&[8.0, 7.0, 6.0]).unwrap();
         let ax = a.matvec(&x).unwrap();
         for (got, want) in ax.iter().zip(&[8.0, 7.0, 6.0]) {
             assert_close(*got, *want, 1e-10);
@@ -205,25 +130,12 @@ mod tests {
     }
 
     #[test]
-    fn determinant_with_sign() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        assert_close(Lu::new(&a).unwrap().det(), -1.0, 1e-12);
-        let b = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]).unwrap();
-        assert_close(Lu::new(&b).unwrap().det(), 6.0, 1e-12);
-        let c = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_close(Lu::new(&c).unwrap().det(), -2.0, 1e-12);
-    }
-
-    #[test]
-    fn inverse_round_trips() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let inv = Lu::new(&a).unwrap().inverse().unwrap();
-        let id = a.matmul(&inv).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_close(id[(i, j)], if i == j { 1.0 } else { 0.0 }, 1e-10);
-            }
-        }
+    fn a_leading_zero_pivot_is_swapped_away() {
+        let a = Matrix::from_rows(&[&[0.0, 2.0], &[3.0, 1.0]]).unwrap();
+        let lu = Lu::new(&a).unwrap();
+        let x = lu.solve(&[4.0, 5.0]).unwrap();
+        assert!((x[0] - 1.0).abs() < 1e-12);
+        assert!((x[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -254,8 +166,11 @@ mod tests {
         let a =
             Matrix::from_rows(&[&[3.0, -1.0, 2.0], &[1.0, 4.0, -2.0], &[-2.0, 1.5, 5.0]]).unwrap();
         let b = [1.0, -2.0, 3.5];
-        let x_lu = solve(&a, &b).unwrap();
-        let x_qr = crate::qr::solve(&a, &b).unwrap();
+        let x_lu = Lu::new(&a).unwrap().solve(&b).unwrap();
+        let x_qr = crate::qr::Qr::new(&a)
+            .unwrap()
+            .solve_least_squares(&b)
+            .unwrap();
         for (l, q) in x_lu.iter().zip(&x_qr) {
             assert_close(*l, *q, 1e-10);
         }

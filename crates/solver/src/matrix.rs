@@ -181,18 +181,14 @@ impl Matrix {
     }
 
     /// Whether the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
-    /// A view of the underlying row-major buffer.
-    pub fn as_slice(&self) -> &[f64] {
+    /// The underlying row-major buffer.
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// A mutable view of the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// A view of row `i` as a slice.
@@ -210,19 +206,9 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `i >= self.rows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copies column `j` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "col index {j} out of bounds ({})", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// The transpose of this matrix.
@@ -350,26 +336,28 @@ impl Matrix {
     }
 
     /// In-place scale by a constant.
-    pub fn scale_mut(&mut self, s: f64) {
+    pub(crate) fn scale_mut(&mut self, s: f64) {
         for v in &mut self.data {
             *v *= s;
         }
     }
 
     /// Returns `self * s` as a new matrix.
-    pub fn scaled(&self, s: f64) -> Matrix {
+    pub(crate) fn scaled(&self, s: f64) -> Matrix {
         let mut out = self.clone();
         out.scale_mut(s);
         out
     }
 
-    /// Adds `s * x x^T` to this square matrix (rank-one update).
+    /// Adds `s * x x^T` to this square matrix (rank-one update), for the
+    /// dense reference Hessians of the tests.
     ///
     /// # Panics
     ///
     /// Panics if the matrix is not square or `x.len()` differs from the
     /// dimension.
-    pub fn rank_one_update(&mut self, s: f64, x: &[f64]) {
+    #[cfg(test)]
+    pub(crate) fn rank_one_update(&mut self, s: f64, x: &[f64]) {
         assert!(self.is_square(), "rank-one update requires a square matrix");
         assert_eq!(x.len(), self.rows, "vector length must match dimension");
         for (i, &xi) in x.iter().enumerate() {
@@ -386,14 +374,14 @@ impl Matrix {
     /// In-place elementwise `self += s * other`.
     ///
     /// Equivalent to `self.add_matrix(&other.scaled(s))` without the two
-    /// temporaries — the Hessian accumulation in [`crate::barrier`] calls
-    /// this once per constraint per Newton step, where the allocation churn
-    /// dominated.
+    /// temporaries. Only the dense reference Hessians the tests hold the
+    /// envelope kernels to accumulate this way.
     ///
     /// # Errors
     ///
     /// Returns [`SolverError::ShapeMismatch`] if the shapes differ.
-    pub fn axpy_matrix(&mut self, s: f64, other: &Matrix) -> Result<()> {
+    #[cfg(test)]
+    pub(crate) fn axpy_matrix(&mut self, s: f64, other: &Matrix) -> Result<()> {
         if self.rows != other.rows || self.cols != other.cols {
             return Err(SolverError::ShapeMismatch(format!(
                 "{}x{} vs {}x{}",
@@ -406,29 +394,13 @@ impl Matrix {
         Ok(())
     }
 
-    /// Frobenius norm, the square root of the sum of squared entries.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use ref_solver::Matrix;
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let m = Matrix::from_rows(&[&[3.0, 4.0]])?;
-    /// assert_eq!(m.frobenius_norm(), 5.0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Largest absolute entry, or `0.0` for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 
     /// Whether every entry is finite.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
 
@@ -437,7 +409,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`SolverError::ShapeMismatch`] if the shapes differ.
-    pub fn add_matrix(&self, other: &Matrix) -> Result<Matrix> {
+    pub(crate) fn add_matrix(&self, other: &Matrix) -> Result<Matrix> {
         self.zip_with(other, |a, b| a + b)
     }
 
@@ -475,7 +447,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if either index is out of bounds.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
+    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
         assert!(a < self.rows && b < self.rows, "row index out of bounds");
         if a == b {
             return;
@@ -483,19 +455,6 @@ impl Matrix {
         for j in 0..self.cols {
             self.data.swap(a * self.cols + j, b * self.cols + j);
         }
-    }
-
-    /// The symmetric part `(A + A^T) / 2`, useful to remove round-off
-    /// asymmetry from numerically computed Hessians.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn symmetrized(&self) -> Matrix {
-        assert!(self.is_square(), "symmetrized requires a square matrix");
-        Matrix::from_fn(self.rows, self.cols, |i, j| {
-            0.5 * (self[(i, j)] + self[(j, i)])
-        })
     }
 }
 
@@ -549,8 +508,7 @@ impl Add for &Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if the shapes differ; use [`Matrix::add_matrix`] for a fallible
-    /// version.
+    /// Panics if the shapes differ.
     fn add(self, rhs: &Matrix) -> Matrix {
         self.add_matrix(rhs)
             .expect("matrix addition shape mismatch")
@@ -700,7 +658,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, -4.0]]).unwrap();
-        assert_eq!(m.frobenius_norm(), 5.0);
         assert_eq!(m.max_abs(), 4.0);
     }
 
@@ -725,14 +682,6 @@ mod tests {
         assert_eq!(m.row(0), &[3.0, 4.0]);
         m.swap_rows(1, 1);
         assert_eq!(m.row(1), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn symmetrized_averages() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[4.0, 1.0]]).unwrap();
-        let s = m.symmetrized();
-        assert_eq!(s[(0, 1)], 3.0);
-        assert_eq!(s[(1, 0)], 3.0);
     }
 
     #[test]

@@ -49,18 +49,6 @@ impl Default for NewtonOptions {
     }
 }
 
-/// Outcome of a Newton minimization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NewtonResult {
-    /// The final iterate.
-    pub x: Vec<f64>,
-    /// Objective value at the final iterate.
-    pub value: f64,
-    /// Number of Newton systems assembled and solved, the one whose
-    /// decrement met the tolerance included.
-    pub iterations: usize,
-}
-
 /// The Newton system `H = S + U diag(c) U^T` as the objective wrote it, and
 /// its factorization.
 #[derive(Debug)]
@@ -213,51 +201,22 @@ impl Workspace {
     }
 }
 
-/// Minimizes a smooth convex function with damped Newton steps.
+/// Minimizes a smooth convex function with damped Newton steps, in place:
+/// `x` is the start and ends as the minimizer, the return value is the
+/// objective there. `iterations` is incremented once per Newton system
+/// solved, also when the call ends in an error.
 ///
 /// The objective may return `f64::INFINITY` outside its domain (e.g. a
 /// log-barrier); the line search rejects such points, so iterates remain in
-/// the domain provided `x0` starts there.
+/// the domain provided `x` starts there.
 ///
 /// # Errors
 ///
-/// - [`SolverError::InvalidArgument`] if `x0` has the wrong dimension or an
+/// - [`SolverError::InvalidArgument`] if `x` has the wrong dimension or an
 ///   infinite starting value.
 /// - [`SolverError::MaxIterationsExceeded`] if the decrement never reaches
 ///   tolerance.
 /// - [`SolverError::NonFinite`] if derivatives become non-finite.
-///
-/// # Examples
-///
-/// ```
-/// use ref_solver::func::Quadratic;
-/// use ref_solver::newton::{minimize, NewtonOptions};
-/// use ref_solver::Matrix;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let q = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 2.0]])?;
-/// let mut f = Quadratic::new(q, vec![-2.0, -4.0]);
-/// let r = minimize(&mut f, &[0.0, 0.0], &NewtonOptions::default())?;
-/// assert!((r.x[0] - 1.0).abs() < 1e-8);
-/// assert!((r.x[1] - 2.0).abs() < 1e-8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn minimize(f: &mut dyn Objective, x0: &[f64], opts: &NewtonOptions) -> Result<NewtonResult> {
-    let mut x = x0.to_vec();
-    let mut ws = Workspace::new(&*f);
-    let mut iterations = 0;
-    let value = minimize_in(f, &mut x, opts, &mut ws, &mut iterations)?;
-    Ok(NewtonResult {
-        x,
-        value,
-        iterations,
-    })
-}
-
-/// [`minimize`] in place: `x` is the start and ends as the minimizer, the
-/// return value is the objective there. `iterations` is incremented once
-/// per Newton system solved, also when the call ends in an error.
 pub(crate) fn minimize_in(
     f: &mut dyn Objective,
     x: &mut Vec<f64>,
@@ -323,7 +282,32 @@ pub(crate) fn minimize_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::Quadratic;
+    use crate::func::dense::Quadratic;
+
+    /// Outcome of a Newton minimization.
+    #[derive(Debug, Clone, PartialEq)]
+    struct NewtonResult {
+        /// The final iterate.
+        x: Vec<f64>,
+        /// Objective value at the final iterate.
+        value: f64,
+        /// Number of Newton systems assembled and solved, the one whose
+        /// decrement met the tolerance included.
+        iterations: usize,
+    }
+
+    /// [`minimize_in`] from `x0`.
+    fn minimize(f: &mut dyn Objective, x0: &[f64], opts: &NewtonOptions) -> Result<NewtonResult> {
+        let mut x = x0.to_vec();
+        let mut ws = Workspace::new(&*f);
+        let mut iterations = 0;
+        let value = minimize_in(f, &mut x, opts, &mut ws, &mut iterations)?;
+        Ok(NewtonResult {
+            x,
+            value,
+            iterations,
+        })
+    }
 
     #[test]
     fn quadratic_converges_in_one_step() {
@@ -337,6 +321,15 @@ mod tests {
         assert!(vec_ops::norm_inf(&g) < 1e-8);
         // One step, and the system that found the decrement at zero.
         assert_eq!(r.iterations, 2);
+    }
+
+    #[test]
+    fn separable_quadratic_lands_on_its_minimizer() {
+        let q = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 2.0]]).unwrap();
+        let mut f = Quadratic::new(q, vec![-2.0, -4.0]);
+        let r = minimize(&mut f, &[0.0, 0.0], &NewtonOptions::default()).unwrap();
+        assert!((r.x[0] - 1.0).abs() < 1e-8);
+        assert!((r.x[1] - 2.0).abs() < 1e-8);
     }
 
     /// `log(e^x + e^-x + e^y + e^-y)` written out by hand.

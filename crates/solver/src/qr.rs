@@ -148,7 +148,7 @@ impl Qr {
     /// # Panics
     ///
     /// Panics if `b.len() != self.rows()`.
-    pub fn apply_qt(&self, b: &mut [f64]) {
+    pub(crate) fn apply_qt(&self, b: &mut [f64]) {
         assert_eq!(b.len(), self.m, "vector length must equal row count");
         for k in 0..self.n {
             let beta = self.betas[k];
@@ -172,7 +172,7 @@ impl Qr {
     /// # Panics
     ///
     /// Panics if `b.len() != self.rows()`.
-    pub fn apply_q(&self, b: &mut [f64]) {
+    pub(crate) fn apply_q(&self, b: &mut [f64]) {
         assert_eq!(b.len(), self.m, "vector length must equal row count");
         for k in (0..self.n).rev() {
             let beta = self.betas[k];
@@ -224,55 +224,9 @@ impl Qr {
         Ok(x)
     }
 
-    /// Number of rows of the factored matrix.
-    pub fn rows(&self) -> usize {
-        self.m
-    }
-
-    /// Number of columns of the factored matrix.
-    pub fn cols(&self) -> usize {
-        self.n
-    }
-
-    /// Absolute value of the determinant of `R` (equals `|det A|` for square
-    /// `A`).
-    pub fn det_abs(&self) -> f64 {
-        (0..self.n).map(|i| self.packed[(i, i)].abs()).product()
-    }
-
     fn max_abs_diag(&self) -> f64 {
         (0..self.n).fold(0.0_f64, |m, i| m.max(self.packed[(i, i)].abs()))
     }
-}
-
-/// Solves a square linear system `A x = b` via QR.
-///
-/// # Errors
-///
-/// Returns [`SolverError::NotSquare`] for rectangular `A`, plus any error
-/// from [`Qr::new`] or [`Qr::solve_least_squares`] (for singular `A` the
-/// latter reports [`SolverError::RankDeficient`]).
-///
-/// # Examples
-///
-/// ```
-/// use ref_solver::{qr::solve, Matrix};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]])?;
-/// let x = solve(&a, &[2.0, 8.0])?;
-/// assert_eq!(x, vec![1.0, 2.0]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    if !a.is_square() {
-        return Err(SolverError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    Qr::new(a)?.solve_least_squares(b)
 }
 
 #[cfg(test)]
@@ -317,7 +271,10 @@ mod tests {
     #[test]
     fn solves_square_system() {
         let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let x = solve(&a, &[9.0, 8.0]).unwrap();
+        let x = Qr::new(&a)
+            .unwrap()
+            .solve_least_squares(&[9.0, 8.0])
+            .unwrap();
         assert_close(x[0], 2.0, 1e-12);
         assert_close(x[1], 3.0, 1e-12);
     }
@@ -368,22 +325,6 @@ mod tests {
     fn rejects_non_finite() {
         let a = Matrix::from_rows(&[&[1.0], &[f64::NAN]]).unwrap();
         assert!(matches!(Qr::new(&a), Err(SolverError::NonFinite(_))));
-    }
-
-    #[test]
-    fn det_abs_of_triangular() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 3.0]]).unwrap();
-        let qr = Qr::new(&a).unwrap();
-        assert_close(qr.det_abs(), 6.0, 1e-12);
-    }
-
-    #[test]
-    fn solve_rejects_rectangular() {
-        let a = Matrix::zeros(3, 2);
-        assert!(matches!(
-            solve(&a, &[0.0; 3]),
-            Err(SolverError::NotSquare { .. })
-        ));
     }
 
     #[test]

@@ -27,30 +27,30 @@ pub const RANK_TOL: f64 = 1e-12;
 /// Relative size of the initial ridge `tau` a Newton step
 /// ([`crate::newton`]) puts on its Hessian's diagonal when the system loses
 /// positive definiteness to round-off. Grows by [`RIDGE_GROWTH`] per retry.
-pub const RIDGE_TOL: f64 = 1e-12;
+pub(crate) const RIDGE_TOL: f64 = 1e-12;
 
 /// Multiplicative growth of the ridge between factorization retries.
-pub const RIDGE_GROWTH: f64 = 10.0;
+pub(crate) const RIDGE_GROWTH: f64 = 10.0;
 
 /// Maximum ridge retries before giving up
 /// (`tau` spans `RIDGE_TOL * RIDGE_GROWTH^RIDGE_RETRIES` relative to the
 /// matrix scale — far beyond any system worth solving).
-pub const RIDGE_RETRIES: usize = 40;
+pub(crate) const RIDGE_RETRIES: usize = 40;
 
 /// Floor on `alpha^2 = 1 - ||a||^2` in a row downdate
 /// ([`crate::update::UpdatableLstsq::downdate`]). A removed row that drives
 /// `alpha^2` at or below this leaves a numerically rank-deficient triangle,
 /// so the downdate is refused and the caller refactorizes from scratch.
-pub const DOWNDATE_TOL: f64 = 1e-12;
+pub(crate) const DOWNDATE_TOL: f64 = 1e-12;
 
 /// The rank threshold for a triangle whose largest diagonal magnitude is
 /// `scale`: entries at or below this are treated as zero.
-pub fn rank_threshold(scale: f64) -> f64 {
+pub(crate) fn rank_threshold(scale: f64) -> f64 {
     RANK_TOL * scale.max(1.0)
 }
 
 /// The initial ridge for a matrix whose largest entry magnitude is `scale`.
-pub fn initial_ridge(scale: f64) -> f64 {
+pub(crate) fn initial_ridge(scale: f64) -> f64 {
     RIDGE_TOL * scale.max(1.0)
 }
 
@@ -58,7 +58,7 @@ pub fn initial_ridge(scale: f64) -> f64 {
 /// response of `m` observations — the zero-variance R² convention shared by
 /// [`crate::lstsq::fit`] and the incremental path: a zero-variance response
 /// gets R² = 1.0 when the residual clears this bound and 0.0 otherwise.
-pub fn zero_variance_rss(m: usize) -> f64 {
+pub(crate) fn zero_variance_rss(m: usize) -> f64 {
     f64::EPSILON * m as f64
 }
 

@@ -72,11 +72,6 @@ impl UpdatableFit {
     pub fn residual_sum_of_squares(&self) -> f64 {
         self.quality.residual_sum_of_squares
     }
-
-    /// Total sum of squares `sum (y_i - mean(y))^2`.
-    pub fn total_sum_of_squares(&self) -> f64 {
-        self.quality.total_sum_of_squares
-    }
 }
 
 /// Triangle sides up to which a row's scratch lives on the stack: designs
@@ -249,7 +244,7 @@ impl UpdatableLstsq {
     /// as [`append`](UpdatableLstsq::append) does, and
     /// [`SolverError::RankDeficient`] when the removal would leave a
     /// numerically rank-deficient triangle (`alpha^2 <= `
-    /// [`tol::DOWNDATE_TOL`]) — the caller should refactorize from its
+    /// `tol::DOWNDATE_TOL`) — the caller should refactorize from its
     /// retained rows instead. On any error the triangle is unchanged.
     pub fn downdate(&mut self, row: &[f64], y: f64) -> Result<()> {
         let p = self.p;
@@ -335,7 +330,7 @@ impl UpdatableLstsq {
     /// Returns [`SolverError::ShapeMismatch`] unless `coefficients` has
     /// one entry per design column, and [`SolverError::RankDeficient`]
     /// when the leading `k x k` block of the triangle has a numerically
-    /// zero diagonal — the same relative test ([`tol::rank_threshold`])
+    /// zero diagonal — the same relative test (`tol::rank_threshold`)
     /// the batch QR path applies, which an underdetermined window
     /// (`rows() < k`) always fails.
     pub fn solve_into(&self, coefficients: &mut [f64]) -> Result<FitQuality> {
@@ -454,7 +449,6 @@ mod tests {
         assert!(
             (fit.residual_sum_of_squares() - reference.residual_sum_of_squares()).abs() < 1e-10
         );
-        assert!((fit.total_sum_of_squares() - reference.total_sum_of_squares()).abs() < 1e-9);
         assert_eq!(inc.rows(), 25);
     }
 
@@ -555,7 +549,7 @@ mod tests {
         }
         let fit = inc.solve().unwrap();
         assert!((fit.r_squared() - 1.0).abs() < 1e-12);
-        assert!(fit.total_sum_of_squares().abs() < 1e-9);
+        assert!(fit.quality.total_sum_of_squares.abs() < 1e-9);
     }
 
     #[test]

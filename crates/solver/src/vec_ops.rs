@@ -20,17 +20,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(ref_solver::vec_ops::norm2(&[3.0, 4.0]), 5.0);
-/// ```
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Infinity norm (largest absolute entry), `0.0` for an empty slice.
 pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -41,46 +30,20 @@ pub fn norm_inf(a: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn axpy(s: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(s: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += s * xi;
     }
 }
 
-/// Returns `a + s * b` as a new vector.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn add_scaled(a: &[f64], s: f64, b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "add_scaled length mismatch");
-    a.iter().zip(b).map(|(x, y)| x + s * y).collect()
-}
-
-/// Elementwise difference `a - b`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    add_scaled(a, -1.0, b)
-}
-
-/// Scales a slice in place.
-pub fn scale(a: &mut [f64], s: f64) {
-    for v in a {
-        *v *= s;
-    }
-}
-
 /// Sum of entries.
-pub fn sum(a: &[f64]) -> f64 {
+pub(crate) fn sum(a: &[f64]) -> f64 {
     a.iter().sum()
 }
 
 /// Arithmetic mean, `0.0` for an empty slice.
-pub fn mean(a: &[f64]) -> f64 {
+pub(crate) fn mean(a: &[f64]) -> f64 {
     if a.is_empty() {
         0.0
     } else {
@@ -111,7 +74,7 @@ pub fn scratch<'a>(stack: &'a mut [f64], heap: &'a mut Vec<f64>, n: usize) -> &'
 }
 
 /// Whether every entry is finite.
-pub fn all_finite(a: &[f64]) -> bool {
+pub(crate) fn all_finite(a: &[f64]) -> bool {
     a.iter().all(|v| v.is_finite())
 }
 
@@ -144,7 +107,6 @@ mod tests {
     #[test]
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(norm2(&[0.0]), 0.0);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
         assert_eq!(norm_inf(&[]), 0.0);
     }
@@ -157,15 +119,8 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_and_sub() {
-        assert_eq!(add_scaled(&[1.0, 2.0], 3.0, &[1.0, 1.0]), vec![4.0, 5.0]);
-        assert_eq!(sub(&[3.0, 2.0], &[1.0, 1.0]), vec![2.0, 1.0]);
-    }
-
-    #[test]
     fn scale_sum_mean() {
-        let mut a = vec![1.0, 2.0, 3.0];
-        scale(&mut a, 2.0);
+        let a = vec![2.0, 4.0, 6.0];
         assert_eq!(sum(&a), 12.0);
         assert_eq!(mean(&a), 4.0);
         assert_eq!(mean(&[]), 0.0);

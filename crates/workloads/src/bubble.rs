@@ -35,7 +35,6 @@ use crate::profiles::Benchmark;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bubble {
-    pressure: f64,
     params: WorkloadParams,
 }
 
@@ -59,12 +58,7 @@ impl Bubble {
             store_fraction: 0.3,
             dependent_fraction: 0.05,
         };
-        Ok(Bubble { pressure, params })
-    }
-
-    /// The pressure knob value.
-    pub fn pressure(&self) -> f64 {
-        self.pressure
+        Ok(Bubble { params })
     }
 
     /// The generator parameters this pressure maps to.
@@ -78,7 +72,7 @@ impl Bubble {
     ///
     /// Never panics: the parameter mapping is valid for every pressure in
     /// `[0, 1]` (covered by tests).
-    pub fn stream(&self, seed: u64) -> SyntheticWorkload {
+    pub(crate) fn stream(&self, seed: u64) -> SyntheticWorkload {
         SyntheticWorkload::new(self.params, seed ^ 0x00B0_B1E5).expect("pressure mapping is valid")
     }
 }
@@ -182,8 +176,9 @@ mod tests {
     #[test]
     fn all_pressures_produce_valid_generators() {
         for i in 0..=10 {
-            let b = Bubble::new(i as f64 / 10.0).unwrap();
-            assert!(b.params().validate().is_ok(), "pressure {}", b.pressure());
+            let pressure = i as f64 / 10.0;
+            let b = Bubble::new(pressure).unwrap();
+            assert!(b.params().validate().is_ok(), "pressure {pressure}");
             let ops: Vec<_> = b.stream(1).take(100).collect();
             assert_eq!(ops.len(), 100);
         }

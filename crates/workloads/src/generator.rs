@@ -37,7 +37,7 @@ const REUSE_MIN_BYTES: u64 = 16 * 1024;
 /// # Examples
 ///
 /// ```
-/// use ref_workloads::generator::WorkloadParams;
+/// use ref_workloads::WorkloadParams;
 ///
 /// let p = WorkloadParams {
 ///     memory_fraction: 0.25,
@@ -108,12 +108,6 @@ impl WorkloadParams {
         }
         Ok(())
     }
-
-    /// The fraction of memory accesses that are resident (working-set)
-    /// traffic.
-    pub fn resident_fraction(&self) -> f64 {
-        1.0 - self.hot_fraction - self.streaming_fraction
-    }
 }
 
 /// An unbounded deterministic instruction stream for one workload.
@@ -124,7 +118,7 @@ impl WorkloadParams {
 /// # Examples
 ///
 /// ```
-/// use ref_workloads::generator::{SyntheticWorkload, WorkloadParams};
+/// use ref_workloads::{SyntheticWorkload, WorkloadParams};
 ///
 /// let params = WorkloadParams {
 ///     memory_fraction: 0.3,
@@ -160,11 +154,6 @@ impl SyntheticWorkload {
             stream_cursor: 0,
             hot_bytes: 8 * 1024,
         })
-    }
-
-    /// The parameters this generator was built from.
-    pub fn params(&self) -> &WorkloadParams {
-        &self.params
     }
 
     fn next_address(&mut self) -> u64 {
@@ -332,10 +321,5 @@ mod tests {
         for (i, a) in addrs.iter().enumerate() {
             assert_eq!(*a, STREAM_BASE + i as u64 * 64);
         }
-    }
-
-    #[test]
-    fn resident_fraction_derives() {
-        assert!((params().resident_fraction() - 0.4).abs() < 1e-12);
     }
 }

@@ -4,7 +4,7 @@
 //! reproduction — the stand-in for the PARSEC 3.0, SPLASH-2x and Phoenix
 //! MapReduce applications the paper profiles.
 //!
-//! - [`generator`] — parameterized synthetic memory-reference streams
+//! - [`SyntheticWorkload`] — parameterized synthetic memory-reference streams
 //!   (hot / resident / streaming populations).
 //! - [`profiles`] — the 28 named benchmarks with parameters tuned to
 //!   reproduce the paper's Figure-9 elasticity spectrum and C/M classes.
@@ -13,7 +13,7 @@
 //!   profiling sweep of §5.1.
 //! - [`bubble`] — Bubble-Up-style tunable-pressure co-runner profiling
 //!   (§4.4's first offline alternative).
-//! - [`memo`] — a process-wide simulation memo that deduplicates
+//! - `memo` — a process-wide simulation memo that deduplicates
 //!   identical grid-point simulations across figures and mixes.
 //!
 //! # Examples
@@ -34,15 +34,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bubble;
-pub mod generator;
-pub mod memo;
+mod generator;
+mod memo;
 pub mod profiler;
 pub mod profiles;
 pub mod suite;
 
 pub use bubble::{bubble_profile, Bubble, BubbleCurve, BubblePoint};
 pub use generator::{SyntheticWorkload, WorkloadParams};
-pub use memo::{MemoStats, SimKey};
 pub use profiler::{profile, ProfileGrid, ProfilePoint, ProfilerOptions};
 pub use profiles::{by_name, Benchmark, PreferenceClass, BENCHMARKS};
 pub use suite::{all_mixes, eight_core_mixes, four_core_mixes, WorkloadMix};

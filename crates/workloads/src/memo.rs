@@ -26,7 +26,6 @@
 //! kilobytes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use ref_sim::config::PlatformConfig;
@@ -36,7 +35,7 @@ use crate::generator::WorkloadParams;
 /// Exact identity of one simulation run (see the module docs for why
 /// every field participates).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SimKey {
+pub(crate) struct SimKey {
     /// Benchmark name (owned: the key outlives the profile call).
     pub workload: String,
     /// Generator parameters, bit-exact.
@@ -53,7 +52,7 @@ pub struct SimKey {
 
 impl SimKey {
     /// Builds the key for one profiling run.
-    pub fn new(
+    pub(crate) fn new(
         workload: &str,
         params: &WorkloadParams,
         seed: u64,
@@ -106,30 +105,7 @@ fn platform_bits(p: &PlatformConfig) -> [u64; 21] {
     ]
 }
 
-/// Hit/miss counters for the memo.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Lookups answered from the memo.
-    pub hits: u64,
-    /// Lookups that had to simulate.
-    pub misses: u64,
-}
-
-impl MemoStats {
-    /// Hit rate in `[0, 1]`; `0.0` with no lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits.saturating_add(self.misses);
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 static MEMO: OnceLock<Mutex<HashMap<SimKey, f64>>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
 
 fn table() -> &'static Mutex<HashMap<SimKey, f64>> {
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
@@ -138,36 +114,13 @@ fn table() -> &'static Mutex<HashMap<SimKey, f64>> {
 /// Returns the memoised IPC for `key`, or computes it with `sim`,
 /// records it, and returns it. `sim` runs outside the lock so concurrent
 /// grid points never serialize on the memo.
-pub fn ipc_or_insert_with<F: FnOnce() -> f64>(key: SimKey, sim: F) -> f64 {
+pub(crate) fn ipc_or_insert_with<F: FnOnce() -> f64>(key: SimKey, sim: F) -> f64 {
     if let Some(&ipc) = table().lock().expect("sim memo poisoned").get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
         return ipc;
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
     let ipc = sim();
     table().lock().expect("sim memo poisoned").insert(key, ipc);
     ipc
-}
-
-/// Accumulated hit/miss counters.
-pub fn stats() -> MemoStats {
-    MemoStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-    }
-}
-
-/// Number of memoised grid points.
-pub fn len() -> usize {
-    table().lock().expect("sim memo poisoned").len()
-}
-
-/// Empties the memo and zeroes the counters (used by benchmarks that
-/// need cold-cache timings).
-pub fn clear() {
-    table().lock().expect("sim memo poisoned").clear();
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -213,11 +166,5 @@ mod tests {
         let first = ipc_or_insert_with(k.clone(), || 1.25);
         let second = ipc_or_insert_with(k, || unreachable!("must be memoised"));
         assert_eq!(first.to_bits(), second.to_bits());
-        assert!(stats().hits >= 1);
-    }
-
-    #[test]
-    fn hit_rate_is_safe_on_empty() {
-        assert_eq!(MemoStats::default().hit_rate(), 0.0);
     }
 }

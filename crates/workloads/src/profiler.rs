@@ -52,7 +52,8 @@ impl ProfileGrid {
     }
 
     /// Looks up the measured IPC at an exact grid configuration.
-    pub fn ipc_at(&self, cache: CacheSize, bandwidth: Bandwidth) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn ipc_at(&self, cache: CacheSize, bandwidth: Bandwidth) -> Option<f64> {
         self.points
             .iter()
             .find(|p| p.cache == cache && p.bandwidth == bandwidth)

@@ -5,7 +5,7 @@
 //! (Fig. 14). Mix membership follows Table 2 verbatim, including repeated
 //! entries such as `word_count (2)` in WD8.
 
-use crate::profiles::{by_name, Benchmark, PreferenceClass};
+use crate::profiles::{by_name, Benchmark};
 
 /// One multiprogrammed mix from Table 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,11 +38,12 @@ impl WorkloadMix {
 
     /// Counts `(cache_preferring, memory_preferring)` members using our
     /// benchmark classification.
-    pub fn class_counts(&self) -> (usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn class_counts(&self) -> (usize, usize) {
         let c = self
             .benchmarks()
             .iter()
-            .filter(|b| b.expected_class == PreferenceClass::Cache)
+            .filter(|b| b.expected_class == crate::profiles::PreferenceClass::Cache)
             .count();
         (c, self.num_agents() - c)
     }

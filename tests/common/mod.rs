@@ -5,11 +5,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Self-cleaning unique temp directory (no tempfile crate).
-pub struct TempDir(PathBuf);
+pub(crate) struct TempDir(PathBuf);
 
 impl TempDir {
     /// A fresh, not yet created directory unique to this process and call.
-    pub fn new(tag: &str) -> TempDir {
+    pub(crate) fn new(tag: &str) -> TempDir {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("ref-{tag}-{}-{n}", std::process::id()));
@@ -17,7 +17,7 @@ impl TempDir {
         TempDir(dir)
     }
 
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.0
     }
 }
