@@ -310,6 +310,49 @@ mod tests {
         assert_eq!(disk.read(&path).unwrap(), b"whole-record");
     }
 
+    /// The failed-append contract, on a core over this disk: a failed
+    /// sync whose heal succeeds answers a plain `wal` and leaves nothing;
+    /// a torn write whose heal fails poisons the log and answers
+    /// `"outcome":"unknown"` — recovery then finds the record cut short
+    /// (absent) or, when every byte landed, whole (replayed).
+    #[test]
+    fn a_failed_append_answers_absent_or_unknown() {
+        use ref_core::resource::Capacity;
+        use ref_market::MarketConfig;
+        use ref_serve::{FaultPlan, JournalLimit, Request, ServeMetrics, ServiceCore, Value};
+        use ref_serve::{Wal, WalConfig};
+
+        let market = MarketConfig::new(Capacity::new(vec![8.0, 4.0]).unwrap());
+        let open = |disk: &SimDisk| {
+            let wal = WalConfig::new("/sim/core").with_fsync(true);
+            let (limit, faults) = (JournalLimit::default(), FaultPlan::none());
+            ServiceCore::recover_with(Arc::new(disk.clone()), market.clone(), limit, wal, faults)
+                .unwrap()
+        };
+        let metrics = ServeMetrics::new();
+        let outcome = |reply: &Value| {
+            assert_eq!(reply.get("error").and_then(Value::as_str), Some("wal"));
+            reply
+                .get("outcome")
+                .and_then(Value::as_str)
+                .map(str::to_string)
+        };
+        for (keep, recovered) in [(3, 1), (usize::MAX, 2)] {
+            let disk = SimDisk::new();
+            let mut core = open(&disk);
+            assert!(core.handle(&Request::Tick, &metrics).get("error").is_none());
+            disk.fail_next_syncs(1);
+            assert_eq!(outcome(&core.handle(&Request::Tick, &metrics)), None);
+            disk.arm_torn_write(keep);
+            let reply = core.handle(&Request::Tick, &metrics);
+            assert_eq!(outcome(&reply).as_deref(), Some("unknown"), "keep {keep}");
+            assert!(core.wal().is_some_and(Wal::poisoned));
+            // A poisoned log refuses the next append before writing it.
+            assert_eq!(outcome(&core.handle(&Request::Tick, &metrics)), None);
+            assert_eq!(open(&disk).events_applied(), recovered, "keep {keep}");
+        }
+    }
+
     #[test]
     fn fsync_failures_are_counted_down() {
         let disk = SimDisk::new();

@@ -22,7 +22,9 @@
 //! Pruning takes a log's head off the disk, so the oracle keeps each
 //! node's *lineage*: its log from event 0, extended with every record
 //! its WAL takes, replaced by the sender's prefix on a `snap` restore,
-//! and checked against what the disk still holds after every run.
+//! and checked against what the disk still holds after every run. An
+//! append that poisoned a log has an unknown outcome: the lineage takes
+//! that one event only if the node's recovered log shows it whole.
 //! After every schedule the standing invariants are checked:
 //!
 //! 1. **Zero acked-event loss** — every event a client saw confirmed is
@@ -50,7 +52,7 @@ use ref_core::resource::Capacity;
 use ref_core::utility::CobbDouglas;
 use ref_market::{MarketConfig, MarketEvent, ObservationSource};
 use ref_serve::protocol::{error_response, event_to_value, shard_unavailable_response};
-use ref_serve::repl::{kind, parse_message};
+use ref_serve::repl::{parse_frame, rec_frame, Frame};
 use ref_serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream, Timer};
 use ref_serve::router::{asks, AfterPanic, Duty, Readmit};
 use ref_serve::session::{self, Applied, GoLive, Offer, Session};
@@ -81,7 +83,7 @@ const ACK_TIMEOUT: Duration = Duration::from_millis(25);
 /// the ones the read already covered.
 const CATCH_UP: Duration = Duration::from_millis(3);
 /// WAL segment size.
-const SEGMENT_BYTES: u64 = 256;
+const SEGMENT_BYTES: u64 = 96;
 /// Delay before a node crashed by a poisoned WAL recovers.
 const POISON_RESTART: Duration = Duration::from_millis(40);
 /// Fault-free convergence window after the scripted horizon.
@@ -166,7 +168,8 @@ struct Node {
     /// The oracle's copy of this node's log from event 0, which pruning
     /// takes off the disk: extended by every record the WAL takes,
     /// replaced by the sender's prefix on a `snap` restore, cut back to
-    /// what recovery found on boot.
+    /// what recovery found on boot (or extended by an `unknown` append
+    /// recovery found whole).
     lineage: Vec<MarketEvent>,
     /// Ground truth: a corrupting fault was injected into this replica.
     diverged: bool,
@@ -176,6 +179,10 @@ struct Node {
     down: bool,
     /// A bit flip landed on this node's disk (scrub must notice).
     bitflip_hit: bool,
+    /// The append that poisoned this node's log, as `(seq, event)`: its
+    /// outcome is unknown until the node recovers and its log shows
+    /// whether the record landed whole.
+    unknown: Option<(u64, MarketEvent)>,
 }
 
 /// A client mutation whose reply the primary is holding for the ack.
@@ -323,6 +330,7 @@ impl Sim {
                     promoted_ever: false,
                     down: false,
                     bitflip_hit: false,
+                    unknown: None,
                 }
             })
             .collect();
@@ -409,6 +417,19 @@ impl Sim {
                 node.session = None;
                 node.catch_up = None;
                 node.lineage.truncate(seq as usize);
+                // An append whose outcome was unknown (it poisoned the
+                // log) counts as whatever the recovered log shows: that
+                // exact event at that sequence, or nothing.
+                let unknown = node.unknown.take().map(|(at, event)| {
+                    let landed = at + 1 == seq
+                        && node.lineage.len() as u64 == at
+                        && read_events_with(&node.disk, &node.dir)
+                            .is_ok_and(|(_, log)| log.last() == Some(&event));
+                    if landed {
+                        node.lineage.push(event);
+                    }
+                    (at, landed)
+                });
                 // Recovery replays the WAL from disk, so any in-memory
                 // corruption injected before the crash is gone: the
                 // rebooted replica is genuinely clean again.
@@ -417,6 +438,9 @@ impl Sim {
                 self.note(format!(
                     "n{id} boot role={role:?} term={term} seq={seq} scrub_errors={scrub_errors}"
                 ));
+                if let Some((at, landed)) = unknown {
+                    self.note(format!("n{id} unknown append seq={at} landed={landed}"));
+                }
             }
             Err(e) => {
                 self.note(format!("n{id} recovery FAILED: {e}"));
@@ -486,6 +510,9 @@ impl Sim {
         let reply = core.handle(req, &node.metrics);
         let seq_after = core.events_applied();
         let poisoned = core.wal().map(|w| w.poisoned()).unwrap_or(false);
+        if reply.get("outcome").and_then(Value::as_str) == Some("unknown") {
+            node.unknown = event.clone().map(|event| (seq_after, event));
+        }
         if let Some(event) = event.filter(|_| err_code(&reply) != "wal") {
             node.repl.note_log(seq_after);
             if matches!(event, MarketEvent::EpochTick) {
@@ -495,7 +522,9 @@ impl Sim {
             }
             let seq = seq_after - 1;
             let event_json = event_to_value(&event).encode();
-            let frame = session::rec_frame(seq, &event);
+            let mut record = Vec::new();
+            event.write_record(&mut record);
+            let frame = rec_frame(seq, &record);
             node.lineage.push(event);
             match node.session.as_mut().map(|s| s.offer(seq, &frame)) {
                 Some(Offer::Send) => self.send_frame(id, id ^ 1, frame),
@@ -612,7 +641,7 @@ impl Sim {
         let FrameDecode::Complete { payload, .. } = decode_frame(frame) else {
             return;
         };
-        let Some(msg) = parse_message(&payload) else {
+        let Some(frame) = parse_frame(payload) else {
             return;
         };
         if !self.alive(to) {
@@ -620,8 +649,9 @@ impl Sim {
         }
         let now = self.now();
         let was = self.nodes[to].repl.role();
-        match kind(&msg) {
-            "hello" => match self.nodes[to].repl.on_hello(&msg) {
+        let what = frame.kind().to_string();
+        match frame {
+            Frame::Msg(msg) if what == "hello" => match self.nodes[to].repl.on_hello(&msg) {
                 // The session holds live records from now on; its
                 // catch-up reads the log `CATCH_UP` later.
                 Hello::Accept { have, meta } => {
@@ -633,30 +663,32 @@ impl Sim {
             },
             // Acks ride the replication connection: none arrives once
             // the primary considers it reset.
-            "ack" if self.nodes[to].session.is_some() => match self.nodes[to].repl.on_ack(&msg) {
-                Ack::Ignored => {}
-                Ack::Progress(_) => self.release_acks(to),
-                Ack::Diverged { have, notice } => {
-                    self.note(format!("n{to} divergence detected: n{from} at have={have}"));
-                    // The real primary closes the socket after the
-                    // notice; the close is observed as reliably as the
-                    // notice, so the pair rides a reliable send.
-                    self.net.send_reliable(now, to, from, notice);
-                    self.close(to);
+            Frame::Msg(msg) if what == "ack" && self.nodes[to].session.is_some() => {
+                match self.nodes[to].repl.on_ack(&msg) {
+                    Ack::Ignored => {}
+                    Ack::Progress(_) => self.release_acks(to),
+                    Ack::Diverged { have, notice } => {
+                        self.note(format!("n{to} divergence detected: n{from} at have={have}"));
+                        // The real primary closes the socket after the
+                        // notice; the close is observed as reliably as the
+                        // notice, so the pair rides a reliable send.
+                        self.net.send_reliable(now, to, from, notice);
+                        self.close(to);
+                    }
                 }
-            },
-            "ack" => {}
-            _ => match self.nodes[to].repl.on_frame(&msg, &addr(from), now) {
+            }
+            _ if what == "ack" => {}
+            frame => match self.nodes[to].repl.on_frame(frame, &addr(from), now) {
                 Stream::Following => {}
                 // A refusal closes a dial that opened no session.
-                Stream::Drop if kind(&msg) == "refuse" => self.nodes[to].repl.hang_up(),
+                Stream::Drop if what == "refuse" => self.nodes[to].repl.hang_up(),
                 Stream::Drop => self.close(to),
                 verdict => self.follow(from, to, verdict),
             },
         }
         if was != Role::Fenced && self.nodes[to].repl.role() == Role::Fenced {
             self.close(to);
-            self.note(format!("n{to} fenced: {} notice from n{from}", kind(&msg)));
+            self.note(format!("n{to} fenced: {what} notice from n{from}"));
         }
     }
 
@@ -666,7 +698,7 @@ impl Sim {
     /// the node for recovery, as an operator would.
     fn follow(&mut self, from: usize, to: usize, verdict: Stream) {
         let (seq, record) = match &verdict {
-            Stream::Apply { seq, event } => (*seq, Some(event.clone())),
+            Stream::Apply { seq, event, .. } => (*seq, Some(event.clone())),
             Stream::Restore { seq, .. } => (*seq, None),
             Stream::Following | Stream::Drop => return,
         };
@@ -688,10 +720,11 @@ impl Sim {
                 None
             }
             (Applied::Skipped, _) => None,
-            (Applied::Resync | Applied::Ignored, _) => {
+            (Applied::Resync | Applied::Ignored, record) => {
                 self.note(format!("n{to} resync at seq={seq} have={have}"));
                 self.close(to);
                 if poisoned {
+                    self.nodes[to].unknown = record.map(|event| (seq, event));
                     self.note(format!("n{to} standby wal poisoned: crashing"));
                     self.crash(to);
                     let at = self.now() + POISON_RESTART;

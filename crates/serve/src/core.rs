@@ -16,7 +16,9 @@ use ref_market::{MarketConfig, MarketEngine, MarketEvent, MarketSnapshot};
 use crate::fault::FaultPlan;
 use crate::json::Value;
 use crate::metrics::ServeMetrics;
-use crate::protocol::{error_response, event_to_value, ok_response, Request};
+use crate::protocol::{
+    error_response, event_to_value, ok_response, outcome_unknown_response, Request,
+};
 use crate::repl::{ReplShared, Role};
 use crate::storage::{FsStorage, Storage};
 use crate::wal::{Wal, WalConfig};
@@ -47,15 +49,36 @@ impl Default for JournalLimit {
 
 /// The accepted-event journal as one byte column: each event's record
 /// ([`MarketEvent::write_record`]) end to end, and how many there are.
-#[derive(Debug, Default)]
+/// Past `limit` events the column is dropped and the journal stays
+/// `overflowed`.
+#[derive(Debug)]
 struct Journal {
     bytes: Vec<u8>,
     events: usize,
+    limit: usize,
+    overflowed: bool,
 }
 
 impl Journal {
-    fn push(&mut self, event: &MarketEvent) {
-        event.write_record(&mut self.bytes);
+    fn new(limit: usize, overflowed: bool) -> Journal {
+        Journal {
+            bytes: Vec::new(),
+            events: 0,
+            limit,
+            overflowed,
+        }
+    }
+
+    /// Records one event's record, until the journal overflows.
+    fn push(&mut self, record: &[u8]) {
+        if self.overflowed {
+            return;
+        }
+        if self.events >= self.limit {
+            *self = Journal::new(self.limit, true);
+            return;
+        }
+        self.bytes.extend_from_slice(record);
         self.events += 1;
     }
 
@@ -78,8 +101,6 @@ impl Journal {
 pub struct ServiceCore {
     engine: MarketEngine,
     journal: Journal,
-    journal_limit: usize,
-    journal_overflowed: bool,
     last_report: Option<EpochReport>,
     /// Durable log; when present, every event is appended here *before*
     /// it is applied, and an append failure means the event is rejected.
@@ -92,6 +113,9 @@ pub struct ServiceCore {
     /// pair: as a primary it streams every appended record and keeps
     /// per-epoch fingerprints; as a standby it applies the stream.
     repl: Option<Arc<ReplShared>>,
+    /// The event being applied, as its record: one encode serves the
+    /// WAL, the `rec` frame and the journal.
+    record: Vec<u8>,
 }
 
 impl ServiceCore {
@@ -103,14 +127,13 @@ impl ServiceCore {
     pub fn new(config: MarketConfig, journal_limit: JournalLimit) -> MarketResult<ServiceCore> {
         Ok(ServiceCore {
             engine: MarketEngine::new(config)?,
-            journal: Journal::default(),
-            journal_limit: journal_limit.0,
-            journal_overflowed: false,
+            journal: Journal::new(journal_limit.0, false),
             last_report: None,
             wal: None,
             events_applied: 0,
             faults: FaultPlan::default(),
             repl: None,
+            record: Vec::new(),
         })
     }
 
@@ -198,25 +221,28 @@ impl ServiceCore {
         // Re-warm the in-memory journal cache when the log still holds
         // the complete history and it fits; otherwise the cache starts
         // overflowed and `journal` requests stream from the WAL.
-        let mut journal = Journal::default();
-        let mut journal_overflowed = true;
+        let mut journal = Journal::new(journal_limit.0, true);
+        let mut record = Vec::new();
         if let Ok((0, events)) = wal.read_events() {
             if events.len() as u64 == events_applied && events.len() <= journal_limit.0 {
-                events.iter().for_each(|event| journal.push(event));
-                journal_overflowed = false;
+                journal.overflowed = false;
+                for event in &events {
+                    record.clear();
+                    event.write_record(&mut record);
+                    journal.push(&record);
+                }
             }
         }
 
         Ok(ServiceCore {
             engine,
             journal,
-            journal_limit: journal_limit.0,
-            journal_overflowed,
             last_report,
             wal: Some(wal),
             events_applied,
             faults,
             repl: None,
+            record,
         })
     }
 
@@ -302,19 +328,7 @@ impl ServiceCore {
 
     /// Whether the journal hit its cap and stopped recording.
     pub fn journal_overflowed(&self) -> bool {
-        self.journal_overflowed
-    }
-
-    fn record(&mut self, event: &MarketEvent) {
-        if self.journal_overflowed {
-            return;
-        }
-        if self.journal.events >= self.journal_limit {
-            self.journal_overflowed = true;
-            self.journal = Journal::default();
-            return;
-        }
-        self.journal.push(event);
+        self.journal.overflowed
     }
 
     /// Applies one event-bearing request to the engine, logging it
@@ -324,13 +338,23 @@ impl ServiceCore {
     ///
     /// Append-before-apply, fail-closed: if the WAL append fails the
     /// event is *not* applied and the client gets a `wal` error — engine
-    /// state is never ahead of the log.
+    /// state is never ahead of the log. When that append poisoned the
+    /// log, the error says its outcome is unknown: recovery may replay
+    /// the record (DESIGN.md §9).
     fn apply_event(&mut self, event: MarketEvent, metrics: &ServeMetrics) -> Value {
         let seq = self.events_applied;
+        self.record.clear();
+        event.write_record(&mut self.record);
         if let Some(wal) = self.wal.as_mut() {
-            if let Err(e) = wal.append(&event) {
+            let healthy = !wal.poisoned();
+            if let Err(e) = wal.append_record(&self.record) {
                 ServeMetrics::bump(&metrics.wal_errors);
-                return error_response("wal", Some(&format!("append failed: {e}")), None);
+                let detail = format!("append failed: {e}");
+                return if healthy && wal.poisoned() {
+                    outcome_unknown_response(&detail)
+                } else {
+                    error_response("wal", Some(&detail), None)
+                };
             }
             ServeMetrics::bump(&metrics.wal_appends);
             self.publish_wal_gauges(metrics);
@@ -344,10 +368,10 @@ impl ServiceCore {
         // local apply, so replication overlaps the engine work.
         let mut attached = false;
         if let Some(repl) = self.repl.as_ref().filter(|r| r.role() == Role::Primary) {
-            attached = repl.publish_record(seq, &event, metrics);
+            attached = repl.publish_record(seq, &self.record, metrics);
             ServeMetrics::bump(&metrics.repl_records_sent);
         }
-        self.record(&event);
+        self.journal.push(&self.record);
         self.events_applied += 1;
         let is_tick = matches!(event, MarketEvent::EpochTick);
         let started = Instant::now();
@@ -426,13 +450,31 @@ impl ServiceCore {
     /// skipped but still acknowledged; a sequence from the future means
     /// the stream has a hole and the puller must resynchronize.
     ///
-    /// Public for the deterministic simulator (`ref-dst`), which drives
-    /// standby cores with frames it routes itself instead of running the
-    /// replication threads.
+    /// Public for drivers that hold the event but not the bytes it came
+    /// in: it encodes the record, then takes the path
+    /// [`crate::session::apply`] takes with the bytes a `rec` carried.
     pub fn apply_repl(
         &mut self,
         seq: u64,
         event: MarketEvent,
+        metrics: &ServeMetrics,
+    ) -> ReplApply {
+        let mut record = std::mem::take(&mut self.record);
+        record.clear();
+        event.write_record(&mut record);
+        let applied = self.apply_record(seq, event, &record, metrics);
+        self.record = record;
+        applied
+    }
+
+    /// [`ServiceCore::apply_repl`] of `event` arriving as `record`, its
+    /// [`MarketEvent::write_record`] bytes: the log takes them as they
+    /// came, without encoding the event again.
+    pub(crate) fn apply_record(
+        &mut self,
+        seq: u64,
+        event: MarketEvent,
+        record: &[u8],
         metrics: &ServeMetrics,
     ) -> ReplApply {
         if seq < self.events_applied {
@@ -442,7 +484,7 @@ impl ServiceCore {
             return ReplApply::Gap;
         }
         if let Some(wal) = self.wal.as_mut() {
-            if wal.append(&event).is_err() {
+            if wal.append_record(record).is_err() {
                 // Counted in `wal_errors`; the puller resynchronizes.
                 ServeMetrics::bump(&metrics.wal_errors);
                 return ReplApply::WalError;
@@ -453,7 +495,7 @@ impl ServiceCore {
         // Divergence injection: log and acknowledge the record but skip
         // the engine apply, exactly like a buggy replica would.
         let skip_apply = self.faults.corrupt_standby_at == Some(seq);
-        self.record(&event);
+        self.journal.push(record);
         self.events_applied += 1;
         let is_tick = matches!(event, MarketEvent::EpochTick);
         let started = Instant::now();
@@ -507,8 +549,7 @@ impl ServiceCore {
             wal.reset_to_checkpoint(seq, snapshot_text)?;
         }
         self.engine = engine;
-        self.journal = Journal::default();
-        self.journal_overflowed = seq > 0;
+        self.journal = Journal::new(self.journal.limit, seq > 0);
         self.last_report = None;
         self.events_applied = seq;
         Ok(())
@@ -601,7 +642,7 @@ impl ServiceCore {
                 }
             }
             Request::Journal => {
-                if !self.journal_overflowed {
+                if !self.journal.overflowed {
                     return match self.journal.decoded(|event| event_to_value(&event)) {
                         Ok(events) => ok_response(vec![("events", Value::Arr(events))]),
                         Err(e) => error_response(

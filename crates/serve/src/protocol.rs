@@ -12,12 +12,21 @@
 //! response = { "ok": true,  ...result fields... } "\n"
 //!          | { "ok": false, "error": code, "detail"?: string,
 //!              "retry_after_ms"?: number, "leader"?: string,
-//!              "shard"?: number } "\n"
+//!              "shard"?: number, "outcome"?: "unknown" } "\n"
 //! code     = "protocol" | "overloaded" | "deadline" | "market"
 //!          | "shutting_down" | "timeout" | "journal_overflow"
 //!          | "journal_truncated" | "wal" | "not_primary" | "fenced"
 //!          | "repl" | "internal" | "shard_unavailable" | "unavailable"
 //! ```
+//!
+//! A `wal` error on a mutation means its log append failed and the event
+//! was not applied. Without `outcome`, the event is absent from the
+//! log: the writer cut back whatever bytes landed. With
+//! `"outcome":"unknown"`, that cut failed too and the log is poisoned:
+//! every byte of the record may be on disk, so recovery may replay the
+//! event. The client cannot tell which, and must not resubmit it blindly
+//! (DESIGN.md §9). A `repl` error means the event *was* applied, but no
+//! standby confirmed it in time.
 //!
 //! Fleet ops — `tick`, `query` without an agent, `snapshot`, `journal`,
 //! `metrics`, `scrub`, `promote`, `shutdown` — reply `{"ok": true,
@@ -508,6 +517,18 @@ pub fn error_response(code: &str, detail: Option<&str>, retry_after_ms: Option<u
         pairs.push(("retry_after_ms", Value::from_u64(ms)));
     }
     Value::obj(pairs)
+}
+
+/// The `wal` error of an append that poisoned the log: the event was
+/// not applied, but its record may be whole on disk, so recovery may
+/// replay it (`"outcome":"unknown"`, see the module docs).
+pub(crate) fn outcome_unknown_response(detail: &str) -> Value {
+    Value::obj(vec![
+        ("ok", Value::Bool(false)),
+        ("error", Value::str("wal")),
+        ("detail", Value::str(detail)),
+        ("outcome", Value::str("unknown")),
+    ])
 }
 
 #[cfg(test)]

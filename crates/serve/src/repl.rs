@@ -4,17 +4,20 @@
 //! A primary streams its durable history — an optional bootstrap
 //! checkpoint followed by every WAL record — over a dedicated TCP
 //! listener to any number of standbys. Frames reuse the WAL's record
-//! envelope (`[len:u32][crc32:u32][payload]`, `wal::frame`) with a
-//! one-line JSON payload per message, so the stream inherits the log's
-//! corruption detection: a truncated or bit-flipped frame is caught by
-//! the length or CRC check and never half-applied.
+//! envelope (`[len:u32][crc32:u32][payload]`, `wal::frame`), so the
+//! stream inherits the log's corruption detection: a truncated or
+//! bit-flipped frame is caught by the length or CRC check and never
+//! half-applied. A `rec` payload is binary — a zero byte, the sequence
+//! as a little-endian `u64`, then the event's record, the very bytes the
+//! WAL stores — and every other message is one line of JSON; one
+//! decoder, [`parse_frame`], tells them apart for every driver.
 //!
 //! ```text
 //!   standby ──hello{term,have_seq}──▶ primary
 //!   standby ◀──meta{term,client_addr}── primary      (or refuse{reason})
 //!   standby ◀──snap{seq,snapshot}── primary           (only when behind
 //!                                                      the retained log)
-//!   standby ◀──rec{seq,event}──── primary             (catch-up + live)
+//!   standby ◀──rec[seq,record]─── primary             (catch-up + live)
 //!   standby ◀──hb{term,seq}────── primary             (heartbeat)
 //!   standby ──ack{have,epoch?,fp?}─▶ primary
 //!   standby ◀──diverged{epoch}─── primary             (fingerprint split)
@@ -209,7 +212,7 @@ pub fn message(t: &str, fields: Vec<(&str, Value)>) -> Vec<u8> {
     encode_frame(Value::obj(pairs).encode().as_bytes())
 }
 
-/// Parses a decoded frame payload back into a replication message,
+/// Parses a decoded frame payload back into a JSON replication message,
 /// requiring the `t` kind tag. Inverse of [`message`].
 pub fn parse_message(payload: &[u8]) -> Option<Value> {
     let text = std::str::from_utf8(payload).ok()?;
@@ -221,6 +224,71 @@ pub fn parse_message(payload: &[u8]) -> Option<Value> {
 /// The `t` kind tag of a parsed replication message (empty if absent).
 pub fn kind(msg: &Value) -> &str {
     msg.get("t").and_then(Value::as_str).unwrap_or("")
+}
+
+/// The first byte of a `rec` payload; no JSON message starts with it.
+const REC_TAG: u8 = 0;
+
+/// Bytes of a `rec` payload before the record: the tag and the sequence.
+const REC_HEAD: usize = 1 + 8;
+
+/// The framed `rec` carrying the log record at `seq`: `record` is the
+/// event's [`MarketEvent::write_record`] bytes, as the WAL stores them.
+pub fn rec_frame(seq: u64, record: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(wal::RECORD_HEADER_BYTES + REC_HEAD + record.len());
+    wal::frame_into(&mut out, |out| {
+        out.push(REC_TAG);
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(record);
+    });
+    out
+}
+
+/// One replication frame's payload, decoded by [`parse_frame`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Frame {
+    /// A `rec`: the log record at `seq`.
+    Rec {
+        /// The record's log sequence.
+        seq: u64,
+        /// The event the record holds.
+        event: MarketEvent,
+        /// The record's bytes, exactly one event's
+        /// [`MarketEvent::write_record`]: a standby appends them as they
+        /// came.
+        record: Vec<u8>,
+    },
+    /// Any other message: a JSON object with its `t` kind tag.
+    Msg(Value),
+}
+
+impl Frame {
+    /// The message kind: `rec`, or a JSON message's `t` tag.
+    pub fn kind(&self) -> &str {
+        match self {
+            Frame::Rec { .. } => "rec",
+            Frame::Msg(msg) => kind(msg),
+        }
+    }
+}
+
+/// The one decoder of a checksummed frame payload (both drivers call it:
+/// the standby's socket loop and the simulator): a `rec` whose record is
+/// exactly one event, or a JSON message with its kind tag. `None` for
+/// anything else — a truncated or over-long record, an unknown tag, text
+/// that is not a tagged object — which no frame a primary sends can be.
+pub fn parse_frame(mut payload: Vec<u8>) -> Option<Frame> {
+    if payload.first() != Some(&REC_TAG) {
+        return parse_message(&payload).map(Frame::Msg);
+    }
+    let seq = u64::from_le_bytes(payload.get(1..REC_HEAD)?.try_into().ok()?);
+    let event = wal::read_event(&payload[REC_HEAD..]).ok()?;
+    payload.drain(..REC_HEAD);
+    Some(Frame::Rec {
+        seq,
+        event,
+        record: payload,
+    })
 }
 
 /// Incremental frame reader over a socket with a short read timeout, so
@@ -569,21 +637,17 @@ impl ReplShared {
         took
     }
 
-    /// Streams one just-appended record to every live standby, on the
+    /// Streams one just-appended record (its event's
+    /// [`MarketEvent::write_record`] bytes) to every live standby, on the
     /// calling thread, after telling the core the log grew — a `hello`
     /// racing this very request is judged against the published
     /// position, not a stale export. A sink that cannot take the record
     /// (see [`Sink::send`]) is dropped: it reconnects and catches up
     /// from the log — a slow replica must never stall the primary.
     /// Whether a live session took the record (see [`Self::wait_applied`]).
-    pub(crate) fn publish_record(
-        &self,
-        seq: u64,
-        event: &MarketEvent,
-        metrics: &ServeMetrics,
-    ) -> bool {
+    pub(crate) fn publish_record(&self, seq: u64, record: &[u8], metrics: &ServeMetrics) -> bool {
         self.core().note_log(seq + 1);
-        let frame = session::rec_frame(seq, event);
+        let frame = rec_frame(seq, record);
         let attached = self.broadcast(metrics, |sink| sink.send(&frame, |s| s.offer(seq, &frame)));
         self.publish_lag(metrics, seq + 1);
         attached
@@ -856,14 +920,17 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>) {
     let Ok(payload) = conn.read_frame_deadline(Duration::from_secs(5)) else {
         return;
     };
-    let Some(first) = parse_message(&payload) else {
+    let Some(first) = parse_frame(payload) else {
         return;
     };
-    let on_frame =
-        |msg: &Value| repl.drive(&shared.metrics, |core, now| core.on_frame(msg, &addr, now));
+    let on_frame = |frame: Frame| {
+        repl.drive(&shared.metrics, |core, now| {
+            core.on_frame(frame, &addr, now)
+        })
+    };
     // The handshake reply: `meta` (follow) or `refuse` (redirect, or
     // fence when this standby is ahead of the primary).
-    if !matches!(kind(&first), "meta" | "refuse") || on_frame(&first) != Stream::Following {
+    if !matches!(first.kind(), "meta" | "refuse") || on_frame(first) != Stream::Following {
         return;
     }
 
@@ -883,10 +950,10 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>) {
             }
             Err(_) => return,
         };
-        let Some(msg) = parse_message(&payload) else {
+        let Some(frame) = parse_frame(payload) else {
             return;
         };
-        let verdict = match on_frame(&msg) {
+        let verdict = match on_frame(frame) {
             Stream::Following => continue,
             // A stale primary, a divergence notice (we fenced), or a
             // frame that makes no sense.

@@ -24,8 +24,8 @@ use std::time::Duration;
 use ref_market::MarketEvent;
 
 use crate::json::Value;
-use crate::protocol::{error_response, not_primary_response, value_to_event};
-use crate::repl::{kind, message, ReplConfig};
+use crate::protocol::{error_response, not_primary_response};
+use crate::repl::{kind, message, Frame, ReplConfig};
 
 /// How a node currently participates in the replicated pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +155,8 @@ pub enum Stream {
         seq: u64,
         /// The event itself.
         event: MarketEvent,
+        /// The event's record bytes, as the primary's WAL holds them.
+        record: Vec<u8>,
     },
     /// Reset engine and WAL to this bootstrap checkpoint.
     Restore {
@@ -568,17 +570,26 @@ impl ReplCore {
     /// a session: the handshake reply (`meta`/`refuse`) and the stream
     /// (`rec`/`snap`/`hb`/`diverged`). A frame from a lower term is a
     /// stale primary's; a non-standby ignores the stream altogether.
-    pub fn on_frame(&mut self, msg: &Value, from: &str, now: Duration) -> Stream {
-        let frame = kind(msg);
+    pub fn on_frame(&mut self, frame: Frame, from: &str, now: Duration) -> Stream {
+        let msg = match frame {
+            Frame::Rec { .. } if self.role != Role::Standby => return Stream::Drop,
+            Frame::Rec { seq, event, record } => {
+                self.primary_seq = self.primary_seq.max(seq + 1);
+                self.heard(now);
+                return Stream::Apply { seq, event, record };
+            }
+            Frame::Msg(msg) => msg,
+        };
+        let frame = kind(&msg);
         if frame == "refuse" {
             match msg.get("reason").and_then(Value::as_str) {
                 // Follow the redirect when one is offered; otherwise
                 // fall back to the configured address next round.
-                Some("not_primary") => self.leader_repl = text(msg, "leader"),
+                Some("not_primary") => self.leader_repl = text(&msg, "leader"),
                 // Our durable history is *longer* than the primary's:
                 // the pasts diverged and no stream can reconcile them.
                 Some("standby_ahead") if self.role == Role::Standby => {
-                    self.fence(num(msg, "term"));
+                    self.fence(num(&msg, "term"));
                 }
                 _ => self.leader_repl = None,
             }
@@ -588,7 +599,7 @@ impl ReplCore {
             return Stream::Drop;
         }
         if matches!(frame, "meta" | "hb") {
-            let term = num(msg, "term");
+            let term = num(&msg, "term");
             if term < self.term {
                 return Stream::Drop;
             }
@@ -597,25 +608,16 @@ impl ReplCore {
         let verdict = match frame {
             "meta" => {
                 self.leader_repl = Some(from.to_string());
-                self.leader_client = text(msg, "client_addr");
+                self.leader_client = text(&msg, "client_addr");
                 Stream::Following
             }
             "hb" => {
-                self.primary_seq = self.primary_seq.max(num(msg, "seq"));
+                self.primary_seq = self.primary_seq.max(num(&msg, "seq"));
                 Stream::Following
-            }
-            "rec" => {
-                let seq = msg.get("seq").and_then(Value::as_u64);
-                let event = msg.get("event").and_then(|v| value_to_event(v).ok());
-                let (Some(seq), Some(event)) = (seq, event) else {
-                    return Stream::Drop;
-                };
-                self.primary_seq = self.primary_seq.max(seq + 1);
-                Stream::Apply { seq, event }
             }
             "snap" => {
                 let seq = msg.get("seq").and_then(Value::as_u64);
-                let (Some(seq), Some(snapshot)) = (seq, text(msg, "snapshot")) else {
+                let (Some(seq), Some(snapshot)) = (seq, text(&msg, "snapshot")) else {
                     return Stream::Drop;
                 };
                 Stream::Restore { seq, snapshot }
@@ -628,9 +630,14 @@ impl ReplCore {
             }
             _ => return Stream::Following,
         };
+        self.heard(now);
+        verdict
+    }
+
+    /// The primary spoke at `now`.
+    fn heard(&mut self, now: Duration) {
         self.last_heard = now;
         self.heard_any = true;
-        verdict
     }
 
     /// Whether the primary has been silent past the election timeout.
@@ -656,7 +663,7 @@ impl ReplCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repl::{decode_frame, parse_message, FrameDecode};
+    use crate::repl::{decode_frame, parse_message, Frame, FrameDecode};
 
     const MS: Duration = Duration::from_millis(1);
 
@@ -830,9 +837,12 @@ mod tests {
 
         // Heard it, caught up, then silence past the timeout: elect.
         let mut standby = core(true, 1, 5);
-        assert_eq!(standby.on_frame(&meta, "p:1", MS), Stream::Following);
         assert_eq!(
-            standby.on_frame(&hb(1, 5), "p:1", 10 * MS),
+            standby.on_frame(Frame::Msg(meta), "p:1", MS),
+            Stream::Following
+        );
+        assert_eq!(
+            standby.on_frame(Frame::Msg(hb(1, 5)), "p:1", 10 * MS),
             Stream::Following
         );
         assert!(!standby.election_due(10 * MS + timeout - MS));
@@ -842,7 +852,7 @@ mod tests {
 
         // Behind the advertised position: promoting would lose the tail.
         assert_eq!(
-            standby.on_frame(&hb(1, 7), "p:1", 20 * MS),
+            standby.on_frame(Frame::Msg(hb(1, 7)), "p:1", 20 * MS),
             Stream::Following
         );
         assert!(!standby.election_due(20 * MS + timeout));
@@ -852,13 +862,16 @@ mod tests {
         // Operator-driven failover only: the timer never fires.
         let manual = config(true).with_auto_promote(false);
         let mut standby = ReplCore::new(&manual, 7, 1, 5, Duration::ZERO);
-        standby.on_frame(&hb(1, 5), "p:1", MS);
+        standby.on_frame(Frame::Msg(hb(1, 5)), "p:1", MS);
         assert!(!standby.election_due(Duration::from_secs(9)));
 
         // A stale primary's heartbeat neither resets the timer nor
         // lowers the term.
         let mut standby = core(true, 4, 0);
-        assert_eq!(standby.on_frame(&hb(3, 0), "p:1", MS), Stream::Drop);
+        assert_eq!(
+            standby.on_frame(Frame::Msg(hb(3, 0)), "p:1", MS),
+            Stream::Drop
+        );
         assert_eq!(standby.term(), 4);
         assert!(!standby.election_due(Duration::from_secs(9)));
     }
@@ -885,7 +898,7 @@ mod tests {
         let mut standby = core(true, 0, 0);
         assert_eq!(standby.timer(Duration::ZERO), Timer::Redial);
         standby.dial(Duration::ZERO);
-        standby.on_frame(&hb(0), "p:1", 15 * MS);
+        standby.on_frame(Frame::Msg(hb(0)), "p:1", 15 * MS);
         assert_eq!(standby.timer(36 * MS), Timer::Idle(None));
         standby.hang_up();
         assert_eq!(standby.timer(30 * MS), Timer::Idle(None));
@@ -949,7 +962,10 @@ mod tests {
             assert_eq!(num(&notice, "expected_epoch"), 1);
             // The notice fences the replica it reaches.
             let mut replica = core(true, 0, 3);
-            assert_eq!(replica.on_frame(&notice, "p:1", MS), Stream::Drop);
+            assert_eq!(
+                replica.on_frame(Frame::Msg(notice), "p:1", MS),
+                Stream::Drop
+            );
             assert_eq!(replica.role(), Role::Fenced);
         }
         // A standby has no business judging acks.
@@ -958,14 +974,20 @@ mod tests {
 
     #[test]
     fn stream_and_refusal_verdicts() {
-        let event = crate::protocol::event_to_value(&MarketEvent::EpochTick);
-        let rec = msg("rec", vec![("seq", u(4)), ("event", event)]);
+        let rec = |seq: u64| {
+            let frame = crate::repl::rec_frame(seq, &[9]);
+            let FrameDecode::Complete { payload, .. } = decode_frame(&frame) else {
+                panic!("own frame must decode");
+            };
+            crate::repl::parse_frame(payload).expect("a tick record")
+        };
         let mut standby = core(true, 0, 4);
         assert_eq!(
-            standby.on_frame(&rec, "p:1", MS),
+            standby.on_frame(rec(4), "p:1", MS),
             Stream::Apply {
                 seq: 4,
-                event: MarketEvent::EpochTick
+                event: MarketEvent::EpochTick,
+                record: vec![9],
             }
         );
         let snap = msg(
@@ -973,13 +995,18 @@ mod tests {
             vec![("seq", u(2)), ("snapshot", Value::str("text"))],
         );
         assert!(matches!(
-            standby.on_frame(&snap, "p:1", MS),
+            standby.on_frame(Frame::Msg(snap), "p:1", MS),
             Stream::Restore { seq: 2, .. }
         ));
-        let broken = msg("rec", vec![("seq", u(5))]);
-        assert_eq!(standby.on_frame(&broken, "p:1", MS), Stream::Drop);
         // A primary ignores stream frames outright.
-        assert_eq!(core(false, 0, 0).on_frame(&rec, "p:1", MS), Stream::Drop);
+        assert_eq!(core(false, 0, 0).on_frame(rec(4), "p:1", MS), Stream::Drop);
+        // A record cut short, or with a byte after it, is no frame at all.
+        for broken in [
+            &[0, 5, 0, 0, 0, 0, 0, 0, 0][..],
+            &[0, 5, 0, 0, 0, 0, 0, 0, 0, 9, 9],
+        ] {
+            assert_eq!(crate::repl::parse_frame(broken.to_vec()), None);
+        }
 
         let refuse = |reason: &str, leader: Option<&str>| {
             let mut fields = vec![("reason", Value::str(reason)), ("term", u(2))];
@@ -987,12 +1014,16 @@ mod tests {
             msg("refuse", fields)
         };
         let mut standby = core(true, 0, 4);
-        standby.on_frame(&refuse("not_primary", Some("other:1")), "p:1", MS);
+        standby.on_frame(
+            Frame::Msg(refuse("not_primary", Some("other:1"))),
+            "p:1",
+            MS,
+        );
         assert_eq!(standby.dial_target(), Some("other:1"));
-        standby.on_frame(&refuse("fenced", None), "other:1", MS);
+        standby.on_frame(Frame::Msg(refuse("fenced", None)), "other:1", MS);
         assert_eq!(standby.dial_target(), Some("p:1"));
         assert_eq!(standby.role(), Role::Standby);
-        standby.on_frame(&refuse("standby_ahead", None), "p:1", MS);
+        standby.on_frame(Frame::Msg(refuse("standby_ahead", None)), "p:1", MS);
         assert_eq!((standby.role(), standby.term()), (Role::Fenced, 2));
     }
 }

@@ -18,13 +18,10 @@
 use std::io;
 use std::path::Path;
 
-use ref_market::MarketEvent;
-
 use crate::core::{ReplApply, ServiceCore};
 use crate::json::Value;
 use crate::metrics::ServeMetrics;
-use crate::protocol::event_to_value;
-use crate::repl::message;
+use crate::repl::{message, rec_frame};
 use crate::repl_core::Stream;
 use crate::storage::Storage;
 use crate::wal;
@@ -32,12 +29,6 @@ use crate::wal;
 /// How many live records may wait for a standby's catch-up before the
 /// session is killed (the standby reconnects and catches up again).
 pub const SINK_QUEUE: usize = 4096;
-
-/// The framed `rec{seq,event}` message carrying one log record.
-pub fn rec_frame(seq: u64, event: &MarketEvent) -> Vec<u8> {
-    let seq = ("seq", Value::from_u64(seq));
-    message("rec", vec![seq, ("event", event_to_value(event))])
-}
 
 /// Streams a standby at `have` the log in `dir`: the newest checkpoint
 /// as a `snap` iff `have` is below the first retained record, then
@@ -76,8 +67,11 @@ pub fn catch_up(
         snap = Some(seq);
     }
     let from = snap.unwrap_or(have);
+    let mut record = Vec::new();
     for (seq, event) in (first..).zip(&events).filter(|(seq, _)| *seq >= from) {
-        send(rec_frame(seq, event))?;
+        record.clear();
+        event.write_record(&mut record);
+        send(rec_frame(seq, &record))?;
     }
     Ok((snap, (first + events.len() as u64).max(from)))
 }
@@ -215,11 +209,13 @@ pub fn apply(core: &mut ServiceCore, verdict: Stream, metrics: &ServeMetrics) ->
             core.publish_wal_gauges(metrics);
             Applied::Applied { epoch_fp: None }
         }
-        Stream::Apply { seq, event } => match core.apply_repl(seq, event, metrics) {
-            ReplApply::Applied { epoch_fp } => Applied::Applied { epoch_fp },
-            ReplApply::Skipped => Applied::Skipped,
-            ReplApply::Gap | ReplApply::WalError => Applied::Resync,
-        },
+        Stream::Apply { seq, event, record } => {
+            match core.apply_record(seq, event, &record, metrics) {
+                ReplApply::Applied { epoch_fp } => Applied::Applied { epoch_fp },
+                ReplApply::Skipped => Applied::Skipped,
+                ReplApply::Gap | ReplApply::WalError => Applied::Resync,
+            }
+        }
         Stream::Following | Stream::Drop => Applied::Ignored,
     }
 }

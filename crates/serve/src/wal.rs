@@ -4,7 +4,8 @@
 //! every admitted event here *before* applying it to the engine, and a failed append
 //! means the event is not applied — on disk, the WAL is always exactly
 //! the sequence of applied events (never behind, and self-healed so it
-//! is never ahead either, except for a torn tail left by a crash).
+//! is never ahead either, except for a torn tail left by a crash, or the
+//! one record of an append that poisoned the log; see [`Wal::append`]).
 //! Recovery loads the newest valid checkpoint, replays the WAL tail, and
 //! lands bit-identical to what [`crate::core::replay`] would produce
 //! from the full event list.
@@ -22,9 +23,11 @@
 //! [ len: u32 ][ crc32(payload): u32 ][ payload: len bytes ]
 //! ```
 //!
-//! where the payload is the event's journal JSON (the
-//! [`crate::protocol::event_to_value`] form — bit-exact for `f64`s).
-//! Sequence numbers are implicit: a segment's file name carries the
+//! where the payload is the event's binary record
+//! ([`MarketEvent::write_record`]: a tag byte, varint ids, `f64` bits —
+//! a two-resource observation is 27 bytes, a tick one). The in-memory
+//! journal and the replication stream's `rec` frames carry the same
+//! bytes. Sequence numbers are implicit: a segment's file name carries the
 //! sequence of its first record, and records are densely numbered from
 //! there. A checkpoint file holds the versioned market snapshot text
 //! plus its own CRC; checkpoints are written to a temp file and renamed,
@@ -35,7 +38,11 @@
 //! Corruption policy: a short or checksum-failing record in the *last*
 //! segment is a torn tail — expected after a crash — and recovery
 //! truncates the file back to the last complete record. The same damage
-//! in any earlier segment is real corruption and recovery refuses it.
+//! in any earlier segment is real corruption and recovery refuses it. A
+//! record that passes its checksum but does not decode is never a torn
+//! tail (a torn write cannot produce a valid checksum): it is refused
+//! with [`io::ErrorKind::InvalidData`] naming its offset, wherever it
+//! sits. That is how a log written in the JSON-era format is refused.
 //!
 //! One process at a time owns a WAL directory; there is no lock file.
 
@@ -46,8 +53,6 @@ use std::sync::Arc;
 use ref_market::{MarketEvent, MarketSnapshot};
 
 use crate::fault::FaultPlan;
-use crate::json::Value;
-use crate::protocol::{event_to_value, value_to_event};
 use crate::storage::{FsStorage, Storage, StorageFile};
 
 /// Per-record framing overhead in bytes (length + checksum).
@@ -163,14 +168,25 @@ fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("checkpoint-{seq:016x}.ckpt"))
 }
 
-/// Frames `payload` as one record: `[len:u32][crc32:u32][payload]`,
-/// little-endian. Shared with the replication stream, which ships WAL
-/// records over TCP in exactly this envelope.
+/// Frames whatever `write` appends to `out` as one record,
+/// `[len:u32][crc32:u32][payload]` little-endian: reserves the header,
+/// lets `write` append the payload, then fills in its length and CRC.
+/// Shared with the replication stream, which ships its messages in
+/// exactly this envelope.
+pub(crate) fn frame_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_BYTES]);
+    write(out);
+    let payload = &out[start + RECORD_HEADER_BYTES..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + RECORD_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// `payload` framed as one record (see [`frame_into`]).
 pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_into(&mut out, |out| out.extend_from_slice(payload));
     out
 }
 
@@ -212,25 +228,33 @@ pub(crate) fn check_frame(buf: &[u8]) -> FrameCheck<'_> {
     FrameCheck::Whole(payload, RECORD_HEADER_BYTES + len as usize)
 }
 
-fn encode_event(event: &MarketEvent) -> Vec<u8> {
-    event_to_value(event).encode().into_bytes()
-}
-
 fn corrupt(detail: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail.into())
+}
+
+/// The event a record's payload holds: exactly one
+/// [`MarketEvent::write_record`], with nothing after it.
+pub(crate) fn read_event(payload: &[u8]) -> Result<MarketEvent, String> {
+    match MarketEvent::read_record(payload) {
+        Ok((event, len)) if len == payload.len() => Ok(event),
+        Ok((_, len)) => Err(format!("{} bytes follow the event", payload.len() - len)),
+        Err(e) => Err(e.to_string()),
+    }
 }
 
 /// What `parse_records` found in one segment's bytes.
 struct SegmentScan {
     events: Vec<MarketEvent>,
-    /// Byte offset of the first incomplete/invalid record, if the tail
-    /// is torn; `None` when the segment parsed cleanly to EOF.
+    /// Byte offset of the first incomplete or checksum-failing record,
+    /// if the tail is torn; `None` when the segment parsed cleanly to EOF.
     torn_at: Option<u64>,
 }
 
 /// Parses framed records from `bytes`, stopping at the first torn or
-/// invalid record (reported via `torn_at`, judged by the caller).
-fn parse_records(bytes: &[u8]) -> SegmentScan {
+/// checksum-failing record (reported via `torn_at`, judged by the
+/// caller). A record that passes its checksum but is not exactly one
+/// event record is no torn write: it is returned as `Err((offset, why))`.
+fn parse_records(bytes: &[u8]) -> Result<SegmentScan, (usize, String)> {
     let mut events = Vec::new();
     let mut offset = 0usize;
     let torn_at = loop {
@@ -240,20 +264,10 @@ fn parse_records(bytes: &[u8]) -> SegmentScan {
         let FrameCheck::Whole(payload, consumed) = check_frame(&bytes[offset..]) else {
             break Some(offset as u64);
         };
-        let event = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| Value::parse(text).ok())
-            .and_then(|v| value_to_event(&v).ok());
-        // A checksum-valid record that does not decode is treated like a
-        // torn record: the caller decides whether a tail may be dropped
-        // here or the segment is corrupt.
-        let Some(event) = event else {
-            break Some(offset as u64);
-        };
-        events.push(event);
+        events.push(read_event(payload).map_err(|why| (offset, why))?);
         offset += consumed;
     };
-    SegmentScan { events, torn_at }
+    Ok(SegmentScan { events, torn_at })
 }
 
 /// `(first_seq_or_seq, path)` pairs in ascending sequence order.
@@ -326,11 +340,17 @@ fn scan_segments<'a>(
 ) -> impl Iterator<Item = io::Result<Scanned<'a>>> + 'a {
     segments.iter().enumerate().map(move |(i, (first, path))| {
         let bytes = storage.read(path)?;
+        let scan = parse_records(&bytes).map_err(|(at, why)| {
+            corrupt(format!(
+                "record at byte {at} of segment {path:?} passes its checksum but is not an \
+                 event record ({why}); a log written before the binary record format?"
+            ))
+        })?;
         Ok(Scanned {
             first: *first,
             path,
             len: bytes.len() as u64,
-            scan: parse_records(&bytes),
+            scan,
             is_last: i + 1 == segments.len(),
         })
     })
@@ -427,6 +447,9 @@ pub struct Wal {
     total_bytes: u64,
     /// Size of the newest checkpoint file in bytes (0 when none).
     checkpoint_bytes: u64,
+    /// The record being appended, framed: reused, so an append that does
+    /// not rotate allocates nothing.
+    buf: Vec<u8>,
 }
 
 impl Wal {
@@ -553,6 +576,7 @@ impl Wal {
                 poisoned: false,
                 total_bytes,
                 checkpoint_bytes,
+                buf: Vec::new(),
             },
             checkpoint,
             tail,
@@ -648,9 +672,30 @@ impl Wal {
     ///
     /// On any write failure (real or injected) the log self-heals by
     /// truncating back to the previous record boundary, so an event
-    /// whose append failed is guaranteed absent from the log; if even
-    /// the truncation fails the log is poisoned and refuses appends.
+    /// whose append failed and left the log unpoisoned is absent from
+    /// it. If even the truncation fails the log is poisoned and refuses
+    /// appends, and the outcome of the append that poisoned it is
+    /// unknown: every byte of its record may have landed, and recovery
+    /// then replays it. No marker can rule that out — writing one is one
+    /// more write that can fail the same way — so the caller reports it
+    /// (DESIGN.md §9).
     pub fn append(&mut self, event: &MarketEvent) -> io::Result<u64> {
+        self.append_with(|out| event.write_record(out))
+    }
+
+    /// [`Wal::append`] of an event already encoded as its record
+    /// ([`MarketEvent::write_record`]'s bytes).
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`Wal::append`].
+    pub(crate) fn append_record(&mut self, record: &[u8]) -> io::Result<u64> {
+        self.append_with(|out| out.extend_from_slice(record))
+    }
+
+    /// The one append: `write` puts the record's payload into the framed
+    /// buffer.
+    fn append_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> io::Result<u64> {
         if self.poisoned {
             return Err(io::Error::other("wal poisoned by an earlier failed write"));
         }
@@ -666,8 +711,9 @@ impl Wal {
         if self.segment_records > 0 && self.segment_bytes >= self.config.segment_max_bytes {
             self.rotate()?;
         }
-        let record = frame(&encode_event(event));
-        let outcome = self.file.write_all(&record).and_then(|()| {
+        self.buf.clear();
+        frame_into(&mut self.buf, write);
+        let outcome = self.file.write_all(&self.buf).and_then(|()| {
             if self.config.fsync {
                 self.file.sync_data()?;
             }
@@ -681,8 +727,9 @@ impl Wal {
             }
             return Err(e);
         }
-        self.segment_bytes += record.len() as u64;
-        self.total_bytes += record.len() as u64;
+        let len = self.buf.len() as u64;
+        self.segment_bytes += len;
+        self.total_bytes += len;
         self.segment_records += 1;
         self.next_seq += 1;
         Ok(seq)
@@ -776,7 +823,7 @@ impl Wal {
         Ok(())
     }
 
-    /// Reads every decodable event still on disk, in order, together
+    /// Reads every event still on disk, in order, together
     /// with the sequence number of the first one. Tolerates a torn tail
     /// (stops there) without modifying any file — safe to call while
     /// the log is open for appends, since appends are serialized by the
@@ -802,14 +849,15 @@ impl Wal {
     }
 }
 
-/// Reads all decodable events from a WAL directory (see
+/// Reads all events from a WAL directory (see
 /// `Wal::read_events`); usable offline, e.g. for audits or the chaos
 /// harness's independent verification.
 ///
 /// # Errors
 ///
 /// I/O failures, or [`io::ErrorKind::InvalidData`] for interior
-/// corruption or sequence gaps.
+/// corruption, a checksum-valid record that does not decode, or
+/// sequence gaps.
 pub fn read_events_with(storage: &dyn Storage, dir: &Path) -> io::Result<(u64, Vec<MarketEvent>)> {
     let (segments, _) = list_dir(storage, dir)?;
     let first_seq = segments.first().map_or(0, |(first, _)| *first);
@@ -854,7 +902,9 @@ impl ScrubReport {
 /// # Errors
 ///
 /// Propagates directory-listing and read failures; a missing directory
-/// yields an empty (clean) report.
+/// yields an empty (clean) report. A record that passes its checksum but
+/// does not decode is refused with [`io::ErrorKind::InvalidData`], as
+/// recovery refuses it: a log in another format is not damage to count.
 pub fn scrub(dir: &Path) -> io::Result<ScrubReport> {
     scrub_with(&FsStorage, dir)
 }
@@ -1106,6 +1156,39 @@ mod tests {
     }
 
     #[test]
+    fn a_checksum_valid_record_that_does_not_decode_is_refused_not_truncated() {
+        use crate::protocol::event_to_value;
+
+        let all = events(3);
+        let json = |e: &MarketEvent| frame(event_to_value(e).encode().as_bytes());
+        let binary = |e: &MarketEvent| {
+            let mut record = Vec::new();
+            e.write_record(&mut record);
+            frame(&record)
+        };
+        // A JSON-era log, and one JSON record after a binary one (a join,
+        // 10 bytes framed): each the only, so the final, segment — where
+        // a torn tail would be cut off.
+        let json_era: Vec<u8> = all.iter().flat_map(json).collect();
+        let mixed = [binary(&all[0]), json(&all[1]), binary(&all[2])].concat();
+        for (bytes, at) in [(json_era, 0), (mixed, 10)] {
+            let dir = TempDir::new("undecodable");
+            fs::create_dir_all(dir.path()).unwrap();
+            let path = segment_path(dir.path(), 0);
+            fs::write(&path, &bytes).unwrap();
+            let want = format!("record at byte {at} of segment");
+            let err = Wal::open(WalConfig::new(dir.path()), FaultPlan::none()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&want), "{err}");
+            let err = read_events_with(&FsStorage, dir.path()).unwrap_err();
+            assert!(err.to_string().contains(&want), "{err}");
+            let err = scrub(dir.path()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(fs::read(&path).unwrap(), bytes, "nothing is truncated");
+        }
+    }
+
+    #[test]
     fn injected_append_failure_leaves_no_bytes() {
         let dir = TempDir::new("failinj");
         let faults = FaultPlan {
@@ -1318,14 +1401,15 @@ mod tests {
         let dir = TempDir::new("ckpt-order");
         let disk = Recording::default();
         let config = WalConfig::new(dir.path())
-            .with_segment_max_bytes(96)
+            .with_segment_max_bytes(40)
             .with_fsync(true);
         let mut wal = Wal::open_with(Arc::new(disk.clone()), config, FaultPlan::none())
             .unwrap()
             .wal;
         let all = events(12);
-        // Two records fill the first segment; the third rotates, and the
-        // full segment is synced before the next one is created.
+        // Two records (10 + 35 bytes) fill the first segment; the third
+        // rotates, and the full segment is synced before the next one is
+        // created.
         for e in &all[..2] {
             wal.append(e).unwrap();
         }
@@ -1372,10 +1456,12 @@ mod tests {
 
     /// Thirty appends across two rotations and one checkpoint, with
     /// `fsync` on, each run failing one storage call once: a segment
-    /// write (nothing lands, or a prefix lands and the heal fails), a
-    /// segment sync, rotation's open, or the checkpoint temp file's
-    /// write, sync or rename. The log must reopen with every `Ok` append
-    /// in order, and without the failed one unless it poisoned the log.
+    /// write (nothing lands; or a prefix, or the whole record, lands and
+    /// the heal fails), a segment sync, rotation's open, or the
+    /// checkpoint temp file's write, sync or rename. The log must reopen
+    /// with every `Ok` append in order, and without the failed one
+    /// unless it poisoned the log — and with it when the whole record
+    /// landed: that outcome cannot be taken back.
     #[test]
     fn a_single_failing_storage_call_leaves_a_recoverable_log() {
         use ref_core::resource::Capacity;
@@ -1385,7 +1471,14 @@ mod tests {
         let market = MarketConfig::new(Capacity::new(vec![8.0, 4.0]).unwrap());
         let text = MarketEngine::new(market).unwrap().snapshot().encode();
         let all = events(30);
-        let segment_arms = [("write", 0), ("write", 5), ("sync", 0), ("open", 0)];
+        const WHOLE: usize = usize::MAX;
+        let segment_arms = [
+            ("write", 0),
+            ("write", 5),
+            ("write", WHOLE),
+            ("sync", 0),
+            ("open", 0),
+        ];
         let checkpoint_arms = [("write", 0), ("sync", 0), ("rename", 0)];
         let runs = (segment_arms.iter())
             .flat_map(|&(op, keep)| (0..all.len()).map(move |at| (op, ".wal", keep, at)))
@@ -1396,7 +1489,7 @@ mod tests {
             let dir = TempDir::new("onefault");
             let disk = Recording::default();
             let config = WalConfig::new(dir.path())
-                .with_segment_max_bytes(640)
+                .with_segment_max_bytes(200)
                 .with_fsync(true);
             let mut wal = Wal::open_with(Arc::new(disk.clone()), config.clone(), FaultPlan::none())
                 .unwrap()
@@ -1446,10 +1539,13 @@ mod tests {
                 history.len(),
                 oks.len()
             );
+            if keep == WHOLE && failed.is_some() {
+                assert!(poisoned && history == with_failed, "{run}");
+            }
         }
         // Every arm fired in some run (one armed after the last call of
         // its kind does not).
-        assert_eq!(fired.len(), 7, "{fired:?}");
+        assert_eq!(fired.len(), 8, "{fired:?}");
         assert!(fired.values().all(|&n| n > 0), "{fired:?}");
     }
 

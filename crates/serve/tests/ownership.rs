@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use ref_core::resource::Capacity;
 use ref_market::MarketConfig;
-use ref_serve::repl::{kind, message, parse_message};
+use ref_serve::repl::{message, parse_frame, Frame};
 use ref_serve::shard::RING_SEED;
 use ref_serve::{
     decode_frame, shard_market_config, Client, ClientError, FaultPlan, FrameDecode, HashRing,
@@ -302,12 +302,12 @@ impl ScriptedStandby {
 
     /// The next whole frame, or `None` once the primary closed the
     /// stream (whatever partial frame it left behind is discarded).
-    fn next(&mut self) -> Option<Value> {
+    fn next(&mut self) -> Option<Frame> {
         loop {
             match decode_frame(&self.buf) {
                 FrameDecode::Complete { payload, consumed } => {
                     self.buf.drain(..consumed);
-                    return Some(parse_message(&payload).expect("a replication message"));
+                    return Some(parse_frame(payload).expect("a replication message"));
                 }
                 FrameDecode::Incomplete => {}
                 FrameDecode::Corrupt(detail) => panic!("corrupt frame: {detail}"),
@@ -326,12 +326,11 @@ impl ScriptedStandby {
     fn records(&mut self, from: u64, until: Option<u64>) -> u64 {
         let mut next = from;
         while until.is_none_or(|until| next < until) {
-            let Some(msg) = self.next() else {
+            let Some(frame) = self.next() else {
                 break;
             };
-            if kind(&msg) == "rec" {
-                let seq = msg.get("seq").and_then(Value::as_u64);
-                assert_eq!(seq, Some(next), "a gap or a duplicate in the stream");
+            if let Frame::Rec { seq, .. } = frame {
+                assert_eq!(seq, next, "a gap or a duplicate in the stream");
                 next += 1;
             }
         }
@@ -358,7 +357,7 @@ fn the_standby_gauge_is_published_when_the_sink_registers() {
     // this standby has not written a single ack, and no heartbeat
     // interval has had to pass.
     let mut standby = ScriptedStandby::hello(&server, 0);
-    assert_eq!(kind(&standby.next().unwrap()), "meta");
+    assert_eq!(standby.next().unwrap().kind(), "meta");
     assert_eq!(standby.records(0, Some(1)), 1);
     assert_eq!(server.metrics().standby_connected, 1);
     // And it reads 0 again as soon as the primary has seen it leave.
@@ -378,7 +377,7 @@ fn a_standby_that_stops_reading_is_dropped_and_catches_up_cleanly() {
     let mut client = Client::connect(server.addr()).unwrap();
     client.join_external(1).unwrap();
     let mut standby = ScriptedStandby::hello(&server, 0);
-    assert_eq!(kind(&standby.next().unwrap()), "meta");
+    assert_eq!(standby.next().unwrap().kind(), "meta");
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.metrics().standby_connected != 1 {
         assert!(Instant::now() < deadline, "the standby never attached");
@@ -424,7 +423,7 @@ fn a_standby_that_stops_reading_is_dropped_and_catches_up_cleanly() {
     // Reconnecting with what it holds, it is caught up from the log and
     // then fed live: every sequence once, in order, to the very end.
     let mut standby = ScriptedStandby::hello(&server, held);
-    assert_eq!(kind(&standby.next().unwrap()), "meta");
+    assert_eq!(standby.next().unwrap().kind(), "meta");
     client.observe(1, &[1.5, 2.0], 0.8).unwrap();
     sent += 1;
     assert_eq!(standby.records(held, Some(sent)), sent);

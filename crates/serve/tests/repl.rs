@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 
 use ref_core::resource::Capacity;
 use ref_market::MarketConfig;
+use ref_serve::repl::{parse_frame, Frame};
 use ref_serve::{
     wal, CallOpts, Client, ClientError, FaultPlan, FsStorage, ReplConfig, Role, ServeConfig,
     Server, Value, WalConfig,
@@ -446,14 +447,14 @@ impl ScriptedStandby {
         }
     }
 
-    fn next(&mut self) -> Value {
+    fn next(&mut self) -> Frame {
         use std::io::Read;
         loop {
             if let ref_serve::FrameDecode::Complete { payload, consumed } =
                 ref_serve::decode_frame(&self.buf)
             {
                 self.buf.drain(..consumed);
-                return ref_serve::repl::parse_message(&payload).expect("a replication message");
+                return parse_frame(payload).expect("a replication message");
             }
             let mut chunk = [0u8; 4096];
             let n = self.stream.read(&mut chunk).expect("primary went quiet");
@@ -462,11 +463,11 @@ impl ScriptedStandby {
         }
     }
 
-    fn next_of(&mut self, kind: &str) -> Value {
+    fn next_of(&mut self, kind: &str) -> Frame {
         loop {
-            let msg = self.next();
-            if ref_serve::repl::kind(&msg) == kind {
-                return msg;
+            let frame = self.next();
+            if frame.kind() == kind {
+                return frame;
             }
         }
     }
@@ -491,20 +492,20 @@ fn a_hello_landing_mid_pass_is_judged_against_the_published_position() {
     // A first standby attaches and then never acks: the pass that
     // publishes the next record stays open, waiting for it.
     let mut mute = ScriptedStandby::hello(&primary, 0, 0);
-    assert_eq!(ref_serve::repl::kind(&mute.next()), "meta");
+    assert_eq!(mute.next().kind(), "meta");
     let addr = primary.addr();
     let writer = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
         client.join_external(1)
     });
     let rec = mute.next_of("rec");
-    assert_eq!(rec.get("seq").and_then(Value::as_u64), Some(0));
+    assert!(matches!(rec, Frame::Rec { seq: 0, .. }), "{rec:?}");
 
     // Mid-pass: record 0 is published, the pass has not ended. A standby
     // that already holds it says hello.
     let mut caught_up = ScriptedStandby::hello(&primary, 0, 1);
     let verdict = caught_up.next();
-    assert_eq!(ref_serve::repl::kind(&verdict), "meta", "{verdict}");
+    assert_eq!(verdict.kind(), "meta", "{verdict:?}");
     // Its ack releases the held reply.
     caught_up
         .stream

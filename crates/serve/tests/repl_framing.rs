@@ -4,10 +4,18 @@
 //! `Incomplete` (read more), a flipped bit anywhere in the frame yields
 //! `Corrupt` (drop the connection) or `Incomplete` — never a decoded
 //! payload — so a standby can never apply a partial or damaged record.
+//! Behind the envelope, the one payload decoder both standby drivers
+//! call turns hostile bytes into nothing a standby applies.
+
+use std::time::Duration;
 
 use proptest::prelude::*;
 
-use ref_serve::{decode_frame, encode_frame, FrameDecode};
+use ref_core::utility::CobbDouglas;
+use ref_market::{MarketEvent, ObservationSource};
+use ref_serve::repl::{parse_frame, rec_frame, Frame};
+use ref_serve::repl_core::Stream;
+use ref_serve::{decode_frame, encode_frame, FrameDecode, ReplConfig, ReplCore};
 
 /// Decodes every complete frame from a byte stream, stopping at the
 /// first incomplete or corrupt tail. Returns the payloads and what the
@@ -103,5 +111,74 @@ proptest! {
             FrameDecode::Complete { consumed, .. } => prop_assert!(consumed <= bytes.len()),
             FrameDecode::Incomplete | FrameDecode::Corrupt(_) => {}
         }
+    }
+
+    /// Random payloads inside a valid envelope — any bytes, and `rec`
+    /// shaped ones (the tag, a sequence, then anything) — go through the
+    /// shared decoder. It never panics. A JSON message never makes a
+    /// standby's core answer `Apply`, the one verdict that reaches
+    /// `apply_repl`; and the decoder yields a `rec` only for exactly the
+    /// bytes a primary's `rec_frame` writes for that sequence and event.
+    #[test]
+    fn hostile_payloads_never_reach_apply(
+        rec_shaped in 0u8..2,
+        seq in 0u64..=u64::MAX,
+        bytes in proptest::collection::vec(0u8..=255u8, 0..64),
+    ) {
+        let payload = if rec_shaped == 1 {
+            [&[0][..], &seq.to_le_bytes(), &bytes].concat()
+        } else {
+            bytes
+        };
+        let frame = encode_frame(&payload);
+        let FrameDecode::Complete { payload, .. } = decode_frame(&frame) else {
+            panic!("a valid envelope decodes");
+        };
+        match parse_frame(payload) {
+            Some(Frame::Rec { seq, event, record }) => {
+                let mut again = Vec::new();
+                event.write_record(&mut again);
+                prop_assert_eq!(&again, &record);
+                prop_assert_eq!(rec_frame(seq, &record), frame);
+            }
+            Some(msg) => {
+                let config = ReplConfig::standby("s:1", "p:1");
+                let mut standby = ReplCore::new(&config, 7, 0, 0, Duration::ZERO);
+                let verdict = standby.on_frame(msg, "p:1", Duration::ZERO);
+                prop_assert!(!matches!(verdict, Stream::Apply { .. }), "{:?}", verdict);
+            }
+            None => {}
+        }
+    }
+
+    /// A record a primary wrote, cut short or with bytes after it, is no
+    /// frame at all: the decoder refuses it.
+    #[test]
+    fn a_damaged_record_is_refused(
+        seq in 0u64..=u64::MAX,
+        which in 0usize..4,
+        cut_unit in 0.0f64..1.0,
+        extra in proptest::collection::vec(0u8..=255u8, 0..3),
+    ) {
+        let truth = CobbDouglas::new(1.0, vec![0.6, 0.4]).unwrap();
+        let event = [
+            MarketEvent::EpochTick,
+            MarketEvent::AgentLeft { id: seq },
+            MarketEvent::AgentJoined { id: 3, source: ObservationSource::GroundTruth(truth) },
+            MarketEvent::ObservationReported {
+                id: 127,
+                allocation: vec![0.5, 0.25],
+                performance: 0.4,
+            },
+        ][which].clone();
+        let mut record = Vec::new();
+        event.write_record(&mut record);
+        let kept = if extra.is_empty() {
+            (record.len() as f64 * cut_unit) as usize
+        } else {
+            record.len()
+        };
+        let payload = [&[0][..], &seq.to_le_bytes(), &record[..kept], &extra].concat();
+        prop_assert_eq!(parse_frame(payload), None);
     }
 }

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 
 use ref_core::resource::Capacity;
 use ref_market::{MarketConfig, MarketEvent, ObservationSource};
-use ref_serve::repl::parse_message;
+use ref_serve::repl::{parse_frame, Frame};
 use ref_serve::repl_core::Stream;
 use ref_serve::session::{self, Applied, GoLive, Offer, Session, SINK_QUEUE};
 use ref_serve::wal::newest_checkpoint_with;
@@ -74,9 +74,13 @@ fn kinds(frames: &[Vec<u8>]) -> Vec<(String, u64)> {
             let FrameDecode::Complete { payload, .. } = decode_frame(frame) else {
                 panic!("a whole frame");
             };
-            let msg = parse_message(&payload).unwrap();
-            let seq = msg.get("seq").and_then(Value::as_u64).unwrap();
-            (ref_serve::repl::kind(&msg).to_string(), seq)
+            match parse_frame(payload).unwrap() {
+                Frame::Rec { seq, .. } => ("rec".to_string(), seq),
+                Frame::Msg(msg) => {
+                    let seq = msg.get("seq").and_then(Value::as_u64).unwrap();
+                    (ref_serve::repl::kind(&msg).to_string(), seq)
+                }
+            }
         })
         .collect()
 }
@@ -365,9 +369,11 @@ fn the_standby_verdict() {
         .unwrap();
     let (_, log) = ref_serve::wal::read_events_with(&FsStorage, pdir.path()).unwrap();
     let first = primary.wal().unwrap().first_retained_seq();
-    let record = |seq: u64| Stream::Apply {
-        seq,
-        event: log[(seq - first) as usize].clone(),
+    let record = |seq: u64| {
+        let event = log[(seq - first) as usize].clone();
+        let mut record = Vec::new();
+        event.write_record(&mut record);
+        Stream::Apply { seq, event, record }
     };
     let metrics = ServeMetrics::new();
     let mut standby = open_core(sdir.path());

@@ -87,17 +87,12 @@ fn rotation_checkpoint_prune_and_reset_leave_the_pinned_listing() {
     assert_eq!(
         listing(dir.path()),
         [
-            "segment-0000000000000000.wal:133",
-            "segment-0000000000000002.wal:154",
-            "segment-0000000000000005.wal:154",
-            "segment-0000000000000008.wal:155",
-            "segment-000000000000000b.wal:157",
-            "segment-000000000000000e.wal:157",
-            "segment-0000000000000011.wal:157",
-            "segment-0000000000000014.wal:157",
-            "segment-0000000000000017.wal:157",
-            "segment-000000000000001a.wal:157",
-            "segment-000000000000001d.wal:21",
+            "segment-0000000000000000.wal:99",
+            "segment-0000000000000005.wal:108",
+            "segment-000000000000000b.wal:108",
+            "segment-0000000000000011.wal:108",
+            "segment-0000000000000017.wal:108",
+            "segment-000000000000001d.wal:9",
         ]
     );
 
@@ -107,7 +102,7 @@ fn rotation_checkpoint_prune_and_reset_leave_the_pinned_listing() {
         listing(dir.path()),
         [
             "checkpoint-000000000000001e.ckpt:471",
-            "segment-000000000000001d.wal:21",
+            "segment-000000000000001d.wal:9",
         ]
     );
 
@@ -129,8 +124,7 @@ fn rotation_checkpoint_prune_and_reset_leave_the_pinned_listing() {
         listing(dir.path()),
         [
             "checkpoint-0000000000000064.ckpt:472",
-            "segment-0000000000000064.wal:133",
-            "segment-0000000000000066.wal:21",
+            "segment-0000000000000064.wal:54",
         ]
     );
 }
@@ -148,24 +142,20 @@ fn reopening_after_a_torn_tail_leaves_the_pinned_listing() {
     }
     tear_newest_segment(dir.path(), 3);
     let mut rec = Wal::open(config(dir.path()), FaultPlan::none()).unwrap();
-    assert_eq!((rec.wal.next_seq(), rec.truncated_bytes), (9, 57));
+    assert_eq!((rec.wal.next_seq(), rec.truncated_bytes), (9, 7));
     assert_eq!(
         listing(dir.path()),
         [
-            "segment-0000000000000000.wal:133",
-            "segment-0000000000000002.wal:154",
-            "segment-0000000000000005.wal:154",
-            "segment-0000000000000008.wal:21",
+            "segment-0000000000000000.wal:99",
+            "segment-0000000000000005.wal:63",
         ]
     );
     rec.wal.append(&MarketEvent::EpochTick).unwrap();
     assert_eq!(
         listing(dir.path()),
         [
-            "segment-0000000000000000.wal:133",
-            "segment-0000000000000002.wal:154",
-            "segment-0000000000000005.wal:154",
-            "segment-0000000000000008.wal:42",
+            "segment-0000000000000000.wal:99",
+            "segment-0000000000000005.wal:72",
         ]
     );
 }
@@ -190,10 +180,8 @@ fn reopening_behind_a_checkpoint_leaves_the_pinned_listing() {
         let want: &[&str] = if retain {
             &[
                 "checkpoint-000000000000000c.ckpt:471",
-                "segment-0000000000000000.wal:133",
-                "segment-0000000000000002.wal:154",
-                "segment-0000000000000005.wal:154",
-                "segment-0000000000000008.wal:155",
+                "segment-0000000000000000.wal:99",
+                "segment-0000000000000005.wal:108",
                 "segment-000000000000000b.wal:0",
                 "segment-000000000000000c.wal:0",
             ]

@@ -8,8 +8,8 @@
 use std::time::Duration;
 
 use ref_fairness::market::MarketEvent;
-use ref_fairness::serve::protocol::{event_to_value, ok_response};
-use ref_fairness::serve::repl::{message, parse_message};
+use ref_fairness::serve::protocol::ok_response;
+use ref_fairness::serve::repl::{parse_frame, parse_message, rec_frame, Frame};
 use ref_fairness::serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream};
 use ref_fairness::serve::{
     decode_frame, FrameDecode, ReplConfig, ReplCore, Role, RouterCore, ShardHealth, TickOutcome,
@@ -24,6 +24,14 @@ fn unframe(frame: &[u8]) -> Value {
         panic!("a core emitted a frame that does not decode");
     };
     parse_message(&payload).expect("a core emitted a frame that does not parse")
+}
+
+/// A stream frame as the standby's driver hands it to its core.
+fn stream_frame(frame: &[u8]) -> Frame {
+    let FrameDecode::Complete { payload, .. } = decode_frame(frame) else {
+        panic!("a core emitted a frame that does not decode");
+    };
+    parse_frame(payload).expect("a core emitted a frame that does not parse")
 }
 
 fn node(standby: bool, log_seq: u64) -> ReplCore {
@@ -53,7 +61,7 @@ fn a_pair_hands_over_without_losing_an_acked_record() {
         panic!("a fresh standby is accepted");
     };
     assert_eq!(
-        standby.on_frame(&unframe(&meta), "p:repl", MS),
+        standby.on_frame(stream_frame(&meta), "p:repl", MS),
         Stream::Following
     );
     assert_eq!(standby.leader_client(), Some("p:client"));
@@ -72,14 +80,12 @@ fn a_pair_hands_over_without_losing_an_acked_record() {
     // the client's reply go.
     primary.note_log(1);
     assert_eq!(primary.ack_state(1, true), AckWait::Pending);
-    let rec = message(
-        "rec",
-        vec![
-            ("seq", Value::from_u64(0)),
-            ("event", event_to_value(&MarketEvent::EpochTick)),
-        ],
-    );
-    let Stream::Apply { seq: 0, event } = standby.on_frame(&unframe(&rec), "p:repl", 2 * MS) else {
+    let mut record = Vec::new();
+    MarketEvent::EpochTick.write_record(&mut record);
+    let rec = rec_frame(0, &record);
+    let Stream::Apply { seq: 0, event, .. } =
+        standby.on_frame(stream_frame(&rec), "p:repl", 2 * MS)
+    else {
         panic!("the standby applies the stream");
     };
     assert_eq!(event, MarketEvent::EpochTick);
@@ -88,7 +94,7 @@ fn a_pair_hands_over_without_losing_an_acked_record() {
     assert_eq!(primary.ack_state(1, true), AckWait::Acked);
     let hb = primary.heartbeat().expect("primaries heartbeat");
     assert_eq!(
-        standby.on_frame(&unframe(&hb), "p:repl", 3 * MS),
+        standby.on_frame(stream_frame(&hb), "p:repl", 3 * MS),
         Stream::Following
     );
     assert_eq!(
