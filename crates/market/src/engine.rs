@@ -736,12 +736,7 @@ impl MarketEngine {
         }
 
         let enforcement = self.enforce(&allocation)?;
-        let (observations, refits, incremental, degenerate, quarantines) =
-            self.collect_observations(epoch, &allocation)?;
-        self.metrics.refits += refits as u64;
-        self.metrics.incremental_refits += incremental;
-        self.metrics.degenerate_refits += degenerate;
-        self.metrics.quarantines += quarantines;
+        let (observations, refits) = self.collect_observations(epoch, &allocation)?;
 
         Ok(EpochReport {
             epoch,
@@ -760,53 +755,53 @@ impl MarketEngine {
 
     /// Drives a stride scheduler per resource against the granted shares;
     /// [`StrideScheduler::run`] grants the epoch's quanta in bulk, bit for
-    /// bit as one `next_quantum` call per quantum would. Resources are
-    /// independent schedulers, so they fan out across the worker pool;
-    /// summaries are returned in resource order regardless of the thread
-    /// count.
+    /// bit as one `next_quantum` call per quantum would. Summaries are
+    /// returned in resource order.
     fn enforce(&self, allocation: &Allocation) -> Result<Vec<EnforcementSummary>> {
         if self.config.enforcement_quanta == 0 {
             return Ok(Vec::new());
         }
         let capacity = &self.config.capacity;
-        let quanta = self.config.enforcement_quanta;
-        ref_pool::par_map(capacity.num_resources(), |resource| {
-            let target: Vec<f64> = allocation
-                .bundles()
-                .iter()
-                .map(|b| b.get(resource) / capacity.get(resource))
-                .collect();
-            let weights: Vec<f64> = target.iter().map(|w| w.max(MIN_STRIDE_WEIGHT)).collect();
-            let mut stride = StrideScheduler::new(weights).map_err(MarketError::InvalidArgument)?;
-            stride.run(quanta);
-            let achieved = stride.service_shares();
-            let max_deviation = achieved
-                .iter()
-                .zip(&target)
-                .map(|(a, t)| (a - t).abs())
-                .fold(0.0, f64::max);
-            Ok(EnforcementSummary {
-                resource,
-                target,
-                achieved,
-                max_deviation,
+        (0..capacity.num_resources())
+            .map(|resource| {
+                let target: Vec<f64> = allocation
+                    .bundles()
+                    .iter()
+                    .map(|b| b.get(resource) / capacity.get(resource))
+                    .collect();
+                let weights: Vec<f64> = target.iter().map(|w| w.max(MIN_STRIDE_WEIGHT)).collect();
+                let mut stride =
+                    StrideScheduler::new(weights).map_err(MarketError::InvalidArgument)?;
+                stride.run(self.config.enforcement_quanta);
+                let achieved = stride.service_shares();
+                let max_deviation = achieved
+                    .iter()
+                    .zip(&target)
+                    .map(|(a, t)| (a - t).abs())
+                    .fold(0.0, f64::max);
+                Ok(EnforcementSummary {
+                    resource,
+                    target,
+                    achieved,
+                    max_deviation,
+                })
             })
-        })
-        .into_iter()
-        .collect()
+            .collect()
     }
 
     /// Produces one observation per engine-driven agent at a jittered
-    /// allocation and feeds the online estimators. Returns
-    /// `(observations, refits, incremental refit delta, degenerate refit
-    /// delta, quarantine transitions)` for this epoch.
+    /// allocation and feeds the online estimators, in id order. Returns
+    /// `(observations, refits)` for this epoch and adds its refit and
+    /// quarantine counts to the metrics.
+    ///
+    /// Every agent is observed even after one fails; the quarantine
+    /// bookkeeping stops at the first failure, whose error is returned
+    /// with the metrics untouched.
     fn collect_observations(
         &mut self,
         epoch: u64,
         allocation: &Allocation,
-    ) -> Result<(usize, usize, u64, u64, u64)> {
-        let config = self.config.clone();
-
+    ) -> Result<(usize, usize)> {
         // Simulated agents run jointly in one partitioned multicore system.
         let mut simulated: Vec<(usize, AgentId, String)> = Vec::new();
         for (i, agent) in self.population.values().enumerate() {
@@ -817,57 +812,43 @@ impl MarketEngine {
         let sim_results = if simulated.is_empty() {
             BTreeMap::new()
         } else {
-            run_simulated(&config, epoch, &simulated, allocation)?
+            run_simulated(&self.config, epoch, &simulated, allocation)?
         };
 
-        // Each agent's observation and refit touches only that agent's
-        // estimator, so the per-agent work fans out across the worker
-        // pool: `work` hands every slot's `&mut AgentState` to exactly
-        // one pool task. Outcomes are folded in agent-id order, so the
-        // counters — and the first error, if any — are identical at every
-        // thread count.
-        struct ObservationSlot<'a> {
-            bundle: &'a [f64],
-            was_quarantined: bool,
-            degen_before: usize,
-            inc_before: usize,
-            agent: &'a mut AgentState,
-            outcome: Result<(usize, usize)>,
-        }
-        let mut work: Vec<ObservationSlot<'_>> = self
-            .population
-            .values_mut()
-            .enumerate()
-            .map(|(i, agent)| ObservationSlot {
-                bundle: allocation.bundle(i).as_slice(),
-                was_quarantined: agent.quarantined(),
-                degen_before: agent.estimator.degenerate_refits(),
-                inc_before: agent.estimator.incremental_refits(),
-                agent,
-                outcome: Ok((0, 0)),
-            })
-            .collect();
-        ref_pool::par_for_each_mut(&mut work, |_, slot| {
-            slot.outcome = observe_agent(&config, epoch, slot.bundle, slot.agent, &sim_results);
-        });
-        let mut observations = 0;
-        let mut refits = 0;
-        let mut incremental = 0u64;
-        let mut degenerate = 0u64;
-        let mut quarantines = 0u64;
-        for slot in work {
-            let (obs, refit) = slot.outcome?;
-            observations += obs;
-            refits += refit;
-            incremental += (slot.agent.estimator.incremental_refits() - slot.inc_before) as u64;
-            degenerate += (slot.agent.estimator.degenerate_refits() - slot.degen_before) as u64;
-            if !slot.was_quarantined && slot.agent.quarantined() {
-                quarantines += 1;
-                self.warm.invalidate(slot.agent.id);
-                self.ledger.rebaseline(slot.agent.id);
+        let mut totals = Ok((0, 0, 0, 0, 0));
+        for (i, agent) in self.population.values_mut().enumerate() {
+            let was_quarantined = agent.quarantined();
+            let inc_before = agent.estimator.incremental_refits();
+            let degen_before = agent.estimator.degenerate_refits();
+            let bundle = allocation.bundle(i).as_slice();
+            let outcome = observe_agent(&self.config, epoch, bundle, agent, &sim_results);
+            let Ok((observations, refits, incremental, degenerate, quarantines)) = &mut totals
+            else {
+                continue;
+            };
+            let (obs, refit) = match outcome {
+                Ok(counts) => counts,
+                Err(error) => {
+                    totals = Err(error);
+                    continue;
+                }
+            };
+            *observations += obs;
+            *refits += refit;
+            *incremental += agent.estimator.incremental_refits() - inc_before;
+            *degenerate += agent.estimator.degenerate_refits() - degen_before;
+            if !was_quarantined && agent.quarantined() {
+                *quarantines += 1;
+                self.warm.invalidate(agent.id);
+                self.ledger.rebaseline(agent.id);
             }
         }
-        Ok((observations, refits, incremental, degenerate, quarantines))
+        let (observations, refits, incremental, degenerate, quarantines) = totals?;
+        self.metrics.refits += refits as u64;
+        self.metrics.incremental_refits += incremental as u64;
+        self.metrics.degenerate_refits += degenerate as u64;
+        self.metrics.quarantines += quarantines;
+        Ok((observations, refits))
     }
 
     /// The static configuration.

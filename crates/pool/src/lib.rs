@@ -1,9 +1,9 @@
 //! # ref-pool
 //!
 //! A dependency-free, std-only work-stealing thread pool for the
-//! embarrassingly parallel sweeps in the REF reproduction (profiling
-//! grids, per-benchmark fitting, per-agent market refits, per-resource
-//! enforcement).
+//! embarrassingly parallel sweeps in the REF reproduction: the profiling
+//! grid and per-benchmark fitting. The server also sizes its shard fan
+//! by [`threads`].
 //!
 //! Design constraints, in order:
 //!
@@ -12,13 +12,13 @@
 //!    matter how work was scheduled or stolen.
 //! 2. **No dependencies** — `std::thread` workers, one mutex-guarded
 //!    deque per worker, steal-half-from-the-front when a worker runs dry.
-//!    The unit of work ranges from a fraction of a microsecond to
-//!    milliseconds: one agent's observation and refit in a market epoch
-//!    (a whole 2,000-agent REF epoch takes about 1.6 ms on one thread of a
-//!    2-vCPU Xeon VM, 0.8 µs per agent, of which the refit is about
-//!    0.2 µs) up to one cycle-level simulation. A task costs one
-//!    uncontended lock of its worker's own deque, tens of nanoseconds
-//!    beside even the smallest, so lock-free deques would buy little.
+//!    The unit of work is one cycle-level simulation or one benchmark's
+//!    fit, milliseconds each; a task costs one uncontended lock of its
+//!    worker's own deque, tens of nanoseconds beside that, so lock-free
+//!    deques would buy little. A market epoch does not use the pool: one
+//!    agent's share of it is about 1 µs (a 2,000-agent REF epoch takes
+//!    about 2 ms on one thread of a 2-vCPU Xeon VM), too little to pay
+//!    for waking a helper whose vCPU may be busy or halted.
 //! 3. **No thread per call** — the caller is worker 0. The other workers
 //!    are process-wide helper threads, created the first time a call asks
 //!    for more than exist, parked on a condition variable between calls
@@ -98,8 +98,8 @@ pub fn threads() -> usize {
         }
     }
     // `available_parallelism` reads the affinity mask and the cgroup
-    // quota files on every call (tens of microseconds), and an epoch asks
-    // twice.
+    // quota files on every call (tens of microseconds), and the server's
+    // shard fan asks once per fleet op.
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
 }
@@ -146,18 +146,9 @@ where
         .collect()
 }
 
-/// Runs `f(i, &mut items[i])` for every index in parallel on [`threads`]
-/// workers. Each element is visited exactly once, by exactly one worker.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    par_for_each_mut_threads(items, threads(), f);
-}
-
-/// [`par_for_each_mut`] with an explicit worker count (`<= 1` runs
-/// serially).
+/// Runs `f(i, &mut items[i])` for every index in parallel on `threads`
+/// workers (`<= 1` runs serially). Each element is visited exactly once,
+/// by exactly one worker.
 pub fn par_for_each_mut_threads<T, F>(items: &mut [T], threads: usize, f: F)
 where
     T: Send,

@@ -13,9 +13,8 @@
 //! heap block for the observation's allocation).
 //!
 //! This binary holds a single test on purpose. Its counting global
-//! allocator sees every thread of the process (the pool's helper threads
-//! do part of a tick), so a second test running beside it would pollute
-//! the count.
+//! allocator sees every thread of the process, so a second test running
+//! beside it would pollute the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -89,8 +88,6 @@ fn op(i: usize, draw: &mut u64) -> String {
 
 #[test]
 fn a_journaled_serve_mem_event_costs_at_most_56_bytes_of_live_heap() {
-    // A fixed width makes the pool's helper bookkeeping a fixed count.
-    ref_pool::set_threads(2);
     let config = MarketConfig::new(Capacity::new(vec![64.0, 32.0]).unwrap());
     let mut core = ServiceCore::new(config.clone(), JournalLimit::default()).unwrap();
     let metrics = ServeMetrics::default();
