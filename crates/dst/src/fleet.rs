@@ -8,12 +8,12 @@
 //! are made by the real [`ReplCore`], each replication connection —
 //! catch-up from the disk, `snap` bootstrap, hold and go-live, the
 //! standby's apply verdict — by the real [`session`], and the fleet's
-//! health tracking, quorum gate, reallotment delivery and fencing-token
-//! floor by the real [`RouterCore`] — the rules the threaded server
-//! drives. So are the node rules: when the router fans a timed tick, which
-//! shards a fan skips, when a Down shard is probed, whether a panicked
-//! shard is restarted in place or failed over, how a recovered shard is
-//! re-offered its allotment and caught up, and when a node heartbeats,
+//! health tracking, quorum gate, closed-form allotments and
+//! fencing-token floor by the real [`RouterCore`] — the rules the
+//! threaded server drives. So are the node rules: when the router fans a
+//! timed tick, which shards a fan skips, when a Down shard is probed,
+//! whether a panicked shard is restarted in place or failed over, how a
+//! recovered shard is caught up, and when a node heartbeats,
 //! re-dials or elects itself. This file only *drives* them: it moves
 //! their frames through [`SimNet`], reads [`SimClock`], owns what a
 //! connection is (open or reset), and plays operator (which role a
@@ -34,9 +34,10 @@
 //!    rebuilds from its disk's checkpoint and tail.
 //! 3. **Divergence fencing** — a replica that corrupted an apply is
 //!    fenced and never promoted.
-//! 4. **Reallotment consistency** — each shard's capacity agrees with
-//!    the coordinator's allotments; quorum freezes roll back (re-offer)
-//!    undelivered reallotments rather than half-applying them.
+//! 4. **Capacity conservation** — in every round, the capacities the
+//!    shards that ticked allocated at sum, in shard order, to at most the
+//!    fleet's capacity, with no tolerance: a frozen round, a silent
+//!    shard or a refused reallotment never lets two rounds' splits meet.
 //! 5. **No phantom audits** — fleet temporal-SI accounting never folds
 //!    in epochs from a partial (below-full-report) round.
 //! 6. **Liveness** — after the settle, every shard has a routable
@@ -82,16 +83,13 @@ const ACK_TIMEOUT: Duration = Duration::from_millis(25);
 /// appended meanwhile wait in the session's hold, and going live skips
 /// the ones the read already covered.
 const CATCH_UP: Duration = Duration::from_millis(3);
-/// WAL segment size.
-const SEGMENT_BYTES: u64 = 96;
+/// WAL segment size: small enough that pruning puts a standby behind
+/// the log often, so the quick sweep keeps ~30 `snap` bootstraps.
+const SEGMENT_BYTES: u64 = 32;
 /// Delay before a node crashed by a poisoned WAL recovers.
 const POISON_RESTART: Duration = Duration::from_millis(40);
 /// Fault-free convergence window after the scripted horizon.
 const SETTLE: Duration = Duration::from_millis(220);
-/// Per-resource tolerance (× total capacity) for invariant 4: the
-/// coordinator withholds deliveries below `REALLOT_EPSILON` (1e-4) of
-/// total, so delivered capacity may trail allotments by that much.
-const REALLOT_TOLERANCE: f64 = 2e-4;
 
 /// Which invariant to deliberately break (test-only): proves the sweep
 /// catches violations and reproduces them bit-identically from a seed.
@@ -217,7 +215,6 @@ struct Sim {
     router: RouterCore,
     shard_config: MarketConfig,
     total_capacity: Vec<f64>,
-    demands: Vec<Vec<f64>>,
     /// The node (and its boot count) each shard was last served by; a
     /// change means the shard is served from a recovered WAL.
     known_primary: [Option<(usize, u64)>; SHARDS],
@@ -346,17 +343,10 @@ impl Sim {
             trace,
             nodes,
             ring: HashRing::new(SHARDS, 0xD5),
-            router: RouterCore::new(
-                total_capacity.clone(),
-                SHARDS,
-                0.05,
-                default_quorum(SHARDS),
-                2,
-            )
-            .with_node(true, true, Some(TICK_EVERY)),
+            router: RouterCore::new(total_capacity.clone(), SHARDS, default_quorum(SHARDS), 2)
+                .with_node(true, true, Some(TICK_EVERY)),
             shard_config,
             total_capacity,
-            demands: vec![vec![0.0; 2]; SHARDS],
             known_primary: [None; SHARDS],
             round: 0,
             last_missing: Vec::new(),
@@ -874,27 +864,13 @@ impl Sim {
     // The router: carry out the RouterCore's verdicts.
     // ------------------------------------------------------------------
 
-    /// Delivers a reallotment as a journaled event and hands the reply
-    /// to the core (a primary that refuses, say inside its recovery
-    /// lease, never journaled the split).
-    fn deliver(&mut self, shard: usize, capacity: Vec<f64>, why: &str) {
-        let reply = self.ask(shard, &Request::Reallot { capacity });
-        self.router.delivered(shard, &reply);
-        if !is_ok(&reply) {
-            self.note(format!("{why} shard={shard} undelivered"));
-        }
-    }
-
-    /// Carries out a [`Readmit`]: the re-offer, then the catch-up ticks.
+    /// Carries out a [`Readmit`]: the catch-up ticks.
     fn rejoin(&mut self, readmit: Readmit, why: &str) {
         let shard = readmit.shard;
         self.note(format!(
             "router {why} shard={shard} catch-up={}",
             readmit.catch_up
         ));
-        if let Some(capacity) = readmit.capacity {
-            self.deliver(shard, capacity, &format!("router {why}"));
-        }
         for _ in 0..readmit.catch_up {
             self.ask(shard, &Request::Tick);
         }
@@ -951,34 +927,82 @@ impl Sim {
         }
     }
 
+    /// Phase 1 for one shard: its `D_k`, read from the serving node's
+    /// engine — the server's demand read, which takes no role gate.
+    fn demand_read(&mut self, shard: usize) -> Value {
+        if !asks(self.router.health(shard), &Request::Tick) {
+            return shard_unavailable_response(shard as u64, 0);
+        }
+        let Some(p) = self.route(shard) else {
+            return error_response("timeout", None, None);
+        };
+        match (&self.nodes[p].core, self.nodes[p].down) {
+            (Some(core), false) => core.demand_report(),
+            _ => shard_unavailable_response(shard as u64, 0),
+        }
+    }
+
+    /// Phase 2 for one shard: the allotment journaled where it moved, then
+    /// the tick, back to back as under the server's one lock hold. A
+    /// refused reallotment stands as the shard's reply: it does not tick.
+    /// Returns the reply and the capacity the serving engine ticked at.
+    fn tick_at(&mut self, shard: usize, capacity: &[f64], round: u64) -> (Value, Option<Vec<f64>>) {
+        let serving = self.route(shard);
+        let core = serving.and_then(|p| self.nodes[p].core.as_ref());
+        if let Some(reallot) = core.and_then(|core| core.reallot_to(capacity)) {
+            let reply = self.ask(shard, &reallot);
+            if !is_ok(&reply) {
+                self.note(format!("round={round} shard={shard} reallot refused"));
+                return (reply, None);
+            }
+        }
+        let core = serving.and_then(|p| self.nodes[p].core.as_ref());
+        let held = core.map(|core| core.engine().config().capacity.as_slice().to_vec());
+        (self.ask(shard, &Request::Tick), held)
+    }
+
     fn fleet_tick(&mut self) {
         self.round += 1;
         let round = self.round;
         self.note_recoveries();
-        let mut replies = Vec::with_capacity(SHARDS);
-        for shard in 0..SHARDS {
-            let reply = if asks(self.router.health(shard), &Request::Tick) {
-                self.ask(shard, &Request::Tick)
-            } else {
-                shard_unavailable_response(shard as u64, 0)
-            };
-            let serving = self.route(shard).and_then(|p| self.nodes[p].core.as_ref());
-            if let (true, Some(core)) = (is_ok(&reply), serving) {
-                self.demands[shard] = core.engine().aggregate_demand();
-            }
-            replies.push(reply);
-        }
-        let verdict = self.router.tick_round(&replies, &self.demands);
-        let reported = SHARDS - verdict.missing.len();
-        if !verdict.missing.is_empty() {
-            self.partial_rounds += 1;
-        }
-        if verdict.frozen {
+        let reports: Vec<Value> = (0..SHARDS).map(|shard| self.demand_read(shard)).collect();
+        let allot = self.router.allot(&reports);
+        let reported = allot.capacities.iter().flatten().count();
+        if allot.frozen {
             self.quorum_freezes += 1;
             self.note(format!("round={round} quorum freeze ({reported}/{SHARDS})"));
         }
-        for (shard, capacity) in verdict.reallots {
-            self.deliver(shard, capacity, &format!("round={round} reallot"));
+        let mut replies = Vec::with_capacity(SHARDS);
+        let mut allocated = vec![0.0f64; self.total_capacity.len()];
+        for (shard, capacity) in allot.capacities.iter().enumerate() {
+            let Some(capacity) = capacity else {
+                replies.push(reports[shard].clone());
+                continue;
+            };
+            let (reply, held) = self.tick_at(shard, capacity, round);
+            if let (true, Some(held)) = (is_ok(&reply), held) {
+                for (sum, cap) in allocated.iter_mut().zip(held) {
+                    *sum += cap;
+                }
+            }
+            replies.push(reply);
+        }
+        // 4. What the shards that ticked allocated at never sums above
+        // the fleet's capacity.
+        for (r, (sum, total)) in allocated
+            .iter()
+            .zip(self.total_capacity.clone())
+            .enumerate()
+        {
+            if *sum > total {
+                self.violation(format!(
+                    "round={round} capacity not conserved: resource {r} allocated {sum} of {total}"
+                ));
+            }
+        }
+        let verdict = self.router.tick_round(&replies);
+        if !verdict.missing.is_empty() {
+            self.partial_rounds += 1;
         }
         // Fleet fairness accounting: the core's verdict is that only a
         // full round may be merged — a partial fleet is phantom data.
@@ -996,8 +1020,9 @@ impl Sim {
                 "round={round} BROKEN: fairness merged while partial"
             ));
         }
+        let ticked = SHARDS - verdict.missing.len();
         self.last_missing = verdict.missing;
-        self.note(format!("round={round} reported={reported} si={si}"));
+        self.note(format!("round={round} ticked={ticked} si={si}"));
     }
 
     // ------------------------------------------------------------------
@@ -1284,37 +1309,7 @@ impl Sim {
                 ));
             }
         }
-        // 4. Shard capacities agree with the coordinator's allotments
-        // (frozen or rolled-back reallotments never half-apply), and
-        // capacity is conserved fleet-wide.
-        let mut live_total = vec![0.0f64; self.total_capacity.len()];
-        let mut all_live = true;
-        for shard in 0..SHARDS {
-            let Some(p) = self.route(shard) else {
-                all_live = false;
-                continue;
-            };
-            let engine = self.nodes[p].core.as_ref().expect("present").engine();
-            let allotted = &self.router.allotments()[shard];
-            let capacity = engine.config().capacity.as_slice().iter().zip(allotted);
-            for (r, (cap, want)) in capacity.enumerate() {
-                let tolerance = REALLOT_TOLERANCE * self.total_capacity[r];
-                if (cap - want).abs() > tolerance {
-                    found.push(format!(
-                        "shard {shard} capacity[{r}]={cap} but coordinator allotment={want} (tolerance {tolerance})",
-                    ));
-                }
-                live_total[r] += cap;
-            }
-        }
-        let totals = live_total.iter().zip(&self.total_capacity).enumerate();
-        for (r, (live, total)) in totals.filter(|_| all_live) {
-            if (live - total).abs() > 1e-3 * total {
-                found.push(format!(
-                    "capacity not conserved: resource {r} sums to {live} of {total}"
-                ));
-            }
-        }
+        // 4 is judged in every round (`fleet_tick`).
         // 5. Temporal-SI accounting never accrued during partial rounds.
         if self.si_partial_accruals > 0 {
             let n = self.si_partial_accruals;

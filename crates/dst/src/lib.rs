@@ -8,7 +8,7 @@
 //! bootstrap and apply verdicts by its own replication `Session`, over a
 //! `SimNet` that delays,
 //! drops, duplicates, partitions, and heals, a router whose health
-//! tracking, quorum gate and reallotment are the server's own
+//! tracking, quorum gate and allotments are the server's own
 //! [`RouterCore`], and scripted clients — all driven by one seeded
 //! schedule on a `SimClock` that only moves when the event loop says
 //! so. The node rules ride on the same two machines: the router's clock
@@ -19,8 +19,9 @@
 //!
 //! [`run_seed`] simulates one seed end to end and judges the standing
 //! invariants (zero acked-event loss, bit-identical replay, divergence
-//! fencing, reallotment consistency, no phantom fairness accounting,
-//! and liveness: every shard routable and reporting after the settle).
+//! fencing, capacity conservation in every round, no phantom fairness
+//! accounting, and liveness: every shard routable and reporting after
+//! the settle).
 //! Any violation carries the seed and the full per-event trace, and
 //! `cargo run -p ref-bench --bin dst_sweep -- --seed N` replays it
 //! bit-identically.

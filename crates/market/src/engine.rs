@@ -587,19 +587,17 @@ impl MarketEngine {
                 }
                 let capacity = Capacity::new(capacity)?;
                 // The capacity participates in the allocation fingerprint,
-                // so dropping the cache here is belt-and-braces; the warmup
-                // restart mirrors membership churn — allotments settling
-                // between shards should not trip the fairness audit.
+                // so dropping the cache here is belt-and-braces.
                 self.config.capacity = capacity;
                 self.cache = None;
                 // The previous optimum lived on the old capacity frontier;
                 // it may be infeasible under the new one.
                 self.warm.clear();
-                // Entitlements scale with capacity, so mid-window evidence
-                // mixes regimes; balances are normalized ratios and keep.
-                self.ledger.clear_windows();
+                // No warm-up restart and no cleared ledger windows: a
+                // closed-form allotment has nothing to settle, and moves on
+                // most ticks of a sharded fleet. Each window pair is
+                // measured at its own epoch's capacity.
                 self.metrics.reallotments += 1;
-                self.stable_since = self.epoch;
                 Ok(None)
             }
             MarketEvent::EpochTick => self.run_epoch().map(Some),
@@ -861,11 +859,13 @@ impl MarketEngine {
         self.epoch
     }
 
-    /// Per-resource sum of the live agents' *reported* elasticities — the
-    /// demand summary a cross-shard coordinator exchanges to rebalance
-    /// capacity allotments between shards. Cheap (one pass over the
-    /// population) and derived purely from reported utilities, so it leaks
-    /// nothing beyond what the allocation mechanism already uses.
+    /// `D`, the per-resource sum of the live agents' *rescaled* reported
+    /// elasticities: the denominator of REF's closed form (paper
+    /// Eq. 12–13), and with the capacity the market's prices `D / C`. A
+    /// sharded fleet allots each shard `C_r · D_kr / D_r` from these sums.
+    /// One pass over the population, derived purely from reported
+    /// utilities, so it leaks nothing beyond what the mechanism uses.
+    /// Refbench's trace calls it too (until ROADMAP item 6).
     pub fn aggregate_demand(&self) -> Vec<f64> {
         let mut demand = vec![0.0; self.config.capacity.num_resources()];
         for agent in self.population.values() {

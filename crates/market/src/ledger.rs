@@ -221,9 +221,8 @@ impl CreditLedger {
         self.balances[slot] = 0.0;
     }
 
-    /// Drops every window (capacity reallotments change the entitlement
-    /// scale mid-window, so the evidence is discarded; balances — which
-    /// are normalized ratios — survive).
+    /// Drops every window; balances — which are normalized ratios —
+    /// survive.
     pub fn clear_windows(&mut self) {
         self.spans.fill((0, 0));
     }

@@ -5,7 +5,7 @@
 //! a line, write it, read one line back. [`Client::call_with`] adds the
 //! polite reaction to backpressure — seeded, jittered exponential backoff
 //! floored at the server's `retry_after_ms` hint, under a total-deadline
-//! budget — and [`Client::call_retrying`] is its minimal older sibling.
+//! budget.
 //!
 //! [`Client::call_with`] also rides out *node* failure, not just
 //! overload: on a broken connection it re-dials (its own address, or a
@@ -336,41 +336,6 @@ impl Client {
         match reply_error(&reply) {
             Some(error) => Err(error),
             None => Ok(reply),
-        }
-    }
-
-    /// Like [`Client::call`], but sleeps out `overloaded` rejections
-    /// (using the server's `retry_after_ms` hint) up to `max_attempts`
-    /// times. Returns the number of retries alongside the reply.
-    ///
-    /// # Errors
-    ///
-    /// The final error once attempts are exhausted, or any non-overload
-    /// error immediately.
-    pub fn call_retrying(
-        &mut self,
-        request: &Value,
-        max_attempts: usize,
-    ) -> Result<(Value, u64), ClientError> {
-        let mut retries = 0;
-        loop {
-            match self.call(request) {
-                Ok(reply) => return Ok((reply, retries)),
-                Err(e @ ClientError::Server { .. }) if e.code() == Some("overloaded") => {
-                    if retries as usize + 1 >= max_attempts {
-                        return Err(e);
-                    }
-                    let backoff = match &e {
-                        ClientError::Server { retry_after_ms, .. } => {
-                            retry_after_ms.unwrap_or(1).max(1)
-                        }
-                        _ => 1,
-                    };
-                    std::thread::sleep(Duration::from_millis(backoff));
-                    retries += 1;
-                }
-                Err(e) => return Err(e),
-            }
         }
     }
 

@@ -555,6 +555,22 @@ impl ServiceCore {
         Ok(())
     }
 
+    /// Phase 1 of a fleet tick: `{"ok":true,"demand":[...]}` with `D_k`,
+    /// the per-resource sums of this shard's rescaled elasticities.
+    pub fn demand_report(&self) -> Value {
+        let demand = self.engine.aggregate_demand();
+        ok_response(vec![("demand", Value::num_array(&demand))])
+    }
+
+    /// The `reallot` that moves this shard to `allotment`, or `None` when
+    /// it holds exactly that capacity already: a fleet tick journals an
+    /// allotment only where it moved.
+    pub fn reallot_to(&self, allotment: &[f64]) -> Option<Request> {
+        (self.engine.config().capacity.as_slice() != allotment).then(|| Request::Reallot {
+            capacity: allotment.to_vec(),
+        })
+    }
+
     /// Handles one admitted request and produces its response.
     ///
     /// `Shutdown` is *not* handled here — the transport intercepts it to

@@ -60,24 +60,25 @@
 //!   Each shard keeps its own lock, thread, admission quotas, WAL
 //!   directory and journal (crash safety and replay compose per shard
 //!   unchanged); fleet ops fan out to every shard and reply with the
-//!   merged scalars plus each shard's own reply, and a cross-shard
-//!   coordinator runs timed epochs and rebalances per-resource capacity
-//!   between shards after each, with a temporal-drift bound audited next
-//!   to SI/EF/PE.
+//!   merged scalars plus each shard's own reply. A fleet tick allots
+//!   every shard REF's closed-form share of the capacity from its
+//!   agents' rescaled-elasticity sums, so each agent gets the one-market
+//!   share, and the merged SI/EF/PE verdict holds only if the shards
+//!   allocated at one price vector. Only REF is sharded.
 //! * **Shard fault tolerance** (`server`'s router + clock): the
 //!   router tracks per-shard health (`Healthy → Suspect → Down`) from
 //!   tick timeouts, failure replies and panic notices, fails agent ops to
 //!   a Down shard fast with `shard_unavailable` + `retry_after_ms`, gates
 //!   cross-shard reallotment on a reporting quorum (partial epochs are
 //!   stamped `partial: true` and never audited as fleet-wide fairness),
-//!   re-offers a reallotment a shard refused, and restarts a panicked
-//!   shard in place from its own WAL, resynchronizing it to the fleet
-//!   epoch (a replicated node is not restarted: it stops leading, and
-//!   its standby's election replaces it).
-//!   Every one of those rules — health, quorum, delivery and rollback of
-//!   reallotments, the fan, timed ticks, the supervisor's restart-or-
-//!   failover and probes, re-offers and catch-up, the fencing-token
-//!   floor — is a verdict of the sans-IO [`router::RouterCore`];
+//!   and restarts a panicked shard in place from its own WAL,
+//!   resynchronizing it to the fleet epoch (a replicated node is not
+//!   restarted: it stops leading, and its standby's election replaces
+//!   it).
+//!   Every one of those rules — health, quorum, allotments, the fan,
+//!   timed ticks, the supervisor's restart-or-failover and probes,
+//!   catch-up, the fencing-token floor — is a verdict of the sans-IO
+//!   [`router::RouterCore`];
 //!   `server` and the deterministic simulator only carry them out.
 //!
 //! # Quickstart

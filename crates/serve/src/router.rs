@@ -1,24 +1,25 @@
 //! `RouterCore`: the fleet-routing and node-supervision rules as one
 //! sans-IO state machine (DESIGN.md §9, §14).
 //!
-//! Inputs are the shards' tick replies and demand summaries, the replies
-//! to reallotments and probes, a panic notice for a shard, the notice
-//! that a shard is served from a recovered WAL, and clock readings.
-//! Outputs are verdicts: the round's (which shards are missing, whether
-//! the quorum froze, which reallotments to deliver), the clock's
-//! [`Duty`] (fan a timed tick, restart or probe a shard), what a panic
-//! makes of a shard ([`AfterPanic`]), and how a shard comes back
-//! ([`Readmit`]). The threaded server (`server.rs`) and the
-//! deterministic simulator (`ref-dst`) drive this one machine; neither
-//! compares a health, a role or an epoch itself.
+//! Inputs are the shards' demand reports and tick replies, the replies
+//! to probes, a panic notice for a shard, the notice that a shard is
+//! served from a recovered WAL, and clock readings. Outputs are
+//! verdicts: a fleet tick's two ([`Allot`]: whether the quorum froze,
+//! and the allotment each reporting shard ticks at; [`Round`]: which
+//! shards are missing, how many are down), the clock's [`Duty`] (fan a
+//! timed tick, restart or probe a shard), what a panic makes of a shard
+//! ([`AfterPanic`]), and how a shard comes back ([`Readmit`]). The
+//! threaded server (`server.rs`) and the deterministic simulator
+//! (`ref-dst`) drive this one machine; neither compares a health, a role
+//! or an epoch itself.
 //!
 //! What lives here: the `Healthy → Suspect → Down` transitions, which
 //! shards a fan asks ([`asks`]), the restart-or-failover rule, the
 //! supervisor's sweep and the timed-epoch clock, the quorum gate around
-//! the [`Coordinator`] with delivery, rollback and resync of allotments,
-//! catch-up tick counts, the partial-stamped merge of per-shard epoch
-//! reports, and the per-shard fencing-token floor (`TermFloor`) that
-//! [`crate::Client`] shares.
+//! the closed-form [`Coordinator`], catch-up tick counts, the
+//! partial-stamped, one-price merge of per-shard epoch reports, and the
+//! per-shard fencing-token floor (`TermFloor`) that [`crate::Client`]
+//! shares.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -26,7 +27,7 @@ use std::time::Duration;
 use crate::json::Value;
 use crate::protocol::{ok_response, Request};
 use crate::repl_core::Role;
-use crate::shard::{CoordinationStatus, Coordinator, ShardHealth};
+use crate::shard::{Coordinator, ShardHealth};
 
 /// How often the supervisor sweeps the fleet for shards to restart or
 /// probe.
@@ -68,17 +69,13 @@ pub enum AfterPanic {
     StopLeading,
 }
 
-/// How a shard comes back into the fleet: deliver `capacity` (when some)
-/// as a journaled `reallot`, then push `catch_up` quota-exempt ticks, in
-/// that order and ahead of anything the fleet pushes later.
+/// How a shard comes back into the fleet: push `catch_up` quota-exempt
+/// ticks, ahead of anything the fleet pushes later. Its allotment needs
+/// no re-offer: the next round it reports in re-derives it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Readmit {
     /// The shard.
     pub shard: usize,
-    /// The allotment to re-offer: a recovered WAL holds the split the
-    /// shard last journaled, which may predate reallotments issued while
-    /// it was away.
-    pub capacity: Option<Vec<f64>>,
     /// Ticks that close the epoch gap to the rest of the fleet.
     pub catch_up: u64,
 }
@@ -156,21 +153,26 @@ impl Watch {
     }
 }
 
+/// Phase 1's verdict: what each shard ticks at this round.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Allot {
+    /// Fewer shards than the quorum reported their demand: nothing was
+    /// reallotted.
+    pub frozen: bool,
+    /// Per shard, the allotment it journals (if it moved) and ticks at,
+    /// in one hold of its lock. `None` for a shard that did not report:
+    /// it sits the round out.
+    pub capacities: Vec<Option<Vec<f64>>>,
+}
+
 /// One fleet tick's verdict.
 #[derive(Debug, Clone)]
 pub struct Round {
     /// Shards that delivered no report this tick. Non-empty means the
     /// epoch is *partial*: no fleet-wide fairness may be merged from it.
     pub missing: Vec<u64>,
-    /// Fewer shards than the quorum reported: allotments froze.
-    pub frozen: bool,
-    /// Reallotments to deliver, as journaled `reallot` events. Each
-    /// shard's reply goes back through [`RouterCore::delivered`].
-    pub reallots: Vec<(usize, Vec<f64>)>,
     /// Shards Down after the round.
     pub down: usize,
-    /// The coordinator's audit state after the round.
-    pub status: CoordinationStatus,
 }
 
 /// The routing and supervision state machine of one node's fleet (see
@@ -198,12 +200,11 @@ impl RouterCore {
     pub fn new(
         total: Vec<f64>,
         shards: usize,
-        drift_bound: f64,
         quorum: usize,
         recovery_clean_ticks: u64,
     ) -> RouterCore {
         RouterCore {
-            coord: Coordinator::new(total, shards, drift_bound),
+            coord: Coordinator::new(total, shards, 0.0),
             quorum,
             recovery_clean_ticks,
             watch: vec![Watch::entering(ShardHealth::Healthy); shards],
@@ -298,28 +299,9 @@ impl RouterCore {
 
     /// `shard` is now served from a recovered WAL — restarted in place,
     /// or a new primary. It re-enters at Suspect, must earn Healthy back
-    /// with clean ticks, and is re-offered its allotment and caught up to
-    /// the fleet from `epoch`, the recovered one.
+    /// with clean ticks, and is caught up from `epoch`, the recovered one,
+    /// to the furthest any *other* shard got.
     pub fn recovered(&mut self, shard: usize, epoch: u64) -> Readmit {
-        let capacity = self.coord.resync_delivery(shard);
-        self.readmit(shard, epoch, Some(capacity))
-    }
-
-    /// A reply to the probe of `shard`. Answered in time, a shard Down on
-    /// timeouts alone re-enters at Suspect (the fan includes Suspect
-    /// shards, so clean ticks can finish the healing) after catch-up
-    /// ticks close the gap it accumulated while skipped.
-    pub fn probed(&mut self, shard: usize, reply: &Value) -> Option<Readmit> {
-        let watch = &self.watch[shard];
-        if !is_ok(reply) || watch.health != ShardHealth::Down || watch.panicked {
-            return None;
-        }
-        Some(self.readmit(shard, epoch_of(reply), None))
-    }
-
-    /// Re-enters `shard`, now at `epoch`, at Suspect, with the ticks that
-    /// bring it up to the furthest any *other* shard got.
-    fn readmit(&mut self, shard: usize, epoch: u64, capacity: Option<Vec<f64>>) -> Readmit {
         self.watch[shard] = Watch::entering(ShardHealth::Suspect);
         let fleet = (self.epochs.iter().enumerate())
             .filter(|(other, _)| *other != shard)
@@ -328,40 +310,45 @@ impl RouterCore {
             .unwrap_or(0);
         let catch_up = fleet.saturating_sub(epoch);
         self.epochs[shard] = epoch + catch_up;
-        Readmit {
-            shard,
-            capacity,
-            catch_up,
+        Readmit { shard, catch_up }
+    }
+
+    /// A reply to the probe of `shard`. Answered in time, a shard Down on
+    /// timeouts alone re-enters as a recovered one does, at Suspect (the
+    /// fan includes Suspect shards, so clean ticks can finish the
+    /// healing), after catch-up ticks close the gap it accumulated while
+    /// skipped.
+    pub fn probed(&mut self, shard: usize, reply: &Value) -> Option<Readmit> {
+        let watch = &self.watch[shard];
+        if !is_ok(reply) || watch.health != ShardHealth::Down || watch.panicked {
+            return None;
         }
+        Some(self.recovered(shard, epoch_of(reply)))
     }
 
-    /// `shard`'s reply to a reallotment or re-offer. A shard that did not
-    /// journal the split (a WAL append error, a recovery lease, a Down
-    /// shard) is offered it again on the next round instead of drifting.
-    pub fn delivered(&mut self, shard: usize, reply: &Value) {
-        if !is_ok(reply) {
-            self.coord.mark_undelivered(shard);
+    /// Phase 1 of a fleet tick: each shard's reply to the demand read,
+    /// `{"ok":true,"demand":[...]}` carrying its `D_k`. At or above the
+    /// quorum the [`Coordinator`] re-derives every reporter's allotment
+    /// in closed form, around what the silent shards hold; below it the
+    /// demand picture is too partial to act on, and the reporters tick
+    /// at the allotments they have. A shard that did not report sits the
+    /// round out: its phase-1 reply stands as its tick reply.
+    pub fn allot(&mut self, reports: &[Value]) -> Allot {
+        let demands: Vec<Option<Vec<f64>>> = reports.iter().map(demand_of).collect();
+        let frozen = demands.iter().flatten().count() < self.quorum;
+        if !frozen {
+            self.coord.allot(&demands);
         }
-    }
-
-    /// The coordinator's audit state.
-    #[cfg(test)]
-    pub(crate) fn status(&self) -> CoordinationStatus {
-        self.coord.status()
-    }
-
-    /// The current per-shard allotments.
-    pub fn allotments(&self) -> &[Vec<f64>] {
-        self.coord.allotments()
+        let capacities = (demands.iter().zip(self.coord.allotments()))
+            .map(|(demand, allotment)| demand.as_ref().map(|_| allotment.clone()))
+            .collect();
+        Allot { frozen, capacities }
     }
 
     /// Folds one fleet tick in: health from each shard's reply (and, from
-    /// a clean one, the epoch catch-up counts start from), then
-    /// the quorum gate — below quorum the demand picture is too partial
-    /// to act on and allotments freeze; at or above it the coordinator
-    /// steps, and an update for a shard that did not report is rolled
-    /// back (marked undelivered, re-offered once it reports again).
-    pub fn tick_round(&mut self, replies: &[Value], demands: &[Vec<f64>]) -> Round {
+    /// a clean one, the epoch catch-up counts start from), and the shards
+    /// missing from the round.
+    pub fn tick_round(&mut self, replies: &[Value]) -> Round {
         let outcomes: Vec<TickOutcome> = replies.iter().map(TickOutcome::of).collect();
         for (shard, (watch, outcome)) in self.watch.iter_mut().zip(&outcomes).enumerate() {
             match outcome {
@@ -391,32 +378,17 @@ impl RouterCore {
                 TickOutcome::Silent => {}
             }
         }
-        let reported = |shard: usize| outcomes[shard] == TickOutcome::Clean;
         let missing: Vec<u64> = (0..outcomes.len())
-            .filter(|shard| !reported(*shard))
+            .filter(|shard| outcomes[*shard] != TickOutcome::Clean)
             .map(|shard| shard as u64)
             .collect();
-        let frozen = outcomes.len() - missing.len() < self.quorum;
-        let mut reallots = Vec::new();
-        if !frozen {
-            for (shard, update) in self.coord.step(demands).into_iter().enumerate() {
-                match update {
-                    Some(capacity) if reported(shard) => reallots.push((shard, capacity)),
-                    Some(_) => self.coord.mark_undelivered(shard),
-                    None => {}
-                }
-            }
-        }
         Round {
             missing,
-            frozen,
-            reallots,
             down: self
                 .watch
                 .iter()
                 .filter(|watch| watch.health == ShardHealth::Down)
                 .count(),
-            status: self.coord.status(),
         }
     }
 
@@ -442,6 +414,15 @@ fn is_ok(reply: &Value) -> bool {
 
 fn epoch_of(reply: &Value) -> u64 {
     reply.get("epoch").and_then(Value::as_u64).unwrap_or(0)
+}
+
+/// The `D_k` a clean phase-1 reply carries.
+fn demand_of(reply: &Value) -> Option<Vec<f64>> {
+    if !is_ok(reply) {
+        return None;
+    }
+    let demand = reply.get("demand")?.as_array()?;
+    demand.iter().map(Value::as_f64).collect()
 }
 
 /// Inserts a `"shard": k` tag right after the leading `ok`/`error`
@@ -481,7 +462,7 @@ pub(crate) fn fleet_reply(mut fields: Vec<(&str, Value)>, replies: Vec<Value>) -
 }
 
 /// The merged reply to a fleet `tick`: the fleet epoch, the combined
-/// report, the coordinator's drift audit, and every shard's own reply.
+/// report, and every shard's own reply.
 pub(crate) fn tick_reply(replies: Vec<Value>, round: &Round) -> Value {
     let epoch = replies
         .iter()
@@ -492,9 +473,32 @@ pub(crate) fn tick_reply(replies: Vec<Value>, round: &Round) -> Value {
     if let Some(report) = merge_reports(&replies, &round.missing) {
         fields.push(("report", report));
     }
-    fields.push(("drift", Value::Num(round.status.drift)));
-    fields.push(("drift_bound_ok", Value::Bool(round.status.within_bound)));
     fleet_reply(fields, replies)
+}
+
+/// Relative spread within which two shards' prices for one resource are
+/// the same price: the rounding of the closed-form allotments is a few
+/// ulps.
+const PRICE_TOLERANCE: f64 = 1e-12;
+
+/// Whether the shards allocated at one price vector: for every resource,
+/// the positive prices in the replies' `prices` (each shard's
+/// `D_k / capacity_k`) agree to rounding. A zero price is a shard with no
+/// demand for the resource, whose agents buy none of it at any price.
+fn one_price(replies: &[Value]) -> bool {
+    let prices: Vec<&[Value]> = (replies.iter())
+        .filter_map(|reply| reply.get("prices")?.as_array())
+        .collect();
+    let resources = prices.iter().map(|p| p.len()).max().unwrap_or(0);
+    (0..resources).all(|r| {
+        let positive = (prices.iter())
+            .filter_map(|p| p.get(r)?.as_f64())
+            .filter(|price| *price > 0.0);
+        let (lo, hi) = positive.fold((f64::INFINITY, 0.0f64), |(lo, hi), price| {
+            (lo.min(price), hi.max(price))
+        });
+        hi <= lo * (1.0 + PRICE_TOLERANCE)
+    })
 }
 
 /// Combines per-shard epoch verdicts into a fleet-wide view: agent and
@@ -505,6 +509,15 @@ pub(crate) fn tick_reply(replies: Vec<Value>, round: &Round) -> Value {
 /// (`missing` non-empty) the merged report is stamped `partial: true`
 /// with those shard ids and carries no fairness block: a fleet audit
 /// over a partial fleet would be phantom data.
+///
+/// Per-shard verdicts speak for the fleet only at one price vector. REF
+/// is the competitive equilibrium from equal incomes at prices
+/// `p_r = D_r / C_r`: at one fleet-wide price every agent's bundle costs
+/// its unit budget, and so does the fleet's equal split `C / N`, so each
+/// shard's certificate of SI, EF and PE holds against every agent of
+/// the fleet. The merged flags are therefore true only if every shard's
+/// are and `prices_agree`; an event that lands between a fleet tick's
+/// two phases shows up as a false verdict, never a silently wrong one.
 pub(crate) fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value> {
     let reports: Vec<&Value> = replies.iter().filter_map(|r| r.get("report")).collect();
     if reports.is_empty() {
@@ -559,18 +572,23 @@ pub(crate) fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value>
         .filter(|fairness| **fairness != Value::Null)
         .collect();
     if missing.is_empty() && !f.is_empty() {
+        let agree = one_price(replies);
         fields.push((
             "fairness",
             Value::obj(vec![
                 (
                     "sharing_incentives",
-                    Value::Bool(all(&f, "sharing_incentives")),
+                    Value::Bool(agree && all(&f, "sharing_incentives")),
                 ),
                 ("si_violations", Value::from_u64(sum(&f, "si_violations"))),
-                ("envy_free", Value::Bool(all(&f, "envy_free"))),
+                ("envy_free", Value::Bool(agree && all(&f, "envy_free"))),
                 ("ef_violations", Value::from_u64(sum(&f, "envy_edges"))),
-                ("pareto_efficient", Value::Bool(all(&f, "pareto_efficient"))),
+                (
+                    "pareto_efficient",
+                    Value::Bool(agree && all(&f, "pareto_efficient")),
+                ),
                 ("max_mrs_spread", Value::Num(worst(&f, "max_mrs_mismatch"))),
+                ("prices_agree", Value::Bool(agree)),
             ]),
         ));
     }
@@ -589,7 +607,7 @@ mod tests {
     use TickOutcome::{Clean, Failed, Missed, Silent};
 
     fn router(shards: usize, quorum: usize) -> RouterCore {
-        RouterCore::new(vec![64.0, 32.0], shards, 0.25, quorum, 2)
+        RouterCore::new(vec![64.0, 32.0], shards, quorum, 2)
     }
 
     /// Tick replies that classify as `outcomes`, the clean ones at epoch 1.
@@ -603,10 +621,9 @@ mod tests {
         outcomes.iter().map(reply).collect()
     }
 
-    fn skewed(shards: usize) -> Vec<Vec<f64>> {
-        let mut demands = vec![vec![1.0, 0.5]; shards];
-        demands[0] = vec![8.0, 4.0];
-        demands
+    /// A phase-1 reply carrying `demand`.
+    fn reported(demand: &[f64]) -> Value {
+        ok_response(vec![("demand", Value::num_array(demand))])
     }
 
     #[test]
@@ -643,18 +660,18 @@ mod tests {
         for (outcomes, want) in table {
             let mut router = router(2, 1);
             for (outcome, health) in outcomes.iter().zip(want) {
-                router.tick_round(&said(&[*outcome, Clean]), &skewed(2));
+                router.tick_round(&said(&[*outcome, Clean]));
                 assert_eq!(router.health(0), *health, "{outcomes:?}");
                 assert_eq!(router.health(1), Healthy);
             }
         }
         // An answered probe re-enters at Suspect.
         let mut router = router(2, 1);
-        router.tick_round(&said(&[Failed, Clean]), &skewed(2));
+        router.tick_round(&said(&[Failed, Clean]));
         assert!(router.probed(0, &ok_response(vec![])).is_some());
         assert_eq!(router.health(0), Suspect);
-        router.tick_round(&said(&[Clean, Clean]), &skewed(2));
-        router.tick_round(&said(&[Clean, Clean]), &skewed(2));
+        router.tick_round(&said(&[Clean, Clean]));
+        router.tick_round(&said(&[Clean, Clean]));
         assert_eq!(router.health(0), Healthy);
     }
 
@@ -683,7 +700,7 @@ mod tests {
         ];
         for (durable, replicated, want) in table {
             let mut router = router(2, 1).with_node(durable, replicated, None);
-            router.tick_round(&said(&[Clean, Clean]), &skewed(2));
+            router.tick_round(&said(&[Clean, Clean]));
             assert_eq!(router.panicked(1), want, "{durable} {replicated}");
             assert_eq!(router.health(1), Down);
             let sweep = router.clock(Duration::ZERO, true);
@@ -694,12 +711,8 @@ mod tests {
             assert!(router.probed(1, &ok_response(vec![])).is_none());
             assert_eq!(router.health(1), Down);
             // Served from a recovered WAL, it re-enters at Suspect with
-            // its allotment and the ticks it missed, and is not swept.
+            // the ticks it missed, and is not swept.
             let readmit = router.recovered(1, 0);
-            assert_eq!(
-                readmit.capacity.as_deref(),
-                Some(&router.allotments()[1][..])
-            );
             assert_eq!(readmit.catch_up, 1);
             assert_eq!(router.health(1), Suspect);
             assert!(router.clock(SWEEP_EVERY, true).is_empty());
@@ -719,68 +732,51 @@ mod tests {
         assert_eq!(router.clock(ms(25), true), vec![]);
         // Down on timeouts: probed on the sweep, and readmitted with the
         // ticks it missed once it answers.
-        router.tick_round(&said(&[Missed, Clean]), &skewed(2));
-        router.tick_round(&said(&[Missed, Clean]), &skewed(2));
+        router.tick_round(&said(&[Missed, Clean]));
+        router.tick_round(&said(&[Missed, Clean]));
         assert_eq!(router.next_clock(), ms(30));
         assert_eq!(router.clock(ms(30), true), vec![Duty::Tick]);
         assert_eq!(router.clock(ms(50), true), vec![Duty::Tick, Duty::Probe(0)]);
         let refused = error_response("timeout", None, None);
         assert!(router.probed(0, &refused).is_none());
         let readmit = router.probed(0, &ok_response(vec![])).unwrap();
-        assert_eq!((readmit.capacity, readmit.catch_up), (None, 1));
+        assert_eq!(readmit.catch_up, 1);
         assert!(router.clock(ms(75), false).is_empty());
     }
 
     #[test]
-    fn below_quorum_freezes_and_marks_undelivered_without_moving_allotments() {
+    fn below_quorum_freezes_allotments_and_silent_shards_sit_out() {
         let mut router = router(3, 2);
-        let before = router.allotments().to_vec();
-        // One of three reported: below quorum. Nothing moves.
-        let round = router.tick_round(&said(&[Clean, Missed, Failed]), &skewed(3));
-        assert!(round.frozen);
-        assert_eq!(round.missing, vec![1, 2]);
-        assert!(round.reallots.is_empty());
-        assert_eq!(round.status.rounds, 0);
-        assert_eq!(router.allotments(), &before[..]);
-        // At quorum the coordinator steps, but the shard that did not
-        // report gets nothing pushed: its update is rolled back...
-        let round = router.tick_round(&said(&[Clean, Clean, Silent]), &skewed(3));
-        assert!(!round.frozen);
-        assert_eq!(round.missing, vec![2]);
-        let delivered: Vec<usize> = round.reallots.iter().map(|(s, _)| *s).collect();
-        assert_eq!(delivered, vec![0, 1]);
-        // ...and re-offered, in full, the moment it reports again — even
-        // if a freeze intervened.
-        assert!(router.tick_round(&said(&[Silent; 3]), &skewed(3)).frozen);
-        let round = router.tick_round(&said(&[Clean; 3]), &skewed(3));
-        let (shard, capacity) = round.reallots.last().unwrap();
-        assert_eq!(*shard, 2);
-        assert_eq!(capacity, &router.allotments()[2]);
-        // A delivery the shard refused is offered again too.
-        for _ in 0..64 {
-            router.tick_round(&said(&[Clean; 3]), &skewed(3));
-        }
-        assert!(router
-            .tick_round(&said(&[Clean; 3]), &skewed(3))
-            .reallots
-            .is_empty());
-        let refused = error_response("wal", None, None);
-        router.delivered(1, &ok_response(vec![]));
-        assert!(router
-            .tick_round(&said(&[Clean; 3]), &skewed(3))
-            .reallots
-            .is_empty());
-        router.delivered(1, &refused);
-        let round = router.tick_round(&said(&[Clean; 3]), &skewed(3));
-        assert_eq!(round.reallots.len(), 1);
-        // A recovery hands back the same vector and quiets the shard.
-        router.delivered(1, &refused);
-        let readmit = router.recovered(1, 0);
-        assert_eq!(readmit.capacity.unwrap(), router.allotments()[1]);
-        assert!(router
-            .tick_round(&said(&[Clean; 3]), &skewed(3))
-            .reallots
-            .is_empty());
+        let split = vec![64.0 / 3.0, 32.0 / 3.0];
+        let (timeout, internal) = (
+            error_response("timeout", None, None),
+            error_response("internal", None, None),
+        );
+        // One of three reported: below quorum. The reporter ticks at the
+        // allotment it has; the others sit the round out.
+        let allot = router.allot(&[reported(&[8.0, 4.0]), timeout.clone(), internal]);
+        assert!(allot.frozen);
+        assert_eq!(allot.capacities, vec![Some(split.clone()), None, None]);
+        // At quorum the reporters split what the silent shard holds not,
+        // in proportion to their demand.
+        let allot = router.allot(&[reported(&[3.0, 1.0]), reported(&[1.0, 3.0]), timeout]);
+        assert!(!allot.frozen);
+        let [Some(a), Some(b), None] = &allot.capacities[..] else {
+            panic!("{allot:?}");
+        };
+        let close = |got: &[f64], want: [f64; 2]| {
+            (got.iter().zip(want)).all(|(g, w)| (g - w).abs() <= 1e-12 * w)
+        };
+        assert!(close(a, [32.0, 16.0 / 3.0]), "{a:?}");
+        assert!(close(b, [32.0 / 3.0, 16.0]), "{b:?}");
+        // Everyone reports: the closed form C_r · D_kr / D_r.
+        let allot = router.allot(&[
+            reported(&[2.0, 1.0]),
+            reported(&[1.0, 2.0]),
+            reported(&[1.0, 1.0]),
+        ]);
+        let capacities: Vec<Vec<f64>> = allot.capacities.into_iter().flatten().collect();
+        assert_eq!(capacities, [[32.0, 8.0], [16.0, 16.0], [16.0, 8.0]]);
     }
 
     #[test]
@@ -812,7 +808,7 @@ mod tests {
     fn catch_up_counts_the_gap_to_the_rest_of_the_fleet() {
         let at = |epoch| ok_response(vec![("epoch", Value::from_u64(epoch))]);
         let mut fleet = router(3, 1);
-        fleet.tick_round(&[at(7), at(3), at(5)], &skewed(3));
+        fleet.tick_round(&[at(7), at(3), at(5)]);
         assert_eq!(fleet.recovered(1, 3).catch_up, 4);
         // The recovered shard now counts at the epoch it catches up to.
         assert_eq!(fleet.recovered(0, 7).catch_up, 0);
@@ -837,7 +833,7 @@ mod tests {
     #[test]
     fn merges_count_agents_and_leave_shards_without_an_audit_out() {
         let replies = vec![shard_tick(&[1, 2]), shard_tick(&[]), shard_tick(&[3, 4, 5])];
-        let round = router(3, 1).tick_round(&said(&[Clean; 3]), &skewed(3));
+        let round = router(3, 1).tick_round(&said(&[Clean; 3]));
         let full = tick_reply(replies.clone(), &round);
         let report = full.get("report").unwrap();
         assert_eq!(full.get("epoch").and_then(Value::as_u64), Some(1));
@@ -897,7 +893,7 @@ mod tests {
         );
 
         // No shard audited: no verdict, as for a single empty market.
-        let round = router(2, 1).tick_round(&said(&[Clean; 2]), &skewed(2));
+        let round = router(2, 1).tick_round(&said(&[Clean; 2]));
         let idle = tick_reply(vec![shard_tick(&[]), shard_tick(&[])], &round);
         let report = idle.get("report").unwrap();
         assert_eq!(report.get("agents").and_then(Value::as_u64), Some(0));
@@ -905,7 +901,7 @@ mod tests {
 
         // A shard missed the tick: the merge is stamped and drops fairness.
         let replies = vec![replies[0].clone(), error_response("timeout", None, None)];
-        let round = router(2, 1).tick_round(&replies, &skewed(2));
+        let round = router(2, 1).tick_round(&replies);
         let partial = tick_reply(replies, &round);
         let report = partial.get("report").unwrap();
         assert_eq!(report.get("partial"), Some(&Value::Bool(true)));
@@ -914,6 +910,52 @@ mod tests {
             Some(&Value::Arr(vec![Value::from_u64(1)]))
         );
         assert!(report.get("fairness").is_none());
+    }
+
+    /// `reply` with `"prices"` appended, as a shard's phase-2 tick reply
+    /// carries them.
+    fn priced(reply: &Value, prices: &[f64]) -> Value {
+        let Value::Obj(mut pairs) = reply.clone() else {
+            panic!("a tick reply is an object");
+        };
+        pairs.push(("prices".to_string(), Value::num_array(prices)));
+        Value::Obj(pairs)
+    }
+
+    #[test]
+    fn the_merged_verdict_needs_one_price_vector() {
+        let (two, three) = (shard_tick(&[1, 2]), shard_tick(&[3, 4, 5]));
+        let round = router(3, 1).tick_round(&said(&[Clean; 3]));
+        let verdict = |replies: Vec<Value>| {
+            let merged = tick_reply(replies, &round);
+            let fairness = merged.get("report").unwrap().get("fairness").unwrap();
+            let flags = [
+                "sharing_incentives",
+                "envy_free",
+                "pareto_efficient",
+                "prices_agree",
+            ];
+            flags.map(|flag| fairness.get(flag).and_then(Value::as_bool).unwrap())
+        };
+        let p = [0.75, 1.5];
+        // An empty shard's zero prices are no disagreement.
+        let agreed = vec![
+            priced(&two, &p),
+            priced(&shard_tick(&[]), &[0.0, 0.0]),
+            priced(&three, &p),
+        ];
+        assert_eq!(verdict(agreed), [true; 4]);
+        // One shard allocated at a price a hair off the others': every
+        // shard's own verdict still holds, the fleet's does not.
+        let off = [p[0], p[1] * (1.0 + 1e-9)];
+        let perturbed = vec![priced(&two, &p), shard_tick(&[]), priced(&three, &off)];
+        for reply in &perturbed {
+            let fairness = reply.get("report").unwrap().get("fairness").unwrap();
+            assert!(
+                *fairness == Value::Null || fairness.get("envy_free") == Some(&Value::Bool(true))
+            );
+        }
+        assert_eq!(verdict(perturbed), [false; 4]);
     }
 
     #[test]

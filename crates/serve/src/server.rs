@@ -10,13 +10,14 @@
 //!                                    │ lock, serve, unlock, │    │  (core +   │
 //!                                    │ encode, write        │    │  degraded) │
 //!                                    └──────────────────────┘    └────────────┘
-//!                                       pushes (fan, reallot,          ▲
-//!                                       probe, shutdown) ──▶ bus ──▶ shard thread
+//!                                       pushes (fan, demand read,      ▲
+//!                                       allotted tick, probe,
+//!                                       shutdown) ──▶ bus ──▶ shard thread
 //!                                                                   (+ heartbeats)
 //!      ┌────────────┐  verdicts   clock ──▶ timed tick (fan), restart, probe
-//!      │ RouterCore │ ──────────▶ fan   ──▶ ask or skip each shard, reallot
+//!      │ RouterCore │ ──────────▶ fan   ──▶ ask or skip each shard, allot
 //!      │ (one lock) │             panic ──▶ restart later, or stop leading
-//!      └────────────┘             recovery / probe ──▶ re-offer + catch-up ticks
+//!      └────────────┘             recovery / probe ──▶ catch-up ticks
 //! ```
 //!
 //! Every node-level decision above is a verdict of the sans-IO
@@ -32,11 +33,12 @@
 //! order in which the lock was taken, which is the order the journal and
 //! the WAL record, so replay stays bit-identical. The shard's own thread
 //! calls the same function under the same lock for what is *pushed* to
-//! it: fleet ops (which must be abandonable at the tick budget),
-//! journaled reallotments, probes, `shutdown`, and heartbeats. A WAL
-//! checkpoint is taken inline by whichever thread applies the event that
-//! makes it due: it streams from the engine's borrowed state, so it costs
-//! a connection thread no more memory than the shard thread. A
+//! it: fleet ops (which must be abandonable at the tick budget), a fleet
+//! tick's demand read and allotted tick, probes, `shutdown`, and
+//! heartbeats. A WAL checkpoint is taken inline by whichever thread
+//! applies the event that makes it due: it streams from the engine's
+//! borrowed state, so it costs a connection thread no more memory than
+//! the shard thread. A
 //! panic under the lock is caught before it unwinds the guard: the
 //! request gets `internal`, the shard turns degraded, the lock is never
 //! poisoned, and the router core hears of it at once: the shard is Down
@@ -57,14 +59,15 @@
 //! `metrics`, `scrub`, `promote`, `shutdown` — fan out to every shard's
 //! thread and reply `{ok, <merged scalars>, shards:[...]}` with each
 //! shard's reply tagged with its index, or, when no shard answered `ok`,
-//! with the first shard's error ([`crate::router::fleet_reply`]). After
-//! every fleet-wide epoch a coordinator ([`crate::shard::Coordinator`])
-//! rebalances capacity allotments between shards from their aggregate
-//! demand, delivering each change as a journaled `reallot` event so every
-//! shard's WAL stays a complete, byte-for-byte replayable history. One
-//! clock thread runs the timed epochs and the supervisor's sweep, which
-//! restarts a panicked shard in place from its WAL or probes one Down on
-//! timeouts.
+//! with the first shard's error ([`crate::router::fleet_reply`]). With
+//! more than one shard a fleet tick is two-phase: each shard reports its
+//! rescaled-elasticity sums `D_k`, the router allots every reporter REF's
+//! closed-form share of the capacity ([`crate::shard::Coordinator`]),
+//! and each shard journals a moved allotment as a `reallot` event and
+//! ticks at it in one hold of its lock, so every shard's WAL stays a
+//! complete, byte-for-byte replayable history. One clock thread runs the
+//! timed epochs and the supervisor's sweep, which restarts a panicked
+//! shard in place from its WAL or probes one Down on timeouts.
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -75,7 +78,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ref_market::{AgentId, MarketConfig, MarketEvent};
+use ref_market::{AgentId, MarketConfig, MarketEvent, MechanismKind};
 
 use crate::bus::{Admitted, Bus, Quotas, SendError};
 use crate::clock::{Clock, RealClock};
@@ -145,16 +148,15 @@ pub struct ServeConfig {
     /// across them and fans fleet ops to all of them the same way at
     /// every count (see the module docs); one shard is a one-node fleet.
     /// More than one shard excludes in-process replication — run one
-    /// replicated pair per shard instead.
+    /// replicated pair per shard instead — and every mechanism but
+    /// `proportional-elasticity`, the one whose fleet allotment is exact.
     pub shards: usize,
     /// When this server fronts exactly one shard of an externally
     /// sharded deployment, tags `not_primary` redirects (and `ping`)
     /// with that shard index so clients scope their leader hints.
     pub shard_tag: Option<u64>,
-    /// Cross-shard coordination audit: after the coordinator's warmup
-    /// rounds, the temporal drift between shard allotments and the
-    /// instantaneous fair targets must stay within this fraction of
-    /// total capacity.
+    /// Read by nothing in the server: held for refbench, which passes it
+    /// to [`crate::Coordinator::new`], until ROADMAP item 6.
     pub drift_bound: f64,
     /// How long the router waits for any one shard's tick reply before
     /// declaring the tick missed. A budget far below the 30 s a pushed
@@ -259,12 +261,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the cross-shard temporal-drift audit bound.
-    pub fn with_drift_bound(mut self, bound: f64) -> ServeConfig {
-        self.drift_bound = bound;
-        self
-    }
-
     /// Sets the per-shard tick budget of the fleet clock.
     pub fn with_shard_tick_budget(mut self, budget: Duration) -> ServeConfig {
         self.shard_tick_budget = budget;
@@ -272,10 +268,22 @@ impl ServeConfig {
     }
 }
 
-/// A request pushed to a shard's own thread, with where to send the
-/// response.
+/// What a shard's own thread is asked to do.
+pub(crate) enum Work {
+    /// Serve a request, as a connection thread serves one.
+    Serve(Request),
+    /// Phase 1 of a fleet tick: report `D_k`, the per-resource sums of
+    /// the shard's rescaled elasticities.
+    Demand,
+    /// Phase 2: journal this allotment if it moved, then tick at it, in
+    /// one hold of the shard lock. The reply carries the prices the shard
+    /// allocated at.
+    TickAt(Vec<f64>),
+}
+
+/// Work pushed to a shard's own thread, with where to send the response.
 pub(crate) struct Item {
-    request: Request,
+    work: Work,
     /// In-queue expiry, from the request's `deadline_ms`.
     deadline: Option<Instant>,
     reply: mpsc::Sender<Value>,
@@ -346,9 +354,6 @@ pub(crate) struct Shared {
     pub(crate) epoch: AtomicU64,
     /// The WAL sequence (events applied), ditto.
     pub(crate) wal_seq: AtomicU64,
-    /// Aggregate demand (per-resource sum of reported elasticities),
-    /// refreshed after every epoch; the cross-shard coordinator's input.
-    pub(crate) demand: Mutex<Vec<f64>>,
     /// The [`RouterCore`]'s assessment of this shard ([`ShardHealth`]
     /// as its `u64` repr), published after every transition of the core
     /// so dispatch and fans read it without a lock.
@@ -397,7 +402,7 @@ impl Shared {
 
 /// Router state shared by the acceptor and every reader: the shards,
 /// the placement ring, and the routing state machine (health, quorum
-/// gate, coordinator, supervision), locked once per fleet tick.
+/// gate, allotments, supervision), locked once per phase of a fleet tick.
 pub(crate) struct Router {
     pub(crate) shards: Vec<Arc<Shared>>,
     pub(crate) ring: HashRing,
@@ -405,10 +410,9 @@ pub(crate) struct Router {
     pub(crate) open_connections: AtomicUsize,
     pub(crate) started: Instant,
     pub(crate) core: Arc<Mutex<RouterCore>>,
-    /// Reply channels of reallotments pushed and not yet answered. The
-    /// bus is FIFO, so each is answered before the next tick the fan
-    /// pushes to its shard: the fan collects them without waiting.
-    deliveries: Mutex<Vec<(usize, mpsc::Receiver<Value>)>>,
+    /// Held for the whole of a fleet tick: allotments sum to the capacity
+    /// only if no round's phase 2 interleaves with another's.
+    rounds: Mutex<()>,
 }
 
 impl Router {
@@ -457,40 +461,15 @@ impl Router {
         out
     }
 
-    /// Pushes a reallotment to `shard`'s thread as a journaled control
-    /// event, keeping the reply for [`Router::delivery_replies`].
-    fn reallot(&self, shard: usize, capacity: Vec<f64>) {
-        if let Some(rx) = push_internal(&self.shards[shard], Request::Reallot { capacity }, None) {
-            self.deliveries
-                .lock()
-                .expect("delivery lock poisoned")
-                .push((shard, rx));
-        }
-    }
-
-    /// The replies to reallotments that are in, by shard. (A channel
-    /// closed unanswered belongs to a shard thread that has retired.)
-    fn delivery_replies(&self) -> Vec<(usize, Value)> {
-        let mut replies = Vec::new();
-        let mut pending = self.deliveries.lock().expect("delivery lock poisoned");
-        pending.retain(|(shard, rx)| match rx.try_recv() {
-            Ok(reply) => {
-                replies.push((*shard, reply));
-                false
-            }
-            Err(closed) => closed == mpsc::TryRecvError::Empty,
-        });
-        replies
-    }
-
-    /// Carries out a [`Readmit`]: the re-offer, then the catch-up ticks,
-    /// queued on the shard's thread ahead of anything pushed later.
+    /// Carries out a [`Readmit`]: the catch-up ticks, queued on the
+    /// shard's thread ahead of anything pushed later.
     fn rejoin(&self, readmit: Readmit) {
-        if let Some(capacity) = readmit.capacity {
-            self.reallot(readmit.shard, capacity);
-        }
         for _ in 0..readmit.catch_up {
-            push_internal(&self.shards[readmit.shard], Request::Tick, None);
+            push_internal(
+                &self.shards[readmit.shard],
+                Work::Serve(Request::Tick),
+                None,
+            );
         }
     }
 }
@@ -590,25 +569,19 @@ impl Server {
             ));
         }
         let n = config.shards;
-        // A credit market meters each agent's delivered utility against
-        // the equal share of its own shard's capacity. When the equal
-        // split is inexact in floating point ((c / n) * n != c), the
-        // per-shard entitlement baselines no longer sum to the advertised
-        // cluster capacity, so cross-shard credit balances stop being
-        // comparable — reject loudly instead of serving a subtly skewed
-        // market.
-        if config.market.mechanism.credit_weighted() {
-            for (r, &c) in config.market.capacity.as_slice().iter().enumerate() {
-                let split = c / n as f64;
-                if split * n as f64 != c {
-                    return Err(invalid(&format!(
-                        "mechanism {} over {n} shards needs an exact capacity \
-                         split: resource {r} capacity {c} does not divide \
-                         evenly (pick a capacity divisible by the shard count)",
-                        config.market.mechanism.label()
-                    )));
-                }
-            }
+        // A fleet allocates what one market would only where the
+        // mechanism is separable: REF's closed form splits over shards
+        // exactly. The GP kinds have no exact allotment; `max-welfare`'s
+        // unequal budgets make one price vector no proof of fleet-wide
+        // envy-freeness; and a credit ledger's entitlements would be
+        // per-shard equal splits.
+        let mechanism = config.market.mechanism;
+        if n > 1 && mechanism != MechanismKind::ProportionalElasticity {
+            return Err(invalid(&format!(
+                "mechanism {} cannot be sharded: a fleet of {n} shards runs \
+                 only proportional-elasticity, whose allotment is exact",
+                mechanism.label()
+            )));
         }
         let (ours, foreign) = wal_dirs_with_state(&config)?;
         if let Some(dir) = foreign.first() {
@@ -624,7 +597,7 @@ impl Server {
         }
 
         // One core per shard. Each shard's market starts from the equal
-        // capacity split (the coordinator reallots from there) and owns
+        // capacity split (the router reallots from there) and owns
         // its own WAL directory, so crash recovery and replay stay
         // strictly per shard.
         let metrics: Vec<ServeMetrics> = (0..n).map(|_| ServeMetrics::new()).collect();
@@ -656,12 +629,10 @@ impl Server {
             None => None,
         };
 
-        let resources = config.market.capacity.num_resources();
         let node = Arc::new(Mutex::new(
             RouterCore::new(
                 config.market.capacity.as_slice().to_vec(),
                 n,
-                config.drift_bound,
                 default_quorum(n),
                 RECOVERY_CLEAN_TICKS,
             )
@@ -689,7 +660,6 @@ impl Server {
                     },
                     epoch: AtomicU64::new(core.engine().epoch()),
                     wal_seq: AtomicU64::new(core.events_applied()),
-                    demand: Mutex::new(vec![0.0; resources]),
                     health: AtomicU64::new(ShardHealth::Healthy as u64),
                     cell: Mutex::new(ShardCell {
                         core: Some(core),
@@ -704,7 +674,7 @@ impl Server {
             open_connections: AtomicUsize::new(0),
             started: Instant::now(),
             core: node,
-            deliveries: Mutex::new(Vec::new()),
+            rounds: Mutex::new(()),
             shards,
         });
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -827,12 +797,6 @@ impl Server {
     /// Panics if `shard` is not below the configured shard count.
     pub fn shard_health(&self, shard: usize) -> ShardHealth {
         self.router.shards[shard].health()
-    }
-
-    /// The cross-shard coordinator's status.
-    #[cfg(test)]
-    pub(crate) fn coordination(&self) -> crate::shard::CoordinationStatus {
-        self.router.drive(|core| core.status())
     }
 
     /// Gracefully stops the server: drains every admitted request, runs
@@ -1170,8 +1134,8 @@ fn reader_loop(stream: &TcpStream, router: &Arc<Router>, config: &ServeConfig) {
 
 /// Parses, admits, routes and serves one request line; always produces a
 /// response. Agent-scoped requests hash to their owning shard, `tick`
-/// fans to every shard and runs the coordination step, and the other
-/// fleet ops aggregate shard-tagged answers.
+/// runs a fleet tick ([`fan_tick`]), and the other fleet ops aggregate
+/// shard-tagged answers.
 fn dispatch<'r>(
     line: &str,
     router: &'r Arc<Router>,
@@ -1215,8 +1179,8 @@ fn dispatch<'r>(
             }
             dispatch_to_shard(shared, shard, envelope, config, in_flight)
         }
-        // The coordinator owns capacity splits; an out-of-band reallot
-        // would silently fight it.
+        // The router owns capacity splits; an out-of-band reallot would
+        // silently fight it.
         Request::Reallot { .. } => {
             ServeMetrics::bump(&router.metrics().protocol_errors);
             error_response("protocol", Some("reallot is coordinator-managed"), None)
@@ -1230,8 +1194,11 @@ fn dispatch<'r>(
         | Request::Promote
         | Request::Shutdown => {
             let wait = reply_wait(envelope.deadline_ms);
-            let replies = fan(router, &envelope.request, envelope.deadline_ms, wait);
-            merge_fanned(&envelope.request, replies)
+            let request = &envelope.request;
+            let replies = fan(router, request, envelope.deadline_ms, wait, |_| {
+                Ok(Work::Serve(request.clone()))
+            });
+            merge_fanned(request, replies)
         }
         Request::Ping { .. } => unreachable!("ping answered above"),
     }
@@ -1275,7 +1242,13 @@ fn dispatch_to_shard<'r>(
         .metrics
         .queue_depth
         .store(admitted.depth as u64, Ordering::Relaxed);
-    serve_locked(shared, shard, &envelope.request, deadline, config)
+    serve_locked(
+        shared,
+        shard,
+        &Work::Serve(envelope.request),
+        deadline,
+        config,
+    )
 }
 
 /// [`serve_request`] under the shard lock. A reply lost to a panic (the
@@ -1284,12 +1257,12 @@ fn dispatch_to_shard<'r>(
 fn serve_locked(
     shared: &Shared,
     shard: usize,
-    request: &Request,
+    work: &Work,
     deadline: Option<Instant>,
     config: &ServeConfig,
 ) -> Value {
     shared
-        .locked(|cell| serve_request(cell, shard, request, deadline, shared, config))
+        .locked(|cell| serve_request(cell, shard, work, deadline, shared, config))
         .flatten()
         .unwrap_or_else(|| {
             error_response(
@@ -1338,19 +1311,21 @@ fn retry_hint(base_ms: u64, depth: usize, quotas: Quotas) -> u64 {
         .min(1000)
 }
 
-/// Fans one request to every shard's own thread (quota-exempt:
-/// fleet-wide control must not be bounced by one shard's backpressure;
-/// on the shard thread, not this one: a shard that overruns `wait` is
-/// abandoned, not waited out) and collects the replies here, each wave
-/// against one deadline, `wait` after the wave was asked. A shard the
-/// core says not to ask ([`asks`]) is answered with `shard_unavailable`,
-/// and a shard that is already shut down answers with a placeholder error
+/// Fans `work` to every shard's own thread (quota-exempt: fleet-wide
+/// control must not be bounced by one shard's backpressure; on the shard
+/// thread, not this one: a shard that overruns `wait` is abandoned, not
+/// waited out) and collects the replies here, each wave against one
+/// deadline, `wait` after the wave was asked. A shard the core says not
+/// to ask `request` ([`asks`]) is answered with `shard_unavailable`, one
+/// whose `work` is an `Err` is answered with that reply unasked, and a
+/// shard that is already shut down answers with a placeholder error
 /// instead of stalling the fan-out.
 fn fan(
     router: &Arc<Router>,
     request: &Request,
     deadline_ms: Option<u64>,
     wait: Duration,
+    work: impl Fn(usize) -> Result<Work, Value>,
 ) -> Vec<Value> {
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     // Fan in waves no wider than the worker pool: asking every shard
@@ -1365,12 +1340,11 @@ fn fan(
         let cutoff = Instant::now() + wait;
         let asked: Vec<Result<mpsc::Receiver<Value>, Value>> = (wave.iter())
             .map(|&(shard, shared)| {
-                if asks(shared.health(), request) {
-                    push_item(shared, request.clone(), deadline)
-                        .ok_or_else(|| error_response("shutting_down", None, None))
-                } else {
-                    Err(shard_unavailable_response(shard as u64, RETRY_AFTER_MS))
+                if !asks(shared.health(), request) {
+                    return Err(shard_unavailable_response(shard as u64, RETRY_AFTER_MS));
                 }
+                push_item(shared, work(shard)?, deadline)
+                    .ok_or_else(|| error_response("shutting_down", None, None))
             })
             .collect();
         replies.extend(asked.into_iter().map(|slot| match slot {
@@ -1442,77 +1416,83 @@ fn merge_fanned(request: &Request, replies: Vec<Value>) -> Value {
     fleet_reply(fields, replies)
 }
 
-/// Pushes one of the server's own requests (reallotments, catch-up
-/// ticks, probes) to a shard's thread, quota exempt. The queue is FIFO,
-/// so it is served before anything pushed later. Fire-and-forget callers
-/// drop the returned receiver and the shard thread's reply send fails
-/// harmlessly. `None` if the bus is closed.
+/// Pushes work of the server's own (catch-up ticks, probes) to a shard's
+/// thread, quota exempt. The queue is FIFO, so it is served before
+/// anything pushed later. Fire-and-forget callers drop the returned
+/// receiver and the shard thread's reply send fails harmlessly. `None`
+/// if the bus is closed.
 fn push_internal(
     shared: &Shared,
-    request: Request,
+    work: Work,
     deadline: Option<Instant>,
 ) -> Option<mpsc::Receiver<Value>> {
     let (reply, rx) = mpsc::channel();
     let item = Item {
-        request,
+        work,
         deadline,
         reply,
     };
     shared.bus.push(item).ok().map(|()| rx)
 }
 
-/// [`push_internal`] for a client's request, which is counted.
+/// [`push_internal`] for a client's fanned request, which is counted (a
+/// fleet tick's demand read is the router's own, and is not).
 fn push_item(
     shared: &Shared,
-    request: Request,
+    work: Work,
     deadline: Option<Instant>,
 ) -> Option<mpsc::Receiver<Value>> {
-    let rx = push_internal(shared, request, deadline);
-    ServeMetrics::bump(match rx {
-        Some(_) => &shared.metrics.accepted,
-        None => &shared.metrics.rejected_shutdown,
-    });
+    let counted = !matches!(work, Work::Demand);
+    let rx = push_internal(shared, work, deadline);
+    if counted {
+        ServeMetrics::bump(match rx {
+            Some(_) => &shared.metrics.accepted,
+            None => &shared.metrics.rejected_shutdown,
+        });
+    }
     rx
 }
 
-/// Fans an epoch tick to every shard and hands the replies and the
-/// fresh demand summaries to the [`RouterCore`], which assesses shard
-/// health (`Healthy → Suspect → Down`), gates the cross-shard
-/// coordination step on the quorum, and says which reallotments to
-/// deliver. Those are pushed as journaled control events on each
-/// shard's own thread, so they land before the next epoch and replay
-/// bit-identically; their replies reach the core with the next round,
-/// so a shard that failed to journal one is offered it again. The merged
-/// reply carries the combined report —
-/// marked `partial` with the missing shard ids when any shard missed
-/// the tick — plus the coordinator's drift audit.
+/// Runs one fleet tick and merges its reply. With more than one shard it
+/// is two-phase, each phase a fan under the tick budget: phase 1 reads
+/// every shard's `D_k` (a read: the previous epoch ended with its
+/// refits), the [`RouterCore`] gates on the quorum and allots each
+/// reporter its closed-form share, and phase 2 has each reporter journal
+/// a moved allotment and tick at it in one hold of its lock. A shard that
+/// fails to journal does not tick, and a shard that missed phase 1 sits
+/// the round out; either makes the round partial. One shard's allotment
+/// is always the whole capacity, so it is asked nothing but the tick.
+/// The core then assesses health (`Healthy → Suspect → Down`) from the
+/// replies, and the merged reply carries the combined report — marked
+/// `partial` with the missing shard ids when any shard missed the tick.
 fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig) -> Value {
     // The tick budget caps how long any one shard may hold up the fleet
     // clock; a client deadline can only tighten it further.
     let wait = reply_wait(deadline_ms).min(config.shard_tick_budget);
-    let replies = fan(router, &Request::Tick, deadline_ms, wait);
-    let demands: Vec<Vec<f64>> = router
-        .shards
-        .iter()
-        .map(|shared| shared.demand.lock().expect("demand lock poisoned").clone())
-        .collect();
-    let delivered = router.delivery_replies();
-    let mut round = router.drive(|core| {
-        for (shard, reply) in &delivered {
-            core.delivered(*shard, reply);
-        }
-        core.tick_round(&replies, &demands)
-    });
-    for (shard, capacity) in std::mem::take(&mut round.reallots) {
-        router.reallot(shard, capacity);
-    }
+    let _round = router.rounds.lock().expect("round lock poisoned");
+    let tick = &Request::Tick;
     let metrics = router.metrics();
+    let replies = if router.shards.len() == 1 {
+        fan(router, tick, deadline_ms, wait, |_| {
+            Ok(Work::Serve(Request::Tick))
+        })
+    } else {
+        let reports = fan(router, tick, deadline_ms, wait, |_| Ok(Work::Demand));
+        let allot = router.drive(|core| core.allot(&reports));
+        if allot.frozen {
+            ServeMetrics::bump(&metrics.quorum_freezes);
+        }
+        fan(router, tick, deadline_ms, wait, |shard| {
+            match &allot.capacities[shard] {
+                Some(capacity) => Ok(Work::TickAt(capacity.clone())),
+                None => Err(reports[shard].clone()),
+            }
+        })
+    };
+    let round = router.drive(|core| core.tick_round(&replies));
     metrics
         .shards_down
         .store(round.down as u64, Ordering::SeqCst);
-    if round.frozen {
-        ServeMetrics::bump(&metrics.quorum_freezes);
-    }
     if !round.missing.is_empty() {
         ServeMetrics::bump(&metrics.partial_epochs);
     }
@@ -1582,8 +1562,8 @@ fn restart_shard(router: &Arc<Router>, shard: usize, config: &ServeConfig) {
 /// slow, not dead — with a quick query, and readmits it if the core says
 /// so.
 fn probe_shard(router: &Arc<Router>, shard: usize) {
-    let Some(rx) = push_internal(&router.shards[shard], Request::Query { agent: None }, None)
-    else {
+    let probe = Work::Serve(Request::Query { agent: None });
+    let Some(rx) = push_internal(&router.shards[shard], probe, None) else {
         return;
     };
     let reply = await_reply(&rx, Duration::from_millis(100));
@@ -1704,14 +1684,14 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
         }
 
         for item in shared.bus.drain() {
-            if matches!(item.request, Request::Shutdown) {
+            if matches!(item.work, Work::Serve(Request::Shutdown)) {
                 // Stop admitting; everything already admitted is still
                 // served, and the reply waits for the retirement.
                 shared.bus.close();
                 shutdown_replies.push(item.reply);
                 continue;
             }
-            let response = serve_locked(shared, shard, &item.request, item.deadline, config);
+            let response = serve_locked(shared, shard, &item.work, item.deadline, config);
             let _ = item.reply.send(response);
         }
 
@@ -1742,14 +1722,14 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
     }
 }
 
-/// Serves one request on the shard's core; the caller holds the shard
-/// lock (see [`Shared::locked`]), which is what makes this the only
-/// place requests meet the engine, whichever thread runs it. `None`
-/// when the reply is (by injection) lost after the work was done.
+/// Serves one piece of work on the shard's core; the caller holds the
+/// shard lock (see [`Shared::locked`]), which is what makes this the only
+/// place requests meet the engine, whichever thread runs it. `None` when
+/// the reply is (by injection) lost after the work was done.
 fn serve_request(
     cell: &mut ShardCell,
     shard: usize,
-    request: &Request,
+    work: &Work,
     deadline: Option<Instant>,
     shared: &Shared,
     config: &ServeConfig,
@@ -1764,7 +1744,7 @@ fn serve_request(
             None,
         ));
     }
-    if matches!(request, Request::Promote) {
+    if matches!(work, Work::Serve(Request::Promote)) {
         return Some(handle_promote(shared));
     }
     // A degraded shard's engine is behind its log: it serves nothing
@@ -1772,7 +1752,12 @@ fn serve_request(
     let (false, Some(core)) = (cell.degraded, cell.core.as_mut()) else {
         return Some(shard_unavailable_response(shard as u64, RETRY_AFTER_MS));
     };
-    if request.bears_event() {
+    let bears_event = match work {
+        Work::Serve(request) => request.bears_event(),
+        Work::Demand => false,
+        Work::TickAt(_) => true,
+    };
+    if bears_event {
         // Role gate: only a primary mutates, and a recovered one only
         // once its lease is over. Standbys redirect the client to the
         // leader; a fenced node refuses outright.
@@ -1784,40 +1769,70 @@ fn serve_request(
             return refusal;
         }
     }
-    let is_tick = matches!(request, Request::Tick);
-    if is_tick && config.faults.is_armed() {
-        if let Some((s, e, delay_ms)) = config.faults.slow_shard_tick {
-            // Stall *before* the tick that would close epoch `e` is
-            // applied: the router's budget expires while the shard's
-            // durable state is still behind.
-            if shard as u64 == s && core.engine().epoch() + 1 == e {
-                std::thread::sleep(Duration::from_millis(delay_ms));
+    match work {
+        Work::Serve(Request::Tick) => tick(core, shard, None, shared, config),
+        Work::Serve(request) => Some(core.handle(request, &shared.metrics)),
+        Work::Demand => Some(core.demand_report()),
+        Work::TickAt(allotment) => {
+            if let Some(reallot) = core.reallot_to(allotment) {
+                let reply = core.handle(&reallot, &shared.metrics);
+                // Not journaled, not held: the shard sits the round out.
+                if reply.get("ok") != Some(&Value::Bool(true)) {
+                    return Some(reply);
+                }
+            }
+            // Read under the tick's own lock hold, so the prices are the
+            // ones this epoch allocates at.
+            let engine = core.engine();
+            let prices = (engine.aggregate_demand().iter())
+                .zip(engine.config().capacity.as_slice())
+                .map(|(demand, capacity)| demand / capacity)
+                .collect();
+            tick(core, shard, Some(prices), shared, config)
+        }
+    }
+}
+
+/// Runs one epoch on the shard's core, under the tick-keyed faults, and
+/// appends the `prices` it allocated at to a clean reply. `None` when the
+/// reply is (by injection) lost after the work was done.
+fn tick(
+    core: &mut ServiceCore,
+    shard: usize,
+    prices: Option<Vec<f64>>,
+    shared: &Shared,
+    config: &ServeConfig,
+) -> Option<Value> {
+    let armed = config.faults.is_armed();
+    if let (true, Some((s, e, delay_ms))) = (armed, config.faults.slow_shard_tick) {
+        // Stall *before* the tick that would close epoch `e` is applied:
+        // the router's budget expires while the shard's durable state is
+        // still behind.
+        if shard as u64 == s && core.engine().epoch() + 1 == e {
+            std::thread::sleep(Duration::from_millis(delay_ms));
+        }
+    }
+    let mut response = core.handle(&Request::Tick, &shared.metrics);
+    if armed {
+        if let Some((s, e)) = config.faults.panic_shard_ticker {
+            // Panic *after* the tick is durable: recovery must replay it
+            // bit-identically. Cannot re-fire after a restart — the
+            // recovered engine is already past `e`.
+            if shard as u64 == s && core.engine().epoch() == e {
+                panic!("injected shard panic after epoch {e}");
+            }
+        }
+        if let Some((s, e)) = config.faults.drop_tick_reply {
+            // Durable work done, reply lost: the router sees a failed
+            // tick while the shard's state stays consistent.
+            if shard as u64 == s && core.engine().epoch() == e {
+                return None;
             }
         }
     }
-    let response = core.handle(request, &shared.metrics);
-    if is_tick {
-        // Refresh this shard's demand summary *before* replying, so the
-        // router's coordination step — which runs after all tick replies
-        // are in — reads post-epoch demand, never stale.
-        *shared.demand.lock().expect("demand lock poisoned") = core.engine().aggregate_demand();
-        if config.faults.is_armed() {
-            if let Some((s, e)) = config.faults.panic_shard_ticker {
-                // Panic *after* the tick is durable: recovery must
-                // replay it bit-identically. Cannot re-fire after a
-                // restart — the recovered engine is already past `e`.
-                if shard as u64 == s && core.engine().epoch() == e {
-                    panic!("injected shard panic after epoch {e}");
-                }
-            }
-            if let Some((s, e)) = config.faults.drop_tick_reply {
-                // Durable work done, reply lost: the router sees a
-                // failed tick while the shard's state stays consistent.
-                if shard as u64 == s && core.engine().epoch() == e {
-                    return None;
-                }
-            }
-        }
+    let clean = response.get("ok") == Some(&Value::Bool(true));
+    if let (true, Some(prices), Value::Obj(fields)) = (clean, prices, &mut response) {
+        fields.push(("prices".to_string(), Value::num_array(&prices)));
     }
     Some(response)
 }
@@ -2147,15 +2162,15 @@ mod tests {
         assert_eq!(tick.get("epoch").and_then(Value::as_u64), Some(1));
         let shards = tick.get("shards").and_then(Value::as_array).unwrap();
         assert_eq!(shards.len(), 4);
-        assert!(tick.get("drift").is_some(), "{tick}");
-        assert_eq!(
-            tick.get("drift_bound_ok").and_then(Value::as_bool),
-            Some(true),
-            "{tick}"
-        );
-        // The merged report carries the fleet-wide SI/EF/PE audit.
+        // The merged report carries the fleet-wide SI/EF/PE audit, which
+        // needs every shard to have allocated at one price vector.
         let fairness = tick.get("report").and_then(|r| r.get("fairness")).unwrap();
-        for property in ["sharing_incentives", "envy_free", "pareto_efficient"] {
+        for property in [
+            "sharing_incentives",
+            "envy_free",
+            "pareto_efficient",
+            "prices_agree",
+        ] {
             assert_eq!(
                 fairness.get(property).and_then(Value::as_bool),
                 Some(true),
@@ -2224,8 +2239,9 @@ mod tests {
                 client.join_truth(agent, 1.0, &[0.5, 0.5]).unwrap();
             }
             let deadline = Instant::now() + Duration::from_secs(10);
-            while server.coordination().rounds < 5 {
-                assert!(Instant::now() < deadline, "coordinator never ticked");
+            let epoch = |client: &mut Client| client.ping().unwrap().get("epoch")?.as_u64();
+            while epoch(&mut client) < Some(5) {
+                assert!(Instant::now() < deadline, "the clock never ticked");
                 std::thread::sleep(Duration::from_millis(5));
             }
             let reply = client.query().unwrap();
@@ -2294,49 +2310,48 @@ mod tests {
         assert!(retry_hint(0, 5, quotas) >= 1);
     }
 
+    /// Every `CapacityRealloted` in `journal`, with its sequence.
+    fn realloted(journal: &[MarketEvent]) -> Vec<(usize, Vec<f64>)> {
+        (journal.iter().enumerate())
+            .filter_map(|(seq, event)| match event {
+                MarketEvent::CapacityRealloted { capacity } => Some((seq, capacity.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn coordinator_reallotments_shift_capacity_toward_demand() {
-        // Two shards; all load on the agents of one of them. After a few
-        // coordinated epochs the loaded shard's capacity allotment must
-        // exceed the idle shard's.
+        // Two shards; all agents on one of them. The loaded shard is
+        // allotted the whole capacity but the ulp the empty shard holds.
         let server = Server::start("127.0.0.1:0", sharded_config(2)).unwrap();
         let ring = HashRing::new(2, RING_SEED);
         let mut client = Client::connect(server.addr()).unwrap();
-        let mut joined = 0u64;
-        let mut agent = 0u64;
-        while joined < 8 {
-            if ring.shard_of(agent) == 0 {
-                client.join_truth(agent, 1.0, &[0.7, 0.3]).unwrap();
-                joined += 1;
-            }
-            agent += 1;
+        for agent in agents_on(&ring, 0, 8) {
+            client.join_truth(agent, 1.0, &[0.7, 0.3]).unwrap();
         }
         for _ in 0..12 {
             client.tick().unwrap();
         }
-        let status = server.coordination();
-        assert!(status.rounds >= 12, "{status:?}");
         let report = server.shutdown();
-        // Shard 0 received reallotments granting it more than the equal
-        // split; shard 1 was cut below it.
-        let realloted: Vec<&Vec<f64>> = report.shards[0]
-            .journal
-            .iter()
-            .filter_map(|e| match e {
-                MarketEvent::CapacityRealloted { capacity } => Some(capacity),
-                _ => None,
-            })
-            .collect();
-        assert!(!realloted.is_empty(), "coordinator never realloted");
-        let last = realloted.last().unwrap();
-        assert!(last[0] > 12.0, "loaded shard allotment {last:?}");
+        let (_, loaded) = realloted(&report.shards[0].journal)
+            .pop()
+            .expect("realloted");
+        let (_, empty) = realloted(&report.shards[1].journal)
+            .pop()
+            .expect("realloted");
+        assert_eq!(empty, [24.0 * f64::EPSILON, 12.0 * f64::EPSILON]);
+        assert_eq!(loaded, [24.0 - empty[0], 12.0 - empty[1]]);
+        // One reallotment each: the closed form does not move while the
+        // demand does not.
+        assert_eq!(report.shards[1].metrics.epochs, 12);
+        assert_eq!(realloted(&report.shards[1].journal).len(), 1);
     }
 
     #[test]
     fn a_reallotment_a_shard_failed_to_journal_is_offered_again() {
-        // Two WAL shards, one agent each with opposite demand: every
-        // round moves capacity until the damped coordinator converges,
-        // and both shards journal the same sequence of events.
+        // Two WAL shards, one agent each with opposite demand: the fits
+        // move the closed form round after round.
         let run = |faults: FaultPlan, rounds: usize| {
             let dir = std::env::temp_dir().join(format!(
                 "ref-reallot-refused-{}-{}",
@@ -2356,52 +2371,120 @@ mod tests {
             client
                 .join_truth(agent_on(&ring, 1), 1.0, &[0.2, 0.8])
                 .unwrap();
-            for _ in 0..rounds {
-                client.tick().unwrap();
-            }
-            let allotments = server.coordination().allotments;
-            let journals: Vec<Vec<MarketEvent>> = (server.shutdown().shards.into_iter())
-                .map(|shard| shard.journal)
-                .collect();
-            let _ = std::fs::remove_dir_all(&dir);
-            (journals, allotments)
-        };
-        let realloted = |journal: &[MarketEvent]| -> Vec<(usize, Vec<f64>)> {
-            (journal.iter().enumerate())
-                .filter_map(|(seq, event)| match event {
-                    MarketEvent::CapacityRealloted { capacity } => Some((seq, capacity.clone())),
-                    _ => None,
+            // A round in which no shard ticked is answered with the first
+            // shard's error.
+            let partial: Vec<bool> = (0..rounds)
+                .map(|_| match client.tick() {
+                    Ok(tick) => tick.get("report").and_then(|r| r.get("partial")).is_some(),
+                    Err(e) => e.code() == Some("wal"),
                 })
-                .collect()
+                .collect();
+            let report = server.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+            (report, partial)
         };
-        // A fault-free run finds the sequence of the last reallotment —
-        // the one no later round would repeat by itself.
-        let (journals, _) = run(FaultPlan::default(), 40);
-        let (last, _) = realloted(&journals[0]).pop().expect("capacity moved");
-        assert!(realloted(&journals[1]).iter().any(|(seq, _)| *seq == last));
+        // A fault-free run finds the sequence of the first reallotment.
+        let (report, partial) = run(FaultPlan::default(), 12);
+        assert!(partial.iter().all(|p| !p));
+        let (first, _) = realloted(&report.shards[0].journal)[0];
+        assert!(realloted(&report.shards[1].journal)
+            .iter()
+            .any(|(seq, _)| *seq == first));
 
-        // Both shards fail to journal it; the rounds that follow must
-        // offer it again.
+        // Both shards fail to journal it: neither ticks at a split it
+        // does not hold, that round is partial, and the next re-derives
+        // and delivers the allotments.
         let faults = FaultPlan {
-            fail_append_at: Some(last as u64),
+            fail_append_at: Some(first as u64),
             ..FaultPlan::default()
         };
-        let (journals, allotments) = run(faults, 45);
-        let total = [24.0, 12.0];
-        for (shard, journal) in journals.iter().enumerate() {
-            let capacity = realloted(journal)
-                .pop()
-                .map_or(vec![12.0, 6.0], |(_, capacity)| capacity);
-            for r in 0..2 {
-                // The coordinator withholds moves below 1e-4 of the total.
-                let gap = (capacity[r] - allotments[shard][r]).abs();
-                assert!(
-                    gap <= 1e-4 * total[r],
-                    "shard {shard} resource {r}: capacity {capacity:?}, allotment {:?}",
-                    allotments[shard]
-                );
+        let (report, partial) = run(faults, 12);
+        assert_eq!(partial.iter().filter(|p| **p).count(), 1, "{partial:?}");
+        let mut last = Vec::new();
+        for shard in &report.shards {
+            assert_eq!(shard.metrics.epochs, 11);
+            assert_eq!(shard.metrics.wal_errors, 1);
+            let moves = realloted(&shard.journal);
+            assert_eq!(moves[0].0, first, "offered again at the same sequence");
+            last.push(moves.last().unwrap().1.clone());
+        }
+        for (r, total) in [24.0, 12.0].into_iter().enumerate() {
+            let sum = last[0][r] + last[1][r];
+            assert!(sum <= total && sum >= total * (1.0 - 1e-12), "{last:?}");
+        }
+    }
+
+    /// The first `count` agent ids the ring places on `shard`.
+    fn agents_on(ring: &HashRing, shard: usize, count: usize) -> Vec<u64> {
+        (0..u64::MAX)
+            .filter(|a| ring.shard_of(*a) == shard)
+            .take(count)
+            .collect()
+    }
+
+    #[test]
+    fn moving_allotments_leave_warm_up_and_the_temporal_audit_running() {
+        // Noisy external observations on both shards move the closed form
+        // every tick. A late arrival who values resource 0 among a crowd
+        // that does too is under-served under its truth until its fit
+        // converges; those epochs stay in its temporal-SI window past the
+        // warm-up its arrival began, so the violations are counted.
+        let market =
+            MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap()).with_temporal_slack(0.0);
+        let config = ServeConfig::new(market.clone())
+            .with_epoch_interval(None)
+            .with_shards(2);
+        let server = Server::start("127.0.0.1:0", config).unwrap();
+        let ring = HashRing::new(2, RING_SEED);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let noisy: Vec<u64> = (0..2).map(|shard| agent_on(&ring, shard)).collect();
+        for &agent in &noisy {
+            client.join_external(agent).unwrap();
+        }
+        let mut crowd = agents_on(&ring, 0, 22);
+        let late = crowd.pop().unwrap();
+        for &agent in crowd.iter().filter(|a| !noisy.contains(a)) {
+            client.join_truth(agent, 1.0, &[0.99, 0.01]).unwrap();
+        }
+        let round = |client: &mut Client, i: u64| {
+            for (k, &agent) in noisy.iter().enumerate() {
+                let x = [1.0 + (i % 7) as f64, 1.0 + ((i + k as u64) % 5) as f64];
+                let noise = 1.0 + 0.1 * ((i * 7 + k as u64 * 3) % 11) as f64 / 11.0;
+                client
+                    .observe(agent, &x, (x[0] * x[1]).sqrt() * noise)
+                    .unwrap();
+            }
+            client.tick().unwrap()
+        };
+        for i in 0..12 {
+            round(&mut client, i);
+        }
+        client.join_truth(late, 1.0, &[0.99, 0.01]).unwrap();
+        for i in 12..36 {
+            let tick = round(&mut client, i);
+            if i < 12 + market.warmup_epochs {
+                continue;
+            }
+            let shards = tick.get("shards").and_then(Value::as_array).unwrap();
+            for shard in shards {
+                let warm = shard.get("report").and_then(|r| r.get("warm"));
+                assert_eq!(warm, Some(&Value::Bool(false)), "tick {i}: {tick}");
             }
         }
+        let report = server.shutdown();
+        for shard in &report.shards {
+            let moves = realloted(&shard.journal).len();
+            assert!(
+                moves >= 30,
+                "shard {}: {moves} reallotments in 36 ticks",
+                shard.shard
+            );
+        }
+        let metrics = Value::parse(&report.shards[0].market_metrics_json).unwrap();
+        let counted = metrics
+            .get("temporal_si_violations")
+            .and_then(Value::as_u64);
+        assert!(counted > Some(0), "{metrics}");
     }
 
     /// First agent id the ring places on `shard`.
@@ -2489,8 +2572,9 @@ mod tests {
     #[test]
     fn at_quorum_coordination_continues_with_partial_reports() {
         // 3 shards, default quorum ⌈4/2⌉ = 2: one dead shard leaves the
-        // fleet exactly at quorum, so reallotment keeps running while
-        // every merged report is stamped partial.
+        // fleet exactly at quorum, so reallotment keeps running around
+        // what the dead shard holds while every merged report is stamped
+        // partial.
         let config = sharded_config(3).with_faults(FaultPlan {
             panic_shard_ticker: Some((2, 1)),
             ..FaultPlan::default()
@@ -2505,17 +2589,32 @@ mod tests {
         client
             .join_truth(agent_on(&ring, 1), 1.0, &[0.3, 0.7])
             .unwrap();
-        client.tick().unwrap();
-        let tick = client.tick().unwrap();
+        client
+            .join_truth(agent_on(&ring, 2), 1.0, &[0.5, 0.5])
+            .unwrap();
+        let mut tick = Value::Null;
+        for _ in 0..6 {
+            tick = client.tick().unwrap();
+        }
         let report = tick.get("report").expect("merged report");
         assert_eq!(report.get("partial"), Some(&Value::Bool(true)), "{tick}");
-        let status = server.coordination();
-        assert_eq!(status.rounds, 2, "{status:?}");
         let metrics = server.metrics();
-        assert!(metrics.partial_epochs >= 2, "{metrics:?}");
+        assert_eq!(metrics.partial_epochs, 6, "{metrics:?}");
         assert_eq!(metrics.quorum_freezes, 0, "{metrics:?}");
         assert_eq!(metrics.shards_down, 1, "{metrics:?}");
-        server.shutdown();
+        // The two that reported split what the Down shard does not hold:
+        // its third of the capacity, the equal split it never left, stays
+        // reserved while their fits pull their allotments apart.
+        let report = server.shutdown();
+        let held: Vec<Vec<f64>> = (report.shards[..2].iter())
+            .map(|shard| realloted(&shard.journal).pop().expect("realloted").1)
+            .collect();
+        assert!(held[0][0] > held[1][0], "{held:?}");
+        for (r, total) in [24.0, 12.0].into_iter().enumerate() {
+            let sum = held[0][r] + held[1][r];
+            let left = total - total / 3.0;
+            assert!(sum <= left && sum >= left * (1.0 - 1e-12), "{held:?}");
+        }
     }
 
     #[test]
@@ -2533,13 +2632,17 @@ mod tests {
         client
             .join_truth(agent_on(&ring, 0), 1.0, &[0.7, 0.3])
             .unwrap();
-        client.tick().unwrap();
-        client.tick().unwrap();
-        let status = server.coordination();
-        assert_eq!(status.rounds, 0, "{status:?}");
+        // The first round is at quorum (shard 1 panics in its phase 2);
+        // the two after it are not.
+        for _ in 0..3 {
+            client.tick().unwrap();
+        }
         let metrics = server.metrics();
         assert_eq!(metrics.quorum_freezes, 2, "{metrics:?}");
-        server.shutdown();
+        // Shard 0 kept ticking, at the allotment of the first round.
+        let report = server.shutdown();
+        assert_eq!(report.shards[0].metrics.epochs, 3);
+        assert_eq!(realloted(&report.shards[0].journal).len(), 1);
     }
 
     #[test]

@@ -5,20 +5,19 @@
 //! totals in `metrics`), the journal (replay must reproduce the ledger
 //! bit for bit, because the ledger is a pure function of the event
 //! history), the v4 snapshot (WAL checkpoints round-trip it), and the
-//! shard router (a credit market only boots when the equal capacity
-//! split is exact). Each test pins one of those seams.
+//! shard router (which refuses to shard any mechanism but REF, credit
+//! ones included). Each test pins one of those seams.
 
 mod common;
 
 use ref_core::mechanism::CreditInner;
 use ref_core::resource::Capacity;
-use ref_market::{MarketConfig, MarketEngine, MechanismKind};
-use ref_serve::{shard_market_config, Client, JournalLimit, ServeConfig, Server, Value, WalConfig};
+use ref_market::{MarketConfig, MechanismKind};
+use ref_serve::{Client, ServeConfig, Server, Value, WalConfig};
 
 use common::TempDir;
 
 fn credit_config() -> MarketConfig {
-    // 16 and 8 split exactly across 4 shards (4.0 and 2.0 per shard).
     MarketConfig::new(Capacity::new(vec![16.0, 8.0]).unwrap()).with_mechanism(
         MechanismKind::Credit {
             inner: CreditInner::MaxWelfare,
@@ -76,102 +75,60 @@ fn credit_market_exposes_balances_and_ledger_metrics_over_the_wire() {
 }
 
 #[test]
-fn sharded_credit_journals_replay_per_shard() {
-    let serve_config = ServeConfig::new(credit_config())
-        .with_epoch_interval(None)
-        .with_shards(4)
-        .with_journal_limit(JournalLimit(1 << 16));
-    let server = Server::start("127.0.0.1:0", serve_config).unwrap();
+fn credit_wal_recovery_round_trips_v4_snapshots() {
+    let dir = TempDir::new("wal");
+    let serve_config = || {
+        ServeConfig::new(credit_config())
+            .with_epoch_interval(None)
+            .with_wal(WalConfig::new(dir.path()).with_checkpoint_every(5))
+    };
+    let server = Server::start("127.0.0.1:0", serve_config()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     for agent in 0..12u64 {
         let e0 = 0.2 + 0.05 * agent as f64;
         client.join_truth(agent, 1.0, &[e0, 1.0 - e0]).unwrap();
     }
-    for _ in 0..4 {
-        client.tick().unwrap();
-    }
-    // Demand changes re-baseline ledger entries; replay must cross them.
-    client.demand(3, Some((1.0, &[0.8, 0.2]))).unwrap();
-    client.demand(7, None).unwrap();
-    client.leave(5).unwrap();
-    for _ in 0..4 {
-        client.tick().unwrap();
-    }
-
-    let report = server.shutdown();
-    assert_eq!(report.shards.len(), 4);
-    for shard in &report.shards {
-        assert!(!shard.journal_overflowed);
-        assert_eq!(shard.metrics.protocol_errors, 0);
-        assert!(
-            shard.snapshot.starts_with("refmarket-snapshot v4\n"),
-            "shard {} snapshot is not v4",
-            shard.shard
-        );
-        let mut offline = MarketEngine::new(shard_market_config(&credit_config(), 4)).unwrap();
-        offline.submit_all(shard.journal.iter().cloned());
-        while offline.pump().is_err() {}
-        assert_eq!(
-            offline.snapshot().encode(),
-            shard.snapshot,
-            "shard {} diverged from its offline replay",
-            shard.shard
-        );
-    }
-}
-
-#[test]
-fn sharded_credit_wal_recovery_round_trips_v3_snapshots() {
-    let dir = TempDir::new("wal");
-    let serve_config = || {
-        ServeConfig::new(credit_config())
-            .with_epoch_interval(None)
-            .with_shards(4)
-            .with_wal(WalConfig::new(dir.path()).with_checkpoint_every(5))
-    };
-
-    let server = Server::start("127.0.0.1:0", serve_config()).unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    for agent in 0..12u64 {
-        client.join_truth(agent, 1.0, &[0.6, 0.4]).unwrap();
-    }
     for _ in 0..5 {
         client.tick().unwrap();
     }
-    let report = server.shutdown();
-
-    // Cold recovery restores every shard — ledger included — bit for bit
-    // from v4 checkpoints plus WAL tail replay.
-    let recovered = Server::recover("127.0.0.1:0", serve_config()).unwrap();
-    let recovered_report = recovered.shutdown();
-    for (before, after) in report.shards.iter().zip(&recovered_report.shards) {
-        assert_eq!(before.shard, after.shard);
-        assert_eq!(
-            before.snapshot, after.snapshot,
-            "shard {} changed across recovery",
-            before.shard
-        );
-    }
+    let before = server.shutdown();
+    // Cold recovery restores the market — ledger included — bit for bit
+    // from a v4 checkpoint plus WAL tail replay.
+    let after = Server::recover("127.0.0.1:0", serve_config())
+        .unwrap()
+        .shutdown();
+    assert!(before.snapshot.starts_with("refmarket-snapshot v4\n"));
+    assert_eq!(before.snapshot, after.snapshot);
 }
 
 #[test]
-fn credit_with_an_inexact_shard_split_is_rejected_loudly() {
-    // (1.0 / 49.0) * 49.0 != 1.0 in IEEE doubles: the per-shard equal
-    // shares would not sum back to the advertised capacity, so the
-    // launch must refuse instead of serving a subtly skewed market.
-    let config = MarketConfig::new(Capacity::new(vec![1.0, 8.0]).unwrap()).with_mechanism(
-        MechanismKind::Credit {
-            inner: CreditInner::MaxWelfare,
-        },
-    );
-    let serve_config = ServeConfig::new(config)
-        .with_epoch_interval(None)
-        .with_shards(49);
-    let err = Server::start("127.0.0.1:0", serve_config).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    let msg = err.to_string();
-    assert!(msg.contains("exact capacity split"), "{msg}");
-    assert!(msg.contains("resource 0"), "{msg}");
+fn sharding_refuses_every_mechanism_but_ref() {
+    // Only REF's closed form splits over shards exactly: the GP kinds
+    // have no exact allotment, `max-welfare`'s unequal budgets make one
+    // price vector no proof of fleet-wide envy-freeness, and a credit
+    // ledger's entitlements would be per-shard equal splits.
+    let sharded = |label: &str| {
+        let market = MarketConfig::new(Capacity::new(vec![16.0, 8.0]).unwrap())
+            .with_mechanism(MechanismKind::from_label(label).unwrap());
+        let config = ServeConfig::new(market)
+            .with_epoch_interval(None)
+            .with_shards(2);
+        Server::start("127.0.0.1:0", config)
+    };
+    for label in ["max-welfare", "equal-slowdown", "credit-max-welfare"] {
+        let err = sharded(label).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{label}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(label) && msg.contains("cannot be sharded"),
+            "{msg}"
+        );
+    }
+    sharded("proportional-elasticity").unwrap().shutdown();
+    // One shard is one market: every mechanism serves.
+    let market = credit_config();
+    let server = Server::start("127.0.0.1:0", ServeConfig::new(market)).unwrap();
+    server.shutdown();
 }
 
 #[test]

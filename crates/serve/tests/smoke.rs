@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use ref_core::resource::Capacity;
 use ref_market::MarketConfig;
-use ref_serve::{Client, ClientError, Quotas, ServeConfig, Server, Value};
+use ref_serve::{CallOpts, Client, ClientError, Quotas, ServeConfig, Server, Value};
 
 fn market() -> MarketConfig {
     MarketConfig::new(Capacity::new(vec![32.0, 16.0]).unwrap())
@@ -78,6 +78,13 @@ fn over_offered_load_is_rejected_not_collapsed() {
             let retried = &retried;
             scope.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
+                // A deep retry budget, and a backoff that never outgrows
+                // the server's `retry_after_ms` hint: it sleeps the hint.
+                let patient = CallOpts {
+                    retries: 10_000,
+                    max_delay: Duration::from_millis(1),
+                    ..CallOpts::default().with_seed(worker)
+                };
                 let query = Value::obj(vec![("op", Value::str("query"))]);
                 let observe = Value::obj(vec![
                     ("op", Value::str("observe")),
@@ -94,7 +101,7 @@ fn over_offered_load_is_rejected_not_collapsed() {
                     // Closed loop with polite retry: every request must
                     // eventually land; rejection is backpressure, not loss.
                     let (reply, retries) = client
-                        .call_retrying(request, 10_000)
+                        .call_with(request, &patient)
                         .unwrap_or_else(|e| panic!("request never landed: {e}"));
                     assert_eq!(reply.get("ok"), Some(&Value::Bool(true)));
                     completed.fetch_add(1, Ordering::Relaxed);

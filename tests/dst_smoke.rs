@@ -20,7 +20,7 @@ fn options(break_invariant: Option<BreakKind>) -> SimOptions {
 
 /// FNV-1a over the band's per-seed trace hashes (little-endian), as
 /// `dst_sweep` folds its `fleet_trace_hash`.
-const BAND_TRACE_GOLDEN: u64 = 0xCEC2_F683_719C_7075;
+const BAND_TRACE_GOLDEN: u64 = 0x6456_FAA7_FCDE_DE68;
 
 #[test]
 fn a_band_of_seeds_holds_every_invariant() {

@@ -1,7 +1,7 @@
 //! The two protocol state machines, wired back to back with no sockets,
 //! threads or clocks: a primary/standby pair of [`ReplCore`]s hands over
 //! without losing an acked record, and a [`RouterCore`] keeps routing
-//! and reallotment safe across the failover. The per-rule transition
+//! and allotment safe across the failover. The per-rule transition
 //! tables live next to the cores in `ref-serve`; this scenario runs in
 //! tier-1 so `cargo test -q` fails when the protocols regress.
 
@@ -54,7 +54,7 @@ fn error_of(reply: &Value) -> Option<&str> {
 #[test]
 fn a_pair_hands_over_without_losing_an_acked_record() {
     let (mut primary, mut standby) = (node(false, 0), node(true, 0));
-    let mut router = RouterCore::new(vec![8.0], 1, 0.25, 1, 2);
+    let mut router = RouterCore::new(vec![8.0], 1, 1, 2);
 
     // Handshake: hello → meta; the standby learns where the leader is.
     let Hello::Accept { have: 0, meta } = primary.on_hello(&unframe(&standby.hello())) else {
@@ -171,43 +171,53 @@ fn a_recovered_primary_waits_out_its_lease() {
 
 #[test]
 fn the_router_freezes_below_quorum_and_never_half_applies() {
-    let mut router = RouterCore::new(vec![30.0, 12.0], 3, 0.25, 2, 2);
-    let demands = vec![vec![9.0, 3.0], vec![1.0, 1.0], vec![1.0, 1.0]];
-    let before = router.allotments().to_vec();
+    let total = [30.0, 12.0];
+    let mut router = RouterCore::new(total.to_vec(), 3, 2, 2);
+    let demand = |d: [f64; 2]| ok_response(vec![("demand", Value::num_array(&d))]);
     let (ok, timeout, unavailable) = (
         ok_response(vec![("epoch", Value::from_u64(9))]),
         ref_fairness::serve::protocol::error_response("timeout", None, None),
         ref_fairness::serve::protocol::shard_unavailable_response(2, 5),
     );
+    let split = vec![10.0, 4.0];
 
+    // One of three reported its demand: below quorum nothing is
+    // reallotted. The reporter ticks at the split it has; the others sit
+    // the round out, their phase-1 replies standing as their tick replies.
+    let allot = router.allot(&[demand([9.0, 3.0]), timeout.clone(), timeout.clone()]);
+    assert!(allot.frozen);
+    assert_eq!(allot.capacities, vec![Some(split.clone()), None, None]);
     let lone = [ok.clone(), timeout.clone(), timeout];
-    let round = router.tick_round(&lone, &demands);
-    assert!(round.frozen && round.reallots.is_empty());
+    let round = router.tick_round(&lone);
     assert_eq!(round.missing, vec![1, 2]);
-    assert_eq!(router.allotments(), &before[..]);
     assert_eq!(router.health(1), ShardHealth::Suspect);
-    router.tick_round(&lone, &demands);
+    router.tick_round(&lone);
     assert_eq!(router.health(1), ShardHealth::Down);
 
-    // At quorum capacity moves, but only onto shards that reported; the
-    // third gets its whole allotment the round it comes back.
-    let two = [ok.clone(), ok.clone(), unavailable];
-    let round = router.tick_round(&two, &demands);
-    assert!(!round.frozen);
-    assert!(round.reallots.iter().all(|(shard, _)| *shard != 2));
-    let round = router.tick_round(&[ok.clone(), ok.clone(), ok], &demands);
-    let offered = round.reallots.iter().find(|(shard, _)| *shard == 2);
-    assert_eq!(offered.map(|(_, c)| c), Some(&router.allotments()[2]));
-    for r in 0..2 {
-        let sum: f64 = router.allotments().iter().map(|a| a[r]).sum();
-        assert!((sum - [30.0, 12.0][r]).abs() < 1e-9, "resource {r}: {sum}");
+    // At quorum capacity moves, but only between the shards that
+    // reported: the silent third keeps its split.
+    let allot = router.allot(&[demand([9.0, 3.0]), demand([1.0, 1.0]), unavailable]);
+    assert!(!allot.frozen);
+    assert_eq!(allot.capacities[2], None);
+    let moved: Vec<&Vec<f64>> = allot.capacities.iter().flatten().collect();
+    for (r, total) in total.iter().enumerate() {
+        let left = total - split[r];
+        let sum = moved[0][r] + moved[1][r];
+        assert!(sum <= left && sum >= left * (1.0 - 1e-12), "{moved:?}");
     }
-    // Served from a recovered WAL, it is re-offered its allotment and
-    // caught up to the rest of the fleet.
-    let readmit = router.recovered(1, 4);
-    assert_eq!(
-        readmit.capacity.as_deref(),
-        Some(&router.allotments()[1][..])
-    );
-    assert_eq!(readmit.catch_up, 5);
+    // The round it reports in again re-derives its allotment: the closed
+    // form C_r · D_kr / D_r, never above the capacity.
+    let allot = router.allot(&[demand([9.0, 3.0]), demand([1.0, 1.0]), demand([1.0, 1.0])]);
+    let all: Vec<Vec<f64>> = allot.capacities.into_iter().flatten().collect();
+    for (r, total) in total.iter().enumerate() {
+        let d = [[9.0, 3.0], [1.0, 1.0], [1.0, 1.0]].map(|d| d[r]);
+        for (k, allotment) in all.iter().enumerate() {
+            let want = total * d[k] / d.iter().sum::<f64>();
+            assert!((allotment[r] - want).abs() <= 1e-12 * want, "{all:?}");
+        }
+        assert!(all.iter().map(|a| a[r]).sum::<f64>() <= *total);
+    }
+    // Served from a recovered WAL, it is caught up to the rest of the
+    // fleet.
+    assert_eq!(router.recovered(1, 4).catch_up, 5);
 }

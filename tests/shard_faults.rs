@@ -134,9 +134,6 @@ fn a_four_shard_fleet_rides_out_a_panic_a_stall_and_a_lost_reply() {
         })
         .with_journal_limit(JOURNAL)
         .with_shard_tick_budget(Duration::from_millis(250))
-        // Drift legitimately spikes while allotments are frozen below
-        // quorum; the recovery gate is SI/EF/PE.
-        .with_drift_bound(0.75)
         .with_faults(FaultPlan {
             panic_shard_ticker: Some((1, PANIC_EPOCH)),
             slow_shard_tick: Some((2, SLOW_EPOCH, 400)),
