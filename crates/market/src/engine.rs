@@ -11,8 +11,7 @@
 //!    fingerprint moved — otherwise reuse the cached allocation;
 //! 3. audit the granted allocation for SI/EF/PE against the reported
 //!    utilities;
-//! 4. enforce each resource's shares with a stride scheduler and record
-//!    the achieved service;
+//! 4. accrue credits and run the temporal SI audit at the granted bundles;
 //! 5. produce one performance observation per engine-driven agent (hidden
 //!    ground truth or the cycle-level simulator) at a deterministically
 //!    jittered allocation, feeding each agent's online estimator.
@@ -36,7 +35,6 @@ use ref_core::online::OnlineEstimator;
 use ref_core::properties::FairnessReport;
 use ref_core::resource::{Allocation, Capacity};
 use ref_core::utility::{CobbDouglas, Utility};
-use ref_sched::StrideScheduler;
 use ref_sim::config::{Bandwidth, CacheSize, PlatformConfig};
 use ref_sim::MulticoreSystem;
 use ref_workloads::profiles::by_name;
@@ -44,18 +42,13 @@ use ref_workloads::profiles::by_name;
 use crate::agent::{AgentId, AgentState, ObservationSource};
 use crate::audit::Auditor;
 use crate::digest::StateHasher;
-use crate::epoch::{EnforcementSummary, EpochReport, ReallocationOutcome};
+use crate::epoch::{EpochReport, ReallocationOutcome};
 use crate::error::{MarketError, Result};
 use crate::events::{EventQueue, MarketEvent};
 use crate::ledger::CreditLedger;
 use crate::metrics::MarketMetrics;
 use crate::snapshot::{AgentSnapshot, AgentView, MarketSnapshot, StateView, SNAPSHOT_VERSION};
 use crate::warm::WarmStartCache;
-
-/// Smallest scheduler weight granted to an agent whose fitted elasticity
-/// collapsed to (near) zero for a resource; keeps the stride scheduler
-/// constructible without materially distorting service.
-const MIN_STRIDE_WEIGHT: f64 = 1e-9;
 
 /// Floor applied to simulated cache/bandwidth shares so the partitioned
 /// system stays constructible even for vanishing fitted shares.
@@ -206,8 +199,10 @@ pub struct MarketConfig {
     /// estimators' regression designs (0 disables excitation — estimators
     /// then starve on collinear observations and keep their priors).
     pub excitation: f64,
-    /// Stride-scheduler quanta simulated per resource per epoch
-    /// (0 disables enforcement reporting).
+    /// Read by nothing in the market. Held, with its snapshot `quanta`
+    /// line and its [`MarketConfig::compatible_with`] term, for refbench's
+    /// restated `enforce` (`benchmark/src/trace.rs`), a stride scheduler
+    /// the epoch no longer runs, until ROADMAP item 6 deletes all three.
     pub enforcement_quanta: u64,
     /// Instructions each simulated agent retires per epoch.
     pub sim_instructions: u64,
@@ -247,12 +242,6 @@ impl MarketConfig {
     /// Sets the audit warm-up window.
     pub fn with_warmup_epochs(mut self, epochs: u64) -> MarketConfig {
         self.warmup_epochs = epochs;
-        self
-    }
-
-    /// Sets the per-epoch enforcement quanta.
-    pub fn with_enforcement_quanta(mut self, quanta: u64) -> MarketConfig {
-        self.enforcement_quanta = quanta;
         self
     }
 
@@ -617,7 +606,6 @@ impl MarketEngine {
                 realloc: ReallocationOutcome::EmptyMarket,
                 allocation: None,
                 fairness: None,
-                enforcement: Vec::new(),
                 warm,
                 observations: 0,
                 refits: 0,
@@ -733,7 +721,6 @@ impl MarketEngine {
             self.metrics.temporal_si_violations += temporal_violations as u64;
         }
 
-        let enforcement = self.enforce(&allocation)?;
         let (observations, refits) = self.collect_observations(epoch, &allocation)?;
 
         Ok(EpochReport {
@@ -742,49 +729,12 @@ impl MarketEngine {
             realloc,
             allocation: Some(allocation),
             fairness: Some(fairness),
-            enforcement,
             warm,
             observations,
             refits,
             temporal_violations,
             worst_temporal_ratio,
         })
-    }
-
-    /// Drives a stride scheduler per resource against the granted shares;
-    /// [`StrideScheduler::run`] grants the epoch's quanta in bulk, bit for
-    /// bit as one `next_quantum` call per quantum would. Summaries are
-    /// returned in resource order.
-    fn enforce(&self, allocation: &Allocation) -> Result<Vec<EnforcementSummary>> {
-        if self.config.enforcement_quanta == 0 {
-            return Ok(Vec::new());
-        }
-        let capacity = &self.config.capacity;
-        (0..capacity.num_resources())
-            .map(|resource| {
-                let target: Vec<f64> = allocation
-                    .bundles()
-                    .iter()
-                    .map(|b| b.get(resource) / capacity.get(resource))
-                    .collect();
-                let weights: Vec<f64> = target.iter().map(|w| w.max(MIN_STRIDE_WEIGHT)).collect();
-                let mut stride =
-                    StrideScheduler::new(weights).map_err(MarketError::InvalidArgument)?;
-                stride.run(self.config.enforcement_quanta);
-                let achieved = stride.service_shares();
-                let max_deviation = achieved
-                    .iter()
-                    .zip(&target)
-                    .map(|(a, t)| (a - t).abs())
-                    .fold(0.0, f64::max);
-                Ok(EnforcementSummary {
-                    resource,
-                    target,
-                    achieved,
-                    max_deviation,
-                })
-            })
-            .collect()
     }
 
     /// Produces one observation per engine-driven agent at a jittered
@@ -1612,20 +1562,6 @@ mod tests {
         let agent = market.agent(1).unwrap();
         assert!(agent.estimator.refits() > 0);
         assert!((agent.reported_utility().elasticity(0) - 0.6).abs() < 1e-6);
-    }
-
-    #[test]
-    fn enforcement_tracks_granted_shares() {
-        let mut market = two_agent_market();
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 15));
-        let reports = market.pump().unwrap();
-        let last = reports.last().unwrap();
-        assert_eq!(last.enforcement.len(), 2);
-        assert!(
-            last.worst_enforcement_deviation() < 0.01,
-            "{:?}",
-            last.enforcement
-        );
     }
 
     // --- Same-batch event-ordering semantics -------------------------

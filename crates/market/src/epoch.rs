@@ -18,19 +18,6 @@ pub enum ReallocationOutcome {
     EmptyMarket,
 }
 
-/// Achieved scheduler service for one resource.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnforcementSummary {
-    /// Resource index the scheduler ran for.
-    pub resource: usize,
-    /// Target shares (each agent's fraction of the resource).
-    pub target: Vec<f64>,
-    /// Shares the stride scheduler actually delivered.
-    pub achieved: Vec<f64>,
-    /// Worst absolute deviation between achieved and target.
-    pub max_deviation: f64,
-}
-
 /// What one epoch of the market did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {
@@ -45,8 +32,6 @@ pub struct EpochReport {
     pub allocation: Option<Allocation>,
     /// SI/EF/PE verdicts against the reported (fitted) utilities.
     pub fairness: Option<FairnessReport>,
-    /// Stride-scheduler enforcement, one entry per resource.
-    pub enforcement: Vec<EnforcementSummary>,
     /// Whether the epoch was inside the warm-up window (recent membership
     /// or demand change), exempting it from the audit SLO.
     pub warm: bool,
@@ -62,50 +47,4 @@ pub struct EpochReport {
     /// Smallest delivered/entitled window ratio among judged agents (1.0
     /// when no agent had a full window).
     pub worst_temporal_ratio: f64,
-}
-
-impl EpochReport {
-    /// Worst enforcement deviation across all resources.
-    pub fn worst_enforcement_deviation(&self) -> f64 {
-        self.enforcement
-            .iter()
-            .map(|e| e.max_deviation)
-            .fold(0.0, f64::max)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn worst_deviation_spans_resources() {
-        let report = EpochReport {
-            epoch: 3,
-            agents: vec![1, 2],
-            realloc: ReallocationOutcome::CacheHit,
-            allocation: None,
-            fairness: None,
-            enforcement: vec![
-                EnforcementSummary {
-                    resource: 0,
-                    target: vec![0.75, 0.25],
-                    achieved: vec![0.74, 0.26],
-                    max_deviation: 0.01,
-                },
-                EnforcementSummary {
-                    resource: 1,
-                    target: vec![0.3, 0.7],
-                    achieved: vec![0.33, 0.67],
-                    max_deviation: 0.03,
-                },
-            ],
-            warm: false,
-            observations: 2,
-            refits: 2,
-            temporal_violations: 0,
-            worst_temporal_ratio: 1.0,
-        };
-        assert_eq!(report.worst_enforcement_deviation(), 0.03);
-    }
 }

@@ -85,8 +85,8 @@ pub enum MarketEvent {
         /// current capacity, and every entry must be finite and positive.
         capacity: Vec<f64>,
     },
-    /// Advance the market by one epoch: refit, reallocate, enforce, audit,
-    /// observe.
+    /// Advance the market by one epoch: refit, reallocate, audit, accrue
+    /// credits, observe.
     EpochTick,
 }
 

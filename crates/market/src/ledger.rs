@@ -221,12 +221,6 @@ impl CreditLedger {
         self.balances[slot] = 0.0;
     }
 
-    /// Drops every window; balances — which are normalized ratios —
-    /// survive.
-    pub fn clear_windows(&mut self) {
-        self.spans.fill((0, 0));
-    }
-
     /// Folds one epoch's `(agent, delivered, entitled)` measurements into
     /// the ledger: gaps are normalized, mean-centered, decayed and
     /// capped, and each agent's sliding window advances (bounded by
@@ -656,7 +650,8 @@ mod tests {
             ledger.accrue(&measured(&[(1, 1.0, 1.0)]), 6);
         }
         assert_eq!(ledger.entry(1).unwrap().window.len(), 6);
-        ledger.clear_windows();
+        // A re-baseline empties the window.
+        ledger.rebaseline(1);
         assert!(ledger.entry(1).unwrap().window.is_empty());
     }
 

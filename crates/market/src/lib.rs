@@ -1,8 +1,7 @@
 //! # ref-market
 //!
 //! An online, epoch-driven allocation service that turns the batch REF
-//! pipeline (profile → fit → allocate → enforce) into a long-running
-//! market.
+//! pipeline (profile → fit → allocate) into a long-running market.
 //!
 //! The paper's §4.4 describes the loop this crate industrializes: naive
 //! agents start from the uniform prior `u = x^0.5 y^0.5`, the system
@@ -22,9 +21,9 @@
 //!  / tick  │                    ▲              │                   │
 //!          │                    │              ▼                   │
 //!          │               ┌─────────┐   ┌──────────┐              │
-//!          │               │ observe │◀──│ enforce  │              │
-//!          │               │ (sim or │   │ (stride  │              │
-//!          │               │  truth) │   │  sched.) │              │
+//!          │               │ observe │◀──│  ledger  │              │
+//!          │               │ (sim or │   │ (credit, │              │
+//!          │               │  truth) │   │ temp. SI)│              │
 //!          │               └─────────┘   └──────────┘              │
 //!          └────────────────────────────────────────────────────────┘
 //! ```
@@ -44,7 +43,7 @@
 //!   fitted elasticities skips recomputation when nothing moved beyond a
 //!   tolerance).
 //! - [`epoch`] — the per-epoch report: allocation, fairness verdicts,
-//!   enforcement deviations, refits, observations.
+//!   temporal SI, refits, observations.
 //! - `audit` — SI/EF/PE property auditing with violation counters and a
 //!   warm-up grace window.
 //! - [`ledger`] — the [`CreditLedger`]: cross-epoch

@@ -205,8 +205,7 @@ impl EpochReport {
     ///
     /// Field order is fixed; allocations serialize as one `f64` array per
     /// agent (in [`EpochReport::agents`] order), the fairness report
-    /// collapses to verdicts plus violation counts, and enforcement keeps
-    /// only each resource's worst deviation. All `f64`s use shortest
+    /// collapses to verdicts plus violation counts. All `f64`s use shortest
     /// round-trip formatting, so the JSON is bit-stable for goldens.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
@@ -259,24 +258,6 @@ impl EpochReport {
                 );
             }
         }
-        out.push_str(",\"enforcement\":[");
-        for (i, e) in self.enforcement.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"resource\":{},\"max_deviation\":{}}}",
-                e.resource,
-                json_f64(e.max_deviation)
-            );
-        }
-        out.push(']');
-        let _ = write!(
-            out,
-            ",\"worst_enforcement_deviation\":{}",
-            json_f64(self.worst_enforcement_deviation())
-        );
         out.push('}');
         out
     }
@@ -382,7 +363,7 @@ mod tests {
 
     #[test]
     fn epoch_report_json_golden_is_bit_stable() {
-        use crate::epoch::{EnforcementSummary, EpochReport, ReallocationOutcome};
+        use crate::epoch::{EpochReport, ReallocationOutcome};
         use ref_core::resource::{Allocation, Bundle, Capacity};
 
         let empty = EpochReport {
@@ -391,7 +372,6 @@ mod tests {
             realloc: ReallocationOutcome::EmptyMarket,
             allocation: None,
             fairness: None,
-            enforcement: vec![],
             warm: true,
             observations: 0,
             refits: 0,
@@ -402,8 +382,7 @@ mod tests {
             empty.to_json(),
             "{\"epoch\":0,\"agents\":[],\"realloc\":\"empty_market\",\"warm\":true,\
              \"observations\":0,\"refits\":0,\"temporal_violations\":0,\
-             \"worst_temporal_ratio\":1,\"allocation\":null,\"fairness\":null,\
-             \"enforcement\":[],\"worst_enforcement_deviation\":0}"
+             \"worst_temporal_ratio\":1,\"allocation\":null,\"fairness\":null}"
         );
 
         let capacity = Capacity::new(vec![24.0, 12.0]).unwrap();
@@ -421,12 +400,6 @@ mod tests {
             realloc: ReallocationOutcome::CacheHit,
             allocation: Some(alloc),
             fairness: None,
-            enforcement: vec![EnforcementSummary {
-                resource: 0,
-                target: vec![0.75, 0.25],
-                achieved: vec![0.74, 0.26],
-                max_deviation: 0.01,
-            }],
             warm: false,
             observations: 2,
             refits: 1,
@@ -438,9 +411,7 @@ mod tests {
             "{\"epoch\":7,\"agents\":[1,2],\"realloc\":\"cache_hit\",\"warm\":false,\
              \"observations\":2,\"refits\":1,\"temporal_violations\":1,\
              \"worst_temporal_ratio\":0.875,\"allocation\":[[18,4],[6,8]],\
-             \"fairness\":null,\
-             \"enforcement\":[{\"resource\":0,\"max_deviation\":0.01}],\
-             \"worst_enforcement_deviation\":0.01}"
+             \"fairness\":null}"
         );
     }
 

@@ -3,8 +3,8 @@
 //! The reference is the ledger as it stood before the column layout
 //! (`support/reference_ledger.rs`: a `BTreeMap` of entries, each with a
 //! `VecDeque` window). Random sequences of admissions, settlements,
-//! re-baselines, window clears, accruals and temporal checks drive both,
-//! and after every step every balance, every window pair, the sums, each
+//! re-baselines, accruals and temporal checks drive both, and after every
+//! step every balance, every window pair, the sums, each
 //! `AccrualSummary` and each temporal verdict must agree *by bits*. Accrual
 //! batches come sorted, shuffled, with duplicates, with ids neither ledger
 //! holds and without ids both hold, under a window bound that changes
@@ -145,11 +145,7 @@ fn run(seed: u64, steps: usize, base: &MarketSnapshot) {
                 columns.rebaseline(id);
                 reference.rebaseline(id);
             }
-            26..=27 => {
-                columns.clear_windows();
-                reference.clear_windows();
-            }
-            28..=31 => window = WINDOWS[rng.gen_range(0..WINDOWS.len())],
+            26..=31 => window = WINDOWS[rng.gen_range(0..WINDOWS.len())],
             32..=41 => {
                 let check = rng.gen_range(0..=window + 1);
                 let slack = rng.gen_range(0.0..0.2);

@@ -69,9 +69,8 @@ fn churning_market() -> (MarketEngine, Option<u64>) {
         let a = 0.1 + 0.8 * ((id * 7 + salt * 13) % 16) as f64 / 15.0;
         CobbDouglas::new(1.0, vec![a, 1.0 - a]).unwrap()
     };
-    let config = MarketConfig::new(Capacity::new(vec![4000.0, 2000.0]).unwrap())
-        .with_enforcement_quanta(200)
-        .with_warmup_epochs(0);
+    let config =
+        MarketConfig::new(Capacity::new(vec![4000.0, 2000.0]).unwrap()).with_warmup_epochs(0);
     let mut market = MarketEngine::new(config).unwrap();
     market.submit_all((0..AGENTS).map(|id| MarketEvent::AgentJoined {
         id,
@@ -120,9 +119,12 @@ fn the_epoch_runs_on_the_ticking_thread() {
     if let Some(switches) = switches {
         assert_eq!(switches, 0, "the ticking thread blocked {switches} times");
     }
-    // The state the pooled epoch left behind, bit for bit.
-    assert_eq!(market.encode_snapshot().len(), 1_718_485);
-    assert_eq!(market.state_fingerprint(), 0xd882_07d0_cc98_d05a);
+    // The state the pooled epoch left behind, bit for bit. (1,718,485
+    // bytes and 0xd882_07d0_cc98_d05a while this market set
+    // `enforcement_quanta` to 200: the snapshot's `quanta 200` line was the
+    // one difference.)
+    assert_eq!(market.encode_snapshot().len(), 1_718_486);
+    assert_eq!(market.state_fingerprint(), 0x8cc0_acf7_7a13_8a3c);
 
     let wide = final_allocation_bits();
     ref_pool::set_threads(1);

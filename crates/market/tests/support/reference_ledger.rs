@@ -105,15 +105,6 @@ impl ReferenceLedger {
         self.admit(id);
     }
 
-    /// Drops every window (capacity reallotments change the entitlement
-    /// scale mid-window, so the evidence is discarded; balances — which
-    /// are normalized ratios — survive).
-    pub(crate) fn clear_windows(&mut self) {
-        for e in self.entries.values_mut() {
-            e.window.clear();
-        }
-    }
-
     /// Folds one epoch's `(agent, delivered, entitled)` measurements into
     /// the ledger: gaps are normalized, mean-centered, decayed and
     /// capped, and each agent's sliding window advances (bounded by

@@ -123,7 +123,9 @@ pub fn enforcement_comparison<R: Rng>(
     });
 
     let mut stride = StrideScheduler::new(weights.to_vec())?;
-    stride.run(quanta);
+    for _ in 0..quanta {
+        stride.next_quantum();
+    }
     let achieved = stride.service_shares();
     out.push(EnforcementOutcome {
         scheduler: "stride",

@@ -48,11 +48,6 @@ fn unkey(key: u128) -> (f64, usize) {
 /// The common stride numerator.
 const STRIDE_ONE: f64 = (1_u64 << 20) as f64;
 
-/// Bound on `T / s_i` for a bulk grant below `T`. A pass below `T` is then
-/// under 2^40 strides, so rounding takes at most 2^-13 of a stride off an
-/// addition and no pass stalls.
-const BULK_SPAN: f64 = (1_u64 << 40) as f64;
-
 impl StrideScheduler {
     /// Creates a scheduler with one ticket count per client.
     ///
@@ -91,102 +86,6 @@ impl StrideScheduler {
         winner
     }
 
-    /// Grants `quanta` quanta, leaving the scheduler exactly where as many
-    /// calls to [`next_quantum`](Self::next_quantum) would: the same
-    /// [`quanta`](Self::quanta), the same passes and so the same winners
-    /// afterwards.
-    ///
-    /// The loop is a k-way merge of the clients' pass sequences, each of
-    /// which advances on its own, so its winners are the `quanta` smallest
-    /// `(pass, client)` keys. All but at most one per client (plus one) are
-    /// granted below a threshold without touching the heap; the rest go
-    /// through [`next_quantum`](Self::next_quantum), as all of them do
-    /// when no threshold exists (every stride infinite, say).
-    pub fn run(&mut self, quanta: u64) {
-        let bulk = self.grant_in_bulk(quanta);
-        for _ in bulk..quanta {
-            self.next_quantum();
-        }
-    }
-
-    /// Grants every pass at or below [`bulk_threshold`](Self::bulk_threshold)
-    /// and returns how many quanta that was, at most `quanta`.
-    ///
-    /// Every pass at or below the threshold precedes every pass above it in
-    /// the loop's `(pass, client)` order, and a client's passes never
-    /// decrease, so they are exactly the loop's next winners. Each client's
-    /// pass advances by the loop's own additions in the loop's order, so it
-    /// ends bit for bit where the loop leaves it. The threshold only decides
-    /// how many quanta are granted here: if rounding admits more than
-    /// `quanta`, none are.
-    fn grant_in_bulk(&mut self, quanta: u64) -> u64 {
-        let Some(threshold) = self.bulk_threshold(quanta) else {
-            return 0;
-        };
-        let mut keys = std::mem::take(&mut self.passes).into_vec();
-        let mut advanced = Vec::with_capacity(keys.len());
-        let mut granted = 0;
-        for &Reverse(k) in &keys {
-            let (mut pass, client) = unkey(k);
-            let stride = self.strides[client];
-            let mut count = 0;
-            while pass <= threshold {
-                pass += stride;
-                count += 1;
-            }
-            granted += count;
-            if granted > quanta {
-                self.passes = BinaryHeap::from(keys);
-                return 0;
-            }
-            advanced.push((pass, count));
-        }
-        for (Reverse(k), (pass, count)) in keys.iter_mut().zip(advanced) {
-            let client = unkey(*k).1;
-            *k = key(pass, client);
-            self.quanta[client] += count;
-        }
-        self.passes = BinaryHeap::from(keys);
-        granted
-    }
-
-    /// The threshold `T` below which about `quanta` passes lie, or `None`
-    /// if there is none to grant by.
-    ///
-    /// Over the `n` clients with a finite pass `h_i` and stride `s_i`, with
-    /// `R = Σ 1/s_i` and `O = Σ h_i/s_i`, `T = (quanta − n + O) / R`.
-    /// Client `i` has `⌊(T − h_i)/s_i⌋ + 1` passes at or below `T` when
-    /// `T >= h_i − s_i`: more than `(T − h_i)/s_i` and at most one more,
-    /// so together more than `quanta − n` and at most `quanta`. `T` is
-    /// shrunk by a relative 1e-9 so that rounding in the passes does not
-    /// admit more, which costs at most one more quantum for the heap.
-    ///
-    /// `T / s_i <= T R` stays below 2^40, so below `T` every addition
-    /// advances a pass by nearly its stride and the bulk loop stays within
-    /// about `quanta` steps; only a scheduler that has already granted
-    /// some 10^12 quanta falls back to the heap.
-    fn bulk_threshold(&self, quanta: u64) -> Option<f64> {
-        if quanta == 0 {
-            return None;
-        }
-        let (mut rate, mut offset, mut clients) = (0.0, 0.0, 0.0);
-        let mut lowest = f64::NEG_INFINITY;
-        for &Reverse(k) in self.passes.iter() {
-            let (pass, client) = unkey(k);
-            let stride = self.strides[client];
-            // An infinite pass lies above any finite threshold.
-            if pass.is_finite() && stride.is_finite() {
-                rate += 1.0 / stride;
-                offset += pass / stride;
-                clients += 1.0;
-                lowest = lowest.max(pass - stride);
-            }
-        }
-        let threshold = (quanta as f64 - clients + offset) / rate * (1.0 - 1e-9);
-        (threshold.is_finite() && threshold >= lowest && threshold * rate < BULK_SPAN)
-            .then_some(threshold)
-    }
-
     /// Quanta granted per client.
     pub fn quanta(&self) -> &[u64] {
         &self.quanta
@@ -209,8 +108,6 @@ impl StrideScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn validation() {
@@ -267,38 +164,6 @@ mod tests {
         let seq: Vec<usize> = (0..6).map(|_| s.next_quantum()).collect();
         assert_eq!(seq.iter().filter(|&&w| w == 0).count(), 4);
         assert_eq!(s.quanta(), &[4, 2]);
-    }
-
-    /// Random REF-like shares: positive, summing to at most one, a few at
-    /// the engine's floor.
-    fn market(rng: &mut ChaCha8Rng, clients: usize) -> Vec<f64> {
-        let raw: Vec<f64> = (0..clients).map(|_| rng.gen_range(0.01..1.0)).collect();
-        let total: f64 = raw.iter().sum();
-        raw.iter()
-            .map(|r| if *r < 0.03 { 1e-9 } else { r / total })
-            .collect()
-    }
-
-    #[test]
-    fn bulk_leaves_at_most_one_quantum_per_client_for_the_heap() {
-        // The engine's regime: 2,000 quanta per resource per epoch on a
-        // fresh scheduler. The heap grants what the bulk step leaves.
-        let quanta = 2_000;
-        let mut rng = ChaCha8Rng::seed_from_u64(37);
-        for (clients, bound) in [(48, 49), (128, 129), (2_000, 2_000)] {
-            let mut worst = 0;
-            for _ in 0..50 {
-                let mut s = StrideScheduler::new(market(&mut rng, clients)).unwrap();
-                let heap_steps = quanta - s.grant_in_bulk(quanta);
-                assert!(
-                    heap_steps <= bound,
-                    "{clients} clients: {heap_steps} heap steps"
-                );
-                worst = worst.max(heap_steps);
-            }
-            assert!(worst > 0, "{clients} clients: the heap is never needed?");
-            eprintln!("{clients} clients: at most {worst} of {quanta} quanta left for the heap");
-        }
     }
 
     #[test]

@@ -39,13 +39,15 @@ impl ScanStride {
     }
 }
 
-/// The floor the market engine puts under a vanishing share.
+/// The floor a vanishing REF share is lifted to before it becomes a ticket
+/// count.
 const MIN_STRIDE_WEIGHT: f64 = 1e-9;
 
-/// Weights as the market hands them to the scheduler: a few distinct levels
-/// dealt to many clients, so equal passes are the rule (at the start, and
-/// again whenever multiples of two strides coincide), some shares at the
-/// floor, and now and then a ticket count whose stride is infinite.
+/// Weights as a REF allocation hands them to the scheduler: a few distinct
+/// levels dealt to many clients, so equal passes are the rule (at the
+/// start, and again whenever multiples of two strides coincide), some
+/// shares at the floor, and now and then a ticket count whose stride is
+/// infinite.
 fn tied_weights() -> impl Strategy<Value = Vec<f64>> {
     (
         prop::collection::vec(0.001..1.0f64, 1..5),
@@ -94,29 +96,6 @@ proptest! {
             granted[winner] += 1;
         }
         prop_assert_eq!(heap.quanta(), &granted[..]);
-    }
-
-    /// `run` grants in bulk what the loop grants quantum by quantum: split
-    /// anywhere, two runs leave the same quanta as the loop and the same
-    /// winners after it, ties, floor shares and infinite strides included.
-    #[test]
-    fn stride_run_matches_the_loop(
-        w in tied_weights(),
-        quanta in 0u64..5_000,
-        cut in 0.0..1.0f64,
-    ) {
-        let first = (quanta as f64 * cut) as u64;
-        let mut looped = StrideScheduler::new(w.clone()).unwrap();
-        let mut ran = looped.clone();
-        for _ in 0..quanta {
-            looped.next_quantum();
-        }
-        ran.run(first);
-        ran.run(quanta - first);
-        prop_assert_eq!(ran.quanta(), looped.quanta());
-        for quantum in 0..64 {
-            prop_assert_eq!(ran.next_quantum(), looped.next_quantum(), "quantum {}", quantum);
-        }
     }
 
     /// Backlogged WFQ achieves the target proportions for arbitrary
@@ -170,47 +149,4 @@ proptest! {
         }
         prop_assert!(q.is_empty());
     }
-}
-
-/// Runs `quanta` both ways from a fresh scheduler and compares the quanta
-/// and the next 64 winners.
-fn assert_run_matches_the_loop(weights: Vec<f64>, quanta: u64) {
-    let mut looped = StrideScheduler::new(weights).unwrap();
-    let mut ran = looped.clone();
-    for _ in 0..quanta {
-        looped.next_quantum();
-    }
-    ran.run(quanta);
-    assert_eq!(ran.quanta(), looped.quanta());
-    for quantum in 0..64 {
-        assert_eq!(
-            ran.next_quantum(),
-            looped.next_quantum(),
-            "quantum {quantum}"
-        );
-    }
-}
-
-/// Every stride infinite: no threshold exists, and client 0 (the first of
-/// equal passes) takes every quantum.
-#[test]
-fn stride_run_with_only_infinite_strides() {
-    let weights = vec![f64::MIN_POSITIVE; 5];
-    let mut s = StrideScheduler::new(weights.clone()).unwrap();
-    s.run(1_000);
-    assert_eq!(s.quanta(), &[1_000, 0, 0, 0, 0]);
-    assert_run_matches_the_loop(weights, 1_000);
-}
-
-/// The engine's largest regime: 2,000 clients sharing 2,000 quanta, most of
-/// them on one of a few tied levels, some at the floor.
-#[test]
-fn stride_run_matches_the_loop_at_2000_clients() {
-    let weights: Vec<f64> = (0..2_000)
-        .map(|i| match i % 7 {
-            5 => MIN_STRIDE_WEIGHT,
-            p => [0.0003, 0.0005, 0.0011][p % 3],
-        })
-        .collect();
-    assert_run_matches_the_loop(weights, 2_000);
 }

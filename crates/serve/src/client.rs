@@ -545,7 +545,7 @@ impl Client {
     }
 
     /// Runs one epoch now. The reply carries the epoch's verdict (agent
-    /// count, SI/EF/PE audit, enforcement), not the bundles: those are
+    /// count, SI/EF/PE audit, temporal SI), not the bundles: those are
     /// read one agent at a time with [`Client::query_agent`].
     ///
     /// # Errors

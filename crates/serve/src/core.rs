@@ -782,12 +782,6 @@ fn report_value(report: &EpochReport) -> Value {
             ("max_mrs_mismatch", Value::Num(fair.max_mrs_mismatch)),
         ])
     });
-    let enforcement = report.enforcement.iter().map(|e| {
-        Value::obj(vec![
-            ("resource", count(e.resource)),
-            ("max_deviation", Value::Num(e.max_deviation)),
-        ])
-    });
     Value::obj(vec![
         ("epoch", Value::from_u64(report.epoch)),
         ("agents", count(report.agents.len())),
@@ -801,11 +795,6 @@ fn report_value(report: &EpochReport) -> Value {
             Value::Num(report.worst_temporal_ratio),
         ),
         ("fairness", fairness),
-        ("enforcement", Value::Arr(enforcement.collect())),
-        (
-            "worst_enforcement_deviation",
-            Value::Num(report.worst_enforcement_deviation()),
-        ),
     ])
 }
 
@@ -999,7 +988,6 @@ mod tests {
 
     fn golden_reports() -> Vec<EpochReport> {
         use ref_core::resource::{Allocation, Bundle};
-        use ref_market::epoch::EnforcementSummary;
         use ref_market::ReallocationOutcome;
         let empty = EpochReport {
             epoch: 0,
@@ -1007,7 +995,6 @@ mod tests {
             realloc: ReallocationOutcome::EmptyMarket,
             allocation: None,
             fairness: None,
-            enforcement: vec![],
             warm: true,
             observations: 0,
             refits: 0,
@@ -1025,12 +1012,6 @@ mod tests {
             realloc: ReallocationOutcome::CacheHit,
             allocation: Some(Allocation::new(bundles, &capacity).unwrap()),
             fairness: None,
-            enforcement: vec![EnforcementSummary {
-                resource: 0,
-                target: vec![0.75, 0.25],
-                achieved: vec![0.74, 0.26],
-                max_deviation: 0.01,
-            }],
             warm: false,
             observations: 2,
             refits: 1,
@@ -1067,16 +1048,13 @@ mod tests {
             report_value(&reports[0]).encode(),
             "{\"epoch\":0,\"agents\":0,\"realloc\":\"empty_market\",\"warm\":true,\
              \"observations\":0,\"refits\":0,\"temporal_violations\":0,\
-             \"worst_temporal_ratio\":1,\"fairness\":null,\"enforcement\":[],\
-             \"worst_enforcement_deviation\":0}"
+             \"worst_temporal_ratio\":1,\"fairness\":null}"
         );
         assert_eq!(
             report_value(&reports[1]).encode(),
             "{\"epoch\":7,\"agents\":2,\"realloc\":\"cache_hit\",\"warm\":false,\
              \"observations\":2,\"refits\":1,\"temporal_violations\":1,\
-             \"worst_temporal_ratio\":0.875,\"fairness\":null,\
-             \"enforcement\":[{\"resource\":0,\"max_deviation\":0.01}],\
-             \"worst_enforcement_deviation\":0.01}"
+             \"worst_temporal_ratio\":0.875,\"fairness\":null}"
         );
         // A live engine's report, fairness block included.
         let metrics = ServeMetrics::new();
@@ -1163,7 +1141,6 @@ mod tests {
         use proptest::prelude::*;
         use ref_core::properties::{EnvyEdge, FairnessReport, SiViolation};
         use ref_core::resource::{Allocation, Bundle, Capacity};
-        use ref_market::epoch::EnforcementSummary;
         use ref_market::{EpochReport, MarketMetrics, ReallocationOutcome};
 
         /// Any `f64` at all: non-finite values must come out `null` and
@@ -1216,14 +1193,6 @@ mod tests {
                 pareto_efficient: flags & 4 == 4,
                 max_mrs_mismatch: any_f64(word(1)),
             });
-            let enforcement = (0..(flags >> 16) as usize % (resources + 1))
-                .map(|resource| EnforcementSummary {
-                    resource,
-                    target: vec![],
-                    achieved: vec![],
-                    max_deviation: any_f64(word(2 + resource)),
-                })
-                .collect();
             EpochReport {
                 epoch: int(word(3)),
                 agents,
@@ -1234,7 +1203,6 @@ mod tests {
                 },
                 allocation,
                 fairness,
-                enforcement,
                 warm: flags & 8 == 8,
                 observations: int(word(4)) as usize,
                 refits: int(word(5)) as usize,

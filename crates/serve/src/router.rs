@@ -502,10 +502,9 @@ fn one_price(replies: &[Value]) -> bool {
 }
 
 /// Combines per-shard epoch verdicts into a fleet-wide view: agent and
-/// temporal-violation counts sum, warm-up ORs, fairness flags AND (with
-/// violation counts summed and the worst ratios kept), and the
-/// enforcement deviation takes the worst shard. `None` if no shard
-/// produced a report this tick. When any shard missed the tick
+/// temporal-violation counts sum, warm-up ORs, and fairness flags AND
+/// (with violation counts summed and the worst spread kept). `None` if no
+/// shard produced a report this tick. When any shard missed the tick
 /// (`missing` non-empty) the merged report is stamped `partial: true`
 /// with those shard ids and carries no fairness block: a fleet audit
 /// over a partial fleet would be phantom data.
@@ -548,10 +547,6 @@ pub(crate) fn merge_reports(replies: &[Value], missing: &[u64]) -> Option<Value>
         (
             "temporal_violations",
             Value::from_u64(sum(&reports, "temporal_violations")),
-        ),
-        (
-            "worst_enforcement_deviation",
-            Value::Num(worst(&reports, "worst_enforcement_deviation")),
         ),
     ];
     if !missing.is_empty() {

@@ -1135,6 +1135,46 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_middle_record_of_the_last_segment_drops_every_record_after_it() {
+        // Recovery cannot tell a bit flipped in a middle record of the last
+        // segment from a torn tail: it cuts the log at that record, and
+        // the intact, acknowledged records behind it go with it.
+        let dir = TempDir::new("middle");
+        let all = events(9);
+        {
+            let mut wal = Wal::open(WalConfig::new(dir.path()), FaultPlan::none())
+                .unwrap()
+                .wal;
+            for e in &all {
+                wal.append(e).unwrap();
+            }
+        }
+        let framed: Vec<usize> = all
+            .iter()
+            .map(|e| {
+                let mut record = Vec::new();
+                e.write_record(&mut record);
+                frame(&record).len()
+            })
+            .collect();
+        let at: usize = framed[..4].iter().sum();
+        let path = segment_path(dir.path(), 0);
+        let mut bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), framed.iter().sum::<usize>());
+        // One bit of the fifth record's payload.
+        bytes[at + RECORD_HEADER_BYTES] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+
+        let rec = Wal::open(WalConfig::new(dir.path()), FaultPlan::none()).unwrap();
+        assert_eq!(rec.tail, all[..4].to_vec());
+        assert_eq!(rec.wal.next_seq(), 4);
+        // The failing record and the four intact ones after it: 98 bytes.
+        assert_eq!(rec.truncated_bytes, (bytes.len() - at) as u64);
+        assert_eq!(rec.truncated_bytes, 98);
+        assert_eq!(fs::metadata(&path).unwrap().len(), at as u64);
+    }
+
+    #[test]
     fn interior_corruption_is_refused_not_repaired() {
         let dir = TempDir::new("interior");
         let config = WalConfig::new(dir.path()).with_segment_max_bytes(64);

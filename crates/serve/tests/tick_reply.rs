@@ -13,7 +13,7 @@ use ref_market::MarketConfig;
 use ref_serve::{Client, ServeConfig, Server, Value};
 
 /// Ticks before the measured one: past the first reallocation, so the
-/// reply carries a fairness block and every enforcement entry.
+/// reply carries a fairness block.
 const WARM_TICKS: usize = 3;
 
 /// The raw line of the fourth `tick` reply of a market of `agents`

@@ -137,8 +137,7 @@ fn run(label: &str, trace: &[Vec<MarketEvent>]) -> (u64, f64) {
         .with_seed(0x0C_0FFEE)
         .with_warmup_epochs(WARMUP)
         .with_temporal_window(WINDOW)
-        .with_temporal_slack(SLACK)
-        .with_enforcement_quanta(0);
+        .with_temporal_slack(SLACK);
     let mut market = MarketEngine::new(config).unwrap();
     for controls in trace {
         for event in controls {

@@ -45,7 +45,7 @@ const OP_GRACE_MS: u64 = 1500;
 const JOURNAL: JournalLimit = JournalLimit(1 << 21);
 
 fn market() -> MarketConfig {
-    MarketConfig::new(Capacity::new(vec![64.0, 32.0]).unwrap()).with_enforcement_quanta(200)
+    MarketConfig::new(Capacity::new(vec![64.0, 32.0]).unwrap())
 }
 
 /// Successful ops and the worst wait of the deadline-carrying load.
