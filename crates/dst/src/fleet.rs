@@ -1,23 +1,24 @@
 //! The simulated fleet: sharded cores, a replicated pair per shard, a
 //! router, scripted clients — all single-threaded on virtual time.
 //!
-//! Every node hosts a real [`ServiceCore`] recovered through a
-//! [`SimDisk`], so the WAL codec, checkpointing, pruning, recovery,
-//! scrub, and the market engine all run production code. So do the
-//! protocols: each node's replication, election and fencing decisions
-//! are made by the real [`ReplCore`], each replication connection —
-//! catch-up from the disk, `snap` bootstrap, hold and go-live, the
-//! standby's apply verdict — by the real [`session`], and the fleet's
-//! health tracking, quorum gate, closed-form allotments and
-//! fencing-token floor by the real [`RouterCore`] — the rules the
-//! threaded server drives. So are the node rules: when the router fans a
-//! timed tick, which shards a fan skips, when a Down shard is probed,
-//! whether a panicked shard is restarted in place or failed over, how a
-//! recovered shard is caught up, and when a node heartbeats,
-//! re-dials or elects itself. This file only *drives* them: it moves
-//! their frames through [`SimNet`], reads [`SimClock`], owns what a
-//! connection is (open or reset), and plays operator (which role a
-//! restarted node is booted into). It decides no reply.
+//! Every node is the server's own [`Node`] over a real [`ServiceCore`]
+//! recovered through a [`SimDisk`], so the WAL codec, checkpointing,
+//! pruning, recovery, scrub, and the market engine all run production
+//! code, and so does the composition: the role gate, append, publish,
+//! apply and fingerprint of a request, the held reply, the standby's
+//! apply and ack, the hand-over from catch-up to live — each decided by
+//! the real [`ReplCore`] and replication sessions. The fleet's health
+//! tracking, quorum gate, closed-form allotments and fencing-token floor
+//! are the real [`RouterCore`]'s, and a fleet tick is the server's own
+//! [`fleet_round`]. So are the node rules: when the router fans a timed
+//! tick, which shards a fan skips, when a Down shard is probed, whether
+//! a panicked shard is restarted in place or failed over, how a
+//! recovered shard is caught up, and when a node heartbeats, re-dials or
+//! elects itself. This file only *drives* them: it schedules faults and
+//! client requests, moves frames through [`SimNet`], reads [`SimClock`],
+//! owns what a connection is (open or reset), plays operator (which role
+//! a restarted node is booted into), and judges the invariants. It
+//! decides no reply.
 //!
 //! Pruning takes a log's head off the disk, so the oracle keeps each
 //! node's *lineage*: its log from event 0, extended with every record
@@ -50,27 +51,27 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ref_core::resource::Capacity;
-use ref_core::utility::CobbDouglas;
-use ref_market::{MarketConfig, MarketEvent, ObservationSource};
+use ref_market::{MarketConfig, MarketEvent};
+use ref_serve::node::{fleet_round, Fan, Follow, Hold, Node, Peer, Replication, Served};
 use ref_serve::protocol::{error_response, event_to_value, shard_unavailable_response};
-use ref_serve::repl::{parse_frame, rec_frame, Frame};
-use ref_serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream, Timer};
+use ref_serve::repl::{parse_frame, Frame};
+use ref_serve::repl_core::{Ack, AckWait, Hello, Promotion, Timer};
 use ref_serve::router::{asks, AfterPanic, Duty, Readmit};
-use ref_serve::session::{self, Applied, GoLive, Offer, Session};
+use ref_serve::session::Applied;
 use ref_serve::wal::read_events_with;
 use ref_serve::{
     decode_frame, default_quorum, replay, shard_market_config, Clock, FaultPlan, FrameDecode,
     HashRing, JournalLimit, ReplConfig, ReplCore, Request, Role, RouterCore, ServeMetrics,
-    ServiceCore, Value, Wal, WalConfig,
+    ServiceCore, Value, WalConfig,
 };
 
 use crate::disk::SimDisk;
 use crate::net::SimNet;
-use crate::schedule::{
-    generate, ClientOp, FaultOp, Op, Schedule, NODES, REPLICAS, SHARDS, TICK_EVERY,
-};
+use crate::schedule::{generate, FaultOp, Op, Schedule, NODES, REPLICAS, SHARDS, TICK_EVERY};
 use crate::sim::{mix64, SimClock, SimRng, Trace};
 
+/// Every simulated node is one half of a replicated pair.
+const REPLICATED: &str = "every simulated node is replicated";
 /// Event-loop granularity.
 const STEP: Duration = Duration::from_micros(500);
 /// Primary heartbeat cadence.
@@ -144,22 +145,35 @@ pub struct RunOutcome {
     pub held: u64,
 }
 
+/// The frames a simulated primary sent its standby since the event loop
+/// last moved them onto the [`SimNet`].
+#[derive(Debug, Default)]
+struct Outbox(Vec<Vec<u8>>);
+
+impl Peer for Outbox {
+    fn send(&mut self, frame: &[u8]) -> bool {
+        self.0.push(frame.to_vec());
+        true
+    }
+}
+
+/// One simulated machine: the server's [`Node`] over its own disk, and
+/// what the oracle knows about it.
 #[derive(Debug)]
-struct Node {
+struct Host {
     dir: PathBuf,
     disk: SimDisk,
-    core: Option<ServiceCore>,
     metrics: ServeMetrics,
-    /// The node's replication machine, rebuilt on every boot. Its role
-    /// and term are carried over a restart, as if the node kept them on
-    /// disk (the threaded server does not: see DESIGN.md §15).
-    repl: ReplCore,
+    /// The replica. Its replication machine is rebuilt on every boot,
+    /// with the role and term it had carried over the restart, as if the
+    /// node kept them on disk (the threaded server does not: see
+    /// DESIGN.md §15). Its session with the peer is opened by an
+    /// accepted handshake and gone on *observable* events only — a close
+    /// from either end (see [`Sim::close`]) that got through.
+    node: Node<Replication<Outbox>>,
+    /// The primary's session with the standby, while it is open.
+    session: Option<u64>,
     boots: u64,
-    /// The primary's side of its peer's replication connection: opened
-    /// by an accepted handshake, gone on *observable* events only — a
-    /// close from either end (see [`Sim::close`]) that got through.
-    /// Heartbeats and acks only flow on one.
-    session: Option<Session>,
     /// When the open session's catch-up reads the log, and the `have`
     /// it reads from.
     catch_up: Option<(Duration, u64)>,
@@ -172,9 +186,6 @@ struct Node {
     /// Ground truth: a corrupting fault was injected into this replica.
     diverged: bool,
     promoted_ever: bool,
-    /// A panic left the engine behind its log: the node serves nothing
-    /// until it reboots (the server's degraded shard).
-    down: bool,
     /// A bit flip landed on this node's disk (scrub must notice).
     bitflip_hit: bool,
     /// The append that poisoned this node's log, as `(seq, event)`: its
@@ -183,22 +194,40 @@ struct Node {
     unknown: Option<(u64, MarketEvent)>,
 }
 
+impl Host {
+    fn half(&mut self) -> &mut Replication<Outbox> {
+        self.node.link.as_mut().expect(REPLICATED)
+    }
+
+    /// Its end of the replication connection closed: its session as a
+    /// primary, and its following as a standby, are over.
+    fn hang_up(&mut self) {
+        if let Some(id) = self.session.take() {
+            self.half().retire(id, None);
+        }
+        self.catch_up = None;
+        self.half().repl.hang_up();
+    }
+
+    fn repl(&self) -> &ReplCore {
+        &self.node.link.as_ref().expect(REPLICATED).repl
+    }
+}
+
 /// A client mutation whose reply the primary is holding for the ack.
 #[derive(Debug)]
 struct Pending {
     primary: usize,
-    seq: u64,
-    /// Whether a session was live when the record went out.
-    attached: bool,
+    hold: Hold,
     deadline: Duration,
-    event_json: String,
+    event: MarketEvent,
 }
 
 #[derive(Debug)]
 struct AckedEvent {
     shard: usize,
     seq: u64,
-    event_json: String,
+    event: MarketEvent,
 }
 
 struct Sim {
@@ -210,7 +239,7 @@ struct Sim {
     rng: SimRng,
     net: SimNet,
     trace: Trace,
-    nodes: Vec<Node>,
+    hosts: Vec<Host>,
     ring: HashRing,
     router: RouterCore,
     shard_config: MarketConfig,
@@ -219,6 +248,8 @@ struct Sim {
     /// change means the shard is served from a recovered WAL.
     known_primary: [Option<(usize, u64)>; SHARDS],
     round: u64,
+    /// What the shards that ticked this round allocated at, summed.
+    allocated: Vec<f64>,
     /// Shards the latest round heard no report from.
     last_missing: Vec<u64>,
     pending: Vec<Pending>,
@@ -233,7 +264,6 @@ struct Sim {
     /// its `snap` frame was built.
     snap_prefixes: BTreeMap<(usize, u64), Vec<MarketEvent>>,
     restores: u64,
-    held: u64,
 }
 
 /// Node `id`'s WAL. Shard 0's nodes prune what each checkpoint covers,
@@ -267,6 +297,11 @@ fn repl_config(id: usize, role: Role) -> ReplConfig {
 
 fn is_ok(reply: &Value) -> bool {
     reply.get("ok").and_then(Value::as_bool) == Some(true)
+}
+
+/// What a shard nobody serves answers: its tick budget lapses.
+fn timeout() -> Value {
+    error_response("timeout", None, None)
 }
 
 fn err_code(reply: &Value) -> &str {
@@ -306,26 +341,26 @@ impl Sim {
                 schedule.horizon.as_millis()
             ),
         );
-        let nodes = (0..NODES)
+        let hosts = (0..NODES)
             .map(|id| {
                 let role = if id % REPLICAS == 0 {
                     Role::Primary
                 } else {
                     Role::Standby
                 };
-                Node {
+                let repl = ReplCore::new(&repl_config(id, role), 0, 0, 0, Duration::ZERO);
+                let link = Replication::new(repl, Arc::new(clock.clone()));
+                Host {
                     dir: PathBuf::from(format!("/sim/node-{id}")),
                     disk: SimDisk::new(),
-                    core: None,
                     metrics: ServeMetrics::new(),
-                    repl: ReplCore::new(&repl_config(id, role), 0, 0, 0, Duration::ZERO),
+                    node: Node::new(id / REPLICAS, None, None, Some(link)),
                     boots: 0,
-                    session: None,
                     catch_up: None,
+                    session: None,
                     lineage: Vec::new(),
                     diverged: false,
                     promoted_ever: false,
-                    down: false,
                     bitflip_hit: false,
                     unknown: None,
                 }
@@ -341,11 +376,12 @@ impl Sim {
             rng,
             net,
             trace,
-            nodes,
+            hosts,
             ring: HashRing::new(SHARDS, 0xD5),
             router: RouterCore::new(total_capacity.clone(), SHARDS, default_quorum(SHARDS), 2)
                 .with_node(true, true, Some(TICK_EVERY)),
             shard_config,
+            allocated: Vec::new(),
             total_capacity,
             known_primary: [None; SHARDS],
             round: 0,
@@ -360,10 +396,9 @@ impl Sim {
             pending_restarts: Vec::new(),
             snap_prefixes: BTreeMap::new(),
             restores: 0,
-            held: 0,
         };
         for id in 0..NODES {
-            let role = sim.nodes[id].repl.role();
+            let role = sim.hosts[id].repl().role();
             sim.boot_node(id, role);
         }
         sim
@@ -389,42 +424,41 @@ impl Sim {
     /// `role` at the term the node had before it went down.
     fn boot_node(&mut self, id: usize, role: Role) {
         let now = self.now();
-        let scrubbed = self.nodes[id].metrics.snapshot().wal_scrub_errors;
-        let opened = self.open(id, self.nodes[id].disk.clone(), &self.nodes[id].metrics);
-        let node = &mut self.nodes[id];
+        let scrubbed = self.hosts[id].metrics.snapshot().wal_scrub_errors;
+        let opened = self.open(id, self.hosts[id].disk.clone(), &self.hosts[id].metrics);
+        let host = &mut self.hosts[id];
         match opened {
             Ok(core) => {
-                let scrub_errors = node.metrics.snapshot().wal_scrub_errors - scrubbed;
-                node.boots += 1;
-                let (term, seq) = (node.repl.term(), core.events_applied());
-                let jitter_seed = mix64(self.seed ^ ((id as u64) << 32) ^ node.boots);
-                node.repl = ReplCore::new(&repl_config(id, role), jitter_seed, term, seq, now);
-                node.repl.set_addrs(addr(id), addr(id));
+                let scrub_errors = host.metrics.snapshot().wal_scrub_errors - scrubbed;
+                host.boots += 1;
+                let (term, seq) = (host.repl().term(), core.events_applied());
+                let jitter_seed = mix64(self.seed ^ ((id as u64) << 32) ^ host.boots);
+                let mut repl = ReplCore::new(&repl_config(id, role), jitter_seed, term, seq, now);
+                repl.set_addrs(addr(id), addr(id));
                 if role == Role::Fenced {
-                    node.repl.fence(term);
+                    repl.fence(term);
                 }
-                node.down = false;
-                node.session = None;
-                node.catch_up = None;
-                node.lineage.truncate(seq as usize);
+                host.half().repl = repl;
+                host.hang_up();
+                host.lineage.truncate(seq as usize);
                 // An append whose outcome was unknown (it poisoned the
                 // log) counts as whatever the recovered log shows: that
                 // exact event at that sequence, or nothing.
-                let unknown = node.unknown.take().map(|(at, event)| {
+                let unknown = host.unknown.take().map(|(at, event)| {
                     let landed = at + 1 == seq
-                        && node.lineage.len() as u64 == at
-                        && read_events_with(&node.disk, &node.dir)
+                        && host.lineage.len() as u64 == at
+                        && read_events_with(&host.disk, &host.dir)
                             .is_ok_and(|(_, log)| log.last() == Some(&event));
                     if landed {
-                        node.lineage.push(event);
+                        host.lineage.push(event);
                     }
                     (at, landed)
                 });
                 // Recovery replays the WAL from disk, so any in-memory
                 // corruption injected before the crash is gone: the
                 // rebooted replica is genuinely clean again.
-                node.diverged = false;
-                node.core = Some(core);
+                host.diverged = false;
+                host.node.restart(core);
                 self.note(format!(
                     "n{id} boot role={role:?} term={term} seq={seq} scrub_errors={scrub_errors}"
                 ));
@@ -444,7 +478,7 @@ impl Sim {
     /// Opens node `id`'s core from `disk` the way the server does
     /// ([`ServiceCore::open`]).
     fn open(&self, id: usize, disk: SimDisk, metrics: &ServeMetrics) -> io::Result<ServiceCore> {
-        let wal = wal_config(id, &self.nodes[id].dir);
+        let wal = wal_config(id, &self.hosts[id].dir);
         let (config, limit) = (self.shard_config.clone(), JournalLimit::default());
         let (disk, faults) = (Arc::new(disk), FaultPlan::default());
         ServiceCore::open(disk, config, limit, wal, faults, metrics)
@@ -455,129 +489,135 @@ impl Sim {
         self.net.send(now, from, to, frame, &mut self.rng);
     }
 
+    /// Sends what node `id` sent its standby since the last look, and
+    /// closes a session its rules killed.
+    fn flush(&mut self, id: usize) {
+        let host = &mut self.hosts[id];
+        let open = |s| host.node.link.as_ref().expect(REPLICATED).is_open(s);
+        let killed = host.session.is_some_and(|s| !open(s));
+        let mut frames = Vec::new();
+        for out in host.half().peers() {
+            frames.append(&mut out.0);
+        }
+        for frame in frames {
+            self.send_frame(id, id ^ 1, frame);
+        }
+        if killed {
+            self.close(id);
+        }
+    }
+
     fn alive(&self, id: usize) -> bool {
-        self.nodes[id].core.is_some()
+        self.hosts[id].node.core().is_some()
     }
 
     fn applied(&self, id: usize) -> u64 {
-        self.nodes[id]
-            .core
-            .as_ref()
-            .map_or(0, |c| c.events_applied())
+        self.hosts[id]
+            .node
+            .core()
+            .map_or(0, ServiceCore::events_applied)
     }
 
     /// The primary the router serves `shard` from: the [`RouterCore`]
     /// picks among the shard's live nodes (what a `ping` of each would
     /// report) and holds its fencing-token floor.
     fn route(&mut self, shard: usize) -> Option<usize> {
-        let nodes = &self.nodes;
+        let hosts = &self.hosts;
         let candidates = (shard * REPLICAS..(shard + 1) * REPLICAS)
-            .filter(|id| nodes[*id].core.is_some())
-            .map(|id| (id, nodes[id].repl.role(), nodes[id].repl.term()));
+            .filter(|id| hosts[*id].node.core().is_some())
+            .map(|id| (id, hosts[id].repl().role(), hosts[id].repl().term()));
         self.router.pick_primary(shard, candidates)
     }
 
-    /// Applies one request on a primary the way its ticker would: the
-    /// core's role gate first, then the service core, then publish the
-    /// record and hold client replies for the standby (sync mode).
+    /// Puts one request to node `id` the way its server would: the
+    /// [`Node`] serves it, a client's reply is held for the standby's
+    /// ack, and a poisoned log crashes the node.
     fn primary_apply(&mut self, id: usize, req: &Request, client: bool) -> Value {
+        let host = &mut self.hosts[id];
+        let served = host.node.serve(req, &host.metrics);
+        self.after_serve(id, req.to_event(), served, client)
+    }
+
+    /// Carries out what serving `event` did to node `id`: the frames it
+    /// sent, the oracle's lineage, the client's held reply, and a crash.
+    fn after_serve(
+        &mut self,
+        id: usize,
+        event: Option<MarketEvent>,
+        served: Served,
+        client: bool,
+    ) -> Value {
         let now = self.now();
-        if self.nodes[id].down {
-            return shard_unavailable_response((id / REPLICAS) as u64, 0);
+        let Served { reply, hold, crash } = served;
+        if matches!(err_code(&reply), "not_primary" | "fenced" | "unavailable") {
+            self.note(format!("n{id} refuses: {}", err_code(&reply)));
         }
-        let event = req.to_event();
-        if event.is_some() {
-            if let Some(refusal) = self.nodes[id].repl.admit_mutation(now, None) {
-                self.note(format!("n{id} refuses: {}", err_code(&refusal)));
-                return refusal;
-            }
-        }
-        let node = &mut self.nodes[id];
-        let Some(core) = node.core.as_mut() else {
-            // The node crashed under an earlier request of this batch.
-            return error_response("internal", Some("connection reset"), None);
-        };
-        let reply = core.handle(req, &node.metrics);
-        let seq_after = core.events_applied();
-        let poisoned = core.wal().map(|w| w.poisoned()).unwrap_or(false);
+        self.flush(id);
         if reply.get("outcome").and_then(Value::as_str) == Some("unknown") {
-            node.unknown = event.clone().map(|event| (seq_after, event));
+            self.hosts[id].unknown = event.clone().map(|event| (self.applied(id), event));
         }
-        if let Some(event) = event.filter(|_| err_code(&reply) != "wal") {
-            node.repl.note_log(seq_after);
-            if matches!(event, MarketEvent::EpochTick) {
-                let engine = core.engine();
-                node.repl
-                    .push_epoch_fp(seq_after, engine.epoch(), engine.state_fingerprint());
-            }
-            let seq = seq_after - 1;
-            let event_json = event_to_value(&event).encode();
-            let mut record = Vec::new();
-            event.write_record(&mut record);
-            let frame = rec_frame(seq, &record);
-            node.lineage.push(event);
-            match node.session.as_mut().map(|s| s.offer(seq, &frame)) {
-                Some(Offer::Send) => self.send_frame(id, id ^ 1, frame),
-                Some(Offer::Held) => self.held += 1,
-                Some(Offer::Kill) => self.close(id),
-                Some(Offer::Skip) | None => {}
-            }
+        if let (Some(event), Some(hold)) = (event, hold) {
+            self.hosts[id].lineage.push(event.clone());
             if client {
-                self.pending.push(Pending {
+                let deadline = now + ACK_TIMEOUT;
+                (self.pending).push(Pending {
                     primary: id,
-                    seq,
-                    attached: self.nodes[id].session.is_some(),
-                    deadline: now + ACK_TIMEOUT,
-                    event_json,
+                    hold,
+                    deadline,
+                    event,
                 });
             }
             self.release_acks(id);
         }
-        if poisoned {
-            self.note(format!("n{id} wal poisoned: crashing for recovery"));
-            self.crash(id);
-            self.pending_restarts.push((now + POISON_RESTART, id));
+        if crash {
+            self.poisoned(id, "wal poisoned: crashing for recovery");
         }
         reply
     }
 
-    /// Releases every held client reply the core says may go: acked by
+    /// Releases every held client reply the node says may go: acked by
     /// the standby, or published with no session live (solo durability).
     fn release_acks(&mut self, primary: usize) {
-        let node = &self.nodes[primary];
+        let node = &mut self.hosts[primary].node;
         let broken = self.opts.break_invariant == Some(BreakKind::AckUnreplicated);
         let mut released = Vec::new();
         self.pending.retain(|p| {
             if p.primary != primary {
                 return true;
             }
-            // BROKEN (test-only): override the core's verdict and release
+            // BROKEN (test-only): override the node's verdict and release
             // before the standby confirms — a failover inside the
             // replication window now loses the acked tail.
-            let verdict = match node.repl.ack_state(p.seq + 1, p.attached) {
+            let verdict = match node.released(p.hold) {
                 AckWait::Pending if broken => AckWait::Acked,
                 verdict => verdict,
             };
             if verdict != AckWait::Pending {
-                released.push((verdict, p.seq, p.event_json.clone()));
+                released.push((verdict, p.hold.target - 1, p.event.clone()));
             }
             verdict == AckWait::Pending
         });
-        for (verdict, seq, event_json) in released {
+        for (verdict, seq, event) in released {
             self.note(format!("n{primary} acked seq={seq} ({verdict:?})"));
-            self.acked.push(AckedEvent {
-                shard: primary / REPLICAS,
-                seq,
-                event_json,
-            });
+            let shard = primary / REPLICAS;
+            self.acked.push(AckedEvent { shard, seq, event });
         }
+    }
+
+    /// Node `id`'s log is poisoned: it crashes, and recovers from the
+    /// log a little later, as an operator would have it.
+    fn poisoned(&mut self, id: usize, why: &str) {
+        self.note(format!("n{id} {why}"));
+        self.crash(id);
+        let at = self.now() + POISON_RESTART;
+        self.pending_restarts.push((at, id));
     }
 
     fn crash(&mut self, id: usize) {
         if !self.alive(id) {
             return;
         }
-        self.nodes[id].core = None;
+        self.hosts[id].node.crash();
         // Clients talking to a crashed primary get connection drops,
         // never acks.
         self.pending.retain(|p| p.primary != id);
@@ -594,9 +634,7 @@ impl Sim {
         let now = self.now();
         for end in [node, node ^ 1] {
             if end == node || !self.net.is_cut(node, end, now) {
-                self.nodes[end].session = None;
-                self.nodes[end].catch_up = None;
-                self.nodes[end].repl.hang_up();
+                self.hosts[end].hang_up();
             }
         }
     }
@@ -611,20 +649,20 @@ impl Sim {
         if self.alive(id) {
             return;
         }
-        let peer = &self.nodes[id ^ 1].repl;
+        let peer = self.hosts[id ^ 1].repl();
         let rejoin = self.alive(id ^ 1)
             && peer.role() == Role::Primary
-            && peer.term() >= self.nodes[id].repl.term();
+            && peer.term() >= self.hosts[id].repl().term();
         let role = if rejoin {
             Role::Standby
         } else {
-            self.nodes[id].repl.role()
+            self.hosts[id].repl().role()
         };
         self.boot_node(id, role);
     }
 
     // ------------------------------------------------------------------
-    // Frame handling: every verdict is the core's.
+    // Frame handling: every verdict is the node's.
     // ------------------------------------------------------------------
 
     fn on_frame(&mut self, from: usize, to: usize, frame: &[u8]) {
@@ -638,23 +676,30 @@ impl Sim {
             return;
         }
         let now = self.now();
-        let was = self.nodes[to].repl.role();
+        let was = self.hosts[to].repl().role();
         let what = frame.kind().to_string();
         match frame {
-            Frame::Msg(msg) if what == "hello" => match self.nodes[to].repl.on_hello(&msg) {
-                // The session holds live records from now on; its
-                // catch-up reads the log `CATCH_UP` later.
-                Hello::Accept { have, meta } => {
-                    self.send_frame(to, from, meta);
-                    self.nodes[to].session = Some(Session::open(have));
-                    self.nodes[to].catch_up = Some((now + CATCH_UP, have));
+            Frame::Msg(msg) if what == "hello" => {
+                match self.hosts[to].half().accept(&msg, Outbox::default()) {
+                    // The session holds live records from now on; its
+                    // catch-up reads the log `CATCH_UP` later.
+                    (Hello::Accept { have, meta }, id) => {
+                        self.send_frame(to, from, meta);
+                        // A new connection replaces the one before it.
+                        let host = &mut self.hosts[to];
+                        if let Some(old) = std::mem::replace(&mut host.session, id) {
+                            host.half().retire(old, None);
+                        }
+                        host.catch_up = Some((now + CATCH_UP, have));
+                    }
+                    (Hello::Refuse(refusal), _) => self.send_frame(to, from, refusal),
                 }
-                Hello::Refuse(refusal) => self.send_frame(to, from, refusal),
-            },
+            }
             // Acks ride the replication connection: none arrives once
             // the primary considers it reset.
-            Frame::Msg(msg) if what == "ack" && self.nodes[to].session.is_some() => {
-                match self.nodes[to].repl.on_ack(&msg) {
+            Frame::Msg(msg) if what == "ack" && self.hosts[to].session.is_some() => {
+                let id = self.hosts[to].session.expect("checked");
+                match self.hosts[to].half().ack(id, &msg) {
                     Ack::Ignored => {}
                     Ack::Progress(_) => self.release_acks(to),
                     Ack::Diverged { have, notice } => {
@@ -668,76 +713,76 @@ impl Sim {
                 }
             }
             _ if what == "ack" => {}
-            frame => match self.nodes[to].repl.on_frame(frame, &addr(from), now) {
-                Stream::Following => {}
-                // A refusal closes a dial that opened no session.
-                Stream::Drop if what == "refuse" => self.nodes[to].repl.hang_up(),
-                Stream::Drop => self.close(to),
-                verdict => self.follow(from, to, verdict),
-            },
+            frame => self.follow(from, to, frame, &what),
         }
-        if was != Role::Fenced && self.nodes[to].repl.role() == Role::Fenced {
+        if was != Role::Fenced && self.hosts[to].repl().role() == Role::Fenced {
             self.close(to);
             self.note(format!("n{to} fenced: {what} notice from n{from}"));
         }
     }
 
-    /// Carries out the standby's verdict on a frame the core cleared
-    /// ([`session::apply`]) and acks with the core's frame. On `Resync`
-    /// it hangs up, and its timer re-dials; a poisoned WAL then crashes
-    /// the node for recovery, as an operator would.
-    fn follow(&mut self, from: usize, to: usize, verdict: Stream) {
-        let (seq, record) = match &verdict {
-            Stream::Apply { seq, event, .. } => (*seq, Some(event.clone())),
-            Stream::Restore { seq, .. } => (*seq, None),
-            Stream::Following | Stream::Drop => return,
+    /// Carries out the standby's [`Node::follow`] of a frame: the ack it
+    /// makes, or the hang-up — after which its timer re-dials; a poisoned
+    /// WAL then crashes the node for recovery, as an operator would.
+    fn follow(&mut self, from: usize, to: usize, frame: Frame, what: &str) {
+        let record = match &frame {
+            Frame::Rec { event, .. } => Some(event.clone()),
+            Frame::Msg(_) => None,
         };
-        let node = &mut self.nodes[to];
-        let core = node.core.as_mut().expect("checked in on_frame");
-        let applied = session::apply(core, verdict, &node.metrics);
-        let (have, poisoned) = (core.events_applied(), core.wal().is_some_and(Wal::poisoned));
-        let epoch_fp = match (applied, record) {
-            (Applied::Applied { epoch_fp }, Some(event)) => {
-                node.lineage.push(event);
-                epoch_fp
+        let host = &mut self.hosts[to];
+        match host.node.follow(frame, &addr(from), &host.metrics) {
+            Follow::Reading => {}
+            // A refusal closes a dial that opened no session.
+            Follow::HangUp { resync: None, .. } if what == "refuse" => {
+                host.half().repl.hang_up();
             }
-            (Applied::Applied { .. }, None) => {
-                node.lineage = self.snap_prefixes[&(from, seq)].clone();
-                // The snapshot replaces the engine, as a reboot does: an
-                // apply corrupted before it, or armed to be, lies behind it.
-                node.diverged = false;
-                self.restores += 1;
-                None
-            }
-            (Applied::Skipped, _) => None,
-            (Applied::Resync | Applied::Ignored, record) => {
+            Follow::HangUp { resync: None, .. } => self.close(to),
+            Follow::HangUp {
+                resync: Some((seq, have)),
+                crash,
+            } => {
                 self.note(format!("n{to} resync at seq={seq} have={have}"));
                 self.close(to);
-                if poisoned {
-                    self.nodes[to].unknown = record.map(|event| (seq, event));
-                    self.note(format!("n{to} standby wal poisoned: crashing"));
-                    self.crash(to);
-                    let at = self.now() + POISON_RESTART;
-                    self.pending_restarts.push((at, to));
+                if crash {
+                    self.hosts[to].unknown = record.map(|event| (seq, event));
+                    self.poisoned(to, "standby wal poisoned: crashing");
                 }
-                return;
             }
-        };
-        self.note(format!("n{to} acks seq={seq} have={have}"));
-        let ack = self.nodes[to].repl.ack(have, epoch_fp);
-        self.send_frame(to, from, ack);
+            Follow::Ack {
+                seq,
+                have,
+                took,
+                ack,
+            } => {
+                match (took, record) {
+                    (Applied::Skipped, _) => {}
+                    (_, Some(event)) => host.lineage.push(event),
+                    (_, None) => {
+                        host.lineage = self.snap_prefixes[&(from, seq)].clone();
+                        // The snapshot replaces the engine, as a reboot
+                        // does: an apply corrupted before it, or armed to
+                        // be, lies behind it.
+                        host.diverged = false;
+                        self.restores += 1;
+                    }
+                }
+                self.note(format!("n{to} acks seq={seq} have={have}"));
+                self.send_frame(to, from, ack);
+            }
+        }
     }
 
-    /// `primary`'s catch-up of a standby at `have`: [`session::catch_up`]
-    /// from its own disk, then the session's hold drained until it is
-    /// live.
+    /// `primary`'s catch-up of a standby at `have`: its session handed
+    /// over from its own disk to live streaming.
     fn catch_up(&mut self, primary: usize, have: u64) {
-        let (now, standby, node) = (self.now(), primary ^ 1, &self.nodes[primary]);
-        let (net, rng) = (&mut self.net, &mut self.rng);
-        let read = session::catch_up(have, &node.disk, &node.dir, |frame| {
-            net.send(now, primary, standby, frame, rng);
-            Ok(())
-        });
+        let standby = primary ^ 1;
+        let host = &mut self.hosts[primary];
+        let id = host
+            .session
+            .expect("a catch-up is scheduled for an open session");
+        let link = host.node.link.as_mut().expect(REPLICATED);
+        let read = link.catch_up(id, have, &host.disk, &host.dir);
+        self.flush(primary);
         let (snap, upto) = match read {
             Ok(caught) => caught,
             Err(e) => {
@@ -746,20 +791,9 @@ impl Sim {
             }
         };
         if let Some(seq) = snap {
-            let prefix = node.lineage.iter().take(seq as usize).cloned().collect();
+            let lineage = &self.hosts[primary].lineage;
+            let prefix = lineage.iter().take(seq as usize).cloned().collect();
             self.snap_prefixes.insert((primary, seq), prefix);
-        }
-        loop {
-            let session = self.nodes[primary].session.as_mut().expect("open");
-            match session.go_live(upto) {
-                GoLive::Send(frames) => {
-                    for frame in frames {
-                        self.send_frame(primary, standby, frame);
-                    }
-                }
-                GoLive::Live => break,
-                GoLive::Kill => return self.close(primary),
-            }
         }
         self.note(format!(
             "n{primary} caught n{standby} up: {have}..{upto} snap={snap:?}"
@@ -782,27 +816,21 @@ impl Sim {
             self.restart(id);
         }
         for id in 0..NODES {
-            if let Some((_, have)) = self.nodes[id].catch_up.take_if(|(at, _)| *at <= now) {
+            if let Some((_, have)) = self.hosts[id].catch_up.take_if(|(at, _)| *at <= now) {
                 self.catch_up(id, have);
             }
             if !self.alive(id) {
                 continue;
             }
-            match self.nodes[id].repl.timer(now) {
-                // Heartbeats ride the replication connection, once its
-                // catch-up is through: a primary with no session has no
-                // socket to write them to, so a detached standby goes
-                // silent and re-dials.
-                Timer::Heartbeat => {
-                    let hb = self.nodes[id].repl.beat(now);
-                    let session = self.nodes[id].session.as_ref();
-                    if let (Some(hb), Some(Offer::Send)) = (hb, session.map(Session::heartbeat)) {
-                        self.send_frame(id, id ^ 1, hb);
-                    }
-                }
+            // Heartbeats ride the replication connection, once its
+            // catch-up is through: a primary with no session has no
+            // socket to write them to, so a detached standby goes silent
+            // and re-dials.
+            match self.hosts[id].half().beat() {
+                Timer::Heartbeat => self.flush(id),
                 Timer::Elect => self.promote(id),
                 Timer::Redial => {
-                    let hello = self.nodes[id].repl.dial(now);
+                    let hello = self.hosts[id].half().repl.dial(now);
                     self.send_frame(id, id ^ 1, hello);
                 }
                 Timer::Idle(_) => {}
@@ -813,7 +841,7 @@ impl Sim {
         let trace = &mut self.trace;
         self.pending.retain(|p| {
             if p.deadline <= now {
-                let (primary, seq) = (p.primary, p.seq);
+                let (primary, seq) = (p.primary, p.hold.target - 1);
                 trace.push(
                     now,
                     format!("n{primary} ack timeout seq={seq}: not confirmed"),
@@ -843,16 +871,17 @@ impl Sim {
     }
 
     fn promote(&mut self, id: usize) {
-        if self.nodes[id].diverged {
+        if self.hosts[id].diverged {
             // The fencing invariant says this must be impossible: a
             // diverged replica is caught by the fingerprint channel
             // before its election timer can fire.
             self.violation(format!("diverged standby n{id} promoted itself"));
         }
-        let Promotion::Promoted { term, depose } = self.nodes[id].repl.promote() else {
+        let host = &mut self.hosts[id];
+        let Some(Promotion::Promoted { term, depose }) = host.node.elect(&host.metrics) else {
             return;
         };
-        self.nodes[id].promoted_ever = true;
+        host.promoted_ever = true;
         self.note(format!("n{id} promote term={term}"));
         // Depose the old primary if it is somehow still reachable.
         if let Some((_, hello)) = depose {
@@ -881,12 +910,12 @@ impl Sim {
     fn note_recoveries(&mut self) {
         for shard in 0..SHARDS {
             let Some(p) = self.route(shard) else { continue };
-            let serving = (p, self.nodes[p].boots);
+            let serving = (p, self.hosts[p].boots);
             if self.known_primary[shard]
                 .replace(serving)
                 .is_some_and(|was| was != serving)
             {
-                let epoch = self.nodes[p].core.as_ref().map(|c| c.engine().epoch());
+                let epoch = self.hosts[p].node.core().map(|c| c.engine().epoch());
                 let readmit = self.router.recovered(shard, epoch.unwrap_or(0));
                 self.rejoin(readmit, &format!("recovered via n{p}"));
             }
@@ -897,25 +926,21 @@ impl Sim {
     /// `Shared::locked` feeds the core on a caught panic.
     fn panic(&mut self, id: usize) {
         let shard = id / REPLICAS;
-        if self.nodes[id].down || self.route(shard) != Some(id) {
+        if self.hosts[id].node.is_down() || self.route(shard) != Some(id) {
             self.note(format!("panic n{id} skipped: not serving"));
             return;
         }
-        self.nodes[id].down = true;
-        ServeMetrics::bump(&self.nodes[id].metrics.ticker_panics);
+        ServeMetrics::bump(&self.hosts[id].metrics.ticker_panics);
         let after = self.router.panicked(shard);
         self.note(format!("n{id} panic shard={shard}: {after:?}"));
-        match after {
-            AfterPanic::StopLeading
-                if self.opts.break_invariant == Some(BreakKind::HeartbeatWhileDown) =>
-            {
-                // BROKEN (test-only): override the verdict and keep
-                // leading — the standby never elects.
-                self.note(format!("n{id} BROKEN: heartbeats while Down"));
-            }
-            AfterPanic::StopLeading => self.nodes[id].repl.mark_down(),
-            AfterPanic::Restart => {}
+        let broken = self.opts.break_invariant == Some(BreakKind::HeartbeatWhileDown);
+        if broken && after == AfterPanic::StopLeading {
+            // BROKEN (test-only): override the verdict and keep
+            // leading — the standby never elects.
+            self.note(format!("n{id} BROKEN: heartbeats while Down"));
         }
+        let stop_leading = after == AfterPanic::StopLeading && !broken;
+        self.hosts[id].node.go_down(stop_leading);
     }
 
     /// Puts `request` to the node serving `shard`; with nobody to ask,
@@ -923,84 +948,51 @@ impl Sim {
     fn ask(&mut self, shard: usize, request: &Request) -> Value {
         match self.route(shard) {
             Some(p) => self.primary_apply(p, request, false),
-            None => error_response("timeout", None, None),
+            None => timeout(),
         }
     }
 
-    /// Phase 1 for one shard: its `D_k`, read from the serving node's
-    /// engine — the server's demand read, which takes no role gate.
-    fn demand_read(&mut self, shard: usize) -> Value {
-        if !asks(self.router.health(shard), &Request::Tick) {
-            return shard_unavailable_response(shard as u64, 0);
-        }
+    /// Phase 2 for one shard: the serving node's [`Node::tick_at`],
+    /// what it ticked at summed for invariant 4.
+    fn tick_at(&mut self, shard: usize, capacity: Vec<f64>) -> Value {
         let Some(p) = self.route(shard) else {
-            return error_response("timeout", None, None);
+            return timeout();
         };
-        match (&self.nodes[p].core, self.nodes[p].down) {
-            (Some(core), false) => core.demand_report(),
-            _ => shard_unavailable_response(shard as u64, 0),
+        let host = &mut self.hosts[p];
+        let (mut reply, mut ticked) = (Value::Null, false);
+        for (request, served) in host.node.tick_at(&capacity, &host.metrics) {
+            ticked = request == Request::Tick;
+            reply = self.after_serve(p, request.to_event(), served, false);
         }
-    }
-
-    /// Phase 2 for one shard: the allotment journaled where it moved, then
-    /// the tick, back to back as under the server's one lock hold. A
-    /// refused reallotment stands as the shard's reply: it does not tick.
-    /// Returns the reply and the capacity the serving engine ticked at.
-    fn tick_at(&mut self, shard: usize, capacity: &[f64], round: u64) -> (Value, Option<Vec<f64>>) {
-        let serving = self.route(shard);
-        let core = serving.and_then(|p| self.nodes[p].core.as_ref());
-        if let Some(reallot) = core.and_then(|core| core.reallot_to(capacity)) {
-            let reply = self.ask(shard, &reallot);
-            if !is_ok(&reply) {
-                self.note(format!("round={round} shard={shard} reallot refused"));
-                return (reply, None);
+        if !ticked {
+            let round = self.round;
+            self.note(format!("round={round} shard={shard} reallot refused"));
+        } else if is_ok(&reply) {
+            for (sum, cap) in self.allocated.iter_mut().zip(capacity) {
+                *sum += cap;
             }
         }
-        let core = serving.and_then(|p| self.nodes[p].core.as_ref());
-        let held = core.map(|core| core.engine().config().capacity.as_slice().to_vec());
-        (self.ask(shard, &Request::Tick), held)
+        reply
     }
 
     fn fleet_tick(&mut self) {
         self.round += 1;
         let round = self.round;
         self.note_recoveries();
-        let reports: Vec<Value> = (0..SHARDS).map(|shard| self.demand_read(shard)).collect();
-        let allot = self.router.allot(&reports);
-        let reported = allot.capacities.iter().flatten().count();
-        if allot.frozen {
-            self.quorum_freezes += 1;
-            self.note(format!("round={round} quorum freeze ({reported}/{SHARDS})"));
-        }
-        let mut replies = Vec::with_capacity(SHARDS);
-        let mut allocated = vec![0.0f64; self.total_capacity.len()];
-        for (shard, capacity) in allot.capacities.iter().enumerate() {
-            let Some(capacity) = capacity else {
-                replies.push(reports[shard].clone());
-                continue;
-            };
-            let (reply, held) = self.tick_at(shard, capacity, round);
-            if let (true, Some(held)) = (is_ok(&reply), held) {
-                for (sum, cap) in allocated.iter_mut().zip(held) {
-                    *sum += cap;
-                }
-            }
-            replies.push(reply);
-        }
+        self.allocated = vec![0.0; self.total_capacity.len()];
+        let (replies, verdict) = fleet_round(self, SHARDS);
         // 4. What the shards that ticked allocated at never sums above
         // the fleet's capacity.
-        for (r, (sum, total)) in allocated
-            .iter()
+        for (r, (sum, total)) in (self.allocated.clone().into_iter())
             .zip(self.total_capacity.clone())
             .enumerate()
         {
-            if *sum > total {
+            if sum > total {
                 self.violation(format!(
                     "round={round} capacity not conserved: resource {r} allocated {sum} of {total}"
                 ));
             }
         }
-        let verdict = self.router.tick_round(&replies);
         if !verdict.missing.is_empty() {
             self.partial_rounds += 1;
         }
@@ -1029,37 +1021,17 @@ impl Sim {
     // Scripted operations.
     // ------------------------------------------------------------------
 
-    fn apply_client(&mut self, op: &ClientOp) {
-        let truth =
-            |e0: f64| CobbDouglas::new(1.0, vec![e0, 1.0 - e0]).expect("valid elasticities");
-        let (agent, req) = match *op {
-            ClientOp::Join { agent, e0 } => (
-                agent,
-                Request::Join {
-                    agent,
-                    source: ObservationSource::GroundTruth(truth(e0)),
-                },
-            ),
-            ClientOp::Leave { agent } => (agent, Request::Leave { agent }),
-            ClientOp::Demand { agent, e0 } => (
-                agent,
-                Request::Demand {
-                    agent,
-                    truth: Some(truth(e0)),
-                },
-            ),
-            ClientOp::Query { agent } => (agent, Request::Query { agent: Some(agent) }),
-        };
+    fn apply_client(&mut self, agent: u64, req: &Request) {
         let shard = self.ring.shard_of(agent);
         // Dispatch fails fast on a Down shard, like the real router.
-        let primary = asks(self.router.health(shard), &req)
+        let primary = asks(self.router.health(shard), req)
             .then(|| self.route(shard))
             .flatten();
         let Some(p) = primary else {
             self.note(format!("client agent={agent} shard={shard} unavailable"));
             return;
         };
-        let reply = self.primary_apply(p, &req, true);
+        let reply = self.primary_apply(p, req, true);
         self.note(format!(
             "client agent={agent} shard={shard} n{p} ok={}",
             is_ok(&reply)
@@ -1088,17 +1060,17 @@ impl Sim {
             }
             FaultOp::TornWrite { node } => {
                 let keep = self.rng.range(1, 12) as usize;
-                self.nodes[*node].disk.arm_torn_write(keep);
+                self.hosts[*node].disk.arm_torn_write(keep);
                 self.note(format!("torn write armed n{node} keep={keep}"));
             }
             FaultOp::FailSync { node, n } => {
-                self.nodes[*node].disk.fail_next_syncs(*n);
+                self.hosts[*node].disk.fail_next_syncs(*n);
                 self.note(format!("fsync failures armed n{node} n={n}"));
             }
             FaultOp::BitFlip { node } => {
-                let dir = self.nodes[*node].dir.clone();
-                let flipped = self.nodes[*node].disk.flip_bit_in_covered_checkpoint(&dir);
-                self.nodes[*node].bitflip_hit |= flipped.is_some();
+                let dir = self.hosts[*node].dir.clone();
+                let flipped = self.hosts[*node].disk.flip_bit_in_covered_checkpoint(&dir);
+                self.hosts[*node].bitflip_hit |= flipped.is_some();
                 let what = match &flipped {
                     Some(path) => format!(
                         "in {}",
@@ -1110,20 +1082,20 @@ impl Sim {
             }
             FaultOp::Diverge { shard } => {
                 let target = (shard * REPLICAS..shard * REPLICAS + REPLICAS)
-                    .find(|id| self.nodes[*id].repl.role() == Role::Standby && self.alive(*id));
+                    .find(|id| self.hosts[*id].repl().role() == Role::Standby && self.alive(*id));
                 let Some(id) = target else {
                     self.note(format!("diverge shard={shard} skipped: no standby"));
                     return;
                 };
-                let node = &mut self.nodes[id];
-                let core = node.core.take().expect("checked");
+                let host = &mut self.hosts[id];
+                let core = host.node.crash().expect("checked");
                 let seq = core.events_applied();
                 let plan = FaultPlan {
                     corrupt_standby_at: Some(seq),
                     ..FaultPlan::default()
                 };
-                node.core = Some(core.with_faults(plan));
-                node.diverged = true;
+                host.node.restart(core.with_faults(plan));
+                host.diverged = true;
                 self.note(format!("diverge armed n{id} at seq={seq}"));
             }
             FaultOp::DelayBump { factor } => {
@@ -1137,11 +1109,11 @@ impl Sim {
 
     fn apply_op(&mut self, op: &Op) {
         match op {
-            Op::Client(c) => self.apply_client(c),
+            Op::Client { agent, request } => self.apply_client(*agent, request),
             Op::Fault(f) => self.apply_fault(f),
             Op::Scrub { node } => {
-                let target = &mut self.nodes[*node];
-                if let Some(core) = target.core.as_mut() {
+                let target = &mut self.hosts[*node];
+                if let Some(core) = target.node.core_mut() {
                     let reply = core.handle(&Request::Scrub, &target.metrics);
                     let errors = reply
                         .get("errors")
@@ -1229,8 +1201,8 @@ impl Sim {
     fn authoritative(&mut self, shard: usize) -> Option<usize> {
         self.route(shard).or_else(|| {
             (shard * REPLICAS..shard * REPLICAS + REPLICAS)
-                .filter(|id| self.alive(*id) && self.nodes[*id].repl.role() != Role::Fenced)
-                .max_by_key(|id| (self.nodes[*id].repl.term(), self.applied(*id)))
+                .filter(|id| self.alive(*id) && self.hosts[*id].repl().role() != Role::Fenced)
+                .max_by_key(|id| (self.hosts[*id].repl().term(), self.applied(*id)))
         })
     }
 
@@ -1238,7 +1210,7 @@ impl Sim {
         let mut found = Vec::new();
         // 0. The oracle's lineages are what the disks hold: the records a
         // WAL still holds are its lineage's tail, byte for byte.
-        for (id, node) in self.nodes.iter().enumerate() {
+        for (id, node) in self.hosts.iter().enumerate() {
             match read_events_with(&node.disk, &node.dir) {
                 Ok((first, log)) if node.lineage.get(first as usize..) == Some(&log[..]) => {}
                 Ok((first, log)) => found.push(format!(
@@ -1261,15 +1233,15 @@ impl Sim {
                 }
                 continue;
             };
-            let lineage = &self.nodes[auth].lineage;
+            let lineage = &self.hosts[auth].lineage;
             for a in acked {
-                let held = lineage
-                    .get(a.seq as usize)
-                    .map(|e| event_to_value(e).encode());
-                if held.as_ref() != Some(&a.event_json) {
+                let held = lineage.get(a.seq as usize);
+                if held != Some(&a.event) {
                     found.push(format!(
-                        "acked event lost: shard {shard} seq {}: acked {}, n{auth} holds {held:?}",
-                        a.seq, a.event_json
+                        "acked event lost: shard {shard} seq {}: acked {}, n{auth} holds {:?}",
+                        a.seq,
+                        event_to_value(&a.event).encode(),
+                        held.map(|e| event_to_value(e).encode())
                     ));
                 }
             }
@@ -1277,8 +1249,8 @@ impl Sim {
         // 2. Bit-identical replay on every live, unfenced node: its
         // lineage replayed from event 0, and recovery from its disk's
         // checkpoint and tail, both land on its live state.
-        for (id, node) in self.nodes.iter().enumerate() {
-            let (Some(core), false) = (&node.core, node.repl.role() == Role::Fenced) else {
+        for (id, node) in self.hosts.iter().enumerate() {
+            let (Some(core), false) = (node.node.core(), node.repl().role() == Role::Fenced) else {
                 continue;
             };
             let live = Ok(core.final_snapshot());
@@ -1299,13 +1271,13 @@ impl Sim {
             }
         }
         // 3. Diverged replicas are fenced and never promoted.
-        for (id, node) in self.nodes.iter().enumerate().filter(|(_, n)| n.diverged) {
+        for (id, node) in self.hosts.iter().enumerate().filter(|(_, n)| n.diverged) {
             if node.promoted_ever {
                 found.push(format!("diverged replica n{id} was promoted"));
-            } else if node.core.is_some() && node.repl.role() != Role::Fenced {
+            } else if node.node.core().is_some() && node.repl().role() != Role::Fenced {
                 found.push(format!(
                     "diverged replica n{id} ended {:?}, expected Fenced",
-                    node.repl.role()
+                    node.repl().role()
                 ));
             }
         }
@@ -1330,7 +1302,7 @@ impl Sim {
             ));
         }
         // Scrub expectation: injected rot must have been found.
-        for (id, node) in self.nodes.iter().enumerate().filter(|(_, n)| n.bitflip_hit) {
+        for (id, node) in self.hosts.iter().enumerate().filter(|(_, n)| n.bitflip_hit) {
             if node.metrics.snapshot().wal_scrub_errors == 0 {
                 found.push(format!("bit flip on n{id} never surfaced in a scrub"));
             }
@@ -1366,8 +1338,45 @@ impl Sim {
             quorum_freezes: self.quorum_freezes,
             partial_rounds: self.partial_rounds,
             restores: self.restores,
-            held: self.held,
+            held: (self.hosts.iter())
+                .filter_map(|host| Some(host.node.link.as_ref()?.held))
+                .sum(),
         }
+    }
+}
+
+/// A fleet round in the simulator asks each shard's serving node in
+/// turn.
+impl Fan for Sim {
+    fn router<T>(&mut self, step: impl FnOnce(&mut RouterCore) -> T) -> T {
+        step(&mut self.router)
+    }
+
+    /// Phase 1: each shard's serving node's [`Node::demand`].
+    fn demand(&mut self) -> Vec<Value> {
+        let read = |sim: &mut Sim, shard: usize| {
+            if !asks(sim.router.health(shard), &Request::Tick) {
+                return shard_unavailable_response(shard as u64, 0);
+            }
+            let serving = sim.route(shard);
+            serving.map_or_else(timeout, |p| sim.hosts[p].node.demand())
+        };
+        (0..SHARDS).map(|shard| read(self, shard)).collect()
+    }
+
+    fn froze(&mut self, reported: usize) {
+        self.quorum_freezes += 1;
+        let round = self.round;
+        self.note(format!("round={round} quorum freeze ({reported}/{SHARDS})"));
+    }
+
+    fn tick(&mut self, asks: Vec<Result<Option<Vec<f64>>, Value>>) -> Vec<Value> {
+        let ask = |sim: &mut Sim, (shard, ask)| match ask {
+            Err(report) => report,
+            Ok(None) => sim.ask(shard, &Request::Tick),
+            Ok(Some(capacity)) => sim.tick_at(shard, capacity),
+        };
+        asks.into_iter().enumerate().map(|a| ask(self, a)).collect()
     }
 }
 

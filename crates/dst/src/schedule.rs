@@ -14,6 +14,10 @@
 
 use std::time::Duration;
 
+use ref_core::utility::CobbDouglas;
+use ref_market::ObservationSource;
+use ref_serve::Request;
+
 use crate::sim::SimRng;
 
 /// Number of shards in the simulated fleet.
@@ -25,36 +29,6 @@ pub(crate) const NODES: usize = SHARDS * REPLICAS;
 /// The router's timed-epoch cadence: one fleet coordination tick every
 /// interval.
 pub(crate) const TICK_EVERY: Duration = Duration::from_millis(20);
-
-/// A scripted client-side operation.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum ClientOp {
-    /// Admit agent `agent` with a ground-truth Cobb-Douglas utility of
-    /// bandwidth elasticity `e0` (cache elasticity is `1 - e0`).
-    Join {
-        /// Agent id.
-        agent: u64,
-        /// Bandwidth elasticity in `(0, 1)`.
-        e0: f64,
-    },
-    /// Remove the agent.
-    Leave {
-        /// Agent id.
-        agent: u64,
-    },
-    /// Reset the agent's estimator with a new hidden truth.
-    Demand {
-        /// Agent id.
-        agent: u64,
-        /// New bandwidth elasticity.
-        e0: f64,
-    },
-    /// Read-only market query (exercises the non-mutating path).
-    Query {
-        /// Agent id.
-        agent: u64,
-    },
-}
 
 /// A scripted fault injection.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,8 +99,13 @@ pub(crate) enum FaultOp {
 /// One scheduled operation.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Op {
-    /// A client request.
-    Client(ClientOp),
+    /// A client's request about `agent`, as the server parses it.
+    Client {
+        /// The agent the request names (it picks the shard).
+        agent: u64,
+        /// The request.
+        request: Request,
+    },
     /// A fault injection.
     Fault(FaultOp),
     /// An online `scrub` request against the node.
@@ -162,6 +141,28 @@ fn ms(x: u64) -> Duration {
     Duration::from_millis(x)
 }
 
+/// A client's `request` about `agent`, at `at`.
+fn client(at: Duration, agent: u64, request: Request) -> Scheduled {
+    Scheduled {
+        at,
+        op: Op::Client { agent, request },
+    }
+}
+
+/// A ground-truth utility of bandwidth elasticity `e0` (cache
+/// elasticity `1 - e0`).
+fn truth(e0: f64) -> CobbDouglas {
+    CobbDouglas::new(1.0, vec![e0, 1.0 - e0]).expect("valid elasticities")
+}
+
+/// A fault at `at`.
+fn fault(at: Duration, op: FaultOp) -> Scheduled {
+    Scheduled {
+        at,
+        op: Op::Fault(op),
+    }
+}
+
 /// Generates the run script for `seed`. `quick` shortens the horizon
 /// for CI smoke sweeps; the structure is identical.
 pub(crate) fn generate(seed: u64, quick: bool) -> Schedule {
@@ -173,36 +174,24 @@ pub(crate) fn generate(seed: u64, quick: bool) -> Schedule {
     // Clients: admissions early, demand churn and departures later.
     let agents = rng.range(4, 8);
     for agent in 1..=agents {
-        ops.push(Scheduled {
-            at: Duration::from_micros(rng.range(500, 12_000)),
-            op: Op::Client(ClientOp::Join {
-                agent,
-                e0: 0.15 + 0.7 * rng.next_f64(),
-            }),
-        });
+        let at = Duration::from_micros(rng.range(500, 12_000));
+        let source = ObservationSource::GroundTruth(truth(0.15 + 0.7 * rng.next_f64()));
+        ops.push(client(at, agent, Request::Join { agent, source }));
         if rng.chance(0.3) {
-            ops.push(Scheduled {
-                at: horizon / 4 + Duration::from_micros(rng.below(horizon.as_micros() as u64 / 2)),
-                op: Op::Client(ClientOp::Demand {
-                    agent,
-                    e0: 0.15 + 0.7 * rng.next_f64(),
-                }),
-            });
+            let at = horizon / 4 + Duration::from_micros(rng.below(horizon.as_micros() as u64 / 2));
+            let truth = Some(truth(0.15 + 0.7 * rng.next_f64()));
+            ops.push(client(at, agent, Request::Demand { agent, truth }));
         }
         if rng.chance(0.2) {
-            ops.push(Scheduled {
-                at: horizon / 2 + Duration::from_micros(rng.below(horizon.as_micros() as u64 / 3)),
-                op: Op::Client(ClientOp::Leave { agent }),
-            });
+            let at = horizon / 2 + Duration::from_micros(rng.below(horizon.as_micros() as u64 / 3));
+            ops.push(client(at, agent, Request::Leave { agent }));
         }
     }
     for _ in 0..rng.range(2, 6) {
-        ops.push(Scheduled {
-            at: Duration::from_micros(rng.below(horizon.as_micros() as u64)),
-            op: Op::Client(ClientOp::Query {
-                agent: rng.range(1, agents + 1),
-            }),
-        });
+        let at = Duration::from_micros(rng.below(horizon.as_micros() as u64));
+        let agent = rng.range(1, agents + 1);
+        let query = Request::Query { agent: Some(agent) };
+        ops.push(client(at, agent, query));
     }
 
     // Fault incidents. Track, per shard, whether a divergence fault or
@@ -233,14 +222,8 @@ pub(crate) fn generate(seed: u64, quick: bool) -> Schedule {
                 crashed_node[node] = true;
                 connectivity_shard[node / REPLICAS] = true;
                 push_class(&mut classes, "crash");
-                ops.push(Scheduled {
-                    at,
-                    op: Op::Fault(FaultOp::Crash { node }),
-                });
-                ops.push(Scheduled {
-                    at: at + ms(rng.range(40, 90)),
-                    op: Op::Fault(FaultOp::Restart { node }),
-                });
+                ops.push(fault(at, FaultOp::Crash { node }));
+                ops.push(fault(at + ms(rng.range(40, 90)), FaultOp::Restart { node }));
             }
             // Partition a shard's replication links; heal later.
             25..=49 => {
@@ -251,14 +234,8 @@ pub(crate) fn generate(seed: u64, quick: bool) -> Schedule {
                 connectivity_shard[shard] = true;
                 push_class(&mut classes, "partition");
                 let both = rng.chance(0.5);
-                ops.push(Scheduled {
-                    at,
-                    op: Op::Fault(FaultOp::Partition { shard, both }),
-                });
-                ops.push(Scheduled {
-                    at: at + ms(rng.range(70, 130)),
-                    op: Op::Fault(FaultOp::Heal { shard }),
-                });
+                ops.push(fault(at, FaultOp::Partition { shard, both }));
+                ops.push(fault(at + ms(rng.range(70, 130)), FaultOp::Heal { shard }));
             }
             // Torn write: partial append + failed self-heal + recovery.
             50..=64 => {
@@ -269,20 +246,17 @@ pub(crate) fn generate(seed: u64, quick: bool) -> Schedule {
                 crashed_node[node] = true;
                 connectivity_shard[node / REPLICAS] = true;
                 push_class(&mut classes, "torn-write");
-                ops.push(Scheduled {
-                    at,
-                    op: Op::Fault(FaultOp::TornWrite { node }),
-                });
+                ops.push(fault(at, FaultOp::TornWrite { node }));
             }
             // Delay storm for the rest of the run.
             65..=74 => {
                 push_class(&mut classes, "delay");
-                ops.push(Scheduled {
+                ops.push(fault(
                     at,
-                    op: Op::Fault(FaultOp::DelayBump {
+                    FaultOp::DelayBump {
                         factor: rng.range(2, 5) as u32,
-                    }),
-                });
+                    },
+                ));
             }
             // Transient fsync failures. Kept off diverge shards: a
             // poisoned primary self-crashes, and no protocol can stop a
@@ -295,13 +269,13 @@ pub(crate) fn generate(seed: u64, quick: bool) -> Schedule {
                 }
                 fsync_shard[node / REPLICAS] = true;
                 push_class(&mut classes, "fsync");
-                ops.push(Scheduled {
+                ops.push(fault(
                     at,
-                    op: Op::Fault(FaultOp::FailSync {
+                    FaultOp::FailSync {
                         node,
                         n: rng.range(1, 4) as u32,
-                    }),
-                });
+                    },
+                ));
             }
             // Latent rot in a covered checkpoint, then an online scrub.
             85..=92 => {
@@ -309,10 +283,7 @@ pub(crate) fn generate(seed: u64, quick: bool) -> Schedule {
                 // Late enough that two checkpoints exist.
                 let at = ms(rng.range(hi.saturating_sub(40).max(lo), hi));
                 push_class(&mut classes, "bit-flip");
-                ops.push(Scheduled {
-                    at,
-                    op: Op::Fault(FaultOp::BitFlip { node }),
-                });
+                ops.push(fault(at, FaultOp::BitFlip { node }));
                 ops.push(Scheduled {
                     at: at + ms(15),
                     op: Op::Scrub { node },
@@ -326,10 +297,7 @@ pub(crate) fn generate(seed: u64, quick: bool) -> Schedule {
                 }
                 diverged_shard[shard] = true;
                 push_class(&mut classes, "diverge");
-                ops.push(Scheduled {
-                    at,
-                    op: Op::Fault(FaultOp::Diverge { shard }),
-                });
+                ops.push(fault(at, FaultOp::Diverge { shard }));
             }
             // A panic on the shard's booted primary: it stays Down and
             // its standby's election replaces it. Kept apart from other
@@ -342,10 +310,7 @@ pub(crate) fn generate(seed: u64, quick: bool) -> Schedule {
                 crashed_node[node] = true;
                 connectivity_shard[node / REPLICAS] = true;
                 push_class(&mut classes, "panic");
-                ops.push(Scheduled {
-                    at,
-                    op: Op::Fault(FaultOp::Panic { node }),
-                });
+                ops.push(fault(at, FaultOp::Panic { node }));
             }
         }
     }

@@ -19,7 +19,6 @@ use crate::metrics::ServeMetrics;
 use crate::protocol::{
     error_response, event_to_value, ok_response, outcome_unknown_response, Request,
 };
-use crate::repl::{ReplShared, Role};
 use crate::storage::{FsStorage, Storage};
 use crate::wal::{Wal, WalConfig};
 
@@ -109,12 +108,8 @@ pub struct ServiceCore {
     /// during recovery — equals the WAL sequence when a WAL is attached.
     events_applied: u64,
     faults: FaultPlan,
-    /// Replication state, when this core is one node of a replicated
-    /// pair: as a primary it streams every appended record and keeps
-    /// per-epoch fingerprints; as a standby it applies the stream.
-    repl: Option<Arc<ReplShared>>,
     /// The event being applied, as its record: one encode serves the
-    /// WAL, the `rec` frame and the journal.
+    /// WAL, the journal and, on a replicated primary, the `rec` frame.
     record: Vec<u8>,
 }
 
@@ -132,7 +127,6 @@ impl ServiceCore {
             wal: None,
             events_applied: 0,
             faults: FaultPlan::default(),
-            repl: None,
             record: Vec::new(),
         })
     }
@@ -241,7 +235,6 @@ impl ServiceCore {
             wal: Some(wal),
             events_applied,
             faults,
-            repl: None,
             record,
         })
     }
@@ -273,12 +266,6 @@ impl ServiceCore {
         ServeMetrics::bump_by(&metrics.wal_scrub_errors, scrub_errors);
         core.publish_wal_gauges(metrics);
         Ok(core)
-    }
-
-    /// Attaches replication state; the core will stream appended records
-    /// (as a primary) and track per-epoch state fingerprints.
-    pub(crate) fn attach_repl(&mut self, repl: Arc<ReplShared>) {
-        self.repl = Some(repl);
     }
 
     /// The wrapped engine (read-only).
@@ -334,14 +321,27 @@ impl ServiceCore {
     /// Applies one event-bearing request to the engine, logging it
     /// durably and journaling it first (rejected events are logged too —
     /// the rejection bumps an engine counter, so replay must see it to
-    /// stay bit-identical).
-    ///
-    /// Append-before-apply, fail-closed: if the WAL append fails the
-    /// event is *not* applied and the client gets a `wal` error — engine
-    /// state is never ahead of the log. When that append poisoned the
-    /// log, the error says its outcome is unknown: recovery may replay
-    /// the record (DESIGN.md §9).
+    /// stay bit-identical): [`ServiceCore::append`], then
+    /// [`ServiceCore::apply_logged`].
     fn apply_event(&mut self, event: MarketEvent, metrics: &ServeMetrics) -> Value {
+        match self.append(&event, metrics) {
+            Ok(_) => self.apply_logged(event, metrics),
+            Err(refusal) => refusal,
+        }
+    }
+
+    /// Logs `event` at the next sequence, which it returns:
+    /// append-before-apply, fail-closed. If the WAL append fails the
+    /// event is *not* to be applied and `Err` is the client's `wal`
+    /// error — engine state is never ahead of the log. When that append
+    /// poisoned the log, the error says its outcome is unknown: recovery
+    /// may replay the record (DESIGN.md §9). The record stays in
+    /// [`ServiceCore::record`] until the next append.
+    pub(crate) fn append(
+        &mut self,
+        event: &MarketEvent,
+        metrics: &ServeMetrics,
+    ) -> Result<u64, Value> {
         let seq = self.events_applied;
         self.record.clear();
         event.write_record(&mut self.record);
@@ -350,11 +350,11 @@ impl ServiceCore {
             if let Err(e) = wal.append_record(&self.record) {
                 ServeMetrics::bump(&metrics.wal_errors);
                 let detail = format!("append failed: {e}");
-                return if healthy && wal.poisoned() {
+                return Err(if healthy && wal.poisoned() {
                     outcome_unknown_response(&detail)
                 } else {
                     error_response("wal", Some(&detail), None)
-                };
+                });
             }
             ServeMetrics::bump(&metrics.wal_appends);
             self.publish_wal_gauges(metrics);
@@ -364,34 +364,37 @@ impl ServiceCore {
             // but orphaned; recovery must replay it.
             panic!("injected panic applying event seq {seq}");
         }
-        // Stream to standbys right after the durable append, before the
-        // local apply, so replication overlaps the engine work.
-        let mut attached = false;
-        if let Some(repl) = self.repl.as_ref().filter(|r| r.role() == Role::Primary) {
-            attached = repl.publish_record(seq, &self.record, metrics);
-            ServeMetrics::bump(&metrics.repl_records_sent);
-        }
+        Ok(seq)
+    }
+
+    /// The record of the event [`ServiceCore::append`] last took, as the
+    /// log holds it.
+    pub(crate) fn record(&self) -> &[u8] {
+        &self.record
+    }
+
+    /// Whether a failed write poisoned the log: it refuses every append
+    /// until the node restarts from it.
+    pub(crate) fn poisoned(&self) -> bool {
+        self.wal.as_ref().is_some_and(Wal::poisoned)
+    }
+
+    /// Applies the event [`ServiceCore::append`] just logged: journal,
+    /// engine, checkpoint cadence. The reply is the engine's verdict.
+    pub(crate) fn apply_logged(&mut self, event: MarketEvent, metrics: &ServeMetrics) -> Value {
         self.journal.push(&self.record);
         self.events_applied += 1;
         let is_tick = matches!(event, MarketEvent::EpochTick);
         let started = Instant::now();
         let response = match self.engine.apply_now(event) {
             Ok(report) => {
-                let epoch = self.engine.epoch();
                 if is_tick {
                     metrics
                         .epoch_latency
                         .record_us(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
                     ServeMetrics::bump(&metrics.epochs);
-                    if let Some(repl) = &self.repl {
-                        repl.push_epoch_fp(
-                            self.events_applied,
-                            epoch,
-                            self.engine.state_fingerprint(),
-                        );
-                    }
                 }
-                let mut fields = vec![("epoch", Value::from_u64(epoch))];
+                let mut fields = vec![("epoch", Value::from_u64(self.engine.epoch()))];
                 if let Some(report) = report {
                     fields.push(("report", report_value(&report)));
                     self.last_report = Some(report);
@@ -401,25 +404,6 @@ impl ServiceCore {
             Err(e) => error_response("market", Some(&e.to_string()), None),
         };
         self.maybe_checkpoint(metrics);
-        // Synchronous replication: hold the reply until a standby has
-        // applied this record, so an acked mutation survives failover.
-        // With no standby connected the primary degrades to async (a
-        // lone node must stay available); on timeout the client gets a
-        // loud `repl` error — the event *is* applied locally, but its
-        // replication was never confirmed.
-        if let Some(repl) = self
-            .repl
-            .as_ref()
-            .filter(|r| r.config().sync && r.role() == Role::Primary)
-        {
-            if !repl.wait_applied(self.events_applied, attached) {
-                return error_response(
-                    "repl",
-                    Some("applied locally but the standby ack timed out; not confirmed replicated"),
-                    None,
-                );
-            }
-        }
         response
     }
 
@@ -798,35 +782,10 @@ fn report_value(report: &EpochReport) -> Value {
     ])
 }
 
-/// [`MarketMetrics::to_json`] as a [`Value`], likewise byte for byte.
+/// [`MarketMetrics::to_json`] as a [`Value`]: its one field list, parsed,
+/// so the reply re-encodes to its bytes.
 fn market_metrics_value(m: &MarketMetrics) -> Value {
-    let mut fields: Vec<(&str, Value)> = [
-        ("epochs", m.epochs),
-        ("events", m.events),
-        ("joins", m.joins),
-        ("leaves", m.leaves),
-        ("demand_changes", m.demand_changes),
-        ("external_observations", m.external_observations),
-        ("reallocations", m.reallocations),
-        ("cache_hits", m.cache_hits),
-        ("refits", m.refits),
-        ("rejected_events", m.rejected_events),
-        ("degenerate_refits", m.degenerate_refits),
-        ("quarantines", m.quarantines),
-        ("reallotments", m.reallotments),
-        ("warm_start_hits", m.warm_start_hits),
-        ("warm_start_misses", m.warm_start_misses),
-        ("warm_start_fallbacks", m.warm_start_fallbacks),
-        ("incremental_refits", m.incremental_refits),
-        ("credits_accrued", m.credits_accrued),
-        ("credits_spent", m.credits_spent),
-        ("temporal_si_violations", m.temporal_si_violations),
-    ]
-    .into_iter()
-    .map(|(name, count)| (name, Value::from_u64(count)))
-    .collect();
-    fields.push(("cache_hit_rate", Value::Num(m.cache_hit_rate())));
-    Value::obj(fields)
+    Value::parse(&m.to_json()).expect("the market's metrics line is JSON")
 }
 
 /// Outcome of applying one replicated record on a standby.

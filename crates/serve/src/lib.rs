@@ -52,8 +52,10 @@
 //!   elect itself, when a recovered primary may take writes again — is
 //!   one sans-IO state machine, [`repl_core::ReplCore`], and every rule
 //!   of one connection (catch-up, `snap` bootstrap, hold and go-live,
-//!   the standby's apply verdict) is [`session`]'s; [`repl`] is their
-//!   threaded driver and the deterministic simulator their other one.
+//!   the standby's apply verdict) is [`session`]'s. How one replica
+//!   composes them with its service core is [`node::Node`]; [`repl`] and
+//!   `server` are its threaded driver and the deterministic simulator its
+//!   other one.
 //! * **Sharding** ([`shard`] + `server`'s router): partitions agents
 //!   across N independent market shards via a seeded consistent-hash
 //!   ring, one code path for every N (one shard is a one-node fleet).
@@ -114,6 +116,7 @@ mod core;
 mod fault;
 pub mod json;
 mod metrics;
+pub mod node;
 pub mod protocol;
 pub mod repl;
 pub mod repl_core;
@@ -131,6 +134,7 @@ pub use core::{replay, JournalLimit, ReplApply, ServiceCore};
 pub use fault::FaultPlan;
 pub use json::Value;
 pub use metrics::ServeMetrics;
+pub use node::Node;
 pub use protocol::{parse_request, Envelope, Request};
 pub use repl::{decode_frame, encode_frame, FrameDecode, ReplConfig, Role};
 pub use repl_core::ReplCore;

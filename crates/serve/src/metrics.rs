@@ -99,83 +99,119 @@ impl HistogramSnapshot {
     }
 }
 
-/// Shared server counters, updated lock-free from every thread.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
+/// Declares the server's counters once: the lock-free [`ServeMetrics`],
+/// its plain [`ServeMetricsSnapshot`], and the order both stable
+/// exports list them in.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Shared server counters, updated lock-free from every thread.
+        #[derive(Debug, Default)]
+        pub struct ServeMetrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+            /// Wall-clock latency of each epoch's pump.
+            pub epoch_latency: LatencyHistogram,
+        }
+
+        /// A plain copy of [`ServeMetrics`].
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct ServeMetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Epoch pump latency distribution.
+            pub epoch_latency: HistogramSnapshot,
+        }
+
+        impl ServeMetrics {
+            /// Point-in-time copy of every counter.
+            pub fn snapshot(&self) -> ServeMetricsSnapshot {
+                ServeMetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    epoch_latency: self.epoch_latency.snapshot(),
+                }
+            }
+        }
+
+        impl ServeMetricsSnapshot {
+            /// Every counter by name, in declaration order.
+            fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+        }
+    };
+}
+
+counters! {
     /// Connections accepted over the server's lifetime.
-    pub connections: AtomicU64,
+    connections,
     /// Requests admitted (past the class quotas, or pushed to a shard
     /// thread as part of a fleet-wide op).
-    pub accepted: AtomicU64,
+    accepted,
     /// Requests bounced by a full class quota.
-    pub rejected_overload: AtomicU64,
+    rejected_overload,
     /// Requests whose deadline passed while they waited to be served.
-    pub rejected_deadline: AtomicU64,
+    rejected_deadline,
     /// Requests bounced because the server was draining.
-    pub rejected_shutdown: AtomicU64,
+    rejected_shutdown,
     /// Lines that failed to parse or validate.
-    pub protocol_errors: AtomicU64,
+    protocol_errors,
     /// Epochs executed.
-    pub epochs: AtomicU64,
+    epochs,
     /// Requests in flight on the shard (admitted and not yet answered,
     /// plus whatever is queued for its thread) at the last admission
     /// (gauge); each shard keeps its own, so scrapes see per-shard
     /// backlog, not just the high-water mark.
-    pub queue_depth: AtomicU64,
+    queue_depth,
     /// High-water mark of that depth, observed at admission.
-    pub queue_depth_max: AtomicU64,
+    queue_depth_max,
     /// Events appended durably to the write-ahead log.
-    pub wal_appends: AtomicU64,
+    wal_appends,
     /// Failed WAL appends/checkpoints (each one rejected an event or
     /// postponed a checkpoint — never silently dropped).
-    pub wal_errors: AtomicU64,
+    wal_errors,
     /// CRC failures found by WAL scrubs (counter; each one is a damaged
     /// record or checkpoint a scrub pass reported).
-    pub wal_scrub_errors: AtomicU64,
+    wal_scrub_errors,
     /// Snapshot checkpoints taken.
-    pub checkpoints: AtomicU64,
+    checkpoints,
     /// WAL segments currently retained on disk (gauge).
-    pub wal_segments: AtomicU64,
+    wal_segments,
     /// Total bytes across retained WAL segments (gauge).
-    pub wal_bytes: AtomicU64,
+    wal_bytes,
     /// Size of the newest checkpoint file in bytes (gauge).
-    pub checkpoint_bytes: AtomicU64,
+    checkpoint_bytes,
     /// Records the slowest connected standby still trails the primary
     /// by (gauge; 0 with no standby or when fully caught up).
-    pub repl_lag_records: AtomicU64,
+    repl_lag_records,
     /// Standby replicas currently connected to this primary (gauge).
-    pub standby_connected: AtomicU64,
+    standby_connected,
     /// Replication records streamed to standbys (counter).
-    pub repl_records_sent: AtomicU64,
+    repl_records_sent,
     /// Standby-to-primary promotions this process performed (counter).
-    pub promotions: AtomicU64,
+    promotions,
     /// Standby state-fingerprint mismatches detected (counter); each one
     /// fenced a divergent replica instead of ever promoting it.
-    pub divergences: AtomicU64,
+    divergences,
     /// Fenced gauge: 1 once this node saw a higher term (or diverged)
     /// and refuses mutations, 0 otherwise.
-    pub fenced: AtomicU64,
+    fenced,
     /// Reader threads that died to a panic (connections lost alone).
-    pub reader_panics: AtomicU64,
+    reader_panics,
     /// Panics caught under a shard lock, whichever thread held it (the
     /// name dates from when only the ticker thread did).
-    pub ticker_panics: AtomicU64,
+    ticker_panics,
     /// Degraded gauge: 1 after such a panic (the shard is Down until the
     /// supervisor restarts it), 0 in normal operation.
-    pub degraded: AtomicU64,
+    degraded,
     /// Shards currently Down (gauge, router-wide; lives on shard 0's
     /// metrics like the other transport-level counters).
-    pub shards_down: AtomicU64,
+    shards_down,
     /// Shards restarted in place by the supervisor (counter).
-    pub shard_restarts: AtomicU64,
+    shard_restarts,
     /// Fleet epochs that completed without every shard reporting — the
     /// merged report carried `partial: true` (counter).
-    pub partial_epochs: AtomicU64,
+    partial_epochs,
     /// Coordination rounds skipped because fewer than quorum shards
     /// reported: allotments were frozen instead (counter).
-    pub quorum_freezes: AtomicU64,
-    /// Wall-clock latency of each epoch's pump.
-    pub epoch_latency: LatencyHistogram,
+    quorum_freezes,
 }
 
 impl ServeMetrics {
@@ -198,192 +234,33 @@ impl ServeMetrics {
     pub(crate) fn observe_depth(&self, depth: u64) {
         self.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
     }
-
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> ServeMetricsSnapshot {
-        ServeMetricsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
-            rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
-            rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            epochs: self.epochs.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed),
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            wal_errors: self.wal_errors.load(Ordering::Relaxed),
-            wal_scrub_errors: self.wal_scrub_errors.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            wal_segments: self.wal_segments.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            checkpoint_bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
-            repl_lag_records: self.repl_lag_records.load(Ordering::Relaxed),
-            standby_connected: self.standby_connected.load(Ordering::Relaxed),
-            repl_records_sent: self.repl_records_sent.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            divergences: self.divergences.load(Ordering::Relaxed),
-            fenced: self.fenced.load(Ordering::Relaxed),
-            reader_panics: self.reader_panics.load(Ordering::Relaxed),
-            ticker_panics: self.ticker_panics.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            shards_down: self.shards_down.load(Ordering::Relaxed),
-            shard_restarts: self.shard_restarts.load(Ordering::Relaxed),
-            partial_epochs: self.partial_epochs.load(Ordering::Relaxed),
-            quorum_freezes: self.quorum_freezes.load(Ordering::Relaxed),
-            epoch_latency: self.epoch_latency.snapshot(),
-        }
-    }
-}
-
-/// A plain copy of [`ServeMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeMetricsSnapshot {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Requests admitted.
-    pub accepted: u64,
-    /// Requests bounced by quota.
-    pub rejected_overload: u64,
-    /// Requests expired while waiting.
-    pub rejected_deadline: u64,
-    /// Requests bounced during drain.
-    pub rejected_shutdown: u64,
-    /// Unparseable or invalid lines.
-    pub protocol_errors: u64,
-    /// Epochs executed.
-    pub epochs: u64,
-    /// Requests in flight at the last admission (gauge).
-    pub queue_depth: u64,
-    /// Queue depth high-water mark.
-    pub queue_depth_max: u64,
-    /// Durable WAL appends.
-    pub wal_appends: u64,
-    /// Failed WAL appends/checkpoints.
-    pub wal_errors: u64,
-    /// CRC failures found by WAL scrubs.
-    pub wal_scrub_errors: u64,
-    /// Snapshot checkpoints taken.
-    pub checkpoints: u64,
-    /// WAL segments retained on disk.
-    pub wal_segments: u64,
-    /// Bytes across retained WAL segments.
-    pub wal_bytes: u64,
-    /// Newest checkpoint file size in bytes.
-    pub checkpoint_bytes: u64,
-    /// Records the slowest connected standby trails by.
-    pub repl_lag_records: u64,
-    /// Connected standby replicas.
-    pub standby_connected: u64,
-    /// Replication records streamed to standbys.
-    pub repl_records_sent: u64,
-    /// Standby-to-primary promotions performed.
-    pub promotions: u64,
-    /// Divergent standbys detected (and fenced).
-    pub divergences: u64,
-    /// Fenced gauge (1 = deposed/diverged, mutations refused).
-    pub fenced: u64,
-    /// Reader threads lost to panics.
-    pub reader_panics: u64,
-    /// Panics caught under a shard lock.
-    pub ticker_panics: u64,
-    /// Degraded-mode gauge (1 = mutations refused).
-    pub degraded: u64,
-    /// Shards currently Down (router-wide gauge).
-    pub shards_down: u64,
-    /// Shards restarted in place by the supervisor.
-    pub shard_restarts: u64,
-    /// Fleet epochs whose merged report was `partial: true`.
-    pub partial_epochs: u64,
-    /// Coordination rounds frozen for lack of quorum.
-    pub quorum_freezes: u64,
-    /// Epoch pump latency distribution.
-    pub epoch_latency: HistogramSnapshot,
 }
 
 impl ServeMetricsSnapshot {
     /// Stable JSON form with fixed field order.
     pub(crate) fn to_json_value(&self) -> Value {
-        Value::obj(vec![
-            ("connections", Value::from_u64(self.connections)),
-            ("accepted", Value::from_u64(self.accepted)),
-            ("rejected_overload", Value::from_u64(self.rejected_overload)),
-            ("rejected_deadline", Value::from_u64(self.rejected_deadline)),
-            ("rejected_shutdown", Value::from_u64(self.rejected_shutdown)),
-            ("protocol_errors", Value::from_u64(self.protocol_errors)),
-            ("epochs", Value::from_u64(self.epochs)),
-            ("queue_depth", Value::from_u64(self.queue_depth)),
-            ("queue_depth_max", Value::from_u64(self.queue_depth_max)),
-            ("wal_appends", Value::from_u64(self.wal_appends)),
-            ("wal_errors", Value::from_u64(self.wal_errors)),
-            ("wal_scrub_errors", Value::from_u64(self.wal_scrub_errors)),
-            ("checkpoints", Value::from_u64(self.checkpoints)),
-            ("wal_segments", Value::from_u64(self.wal_segments)),
-            ("wal_bytes", Value::from_u64(self.wal_bytes)),
-            ("checkpoint_bytes", Value::from_u64(self.checkpoint_bytes)),
-            ("repl_lag_records", Value::from_u64(self.repl_lag_records)),
-            ("standby_connected", Value::from_u64(self.standby_connected)),
-            ("repl_records_sent", Value::from_u64(self.repl_records_sent)),
-            ("promotions", Value::from_u64(self.promotions)),
-            ("divergences", Value::from_u64(self.divergences)),
-            ("fenced", Value::from_u64(self.fenced)),
-            ("reader_panics", Value::from_u64(self.reader_panics)),
-            ("ticker_panics", Value::from_u64(self.ticker_panics)),
-            ("degraded", Value::from_u64(self.degraded)),
-            ("shards_down", Value::from_u64(self.shards_down)),
-            ("shard_restarts", Value::from_u64(self.shard_restarts)),
-            ("partial_epochs", Value::from_u64(self.partial_epochs)),
-            ("quorum_freezes", Value::from_u64(self.quorum_freezes)),
-            ("epoch_latency", self.epoch_latency.to_json_value()),
-        ])
+        let counters = self.counters().into_iter();
+        let mut fields: Vec<(&str, Value)> = counters
+            .map(|(name, value)| (name, Value::from_u64(value)))
+            .collect();
+        fields.push(("epoch_latency", self.epoch_latency.to_json_value()));
+        Value::obj(fields)
     }
 
     /// Stable `name value` text form for scrape endpoints.
     pub(crate) fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (name, value) in [
-            ("refserve_connections", self.connections),
-            ("refserve_accepted", self.accepted),
-            ("refserve_rejected_overload", self.rejected_overload),
-            ("refserve_rejected_deadline", self.rejected_deadline),
-            ("refserve_rejected_shutdown", self.rejected_shutdown),
-            ("refserve_protocol_errors", self.protocol_errors),
-            ("refserve_epochs", self.epochs),
-            ("refserve_queue_depth", self.queue_depth),
-            ("refserve_queue_depth_max", self.queue_depth_max),
-            ("refserve_wal_appends", self.wal_appends),
-            ("refserve_wal_errors", self.wal_errors),
-            ("refserve_wal_scrub_errors", self.wal_scrub_errors),
-            ("refserve_checkpoints", self.checkpoints),
-            ("refserve_wal_segments", self.wal_segments),
-            ("refserve_wal_bytes", self.wal_bytes),
-            ("refserve_checkpoint_bytes", self.checkpoint_bytes),
-            ("refserve_repl_lag_records", self.repl_lag_records),
-            ("refserve_standby_connected", self.standby_connected),
-            ("refserve_repl_records_sent", self.repl_records_sent),
-            ("refserve_promotions", self.promotions),
-            ("refserve_divergences", self.divergences),
-            ("refserve_fenced", self.fenced),
-            ("refserve_reader_panics", self.reader_panics),
-            ("refserve_ticker_panics", self.ticker_panics),
-            ("refserve_degraded", self.degraded),
-            ("refserve_shards_down", self.shards_down),
-            ("refserve_shard_restarts", self.shard_restarts),
-            ("refserve_partial_epochs", self.partial_epochs),
-            ("refserve_quorum_freezes", self.quorum_freezes),
-            ("refserve_epoch_latency_count", self.epoch_latency.count),
-            ("refserve_epoch_latency_sum_us", self.epoch_latency.sum_us),
-            (
-                "refserve_epoch_latency_p50_us",
-                self.epoch_latency.quantile_us(0.50),
-            ),
-            (
-                "refserve_epoch_latency_p99_us",
-                self.epoch_latency.quantile_us(0.99),
-            ),
-        ] {
-            let _ = writeln!(out, "{name} {value}");
+        let latency = &self.epoch_latency;
+        let mut lines = self.counters();
+        lines.extend([
+            ("epoch_latency_count", latency.count),
+            ("epoch_latency_sum_us", latency.sum_us),
+            ("epoch_latency_p50_us", latency.quantile_us(0.50)),
+            ("epoch_latency_p99_us", latency.quantile_us(0.99)),
+        ]);
+        for (name, value) in lines {
+            let _ = writeln!(out, "refserve_{name} {value}");
         }
         out
     }

@@ -189,19 +189,6 @@ impl Request {
         }
     }
 
-    /// Whether [`Request::to_event`] yields an event (without building it).
-    pub(crate) fn bears_event(&self) -> bool {
-        matches!(
-            self,
-            Request::Join { .. }
-                | Request::Leave { .. }
-                | Request::Demand { .. }
-                | Request::Observe { .. }
-                | Request::Tick
-                | Request::Reallot { .. }
-        )
-    }
-
     /// The market event this request submits, if it is event-bearing.
     pub fn to_event(&self) -> Option<MarketEvent> {
         match self {
@@ -564,8 +551,6 @@ mod tests {
         for (line, class) in cases {
             let env = parse_request(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(env.request.class(), class, "{line}");
-            let bears = env.request.to_event().is_some();
-            assert_eq!(env.request.bears_event(), bears, "{line}");
         }
     }
 

@@ -46,20 +46,21 @@
 //! may elect itself, when a recovered primary may take writes again —
 //! is decided by [`ReplCore`], and every rule of one connection — the
 //! catch-up, the `snap` bootstrap, the hold and go-live, the standby's
-//! apply verdict — by [`crate::session`]: sans-IO rules the
-//! deterministic simulator drives too. This module is their threaded
-//! driver: sockets, the frame codec, and the blocking sync-mode wait.
-//! There are no relay threads: the thread that appended a record writes
-//! its `rec` frame to every standby socket itself, and the standby's
-//! puller applies each frame under the standby's shard lock and writes
-//! the `ack` itself. Threads lock the core briefly per frame and publish
-//! its role and term to atomics, so the per-request role gate never
-//! takes a lock.
+//! apply verdict — by [`crate::session`], and how one replica composes
+//! them by [`crate::node`]: sans-IO code the deterministic simulator
+//! drives too. This module is its threaded driver: sockets, the frame
+//! codec, and the blocking sync-mode wait. There are no relay threads:
+//! the thread that appended a record writes its `rec` frame to every
+//! standby socket itself, and the standby's puller hands each frame to
+//! its node under the standby's shard lock and writes the `ack` itself.
+//! Threads take the replication lock briefly per frame and publish the
+//! role and lease to atomics, so the per-request role gate never takes
+//! a lock.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -69,10 +70,10 @@ use ref_market::MarketEvent;
 use crate::clock::Clock;
 use crate::json::Value;
 use crate::metrics::ServeMetrics;
+use crate::node::{hand_over, Follow, Peer, Replication};
 pub use crate::repl_core::Role;
-use crate::repl_core::{Ack, AckWait, Hello, Promotion, ReplCore, Stream, Timer};
-use crate::server::{handle_promote, Shared};
-use crate::session::{self, Applied, GoLive, Offer, Session};
+use crate::repl_core::{Ack, AckWait, Hello, ReplCore, Timer};
+use crate::server::{carry_out, spawn, Shared};
 use crate::storage::Storage;
 use crate::wal::{self, FrameCheck, Wal};
 
@@ -308,55 +309,39 @@ impl FrameConn {
 
     /// Reads until one whole frame is available (`Ok(Some)`), the read
     /// times out with no complete frame (`Ok(None)`), or the stream is
-    /// closed/corrupt (`Err`).
-    fn read_frame(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+    /// closed or corrupt (`Err`): the connection is over.
+    fn read_frame(&mut self) -> Result<Option<Vec<u8>>, ()> {
         loop {
             match decode_frame(&self.buf) {
                 FrameDecode::Complete { payload, consumed } => {
                     self.buf.drain(..consumed);
                     return Ok(Some(payload));
                 }
-                FrameDecode::Corrupt(detail) => {
-                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, detail));
-                }
+                FrameDecode::Corrupt(_) => return Err(()),
                 FrameDecode::Incomplete => {}
             }
             let mut chunk = [0u8; 16 * 1024];
             match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "replication peer closed the connection",
-                    ))
-                }
+                Ok(0) => return Err(()),
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Ok(None)
                 }
-                Err(e) => return Err(e),
+                Err(_) => return Err(()),
             }
         }
     }
 
-    /// Reads one frame within `deadline`, tolerating timeout ticks.
-    fn read_frame_deadline(&mut self, deadline: Duration) -> std::io::Result<Vec<u8>> {
+    /// Reads one frame within `deadline`, tolerating timeout ticks:
+    /// `None` once the deadline passes, or the stream is closed/corrupt.
+    fn read_frame_deadline(&mut self, deadline: Duration) -> Option<Vec<u8>> {
         let until = Instant::now() + deadline;
-        loop {
-            if let Some(payload) = self.read_frame()? {
-                return Ok(payload);
-            }
-            if Instant::now() >= until {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "replication peer sent no frame within the deadline",
-                ));
+        while Instant::now() < until {
+            if let Some(payload) = self.read_frame().ok()? {
+                return Some(payload);
             }
         }
+        None
     }
 }
 
@@ -364,107 +349,47 @@ impl FrameConn {
 // Shared replication state.
 // ---------------------------------------------------------------------
 
-/// One connected standby, from the primary's point of view: the socket
-/// records are written to, its ack progress, and whether it is live.
+/// One standby's socket, as the primary's [`Replication`] writes to it.
 #[derive(Debug)]
-struct Sink {
-    id: u64,
-    out: Mutex<SinkOut>,
-    acked: AtomicU64,
-    alive: AtomicBool,
-}
+pub(crate) struct Socket(TcpStream);
 
-/// The write side of a standby connection, and its [`Session`].
-#[derive(Debug)]
-struct SinkOut {
-    stream: TcpStream,
-    session: Session,
+impl Peer for Socket {
+    fn send(&mut self, frame: &[u8]) -> bool {
+        self.0.write_all(frame).is_ok()
+    }
+
+    /// Shuts the socket, so the handler's ack read ends and the standby
+    /// sees the drop at once and reconnects.
+    fn close(&mut self) {
+        let _ = self.0.shutdown(std::net::Shutdown::Both);
+    }
 }
 
 /// How long a write to a caught-up standby's socket may block. Writes
 /// happen under the primary's shard lock, so this bounds what a replica
-/// that stopped reading can cost: past it the sink is dropped, exactly
-/// as one whose hold was full.
+/// that stopped reading can cost: past it the session is dropped,
+/// exactly as one whose hold was full.
 const SEND_TIMEOUT: Duration = Duration::from_millis(100);
 
-impl Sink {
-    /// Marks the sink dead and closes its socket, so the handler's ack
-    /// read ends and the standby sees the drop at once and reconnects.
-    fn kill(&self, out: &SinkOut) {
-        self.alive.store(false, Ordering::SeqCst);
-        let _ = out.stream.shutdown(std::net::Shutdown::Both);
-    }
-
-    fn out(&self) -> MutexGuard<'_, SinkOut> {
-        self.out.lock().expect("repl lock poisoned")
-    }
-
-    /// Carries out the session's verdict on `frame` (a live record or a
-    /// heartbeat). `false` once the sink is dead: the session killed it,
-    /// or a write failed or timed out — possibly mid-frame, so the
-    /// connection is unusable either way.
-    fn send(&self, frame: &[u8], verdict: impl FnOnce(&mut Session) -> Offer) -> bool {
-        if !self.alive.load(Ordering::SeqCst) {
-            return false;
-        }
-        let mut out = self.out();
-        let sent = match verdict(&mut out.session) {
-            Offer::Held | Offer::Skip => true,
-            Offer::Send => out.stream.write_all(frame).is_ok(),
-            Offer::Kill => false,
-        };
-        if !sent {
-            self.kill(&out);
-        }
-        sent
-    }
-
-    /// Retires the sink with a parting frame: nothing is written to the
-    /// socket after it, and the write side is closed behind it.
-    fn send_last(&self, frame: &[u8]) {
-        let mut out = self.out();
-        self.alive.store(false, Ordering::SeqCst);
-        let _ = out.stream.write_all(frame);
-        let _ = out.stream.shutdown(std::net::Shutdown::Write);
-    }
-
-    /// Ends the catch-up that covered everything below `upto`: sends
-    /// the session's held frames, step by step, until it is live and
-    /// appenders write to the socket directly. The sink's lock is only
-    /// held for a step, never for a write, so no appender waits on this
-    /// socket.
-    fn go_live(&self, writer: &mut TcpStream, upto: u64) -> std::io::Result<()> {
-        writer.set_write_timeout(Some(SEND_TIMEOUT))?;
-        loop {
-            let step = self.out().session.go_live(upto);
-            match step {
-                GoLive::Send(frames) => frames.iter().try_for_each(|f| writer.write_all(f))?,
-                GoLive::Live => return Ok(()),
-                GoLive::Kill => return Err(std::io::Error::other("hole in the held records")),
-            }
-        }
-    }
-}
-
 /// Replication state shared between the threads that serve requests and
-/// the replication threads: the [`ReplCore`] behind a mutex, its
-/// role/term/lease published to atomics, and the standby sockets the
-/// core knows nothing about.
+/// the replication threads: the node's [`Replication`] behind one lock,
+/// its role/term/lease published to atomics (so the per-request role
+/// gate takes no lock), and the gauges. A shard's [`crate::node::Node`]
+/// holds it as its [`Link`]; the ack reader and the catch-up stream use
+/// it without the shard lock.
 #[derive(Debug)]
 pub(crate) struct ReplShared {
     config: ReplConfig,
     /// The shard's log, read through the storage its WAL writes with.
     log: (Arc<dyn Storage>, PathBuf),
-    core: Mutex<ReplCore>,
-    /// Signalled (under `core`) whenever the core moves (an ack lands).
+    half: Mutex<Replication<Socket>>,
+    /// Signalled (under `half`) whenever an ack lands.
     ack_signal: Condvar,
     role: AtomicU8,
-    term: AtomicU64,
     /// Whether the core's recovery lease may still refuse mutations.
     lease: AtomicBool,
-    sinks: Mutex<Vec<Arc<Sink>>>,
-    next_sink_id: AtomicU64,
     clock: Arc<dyn Clock>,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl ReplShared {
@@ -475,21 +400,20 @@ impl ReplShared {
         wal: &Wal,
         clock: Arc<dyn Clock>,
         rng_seed: u64,
+        metrics: Arc<ServeMetrics>,
     ) -> ReplShared {
         // The server keeps no durable term: every boot starts at 0.
         let now = clock.now();
         let core = ReplCore::new(&config, rng_seed, 0, wal.next_seq(), now);
         ReplShared {
             role: AtomicU8::new(core.role() as u8),
-            term: AtomicU64::new(core.term()),
             lease: AtomicBool::new(core.lease_live(now)),
-            core: Mutex::new(core),
+            half: Mutex::new(Replication::new(core, Arc::clone(&clock))),
             ack_signal: Condvar::new(),
             config,
             log: (wal.storage(), wal.dir().to_path_buf()),
-            sinks: Mutex::new(Vec::new()),
-            next_sink_id: AtomicU64::new(0),
             clock,
+            metrics,
         }
     }
 
@@ -498,201 +422,54 @@ impl ReplShared {
         &self.config
     }
 
-    /// The node's current role.
+    /// The node's current role, lock-free.
     pub(crate) fn role(&self) -> Role {
         Role::from_u8(self.role.load(Ordering::SeqCst))
     }
 
-    /// The node's current term.
-    pub(crate) fn term(&self) -> u64 {
-        self.term.load(Ordering::SeqCst)
+    fn half(&self) -> MutexGuard<'_, Replication<Socket>> {
+        self.half.lock().expect("repl lock poisoned")
     }
 
-    fn core(&self) -> MutexGuard<'_, ReplCore> {
-        self.core.lock().expect("repl lock poisoned")
-    }
-
-    /// Runs one transition of the core at the current clock reading,
-    /// then publishes what it decided: role, term and lease to the
-    /// atomics, a fence to the (sticky, loud) gauge, and a wake-up to
-    /// any sync-mode waiter.
-    fn drive<R>(
-        &self,
-        metrics: &ServeMetrics,
-        step: impl FnOnce(&mut ReplCore, Duration) -> R,
-    ) -> R {
-        let now = self.clock.now();
-        let mut core = self.core();
-        let out = step(&mut core, now);
+    /// Runs `step` on the replication half, then publishes what it
+    /// decided: role and lease to the atomics, a fence to the
+    /// (sticky, loud) gauge, and the standby and lag gauges.
+    pub(crate) fn step<T>(&self, step: impl FnOnce(&mut Replication<Socket>) -> T) -> T {
+        let mut half = self.half();
+        let out = step(&mut half);
+        let (core, now) = (&half.repl, self.clock.now());
         self.role.store(core.role() as u8, Ordering::SeqCst);
-        self.term.store(core.term(), Ordering::SeqCst);
         self.lease.store(core.lease_live(now), Ordering::SeqCst);
+        let metrics = &self.metrics;
         if core.role() == Role::Fenced {
             metrics.fenced.store(1, Ordering::Relaxed);
         }
-        self.ack_signal.notify_all();
+        (metrics.standby_connected).store(half.attached() as u64, Ordering::Relaxed);
+        (metrics.repl_lag_records).store(half.lag(), Ordering::Relaxed);
         out
     }
 
-    /// The role gate for an event-bearing request (`None` admits it).
-    /// Lock-free on a primary whose recovery lease is over.
-    pub(crate) fn admit_mutation(
-        &self,
-        metrics: &ServeMetrics,
-        shard_tag: Option<u64>,
-    ) -> Option<Value> {
-        if self.role() == Role::Primary && !self.lease.load(Ordering::SeqCst) {
-            return None;
+    /// The heartbeat half of the replication timer
+    /// ([`Replication::beat`]), and how long until the next (`None` when
+    /// this node does not lead).
+    pub(crate) fn heartbeat(&self) -> Option<Duration> {
+        match self.step(Replication::beat) {
+            Timer::Heartbeat => Some(self.config.heartbeat_interval),
+            Timer::Idle(Some(at)) => Some(at.saturating_sub(self.clock.now())),
+            Timer::Elect | Timer::Redial | Timer::Idle(None) => None,
         }
-        self.drive(metrics, |core, now| core.admit_mutation(now, shard_tag))
-    }
-
-    /// Standby→primary transition (or the reason there is none).
-    pub(crate) fn promote(&self, metrics: &ServeMetrics) -> Promotion {
-        let promotion = self.drive(metrics, |core, _| core.promote());
-        if matches!(promotion, Promotion::Promoted { .. }) {
-            ServeMetrics::bump(&metrics.promotions);
-        }
-        promotion
-    }
-
-    pub(crate) fn set_self_addrs(&self, client: String, repl: String) {
-        self.core().set_addrs(client, repl);
-    }
-
-    /// The current leader's *client* address, as far as this node knows.
-    pub(crate) fn leader_client(&self) -> Option<String> {
-        self.core().leader_client().map(str::to_string)
-    }
-
-    fn sinks(&self) -> MutexGuard<'_, Vec<Arc<Sink>>> {
-        self.sinks.lock().expect("repl lock poisoned")
-    }
-
-    /// Registers a standby connection at `have` that is about to be
-    /// caught up from disk: its session holds live records from this
-    /// moment on.
-    fn register_sink(&self, stream: TcpStream, have: u64, metrics: &ServeMetrics) -> Arc<Sink> {
-        let sink = Arc::new(Sink {
-            id: self.next_sink_id.fetch_add(1, Ordering::SeqCst),
-            out: Mutex::new(SinkOut {
-                stream,
-                session: Session::open(have),
-            }),
-            acked: AtomicU64::new(0),
-            alive: AtomicBool::new(true),
-        });
-        self.sinks().push(Arc::clone(&sink));
-        self.sinks_changed(metrics);
-        sink
-    }
-
-    /// Publishes the connected-standby gauge after the sink set changed.
-    /// The sync-mode waiter needs no wake-up: a sink that drops releases
-    /// no reply (see [`Self::wait_applied`]).
-    fn sinks_changed(&self, metrics: &ServeMetrics) {
-        metrics
-            .standby_connected
-            .store(self.standby_count(), Ordering::Relaxed);
-    }
-
-    fn drop_sink(&self, sink: &Sink, metrics: &ServeMetrics) {
-        sink.kill(&sink.out());
-        self.sinks().retain(|s| s.id != sink.id);
-        self.sinks_changed(metrics);
-    }
-
-    /// Connected (live) standby count.
-    pub(crate) fn standby_count(&self) -> u64 {
-        self.sinks()
-            .iter()
-            .filter(|s| s.alive.load(Ordering::SeqCst))
-            .count() as u64
-    }
-
-    /// Publishes how many records the slowest live standby still trails
-    /// `next_seq` by.
-    fn publish_lag(&self, metrics: &ServeMetrics, next_seq: u64) {
-        let lag = self
-            .sinks()
-            .iter()
-            .filter(|s| s.alive.load(Ordering::SeqCst))
-            .map(|s| next_seq.saturating_sub(s.acked.load(Ordering::SeqCst)))
-            .max()
-            .unwrap_or(0);
-        metrics.repl_lag_records.store(lag, Ordering::Relaxed);
-    }
-
-    /// Offers `send` to every standby; one it fails on is dropped.
-    /// Whether any standby took it.
-    fn broadcast(&self, metrics: &ServeMetrics, send: impl Fn(&Sink) -> bool) -> bool {
-        let mut sinks = self.sinks();
-        let before = sinks.len();
-        sinks.retain(|s| send(s));
-        let (dropped, took) = (sinks.len() < before, !sinks.is_empty());
-        drop(sinks);
-        if dropped {
-            self.sinks_changed(metrics);
-        }
-        took
-    }
-
-    /// Streams one just-appended record (its event's
-    /// [`MarketEvent::write_record`] bytes) to every live standby, on the
-    /// calling thread, after telling the core the log grew — a `hello`
-    /// racing this very request is judged against the published
-    /// position, not a stale export. A sink that cannot take the record
-    /// (see [`Sink::send`]) is dropped: it reconnects and catches up
-    /// from the log — a slow replica must never stall the primary.
-    /// Whether a live session took the record (see [`Self::wait_applied`]).
-    pub(crate) fn publish_record(&self, seq: u64, record: &[u8], metrics: &ServeMetrics) -> bool {
-        self.core().note_log(seq + 1);
-        let frame = rec_frame(seq, record);
-        let attached = self.broadcast(metrics, |sink| sink.send(&frame, |s| s.offer(seq, &frame)));
-        self.publish_lag(metrics, seq + 1);
-        attached
-    }
-
-    /// The heartbeat half of the core's [`Timer`] verdict: broadcasts a
-    /// heartbeat when one is due, and says how long until the next
-    /// (`None` when this node does not lead).
-    pub(crate) fn heartbeat(&self, metrics: &ServeMetrics) -> Option<Duration> {
-        let now = self.clock.now();
-        let frame = {
-            let mut core = self.core();
-            match core.timer(now) {
-                Timer::Heartbeat => core.beat(now),
-                Timer::Idle(Some(at)) => return Some(at.saturating_sub(now)),
-                Timer::Elect | Timer::Redial | Timer::Idle(None) => return None,
-            }
-        };
-        if let Some(frame) = frame {
-            self.broadcast(metrics, |sink| sink.send(&frame, |s| s.heartbeat()));
-        }
-        Some(self.config.heartbeat_interval)
-    }
-
-    /// Whether the node leads (see [`ReplCore::leads`]).
-    pub(crate) fn leads(&self) -> bool {
-        self.core().leads()
-    }
-
-    /// Feeds the core the node's Down fact (see [`ReplCore::mark_down`]).
-    pub(crate) fn mark_down(&self, metrics: &ServeMetrics) {
-        self.drive(metrics, |core, _| core.mark_down());
     }
 
     /// Blocks until some standby has applied `target` events, or at once
-    /// when no live session took the record (`attached`, from
-    /// [`Self::publish_record`]; `true`: release the reply), or until the
-    /// configured ack timeout lapses with the standby still behind
-    /// (`false`). A session that dies meanwhile releases nothing: its
-    /// standby may have hung up to take over.
+    /// when no live session took the record (`attached`; `true`: release
+    /// the reply), or until the configured ack timeout lapses with the
+    /// standby still behind (`false`). A session that dies meanwhile
+    /// releases nothing: its standby may have hung up to take over.
     pub(crate) fn wait_applied(&self, target: u64, attached: bool) -> bool {
         let deadline = Instant::now() + self.config.ack_timeout;
-        let mut core = self.core();
+        let mut half = self.half();
         loop {
-            if core.ack_state(target, attached) != AckWait::Pending {
+            if half.repl.ack_state(target, attached) != AckWait::Pending {
                 return true;
             }
             let now = Instant::now();
@@ -701,16 +478,30 @@ impl ReplShared {
             }
             let (guard, _) = self
                 .ack_signal
-                .wait_timeout(core, deadline - now)
+                .wait_timeout(half, deadline - now)
                 .expect("repl lock poisoned");
-            core = guard;
+            half = guard;
         }
     }
+}
 
-    /// Records the primary's state fingerprint right after applying the
-    /// epoch tick (see [`ReplCore::push_epoch_fp`]).
-    pub(crate) fn push_epoch_fp(&self, have: u64, epoch: u64, fp: u64) {
-        self.core().push_epoch_fp(have, epoch, fp);
+impl crate::node::Link for Arc<ReplShared> {
+    type Peer = Socket;
+
+    fn with<T>(&mut self, step: impl FnOnce(&mut Replication<Socket>) -> T) -> T {
+        self.step(step)
+    }
+
+    fn role(&mut self) -> Role {
+        ReplShared::role(self)
+    }
+
+    /// Lock-free on a primary whose recovery lease is over.
+    fn admit(&mut self, shard_tag: Option<u64>) -> Option<Value> {
+        if ReplShared::role(self) == Role::Primary && !self.lease.load(Ordering::SeqCst) {
+            return None;
+        }
+        self.step(|r| r.drive(|core, now| core.admit_mutation(now, shard_tag)))
     }
 }
 
@@ -718,11 +509,13 @@ impl ReplShared {
 // Primary side: accept standbys, catch them up, stream, verify acks.
 // ---------------------------------------------------------------------
 
-/// Joins and discards the handles of threads that have already exited,
-/// so a registry stays bounded by *open* connections rather than growing
-/// with every connection ever accepted.
-pub(crate) fn reap_finished(handles: &Mutex<Vec<JoinHandle<()>>>) {
+/// Registers `handle` with a connection registry, joining and
+/// discarding the threads that already exited, so a registry stays
+/// bounded by *open* connections rather than growing with every
+/// connection ever accepted.
+pub(crate) fn register(handles: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
     let mut handles = handles.lock().expect("thread registry lock poisoned");
+    handles.push(handle);
     let mut i = 0;
     while i < handles.len() {
         if handles[i].is_finished() {
@@ -750,16 +543,11 @@ pub(crate) fn repl_acceptor_loop(
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        reap_finished(handlers);
         let shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("ref-serve-repl".to_string())
-            .spawn(move || handle_standby(stream, &shared))
-            .expect("spawn repl handler");
-        handlers
-            .lock()
-            .expect("thread registry lock poisoned")
-            .push(handle);
+        register(
+            handlers,
+            spawn("ref-serve-repl", move || handle_standby(stream, &shared)),
+        );
     }
 }
 
@@ -776,7 +564,7 @@ fn handle_standby(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut conn = FrameConn::new(stream);
 
-    let Ok(payload) = conn.read_frame_deadline(Duration::from_secs(5)) else {
+    let Some(payload) = conn.read_frame_deadline(Duration::from_secs(5)) else {
         return;
     };
     let Some(hello) = parse_message(&payload) else {
@@ -785,44 +573,48 @@ fn handle_standby(stream: TcpStream, shared: &Arc<Shared>) {
     if kind(&hello) != "hello" {
         return;
     }
-    let have = match repl.drive(&shared.metrics, |core, _| core.on_hello(&hello)) {
-        Hello::Accept { have, meta } => {
-            if writer.write_all(&meta).is_err() {
-                return;
-            }
-            have
-        }
+    // On accept the session opens *before* the log is read, and the
+    // disk history streams directly: every record appended from now on
+    // is held in the session, everything before the read's end is on
+    // disk, and going live skips held records the disk already covered —
+    // no gap, no duplicate. The lock is held for a go-live step, never
+    // for a write, so no appender waits on this socket.
+    let (have, id) = match repl.step(|r| r.accept(&hello, Socket(live))) {
+        (Hello::Accept { have, meta }, Some(id)) if writer.write_all(&meta).is_ok() => (have, id),
         // A higher term fenced this node before the refusal went out,
         // so no mutation sneaks through the window.
-        Hello::Refuse(frame) => {
-            let _ = writer.write_all(&frame);
-            return;
+        (Hello::Refuse(frame), _) => return drop(writer.write_all(&frame)),
+        (_, id) => {
+            return id
+                .into_iter()
+                .for_each(|id| repl.step(|r| r.retire(id, None)))
         }
     };
-
-    // Register the sink *before* reading the log, then stream the disk
-    // history directly: every record appended after registration is held
-    // in the session, everything before the read's end is on disk, and
-    // going live skips held records the disk already covered — no gap,
-    // no duplicate.
-    let sink = repl.register_sink(live, have, &shared.metrics);
     let (storage, dir) = &repl.log;
-    let caught_up = session::catch_up(have, storage.as_ref(), dir, |f| writer.write_all(&f))
-        .and_then(|(_, upto)| sink.go_live(&mut writer, upto));
-    if caught_up.is_ok() {
-        ack_loop(&mut conn, shared, repl, &sink);
+    let send = |frame: Vec<u8>| writer.write_all(&frame);
+    let step = |upto| {
+        let _ = conn.stream.set_write_timeout(Some(SEND_TIMEOUT));
+        repl.step(|r| r.go_live(id, upto))
+    };
+    if hand_over(have, storage.as_ref(), dir, send, step).is_ok() {
+        ack_loop(&mut conn, &mut writer, shared, repl, id);
     }
-    repl.drop_sink(&sink, &shared.metrics);
+    repl.step(|r| r.retire(id, None));
 }
 
-/// Primary-side ack reader for one standby: tracks progress for the
-/// sync-mode wait and verifies the per-epoch state fingerprints.
-fn ack_loop(conn: &mut FrameConn, shared: &Arc<Shared>, repl: &Arc<ReplShared>, sink: &Sink) {
+/// Primary-side ack reader for standby session `id`: tracks progress for
+/// the sync-mode wait and verifies the per-epoch state fingerprints — on
+/// the replication half alone, never under the shard lock a sync-mode
+/// mutation waits under.
+fn ack_loop(
+    conn: &mut FrameConn,
+    writer: &mut TcpStream,
+    shared: &Shared,
+    repl: &ReplShared,
+    id: u64,
+) {
     loop {
-        if shared.stop.load(Ordering::SeqCst)
-            || !sink.alive.load(Ordering::SeqCst)
-            || repl.role() != Role::Primary
-        {
+        if shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Primary {
             return;
         }
         let payload = match conn.read_frame() {
@@ -836,18 +628,18 @@ fn ack_loop(conn: &mut FrameConn, shared: &Arc<Shared>, repl: &Arc<ReplShared>, 
         if kind(&msg) != "ack" {
             continue;
         }
-        match repl.drive(&shared.metrics, |core, _| core.on_ack(&msg)) {
+        let verdict = repl.step(|r| r.ack(id, &msg));
+        repl.ack_signal.notify_all();
+        match verdict {
             Ack::Ignored => return,
-            Ack::Progress(have) => {
-                sink.acked.store(have, Ordering::SeqCst);
-                repl.publish_lag(&shared.metrics, shared.wal_seq.load(Ordering::SeqCst));
-            }
+            Ack::Progress(_) => {}
             Ack::Diverged { notice, .. } => {
                 // The replica's state split from ours. Halt its
                 // replication loudly: count it, tell it (so it fences
                 // itself), drop it. Never promote material.
                 ServeMetrics::bump(&shared.metrics.divergences);
-                sink.send_last(&notice);
+                repl.step(|r| r.retire(id, Some(&notice)));
+                let _ = writer.shutdown(std::net::Shutdown::Write);
                 // Read on until the replica hangs up (the notice makes
                 // it): closing over its unread acks would reset the
                 // connection, and a reset may overtake the notice.
@@ -864,29 +656,26 @@ fn ack_loop(conn: &mut FrameConn, shared: &Arc<Shared>, repl: &Arc<ReplShared>, 
 // ---------------------------------------------------------------------
 
 /// Standby puller thread, for as long as the node is a standby: carries
-/// out the core's [`Timer`] verdicts — dial the primary and follow it
-/// (hand every frame to the core, apply what it says to apply under the
-/// shard lock, write the apply-ack), or elect itself.
+/// out the core's [`Timer`] verdicts — dial the primary and follow it,
+/// or elect itself.
 pub(crate) fn standby_loop(shared: &Arc<Shared>) {
-    let repl = Arc::clone(shared.repl.as_ref().expect("standby loop without config"));
+    let repl = shared.repl.as_ref().expect("standby loop without config");
     loop {
         if shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Standby {
             return;
         }
-        // Bound first: a guard in the scrutinee would live through the arms.
-        let timer = repl.core().timer(repl.clock.now());
-        match timer {
+        match repl.step(|r| r.drive(|core, now| core.timer(now))) {
             Timer::Redial => {
-                follow_primary(shared, &repl);
-                repl.core().hang_up();
+                follow_primary(shared, repl);
+                repl.step(|r| r.repl.hang_up());
             }
             // Under the shard lock, so the role flip is serialized with
             // event application and a panic that took the node Down
-            // meanwhile is seen: the verdict is read again there.
+            // meanwhile is seen: the node reads the verdict again there.
             Timer::Elect => {
-                shared.locked(|_| {
-                    if repl.core().timer(repl.clock.now()) == Timer::Elect {
-                        let _ = handle_promote(shared);
+                shared.locked(|node| {
+                    if let Some(promotion) = node.elect(&shared.metrics) {
+                        carry_out(Some(promotion), shared);
                     }
                 });
             }
@@ -895,15 +684,15 @@ pub(crate) fn standby_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// One session against the primary: dial it, handshake, then pull
-/// frames, apply and ack them until disconnect, role change, or
+/// One session against the primary: dial it, handshake, then hand every
+/// frame to the node under the shard lock (which a promotion takes too)
+/// and write the ack it makes, until disconnect, role change, or
 /// divergence.
-fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>) {
-    let (addr, hello) = {
-        let mut core = repl.core();
-        let hello = core.dial(repl.clock.now());
-        (core.dial_target().map(str::to_string), hello)
-    };
+fn follow_primary(shared: &Arc<Shared>, repl: &ReplShared) {
+    let (addr, hello) = repl.step(|r| {
+        let hello = r.drive(|core, now| core.dial(now));
+        (r.repl.dial_target().map(str::to_string), hello)
+    });
     let Some(addr) = addr else { return };
     let Ok(stream) = TcpStream::connect(&addr) else {
         return;
@@ -917,67 +706,45 @@ fn follow_primary(shared: &Arc<Shared>, repl: &Arc<ReplShared>) {
     if writer.write_all(&hello).is_err() {
         return;
     }
-    let Ok(payload) = conn.read_frame_deadline(Duration::from_secs(5)) else {
-        return;
-    };
-    let Some(first) = parse_frame(payload) else {
-        return;
-    };
-    let on_frame = |frame: Frame| {
-        repl.drive(&shared.metrics, |core, now| {
-            core.on_frame(frame, &addr, now)
-        })
-    };
-    // The handshake reply: `meta` (follow) or `refuse` (redirect, or
-    // fence when this standby is ahead of the primary).
-    if !matches!(first.kind(), "meta" | "refuse") || on_frame(first) != Stream::Following {
-        return;
-    }
-
+    let mut first = true;
     loop {
         if shared.stop.load(Ordering::SeqCst) || repl.role() != Role::Standby {
             return;
         }
-        let payload = match conn.read_frame() {
-            Ok(Some(payload)) => payload,
-            Ok(None) => {
-                if repl.core().mute(repl.clock.now()) {
-                    // Connected but mute (wedged primary): treat it as
-                    // dead and let the election path take over.
-                    return;
-                }
-                continue;
+        let payload = if first {
+            conn.read_frame_deadline(Duration::from_secs(5))
+        } else {
+            match conn.read_frame() {
+                Ok(Some(payload)) => Some(payload),
+                // Connected but mute (wedged primary): treat it as dead
+                // and let the election path take over.
+                Ok(None) if repl.step(|r| r.drive(|core, now| core.mute(now))) => return,
+                Ok(None) => continue,
+                Err(_) => None,
             }
-            Err(_) => return,
         };
-        let Some(frame) = parse_frame(payload) else {
+        let Some(frame) = payload.and_then(parse_frame) else {
             return;
         };
-        let verdict = match on_frame(frame) {
-            Stream::Following => continue,
-            // A stale primary, a divergence notice (we fenced), or a
-            // frame that makes no sense.
-            Stream::Drop => return,
-            verdict => verdict,
-        };
-        // Under the shard lock, which a promotion takes too. A degraded
-        // node must not keep applying the stream: the engine already
-        // missed an event its WAL holds. A panic while applying degrades
-        // the shard (`None`).
-        let step = shared.locked(|cell| {
-            let following = !shared.stop.load(Ordering::SeqCst) && repl.role() == Role::Standby;
-            let core = cell.core.as_mut().filter(|_| following && !cell.degraded)?;
-            let applied = session::apply(core, verdict, &shared.metrics);
-            Some((applied, core.events_applied()))
+        // The handshake reply: `meta` (follow) or `refuse` (redirect, or
+        // fence when this standby is ahead of the primary).
+        if std::mem::take(&mut first) && !matches!(frame.kind(), "meta" | "refuse") {
+            return;
+        }
+        let step = shared.locked(|node| {
+            if shared.stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            let follow = node.follow(frame, &addr, &shared.metrics);
+            if let Follow::HangUp { crash: true, .. } = follow {
+                shared.degrade(node);
+            }
+            Some(follow)
         });
-        let ack = match step.flatten() {
-            Some((Applied::Applied { epoch_fp }, have)) => repl.core().ack(have, epoch_fp),
-            Some((Applied::Skipped, have)) => repl.core().ack(have, None),
-            Some((Applied::Ignored, _)) | None => continue,
-            Some((Applied::Resync, _)) => return,
-        };
-        if writer.write_all(&ack).is_err() {
-            return;
+        match step.flatten() {
+            Some(Follow::Ack { ack, .. }) if writer.write_all(&ack).is_err() => return,
+            Some(Follow::Ack { .. } | Follow::Reading) | None => {}
+            Some(Follow::HangUp { .. }) => return,
         }
     }
 }

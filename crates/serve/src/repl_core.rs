@@ -361,6 +361,11 @@ impl ReplCore {
         self.role == Role::Primary && self.grace_until.is_some_and(|until| now < until)
     }
 
+    /// Records this node's log holds, as far as the core was told.
+    pub(crate) fn log_seq(&self) -> u64 {
+        self.log_seq
+    }
+
     /// This node's log grew to `seq_after` records (a primary published
     /// one, a standby applied one).
     pub fn note_log(&mut self, seq_after: u64) {

@@ -86,12 +86,13 @@ use crate::core::{JournalLimit, ServiceCore};
 use crate::fault::FaultPlan;
 use crate::json::Value;
 use crate::metrics::{ServeMetrics, ServeMetricsSnapshot};
+use crate::node::{fleet_round, Fan, Node, Served, RETRY_AFTER_MS};
 use crate::protocol::{
     error_response, ok_response, parse_request, shard_unavailable_response, write_line, Envelope,
     Request, MAX_REQUEST_LINE,
 };
 use crate::repl::{
-    fence_notify, reap_finished, repl_acceptor_loop, standby_loop, ReplConfig, ReplShared, Role,
+    fence_notify, register, repl_acceptor_loop, standby_loop, ReplConfig, ReplShared, Role,
 };
 use crate::repl_core::Promotion;
 use crate::router::{
@@ -100,10 +101,6 @@ use crate::router::{
 use crate::shard::{default_quorum, shard_market_config, HashRing, ShardHealth, RING_SEED};
 use crate::storage::FsStorage;
 use crate::wal::{self, WalConfig};
-
-/// Retry hint attached to `overloaded` and `shard_unavailable` responses,
-/// in milliseconds.
-const RETRY_AFTER_MS: u64 = 5;
 
 /// Consecutive clean ticks a Suspect shard must deliver before the router
 /// declares it Healthy again.
@@ -324,26 +321,23 @@ pub struct ShardShutdown {
     pub market_metrics_json: String,
 }
 
-/// What the shard lock guards.
-pub(crate) struct ShardCell {
-    /// `None` only while a restart that could not recover the shard's
-    /// WAL waits for the supervisor's next attempt.
-    pub(crate) core: Option<ServiceCore>,
-    /// Set by a panic under the lock: the engine may have missed an
-    /// event the WAL already holds — the durable log, not this process,
-    /// is the source of truth — so the shard refuses every request until
-    /// it is restarted from that log.
-    pub(crate) degraded: bool,
-}
+/// What the shard lock guards: the shard's [`Node`], replicated through
+/// the [`ReplShared`] its replication threads share. Its core is `None`
+/// only while a restart that could not recover the shard's WAL waits for
+/// the supervisor's next attempt; it is Down after a panic under the
+/// lock or a poisoned log — the engine may have missed an event the WAL
+/// already holds, so the shard refuses every request until it is
+/// restarted from that log.
+pub(crate) type ShardNode = Node<Arc<ReplShared>>;
 
 pub(crate) struct Shared {
     /// This shard's index.
     shard: usize,
     /// The router core, which a panic under the lock notifies at once.
-    node: Arc<Mutex<RouterCore>>,
+    router: Arc<Mutex<RouterCore>>,
     pub(crate) bus: Bus<Item>,
-    cell: Mutex<ShardCell>,
-    pub(crate) metrics: ServeMetrics,
+    cell: Mutex<ShardNode>,
+    pub(crate) metrics: Arc<ServeMetrics>,
     /// Set, under the shard lock, once the shard thread has retired the
     /// core: nothing may touch it from then on.
     pub(crate) stop: AtomicBool,
@@ -361,37 +355,39 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Runs `step` on the shard's cell under the shard lock — the only
+    /// Runs `step` on the shard's node under the shard lock — the only
     /// way to the core. A panic in `step` stops here (`None`): it is
-    /// counted, the shard turns degraded, the router core is told (and a
-    /// node it says to stop leading stops), and since the guard does not
+    /// counted, the shard is degraded, and since the guard does not
     /// unwind the lock is not poisoned.
-    pub(crate) fn locked<R>(&self, step: impl FnOnce(&mut ShardCell) -> R) -> Option<R> {
-        let mut cell = self
+    pub(crate) fn locked<R>(&self, step: impl FnOnce(&mut ShardNode) -> R) -> Option<R> {
+        let mut node = self
             .cell
             .lock()
             .expect("a panic under the shard lock is caught before the guard unwinds");
-        let outcome = catch_unwind(AssertUnwindSafe(|| step(&mut cell)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| step(&mut node)));
         if outcome.is_err() {
             ServeMetrics::bump(&self.metrics.ticker_panics);
-            self.metrics.degraded.store(1, Ordering::SeqCst);
-            cell.degraded = true;
-            let after = {
-                let mut node = self.node.lock().expect("router lock poisoned");
-                let after = node.panicked(self.shard);
-                self.health
-                    .store(node.health(self.shard) as u64, Ordering::SeqCst);
-                after
-            };
-            if let (AfterPanic::StopLeading, Some(repl)) = (after, &self.repl) {
-                repl.mark_down(&self.metrics);
-            }
+            self.degrade(&mut node);
         }
-        if let Some(core) = &cell.core {
+        if let Some(core) = node.core() {
             self.epoch.store(core.engine().epoch(), Ordering::SeqCst);
             self.wal_seq.store(core.events_applied(), Ordering::SeqCst);
         }
         outcome.ok()
+    }
+
+    /// Takes the shard Down — a panic under its lock, or a poisoned log
+    /// — and tells the router core at once; a node it says to stop
+    /// leading stops. The caller holds the shard lock.
+    pub(crate) fn degrade(&self, node: &mut ShardNode) {
+        self.metrics.degraded.store(1, Ordering::SeqCst);
+        let after = {
+            let mut router = self.router.lock().expect("router lock poisoned");
+            let after = router.panicked(self.shard);
+            (self.health).store(router.health(self.shard) as u64, Ordering::SeqCst);
+            after
+        };
+        node.go_down(after == AfterPanic::StopLeading);
     }
 
     /// The router core's published assessment of this shard.
@@ -445,7 +441,8 @@ impl Router {
     /// Whether the node leads: always when unreplicated, else as its
     /// replication core says.
     fn leads(&self) -> bool {
-        self.shards[0].repl.as_ref().is_none_or(|repl| repl.leads())
+        let repl = self.shards[0].repl.as_ref();
+        repl.is_none_or(|repl| repl.step(|r| r.repl.leads()))
     }
 
     /// Runs one transition of the routing core, then publishes every
@@ -600,7 +597,8 @@ impl Server {
         // capacity split (the router reallots from there) and owns
         // its own WAL directory, so crash recovery and replay stay
         // strictly per shard.
-        let metrics: Vec<ServeMetrics> = (0..n).map(|_| ServeMetrics::new()).collect();
+        let metrics: Vec<Arc<ServeMetrics>> =
+            (0..n).map(|_| Arc::new(ServeMetrics::new())).collect();
         let mut cores = Vec::with_capacity(n);
         for (shard, metrics) in metrics.iter().enumerate() {
             cores.push(open_core(&config, shard, config.faults.clone(), metrics)?);
@@ -621,15 +619,16 @@ impl Server {
                     cores[0].wal().expect("checked above"),
                     Arc::clone(&config.clock),
                     config.rng_seed,
+                    Arc::clone(&metrics[0]),
                 ));
-                repl.set_self_addrs(addr.to_string(), repl_addr.to_string());
-                cores[0].attach_repl(Arc::clone(&repl));
+                let (client, listen) = (addr.to_string(), repl_addr.to_string());
+                repl.step(|r| r.repl.set_addrs(client, listen));
                 Some((repl, repl_listener, repl_addr))
             }
             None => None,
         };
 
-        let node = Arc::new(Mutex::new(
+        let router_core = Arc::new(Mutex::new(
             RouterCore::new(
                 config.market.capacity.as_slice().to_vec(),
                 n,
@@ -647,24 +646,20 @@ impl Server {
             .zip(metrics)
             .enumerate()
             .map(|(shard, (core, metrics))| {
+                let repl = (shard == 0)
+                    .then(|| repl_setup.as_ref().map(|(repl, _, _)| Arc::clone(repl)))
+                    .flatten();
                 Arc::new(Shared {
                     shard,
-                    node: Arc::clone(&node),
+                    router: Arc::clone(&router_core),
                     bus: Bus::new(config.quotas),
                     metrics,
                     stop: AtomicBool::new(false),
-                    repl: if shard == 0 {
-                        repl_setup.as_ref().map(|(repl, _, _)| Arc::clone(repl))
-                    } else {
-                        None
-                    },
                     epoch: AtomicU64::new(core.engine().epoch()),
                     wal_seq: AtomicU64::new(core.events_applied()),
                     health: AtomicU64::new(ShardHealth::Healthy as u64),
-                    cell: Mutex::new(ShardCell {
-                        core: Some(core),
-                        degraded: false,
-                    }),
+                    cell: Mutex::new(Node::new(shard, config.shard_tag, Some(core), repl.clone())),
+                    repl,
                 })
             })
             .collect();
@@ -673,68 +668,42 @@ impl Server {
             stop: AtomicBool::new(false),
             open_connections: AtomicUsize::new(0),
             started: Instant::now(),
-            core: node,
+            core: router_core,
             rounds: Mutex::new(()),
             shards,
         });
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let repl_handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let shard_threads: Vec<JoinHandle<()>> = router
-            .shards
-            .iter()
-            .enumerate()
+        let shard_threads: Vec<JoinHandle<()>> = (router.shards.iter().enumerate())
             .map(|(shard, shared)| {
-                let shared = Arc::clone(shared);
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name(format!("ref-serve-shard-{shard}"))
-                    .spawn(move || shard_loop(shard, &shared, &config))
-                    .expect("spawn shard thread")
+                let (shared, config) = (Arc::clone(shared), config.clone());
+                spawn(format!("ref-serve-shard-{shard}"), move || {
+                    shard_loop(shard, &shared, &config)
+                })
             })
             .collect();
         // The only epoch clock: it fans synchronized ticks to every
         // shard, so epochs advance in lockstep fleet-wide.
-        let clock = {
-            let router = Arc::clone(&router);
-            let config = config.clone();
-            std::thread::Builder::new()
-                .name("ref-serve-clock".to_string())
-                .spawn(move || clock_loop(&router, &config))
-                .expect("spawn clock")
-        };
-        let acceptor = {
-            let router = Arc::clone(&router);
-            let readers = Arc::clone(&readers);
-            let config = config.clone();
-            std::thread::Builder::new()
-                .name("ref-serve-acceptor".to_string())
-                .spawn(move || acceptor_loop(listener, &router, &readers, &config))
-                .expect("spawn acceptor")
-        };
+        let (router_, config_) = (Arc::clone(&router), config.clone());
+        let clock = spawn("ref-serve-clock", move || clock_loop(&router_, &config_));
+        let (router_, readers_, config_) =
+            (Arc::clone(&router), Arc::clone(&readers), config.clone());
+        let acceptor = spawn("ref-serve-acceptor", move || {
+            acceptor_loop(listener, &router_, &readers_, &config_)
+        });
 
         let mut repl_addr = None;
         let mut repl_threads = Vec::new();
         if let Some((repl, repl_listener, bound)) = repl_setup {
             repl_addr = Some(bound);
-            {
-                let shared = Arc::clone(&router.shards[0]);
-                let handlers = Arc::clone(&repl_handlers);
-                repl_threads.push(
-                    std::thread::Builder::new()
-                        .name("ref-serve-repl-accept".to_string())
-                        .spawn(move || repl_acceptor_loop(repl_listener, &shared, &handlers))
-                        .expect("spawn repl acceptor"),
-                );
-            }
+            let (shared, handlers) = (Arc::clone(&router.shards[0]), Arc::clone(&repl_handlers));
+            repl_threads.push(spawn("ref-serve-repl-accept", move || {
+                repl_acceptor_loop(repl_listener, &shared, &handlers)
+            }));
             if repl.config().standby_of.is_some() {
                 let shared = Arc::clone(&router.shards[0]);
-                repl_threads.push(
-                    std::thread::Builder::new()
-                        .name("ref-serve-standby".to_string())
-                        .spawn(move || standby_loop(&shared))
-                        .expect("spawn standby puller"),
-                );
+                repl_threads.push(spawn("ref-serve-standby", move || standby_loop(&shared)));
             }
         }
 
@@ -774,7 +743,7 @@ impl Server {
         self.router.shards[0]
             .repl
             .as_ref()
-            .map_or(0, |repl| repl.term())
+            .map_or(0, |repl| repl.step(|r| r.repl.term()))
     }
 
     /// The configuration the server was started with.
@@ -830,7 +799,7 @@ impl Server {
             .enumerate()
             .map(|(shard, shared)| {
                 // Every thread is joined: the retired core is ours.
-                let core = shared.locked(|cell| cell.core.take()).flatten();
+                let core = shared.locked(Node::crash).flatten();
                 match core {
                     Some(core) => ShardShutdown {
                         shard,
@@ -905,6 +874,18 @@ impl Server {
             let _ = handle.join();
         }
     }
+}
+
+/// Spawns a named server thread.
+pub(crate) fn spawn(
+    name: impl Into<String>,
+    run: impl FnOnce() + Send + 'static,
+) -> JoinHandle<()> {
+    let name = name.into();
+    let builder = std::thread::Builder::new().name(name.clone());
+    builder
+        .spawn(run)
+        .unwrap_or_else(|e| panic!("spawn {name}: {e}"))
 }
 
 /// Wakes an acceptor blocked in `accept` on the listener bound to `addr`
@@ -1018,7 +999,6 @@ fn acceptor_loop(
         if router.stopped() {
             return;
         }
-        reap_finished(readers);
         ServeMetrics::bump(&router.metrics().connections);
         if router.open_connections.load(Ordering::SeqCst) >= config.max_connections {
             ServeMetrics::bump(&router.metrics().rejected_overload);
@@ -1033,28 +1013,22 @@ fn acceptor_loop(
         router.open_connections.fetch_add(1, Ordering::SeqCst);
         let router = Arc::clone(router);
         let config = config.clone();
-        let handle = std::thread::Builder::new()
-            .name("ref-serve-conn".to_string())
-            .spawn(move || {
-                // The slot guard releases the connection count even if
-                // the reader panics, and the panic is contained here: a
-                // poisoned connection dies alone.
-                let _slot = ConnectionSlot(Arc::clone(&router));
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    reader_loop(&stream, &router, &config);
-                }));
-                if outcome.is_err() {
-                    ServeMetrics::bump(&router.metrics().reader_panics);
-                }
-                // The socket closes only here, after the count: a client
-                // that sees its connection die finds the panic counted.
-                drop(stream);
-            })
-            .expect("spawn reader");
-        readers
-            .lock()
-            .expect("thread registry lock poisoned")
-            .push(handle);
+        let handle = spawn("ref-serve-conn", move || {
+            // The slot guard releases the connection count even if the
+            // reader panics, and the panic is contained here: a poisoned
+            // connection dies alone.
+            let _slot = ConnectionSlot(Arc::clone(&router));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                reader_loop(&stream, &router, &config);
+            }));
+            if outcome.is_err() {
+                ServeMetrics::bump(&router.metrics().reader_panics);
+            }
+            // The socket closes only here, after the count: a client that
+            // sees its connection die finds the panic counted.
+            drop(stream);
+        });
+        register(readers, handle);
     }
 }
 
@@ -1262,7 +1236,7 @@ fn serve_locked(
     config: &ServeConfig,
 ) -> Value {
     shared
-        .locked(|cell| serve_request(cell, shard, work, deadline, shared, config))
+        .locked(|node| serve_request(node, shard, work, deadline, shared, config))
         .flatten()
         .unwrap_or_else(|| {
             error_response(
@@ -1453,50 +1427,73 @@ fn push_item(
     rx
 }
 
-/// Runs one fleet tick and merges its reply. With more than one shard it
-/// is two-phase, each phase a fan under the tick budget: phase 1 reads
-/// every shard's `D_k` (a read: the previous epoch ended with its
-/// refits), the [`RouterCore`] gates on the quorum and allots each
-/// reporter its closed-form share, and phase 2 has each reporter journal
-/// a moved allotment and tick at it in one hold of its lock. A shard that
-/// fails to journal does not tick, and a shard that missed phase 1 sits
-/// the round out; either makes the round partial. One shard's allotment
-/// is always the whole capacity, so it is asked nothing but the tick.
-/// The core then assesses health (`Healthy → Suspect → Down`) from the
-/// replies, and the merged reply carries the combined report — marked
-/// `partial` with the missing shard ids when any shard missed the tick.
+/// Runs one fleet tick ([`fleet_round`]) and merges its reply. Each
+/// phase is a fan under the tick budget: phase 1 reads every shard's
+/// `D_k` (a read: the previous epoch ended with its refits), and phase 2
+/// has each reporter journal a moved allotment and tick at it in one
+/// hold of its lock. A shard that fails to journal does not tick, and a
+/// shard that missed phase 1 sits the round out; either makes the round
+/// partial. The core then assesses health (`Healthy → Suspect → Down`)
+/// from the replies, and the merged reply carries the combined report —
+/// marked `partial` with the missing shard ids when any shard missed the
+/// tick.
 fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig) -> Value {
     // The tick budget caps how long any one shard may hold up the fleet
     // clock; a client deadline can only tighten it further.
     let wait = reply_wait(deadline_ms).min(config.shard_tick_budget);
     let _round = router.rounds.lock().expect("round lock poisoned");
-    let tick = &Request::Tick;
-    let metrics = router.metrics();
-    let replies = if router.shards.len() == 1 {
-        fan(router, tick, deadline_ms, wait, |_| {
-            Ok(Work::Serve(Request::Tick))
-        })
-    } else {
-        let reports = fan(router, tick, deadline_ms, wait, |_| Ok(Work::Demand));
-        let allot = router.drive(|core| core.allot(&reports));
-        if allot.frozen {
-            ServeMetrics::bump(&metrics.quorum_freezes);
-        }
-        fan(router, tick, deadline_ms, wait, |shard| {
-            match &allot.capacities[shard] {
-                Some(capacity) => Ok(Work::TickAt(capacity.clone())),
-                None => Err(reports[shard].clone()),
-            }
-        })
+    let mut fanned = Fanned {
+        router,
+        deadline_ms,
+        wait,
     };
-    let round = router.drive(|core| core.tick_round(&replies));
-    metrics
-        .shards_down
-        .store(round.down as u64, Ordering::SeqCst);
+    let (replies, round) = fleet_round(&mut fanned, router.shards.len());
+    let metrics = router.metrics();
+    (metrics.shards_down).store(round.down as u64, Ordering::SeqCst);
     if !round.missing.is_empty() {
         ServeMetrics::bump(&metrics.partial_epochs);
     }
     tick_reply(replies, &round)
+}
+
+/// A fleet round's [`Fan`] over the shard threads: each phase is one
+/// [`fan`] under the round's wait.
+struct Fanned<'r> {
+    router: &'r Arc<Router>,
+    deadline_ms: Option<u64>,
+    wait: Duration,
+}
+
+impl Fan for Fanned<'_> {
+    fn router<T>(&mut self, step: impl FnOnce(&mut RouterCore) -> T) -> T {
+        self.router.drive(step)
+    }
+
+    fn demand(&mut self) -> Vec<Value> {
+        let (deadline_ms, wait) = (self.deadline_ms, self.wait);
+        fan(self.router, &Request::Tick, deadline_ms, wait, |_| {
+            Ok(Work::Demand)
+        })
+    }
+
+    fn froze(&mut self, _reported: usize) {
+        ServeMetrics::bump(&self.router.metrics().quorum_freezes);
+    }
+
+    fn tick(&mut self, asks: Vec<Result<Option<Vec<f64>>, Value>>) -> Vec<Value> {
+        let (deadline_ms, wait) = (self.deadline_ms, self.wait);
+        fan(
+            self.router,
+            &Request::Tick,
+            deadline_ms,
+            wait,
+            |shard| match &asks[shard] {
+                Ok(None) => Ok(Work::Serve(Request::Tick)),
+                Ok(Some(allotment)) => Ok(Work::TickAt(allotment.clone())),
+                Err(report) => Err(report.clone()),
+            },
+        )
+    }
 }
 
 /// The node's clock: carries out what [`RouterCore::clock`] says at each
@@ -1535,12 +1532,12 @@ fn clock_loop(router: &Arc<Router>, config: &ServeConfig) {
 /// retries.
 fn restart_shard(router: &Arc<Router>, shard: usize, config: &ServeConfig) {
     let shared = &router.shards[shard];
-    shared.locked(|cell| {
+    shared.locked(|node| {
         // Shutdown wins over a restart: the drain retires what is there.
         if shared.bus.is_closed() {
             return;
         }
-        cell.core = None;
+        node.crash();
         // The recovered core runs with a disarmed fault plan: every armed
         // fault already fired (that is why we are here), and re-arming
         // append/sync faults against the replayed sequence numbers would
@@ -1550,9 +1547,8 @@ fn restart_shard(router: &Arc<Router>, shard: usize, config: &ServeConfig) {
             return;
         };
         let epoch = core.engine().epoch();
-        router.rejoin(router.drive(|node| node.recovered(shard, epoch)));
-        cell.core = Some(core);
-        cell.degraded = false;
+        router.rejoin(router.drive(|core| core.recovered(shard, epoch)));
+        node.restart(core);
         shared.metrics.degraded.store(0, Ordering::SeqCst);
         ServeMetrics::bump(&router.metrics().shard_restarts);
     });
@@ -1575,77 +1571,43 @@ fn probe_shard(router: &Arc<Router>, shard: usize) {
 /// Answers a `ping` from transport-visible state alone (no engine
 /// access): role, term, progress, uptime, and shard placement.
 fn ping_response(router: &Arc<Router>, config: &ServeConfig, agent: Option<AgentId>) -> Value {
-    let first = &router.shards[0];
-    let mut fields = Vec::new();
-    match first.repl.as_ref() {
-        Some(repl) => {
-            fields.push(("role", Value::str(repl.role().as_str())));
-            fields.push(("term", Value::from_u64(repl.term())));
-            if let Some(leader) = repl.leader_client() {
-                fields.push(("leader", Value::str(leader)));
-            }
-            fields.push(("standbys", Value::from_u64(repl.standby_count())));
-        }
-        None => {
-            fields.push(("role", Value::str("primary")));
-            fields.push(("term", Value::from_u64(0)));
-        }
-    }
-    fields.push((
-        "epoch",
-        Value::from_u64(
-            router
-                .shards
-                .iter()
-                .map(|s| s.epoch.load(Ordering::SeqCst))
-                .max()
-                .unwrap_or(0),
-        ),
-    ));
-    fields.push((
-        "wal_seq",
-        Value::from_u64(first.wal_seq.load(Ordering::SeqCst)),
-    ));
-    fields.push((
-        "uptime_ms",
-        Value::from_u64(
-            router
-                .started
-                .elapsed()
-                .as_millis()
-                .min(u128::from(u64::MAX)) as u64,
-        ),
-    ));
-    fields.push(("shards", Value::from_u64(router.shards.len() as u64)));
-    fields.push((
-        "wal_seqs",
-        Value::Arr(
-            router
-                .shards
-                .iter()
-                .map(|s| Value::from_u64(s.wal_seq.load(Ordering::SeqCst)))
-                .collect(),
-        ),
-    ));
-    fields.push((
-        "shard_health",
-        Value::Arr(
-            router
-                .shards
-                .iter()
-                .map(|s| Value::str(s.health().as_str()))
-                .collect(),
-        ),
-    ));
-    if let Some(agent) = agent {
-        fields.push((
-            "shard_of",
-            Value::from_u64(router.ring.shard_of(agent) as u64),
-        ));
-    }
-    if let Some(tag) = config.shard_tag {
-        fields.push(("shard_tag", Value::from_u64(tag)));
-    }
+    let (shards, load) = (&router.shards, |at: &AtomicU64| at.load(Ordering::SeqCst));
+    let (role, term, leader, standbys) = match &shards[0].repl {
+        Some(repl) => repl.step(|r| {
+            let leader = r.repl.leader_client().map(str::to_string);
+            (r.repl.role(), r.repl.term(), leader, Some(r.attached()))
+        }),
+        None => (Role::Primary, 0, None, None),
+    };
+    let mut fields = vec![
+        ("role", Value::str(role.as_str())),
+        ("term", Value::from_u64(term)),
+    ];
+    fields.extend(leader.map(|leader| ("leader", Value::str(leader))));
+    fields.extend(standbys.map(|n| ("standbys", Value::from_u64(n as u64))));
+    let epoch = shards.iter().map(|s| load(&s.epoch)).max().unwrap_or(0);
+    let uptime = router
+        .started
+        .elapsed()
+        .as_millis()
+        .min(u128::from(u64::MAX)) as u64;
+    let seqs = shards.iter().map(|s| Value::from_u64(load(&s.wal_seq)));
+    let health = shards.iter().map(|s| Value::str(s.health().as_str()));
+    fields.extend([
+        ("epoch", Value::from_u64(epoch)),
+        ("wal_seq", Value::from_u64(load(&shards[0].wal_seq))),
+        ("uptime_ms", Value::from_u64(uptime)),
+        ("shards", Value::from_u64(shards.len() as u64)),
+        ("wal_seqs", Value::Arr(seqs.collect())),
+        ("shard_health", Value::Arr(health.collect())),
+    ]);
+    let shard_of = agent.map(|agent| router.ring.shard_of(agent) as u64);
+    fields.extend(shard_of.map(|shard| ("shard_of", Value::from_u64(shard))));
+    fields.extend(
+        config
+            .shard_tag
+            .map(|tag| ("shard_tag", Value::from_u64(tag))),
+    );
     ok_response(fields)
 }
 
@@ -1670,7 +1632,7 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
         let park = match (shared.repl.as_ref(), beat_at) {
             (Some(_), Some(at)) if now < at => at - now,
             (Some(repl), _) => {
-                let next = repl.heartbeat(&shared.metrics);
+                let next = repl.heartbeat();
                 beat_at = next.map(|park| now + park);
                 next.unwrap_or(IDLE_PARK)
             }
@@ -1703,9 +1665,9 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
                 shared.bus.wait(IDLE_PARK);
                 continue;
             }
-            let farewell = shared.locked(|cell| {
+            let farewell = shared.locked(|node| {
                 shared.stop.store(true, Ordering::SeqCst);
-                let core = cell.core.as_ref()?;
+                let core = node.core()?;
                 Some(ok_response(vec![
                     ("snapshot", Value::str(core.final_snapshot())),
                     ("server", shared.metrics.snapshot().to_json_value()),
@@ -1722,12 +1684,15 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
     }
 }
 
-/// Serves one piece of work on the shard's core; the caller holds the
+/// Serves one piece of work on the shard's node; the caller holds the
 /// shard lock (see [`Shared::locked`]), which is what makes this the only
-/// place requests meet the engine, whichever thread runs it. `None` when
-/// the reply is (by injection) lost after the work was done.
+/// place requests meet the engine, whichever thread runs it. A reply the
+/// node holds for the standby's ack is waited for here, under the lock:
+/// the ack reader advances the replication core without it. A poisoned
+/// log degrades the shard. `None` when the reply is (by injection) lost
+/// after the work was done.
 fn serve_request(
-    cell: &mut ShardCell,
+    node: &mut ShardNode,
     shard: usize,
     work: &Work,
     deadline: Option<Instant>,
@@ -1744,130 +1709,106 @@ fn serve_request(
             None,
         ));
     }
-    if matches!(work, Work::Serve(Request::Promote)) {
-        return Some(handle_promote(shared));
+    let served = match work {
+        Work::Serve(Request::Promote) => {
+            return Some(carry_out(node.promote(&shared.metrics), shared))
+        }
+        Work::Demand => return Some(node.demand()),
+        Work::Serve(Request::Tick) => tick(node, shard, None, shared, config)?,
+        Work::TickAt(allotment) => tick(node, shard, Some(allotment), shared, config)?,
+        Work::Serve(request) => node.serve(request, &shared.metrics),
+    };
+    if served.crash {
+        shared.degrade(node);
     }
-    // A degraded shard's engine is behind its log: it serves nothing
-    // until the supervisor has restarted it.
-    let (false, Some(core)) = (cell.degraded, cell.core.as_mut()) else {
-        return Some(shard_unavailable_response(shard as u64, RETRY_AFTER_MS));
-    };
-    let bears_event = match work {
-        Work::Serve(request) => request.bears_event(),
-        Work::Demand => false,
-        Work::TickAt(_) => true,
-    };
-    if bears_event {
-        // Role gate: only a primary mutates, and a recovered one only
-        // once its lease is over. Standbys redirect the client to the
-        // leader; a fenced node refuses outright.
-        let refusal = shared
-            .repl
-            .as_ref()
-            .and_then(|repl| repl.admit_mutation(&shared.metrics, config.shard_tag));
-        if refusal.is_some() {
-            return refusal;
+    // Synchronous replication: the reply goes once a standby has applied
+    // the record, so an acked mutation survives failover. With no standby
+    // attached the primary degrades to async (a lone node must stay
+    // available); on timeout the client gets a loud `repl` error — the
+    // event *is* applied locally, but its replication was never
+    // confirmed.
+    let sync = (shared.repl.as_ref()).filter(|r| r.config().sync && r.role() == Role::Primary);
+    if let (Some(hold), Some(repl)) = (served.hold, sync) {
+        if !repl.wait_applied(hold.target, hold.attached) {
+            return Some(error_response(
+                "repl",
+                Some("applied locally but the standby ack timed out; not confirmed replicated"),
+                None,
+            ));
         }
     }
-    match work {
-        Work::Serve(Request::Tick) => tick(core, shard, None, shared, config),
-        Work::Serve(request) => Some(core.handle(request, &shared.metrics)),
-        Work::Demand => Some(core.demand_report()),
-        Work::TickAt(allotment) => {
-            if let Some(reallot) = core.reallot_to(allotment) {
-                let reply = core.handle(&reallot, &shared.metrics);
-                // Not journaled, not held: the shard sits the round out.
-                if reply.get("ok") != Some(&Value::Bool(true)) {
-                    return Some(reply);
-                }
-            }
-            // Read under the tick's own lock hold, so the prices are the
-            // ones this epoch allocates at.
-            let engine = core.engine();
-            let prices = (engine.aggregate_demand().iter())
-                .zip(engine.config().capacity.as_slice())
-                .map(|(demand, capacity)| demand / capacity)
-                .collect();
-            tick(core, shard, Some(prices), shared, config)
-        }
-    }
+    Some(served.reply)
 }
 
-/// Runs one epoch on the shard's core, under the tick-keyed faults, and
-/// appends the `prices` it allocated at to a clean reply. `None` when the
+/// Runs one epoch on the shard's node — at `allotment` in a fleet round
+/// ([`Node::tick_at`]) — under the tick-keyed faults. `None` when the
 /// reply is (by injection) lost after the work was done.
 fn tick(
-    core: &mut ServiceCore,
+    node: &mut ShardNode,
     shard: usize,
-    prices: Option<Vec<f64>>,
+    allotment: Option<&[f64]>,
     shared: &Shared,
     config: &ServeConfig,
-) -> Option<Value> {
-    let armed = config.faults.is_armed();
-    if let (true, Some((s, e, delay_ms))) = (armed, config.faults.slow_shard_tick) {
+) -> Option<Served> {
+    let faults = &config.faults;
+    // Whether a tick-keyed fault is armed for this shard at `epoch`.
+    let armed = |fault: Option<(u64, u64)>, epoch: Option<u64>| {
+        faults.is_armed() && epoch.is_some_and(|epoch| fault == Some((shard as u64, epoch)))
+    };
+    let epoch = |node: &ShardNode| node.core().map(|core| core.engine().epoch());
+    if let Some((s, e, delay_ms)) = faults.slow_shard_tick {
         // Stall *before* the tick that would close epoch `e` is applied:
         // the router's budget expires while the shard's durable state is
         // still behind.
-        if shard as u64 == s && core.engine().epoch() + 1 == e {
+        if armed(Some((s, e)), epoch(node).map(|epoch| epoch + 1)) {
             std::thread::sleep(Duration::from_millis(delay_ms));
         }
     }
-    let mut response = core.handle(&Request::Tick, &shared.metrics);
-    if armed {
-        if let Some((s, e)) = config.faults.panic_shard_ticker {
-            // Panic *after* the tick is durable: recovery must replay it
-            // bit-identically. Cannot re-fire after a restart — the
-            // recovered engine is already past `e`.
-            if shard as u64 == s && core.engine().epoch() == e {
-                panic!("injected shard panic after epoch {e}");
-            }
+    let served = match allotment {
+        None => node.serve(&Request::Tick, &shared.metrics),
+        Some(allotment) => {
+            let mut served = node.tick_at(allotment, &shared.metrics);
+            served.pop().expect("a round asks something").1
         }
-        if let Some((s, e)) = config.faults.drop_tick_reply {
-            // Durable work done, reply lost: the router sees a failed
-            // tick while the shard's state stays consistent.
-            if shard as u64 == s && core.engine().epoch() == e {
-                return None;
-            }
-        }
+    };
+    // Panic *after* the tick is durable: recovery must replay it
+    // bit-identically. Cannot re-fire after a restart — the recovered
+    // engine is already past the epoch.
+    if armed(faults.panic_shard_ticker, epoch(node)) {
+        panic!("injected shard panic after epoch {:?}", epoch(node));
     }
-    let clean = response.get("ok") == Some(&Value::Bool(true));
-    if let (true, Some(prices), Value::Obj(fields)) = (clean, prices, &mut response) {
-        fields.push(("prices".to_string(), Value::num_array(&prices)));
-    }
-    Some(response)
+    // Durable work done, reply lost: the router sees a failed tick while
+    // the shard's state stays consistent.
+    (!armed(faults.drop_tick_reply, epoch(node))).then_some(served)
 }
 
-/// Performs a standby→primary promotion; the caller holds the shard
-/// lock, so the role flip is serialized with event application. Bumps
-/// the term, flips the role, wakes the shard thread (whose timer then
-/// calls for a heartbeat), and best-effort
-/// deposes the old primary by presenting it the new term.
-pub(crate) fn handle_promote(shared: &Shared) -> Value {
-    let Some(repl) = shared.repl.as_ref() else {
-        return error_response("protocol", Some("replication is not configured"), None);
-    };
+/// Carries out a promotion the shard's node made (the `promote` op, or an
+/// election; `None`: the node is not replicated) and answers it: a new
+/// leader wakes the shard thread, whose timer then calls for a
+/// heartbeat, and best-effort deposes the old primary by presenting it
+/// the new term.
+pub(crate) fn carry_out(promotion: Option<Promotion>, shared: &Shared) -> Value {
     let standing = |term: u64| {
         ok_response(vec![
             ("role", Value::str("primary")),
             ("term", Value::from_u64(term)),
         ])
     };
-    match repl.promote(&shared.metrics) {
-        Promotion::Fenced => error_response(
+    match promotion {
+        None => error_response("protocol", Some("replication is not configured"), None),
+        Some(Promotion::Fenced) => error_response(
             "fenced",
             Some("this node was deposed or diverged; it cannot be promoted"),
             None,
         ),
         // Idempotent: promoting a primary reports its standing.
-        Promotion::Standing(term) => standing(term),
-        Promotion::Promoted { term, depose } => {
+        Some(Promotion::Standing(term)) => standing(term),
+        Some(Promotion::Promoted { term, depose }) => {
             shared.bus.wake();
             if let Some((addr, hello)) = depose {
                 // Detached: never hold the shard lock through a dead
                 // peer's TCP timeout.
-                let _ = std::thread::Builder::new()
-                    .name("ref-serve-fence".to_string())
-                    .spawn(move || fence_notify(addr, hello));
+                spawn("ref-serve-fence", move || fence_notify(addr, hello));
             }
             standing(term)
         }

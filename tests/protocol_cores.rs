@@ -3,18 +3,30 @@
 //! without losing an acked record, and a [`RouterCore`] keeps routing
 //! and allotment safe across the failover. The per-rule transition
 //! tables live next to the cores in `ref-serve`; this scenario runs in
-//! tier-1 so `cargo test -q` fails when the protocols regress.
+//! tier-1 so `cargo test -q` fails when the protocols regress. The last
+//! scenario drives two whole replicas — the [`Node`] composition both
+//! the server and the simulator run — by hand.
 
+mod common;
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use ref_fairness::market::MarketEvent;
+use ref_fairness::core::resource::Capacity;
+use ref_fairness::market::{MarketConfig, MarketEvent, ObservationSource};
+use ref_fairness::serve::node::{Follow, Hold, Node, Peer, Replication};
 use ref_fairness::serve::protocol::ok_response;
 use ref_fairness::serve::repl::{parse_frame, parse_message, rec_frame, Frame};
-use ref_fairness::serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream};
+use ref_fairness::serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream, Timer};
+use ref_fairness::serve::session::Applied;
 use ref_fairness::serve::{
-    decode_frame, FrameDecode, ReplConfig, ReplCore, Role, RouterCore, ShardHealth, TickOutcome,
-    Value,
+    decode_frame, Clock, FaultPlan, FrameDecode, FsStorage, JournalLimit, ReplConfig, ReplCore,
+    Request, Role, RouterCore, ServeMetrics, ServiceCore, ShardHealth, TickOutcome, Value,
+    WalConfig,
 };
+
+use common::TempDir;
 
 const MS: Duration = Duration::from_millis(1);
 const TIMEOUT: Duration = Duration::from_millis(100);
@@ -220,4 +232,203 @@ fn the_router_freezes_below_quorum_and_never_half_applies() {
     // Served from a recovered WAL, it is caught up to the rest of the
     // fleet.
     assert_eq!(router.recovered(1, 4).catch_up, 5);
+}
+
+/// A clock the test moves by hand.
+#[derive(Debug, Default)]
+struct HandClock(AtomicU64);
+
+impl HandClock {
+    fn set(&self, at: Duration) {
+        self.0.store(at.as_nanos() as u64, Ordering::SeqCst);
+    }
+}
+
+impl Clock for HandClock {
+    fn now(&self) -> Duration {
+        Duration::from_nanos(self.0.load(Ordering::SeqCst))
+    }
+}
+
+/// The frames a primary sent one standby, in order.
+#[derive(Debug, Default)]
+struct Wire(Vec<Vec<u8>>);
+
+impl Peer for Wire {
+    fn send(&mut self, frame: &[u8]) -> bool {
+        self.0.push(frame.to_vec());
+        true
+    }
+}
+
+type Replica = Node<Replication<Wire>>;
+
+/// A durable replica on `dir`, booting in `config`'s role.
+fn replica(dir: &TempDir, config: ReplConfig, name: &str, clock: &Arc<HandClock>) -> Replica {
+    let market = MarketConfig::new(Capacity::new(vec![8.0, 4.0]).unwrap());
+    let wal = WalConfig::new(dir.path()).with_retain_history(true);
+    let core = ServiceCore::recover(market, JournalLimit::default(), wal, FaultPlan::none());
+    let mut repl = ReplCore::new(&config.with_election_timeout(TIMEOUT), 7, 0, 0, clock.now());
+    repl.set_addrs(format!("{name}:client"), format!("{name}:repl"));
+    let clock: Arc<dyn Clock> = Arc::clone(clock) as Arc<dyn Clock>;
+    Node::new(
+        0,
+        None,
+        Some(core.unwrap()),
+        Some(Replication::new(repl, clock)),
+    )
+}
+
+fn half(node: &mut Replica) -> &mut Replication<Wire> {
+    node.link.as_mut().expect("replicated")
+}
+
+/// Everything the primary has sent its standby since the last look.
+fn sent(primary: &mut Replica) -> Vec<Frame> {
+    let frames: Vec<Vec<u8>> = half(primary).peers().flat_map(|w| w.0.drain(..)).collect();
+    frames.iter().map(|f| stream_frame(f)).collect()
+}
+
+fn join(agent: u64) -> Request {
+    let source = ObservationSource::External;
+    Request::Join { agent, source }
+}
+
+#[test]
+fn two_nodes_hand_a_held_reply_over_only_on_the_ack() {
+    let (dir_p, dir_s) = (TempDir::new("node-p"), TempDir::new("node-s"));
+    let clock = Arc::new(HandClock::default());
+    let mut primary = replica(&dir_p, ReplConfig::primary("p:repl"), "p", &clock);
+    let mut standby = replica(&dir_s, ReplConfig::standby("s:repl", "p:repl"), "s", &clock);
+    let metrics = ServeMetrics::new();
+
+    // Alone, a primary's record goes out to nobody: its hold is released
+    // at once (solo durability).
+    let solo = primary.serve(&join(1), &metrics);
+    let hold = solo.hold.expect("a replicated primary holds its record");
+    assert_eq!(
+        hold,
+        Hold {
+            target: 1,
+            attached: false
+        }
+    );
+    assert_eq!(primary.released(hold), AckWait::NoStandby);
+
+    // hello → meta: the session opens at once, and the next live record
+    // is held for it while its catch-up reads the log.
+    let hello = half(&mut standby).drive(|core, now| core.dial(now));
+    let (verdict, id) = half(&mut primary).accept(&unframe(&hello), Wire::default());
+    let (Hello::Accept { have: 0, meta }, Some(id)) = (verdict, id) else {
+        panic!("a fresh standby is accepted");
+    };
+    let live = primary.serve(&join(2), &metrics);
+    let held = live.hold.expect("held");
+    assert_eq!(
+        held,
+        Hold {
+            target: 2,
+            attached: true
+        }
+    );
+    assert!(
+        sent(&mut primary).is_empty(),
+        "a catching-up session sends nothing live"
+    );
+    assert_eq!(half(&mut primary).held, 1);
+    assert_eq!(primary.released(held), AckWait::Pending);
+
+    // The catch-up streams the log from 0 and goes live: the held record
+    // is the log's, sent once.
+    let caught = half(&mut primary).catch_up(id, 0, &FsStorage, dir_p.path());
+    assert_eq!(caught.unwrap(), (None, 2));
+    let frames = sent(&mut primary);
+    let seqs: Vec<u64> = (frames.iter())
+        .map(|f| match f {
+            Frame::Rec { seq, .. } => *seq,
+            Frame::Msg(msg) => panic!("a catch-up sends records, not {msg}"),
+        })
+        .collect();
+    assert_eq!(seqs, [0, 1]);
+
+    // The standby follows: meta, then each record applied and acked.
+    let from = "p:repl";
+    assert_eq!(
+        standby.follow(stream_frame(&meta), from, &metrics),
+        Follow::Reading
+    );
+    let mut acks = Vec::new();
+    for (seq, frame) in frames.into_iter().enumerate() {
+        let Follow::Ack {
+            seq: at,
+            have,
+            took,
+            ack,
+        } = standby.follow(frame, from, &metrics)
+        else {
+            panic!("record {seq} is applied");
+        };
+        assert_eq!((at, have), (seq as u64, seq as u64 + 1));
+        assert_eq!(took, Applied::Applied { epoch_fp: None });
+        acks.push(unframe(&ack));
+    }
+
+    // Nothing but the ack of its record releases the held reply: not a
+    // heartbeat, not a later record, not an ack of an earlier one.
+    clock.set(Duration::from_millis(5));
+    assert_eq!(half(&mut primary).beat(), Timer::Heartbeat);
+    let hb = sent(&mut primary)
+        .pop()
+        .expect("a live session hears heartbeats");
+    assert_eq!(standby.follow(hb, from, &metrics), Follow::Reading);
+    assert_eq!(primary.released(held), AckWait::Pending);
+    assert_eq!(half(&mut primary).ack(id, &acks[0]), Ack::Progress(1));
+    assert_eq!(primary.released(held), AckWait::Pending);
+    assert_eq!(half(&mut primary).ack(id, &acks[1]), Ack::Progress(2));
+    assert_eq!(primary.released(held), AckWait::Acked);
+
+    // A live tick goes straight out, and its ack carries the standby's
+    // fingerprint, which agrees with the primary's.
+    let tick = primary.serve(&Request::Tick, &metrics);
+    assert_eq!(
+        tick.reply.get("ok"),
+        Some(&Value::Bool(true)),
+        "{}",
+        tick.reply
+    );
+    let mut frames = sent(&mut primary);
+    assert_eq!(frames.len(), 1);
+    let Follow::Ack {
+        have: 3, took, ack, ..
+    } = standby.follow(frames.remove(0), from, &metrics)
+    else {
+        panic!("the tick is applied");
+    };
+    assert!(matches!(took, Applied::Applied { epoch_fp: Some(_) }));
+    assert_eq!(half(&mut primary).ack(id, &unframe(&ack)), Ack::Progress(3));
+
+    // The primary goes quiet: the standby, which holds everything it was
+    // told of, elects itself and deposes it; the deposed node fences.
+    clock.set(Duration::from_millis(5) + 2 * TIMEOUT);
+    let Some(Promotion::Promoted {
+        term: 1,
+        depose: Some((old, deposing)),
+    }) = standby.elect(&metrics)
+    else {
+        panic!("the standby elects itself");
+    };
+    assert_eq!(old, "p:repl");
+    let (verdict, none) = half(&mut primary).accept(&unframe(&deposing), Wire::default());
+    assert!(matches!(verdict, Hello::Refuse(_)) && none.is_none());
+    let refused = primary.serve(&join(3), &metrics);
+    assert_eq!(error_of(&refused.reply), Some("fenced"));
+    assert!(refused.hold.is_none());
+    assert_eq!(standby.core().unwrap().events_applied(), 3);
+    let new = standby.serve(&join(3), &metrics);
+    assert_eq!(
+        new.reply.get("ok"),
+        Some(&Value::Bool(true)),
+        "{}",
+        new.reply
+    );
 }
