@@ -57,7 +57,6 @@ use ref_serve::protocol::{error_response, event_to_value, shard_unavailable_resp
 use ref_serve::repl::{parse_frame, Frame};
 use ref_serve::repl_core::{Ack, AckWait, Hello, Promotion, Timer};
 use ref_serve::router::{asks, AfterPanic, Duty, Readmit};
-use ref_serve::session::Applied;
 use ref_serve::wal::read_events_with;
 use ref_serve::{
     decode_frame, default_quorum, replay, shard_market_config, Clock, FaultPlan, FrameDecode,
@@ -304,10 +303,6 @@ fn timeout() -> Value {
     error_response("timeout", None, None)
 }
 
-fn err_code(reply: &Value) -> &str {
-    reply.get("error").and_then(Value::as_str).unwrap_or("")
-}
-
 /// Simulates one seed end to end and checks every standing invariant.
 pub fn run_seed(seed: u64, opts: &SimOptions) -> RunOutcome {
     let mut sim = Sim::new(seed, opts.clone());
@@ -548,10 +543,13 @@ impl Sim {
         client: bool,
     ) -> Value {
         let now = self.now();
-        let Served { reply, hold, crash } = served;
-        if matches!(err_code(&reply), "not_primary" | "fenced" | "unavailable") {
-            self.note(format!("n{id} refuses: {}", err_code(&reply)));
+        if served.refused {
+            let code = served.reply.get("error").and_then(Value::as_str);
+            self.note(format!("n{id} refuses: {}", code.unwrap_or("")));
         }
+        let Served {
+            reply, hold, crash, ..
+        } = served;
         self.flush(id);
         if reply.get("outcome").and_then(Value::as_str) == Some("unknown") {
             self.hosts[id].unknown = event.clone().map(|event| (self.applied(id), event));
@@ -751,13 +749,13 @@ impl Sim {
             Follow::Ack {
                 seq,
                 have,
-                took,
+                fresh,
                 ack,
             } => {
-                match (took, record) {
-                    (Applied::Skipped, _) => {}
-                    (_, Some(event)) => host.lineage.push(event),
-                    (_, None) => {
+                match (fresh, record) {
+                    (false, _) => {}
+                    (true, Some(event)) => host.lineage.push(event),
+                    (true, None) => {
                         host.lineage = self.snap_prefixes[&(from, seq)].clone();
                         // The snapshot replaces the engine, as a reboot
                         // does: an apply corrupted before it, or armed to

@@ -1,8 +1,9 @@
 //! The market engine: an epoch loop over a churning agent population.
 //!
-//! [`MarketEngine::pump`] drains the event queue in submission order.
-//! Membership events (`AgentJoined`, `AgentLeft`, `DemandChanged`) mutate
-//! the population immediately; each `EpochTick` then runs one epoch:
+//! [`MarketEngine::apply_now`] applies one event at a time, in the order
+//! the caller hands them over. Membership events (`AgentJoined`,
+//! `AgentLeft`, `DemandChanged`) mutate the population immediately; each
+//! `EpochTick` then runs one epoch:
 //!
 //! 1. collect the *reported* utilities (each agent's fitted Cobb-Douglas
 //!    estimate, re-scaled per Eq. 12);
@@ -44,7 +45,7 @@ use crate::audit::Auditor;
 use crate::digest::StateHasher;
 use crate::epoch::{EpochReport, ReallocationOutcome};
 use crate::error::{MarketError, Result};
-use crate::events::{EventQueue, MarketEvent};
+use crate::events::MarketEvent;
 use crate::ledger::CreditLedger;
 use crate::metrics::MarketMetrics;
 use crate::snapshot::{AgentSnapshot, AgentView, MarketSnapshot, StateView, SNAPSHOT_VERSION};
@@ -381,7 +382,6 @@ impl Fingerprint {
 pub struct MarketEngine {
     config: MarketConfig,
     population: BTreeMap<AgentId, AgentState>,
-    queue: EventQueue,
     epoch: u64,
     stable_since: u64,
     cache: Option<(Fingerprint, Allocation)>,
@@ -403,7 +403,6 @@ impl MarketEngine {
         Ok(MarketEngine {
             config,
             population: BTreeMap::new(),
-            queue: EventQueue::new(),
             epoch: 0,
             stable_since: 0,
             cache: None,
@@ -414,70 +413,21 @@ impl MarketEngine {
         })
     }
 
-    /// Enqueues an event; nothing happens until [`MarketEngine::pump`].
-    pub fn submit(&mut self, event: MarketEvent) {
-        self.queue.push(event);
-    }
-
-    /// Enqueues a batch of events in order.
-    pub fn submit_all<I: IntoIterator<Item = MarketEvent>>(&mut self, events: I) {
-        for e in events {
-            self.queue.push(e);
-        }
-    }
-
-    /// Processes every pending event in submission order and returns one
-    /// report per `EpochTick` executed.
+    /// Applies one event: the only way an event reaches the engine.
     ///
-    /// Processing is fail-fast: on the first invalid event (duplicate
-    /// join, unknown agent, malformed observation) the event is dropped,
-    /// [`MarketMetrics::rejected_events`] is bumped, the error is returned
-    /// and the remaining events stay queued for a later pump.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first event's [`MarketError`]; the engine state remains
-    /// consistent (the failed event has no partial effect).
-    pub fn pump(&mut self) -> Result<Vec<EpochReport>> {
-        let mut reports = Vec::new();
-        while let Some(event) = self.queue.pop() {
-            match self.apply(event) {
-                Ok(Some(report)) => reports.push(report),
-                Ok(None) => {}
-                Err(e) => {
-                    self.metrics.rejected_events += 1;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(reports)
-    }
-
-    /// Applies one event immediately, bypassing the queue.
-    ///
-    /// This is the per-event entry point for transports (ref-serve) that
-    /// need to map each event's outcome back to the request that carried
-    /// it. Applying a sequence of events through `apply_now` — continuing
-    /// past errors — leaves the engine in exactly the state that
-    /// [`MarketEngine::submit_all`] followed by [`MarketEngine::pump`]
-    /// retried to completion would: both paths apply events one at a time
-    /// in order and bump [`MarketMetrics::rejected_events`] on failure.
-    /// Events already queued via [`MarketEngine::submit`] stay queued and
-    /// are *not* reordered relative to this call; mixing the two styles on
-    /// one engine is almost never what you want.
+    /// Events apply one at a time, in the order they are handed over, and
+    /// each one's outcome is its own: a rejected event (duplicate join,
+    /// unknown agent, malformed observation) fails alone. It counts in
+    /// [`MarketMetrics::events`] and [`MarketMetrics::rejected_events`],
+    /// changes nothing else, and leaves the next event to apply as usual.
     ///
     /// # Errors
     ///
     /// Returns the event's [`MarketError`]; the failed event has no
     /// partial effect.
     pub fn apply_now(&mut self, event: MarketEvent) -> Result<Option<EpochReport>> {
-        match self.apply(event) {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                self.metrics.rejected_events += 1;
-                Err(e)
-            }
-        }
+        self.apply(event)
+            .inspect_err(|_| self.metrics.rejected_events += 1)
     }
 
     fn apply(&mut self, event: MarketEvent) -> Result<Option<EpochReport>> {
@@ -867,9 +817,6 @@ impl MarketEngine {
 
     /// Captures the full market state (population, estimator states,
     /// allocation cache, counters) as a versioned snapshot.
-    ///
-    /// Pending events are *not* captured — pump before snapshotting to
-    /// checkpoint between batches.
     pub fn snapshot(&self) -> MarketSnapshot {
         MarketSnapshot {
             version: SNAPSHOT_VERSION,
@@ -1003,7 +950,6 @@ impl MarketEngine {
         Ok(MarketEngine {
             config: snapshot.config.clone(),
             population,
-            queue: EventQueue::new(),
             epoch: snapshot.epoch,
             stable_since: snapshot.stable_since,
             cache: snapshot.cache.clone(),
@@ -1138,6 +1084,21 @@ fn mix(seed: u64, epoch: u64, id: AgentId) -> u64 {
 mod tests {
     use super::*;
 
+    /// Applies `event`, which `market` must accept.
+    fn apply(market: &mut MarketEngine, event: MarketEvent) -> Option<EpochReport> {
+        market.apply_now(event).expect("an accepted event")
+    }
+
+    /// Ticks `market` one epoch.
+    fn tick(market: &mut MarketEngine) -> EpochReport {
+        apply(market, MarketEvent::EpochTick).expect("a tick reports its epoch")
+    }
+
+    /// Ticks `market` `n` epochs, returning each epoch's report.
+    fn ticks(market: &mut MarketEngine, n: usize) -> Vec<EpochReport> {
+        (0..n).map(|_| tick(market)).collect()
+    }
+
     fn truth(e0: f64, e1: f64) -> ObservationSource {
         ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![e0, e1]).unwrap())
     }
@@ -1145,14 +1106,20 @@ mod tests {
     fn two_agent_market() -> MarketEngine {
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: truth(0.6, 0.4),
-        });
-        market.submit(MarketEvent::AgentJoined {
-            id: 2,
-            source: truth(0.2, 0.8),
-        });
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: truth(0.6, 0.4),
+            },
+        );
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 2,
+                source: truth(0.2, 0.8),
+            },
+        );
         market
     }
 
@@ -1200,19 +1167,16 @@ mod tests {
     fn empty_market_ticks_without_allocating() {
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::EpochTick);
-        let reports = market.pump().unwrap();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].realloc, ReallocationOutcome::EmptyMarket);
-        assert!(reports[0].allocation.is_none());
+        let report = tick(&mut market);
+        assert_eq!(report.realloc, ReallocationOutcome::EmptyMarket);
+        assert!(report.allocation.is_none());
         assert_eq!(market.metrics().epochs, 1);
     }
 
     #[test]
     fn converges_to_true_ref_point_with_churn_free_population() {
         let mut market = two_agent_market();
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 25));
-        let reports = market.pump().unwrap();
+        let reports = ticks(&mut market, 25);
         let last = reports.last().unwrap();
         let alloc = last.allocation.as_ref().unwrap();
         // True REF point of the hidden utilities: (18, 4) / (6, 8).
@@ -1227,129 +1191,142 @@ mod tests {
     #[test]
     fn converged_market_serves_epochs_from_the_cache() {
         let mut market = two_agent_market();
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 40));
-        market.pump().unwrap();
+        ticks(&mut market, 40);
         let m = market.metrics();
         assert!(m.cache_hits > 20, "{m}");
         assert!(m.reallocations < 15, "{m}");
         // Churn invalidates the fingerprint.
-        market.submit(MarketEvent::AgentJoined {
-            id: 3,
-            source: truth(0.5, 0.5),
-        });
-        market.submit(MarketEvent::EpochTick);
-        let reports = market.pump().unwrap();
-        assert_eq!(reports[0].realloc, ReallocationOutcome::Reallocated);
-        assert_eq!(reports[0].agents, vec![1, 2, 3]);
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 3,
+                source: truth(0.5, 0.5),
+            },
+        );
+        let report = tick(&mut market);
+        assert_eq!(report.realloc, ReallocationOutcome::Reallocated);
+        assert_eq!(report.agents, vec![1, 2, 3]);
     }
 
     #[test]
-    fn membership_errors_are_fail_fast_and_leave_queue_intact() {
+    fn membership_errors_are_rejected_alone() {
         let mut market = two_agent_market();
-        market.pump().unwrap();
-        market.submit(MarketEvent::AgentJoined {
+        let duplicate = market.apply_now(MarketEvent::AgentJoined {
             id: 1,
             source: truth(0.5, 0.5),
         });
-        market.submit(MarketEvent::EpochTick);
-        assert!(matches!(market.pump(), Err(MarketError::DuplicateAgent(1))));
-        assert_eq!(market.queue.len(), 1);
+        assert!(matches!(duplicate, Err(MarketError::DuplicateAgent(1))));
         assert_eq!(market.metrics().rejected_events, 1);
-        market.submit(MarketEvent::AgentLeft { id: 99 });
         assert!(matches!(
-            market.pump().unwrap_err(),
-            MarketError::UnknownAgent(99)
+            market.apply_now(MarketEvent::AgentLeft { id: 99 }),
+            Err(MarketError::UnknownAgent(99))
         ));
+        assert_eq!(market.metrics().rejected_events, 2);
     }
 
     #[test]
     fn demand_change_resets_the_estimator_and_swaps_truth() {
         let mut market = two_agent_market();
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 12));
-        market.pump().unwrap();
+        ticks(&mut market, 12);
         assert!(market.agent(1).unwrap().estimator.num_observations() > 0);
-        market.submit(MarketEvent::DemandChanged {
-            id: 1,
-            new_truth: Some(CobbDouglas::new(1.0, vec![0.3, 0.7]).unwrap()),
-        });
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::DemandChanged {
+                id: 1,
+                new_truth: Some(CobbDouglas::new(1.0, vec![0.3, 0.7]).unwrap()),
+            },
+        );
         let agent = market.agent(1).unwrap();
         assert_eq!(agent.estimator.num_observations(), 0);
         assert_eq!(agent.reported_utility().elasticities(), &[0.5, 0.5]);
         // The market re-converges to the new truth's REF point.
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 20));
-        let reports = market.pump().unwrap();
+        let reports = ticks(&mut market, 20);
         let alloc = reports.last().unwrap().allocation.as_ref().unwrap();
         // Rescaled elasticities (0.3, 0.7) and (0.2, 0.8): x_00 = 0.3/0.5*24.
         assert!((alloc.bundle(0).get(0) - 14.4).abs() < 0.5, "{alloc:?}");
         assert!(market.auditor().clean_after_warmup());
         // Swapping truth on a non-ground-truth agent is rejected.
-        market.submit(MarketEvent::AgentJoined {
-            id: 7,
-            source: ObservationSource::External,
-        });
-        market.submit(MarketEvent::DemandChanged {
-            id: 7,
-            new_truth: Some(CobbDouglas::new(1.0, vec![0.5, 0.5]).unwrap()),
-        });
-        assert!(market.pump().is_err());
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 7,
+                source: ObservationSource::External,
+            },
+        );
+        assert!(market
+            .apply_now(MarketEvent::DemandChanged {
+                id: 7,
+                new_truth: Some(CobbDouglas::new(1.0, vec![0.5, 0.5]).unwrap()),
+            })
+            .is_err());
     }
 
     #[test]
     fn external_agents_learn_only_from_reported_observations() {
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: ObservationSource::External,
-        });
-        market.submit(MarketEvent::EpochTick);
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: ObservationSource::External,
+            },
+        );
+        tick(&mut market);
         assert_eq!(market.agent(1).unwrap().estimator.num_observations(), 0);
         let hidden = CobbDouglas::new(1.0, vec![0.7, 0.3]).unwrap();
         for k in 0..8_u32 {
             let x = 1.0 + f64::from(k % 4);
             let y = 0.5 + f64::from(k % 3);
-            market.submit(MarketEvent::ObservationReported {
-                id: 1,
-                allocation: vec![x, y],
-                performance: hidden.value_slice(&[x, y]),
-            });
+            apply(
+                &mut market,
+                MarketEvent::ObservationReported {
+                    id: 1,
+                    allocation: vec![x, y],
+                    performance: hidden.value_slice(&[x, y]),
+                },
+            );
         }
-        market.pump().unwrap();
         let fitted = market.agent(1).unwrap().reported_utility();
         assert!((fitted.elasticity(0) - 0.7).abs() < 1e-6, "{fitted:?}");
         assert_eq!(market.metrics().external_observations, 8);
         // Non-finite measurements are rejected before touching the log.
-        market.submit(MarketEvent::ObservationReported {
-            id: 1,
-            allocation: vec![1.0, 1.0],
-            performance: f64::NAN,
-        });
-        assert!(market.pump().is_err());
+        assert!(market
+            .apply_now(MarketEvent::ObservationReported {
+                id: 1,
+                allocation: vec![1.0, 1.0],
+                performance: f64::NAN,
+            })
+            .is_err());
         assert_eq!(market.agent(1).unwrap().estimator.num_observations(), 8);
         // Ground-truth agents refuse external reports.
-        market.submit(MarketEvent::AgentJoined {
-            id: 2,
-            source: truth(0.5, 0.5),
-        });
-        market.submit(MarketEvent::ObservationReported {
-            id: 2,
-            allocation: vec![1.0, 1.0],
-            performance: 1.0,
-        });
-        assert!(market.pump().is_err());
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 2,
+                source: truth(0.5, 0.5),
+            },
+        );
+        assert!(market
+            .apply_now(MarketEvent::ObservationReported {
+                id: 2,
+                allocation: vec![1.0, 1.0],
+                performance: 1.0,
+            })
+            .is_err());
     }
 
     #[test]
     fn repeated_degenerate_fits_quarantine_an_external_agent() {
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: ObservationSource::External,
-        });
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: ObservationSource::External,
+            },
+        );
         // Individually valid points whose exact log-linear fit has
         // intercept 800: the fitted scale overflows, every refit attempt
         // is degenerate, and after three in a row the agent quarantines.
@@ -1363,13 +1340,15 @@ mod tests {
             (0.02, 0.05),
         ];
         for &(x, y) in &pts {
-            market.submit(MarketEvent::ObservationReported {
-                id: 1,
-                allocation: vec![x, y],
-                performance: huge(x, y),
-            });
+            apply(
+                &mut market,
+                MarketEvent::ObservationReported {
+                    id: 1,
+                    allocation: vec![x, y],
+                    performance: huge(x, y),
+                },
+            );
         }
-        market.pump().unwrap();
         let agent = market.agent(1).unwrap();
         assert!(agent.quarantined());
         // The last good estimate (here: the prior) still drives allocation.
@@ -1377,19 +1356,17 @@ mod tests {
         assert_eq!(market.metrics().degenerate_refits, 3);
         assert_eq!(market.metrics().quarantines, 1);
         // Further observations for the quarantined agent are refused.
-        market.submit(MarketEvent::ObservationReported {
-            id: 1,
-            allocation: vec![1.0, 1.0],
-            performance: 1.0,
-        });
         assert!(matches!(
-            market.pump(),
+            market.apply_now(MarketEvent::ObservationReported {
+                id: 1,
+                allocation: vec![1.0, 1.0],
+                performance: 1.0,
+            }),
             Err(MarketError::QuarantinedAgent(1))
         ));
         assert_eq!(market.metrics().rejected_events, 1);
         // An epoch tick neither feeds the agent nor recounts transitions.
-        market.submit(MarketEvent::EpochTick);
-        market.pump().unwrap();
+        tick(&mut market);
         assert_eq!(market.metrics().quarantines, 1);
         // Quarantine is derived from the estimator's counters, so it
         // survives snapshot/restore without extra persisted state.
@@ -1397,20 +1374,24 @@ mod tests {
         assert!(restored.agent(1).unwrap().quarantined());
         assert_eq!(restored.metrics().quarantines, 1);
         // A demand change resets the estimator and lifts the quarantine.
-        market.submit(MarketEvent::DemandChanged {
-            id: 1,
-            new_truth: None,
-        });
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::DemandChanged {
+                id: 1,
+                new_truth: None,
+            },
+        );
         let agent = market.agent(1).unwrap();
         assert!(!agent.quarantined());
         assert_eq!(agent.estimator.num_observations(), 0);
-        market.submit(MarketEvent::ObservationReported {
-            id: 1,
-            allocation: vec![2.0, 1.0],
-            performance: 1.5,
-        });
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::ObservationReported {
+                id: 1,
+                allocation: vec![2.0, 1.0],
+                performance: 1.5,
+            },
+        );
         assert_eq!(market.agent(1).unwrap().estimator.num_observations(), 1);
     }
 
@@ -1426,20 +1407,25 @@ mod tests {
             .with_sim_instructions(12_000)
             .with_warmup_epochs(4);
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: ObservationSource::Simulated {
-                benchmark: "histogram".to_string(),
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: ObservationSource::Simulated {
+                    benchmark: "histogram".to_string(),
+                },
             },
-        });
-        market.submit(MarketEvent::AgentJoined {
-            id: 2,
-            source: ObservationSource::Simulated {
-                benchmark: "dedup".to_string(),
+        );
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 2,
+                source: ObservationSource::Simulated {
+                    benchmark: "dedup".to_string(),
+                },
             },
-        });
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 10));
-        let reports = market.pump().unwrap();
+        );
+        let reports = ticks(&mut market, 10);
         assert!(reports.iter().all(|r| r.observations == 2));
         for id in [1, 2] {
             let agent = market.agent(id).unwrap();
@@ -1455,16 +1441,21 @@ mod tests {
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap())
             .with_mechanism(MechanismKind::MaxWelfare { fairness: true });
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: truth(0.6, 0.4),
-        });
-        market.submit(MarketEvent::AgentJoined {
-            id: 2,
-            source: truth(0.2, 0.8),
-        });
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 20));
-        let reports = market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: truth(0.6, 0.4),
+            },
+        );
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 2,
+                source: truth(0.2, 0.8),
+            },
+        );
+        let reports = ticks(&mut market, 20);
         let m = market.metrics().clone();
         // The first solve is necessarily cold; every later solve over the
         // unchanged population is seeded from the previous optimum.
@@ -1485,26 +1476,26 @@ mod tests {
         // nowhere near central once the survivor has it to itself: the
         // solver abandons the hint, and says so. An arrival, by contrast,
         // changes the problem shape and forces a cold start.
-        market.submit(MarketEvent::AgentLeft { id: 2 });
-        market.submit(MarketEvent::EpochTick);
-        market.pump().unwrap();
+        apply(&mut market, MarketEvent::AgentLeft { id: 2 });
+        tick(&mut market);
         assert_eq!(market.metrics().warm_start_misses, 1);
         assert_eq!(market.metrics().warm_start_hits, m.warm_start_hits + 1);
         assert_eq!(market.metrics().warm_start_fallbacks, 1);
-        market.submit(MarketEvent::AgentJoined {
-            id: 3,
-            source: truth(0.5, 0.5),
-        });
-        market.submit(MarketEvent::EpochTick);
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 3,
+                source: truth(0.5, 0.5),
+            },
+        );
+        tick(&mut market);
         assert_eq!(market.metrics().warm_start_misses, 2);
     }
 
     #[test]
     fn closed_form_mechanism_never_touches_warm_counters() {
         let mut market = two_agent_market();
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 10));
-        market.pump().unwrap();
+        ticks(&mut market, 10);
         let m = market.metrics();
         assert!(m.reallocations > 0);
         assert_eq!(m.warm_start_hits, 0);
@@ -1515,8 +1506,7 @@ mod tests {
     #[test]
     fn every_market_refit_is_served_incrementally() {
         let mut market = two_agent_market();
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 15));
-        market.pump().unwrap();
+        ticks(&mut market, 15);
         let m = market.metrics();
         assert!(m.refits > 0);
         assert_eq!(m.incremental_refits, m.refits, "{m}");
@@ -1533,20 +1523,25 @@ mod tests {
         let run = |spread: f64| {
             let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
             let mut market = MarketEngine::new(config).unwrap();
-            market.submit(MarketEvent::AgentJoined {
-                id: 1,
-                source: ObservationSource::External,
-            });
+            apply(
+                &mut market,
+                MarketEvent::AgentJoined {
+                    id: 1,
+                    source: ObservationSource::External,
+                },
+            );
             for i in 0..8_u32 {
                 let x = 2.0 * (1.0 + spread * f64::from(i));
                 let y = 3.0 * (1.0 + 0.7 * spread * f64::from((i * 3) % 5));
-                market.submit(MarketEvent::ObservationReported {
-                    id: 1,
-                    allocation: vec![x, y],
-                    performance: x.powf(0.6) * y.powf(0.4),
-                });
+                apply(
+                    &mut market,
+                    MarketEvent::ObservationReported {
+                        id: 1,
+                        allocation: vec![x, y],
+                        performance: x.powf(0.6) * y.powf(0.4),
+                    },
+                );
             }
-            market.pump().unwrap();
             market
         };
         // Spread orders of magnitude below RANK_TOL: collinear, keep prior.
@@ -1564,45 +1559,48 @@ mod tests {
         assert!((agent.reported_utility().elasticity(0) - 0.6).abs() < 1e-6);
     }
 
-    // --- Same-batch event-ordering semantics -------------------------
+    // --- Same-epoch event-ordering semantics -------------------------
     //
-    // Events between two ticks apply strictly in submission order, one at
-    // a time, with no coalescing. These tests pin the edge cases a
+    // Events between two ticks apply strictly in the order they are handed
+    // over, one at a time, with no coalescing. These tests pin the edge cases a
     // network transport can produce by interleaving clients.
 
     #[test]
     fn same_batch_join_then_leave_is_a_clean_noop() {
         let mut market = two_agent_market();
-        market.submit(MarketEvent::AgentJoined {
-            id: 9,
-            source: truth(0.5, 0.5),
-        });
-        market.submit(MarketEvent::AgentLeft { id: 9 });
-        market.submit(MarketEvent::EpochTick);
-        let reports = market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 9,
+                source: truth(0.5, 0.5),
+            },
+        );
+        apply(&mut market, MarketEvent::AgentLeft { id: 9 });
+        let report = tick(&mut market);
         // The transient never reaches an allocation, but both counters
         // record it and the warm-up window restarts.
-        assert_eq!(reports[0].agents, vec![1, 2]);
+        assert_eq!(report.agents, vec![1, 2]);
         assert_eq!(market.metrics().joins, 3);
         assert_eq!(market.metrics().leaves, 1);
-        assert!(reports[0].warm);
+        assert!(report.warm);
     }
 
     #[test]
     fn same_batch_leave_then_rejoin_resets_the_estimator() {
         let mut market = two_agent_market();
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 12));
-        market.pump().unwrap();
+        ticks(&mut market, 12);
         let converged = market.agent(1).unwrap().estimator.num_observations();
         assert!(converged > 0);
-        // Leave + join with the same id in one batch is a legal rejoin:
+        // Leave + join with the same id in one epoch is a legal rejoin:
         // the new incarnation starts from the uniform prior.
-        market.submit(MarketEvent::AgentLeft { id: 1 });
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: truth(0.8, 0.2),
-        });
-        market.pump().unwrap();
+        apply(&mut market, MarketEvent::AgentLeft { id: 1 });
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: truth(0.8, 0.2),
+            },
+        );
         let agent = market.agent(1).unwrap();
         assert_eq!(agent.estimator.num_observations(), 0);
         assert_eq!(agent.reported_utility().elasticities(), &[0.5, 0.5]);
@@ -1612,18 +1610,23 @@ mod tests {
     #[test]
     fn same_batch_join_then_rejoin_is_a_duplicate() {
         // Join + join (without an intervening leave) is rejected even
-        // inside one batch: the first join wins, the second is dropped.
+        // inside one epoch: the first join wins, the second is dropped.
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 5,
-            source: truth(0.6, 0.4),
-        });
-        market.submit(MarketEvent::AgentJoined {
-            id: 5,
-            source: truth(0.3, 0.7),
-        });
-        assert!(matches!(market.pump(), Err(MarketError::DuplicateAgent(5))));
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 5,
+                source: truth(0.6, 0.4),
+            },
+        );
+        assert!(matches!(
+            market.apply_now(MarketEvent::AgentJoined {
+                id: 5,
+                source: truth(0.3, 0.7),
+            }),
+            Err(MarketError::DuplicateAgent(5))
+        ));
         // The first incarnation survives untouched.
         assert_eq!(market.num_live_agents(), 1);
         assert_eq!(market.metrics().joins, 1);
@@ -1634,27 +1637,27 @@ mod tests {
     fn same_batch_leave_then_observe_rejects_only_the_observation() {
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: ObservationSource::External,
-        });
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: ObservationSource::External,
+            },
+        );
         // Leave followed by a late observation for the same agent: the
-        // leave applies, the observation is unknown-agent, and the events
-        // after it stay queued (fail-fast).
-        market.submit(MarketEvent::AgentLeft { id: 1 });
-        market.submit(MarketEvent::ObservationReported {
+        // leave applies, the observation is unknown-agent, and the tick
+        // after it applies as usual.
+        apply(&mut market, MarketEvent::AgentLeft { id: 1 });
+        let late = market.apply_now(MarketEvent::ObservationReported {
             id: 1,
             allocation: vec![1.0, 1.0],
             performance: 1.0,
         });
-        market.submit(MarketEvent::EpochTick);
-        assert!(matches!(market.pump(), Err(MarketError::UnknownAgent(1))));
+        assert!(matches!(late, Err(MarketError::UnknownAgent(1))));
         assert_eq!(market.num_live_agents(), 0);
-        assert_eq!(market.queue.len(), 1);
-        // The retried pump drains the tick; the market is now empty.
-        let reports = market.pump().unwrap();
-        assert_eq!(reports[0].realloc, ReallocationOutcome::EmptyMarket);
+        // The market is now empty.
+        let report = tick(&mut market);
+        assert_eq!(report.realloc, ReallocationOutcome::EmptyMarket);
     }
 
     #[test]
@@ -1663,61 +1666,24 @@ mod tests {
         // the agent departs. Counters must reflect both.
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: ObservationSource::External,
-        });
-        market.submit(MarketEvent::ObservationReported {
-            id: 1,
-            allocation: vec![2.0, 1.0],
-            performance: 1.5,
-        });
-        market.submit(MarketEvent::AgentLeft { id: 1 });
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: ObservationSource::External,
+            },
+        );
+        apply(
+            &mut market,
+            MarketEvent::ObservationReported {
+                id: 1,
+                allocation: vec![2.0, 1.0],
+                performance: 1.5,
+            },
+        );
+        apply(&mut market, MarketEvent::AgentLeft { id: 1 });
         assert_eq!(market.metrics().external_observations, 1);
         assert_eq!(market.num_live_agents(), 0);
-    }
-
-    #[test]
-    fn apply_now_matches_submit_all_pump_to_completion() {
-        let events = || {
-            vec![
-                MarketEvent::AgentJoined {
-                    id: 1,
-                    source: truth(0.6, 0.4),
-                },
-                MarketEvent::AgentJoined {
-                    id: 1, // duplicate: rejected on both paths
-                    source: truth(0.5, 0.5),
-                },
-                MarketEvent::AgentJoined {
-                    id: 2,
-                    source: truth(0.2, 0.8),
-                },
-                MarketEvent::EpochTick,
-                MarketEvent::AgentLeft { id: 7 }, // unknown: rejected
-                MarketEvent::EpochTick,
-            ]
-        };
-        let config = || MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
-
-        let mut direct = MarketEngine::new(config()).unwrap();
-        for event in events() {
-            let _ = direct.apply_now(event);
-        }
-
-        let mut queued = MarketEngine::new(config()).unwrap();
-        queued.submit_all(events());
-        // A clean pump drains everything; keep retrying past errors.
-        while queued.pump().is_err() {}
-
-        assert_eq!(direct.metrics(), queued.metrics());
-        assert_eq!(direct.epoch(), queued.epoch());
-        assert_eq!(
-            direct.snapshot().encode(),
-            queued.snapshot().encode(),
-            "apply_now and pump-to-completion diverged"
-        );
     }
 
     #[test]
@@ -1773,16 +1739,14 @@ mod tests {
         // The ledger runs for every mechanism, so switching a recovered
         // market to credit fairness starts from real history.
         let mut market = two_agent_market();
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 10));
-        market.pump().unwrap();
+        ticks(&mut market, 10);
         let ledger = market.ledger();
         assert_eq!(ledger.len(), 2);
         assert!(!ledger.entry(1).unwrap().window.is_empty());
         // Mean-centered accrual keeps the ledger conserved.
         assert!(ledger.total().abs() < 1e-9, "{}", ledger.total());
         // A leave settles the departing entry into the survivor.
-        market.submit(MarketEvent::AgentLeft { id: 2 });
-        market.pump().unwrap();
+        apply(&mut market, MarketEvent::AgentLeft { id: 2 });
         assert_eq!(market.ledger().len(), 1);
     }
 
@@ -1792,16 +1756,21 @@ mod tests {
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap())
             .with_mechanism(MechanismKind::Credit { inner });
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: truth(0.6, 0.4),
-        });
-        market.submit(MarketEvent::AgentJoined {
-            id: 2,
-            source: truth(0.2, 0.8),
-        });
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 30));
-        let reports = market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: truth(0.6, 0.4),
+            },
+        );
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 2,
+                source: truth(0.2, 0.8),
+            },
+        );
+        let reports = ticks(&mut market, 30);
         (market, reports)
     }
 
@@ -1859,9 +1828,7 @@ mod tests {
                 0..44 => ObservationSource::GroundTruth(level(id)),
                 _ => ObservationSource::External,
             };
-            market
-                .apply_now(MarketEvent::AgentJoined { id, source })
-                .unwrap();
+            apply(&mut market, MarketEvent::AgentJoined { id, source });
         }
         // A hint of the right shape: a GP mechanism would use it.
         let offered = GpWarmStart {
@@ -1875,21 +1842,23 @@ mod tests {
                 let x = 2.0 * (1.0 + 0.3 * ((epoch + id) % 5) as f64);
                 let y = 1.0 + 0.4 * ((3 * epoch + id) % 7) as f64;
                 let performance = level(id).value_slice(&[x, y]);
-                market
-                    .apply_now(MarketEvent::ObservationReported {
+                apply(
+                    &mut market,
+                    MarketEvent::ObservationReported {
                         id,
                         allocation: vec![x, y],
                         performance,
-                    })
-                    .unwrap();
+                    },
+                );
             }
             if epoch % 4 == 3 {
-                market
-                    .apply_now(MarketEvent::DemandChanged {
+                apply(
+                    &mut market,
+                    MarketEvent::DemandChanged {
                         id: (7 * epoch) % 44,
                         new_truth: Some(level(epoch + 5)),
-                    })
-                    .unwrap();
+                    },
+                );
             }
             // What the tick allocates from: the reported fits and the
             // ledger's weights as they stand before it.
@@ -1933,15 +1902,20 @@ mod tests {
         // future weight once DemandChanged lifts the quarantine.
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: ObservationSource::External,
-        });
-        market.submit(MarketEvent::AgentJoined {
-            id: 2,
-            source: truth(0.2, 0.8),
-        });
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: ObservationSource::External,
+            },
+        );
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 2,
+                source: truth(0.2, 0.8),
+            },
+        );
         // Drive agent 1 into quarantine with degenerate fits.
         let huge = |x: f64, y: f64| (800.0 + 20.0 * x.ln() + 20.0 * y.ln()).exp();
         for (x, y) in [
@@ -1952,26 +1926,29 @@ mod tests {
             (0.03, 0.04),
             (0.02, 0.05),
         ] {
-            market.submit(MarketEvent::ObservationReported {
-                id: 1,
-                allocation: vec![x, y],
-                performance: huge(x, y),
-            });
+            apply(
+                &mut market,
+                MarketEvent::ObservationReported {
+                    id: 1,
+                    allocation: vec![x, y],
+                    performance: huge(x, y),
+                },
+            );
         }
-        market.pump().unwrap();
         assert!(market.agent(1).unwrap().quarantined());
         // Quarantined epochs still accrue (the agent is still served).
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 6));
-        market.pump().unwrap();
+        ticks(&mut market, 6);
         assert!(!market.ledger().entry(1).unwrap().window.is_empty());
         let total_before = market.ledger().total();
         // Lifting the quarantine re-baselines the entry: zero balance,
         // empty window, ledger sum conserved.
-        market.submit(MarketEvent::DemandChanged {
-            id: 1,
-            new_truth: None,
-        });
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::DemandChanged {
+                id: 1,
+                new_truth: None,
+            },
+        );
         assert!(!market.agent(1).unwrap().quarantined());
         let entry = market.ledger().entry(1).unwrap();
         assert_eq!(entry.balance, 0.0);
@@ -1983,8 +1960,7 @@ mod tests {
     fn identical_seeds_reproduce_identical_markets() {
         let run = || {
             let mut market = two_agent_market();
-            market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 20));
-            let reports = market.pump().unwrap();
+            let reports = ticks(&mut market, 20);
             reports.last().unwrap().allocation.as_ref().unwrap().clone()
         };
         let (a, b) = (run(), run());
@@ -2005,25 +1981,27 @@ mod tests {
             let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
             let mut market = MarketEngine::new(config).unwrap();
             for id in 0..128 {
-                market
-                    .apply_now(MarketEvent::AgentJoined {
+                apply(
+                    &mut market,
+                    MarketEvent::AgentJoined {
                         id,
                         source: ObservationSource::External,
-                    })
-                    .unwrap();
+                    },
+                );
                 for i in 0..observations {
                     let x = 1.0 + f64::from(i % 7) * 0.9;
                     let y = 0.5 + f64::from(i % 5) * 1.1;
-                    market
-                        .apply_now(MarketEvent::ObservationReported {
+                    apply(
+                        &mut market,
+                        MarketEvent::ObservationReported {
                             id,
                             allocation: vec![x, y],
                             performance: x.powf(0.6) * y.powf(0.4) + f64::from(i) * 1e-7,
-                        })
-                        .unwrap();
+                        },
+                    );
                 }
             }
-            market.apply_now(MarketEvent::EpochTick).unwrap();
+            tick(&mut market);
             market
         };
         let (short, long) = (market_with(10), market_with(10_000));

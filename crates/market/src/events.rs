@@ -1,17 +1,17 @@
 //! The market's event API.
 //!
-//! Clients do not call into the engine synchronously; they submit events
-//! which the engine processes in submission order when pumped. Membership
-//! events between two `EpochTick`s take effect at the next tick, so a batch
-//! of joins/leaves triggers at most one reallocation.
+//! An event reaches the engine one way: [`apply_now`](crate::MarketEngine::apply_now),
+//! which applies it at once and returns its outcome. Membership events
+//! between two `EpochTick`s take effect at the next tick, so a run of
+//! joins/leaves triggers at most one reallocation.
 //!
-//! ## Same-batch ordering semantics
+//! ## Ordering semantics
 //!
-//! Events are applied strictly one at a time in submission order — there
-//! is no coalescing, and every edge case a concurrent transport can
-//! produce reduces to sequential application:
+//! Events are applied strictly one at a time in the order they are handed
+//! over — there is no coalescing, and every edge case a concurrent
+//! transport can produce reduces to sequential application:
 //!
-//! - **join then leave** (same agent, same batch): a clean no-op for the
+//! - **join then leave** (same agent, same epoch): a clean no-op for the
 //!   next allocation, but both counters advance and the warm-up window
 //!   restarts (the population *did* churn).
 //! - **leave then join** (same id): a legal rejoin; the new incarnation
@@ -25,19 +25,15 @@
 //!   **observe then leave** order applies the observation first and is
 //!   fully effective.
 //!
-//! Error handling differs by entry point: [`pump`](crate::MarketEngine::pump)
-//! is fail-fast (the failed event is dropped, the rest stay queued), while
-//! [`apply_now`](crate::MarketEngine::apply_now) surfaces each event's
-//! outcome individually. Applying the same sequence through either path —
-//! retrying `pump` past errors — yields bit-identical engine state.
-
-use std::collections::VecDeque;
+//! A rejected event fails alone: it has no partial effect, and the next
+//! event applies as if it had never been sent.
 
 use ref_core::utility::CobbDouglas;
 
 use crate::agent::{AgentId, ObservationSource};
 
-/// An event submitted to the market.
+/// An event for the market, applied through
+/// [`MarketEngine::apply_now`](crate::MarketEngine::apply_now).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum MarketEvent {
@@ -90,35 +86,6 @@ pub enum MarketEvent {
     EpochTick,
 }
 
-/// FIFO queue of pending events.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EventQueue {
-    pending: VecDeque<MarketEvent>,
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    pub(crate) fn new() -> EventQueue {
-        EventQueue::default()
-    }
-
-    /// Appends an event.
-    pub(crate) fn push(&mut self, event: MarketEvent) {
-        self.pending.push_back(event);
-    }
-
-    /// Removes and returns the oldest pending event.
-    pub(crate) fn pop(&mut self) -> Option<MarketEvent> {
-        self.pending.pop_front()
-    }
-
-    /// Number of pending events.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.pending.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::mem::size_of;
@@ -128,12 +95,11 @@ mod tests {
     use super::*;
 
     /// The per-resource vectors `ref-core` stores inline must not grow a
-    /// `MarketEvent`, which every request carries from parse to apply and
-    /// the engine's queue holds by value. (The serving tier's journal keeps
-    /// compact records, not events; while it kept events, a four-wide
-    /// inline buffer grew one from 48 to 64 bytes and `serve_mem`'s peak
-    /// RSS by 9 %.) The sizes are those of the `Vec<f64>`-backed types on a
-    /// 64-bit target.
+    /// `MarketEvent`, which every request carries by value from parse to
+    /// apply. (The serving tier's journal keeps compact records, not
+    /// events; while it kept events, a four-wide inline buffer grew one
+    /// from 48 to 64 bytes and `serve_mem`'s peak RSS by 9 %.) The sizes
+    /// are those of the `Vec<f64>`-backed types on a 64-bit target.
     #[test]
     fn inline_per_resource_vectors_do_not_grow_journalled_events() {
         assert_eq!(size_of::<Bundle>(), size_of::<Vec<f64>>());
@@ -143,17 +109,5 @@ mod tests {
             assert!(size_of::<ObservationSource>() <= 32);
             assert!(size_of::<MarketEvent>() <= 48);
         }
-    }
-
-    #[test]
-    fn queue_preserves_submission_order() {
-        let mut q = EventQueue::new();
-        q.push(MarketEvent::AgentLeft { id: 2 });
-        q.push(MarketEvent::EpochTick);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(MarketEvent::AgentLeft { id: 2 }));
-        assert_eq!(q.pop(), Some(MarketEvent::EpochTick));
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.pop(), None);
     }
 }

@@ -30,8 +30,9 @@
 //!
 //! - `events` — the event API ([`MarketEvent`]):
 //!   `AgentJoined`, `AgentLeft`, `DemandChanged`, `ObservationReported`,
-//!   `EpochTick`, processed in submission-order batches; each event has a
-//!   compact binary record
+//!   `EpochTick`, applied one at a time through
+//!   [`apply_now`](MarketEngine::apply_now); each event has a compact
+//!   binary record
 //!   ([`write_record`](MarketEvent::write_record) /
 //!   [`read_record`](MarketEvent::read_record)).
 //! - `agent` — per-agent state: an
@@ -64,19 +65,19 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0])?);
 //! let mut market = MarketEngine::new(config)?;
-//! market.submit(MarketEvent::AgentJoined {
+//! market.apply_now(MarketEvent::AgentJoined {
 //!     id: 1,
 //!     source: ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.6, 0.4])?),
-//! });
-//! market.submit(MarketEvent::AgentJoined {
+//! })?;
+//! market.apply_now(MarketEvent::AgentJoined {
 //!     id: 2,
 //!     source: ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.2, 0.8])?),
-//! });
+//! })?;
+//! let mut last = None;
 //! for _ in 0..20 {
-//!     market.submit(MarketEvent::EpochTick);
+//!     last = market.apply_now(MarketEvent::EpochTick)?;
 //! }
-//! let reports = market.pump()?;
-//! let last = reports.last().expect("ticked 20 epochs");
+//! let last = last.expect("a tick reports its epoch");
 //! // The fitted market converges to the paper's REF point (18, 4)/(6, 8).
 //! let alloc = last.allocation.as_ref().expect("two live agents");
 //! assert!((alloc.bundle(0).get(0) - 18.0).abs() < 0.6);

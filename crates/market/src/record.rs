@@ -28,7 +28,7 @@
 //! A two-resource observation of an agent below 128 is 27 bytes
 //! (1 + 1 + 1 + 16 + 8); a tick is one.
 //!
-//! Events are recorded as submitted, rejected ones included, so payloads
+//! Events are recorded as they were sent, rejected ones included, so payloads
 //! are never validated on the way in or out — except a utility, which
 //! decodes through [`CobbDouglas::new`], the constructor every utility the
 //! wire protocol accepts has already passed. Everything else that is not

@@ -793,25 +793,55 @@ mod tests {
 
     use super::*;
     use crate::engine::MarketEngine;
+    use crate::epoch::EpochReport;
     use crate::events::MarketEvent;
+
+    /// Applies `event`, which `market` must accept.
+    fn apply(market: &mut MarketEngine, event: MarketEvent) -> Option<EpochReport> {
+        market.apply_now(event).expect("an accepted event")
+    }
+
+    /// Ticks `market` one epoch.
+    fn tick(market: &mut MarketEngine) -> EpochReport {
+        apply(market, MarketEvent::EpochTick).expect("a tick reports its epoch")
+    }
+
+    /// Ticks `market` `n` epochs.
+    fn ticks(market: &mut MarketEngine, n: usize) {
+        for _ in 0..n {
+            tick(market);
+        }
+    }
 
     fn busy_market() -> MarketEngine {
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.6, 0.4]).unwrap()),
-        });
-        market.submit(MarketEvent::AgentJoined {
-            id: 2,
-            source: ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.2, 0.8]).unwrap()),
-        });
-        market.submit(MarketEvent::AgentJoined {
-            id: 3,
-            source: ObservationSource::External,
-        });
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 13));
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: ObservationSource::GroundTruth(
+                    CobbDouglas::new(1.0, vec![0.6, 0.4]).unwrap(),
+                ),
+            },
+        );
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 2,
+                source: ObservationSource::GroundTruth(
+                    CobbDouglas::new(1.0, vec![0.2, 0.8]).unwrap(),
+                ),
+            },
+        );
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 3,
+                source: ObservationSource::External,
+            },
+        );
+        ticks(&mut market, 13);
         market
     }
 
@@ -819,16 +849,25 @@ mod tests {
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap())
             .with_mechanism(crate::engine::MechanismKind::MaxWelfare { fairness: true });
         let mut market = MarketEngine::new(config).unwrap();
-        market.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.6, 0.4]).unwrap()),
-        });
-        market.submit(MarketEvent::AgentJoined {
-            id: 2,
-            source: ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.2, 0.8]).unwrap()),
-        });
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 10));
-        market.pump().unwrap();
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: ObservationSource::GroundTruth(
+                    CobbDouglas::new(1.0, vec![0.6, 0.4]).unwrap(),
+                ),
+            },
+        );
+        apply(
+            &mut market,
+            MarketEvent::AgentJoined {
+                id: 2,
+                source: ObservationSource::GroundTruth(
+                    CobbDouglas::new(1.0, vec![0.2, 0.8]).unwrap(),
+                ),
+            },
+        );
+        ticks(&mut market, 10);
         market
     }
 
@@ -860,10 +899,8 @@ mod tests {
         // both sides, so allocations — and the hit/miss counters — must
         // track bit for bit.
         for _ in 0..4 {
-            original.submit(MarketEvent::EpochTick);
-            restored.submit(MarketEvent::EpochTick);
-            let a = original.pump().unwrap().pop().unwrap();
-            let b = restored.pump().unwrap().pop().unwrap();
+            let a = tick(&mut original);
+            let b = tick(&mut restored);
             assert_eq!(a.realloc, b.realloc);
             if let (Some(x), Some(y)) = (a.allocation, b.allocation) {
                 for (bx, by) in x.bundles().iter().zip(y.bundles()) {
@@ -889,10 +926,8 @@ mod tests {
         // Drive both for several more epochs: every allocation must match
         // bit for bit, including the cache-hit/reallocate decisions.
         for _ in 0..6 {
-            original.submit(MarketEvent::EpochTick);
-            restored.submit(MarketEvent::EpochTick);
-            let a = original.pump().unwrap().pop().unwrap();
-            let b = restored.pump().unwrap().pop().unwrap();
+            let a = tick(&mut original);
+            let b = tick(&mut restored);
             assert_eq!(a.realloc, b.realloc);
             let (x, y) = (a.allocation.unwrap(), b.allocation.unwrap());
             for (bx, by) in x.bundles().iter().zip(y.bundles()) {
@@ -911,16 +946,25 @@ mod tests {
             })
             .with_warmup_epochs(2);
         let mut original = MarketEngine::new(config).unwrap();
-        original.submit(MarketEvent::AgentJoined {
-            id: 1,
-            source: ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.7, 0.3]).unwrap()),
-        });
-        original.submit(MarketEvent::AgentJoined {
-            id: 2,
-            source: ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.3, 0.7]).unwrap()),
-        });
-        original.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 12));
-        original.pump().unwrap();
+        apply(
+            &mut original,
+            MarketEvent::AgentJoined {
+                id: 1,
+                source: ObservationSource::GroundTruth(
+                    CobbDouglas::new(1.0, vec![0.7, 0.3]).unwrap(),
+                ),
+            },
+        );
+        apply(
+            &mut original,
+            MarketEvent::AgentJoined {
+                id: 2,
+                source: ObservationSource::GroundTruth(
+                    CobbDouglas::new(1.0, vec![0.3, 0.7]).unwrap(),
+                ),
+            },
+        );
+        ticks(&mut original, 12);
 
         let snap = original.snapshot();
         assert_eq!(snap.ledger.len(), 2);
@@ -934,10 +978,8 @@ mod tests {
         // for bit.
         let mut restored = MarketEngine::restore(&decoded).unwrap();
         for _ in 0..4 {
-            original.submit(MarketEvent::EpochTick);
-            restored.submit(MarketEvent::EpochTick);
-            let a = original.pump().unwrap().pop().unwrap();
-            let b = restored.pump().unwrap().pop().unwrap();
+            let a = tick(&mut original);
+            let b = tick(&mut restored);
             assert_eq!(a.realloc, b.realloc);
             assert_eq!(a.temporal_violations, b.temporal_violations);
             let (x, y) = (a.allocation.unwrap(), b.allocation.unwrap());
@@ -957,21 +999,26 @@ mod tests {
         let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
         let mut market = MarketEngine::new(config).unwrap();
         for id in 0..640 {
-            market.submit(MarketEvent::AgentJoined {
-                id,
-                source: ObservationSource::External,
-            });
+            apply(
+                &mut market,
+                MarketEvent::AgentJoined {
+                    id,
+                    source: ObservationSource::External,
+                },
+            );
             for i in 0..6 {
                 let x = 1.0 + f64::from(i % 7);
-                market.submit(MarketEvent::ObservationReported {
-                    id,
-                    allocation: vec![x, 2.0],
-                    performance: x.sqrt() + f64::from(i) * 1e-6,
-                });
+                apply(
+                    &mut market,
+                    MarketEvent::ObservationReported {
+                        id,
+                        allocation: vec![x, 2.0],
+                        performance: x.sqrt() + f64::from(i) * 1e-6,
+                    },
+                );
             }
         }
-        market.submit(MarketEvent::EpochTick);
-        market.pump().unwrap();
+        tick(&mut market);
 
         let mut chunks = Vec::new();
         let streamed = market.write_snapshot(&mut |chunk| {

@@ -277,23 +277,23 @@ proptest! {
         let slowdown = slowdown == 1;
         let inner = if slowdown { CreditInner::EqualSlowdown } else { CreditInner::MaxWelfare };
         let mut market = market(resources, MechanismKind::Credit { inner }, seed);
-        for id in 1..=u64::from(agents) {
-            market.submit(MarketEvent::AgentJoined {
+        let mut events: Vec<MarketEvent> = (1..=u64::from(agents))
+            .map(|id| MarketEvent::AgentJoined {
                 id,
                 source: ObservationSource::GroundTruth(truth(resources, frac + id as u32)),
-            });
+            })
+            .collect();
+        events.push(MarketEvent::AgentJoined { id: 9, source: ObservationSource::External });
+        events.extend(std::iter::repeat_n(MarketEvent::EpochTick, ticks));
+        events.extend((0..3).map(|i| MarketEvent::ObservationReported {
+            id: 9,
+            allocation: (0..resources).map(|r| 1.0 + f64::from(i + r as u32)).collect(),
+            performance: 2.0 + f64::from(i),
+        }));
+        events.push(MarketEvent::EpochTick);
+        for event in events {
+            market.apply_now(event).expect("every event is valid");
         }
-        market.submit(MarketEvent::AgentJoined { id: 9, source: ObservationSource::External });
-        market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, ticks));
-        for i in 0..3 {
-            market.submit(MarketEvent::ObservationReported {
-                id: 9,
-                allocation: (0..resources).map(|r| 1.0 + f64::from(i + r as u32)).collect(),
-                performance: 2.0 + f64::from(i),
-            });
-        }
-        market.submit(MarketEvent::EpochTick);
-        market.pump().expect("all submitted events are valid");
         let text = market.snapshot().encode();
 
         let accepted = perturb_every_token(&text)?;

@@ -27,6 +27,7 @@ fn drive_with(
 
     let mut live: Vec<u64> = Vec::new();
     let mut next_id = 0u64;
+    let mut events = Vec::new();
     for &(kind, pick, frac) in ops {
         match kind {
             0 => {
@@ -38,7 +39,7 @@ fn drive_with(
                 );
                 next_id += 1;
                 live.push(next_id);
-                market.submit(MarketEvent::AgentJoined {
+                events.push(MarketEvent::AgentJoined {
                     id: next_id,
                     source,
                 });
@@ -46,16 +47,20 @@ fn drive_with(
             1 => {
                 if !live.is_empty() {
                     let id = live.remove(pick as usize % live.len());
-                    market.submit(MarketEvent::AgentLeft { id });
+                    events.push(MarketEvent::AgentLeft { id });
                 }
             }
-            _ => market.submit(MarketEvent::EpochTick),
+            _ => events.push(MarketEvent::EpochTick),
         }
     }
     // Always finish on a tick so the final population gets an allocation.
-    market.submit(MarketEvent::EpochTick);
+    events.push(MarketEvent::EpochTick);
 
-    let reports = market.pump().expect("all submitted events are valid");
+    let mut reports = Vec::new();
+    for event in events {
+        let report = market.apply_now(event).expect("every event is valid");
+        reports.extend(report);
+    }
     prop_assert!(!reports.is_empty());
     for report in &reports {
         let Some(alloc) = &report.allocation else {

@@ -20,23 +20,24 @@ fn final_allocation_bits() -> Vec<u64> {
         .with_sim_instructions(8_000)
         .with_warmup_epochs(4);
     let mut market = MarketEngine::new(config).unwrap();
-    market.submit(MarketEvent::AgentJoined {
-        id: 1,
-        source: ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.6, 0.4]).unwrap()),
-    });
-    market.submit(MarketEvent::AgentJoined {
-        id: 2,
-        source: ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.2, 0.8]).unwrap()),
-    });
-    market.submit(MarketEvent::AgentJoined {
-        id: 3,
-        source: ObservationSource::Simulated {
+    let joins = [
+        ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.6, 0.4]).unwrap()),
+        ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![0.2, 0.8]).unwrap()),
+        ObservationSource::Simulated {
             benchmark: "histogram".to_string(),
         },
-    });
-    market.submit_all(std::iter::repeat_n(MarketEvent::EpochTick, 15));
-    let reports = market.pump().unwrap();
-    let alloc = reports.last().unwrap().allocation.as_ref().unwrap();
+    ];
+    for (id, source) in (1..).zip(joins) {
+        market
+            .apply_now(MarketEvent::AgentJoined { id, source })
+            .unwrap();
+    }
+    let mut last = None;
+    for _ in 0..15 {
+        last = market.apply_now(MarketEvent::EpochTick).unwrap();
+    }
+    let report = last.unwrap();
+    let alloc = report.allocation.as_ref().unwrap();
     alloc
         .bundles()
         .iter()
@@ -72,27 +73,32 @@ fn churning_market() -> (MarketEngine, Option<u64>) {
     let config =
         MarketConfig::new(Capacity::new(vec![4000.0, 2000.0]).unwrap()).with_warmup_epochs(0);
     let mut market = MarketEngine::new(config).unwrap();
-    market.submit_all((0..AGENTS).map(|id| MarketEvent::AgentJoined {
-        id,
-        source: ObservationSource::GroundTruth(truth(id, 0)),
-    }));
-    market.pump().unwrap();
+    for id in 0..AGENTS {
+        let source = ObservationSource::GroundTruth(truth(id, 0));
+        market
+            .apply_now(MarketEvent::AgentJoined { id, source })
+            .unwrap();
+    }
     let before = voluntary_switches();
     for epoch in 0..EPOCHS {
         for k in 0..5 {
             // Each id leaves at most once, and only ever-present ids change demand.
-            market.submit(MarketEvent::AgentLeft { id: epoch * 5 + k });
-            market.submit(MarketEvent::AgentJoined {
-                id: AGENTS + epoch * 5 + k,
-                source: ObservationSource::GroundTruth(truth(k, epoch)),
-            });
-            market.submit(MarketEvent::DemandChanged {
-                id: 1_000 + epoch * 5 + k,
-                new_truth: Some(truth(k, epoch + 1)),
-            });
+            let churn = [
+                MarketEvent::AgentLeft { id: epoch * 5 + k },
+                MarketEvent::AgentJoined {
+                    id: AGENTS + epoch * 5 + k,
+                    source: ObservationSource::GroundTruth(truth(k, epoch)),
+                },
+                MarketEvent::DemandChanged {
+                    id: 1_000 + epoch * 5 + k,
+                    new_truth: Some(truth(k, epoch + 1)),
+                },
+            ];
+            for event in churn {
+                market.apply_now(event).unwrap();
+            }
         }
-        market.submit(MarketEvent::EpochTick);
-        assert_eq!(market.pump().unwrap().len(), 1);
+        assert!(market.apply_now(MarketEvent::EpochTick).unwrap().is_some());
     }
     let switches = voluntary_switches()
         .zip(before)

@@ -108,8 +108,9 @@ pub struct ServiceCore {
     /// during recovery — equals the WAL sequence when a WAL is attached.
     events_applied: u64,
     faults: FaultPlan,
-    /// The event being applied, as its record: one encode serves the
-    /// WAL, the journal and, on a replicated primary, the `rec` frame.
+    /// The event being applied, as its record: on a primary one encode
+    /// serves the WAL, the journal and the `rec` frame; on a standby the
+    /// bytes the `rec` carried serve the WAL and the journal.
     record: Vec<u8>,
 }
 
@@ -318,18 +319,6 @@ impl ServiceCore {
         self.journal.overflowed
     }
 
-    /// Applies one event-bearing request to the engine, logging it
-    /// durably and journaling it first (rejected events are logged too —
-    /// the rejection bumps an engine counter, so replay must see it to
-    /// stay bit-identical): [`ServiceCore::append`], then
-    /// [`ServiceCore::apply_logged`].
-    fn apply_event(&mut self, event: MarketEvent, metrics: &ServeMetrics) -> Value {
-        match self.append(&event, metrics) {
-            Ok(_) => self.apply_logged(event, metrics),
-            Err(refusal) => refusal,
-        }
-    }
-
     /// Logs `event` at the next sequence, which it returns:
     /// append-before-apply, fail-closed. If the WAL append fails the
     /// event is *not* to be applied and `Err` is the client's `wal`
@@ -379,32 +368,54 @@ impl ServiceCore {
         self.wal.as_ref().is_some_and(Wal::poisoned)
     }
 
-    /// Applies the event [`ServiceCore::append`] just logged: journal,
-    /// engine, checkpoint cadence. The reply is the engine's verdict.
+    /// Applies the event [`ServiceCore::append`] just logged. The reply
+    /// is the engine's verdict.
     pub(crate) fn apply_logged(&mut self, event: MarketEvent, metrics: &ServeMetrics) -> Value {
-        self.journal.push(&self.record);
-        self.events_applied += 1;
-        let is_tick = matches!(event, MarketEvent::EpochTick);
-        let started = Instant::now();
-        let response = match self.engine.apply_now(event) {
-            Ok(report) => {
-                if is_tick {
-                    metrics
-                        .epoch_latency
-                        .record_us(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-                    ServeMetrics::bump(&metrics.epochs);
-                }
+        match self.apply_appended(event, false, metrics) {
+            Ok(reported) => {
                 let mut fields = vec![("epoch", Value::from_u64(self.engine.epoch()))];
-                if let Some(report) = report {
-                    fields.push(("report", report_value(&report)));
-                    self.last_report = Some(report);
+                if let (true, Some(report)) = (reported, &self.last_report) {
+                    fields.push(("report", report_value(report)));
                 }
                 ok_response(fields)
             }
             Err(e) => error_response("market", Some(&e.to_string()), None),
+        }
+    }
+
+    /// The one step after an append, the primary's and the standby's:
+    /// journal the record ([`ServiceCore::record`]) and count it, apply
+    /// `event` to the engine unless `skip` (an injected divergence), keep
+    /// and time an accepted tick's report as an epoch, and take a
+    /// checkpoint when one is due. Whether the event reported an epoch; a
+    /// rejected event is part of faithful replay, logged and counted all
+    /// the same.
+    fn apply_appended(
+        &mut self,
+        event: MarketEvent,
+        skip: bool,
+        metrics: &ServeMetrics,
+    ) -> MarketResult<bool> {
+        self.journal.push(&self.record);
+        self.events_applied += 1;
+        let started = Instant::now();
+        let applied = if skip {
+            Ok(None)
+        } else {
+            self.engine.apply_now(event)
         };
+        let reported = applied.map(|report| {
+            let Some(report) = report else {
+                return false;
+            };
+            let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+            metrics.epoch_latency.record_us(us);
+            ServeMetrics::bump(&metrics.epochs);
+            self.last_report = Some(report);
+            true
+        });
         self.maybe_checkpoint(metrics);
-        response
+        reported
     }
 
     /// Takes a snapshot checkpoint when the configured cadence is due;
@@ -428,15 +439,14 @@ impl ServiceCore {
         self.publish_wal_gauges(metrics);
     }
 
-    /// Applies one *replicated* record on a standby: the same
-    /// append-before-apply path as a primary mutation, entered at a
-    /// known sequence. Replays (`seq` below the applied count) are
-    /// skipped but still acknowledged; a sequence from the future means
-    /// the stream has a hole and the puller must resynchronize.
+    /// Applies one *replicated* record on a standby: appended at a known
+    /// sequence, then the primary's apply step. A replay (`seq` below the
+    /// applied count) is [`ReplApply::Held`]; a sequence from the future
+    /// or a failed append is [`ReplApply::Resync`].
     ///
     /// Public for drivers that hold the event but not the bytes it came
-    /// in: it encodes the record, then takes the path
-    /// [`crate::session::apply`] takes with the bytes a `rec` carried.
+    /// in: it encodes the record, then takes the path a `rec`'s bytes
+    /// take.
     pub fn apply_repl(
         &mut self,
         seq: u64,
@@ -446,9 +456,7 @@ impl ServiceCore {
         let mut record = std::mem::take(&mut self.record);
         record.clear();
         event.write_record(&mut record);
-        let applied = self.apply_record(seq, event, &record, metrics);
-        self.record = record;
-        applied
+        self.apply_record(seq, event, record, metrics)
     }
 
     /// [`ServiceCore::apply_repl`] of `event` arriving as `record`, its
@@ -458,85 +466,60 @@ impl ServiceCore {
         &mut self,
         seq: u64,
         event: MarketEvent,
-        record: &[u8],
+        record: Vec<u8>,
         metrics: &ServeMetrics,
     ) -> ReplApply {
         if seq < self.events_applied {
-            return ReplApply::Skipped;
+            return ReplApply::Held;
         }
         if seq > self.events_applied {
-            return ReplApply::Gap;
+            return ReplApply::Resync;
         }
+        self.record = record;
         if let Some(wal) = self.wal.as_mut() {
-            if wal.append_record(record).is_err() {
-                // Counted in `wal_errors`; the puller resynchronizes.
+            if wal.append_record(&self.record).is_err() {
                 ServeMetrics::bump(&metrics.wal_errors);
-                return ReplApply::WalError;
+                return ReplApply::Resync;
             }
             ServeMetrics::bump(&metrics.wal_appends);
             self.publish_wal_gauges(metrics);
         }
         // Divergence injection: log and acknowledge the record but skip
         // the engine apply, exactly like a buggy replica would.
-        let skip_apply = self.faults.corrupt_standby_at == Some(seq);
-        self.journal.push(record);
-        self.events_applied += 1;
-        let is_tick = matches!(event, MarketEvent::EpochTick);
-        let started = Instant::now();
-        if !skip_apply {
-            // Rejections are part of faithful replay, same as recovery;
-            // a tick's report is kept, as on the primary, so `query
-            // {agent}` answers the same bundle here.
-            if let Ok(Some(report)) = self.engine.apply_now(event) {
-                self.last_report = Some(report);
-            }
-        }
-        let mut epoch_fp = None;
-        if is_tick {
-            metrics
-                .epoch_latency
-                .record_us(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            ServeMetrics::bump(&metrics.epochs);
-            // Fingerprint whatever state we actually have — a corrupted
-            // apply must produce a *wrong* fingerprint, not none.
-            epoch_fp = Some((self.engine.epoch(), self.engine.state_fingerprint()));
-        }
-        self.maybe_checkpoint(metrics);
-        ReplApply::Applied { epoch_fp }
+        let skip = self.faults.corrupt_standby_at == Some(seq);
+        let _ = self.apply_appended(event, skip, metrics);
+        ReplApply::Applied
     }
 
     /// Resets the standby to a bootstrap checkpoint from the primary:
     /// engine restored from the snapshot text, WAL rewritten to start at
-    /// that checkpoint, journal invalidated.
-    ///
-    /// # Errors
-    ///
-    /// An undecodable snapshot or one for a different market
-    /// configuration as [`std::io::ErrorKind::InvalidInput`]; WAL reset
-    /// I/O errors verbatim.
+    /// that checkpoint, journal invalidated. An undecodable snapshot, one
+    /// for a different market configuration, or a failed WAL reset is
+    /// [`ReplApply::Resync`], counted in `wal_errors`: engine and log stay
+    /// as they were.
     pub(crate) fn restore_from_snapshot(
         &mut self,
         seq: u64,
         snapshot_text: &str,
-    ) -> std::io::Result<()> {
-        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
-        let snapshot = MarketSnapshot::decode(snapshot_text).map_err(|e| invalid(e.to_string()))?;
-        if !snapshot.config.compatible_with(self.engine.config()) {
-            return Err(invalid(
-                "replication snapshot belongs to a different market configuration".to_string(),
-            ));
-        }
-        let engine = MarketEngine::restore(&snapshot).map_err(|e| invalid(e.to_string()))?;
+        metrics: &ServeMetrics,
+    ) -> ReplApply {
+        let engine = MarketSnapshot::decode(snapshot_text)
+            .ok()
+            .filter(|snapshot| snapshot.config.compatible_with(self.engine.config()))
+            .and_then(|snapshot| MarketEngine::restore(&snapshot).ok());
         // The log first: a reset that fails leaves engine and log as they
         // were, still in step.
-        if let Some(wal) = self.wal.as_mut() {
-            wal.reset_to_checkpoint(seq, snapshot_text)?;
-        }
+        let reset = |wal: &mut Wal| wal.reset_to_checkpoint(seq, snapshot_text).is_ok();
+        let Some(engine) = engine.filter(|_| self.wal.as_mut().is_none_or(reset)) else {
+            ServeMetrics::bump(&metrics.wal_errors);
+            return ReplApply::Resync;
+        };
         self.engine = engine;
         self.journal = Journal::new(self.journal.limit, seq > 0);
         self.last_report = None;
         self.events_applied = seq;
-        Ok(())
+        self.publish_wal_gauges(metrics);
+        ReplApply::Applied
     }
 
     /// Phase 1 of a fleet tick: `{"ok":true,"demand":[...]}` with `D_k`,
@@ -561,7 +544,13 @@ impl ServiceCore {
     /// sequence the drain — but every other op is.
     pub fn handle(&mut self, request: &Request, metrics: &ServeMetrics) -> Value {
         if let Some(event) = request.to_event() {
-            return self.apply_event(event, metrics);
+            // Logged and journaled first, rejected events too: the
+            // rejection bumps an engine counter, so replay must see it
+            // to stay bit-identical.
+            return match self.append(&event, metrics) {
+                Ok(_) => self.apply_logged(event, metrics),
+                Err(refusal) => refusal,
+            };
         }
         match request {
             Request::Query { agent: None } => {
@@ -788,23 +777,16 @@ fn market_metrics_value(m: &MarketMetrics) -> Value {
     Value::parse(&m.to_json()).expect("the market's metrics line is JSON")
 }
 
-/// Outcome of applying one replicated record on a standby.
-#[derive(Debug)]
+/// A standby's verdict on one record or snapshot from its primary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplApply {
-    /// Applied (and logged); when the record closed an epoch, the
-    /// standby's post-epoch state fingerprint rides back on the ack.
-    Applied {
-        /// `(epoch, fingerprint)` when the record was an epoch tick.
-        epoch_fp: Option<(u64, u64)>,
-    },
-    /// Already applied (stream replay after a reconnect); ack anyway.
-    Skipped,
-    /// The record skips ahead of this standby's history: unrecoverable
-    /// in-stream, the puller must reconnect and catch up.
-    Gap,
-    /// The local append failed (counted in `wal_errors`); the record
-    /// was *not* applied.
-    WalError,
+    /// Logged and applied, or the snapshot restored: ack.
+    Applied,
+    /// Already held (a replay after a reconnect): ack again.
+    Held,
+    /// A hole, a failed append or a failed restore cannot be repaired
+    /// in-stream: hang up, and catch up from the log.
+    Resync,
 }
 
 /// Replays a journal against a fresh engine with `config`, continuing
@@ -1066,7 +1048,7 @@ mod tests {
         let mut standby = ServiceCore::new(config(), JournalLimit::default()).unwrap();
         for (seq, event) in primary.journal().into_iter().enumerate() {
             let applied = standby.apply_repl(seq as u64, event, &metrics);
-            assert!(matches!(applied, ReplApply::Applied { .. }), "{applied:?}");
+            assert_eq!(applied, ReplApply::Applied);
         }
         let answers = agent_answers(&mut primary, 8);
         assert!(answers[0].contains("\"bundle\":["), "{}", answers[0]);

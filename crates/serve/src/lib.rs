@@ -21,11 +21,11 @@
 //!   applied — the engine stays deterministic. The shard's own thread
 //!   takes the same lock for what is pushed to it (fanned fleet ops,
 //!   reallotments, `shutdown`).
-//! * **Replayability** (`core`): every event submitted to the engine is
+//! * **Replayability** (`core`): every event applied to the engine is
 //!   journaled; [`core::replay`] reconstructs the final engine state
 //!   byte-for-byte from the journal, making the server a *pure
 //!   transport*: accepted events in, the same allocations an offline
-//!   `submit_all` would produce out.
+//!   replay of them produces out.
 //! * **Observability** (`metrics`): lock-free server counters and a
 //!   log2 epoch-latency histogram, served next to the market's own
 //!   [`ref_market::MarketMetrics`] in stable JSON or scrape-style text.
@@ -51,9 +51,10 @@
 //!   Every rule of it — who is refused, who fences, when a standby may
 //!   elect itself, when a recovered primary may take writes again — is
 //!   one sans-IO state machine, [`repl_core::ReplCore`], and every rule
-//!   of one connection (catch-up, `snap` bootstrap, hold and go-live,
-//!   the standby's apply verdict) is [`session`]'s. How one replica
-//!   composes them with its service core is [`node::Node`]; [`repl`] and
+//!   of the primary's side of one connection (catch-up, `snap`
+//!   bootstrap, hold and go-live) is [`session`]'s. How one replica
+//!   composes them with its service core — the standby's verdict on a
+//!   frame and the epoch fingerprint included — is [`node::Node`]; [`repl`] and
 //!   `server` are its threaded driver and the deterministic simulator its
 //!   other one.
 //! * **Sharding** ([`shard`] + `server`'s router): partitions agents

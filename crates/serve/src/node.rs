@@ -10,23 +10,29 @@
 //! appended, published to the sessions, applied and — on a tick —
 //! fingerprinted, and its reply is held for the standby's ack when a
 //! session took the record ([`Node::serve`]); a standby's frame is
-//! judged, applied and acked ([`Node::follow`]); a standby at `have` is
-//! caught up from the log and handed over to live streaming
-//! ([`hand_over`]). The replication half — the `ReplCore` and one
-//! [`Session`] per standby, each with the [`Peer`] its frames go to — is
-//! one [`Replication`] in both drivers; where it lives is the node's
-//! [`Link`]: behind a lock shared with the threads that read acks and
-//! stream catch-ups in the server, owned outright in the simulator.
+//! judged, applied, fingerprinted on a tick and acked
+//! ([`Node::follow`]); a standby at `have` is caught up from the log and
+//! handed over to live streaming ([`hand_over`]). The replication half —
+//! the `ReplCore` and one [`Session`] per standby, each with the
+//! [`Peer`] its frames go to — is one [`Replication`] in both drivers;
+//! where it lives is the node's [`Link`]: behind a lock shared with the
+//! threads that read acks and stream catch-ups in the server, owned
+//! outright in the simulator.
 //! Nothing here opens a socket, spawns, sleeps, locks or blocks.
 //!
-//! **The epoch-fingerprint rule.** After every tick record its log took,
-//! a replicated node fingerprints its engine, whatever the engine's
-//! verdict on the tick: a tick can be refused after it advanced the epoch
-//! (a GP solve that fails with `MaxIterationsExceeded`), and the state it
-//! leaves behind is as replayable, and as comparable, as an applied
-//! tick's. The primary keys the fingerprint by log position
+//! **The epoch-fingerprint rule**, the one place it is decided for both
+//! roles: after every tick record its log took, a replicated node
+//! fingerprints its engine ([`MarketEngine::state_fingerprint`]), whatever
+//! the engine's verdict on the tick — a tick can be refused after it
+//! advanced the epoch (a GP solve that fails with
+//! `MaxIterationsExceeded`), and the state it leaves behind is as
+//! replayable, and as comparable, as an applied tick's; and a standby
+//! whose apply was skipped must send a *wrong* fingerprint, not none. The
+//! primary keys its fingerprint by log position
 //! ([`ReplCore::push_epoch_fp`]); the standby's ack for that position
-//! carries its own.
+//! carries its own. The service core computes none.
+//!
+//! [`MarketEngine::state_fingerprint`]: ref_market::MarketEngine::state_fingerprint
 //!
 //! **The hold.** A reply is held only when a replicated primary published
 //! its record; it is released by the standby's ack of that record and by
@@ -41,15 +47,17 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ref_market::MarketEvent;
+
 use crate::clock::Clock;
-use crate::core::ServiceCore;
+use crate::core::{ReplApply, ServiceCore};
 use crate::json::Value;
 use crate::metrics::ServeMetrics;
 use crate::protocol::{shard_unavailable_response, Request};
 use crate::repl::{rec_frame, Frame, Role};
 use crate::repl_core::{Ack, AckWait, Hello, Promotion, ReplCore, Stream, Timer};
 use crate::router::{Round, RouterCore};
-use crate::session::{self, Applied, GoLive, Offer, Session};
+use crate::session::{self, GoLive, Offer, Session};
 use crate::storage::Storage;
 
 /// Retry hint a Down node's `shard_unavailable` carries, in milliseconds.
@@ -102,6 +110,9 @@ pub struct Served {
     /// Set when a replicated primary published the record the log took
     /// for the request: see [`Node::released`].
     pub hold: Option<Hold>,
+    /// The role gate refused the request: the reply is its refusal
+    /// (`not_primary`, `fenced` or `unavailable`).
+    pub refused: bool,
     /// The log is poisoned: the node went Down and must be restarted
     /// from its log. A reply `"outcome":"unknown"` says this very append
     /// poisoned it.
@@ -113,6 +124,7 @@ impl Served {
         Served {
             reply,
             hold: None,
+            refused: false,
             crash: false,
         }
     }
@@ -123,16 +135,16 @@ impl Served {
 pub enum Follow {
     /// Nothing to send: keep reading.
     Reading,
-    /// Send `ack`: the frame at `seq` was applied or already held
-    /// (`took`), and the log now holds `have` records.
+    /// Send `ack`: the frame at `seq` was applied (`fresh`) or already
+    /// held, and the log now holds `have` records.
     Ack {
         /// The frame's sequence (a record's, or a snapshot's).
         seq: u64,
         /// Records the log holds now.
         have: u64,
-        /// What the node did with the frame: [`Applied::Applied`] or
-        /// [`Applied::Skipped`].
-        took: Applied,
+        /// The record was appended and applied, or the snapshot restored;
+        /// `false`: the log already held the record.
+        fresh: bool,
         /// The framed ack.
         ack: Vec<u8>,
     },
@@ -232,7 +244,10 @@ impl<L: Link> Node<L> {
             return Served::reply(core.handle(request, metrics));
         };
         if let Some(refusal) = self.link.as_mut().and_then(|l| l.admit(self.shard_tag)) {
-            return Served::reply(refusal);
+            return Served {
+                refused: true,
+                ..Served::reply(refusal)
+            };
         }
         let seq = match core.append(&event, metrics) {
             Ok(seq) => seq,
@@ -259,14 +274,12 @@ impl<L: Link> Node<L> {
         });
         let reply = core.apply_logged(event, metrics);
         if let (Request::Tick, Some(link)) = (request, self.link.as_mut()) {
-            let engine = core.engine();
-            let (epoch, fp) = (engine.epoch(), engine.state_fingerprint());
+            let (epoch, fp) = epoch_fp(core);
             link.with(|r| r.repl.push_epoch_fp(seq + 1, epoch, fp));
         }
         Served {
-            reply,
             hold,
-            crash: false,
+            ..Served::reply(reply)
         }
     }
 
@@ -323,8 +336,9 @@ impl<L: Link> Node<L> {
     }
 
     /// A standby's handling of one frame from the primary at `from`: the
-    /// core's verdict, then the apply through the service core and the
-    /// ack (see [`Follow`]).
+    /// core's verdict, then the apply through the service core — its
+    /// verdict read here — the epoch fingerprint and the ack (see
+    /// [`Follow`]).
     pub fn follow(&mut self, frame: Frame, from: &str, metrics: &ServeMetrics) -> Follow {
         let hang_up = Follow::HangUp {
             resync: None,
@@ -334,35 +348,38 @@ impl<L: Link> Node<L> {
             return hang_up;
         };
         let verdict = link.with(|r| r.drive(|core, now| core.on_frame(frame, from, now)));
-        let seq = match &verdict {
-            Stream::Following => return Follow::Reading,
-            Stream::Drop => return hang_up,
-            Stream::Apply { seq, .. } | Stream::Restore { seq, .. } => *seq,
-        };
         // A Down node must not keep applying the stream: its engine
         // already missed an event its log holds.
-        let (false, Some(core)) = (self.down, self.core.as_mut()) else {
-            return Follow::Reading;
-        };
-        let took = session::apply(core, verdict, metrics);
-        let have = core.events_applied();
-        let epoch_fp = match took {
-            Applied::Applied { epoch_fp } => epoch_fp,
-            Applied::Skipped => None,
-            Applied::Resync | Applied::Ignored => {
-                let crash = core.poisoned();
-                self.down |= crash;
-                return Follow::HangUp {
-                    resync: Some((seq, have)),
-                    crash,
-                };
+        let live = self.core.as_mut().filter(|_| !self.down);
+        let (seq, tick, took, core) = match (verdict, live) {
+            (Stream::Drop, _) => return hang_up,
+            (Stream::Following, _) | (_, None) => return Follow::Reading,
+            (Stream::Restore { seq, snapshot }, Some(core)) => {
+                let took = core.restore_from_snapshot(seq, &snapshot, metrics);
+                (seq, false, took, core)
+            }
+            (Stream::Apply { seq, event, record }, Some(core)) => {
+                let tick = event == MarketEvent::EpochTick;
+                let took = core.apply_record(seq, event, record, metrics);
+                (seq, tick, took, core)
             }
         };
-        let ack = link.with(|r| r.repl.ack(have, epoch_fp));
+        let have = core.events_applied();
+        if took == ReplApply::Resync {
+            let crash = core.poisoned();
+            self.down |= crash;
+            return Follow::HangUp {
+                resync: Some((seq, have)),
+                crash,
+            };
+        }
+        let fresh = took == ReplApply::Applied;
+        let fp = (tick && fresh).then(|| epoch_fp(core));
+        let ack = link.with(|r| r.repl.ack(have, fp));
         Follow::Ack {
             seq,
             have,
-            took,
+            fresh,
             ack,
         }
     }
@@ -389,6 +406,12 @@ impl<L: Link> Node<L> {
 
 fn is_ok(reply: &Value) -> bool {
     reply.get("ok") == Some(&Value::Bool(true))
+}
+
+/// The `(epoch, fingerprint)` of the epoch-fingerprint rule (module docs).
+fn epoch_fp(core: &ServiceCore) -> (u64, u64) {
+    let engine = core.engine();
+    (engine.epoch(), engine.state_fingerprint())
 }
 
 /// Catches a standby at `have` up from the log in `dir` and hands its

@@ -74,7 +74,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -1302,15 +1302,19 @@ fn fan(
     work: impl Fn(usize) -> Result<Work, Value>,
 ) -> Vec<Value> {
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    // Fan in waves no wider than the worker pool: asking every shard
-    // at once makes more shard threads runnable than the host has cores, and
-    // the preempt-interleaved epochs evict each other's caches — on a
-    // single-core host that alone costs ~20% of the audit throughput.
-    // Waves keep at most the pool's width of epochs in flight, which is
-    // also the most that can genuinely run in parallel.
+    // Fan in waves no wider than the host's parallelism: asking every
+    // shard at once makes more shard threads runnable than the host has
+    // cores, and the preempt-interleaved epochs evict each other's caches
+    // — on a single-core host that alone costs ~20% of the audit
+    // throughput. Waves keep at most that many epochs in flight, the most
+    // that can genuinely run in parallel. `available_parallelism` reads
+    // the affinity mask and the cgroup quota files (tens of
+    // microseconds), so it is read once.
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    let width = *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
     let shards: Vec<(usize, &Arc<Shared>)> = router.shards.iter().enumerate().collect();
     let mut replies = Vec::with_capacity(shards.len());
-    for wave in shards.chunks(ref_pool::threads().clamp(1, shards.len())) {
+    for wave in shards.chunks(width.min(shards.len())) {
         let cutoff = Instant::now() + wait;
         let asked: Vec<Result<mpsc::Receiver<Value>, Value>> = (wave.iter())
             .map(|&(shard, shared)| {

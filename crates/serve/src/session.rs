@@ -1,6 +1,6 @@
-//! `Session`: one replication connection as sans-IO rules — the
-//! primary's side of a standby connection (catch-up, `snap` bootstrap,
-//! hold and go-live) and the standby's apply verdict (DESIGN.md §10).
+//! `Session`: the primary's side of one standby connection as sans-IO
+//! rules — catch-up, `snap` bootstrap, hold and go-live (DESIGN.md §10).
+//! The standby's side is [`crate::node::Node::follow`].
 //!
 //! Nothing in here opens a socket, spawns, sleeps, locks or reads a
 //! clock; the log and its newest checkpoint are read through the
@@ -18,11 +18,8 @@
 use std::io;
 use std::path::Path;
 
-use crate::core::{ReplApply, ServiceCore};
 use crate::json::Value;
-use crate::metrics::ServeMetrics;
 use crate::repl::{message, rec_frame};
-use crate::repl_core::Stream;
 use crate::storage::Storage;
 use crate::wal;
 
@@ -175,47 +172,5 @@ impl Session {
             }
         }
         GoLive::Send(frames)
-    }
-}
-
-/// The standby's verdict on one stream frame [`crate::ReplCore`]
-/// cleared for apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Applied {
-    /// The snapshot was restored or the record appended and applied:
-    /// ack, with the epoch fingerprint when the record closed an epoch.
-    Applied {
-        /// `(epoch, fingerprint)` after an epoch tick.
-        epoch_fp: Option<(u64, u64)>,
-    },
-    /// The record was already held: ack again.
-    Skipped,
-    /// A hole, a failed append or a failed restore cannot be repaired
-    /// in-stream: hang up, and the redial timer catches up from the log.
-    Resync,
-    /// Not a record or a snapshot: nothing to apply or ack.
-    Ignored,
-}
-
-/// Applies a [`Stream::Restore`] or [`Stream::Apply`] verdict to the
-/// standby's core; the ack (`ReplCore::ack`) is the driver's to send.
-pub fn apply(core: &mut ServiceCore, verdict: Stream, metrics: &ServeMetrics) -> Applied {
-    match verdict {
-        Stream::Restore { seq, snapshot } => {
-            if core.restore_from_snapshot(seq, &snapshot).is_err() {
-                ServeMetrics::bump(&metrics.wal_errors);
-                return Applied::Resync;
-            }
-            core.publish_wal_gauges(metrics);
-            Applied::Applied { epoch_fp: None }
-        }
-        Stream::Apply { seq, event, record } => {
-            match core.apply_record(seq, event, &record, metrics) {
-                ReplApply::Applied { epoch_fp } => Applied::Applied { epoch_fp },
-                ReplApply::Skipped => Applied::Skipped,
-                ReplApply::Gap | ReplApply::WalError => Applied::Resync,
-            }
-        }
-        Stream::Following | Stream::Drop => Applied::Ignored,
     }
 }

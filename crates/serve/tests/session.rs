@@ -1,8 +1,9 @@
 //! The replication session's transitions, as tables over a real log on
 //! disk: when a catch-up sends a `snap`, what it streams and where it
-//! ends, the hold and go-live, live offers, and the standby's apply
-//! verdict — including the race where a checkpoint and prune land
-//! between the catch-up's log read and its checkpoint read.
+//! ends, the hold and go-live, live offers — including the race where a
+//! checkpoint and prune land between the catch-up's log read and its
+//! checkpoint read — and the standby's side, a replica's
+//! [`Node::follow`] of each frame, Down or up.
 
 mod common;
 
@@ -10,16 +11,17 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use ref_core::resource::Capacity;
 use ref_market::{MarketConfig, MarketEvent, ObservationSource};
-use ref_serve::repl::{parse_frame, Frame};
-use ref_serve::repl_core::Stream;
-use ref_serve::session::{self, Applied, GoLive, Offer, Session, SINK_QUEUE};
+use ref_serve::node::{Follow, Node, Peer, Replication};
+use ref_serve::repl::{message, parse_frame, rec_frame, Frame};
+use ref_serve::session::{self, GoLive, Offer, Session, SINK_QUEUE};
 use ref_serve::wal::newest_checkpoint_with;
 use ref_serve::{
-    decode_frame, FaultPlan, FrameDecode, FsStorage, JournalLimit, Request, ServeMetrics,
-    ServiceCore, Storage, StorageFile, Value, WalConfig,
+    decode_frame, Clock, FaultPlan, FrameDecode, FsStorage, JournalLimit, ReplConfig, ReplCore,
+    Request, ServeMetrics, ServiceCore, Storage, StorageFile, Value, WalConfig,
 };
 
 use common::TempDir;
@@ -359,6 +361,74 @@ fn a_checkpoint_landing_between_the_log_read_and_the_checkpoint_read_moves_upto(
     assert_eq!(session.offer(raced, &frame(raced)), Offer::Send);
 }
 
+/// A clock that never moves: the standby's verdicts read no timer.
+#[derive(Debug)]
+struct Still;
+
+impl Clock for Still {
+    fn now(&self) -> Duration {
+        Duration::ZERO
+    }
+}
+
+/// Where a standby's frames would go: it streams to nobody.
+struct Nowhere;
+
+impl Peer for Nowhere {
+    fn send(&mut self, _: &[u8]) -> bool {
+        true
+    }
+}
+
+/// A standby replica around `core`.
+fn standby_node(core: ServiceCore) -> Node<Replication<Nowhere>> {
+    let config = ReplConfig::standby("s:repl", "p:repl");
+    let repl = ReplCore::new(&config, 7, 0, core.events_applied(), Duration::ZERO);
+    Node::new(
+        0,
+        None,
+        Some(core),
+        Some(Replication::new(repl, Arc::new(Still))),
+    )
+}
+
+/// `framed` as the standby's driver hands it over.
+fn unframed(framed: &[u8]) -> Frame {
+    let FrameDecode::Complete { payload, .. } = decode_frame(framed) else {
+        panic!("a whole frame");
+    };
+    parse_frame(payload).unwrap()
+}
+
+/// The primary's log from `first` on, as `rec` frames.
+fn recs(dir: &Path) -> impl Fn(u64) -> Frame {
+    let (first, log) = ref_serve::wal::read_events_with(&FsStorage, dir).unwrap();
+    move |seq| {
+        let mut record = Vec::new();
+        log[(seq - first) as usize].write_record(&mut record);
+        unframed(&rec_frame(seq, &record))
+    }
+}
+
+fn snap(seq: u64, snapshot: &str) -> Frame {
+    let fields = vec![
+        ("seq", Value::from_u64(seq)),
+        ("snapshot", Value::str(snapshot)),
+    ];
+    unframed(&message("snap", fields))
+}
+
+/// The ack of a standby that holds `have` records, without a fingerprint.
+fn ack(seq: u64, have: u64, fresh: bool) -> Follow {
+    let ack = message("ack", vec![("have", Value::from_u64(have))]);
+    Follow::Ack {
+        seq,
+        have,
+        fresh,
+        ack,
+    }
+}
+
 #[test]
 fn the_standby_verdict() {
     let (pdir, sdir) = (TempDir::new("session-p"), TempDir::new("session-s"));
@@ -367,62 +437,97 @@ fn the_standby_verdict() {
     let (ckpt, snapshot) = newest_checkpoint_with(&FsStorage, pdir.path())
         .unwrap()
         .unwrap();
-    let (_, log) = ref_serve::wal::read_events_with(&FsStorage, pdir.path()).unwrap();
-    let first = primary.wal().unwrap().first_retained_seq();
-    let record = |seq: u64| {
-        let event = log[(seq - first) as usize].clone();
-        let mut record = Vec::new();
-        event.write_record(&mut record);
-        Stream::Apply { seq, event, record }
-    };
+    let rec = recs(pdir.path());
     let metrics = ServeMetrics::new();
-    let mut standby = open_core(sdir.path());
-    // (verdict, outcome, records the standby holds after it)
+    let mut standby = standby_node(open_core(sdir.path()));
+    let hb = message(
+        "hb",
+        vec![("term", Value::from_u64(0)), ("seq", Value::from_u64(0))],
+    );
+    let resync = |seq, have| Follow::HangUp {
+        resync: Some((seq, have)),
+        crash: false,
+    };
+    let hang_up = Follow::HangUp {
+        resync: None,
+        crash: false,
+    };
+    // (frame, what the standby does, records it holds after it)
     let table = [
-        (Stream::Following, Applied::Ignored, 0),
-        (Stream::Drop, Applied::Ignored, 0),
-        (record(ckpt), Applied::Resync, 0),
-        (
-            Stream::Restore {
-                seq: ckpt,
-                snapshot: "not a snapshot".to_string(),
-            },
-            Applied::Resync,
-            0,
-        ),
-        (
-            Stream::Restore {
-                seq: ckpt,
-                snapshot: snapshot.clone(),
-            },
-            Applied::Applied { epoch_fp: None },
-            ckpt,
-        ),
-        (record(ckpt - 1), Applied::Skipped, ckpt),
-        (record(ckpt + 1), Applied::Resync, ckpt),
-        (record(ckpt), Applied::Applied { epoch_fp: None }, ckpt + 1),
+        (unframed(&hb), Follow::Reading, 0),
+        (unframed(&message("snap", vec![])), hang_up, 0),
+        (rec(ckpt), resync(ckpt, 0), 0),
+        (snap(ckpt, "not a snapshot"), resync(ckpt, 0), 0),
+        (snap(ckpt, &snapshot), ack(ckpt, ckpt, true), ckpt),
+        (rec(ckpt - 1), ack(ckpt - 1, ckpt, false), ckpt),
+        (rec(ckpt + 1), resync(ckpt + 1, ckpt), ckpt),
+        (rec(ckpt), ack(ckpt, ckpt + 1, true), ckpt + 1),
     ];
-    for (verdict, want, have) in table {
-        let row = format!("{verdict:?}");
-        assert_eq!(
-            session::apply(&mut standby, verdict, &metrics),
-            want,
-            "{row}"
-        );
-        assert_eq!(standby.events_applied(), have, "{row}");
+    for (frame, want, have) in table {
+        let row = format!("{frame:?}");
+        assert_eq!(standby.follow(frame, "p:repl", &metrics), want, "{row}");
+        let core = standby.core().unwrap();
+        assert_eq!(core.events_applied(), have, "{row}");
     }
     // The rest of the log brings the standby level with the primary,
-    // and a tick acks with its epoch fingerprint.
+    // and exactly the ticks ack with the standby's epoch fingerprint.
     let end = primary.wal().unwrap().next_seq();
+    let (first, log) = ref_serve::wal::read_events_with(&FsStorage, pdir.path()).unwrap();
     for seq in ckpt + 1..end {
-        let tick = matches!(log[(seq - first) as usize], MarketEvent::EpochTick);
-        match session::apply(&mut standby, record(seq), &metrics) {
-            Applied::Applied { epoch_fp } => assert_eq!(epoch_fp.is_some(), tick, "seq {seq}"),
-            other => panic!("seq {seq}: {other:?}"),
-        }
+        let tick = log[(seq - first) as usize] == MarketEvent::EpochTick;
+        let Follow::Ack {
+            fresh: true, ack, ..
+        } = standby.follow(rec(seq), "p:repl", &metrics)
+        else {
+            panic!("seq {seq} applies");
+        };
+        let FrameDecode::Complete { payload, .. } = decode_frame(&ack) else {
+            panic!("a whole ack");
+        };
+        let ack = ref_serve::repl::parse_message(&payload).unwrap();
+        let engine = standby.core().unwrap().engine();
+        let fp = tick.then(|| format!("{:016x}", engine.state_fingerprint()));
+        assert_eq!(
+            ack.get("fp").and_then(Value::as_str),
+            fp.as_deref(),
+            "seq {seq}"
+        );
     }
-    assert_eq!(standby.final_snapshot(), primary.final_snapshot());
+    let core = standby.core().unwrap();
+    assert_eq!(core.final_snapshot(), primary.final_snapshot());
     // The restored standby's own log starts at the checkpoint.
     let (standby_first, _) = ref_serve::wal::read_events_with(&FsStorage, sdir.path()).unwrap();
     assert!(standby_first >= ckpt, "{standby_first}");
+}
+
+#[test]
+fn a_down_standby_applies_and_acks_nothing_until_it_restarts_from_its_log() {
+    let (pdir, sdir) = (TempDir::new("down-p"), TempDir::new("down-s"));
+    // Below the checkpoint cadence: the log holds every record.
+    let mut primary = open_core(pdir.path());
+    append(&mut primary, 3);
+    let snapshot = primary.final_snapshot();
+    let rec = recs(pdir.path());
+    let metrics = ServeMetrics::new();
+    let mut standby = standby_node(open_core(sdir.path()));
+    assert_eq!(standby.follow(rec(0), "p:repl", &metrics), ack(0, 1, true));
+    standby.go_down(false);
+    let hb = message(
+        "hb",
+        vec![("term", Value::from_u64(0)), ("seq", Value::from_u64(0))],
+    );
+    for frame in [rec(1), snap(3, &snapshot), unframed(&hb), rec(0)] {
+        let row = format!("{frame:?}");
+        assert_eq!(
+            standby.follow(frame, "p:repl", &metrics),
+            Follow::Reading,
+            "{row}"
+        );
+        assert_eq!(standby.core().unwrap().events_applied(), 1, "{row}");
+    }
+    // Restarted from its log, it follows again where the log ends.
+    drop(standby.crash());
+    standby.restart(open_core(sdir.path()));
+    assert!(!standby.is_down());
+    assert_eq!(standby.follow(rec(1), "p:repl", &metrics), ack(1, 2, true));
 }

@@ -10,7 +10,7 @@
 //!    agree on every routing decision.
 //! 2. **Transport purity, sharded** (proptest): random op sequences
 //!    through a live 4-shard server; each shard's journal replayed
-//!    offline through `submit_all` on that shard's starting config must
+//!    offline through `ref_serve::replay` on that shard's starting config must
 //!    land byte-for-byte on that shard's final snapshot. Coordinator
 //!    reallotments are journaled events, so replay crosses them for
 //!    free.
@@ -22,9 +22,9 @@ mod common;
 use proptest::prelude::*;
 
 use ref_core::resource::Capacity;
-use ref_market::{MarketConfig, MarketEngine};
+use ref_market::MarketConfig;
 use ref_serve::{
-    shard_market_config, Client, ClientError, HashRing, JournalLimit, ServeConfig, Server,
+    replay, shard_market_config, Client, ClientError, HashRing, JournalLimit, ServeConfig, Server,
     WalConfig,
 };
 
@@ -183,7 +183,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A sharded server is four pure transports: each shard's journal,
-    /// replayed offline through `submit_all` against the shard's
+    /// replayed offline through `ref_serve::replay` against the shard's
     /// starting config (the equal capacity split), reproduces that
     /// shard's final snapshot byte for byte — coordinator reallotments
     /// included, because they are journaled `CapacityRealloted` events.
@@ -208,9 +208,7 @@ proptest! {
         for shard in &report.shards {
             prop_assert!(!shard.journal_overflowed);
             prop_assert_eq!(shard.metrics.protocol_errors, 0);
-            let mut offline = MarketEngine::new(shard_market_config(&config(), SHARDS)).unwrap();
-            offline.submit_all(shard.journal.iter().cloned());
-            while offline.pump().is_err() {}
+            let offline = replay(shard_market_config(&config(), SHARDS), &shard.journal).unwrap();
             prop_assert_eq!(
                 offline.snapshot().encode(),
                 shard.snapshot.clone(),

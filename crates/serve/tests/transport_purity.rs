@@ -1,18 +1,17 @@
 //! The server is a pure transport: any accepted event sequence produces
-//! exactly the allocations a direct offline `submit_all` would.
+//! exactly the allocations a direct offline replay of it would.
 //!
 //! Property-based: random op sequences are driven through a live TCP
-//! server; the journal it kept is replayed two ways — through
-//! [`ref_serve::replay`] (per-event `apply_now`) and through the engine's
-//! own `submit_all` + pump-to-completion — and both must match the
-//! server's final snapshot byte for byte.
+//! server; the journal it kept is replayed through [`ref_serve::replay`]
+//! (per-event `apply_now`, continuing past rejections) and must match
+//! the server's final snapshot byte for byte.
 
 mod common;
 
 use proptest::prelude::*;
 
 use ref_core::resource::Capacity;
-use ref_market::{MarketConfig, MarketEngine, MarketEvent};
+use ref_market::{MarketConfig, MarketEvent};
 use ref_serve::{
     wal, Client, ClientError, FsStorage, JournalLimit, ServeConfig, Server, WalConfig,
 };
@@ -91,17 +90,9 @@ proptest! {
         prop_assert!(!report.journal_overflowed);
         prop_assert_eq!(report.metrics.protocol_errors, 0);
 
-        // Replay path 1: per-event apply_now, as the live server did.
+        // Per-event apply_now, as the live server did.
         let replayed = ref_serve::replay(config(), &report.journal).unwrap();
-        prop_assert_eq!(replayed.snapshot().encode(), report.snapshot.clone());
-
-        // Replay path 2: the batch API — submit_all, pump to completion
-        // (a failed pump drops only the failing event; retry drains the
-        // rest). The server must be indistinguishable from this.
-        let mut offline = MarketEngine::new(config()).unwrap();
-        offline.submit_all(report.journal.iter().cloned());
-        while offline.pump().is_err() {}
-        prop_assert_eq!(offline.snapshot().encode(), report.snapshot);
+        prop_assert_eq!(replayed.snapshot().encode(), report.snapshot);
     }
 
     #[test]

@@ -104,11 +104,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Tick the server and the restored engine one epoch each; the served
     // market must allocate bit-identically to its offline twin.
     let served = client.tick()?;
-    let offline = {
-        use ref_fairness::market::MarketEvent;
-        restored.submit(MarketEvent::EpochTick);
-        restored.pump()?.pop().unwrap()
-    };
+    let offline = restored
+        .apply_now(ref_fairness::market::MarketEvent::EpochTick)?
+        .expect("a tick reports its epoch");
     // The tick reply carries the verdict, agents as a count; each bundle
     // is read back with `query {agent}`.
     let served_agents = served.get("report").and_then(|r| r.get("agents"));

@@ -19,7 +19,6 @@ use ref_fairness::serve::node::{Follow, Hold, Node, Peer, Replication};
 use ref_fairness::serve::protocol::ok_response;
 use ref_fairness::serve::repl::{parse_frame, parse_message, rec_frame, Frame};
 use ref_fairness::serve::repl_core::{Ack, AckWait, Hello, Promotion, Stream, Timer};
-use ref_fairness::serve::session::Applied;
 use ref_fairness::serve::{
     decode_frame, Clock, FaultPlan, FrameDecode, FsStorage, JournalLimit, ReplConfig, ReplCore,
     Request, Role, RouterCore, ServeMetrics, ServiceCore, ShardHealth, TickOutcome, Value,
@@ -362,15 +361,16 @@ fn two_nodes_hand_a_held_reply_over_only_on_the_ack() {
         let Follow::Ack {
             seq: at,
             have,
-            took,
+            fresh: true,
             ack,
         } = standby.follow(frame, from, &metrics)
         else {
             panic!("record {seq} is applied");
         };
         assert_eq!((at, have), (seq as u64, seq as u64 + 1));
-        assert_eq!(took, Applied::Applied { epoch_fp: None });
-        acks.push(unframe(&ack));
+        let ack = unframe(&ack);
+        assert_eq!(ack.get("fp"), None, "only a tick's ack is fingerprinted");
+        acks.push(ack);
     }
 
     // Nothing but the ack of its record releases the held reply: not a
@@ -399,13 +399,19 @@ fn two_nodes_hand_a_held_reply_over_only_on_the_ack() {
     let mut frames = sent(&mut primary);
     assert_eq!(frames.len(), 1);
     let Follow::Ack {
-        have: 3, took, ack, ..
+        have: 3,
+        fresh: true,
+        ack,
+        ..
     } = standby.follow(frames.remove(0), from, &metrics)
     else {
         panic!("the tick is applied");
     };
-    assert!(matches!(took, Applied::Applied { epoch_fp: Some(_) }));
-    assert_eq!(half(&mut primary).ack(id, &unframe(&ack)), Ack::Progress(3));
+    let ack = unframe(&ack);
+    let engine = standby.core().expect("the standby is up").engine();
+    let fp = format!("{:016x}", engine.state_fingerprint());
+    assert_eq!(ack.get("fp").and_then(Value::as_str), Some(fp.as_str()));
+    assert_eq!(half(&mut primary).ack(id, &ack), Ack::Progress(3));
 
     // The primary goes quiet: the standby, which holds everything it was
     // told of, elects itself and deposes it; the deposed node fences.

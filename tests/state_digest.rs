@@ -84,16 +84,15 @@ fn replicate(faults: FaultPlan) -> Vec<(bool, Ack)> {
         let seq = primary.events_applied();
         let reply = primary.handle(&request, &metrics);
         assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{line}: {reply}");
-        let ReplApply::Applied { epoch_fp } = standby.apply_repl(seq, event, &metrics) else {
-            panic!("the standby applies an in-order record");
-        };
-        let is_tick = matches!(request, Request::Tick);
-        assert_eq!(
-            epoch_fp.is_some(),
-            is_tick,
-            "acks carry a fingerprint per epoch"
+        let applied = standby.apply_repl(seq, event, &metrics);
+        assert_eq!(applied, ReplApply::Applied, "an in-order record applies");
+        if request != Request::Tick {
+            continue;
+        }
+        let got = (
+            standby.engine().epoch(),
+            standby.engine().state_fingerprint(),
         );
-        let Some(got) = epoch_fp else { continue };
         let want = (
             primary.engine().epoch(),
             primary.engine().state_fingerprint(),
@@ -128,34 +127,29 @@ fn golden_market() -> MarketEngine {
     let mut market = MarketEngine::new(config).unwrap();
     let truth =
         |a: f64| ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![a, 1.0 - a]).unwrap());
-    market.submit(MarketEvent::AgentJoined {
-        id: 1,
-        source: truth(0.6),
-    });
-    market.submit(MarketEvent::AgentJoined {
-        id: 2,
-        source: truth(0.25),
-    });
-    market.submit(MarketEvent::AgentJoined {
-        id: 3,
-        source: ObservationSource::Simulated {
+    let joins = [
+        truth(0.6),
+        truth(0.25),
+        ObservationSource::Simulated {
             benchmark: "histogram".to_string(),
         },
-    });
-    market.submit(MarketEvent::AgentJoined {
-        id: 4,
-        source: ObservationSource::External,
-    });
+        ObservationSource::External,
+    ];
+    for (id, source) in (1..).zip(joins) {
+        market
+            .apply_now(MarketEvent::AgentJoined { id, source })
+            .unwrap();
+    }
     for i in 0..6_u32 {
         let (x, y) = (1.0 + f64::from(i % 4), 0.5 + f64::from(i % 3));
-        market.submit(MarketEvent::ObservationReported {
+        let observation = MarketEvent::ObservationReported {
             id: 4,
             allocation: vec![x, y],
             performance: x.powf(0.7) * y.powf(0.3),
-        });
-        market.submit(MarketEvent::EpochTick);
+        };
+        market.apply_now(observation).unwrap();
+        market.apply_now(MarketEvent::EpochTick).unwrap();
     }
-    market.pump().unwrap();
     market
 }
 
