@@ -36,71 +36,122 @@ fn json_f64_array(values: &[f64]) -> String {
     out
 }
 
-/// Cumulative counters over the market's lifetime.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MarketMetrics {
+/// Declares the market's counters once: the fields of [`MarketMetrics`]
+/// and the order in which its JSON and text forms and the snapshot's
+/// `metrics` line list them. A counter marked `(not persisted)` is left
+/// off the snapshot line, and a restored engine counts it from zero.
+macro_rules! counters {
+    (@persisted) => { true };
+    (@persisted not persisted) => { false };
+    ($($(#[$doc:meta])* $name:ident $(($($note:tt)*))?,)*) => {
+        /// Cumulative counters over the market's lifetime.
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct MarketMetrics {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        /// Whether the snapshot carries each counter, in declaration order.
+        const PERSISTED: &[bool] = &[$(counters!(@persisted $($($note)*)?),)*];
+
+        impl MarketMetrics {
+            /// Every counter by name, in declaration order.
+            fn named(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+
+            /// Every counter, mutably, in declaration order.
+            fn slots(&mut self) -> Vec<&mut u64> {
+                vec![$(&mut self.$name,)*]
+            }
+        }
+    };
+}
+
+counters! {
     /// Epochs executed.
-    pub epochs: u64,
+    epochs,
     /// Events processed (all kinds).
-    pub events: u64,
+    events,
     /// Agents admitted.
-    pub joins: u64,
+    joins,
     /// Agents departed.
-    pub leaves: u64,
+    leaves,
     /// Demand-change flushes applied.
-    pub demand_changes: u64,
+    demand_changes,
     /// External observations ingested.
-    pub external_observations: u64,
+    external_observations,
     /// Epochs that recomputed the allocation.
-    pub reallocations: u64,
+    reallocations,
     /// Epochs that reused the cached allocation (fingerprint unchanged).
-    pub cache_hits: u64,
+    cache_hits,
     /// Successful estimator refits across all agents.
-    pub refits: u64,
+    refits,
     /// Events rejected with an error.
-    pub rejected_events: u64,
+    rejected_events,
     /// Refit attempts that produced a degenerate (non-finite or invalid)
     /// fit and were discarded in favor of the agent's last good estimate.
-    pub degenerate_refits: u64,
+    degenerate_refits,
     /// Agents that crossed the consecutive-degenerate threshold and were
     /// quarantined (counted per transition into quarantine, not per
     /// quarantined epoch).
-    pub quarantines: u64,
+    quarantines,
     /// Capacity reallotments applied (cross-shard coordination updates
     /// delivered as [`crate::MarketEvent::CapacityRealloted`]).
-    pub reallotments: u64,
+    reallotments,
     /// Optimization-backed reallocations offered a hint from the warm-start
     /// cache (the previous epoch's optimum). Closed-form mechanisms never
     /// touch this counter.
-    pub warm_start_hits: u64,
+    warm_start_hits,
     /// Optimization-backed reallocations that ran from a cold start (no
     /// usable cached optimum: first solve, membership churn, demand
     /// change, reallotment or quarantine invalidation).
-    pub warm_start_misses: u64,
+    warm_start_misses,
     /// Hits whose hint the solver tried and abandoned, so the cold path
     /// produced the allocation after all: `warm_start_hits -
     /// warm_start_fallbacks` solves were actually served warm. A solver
     /// diagnostic of this process, not market state: snapshots do not
     /// carry it and a restored engine counts from zero.
-    pub warm_start_fallbacks: u64,
+    warm_start_fallbacks (not persisted),
     /// Successful estimator refits served by the incremental `O(R^2)`
     /// triangle-append path rather than a from-scratch refactorization.
-    pub incremental_refits: u64,
+    incremental_refits,
     /// Agent-epochs whose ledger accrual was positive (the agent fell
     /// further below its cumulative fair share).
-    pub credits_accrued: u64,
+    credits_accrued,
     /// Agent-epochs where a positive balance absorbed over-service (the
     /// mechanism repaying accumulated credit).
-    pub credits_spent: u64,
+    credits_spent,
     /// Post-warm-up agent-epochs violating the temporal (windowed)
     /// sharing-incentive inequality.
-    pub temporal_si_violations: u64,
+    temporal_si_violations,
 }
 
 impl MarketMetrics {
     /// Creates zeroed counters.
     pub(crate) fn new() -> MarketMetrics {
         MarketMetrics::default()
+    }
+
+    /// How many counters the snapshot's `metrics` line carries.
+    pub(crate) fn persisted_count() -> usize {
+        PERSISTED.iter().filter(|kept| **kept).count()
+    }
+
+    /// The counters the snapshot carries, in declaration order.
+    pub(crate) fn persisted(&self) -> impl Iterator<Item = u64> {
+        (self.named().into_iter().zip(PERSISTED))
+            .filter_map(|((_, value), kept)| kept.then_some(value))
+    }
+
+    /// Counters restored from the snapshot's values (in
+    /// [`MarketMetrics::persisted`] order); the rest start from zero.
+    pub(crate) fn from_persisted(values: &[u64]) -> MarketMetrics {
+        let mut metrics = MarketMetrics::new();
+        let slots = metrics.slots().into_iter().zip(PERSISTED);
+        for ((slot, _), value) in slots.filter(|(_, kept)| **kept).zip(values) {
+            *slot = *value;
+        }
+        metrics
     }
 
     /// Fraction of epochs served from the allocation cache.
@@ -117,73 +168,21 @@ impl MarketMetrics {
     /// (declaration order plus a derived `cache_hit_rate`); goldens in the
     /// test module pin the exact bytes.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"epochs\":{},\"events\":{},\"joins\":{},\"leaves\":{},\
-             \"demand_changes\":{},\"external_observations\":{},\
-             \"reallocations\":{},\"cache_hits\":{},\"refits\":{},\
-             \"rejected_events\":{},\"degenerate_refits\":{},\
-             \"quarantines\":{},\"reallotments\":{},\"warm_start_hits\":{},\
-             \"warm_start_misses\":{},\"warm_start_fallbacks\":{},\
-             \"incremental_refits\":{},\
-             \"credits_accrued\":{},\"credits_spent\":{},\
-             \"temporal_si_violations\":{},\"cache_hit_rate\":{}}}",
-            self.epochs,
-            self.events,
-            self.joins,
-            self.leaves,
-            self.demand_changes,
-            self.external_observations,
-            self.reallocations,
-            self.cache_hits,
-            self.refits,
-            self.rejected_events,
-            self.degenerate_refits,
-            self.quarantines,
-            self.reallotments,
-            self.warm_start_hits,
-            self.warm_start_misses,
-            self.warm_start_fallbacks,
-            self.incremental_refits,
-            self.credits_accrued,
-            self.credits_spent,
-            self.temporal_si_violations,
-            json_f64(self.cache_hit_rate())
-        )
+        let mut out = String::from("{");
+        for (name, value) in self.named() {
+            let _ = write!(out, "\"{name}\":{value},");
+        }
+        let rate = json_f64(self.cache_hit_rate());
+        let _ = write!(out, "\"cache_hit_rate\":{rate}}}");
+        out
     }
 
     /// Stable `name value` text form (one counter per line, fixed order),
     /// for Prometheus-style scrape endpoints.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for (name, value) in [
-            ("refmarket_epochs", self.epochs),
-            ("refmarket_events", self.events),
-            ("refmarket_joins", self.joins),
-            ("refmarket_leaves", self.leaves),
-            ("refmarket_demand_changes", self.demand_changes),
-            (
-                "refmarket_external_observations",
-                self.external_observations,
-            ),
-            ("refmarket_reallocations", self.reallocations),
-            ("refmarket_cache_hits", self.cache_hits),
-            ("refmarket_refits", self.refits),
-            ("refmarket_rejected_events", self.rejected_events),
-            ("refmarket_degenerate_refits", self.degenerate_refits),
-            ("refmarket_quarantines", self.quarantines),
-            ("refmarket_reallotments", self.reallotments),
-            ("refmarket_warm_start_hits", self.warm_start_hits),
-            ("refmarket_warm_start_misses", self.warm_start_misses),
-            ("refmarket_warm_start_fallbacks", self.warm_start_fallbacks),
-            ("refmarket_incremental_refits", self.incremental_refits),
-            ("refmarket_credits_accrued", self.credits_accrued),
-            ("refmarket_credits_spent", self.credits_spent),
-            (
-                "refmarket_temporal_si_violations",
-                self.temporal_si_violations,
-            ),
-        ] {
-            let _ = writeln!(out, "{name} {value}");
+        for (name, value) in self.named() {
+            let _ = writeln!(out, "refmarket_{name} {value}");
         }
         out
     }

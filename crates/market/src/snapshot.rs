@@ -195,33 +195,8 @@ impl<'a, A: ExactSizeIterator<Item = AgentView<'a>>> StateView<'a, A> {
         ] {
             s.int(v);
         }
-        // `warm_start_fallbacks` is a process-lifetime solver diagnostic,
-        // not replicated state.
-        let m = self.metrics;
         s.line("metrics");
-        for v in [
-            m.epochs,
-            m.events,
-            m.joins,
-            m.leaves,
-            m.demand_changes,
-            m.external_observations,
-            m.reallocations,
-            m.cache_hits,
-            m.refits,
-            m.rejected_events,
-            m.degenerate_refits,
-            m.quarantines,
-            m.reallotments,
-            m.warm_start_hits,
-            m.warm_start_misses,
-            m.incremental_refits,
-            m.credits_accrued,
-            m.credits_spent,
-            m.temporal_si_violations,
-        ] {
-            s.int(v);
-        }
+        self.metrics.persisted().for_each(|v| s.int(v));
 
         match self.cache {
             None => s.line("cache").variant(0, "none"),
@@ -500,30 +475,9 @@ impl MarketSnapshot {
             temporal_si_violation_epochs: a[7],
             temporal_si_after_warmup: a[8],
         };
-        let m = lines.tagged_u64s("metrics", 19)?;
-        let metrics = MarketMetrics {
-            epochs: m[0],
-            events: m[1],
-            joins: m[2],
-            leaves: m[3],
-            demand_changes: m[4],
-            external_observations: m[5],
-            reallocations: m[6],
-            cache_hits: m[7],
-            refits: m[8],
-            rejected_events: m[9],
-            degenerate_refits: m[10],
-            quarantines: m[11],
-            reallotments: m[12],
-            warm_start_hits: m[13],
-            warm_start_misses: m[14],
-            // A process-lifetime solver diagnostic, not replicated state.
-            warm_start_fallbacks: 0,
-            incremental_refits: m[15],
-            credits_accrued: m[16],
-            credits_spent: m[17],
-            temporal_si_violations: m[18],
-        };
+        let metrics = MarketMetrics::from_persisted(
+            &lines.tagged_u64s("metrics", MarketMetrics::persisted_count())?,
+        );
 
         let cache = match lines.tagged("cache")? {
             "none" => None,

@@ -1,98 +1,49 @@
-//! Per-shard admission control and the queue of work pushed to the shard
-//! thread.
+//! Per-shard count of requests in flight and the queue of work pushed to
+//! the shard thread.
 //!
 //! A client request is served to completion on the connection thread that
-//! read it, so there is no queue of client requests any more. What is left
-//! of one is its bound: [`Bus::admit`] counts the requests that are *in
-//! flight* — admitted and not yet answered: waiting for the shard lock,
-//! being served, or having their reply written — per admission class,
-//! and refuses the one that would exceed its class quota.
-//! A flood of `query`s fills the query quota and starts bouncing while
-//! `observe` and control traffic keep flowing until their own quotas fill.
-//! Rejection is immediate and explicit — `admit` never blocks — so
-//! backpressure surfaces to the client as an `overloaded` response with a
-//! `retry_after_ms` hint rather than as unbounded waiting or silent drops.
+//! read it, so there is no queue of client requests. What is left of one
+//! is its count: [`Bus::admit`] counts the requests that are *in flight*
+//! — admitted and not yet served: waiting for the shard lock or being
+//! served. The count bounds nothing by itself: a connection carries one
+//! request at a time, so the server's connection cap is the bound. It
+//! feeds the `queue_depth` metrics and the shutdown drain, and `admit`
+//! refuses new requests once the bus is closed.
 //!
-//! The queue that remains carries what is *pushed* to the shard's own
-//! thread from inside the server — fanned ticks and inspections, journaled
-//! reallotments, probes, `shutdown` — in FIFO order and exempt from the
-//! quotas: [`Bus::push`], [`Bus::wait`], [`Bus::drain`].
+//! The queue carries what is *pushed* to the shard's own thread from
+//! inside the server — fanned ticks and inspections, journaled
+//! reallotments, probes, `shutdown` — in FIFO order: [`Bus::push`],
+//! [`Bus::wait`], [`Bus::drain`].
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::protocol::{Class, NUM_CLASSES};
-
-/// Why a request was not admitted.
+/// The bus is closed (server shutting down).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SendError {
-    /// The request's class quota is exhausted; retry after the hint.
-    Full(Class),
-    /// The bus is closed (server shutting down).
-    Closed,
-}
-
-/// Per-class quotas of in-flight requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Quotas {
-    /// Maximum in-flight `Control` requests.
-    pub control: usize,
-    /// Maximum in-flight `Observe` requests.
-    pub observe: usize,
-    /// Maximum in-flight `Query` requests.
-    pub query: usize,
-}
-
-impl Quotas {
-    fn limit(&self, class: Class) -> usize {
-        match class {
-            Class::Control => self.control,
-            Class::Observe => self.observe,
-            Class::Query => self.query,
-        }
-    }
-}
-
-impl Default for Quotas {
-    fn default() -> Quotas {
-        Quotas {
-            control: 256,
-            observe: 1024,
-            query: 256,
-        }
-    }
-}
+pub(crate) struct Closed;
 
 struct BusState<T> {
     queue: VecDeque<T>,
-    in_flight: [usize; NUM_CLASSES],
+    in_flight: usize,
     closed: bool,
 }
 
 impl<T> BusState<T> {
     fn depth(&self) -> usize {
-        self.queue.len() + self.in_flight.iter().sum::<usize>()
+        self.queue.len() + self.in_flight
     }
 }
 
-/// The in-flight admission guard and pushed-work queue of one shard.
+/// The in-flight count and pushed-work queue of one shard.
 pub(crate) struct Bus<T> {
     state: Mutex<BusState<T>>,
     available: Condvar,
-    quotas: Quotas,
-}
-
-impl<T> std::fmt::Debug for Bus<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Bus").field("quotas", &self.quotas).finish()
-    }
 }
 
 /// One admitted request; dropping it ends the request's flight.
 pub(crate) struct Admitted<'a, T> {
     bus: &'a Bus<T>,
-    class: Class,
     /// The bus depth right after this admission (this request included).
     pub depth: usize,
 }
@@ -100,7 +51,7 @@ pub(crate) struct Admitted<'a, T> {
 impl<T> Drop for Admitted<'_, T> {
     fn drop(&mut self) {
         let mut state = self.bus.state();
-        state.in_flight[self.class as usize] -= 1;
+        state.in_flight -= 1;
         let drained = state.closed && state.depth() == 0;
         drop(state);
         if drained {
@@ -111,16 +62,15 @@ impl<T> Drop for Admitted<'_, T> {
 }
 
 impl<T> Bus<T> {
-    /// Creates an open bus with the given quotas.
-    pub(crate) fn new(quotas: Quotas) -> Bus<T> {
+    /// Creates an open, empty bus.
+    pub(crate) fn new() -> Bus<T> {
         Bus {
             state: Mutex::new(BusState {
                 queue: VecDeque::new(),
-                in_flight: [0; NUM_CLASSES],
+                in_flight: 0,
                 closed: false,
             }),
             available: Condvar::new(),
-            quotas,
         }
     }
 
@@ -128,42 +78,32 @@ impl<T> Bus<T> {
         self.state.lock().expect("bus lock poisoned")
     }
 
-    /// Admits one request of `class`, or rejects it immediately. The
-    /// request is in flight until the returned guard is dropped.
+    /// Admits one request. The request is in flight until the returned
+    /// guard is dropped.
     ///
     /// # Errors
     ///
-    /// [`SendError::Full`] when the class quota is exhausted,
-    /// [`SendError::Closed`] once [`Bus::close`] has been called.
-    pub(crate) fn admit(&self, class: Class) -> Result<Admitted<'_, T>, SendError> {
+    /// [`Closed`] once [`Bus::close`] has been called.
+    pub(crate) fn admit(&self) -> Result<Admitted<'_, T>, Closed> {
         let mut state = self.state();
         if state.closed {
-            return Err(SendError::Closed);
+            return Err(Closed);
         }
-        if state.in_flight[class as usize] >= self.quotas.limit(class) {
-            return Err(SendError::Full(class));
-        }
-        state.in_flight[class as usize] += 1;
+        state.in_flight += 1;
         let depth = state.depth();
-        Ok(Admitted {
-            bus: self,
-            class,
-            depth,
-        })
+        Ok(Admitted { bus: self, depth })
     }
 
-    /// Queues one item for the shard thread, exempt from the quotas (still
-    /// refused once the bus is closed). Reserved for producers inside the
-    /// server: fleet-wide control must not be bounced by one shard's
-    /// backpressure. External client traffic goes through [`Bus::admit`].
+    /// Queues one item for the shard thread. Reserved for producers
+    /// inside the server; client traffic goes through [`Bus::admit`].
     ///
     /// # Errors
     ///
-    /// [`SendError::Closed`] once [`Bus::close`] has been called.
-    pub(crate) fn push(&self, item: T) -> Result<(), SendError> {
+    /// [`Closed`] once [`Bus::close`] has been called.
+    pub(crate) fn push(&self, item: T) -> Result<(), Closed> {
         let mut state = self.state();
         if state.closed {
-            return Err(SendError::Closed);
+            return Err(Closed);
         }
         state.queue.push_back(item);
         drop(state);
@@ -196,7 +136,7 @@ impl<T> Bus<T> {
     }
 
     /// Closes the bus: subsequent `admit`s and `push`es fail with
-    /// [`SendError::Closed`]; queued items remain drainable and requests
+    /// [`Closed`]; queued items remain drainable and requests
     /// in flight finish.
     pub(crate) fn close(&self) {
         self.state().closed = true;
@@ -221,7 +161,7 @@ mod tests {
 
     #[test]
     fn pushed_items_drain_in_fifo_order() {
-        let bus: Bus<u32> = Bus::new(Quotas::default());
+        let bus: Bus<u32> = Bus::new();
         for item in 1..=3 {
             bus.push(item).unwrap();
         }
@@ -231,55 +171,24 @@ mod tests {
     }
 
     #[test]
-    fn full_class_rejects_without_blocking_other_classes() {
-        let bus: Bus<u32> = Bus::new(Quotas {
-            control: 2,
-            observe: 1,
-            query: 1,
-        });
-        let query = bus.admit(Class::Query).unwrap();
-        // The query quota is exhausted; queries bounce with the class.
-        assert_eq!(
-            bus.admit(Class::Query).err(),
-            Some(SendError::Full(Class::Query))
-        );
-        // Other classes are unaffected by the full query quota.
-        let _observe = bus.admit(Class::Observe).unwrap();
-        let _first = bus.admit(Class::Control).unwrap();
-        let second = bus.admit(Class::Control).unwrap();
-        assert_eq!(second.depth, 4);
-        assert_eq!(
-            bus.admit(Class::Control).err(),
-            Some(SendError::Full(Class::Control))
-        );
-        // A request that lands frees its slot, and only its own.
-        drop(query);
-        assert_eq!(bus.depth(), 3);
-        let _query = bus.admit(Class::Query).unwrap();
-    }
-
-    #[test]
     fn push_bypasses_quota_but_not_closure() {
-        let bus: Bus<u32> = Bus::new(Quotas {
-            control: 1,
-            observe: 1,
-            query: 1,
-        });
-        let _held = bus.admit(Class::Control).unwrap();
-        assert!(bus.admit(Class::Control).is_err());
+        // Pushed work and admitted requests share the depth, not a bound.
+        let bus: Bus<u32> = Bus::new();
+        let _held = bus.admit().unwrap();
         bus.push(3).unwrap();
+        assert_eq!(bus.depth(), 2);
         assert_eq!(bus.drain().len(), 1);
         bus.close();
-        assert_eq!(bus.push(4), Err(SendError::Closed));
+        assert_eq!(bus.push(4), Err(Closed));
     }
 
     #[test]
     fn close_rejects_new_work_but_keeps_what_was_admitted() {
-        let bus: Bus<u32> = Bus::new(Quotas::default());
+        let bus: Bus<u32> = Bus::new();
         bus.push(1).unwrap();
-        let held = bus.admit(Class::Observe).unwrap();
+        let held = bus.admit().unwrap();
         bus.close();
-        assert_eq!(bus.admit(Class::Control).err(), Some(SendError::Closed));
+        assert_eq!(bus.admit().err(), Some(Closed));
         assert!(bus.is_closed());
         assert_eq!(bus.drain().len(), 1);
         assert_eq!(bus.depth(), 1);
@@ -289,7 +198,7 @@ mod tests {
 
     #[test]
     fn wait_wakes_on_push_and_expires_on_timeout() {
-        let bus: Arc<Bus<u32>> = Arc::new(Bus::new(Quotas::default()));
+        let bus: Arc<Bus<u32>> = Arc::new(Bus::new());
         bus.wait(Duration::from_millis(10));
         assert_eq!(bus.depth(), 0);
         let sender = Arc::clone(&bus);
@@ -303,7 +212,7 @@ mod tests {
 
     #[test]
     fn a_closed_bus_wakes_its_waiter_when_the_last_flight_lands() {
-        let bus: Arc<Bus<u32>> = Arc::new(Bus::new(Quotas::default()));
+        let bus: Arc<Bus<u32>> = Arc::new(Bus::new());
         let (admitted, landed) = (
             Arc::new(std::sync::Barrier::new(2)),
             Arc::new(std::sync::Barrier::new(2)),
@@ -312,7 +221,7 @@ mod tests {
             let (bus, admitted, landed) =
                 (Arc::clone(&bus), Arc::clone(&admitted), Arc::clone(&landed));
             std::thread::spawn(move || {
-                let held = bus.admit(Class::Observe).unwrap();
+                let held = bus.admit().unwrap();
                 admitted.wait();
                 landed.wait();
                 drop(held);
@@ -337,26 +246,27 @@ mod tests {
 
     #[test]
     fn concurrent_admissions_respect_the_quota_exactly() {
-        let bus: Arc<Bus<usize>> = Arc::new(Bus::new(Quotas {
-            control: 256,
-            observe: 50,
-            query: 256,
-        }));
+        // The one count is exact under contention: every admission is
+        // counted while held and uncounted when dropped.
+        let bus: Arc<Bus<usize>> = Arc::new(Bus::new());
         // Every thread keeps what it was admitted until all have tried.
-        let tried = Arc::new(std::sync::Barrier::new(8));
+        let tried = Arc::new(std::sync::Barrier::new(9));
+        let landed = Arc::new(std::sync::Barrier::new(9));
         let mut handles = Vec::new();
         for _ in 0..8 {
-            let (bus, tried) = (Arc::clone(&bus), Arc::clone(&tried));
+            let (bus, tried, landed) = (Arc::clone(&bus), Arc::clone(&tried), Arc::clone(&landed));
             handles.push(std::thread::spawn(move || {
-                let held: Vec<_> = (0..100)
-                    .filter_map(|_| bus.admit(Class::Observe).ok())
-                    .collect();
+                let held: Vec<_> = (0..100).map(|_| bus.admit().unwrap()).collect();
                 tried.wait();
+                landed.wait();
                 held.len()
             }));
         }
+        tried.wait();
+        assert_eq!(bus.depth(), 800, "every admission in flight is counted");
+        landed.wait();
         let admitted: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(admitted, 50, "quota must bound admissions exactly");
+        assert_eq!(admitted, 800);
         assert_eq!(bus.depth(), 0);
     }
 }

@@ -10,11 +10,13 @@
 //!   thread per connection, and each agent-scoped request runs to
 //!   completion on the thread that read it: parse, admit, take the shard
 //!   lock, serve, encode, write.
-//! * **Backpressure** (`bus`): per-class quotas (control / observe /
-//!   query) bound the requests in flight — admitted and not yet
-//!   answered. When a class quota is full, the client
-//!   gets an immediate `overloaded` rejection with a `retry_after_ms`
-//!   hint — waiting is never unbounded and rejection is never silent.
+//! * **Backpressure** (`server`'s acceptor): a connection carries one
+//!   request at a time, so the connection cap (`max_connections`) is the
+//!   one bound on requests in flight. A connection past it gets an
+//!   immediate `overloaded` rejection with a `retry_after_ms` hint —
+//!   waiting is never unbounded and rejection is never silent. Each
+//!   shard's `bus` counts its requests in flight for the `queue_depth`
+//!   metrics and the shutdown drain.
 //! * **One total order** (`server`'s shard lock): whoever holds a
 //!   shard's lock may touch its core, and nobody else. The order in which
 //!   the lock is taken is the order events are journaled, logged and
@@ -60,7 +62,7 @@
 //! * **Sharding** ([`shard`] + `server`'s router): partitions agents
 //!   across N independent market shards via a seeded consistent-hash
 //!   ring, one code path for every N (one shard is a one-node fleet).
-//!   Each shard keeps its own lock, thread, admission quotas, WAL
+//!   Each shard keeps its own lock, thread, in-flight count, WAL
 //!   directory and journal (crash safety and replay compose per shard
 //!   unchanged); fleet ops fan out to every shard and reply with the
 //!   merged scalars plus each shard's own reply. A fleet tick allots
@@ -128,7 +130,6 @@ pub mod shard;
 pub mod storage;
 pub mod wal;
 
-pub use bus::Quotas;
 pub use client::{CallOpts, Client, ClientError};
 pub use clock::Clock;
 pub use core::{replay, JournalLimit, ReplApply, ServiceCore};

@@ -142,10 +142,11 @@ macro_rules! counters {
 counters! {
     /// Connections accepted over the server's lifetime.
     connections,
-    /// Requests admitted (past the class quotas, or pushed to a shard
-    /// thread as part of a fleet-wide op).
+    /// Requests admitted (served on their connection's thread, or pushed
+    /// to a shard thread as part of a fleet-wide op).
     accepted,
-    /// Requests bounced by a full class quota.
+    /// Connections bounced by the connection cap, each answered
+    /// `overloaded` with a `retry_after_ms` hint.
     rejected_overload,
     /// Requests whose deadline passed while they waited to be served.
     rejected_deadline,
@@ -155,7 +156,7 @@ counters! {
     protocol_errors,
     /// Epochs executed.
     epochs,
-    /// Requests in flight on the shard (admitted and not yet answered,
+    /// Requests in flight on the shard (admitted and not yet served,
     /// plus whatever is queued for its thread) at the last admission
     /// (gauge); each shard keeps its own, so scrapes see per-shard
     /// backlog, not just the high-water mark.

@@ -44,9 +44,10 @@
 //! optional `"shard"` tag so a redirect from one shard's standby does
 //! not poison the client's hints for seeds serving other shards.
 //!
-//! Every op maps to an admission `Class` so backpressure can be applied
-//! per class: a flood of cheap `query`s cannot crowd out `observe`s, and
-//! vice versa.
+//! A connection carries one request at a time: it reads a line, serves
+//! it and writes the reply before reading the next. The server's one
+//! admission bound is therefore its connection cap; a connection past it
+//! is answered `overloaded` with a `retry_after_ms` hint.
 
 use std::io::{self, Write};
 
@@ -83,22 +84,6 @@ pub(crate) fn write_line(
     buf.push(b'\n');
     writer.write_all(buf)
 }
-
-/// Admission class of a request, used for per-class queue quotas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Class {
-    /// Membership and epoch control: `join`, `leave`, `demand`, `tick`,
-    /// `shutdown`.
-    Control = 0,
-    /// Telemetry ingest: `observe`.
-    Observe = 1,
-    /// Read-only inspection: `query`, `snapshot`, `metrics`, `journal`,
-    /// `scrub`.
-    Query = 2,
-}
-
-/// Number of admission classes.
-pub(crate) const NUM_CLASSES: usize = 3;
 
 /// A parsed, validated request.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,26 +154,6 @@ pub enum Request {
 }
 
 impl Request {
-    /// The request's admission class.
-    pub(crate) fn class(&self) -> Class {
-        match self {
-            Request::Join { .. }
-            | Request::Leave { .. }
-            | Request::Demand { .. }
-            | Request::Tick
-            | Request::Reallot { .. }
-            | Request::Promote
-            | Request::Shutdown => Class::Control,
-            Request::Observe { .. } => Class::Observe,
-            Request::Query { .. }
-            | Request::Snapshot
-            | Request::Metrics { .. }
-            | Request::Journal
-            | Request::Scrub
-            | Request::Ping { .. } => Class::Query,
-        }
-    }
-
     /// The market event this request submits, if it is event-bearing.
     pub fn to_event(&self) -> Option<MarketEvent> {
         match self {
@@ -525,32 +490,25 @@ mod tests {
     #[test]
     fn requests_parse_with_classes() {
         let cases = [
-            (
-                r#"{"op":"join","agent":1,"source":{"kind":"truth","elasticities":[0.6,0.4]}}"#,
-                Class::Control,
-            ),
-            (r#"{"op":"leave","agent":2}"#, Class::Control),
-            (r#"{"op":"demand","agent":2,"truth":null}"#, Class::Control),
-            (
-                r#"{"op":"observe","agent":1,"allocation":[1,2],"performance":1.5}"#,
-                Class::Observe,
-            ),
-            (r#"{"op":"tick"}"#, Class::Control),
-            (r#"{"op":"reallot","capacity":[8.0,4.0]}"#, Class::Control),
-            (r#"{"op":"query"}"#, Class::Query),
-            (r#"{"op":"query","agent":3}"#, Class::Query),
-            (r#"{"op":"snapshot"}"#, Class::Query),
-            (r#"{"op":"metrics","format":"text"}"#, Class::Query),
-            (r#"{"op":"journal"}"#, Class::Query),
-            (r#"{"op":"scrub"}"#, Class::Query),
-            (r#"{"op":"ping"}"#, Class::Query),
-            (r#"{"op":"ping","agent":9}"#, Class::Query),
-            (r#"{"op":"promote"}"#, Class::Control),
-            (r#"{"op":"shutdown"}"#, Class::Control),
+            r#"{"op":"join","agent":1,"source":{"kind":"truth","elasticities":[0.6,0.4]}}"#,
+            r#"{"op":"leave","agent":2}"#,
+            r#"{"op":"demand","agent":2,"truth":null}"#,
+            r#"{"op":"observe","agent":1,"allocation":[1,2],"performance":1.5}"#,
+            r#"{"op":"tick"}"#,
+            r#"{"op":"reallot","capacity":[8.0,4.0]}"#,
+            r#"{"op":"query"}"#,
+            r#"{"op":"query","agent":3}"#,
+            r#"{"op":"snapshot"}"#,
+            r#"{"op":"metrics","format":"text"}"#,
+            r#"{"op":"journal"}"#,
+            r#"{"op":"scrub"}"#,
+            r#"{"op":"ping"}"#,
+            r#"{"op":"ping","agent":9}"#,
+            r#"{"op":"promote"}"#,
+            r#"{"op":"shutdown"}"#,
         ];
-        for (line, class) in cases {
-            let env = parse_request(line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert_eq!(env.request.class(), class, "{line}");
+        for line in cases {
+            parse_request(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
     }
 

@@ -69,8 +69,7 @@ pub enum AfterPanic {
     StopLeading,
 }
 
-/// How a shard comes back into the fleet: push `catch_up` quota-exempt
-/// ticks, ahead of anything the fleet pushes later. Its allotment needs
+/// How a shard comes back into the fleet: push `catch_up` ticks, ahead of anything the fleet pushes later. Its allotment needs
 /// no re-offer: the next round it reports in re-derives it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Readmit {

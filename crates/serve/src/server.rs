@@ -26,8 +26,8 @@
 //!
 //! The rule is *whoever holds the shard lock may touch the core*. An
 //! agent-scoped request runs to completion on the connection thread that
-//! read it: parse, route to the owning shard on the ring, pass that
-//! shard's admission guard (`overloaded`, `shutting_down`), take the
+//! read it: parse, route to the owning shard on the ring, be counted in
+//! flight there (`shutting_down` once its bus is closed), take the
 //! shard lock, `serve_request`, unlock, encode, write — no queue, no
 //! second thread, no reply channel. The order of application is the
 //! order in which the lock was taken, which is the order the journal and
@@ -51,7 +51,7 @@
 //!
 //! A server is a thin routing tier over [`ServeConfig::shards`]
 //! independent shards — one by default — each owning its own
-//! [`ServiceCore`], shard lock and thread, admission guard, and WAL
+//! [`ServiceCore`], shard lock and thread, in-flight count, and WAL
 //! directory. There is one code path for every N. Connection threads
 //! hash each agent-bearing request to its owning shard through a seeded
 //! consistent-hash ring ([`crate::shard::HashRing`]) and serve it there.
@@ -80,7 +80,7 @@ use std::time::{Duration, Instant};
 
 use ref_market::{AgentId, MarketConfig, MarketEvent, MechanismKind};
 
-use crate::bus::{Admitted, Bus, Quotas, SendError};
+use crate::bus::Bus;
 use crate::clock::{Clock, RealClock};
 use crate::core::{JournalLimit, ServiceCore};
 use crate::fault::FaultPlan;
@@ -123,10 +123,9 @@ pub struct ServeConfig {
     /// Timer-driven epoch cadence; `None` runs epochs only on `tick`
     /// requests (deterministic mode for tests and examples).
     pub epoch_interval: Option<Duration>,
-    /// Per-class quotas of in-flight requests (the backpressure bound).
-    pub quotas: Quotas,
     /// Maximum simultaneously open connections; further accepts are
-    /// bounced with `overloaded`.
+    /// bounced with `overloaded`. A connection carries one request at a
+    /// time, so this is also the server's bound on requests in flight.
     pub max_connections: usize,
     /// Journal retention cap (see [`JournalLimit`]).
     pub journal_limit: JournalLimit,
@@ -177,7 +176,6 @@ impl ServeConfig {
         ServeConfig {
             market,
             epoch_interval: Some(Duration::from_millis(10)),
-            quotas: Quotas::default(),
             max_connections: 256,
             journal_limit: JournalLimit::default(),
             wal: None,
@@ -207,12 +205,6 @@ impl ServeConfig {
     /// Sets the epoch cadence (`None` = tick-on-request only).
     pub fn with_epoch_interval(mut self, interval: Option<Duration>) -> ServeConfig {
         self.epoch_interval = interval;
-        self
-    }
-
-    /// Sets the per-class quotas.
-    pub fn with_quotas(mut self, quotas: Quotas) -> ServeConfig {
-        self.quotas = quotas;
         self
     }
 
@@ -652,7 +644,7 @@ impl Server {
                 Arc::new(Shared {
                     shard,
                     router: Arc::clone(&router_core),
-                    bus: Bus::new(config.quotas),
+                    bus: Bus::new(),
                     metrics,
                     stop: AtomicBool::new(false),
                     epoch: AtomicU64::new(core.engine().epoch()),
@@ -771,9 +763,8 @@ impl Server {
     /// Gracefully stops the server: drains every admitted request, runs
     /// no further epochs, flushes a final snapshot, joins all threads.
     pub fn shutdown(self) -> ShutdownReport {
-        // Closing the bus is the drain signal: unlike a synthetic
-        // shutdown item, it cannot be bounced by a full control quota,
-        // and it is a no-op if a wire shutdown already closed the bus.
+        // Closing the bus is the drain signal, and a no-op if a wire
+        // shutdown already closed the bus.
         for shared in &self.router.shards {
             shared.bus.close();
         }
@@ -1094,10 +1085,7 @@ fn reader_loop(stream: &TcpStream, router: &Arc<Router>, config: &ServeConfig) {
             return;
         };
         if !text.trim().is_empty() {
-            // A request is in flight, and counts against its class
-            // quota, until its reply has been written.
-            let mut in_flight = None;
-            let response = dispatch(text, router, config, &mut in_flight);
+            let response = dispatch(text, router, config);
             if write_line(&mut writer, &mut out, &response.encode()).is_err() {
                 return;
             }
@@ -1110,12 +1098,7 @@ fn reader_loop(stream: &TcpStream, router: &Arc<Router>, config: &ServeConfig) {
 /// response. Agent-scoped requests hash to their owning shard, `tick`
 /// runs a fleet tick ([`fan_tick`]), and the other fleet ops aggregate
 /// shard-tagged answers.
-fn dispatch<'r>(
-    line: &str,
-    router: &'r Arc<Router>,
-    config: &ServeConfig,
-    in_flight: &mut Option<Admitted<'r, Item>>,
-) -> Value {
+fn dispatch(line: &str, router: &Arc<Router>, config: &ServeConfig) -> Value {
     if config.faults.is_armed() {
         if let Some(token) = &config.faults.panic_on_line_token {
             if line.contains(token.as_str()) {
@@ -1131,10 +1114,9 @@ fn dispatch<'r>(
         }
     };
     if let Request::Ping { agent } = envelope.request {
-        // Answered from exported atomics, without admission or the
-        // shard lock: liveness probes must work even when the quotas are
-        // full or an epoch holds the lock — that is exactly when you
-        // probe.
+        // Answered from exported atomics, without the shard lock:
+        // liveness probes must work even when an epoch holds the lock —
+        // that is exactly when you probe.
         ServeMetrics::bump(&router.metrics().accepted);
         return ping_response(router, config, agent);
     }
@@ -1151,7 +1133,7 @@ fn dispatch<'r>(
             if !asks(shared.health(), &envelope.request) {
                 return shard_unavailable_response(shard as u64, RETRY_AFTER_MS);
             }
-            dispatch_to_shard(shared, shard, envelope, config, in_flight)
+            dispatch_to_shard(shared, shard, envelope, config)
         }
         // The router owns capacity splits; an out-of-band reallot would
         // silently fight it.
@@ -1179,36 +1161,19 @@ fn dispatch<'r>(
 }
 
 /// Serves one agent-scoped request to completion on the calling
-/// (connection) thread: admission guard, shard lock, [`serve_request`].
-fn dispatch_to_shard<'r>(
-    shared: &'r Arc<Shared>,
+/// (connection) thread: in-flight count, shard lock, [`serve_request`].
+fn dispatch_to_shard(
+    shared: &Arc<Shared>,
     shard: usize,
     envelope: Envelope,
     config: &ServeConfig,
-    in_flight: &mut Option<Admitted<'r, Item>>,
 ) -> Value {
     let deadline = envelope
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let admitted = match shared.bus.admit(envelope.request.class()) {
-        Ok(admitted) => in_flight.insert(admitted),
-        Err(SendError::Full(_)) => {
-            ServeMetrics::bump(&shared.metrics.rejected_overload);
-            let depth = shared.bus.depth();
-            shared
-                .metrics
-                .queue_depth
-                .store(depth as u64, Ordering::SeqCst);
-            return error_response(
-                "overloaded",
-                None,
-                Some(retry_hint(RETRY_AFTER_MS, depth, config.quotas)),
-            );
-        }
-        Err(SendError::Closed) => {
-            ServeMetrics::bump(&shared.metrics.rejected_shutdown);
-            return error_response("shutting_down", None, None);
-        }
+    let Ok(admitted) = shared.bus.admit() else {
+        ServeMetrics::bump(&shared.metrics.rejected_shutdown);
+        return error_response("shutting_down", None, None);
     };
     ServeMetrics::bump(&shared.metrics.accepted);
     shared.metrics.observe_depth(admitted.depth as u64);
@@ -1270,25 +1235,8 @@ fn await_reply(rx: &mpsc::Receiver<Value>, wait: Duration) -> Value {
     }
 }
 
-/// Scales the configured retry hint by how many requests the rejecting
-/// shard has in flight relative to its total quota, capped at one
-/// second: a shard that is barely over quota asks clients back soon, a
-/// drowning one sheds them for longer.
-fn retry_hint(base_ms: u64, depth: usize, quotas: Quotas) -> u64 {
-    let base = base_ms.max(1);
-    let quota = (quotas
-        .control
-        .saturating_add(quotas.observe)
-        .saturating_add(quotas.query))
-    .max(1) as u64;
-    base.saturating_add(base.saturating_mul(depth as u64) / quota)
-        .min(1000)
-}
-
-/// Fans `work` to every shard's own thread (quota-exempt: fleet-wide
-/// control must not be bounced by one shard's backpressure; on the shard
-/// thread, not this one: a shard that overruns `wait` is abandoned, not
-/// waited out) and collects the replies here, each wave against one
+/// Fans `work` to every shard's own thread (there, not on this one: a
+/// shard that overruns `wait` is abandoned, not waited out) and collects the replies here, each wave against one
 /// deadline, `wait` after the wave was asked. A shard the core says not
 /// to ask `request` ([`asks`]) is answered with `shard_unavailable`, one
 /// whose `work` is an `Err` is answered with that reply unasked, and a
@@ -1395,7 +1343,7 @@ fn merge_fanned(request: &Request, replies: Vec<Value>) -> Value {
 }
 
 /// Pushes work of the server's own (catch-up ticks, probes) to a shard's
-/// thread, quota exempt. The queue is FIFO, so it is served before
+/// thread. The queue is FIFO, so it is served before
 /// anything pushed later. Fire-and-forget callers drop the returned
 /// receiver and the shard thread's reply send fails harmlessly. `None`
 /// if the bus is closed.
@@ -1943,31 +1891,6 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_succeeds_even_with_a_zero_control_quota() {
-        // Regression: shutdown() used a synthetic Shutdown item that a
-        // full (here: zero) control quota could bounce, leaving collect()
-        // joining a ticker that never drained.
-        let market = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap());
-        let config = ServeConfig::new(market)
-            .with_epoch_interval(None)
-            .with_quotas(Quotas {
-                control: 0,
-                observe: 1,
-                query: 1,
-            });
-        let server = Server::start("127.0.0.1:0", config).unwrap();
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let report = server.shutdown();
-            let _ = tx.send(report);
-        });
-        let report = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("shutdown hung with an exhausted control quota");
-        assert!(report.snapshot.starts_with("refmarket-snapshot"));
-    }
-
-    #[test]
     fn fragmented_request_lines_survive_read_timeouts() {
         // Regression: a writer that pauses mid-line (longer than the
         // reader's 50ms poll timeout) must not have the partial prefix
@@ -2236,23 +2159,6 @@ mod tests {
         let err = Server::start("127.0.0.1:0", config).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn retry_hints_scale_with_queue_depth() {
-        let quotas = Quotas {
-            control: 8,
-            observe: 8,
-            query: 8,
-        };
-        let calm = retry_hint(25, 0, quotas);
-        assert_eq!(calm, 25);
-        let busy = retry_hint(25, 24, quotas);
-        assert!(busy > calm, "busy={busy} calm={calm}");
-        // The hint saturates instead of growing without bound.
-        assert_eq!(retry_hint(25, usize::MAX, quotas), 1000);
-        // A zero configured hint still yields a positive, finite hint.
-        assert!(retry_hint(0, 5, quotas) >= 1);
     }
 
     /// Every `CapacityRealloted` in `journal`, with its sequence.

@@ -3,7 +3,7 @@
 //!
 //! A sharded server (see [`crate::ServeConfig::with_shards`]) partitions
 //! the agent population across N independent [`crate::ServiceCore`]s,
-//! each with its own lock, thread, admission quotas, and WAL directory. Two
+//! each with its own lock, thread, in-flight count, and WAL directory. Two
 //! pieces of pure, deterministic logic live here:
 //!
 //! - [`HashRing`]: placement. Agent ids map to shards through a seeded

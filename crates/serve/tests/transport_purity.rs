@@ -75,7 +75,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn accepted_events_match_offline_submit_all(
+    fn accepted_events_match_offline_replay(
         ops in proptest::collection::vec(op_strategy(), 1..40)
     ) {
         let serve_config = ServeConfig::new(config())

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use ref_fairness::core::resource::Capacity;
 use ref_fairness::market::MarketConfig;
 use ref_fairness::serve::{
-    shard_market_config, Client, FaultPlan, JournalLimit, Quotas, ServeConfig, Server, ServiceCore,
+    shard_market_config, Client, FaultPlan, JournalLimit, ServeConfig, Server, ServiceCore,
     ShardHealth, Value, WalConfig,
 };
 
@@ -127,11 +127,6 @@ fn a_four_shard_fleet_rides_out_a_panic_a_stall_and_a_lost_reply() {
         .with_epoch_interval(Some(Duration::from_millis(10)))
         .with_shards(SHARDS)
         .with_wal(WalConfig::new(dir.path()))
-        .with_quotas(Quotas {
-            control: 4096,
-            observe: 1024,
-            query: 1024,
-        })
         .with_journal_limit(JOURNAL)
         .with_shard_tick_budget(Duration::from_millis(250))
         .with_faults(FaultPlan {
