@@ -1,6 +1,6 @@
 //! What a fan-out costs the caller: resolving the pool width, and an
-//! empty two-wide call (the overhead alone), which the profiler grid and
-//! `fit_benchmarks` pay per sweep.
+//! empty two-wide call (the overhead alone: one scoped thread spawned and
+//! joined), which the profiler grid and `fit_benchmarks` pay per sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -6,6 +6,7 @@
 //! --bin <name>`; see `DESIGN.md` for the experiment index and
 //! `EXPERIMENTS.md` for recorded results).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

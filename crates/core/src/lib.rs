@@ -51,6 +51,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // Agent/resource loops index parallel arrays; iterator rewrites obscure the

@@ -349,7 +349,7 @@ impl Sim {
                     dir: PathBuf::from(format!("/sim/node-{id}")),
                     disk: SimDisk::new(),
                     metrics: ServeMetrics::new(),
-                    node: Node::new(id / REPLICAS, None, None, Some(link)),
+                    node: Node::new(id / REPLICAS, None, Some(link)),
                     boots: 0,
                     catch_up: None,
                     session: None,

@@ -1,37 +1,28 @@
 //! # ref-pool
 //!
-//! A dependency-free, std-only work-stealing thread pool for the
-//! embarrassingly parallel sweeps in the REF reproduction: the profiling
-//! grid and per-benchmark fitting. The server also sizes its shard fan
-//! by [`threads`].
+//! A dependency-free, std-only parallel map for the embarrassingly
+//! parallel sweeps in the REF reproduction: the profiling grid and
+//! per-benchmark fitting.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Determinism** — [`par_map`] returns results placed by index, so
 //!    the output is byte-identical to the serial `(0..len).map(f)` run no
-//!    matter how work was scheduled or stolen.
-//! 2. **No dependencies** — `std::thread` workers, one mutex-guarded
-//!    deque per worker, steal-half-from-the-front when a worker runs dry.
-//!    The unit of work is one cycle-level simulation or one benchmark's
-//!    fit, milliseconds each; a task costs one uncontended lock of its
-//!    worker's own deque, tens of nanoseconds beside that, so lock-free
-//!    deques would buy little. A market epoch does not use the pool: one
-//!    agent's share of it is about 1 µs (a 2,000-agent REF epoch takes
-//!    about 2 ms on one thread of a 2-vCPU Xeon VM), too little to pay
-//!    for waking a helper whose vCPU may be busy or halted.
-//! 3. **No thread per call** — the caller is worker 0. The other workers
-//!    are process-wide helper threads, created the first time a call asks
-//!    for more than exist, parked on a condition variable between calls
-//!    and woken by each call. A call waits only for the helpers that
-//!    joined it: one that wakes after the caller has drained the deques
-//!    finds nothing posted and parks again, and concurrent callers share
-//!    the helpers without deadlock (when all are busy, a caller steals its
-//!    whole job itself).
-//! 4. **Panic safety** — a panicking task does not deadlock the pool: the
-//!    call returns only after every worker has left it, the first panic
-//!    (lowest worker id) is re-raised on the caller, and the helper that
-//!    caught it parks for the next call.
-//! 5. **Nesting** — a `par_map` issued from inside a pool task runs
+//!    matter which worker computed which element.
+//! 2. **No dependencies, no `unsafe`** — a call spawns `min(threads, len)
+//!    − 1` scoped workers (`std::thread::scope`) and runs worker 0 on the
+//!    calling thread; every worker pulls the next `(index, &mut item)`
+//!    pair from one shared mutex-guarded iterator until it runs dry. The
+//!    unit of work is one cycle-level simulation or one benchmark's fit,
+//!    milliseconds each, so one uncontended lock per task and one thread
+//!    spawn per worker per call cost nothing beside it; self-scheduling
+//!    keeps skewed task costs balanced. A market epoch does not use the
+//!    pool: one agent's share of it is about 1 µs, too little to pay for
+//!    a thread.
+//! 3. **Panic safety** — a panicking task stops only its worker; the
+//!    others drain the rest, and the call re-raises the panic of the
+//!    lowest worker that panicked once every worker has returned.
+//! 4. **Nesting** — a `par_map` issued from inside a pool task runs
 //!    serially on that worker instead of fanning out again, so nested
 //!    parallelism cannot oversubscribe the host.
 //!
@@ -46,30 +37,21 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// Process-wide thread-count override (0 = no override).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// The helper threads every call shares.
-static HELPERS: Helpers = Helpers {
-    board: Mutex::new(Board {
-        jobs: Vec::new(),
-        next_id: 0,
-        spawned: 0,
-    }),
-    posted: Condvar::new(),
-    left: Condvar::new(),
-};
+/// Worker threads spawned so far in this process.
+static SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Whether the current thread is already executing pool work.
@@ -98,8 +80,7 @@ pub fn threads() -> usize {
         }
     }
     // `available_parallelism` reads the affinity mask and the cgroup
-    // quota files on every call (tens of microseconds), and the server's
-    // shard fan asks once per fleet op.
+    // quota files on every call (tens of microseconds).
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
 }
@@ -110,11 +91,11 @@ pub fn inside_pool() -> bool {
     IN_POOL.with(Cell::get)
 }
 
-/// Helper threads the pool has created in this process. Helpers are never
-/// torn down, so this is the widest fan-out asked for so far minus the
-/// caller, however many calls have run.
+/// Worker threads the pool has spawned in this process, over all calls:
+/// a call `threads` wide over `len` items spawns `min(threads, len) − 1`,
+/// and a serial or nested call none.
 pub fn helpers_spawned() -> usize {
-    HELPERS.board().spawned
+    SPAWNED.load(Ordering::SeqCst)
 }
 
 /// Maps `f` over `0..len` in parallel on [`threads`] workers; results are
@@ -122,7 +103,8 @@ pub fn helpers_spawned() -> usize {
 ///
 /// # Panics
 ///
-/// Re-raises the first panic from `f` after all workers have drained.
+/// Re-raises the panic of the lowest worker whose `f` panicked, once
+/// every worker has returned.
 pub fn par_map<T, F>(len: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -154,202 +136,45 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let len = items.len();
-    let workers = threads.max(1).min(len);
+    let workers = threads.max(1).min(items.len());
     if workers <= 1 || inside_pool() {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
         return;
     }
-
-    // One deque per worker, pre-striped with contiguous index blocks.
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            let lo = w * len / workers;
-            let hi = (w + 1) * len / workers;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
-    let base = SharedMut(items.as_mut_ptr());
-    let panics: Mutex<Vec<(usize, Box<dyn Any + Send>)>> = Mutex::new(Vec::new());
-    HELPERS.run(workers - 1, &|worker| {
-        if let Err(payload) = worker_loop(&deques, worker, &base, &f) {
-            lock(&panics).push((worker, payload));
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    // The lock is held only to take the next pair, never while `f` runs.
+    let next = || {
+        queue
+            .lock()
+            .expect("nothing panics under the queue lock")
+            .next()
+    };
+    let work = || {
+        let _guard = PoolGuard::enter();
+        while let Some((i, item)) = next() {
+            f(i, item);
+        }
+    };
+    thread::scope(|scope| {
+        // A spawn the host refuses leaves its share to the others.
+        let spawned: Vec<_> = (1..workers)
+            .filter_map(|k| {
+                let worker = thread::Builder::new().name(format!("ref-pool-{k}"));
+                worker.spawn_scoped(scope, work).ok()
+            })
+            .collect();
+        SPAWNED.fetch_add(spawned.len(), Ordering::SeqCst);
+        // A panic here is worker 0's: the scope joins the others, then
+        // re-raises it.
+        work();
+        for worker in spawned {
+            if let Err(payload) = worker.join() {
+                resume_unwind(payload);
+            }
         }
     });
-    let first = panics
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .min_by_key(|&(worker, _)| worker);
-    if let Some((_, payload)) = first {
-        resume_unwind(payload);
-    }
-}
-
-/// Shared base pointer into the item slice. Safety: the deque protocol
-/// hands each index to exactly one worker, so the derived `&mut` borrows
-/// are disjoint; `T: Send` lets them cross threads.
-struct SharedMut<T>(*mut T);
-
-unsafe impl<T: Send> Sync for SharedMut<T> {}
-
-/// Locks `mutex`, ignoring poison: no task code runs under the pool's
-/// own locks.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The process-wide helper threads and the jobs posted to them.
-struct Helpers {
-    board: Mutex<Board>,
-    /// Parked helpers wait here for a job to be posted.
-    posted: Condvar,
-    /// Callers wait here for the helpers inside their job to leave it.
-    left: Condvar,
-}
-
-/// What the helpers can see, under [`Helpers::board`].
-struct Board {
-    /// Jobs whose callers have not returned yet.
-    jobs: Vec<Job>,
-    next_id: u64,
-    /// Helper threads created so far; they never exit.
-    spawned: usize,
-}
-
-/// One call, as its helpers see it.
-struct Job {
-    id: u64,
-    work: WorkRef,
-    /// Helpers still welcome, and the worker id the next one takes (the
-    /// caller is 0); the caller sets it to 0 once its deques are drained.
-    wanted: usize,
-    /// Helpers inside `work` now.
-    active: usize,
-}
-
-/// `work(worker)` drains a call's deques as `worker`, catching the
-/// task's panics. The borrow's lifetime is erased: [`Helpers::run`] keeps
-/// the closure alive until no helper is inside it and none can join.
-#[derive(Clone, Copy)]
-struct WorkRef(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the closure is `Sync`, and it outlives every use (above).
-unsafe impl Send for WorkRef {}
-
-impl Helpers {
-    fn board(&self) -> MutexGuard<'_, Board> {
-        lock(&self.board)
-    }
-
-    /// Runs `work(0)` on the calling thread and offers `work(1..=wanted)`
-    /// to the helpers; returns once `work(0)` has returned and every
-    /// helper that joined has left. `work` must not unwind.
-    fn run(&'static self, wanted: usize, work: &(dyn Fn(usize) + Sync)) {
-        // SAFETY: `Withdraw` below outlives every helper's use of the
-        // pointer, and `work` outlives `Withdraw`.
-        let erased = unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(usize) + Sync + '_),
-                *const (dyn Fn(usize) + Sync + 'static),
-            >(work)
-        };
-        let id = {
-            let mut board = self.board();
-            while board.spawned < wanted && self.spawn(board.spawned + 1) {
-                board.spawned += 1;
-            }
-            let id = board.next_id;
-            board.next_id += 1;
-            board.jobs.push(Job {
-                id,
-                work: WorkRef(erased),
-                wanted,
-                active: 0,
-            });
-            id
-        };
-        let _withdraw = Withdraw { helpers: self, id };
-        for _ in 0..wanted {
-            self.posted.notify_one();
-        }
-        work(0);
-    }
-
-    /// Starts helper thread `index`; `false` if the host refused (the
-    /// callers then steal its share).
-    fn spawn(&'static self, index: usize) -> bool {
-        thread::Builder::new()
-            .name(format!("ref-pool-{index}"))
-            .spawn(move || self.helper_loop())
-            .is_ok()
-    }
-
-    /// A helper's life: join any job that still wants a helper, run it,
-    /// leave it; park while none does.
-    fn helper_loop(&self) {
-        IN_POOL.with(|flag| flag.set(true));
-        let mut board = self.board();
-        loop {
-            let Some(job) = board.jobs.iter_mut().find(|job| job.wanted > 0) else {
-                board = self
-                    .posted
-                    .wait(board)
-                    .unwrap_or_else(PoisonError::into_inner);
-                continue;
-            };
-            let (id, work, worker) = (job.id, job.work, job.wanted);
-            job.wanted -= 1;
-            job.active += 1;
-            drop(board);
-            // SAFETY: the job's caller is blocked in `Withdraw::drop` until
-            // `active` is back to 0, so the closure is alive.
-            let _ = catch_unwind(AssertUnwindSafe(|| unsafe { (*work.0)(worker) }));
-            board = self.board();
-            let job = board
-                .jobs
-                .iter_mut()
-                .find(|job| job.id == id)
-                .expect("a job stays posted while a helper is inside it");
-            job.active -= 1;
-            if job.active == 0 {
-                self.left.notify_all();
-            }
-        }
-    }
-}
-
-/// Closes a posted job to further helpers and waits for the ones inside
-/// it to leave, on return or unwind alike.
-struct Withdraw {
-    helpers: &'static Helpers,
-    id: u64,
-}
-
-impl Drop for Withdraw {
-    fn drop(&mut self) {
-        let mut board = self.helpers.board();
-        loop {
-            let index = board
-                .jobs
-                .iter()
-                .position(|job| job.id == self.id)
-                .expect("only its caller withdraws a job");
-            let job = &mut board.jobs[index];
-            job.wanted = 0;
-            if job.active == 0 {
-                board.jobs.swap_remove(index);
-                return;
-            }
-            board = self
-                .helpers
-                .left
-                .wait(board)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
 }
 
 /// Restores the thread's previous in-pool flag even if a task panics.
@@ -366,58 +191,6 @@ impl Drop for PoolGuard {
         let previous = self.0;
         IN_POOL.with(|flag| flag.set(previous));
     }
-}
-
-/// Pops local work from the back, steals from victims' fronts when dry,
-/// and applies `f` until no work remains anywhere. The closure's panics
-/// are caught and returned so the caller can wait for every worker first.
-fn worker_loop<T, F>(
-    deques: &[Mutex<VecDeque<usize>>],
-    worker: usize,
-    base: &SharedMut<T>,
-    f: &F,
-) -> Result<(), Box<dyn Any + Send>>
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let _guard = PoolGuard::enter();
-    catch_unwind(AssertUnwindSafe(|| {
-        while let Some(i) = next_index(deques, worker) {
-            // SAFETY: `i` was popped from the deques exactly once, so no
-            // other worker holds a reference to `items[i]`.
-            let item = unsafe { &mut *base.0.add(i) };
-            f(i, item);
-        }
-    }))
-}
-
-/// The worker's next index: its own deque's back, else half of the first
-/// non-empty victim's front.
-fn next_index(deques: &[Mutex<VecDeque<usize>>], worker: usize) -> Option<usize> {
-    if let Some(i) = deques[worker]
-        .lock()
-        .expect("pool deque poisoned")
-        .pop_back()
-    {
-        return Some(i);
-    }
-    let n = deques.len();
-    for offset in 1..n {
-        let victim = (worker + offset) % n;
-        let stolen: Vec<usize> = {
-            let mut queue = deques[victim].lock().expect("pool deque poisoned");
-            let available = queue.len();
-            if available == 0 {
-                continue;
-            }
-            queue.drain(..available.div_ceil(2)).collect()
-        };
-        let mut own = deques[worker].lock().expect("pool deque poisoned");
-        own.extend(stolen.iter().skip(1).copied());
-        return Some(stolen[0]);
-    }
-    None
 }
 
 #[cfg(test)]

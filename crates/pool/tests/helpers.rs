@@ -1,15 +1,14 @@
-//! The pool's helper threads persist: a call wakes parked helpers instead
-//! of creating threads, waits only for the helpers that joined it, and
-//! leaves them parked for the next call even when a task panics.
+//! The pool's worker threads: a call spawns `min(threads, len) − 1`
+//! scoped workers beside its caller and none when it runs serially, a
+//! worker's panic reaches the caller, and a task on a worker runs its
+//! nested calls serially.
 //!
-//! Every test here fans out two wide, so the process has one helper, and
-//! each takes `SERIAL` so that no other test's call can occupy it.
+//! Every test takes `SERIAL`, so that `helpers_spawned` counts only its
+//! own calls.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread;
-use std::time::{Duration, Instant};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -23,82 +22,39 @@ fn on_helper() -> bool {
         .is_some_and(|name| name.starts_with("ref-pool-"))
 }
 
-/// Polls `flag` for up to `seconds`; whether it was set.
-fn wait_for(flag: &AtomicBool, seconds: u64) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(seconds);
-    while !flag.load(Ordering::SeqCst) {
-        if Instant::now() > deadline {
-            return false;
-        }
-        thread::sleep(Duration::from_millis(1));
-    }
-    true
-}
-
-/// Fans two slow tasks out two wide until a helper runs one of them (the
-/// caller may drain both before a parked helper wakes).
-fn until_a_helper_joins() {
-    for _ in 0..100 {
-        let helped = ref_pool::par_map_threads(2, 2, |_| {
-            thread::sleep(Duration::from_millis(5));
-            on_helper()
-        });
-        if helped.contains(&true) {
-            return;
-        }
-    }
-    panic!("no helper joined 100 calls of two 5 ms tasks");
+/// Threads `call` spawned.
+fn spawned_by(call: impl FnOnce()) -> usize {
+    let before = ref_pool::helpers_spawned();
+    call();
+    ref_pool::helpers_spawned() - before
 }
 
 #[test]
-fn helpers_are_created_once_and_reused_by_every_call() {
+fn a_call_spawns_one_thread_per_worker_beside_the_caller() {
     let _serial = serial();
-    until_a_helper_joins();
-    assert_eq!(ref_pool::helpers_spawned(), 1);
-    for round in 0..1_000u64 {
-        let out = ref_pool::par_map_threads(64, 2, |i| i as u64 * round);
-        assert_eq!(out[63], 63 * round);
+    for (width, len) in [(2, 64), (3, 64), (8, 5), (4, 2), (16, 16)] {
+        let expected = width.min(len) - 1;
+        for round in 0..20 {
+            let spawned = spawned_by(|| {
+                let out = ref_pool::par_map_threads(len, width, |i| i * round);
+                assert_eq!(out, (0..len).map(|i| i * round).collect::<Vec<_>>());
+            });
+            assert_eq!(spawned, expected, "width {width}, {len} items");
+        }
     }
-    until_a_helper_joins();
-    assert_eq!(
-        ref_pool::helpers_spawned(),
-        1,
-        "a thousand calls two wide created threads"
-    );
-}
-
-#[test]
-fn a_call_does_not_wait_for_a_helper_busy_with_another_call() {
-    let _serial = serial();
-    until_a_helper_joins();
-    let helper_busy = AtomicBool::new(false);
-    let released = AtomicBool::new(false);
-    thread::scope(|scope| {
-        let first = scope.spawn(|| {
-            ref_pool::par_map_threads(2, 2, |_| {
-                if on_helper() {
-                    helper_busy.store(true, Ordering::SeqCst);
-                    assert!(wait_for(&released, 20), "the second call never returned");
-                } else {
-                    // Hold this call open until the helper has joined it.
-                    wait_for(&helper_busy, 10);
-                }
-            })
-        });
-        assert!(wait_for(&helper_busy, 10), "the helper never joined");
-        // The only helper is inside the first call: the second runs alone.
-        let started = Instant::now();
-        let out = ref_pool::par_map_threads(1_000, 2, |i| i * 3);
-        assert!(started.elapsed() < Duration::from_secs(5));
-        assert_eq!(out[999], 2_997);
-        released.store(true, Ordering::SeqCst);
-        first.join().expect("the first call returns");
+    // None at width 1, over one item or none, or from inside a task.
+    for (width, len) in [(1, 64), (8, 1), (8, 0)] {
+        let spawned = spawned_by(|| drop(ref_pool::par_map_threads(len, width, |i| i)));
+        assert_eq!(spawned, 0, "width {width}, {len} items");
+    }
+    let nested = spawned_by(|| {
+        ref_pool::par_map_threads(2, 2, |_| ref_pool::par_map_threads(8, 4, |i| i));
     });
-    assert_eq!(ref_pool::helpers_spawned(), 1);
+    assert_eq!(nested, 1, "the nested calls spawned threads");
 }
 
 #[test]
-fn concurrent_callers_share_the_helper() {
+fn concurrent_callers_get_their_own_results() {
     let _serial = serial();
     thread::scope(|scope| {
         for caller in 0..8usize {
@@ -111,59 +67,47 @@ fn concurrent_callers_share_the_helper() {
             });
         }
     });
-    assert!(ref_pool::helpers_spawned() <= 1);
 }
 
 #[test]
-fn a_panic_on_the_helper_leaves_it_parked_for_the_next_call() {
+fn a_panic_on_a_worker_reaches_the_caller() {
     let _serial = serial();
-    until_a_helper_joins();
-    let mut panicked = false;
-    for _ in 0..100 {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            ref_pool::par_map_threads(2, 2, |i| {
-                thread::sleep(Duration::from_millis(5));
-                assert!(!on_helper(), "task {i} panics on the helper");
-                i
-            })
-        }));
-        if let Err(payload) = result {
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(message.contains("panics on the helper"), "got {message:?}");
-            panicked = true;
-            break;
-        }
-    }
-    assert!(panicked, "no task of 100 calls ran on the helper");
+    // Each task waits for the other, so the caller runs one and the
+    // spawned worker the other.
+    let both = Barrier::new(2);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        ref_pool::par_map_threads(2, 2, |i| {
+            both.wait();
+            assert!(!on_helper(), "task {i} panics on the helper");
+            i
+        })
+    }));
+    let payload = result.expect_err("the worker's panic reaches the caller");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(message.contains("panics on the helper"), "got {message:?}");
     assert!(!ref_pool::inside_pool());
-    until_a_helper_joins();
-    assert_eq!(ref_pool::helpers_spawned(), 1);
+    let out = ref_pool::par_map_threads(16, 2, |i| i * 2);
+    assert_eq!(out[15], 30);
 }
 
 #[test]
 fn a_task_on_the_helper_runs_nested_calls_serially() {
     let _serial = serial();
-    let mut checked = false;
-    for _ in 0..100 {
-        if checked {
-            break;
-        }
-        let nested = ref_pool::par_map_threads(2, 2, |_| {
-            thread::sleep(Duration::from_millis(5));
-            on_helper().then(|| {
-                assert!(ref_pool::inside_pool());
-                ref_pool::par_map_threads(8, 2, |i| (on_helper(), i))
-            })
-        });
-        for inner in nested.into_iter().flatten() {
-            assert!(inner.iter().all(|&(helper, _)| helper));
-            assert_eq!(inner.iter().map(|&(_, i)| i).sum::<usize>(), 28);
-            checked = true;
-        }
+    let both = Barrier::new(2);
+    let nested = ref_pool::par_map_threads(2, 2, |_| {
+        both.wait();
+        on_helper().then(|| {
+            assert!(ref_pool::inside_pool());
+            ref_pool::par_map_threads(8, 2, |i| (on_helper(), i))
+        })
+    });
+    let on_the_helper: Vec<_> = nested.into_iter().flatten().collect();
+    assert_eq!(on_the_helper.len(), 1, "one task ran on the spawned worker");
+    for inner in on_the_helper {
+        assert!(inner.iter().all(|&(helper, _)| helper));
+        assert_eq!(inner.iter().map(|&(_, i)| i).sum::<usize>(), 28);
     }
-    assert!(checked, "no task of 100 calls ran on the helper");
-    assert_eq!(ref_pool::helpers_spawned(), 1);
 }

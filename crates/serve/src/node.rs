@@ -77,8 +77,8 @@ pub trait Link {
     }
 
     /// The role gate for an event-bearing request (`None` admits it).
-    fn admit(&mut self, shard_tag: Option<u64>) -> Option<Value> {
-        self.with(|r| r.drive(|core, now| core.admit_mutation(now, shard_tag)))
+    fn admit(&mut self) -> Option<Value> {
+        self.with(|r| r.drive(|core, now| core.admit_mutation(now)))
     }
 }
 
@@ -165,7 +165,6 @@ pub enum Follow {
 #[derive(Debug)]
 pub struct Node<L> {
     shard: usize,
-    shard_tag: Option<u64>,
     /// `None` while the node is down for a restart.
     core: Option<ServiceCore>,
     /// The engine is behind its log — a panic under the node's lock, or
@@ -176,17 +175,11 @@ pub struct Node<L> {
 }
 
 impl<L: Link> Node<L> {
-    /// Node of `shard` (tagging its redirects with `shard_tag`) around
-    /// `core`, replicated through `link` when there is one.
-    pub fn new(
-        shard: usize,
-        shard_tag: Option<u64>,
-        core: Option<ServiceCore>,
-        link: Option<L>,
-    ) -> Node<L> {
+    /// Node of `shard` around `core`, replicated through `link` when
+    /// there is one.
+    pub fn new(shard: usize, core: Option<ServiceCore>, link: Option<L>) -> Node<L> {
         Node {
             shard,
-            shard_tag,
             core,
             down: false,
             link,
@@ -243,7 +236,7 @@ impl<L: Link> Node<L> {
         let Some(event) = request.to_event() else {
             return Served::reply(core.handle(request, metrics));
         };
-        if let Some(refusal) = self.link.as_mut().and_then(|l| l.admit(self.shard_tag)) {
+        if let Some(refusal) = self.link.as_mut().and_then(|l| l.admit()) {
             return Served {
                 refused: true,
                 ..Served::reply(refusal)

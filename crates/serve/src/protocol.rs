@@ -418,10 +418,8 @@ pub fn ok_response(fields: Vec<(&str, Value)>) -> Value {
 
 /// Builds the `not_primary` rejection a standby sends for mutations,
 /// carrying the current leader's client address when known so clients
-/// can fail over directly instead of walking their seed list. `shard`
-/// scopes the redirect when this node serves one shard of a sharded
-/// deployment: clients then update only that shard's leader hint.
-pub(crate) fn not_primary_response(leader: Option<&str>, shard: Option<u64>) -> Value {
+/// can fail over directly instead of walking their seed list.
+pub(crate) fn not_primary_response(leader: Option<&str>) -> Value {
     let mut pairs = vec![
         ("ok", Value::Bool(false)),
         ("error", Value::str("not_primary")),
@@ -432,9 +430,6 @@ pub(crate) fn not_primary_response(leader: Option<&str>, shard: Option<u64>) -> 
     ];
     if let Some(addr) = leader {
         pairs.push(("leader", Value::str(addr)));
-    }
-    if let Some(shard) = shard {
-        pairs.push(("shard", Value::from_u64(shard)));
     }
     Value::obj(pairs)
 }
@@ -624,10 +619,10 @@ mod tests {
             "{\"ok\":false,\"error\":\"market\",\"detail\":\"unknown agent 7\"}"
         );
         assert_eq!(
-            not_primary_response(Some("127.0.0.1:9"), Some(2)).encode(),
+            not_primary_response(Some("127.0.0.1:9")).encode(),
             "{\"ok\":false,\"error\":\"not_primary\",\
              \"detail\":\"this node is a standby; send mutations to the primary\",\
-             \"leader\":\"127.0.0.1:9\",\"shard\":2}"
+             \"leader\":\"127.0.0.1:9\"}"
         );
         assert_eq!(
             shard_unavailable_response(3, 25).encode(),

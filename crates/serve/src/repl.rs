@@ -497,11 +497,11 @@ impl crate::node::Link for Arc<ReplShared> {
     }
 
     /// Lock-free on a primary whose recovery lease is over.
-    fn admit(&mut self, shard_tag: Option<u64>) -> Option<Value> {
+    fn admit(&mut self) -> Option<Value> {
         if ReplShared::role(self) == Role::Primary && !self.lease.load(Ordering::SeqCst) {
             return None;
         }
-        self.step(|r| r.drive(|core, now| core.admit_mutation(now, shard_tag)))
+        self.step(|r| r.drive(|core, now| core.admit_mutation(now)))
     }
 }
 

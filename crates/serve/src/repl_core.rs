@@ -383,9 +383,9 @@ impl ReplCore {
     /// `Some(reply)` is the refusal — `not_primary` with the leader hint
     /// on a standby, `fenced`, or the recovery lease's retriable
     /// `unavailable` whose `retry_after_ms` is the lease's remainder.
-    pub fn admit_mutation(&self, now: Duration, shard_tag: Option<u64>) -> Option<Value> {
+    pub fn admit_mutation(&self, now: Duration) -> Option<Value> {
         match self.role {
-            Role::Standby => Some(not_primary_response(self.leader_client(), shard_tag)),
+            Role::Standby => Some(not_primary_response(self.leader_client())),
             Role::Fenced => Some(error_response(
                 "fenced",
                 Some("this node was deposed or diverged; it refuses mutations"),
@@ -792,7 +792,7 @@ mod tests {
 
     #[test]
     fn recovery_lease_refuses_then_admits() {
-        let refusal = |core: &ReplCore, at: Duration| core.admit_mutation(at, None);
+        let refusal = |core: &ReplCore, at: Duration| core.admit_mutation(at);
         // A primary with no history has nothing to lose: no lease.
         assert!(refusal(&core(false, 0, 0), Duration::ZERO).is_none());
         // One that recovered history refuses for 2 × the election

@@ -147,10 +147,6 @@ pub struct ServeConfig {
     /// replicated pair per shard instead — and every mechanism but
     /// `proportional-elasticity`, the one whose fleet allotment is exact.
     pub shards: usize,
-    /// When this server fronts exactly one shard of an externally
-    /// sharded deployment, tags `not_primary` redirects (and `ping`)
-    /// with that shard index so clients scope their leader hints.
-    pub shard_tag: Option<u64>,
     /// Read by nothing in the server: held for refbench, which passes it
     /// to [`crate::Coordinator::new`], until ROADMAP item 6.
     pub drift_bound: f64,
@@ -159,11 +155,6 @@ pub struct ServeConfig {
     /// request waits for its reply keeps one slow shard from stalling
     /// the fleet clock.
     pub shard_tick_budget: Duration,
-    /// The clock that heartbeat, election, and timed-epoch scheduling
-    /// read. `RealClock` (the default) is a zero-cost monotonic
-    /// reading; the deterministic simulator substitutes virtual time.
-    /// The seam covers time *reads* — blocking waits stay real.
-    pub clock: Arc<dyn Clock>,
     /// Seed of the server's deterministic randomness (today: the seeded
     /// election-timeout jitter that staggers competing standbys).
     /// Distinct nodes should get distinct seeds.
@@ -182,18 +173,10 @@ impl ServeConfig {
             repl: None,
             faults: FaultPlan::default(),
             shards: 1,
-            shard_tag: None,
             drift_bound: 0.25,
             shard_tick_budget: Duration::from_secs(5),
-            clock: Arc::new(RealClock),
             rng_seed: 0x5EED,
         }
-    }
-
-    /// Substitutes the clock behind heartbeat/election/epoch timing.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> ServeConfig {
-        self.clock = clock;
-        self
     }
 
     /// Sets the seed of the server's deterministic randomness.
@@ -241,12 +224,6 @@ impl ServeConfig {
     /// Sets the number of market shards (at least 1).
     pub fn with_shards(mut self, shards: usize) -> ServeConfig {
         self.shards = shards;
-        self
-    }
-
-    /// Tags this server as one shard of an externally sharded fleet.
-    pub fn with_shard_tag(mut self, shard: u64) -> ServeConfig {
-        self.shard_tag = Some(shard);
         self
     }
 
@@ -553,8 +530,7 @@ impl Server {
         if config.repl.is_some() && config.shards > 1 {
             return Err(invalid(
                 "in-process replication composes per shard: run one replicated \
-                 pair per shard (ServeConfig::with_shard_tag) instead of \
-                 replicating a sharded router",
+                 pair per shard instead of replicating a sharded router",
             ));
         }
         let n = config.shards;
@@ -609,7 +585,7 @@ impl Server {
                 let repl = Arc::new(ReplShared::new(
                     repl_config.clone(),
                     cores[0].wal().expect("checked above"),
-                    Arc::clone(&config.clock),
+                    Arc::new(RealClock),
                     config.rng_seed,
                     Arc::clone(&metrics[0]),
                 ));
@@ -650,7 +626,7 @@ impl Server {
                     epoch: AtomicU64::new(core.engine().epoch()),
                     wal_seq: AtomicU64::new(core.events_applied()),
                     health: AtomicU64::new(ShardHealth::Healthy as u64),
-                    cell: Mutex::new(Node::new(shard, config.shard_tag, Some(core), repl.clone())),
+                    cell: Mutex::new(Node::new(shard, Some(core), repl.clone())),
                     repl,
                 })
             })
@@ -993,12 +969,7 @@ fn acceptor_loop(
         ServeMetrics::bump(&router.metrics().connections);
         if router.open_connections.load(Ordering::SeqCst) >= config.max_connections {
             ServeMetrics::bump(&router.metrics().rejected_overload);
-            let bounce = error_response(
-                "overloaded",
-                Some("connection limit reached"),
-                Some(RETRY_AFTER_MS),
-            );
-            let _ = write_line(&mut stream, &mut Vec::new(), &bounce.encode());
+            bounce(&mut stream);
             continue;
         }
         router.open_connections.fetch_add(1, Ordering::SeqCst);
@@ -1020,6 +991,36 @@ fn acceptor_loop(
             drop(stream);
         });
         register(readers, handle);
+    }
+}
+
+/// How long the acceptor waits, at most, for a bounced peer to hang up.
+const BOUNCE_LINGER: Duration = Duration::from_millis(50);
+
+/// Answers a connection over the cap with `overloaded` and hangs up the
+/// way `reader_loop` does after an over-long line: say goodbye, then
+/// discard what the peer sent until it hangs up too, or for
+/// [`BOUNCE_LINGER`] at most. Closing over unread input would reset the
+/// connection, and a client still sending would see the reset instead
+/// of the reply.
+fn bounce(stream: &mut TcpStream) {
+    let reply = error_response(
+        "overloaded",
+        Some("connection limit reached"),
+        Some(RETRY_AFTER_MS),
+    );
+    let _ = write_line(stream, &mut Vec::new(), &reply.encode());
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + BOUNCE_LINGER;
+    let mut sink = [0; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        if matches!(stream.read(&mut sink), Ok(0) | Err(_)) {
+            return;
+        }
     }
 }
 
@@ -1118,7 +1119,7 @@ fn dispatch(line: &str, router: &Arc<Router>, config: &ServeConfig) -> Value {
         // liveness probes must work even when an epoch holds the lock —
         // that is exactly when you probe.
         ServeMetrics::bump(&router.metrics().accepted);
-        return ping_response(router, config, agent);
+        return ping_response(router, agent);
     }
     match &envelope.request {
         Request::Join { agent, .. }
@@ -1457,7 +1458,7 @@ fn clock_loop(router: &Arc<Router>, config: &ServeConfig) {
         if router.stopped() || router.shards.iter().any(|s| s.bus.is_closed()) {
             return;
         }
-        let now = config.clock.now();
+        let now = RealClock.now();
         let leads = router.leads();
         let (duties, next) = router.drive(|core| (core.clock(now, leads), core.next_clock()));
         for duty in duties {
@@ -1469,9 +1470,8 @@ fn clock_loop(router: &Arc<Router>, config: &ServeConfig) {
                 Duty::Probe(shard) => probe_shard(router, shard),
             }
         }
-        // Sleeps no longer than a sweep keep shutdown latency bounded
-        // (and re-read a virtual clock promptly).
-        let now = config.clock.now();
+        // Sleeps no longer than a sweep keep shutdown latency bounded.
+        let now = RealClock.now();
         std::thread::sleep(next.saturating_sub(now).min(SWEEP_EVERY));
     }
 }
@@ -1522,7 +1522,7 @@ fn probe_shard(router: &Arc<Router>, shard: usize) {
 
 /// Answers a `ping` from transport-visible state alone (no engine
 /// access): role, term, progress, uptime, and shard placement.
-fn ping_response(router: &Arc<Router>, config: &ServeConfig, agent: Option<AgentId>) -> Value {
+fn ping_response(router: &Arc<Router>, agent: Option<AgentId>) -> Value {
     let (shards, load) = (&router.shards, |at: &AtomicU64| at.load(Ordering::SeqCst));
     let (role, term, leader, standbys) = match &shards[0].repl {
         Some(repl) => repl.step(|r| {
@@ -1555,11 +1555,6 @@ fn ping_response(router: &Arc<Router>, config: &ServeConfig, agent: Option<Agent
     ]);
     let shard_of = agent.map(|agent| router.ring.shard_of(agent) as u64);
     fields.extend(shard_of.map(|shard| ("shard_of", Value::from_u64(shard))));
-    fields.extend(
-        config
-            .shard_tag
-            .map(|tag| ("shard_tag", Value::from_u64(tag))),
-    );
     ok_response(fields)
 }
 
@@ -1580,7 +1575,7 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
     loop {
         // A leading primary's next heartbeat bounds the park; a promotion
         // wakes this thread, so a new leader beats at once.
-        let now = config.clock.now();
+        let now = RealClock.now();
         let park = match (shared.repl.as_ref(), beat_at) {
             (Some(_), Some(at)) if now < at => at - now,
             (Some(repl), _) => {
@@ -1591,9 +1586,7 @@ fn shard_loop(shard: usize, shared: &Arc<Shared>, config: &ServeConfig) {
             (None, _) => IDLE_PARK,
         };
         if !shared.bus.is_closed() && !park.is_zero() {
-            // The park itself is a real (blocking) wait even under a
-            // virtual clock; it is interrupted by any push, and the next
-            // pass's timer re-reads the configured clock.
+            // The park is interrupted by any push.
             shared.bus.wait(park);
         }
 

@@ -384,12 +384,7 @@ impl Peer for Nowhere {
 fn standby_node(core: ServiceCore) -> Node<Replication<Nowhere>> {
     let config = ReplConfig::standby("s:repl", "p:repl");
     let repl = ReplCore::new(&config, 7, 0, core.events_applied(), Duration::ZERO);
-    Node::new(
-        0,
-        None,
-        Some(core),
-        Some(Replication::new(repl, Arc::new(Still))),
-    )
+    Node::new(0, Some(core), Some(Replication::new(repl, Arc::new(Still))))
 }
 
 /// `framed` as the standby's driver hands it over.

@@ -1,6 +1,8 @@
 //! End-to-end smoke: concurrent clients over real TCP, over-offered load,
 //! graceful drain, and byte-identical offline replay.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
@@ -156,6 +158,57 @@ fn connection_limit_bounces_deterministically() {
     let report = server.shutdown();
     assert_eq!(report.metrics.rejected_overload, 1);
     assert_eq!(report.metrics.connections, 2);
+}
+
+#[test]
+fn bounced_clients_that_send_first_still_read_the_overloaded_line() {
+    // Clients that write their request before they read: the acceptor
+    // must read what they sent before it hangs up, or the close resets
+    // the connection and the reset may overtake the `overloaded` line.
+    const CLIENTS: u64 = 4;
+    const ROUNDS: u64 = 25;
+    let config = ServeConfig::new(market())
+        .with_epoch_interval(None)
+        .with_max_connections(1);
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let addr = server.addr();
+    let mut first = Client::connect(addr).unwrap();
+    first.join_external(1).unwrap();
+
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(10)))
+                        .unwrap();
+                    // The request goes out in two segments, the second
+                    // after the bounce has had time to arrive.
+                    stream.write_all(b"{\"op\":").unwrap();
+                    std::thread::sleep(Duration::from_millis(5));
+                    stream
+                        .write_all(b"\"query\"}\n")
+                        .unwrap_or_else(|e| panic!("round {round}: reset while sending: {e}"));
+                    let mut line = String::new();
+                    BufReader::new(&stream)
+                        .read_line(&mut line)
+                        .unwrap_or_else(|e| panic!("round {round}: no bounce line: {e}"));
+                    let reply = Value::parse(line.trim_end()).unwrap();
+                    assert_eq!(
+                        reply.get("error").and_then(Value::as_str),
+                        Some("overloaded"),
+                        "round {round}: {line:?}"
+                    );
+                    assert!(reply.get("retry_after_ms").is_some());
+                }
+            });
+        }
+    });
+
+    first.query().unwrap();
+    let report = server.shutdown();
+    assert_eq!(report.metrics.rejected_overload, CLIENTS * ROUNDS);
 }
 
 #[test]

@@ -32,6 +32,7 @@
 //! assert!(report.ipc() > 0.0 && report.ipc() <= 4.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -52,6 +52,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // Numeric kernels index several arrays with one loop variable; iterator

@@ -30,6 +30,7 @@
 //! assert_eq!(grid.points.len(), 25);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -10,6 +10,8 @@
 //! front-end, and the substrate crates [`ref_sim`], [`ref_workloads`],
 //! [`ref_solver`], [`ref_sched`].
 
+#![forbid(unsafe_code)]
+
 pub mod colocation;
 
 pub use ref_core as core;

@@ -77,15 +77,13 @@ fn a_pair_hands_over_without_losing_an_acked_record() {
     );
     assert_eq!(standby.leader_client(), Some("p:client"));
     // A mutation on the standby is redirected there.
-    let redirect = standby
-        .admit_mutation(MS, Some(3))
-        .expect("standbys refuse");
+    let redirect = standby.admit_mutation(MS).expect("standbys refuse");
     assert_eq!(error_of(&redirect), Some("not_primary"));
     assert_eq!(
         redirect.get("leader").and_then(Value::as_str),
         Some("p:client")
     );
-    assert!(primary.admit_mutation(MS, None).is_none());
+    assert!(primary.admit_mutation(MS).is_none());
 
     // One record: published, streamed, applied, acked — only then may
     // the client's reply go.
@@ -127,7 +125,7 @@ fn a_pair_hands_over_without_losing_an_acked_record() {
         panic!("the standby promotes");
     };
     assert_eq!(old, "p:repl");
-    assert!(standby.admit_mutation(later, None).is_none());
+    assert!(standby.admit_mutation(later).is_none());
 
     // Split brain until the deposing hello lands: the router picks the
     // higher term, and its floor never lets it fall back.
@@ -140,7 +138,7 @@ fn a_pair_hands_over_without_losing_an_acked_record() {
         Hello::Refuse(_)
     ));
     assert_eq!((primary.role(), primary.term()), (Role::Fenced, 1));
-    let refusal = primary.admit_mutation(later, None).expect("fenced");
+    let refusal = primary.admit_mutation(later).expect("fenced");
     assert_eq!(error_of(&refusal), Some("fenced"));
     assert_eq!(primary.promote(), Promotion::Fenced);
     assert!(primary.heartbeat().is_none());
@@ -161,7 +159,7 @@ fn a_pair_hands_over_without_losing_an_acked_record() {
 #[test]
 fn a_recovered_primary_waits_out_its_lease() {
     let mut recovered = node(false, 5);
-    let refusal = recovered.admit_mutation(MS, None).expect("lease");
+    let refusal = recovered.admit_mutation(MS).expect("lease");
     assert_eq!(error_of(&refusal), Some("unavailable"));
     assert_eq!(
         refusal.get("retry_after_ms").and_then(Value::as_u64),
@@ -169,13 +167,13 @@ fn a_recovered_primary_waits_out_its_lease() {
     );
     // The router reads it as "no report", not as a failed shard.
     assert_eq!(TickOutcome::of(&refusal), TickOutcome::Silent);
-    assert!(recovered.admit_mutation(2 * TIMEOUT, None).is_none());
+    assert!(recovered.admit_mutation(2 * TIMEOUT).is_none());
     let mut standby = node(true, 5);
     assert!(matches!(
         recovered.on_hello(&unframe(&standby.hello())),
         Hello::Accept { have: 5, .. }
     ));
-    assert!(recovered.admit_mutation(MS, None).is_none());
+    assert!(recovered.admit_mutation(MS).is_none());
     standby.fence(0);
     assert_eq!(standby.promote(), Promotion::Fenced);
 }
@@ -270,12 +268,7 @@ fn replica(dir: &TempDir, config: ReplConfig, name: &str, clock: &Arc<HandClock>
     let mut repl = ReplCore::new(&config.with_election_timeout(TIMEOUT), 7, 0, 0, clock.now());
     repl.set_addrs(format!("{name}:client"), format!("{name}:repl"));
     let clock: Arc<dyn Clock> = Arc::clone(clock) as Arc<dyn Clock>;
-    Node::new(
-        0,
-        None,
-        Some(core.unwrap()),
-        Some(Replication::new(repl, clock)),
-    )
+    Node::new(0, Some(core.unwrap()), Some(Replication::new(repl, clock)))
 }
 
 fn half(node: &mut Replica) -> &mut Replication<Wire> {
