@@ -1,76 +1,5 @@
-//! Ablation: profiling-grid density vs fit stability.
-//!
-//! The paper samples 25 configurations (5 cache sizes x 5 bandwidths).
-//! This ablation refits selected workloads on 3x3, 5x5 and 7x7 grids and
-//! reports how much the re-scaled elasticities move — quantifying how much
-//! profiling effort the mechanism actually needs.
-
-use ref_bench::pipeline::{fit_points, init_jobs};
-use ref_core::fitting::fit_cobb_douglas;
-use ref_sim::config::{Bandwidth, CacheSize};
-use ref_workloads::profiler::{profile, ProfilerOptions};
-use ref_workloads::profiles::by_name;
-
-fn geometric_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    (0..n)
-        .map(|i| lo * (hi / lo).powf(i as f64 / (n - 1) as f64))
-        .collect()
-}
+//! Prints the tables of [`ref_bench::figures::ablation_grid_density`] as markdown.
 
 fn main() {
-    init_jobs();
-    let workloads = ["raytrace", "histogram", "canneal", "dedup", "fft"];
-    // 5x5 (the paper's grid) first so sparser/denser grids report drift
-    // against it.
-    let densities = [5_usize, 3, 7];
-
-    println!("Ablation: grid density vs fitted (re-scaled) elasticities");
-    println!();
-    println!(
-        "{:<12} {:>6} {:>9} {:>9} {:>8} {:>8}",
-        "workload", "grid", "a_mem", "a_cache", "R^2", "configs"
-    );
-    for name in workloads {
-        let bench = by_name(name).expect("known workload");
-        let mut reference: Option<f64> = None;
-        for n in densities {
-            let opts = ProfilerOptions {
-                warmup_instructions: 80_000,
-                instructions: 150_000,
-                cache_sizes: geometric_grid(128.0 * 1024.0, 2048.0 * 1024.0, n)
-                    .into_iter()
-                    .map(|b| CacheSize::from_bytes((b / 512.0).round() as u64 * 512))
-                    .collect(),
-                bandwidths: geometric_grid(0.8, 12.8, n)
-                    .into_iter()
-                    .map(Bandwidth::from_gb_per_sec)
-                    .collect(),
-                ..ProfilerOptions::default()
-            };
-            let grid = profile(bench, &opts);
-            let fit = fit_cobb_douglas(&fit_points(&grid)).expect("full-rank grid");
-            let u = fit.utility().rescaled();
-            let drift = match reference {
-                Some(ref5) if n != 5 => format!("  (drift vs 5x5: {:+.3})", u.elasticity(1) - ref5),
-                _ => String::new(),
-            };
-            if n == 5 {
-                reference = Some(u.elasticity(1));
-            }
-            println!(
-                "{:<12} {:>4}x{} {:>9.3} {:>9.3} {:>8.3} {:>8}{}",
-                name,
-                n,
-                n,
-                u.elasticity(0),
-                u.elasticity(1),
-                fit.r_squared(),
-                n * n,
-                drift
-            );
-        }
-        println!();
-    }
-    println!("expected shape: elasticities stable to a few hundredths from 3x3 up,");
-    println!("so the paper's 25-configuration profile is comfortably sufficient.");
+    ref_bench::figures::print(ref_bench::figures::ablation_grid_density);
 }

@@ -1,84 +1,5 @@
-//! Ablation: DRAM page policy vs fitted elasticities.
-//!
-//! The paper's Table-1 controller is closed-page. This ablation refits
-//! representative workloads under an open-page controller (row-buffer
-//! hits pay CAS-only latency) and reports how the elasticities and the
-//! C/M classification move — probing whether REF's inputs are robust to
-//! the memory controller's policy.
-
-use ref_bench::pipeline::{fit_points, init_jobs};
-use ref_core::fitting::fit_cobb_douglas;
-use ref_sim::config::{PagePolicy, PlatformConfig};
-use ref_sim::system::SingleCoreSystem;
-use ref_workloads::profiler::{ProfileGrid, ProfilePoint, ProfilerOptions};
-use ref_workloads::profiles::{by_name, Benchmark};
-
-/// Profiles under an explicit page policy (the library profiler always
-/// uses the platform default, i.e. closed page).
-fn profile_with_policy(
-    bench: &Benchmark,
-    opts: &ProfilerOptions,
-    policy: PagePolicy,
-) -> ProfileGrid {
-    let base = PlatformConfig::asplos14().with_page_policy(policy);
-    let mut points = Vec::new();
-    for &bandwidth in &opts.bandwidths {
-        for &cache in &opts.cache_sizes {
-            let mut platform = base.with_l2_size(cache).with_bandwidth(bandwidth);
-            platform.core.dependent_load_fraction = bench.params.dependent_fraction;
-            let warmup = (opts.warmup_instructions as f64
-                * (0.30 / bench.params.memory_fraction).max(1.0)) as u64;
-            let mut system = SingleCoreSystem::new(&platform);
-            let report = system.run_with_warmup(bench.stream(opts.seed), warmup, opts.instructions);
-            points.push(ProfilePoint {
-                cache,
-                bandwidth,
-                ipc: report.ipc(),
-            });
-        }
-    }
-    ProfileGrid {
-        workload: bench.name.to_string(),
-        points,
-    }
-}
+//! Prints the tables of [`ref_bench::figures::ablation_page_policy`] as markdown.
 
 fn main() {
-    init_jobs();
-    let opts = ProfilerOptions {
-        warmup_instructions: 80_000,
-        instructions: 150_000,
-        ..ProfilerOptions::default()
-    };
-    let workloads = ["raytrace", "histogram", "canneal", "dedup", "streamcluster"];
-
-    println!("Ablation: closed-page vs open-page DRAM controller");
-    println!();
-    println!(
-        "{:<14} {:>12} {:>9} {:>9} {:>7}",
-        "workload", "policy", "a_mem", "a_cache", "class"
-    );
-    for name in workloads {
-        let bench = by_name(name).expect("known workload");
-        for (label, policy) in [
-            ("closed-page", PagePolicy::ClosedPage),
-            ("open-page", PagePolicy::OpenPage),
-        ] {
-            let grid = profile_with_policy(bench, &opts, policy);
-            let fit = fit_cobb_douglas(&fit_points(&grid)).expect("full-rank grid");
-            let u = fit.utility().rescaled();
-            let class = if u.elasticity(1) > 0.5 { "C" } else { "M" };
-            println!(
-                "{:<14} {:>12} {:>9.3} {:>9.3} {:>7}",
-                name,
-                label,
-                u.elasticity(0),
-                u.elasticity(1),
-                class
-            );
-        }
-        println!();
-    }
-    println!("expected shape: open-page shifts streaming workloads' latencies down");
-    println!("but leaves the C/M classification — and hence REF's allocations — intact.");
+    ref_bench::figures::print(ref_bench::figures::ablation_page_policy);
 }

@@ -1,88 +1,5 @@
-//! Ablation: hardware prefetching vs fitted elasticities.
-//!
-//! A next-line prefetcher converts part of a streaming workload's latency
-//! exposure into pure bandwidth demand. This ablation refits representative
-//! workloads with the prefetcher enabled and reports how the elasticities
-//! move — probing whether REF's inputs are robust to the core's prefetch
-//! configuration.
-
-use ref_bench::pipeline::{fit_points, init_jobs};
-use ref_core::fitting::fit_cobb_douglas;
-use ref_sim::config::PlatformConfig;
-use ref_sim::system::SingleCoreSystem;
-use ref_workloads::profiler::{ProfileGrid, ProfilePoint, ProfilerOptions};
-use ref_workloads::profiles::{by_name, Benchmark};
-
-fn profile_with_prefetch(bench: &Benchmark, opts: &ProfilerOptions, prefetch: bool) -> ProfileGrid {
-    let base = PlatformConfig::asplos14().with_next_line_prefetch(prefetch);
-    let mut points = Vec::new();
-    for &bandwidth in &opts.bandwidths {
-        for &cache in &opts.cache_sizes {
-            let mut platform = base.with_l2_size(cache).with_bandwidth(bandwidth);
-            platform.core.dependent_load_fraction = bench.params.dependent_fraction;
-            let warmup = (opts.warmup_instructions as f64
-                * (0.30 / bench.params.memory_fraction).max(1.0)) as u64;
-            let mut system = SingleCoreSystem::new(&platform);
-            let report = system.run_with_warmup(bench.stream(opts.seed), warmup, opts.instructions);
-            points.push(ProfilePoint {
-                cache,
-                bandwidth,
-                ipc: report.ipc(),
-            });
-        }
-    }
-    ProfileGrid {
-        workload: bench.name.to_string(),
-        points,
-    }
-}
+//! Prints the tables of [`ref_bench::figures::ablation_prefetcher`] as markdown.
 
 fn main() {
-    init_jobs();
-    let opts = ProfilerOptions {
-        warmup_instructions: 80_000,
-        instructions: 150_000,
-        ..ProfilerOptions::default()
-    };
-    let workloads = [
-        "raytrace",
-        "histogram",
-        "streamcluster",
-        "dedup",
-        "ocean_cp",
-    ];
-
-    println!("Ablation: next-line prefetcher off vs on");
-    println!();
-    println!(
-        "{:<14} {:>10} {:>9} {:>9} {:>7} {:>10}",
-        "workload", "prefetch", "a_mem", "a_cache", "class", "peak IPC"
-    );
-    for name in workloads {
-        let bench = by_name(name).expect("known workload");
-        for prefetch in [false, true] {
-            let grid = profile_with_prefetch(bench, &opts, prefetch);
-            let fit = fit_cobb_douglas(&fit_points(&grid)).expect("full-rank grid");
-            let u = fit.utility().rescaled();
-            let class = if u.elasticity(1) > 0.5 { "C" } else { "M" };
-            let peak = grid
-                .points
-                .iter()
-                .map(|p| p.ipc)
-                .fold(f64::NEG_INFINITY, f64::max);
-            println!(
-                "{:<14} {:>10} {:>9.3} {:>9.3} {:>7} {:>10.3}",
-                name,
-                if prefetch { "on" } else { "off" },
-                u.elasticity(0),
-                u.elasticity(1),
-                class,
-                peak
-            );
-        }
-        println!();
-    }
-    println!("expected shape: prefetching lifts streaming workloads' IPC and shifts");
-    println!("some of their latency sensitivity into bandwidth demand, without");
-    println!("flipping any C/M class — REF's inputs are robust to the prefetcher.");
+    ref_bench::figures::print(ref_bench::figures::ablation_prefetcher);
 }

@@ -1,72 +1,5 @@
-//! Ablation: geometric-programming tolerance vs the closed form.
-//!
-//! §4.2 proves the REF closed form *is* the Nash-welfare optimum for
-//! re-scaled utilities. This ablation solves that optimum with the interior
-//! point method at decreasing duality-gap tolerances and reports distance
-//! to the closed form and iteration counts — validating both the solver and
-//! the paper's "computationally trivial" contrast.
+//! Prints the tables of [`ref_bench::figures::ablation_solver_tolerance`] as markdown.
 
-use ref_bench::pipeline::capacity_for_agents;
-use ref_core::mechanism::{Mechanism, ProportionalElasticity};
-use ref_core::utility::CobbDouglas;
-use ref_solver::barrier::BarrierOptions;
-use ref_solver::gp::{GeometricProgram, Monomial, Posynomial};
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Re-scaled agents: the GP optimum must equal the closed form.
-    let agents = vec![
-        CobbDouglas::new(1.0, vec![0.6, 0.4])?,
-        CobbDouglas::new(1.0, vec![0.2, 0.8])?,
-        CobbDouglas::new(1.0, vec![0.5, 0.5])?,
-    ];
-    let capacity = capacity_for_agents(4);
-    let exact = ProportionalElasticity.allocate(&agents, &capacity)?;
-
-    println!("Ablation: interior-point tolerance vs REF closed form");
-    println!();
-    println!(
-        "{:>12} {:>14} {:>18}",
-        "tolerance", "outer iters", "max |x - closed|"
-    );
-    for tol in [1e-2, 1e-4, 1e-6, 1e-8] {
-        let n = agents.len();
-        let mut exps = vec![0.0; 2 * n];
-        for (i, a) in agents.iter().enumerate() {
-            exps[2 * i] = a.elasticity(0);
-            exps[2 * i + 1] = a.elasticity(1);
-        }
-        let welfare = Monomial::new(1.0, exps)?;
-        let mut gp = GeometricProgram::minimize(2 * n, welfare.reciprocal().into())?;
-        for r in 0..2 {
-            let terms: Vec<Monomial> = (0..n)
-                .map(|i| {
-                    let mut e = vec![0.0; 2 * n];
-                    e[2 * i + r] = 1.0;
-                    Monomial::new(1.0 / capacity.get(r), e).expect("valid monomial")
-                })
-                .collect();
-            gp.add_constraint(Posynomial::from_monomials(terms)?)?;
-        }
-        gp.set_options(BarrierOptions {
-            tolerance: tol,
-            ..BarrierOptions::default()
-        });
-        let start = [
-            capacity.get(0) / n as f64 * 0.9,
-            capacity.get(1) / n as f64 * 0.9,
-        ]
-        .repeat(n);
-        let sol = gp.solve(&start)?;
-        let mut err: f64 = 0.0;
-        for i in 0..n {
-            for r in 0..2 {
-                err = err.max((sol.x[2 * i + r] - exact.bundle(i).get(r)).abs());
-            }
-        }
-        println!("{tol:>12.0e} {:>14} {err:>18.2e}", sol.outer_iterations);
-    }
-    println!();
-    println!("expected shape: error falls with tolerance; even loose tolerances land");
-    println!("within hundredths of the closed form, which REF computes in microseconds.");
-    Ok(())
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::ablation_solver_tolerance);
 }

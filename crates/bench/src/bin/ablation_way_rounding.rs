@@ -1,65 +1,5 @@
-//! Ablation: way-partitioning granularity.
-//!
-//! REF computes continuous cache shares, but hardware enforces them in
-//! whole L2 ways. This ablation rounds the REF allocation to 4-, 8-, 16-
-//! and 32-way partitions and reports each agent's utility loss relative to
-//! the continuous allocation — the cost of coarse partitioning hardware.
+//! Prints the tables of [`ref_bench::figures::ablation_way_rounding`] as markdown.
 
-use ref_bench::pipeline::capacity_for_agents;
-use ref_core::mechanism::{Mechanism, ProportionalElasticity};
-use ref_core::resource::Bundle;
-use ref_core::utility::{CobbDouglas, Utility};
-use ref_sim::cache::partition_ways;
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let agents = vec![
-        CobbDouglas::new(1.0, vec![0.30, 0.70])?, // cache heavy
-        CobbDouglas::new(1.0, vec![0.85, 0.15])?, // bandwidth heavy
-        CobbDouglas::new(1.0, vec![0.55, 0.45])?,
-        CobbDouglas::new(1.0, vec![0.45, 0.55])?,
-    ];
-    let capacity = capacity_for_agents(4);
-    let continuous = ProportionalElasticity.allocate(&agents, &capacity)?;
-    let cache_shares: Vec<f64> = continuous
-        .bundles()
-        .iter()
-        .map(|b| b.get(1) / capacity.get(1))
-        .collect();
-
-    println!("Ablation: rounding REF cache shares to whole L2 ways");
-    println!();
-    println!("continuous cache shares: {:?}", rounded(&cache_shares));
-    println!();
-    println!(
-        "{:>6} | {:<24} | {:>22}",
-        "ways", "rounded shares", "worst utility loss (%)"
-    );
-    for total_ways in [4_usize, 8, 16, 32] {
-        let ways = partition_ways(total_ways, &cache_shares);
-        let rounded_shares: Vec<f64> = ways.iter().map(|&w| w as f64 / total_ways as f64).collect();
-        let mut worst_loss: f64 = 0.0;
-        for (i, agent) in agents.iter().enumerate() {
-            let exact = agent.value(continuous.bundle(i));
-            let coarse = Bundle::new(vec![
-                continuous.bundle(i).get(0),
-                rounded_shares[i] * capacity.get(1),
-            ])?;
-            let loss = (1.0 - agent.value(&coarse) / exact) * 100.0;
-            worst_loss = worst_loss.max(loss);
-        }
-        println!(
-            "{:>6} | {:<24} | {:>22.2}",
-            total_ways,
-            format!("{:?}", ways),
-            worst_loss
-        );
-    }
-    println!();
-    println!("expected shape: losses shrink roughly inversely with way count; the");
-    println!("paper's 8-way L2 already keeps the worst-case utility loss small.");
-    Ok(())
-}
-
-fn rounded(v: &[f64]) -> Vec<f64> {
-    v.iter().map(|x| (x * 1000.0).round() / 1000.0).collect()
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::ablation_way_rounding);
 }

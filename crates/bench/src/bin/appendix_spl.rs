@@ -1,48 +1,5 @@
-//! Appendix A / §4.3: strategy-proofness in the large.
-//!
-//! Reproduces the paper's experiment: agents with uniformly random
-//! elasticities; for each system size, a strategic agent computes its best
-//! response (Eq. 15) and we measure the utility gain from lying and how far
-//! the best report deviates from the truth. The paper finds tens of agents
-//! suffice for SPL (64 agents being the motivating example).
+//! Prints the tables of [`ref_bench::figures::appendix_spl`] as markdown.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use ref_core::resource::Capacity;
-use ref_core::spl::{best_response, max_gain_from_lying};
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let capacity = Capacity::new(vec![100.0, 12.0])?; // >100 GB/s server (§4.3)
-    let mut rng = ChaCha8Rng::seed_from_u64(0x59A7);
-
-    println!("Appendix A: strategy-proofness in the large");
-    println!("agents draw elasticities uniformly at random; strategic agent best-responds");
-    println!();
-    println!(
-        "{:>7} {:>16} {:>18}",
-        "agents", "max gain (%)", "report deviation"
-    );
-    for n in [2_usize, 4, 8, 16, 32, 64] {
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|_| {
-                let a: f64 = rng.gen_range(0.05..0.95);
-                vec![a, 1.0 - a]
-            })
-            .collect();
-        let worst = max_gain_from_lying(&rows, &capacity)?;
-        // Deviation of the first agent's best report from its truth.
-        let totals: Vec<f64> = (0..2)
-            .map(|r| rows.iter().map(|row| row[r]).sum::<f64>() - rows[0][r])
-            .collect();
-        let g = best_response(&rows[0], &totals, capacity.as_slice())?;
-        println!(
-            "{n:>7} {:>16.4} {:>18.4}",
-            worst * 100.0,
-            g.report_deviation(&rows[0])
-        );
-    }
-    println!();
-    println!("expected shape: gain and deviation fall toward zero as agents increase;");
-    println!("with 64 agents a strategic agent does not deviate from its true elasticity.");
-    Ok(())
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::appendix_spl);
 }

@@ -1,38 +1,5 @@
-//! Supplementary experiment: Bubble-Up-style sensitivity curves (§4.4).
-//!
-//! Co-runs representative workloads against a tunable-pressure bubble and
-//! prints each target's IPC degradation curve — the alternative profiling
-//! route the paper cites for machines without partitionable hardware.
+//! Prints the tables of [`ref_bench::figures::bubble_sensitivity`] as markdown.
 
-use ref_bench::pipeline::init_jobs;
-use ref_workloads::bubble::bubble_profile;
-use ref_workloads::profiles::by_name;
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    init_jobs();
-    let pressures = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-    let targets = ["raytrace", "histogram", "canneal", "dedup", "radiosity"];
-
-    println!("Bubble sensitivity: target IPC vs co-runner pressure");
-    println!();
-    print!("{:<12}", "pressure");
-    for p in pressures {
-        print!(" {p:>8.1}");
-    }
-    println!(" {:>12}", "sensitivity");
-    for name in targets {
-        let target = by_name(name).expect("known workload");
-        let curve = bubble_profile(target, &pressures, 120_000, 11)?;
-        print!("{name:<12}");
-        for pt in &curve.points {
-            print!(" {:>8.3}", pt.target_ipc);
-        }
-        println!(" {:>11.1}%", curve.sensitivity() * 100.0);
-    }
-    println!();
-    println!("bandwidth-hungry workloads (dedup, canneal) and latency-bound workloads");
-    println!("(high dependence) degrade most; compute-bound ones barely move. The");
-    println!("degradation curve carries the same sensitivity signal as the 25-point");
-    println!("sweep, without requiring partitionable hardware during profiling.");
-    Ok(())
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::bubble_sensitivity);
 }

@@ -1,43 +1,5 @@
-//! Figure 1: the Edgeworth box for the paper's running example.
-//!
-//! Prints the box dimensions, the example feasible allocation from §3
-//! (user 1 takes 6 GB/s + 8 MB, leaving 18 GB/s + 4 MB), and a coarse grid
-//! of feasible allocations with both users' utilities.
+//! Prints the tables of [`ref_bench::figures::fig01_edgeworth`] as markdown.
 
-use ref_bench::pipeline::capacity_for_agents;
-use ref_core::edgeworth::{BoxPoint, EdgeworthBox};
-use ref_core::utility::CobbDouglas;
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let eb = EdgeworthBox::new(
-        CobbDouglas::new(1.0, vec![0.6, 0.4])?,
-        CobbDouglas::new(1.0, vec![0.2, 0.8])?,
-        capacity_for_agents(4),
-    )?;
-
-    println!("Figure 1: Edgeworth box (24 GB/s memory bandwidth x 12 MB cache)");
-    println!("u1 = x^0.6 y^0.4   (bursty, little reuse; e.g. canneal)");
-    println!("u2 = x^0.2 y^0.8   (cache friendly; e.g. freqmine)");
-    println!();
-
-    let example = BoxPoint { x: 6.0, y: 8.0 };
-    let (x2, y2) = eb.complement(example);
-    println!(
-        "example feasible point: user1 = ({:.0} GB/s, {:.0} MB), user2 = ({:.0} GB/s, {:.0} MB)",
-        example.x, example.y, x2, y2
-    );
-    println!();
-
-    println!("{:>6} {:>6} | {:>8} {:>8}", "x1", "y1", "u1", "u2");
-    for i in 0..=6 {
-        for j in 0..=6 {
-            let p = BoxPoint {
-                x: 24.0 * i as f64 / 6.0,
-                y: 12.0 * j as f64 / 6.0,
-            };
-            let (u1, u2) = eb.utilities(p);
-            println!("{:>6.1} {:>6.1} | {:>8.3} {:>8.3}", p.x, p.y, u1, u2);
-        }
-    }
-    Ok(())
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::fig01_edgeworth);
 }

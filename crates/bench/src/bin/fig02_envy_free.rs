@@ -1,56 +1,5 @@
-//! Figure 2: envy-free regions for each user in the Edgeworth box.
-//!
-//! Samples the box on a fine grid and reports, per bandwidth column, the
-//! cache interval in which each user is envy-free, plus the three
-//! always-EF points the paper calls out (midpoint and the two corners).
+//! Prints the tables of [`ref_bench::figures::fig02_envy_free`] as markdown.
 
-use ref_bench::pipeline::capacity_for_agents;
-use ref_core::edgeworth::{BoxPoint, EdgeworthBox};
-use ref_core::utility::CobbDouglas;
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let eb = EdgeworthBox::new(
-        CobbDouglas::new(1.0, vec![0.6, 0.4])?,
-        CobbDouglas::new(1.0, vec![0.2, 0.8])?,
-        capacity_for_agents(4),
-    )?;
-
-    println!("Figure 2: envy-free (EF) regions");
-    println!("(a) user 1: x^0.6 y^0.4 >= (24-x)^0.6 (12-y)^0.4");
-    println!("(b) user 2: symmetric condition for the complement bundle");
-    println!();
-
-    let samples = 200;
-    println!(
-        "{:>7} | {:>22} | {:>22}",
-        "x1 GB/s", "EF-for-1 cache range", "EF-for-2 cache range"
-    );
-    for i in (0..=24).step_by(2) {
-        let x = i as f64;
-        let range_for = |ef: &dyn Fn(BoxPoint) -> bool| {
-            let ys: Vec<f64> = (0..=samples)
-                .map(|j| 12.0 * j as f64 / samples as f64)
-                .filter(|&y| ef(BoxPoint { x, y }))
-                .collect();
-            match (ys.first(), ys.last()) {
-                (Some(lo), Some(hi)) => format!("[{lo:.2}, {hi:.2}] MB"),
-                _ => "empty".to_string(),
-            }
-        };
-        let r1 = range_for(&|p| eb.envy_free_for_1(p));
-        let r2 = range_for(&|p| eb.envy_free_for_2(p));
-        println!("{x:>7.1} | {r1:>22} | {r2:>22}");
-    }
-
-    println!();
-    println!("always-EF points (paper, section 3.2):");
-    for p in [
-        BoxPoint { x: 12.0, y: 6.0 },
-        BoxPoint { x: 24.0, y: 0.0 },
-        BoxPoint { x: 0.0, y: 12.0 },
-    ] {
-        assert!(eb.envy_free_for_1(p) && eb.envy_free_for_2(p));
-        println!("  ({:>4.1} GB/s, {:>4.1} MB)  EF for both users", p.x, p.y);
-    }
-    Ok(())
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::fig02_envy_free);
 }

@@ -1,55 +1,5 @@
-//! Figure 3: Cobb-Douglas indifference curves and marginal rates of
-//! substitution for user 1.
-//!
-//! Prints three indifference curves (I1 < I2 < I3) and the MRS along the
-//! middle curve, demonstrating smooth substitution (Eq. 9).
+//! Prints the tables of [`ref_bench::figures::fig03_indifference`] as markdown.
 
-use ref_core::resource::Bundle;
-use ref_core::utility::{CobbDouglas, Utility};
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let u1 = CobbDouglas::new(1.0, vec![0.6, 0.4])?;
-
-    println!("Figure 3: Cobb-Douglas indifference curves, u1 = x^0.6 y^0.4");
-    println!();
-    let levels = [
-        u1.value_slice(&[4.0, 2.0]),
-        u1.value_slice(&[8.0, 4.0]),
-        u1.value_slice(&[14.0, 7.0]),
-    ];
-    println!(
-        "{:>7} | {:>9} {:>9} {:>9}",
-        "x GB/s", "I1 y MB", "I2 y MB", "I3 y MB"
-    );
-    for i in 1..=12 {
-        let x = 2.0 * i as f64;
-        let ys: Vec<String> = levels
-            .iter()
-            .map(|&l| match u1.indifference_y(l, x) {
-                Ok(y) if y <= 12.0 => format!("{y:>9.3}"),
-                _ => format!("{:>9}", "-"),
-            })
-            .collect();
-        println!("{:>7.1} | {}", x, ys.join(" "));
-    }
-
-    println!();
-    println!("marginal rate of substitution along I2 (Eq. 9: (0.6/0.4) * y/x):");
-    println!("{:>7} {:>9} {:>9}", "x GB/s", "y MB", "MRS");
-    for i in 1..=6 {
-        let x = 3.0 * i as f64;
-        if let Ok(y) = u1.indifference_y(levels[1], x) {
-            if y <= 12.0 {
-                let b = Bundle::new(vec![x, y])?;
-                println!("{:>7.1} {:>9.3} {:>9.3}", x, y, u1.mrs(&b, 0, 1)?);
-            }
-        }
-    }
-    println!();
-    println!(
-        "substitution example (paper): u1(4 GB/s, 1 MB) = {:.4}, u1(1 GB/s, 8 MB) = {:.4}",
-        u1.value_slice(&[4.0, 1.0]),
-        u1.value_slice(&[1.0, 8.0])
-    );
-    Ok(())
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::fig03_indifference);
 }

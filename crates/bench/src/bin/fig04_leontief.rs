@@ -1,38 +1,5 @@
-//! Figure 4: Leontief (perfect-complement) indifference curves.
-//!
-//! Prints the L-shaped level sets of `u = min(x, 2y)` (the paper's Eq. 8
-//! example) and demonstrates that disproportionate allocations add no
-//! utility — the contrast motivating Cobb-Douglas.
+//! Prints the tables of [`ref_bench::figures::fig04_leontief`] as markdown.
 
-use ref_core::utility::{Leontief, Utility};
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // u = min(x, 2y): demand vector (1, 0.5).
-    let u = Leontief::new(vec![1.0, 0.5])?;
-
-    println!("Figure 4: Leontief indifference curves, u = min(x, 2y)");
-    println!();
-    println!("level sets (corner points of the L-shapes):");
-    println!("{:>6} | corner (x, y)", "u");
-    for level in [2.0, 4.0, 8.0, 16.0] {
-        println!("{level:>6.1} | ({level:.1} GB/s, {:.1} MB)", level / 2.0);
-    }
-
-    println!();
-    println!("no substitution: extra resources beyond the 2:1 ratio are wasted");
-    for (x, y) in [(4.0, 2.0), (10.0, 2.0), (4.0, 10.0)] {
-        println!(
-            "  u({x:>4.1} GB/s, {y:>4.1} MB) = {:.3}",
-            u.value_slice(&[x, y])
-        );
-    }
-
-    println!();
-    println!("MRS is 0 or infinity: utility along y at fixed x = 4:");
-    println!("{:>7} {:>8}", "y MB", "u");
-    for j in 1..=6 {
-        let y = j as f64;
-        println!("{y:>7.1} {:>8.3}", u.value_slice(&[4.0, y]));
-    }
-    Ok(())
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::fig04_leontief);
 }

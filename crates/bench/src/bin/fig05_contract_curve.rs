@@ -1,41 +1,5 @@
-//! Figure 5: the contract curve — all Pareto-efficient allocations.
-//!
-//! Prints the curve (tangency of the users' marginal rates of substitution,
-//! Eq. 10) and verifies the tangency along it.
+//! Prints the tables of [`ref_bench::figures::fig05_contract_curve`] as markdown.
 
-use ref_bench::pipeline::capacity_for_agents;
-use ref_core::edgeworth::EdgeworthBox;
-use ref_core::resource::Bundle;
-use ref_core::utility::CobbDouglas;
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let eb = EdgeworthBox::new(
-        CobbDouglas::new(1.0, vec![0.6, 0.4])?,
-        CobbDouglas::new(1.0, vec![0.2, 0.8])?,
-        capacity_for_agents(4),
-    )?;
-
-    println!("Figure 5: contract curve (Pareto-efficient set)");
-    println!("tangency condition: (0.6/0.4)(y1/x1) = (0.2/0.8)(y2/x2)");
-    println!();
-    println!(
-        "{:>7} {:>8} | {:>8} {:>8} | {:>8}",
-        "x1 GB/s", "y1 MB", "MRS1", "MRS2", "u1"
-    );
-    for p in eb.contract_curve(23) {
-        let b1 = Bundle::new(vec![p.x, p.y])?;
-        let (x2, y2) = eb.complement(p);
-        let b2 = Bundle::new(vec![x2, y2])?;
-        let m1 = eb.u1().mrs(&b1, 0, 1)?;
-        let m2 = eb.u2().mrs(&b2, 0, 1)?;
-        let (u1, _) = eb.utilities(p);
-        println!(
-            "{:>7.2} {:>8.3} | {:>8.4} {:>8.4} | {:>8.3}",
-            p.x, p.y, m1, m2, u1
-        );
-        assert!((m1 - m2).abs() < 1e-9 * m1.max(m2));
-    }
-    println!();
-    println!("both origins (0,0) and (24,12) are also PE (one user at zero utility).");
-    Ok(())
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::fig05_contract_curve);
 }

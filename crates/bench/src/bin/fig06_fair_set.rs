@@ -1,44 +1,5 @@
-//! Figure 6: the fair set — the intersection of both users' envy-free
-//! regions with the contract curve.
+//! Prints the tables of [`ref_bench::figures::fig06_fair_set`] as markdown.
 
-use ref_bench::pipeline::capacity_for_agents;
-use ref_core::edgeworth::EdgeworthBox;
-use ref_core::utility::CobbDouglas;
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let eb = EdgeworthBox::new(
-        CobbDouglas::new(1.0, vec![0.6, 0.4])?,
-        CobbDouglas::new(1.0, vec![0.2, 0.8])?,
-        capacity_for_agents(4),
-    )?;
-
-    println!("Figure 6: fair allocations = envy-free AND Pareto-efficient");
-    println!();
-    let curve = eb.contract_curve(400);
-    let fair = eb.fair_set(400, false);
-    println!("contract-curve samples: {}", curve.len());
-    println!("fair (EF + PE) samples: {}", fair.len());
-    let lo = fair.first().expect("fair set is nonempty");
-    let hi = fair.last().expect("fair set is nonempty");
-    println!(
-        "fair segment endpoints: ({:.2} GB/s, {:.2} MB) .. ({:.2} GB/s, {:.2} MB)",
-        lo.x, lo.y, hi.x, hi.y
-    );
-    println!();
-    println!("{:>7} {:>8} | {:>8} {:>8}", "x1 GB/s", "y1 MB", "u1", "u2");
-    for p in fair.iter().step_by((fair.len() / 12).max(1)) {
-        let (u1, u2) = eb.utilities(*p);
-        println!("{:>7.2} {:>8.3} | {:>8.3} {:>8.3}", p.x, p.y, u1, u2);
-    }
-    let ref_point = eb.ref_allocation();
-    println!();
-    println!(
-        "REF allocation ({:.1} GB/s, {:.1} MB) lies in the fair set: {}",
-        ref_point.x,
-        ref_point.y,
-        eb.envy_free_for_1(ref_point)
-            && eb.envy_free_for_2(ref_point)
-            && eb.is_on_contract_curve(ref_point, 1e-9)
-    );
-    Ok(())
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::fig06_fair_set);
 }

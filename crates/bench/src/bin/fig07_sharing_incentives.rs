@@ -1,56 +1,5 @@
-//! Figure 7: sharing incentives further constrain the fair set.
-//!
-//! Compares the fair (EF + PE) segment of the contract curve with and
-//! without the SI constraint (Eqs. 4–5) and shows the REF point satisfies
-//! all three.
+//! Prints the tables of [`ref_bench::figures::fig07_sharing_incentives`] as markdown.
 
-use ref_bench::pipeline::capacity_for_agents;
-use ref_core::edgeworth::EdgeworthBox;
-use ref_core::utility::CobbDouglas;
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let eb = EdgeworthBox::new(
-        CobbDouglas::new(1.0, vec![0.6, 0.4])?,
-        CobbDouglas::new(1.0, vec![0.2, 0.8])?,
-        capacity_for_agents(4),
-    )?;
-
-    println!("Figure 7: sharing incentives (SI) shrink the fair set");
-    println!();
-    let n = 1000;
-    let fair = eb.fair_set(n, false);
-    let fair_si = eb.fair_set(n, true);
-    println!("fair (EF + PE) samples:      {:>4}", fair.len());
-    println!("fair + SI samples:           {:>4}", fair_si.len());
-    let span = |set: &[ref_core::edgeworth::BoxPoint]| match (set.first(), set.last()) {
-        (Some(a), Some(b)) => format!(
-            "x1 in [{:.2}, {:.2}] GB/s, y1 in [{:.2}, {:.2}] MB",
-            a.x, b.x, a.y, b.y
-        ),
-        _ => "empty".to_string(),
-    };
-    println!("fair segment:    {}", span(&fair));
-    println!("fair+SI segment: {}", span(&fair_si));
-    println!();
-
-    let p = eb.ref_allocation();
-    println!(
-        "REF point ({:.1} GB/s, {:.1} MB): EF1 {} EF2 {} PE {} SI {}",
-        p.x,
-        p.y,
-        eb.envy_free_for_1(p),
-        eb.envy_free_for_2(p),
-        eb.is_on_contract_curve(p, 1e-9),
-        eb.sharing_incentives(p)
-    );
-
-    let equal = ref_core::edgeworth::BoxPoint { x: 12.0, y: 6.0 };
-    println!(
-        "equal split (12, 6):            EF1 {} EF2 {} PE {} SI {}",
-        eb.envy_free_for_1(equal),
-        eb.envy_free_for_2(equal),
-        eb.is_on_contract_curve(equal, 1e-9),
-        eb.sharing_incentives(equal)
-    );
-    Ok(())
+fn main() {
+    ref_bench::figures::print(ref_bench::figures::fig07_sharing_incentives);
 }

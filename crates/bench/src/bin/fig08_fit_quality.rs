@@ -1,87 +1,5 @@
-//! Figure 8 (and Table 1): Cobb-Douglas fit quality.
-//!
-//! - Table 1: the simulated platform parameters.
-//! - Fig. 8a: coefficient of determination (R-squared) for all 28
-//!   workloads.
-//! - Fig. 8b: simulated vs fitted IPC for representative high-R-squared
-//!   workloads (ferret, fmm).
-//! - Fig. 8c: the same for low-R-squared workloads (radiosity,
-//!   string_match).
-
-use ref_bench::pipeline::{experiment_options, fit_benchmark, fit_benchmarks, init_jobs};
-use ref_sim::config::PlatformConfig;
-use ref_workloads::profiles::{by_name, Benchmark, BENCHMARKS};
+//! Prints the tables of [`ref_bench::figures::fig08_fit_quality`] as markdown.
 
 fn main() {
-    init_jobs();
-    let p = PlatformConfig::asplos14();
-    println!("Table 1: platform parameters");
-    println!(
-        "  processor: {:.0} GHz out-of-order, {}-wide issue/commit, {} MSHRs",
-        p.core.clock_hz / 1e9,
-        p.core.issue_width,
-        p.core.mshr_entries
-    );
-    println!(
-        "  L1: {}, {}-way, {}-byte blocks, {}-cycle latency",
-        p.l1.size, p.l1.ways, p.l1.block_bytes, p.l1.latency_cycles
-    );
-    println!(
-        "  L2: {:?}, {}-way, {}-byte blocks, {}-cycle latency",
-        PlatformConfig::l2_sweep()
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>(),
-        p.l2.ways,
-        p.l2.block_bytes,
-        p.l2.latency_cycles
-    );
-    println!(
-        "  DRAM: {:?}, closed page, {} ranks x {} banks",
-        PlatformConfig::bandwidth_sweep()
-            .iter()
-            .map(|b| b.to_string())
-            .collect::<Vec<_>>(),
-        p.dram.ranks,
-        p.dram.banks_per_rank
-    );
-    println!();
-
-    let opts = experiment_options();
-    println!("Figure 8a: coefficient of determination per workload");
-    println!("{:<18} {:>8}", "workload", "R^2");
-    let refs: Vec<&Benchmark> = BENCHMARKS.iter().collect();
-    let fits = fit_benchmarks(&refs, &opts);
-    for f in &fits {
-        println!("{:<18} {:>8.3}", f.name, f.r_squared);
-    }
-    let good = fits.iter().filter(|f| f.r_squared >= 0.7).count();
-    println!(
-        "\n{}/{} workloads fit with R^2 >= 0.7 (paper: most in 0.7-1.0)",
-        good,
-        fits.len()
-    );
-
-    for (fig, names) in [
-        ("Figure 8b (high R^2)", ["ferret", "fmm"]),
-        ("Figure 8c (low R^2)", ["radiosity", "string_match"]),
-    ] {
-        println!("\n{fig}: simulated vs fitted IPC over the 25 configurations");
-        for name in names {
-            let f = fit_benchmark(by_name(name).expect("known workload"), &opts);
-            println!(
-                "\n  {:<14} R^2 = {:.3}   (bw GB/s, cache MB) -> sim / est",
-                f.name, f.r_squared
-            );
-            for (pt, est) in f.grid.points.iter().zip(&f.predictions) {
-                println!(
-                    "    ({:>4.1}, {:>5.3}) -> {:>6.3} / {:>6.3}",
-                    pt.bandwidth.gb_per_sec(),
-                    pt.cache.mib_f64(),
-                    pt.ipc,
-                    est
-                );
-            }
-        }
-    }
+    ref_bench::figures::print(ref_bench::figures::fig08_fit_quality);
 }

@@ -1,44 +1,5 @@
-//! Figure 9: re-scaled resource elasticities and the C/M classification.
-//!
-//! For every workload, prints the re-scaled cache and bandwidth
-//! elasticities (Eq. 12) and the derived preference class: `C` when
-//! `alpha_cache > 0.5`, `M` otherwise.
-
-use ref_bench::pipeline::{experiment_options, fit_benchmarks, init_jobs};
-use ref_workloads::profiles::{Benchmark, PreferenceClass, BENCHMARKS};
+//! Prints the tables of [`ref_bench::figures::fig09_elasticities`] as markdown.
 
 fn main() {
-    init_jobs();
-    let opts = experiment_options();
-    println!("Figure 9: re-scaled elasticities (Eq. 12) and C/M classes");
-    println!();
-    println!(
-        "{:<18} {:>9} {:>9} {:>7} {:>9}",
-        "workload", "a_cache", "a_mem", "class", "expected"
-    );
-    let mut agree = 0;
-    let refs: Vec<&Benchmark> = BENCHMARKS.iter().collect();
-    for (b, f) in BENCHMARKS.iter().zip(fit_benchmarks(&refs, &opts)) {
-        let (a_mem, a_cache) = f.rescaled_elasticities();
-        let expected = match b.expected_class {
-            PreferenceClass::Cache => "C",
-            PreferenceClass::Memory => "M",
-        };
-        if f.class() == expected {
-            agree += 1;
-        }
-        println!(
-            "{:<18} {:>9.3} {:>9.3} {:>7} {:>9}",
-            f.name,
-            a_cache,
-            a_mem,
-            f.class(),
-            expected
-        );
-    }
-    println!();
-    println!(
-        "classification agreement with the paper: {agree}/{}",
-        BENCHMARKS.len()
-    );
+    ref_bench::figures::print(ref_bench::figures::fig09_elasticities);
 }

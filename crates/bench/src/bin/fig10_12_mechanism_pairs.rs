@@ -1,116 +1,5 @@
-//! Figures 10-12: equal slowdown vs proportional elasticity on three
-//! two-application case studies.
-//!
-//! - Fig. 10: histogram (C) + dedup (M) — equal slowdown happens to be
-//!   fair.
-//! - Fig. 11: barnes (C) + canneal (M) — equal slowdown violates SI and EF
-//!   for canneal.
-//! - Fig. 12: freqmine (C) + linear_regression (C) — equal slowdown
-//!   violates SI and EF for freqmine.
-//!
-//! For each pair and mechanism, prints the allocation as a percentage of
-//! total capacity and the SI / EF / PE verdicts.
-
-use ref_bench::pipeline::{capacity_for_agents, experiment_options, fit_benchmark, init_jobs};
-use ref_core::mechanism::{EqualSlowdown, Mechanism, ProportionalElasticity};
-use ref_core::properties::FairnessReport;
-use ref_core::resource::{Allocation, Capacity};
-use ref_core::utility::CobbDouglas;
-use ref_workloads::profiles::by_name;
-
-fn report_line(
-    label: &str,
-    names: [&str; 2],
-    agents: &[CobbDouglas],
-    alloc: &Allocation,
-    capacity: &Capacity,
-) {
-    println!("  {label}:");
-    let shares = alloc.shares(capacity);
-    for (i, name) in names.iter().enumerate() {
-        println!(
-            "    {:<18} bandwidth {:>5.1}%  cache {:>5.1}%",
-            name,
-            shares[i][0] * 100.0,
-            shares[i][1] * 100.0
-        );
-    }
-    // Optimization round-off tolerance.
-    let report = FairnessReport::check_with_tolerance(agents, alloc, capacity, 1e-3);
-    println!(
-        "    SI {}   EF {}   PE {}",
-        verdict(report.sharing_incentives(), &si_detail(&report, names)),
-        verdict(report.envy_free(), &ef_detail(&report, names)),
-        if report.pareto_efficient {
-            "yes"
-        } else {
-            "no "
-        }
-    );
-}
-
-fn verdict(ok: bool, detail: &str) -> String {
-    if ok {
-        "yes".to_string()
-    } else {
-        format!("NO ({detail})")
-    }
-}
-
-fn si_detail(r: &FairnessReport, names: [&str; 2]) -> String {
-    r.si_violations
-        .iter()
-        .map(|v| names[v.agent].to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn ef_detail(r: &FairnessReport, names: [&str; 2]) -> String {
-    r.envy_edges
-        .iter()
-        .map(|e| format!("{} envies {}", names[e.envious], names[e.envied]))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
+//! Prints the tables of [`ref_bench::figures::fig10_12_mechanism_pairs`] as markdown.
 
 fn main() {
-    init_jobs();
-    let opts = experiment_options();
-    // The paper's pair studies use a chip with 24 GB/s and 12 MB (§5.4).
-    let capacity = capacity_for_agents(4);
-
-    let cases = [
-        ("Figure 10", ["histogram", "dedup"], "C-M pair"),
-        ("Figure 11", ["barnes", "canneal"], "C-M pair"),
-        ("Figure 12", ["freqmine", "linear_regression"], "C-C pair"),
-    ];
-
-    for (fig, names, kind) in cases {
-        println!("{fig}: {} + {} ({kind})", names[0], names[1]);
-        let agents: Vec<CobbDouglas> = names
-            .iter()
-            .map(|n| {
-                let f = fit_benchmark(by_name(n).expect("known workload"), &opts);
-                let (a_mem, a_cache) = f.rescaled_elasticities();
-                println!(
-                    "  {:<18} fitted rescaled elasticities: bw {:.3}, cache {:.3} ({})",
-                    n,
-                    a_mem,
-                    a_cache,
-                    f.class()
-                );
-                f.utility.clone()
-            })
-            .collect();
-
-        match EqualSlowdown::new().allocate(&agents, &capacity) {
-            Ok(alloc) => report_line("equal slowdown", names, &agents, &alloc, &capacity),
-            Err(e) => println!("  equal slowdown failed: {e}"),
-        }
-        match ProportionalElasticity.allocate(&agents, &capacity) {
-            Ok(alloc) => report_line("proportional elasticity", names, &agents, &alloc, &capacity),
-            Err(e) => println!("  proportional elasticity failed: {e}"),
-        }
-        println!();
-    }
+    ref_bench::figures::print(ref_bench::figures::fig10_12_mechanism_pairs);
 }

@@ -1,61 +1,5 @@
-//! Figure 13: weighted system throughput on the 4-core system.
-//!
-//! For each 4-application mix WD1-WD5 (Table 2) and each of the four
-//! allocation policies of §5.5, prints the weighted system throughput
-//! (Eq. 17). Expected shape: Max-Welfare-w/o-Fairness is the upper bound;
-//! the two fair mechanisms coincide; the price of game-theoretic fairness
-//! stays under ~10%.
-
-use ref_bench::pipeline::{capacity_for_agents, experiment_options, fit_mix, init_jobs};
-use ref_core::mechanism::{EqualSlowdown, MaxWelfare, Mechanism, ProportionalElasticity};
-use ref_core::utility::CobbDouglas;
-use ref_core::welfare::weighted_system_throughput;
-use ref_workloads::suite::four_core_mixes;
+//! Prints the tables of [`ref_bench::figures::fig13_throughput_4core`] as markdown.
 
 fn main() {
-    init_jobs();
-    let opts = experiment_options();
-    let capacity = capacity_for_agents(4);
-    let mechanisms: Vec<Box<dyn Mechanism>> = vec![
-        Box::new(MaxWelfare::with_fairness()),
-        Box::new(ProportionalElasticity),
-        Box::new(MaxWelfare::without_fairness()),
-        Box::new(EqualSlowdown::new()),
-    ];
-
-    println!("Figure 13: weighted system throughput, 4-core system (24 GB/s, 12 MB)");
-    println!();
-    print!("{:<14}", "mix");
-    for m in &mechanisms {
-        print!(" {:>28}", m.name());
-    }
-    println!();
-
-    for mix in four_core_mixes() {
-        let fits = fit_mix(&mix, &opts);
-        let agents: Vec<CobbDouglas> = fits.iter().map(|f| f.utility.clone()).collect();
-        print!("{:<14}", format!("{} ({})", mix.id, mix.paper_annotation));
-        let mut row = Vec::new();
-        for m in &mechanisms {
-            match m.allocate(&agents, &capacity) {
-                Ok(alloc) => {
-                    let t = weighted_system_throughput(&agents, &alloc, &capacity);
-                    row.push(Some(t));
-                    print!(" {t:>28.4}");
-                }
-                Err(e) => {
-                    row.push(None);
-                    print!(" {:>28}", format!("error: {e}"));
-                }
-            }
-        }
-        println!();
-        if let (Some(fair), Some(unfair)) = (row[0], row[2]) {
-            let penalty = (1.0 - fair / unfair) * 100.0;
-            println!(
-                "{:<14}   fairness penalty vs upper bound: {penalty:.1}%",
-                ""
-            );
-        }
-    }
+    ref_bench::figures::print(ref_bench::figures::fig13_throughput_4core);
 }

@@ -1,64 +1,5 @@
-//! Figure 14: weighted system throughput on the 8-core system.
-//!
-//! As Figure 13 but for the eight-application mixes WD6-WD10 on a
-//! 48 GB/s + 24 MB machine. Expected shape: fairness penalty under ~10%,
-//! and equal slowdown degrading relative to proportional elasticity as the
-//! number of agents grows (the opportunity cost of favoring the least
-//! satisfied user).
-
-use ref_bench::pipeline::{capacity_for_agents, experiment_options, fit_mix, init_jobs};
-use ref_core::mechanism::{EqualSlowdown, MaxWelfare, Mechanism, ProportionalElasticity};
-use ref_core::utility::CobbDouglas;
-use ref_core::welfare::weighted_system_throughput;
-use ref_workloads::suite::eight_core_mixes;
+//! Prints the tables of [`ref_bench::figures::fig14_throughput_8core`] as markdown.
 
 fn main() {
-    init_jobs();
-    let opts = experiment_options();
-    let capacity = capacity_for_agents(8);
-    let mechanisms: Vec<Box<dyn Mechanism>> = vec![
-        Box::new(MaxWelfare::with_fairness()),
-        Box::new(ProportionalElasticity),
-        Box::new(MaxWelfare::without_fairness()),
-        Box::new(EqualSlowdown::new()),
-    ];
-
-    println!("Figure 14: weighted system throughput, 8-core system (48 GB/s, 24 MB)");
-    println!();
-    print!("{:<16}", "mix");
-    for m in &mechanisms {
-        print!(" {:>28}", m.name());
-    }
-    println!();
-
-    for mix in eight_core_mixes() {
-        let fits = fit_mix(&mix, &opts);
-        let agents: Vec<CobbDouglas> = fits.iter().map(|f| f.utility.clone()).collect();
-        print!("{:<16}", format!("{} ({})", mix.id, mix.paper_annotation));
-        let mut row = Vec::new();
-        for m in &mechanisms {
-            match m.allocate(&agents, &capacity) {
-                Ok(alloc) => {
-                    let t = weighted_system_throughput(&agents, &alloc, &capacity);
-                    row.push(Some(t));
-                    print!(" {t:>28.4}");
-                }
-                Err(e) => {
-                    row.push(None);
-                    print!(" {:>28}", format!("error: {e}"));
-                }
-            }
-        }
-        println!();
-        if let (Some(fair), Some(unfair), Some(slowdown), Some(pe)) =
-            (row[0], row[2], row[3], row[1])
-        {
-            println!(
-                "{:<16}   fairness penalty {:.1}%; proportional elasticity vs equal slowdown: {:+.1}%",
-                "",
-                (1.0 - fair / unfair) * 100.0,
-                (pe / slowdown - 1.0) * 100.0
-            );
-        }
-    }
+    ref_bench::figures::print(ref_bench::figures::fig14_throughput_8core);
 }

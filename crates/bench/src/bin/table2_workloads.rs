@@ -1,46 +1,5 @@
-//! Table 2: the multiprogrammed workload mixes and their C/M composition.
-//!
-//! Prints each mix's members with the paper's annotation and our fitted
-//! classification (see EXPERIMENTS.md for the two mixes where the paper's
-//! own annotation disagrees with its §5.3 classification).
-
-use std::collections::HashMap;
-
-use ref_bench::pipeline::{experiment_options, fit_benchmarks, init_jobs};
-use ref_workloads::profiles::{by_name, Benchmark};
-use ref_workloads::suite::all_mixes;
+//! Prints the tables of [`ref_bench::figures::table2_workloads`] as markdown.
 
 fn main() {
-    init_jobs();
-    let opts = experiment_options();
-    println!("Table 2: workload characterization");
-    println!();
-    // Fit every distinct member across all mixes in one parallel batch.
-    let mut names: Vec<&'static str> = Vec::new();
-    for mix in all_mixes() {
-        for name in mix.members.iter() {
-            if !names.contains(name) {
-                names.push(name);
-            }
-        }
-    }
-    let benches: Vec<&Benchmark> = names.iter().map(|n| by_name(n).expect("known")).collect();
-    let cache: HashMap<&str, &'static str> = names
-        .iter()
-        .copied()
-        .zip(fit_benchmarks(&benches, &opts).iter().map(|f| f.class()))
-        .collect();
-    for mix in all_mixes() {
-        let classes: Vec<&'static str> = mix.members.iter().map(|name| cache[name]).collect();
-        let c = classes.iter().filter(|c| **c == "C").count();
-        let m = classes.len() - c;
-        println!(
-            "{:<5} paper: {:>6}   fitted: {}C-{}M",
-            mix.id, mix.paper_annotation, c, m
-        );
-        for (name, class) in mix.members.iter().zip(&classes) {
-            println!("        {name:<20} {class}");
-        }
-        println!();
-    }
+    ref_bench::figures::print(ref_bench::figures::table2_workloads);
 }

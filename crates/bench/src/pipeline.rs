@@ -1,4 +1,4 @@
-//! The profile → fit pipeline shared by every experiment binary.
+//! The profile → fit pipeline shared by every figure.
 //!
 //! Conventions (matching the paper's §3 example):
 //!
@@ -49,33 +49,35 @@ impl FittedWorkload {
     }
 }
 
-/// Converts a profile grid to fit points in the crate's unit convention.
-pub fn fit_points(grid: &ProfileGrid) -> Vec<FitPoint> {
-    grid.points
+/// Fits a Cobb-Douglas utility to a measured profile grid, in the crate's
+/// unit convention.
+///
+/// # Panics
+///
+/// Panics if fitting fails, which cannot happen for a full-rank grid of
+/// positive IPCs such as every grid the profiler measures.
+pub fn fit_grid(grid: ProfileGrid) -> FittedWorkload {
+    let points: Vec<FitPoint> = grid
+        .points
         .iter()
         .map(|p| {
             FitPoint::new(vec![p.bandwidth.gb_per_sec(), p.cache.mib_f64()], p.ipc)
                 .expect("profiled IPC is positive")
         })
-        .collect()
-}
-
-/// Profiles and fits one benchmark.
-///
-/// # Panics
-///
-/// Panics if fitting fails, which cannot happen for the built-in 25-point
-/// grid (full rank, positive IPC).
-pub fn fit_benchmark(benchmark: &Benchmark, opts: &ProfilerOptions) -> FittedWorkload {
-    let grid = profile(benchmark, opts);
-    let fit = fit_cobb_douglas(&fit_points(&grid)).expect("25-point grid is full rank");
+        .collect();
+    let fit = fit_cobb_douglas(&points).expect("the profiled grid is full rank");
     FittedWorkload {
-        name: benchmark.name.to_string(),
+        name: grid.workload.clone(),
         utility: fit.utility().clone(),
         r_squared: fit.r_squared(),
         predictions: fit.predictions().to_vec(),
         grid,
     }
+}
+
+/// Profiles and fits one benchmark; panics where [`fit_grid`] does.
+pub fn fit_benchmark(benchmark: &Benchmark, opts: &ProfilerOptions) -> FittedWorkload {
+    fit_grid(profile(benchmark, opts))
 }
 
 /// Profiles and fits a set of benchmarks concurrently, one pool task per
@@ -149,8 +151,8 @@ pub fn capacity_for_agents(num_agents: usize) -> Capacity {
         .expect("positive capacities")
 }
 
-/// Profiler options for the experiment binaries: the paper's grid at a
-/// length that keeps a full figure run under a minute.
+/// Profiler options for the figures: the paper's grid at a length that
+/// keeps a full figure run under a minute.
 pub fn experiment_options() -> ProfilerOptions {
     ProfilerOptions {
         warmup_instructions: 80_000,

@@ -57,6 +57,7 @@ use ref_serve::protocol::{error_response, event_to_value, shard_unavailable_resp
 use ref_serve::repl::{parse_frame, Frame};
 use ref_serve::repl_core::{Ack, AckWait, Hello, Promotion, Timer};
 use ref_serve::router::{asks, AfterPanic, Duty, Readmit};
+use ref_serve::shard::mix64;
 use ref_serve::wal::read_events_with;
 use ref_serve::{
     decode_frame, default_quorum, replay, shard_market_config, Clock, FaultPlan, FrameDecode,
@@ -67,7 +68,7 @@ use ref_serve::{
 use crate::disk::SimDisk;
 use crate::net::SimNet;
 use crate::schedule::{generate, FaultOp, Op, Schedule, NODES, REPLICAS, SHARDS, TICK_EVERY};
-use crate::sim::{mix64, SimClock, SimRng, Trace};
+use crate::sim::{SimClock, SimRng, Trace};
 
 /// Every simulated node is one half of a replicated pair.
 const REPLICATED: &str = "every simulated node is replicated";

@@ -43,4 +43,3 @@ mod schedule;
 mod sim;
 
 pub use fleet::{run_seed, BreakKind, RunOutcome, SimOptions};
-pub use sim::mix64;

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ref_serve::shard::mix64;
 use ref_serve::Clock;
 
 /// Virtual monotonic time: a shared nanosecond counter implementing the
@@ -37,16 +38,6 @@ impl Clock for SimClock {
     fn now(&self) -> Duration {
         Duration::from_nanos(self.0.load(Ordering::SeqCst))
     }
-}
-
-/// `splitmix64`: the same full-avalanche mixer the serve crate uses for
-/// ring placement and election jitter, so simulated randomness and
-/// product randomness share one arithmetic.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A seeded deterministic random stream (`splitmix64` sequence).

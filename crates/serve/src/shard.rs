@@ -93,8 +93,9 @@ pub fn default_quorum(shards: usize) -> usize {
 }
 
 /// `splitmix64`: a full-avalanche 64-bit mixer. Pure arithmetic — no
-/// process state — so ring placement is identical everywhere.
-pub(crate) fn mix64(mut x: u64) -> u64 {
+/// process state — so ring placement is identical everywhere, and the
+/// simulator's random streams share the same arithmetic.
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -75,6 +75,10 @@ pub struct ProfilerOptions {
     pub cache_sizes: Vec<CacheSize>,
     /// Bandwidths to sweep.
     pub bandwidths: Vec<Bandwidth>,
+    /// The platform every grid point runs on, with the point's L2 size
+    /// and bandwidth: the paper's Table 1 by default, another DRAM page
+    /// policy or prefetcher in the ablations.
+    pub platform: PlatformConfig,
     /// Worker threads for the sweep: `None` uses the global `ref-pool`
     /// width ([`ref_pool::threads`]), `Some(1)` forces a serial sweep.
     /// Results are bit-identical at every width — each grid point is an
@@ -95,6 +99,7 @@ impl Default for ProfilerOptions {
             seed: 0xA5F0_5EED,
             cache_sizes: PlatformConfig::l2_sweep().to_vec(),
             bandwidths: PlatformConfig::bandwidth_sweep().to_vec(),
+            platform: PlatformConfig::asplos14(),
             threads: None,
             use_memo: true,
         }
@@ -116,7 +121,7 @@ impl Default for ProfilerOptions {
 /// assert!(grid.peak_ipc() > 0.0);
 /// ```
 pub fn profile(benchmark: &Benchmark, opts: &ProfilerOptions) -> ProfileGrid {
-    let base = PlatformConfig::asplos14();
+    let base = opts.platform;
     // Warm the caches for a fixed number of *memory accesses*:
     // compute-heavy workloads touch memory rarely, so a fixed
     // instruction budget would leave their working sets cold and

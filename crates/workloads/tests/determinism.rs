@@ -17,6 +17,7 @@ fn opts(seed: u64, threads: usize) -> ProfilerOptions {
         // several points to distribute.
         cache_sizes: PlatformConfig::l2_sweep()[..2].to_vec(),
         bandwidths: PlatformConfig::bandwidth_sweep()[..3].to_vec(),
+        platform: PlatformConfig::asplos14(),
         threads: Some(threads),
         use_memo: false,
     }
