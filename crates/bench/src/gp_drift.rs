@@ -180,8 +180,6 @@ pub struct DriftRun {
     /// Newton iterations of each epoch's warm solve (epoch 0 has no hint:
     /// it is the cold solve again).
     pub warm_newton_iters: Vec<usize>,
-    /// Phase-I iterations over all solves.
-    pub phase_one_iters: usize,
     /// Warm solves whose hint was tried and abandoned.
     pub warm_fallbacks: usize,
     /// Largest relative gap between any solve's allocation and the closed
@@ -259,7 +257,6 @@ pub fn run() -> DriftRun {
     let mut run = DriftRun {
         cold_newton_iters: iters(&cold),
         warm_newton_iters: iters(&warm),
-        phase_one_iters: 0,
         warm_fallbacks: 0,
         divergence: 0.0,
         cold_secs,
@@ -269,7 +266,6 @@ pub fn run() -> DriftRun {
         let oracle = closed_form(epoch, &capacity);
         for (alloc, hint) in [cold, warm] {
             run.divergence = run.divergence.max(divergence(alloc, &oracle));
-            run.phase_one_iters += hint.stats.phase_one_iterations;
             run.warm_fallbacks += usize::from(hint.stats.warm == WarmOutcome::FellBack);
         }
     }
@@ -404,7 +400,6 @@ mod tests {
     fn warm_never_costs_more_than_cold_and_no_hint_is_abandoned() {
         let run = run();
         run.check().unwrap_or_else(|gate| panic!("{gate}: {run:?}"));
-        assert_eq!(run.phase_one_iters, 0, "{run:?}");
         assert!(run.cold_newton_iters.iter().all(|&c| c <= 45), "{run:?}");
         // Ledger-sized drift is where a warm start pays: well under two
         // thirds of the cold iterations outside the shock and the demand
@@ -426,7 +421,6 @@ mod tests {
                 let point = ScalingPoint::new(inner, agents);
                 let (cold, warm) = point.check().unwrap_or_else(|gate| panic!("{gate}"));
                 println!("{} x {agents}: cold {cold:?}, warm {warm:?}", point.label());
-                assert_eq!(cold.phase_one_iterations, 0);
                 if inner == CreditInner::MaxWelfare {
                     assert_eq!(warm.warm, WarmOutcome::Used);
                     assert!(warm.newton_iterations <= cold.newton_iterations);

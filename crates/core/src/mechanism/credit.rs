@@ -313,10 +313,9 @@ mod tests {
             NashProgram::new(&tilted, &c).unwrap()
         };
         let (_, hint) = program(0.050).solve_warm(None).unwrap();
-        // The start is strictly inside the capacity constraints: no phase
-        // I, and the whole path in at most 45 Newton iterations.
+        // From the start, strictly inside the capacity constraints, the
+        // whole path takes at most 45 Newton iterations.
         assert_eq!(hint.stats.warm, WarmOutcome::Cold);
-        assert_eq!(hint.stats.phase_one_iterations, 0);
         assert!(hint.stats.newton_iterations <= 45, "{:?}", hint.stats);
 
         let after = program(0.051);
@@ -338,6 +337,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_max_min_level_starts_below_utilities_far_under_any_floor() {
+        // 120 identical agents on four resources, every elasticity 1 and
+        // every weight 1.6: at half the equal division each tilted U_i is
+        // 240^-6.4, about 5e-16, where a floor of 1e-12 on the level's
+        // start would put it outside every level constraint.
+        let agents = vec![CobbDouglas::new(1.0, vec![1.0; 4]).unwrap(); 120];
+        let c = Capacity::new(vec![16.0, 8.0, 4.0, 2.0]).unwrap();
+        let m = CreditMechanism::new(CreditInner::EqualSlowdown, vec![1.6; 120]).unwrap();
+        let alloc = m.allocate(&agents, &c).unwrap();
+        assert!(alloc.is_exhaustive(&c, 1e-3));
     }
 
     #[test]

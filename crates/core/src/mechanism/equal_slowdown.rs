@@ -120,16 +120,22 @@ impl Mechanism for EqualSlowdown {
         }
 
         // Start strictly inside every bundle constraint, with the level at
-        // half the smallest U_i there: every U_i is strictly between 0 and
-        // 1, so that is strictly feasible too and phase I never runs.
+        // half the smallest U_i there, which clears every level constraint
+        // by ln 2. U_i is taken in log space: many agents, or elasticity
+        // sums a credit weight has scaled up, put it far below any fixed
+        // floor, and u_i(C) alone can overflow.
         let mut x0 = vec![0.0; num_vars];
         max_welfare::interior_start(agents, capacity, self.fairness, &mut x0)?;
-        let min_u = agents
+        let min_log_u = agents
             .iter()
             .enumerate()
-            .map(|(i, a)| a.value_slice(&x0[i * r_count..(i + 1) * r_count]) / a.value(&whole))
+            .map(|(i, a)| {
+                (0..r_count)
+                    .map(|r| a.elasticity(r) * (x0[i * r_count + r] / capacity.get(r)).ln())
+                    .sum::<f64>()
+            })
             .fold(f64::INFINITY, f64::min);
-        x0[t_var] = (min_u * 0.5).max(1e-12);
+        x0[t_var] = 0.5 * min_log_u.exp();
         let sol = gp.solve_warm(&x0, warm)?;
         let hint = GpWarmStart::from_solution(&sol);
         let bundles: Result<Vec<Bundle>> = (0..n)
@@ -284,7 +290,7 @@ mod tests {
     #[test]
     fn both_variants_start_strictly_inside() {
         // Neither start sits on the capacity boundary (the equal split
-        // does), so the solver never runs phase I.
+        // does): the solver refuses a start that is not strictly inside.
         let agents = vec![
             CobbDouglas::new(1.2, vec![0.8, 0.3]).unwrap(),
             CobbDouglas::new(0.7, vec![0.2, 0.6]).unwrap(),
@@ -292,13 +298,9 @@ mod tests {
         ];
         let c = paper_capacity();
         for mech in [EqualSlowdown::new(), EqualSlowdown::with_fairness()] {
-            let (_, hint) = mech.allocate_warm(&agents, &c, None).unwrap();
-            assert_eq!(
-                hint.unwrap().stats.phase_one_iterations,
-                0,
-                "{}",
-                mech.name()
-            );
+            if let Err(e) = mech.allocate(&agents, &c) {
+                panic!("{}: {e}", mech.name());
+            }
         }
     }
 

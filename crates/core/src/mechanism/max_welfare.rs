@@ -294,12 +294,33 @@ pub(crate) fn pareto_constraints(
     Ok(out)
 }
 
+/// How far [`interior_start`] shrinks REF when nothing binds: it clears
+/// every capacity constraint by `-ln(1 - START_SHRINK)`.
+const START_SHRINK: f64 = 1e-4;
+
 /// A strictly interior start for a GP over the bundle variables, written
-/// into `x0[..n * R]`, so the solver skips phase I. With fairness
-/// constraints it is the (slightly shrunk) REF allocation, which is
-/// provably fair and therefore strictly feasible under the relaxed
-/// constraints; without them, half the equal division — the equal division
-/// itself exhausts every capacity constraint, which is the boundary.
+/// into `x0[..n * R]`. The solver refuses a start that is not strictly
+/// inside every constraint, so each rule says why its point is.
+///
+/// Without fairness: half the equal division. The equal division itself
+/// exhausts every capacity constraint, which is the boundary; half of it
+/// clears each by `ln 2`.
+///
+/// With fairness: the REF allocation, which is SI, EF and PE (§4.2),
+/// shrunk by a factor `k < 1` (and floored at `1e-9 C_r`):
+/// - capacity: REF exhausts it, so the start clears it by `-ln k`;
+/// - EF and PE compare bundles shrunk alike, so `k` cancels and the
+///   relaxations (`FAIRNESS_SLACK`, `PE_BAND`) are the slack;
+/// - SI compares agent `i`'s bundle with the fixed equal split, so the
+///   shrink costs it `-s_i ln k` of log utility, `s_i` its elasticity sum.
+///   Its slack is `ln(1 + FAIRNESS_SLACK)` plus what REF gives it above the
+///   equal split, which is nothing where SI binds (identical agents: REF is
+///   the equal split). There `k = 1 - START_SHRINK` spends `s_i 1e-4` of a
+///   `1e-4` slack, and at `s_i = 1` puts the start outside.
+///
+/// So `k = 1 - START_SHRINK` unless that spends more than half of some
+/// agent's SI slack; then `k` spends half of the smallest slack per unit of
+/// elasticity, and every SI constraint keeps at least half of its own.
 pub(crate) fn interior_start(
     agents: &[CobbDouglas],
     capacity: &Capacity,
@@ -310,10 +331,31 @@ pub(crate) fn interior_start(
     let r_count = capacity.num_resources();
     if fairness {
         let fair = crate::mechanism::ProportionalElasticity.allocate(agents, capacity)?;
+        // The largest -ln k each agent affords: half its SI slack over s_i.
+        let affordable = agents
+            .iter()
+            .enumerate()
+            .map(|(i, agent)| {
+                let above_equal: f64 = (0..r_count)
+                    .filter(|&r| agent.elasticity(r) > 0.0)
+                    .map(|r| {
+                        let equal = capacity.get(r) / n as f64;
+                        agent.elasticity(r) * (fair.bundle(i).get(r) / equal).ln()
+                    })
+                    .sum();
+                (FAIRNESS_SLACK.ln_1p() + above_equal) / (2.0 * agent.elasticity_sum())
+            })
+            .fold(f64::INFINITY, f64::min);
+        let k = if -(-START_SHRINK).ln_1p() <= affordable {
+            1.0 - START_SHRINK
+        } else {
+            // Also where round-off left no slack at all (`k = 1`, on the
+            // capacity boundary: the solver refuses it).
+            (-affordable.max(0.0)).exp()
+        };
         for i in 0..n {
             for r in 0..r_count {
-                x0[idx(i, r, r_count)] =
-                    (fair.bundle(i).get(r) * (1.0 - 1e-4)).max(1e-9 * capacity.get(r));
+                x0[idx(i, r, r_count)] = (fair.bundle(i).get(r) * k).max(1e-9 * capacity.get(r));
             }
         }
     } else {

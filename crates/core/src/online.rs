@@ -16,20 +16,16 @@
 //! triangular factor of the log-design ([`ref_solver::update`]), so each
 //! [`OnlineEstimator::observe`] costs `O(R^2)` — one Givens row append plus
 //! a back-substitution — instead of refactorizing all `m` accumulated
-//! observations (`O(m R^2)`). [`OnlineEstimator::with_window`] bounds the
-//! design to a sliding window by downdating the oldest row as new ones
-//! arrive, so long-lived agents track drifting workloads at constant cost.
+//! observations (`O(m R^2)`).
 //!
 //! Rows are not kept: the factor already holds everything a refit reads.
 //! An estimator is its [`EstimatorState`] — the factor, the current fit and
-//! four counters, `O(R^2)` however many observations it has folded in —
-//! plus, for a windowed estimator only, the rows of its window, which
-//! downdating needs. [`OnlineEstimator::state`] exposes the state and
+//! four counters, `O(R^2)` however many observations it has folded in.
+//! [`OnlineEstimator::state`] exposes the state and
 //! [`OnlineEstimator::from_state`] rebuilds an estimator from it bit for
 //! bit, which is what lets a restarted service resume a market mid-run
 //! without replaying its history.
 
-use std::collections::VecDeque;
 use std::iter;
 
 /// The triangular factor an [`EstimatorState`] holds, re-exported so that
@@ -41,7 +37,7 @@ use crate::error::{CoreError, Result};
 use crate::fitting::FitPoint;
 use crate::utility::CobbDouglas;
 
-/// Everything an unbounded [`OnlineEstimator`] holds, in `O(R^2)`.
+/// Everything an [`OnlineEstimator`] holds, in `O(R^2)`.
 ///
 /// [`OnlineEstimator::from_state`] rebuilds an estimator that observes,
 /// refits and reports exactly as the one the state was taken from;
@@ -90,7 +86,7 @@ impl EstimatorState {
         })
     }
 
-    /// Checks that an unbounded estimator over `num_resources` resources
+    /// Checks that an estimator over `num_resources` resources
     /// could have reached this state: the factor and the fit cover the
     /// right number of resources, every refit attempt had an observation
     /// past the first `R + 1` to be made on, the counters nest, an `R^2`
@@ -168,15 +164,6 @@ impl EstimatorState {
 pub struct OnlineEstimator {
     num_resources: usize,
     state: EstimatorState,
-    /// The sliding window, if any (see [`OnlineEstimator::with_window`]).
-    window: Option<Window>,
-}
-
-/// A bounded design: the rows still in the factor, oldest first.
-#[derive(Debug, Clone)]
-struct Window {
-    size: usize,
-    rows: VecDeque<FitPoint>,
 }
 
 impl OnlineEstimator {
@@ -188,49 +175,13 @@ impl OnlineEstimator {
     /// Returns [`CoreError::InvalidArgument`] if `num_resources == 0`.
     pub fn new(num_resources: usize) -> Result<OnlineEstimator> {
         let state = EstimatorState::prior(num_resources)?;
-        Ok(OnlineEstimator::resume(num_resources, state))
-    }
-
-    fn resume(num_resources: usize, state: EstimatorState) -> OnlineEstimator {
-        OnlineEstimator {
+        Ok(OnlineEstimator {
             num_resources,
             state,
-            window: None,
-        }
+        })
     }
 
-    /// Creates an estimator whose design is bounded to the most recent
-    /// `window` observations.
-    ///
-    /// Each observation past the bound *downdates* the oldest row out of
-    /// the triangular factor (LINPACK `dchdd`), so a long-lived agent
-    /// tracks a drifting workload at `O(R^2)` per observation and constant
-    /// memory instead of averaging over its entire history. When a
-    /// downdate would destroy the factor's conditioning the estimator
-    /// falls back to refactorizing the surviving rows from scratch; those
-    /// rows are what a windowed estimator keeps beside its
-    /// [`EstimatorState`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidArgument`] if `num_resources == 0` or
-    /// the window is too small to ever fit (`window <= num_resources + 1`).
-    pub fn with_window(num_resources: usize, window: usize) -> Result<OnlineEstimator> {
-        let mut est = OnlineEstimator::new(num_resources)?;
-        if window <= num_resources + 1 {
-            return Err(CoreError::InvalidArgument(format!(
-                "window of {window} observations can never fit {} + 1 parameters",
-                num_resources + 1
-            )));
-        }
-        est.window = Some(Window {
-            size: window,
-            rows: VecDeque::with_capacity(window + 1),
-        });
-        Ok(est)
-    }
-
-    /// Rebuilds an unbounded estimator from its [`EstimatorState`]. The
+    /// Rebuilds an estimator from its [`EstimatorState`]. The
     /// result observes, refits and reports exactly — bit for bit — as the
     /// estimator the state was taken from.
     ///
@@ -241,13 +192,14 @@ impl OnlineEstimator {
     /// resources).
     pub fn from_state(num_resources: usize, state: EstimatorState) -> Result<OnlineEstimator> {
         state.check(num_resources)?;
-        Ok(OnlineEstimator::resume(num_resources, state))
+        Ok(OnlineEstimator {
+            num_resources,
+            state,
+        })
     }
 
-    /// The estimator's state: everything it holds apart from a window's
-    /// rows. [`OnlineEstimator::from_state`] rebuilds unbounded estimators
-    /// only: a windowed one also needs its window's rows, and its refit
-    /// counters outgrow its row count.
+    /// The estimator's state: everything it holds.
+    /// [`OnlineEstimator::from_state`] rebuilds the estimator from it.
     pub fn state(&self) -> &EstimatorState {
         &self.state
     }
@@ -258,8 +210,7 @@ impl OnlineEstimator {
         &self.state.utility
     }
 
-    /// Number of observations in the design: every one observed, or, with
-    /// a window, those still inside it.
+    /// Number of observations in the design.
     pub fn num_observations(&self) -> usize {
         self.state.factor.rows()
     }
@@ -336,36 +287,13 @@ impl OnlineEstimator {
         }
         FitPoint::check(allocation, performance)?;
         // One scratch buffer, on the stack for up to six resources: the
-        // log-space design rows folded in or out, then the coefficients.
+        // log-space design row folded in, then the coefficients.
         let (mut stack, mut heap) = ([0.0; 7], Vec::new());
         let scratch = vec_ops::scratch(&mut stack, &mut heap, self.num_resources + 1);
         let factor = &mut self.state.factor;
         factor
             .append(Self::log_row(scratch, allocation), performance.ln())
             .expect("validated observation rows are finite");
-        if let Some(window) = &mut self.window {
-            window.rows.push_back(FitPoint {
-                inputs: allocation.to_vec(),
-                output: performance,
-            });
-            if window.rows.len() > window.size {
-                let evicted = window
-                    .rows
-                    .pop_front()
-                    .expect("the window is over its bound");
-                let row = Self::log_row(scratch, &evicted.inputs);
-                if factor.downdate(row, evicted.output.ln()).is_err() {
-                    // The factor is too close to singular to subtract the
-                    // row stably; refactorize the surviving rows instead.
-                    *factor = UpdatableLstsq::new(self.num_resources + 1);
-                    for point in &window.rows {
-                        factor
-                            .append(Self::log_row(scratch, &point.inputs), point.output.ln())
-                            .expect("previously accepted observations are finite");
-                    }
-                }
-            }
-        }
         if factor.rows() <= self.num_resources + 1 {
             return Ok(false);
         }
@@ -595,84 +523,6 @@ mod tests {
         }
         assert!(est.refits() > 0);
         assert_eq!(est.incremental_refits(), est.refits());
-        assert!(est.window.is_none());
-    }
-
-    #[test]
-    fn window_requires_room_for_the_parameters() {
-        assert!(OnlineEstimator::with_window(2, 3).is_err());
-        assert!(OnlineEstimator::with_window(0, 9).is_err());
-        let est = OnlineEstimator::with_window(2, 4).unwrap();
-        assert_eq!(est.window.map(|w| w.size), Some(4));
-    }
-
-    #[test]
-    fn windowed_estimator_bounds_observations_and_matches_suffix_fit() {
-        let truth = CobbDouglas::new(1.2, vec![0.6, 0.3]).unwrap();
-        let window = 8;
-        let mut bounded = OnlineEstimator::with_window(2, window).unwrap();
-        let points: Vec<(f64, f64)> = (0..24_u32)
-            .map(|i| (1.0 + (i % 5) as f64 * 1.3, 0.5 + (i % 4) as f64 * 0.9))
-            .collect();
-        for &(x, y) in &points {
-            bounded
-                .observe(vec![x, y], truth.value_slice(&[x, y]))
-                .unwrap();
-        }
-        assert_eq!(bounded.num_observations(), window);
-        // An estimator fed only the surviving suffix must land on the same
-        // model (up to downdate round-off).
-        let mut suffix = OnlineEstimator::new(2).unwrap();
-        for &(x, y) in &points[points.len() - window..] {
-            suffix
-                .observe(vec![x, y], truth.value_slice(&[x, y]))
-                .unwrap();
-        }
-        for r in 0..2 {
-            assert!(
-                (bounded.utility().elasticity(r) - suffix.utility().elasticity(r)).abs() < 1e-9
-            );
-        }
-        assert!((bounded.utility().scale() - suffix.utility().scale()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn window_rows_track_the_surviving_rows_across_evictions() {
-        // The middle of the stream repeats one allocation, so evicting
-        // the last distinct row leaves a collinear design: that downdate
-        // is refused and the factor rebuilt from the kept rows. The
-        // window must hold exactly the surviving rows either way.
-        let window = 5;
-        let mut unbounded = OnlineEstimator::new(2).unwrap();
-        let mut bounded = OnlineEstimator::with_window(2, window).unwrap();
-        let mut all = Vec::new();
-        let mut rebuilt = 0;
-        for i in 0..30_u32 {
-            let (x, y) = if (8..16).contains(&i) {
-                (2.0, 3.0)
-            } else {
-                (1.0 + f64::from(i % 5) * 1.3, 0.5 + f64::from(i % 4) * 0.9)
-            };
-            let perf = x.powf(0.6) * y.powf(0.3) * (1.0 + f64::from(i) * 1e-3);
-            unbounded.observe(vec![x, y], perf).unwrap();
-            bounded.observe(vec![x, y], perf).unwrap();
-            all.push(FitPoint::new(vec![x, y], perf).unwrap());
-            let survivors = &all[all.len().saturating_sub(window)..];
-            let kept = &bounded.window.as_ref().unwrap().rows;
-            assert!(kept.iter().eq(survivors), "step {i}");
-            assert_eq!(bounded.num_observations(), survivors.len());
-            assert_eq!(unbounded.num_observations(), all.len());
-            // A factor refactorized from the survivors is the fresh one.
-            let mut fresh = OnlineEstimator::new(2).unwrap();
-            for p in survivors {
-                fresh.observe(p.inputs.clone(), p.output).unwrap();
-            }
-            rebuilt += usize::from(bounded.state().factor == fresh.state().factor);
-        }
-        assert!(unbounded.window.is_none());
-        // Besides the five steps before the first eviction, some
-        // downdates were refused and rebuilt.
-        assert!(rebuilt > window, "{rebuilt} rebuilt factor(s)");
     }
 
     #[test]
@@ -746,34 +596,6 @@ mod tests {
         // A fresh estimator's state is a valid one.
         let fresh = OnlineEstimator::new(2).unwrap();
         assert!(OnlineEstimator::from_state(2, fresh.state().clone()).is_ok());
-    }
-
-    #[test]
-    fn windowed_estimator_tracks_a_drifting_workload() {
-        // The workload's true utility changes mid-run. The bounded
-        // estimator forgets the old phase and locks on to the new one; an
-        // unbounded estimator keeps averaging over both phases forever.
-        let phase_a = CobbDouglas::new(1.0, vec![0.8, 0.1]).unwrap();
-        let phase_b = CobbDouglas::new(1.0, vec![0.1, 0.8]).unwrap();
-        let mut bounded = OnlineEstimator::with_window(2, 6).unwrap();
-        let mut unbounded = OnlineEstimator::new(2).unwrap();
-        let grid = |i: u32| (1.0 + (i % 4) as f64, 0.5 + (i % 3) as f64);
-        for i in 0..12 {
-            let (x, y) = grid(i);
-            let perf = phase_a.value_slice(&[x, y]);
-            bounded.observe(vec![x, y], perf).unwrap();
-            unbounded.observe(vec![x, y], perf).unwrap();
-        }
-        for i in 12..24 {
-            let (x, y) = grid(i);
-            let perf = phase_b.value_slice(&[x, y]);
-            bounded.observe(vec![x, y], perf).unwrap();
-            unbounded.observe(vec![x, y], perf).unwrap();
-        }
-        // Once the window holds only phase-B points the fit is exact.
-        assert!((bounded.utility().elasticity(1) - 0.8).abs() < 1e-9);
-        // The unbounded estimator is stuck between the two phases.
-        assert!((unbounded.utility().elasticity(1) - 0.8).abs() > 0.05);
     }
 
     #[test]

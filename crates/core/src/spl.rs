@@ -175,8 +175,10 @@ pub fn best_response(truthful: &[f64], others: &[f64], capacity: &[f64]) -> Resu
     })
 }
 
-/// Measures the worst relative gain from lying across `num_agents` agents
-/// whose re-scaled elasticities are given row-wise.
+/// Finds the agent with the largest relative gain from lying among agents
+/// whose re-scaled elasticities are given row-wise, and returns its index
+/// (the first, on a tie) with its [`LyingGain`], so that the gain and the
+/// report deviation describe the same agent.
 ///
 /// Used to reproduce the paper's SPL experiment (64 agents with uniform
 /// random elasticities): the returned gain should be negligible for large
@@ -184,8 +186,12 @@ pub fn best_response(truthful: &[f64], others: &[f64], capacity: &[f64]) -> Resu
 ///
 /// # Errors
 ///
-/// Propagates errors from [`best_response`].
-pub fn max_gain_from_lying(elasticities: &[Vec<f64>], capacity: &Capacity) -> Result<f64> {
+/// Returns [`CoreError::InvalidArgument`] for no agents or a row of the
+/// wrong dimension, and propagates errors from [`best_response`].
+pub fn max_gain_from_lying(
+    elasticities: &[Vec<f64>],
+    capacity: &Capacity,
+) -> Result<(usize, LyingGain)> {
     if elasticities.is_empty() {
         return Err(CoreError::InvalidArgument(
             "need at least one agent".to_string(),
@@ -203,13 +209,18 @@ pub fn max_gain_from_lying(elasticities: &[Vec<f64>], capacity: &Capacity) -> Re
             *t += v;
         }
     }
-    let mut worst = 0.0_f64;
-    for a in elasticities {
+    let mut winner: Option<(usize, LyingGain)> = None;
+    for (i, a) in elasticities.iter().enumerate() {
         let others: Vec<f64> = totals.iter().zip(a).map(|(t, v)| t - v).collect();
         let gain = best_response(a, &others, capacity.as_slice())?;
-        worst = worst.max(gain.relative_gain());
+        if winner
+            .as_ref()
+            .is_none_or(|(_, w)| gain.relative_gain() > w.relative_gain())
+        {
+            winner = Some((i, gain));
+        }
     }
-    Ok(worst)
+    Ok(winner.expect("at least one agent"))
 }
 
 /// Re-scales raw per-agent elasticities onto the simplex (Eq. 12), a
@@ -284,8 +295,18 @@ mod tests {
             })
             .collect();
         let c = Capacity::new(vec![24.0, 12.0]).unwrap();
-        let worst = max_gain_from_lying(&rows, &c).unwrap();
-        assert!(worst < 0.01, "worst gain {worst}");
+        let (winner, worst) = max_gain_from_lying(&rows, &c).unwrap();
+        assert!(worst.relative_gain() < 0.01, "worst gain {worst:?}");
+        // Every agent's own best response, against everyone else's reports:
+        // the winner's is the one returned, and none gains more.
+        for (i, row) in rows.iter().enumerate() {
+            let others: Vec<f64> = (0..2)
+                .map(|r| rows.iter().map(|row| row[r]).sum::<f64>() - row[r])
+                .collect();
+            let gain = best_response(row, &others, c.as_slice()).unwrap();
+            assert!(i != winner || gain == worst, "agent {i}");
+            assert!(gain.relative_gain() <= worst.relative_gain(), "agent {i}");
+        }
     }
 
     #[test]

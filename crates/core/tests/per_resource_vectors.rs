@@ -275,42 +275,39 @@ fn refused_inputs_keep_their_errors() {
 fn observing_a_slice_is_observing_the_vec() {
     let mut draws = Draws(0x0B5E);
     for r in 1..=5 {
-        for window in [None, Some(r + 4)] {
-            let fresh = || match window {
-                None => OnlineEstimator::new(r).unwrap(),
-                Some(w) => OnlineEstimator::with_window(r, w).unwrap(),
-            };
-            let (mut by_vec, mut by_slice) = (fresh(), fresh());
-            for _ in 0..30 {
-                let point = draws.vec(r, 0.5, 8.0);
-                let perf = draws.next(0.1, 4.0);
-                let refit = by_vec.observe(point.clone(), perf).unwrap();
-                assert_eq!(by_slice.observe(&point[..], perf).unwrap(), refit);
-            }
-            assert_eq!(by_vec.state(), by_slice.state());
-            assert!(by_vec.refits() > 0);
-
-            let mut bad = vec![1.0; r];
-            bad[r - 1] = 0.0;
-            let refused = by_vec.observe(bad.clone(), 1.0);
-            assert_eq!(
-                refused,
-                Err(invalid(
-                    "inputs must be finite and positive for the log transform"
-                ))
-            );
-            assert_eq!(by_slice.observe(&bad, 1.0), refused);
-            assert_eq!(
-                by_slice.observe(vec![1.0; r], -1.0),
-                Err(invalid("output must be finite and positive, got -1"))
-            );
-            assert_eq!(
-                by_slice.observe([1.0; 6].as_slice(), 1.0),
-                Err(invalid(&format!(
-                    "observation covers 6 resources, estimator expects {r}"
-                )))
-            );
-            assert_eq!(by_vec.state(), by_slice.state());
+        let (mut by_vec, mut by_slice) = (
+            OnlineEstimator::new(r).unwrap(),
+            OnlineEstimator::new(r).unwrap(),
+        );
+        for _ in 0..30 {
+            let point = draws.vec(r, 0.5, 8.0);
+            let perf = draws.next(0.1, 4.0);
+            let refit = by_vec.observe(point.clone(), perf).unwrap();
+            assert_eq!(by_slice.observe(&point[..], perf).unwrap(), refit);
         }
+        assert_eq!(by_vec.state(), by_slice.state());
+        assert!(by_vec.refits() > 0);
+
+        let mut bad = vec![1.0; r];
+        bad[r - 1] = 0.0;
+        let refused = by_vec.observe(bad.clone(), 1.0);
+        assert_eq!(
+            refused,
+            Err(invalid(
+                "inputs must be finite and positive for the log transform"
+            ))
+        );
+        assert_eq!(by_slice.observe(&bad, 1.0), refused);
+        assert_eq!(
+            by_slice.observe(vec![1.0; r], -1.0),
+            Err(invalid("output must be finite and positive, got -1"))
+        );
+        assert_eq!(
+            by_slice.observe([1.0; 6].as_slice(), 1.0),
+            Err(invalid(&format!(
+                "observation covers 6 resources, estimator expects {r}"
+            )))
+        );
+        assert_eq!(by_vec.state(), by_slice.state());
     }
 }

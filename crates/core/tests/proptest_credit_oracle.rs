@@ -185,7 +185,6 @@ proptest! {
     ) {
         let inner = CreditInner::MaxWelfare;
         let (alloc, hint) = market.solve(inner, &market.weights, None);
-        prop_assert_eq!(hint.stats.phase_one_iterations, 0);
         check_max_welfare(&market, &market.weights, &alloc, &hint)?;
         // Re-solve after the weights drift, seeded with that optimum, and
         // cold for comparison: the same stage, the same point.

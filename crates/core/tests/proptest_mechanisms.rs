@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use ref_core::mechanism::{
-    EqualShare, EqualSlowdown, MaxWelfare, Mechanism, ProportionalElasticity,
+    CreditInner, CreditMechanism, EqualShare, EqualSlowdown, MaxWelfare, Mechanism,
+    ProportionalElasticity,
 };
 use ref_core::properties::FairnessReport;
 use ref_core::resource::Capacity;
@@ -99,6 +100,64 @@ proptest! {
             for r in 0..2 {
                 let gap = (nash.bundle(i).get(r) - closed.bundle(i).get(r)).abs();
                 prop_assert!(gap <= 0.02 * cap.get(r), "agent {i} resource {r}: {gap}");
+            }
+        }
+    }
+}
+
+/// `2..=192` identical agents on 1..=4 resources — a market at start-up,
+/// where every agent still reports the prior and SI binds at REF — with
+/// elasticities in `[0.05, 1]`, capacities in `[1, 100]` and one credit
+/// weight in `[0.4, 1.6]` per agent.
+fn identical_agents() -> impl Strategy<Value = (Vec<CobbDouglas>, Capacity, Vec<f64>)> {
+    (
+        2..=192usize,
+        1..=4usize,
+        prop::collection::vec((0.05..1.0f64, 1.0..100.0f64), 4),
+        prop::collection::vec(0.4..1.6f64, 192),
+    )
+        .prop_map(|(n, r, resources, weights)| {
+            let (a, c): (Vec<f64>, Vec<f64>) = resources[..r].iter().copied().unzip();
+            let agent = CobbDouglas::new(1.0, a).expect("positive elasticities");
+            let capacity = Capacity::new(c).expect("positive capacities");
+            (vec![agent; n], capacity, weights[..n].to_vec())
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every GP mechanism constructs a strictly interior start, which the
+    /// solver requires (it refuses any other with `StartNotInterior`):
+    /// `max-welfare-fair` and `equal-slowdown-fair` where SI binds at REF,
+    /// and the max-min level far below any fixed floor once a credit tilt
+    /// scales the elasticities up. Untilted, identical agents share
+    /// equally. An envy row couples every pair of agents, so the fair
+    /// kinds' Newton systems are dense `(N R)^2`: they run on the first
+    /// `FAIR_AGENTS` agents, where the start rule, which does not depend on
+    /// `N`, is the same.
+    #[test]
+    fn every_gp_mechanism_starts_strictly_inside(market in identical_agents()) {
+        const FAIR_AGENTS: usize = 32;
+        let (agents, capacity, weights) = market;
+        let fair = &agents[..agents.len().min(FAIR_AGENTS)];
+        let credit = CreditMechanism::new(CreditInner::EqualSlowdown, weights).unwrap();
+        let runs: [(&dyn Mechanism, &[CobbDouglas], bool); 4] = [
+            (&MaxWelfare::with_fairness(), fair, true),
+            (&EqualSlowdown::with_fairness(), fair, true),
+            (&EqualSlowdown::new(), &agents, true),
+            (&credit, &agents, false),
+        ];
+        for (m, agents, equal) in runs {
+            let alloc = match m.allocate(agents, &capacity) {
+                Ok(alloc) => alloc,
+                Err(e) => return Err(TestCaseError::fail(format!("{}: {e}", m.name()))),
+            };
+            for (i, bundle) in alloc.bundles().iter().enumerate().filter(|_| equal) {
+                for r in 0..capacity.num_resources() {
+                    let share = bundle.get(r) * agents.len() as f64 / capacity.get(r);
+                    prop_assert!((share - 1.0).abs() < 1e-2, "{}: agent {i}, {share}", m.name());
+                }
             }
         }
     }

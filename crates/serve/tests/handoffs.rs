@@ -4,11 +4,14 @@
 //! hand-off each way.
 //!
 //! Counted, not timed: voluntary context switches per thread, read from
-//! `/proc/self/task` as `idle.rs` does. This file holds one test on
+//! `/proc/self/task` as `idle.rs` does. A tick that finds the shard thread
+//! still awake from the last one costs it no switch, so before each tick
+//! the test waits until the thread is asleep. This file holds one test on
 //! purpose, so no other test's server shares the process.
 #![cfg(target_os = "linux")]
 
 use std::fs;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use ref_core::resource::Capacity;
@@ -18,9 +21,9 @@ use ref_serve::{Client, ServeConfig, Server};
 /// How long an idle shard thread parks between looks at its bus.
 const IDLE_PARK: Duration = Duration::from_millis(50);
 
-/// Voluntary context switches so far of the one live thread of this
-/// process named `name` (as the kernel keeps it: cut to 15 bytes).
-fn voluntary_switches(name: &str) -> u64 {
+/// The `status` line starting `key` of the one live thread of this process
+/// named `name` (as the kernel keeps it: cut to 15 bytes), past the key.
+fn status_field(name: &str, key: &str) -> String {
     let mut found = Vec::new();
     for task in fs::read_dir("/proc/self/task").unwrap().flatten() {
         let (Ok(comm), Ok(status)) = (
@@ -32,15 +35,30 @@ fn voluntary_switches(name: &str) -> u64 {
         if comm.trim_end() != name {
             continue;
         }
-        let count = status
+        let field = status
             .lines()
-            .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
-            .and_then(|count| count.trim().parse().ok())
-            .expect("a voluntary_ctxt_switches line");
-        found.push(count);
+            .find_map(|line| line.strip_prefix(key))
+            .unwrap_or_else(|| panic!("a {key} line"));
+        found.push(field.trim().to_string());
     }
     assert_eq!(found.len(), 1, "threads named {name}: {found:?}");
-    found[0]
+    found.pop().unwrap()
+}
+
+/// Voluntary context switches so far of the thread named `name`.
+fn voluntary_switches(name: &str) -> u64 {
+    status_field(name, "voluntary_ctxt_switches:")
+        .parse()
+        .unwrap()
+}
+
+/// Waits, for at most a second, until the thread named `name` sleeps
+/// (`State: S`), so that its next wake-up is a voluntary switch.
+fn wait_until_asleep(name: &str) {
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while !status_field(name, "State:").starts_with('S') && Instant::now() < deadline {
+        thread::sleep(Duration::from_micros(50));
+    }
 }
 
 /// How often the clock thread sweeps the fleet, taking the router's lock.
@@ -88,6 +106,7 @@ fn agent_requests_wake_no_thread_and_a_tick_wakes_the_shard_once() {
     let (shard, conn) = (voluntary_switches(SHARD), voluntary_switches(CONN));
     let started = Instant::now();
     for _ in 0..TICKS {
+        wait_until_asleep(SHARD);
         client.tick().unwrap();
     }
     let elapsed = started.elapsed();

@@ -6,16 +6,16 @@
 //! geometric-programming layer ([`crate::gp`]) that replaces CVX in the REF
 //! paper's evaluation.
 //!
-//! The implementation follows the classic two-phase scheme (Boyd &
-//! Vandenberghe, ch. 11): a phase-I problem finds a strictly feasible point
-//! when the caller's start is not, and the central path is then traced by
-//! minimizing `t f0(x) + phi(x)` with damped Newton for geometrically
-//! increasing `t`, where `phi(x) = -sum_i log(-f_i(x))`. Each Newton system
-//! is assembled in one pass over the constraints' non-zeros
-//! (`LogSumExp::add_derivatives`) into buffers that live as long as the
-//! solve, as a sparse matrix plus the few dense rank-one terms that would
-//! fill it (`Hessian`); which terms are kept apart is read off the
-//! program's sparsity once per solve.
+//! The central path is traced from a strictly feasible start by minimizing
+//! `t f0(x) + phi(x)` with damped Newton for geometrically increasing `t`,
+//! where `phi(x) = -sum_i log(-f_i(x))` (Boyd & Vandenberghe, ch. 11). The
+//! caller supplies the start: there is no phase I, and a start that is not
+//! strictly inside every constraint is refused before any Newton step
+//! ([`SolverError::StartNotInterior`]). Each Newton system is assembled in
+//! one pass over the constraints' non-zeros (`LogSumExp::add_derivatives`)
+//! into buffers that live as long as the solve, as a sparse matrix plus
+//! the few dense rank-one terms that would fill it (`Hessian`); which terms
+//! are kept apart is read off the program's sparsity once per solve.
 
 use crate::error::{Result, SolverError};
 use crate::func::{Hessian, LogSumExp, Objective};
@@ -35,8 +35,8 @@ pub struct BarrierOptions {
     pub max_outer_iterations: usize,
     /// Options for the inner Newton solves.
     pub newton: NewtonOptions,
-    /// Margin by which phase I must clear zero to declare strict
-    /// feasibility.
+    /// Margin by which the start must clear every constraint (in log
+    /// space) to count as strictly feasible.
     pub feasibility_margin: f64,
 }
 
@@ -74,12 +74,9 @@ pub enum WarmOutcome {
 /// Work a solve performed, in Newton systems assembled and solved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveStats {
-    /// All Newton iterations: phase I, an abandoned warm attempt (its
-    /// re-entry probe counts as one) and the path that produced the answer.
+    /// All Newton iterations: an abandoned warm attempt (its re-entry
+    /// probe counts as one) and the path that produced the answer.
     pub newton_iterations: usize,
-    /// The phase-I share of `newton_iterations`; zero when the start was
-    /// strictly feasible.
-    pub phase_one_iterations: usize,
     /// What became of the warm-start hint, if one was offered.
     pub warm: WarmOutcome,
 }
@@ -109,12 +106,6 @@ pub(crate) struct WarmStart<'a> {
     pub t: f64,
 }
 
-/// Half-width of the box phase I keeps its iterate in, around the start.
-/// Without it the phase-I centering problem need not have a minimizer; it
-/// is huge relative to any sensible problem scaling, so it never hides a
-/// feasible point in practice.
-const PHASE_ONE_BOX: f64 = 50.0;
-
 /// Newton iterations the first centering of a warm re-entry that skips
 /// stages may spend before the hint is abandoned. A stage of the path takes
 /// 6-10 on the REF programs; re-entry from a hint worth having takes no
@@ -128,14 +119,11 @@ const WARM_CENTERING_BUDGET: usize = 10;
 /// (`lambda < 1/4`) where Newton's method converges quadratically.
 const RE_ENTRY_TOLERANCE: f64 = 1e-2;
 
-/// The barrier-augmented objective `t f0(x) - sum_i log(-f_i(x))`, plus —
-/// for phase I, where the last variable is the slack `s` — the diagonal
-/// barrier of `s >= -1` and of the box around `centre`.
+/// The barrier-augmented objective `t f0(x) - sum_i log(-f_i(x))`.
 struct Centering<'a> {
     t: f64,
     f0: &'a LogSumExp,
     constraints: &'a [LogSumExp],
-    phase_one_centre: Option<&'a [f64]>,
     /// Softmax weights of the function being visited.
     p: Vec<f64>,
     /// Dense gradient scratch for [`LogSumExp::add_derivatives`].
@@ -214,23 +202,12 @@ impl<'a> Centering<'a> {
             t: 0.0,
             f0,
             constraints,
-            phase_one_centre: None,
             p: Vec::new(),
             g: vec![0.0; n],
             first,
             columns,
         }
     }
-
-    /// Number of inequality constraints, the `m` of the duality gap `m / t`.
-    fn num_constraints(&self) -> usize {
-        self.constraints.len() + self.phase_one_centre.map_or(0, |c| 2 * c.len() + 1)
-    }
-}
-
-/// Slacks of the phase-I box `|z_j - c_j| <= B`.
-fn box_slacks(z: f64, c: f64) -> (f64, f64) {
-    (PHASE_ONE_BOX - (z - c), PHASE_ONE_BOX + (z - c))
 }
 
 impl Objective for Centering<'_> {
@@ -246,20 +223,6 @@ impl Objective for Centering<'_> {
                 return f64::INFINITY;
             }
             v -= (-fi).ln();
-        }
-        if let Some(centre) = self.phase_one_centre {
-            let s = x[centre.len()] + 1.0;
-            if s <= 0.0 {
-                return f64::INFINITY;
-            }
-            v -= s.ln();
-            for (&z, &c) in x.iter().zip(centre) {
-                let (up, down) = box_slacks(z, c);
-                if up <= 0.0 || down <= 0.0 {
-                    return f64::INFINITY;
-                }
-                v -= up.ln() + down.ln();
-            }
         }
         v
     }
@@ -289,19 +252,6 @@ impl Objective for Centering<'_> {
             let w2 = -1.0 / fi; // fi < 0 at feasible points
             c.add_derivatives(&self.p, w2, w2, w1 - w2, grad, hess, column, &mut self.g);
         }
-        if let Some(centre) = self.phase_one_centre {
-            let n = centre.len();
-            let s = x[n] + 1.0;
-            v -= s.ln();
-            grad[n] -= 1.0 / s;
-            hess.add(n, n, 1.0 / (s * s));
-            for (j, (&z, &c)) in x.iter().zip(centre).enumerate() {
-                let (up, down) = box_slacks(z, c);
-                v -= up.ln() + down.ln();
-                grad[j] += 1.0 / up - 1.0 / down;
-                hess.add(j, j, 1.0 / (up * up) + 1.0 / (down * down));
-            }
-        }
         v
     }
 }
@@ -316,22 +266,23 @@ pub(crate) fn max_violation(constraints: &[LogSumExp], x: &[f64]) -> Option<f64>
         .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
 }
 
-/// Whether `x` clears every constraint by the feasibility margin.
-fn strictly_feasible(constraints: &[LogSumExp], x: &[f64], opts: &BarrierOptions) -> bool {
-    max_violation(constraints, x).is_none_or(|v| v < -opts.feasibility_margin)
+/// The largest constraint value at `x` if `x` does not clear every
+/// constraint by the feasibility margin; `None` if it is strictly feasible.
+fn not_interior(constraints: &[LogSumExp], x: &[f64], opts: &BarrierOptions) -> Option<f64> {
+    max_violation(constraints, x).filter(|v| !(*v < -opts.feasibility_margin))
 }
 
 /// Minimizes `f0` subject to `f_i(x) <= 0` for every constraint,
 /// re-entering the central path from a previous optimum of a nearby
 /// problem when `warm` is given.
 ///
-/// `x0` is any starting point; a phase-I solve is performed first if it is
-/// not strictly feasible (by [`BarrierOptions::feasibility_margin`]), so a
-/// caller that knows an interior point saves that work by passing it.
+/// `x0` must clear every constraint by
+/// [`BarrierOptions::feasibility_margin`]: the caller constructs an interior
+/// point, and the start is checked once, before anything else.
 ///
-/// The hint is advisory, and used only when `x0` is strictly feasible. The
-/// stage of the cold schedule `t0 mu^k` to re-enter at is read off the
-/// Newton decrement at the hint, and the hint is pulled back along the
+/// The hint is advisory. The stage of the cold schedule `t0 mu^k` to
+/// re-enter at is read off the Newton decrement at the hint, and the hint
+/// is pulled back along the
 /// segment towards `x0` to where the centering objective at that stage is
 /// smallest (DESIGN.md section 12). If the first centering of a re-entry
 /// that skips stages does not converge within a fixed budget, or the hint
@@ -342,7 +293,8 @@ fn strictly_feasible(constraints: &[LogSumExp], x: &[f64], opts: &BarrierOptions
 ///
 /// # Errors
 ///
-/// - [`SolverError::Infeasible`] if no strictly feasible point exists.
+/// - [`SolverError::StartNotInterior`] if `x0` is not strictly feasible;
+///   no Newton step has been taken.
 /// - [`SolverError::MaxIterationsExceeded`] if the central path does not
 ///   reach the target gap.
 /// - [`SolverError::InvalidArgument`] for a hint of the wrong dimension or
@@ -369,15 +321,16 @@ pub(crate) fn minimize_warm(
             "start point, hint and constraints must all have the objective's {n} variables"
         )));
     }
+    if let Some(worst) = not_interior(constraints, x0, opts) {
+        return Err(SolverError::StartNotInterior { worst });
+    }
     let mut stats = SolveStats::default();
     let mut centering = Centering::new(f0, constraints);
     let mut ws = Workspace::new(&centering);
-    let x0_interior = strictly_feasible(constraints, x0, opts);
     if let Some(w) = warm {
         stats.warm = WarmOutcome::FellBack;
-        // The pull-back needs an interior `x0` to pull towards, and without
-        // constraints there is no path to re-enter.
-        if x0_interior && !constraints.is_empty() {
+        // Without constraints there is no path to re-enter.
+        if !constraints.is_empty() {
             if let Some((x, t)) = re_enter(&mut centering, &w, x0, opts, &mut ws, &mut stats) {
                 // Skipping stages is a bet, so its first centering is
                 // budgeted. At t0 nothing is skipped: the warm path does
@@ -390,7 +343,7 @@ pub(crate) fn minimize_warm(
                 // Unless it is the last, the re-entry centering only has
                 // to reach Newton's quadratic phase: the stage after it
                 // starts m (mu - 1)^2 from central whatever it is handed.
-                if centering.num_constraints() as f64 / t >= opts.tolerance {
+                if centering.constraints.len() as f64 / t >= opts.tolerance {
                     first.tolerance = first.tolerance.max(RE_ENTRY_TOLERANCE);
                 }
                 let path = central_path(&mut centering, x, t, &first, opts, &mut ws, &mut stats);
@@ -401,14 +354,9 @@ pub(crate) fn minimize_warm(
             }
         }
     }
-    let x_start = if x0_interior {
-        x0.to_vec()
-    } else {
-        phase_one(constraints, x0, opts, &mut stats)?
-    };
     central_path(
         &mut centering,
-        x_start,
+        x0.to_vec(),
         opts.t0,
         &opts.newton,
         opts,
@@ -429,7 +377,7 @@ fn central_path(
     ws: &mut Workspace,
     stats: &mut SolveStats,
 ) -> Result<BarrierResult> {
-    let m = centering.num_constraints() as f64;
+    let m = centering.constraints.len() as f64;
     let mut newton = first;
     for outer in 0..opts.max_outer_iterations {
         centering.t = t;
@@ -493,7 +441,7 @@ fn re_enter(
     ws: &mut Workspace,
     stats: &mut SolveStats,
 ) -> Option<(Vec<f64>, f64)> {
-    let interior = |x: &[f64]| strictly_feasible(centering.constraints, x, opts);
+    let interior = |x: &[f64]| not_interior(centering.constraints, x, opts).is_none();
     let mut base = hint.x.to_vec();
     if !interior(&base) {
         base.copy_from_slice(x0);
@@ -532,7 +480,7 @@ fn re_enter(
     if !(t_max >= opts.t0) {
         return None; // also when the probe produced a NaN
     }
-    let m = centering.num_constraints() as f64;
+    let m = centering.constraints.len() as f64;
     let mut t = opts.t0;
     while m / t >= opts.tolerance && t * opts.mu <= t_max {
         t *= opts.mu;
@@ -554,62 +502,6 @@ fn re_enter(
         halve_towards(&mut x, &base);
     }
     Some((best.1, t))
-}
-
-/// Solves the phase-I problem — minimize `s` over `(x, s)` subject to
-/// `f_i(x) - s <= 0` — to find a strictly feasible point.
-fn phase_one(
-    constraints: &[LogSumExp],
-    x0: &[f64],
-    opts: &BarrierOptions,
-    stats: &mut SolveStats,
-) -> Result<Vec<f64>> {
-    let n = x0.len();
-    let worst = max_violation(constraints, x0).unwrap_or(0.0);
-    if !worst.is_finite() {
-        return Err(SolverError::InvalidArgument(
-            "phase-I start point is outside the constraint domain".to_string(),
-        ));
-    }
-    let mut z = x0.to_vec();
-    z.push(worst + 1.0);
-
-    let objective = LogSumExp::affine(n + 1, &[(n, 1.0)], 0.0)?;
-    let lifted: Vec<LogSumExp> = constraints.iter().map(LogSumExp::minus_slack).collect();
-    // s >= -1 (any s < 0 already proves strict feasibility) and the box
-    // keep the subproblem bounded; both are diagonal terms of the
-    // centering objective, not constraints of their own.
-    let mut centering = Centering::new(&objective, &lifted);
-    centering.phase_one_centre = Some(x0);
-    let mut ws = Workspace::new(&centering);
-
-    // Trace the phase-I central path, stopping early once s is comfortably
-    // negative.
-    let m = centering.num_constraints() as f64;
-    let mut t = opts.t0;
-    for _ in 0..opts.max_outer_iterations {
-        centering.t = t;
-        newton::minimize_in(
-            &mut centering,
-            &mut z,
-            &opts.newton,
-            &mut ws,
-            &mut stats.phase_one_iterations,
-        )?;
-        if z[n] < -10.0 * opts.feasibility_margin.max(1e-12) {
-            stats.newton_iterations += stats.phase_one_iterations;
-            z.truncate(n);
-            return Ok(z);
-        }
-        if m / t < opts.tolerance {
-            // Converged with s >= 0: no strictly feasible point.
-            return Err(SolverError::Infeasible);
-        }
-        t *= opts.mu;
-    }
-    Err(SolverError::MaxIterationsExceeded {
-        iterations: opts.max_outer_iterations,
-    })
 }
 
 #[cfg(test)]
@@ -656,46 +548,51 @@ mod tests {
         assert!((r.x[0] - 1.0).abs() < 1e-4, "{:?}", r.x);
         assert!((r.x[1] - 1.0).abs() < 1e-4, "{:?}", r.x);
         assert!((r.value + 3.0).abs() < 1e-3);
-        assert_eq!(r.stats.phase_one_iterations, 0);
         assert_eq!(r.stats.warm, WarmOutcome::Cold);
     }
 
-    #[test]
-    fn phase_one_recovers_feasibility() {
-        // Start outside the box; phase I should pull the iterate inside.
-        let f0 = affine(2, &[(0, 1.0)], 0.0);
-        let r = minimize(&f0, &unit_box(), &[5.0, 5.0], &BarrierOptions::default()).unwrap();
-        assert!(r.x[0].abs() < 1e-3, "{:?}", r.x);
-        assert!(r.stats.phase_one_iterations > 0);
-        assert!(r.stats.newton_iterations > r.stats.phase_one_iterations);
+    /// Asserts that `minimize` refuses `x0` with the start's own largest
+    /// constraint value, bit for bit: it is read at `x0`, before any step
+    /// could move it. Returns that value.
+    fn refused(f0: &LogSumExp, cons: &[LogSumExp], x0: &[f64], opts: &BarrierOptions) -> f64 {
+        let worst = max_violation(cons, x0).unwrap();
+        assert_eq!(
+            minimize(f0, cons, x0, opts),
+            Err(SolverError::StartNotInterior { worst })
+        );
+        worst
     }
 
     #[test]
-    fn phase_one_runs_from_the_boundary_and_not_from_inside() {
-        // x = y = log 1/2 exhausts the budget exactly: not strictly
-        // feasible, so phase I has to run; from inside, it must not.
+    fn a_start_outside_the_interior_is_refused_before_any_newton_step() {
+        let opts = BarrierOptions::default();
+        let f0 = affine(2, &[(0, 1.0)], 0.0);
+        assert_eq!(refused(&f0, &unit_box(), &[5.0, 5.0], &opts), 4.0);
+    }
+
+    #[test]
+    fn a_boundary_start_is_refused_and_an_interior_one_solves() {
+        // x = y = log 1/2 exhausts the budget exactly: on the boundary,
+        // within the margin of it, is not inside.
+        let opts = BarrierOptions::default();
         let f0 = affine(2, &[(0, -1.0), (1, -1.0)], 0.0);
         let edge = 0.5_f64.ln();
-        let opts = BarrierOptions::default();
-        let on = minimize(&f0, &[budget()], &[edge, edge], &opts).unwrap();
-        assert!(on.stats.phase_one_iterations > 0);
+        assert!(refused(&f0, &[budget()], &[edge, edge], &opts).abs() <= opts.feasibility_margin);
         let inside = minimize(&f0, &[budget()], &[edge - 0.5, edge - 0.5], &opts).unwrap();
-        assert_eq!(inside.stats.phase_one_iterations, 0);
-        assert!(inside.stats.newton_iterations < on.stats.newton_iterations);
-        for (a, b) in on.x.iter().zip(&inside.x) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        for x in &inside.x {
+            assert!((x - edge).abs() < 1e-4, "{:?}", inside.x);
         }
     }
 
     #[test]
     fn infeasible_problem_detected() {
-        // x <= -1 and -x <= -1 cannot both hold.
+        // x <= -1 and -x <= -1 cannot both hold, so no start is inside.
         let f0 = affine(1, &[(0, 1.0)], 0.0);
         let cons = [affine(1, &[(0, 1.0)], 1.0), affine(1, &[(0, -1.0)], 1.0)];
-        assert!(matches!(
+        assert_eq!(
             minimize(&f0, &cons, &[0.0], &BarrierOptions::default()),
-            Err(SolverError::Infeasible)
-        ));
+            Err(SolverError::StartNotInterior { worst: 1.0 })
+        );
     }
 
     #[test]
@@ -811,19 +708,21 @@ mod tests {
 
     #[test]
     fn a_hint_is_not_tried_from_an_infeasible_start() {
+        // Even a hint at the optimum does not stand in for the start.
         let opts = BarrierOptions::default();
         let cons = [budget()];
         let f0 = split(1.0, 2.0);
-        let cold = minimize(&f0, &cons, &[5.0, 5.0], &opts).unwrap();
-        assert!(cold.stats.phase_one_iterations > 0);
+        let solved = minimize(&f0, &cons, &[-2.0, -2.0], &opts).unwrap();
         let hint = WarmStart {
-            x: &cold.x,
-            t: cold.final_t,
+            x: &solved.x,
+            t: solved.final_t,
         };
-        let warm = minimize_warm(&f0, &cons, &[5.0, 5.0], &opts, Some(hint)).unwrap();
-        assert_eq!(warm.stats.warm, WarmOutcome::FellBack);
-        assert_eq!(warm.stats.newton_iterations, cold.stats.newton_iterations);
-        assert_eq!(warm.x, cold.x);
+        let cold = minimize(&f0, &cons, &[5.0, 5.0], &opts);
+        assert!(matches!(cold, Err(SolverError::StartNotInterior { .. })));
+        assert_eq!(
+            minimize_warm(&f0, &cons, &[5.0, 5.0], &opts, Some(hint)),
+            cold
+        );
     }
 
     #[test]
@@ -927,71 +826,6 @@ mod tests {
             let reference = dense::BarrierObjective { t, f0: &f0_dense, constraints: &refs };
             assert_matches_dense(&mut centering, &reference, &x)?;
         }
-
-        #[test]
-        fn phase_one_diagonal_bounds_match_dense_affine_bounds(
-            raw in collection::vec(dense::arb_case(), 1..4),
-            offsets in collection::vec(-3.0..3.0_f64, 6),
-            t in 0.5..1e4_f64,
-        ) {
-            let n = raw[0].1.len();
-            let x0 = raw[0].1.clone();
-            let x: Vec<f64> = x0.iter().zip(&offsets).map(|(c, d)| c + d).collect();
-            let constraint_terms: Vec<dense::Terms> = raw
-                .into_iter()
-                .map(|(terms, _)| {
-                    terms
-                        .into_iter()
-                        .map(|(e, b)| (e.into_iter().map(|(c, v)| (c % n, v)).collect(), b))
-                        .collect()
-                })
-                .collect();
-            let worst = constraint_terms
-                .iter()
-                .map(|c| dense::twins(n, c).1.value(&x))
-                .fold(f64::NEG_INFINITY, f64::max);
-            let mut z = x.clone();
-            z.push((worst + 0.5).max(-0.5));
-
-            // Sparse: lifted constraints, bounds folded into the objective.
-            let lifted: Vec<LogSumExp> = constraint_terms
-                .iter()
-                .map(|c| dense::twins(n, c).0.minus_slack())
-                .collect();
-            let objective = affine(n + 1, &[(n, 1.0)], 0.0);
-            let mut centering = Centering::new(&objective, &lifted);
-            centering.phase_one_centre = Some(&x0);
-            centering.t = t;
-
-            // Dense: the same constraints plus 2n + 1 affine bounds.
-            let mut all: Vec<Box<dyn dense::Objective>> = Vec::new();
-            for c in &constraint_terms {
-                let with_slack: Vec<_> = c
-                    .iter()
-                    .map(|(e, b)| {
-                        let mut e = e.clone();
-                        e.push((n, -1.0));
-                        (e, *b)
-                    })
-                    .collect();
-                all.push(Box::new(dense::twins(n + 1, &with_slack).1));
-            }
-            let unit = |j: usize, sign: f64| {
-                let mut a = vec![0.0; n + 1];
-                a[j] = sign;
-                a
-            };
-            all.push(Box::new(dense::Affine { a: unit(n, -1.0), b: -1.0 }));
-            for j in 0..n {
-                all.push(Box::new(dense::Affine { a: unit(j, 1.0), b: -(x0[j] + PHASE_ONE_BOX) }));
-                all.push(Box::new(dense::Affine { a: unit(j, -1.0), b: x0[j] - PHASE_ONE_BOX }));
-            }
-            let refs: Vec<&dyn dense::Objective> = all.iter().map(|c| c.as_ref()).collect();
-            prop_assert_eq!(refs.len(), centering.num_constraints());
-            let f0_dense = dense::Affine { a: unit(n, 1.0), b: 0.0 };
-            let reference = dense::BarrierObjective { t, f0: &f0_dense, constraints: &refs };
-            assert_matches_dense(&mut centering, &reference, &z)?;
-        }
     }
 
     /// The programs the REF mechanisms build, in log space over `agents x
@@ -1007,8 +841,6 @@ mod tests {
         /// Capacity plus an envy row per ordered pair and a
         /// sharing-incentive row per agent.
         Fairness,
-        /// The capacity program's phase I: every row gains the slack, last.
-        PhaseOne,
     }
 
     /// A program of one of the shapes with elasticities `a[i * resources +
@@ -1054,7 +886,7 @@ mod tests {
                     }
                     constraints.push(vec![(own(i, -1.0), 0.0)]);
                 }
-                Shape::Capacity | Shape::PhaseOne => {}
+                Shape::Capacity => {}
             }
         }
         let constraints = constraints
@@ -1066,11 +898,9 @@ mod tests {
     }
 
     /// The sparse centering problem of a [`ref_shaped`] program and the
-    /// dense one it is checked against, both at `x` (for phase I: at `x`
-    /// with the slack variable appended, the box centred on `x`).
+    /// dense one it is checked against, both at `x`.
     struct Twins {
         x: Vec<f64>,
-        centre: Option<Vec<f64>>,
         f0: LogSumExp,
         constraints: Vec<LogSumExp>,
         f0_dense: Box<dyn dense::Objective>,
@@ -1087,77 +917,23 @@ mod tests {
         ) -> Twins {
             let (objective, constraints) = ref_shaped(shape, size, a, x, slack);
             let n = x.len();
-            if shape != Shape::PhaseOne {
-                let (f0, f0_dense) = dense::twins(n, &objective);
-                let (sparse, reference): (Vec<_>, Vec<_>) =
-                    constraints.iter().map(|c| dense::twins(n, c)).unzip();
-                return Twins {
-                    x: x.to_vec(),
-                    centre: None,
-                    f0,
-                    constraints: sparse,
-                    f0_dense: Box::new(f0_dense),
-                    dense: reference
-                        .into_iter()
-                        .map(|c| Box::new(c) as Box<dyn dense::Objective>)
-                        .collect(),
-                };
-            }
-            // Phase I: f_i(x) - s with s = 0.5 clears every constraint (the
-            // slacks are positive); bounds as explicit affine constraints
-            // on the dense side.
-            let mut z = x.to_vec();
-            z.push(0.5);
-            let unit = |j: usize, sign: f64| {
-                let mut e = vec![0.0; n + 1];
-                e[j] = sign;
-                e
-            };
-            let mut all: Vec<Box<dyn dense::Objective>> = Vec::new();
-            for c in &constraints {
-                let with_slack: dense::Terms = c
-                    .iter()
-                    .map(|(e, b)| {
-                        let mut e = e.clone();
-                        e.push((n, -1.0));
-                        (e, *b)
-                    })
-                    .collect();
-                all.push(Box::new(dense::twins(n + 1, &with_slack).1));
-            }
-            all.push(Box::new(dense::Affine {
-                a: unit(n, -1.0),
-                b: -1.0,
-            }));
-            for j in 0..n {
-                all.push(Box::new(dense::Affine {
-                    a: unit(j, 1.0),
-                    b: -(x[j] + PHASE_ONE_BOX),
-                }));
-                all.push(Box::new(dense::Affine {
-                    a: unit(j, -1.0),
-                    b: x[j] - PHASE_ONE_BOX,
-                }));
-            }
+            let (f0, f0_dense) = dense::twins(n, &objective);
+            let (sparse, reference): (Vec<_>, Vec<_>) =
+                constraints.iter().map(|c| dense::twins(n, c)).unzip();
             Twins {
-                x: z,
-                centre: Some(x.to_vec()),
-                f0: affine(n + 1, &[(n, 1.0)], 0.0),
-                constraints: constraints
-                    .iter()
-                    .map(|c| dense::twins(n, c).0.minus_slack())
+                x: x.to_vec(),
+                f0,
+                constraints: sparse,
+                f0_dense: Box::new(f0_dense),
+                dense: reference
+                    .into_iter()
+                    .map(|c| Box::new(c) as Box<dyn dense::Objective>)
                     .collect(),
-                f0_dense: Box::new(dense::Affine {
-                    a: unit(n, 1.0),
-                    b: 0.0,
-                }),
-                dense: all,
             }
         }
 
         fn centering(&self, t: f64) -> Centering<'_> {
             let mut centering = Centering::new(&self.f0, &self.constraints);
-            centering.phase_one_centre = self.centre.as_deref();
             centering.t = t;
             centering
         }
@@ -1218,12 +994,7 @@ mod tests {
         residual / (norm * vec_ops::norm_inf(d) + vec_ops::norm_inf(b))
     }
 
-    const SHAPES: [Shape; 4] = [
-        Shape::Capacity,
-        Shape::Levels,
-        Shape::Fairness,
-        Shape::PhaseOne,
-    ];
+    const SHAPES: [Shape; 3] = [Shape::Capacity, Shape::Levels, Shape::Fairness];
 
     /// Variables of a shape over `agents x resources` bundles.
     fn dim(shape: Shape, (agents, resources): (usize, usize)) -> usize {
@@ -1235,7 +1006,7 @@ mod tests {
 
         #[test]
         fn structured_step_matches_the_dense_cholesky_step_on_ref_shaped_programs(
-            shape in 0usize..4,
+            shape in 0usize..3,
             agents in 2usize..=7,
             resources in 1usize..=3,
             a in collection::vec(0.05..1.0_f64, 21),
@@ -1257,7 +1028,7 @@ mod tests {
 
         #[test]
         fn structured_step_is_as_good_as_the_dense_one_at_the_end_of_the_path(
-            shape in 0usize..4,
+            shape in 0usize..3,
             agents in 2usize..=7,
             resources in 1usize..=3,
             a in collection::vec(0.05..1.0_f64, 21),
@@ -1341,8 +1112,6 @@ mod tests {
         // envelope is the whole triangle, and adding the capacity rows'
         // g g^T into it costs nothing.
         assert_eq!(structure(Shape::Fairness), (96 * 97 / 2, 0));
-        // Phase I of max welfare: the slack is last, an arrow again.
-        assert_eq!(structure(Shape::PhaseOne), (96 + 97, 2));
         // A program small enough that two extra solves cost more than a
         // filled triangle keeps everything in S.
         let x = vec![-1.0; 4];

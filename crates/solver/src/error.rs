@@ -8,8 +8,8 @@ use std::fmt;
 /// Every fallible public function in this crate returns
 /// [`Result<T, SolverError>`](crate::Result). The variants distinguish
 /// structural problems (shape mismatches), numerical failures (singular or
-/// non-positive-definite systems), and optimization outcomes (infeasibility,
-/// iteration limits).
+/// non-positive-definite systems), and optimization outcomes (a start
+/// outside the interior, iteration limits).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SolverError {
@@ -29,8 +29,13 @@ pub enum SolverError {
     NotPositiveDefinite,
     /// The least-squares system is rank deficient.
     RankDeficient,
-    /// An optimization problem has no strictly feasible point.
-    Infeasible,
+    /// An interior-point solve was started from a point that does not clear
+    /// every constraint by the feasibility margin. It is refused before any
+    /// Newton step: the caller owns the start, and there is no phase I.
+    StartNotInterior {
+        /// The largest constraint value (log space) at the start.
+        worst: f64,
+    },
     /// The iteration limit was reached before convergence.
     MaxIterationsExceeded {
         /// The limit that was exhausted.
@@ -55,8 +60,11 @@ impl fmt::Display for SolverError {
                 write!(f, "matrix is not positive definite")
             }
             SolverError::RankDeficient => write!(f, "least-squares system is rank deficient"),
-            SolverError::Infeasible => {
-                write!(f, "optimization problem has no strictly feasible point")
+            SolverError::StartNotInterior { worst } => {
+                write!(
+                    f,
+                    "start point is not strictly feasible: a constraint is at {worst:e}"
+                )
             }
             SolverError::MaxIterationsExceeded { iterations } => {
                 write!(f, "no convergence after {iterations} iterations")

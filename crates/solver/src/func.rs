@@ -112,6 +112,7 @@ impl Hessian {
     /// # Panics
     ///
     /// Panics if the entry lies outside `S`'s profile.
+    #[cfg(test)]
     pub(crate) fn add(&mut self, i: usize, j: usize, v: f64) {
         let first = self.s.first(i);
         self.s.row_mut(i)[j - first] += v;
@@ -268,6 +269,7 @@ impl LogSumExp {
     /// # Errors
     ///
     /// As [`from_terms`](LogSumExp::from_terms).
+    #[cfg(test)]
     pub(crate) fn affine(dim: usize, a: &[(usize, f64)], b: f64) -> Result<LogSumExp> {
         LogSumExp::from_terms(dim, [(a, b)])
     }
@@ -299,25 +301,6 @@ impl LogSumExp {
                 }
             }
         }
-    }
-
-    /// The same function of `(x, s)` minus `s`: every term gains the entry
-    /// `(dim, -1)`. This is the phase-I constraint `f(x) - s <= 0`.
-    pub(crate) fn minus_slack(&self) -> LogSumExp {
-        let mut f = self.clone();
-        f.dim += 1;
-        f.cols.clear();
-        f.vals.clear();
-        for k in 0..self.terms() {
-            let (lo, hi) = (self.starts[k], self.starts[k + 1]);
-            f.cols.extend_from_slice(&self.cols[lo..hi]);
-            f.vals.extend_from_slice(&self.vals[lo..hi]);
-            f.cols.push(self.dim);
-            f.vals.push(-1.0);
-            f.starts[k + 1] = f.cols.len();
-        }
-        f.support.push(self.dim);
-        f
     }
 
     /// Writes `exp(a_k . x + b_k - max)` into `p` and returns `(max, sum)`.
@@ -482,30 +465,6 @@ pub(crate) mod dense {
         fn value(&self, x: &[f64]) -> f64;
         fn gradient(&self, x: &[f64]) -> Vec<f64>;
         fn hessian(&self, x: &[f64]) -> Matrix;
-    }
-
-    /// Affine function `a . x + b`.
-    pub(crate) struct Affine {
-        pub(crate) a: Vec<f64>,
-        pub(crate) b: f64,
-    }
-
-    impl Objective for Affine {
-        fn dim(&self) -> usize {
-            self.a.len()
-        }
-
-        fn value(&self, x: &[f64]) -> f64 {
-            vec_ops::dot(&self.a, x) + self.b
-        }
-
-        fn gradient(&self, _x: &[f64]) -> Vec<f64> {
-            self.a.clone()
-        }
-
-        fn hessian(&self, _x: &[f64]) -> Matrix {
-            Matrix::zeros(self.a.len(), self.a.len())
-        }
     }
 
     /// `log sum_i exp(a_i . x + b_i)` where `a_i` is row `i` of `a`.
@@ -747,19 +706,6 @@ mod tests {
         let v = f.eval(&[800.0], &mut p);
         assert!((v - (800.0 + 2.0_f64.ln())).abs() < 1e-9);
         assert_eq!(p, vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn minus_slack_subtracts_the_last_variable() {
-        let terms = vec![(vec![(0, 1.0), (1, 2.0)], 0.1), (vec![(1, -0.5)], -0.2)];
-        let (f, _) = dense::twins(2, &terms);
-        let lifted = f.minus_slack();
-        assert_eq!((lifted.dim(), lifted.terms()), (3, 2));
-        let mut p = Vec::new();
-        let x = [0.4, -0.7];
-        let plain = f.value(&x, &mut p);
-        let shifted = lifted.value(&[x[0], x[1], 0.3], &mut p);
-        assert!((shifted - (plain - 0.3)).abs() < 1e-15);
     }
 
     /// Gradient and Hessian of `f` at `x` through the fused pass, the

@@ -245,8 +245,8 @@ pub struct GpSolution {
     /// Barrier path parameter at convergence; feed it back through
     /// [`GpWarmStart`] to warm-start a nearby re-solve.
     pub final_t: f64,
-    /// Newton iterations spent, how many of them in phase I, and whether a
-    /// warm-start hint produced the answer.
+    /// Newton iterations spent, and whether a warm-start hint produced the
+    /// answer.
     pub stats: SolveStats,
 }
 
@@ -358,15 +358,17 @@ impl GeometricProgram {
 
     /// Solves the program starting from the strictly positive point `x0`.
     ///
-    /// `x0` need not be feasible (a phase-I solve runs automatically when it
-    /// is not strictly feasible) but every entry must be positive because
-    /// the solve happens in log space.
+    /// `x0` must be strictly feasible: every constraint `p_i(x0)` below 1 by
+    /// the barrier's feasibility margin in log space, where the solve
+    /// happens (so every entry must be positive). The solver does not
+    /// search for such a point (there is no phase I); each `ref-core`
+    /// mechanism constructs one.
     ///
     /// # Errors
     ///
     /// - [`SolverError::InvalidArgument`] if `x0` has the wrong length or a
     ///   non-positive entry.
-    /// - [`SolverError::Infeasible`] if no strictly feasible point exists.
+    /// - [`SolverError::StartNotInterior`] if `x0` is not strictly feasible.
     /// - Errors propagated from the interior-point method.
     pub fn solve(&self, x0: &[f64]) -> Result<GpSolution> {
         self.solve_warm(x0, None)
@@ -539,7 +541,6 @@ mod tests {
         let gp = product_under_budget();
         let cold = gp.solve(&[0.2, 1.5]).unwrap();
         assert_eq!(cold.stats.warm, WarmOutcome::Cold);
-        assert_eq!(cold.stats.phase_one_iterations, 0);
         let warm = GpWarmStart::from_solution(&cold);
         assert_eq!(warm.stats, cold.stats);
         let rewarmed = gp.solve_warm(&[0.2, 1.5], Some(&warm)).unwrap();
@@ -553,14 +554,32 @@ mod tests {
     }
 
     #[test]
-    fn boundary_start_pays_for_phase_one_and_reports_it() {
+    fn a_start_off_the_interior_is_refused_with_a_typed_error() {
         let gp = product_under_budget();
-        // x + y = 2 exactly: feasible, not strictly.
-        let edge = gp.solve(&[0.5, 1.5]).unwrap();
-        assert!(edge.stats.phase_one_iterations > 0);
-        let inside = gp.solve(&[0.25, 0.75]).unwrap();
-        assert_eq!(inside.stats.phase_one_iterations, 0);
-        assert!(inside.stats.newton_iterations < edge.stats.newton_iterations);
+        // x + y = 2 exactly: feasible, not strictly; a hint does not help.
+        let edge = gp.solve(&[0.5, 1.5]);
+        assert!(
+            matches!(edge, Err(SolverError::StartNotInterior { worst }) if worst.abs() < 1e-15),
+            "{edge:?}"
+        );
+        let hint = GpWarmStart::from_solution(&gp.solve(&[0.25, 0.75]).unwrap());
+        assert_eq!(gp.solve_warm(&[0.5, 1.5], Some(&hint)), edge);
+    }
+
+    #[test]
+    fn an_infeasible_gp_refuses_its_start() {
+        // x <= 1/2 and 1/x <= 1/2 (i.e. x >= 2) conflict: no start is
+        // inside, and the one given is refused.
+        let x = Monomial::sparse(1.0, 1, &[(0, 1.0)]).unwrap();
+        let mut gp = GeometricProgram::minimize(1, x.clone().into()).unwrap();
+        gp.add_constraint(Monomial::new(2.0, vec![1.0]).unwrap().into())
+            .unwrap();
+        gp.add_constraint(Monomial::new(2.0, vec![-1.0]).unwrap().into())
+            .unwrap();
+        assert_eq!(
+            gp.solve(&[1.0]),
+            Err(SolverError::StartNotInterior { worst: 2f64.ln() })
+        );
     }
 
     #[test]
@@ -638,18 +657,6 @@ mod tests {
         assert!(gp.solve(&[]).is_err());
         assert!(gp.solve(&[-1.0]).is_err());
         assert!(gp.solve(&[0.0]).is_err());
-    }
-
-    #[test]
-    fn infeasible_gp_detected() {
-        // x <= 1/2 and 1/x <= 1/2 (i.e. x >= 2) conflict.
-        let x = Monomial::sparse(1.0, 1, &[(0, 1.0)]).unwrap();
-        let mut gp = GeometricProgram::minimize(1, x.clone().into()).unwrap();
-        gp.add_constraint(Monomial::new(2.0, vec![1.0]).unwrap().into())
-            .unwrap();
-        gp.add_constraint(Monomial::new(2.0, vec![-1.0]).unwrap().into())
-            .unwrap();
-        assert!(matches!(gp.solve(&[1.0]), Err(SolverError::Infeasible)));
     }
 
     #[test]

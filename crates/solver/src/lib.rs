@@ -13,7 +13,9 @@
 //!    Cobb-Douglas utilities (Eq. 16 of the paper).
 //! 2. **Smooth convex minimization** — damped Newton over sparse
 //!    log-sum-exp functions and the log-barrier interior-point method
-//!    built on it ([`barrier`]).
+//!    built on it ([`barrier`]). The caller supplies a strictly feasible
+//!    start; there is no phase I, and any other start is refused with
+//!    [`SolverError::StartNotInterior`].
 //! 3. **Geometric programming** — [`gp::GeometricProgram`] in standard form
 //!    (posynomial objective and constraints over positive variables), the
 //!    formulation the paper uses for Nash-welfare and equal-slowdown

@@ -37,12 +37,6 @@ pub(crate) const RIDGE_GROWTH: f64 = 10.0;
 /// matrix scale — far beyond any system worth solving).
 pub(crate) const RIDGE_RETRIES: usize = 40;
 
-/// Floor on `alpha^2 = 1 - ||a||^2` in a row downdate
-/// ([`crate::update::UpdatableLstsq::downdate`]). A removed row that drives
-/// `alpha^2` at or below this leaves a numerically rank-deficient triangle,
-/// so the downdate is refused and the caller refactorizes from scratch.
-pub(crate) const DOWNDATE_TOL: f64 = 1e-12;
-
 /// The rank threshold for a triangle whose largest diagonal magnitude is
 /// `scale`: entries at or below this are treated as zero.
 pub(crate) fn rank_threshold(scale: f64) -> f64 {

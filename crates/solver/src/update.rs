@@ -3,10 +3,8 @@
 //! [`UpdatableLstsq`] maintains the upper-triangular factor `T` of a QR
 //! factorization of the *augmented* design `[X | y]`. Appending an
 //! observation rotates one new row into the triangle with Givens rotations
-//! (`O(k^2)` per row instead of the `O(m k^2)` of refactorizing), and
-//! removing an observation applies the LINPACK `dchdd` downdating algorithm,
-//! so a bounded sliding window costs `O(k^2)` per step regardless of how
-//! many observations have ever been seen.
+//! (`O(k^2)` per row instead of the `O(m k^2)` of refactorizing), whatever
+//! the number of observations already seen.
 //!
 //! Because the response column rides along inside the triangle, a solve
 //! needs no access to past rows: the coefficients come from
@@ -49,7 +47,7 @@ pub struct FitQuality {
     pub total_sum_of_squares: f64,
 }
 
-/// Result of solving an [`UpdatableLstsq`] at its current window.
+/// Result of solving an [`UpdatableLstsq`] over the rows folded in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdatableFit {
     coefficients: Vec<f64>,
@@ -78,7 +76,7 @@ impl UpdatableFit {
 /// of up to seven columns, a market of up to six resources.
 const STACK_SIDE: usize = 8;
 
-/// Least-squares state supporting `O(k^2)` row append and downdate.
+/// Least-squares state supporting `O(k^2)` row append.
 ///
 /// The state is the `(k+1) x (k+1)` upper-triangular factor of `[X | y]`
 /// plus the running sums needed for `R^2` — past rows are *not* stored, so
@@ -88,7 +86,7 @@ const STACK_SIDE: usize = 8;
 /// [`triangle`](UpdatableLstsq::triangle), [`rows`](UpdatableLstsq::rows)
 /// and [`sums`](UpdatableLstsq::sums) export that state and
 /// [`from_parts`](UpdatableLstsq::from_parts) imports it, bit for bit: an
-/// accumulator rebuilt from its parts appends, downdates and solves
+/// accumulator rebuilt from its parts appends and solves
 /// exactly as the original would have. Equality compares the state only.
 #[derive(Debug, Clone)]
 pub struct UpdatableLstsq {
@@ -98,7 +96,7 @@ pub struct UpdatableLstsq {
     p: usize,
     /// Row-major `p x p` buffer; entries below the diagonal stay zero.
     t: Vec<f64>,
-    /// Rows currently in the window (appends minus downdates).
+    /// Rows folded in.
     m: usize,
     sum_y: f64,
     sum_yy: f64,
@@ -128,12 +126,12 @@ impl UpdatableLstsq {
         self.k
     }
 
-    /// Rows currently folded into the window.
+    /// Rows folded in.
     pub fn rows(&self) -> usize {
         self.m
     }
 
-    /// Running `(sum y, sum y^2)` over the window's responses.
+    /// Running `(sum y, sum y^2)` over the responses folded in.
     pub fn sums(&self) -> (f64, f64) {
         (self.sum_y, self.sum_yy)
     }
@@ -233,80 +231,7 @@ impl UpdatableLstsq {
         Ok(())
     }
 
-    /// Rotates the observation `(row, y)` back *out* of the triangle
-    /// (LINPACK `dchdd`). The observation must be one that is currently in
-    /// the window; removing anything else silently corrupts the state, as
-    /// with any Cholesky downdate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::ShapeMismatch`] / [`SolverError::NonFinite`]
-    /// as [`append`](UpdatableLstsq::append) does, and
-    /// [`SolverError::RankDeficient`] when the removal would leave a
-    /// numerically rank-deficient triangle (`alpha^2 <= `
-    /// `tol::DOWNDATE_TOL`) — the caller should refactorize from its
-    /// retained rows instead. On any error the triangle is unchanged.
-    pub fn downdate(&mut self, row: &[f64], y: f64) -> Result<()> {
-        let p = self.p;
-        let (mut z_stack, mut z_heap) = ([0.0; STACK_SIDE], Vec::new());
-        let z = vec_ops::scratch(&mut z_stack, &mut z_heap, p);
-        self.load_row(row, y, z)?;
-        if self.m == 0 {
-            return Err(SolverError::InvalidArgument(
-                "cannot downdate an empty window".to_string(),
-            ));
-        }
-        // Solve T^T a = z by forward substitution (reusing z as a).
-        let diag_scale = (0..p).fold(0.0_f64, |acc, i| acc.max(self.t[i * p + i].abs()));
-        let threshold = tol::rank_threshold(diag_scale);
-        for i in 0..p {
-            let mut s = z[i];
-            for j in 0..i {
-                s -= self.t[j * p + i] * z[j];
-            }
-            let d = self.t[i * p + i];
-            if d.abs() <= threshold {
-                return Err(SolverError::RankDeficient);
-            }
-            z[i] = s / d;
-        }
-        let norm_sq = vec_ops::dot(z, z);
-        let alpha_sq = 1.0 - norm_sq;
-        if alpha_sq <= tol::DOWNDATE_TOL {
-            return Err(SolverError::RankDeficient);
-        }
-        // Build the rotation sequence bottom-up, then sweep it through every
-        // column top-down; `xx` reconstructs the removed row as it goes.
-        let mut alpha = alpha_sq.sqrt();
-        let (mut c_stack, mut c_heap) = ([0.0; STACK_SIDE], Vec::new());
-        let c = vec_ops::scratch(&mut c_stack, &mut c_heap, p);
-        let (mut s_stack, mut s_heap) = ([0.0; STACK_SIDE], Vec::new());
-        let s = vec_ops::scratch(&mut s_stack, &mut s_heap, p);
-        for i in (0..p).rev() {
-            let scale = alpha + z[i].abs();
-            let aa = alpha / scale;
-            let bb = z[i] / scale;
-            let norm = (aa * aa + bb * bb).sqrt();
-            c[i] = aa / norm;
-            s[i] = bb / norm;
-            alpha = scale * norm;
-        }
-        for j in 0..p {
-            let mut xx = 0.0;
-            for i in (0..=j).rev() {
-                let tij = self.t[i * p + j];
-                let rotated = c[i] * xx + s[i] * tij;
-                self.t[i * p + j] = c[i] * tij - s[i] * xx;
-                xx = rotated;
-            }
-        }
-        self.m -= 1;
-        self.sum_y -= y;
-        self.sum_yy -= y * y;
-        Ok(())
-    }
-
-    /// Solves the least-squares problem over the current window.
+    /// Solves the least-squares problem over the rows folded in.
     ///
     /// # Errors
     ///
@@ -320,7 +245,7 @@ impl UpdatableLstsq {
         })
     }
 
-    /// Solves the least-squares problem over the current window into
+    /// Solves the least-squares problem over the rows folded in into
     /// `coefficients`, one per design column, and returns the fit's
     /// quality: [`solve`](UpdatableLstsq::solve) without the allocation.
     /// On error `coefficients` holds no meaningful values.
@@ -331,7 +256,7 @@ impl UpdatableLstsq {
     /// one entry per design column, and [`SolverError::RankDeficient`]
     /// when the leading `k x k` block of the triangle has a numerically
     /// zero diagonal — the same relative test (`tol::rank_threshold`)
-    /// the batch QR path applies, which an underdetermined window
+    /// the batch QR path applies, which an underdetermined design
     /// (`rows() < k`) always fails.
     pub fn solve_into(&self, coefficients: &mut [f64]) -> Result<FitQuality> {
         let (k, p) = (self.k, self.p);
@@ -453,47 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn downdate_reverses_append() {
-        let (rows, y) = design_25x3();
-        let mut inc = UpdatableLstsq::new(3);
-        for (r, &yi) in rows.iter().zip(&y) {
-            inc.append(r, yi).unwrap();
-        }
-        let before = inc.solve().unwrap();
-        // A row inside the covariate range with an on-trend response keeps
-        // its leverage well away from 1, so the downdate stays well posed.
-        let extra = [1.0, 0.9, -0.8];
-        inc.append(&extra, 0.3 * 0.9 - 0.5 * 0.8 + 0.02).unwrap();
-        inc.downdate(&extra, 0.3 * 0.9 - 0.5 * 0.8 + 0.02).unwrap();
-        let after = inc.solve().unwrap();
-        for (a, b) in after.coefficients().iter().zip(before.coefficients()) {
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
-        }
-        assert!((after.r_squared() - before.r_squared()).abs() < 1e-10);
-        assert_eq!(inc.rows(), 25);
-    }
-
-    #[test]
-    fn sliding_window_matches_fresh_triangle() {
-        let (rows, y) = design_25x3();
-        let window = 10;
-        let mut inc = UpdatableLstsq::new(3);
-        for (i, (r, &yi)) in rows.iter().zip(&y).enumerate() {
-            inc.append(r, yi).unwrap();
-            if i >= window {
-                inc.downdate(&rows[i - window], y[i - window]).unwrap();
-            }
-        }
-        let windowed = inc.solve().unwrap();
-        let start = rows.len() - window;
-        let reference = batch(&rows[start..], &y[start..]);
-        for (a, b) in windowed.coefficients().iter().zip(reference.coefficients()) {
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
-        }
-        assert!((windowed.r_squared() - reference.r_squared()).abs() < 1e-9);
-    }
-
-    #[test]
     fn collinear_design_is_rank_deficient() {
         let mut inc = UpdatableLstsq::new(2);
         for t in 0..5 {
@@ -517,27 +401,8 @@ mod tests {
         assert!(inc.append(&[1.0], 1.0).is_err());
         assert!(inc.append(&[1.0, f64::NAN], 1.0).is_err());
         assert!(inc.append(&[1.0, 2.0], f64::INFINITY).is_err());
-        assert!(inc.downdate(&[1.0], 1.0).is_err());
         assert_eq!(inc.t, snapshot.t);
         assert_eq!(inc.rows(), 1);
-    }
-
-    #[test]
-    fn downdating_to_deficiency_is_refused() {
-        let mut inc = UpdatableLstsq::new(2);
-        inc.append(&[1.0, 0.0], 1.0).unwrap();
-        inc.append(&[0.0, 1.0], 2.0).unwrap();
-        inc.append(&[1.0, 1.0], 3.0).unwrap();
-        // Removing the only row that separates the columns degrades rank.
-        let before = inc.clone();
-        let r = inc.downdate(&[1.0, 0.0], 1.0).and_then(|()| {
-            // Either the downdate itself or the subsequent solve must
-            // flag the deficiency once a second independent row goes.
-            inc.downdate(&[0.0, 1.0], 2.0)?;
-            inc.solve().map(|_| ())
-        });
-        assert!(matches!(r, Err(SolverError::RankDeficient)), "{r:?}");
-        drop(before);
     }
 
     #[test]
@@ -569,8 +434,6 @@ mod tests {
             original.append(r, yi).unwrap();
             rebuilt.append(r, yi).unwrap();
         }
-        original.downdate(&rows[3], y[3]).unwrap();
-        rebuilt.downdate(&rows[3], y[3]).unwrap();
         let bits = |fit: UpdatableFit| {
             let mut v: Vec<u64> = fit.coefficients().iter().map(|c| c.to_bits()).collect();
             v.push(fit.r_squared().to_bits());
@@ -611,8 +474,8 @@ mod tests {
 
     #[test]
     fn wide_designs_take_the_heap_scratch_and_solve_into_matches_solve() {
-        // Ten columns: past the stack scratch, so append, downdate and the
-        // rotation sequence all run on heap buffers.
+        // Ten columns: past the stack scratch, so every append rotates its
+        // row in a heap buffer.
         let k = 10;
         let rows: Vec<Vec<f64>> = (0..40)
             .map(|i| {
@@ -633,9 +496,8 @@ mod tests {
         for (r, &yi) in rows.iter().zip(&y) {
             inc.append(r, yi).unwrap();
         }
-        inc.downdate(&rows[0], y[0]).unwrap();
         let fit = inc.solve().unwrap();
-        let reference = batch(&rows[1..], &y[1..]);
+        let reference = batch(&rows, &y);
         for (a, b) in fit.coefficients().iter().zip(reference.coefficients()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
@@ -647,11 +509,5 @@ mod tests {
             inc.solve_into(&mut [0.0; 3]),
             Err(SolverError::ShapeMismatch(_))
         ));
-    }
-
-    #[test]
-    fn empty_window_downdate_rejected() {
-        let mut inc = UpdatableLstsq::new(1);
-        assert!(inc.downdate(&[1.0], 1.0).is_err());
     }
 }

@@ -110,7 +110,6 @@ fn credit_max_welfare_lands_on_the_closed_form_at_48_384_and_2000_agents() {
     for agents in [48, 384, 2000] {
         let market = Market::new(agents);
         let (cold, hint) = market.solve(CreditInner::MaxWelfare, &market.weights, None);
-        assert_eq!(hint.stats.phase_one_iterations, 0);
         let gap = market.nash_divergence(&market.weights, &cold);
         assert!(
             gap <= 1e-6,
@@ -140,7 +139,6 @@ fn credit_equal_slowdown_reaches_the_max_min_bound_at_48_and_192_agents() {
     for agents in [48, 192] {
         let market = Market::new(agents);
         let (cold, hint) = market.solve(CreditInner::EqualSlowdown, &market.weights, None);
-        assert_eq!(hint.stats.phase_one_iterations, 0);
         let (warm, warm_hint) =
             market.solve(CreditInner::EqualSlowdown, &market.drifted, Some(&hint));
         for (label, weights, alloc, hint) in [

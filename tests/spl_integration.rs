@@ -24,8 +24,11 @@ fn population(n: usize) -> Vec<CobbDouglas> {
 #[test]
 fn lying_gain_shrinks_with_population() {
     let c = Capacity::new(vec![100.0, 12.0]).unwrap();
-    let small = max_gain_from_lying(&rescaled_rows(&population(2)), &c).unwrap();
-    let large = max_gain_from_lying(&rescaled_rows(&population(48)), &c).unwrap();
+    let gain = |n: usize| {
+        let (_, gain) = max_gain_from_lying(&rescaled_rows(&population(n)), &c).unwrap();
+        gain.relative_gain()
+    };
+    let (small, large) = (gain(2), gain(48));
     assert!(large < small, "large {large} vs small {small}");
     assert!(large < 5e-3, "large-system gain too big: {large}");
 }
