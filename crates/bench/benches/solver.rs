@@ -1,17 +1,19 @@
-//! Solver micro-benchmarks: the numerical kernels behind fitting (QR least
-//! squares) and the geometric-programming mechanisms (Cholesky-based Newton
-//! steps, full GP solves), plus the fast-path comparisons — incremental
-//! row-append vs from-scratch refactorization, and warm- vs cold-started
+//! Solver micro-benchmarks: the numerical kernels behind the
+//! geometric-programming mechanisms (Cholesky-based Newton steps, full GP
+//! solves), plus the fast-path comparisons — incremental row-append vs
+//! refolding every row into a fresh factor, and warm- vs cold-started
 //! GP solves of the weighted-Nash program over the scripted credit-market
 //! drift ([`ref_bench::gp_drift`]) and, as the GP half of the
 //! epoch-scaling curve, at 12 to 384 agents for that program and for
 //! `credit-equal-slowdown`. The fast-path
-//! groups assert agreement before timing (1e-10 coefficients; 1e-6
-//! allocations against the closed form, warm Newton iterations no more
-//! than cold on any epoch, no hint abandoned; every point of the curve
-//! against its oracle), so a numerical regression fails the bench run
-//! rather than silently shifting the numbers. The incremental epoch fit
-//! must also beat refactoring every epoch by at least 5x.
+//! groups assert agreement before timing (the same coefficient bits both
+//! ways; 1e-6 allocations against the closed form, warm Newton iterations
+//! no more than cold on any epoch, no hint abandoned; every point of the
+//! curve against its oracle), so a numerical regression fails the bench
+//! run rather than silently shifting the numbers. The incremental epoch
+//! fit must also beat refactoring every epoch by at least 5x. The
+//! incremental factor's 1e-10 agreement with an independent algorithm
+//! (Householder QR) is `ref-solver`'s `tests/proptest_update.rs`.
 
 use std::time::Instant;
 
@@ -19,35 +21,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ref_bench::gp_drift;
 use ref_core::mechanism::CreditInner;
 use ref_solver::gp::{GeometricProgram, Monomial, Posynomial};
-use ref_solver::{lstsq, Cholesky, Matrix, Qr, UpdatableLstsq};
-
-fn design_25x3() -> (Matrix, Vec<f64>) {
-    let mut rows = Vec::new();
-    let mut y = Vec::new();
-    for (i, &bw) in [0.8, 1.6, 3.2, 6.4, 12.8].iter().enumerate() {
-        for (j, &mb) in [0.125, 0.25, 0.5, 1.0, 2.0].iter().enumerate() {
-            rows.push(vec![1.0, f64::ln(bw), f64::ln(mb)]);
-            y.push(0.3 * f64::ln(bw) + 0.5 * f64::ln(mb) + 0.01 * (i + j) as f64);
-        }
-    }
-    let flat: Vec<f64> = rows.into_iter().flatten().collect();
-    (Matrix::from_vec(25, 3, flat).unwrap(), y)
-}
+use ref_solver::{Cholesky, Matrix, UpdatableLstsq};
 
 fn bench_solver(c: &mut Criterion) {
-    let (x, y) = design_25x3();
-    c.bench_function("qr_least_squares_25x3", |b| {
-        b.iter(|| {
-            Qr::new(std::hint::black_box(&x))
-                .unwrap()
-                .solve_least_squares(&y)
-                .unwrap()
-        })
-    });
-    c.bench_function("lstsq_fit_with_r_squared", |b| {
-        b.iter(|| lstsq::fit(std::hint::black_box(&x), &y).unwrap())
-    });
-
     let spd = {
         let a = Matrix::from_fn(16, 16, |i, j| 1.0 / (1.0 + (i as f64 - j as f64).abs()));
         let mut m = a.matmul(&a.transpose()).unwrap();
@@ -112,14 +88,16 @@ fn epoch_stream(epochs: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 /// rebuilding the least-squares problem every epoch.
 const EPOCH_FIT_GATE: f64 = 5.0;
 
-/// The epoch-fit loop as it ran before the fast path: rebuild the design
-/// matrix and refactorize from scratch after every observation.
+/// The epoch-fit loop without the fast path: refactorize from scratch
+/// after every observation, folding every row so far into a fresh factor.
 fn refactor_every_epoch(inputs: &[Vec<f64>], ys: &[f64]) -> f64 {
     let mut last = 0.0;
     for m in 4..=inputs.len() {
-        let design = lstsq::design_with_intercept(std::hint::black_box(&inputs[..m])).unwrap();
-        let fit = lstsq::fit(&design, &ys[..m]).unwrap();
-        last = fit.coefficients()[1];
+        let mut triangle = UpdatableLstsq::new(3);
+        for (row, y) in std::hint::black_box(&inputs[..m]).iter().zip(ys) {
+            triangle.append(&[1.0, row[0], row[1]], *y).unwrap();
+        }
+        last = triangle.solve().unwrap().coefficients()[1];
     }
     last
 }
@@ -144,21 +122,18 @@ fn bench_append_vs_refactor(c: &mut Criterion) {
     const EPOCHS: usize = 48;
     let (inputs, ys) = epoch_stream(EPOCHS);
 
-    // Agreement gate: the final-epoch coefficients of both paths must
-    // match to 1e-10 before any timing is trusted.
-    let design = lstsq::design_with_intercept(&inputs).unwrap();
-    let batch = lstsq::fit(&design, &ys).unwrap();
-    let mut triangle = UpdatableLstsq::new(3);
-    for (row, y) in inputs.iter().zip(&ys) {
-        triangle.append(&[1.0, row[0], row[1]], *y).unwrap();
-    }
-    let incr = triangle.solve().unwrap();
-    for (a, b) in batch.coefficients().iter().zip(incr.coefficients()) {
-        assert!(
-            (a - b).abs() < 1e-10,
-            "incremental fit diverged from batch fit: {a} vs {b}"
-        );
-    }
+    // Agreement gate: both loops fold the same rows in the same order, so
+    // their final-epoch coefficients must be the same bits before any
+    // timing is trusted.
+    let (refactored, appended) = (
+        refactor_every_epoch(&inputs, &ys),
+        append_every_epoch(&inputs, &ys),
+    );
+    assert_eq!(
+        refactored.to_bits(),
+        appended.to_bits(),
+        "incremental fit diverged from the refactored fit: {appended} vs {refactored}"
+    );
 
     // Speed gate: the fastest of a few repetitions of each loop, so one
     // descheduled repetition cannot fail the run.

@@ -2,12 +2,18 @@
 //!
 //! Given profile points `(x, u)` — resource allocations and measured
 //! performance — the log transformation `log u = log a0 + sum_r a_r log x_r`
-//! yields a linear model fit by least squares ([`ref_solver::lstsq`]). The
-//! paper reports the coefficient of determination (R-squared) as goodness
-//! of fit (Fig. 8).
+//! yields a linear model fit by least squares. The paper reports the
+//! coefficient of determination (R-squared) as goodness of fit (Fig. 8).
+//!
+//! The regression runs on the incremental factor
+//! ([`ref_solver::UpdatableLstsq`]) an [`crate::online::OnlineEstimator`]
+//! appends to: a batch fit folds every point in and solves once, so it
+//! equals, bit for bit, the refit of an estimator that observed the same
+//! points in the same order.
 
-use ref_solver::lstsq;
-use ref_solver::Matrix;
+use std::iter;
+
+use ref_solver::UpdatableLstsq;
 
 use crate::error::{CoreError, Result};
 use crate::utility::CobbDouglas;
@@ -92,7 +98,8 @@ impl CobbDouglasFit {
 ///
 /// - [`CoreError::NotEnoughData`] with fewer observations than `R + 1`
 ///   parameters.
-/// - [`CoreError::InvalidArgument`] if observations disagree on dimension.
+/// - [`CoreError::InvalidArgument`] if observations disagree on dimension,
+///   or one fails [`FitPoint::new`]'s checks (a struct literal skips them).
 /// - [`CoreError::Solver`] for degenerate (collinear) designs.
 ///
 /// # Examples
@@ -135,27 +142,14 @@ pub fn fit_cobb_douglas(points: &[FitPoint]) -> Result<CobbDouglasFit> {
             "observations must agree on the number of resources".to_string(),
         ));
     }
-    // Design matrix: [1, log x_1, ..., log x_R]; response: log u.
-    let mut design = Matrix::zeros(points.len(), r + 1);
-    let mut response = Vec::with_capacity(points.len());
-    for (i, p) in points.iter().enumerate() {
-        design[(i, 0)] = 1.0;
-        for (j, &x) in p.inputs.iter().enumerate() {
-            design[(i, j + 1)] = x.ln();
-        }
-        response.push(p.output.ln());
+    let mut factor = UpdatableLstsq::new(r + 1);
+    let mut row = vec![0.0; r + 1];
+    for p in points {
+        FitPoint::check(&p.inputs, p.output)?;
+        factor.append(log_row(&mut row, &p.inputs), p.output.ln())?;
     }
-    let ls = lstsq::fit(&design, &response)?;
-    let coef = ls.coefficients();
-    let scale = coef[0].exp();
-    let elasticities: Vec<f64> = coef[1..].iter().map(|a| a.max(0.0)).collect();
-    // A completely flat profile can clamp every elasticity to zero; keep
-    // the utility valid with an epsilon preference spread evenly.
-    let utility = if elasticities.iter().all(|a| *a == 0.0) {
-        CobbDouglas::new(scale, vec![1e-9; r])?
-    } else {
-        CobbDouglas::new(scale, elasticities)?
-    };
+    let fit = factor.solve()?;
+    let utility = utility_from_coefficients(fit.coefficients())?;
     let predictions = points
         .iter()
         .map(|p| {
@@ -165,9 +159,39 @@ pub fn fit_cobb_douglas(points: &[FitPoint]) -> Result<CobbDouglasFit> {
         .collect();
     Ok(CobbDouglasFit {
         utility,
-        r_squared: ls.r_squared(),
+        r_squared: fit.r_squared(),
         predictions,
     })
+}
+
+/// Writes one observation's log-space design row, `[1, ln x_1..ln x_R]`,
+/// into `row` and returns it.
+pub(crate) fn log_row<'r>(row: &'r mut [f64], inputs: &[f64]) -> &'r [f64] {
+    row[0] = 1.0;
+    for (r, x) in row[1..].iter_mut().zip(inputs) {
+        *r = x.ln();
+    }
+    row
+}
+
+/// The utility the regression coefficients `[ln a0, a_1..a_R]` describe,
+/// for the batch fit and the online refit alike: the intercept
+/// exponentiated and negative elasticities clamped to zero. A completely
+/// flat profile clamps every elasticity; it gets an epsilon preference
+/// spread evenly, so the utility stays valid.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidArgument`] if the result is no valid Cobb-Douglas
+/// utility (e.g. `exp(intercept)` overflows).
+pub(crate) fn utility_from_coefficients(coefficients: &[f64]) -> Result<CobbDouglas> {
+    let scale = coefficients[0].exp();
+    let elasticities = coefficients[1..].iter().map(|a| a.max(0.0));
+    if elasticities.clone().all(|a| a == 0.0) {
+        CobbDouglas::from_elasticities(scale, iter::repeat_n(1e-9, coefficients.len() - 1))
+    } else {
+        CobbDouglas::from_elasticities(scale, elasticities)
+    }
 }
 
 #[cfg(test)]
@@ -268,6 +292,67 @@ mod tests {
         assert!(FitPoint::new(vec![0.0], 1.0).is_err());
         assert!(FitPoint::new(vec![1.0], 0.0).is_err());
         assert!(FitPoint::new(vec![1.0], f64::NAN).is_err());
+    }
+
+    #[test]
+    fn batch_fit_is_the_online_refit_bit_for_bit() {
+        // Fed the same points in the same order, the batch fit and an
+        // online estimator fold the same factor: same scale, elasticities
+        // and R², to the bit. The cases cover a noisy profile, a clamped
+        // elasticity and the flat fallback, and three resources.
+        let mut k = 0_u32;
+        let noisy = grid_points(|x, y| {
+            k = k.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            x.powf(0.6) * y.powf(0.4) * (1.0 + 0.03 * ((k >> 16) as f64 / 32768.0 - 1.0))
+        });
+        let clamped = grid_points(|x, y| 0.9 * x.powf(0.7) * y.powf(-0.01));
+        let flat = grid_points(|_x, _y| 0.88);
+        let three: Vec<FitPoint> = (0..12_u32)
+            .map(|i| {
+                let x = [
+                    1.0 + f64::from(i % 4),
+                    0.5 + f64::from(i % 3),
+                    2.0 + f64::from(i % 5),
+                ];
+                let u = 1.2 * x[0].powf(0.2) * x[1].powf(0.5) * x[2].powf(0.3);
+                FitPoint::new(x.to_vec(), u * (1.0 + 0.01 * f64::from(i % 7))).unwrap()
+            })
+            .collect();
+        for points in [noisy, clamped, flat, three] {
+            let batch = fit_cobb_douglas(&points).unwrap();
+            let mut online = crate::online::OnlineEstimator::new(points[0].inputs.len()).unwrap();
+            for p in &points {
+                online.observe(&p.inputs, p.output).unwrap();
+            }
+            let bits = |u: &CobbDouglas, r2: f64| -> Vec<u64> {
+                iter::once(u.scale())
+                    .chain(u.elasticities().iter().copied())
+                    .chain([r2])
+                    .map(f64::to_bits)
+                    .collect()
+            };
+            assert_eq!(
+                bits(batch.utility(), batch.r_squared()),
+                bits(online.utility(), online.r_squared().unwrap())
+            );
+        }
+    }
+
+    #[test]
+    fn unchecked_points_are_refused_with_a_typed_error() {
+        // A struct literal skips `FitPoint::new`'s checks: a zero input or
+        // a negative output must still come back as an error, not a panic.
+        for (x, u) in [(0.0, 1.0), (1.0, -1.0)] {
+            let mut pts = grid_points(|x, y| x.powf(0.5) * y.powf(0.5));
+            pts[7] = FitPoint {
+                inputs: vec![x, 1.0],
+                output: u,
+            };
+            assert!(matches!(
+                fit_cobb_douglas(&pts),
+                Err(CoreError::InvalidArgument(_))
+            ));
+        }
     }
 
     #[test]

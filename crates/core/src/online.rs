@@ -34,7 +34,7 @@ pub use ref_solver::update::UpdatableLstsq;
 use ref_solver::vec_ops;
 
 use crate::error::{CoreError, Result};
-use crate::fitting::FitPoint;
+use crate::fitting::{self, FitPoint};
 use crate::utility::CobbDouglas;
 
 /// Everything an [`OnlineEstimator`] holds, in `O(R^2)`.
@@ -292,7 +292,7 @@ impl OnlineEstimator {
         let scratch = vec_ops::scratch(&mut stack, &mut heap, self.num_resources + 1);
         let factor = &mut self.state.factor;
         factor
-            .append(Self::log_row(scratch, allocation), performance.ln())
+            .append(fitting::log_row(scratch, allocation), performance.ln())
             .expect("validated observation rows are finite");
         if factor.rows() <= self.num_resources + 1 {
             return Ok(false);
@@ -303,19 +303,8 @@ impl OnlineEstimator {
             // A collinear design is expected early on; keep the prior.
             Err(_) => return Ok(false),
         };
-        // Post-process exactly as the batch pipeline
-        // ([`crate::fitting::fit_cobb_douglas`]) does: exponentiate the
-        // intercept, clamp negative elasticities, and substitute a tiny
-        // uniform profile when every elasticity clamps to zero.
-        let scale = coefficients[0].exp();
-        let elasticities = coefficients[1..].iter().map(|a| a.max(0.0));
-        let utility = if elasticities.clone().all(|a| a == 0.0) {
-            CobbDouglas::from_elasticities(scale, iter::repeat_n(1e-9, self.num_resources))
-        } else {
-            CobbDouglas::from_elasticities(scale, elasticities)
-        };
         let state = &mut self.state;
-        match utility {
+        match fitting::utility_from_coefficients(coefficients) {
             Ok(utility) => {
                 state.utility = utility;
                 state.r_squared = Some(fit.r_squared);
@@ -336,16 +325,6 @@ impl OnlineEstimator {
                 Ok(false)
             }
         }
-    }
-
-    /// Writes one observation's log-space design row, `[1, ln x_1..ln x_R]`,
-    /// into the scratch `row` and returns it.
-    fn log_row<'r>(row: &'r mut [f64], inputs: &[f64]) -> &'r [f64] {
-        row[0] = 1.0;
-        for (r, x) in row[1..].iter_mut().zip(inputs) {
-            *r = x.ln();
-        }
-        row
     }
 }
 

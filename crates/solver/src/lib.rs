@@ -6,11 +6,11 @@
 //!
 //! The crate provides three layers:
 //!
-//! 1. **Linear algebra** — [`Matrix`], Householder QR ([`Qr`]), Cholesky
-//!    factorization in envelope storage ([`Cholesky`]), incremental least
-//!    squares ([`UpdatableLstsq`]) and ordinary least squares
-//!    ([`lstsq::fit`]), which `ref-core` uses to fit log-linearized
-//!    Cobb-Douglas utilities (Eq. 16 of the paper).
+//! 1. **Linear algebra** — [`Matrix`], Cholesky factorization in envelope
+//!    storage ([`Cholesky`]) and incremental least squares
+//!    ([`UpdatableLstsq`]), on which `ref-core` fits log-linearized
+//!    Cobb-Douglas utilities (Eq. 16 of the paper), in one batch and one
+//!    observation at a time alike.
 //! 2. **Smooth convex minimization** — damped Newton over sparse
 //!    log-sum-exp functions and the log-barrier interior-point method
 //!    built on it ([`barrier`]). The caller supplies a strictly feasible
@@ -23,15 +23,17 @@
 //!
 //! # Examples
 //!
-//! Fit a line with least squares:
+//! Fit a line with least squares, one observation at a time:
 //!
 //! ```
-//! use ref_solver::{lstsq, Matrix};
+//! use ref_solver::UpdatableLstsq;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let x = lstsq::design_with_intercept(&[vec![0.0], vec![1.0], vec![2.0]])?;
-//! let fit = lstsq::fit(&x, &[1.0, 3.0, 5.0])?;
-//! assert!((fit.coefficients()[1] - 2.0).abs() < 1e-10);
+//! let mut ls = UpdatableLstsq::new(2);
+//! for (t, y) in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)] {
+//!     ls.append(&[1.0, t], y)?;
+//! }
+//! assert!((ls.solve()?.coefficients()[1] - 2.0).abs() < 1e-10);
 //! # Ok(())
 //! # }
 //! ```
@@ -68,17 +70,23 @@ mod cholesky;
 mod error;
 mod func;
 pub mod gp;
-pub mod lstsq;
 mod lu;
 mod matrix;
 mod newton;
-mod qr;
 pub mod tol;
 pub mod update;
 pub mod vec_ops;
 
+// The Householder least-squares reference the incremental factor is
+// checked against. It lives with the tests; no library path runs it.
+#[cfg(test)]
+#[path = "../tests/support/lstsq.rs"]
+mod lstsq;
+#[cfg(test)]
+#[path = "../tests/support/qr.rs"]
+mod qr;
+
 pub use cholesky::Cholesky;
 pub use error::{Result, SolverError};
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use update::{FitQuality, UpdatableFit, UpdatableLstsq};

@@ -1,9 +1,8 @@
 //! LU factorization with partial pivoting.
 //!
-//! Complements [`crate::qr`] for square systems: `P A = L U` supports
-//! solves. The interior-point stack uses Cholesky for its (symmetric)
-//! Newton systems; LU factors the small capacitance matrix of a Newton
-//! step, which is square but not symmetric.
+//! `P A = L U` for square systems. The interior-point stack uses Cholesky
+//! for its (symmetric) Newton systems; LU factors the small capacitance
+//! matrix of a Newton step, which is square but not symmetric.
 
 use crate::error::{Result, SolverError};
 use crate::matrix::Matrix;
@@ -163,11 +162,11 @@ mod tests {
 
     #[test]
     fn agrees_with_qr_on_random_system() {
-        let a =
-            Matrix::from_rows(&[&[3.0, -1.0, 2.0], &[1.0, 4.0, -2.0], &[-2.0, 1.5, 5.0]]).unwrap();
+        let rows = [[3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [-2.0, 1.5, 5.0]];
+        let a = Matrix::from_fn(3, 3, |i, j| rows[i][j]);
         let b = [1.0, -2.0, 3.5];
         let x_lu = Lu::new(&a).unwrap().solve(&b).unwrap();
-        let x_qr = crate::qr::Qr::new(&a)
+        let x_qr = crate::qr::Qr::new(&rows.map(Vec::from))
             .unwrap()
             .solve_least_squares(&b)
             .unwrap();

@@ -1,9 +1,9 @@
 //! Dense, row-major, `f64` matrices.
 //!
-//! [`Matrix`] is the workhorse type for the factorizations ([`crate::qr`],
-//! [`crate::cholesky`]) and the optimization stack. It is deliberately small:
-//! just enough structure for regression and interior-point solvers, written
-//! for clarity over raw speed.
+//! [`Matrix`] is the dense input of the factorizations ([`crate::cholesky`],
+//! `lu`) and the dense reference the optimization stack's tests hold its
+//! structured kernels to. It is deliberately small, written for clarity
+//! over raw speed.
 
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
@@ -126,50 +126,6 @@ impl Matrix {
         })
     }
 
-    /// Creates a matrix from a flat row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::ShapeMismatch`] if `data.len() != rows * cols`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use ref_solver::Matrix;
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0])?;
-    /// assert_eq!(m[(0, 1)], 2.0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Matrix> {
-        if data.len() != rows * cols {
-            return Err(SolverError::ShapeMismatch(format!(
-                "buffer of length {} cannot form a {rows}x{cols} matrix",
-                data.len()
-            )));
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
-    /// Creates a diagonal matrix from the given diagonal entries.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use ref_solver::Matrix;
-    /// let d = Matrix::diagonal(&[1.0, 2.0]);
-    /// assert_eq!(d[(1, 1)], 2.0);
-    /// assert_eq!(d[(0, 1)], 0.0);
-    /// ```
-    pub fn diagonal(diag: &[f64]) -> Matrix {
-        let mut m = Matrix::zeros(diag.len(), diag.len());
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -199,16 +155,6 @@ impl Matrix {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// A mutable view of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// The transpose of this matrix.
@@ -577,12 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_checks_length() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
-    }
-
-    #[test]
     fn transpose_involution() {
         let m = sample();
         assert_eq!(m.transpose().transpose(), m);
@@ -694,12 +634,5 @@ mod tests {
     fn index_out_of_bounds_panics() {
         let m = sample();
         let _ = m[(2, 0)];
-    }
-
-    #[test]
-    fn diagonal_matrix() {
-        let d = Matrix::diagonal(&[2.0, 3.0]);
-        let v = d.matvec(&[1.0, 1.0]).unwrap();
-        assert_eq!(v, vec![2.0, 3.0]);
     }
 }

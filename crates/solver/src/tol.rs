@@ -1,14 +1,10 @@
-//! Unified numerical tolerances for rank, degeneracy and definiteness
-//! decisions.
+//! Numerical tolerances for rank, degeneracy and definiteness decisions,
+//! each with its rationale.
 //!
-//! Before this module existed, `qr`, `lstsq` and `cholesky` each carried
-//! their own ad-hoc constants for "numerically zero". They are collected
-//! here with their rationale so that every layer — the batch QR path, the
-//! incremental update path ([`crate::update`]), and the ridge fallback in
-//! Newton steps — classifies the *same* matrix the same way. The market's
-//! degenerate-refit quarantine logic depends on that consistency: an agent
-//! must not flip between "collinear" and "fine" depending on which solver
-//! path happened to run.
+//! The least-squares path ([`crate::update`]) classifies rank and zero
+//! variance with these, the Newton steps take their ridge fallback from
+//! them, and the market's tests build a collinear design from
+//! [`RANK_TOL`].
 //!
 //! All thresholds are relative where possible: a diagonal entry is compared
 //! against the largest diagonal magnitude (floored at 1.0 so an
@@ -16,12 +12,11 @@
 //! apparent health).
 
 /// Relative tolerance below which a triangular diagonal entry is treated as
-/// zero when deciding rank. Shared by [`crate::qr::Qr::solve_least_squares`]
-/// and [`crate::update::UpdatableLstsq::solve`].
+/// zero when deciding rank, by [`crate::update::UpdatableLstsq::solve`].
 ///
 /// `1e-12` sits ~4 decimal digits above `f64::EPSILON`, absorbing the
-/// round-off a Householder or Givens reduction introduces on a
-/// well-conditioned design while still flagging genuinely collinear data.
+/// round-off a Givens reduction introduces on a well-conditioned design
+/// while still flagging genuinely collinear data.
 pub const RANK_TOL: f64 = 1e-12;
 
 /// Relative size of the initial ridge `tau` a Newton step
@@ -49,9 +44,9 @@ pub(crate) fn initial_ridge(scale: f64) -> f64 {
 }
 
 /// Residual sum of squares at or below this is "numerically zero" for a
-/// response of `m` observations — the zero-variance R² convention shared by
-/// [`crate::lstsq::fit`] and the incremental path: a zero-variance response
-/// gets R² = 1.0 when the residual clears this bound and 0.0 otherwise.
+/// response of `m` observations — the zero-variance R² convention of
+/// [`crate::update`]: a zero-variance response gets R² = 1.0 when the
+/// residual clears this bound and 0.0 otherwise.
 pub(crate) fn zero_variance_rss(m: usize) -> f64 {
     f64::EPSILON * m as f64
 }

@@ -11,8 +11,8 @@
 //! back-substituting the leading `k x k` block against the response column,
 //! and the residual sum of squares is the square of the triangle's last
 //! diagonal entry. `R^2` follows from running response sums. The rank and
-//! zero-variance conventions are shared with the batch path through
-//! [`crate::tol`], so both paths classify a degenerate design identically.
+//! zero-variance conventions are [`crate::tol`]'s. A batch fit is the same
+//! factor with every row appended before one solve.
 //!
 //! # Examples
 //!
@@ -38,8 +38,9 @@ use crate::vec_ops;
 /// [`UpdatableLstsq::solve_into`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitQuality {
-    /// Coefficient of determination, with the same zero-variance
-    /// conventions as [`crate::lstsq::Fit::r_squared`].
+    /// Coefficient of determination `1 - SS_res / SS_tot`. A response
+    /// with zero variance gets `1.0` when the residual is numerically zero
+    /// (`tol::zero_variance_rss`) and `0.0` otherwise.
     pub r_squared: f64,
     /// Residual sum of squares `||y - X b||^2`.
     pub residual_sum_of_squares: f64,
@@ -60,8 +61,7 @@ impl UpdatableFit {
         &self.coefficients
     }
 
-    /// Coefficient of determination, with the same zero-variance
-    /// conventions as [`crate::lstsq::Fit::r_squared`].
+    /// Coefficient of determination; see [`FitQuality::r_squared`].
     pub fn r_squared(&self) -> f64 {
         self.quality.r_squared
     }
@@ -255,9 +255,8 @@ impl UpdatableLstsq {
     /// Returns [`SolverError::ShapeMismatch`] unless `coefficients` has
     /// one entry per design column, and [`SolverError::RankDeficient`]
     /// when the leading `k x k` block of the triangle has a numerically
-    /// zero diagonal — the same relative test (`tol::rank_threshold`)
-    /// the batch QR path applies, which an underdetermined design
-    /// (`rows() < k`) always fails.
+    /// zero diagonal (the relative test `tol::rank_threshold`), which an
+    /// underdetermined design (`rows() < k`) always fails.
     pub fn solve_into(&self, coefficients: &mut [f64]) -> Result<FitQuality> {
         let (k, p) = (self.k, self.p);
         if coefficients.len() != k {
@@ -334,7 +333,6 @@ impl PartialEq for UpdatableLstsq {
 mod tests {
     use super::*;
     use crate::lstsq;
-    use crate::matrix::Matrix;
 
     fn design_25x3() -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut rows = Vec::new();
@@ -352,12 +350,6 @@ mod tests {
         (rows, y)
     }
 
-    fn batch(rows: &[Vec<f64>], y: &[f64]) -> lstsq::Fit {
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let x = Matrix::from_vec(rows.len(), rows[0].len(), flat).unwrap();
-        lstsq::fit(&x, y).unwrap()
-    }
-
     #[test]
     fn matches_batch_least_squares() {
         let (rows, y) = design_25x3();
@@ -366,14 +358,12 @@ mod tests {
             inc.append(r, yi).unwrap();
         }
         let fit = inc.solve().unwrap();
-        let reference = batch(&rows, &y);
-        for (a, b) in fit.coefficients().iter().zip(reference.coefficients()) {
+        let reference = lstsq::fit(&rows, &y).unwrap();
+        for (a, b) in fit.coefficients().iter().zip(&reference.coefficients) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }
-        assert!((fit.r_squared() - reference.r_squared()).abs() < 1e-10);
-        assert!(
-            (fit.residual_sum_of_squares() - reference.residual_sum_of_squares()).abs() < 1e-10
-        );
+        assert!((fit.r_squared() - reference.r_squared).abs() < 1e-10);
+        assert!((fit.residual_sum_of_squares() - reference.residual_sum_of_squares).abs() < 1e-10);
         assert_eq!(inc.rows(), 25);
     }
 
@@ -497,8 +487,8 @@ mod tests {
             inc.append(r, yi).unwrap();
         }
         let fit = inc.solve().unwrap();
-        let reference = batch(&rows, &y);
-        for (a, b) in fit.coefficients().iter().zip(reference.coefficients()) {
+        let reference = lstsq::fit(&rows, &y).unwrap();
+        for (a, b) in fit.coefficients().iter().zip(&reference.coefficients) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
         let mut coefficients = vec![f64::NAN; k];

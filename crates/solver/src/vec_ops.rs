@@ -37,20 +37,6 @@ pub(crate) fn axpy(s: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Sum of entries.
-pub(crate) fn sum(a: &[f64]) -> f64 {
-    a.iter().sum()
-}
-
-/// Arithmetic mean, `0.0` for an empty slice.
-pub(crate) fn mean(a: &[f64]) -> f64 {
-    if a.is_empty() {
-        0.0
-    } else {
-        sum(a) / a.len() as f64
-    }
-}
-
 /// `n` zeroed floats of scratch: the front of `stack` when it is long
 /// enough, otherwise `heap`, grown to `n`. A caller sizes `stack` for the
 /// designs it expects, so small ones never allocate.
@@ -116,14 +102,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 2.0], &mut y);
         assert_eq!(y, vec![3.0, 5.0]);
-    }
-
-    #[test]
-    fn scale_sum_mean() {
-        let a = vec![2.0, 4.0, 6.0];
-        assert_eq!(sum(&a), 12.0);
-        assert_eq!(mean(&a), 4.0);
-        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]
