@@ -25,12 +25,11 @@ use ref_solver::{Cholesky, Matrix, UpdatableLstsq};
 
 fn bench_solver(c: &mut Criterion) {
     let spd = {
-        let a = Matrix::from_fn(16, 16, |i, j| 1.0 / (1.0 + (i as f64 - j as f64).abs()));
-        let mut m = a.matmul(&a.transpose()).unwrap();
-        for i in 0..16 {
-            m[(i, i)] += 1.0;
-        }
-        m
+        // A Aᵀ + I for the symmetric Toeplitz A = 1 / (1 + |i - j|).
+        let a = |i: usize, j: usize| 1.0 / (1.0 + (i as f64 - j as f64).abs());
+        Matrix::from_fn(16, 16, |i, j| {
+            (0..16).map(|k| a(i, k) * a(j, k)).sum::<f64>() + if i == j { 1.0 } else { 0.0 }
+        })
     };
     let rhs = vec![1.0; 16];
     c.bench_function("cholesky_solve_16", |b| {

@@ -1,11 +1,12 @@
 //! Every table and figure of the paper's evaluation, each a function that
 //! computes its [`Table`]s.
 //!
-//! [`FIGURES`] lists them once, by the name of the bin that prints them
-//! (`cargo run --release -p ref-bench --bin <name>`); the `experiments`
-//! bin regenerates `EXPERIMENTS.md`'s tables from the same list. Every
-//! figure is deterministic (fixed seeds, index-placed parallel results),
-//! so its tables are the same at every `--jobs` width.
+//! [`FIGURES`] lists them once, by name: the `experiments` bin prints a
+//! figure's tables (`cargo run --release -p ref-bench --bin experiments
+//! -- <name>`) and regenerates `EXPERIMENTS.md`'s tables from the same
+//! list. Every figure is deterministic (fixed seeds, index-placed
+//! parallel results), so its tables are the same at every `--jobs`
+//! width.
 
 use std::collections::HashMap;
 
@@ -22,20 +23,17 @@ use ref_sim::cache::partition_ways;
 use ref_sim::config::{Bandwidth, CacheSize, PagePolicy, PlatformConfig};
 use ref_solver::barrier::BarrierOptions;
 use ref_solver::gp::{GeometricProgram, Monomial, Posynomial};
-use ref_workloads::bubble::bubble_profile;
 use ref_workloads::profiler::{profile, ProfilerOptions};
 use ref_workloads::profiles::{by_name, Benchmark, PreferenceClass, BENCHMARKS};
 use ref_workloads::suite::{all_mixes, eight_core_mixes, four_core_mixes, WorkloadMix};
 
-use crate::pipeline::{
-    capacity_for_agents, experiment_options, fit_benchmarks, fit_grid, fit_mix, init_jobs,
-};
+use crate::pipeline::{capacity_for_agents, experiment_options, fit_benchmarks, fit_grid, fit_mix};
 use crate::table::{Cell, Table};
 
 /// A figure: computes its tables.
 pub type Figure = fn() -> Vec<Table>;
 
-/// Every figure, by the name of the bin that prints it.
+/// Every figure, by the name `experiments <name>` prints it under.
 pub const FIGURES: &[(&str, Figure)] = &[
     ("fig01_edgeworth", fig01_edgeworth),
     ("fig02_envy_free", fig02_envy_free),
@@ -56,17 +54,7 @@ pub const FIGURES: &[(&str, Figure)] = &[
     ("ablation_solver_tolerance", ablation_solver_tolerance),
     ("ablation_page_policy", ablation_page_policy),
     ("ablation_prefetcher", ablation_prefetcher),
-    ("bubble_sensitivity", bubble_sensitivity),
 ];
-
-/// A figure bin's `main`: applies `--jobs`, then prints the figure's
-/// tables, each as markdown followed by a blank line.
-pub fn print(figure: Figure) {
-    init_jobs();
-    for table in figure() {
-        println!("{}", table.render());
-    }
-}
 
 fn num(v: f64, decimals: usize) -> Cell {
     Cell::Num(v, decimals)
@@ -990,28 +978,4 @@ pub fn ablation_prefetcher() -> Vec<Table> {
             ("on", base.with_next_line_prefetch(true)),
         ],
     )
-}
-
-/// Supplementary experiment: Bubble-Up-style sensitivity curves (§4.4).
-///
-/// Co-runs representative workloads against a tunable-pressure bubble and
-/// reports each target's IPC degradation curve — the alternative profiling
-/// route the paper cites for machines without partitionable hardware.
-pub fn bubble_sensitivity() -> Vec<Table> {
-    let pressures = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-    let ipcs: String = pressures
-        .iter()
-        .map(|p| format!(" | IPC at {p:.1}"))
-        .collect();
-    let columns = format!("workload{ipcs} | sensitivity (%)");
-    let caption = "Bubble sensitivity: target IPC vs co-runner pressure";
-    let mut t = Table::new("curves", caption, &columns);
-    for name in ["raytrace", "histogram", "canneal", "dedup", "radiosity"] {
-        let target = by_name(name).expect("known workload");
-        let curve = bubble_profile(target, &pressures, 120_000, 11).expect("valid pressures");
-        let mut cells: Vec<Cell> = curve.points.iter().map(|p| num(p.target_ipc, 3)).collect();
-        cells.push(num(curve.sensitivity() * 100.0, 1));
-        t.row(name, cells);
-    }
-    vec![t]
 }

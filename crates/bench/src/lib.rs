@@ -3,11 +3,10 @@
 //! The experiment harness of the REF reproduction: the shared
 //! profile-and-fit pipeline, one function per table and figure of the
 //! paper's evaluation ([`figures`]), each returning tables of one schema
-//! ([`table::Table`]), and one binary per figure that prints them (run
-//! them with `cargo run --release -p ref-bench --bin <name>`; see
-//! `DESIGN.md` for the experiment index). `cargo run --release -p
-//! ref-bench --bin experiments` regenerates the tables of
-//! `EXPERIMENTS.md`.
+//! ([`table::Table`]), and one binary, `experiments`, that prints any
+//! figure's tables by name (`cargo run --release -p ref-bench --bin
+//! experiments -- <name>`; see `DESIGN.md` for the experiment index) and
+//! with no name regenerates the tables of `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,9 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use ref_bench::figures::FIGURES;
+use ref_bench::pipeline::{experiment_options, fit_benchmarks};
 use ref_bench::table::Table;
+use ref_workloads::profiles::{Benchmark, BENCHMARKS};
 
 /// The table `name` of the figure `figure`, computed on first use.
 fn table(figure: &'static str, name: &str) -> &'static Table {
@@ -62,6 +64,29 @@ fn r_squared_is_at_least_0_7_except_on_radiosity() {
     assert_eq!((t.rows.len(), low), (28, vec!["radiosity"]));
     let summary = table("fig08_fit_quality", "fit_summary");
     assert_eq!(num(summary, "R² >= 0.7", "workloads"), 27.0);
+}
+
+/// §5.1: each of the 28 profile grids the figures fit (25 points at
+/// `experiment_options`, memoized with the figures' own runs) is
+/// non-decreasing in each resource: no point with at least the cache and
+/// at least the bandwidth of another has a lower IPC. 0 drops over the
+/// 28 × 40 adjacent pairs when the bound was set.
+#[test]
+fn every_profile_grid_is_non_decreasing_in_each_resource() {
+    let all: Vec<&Benchmark> = BENCHMARKS.iter().collect();
+    let fits = fit_benchmarks(&all, &experiment_options());
+    assert_eq!(fits.len(), 28);
+    for f in &fits {
+        let points = &f.grid.points;
+        assert_eq!(points.len(), 25, "{}", f.name);
+        for p in points {
+            for q in points {
+                let more = q.cache.bytes() >= p.cache.bytes()
+                    && q.bandwidth.bytes_per_sec() >= p.bandwidth.bytes_per_sec();
+                assert!(!more || q.ipc >= p.ipc, "{}: {p:?} to {q:?}", f.name);
+            }
+        }
+    }
 }
 
 /// Figs. 10-12: equal slowdown is fair on histogram + dedup, and on the

@@ -983,7 +983,7 @@ mod tests {
     /// `||H d - b||` relative to `||H|| ||d|| + ||b||`, in the max norm
     /// (`||H||` as the largest row sum).
     fn relative_residual(h: &Matrix, d: &[f64], b: &[f64]) -> f64 {
-        let hd = h.matvec(d).unwrap();
+        let hd = crate::matrix_ops::matvec(h, d).unwrap();
         let residual = hd
             .iter()
             .zip(b)

@@ -394,6 +394,7 @@ pub(crate) mod dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix_ops::{matmul, matvec, transpose};
     use proptest::prelude::*;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
@@ -420,8 +421,7 @@ mod tests {
         .unwrap();
         let ch = Cholesky::new(&a).unwrap();
         let l = ch.l().to_lower();
-        let lt = l.transpose();
-        let recon = l.matmul(&lt).unwrap();
+        let recon = matmul(&l, &transpose(&l)).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 assert_close(recon[(i, j)], a[(i, j)], 1e-10);
@@ -547,7 +547,7 @@ mod tests {
                 (true, false) if j < i => entries[i * 12 + j],
                 _ => 0.0,
             });
-            let a = g.matmul(&g.transpose()).unwrap();
+            let a = matmul(&g, &transpose(&g)).unwrap();
             let mut env = Envelope::zeros(first.clone());
             for i in 0..n {
                 env.row_mut(i).copy_from_slice(&a.row(i)[first[i]..=i]);
@@ -571,7 +571,7 @@ mod tests {
                 prop_assert_eq!(bits(&x), bits(&want_x));
             }
             // And it does solve the system.
-            let ax = a.matvec(&x).unwrap();
+            let ax = matvec(&a, &x).unwrap();
             let scale = (1.0 + a.max_abs()) * (1.0 + crate::vec_ops::norm_inf(&x));
             for (got, want) in ax.iter().zip(b) {
                 prop_assert!((got - want).abs() <= 1e-13 * n as f64 * scale, "{got} vs {want}");

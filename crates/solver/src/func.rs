@@ -408,6 +408,7 @@ impl LogSumExp {
 #[cfg(test)]
 pub(crate) mod dense {
     use crate::matrix::Matrix;
+    use crate::matrix_ops::{matvec, matvec_transposed};
     use crate::vec_ops;
 
     /// Convex quadratic `0.5 x^T Q x + c . x` with symmetric `Q`.
@@ -439,12 +440,12 @@ pub(crate) mod dense {
         }
 
         fn value(&mut self, x: &[f64]) -> f64 {
-            let qx = self.q.matvec(x).expect("dimension checked at construction");
+            let qx = matvec(&self.q, x).expect("dimension checked at construction");
             0.5 * vec_ops::dot(x, &qx) + vec_ops::dot(&self.c, x)
         }
 
         fn eval(&mut self, x: &[f64], grad: &mut [f64], hess: &mut super::Hessian) -> f64 {
-            let qx = self.q.matvec(x).expect("dimension checked at construction");
+            let qx = matvec(&self.q, x).expect("dimension checked at construction");
             for ((g, q), c) in grad.iter_mut().zip(&qx).zip(&self.c) {
                 *g = q + c;
             }
@@ -475,7 +476,7 @@ pub(crate) mod dense {
 
     impl LogSumExpAffine {
         fn exponents_at(&self, x: &[f64]) -> Vec<f64> {
-            let mut e = self.a.matvec(x).expect("dimension checked by caller");
+            let mut e = matvec(&self.a, x).expect("dimension checked by caller");
             vec_ops::axpy(1.0, &self.b, &mut e);
             e
         }
@@ -498,7 +499,7 @@ pub(crate) mod dense {
 
         fn gradient(&self, x: &[f64]) -> Vec<f64> {
             let w = self.weights_at(x);
-            self.a.matvec_transposed(&w).expect("dimensions agree")
+            matvec_transposed(&self.a, &w).expect("dimensions agree")
         }
 
         fn hessian(&self, x: &[f64]) -> Matrix {
@@ -508,7 +509,7 @@ pub(crate) mod dense {
             for (i, &wi) in w.iter().enumerate() {
                 h.rank_one_update(wi, self.a.row(i));
             }
-            let g = self.a.matvec_transposed(&w).expect("dimensions agree");
+            let g = matvec_transposed(&self.a, &w).expect("dimensions agree");
             h.rank_one_update(-1.0, &g);
             h
         }

@@ -78,10 +78,14 @@ pub mod update;
 pub mod vec_ops;
 
 // The Householder least-squares reference the incremental factor is
-// checked against. It lives with the tests; no library path runs it.
+// checked against, and the dense products the tests build inputs and
+// references with. They live with the tests; no library path runs them.
 #[cfg(test)]
 #[path = "../tests/support/lstsq.rs"]
 mod lstsq;
+#[cfg(test)]
+#[path = "../tests/support/matrix_ops.rs"]
+mod matrix_ops;
 #[cfg(test)]
 #[path = "../tests/support/qr.rs"]
 mod qr;

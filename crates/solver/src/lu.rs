@@ -122,7 +122,7 @@ mod tests {
         // Leading zero forces a row swap.
         let a = Matrix::from_rows(&[&[0.0, 1.0, 2.0], &[3.0, 0.0, 1.0], &[1.0, 1.0, 1.0]]).unwrap();
         let x = Lu::new(&a).unwrap().solve(&[8.0, 7.0, 6.0]).unwrap();
-        let ax = a.matvec(&x).unwrap();
+        let ax = crate::matrix_ops::matvec(&a, &x).unwrap();
         for (got, want) in ax.iter().zip(&[8.0, 7.0, 6.0]) {
             assert_close(*got, *want, 1e-10);
         }

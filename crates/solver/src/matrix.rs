@@ -19,8 +19,8 @@ use crate::error::{Result, SolverError};
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
 /// let b = Matrix::identity(2);
-/// let c = a.matmul(&b).unwrap();
-/// assert_eq!(c, a);
+/// assert_eq!(&(&a + &b) - &b, a);
+/// assert_eq!(a.row(1), &[3.0, 4.0]);
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -155,130 +155,6 @@ impl Matrix {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// The transpose of this matrix.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use ref_solver::Matrix;
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0]])?;
-    /// let t = m.transpose();
-    /// assert_eq!((t.rows(), t.cols()), (3, 1));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Matrix product `self * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::ShapeMismatch`] if the inner dimensions differ.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use ref_solver::Matrix;
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let a = Matrix::from_rows(&[&[1.0, 2.0]])?;
-    /// let b = Matrix::from_rows(&[&[3.0], &[4.0]])?;
-    /// let c = a.matmul(&b)?;
-    /// assert_eq!(c[(0, 0)], 11.0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(SolverError::ShapeMismatch(format!(
-                "{}x{} * {}x{}",
-                self.rows, self.cols, other.rows, other.cols
-            )));
-        }
-        // Blocked over the inner dimension: each panel of `other` rows is
-        // streamed against every output row while it is cache-hot. For every
-        // output entry the k-contributions still accumulate in ascending
-        // order (panels ascend, k ascends within a panel), so the result is
-        // bit-identical to the naive triple loop.
-        const KC: usize = 64;
-        let n = other.cols;
-        let mut out = Matrix::zeros(self.rows, n);
-        for k0 in (0..self.cols).step_by(KC) {
-            let k1 = (k0 + KC).min(self.cols);
-            for i in 0..self.rows {
-                let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-                let crow = &mut out.data[i * n..(i + 1) * n];
-                for k in k0..k1 {
-                    let aik = arow[k];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &other.data[k * n..(k + 1) * n];
-                    for (c, &b) in crow.iter_mut().zip(brow) {
-                        *c += aik * b;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix-vector product `self * x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::ShapeMismatch`] if `x.len() != self.cols()`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use ref_solver::Matrix;
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
-    /// assert_eq!(a.matvec(&[1.0, 1.0])?, vec![3.0, 7.0]);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.cols {
-            return Err(SolverError::ShapeMismatch(format!(
-                "{}x{} * vector of length {}",
-                self.rows,
-                self.cols,
-                x.len()
-            )));
-        }
-        Ok((0..self.rows)
-            .map(|i| self.row(i).iter().zip(x).map(|(a, b)| a * b).sum())
-            .collect())
-    }
-
-    /// Transposed matrix-vector product `self^T * x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::ShapeMismatch`] if `x.len() != self.rows()`.
-    pub fn matvec_transposed(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.rows {
-            return Err(SolverError::ShapeMismatch(format!(
-                "({}x{})^T * vector of length {}",
-                self.rows,
-                self.cols,
-                x.len()
-            )));
-        }
-        let mut out = vec![0.0; self.cols];
-        for (i, &xi) in x.iter().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (o, &a) in out.iter_mut().zip(row) {
-                *o += a * xi;
-            }
-        }
-        Ok(out)
     }
 
     /// In-place scale by a constant.
@@ -495,6 +371,7 @@ impl Neg for &Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix_ops::{matmul, matvec, matvec_transposed, transpose};
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap()
@@ -506,7 +383,7 @@ mod tests {
         assert_eq!((z.rows(), z.cols()), (2, 3));
         assert!(z.as_slice().iter().all(|&v| v == 0.0));
         let i = Matrix::identity(2);
-        assert_eq!(i.matmul(&sample()).unwrap(), sample());
+        assert_eq!(matmul(&i, &sample()).unwrap(), sample());
     }
 
     #[test]
@@ -525,38 +402,16 @@ mod tests {
     #[test]
     fn transpose_involution() {
         let m = sample();
-        assert_eq!(m.transpose().transpose(), m);
+        assert_eq!(transpose(&transpose(&m)), m);
     }
 
     #[test]
     fn matmul_known_product() {
         let a = sample();
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
+        let c = matmul(&a, &b).unwrap();
         let expected = Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]).unwrap();
         assert_eq!(c, expected);
-    }
-
-    #[test]
-    fn blocked_matmul_matches_naive_across_panel_boundary() {
-        // Inner dimension larger than one k-panel exercises the panel loop.
-        let k = 150;
-        let a = Matrix::from_fn(3, k, |i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
-        let b = Matrix::from_fn(k, 4, |i, j| ((i * 7 + j * 29) % 11) as f64 - 5.0);
-        let c = a.matmul(&b).unwrap();
-        let mut naive = Matrix::zeros(3, 4);
-        for i in 0..3 {
-            for kk in 0..k {
-                let aik = a[(i, kk)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..4 {
-                    naive[(i, j)] += aik * b[(kk, j)];
-                }
-            }
-        }
-        assert_eq!(c, naive);
     }
 
     #[test]
@@ -574,16 +429,16 @@ mod tests {
     fn matmul_shape_mismatch() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 2);
-        assert!(a.matmul(&b).is_err());
+        assert!(matmul(&a, &b).is_none());
     }
 
     #[test]
     fn matvec_and_transposed() {
         let a = sample();
-        assert_eq!(a.matvec(&[1.0, 0.0]).unwrap(), vec![1.0, 3.0]);
-        assert_eq!(a.matvec_transposed(&[1.0, 0.0]).unwrap(), vec![1.0, 2.0]);
-        assert!(a.matvec(&[1.0]).is_err());
-        assert!(a.matvec_transposed(&[1.0, 2.0, 3.0]).is_err());
+        assert_eq!(matvec(&a, &[1.0, 0.0]).unwrap(), vec![1.0, 3.0]);
+        assert_eq!(matvec_transposed(&a, &[1.0, 0.0]).unwrap(), vec![1.0, 2.0]);
+        assert!(matvec(&a, &[1.0]).is_none());
+        assert!(matvec_transposed(&a, &[1.0, 2.0, 3.0]).is_none());
     }
 
     #[test]

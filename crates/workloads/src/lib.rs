@@ -11,8 +11,6 @@
 //! - [`suite`] — Table 2's multiprogrammed mixes WD1–WD10.
 //! - [`profiler`] — the 25-configuration (5 cache sizes x 5 bandwidths)
 //!   profiling sweep of §5.1.
-//! - [`bubble`] — Bubble-Up-style tunable-pressure co-runner profiling
-//!   (§4.4's first offline alternative).
 //! - `memo` — a process-wide simulation memo that deduplicates
 //!   identical grid-point simulations across figures and mixes.
 //!
@@ -34,14 +32,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bubble;
 mod generator;
 mod memo;
 pub mod profiler;
 pub mod profiles;
 pub mod suite;
 
-pub use bubble::{bubble_profile, Bubble, BubbleCurve, BubblePoint};
 pub use generator::{SyntheticWorkload, WorkloadParams};
 pub use profiler::{profile, ProfileGrid, ProfilePoint, ProfilerOptions};
 pub use profiles::{by_name, Benchmark, PreferenceClass, BENCHMARKS};

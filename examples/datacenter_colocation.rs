@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example datacenter_colocation`
 
-use ref_fairness::core::fitting::{fit_cobb_douglas, FitPoint};
+use ref_bench::pipeline::fit_benchmark;
 use ref_fairness::core::mechanism::{EqualShare, Mechanism, ProportionalElasticity};
 use ref_fairness::core::properties::FairnessReport;
 use ref_fairness::core::resource::Capacity;
@@ -16,7 +16,7 @@ use ref_fairness::core::utility::CobbDouglas;
 use ref_fairness::core::welfare::weighted_system_throughput;
 use ref_fairness::sim::config::PlatformConfig;
 use ref_fairness::sim::system::MulticoreSystem;
-use ref_fairness::workloads::profiler::{profile, ProfilerOptions};
+use ref_fairness::workloads::profiler::ProfilerOptions;
 use ref_fairness::workloads::profiles::by_name;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,22 +34,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut agents: Vec<CobbDouglas> = Vec::new();
     for name in names {
-        let bench = by_name(name).expect("known benchmark");
-        let grid = profile(bench, &opts);
-        let points: Vec<FitPoint> = grid
-            .points
-            .iter()
-            .map(|p| FitPoint::new(vec![p.bandwidth.gb_per_sec(), p.cache.mib_f64()], p.ipc))
-            .collect::<Result<_, _>>()?;
-        let fit = fit_cobb_douglas(&points)?;
-        let u = fit.utility().rescaled();
+        let fit = fit_benchmark(by_name(name).expect("known benchmark"), &opts);
+        let (bw, cache) = fit.rescaled_elasticities();
         println!(
-            "  {name:<12} R^2 {:.3}  rescaled elasticities: bw {:.3} cache {:.3}",
-            fit.r_squared(),
-            u.elasticity(0),
-            u.elasticity(1)
+            "  {name:<12} R^2 {:.3}  rescaled elasticities: bw {bw:.3} cache {cache:.3}",
+            fit.r_squared
         );
-        agents.push(fit.utility().clone());
+        agents.push(fit.utility);
     }
 
     // 2. Allocate the shared chip: 24 GB/s, 12 MB.

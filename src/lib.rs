@@ -1,8 +1,9 @@
 //! Facade crate for the REF (Resource Elasticity Fairness) reproduction.
 //!
-//! Re-exports every workspace crate under one roof and provides the
-//! high-level [`colocation`] workflow (profile → fit → allocate → verify →
-//! enforcement weights in one builder call).
+//! Re-exports every workspace crate under one roof. The offline
+//! profile → fit step lives in `ref-bench`'s `pipeline` (`fit_benchmark`);
+//! its fitted utilities feed any [`ref_core`] mechanism and the
+//! `FairnessReport` audit directly.
 //!
 //! See [`ref_core`] for the paper's contribution (mechanisms and property
 //! checkers), [`ref_market`] for the long-running epoch-driven allocation
@@ -11,8 +12,6 @@
 //! [`ref_solver`], [`ref_sched`].
 
 #![forbid(unsafe_code)]
-
-pub mod colocation;
 
 pub use ref_core as core;
 pub use ref_market as market;

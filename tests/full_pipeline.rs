@@ -1,14 +1,14 @@
 //! End-to-end integration: simulate → profile → fit → allocate → verify →
 //! enforce, across every crate in the workspace.
 
-use ref_fairness::core::fitting::{fit_cobb_douglas, FitPoint};
+use ref_bench::pipeline::fit_benchmark;
 use ref_fairness::core::mechanism::{Mechanism, ProportionalElasticity};
 use ref_fairness::core::properties::FairnessReport;
 use ref_fairness::core::resource::Capacity;
 use ref_fairness::core::utility::CobbDouglas;
 use ref_fairness::sim::config::{Bandwidth, CacheSize, PlatformConfig};
 use ref_fairness::sim::system::MulticoreSystem;
-use ref_fairness::workloads::profiler::{profile, ProfilerOptions};
+use ref_fairness::workloads::profiler::ProfilerOptions;
 use ref_fairness::workloads::profiles::by_name;
 
 fn quick_opts() -> ProfilerOptions {
@@ -20,16 +20,7 @@ fn quick_opts() -> ProfilerOptions {
 }
 
 fn fit_named(name: &str) -> CobbDouglas {
-    let grid = profile(by_name(name).expect("known benchmark"), &quick_opts());
-    let pts: Vec<FitPoint> = grid
-        .points
-        .iter()
-        .map(|p| FitPoint::new(vec![p.bandwidth.gb_per_sec(), p.cache.mib_f64()], p.ipc).unwrap())
-        .collect();
-    fit_cobb_douglas(&pts)
-        .expect("grid is full rank")
-        .utility()
-        .clone()
+    fit_benchmark(by_name(name).expect("known benchmark"), &quick_opts()).utility
 }
 
 #[test]
