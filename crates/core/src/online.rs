@@ -20,7 +20,7 @@
 //!
 //! Rows are not kept: the factor already holds everything a refit reads.
 //! An estimator is its [`EstimatorState`] — the factor, the current fit and
-//! four counters, `O(R^2)` however many observations it has folded in.
+//! three counters, `O(R^2)` however many observations it has folded in.
 //! [`OnlineEstimator::state`] exposes the state and
 //! [`OnlineEstimator::from_state`] rebuilds an estimator from it bit for
 //! bit, which is what lets a restarted service resume a market mid-run
@@ -53,10 +53,8 @@ pub struct EstimatorState {
     pub utility: CobbDouglas,
     /// Goodness of fit of the latest successful refit, if any.
     pub r_squared: Option<f64>,
-    /// Successful refits.
+    /// Successful refits (each one a row append to the factor).
     pub refits: usize,
-    /// Successful refits served by the incremental append path.
-    pub incremental_refits: usize,
     /// Refit attempts that produced a degenerate model.
     pub degenerate_refits: usize,
     /// Degenerate refits since the last successful one.
@@ -80,7 +78,6 @@ impl EstimatorState {
             )?,
             r_squared: None,
             refits: 0,
-            incremental_refits: 0,
             degenerate_refits: 0,
             consecutive_degenerate: 0,
         })
@@ -122,9 +119,7 @@ impl EstimatorState {
                 self.factor.rows()
             ));
         }
-        if self.incremental_refits > self.refits
-            || self.consecutive_degenerate > self.degenerate_refits
-        {
+        if self.consecutive_degenerate > self.degenerate_refits {
             return invalid("refit counters do not nest".to_string());
         }
         match (self.r_squared, self.refits) {
@@ -220,15 +215,6 @@ impl OnlineEstimator {
         self.state.refits
     }
 
-    /// Number of successful refits served by the incremental `O(R^2)`
-    /// append path (as opposed to a from-scratch refactorization). With
-    /// the current design every successful refit is incremental, so this
-    /// equals [`OnlineEstimator::refits`]; it is tracked separately so the
-    /// market can report fast-path coverage.
-    pub fn incremental_refits(&self) -> usize {
-        self.state.incremental_refits
-    }
-
     /// Goodness of fit of the latest refit, if any.
     pub fn r_squared(&self) -> Option<f64> {
         self.state.r_squared
@@ -309,7 +295,6 @@ impl OnlineEstimator {
                 state.utility = utility;
                 state.r_squared = Some(fit.r_squared);
                 state.refits += 1;
-                state.incremental_refits += 1;
                 state.consecutive_degenerate = 0;
                 Ok(true)
             }
@@ -492,19 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn every_successful_refit_uses_the_incremental_path() {
-        let truth = CobbDouglas::new(0.7, vec![0.3, 0.5]).unwrap();
-        let mut est = OnlineEstimator::new(2).unwrap();
-        for i in 0..12_u32 {
-            let x = 1.0 + (i % 4) as f64;
-            let y = 0.5 + (i % 3) as f64;
-            est.observe(vec![x, y], truth.value_slice(&[x, y])).unwrap();
-        }
-        assert!(est.refits() > 0);
-        assert_eq!(est.incremental_refits(), est.refits());
-    }
-
-    #[test]
     fn from_state_refuses_states_no_estimator_reaches() {
         let truth = CobbDouglas::new(0.9, vec![0.4, 0.6]).unwrap();
         let mut est = OnlineEstimator::new(2).unwrap();
@@ -536,10 +508,6 @@ mod tests {
                 ..good.clone()
             },
             EstimatorState {
-                incremental_refits: good.refits + 1,
-                ..good.clone()
-            },
-            EstimatorState {
                 consecutive_degenerate: 1,
                 ..good.clone()
             },
@@ -558,7 +526,6 @@ mod tests {
             // Never refit, yet reports a fit.
             EstimatorState {
                 refits: 0,
-                incremental_refits: 0,
                 r_squared: None,
                 ..good.clone()
             },

@@ -499,12 +499,9 @@ impl MarketEngine {
                     return Err(MarketError::QuarantinedAgent(id));
                 }
                 let degen_before = agent.estimator.degenerate_refits();
-                let inc_before = agent.estimator.incremental_refits();
                 let refit = agent.estimator.observe(allocation, performance)?;
                 self.metrics.external_observations += 1;
                 self.metrics.refits += u64::from(refit);
-                self.metrics.incremental_refits +=
-                    (agent.estimator.incremental_refits() - inc_before) as u64;
                 self.metrics.degenerate_refits +=
                     (agent.estimator.degenerate_refits() - degen_before) as u64;
                 // The agent was not quarantined on entry, so crossing the
@@ -713,15 +710,13 @@ impl MarketEngine {
             run_simulated(&self.config, epoch, &simulated, allocation)?
         };
 
-        let mut totals = Ok((0, 0, 0, 0, 0));
+        let mut totals = Ok((0, 0, 0, 0));
         for (i, agent) in self.population.values_mut().enumerate() {
             let was_quarantined = agent.quarantined();
-            let inc_before = agent.estimator.incremental_refits();
             let degen_before = agent.estimator.degenerate_refits();
             let bundle = allocation.bundle(i).as_slice();
             let outcome = observe_agent(&self.config, epoch, bundle, agent, &sim_results);
-            let Ok((observations, refits, incremental, degenerate, quarantines)) = &mut totals
-            else {
+            let Ok((observations, refits, degenerate, quarantines)) = &mut totals else {
                 continue;
             };
             let (obs, refit) = match outcome {
@@ -733,7 +728,6 @@ impl MarketEngine {
             };
             *observations += obs;
             *refits += refit;
-            *incremental += agent.estimator.incremental_refits() - inc_before;
             *degenerate += agent.estimator.degenerate_refits() - degen_before;
             if !was_quarantined && agent.quarantined() {
                 *quarantines += 1;
@@ -741,9 +735,8 @@ impl MarketEngine {
                 self.ledger.rebaseline(agent.id);
             }
         }
-        let (observations, refits, incremental, degenerate, quarantines) = totals?;
+        let (observations, refits, degenerate, quarantines) = totals?;
         self.metrics.refits += refits as u64;
-        self.metrics.incremental_refits += incremental as u64;
         self.metrics.degenerate_refits += degenerate as u64;
         self.metrics.quarantines += quarantines;
         Ok((observations, refits))
@@ -1193,8 +1186,8 @@ mod tests {
         let mut market = two_agent_market();
         ticks(&mut market, 40);
         let m = market.metrics();
-        assert!(m.cache_hits > 20, "{m}");
-        assert!(m.reallocations < 15, "{m}");
+        assert!(m.cache_hits > 20, "{m:?}");
+        assert!(m.reallocations < 15, "{m:?}");
         // Churn invalidates the fingerprint.
         apply(
             &mut market,
@@ -1459,8 +1452,8 @@ mod tests {
         let m = market.metrics().clone();
         // The first solve is necessarily cold; every later solve over the
         // unchanged population is seeded from the previous optimum.
-        assert_eq!(m.warm_start_misses, 1, "{m}");
-        assert!(m.warm_start_hits > 0, "{m}");
+        assert_eq!(m.warm_start_misses, 1, "{m:?}");
+        assert!(m.warm_start_hits > 0, "{m:?}");
         assert_eq!(m.warm_start_hits + m.warm_start_misses, m.reallocations);
         assert_eq!(m.warm_start_fallbacks, 0, "{m:?}");
         assert!(!market.warm_cache().is_empty());
@@ -1502,15 +1495,6 @@ mod tests {
         assert_eq!(m.warm_start_hits, 0);
         assert_eq!(m.warm_start_misses, 0);
         assert!(market.warm_cache().is_empty());
-    }
-
-    #[test]
-    fn every_market_refit_is_served_incrementally() {
-        let mut market = two_agent_market();
-        ticks(&mut market, 15);
-        let m = market.metrics();
-        assert!(m.refits > 0);
-        assert_eq!(m.incremental_refits, m.refits, "{m}");
     }
 
     #[test]
@@ -1791,7 +1775,7 @@ mod tests {
             "{m:?}"
         );
         // No post-warm-up temporal violations on a steady population.
-        assert_eq!(m.temporal_si_violations, 0, "{m}");
+        assert_eq!(m.temporal_si_violations, 0, "{m:?}");
         assert_eq!(market.auditor().temporal_si_after_warmup, 0);
         assert!(reports.last().unwrap().worst_temporal_ratio > 0.9);
     }
@@ -1802,9 +1786,9 @@ mod tests {
         // The tilted max-min GP warm-starts across epochs like any other
         // GP, and ledger-sized weight drift never costs it a hint.
         let m = market.metrics();
-        assert!(m.warm_start_hits > 0, "{m}");
+        assert!(m.warm_start_hits > 0, "{m:?}");
         assert_eq!(m.warm_start_fallbacks, 0, "{m:?}");
-        assert_eq!(m.temporal_si_violations, 0, "{m}");
+        assert_eq!(m.temporal_si_violations, 0, "{m:?}");
         assert!(!market.warm_cache().is_empty());
     }
 

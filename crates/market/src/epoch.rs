@@ -18,6 +18,17 @@ pub enum ReallocationOutcome {
     EmptyMarket,
 }
 
+impl ReallocationOutcome {
+    /// Stable lower-snake-case wire label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ReallocationOutcome::Reallocated => "reallocated",
+            ReallocationOutcome::CacheHit => "cache_hit",
+            ReallocationOutcome::EmptyMarket => "empty_market",
+        }
+    }
+}
+
 /// What one epoch of the market did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {

@@ -11,7 +11,7 @@
 //! decode → restore reproduces the original state *bit for bit* — the
 //! restored market's next epoch allocates identically to the original's.
 //! Lines are self-describing (`capacity …`, `agent …`, `factor …`), parsed
-//! strictly in order, and the leading `refmarket-snapshot v4` magic
+//! strictly in order, and the leading `refmarket-snapshot v5` magic
 //! rejects foreign, older and future documents up front with a typed
 //! `unsupported version` error.
 //!
@@ -52,8 +52,10 @@ use crate::warm::WarmStartCache;
 /// temporal/credit counters on the auditor and metrics lines. v4 replaced
 /// each agent's observation log (`obs`/`o` lines, replayed on restore)
 /// with its estimator state (`est`, `fit`, `r2` and `factor` lines,
-/// loaded as they are).
-pub(crate) const SNAPSHOT_VERSION: u32 = 4;
+/// loaded as they are). v5 dropped the incremental-refit count from the
+/// `est` and `metrics` lines: every refit is an append, so it equalled
+/// the refit count.
+pub(crate) const SNAPSHOT_VERSION: u32 = 5;
 
 const MAGIC: &str = "refmarket-snapshot";
 
@@ -261,12 +263,7 @@ impl<'a, A: ExactSizeIterator<Item = AgentView<'a>>> StateView<'a, A> {
             }
             let e = agent.estimator;
             s.line("est");
-            for v in [
-                e.refits,
-                e.incremental_refits,
-                e.degenerate_refits,
-                e.consecutive_degenerate,
-            ] {
+            for v in [e.refits, e.degenerate_refits, e.consecutive_degenerate] {
                 s.int(v as u64);
             }
             s.line("fit").f64(e.utility.scale());
@@ -699,7 +696,7 @@ impl<'a> Reader<'a> {
     /// Reads one agent's `est`, `fit`, `r2` and `factor` lines into the
     /// state of an estimator over `num_resources` resources.
     fn estimator(&mut self, num_resources: usize) -> Result<EstimatorState> {
-        let counters = self.tagged_u64s("est", 4)?;
+        let counters = self.tagged_u64s("est", 3)?;
         let count = |i: usize| {
             usize::try_from(counters[i]).map_err(|_| bad(format!("est: {} overflows", counters[i])))
         };
@@ -732,9 +729,8 @@ impl<'a> Reader<'a> {
             utility,
             r_squared,
             refits: count(0)?,
-            incremental_refits: count(1)?,
-            degenerate_refits: count(2)?,
-            consecutive_degenerate: count(3)?,
+            degenerate_refits: count(1)?,
+            consecutive_degenerate: count(2)?,
         };
         state.check(num_resources).map_err(|e| bad(e.to_string()))?;
         Ok(state)
@@ -1074,7 +1070,7 @@ mod tests {
             refused(what, with_line(at, tokens.join(" ")));
         }
         let (at, est) = first("est ");
-        refused("truncated est line", with_line(at, est[..4].join(" ")));
+        refused("truncated est line", with_line(at, est[..3].join(" ")));
         refused(
             "est line with a word",
             with_line(at, format!("{} x", est.join(" "))),
@@ -1270,11 +1266,12 @@ mod tests {
 
     #[test]
     fn v2_documents_get_the_unsupported_version_error() {
-        // v3 documents too: there is no reader for observation logs.
+        // v3 documents too: there is no reader for observation logs; nor
+        // for v4's four estimator counters.
         let text = busy_market().snapshot().encode();
-        for old in [2, 3] {
+        for old in [2, 3, 4] {
             let doc = text.replacen(
-                "refmarket-snapshot v4",
+                "refmarket-snapshot v5",
                 &format!("refmarket-snapshot v{old}"),
                 1,
             );

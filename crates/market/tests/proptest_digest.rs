@@ -310,7 +310,7 @@ proptest! {
             prop_assert_eq!(accepted.contains_key(tag), slowdown, "{:?}: {:?}", tag, accepted);
         }
         prop_assert_eq!(accepted["auditor"], 9);
-        prop_assert_eq!(accepted["metrics"], 19);
+        prop_assert_eq!(accepted["metrics"], 18);
         prop_assert_eq!(accepted["agent"], 2 * (agents as usize + 1));
 
         // The words of the format: the mechanism, and how an agent is

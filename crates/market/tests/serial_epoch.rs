@@ -125,12 +125,9 @@ fn the_epoch_runs_on_the_ticking_thread() {
     if let Some(switches) = switches {
         assert_eq!(switches, 0, "the ticking thread blocked {switches} times");
     }
-    // The state the pooled epoch left behind, bit for bit. (1,718,485
-    // bytes and 0xd882_07d0_cc98_d05a while this market set
-    // `enforcement_quanta` to 200: the snapshot's `quanta 200` line was the
-    // one difference.)
-    assert_eq!(market.encode_snapshot().len(), 1_718_486);
-    assert_eq!(market.state_fingerprint(), 0x8cc0_acf7_7a13_8a3c);
+    // The state the pooled epoch left behind, bit for bit.
+    assert_eq!(market.encode_snapshot().len(), 1_714_480);
+    assert_eq!(market.state_fingerprint(), 0x862e_3d67_72d9_cb4f);
 
     let wide = final_allocation_bits();
     ref_pool::set_threads(1);

@@ -10,12 +10,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ref_market::{EpochReport, MarketMetrics, Result as MarketResult};
+use ref_market::{EpochReport, Result as MarketResult};
 use ref_market::{MarketConfig, MarketEngine, MarketEvent, MarketSnapshot};
 
 use crate::fault::FaultPlan;
 use crate::json::Value;
-use crate::metrics::ServeMetrics;
+use crate::metrics::{market_metrics, ServeMetrics};
 use crate::protocol::{
     error_response, event_to_value, ok_response, outcome_unknown_response, Request,
 };
@@ -605,7 +605,7 @@ impl ServiceCore {
                 let server = metrics.snapshot();
                 let ledger = self.engine.ledger();
                 if *text {
-                    let mut out = self.engine.metrics().to_text();
+                    let (_, mut out) = market_metrics(self.engine.metrics());
                     out.push_str(&format!(
                         "refmarket_ledger_agents {}\nrefmarket_ledger_total {}\nrefmarket_ledger_total_abs {}\n",
                         ledger.len(),
@@ -616,7 +616,7 @@ impl ServiceCore {
                     ok_response(vec![("text", Value::str(out))])
                 } else {
                     ok_response(vec![
-                        ("market", market_metrics_value(self.engine.metrics())),
+                        ("market", market_metrics(self.engine.metrics()).0),
                         (
                             "ledger",
                             Value::obj(vec![
@@ -739,10 +739,10 @@ impl ServiceCore {
 }
 
 /// The wire form of an epoch's verdict, what `tick` and the market-wide
-/// `query` carry: [`EpochReport::to_json`]'s fields in its order, but
-/// `agents` as a count and no `allocation`, so the reply grows with
-/// resources, never with agents. An agent's bundle is answered by
-/// `query {agent}`.
+/// `query` carry: [`EpochReport`]'s fields, but `agents` as a count, no
+/// `allocation`, and the fairness report as its verdicts and violation
+/// counts, so the reply grows with resources, never with agents. An
+/// agent's bundle is answered by `query {agent}`.
 fn report_value(report: &EpochReport) -> Value {
     let count = |n: usize| Value::from_u64(n as u64);
     let fairness = report.fairness.as_ref().map_or(Value::Null, |fair| {
@@ -769,12 +769,6 @@ fn report_value(report: &EpochReport) -> Value {
         ),
         ("fairness", fairness),
     ])
-}
-
-/// [`MarketMetrics::to_json`] as a [`Value`]: its one field list, parsed,
-/// so the reply re-encodes to its bytes.
-fn market_metrics_value(m: &MarketMetrics) -> Value {
-    Value::parse(&m.to_json()).expect("the market's metrics line is JSON")
 }
 
 /// A standby's verdict on one record or snapshot from its primary.
@@ -927,7 +921,12 @@ mod tests {
         assert_eq!(tick.get("ok"), Some(&Value::Bool(true)));
     }
 
+    /// The golden reports: an empty market's (no allocation, no
+    /// fairness block), a cache hit's (no fairness block), and two made
+    /// for the encoder's corners — non-finite ratios go out as `null`, a
+    /// count past 2^53 as its nearest `f64`, and `-0` keeps its sign.
     fn golden_reports() -> Vec<EpochReport> {
+        use ref_core::properties::{EnvyEdge, FairnessReport, SiViolation};
         use ref_core::resource::{Allocation, Bundle};
         use ref_market::ReallocationOutcome;
         let empty = EpochReport {
@@ -959,44 +958,72 @@ mod tests {
             temporal_violations: 1,
             worst_temporal_ratio: 0.875,
         };
-        vec![empty, cached]
-    }
-
-    /// The oracle of the wire report: [`EpochReport::to_json`] parsed,
-    /// with the agent id list replaced by its length and the allocation
-    /// dropped, then encoded again.
-    fn verdict_of(report: &EpochReport) -> String {
-        let Value::Obj(mut fields) = Value::parse(&report.to_json()).unwrap() else {
-            panic!("to_json is an object");
+        let violated = FairnessReport {
+            si_violations: vec![
+                SiViolation {
+                    agent: 0,
+                    allocated_utility: 0.5,
+                    equal_split_utility: 1.0,
+                };
+                2
+            ],
+            envy_edges: vec![EnvyEdge {
+                envious: 0,
+                envied: 1,
+                own_utility: 0.5,
+                other_utility: 1.0,
+            }],
+            pareto_efficient: false,
+            max_mrs_mismatch: f64::INFINITY,
         };
-        fields.retain(|(key, _)| key != "allocation");
-        for (key, value) in &mut fields {
-            if key == "agents" {
-                *value = Value::from_u64(value.as_array().unwrap().len() as u64);
-            }
-        }
-        Value::Obj(fields).encode()
+        let corners = EpochReport {
+            epoch: 9,
+            agents: vec![1, 2, 3],
+            realloc: ReallocationOutcome::Reallocated,
+            allocation: None,
+            fairness: Some(violated),
+            warm: false,
+            observations: (1 << 53) + 1,
+            refits: 3,
+            temporal_violations: 2,
+            worst_temporal_ratio: f64::NAN,
+        };
+        let signed_zero = EpochReport {
+            fairness: Some(FairnessReport {
+                si_violations: Vec::new(),
+                envy_edges: Vec::new(),
+                pareto_efficient: true,
+                max_mrs_mismatch: -0.0,
+            }),
+            worst_temporal_ratio: -0.0,
+            ..empty.clone()
+        };
+        vec![empty, cached, corners, signed_zero]
     }
 
     #[test]
     fn report_value_encodes_to_the_golden_report_bytes() {
-        // The same two reports `ref-market` pins `to_json` on.
-        let reports = golden_reports();
-        for report in &reports {
-            assert_eq!(report_value(report).encode(), verdict_of(report));
-        }
-        assert_eq!(
-            report_value(&reports[0]).encode(),
+        let golden = [
             "{\"epoch\":0,\"agents\":0,\"realloc\":\"empty_market\",\"warm\":true,\
              \"observations\":0,\"refits\":0,\"temporal_violations\":0,\
-             \"worst_temporal_ratio\":1,\"fairness\":null}"
-        );
-        assert_eq!(
-            report_value(&reports[1]).encode(),
+             \"worst_temporal_ratio\":1,\"fairness\":null}",
             "{\"epoch\":7,\"agents\":2,\"realloc\":\"cache_hit\",\"warm\":false,\
              \"observations\":2,\"refits\":1,\"temporal_violations\":1,\
-             \"worst_temporal_ratio\":0.875,\"fairness\":null}"
-        );
+             \"worst_temporal_ratio\":0.875,\"fairness\":null}",
+            "{\"epoch\":9,\"agents\":3,\"realloc\":\"reallocated\",\"warm\":false,\
+             \"observations\":9007199254740992,\"refits\":3,\"temporal_violations\":2,\
+             \"worst_temporal_ratio\":null,\"fairness\":{\"sharing_incentives\":false,\
+             \"envy_free\":false,\"pareto_efficient\":false,\"si_violations\":2,\
+             \"envy_edges\":1,\"max_mrs_mismatch\":null}}",
+            "{\"epoch\":0,\"agents\":0,\"realloc\":\"empty_market\",\"warm\":true,\
+             \"observations\":0,\"refits\":0,\"temporal_violations\":0,\
+             \"worst_temporal_ratio\":-0,\"fairness\":{\"sharing_incentives\":true,\
+             \"envy_free\":true,\"pareto_efficient\":true,\"si_violations\":0,\
+             \"envy_edges\":0,\"max_mrs_mismatch\":-0}}",
+        ];
+        for (report, bytes) in golden_reports().iter().zip(golden) {
+            assert_eq!(report_value(report).encode(), bytes);
+        }
         // A live engine's report, fairness block included.
         let metrics = ServeMetrics::new();
         let mut core = ServiceCore::new(config(), JournalLimit::default()).unwrap();
@@ -1005,11 +1032,13 @@ mod tests {
         let tick = core.handle(&Request::Tick, &metrics);
         let report = core.last_report.as_ref().unwrap();
         assert!(report.fairness.is_some() && report.allocation.is_some());
-        assert_eq!(tick.get("report").unwrap().encode(), verdict_of(report));
-        let market = core.handle(&Request::Metrics { text: false }, &metrics);
         assert_eq!(
-            market.get("market").unwrap().encode(),
-            core.engine().metrics().to_json()
+            tick.get("report").unwrap().encode(),
+            "{\"epoch\":0,\"agents\":2,\"realloc\":\"reallocated\",\"warm\":true,\
+             \"observations\":2,\"refits\":0,\"temporal_violations\":0,\
+             \"worst_temporal_ratio\":1,\"fairness\":{\"sharing_incentives\":true,\
+             \"envy_free\":true,\"pareto_efficient\":true,\"si_violations\":0,\
+             \"envy_edges\":0,\"max_mrs_mismatch\":0}}"
         );
     }
 
@@ -1076,130 +1105,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    mod wire_bytes {
-        use super::super::{market_metrics_value, report_value};
-        use super::verdict_of;
-        use proptest::prelude::*;
-        use ref_core::properties::{EnvyEdge, FairnessReport, SiViolation};
-        use ref_core::resource::{Allocation, Bundle, Capacity};
-        use ref_market::{EpochReport, MarketMetrics, ReallocationOutcome};
-
-        /// Any `f64` at all: non-finite values must come out `null` and
-        /// `-0`, subnormals and 17-digit values digit for digit.
-        fn any_f64(bits: u64) -> f64 {
-            f64::from_bits(bits)
-        }
-
-        /// A report assembled from raw words, including the shapes a live
-        /// engine produces only in corners: no allocation (an empty
-        /// market), no fairness block (an epoch that was not audited),
-        /// agents without bundles.
-        ///
-        /// Unless `wide`, every integer is below 2^53, what a JSON number
-        /// holds exactly (and ids on the wire must stay below).
-        fn report(words: &[u64], agents: &[u64], resources: usize, wide: bool) -> EpochReport {
-            let word = |i: usize| words[i % words.len()];
-            let int = |n: u64| if wide { n } else { n >> 11 };
-            let agents: Vec<u64> = agents.iter().copied().map(int).collect();
-            let flags = word(0);
-            let allocation = (flags & 1 == 1 && !agents.is_empty()).then(|| {
-                let bundles: Vec<Bundle> = (0..agents.len())
-                    .map(|a| {
-                        let quantity = |r| any_f64(word(7 + a * resources + r) >> 2);
-                        Bundle::new((0..resources).map(quantity).collect()).unwrap()
-                    })
-                    .collect();
-                // Exponent's top bits cleared: every quantity is below 2.
-                let capacity = Capacity::new(vec![2.0 * agents.len() as f64; resources]).unwrap();
-                Allocation::new(bundles, &capacity).unwrap()
-            });
-            let fairness = (flags & 2 == 2).then(|| FairnessReport {
-                si_violations: vec![
-                    SiViolation {
-                        agent: 0,
-                        allocated_utility: 0.5,
-                        equal_split_utility: 1.0,
-                    };
-                    (flags >> 8) as usize % 4
-                ],
-                envy_edges: vec![
-                    EnvyEdge {
-                        envious: 0,
-                        envied: 1,
-                        own_utility: 0.5,
-                        other_utility: 1.0,
-                    };
-                    (flags >> 12) as usize % 4
-                ],
-                pareto_efficient: flags & 4 == 4,
-                max_mrs_mismatch: any_f64(word(1)),
-            });
-            EpochReport {
-                epoch: int(word(3)),
-                agents,
-                realloc: match flags >> 20 & 3 {
-                    0 => ReallocationOutcome::Reallocated,
-                    1 => ReallocationOutcome::CacheHit,
-                    _ => ReallocationOutcome::EmptyMarket,
-                },
-                allocation,
-                fairness,
-                warm: flags & 8 == 8,
-                observations: int(word(4)) as usize,
-                refits: int(word(5)) as usize,
-                temporal_violations: (word(6) >> 40) as usize,
-                worst_temporal_ratio: any_f64(word(6)),
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
-
-            #[test]
-            fn report_value_encodes_to_the_bytes_of_to_json(
-                words in collection::vec(0u64..=u64::MAX, 8..40),
-                agents in collection::vec(0u64..=u64::MAX, 0..6),
-                resources in 1usize..4,
-            ) {
-                let exact = report(&words, &agents, resources, false);
-                prop_assert_eq!(report_value(&exact).encode(), verdict_of(&exact));
-                // Past 2^53 a count goes out as the nearest f64, which is
-                // what parsing the text gives.
-                let wide = report(&words, &agents, resources, true);
-                prop_assert_eq!(report_value(&wide).encode(), verdict_of(&wide));
-            }
-
-            #[test]
-            fn market_metrics_value_encodes_to_the_bytes_of_to_json(
-                counts in collection::vec(0u64..(1 << 53), 20),
-            ) {
-                let metrics = MarketMetrics {
-                    epochs: counts[0],
-                    events: counts[1],
-                    joins: counts[2],
-                    leaves: counts[3],
-                    demand_changes: counts[4],
-                    external_observations: counts[5],
-                    reallocations: counts[6],
-                    cache_hits: counts[7],
-                    refits: counts[8],
-                    rejected_events: counts[9],
-                    degenerate_refits: counts[10],
-                    quarantines: counts[11],
-                    reallotments: counts[12],
-                    warm_start_hits: counts[13],
-                    warm_start_misses: counts[14],
-                    warm_start_fallbacks: counts[15],
-                    incremental_refits: counts[16],
-                    credits_accrued: counts[17],
-                    credits_spent: counts[18],
-                    temporal_si_violations: counts[19],
-                };
-                prop_assert_eq!(market_metrics_value(&metrics).encode(), metrics.to_json());
-            }
-        }
-    }
-
     #[test]
     fn metrics_reply_carries_market_and_server_sections() {
         let metrics = ServeMetrics::new();
@@ -1220,5 +1125,49 @@ mod tests {
         assert!(body.contains("refmarket_epochs 1\n"), "{body}");
         assert!(body.contains("refmarket_ledger_agents 1\n"), "{body}");
         assert!(body.contains("refserve_epochs"), "{body}");
+        // A busier market's market section and scrape lines, byte for byte.
+        let mut core = ServiceCore::new(config(), JournalLimit::default()).unwrap();
+        history(&mut core, &metrics);
+        core.handle(&Request::Leave { agent: 99 }, &metrics);
+        core.handle(&Request::Tick, &metrics);
+        let reply = core.handle(&Request::Metrics { text: false }, &metrics);
+        assert_eq!(
+            reply.get("market").unwrap().encode(),
+            "{\"epochs\":13,\"events\":22,\"joins\":7,\"leaves\":1,\"demand_changes\":0,\
+             \"external_observations\":0,\"reallocations\":4,\"cache_hits\":9,\"refits\":54,\
+             \"rejected_events\":1,\"degenerate_refits\":0,\"quarantines\":0,\
+             \"reallotments\":0,\"warm_start_hits\":0,\"warm_start_misses\":0,\
+             \"warm_start_fallbacks\":0,\"credits_accrued\":31,\"credits_spent\":0,\
+             \"temporal_si_violations\":0,\"cache_hit_rate\":0.6923076923076923}"
+        );
+        let text = core.handle(&Request::Metrics { text: true }, &metrics);
+        let body = text.get("text").unwrap().as_str().unwrap();
+        let market: Vec<&str> = body
+            .lines()
+            .filter(|l| l.starts_with("refmarket_"))
+            .collect();
+        assert_eq!(
+            market.join("\n"),
+            "refmarket_epochs 13\nrefmarket_events 22\nrefmarket_joins 7\n\
+             refmarket_leaves 1\nrefmarket_demand_changes 0\n\
+             refmarket_external_observations 0\nrefmarket_reallocations 4\n\
+             refmarket_cache_hits 9\nrefmarket_refits 54\nrefmarket_rejected_events 1\n\
+             refmarket_degenerate_refits 0\nrefmarket_quarantines 0\n\
+             refmarket_reallotments 0\nrefmarket_warm_start_hits 0\n\
+             refmarket_warm_start_misses 0\nrefmarket_warm_start_fallbacks 0\n\
+             refmarket_credits_accrued 31\nrefmarket_credits_spent 0\n\
+             refmarket_temporal_si_violations 0\nrefmarket_ledger_agents 6\n\
+             refmarket_ledger_total 0.00000000000000023592239273284576\n\
+             refmarket_ledger_total_abs 4.141585101241373"
+        );
+        // A count past 2^53 goes out as its nearest f64 in JSON, exactly in
+        // the scrape.
+        let wide = ref_market::MarketMetrics {
+            epochs: (1 << 53) + 1,
+            ..Default::default()
+        };
+        let (json, text) = market_metrics(&wide);
+        assert!(json.encode().starts_with("{\"epochs\":9007199254740992,"));
+        assert!(text.starts_with("refmarket_epochs 9007199254740993\n"));
     }
 }

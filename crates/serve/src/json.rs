@@ -440,10 +440,23 @@ mod tests {
 
     #[test]
     fn numbers_round_trip_bit_exactly() {
-        for x in [0.1, 1.0 / 3.0, 6.0e22, -0.0, 9.007199254740992e15] {
+        for x in [
+            0.1,
+            0.6,
+            1.0 / 3.0,
+            1e-300,
+            -4.25,
+            6.0e22,
+            -0.0,
+            9.007199254740992e15,
+        ] {
             let v = Value::Num(x);
             let back = Value::parse(&v.encode()).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x}");
+        }
+        // JSON has no non-finite numbers.
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Value::Num(x).encode(), "null");
         }
     }
 

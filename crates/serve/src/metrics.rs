@@ -6,7 +6,10 @@
 //! microsecond buckets — coarse, but monotone and allocation-free — and
 //! reports conservative (upper-bound) percentile estimates.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use ref_market::MarketMetrics;
 
 use crate::json::Value;
 
@@ -250,7 +253,6 @@ impl ServeMetricsSnapshot {
 
     /// Stable `name value` text form for scrape endpoints.
     pub(crate) fn to_text(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         let latency = &self.epoch_latency;
         let mut lines = self.counters();
@@ -265,6 +267,22 @@ impl ServeMetricsSnapshot {
         }
         out
     }
+}
+
+/// The market's counters, each once in [`MarketMetrics::counters`]
+/// order: as the `metrics` reply's `market` object, with the derived
+/// `cache_hit_rate` last (its encoding is also the shutdown report's
+/// `market_metrics_json`), and as `refmarket_*` scrape lines, which carry
+/// no rate.
+pub(crate) fn market_metrics(m: &MarketMetrics) -> (Value, String) {
+    let mut fields = Vec::new();
+    let mut text = String::new();
+    for (name, value) in m.counters() {
+        fields.push((name, Value::from_u64(value)));
+        let _ = writeln!(text, "refmarket_{name} {value}");
+    }
+    fields.push(("cache_hit_rate", Value::num(m.cache_hit_rate())));
+    (Value::obj(fields), text)
 }
 
 #[cfg(test)]
@@ -341,5 +359,56 @@ mod tests {
         );
         assert!(text.contains("refserve_wal_scrub_errors 0\n"), "{text}");
         assert_eq!(text.lines().count(), 33);
+    }
+
+    #[test]
+    fn metrics_json_golden_is_bit_stable() {
+        let m = MarketMetrics {
+            epochs: 10,
+            events: 42,
+            joins: 3,
+            leaves: 1,
+            demand_changes: 2,
+            external_observations: 7,
+            reallocations: 4,
+            cache_hits: 6,
+            refits: 9,
+            rejected_events: 5,
+            degenerate_refits: 2,
+            quarantines: 1,
+            reallotments: 8,
+            warm_start_hits: 11,
+            warm_start_misses: 4,
+            warm_start_fallbacks: 2,
+            credits_accrued: 13,
+            credits_spent: 12,
+            temporal_si_violations: 3,
+        };
+        assert_eq!(
+            market_metrics(&m).0.encode(),
+            "{\"epochs\":10,\"events\":42,\"joins\":3,\"leaves\":1,\
+             \"demand_changes\":2,\"external_observations\":7,\
+             \"reallocations\":4,\"cache_hits\":6,\"refits\":9,\
+             \"rejected_events\":5,\"degenerate_refits\":2,\
+             \"quarantines\":1,\"reallotments\":8,\"warm_start_hits\":11,\
+             \"warm_start_misses\":4,\"warm_start_fallbacks\":2,\
+             \"credits_accrued\":13,\"credits_spent\":12,\
+             \"temporal_si_violations\":3,\"cache_hit_rate\":0.6}"
+        );
+        let empty = market_metrics(&MarketMetrics::default()).0.encode();
+        assert_eq!(empty.matches(':').count(), 20);
+    }
+
+    #[test]
+    fn metrics_text_golden_is_line_per_counter() {
+        let m = MarketMetrics {
+            epochs: 2,
+            events: 3,
+            ..MarketMetrics::default()
+        };
+        let (_, text) = market_metrics(&m);
+        assert!(text.starts_with("refmarket_epochs 2\nrefmarket_events 3\n"));
+        assert_eq!(text.lines().count(), 19);
+        assert!(text.ends_with("refmarket_temporal_si_violations 0\n"));
     }
 }

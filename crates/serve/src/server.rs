@@ -85,7 +85,7 @@ use crate::clock::{Clock, RealClock};
 use crate::core::{JournalLimit, ServiceCore};
 use crate::fault::FaultPlan;
 use crate::json::Value;
-use crate::metrics::{ServeMetrics, ServeMetricsSnapshot};
+use crate::metrics::{market_metrics, ServeMetrics, ServeMetricsSnapshot};
 use crate::node::{fleet_round, Fan, Node, Served, RETRY_AFTER_MS};
 use crate::protocol::{
     error_response, ok_response, parse_request, shard_unavailable_response, write_line, Envelope,
@@ -266,7 +266,8 @@ pub struct ShutdownReport {
     pub journal_overflowed: bool,
     /// Server counters at shutdown.
     pub metrics: ServeMetricsSnapshot,
-    /// Market counters at shutdown, as their stable JSON line.
+    /// Market counters at shutdown: the `metrics` reply's `market`
+    /// section, encoded.
     pub market_metrics_json: String,
     /// Per-shard reports, one per shard in shard order; the top-level
     /// fields above are shard 0's.
@@ -286,7 +287,8 @@ pub struct ShardShutdown {
     pub journal_overflowed: bool,
     /// The shard's server counters at shutdown.
     pub metrics: ServeMetricsSnapshot,
-    /// The shard's market counters, as their stable JSON line.
+    /// The shard's market counters: its `metrics` reply's `market`
+    /// section, encoded (`{}` when the shard could not be recovered).
     pub market_metrics_json: String,
 }
 
@@ -774,7 +776,7 @@ impl Server {
                         journal: core.journal(),
                         journal_overflowed: core.journal_overflowed(),
                         metrics: shared.metrics.snapshot(),
-                        market_metrics_json: core.engine().metrics().to_json(),
+                        market_metrics_json: market_metrics(core.engine().metrics()).0.encode(),
                     },
                     // A shard whose restart could not recover its WAL:
                     // report what the transport knows rather than panic
@@ -1786,11 +1788,16 @@ mod tests {
         let bundle = reply.get("bundle").unwrap().as_array().unwrap();
         assert!((bundle[0].as_f64().unwrap() - 18.0).abs() < 0.6, "{reply}");
         client.leave(2).unwrap();
+        let metrics = client.metrics().unwrap();
+        let shards = metrics.get("shards").and_then(Value::as_array).unwrap();
+        let market = shards[0].get("market").unwrap().encode();
         let report = server.shutdown();
         assert_eq!(report.metrics.protocol_errors, 0);
         assert!(report.snapshot.starts_with("refmarket-snapshot"));
         // join, join, 20 ticks, query is not journaled, leave.
         assert_eq!(report.journal.len(), 23);
+        // One encoder: the reply's market section is the shutdown's.
+        assert_eq!(market, report.market_metrics_json);
     }
 
     #[test]

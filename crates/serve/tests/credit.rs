@@ -4,7 +4,7 @@
 //! server owns: the wire protocol (per-agent `credit` in queries, ledger
 //! totals in `metrics`), the journal (replay must reproduce the ledger
 //! bit for bit, because the ledger is a pure function of the event
-//! history), the v4 snapshot (WAL checkpoints round-trip it), and the
+//! history), the v5 snapshot (WAL checkpoints round-trip it), and the
 //! shard router (which refuses to shard any mechanism but REF, credit
 //! ones included). Each test pins one of those seams.
 
@@ -59,10 +59,10 @@ fn credit_market_exposes_balances_and_ledger_metrics_over_the_wire() {
     );
     assert!(text.contains("refmarket_credits_accrued"), "{text}");
 
-    // Snapshots taken over the wire are v4 documents.
+    // Snapshots taken over the wire are v5 documents.
     let snapshot = &client.snapshot().unwrap()[0];
     assert!(
-        snapshot.starts_with("refmarket-snapshot v4\n"),
+        snapshot.starts_with("refmarket-snapshot v5\n"),
         "{snapshot}"
     );
 
@@ -75,7 +75,7 @@ fn credit_market_exposes_balances_and_ledger_metrics_over_the_wire() {
 }
 
 #[test]
-fn credit_wal_recovery_round_trips_v4_snapshots() {
+fn credit_wal_recovery_round_trips_v5_snapshots() {
     let dir = TempDir::new("wal");
     let serve_config = || {
         ServeConfig::new(credit_config())
@@ -93,11 +93,11 @@ fn credit_wal_recovery_round_trips_v4_snapshots() {
     }
     let before = server.shutdown();
     // Cold recovery restores the market — ledger included — bit for bit
-    // from a v4 checkpoint plus WAL tail replay.
+    // from a v5 checkpoint plus WAL tail replay.
     let after = Server::recover("127.0.0.1:0", serve_config())
         .unwrap()
         .shutdown();
-    assert!(before.snapshot.starts_with("refmarket-snapshot v4\n"));
+    assert!(before.snapshot.starts_with("refmarket-snapshot v5\n"));
     assert_eq!(before.snapshot, after.snapshot);
 }
 

@@ -101,7 +101,7 @@ fn rotation_checkpoint_prune_and_reset_leave_the_pinned_listing() {
     assert_eq!(
         listing(dir.path()),
         [
-            "checkpoint-000000000000001e.ckpt:471",
+            "checkpoint-000000000000001e.ckpt:469",
             "segment-000000000000001d.wal:9",
         ]
     );
@@ -112,7 +112,7 @@ fn rotation_checkpoint_prune_and_reset_leave_the_pinned_listing() {
     assert_eq!(
         listing(dir.path()),
         [
-            "checkpoint-0000000000000064.ckpt:472",
+            "checkpoint-0000000000000064.ckpt:470",
             "segment-0000000000000064.wal:0",
         ]
     );
@@ -123,7 +123,7 @@ fn rotation_checkpoint_prune_and_reset_leave_the_pinned_listing() {
     assert_eq!(
         listing(dir.path()),
         [
-            "checkpoint-0000000000000064.ckpt:472",
+            "checkpoint-0000000000000064.ckpt:470",
             "segment-0000000000000064.wal:54",
         ]
     );
@@ -179,7 +179,7 @@ fn reopening_behind_a_checkpoint_leaves_the_pinned_listing() {
         assert_eq!(rec.wal.next_seq(), 12);
         let want: &[&str] = if retain {
             &[
-                "checkpoint-000000000000000c.ckpt:471",
+                "checkpoint-000000000000000c.ckpt:469",
                 "segment-0000000000000000.wal:99",
                 "segment-0000000000000005.wal:108",
                 "segment-000000000000000b.wal:0",
@@ -187,7 +187,7 @@ fn reopening_behind_a_checkpoint_leaves_the_pinned_listing() {
             ]
         } else {
             &[
-                "checkpoint-000000000000000c.ckpt:471",
+                "checkpoint-000000000000000c.ckpt:469",
                 "segment-000000000000000c.wal:0",
             ]
         };

@@ -154,11 +154,12 @@ fn golden_market() -> MarketEngine {
 }
 
 /// `(crc32, length)` of the golden market's snapshot text, and its state
-/// fingerprint. Both were re-pinned when snapshot v4 replaced each
-/// agent's observation log with its estimator state: a change here is a
-/// change of the persisted format or of the replication audit's digest.
-const GOLDEN_TEXT: (u32, usize) = (0x2f4e_acd3, 2992);
-const GOLDEN_FINGERPRINT: u64 = 0xf4ad_291c_ed60_ab8d;
+/// fingerprint. Both were re-pinned when snapshot v5 dropped the
+/// incremental-refit count (it equalled the refit count): a change here
+/// is a change of the persisted format or of the replication audit's
+/// digest.
+const GOLDEN_TEXT: (u32, usize) = (0x991d_4210, 2981);
+const GOLDEN_FINGERPRINT: u64 = 0x1f7c_2d49_a48e_0494;
 
 #[test]
 fn snapshot_text_and_fingerprint_match_their_golden_pins() {
