@@ -951,7 +951,7 @@ impl Sim {
         }
     }
 
-    /// Phase 2 for one shard: the serving node's [`Node::tick_at`],
+    /// A fleet tick for one shard: the serving node's [`Node::tick_at`],
     /// what it ticked at summed for invariant 4.
     fn tick_at(&mut self, shard: usize, capacity: Vec<f64>) -> Value {
         let Some(p) = self.route(shard) else {
@@ -1351,14 +1351,14 @@ impl Fan for Sim {
         step(&mut self.router)
     }
 
-    /// Phase 1: each shard's serving node's [`Node::demand`].
-    fn demand(&mut self) -> Vec<Value> {
+    /// Each shard's serving node's [`Node::demand`].
+    fn demand(&mut self) -> Vec<Result<Vec<f64>, Value>> {
         let read = |sim: &mut Sim, shard: usize| {
             if !asks(sim.router.health(shard), &Request::Tick) {
-                return shard_unavailable_response(shard as u64, 0);
+                return Err(shard_unavailable_response(shard as u64, 0));
             }
             let serving = sim.route(shard);
-            serving.map_or_else(timeout, |p| sim.hosts[p].node.demand())
+            serving.map_or_else(|| Err(timeout()), |p| sim.hosts[p].node.demand())
         };
         (0..SHARDS).map(|shard| read(self, shard)).collect()
     }

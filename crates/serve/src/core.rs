@@ -522,13 +522,6 @@ impl ServiceCore {
         ReplApply::Applied
     }
 
-    /// Phase 1 of a fleet tick: `{"ok":true,"demand":[...]}` with `D_k`,
-    /// the per-resource sums of this shard's rescaled elasticities.
-    pub fn demand_report(&self) -> Value {
-        let demand = self.engine.aggregate_demand();
-        ok_response(vec![("demand", Value::num_array(&demand))])
-    }
-
     /// The `reallot` that moves this shard to `allotment`, or `None` when
     /// it holds exactly that capacity already: a fleet tick journals an
     /// allotment only where it moved.

@@ -67,16 +67,18 @@
 //!   unchanged); fleet ops fan out to every shard and reply with the
 //!   merged scalars plus each shard's own reply. A fleet tick allots
 //!   every shard REF's closed-form share of the capacity from its
-//!   agents' rescaled-elasticity sums, so each agent gets the one-market
-//!   share, and the merged SI/EF/PE verdict holds only if the shards
-//!   allocated at one price vector. Only REF is sharded.
+//!   agents' rescaled-elasticity sums `D_k` — which each shard publishes
+//!   whenever a step under its lock applied an event, so the tick reads
+//!   them without asking the shard threads — and each agent gets the
+//!   one-market share; the merged SI/EF/PE verdict holds only if the
+//!   shards allocated at one price vector. Only REF is sharded.
 //! * **Shard fault tolerance** (`server`'s router + clock): the
 //!   router tracks per-shard health (`Healthy → Suspect → Down`) from
 //!   tick timeouts, failure replies and panic notices, fails agent ops to
 //!   a Down shard fast with `shard_unavailable` + `retry_after_ms`, gates
-//!   cross-shard reallotment on a reporting quorum (partial epochs are
-//!   stamped `partial: true` and never audited as fleet-wide fairness),
-//!   and restarts a panicked shard in place from its own WAL,
+//!   cross-shard reallotment on a quorum of shards with a demand (partial
+//!   epochs are stamped `partial: true` and never audited as fleet-wide
+//!   fairness), and restarts a panicked shard in place from its own WAL,
 //!   resynchronizing it to the fleet epoch (a replicated node is not
 //!   restarted: it stops leading, and its standby's election replaces
 //!   it).

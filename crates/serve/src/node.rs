@@ -1,7 +1,7 @@
 //! `Node`: one replica's composition of the sans-IO cores — its
 //! [`ServiceCore`], its [`ReplCore`] and the [`Session`]s of the
-//! standbys it streams to — plus [`fleet_round`], the two-phase fleet
-//! tick over [`RouterCore`] (DESIGN.md §8, §10, §14).
+//! standbys it streams to — plus [`fleet_round`], the fleet tick over
+//! [`RouterCore`] (DESIGN.md §8, §10, §14).
 //!
 //! The cores decide every rule; this module decides how one replica
 //! strings them together, once, for both drivers: the threaded server
@@ -56,7 +56,7 @@ use crate::metrics::ServeMetrics;
 use crate::protocol::{shard_unavailable_response, Request};
 use crate::repl::{rec_frame, Frame, Role};
 use crate::repl_core::{Ack, AckWait, Hello, Promotion, ReplCore, Stream, Timer};
-use crate::router::{Round, RouterCore};
+use crate::router::{is_ok, Round, RouterCore};
 use crate::session::{self, GoLive, Offer, Session};
 use crate::storage::Storage;
 
@@ -285,16 +285,20 @@ impl<L: Link> Node<L> {
         }
     }
 
-    /// Phase 1 of a fleet tick: the node's `D_k`
-    /// ([`ServiceCore::demand_report`]). A read: no role gate.
-    pub fn demand(&self) -> Value {
+    /// What a fleet tick allots the node from: its `D_k`, the
+    /// per-resource sums of its rescaled elasticities
+    /// ([`MarketEngine::aggregate_demand`]), or its `unavailable` reply
+    /// while it is Down or has no core. A read: no role gate.
+    ///
+    /// [`MarketEngine::aggregate_demand`]: ref_market::MarketEngine::aggregate_demand
+    pub fn demand(&self) -> Result<Vec<f64>, Value> {
         match (self.down, &self.core) {
-            (false, Some(core)) => core.demand_report(),
-            _ => self.unavailable(),
+            (false, Some(core)) => Ok(core.engine().aggregate_demand()),
+            _ => Err(self.unavailable()),
         }
     }
 
-    /// Phase 2 of a fleet tick: journal `allotment` as a `reallot` where
+    /// A fleet tick at `allotment`: journal it as a `reallot` where
     /// it moved, then tick at it — back to back, as one hold of the
     /// server's shard lock. Returns the requests served, in order: the
     /// node's answer to the round is the last one's. A refused
@@ -395,10 +399,6 @@ impl<L: Link> Node<L> {
             .then(|| self.promote(metrics))
             .flatten()
     }
-}
-
-fn is_ok(reply: &Value) -> bool {
-    reply.get("ok") == Some(&Value::Bool(true))
 }
 
 /// The `(epoch, fingerprint)` of the epoch-fingerprint rule (module docs).
@@ -631,42 +631,45 @@ impl<P: Peer> Link for Replication<P> {
     }
 }
 
-/// How a fleet round reaches its shards: the server fans to its shard
-/// threads, the simulator asks each shard's serving node in turn.
+/// How a fleet round reaches its shards: the server reads the `D_k` its
+/// shards published and fans the ticks to their threads, the simulator
+/// asks each shard's serving node in turn.
 pub trait Fan {
     /// Runs one transition of the router core.
     fn router<T>(&mut self, step: impl FnOnce(&mut RouterCore) -> T) -> T;
 
-    /// Phase 1: every shard's [`Node::demand`], or why it has none.
-    fn demand(&mut self) -> Vec<Value>;
+    /// Every shard's [`Node::demand`], or, for a shard the router does
+    /// not ask, why it has none.
+    fn demand(&mut self) -> Vec<Result<Vec<f64>, Value>>;
 
     /// The quorum froze this round, `reported` shards short of it
-    /// having reported (between the phases).
+    /// having a demand (before the ticks).
     fn froze(&mut self, reported: usize);
 
-    /// Phase 2: each shard's tick — [`Node::tick_at`] an allotment, a
-    /// plain tick (`Ok(None)`), or, for a shard that sits the round
-    /// out, its phase-1 reply (`Err`), unasked.
+    /// Each shard's tick — [`Node::tick_at`] an allotment, a plain tick
+    /// (`Ok(None)`), or, for a shard that sits the round out, the reason
+    /// it has no demand (`Err`), unasked.
     fn tick(&mut self, asks: Vec<Result<Option<Vec<f64>>, Value>>) -> Vec<Value>;
 }
 
 /// One fleet tick over `shards` shards, and the router's verdict on it.
-/// With more than one shard it is two-phase: every shard reports `D_k`,
-/// the [`RouterCore`] gates on the quorum and allots each reporter REF's
-/// closed-form share, and each reporter ticks at it; a shard that missed
-/// phase 1 sits the round out. One shard's allotment is always the whole
-/// capacity, so it is asked nothing but the tick.
+/// With more than one shard the [`RouterCore`] reads every shard's `D_k`,
+/// gates on the quorum and allots each shard with a demand REF's
+/// closed-form share, and each such shard ticks at it; a shard without
+/// one (not asked, or its node down) sits the round out. One shard's
+/// allotment is always the whole capacity, so it is asked nothing but
+/// the tick.
 pub fn fleet_round(fan: &mut impl Fan, shards: usize) -> (Vec<Value>, Round) {
     let asks = if shards == 1 {
         vec![Ok(None)]
     } else {
-        let reports = fan.demand();
-        let allot = fan.router(|router| router.allot(&reports));
+        let demands = fan.demand();
+        let allot = fan.router(|router| router.allot(&demands));
         if allot.frozen {
             fan.froze(allot.capacities.iter().flatten().count());
         }
-        (allot.capacities.into_iter().zip(reports))
-            .map(|(capacity, report)| capacity.map(Some).ok_or(report))
+        (allot.capacities.into_iter().zip(demands))
+            .map(|(capacity, demand)| demand.map(|_| capacity))
             .collect()
     };
     let replies = fan.tick(asks);

@@ -1,11 +1,11 @@
 //! `RouterCore`: the fleet-routing and node-supervision rules as one
 //! sans-IO state machine (DESIGN.md §9, §14).
 //!
-//! Inputs are the shards' demand reports and tick replies, the replies
+//! Inputs are the shards' demands `D_k` and tick replies, the replies
 //! to probes, a panic notice for a shard, the notice that a shard is
 //! served from a recovered WAL, and clock readings. Outputs are
 //! verdicts: a fleet tick's two ([`Allot`]: whether the quorum froze,
-//! and the allotment each reporting shard ticks at; [`Round`]: which
+//! and the allotment each shard with a demand ticks at; [`Round`]: which
 //! shards are missing, how many are down), the clock's [`Duty`] (fan a
 //! timed tick, restart or probe a shard), what a panic makes of a shard
 //! ([`AfterPanic`]), and how a shard comes back ([`Readmit`]). The
@@ -152,15 +152,15 @@ impl Watch {
     }
 }
 
-/// Phase 1's verdict: what each shard ticks at this round.
+/// A fleet tick's allotment verdict: what each shard ticks at this round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Allot {
-    /// Fewer shards than the quorum reported their demand: nothing was
+    /// Fewer shards than the quorum had a demand: nothing was
     /// reallotted.
     pub frozen: bool,
     /// Per shard, the allotment it journals (if it moved) and ticks at,
-    /// in one hold of its lock. `None` for a shard that did not report:
-    /// it sits the round out.
+    /// in one hold of its lock. `None` for a shard without a demand: it
+    /// sits the round out.
     pub capacities: Vec<Option<Vec<f64>>>,
 }
 
@@ -325,21 +325,23 @@ impl RouterCore {
         Some(self.recovered(shard, epoch_of(reply)))
     }
 
-    /// Phase 1 of a fleet tick: each shard's reply to the demand read,
-    /// `{"ok":true,"demand":[...]}` carrying its `D_k`. At or above the
-    /// quorum the [`Coordinator`] re-derives every reporter's allotment
-    /// in closed form, around what the silent shards hold; below it the
-    /// demand picture is too partial to act on, and the reporters tick
-    /// at the allotments they have. A shard that did not report sits the
-    /// round out: its phase-1 reply stands as its tick reply.
-    pub fn allot(&mut self, reports: &[Value]) -> Allot {
-        let demands: Vec<Option<Vec<f64>>> = reports.iter().map(demand_of).collect();
+    /// A fleet tick's allotment, from each shard's `D_k` (`Err`: the
+    /// shard has none this round). At or above the quorum the
+    /// [`Coordinator`] re-derives the allotment of every shard with a
+    /// demand in closed form, around what the others hold; below it the
+    /// demand picture is too partial to act on, and those shards tick at
+    /// the allotments they have. A shard without a demand sits the round
+    /// out.
+    pub fn allot(&mut self, demands: &[Result<Vec<f64>, Value>]) -> Allot {
+        let demands: Vec<Option<&[f64]>> = (demands.iter())
+            .map(|demand| demand.as_deref().ok())
+            .collect();
         let frozen = demands.iter().flatten().count() < self.quorum;
         if !frozen {
             self.coord.allot(&demands);
         }
         let capacities = (demands.iter().zip(self.coord.allotments()))
-            .map(|(demand, allotment)| demand.as_ref().map(|_| allotment.clone()))
+            .map(|(demand, allotment)| demand.map(|_| allotment.clone()))
             .collect();
         Allot { frozen, capacities }
     }
@@ -407,21 +409,12 @@ impl RouterCore {
     }
 }
 
-fn is_ok(reply: &Value) -> bool {
+pub(crate) fn is_ok(reply: &Value) -> bool {
     reply.get("ok") == Some(&Value::Bool(true))
 }
 
 fn epoch_of(reply: &Value) -> u64 {
     reply.get("epoch").and_then(Value::as_u64).unwrap_or(0)
-}
-
-/// The `D_k` a clean phase-1 reply carries.
-fn demand_of(reply: &Value) -> Option<Vec<f64>> {
-    if !is_ok(reply) {
-        return None;
-    }
-    let demand = reply.get("demand")?.as_array()?;
-    demand.iter().map(Value::as_f64).collect()
 }
 
 /// Inserts a `"shard": k` tag right after the leading `ok`/`error`
@@ -615,9 +608,9 @@ mod tests {
         outcomes.iter().map(reply).collect()
     }
 
-    /// A phase-1 reply carrying `demand`.
-    fn reported(demand: &[f64]) -> Value {
-        ok_response(vec![("demand", Value::num_array(demand))])
+    /// A shard's `D_k` of `demand`.
+    fn reported(demand: &[f64]) -> Result<Vec<f64>, Value> {
+        Ok(demand.to_vec())
     }
 
     #[test]
@@ -743,8 +736,8 @@ mod tests {
         let mut router = router(3, 2);
         let split = vec![64.0 / 3.0, 32.0 / 3.0];
         let (timeout, internal) = (
-            error_response("timeout", None, None),
-            error_response("internal", None, None),
+            Err(error_response("timeout", None, None)),
+            Err(error_response("internal", None, None)),
         );
         // One of three reported: below quorum. The reporter ticks at the
         // allotment it has; the others sit the round out.
@@ -906,7 +899,7 @@ mod tests {
         assert!(report.get("fairness").is_none());
     }
 
-    /// `reply` with `"prices"` appended, as a shard's phase-2 tick reply
+    /// `reply` with `"prices"` appended, as a shard's allotted tick reply
     /// carries them.
     fn priced(reply: &Value, prices: &[f64]) -> Value {
         let Value::Obj(mut pairs) = reply.clone() else {

@@ -10,8 +10,8 @@
 //!                                    │ lock, serve, unlock, │    │  (core +   │
 //!                                    │ encode, write        │    │  degraded) │
 //!                                    └──────────────────────┘    └────────────┘
-//!                                       pushes (fan, demand read,      ▲
-//!                                       allotted tick, probe,
+//!                                       pushes (fan, allotted tick,    ▲
+//!                                       catch-up tick, probe,
 //!                                       shutdown) ──▶ bus ──▶ shard thread
 //!                                                                   (+ heartbeats)
 //!      ┌────────────┐  verdicts   clock ──▶ timed tick (fan), restart, probe
@@ -34,7 +34,7 @@
 //! the WAL record, so replay stays bit-identical. The shard's own thread
 //! calls the same function under the same lock for what is *pushed* to
 //! it: fleet ops (which must be abandonable at the tick budget), a fleet
-//! tick's demand read and allotted tick, probes, `shutdown`, and
+//! tick's allotted tick, catch-up ticks, probes, `shutdown`, and
 //! heartbeats. A WAL checkpoint is taken inline by whichever thread
 //! applies the event that makes it due: it streams from the engine's
 //! borrowed state, so it costs a connection thread no more memory than
@@ -60,9 +60,10 @@
 //! thread and reply `{ok, <merged scalars>, shards:[...]}` with each
 //! shard's reply tagged with its index, or, when no shard answered `ok`,
 //! with the first shard's error ([`crate::router::fleet_reply`]). With
-//! more than one shard a fleet tick is two-phase: each shard reports its
-//! rescaled-elasticity sums `D_k`, the router allots every reporter REF's
-//! closed-form share of the capacity ([`crate::shard::Coordinator`]),
+//! more than one shard, each shard publishes its rescaled-elasticity sums
+//! `D_k` whenever a step under its lock applied an event or changed its
+//! Down state; a fleet tick reads them, the router allots every shard
+//! REF's closed-form share of the capacity ([`crate::shard::Coordinator`]),
 //! and each shard journals a moved allotment as a `reallot` event and
 //! ticks at it in one hold of its lock, so every shard's WAL stays a
 //! complete, byte-for-byte replayable history. One clock thread runs the
@@ -238,12 +239,9 @@ impl ServeConfig {
 pub(crate) enum Work {
     /// Serve a request, as a connection thread serves one.
     Serve(Request),
-    /// Phase 1 of a fleet tick: report `D_k`, the per-resource sums of
-    /// the shard's rescaled elasticities.
-    Demand,
-    /// Phase 2: journal this allotment if it moved, then tick at it, in
-    /// one hold of the shard lock. The reply carries the prices the shard
-    /// allocated at.
+    /// A fleet tick: journal this allotment if it moved, then tick at
+    /// it, in one hold of the shard lock. The reply carries the prices
+    /// the shard allocated at.
     TickAt(Vec<f64>),
 }
 
@@ -319,6 +317,11 @@ pub(crate) struct Shared {
     pub(crate) epoch: AtomicU64,
     /// The WAL sequence (events applied), ditto.
     pub(crate) wal_seq: AtomicU64,
+    /// The node's [`Node::demand`], republished after every step that
+    /// applied an event or changed its Down state: what a fleet tick
+    /// allots the shard from. `None` on a one-shard server, whose tick
+    /// allots nothing.
+    demand: Option<Mutex<Result<Vec<f64>, Value>>>,
     /// The [`RouterCore`]'s assessment of this shard ([`ShardHealth`]
     /// as its `u64` repr), published after every transition of the core
     /// so dispatch and fans read it without a lock.
@@ -329,12 +332,19 @@ impl Shared {
     /// Runs `step` on the shard's node under the shard lock — the only
     /// way to the core. A panic in `step` stops here (`None`): it is
     /// counted, the shard is degraded, and since the guard does not
-    /// unwind the lock is not poisoned.
+    /// unwind the lock is not poisoned. Before the lock is released the
+    /// engine's epoch and WAL sequence are published, and, on a server
+    /// of more than one shard, the node's `D_k` when the step applied an
+    /// event or changed the node's Down state.
     pub(crate) fn locked<R>(&self, step: impl FnOnce(&mut ShardNode) -> R) -> Option<R> {
         let mut node = self
             .cell
             .lock()
             .expect("a panic under the shard lock is caught before the guard unwinds");
+        // What `Node::demand` reads besides the engine: Down, and events.
+        let stamp =
+            |node: &ShardNode| (node.is_down(), node.core().map(ServiceCore::events_applied));
+        let before = self.demand.as_ref().map(|_| stamp(&node));
         let outcome = catch_unwind(AssertUnwindSafe(|| step(&mut node)));
         if outcome.is_err() {
             ServeMetrics::bump(&self.metrics.ticker_panics);
@@ -343,6 +353,10 @@ impl Shared {
         if let Some(core) = node.core() {
             self.epoch.store(core.engine().epoch(), Ordering::SeqCst);
             self.wal_seq.store(core.events_applied(), Ordering::SeqCst);
+        }
+        let moved = before.is_some_and(|before| before != stamp(&node));
+        if let (true, Some(slot)) = (moved, &self.demand) {
+            *slot.lock().expect("demand slot poisoned") = node.demand();
         }
         outcome.ok()
     }
@@ -378,7 +392,7 @@ pub(crate) struct Router {
     pub(crate) started: Instant,
     pub(crate) core: Arc<Mutex<RouterCore>>,
     /// Held for the whole of a fleet tick: allotments sum to the capacity
-    /// only if no round's phase 2 interleaves with another's.
+    /// only if no round's ticks interleave with another's.
     rounds: Mutex<()>,
 }
 
@@ -628,6 +642,7 @@ impl Server {
                     epoch: AtomicU64::new(core.engine().epoch()),
                     wal_seq: AtomicU64::new(core.events_applied()),
                     health: AtomicU64::new(ShardHealth::Healthy as u64),
+                    demand: (n > 1).then(|| Mutex::new(Ok(core.engine().aggregate_demand()))),
                     cell: Mutex::new(Node::new(shard, Some(core), repl.clone())),
                     repl,
                 })
@@ -1364,34 +1379,31 @@ fn push_internal(
     shared.bus.push(item).ok().map(|()| rx)
 }
 
-/// [`push_internal`] for a client's fanned request, which is counted (a
-/// fleet tick's demand read is the router's own, and is not).
+/// [`push_internal`] for a client's fanned request, which is counted.
 fn push_item(
     shared: &Shared,
     work: Work,
     deadline: Option<Instant>,
 ) -> Option<mpsc::Receiver<Value>> {
-    let counted = !matches!(work, Work::Demand);
     let rx = push_internal(shared, work, deadline);
-    if counted {
-        ServeMetrics::bump(match rx {
-            Some(_) => &shared.metrics.accepted,
-            None => &shared.metrics.rejected_shutdown,
-        });
-    }
+    ServeMetrics::bump(match rx {
+        Some(_) => &shared.metrics.accepted,
+        None => &shared.metrics.rejected_shutdown,
+    });
     rx
 }
 
-/// Runs one fleet tick ([`fleet_round`]) and merges its reply. Each
-/// phase is a fan under the tick budget: phase 1 reads every shard's
-/// `D_k` (a read: the previous epoch ended with its refits), and phase 2
-/// has each reporter journal a moved allotment and tick at it in one
-/// hold of its lock. A shard that fails to journal does not tick, and a
-/// shard that missed phase 1 sits the round out; either makes the round
-/// partial. The core then assesses health (`Healthy → Suspect → Down`)
-/// from the replies, and the merged reply carries the combined report —
-/// marked `partial` with the missing shard ids when any shard missed the
-/// tick.
+/// Runs one fleet tick ([`fleet_round`]) and merges its reply. The
+/// router allots from the `D_k` each shard last published, then one fan
+/// under the tick budget has each shard journal a moved allotment and
+/// tick at it in one hold of its lock. A shard busy past the budget —
+/// still allotted, from the `D_k` it published before — is abandoned and
+/// serves the queued tick when it resumes; a shard that fails to journal
+/// does not tick; a shard the router does not ask, or whose node is
+/// down, sits the round out. Any of them makes the round partial. The
+/// core then assesses health (`Healthy → Suspect → Down`) from the
+/// replies, and the merged reply carries the combined report — marked
+/// `partial` with the missing shard ids when any shard missed the tick.
 fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig) -> Value {
     // The tick budget caps how long any one shard may hold up the fleet
     // clock; a client deadline can only tighten it further.
@@ -1411,8 +1423,9 @@ fn fan_tick(router: &Arc<Router>, deadline_ms: Option<u64>, config: &ServeConfig
     tick_reply(replies, &round)
 }
 
-/// A fleet round's [`Fan`] over the shard threads: each phase is one
-/// [`fan`] under the round's wait.
+/// A fleet round's [`Fan`] over the shards: their published `D_k`, read
+/// behind the [`asks`] gate, and one [`fan`] of the ticks under the
+/// round's wait.
 struct Fanned<'r> {
     router: &'r Arc<Router>,
     deadline_ms: Option<u64>,
@@ -1424,11 +1437,14 @@ impl Fan for Fanned<'_> {
         self.router.drive(step)
     }
 
-    fn demand(&mut self) -> Vec<Value> {
-        let (deadline_ms, wait) = (self.deadline_ms, self.wait);
-        fan(self.router, &Request::Tick, deadline_ms, wait, |_| {
-            Ok(Work::Demand)
-        })
+    fn demand(&mut self) -> Vec<Result<Vec<f64>, Value>> {
+        let read = |(shard, shared): (usize, &Arc<Shared>)| match &shared.demand {
+            Some(slot) if asks(shared.health(), &Request::Tick) => {
+                slot.lock().expect("demand slot poisoned").clone()
+            }
+            _ => Err(shard_unavailable_response(shard as u64, RETRY_AFTER_MS)),
+        };
+        self.router.shards.iter().enumerate().map(read).collect()
     }
 
     fn froze(&mut self, _reported: usize) {
@@ -1660,7 +1676,6 @@ fn serve_request(
         Work::Serve(Request::Promote) => {
             return Some(carry_out(node.promote(&shared.metrics), shared))
         }
-        Work::Demand => return Some(node.demand()),
         Work::Serve(Request::Tick) => tick(node, shard, None, shared, config)?,
         Work::TickAt(allotment) => tick(node, shard, Some(allotment), shared, config)?,
         Work::Serve(request) => node.serve(request, &shared.metrics),
@@ -2483,7 +2498,7 @@ mod tests {
         client
             .join_truth(agent_on(&ring, 0), 1.0, &[0.7, 0.3])
             .unwrap();
-        // The first round is at quorum (shard 1 panics in its phase 2);
+        // The first round is at quorum (shard 1 panics in its tick);
         // the two after it are not.
         for _ in 0..3 {
             client.tick().unwrap();
@@ -2494,6 +2509,88 @@ mod tests {
         let report = server.shutdown();
         assert_eq!(report.shards[0].metrics.epochs, 3);
         assert_eq!(realloted(&report.shards[0].journal).len(), 1);
+    }
+
+    #[test]
+    fn a_stalled_shard_is_allotted_from_its_last_demand_and_freezes_nothing() {
+        // 3 shards, default quorum 2. Shard 2 stalls under its lock
+        // before the tick of epoch 2, far past the tick budget. Round 2
+        // abandons its tick (Suspect); round 3 still allots it from the
+        // D_k it published before the stall and abandons that tick too
+        // (Down); round 4 does not ask it. No round freezes, and every
+        // round is partial.
+        let (total, budget) = ([24.0, 12.0], Duration::from_millis(150));
+        let config = sharded_config(3)
+            .with_shard_tick_budget(budget)
+            .with_faults(FaultPlan {
+                slow_shard_tick: Some((2, 2, 800)),
+                ..FaultPlan::default()
+            });
+        let server = Server::start("127.0.0.1:0", config).unwrap();
+        let ring = HashRing::new(3, RING_SEED);
+        let mut client = Client::connect(server.addr()).unwrap();
+        for (shard, e0) in [0.7, 0.3, 0.5].into_iter().enumerate() {
+            for agent in agents_on(&ring, shard, 2) {
+                client.join_truth(agent, 1.0, &[e0, 1.0 - e0]).unwrap();
+            }
+        }
+        // Per round, the shards whose tick was clean.
+        let clean: Vec<Vec<usize>> = (1..=4)
+            .map(|round| {
+                let tick = client.tick().unwrap();
+                let partial = tick.get("report").and_then(|r| r.get("partial"));
+                assert_eq!(partial.is_some(), round > 1, "round {round}: {tick}");
+                let shards = tick.get("shards").and_then(Value::as_array).unwrap();
+                (0..3)
+                    .filter(|&k| shards[k].get("ok") == Some(&Value::Bool(true)))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(clean, [vec![0, 1, 2], vec![0, 1], vec![0, 1], vec![0, 1]]);
+        let metrics = server.metrics();
+        assert_eq!(metrics.quorum_freezes, 0, "{metrics:?}");
+        assert_eq!(metrics.partial_epochs, 3, "{metrics:?}");
+        assert_eq!(server.shard_health(2), ShardHealth::Down);
+        // The drain lets shard 2 finish its stall, then serve the allotted
+        // tick round 3 queued behind it: epochs 2 and 3 land late, each at
+        // its own round's allotment.
+        let report = server.shutdown();
+        // Each shard's capacity at the tick that closed epoch `e`, at [e-1].
+        let ticked_at: Vec<Vec<Vec<f64>>> = (report.shards.iter())
+            .map(|shard| {
+                let mut capacity = total.map(|c| c / 3.0).to_vec();
+                let mut at = Vec::new();
+                for event in &shard.journal {
+                    match event {
+                        MarketEvent::CapacityRealloted { capacity: moved } => {
+                            capacity.clone_from(moved);
+                        }
+                        MarketEvent::EpochTick => at.push(capacity.clone()),
+                        _ => {}
+                    }
+                }
+                at
+            })
+            .collect();
+        assert!(ticked_at[2].len() >= 3, "{:?}", ticked_at[2]);
+        // Whether what `shards` ticked at in round `round + 1` fits.
+        let fits = |shards: &[usize], round: usize| {
+            (total.iter().enumerate()).all(|(r, total)| {
+                shards.iter().map(|&k| ticked_at[k][round][r]).sum::<f64>() <= *total
+            })
+        };
+        for (round, ticked) in clean.iter().enumerate() {
+            assert!(fits(ticked, round), "round {}: {ticked_at:?}", round + 1);
+        }
+        // The rounds that allotted shard 2 and abandoned its tick: with
+        // its late tick counted, their allotments still fit the capacity.
+        for round in [1, 2] {
+            assert!(
+                fits(&[0, 1, 2], round),
+                "round {}: {ticked_at:?}",
+                round + 1
+            );
+        }
     }
 
     #[test]

@@ -217,12 +217,12 @@ impl Coordinator {
         }
     }
 
-    /// One round: `demands[k]` is shard `k`'s `D_k`, or `None` when it did
-    /// not report. Returns every shard's allotment after the round.
-    pub(crate) fn allot(&mut self, demands: &[Option<Vec<f64>>]) -> &[Vec<f64>] {
+    /// One round: `demands[k]` is shard `k`'s `D_k`, or `None` when it has
+    /// none this round. Returns every shard's allotment after the round.
+    pub(crate) fn allot(&mut self, demands: &[Option<&[f64]>]) -> &[Vec<f64>] {
         assert_eq!(demands.len(), self.allotments.len(), "one entry per shard");
         let reporters: Vec<(usize, &[f64])> = (demands.iter().enumerate())
-            .filter_map(|(k, demand)| Some((k, demand.as_deref()?)))
+            .filter_map(|(k, demand)| Some((k, (*demand)?)))
             .collect();
         for (r, &total) in self.total.iter().enumerate() {
             // With no demand on `r` anywhere, every agent's share is the
@@ -274,7 +274,7 @@ impl Coordinator {
     /// and `None` when it is the one the shard already holds.
     pub fn step(&mut self, demands: &[Vec<f64>]) -> Vec<Option<Vec<f64>>> {
         let before = self.allotments.clone();
-        let reported: Vec<Option<Vec<f64>>> = demands.iter().cloned().map(Some).collect();
+        let reported: Vec<Option<&[f64]>> = demands.iter().map(|d| Some(d.as_slice())).collect();
         self.allot(&reported)
             .iter()
             .zip(before)
@@ -385,12 +385,10 @@ mod tests {
     #[test]
     fn silent_shards_keep_their_allotments_and_the_rest_split_what_they_leave() {
         let mut coord = Coordinator::new(vec![30.0], 3, 0.0);
-        coord.allot(&[Some(vec![1.0]), Some(vec![1.0]), Some(vec![4.0])]);
+        coord.allot(&[Some(&[1.0]), Some(&[1.0]), Some(&[4.0])]);
         assert_eq!(coord.allotments[2], vec![20.0]);
         // Shard 2 is silent: its 20 stay reserved, and 0 and 1 split 10.
-        let after = coord
-            .allot(&[Some(vec![3.0]), Some(vec![1.0]), None])
-            .to_vec();
+        let after = coord.allot(&[Some(&[3.0]), Some(&[1.0]), None]).to_vec();
         assert_eq!(after, [[7.5], [2.5], [20.0]]);
         // Nobody reports: nothing moves.
         assert_eq!(coord.allot(&[None, None, None]), after);
@@ -401,7 +399,7 @@ mod tests {
         // Three agents on shard 0, one on shard 1; none values resource 1,
         // so each gets the equal split 8 / 4 of it, as in one market.
         let mut coord = Coordinator::new(vec![4.0, 8.0], 2, 0.0);
-        coord.allot(&[Some(vec![3.0, 0.0]), Some(vec![1.0, 0.0])]);
+        coord.allot(&[Some(&[3.0, 0.0]), Some(&[1.0, 0.0])]);
         assert_eq!(coord.allotments[0][1], 6.0);
         assert_eq!(coord.allotments[1][1], 2.0);
     }
@@ -425,7 +423,7 @@ mod tests {
                         (!silent).then_some(d)
                     })
                     .collect();
-                coord.allot(&demands);
+                coord.allot(&demands.iter().map(Option::as_deref).collect::<Vec<_>>());
                 for (r, sum) in sums(&coord).into_iter().enumerate() {
                     assert!(sum <= total[r], "{shards} shards, resource {r}: {sum}");
                 }

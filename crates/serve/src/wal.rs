@@ -369,8 +369,12 @@ fn create_segment(
     Ok((path, file))
 }
 
-fn read_checkpoint_file(storage: &dyn Storage, path: &Path) -> io::Result<(u64, MarketSnapshot)> {
-    let text = String::from_utf8(storage.read(path)?)
+/// A checkpoint file's sequence, its body — the snapshot text, which
+/// passed the file's checksum — and the snapshot the body decodes to.
+type Checkpoint = (u64, String, MarketSnapshot);
+
+fn read_checkpoint_file(storage: &dyn Storage, path: &Path) -> io::Result<Checkpoint> {
+    let mut text = String::from_utf8(storage.read(path)?)
         .map_err(|_| corrupt("checkpoint is not valid UTF-8"))?;
     let mut rest = text.as_str();
     let mut take_line = |what: &str| -> io::Result<&str> {
@@ -397,16 +401,18 @@ fn read_checkpoint_file(storage: &dyn Storage, path: &Path) -> io::Result<(u64, 
     }
     let snapshot =
         MarketSnapshot::decode(rest).map_err(|e| corrupt(format!("checkpoint snapshot: {e}")))?;
-    Ok((seq, snapshot))
+    text.drain(..text.len() - rest.len());
+    Ok((seq, text, snapshot))
 }
 
 /// The newest of `checkpoints` that reads back whole and names its own
-/// sequence; damaged ones are skipped.
-fn newest_valid(storage: &dyn Storage, checkpoints: &SeqPaths) -> Option<(u64, MarketSnapshot)> {
+/// sequence, as [`read_checkpoint_file`] gives it; damaged ones are
+/// skipped.
+fn newest_valid(storage: &dyn Storage, checkpoints: &SeqPaths) -> Option<Checkpoint> {
     checkpoints.iter().rev().find_map(|(seq, path)| {
         read_checkpoint_file(storage, path)
             .ok()
-            .filter(|(file_seq, _)| file_seq == seq)
+            .filter(|(file_seq, _, _)| file_seq == seq)
     })
 }
 
@@ -487,7 +493,8 @@ impl Wal {
         // Newest structurally-valid checkpoint wins; damaged ones are
         // skipped (a crash mid-rename can leave none — that is fine, the
         // segments still hold everything).
-        let checkpoint = newest_valid(storage.as_ref(), &disk_checkpoints);
+        let checkpoint = newest_valid(storage.as_ref(), &disk_checkpoints)
+            .map(|(seq, _, snapshot)| (seq, snapshot));
         let ckpt_seq = checkpoint.as_ref().map_or(0, |(seq, _)| *seq);
 
         // Replay starts in the newest segment that begins at or before
@@ -946,8 +953,8 @@ pub(crate) fn scrub_with(storage: &dyn Storage, dir: &Path) -> io::Result<ScrubR
     for (seq, path) in &checkpoints {
         report.checkpoints += 1;
         match read_checkpoint_file(storage, path) {
-            Ok((file_seq, _)) if file_seq == *seq => {}
-            Ok((file_seq, _)) => report.errors.push(format!(
+            Ok((file_seq, _, _)) if file_seq == *seq => {}
+            Ok((file_seq, _, _)) => report.errors.push(format!(
                 "checkpoint {path:?}: name says seq {seq} but file says {file_seq}"
             )),
             Err(e) => report.errors.push(format!("checkpoint {path:?}: {e}")),
@@ -957,10 +964,12 @@ pub(crate) fn scrub_with(storage: &dyn Storage, dir: &Path) -> io::Result<ScrubR
 }
 
 /// The newest structurally-valid checkpoint in `dir`, if any, as
-/// `(seq, snapshot_text)`. Damaged checkpoints are skipped, exactly as
-/// [`Wal::open`] does. Safe to call while the directory's owning server
-/// is live (checkpoints are written atomically via rename), which is
-/// how a primary bootstraps a standby that is behind the retained log.
+/// `(seq, snapshot_text)`: the file's checksum-verified body, byte for
+/// byte. Damaged checkpoints — a body that fails its checksum or does
+/// not decode — are skipped, exactly as [`Wal::open`] does. Safe to call
+/// while the directory's owning server is live (checkpoints are written
+/// atomically via rename), which is how a primary bootstraps a standby
+/// that is behind the retained log.
 ///
 /// # Errors
 ///
@@ -974,7 +983,7 @@ pub fn newest_checkpoint_with(
         return Ok(None);
     }
     let (_, checkpoints) = list_dir(storage, dir)?;
-    Ok(newest_valid(storage, &checkpoints).map(|(seq, snapshot)| (seq, snapshot.encode())))
+    Ok(newest_valid(storage, &checkpoints).map(|(seq, text, _)| (seq, text)))
 }
 
 /// Whether `dir` already holds WAL state (any non-empty segment or any
@@ -1815,5 +1824,36 @@ mod tests {
         let (seq, _) = rec.checkpoint.expect("older checkpoint");
         assert_eq!(seq, 5);
         assert_eq!(rec.tail, all[5..].to_vec());
+    }
+
+    #[test]
+    fn snap_text_is_the_checkpoint_body_byte_for_byte() {
+        use ref_core::resource::Capacity;
+        use ref_market::{MarketConfig, MarketEngine};
+
+        let dir = TempDir::new("ckptbody");
+        let market = MarketConfig::new(Capacity::new(vec![8.0, 4.0]).unwrap());
+        let config = WalConfig::new(dir.path()).with_retain_history(true);
+        let mut engine = MarketEngine::new(market).unwrap();
+        let mut wal = Wal::open(config, FaultPlan::none()).unwrap().wal;
+        for e in events(6) {
+            wal.append(&e).unwrap();
+            let _ = engine.apply_now(e);
+        }
+        wal.checkpoint(&engine.snapshot().encode()).unwrap();
+        // The body is what follows the magic, seq and crc lines.
+        let body = |seq| {
+            let file = fs::read_to_string(checkpoint_path(dir.path(), seq)).unwrap();
+            file.splitn(4, '\n').nth(3).unwrap().to_string()
+        };
+        let snap = newest_checkpoint_with(&FsStorage, dir.path()).unwrap();
+        assert_eq!(snap, Some((6, body(6))));
+        // A newer checkpoint whose body passes its checksum but is no
+        // snapshot is skipped: the text still decodes once.
+        wal.append(&join(99)).unwrap();
+        wal.checkpoint("not a snapshot\n").unwrap();
+        assert_eq!(body(7), "not a snapshot\n");
+        let snap = newest_checkpoint_with(&FsStorage, dir.path()).unwrap();
+        assert_eq!(snap, Some((6, body(6))));
     }
 }

@@ -170,12 +170,19 @@ impl Dram {
         };
         let port = &mut self.ports[agent];
         let token_ready = port.next_token.max(now as f64);
-        let start = (token_ready.ceil() as u64)
-            .max(self.bank_free[bank])
-            .max(now);
+        let token_cycle = token_ready.ceil() as u64;
+        let start = token_cycle.max(self.bank_free[bank]);
         let completion = start + latency;
         self.bank_free[bank] = start + self.bank_occupancy.min(latency);
-        port.next_token = start as f64 + port.cycles_per_burst;
+        // A burst the token gated spaces the next one from the token time,
+        // not from the whole cycle it was rounded up to: the bucket keeps
+        // its fractional credit, so a backlogged agent gets its share.
+        let paced_from = if start == token_cycle {
+            token_ready
+        } else {
+            start as f64
+        };
+        port.next_token = paced_from + port.cycles_per_burst;
         port.requests = port.requests.saturating_add(1);
         self.stats.requests = self.stats.requests.saturating_add(1);
         self.stats.total_latency_cycles = self

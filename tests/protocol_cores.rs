@@ -182,7 +182,7 @@ fn a_recovered_primary_waits_out_its_lease() {
 fn the_router_freezes_below_quorum_and_never_half_applies() {
     let total = [30.0, 12.0];
     let mut router = RouterCore::new(total.to_vec(), 3, 2, 2);
-    let demand = |d: [f64; 2]| ok_response(vec![("demand", Value::num_array(&d))]);
+    let demand = |d: [f64; 2]| Ok(d.to_vec());
     let (ok, timeout, unavailable) = (
         ok_response(vec![("epoch", Value::from_u64(9))]),
         ref_fairness::serve::protocol::error_response("timeout", None, None),
@@ -190,10 +190,14 @@ fn the_router_freezes_below_quorum_and_never_half_applies() {
     );
     let split = vec![10.0, 4.0];
 
-    // One of three reported its demand: below quorum nothing is
-    // reallotted. The reporter ticks at the split it has; the others sit
-    // the round out, their phase-1 replies standing as their tick replies.
-    let allot = router.allot(&[demand([9.0, 3.0]), timeout.clone(), timeout.clone()]);
+    // One of three has a demand: below quorum nothing is reallotted. It
+    // ticks at the split it has; the others sit the round out, the reason
+    // they have none standing as their tick replies.
+    let allot = router.allot(&[
+        demand([9.0, 3.0]),
+        Err(timeout.clone()),
+        Err(timeout.clone()),
+    ]);
     assert!(allot.frozen);
     assert_eq!(allot.capacities, vec![Some(split.clone()), None, None]);
     let lone = [ok.clone(), timeout.clone(), timeout];
@@ -205,7 +209,7 @@ fn the_router_freezes_below_quorum_and_never_half_applies() {
 
     // At quorum capacity moves, but only between the shards that
     // reported: the silent third keeps its split.
-    let allot = router.allot(&[demand([9.0, 3.0]), demand([1.0, 1.0]), unavailable]);
+    let allot = router.allot(&[demand([9.0, 3.0]), demand([1.0, 1.0]), Err(unavailable)]);
     assert!(!allot.frozen);
     assert_eq!(allot.capacities[2], None);
     let moved: Vec<&Vec<f64>> = allot.capacities.iter().flatten().collect();
