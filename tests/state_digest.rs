@@ -6,7 +6,9 @@
 //! properties are tested beside it in `ref-market`; this scenario runs
 //! in tier-1 so `cargo test -q` fails when the audit stops detecting.
 //! Beside it, golden pins hold the snapshot text and the fingerprint of
-//! one fixed market still.
+//! one fixed market still: a format pin over agents the engine measures
+//! without the simulator, and a simulator pin over the same market with
+//! a simulated agent added.
 
 use std::time::Duration;
 
@@ -112,10 +114,11 @@ fn replicate(faults: FaultPlan) -> Vec<(bool, Ack)> {
 }
 
 /// A credit market over the equal-slowdown GP (so the warm-start cache
-/// holds auxiliary variables) a few epochs in, with one agent of each
-/// observation source: the allocation cache is live and every ledger
+/// holds auxiliary variables) a few epochs in: ground-truth agents 1 and
+/// 2, external agent 4 and, when `simulated`, agent 3 measured by the
+/// cycle-level simulator. The allocation cache is live and every ledger
 /// entry has a window.
-fn golden_market() -> MarketEngine {
+fn golden_market(simulated: bool) -> MarketEngine {
     let config = MarketConfig::new(Capacity::new(vec![24.0, 12.0]).unwrap())
         .with_mechanism(MechanismKind::Credit {
             inner: CreditInner::EqualSlowdown,
@@ -127,15 +130,13 @@ fn golden_market() -> MarketEngine {
     let mut market = MarketEngine::new(config).unwrap();
     let truth =
         |a: f64| ObservationSource::GroundTruth(CobbDouglas::new(1.0, vec![a, 1.0 - a]).unwrap());
-    let joins = [
-        truth(0.6),
-        truth(0.25),
-        ObservationSource::Simulated {
-            benchmark: "histogram".to_string(),
-        },
-        ObservationSource::External,
-    ];
-    for (id, source) in (1..).zip(joins) {
+    let mut joins = vec![(1, truth(0.6)), (2, truth(0.25))];
+    if simulated {
+        let benchmark = "histogram".to_string();
+        joins.push((3, ObservationSource::Simulated { benchmark }));
+    }
+    joins.push((4, ObservationSource::External));
+    for (id, source) in joins {
         market
             .apply_now(MarketEvent::AgentJoined { id, source })
             .unwrap();
@@ -153,39 +154,72 @@ fn golden_market() -> MarketEngine {
     market
 }
 
-/// `(crc32, length)` of the golden market's snapshot text, and its state
-/// fingerprint. Both were re-pinned when snapshot v5 dropped the
-/// incremental-refit count (it equalled the refit count), and again when
-/// the simulator's DRAM token bucket kept its fractional credit (agent
-/// 3's simulated observations moved, so did its fit and the allocation;
-/// no line was added or dropped): a change here is a change of the
-/// persisted format, of the replication audit's digest, or of what the
-/// simulator measures.
-const GOLDEN_TEXT: (u32, usize) = (0xa3f0_e115, 2981);
-const GOLDEN_FINGERPRINT: u64 = 0x008d_ab17_3ccf_1725;
-
-#[test]
-fn snapshot_text_and_fingerprint_match_their_golden_pins() {
-    let market = golden_market();
+/// Checks `market`'s snapshot text against `(crc32, length)` and its
+/// state fingerprint against `fingerprint`, after checking that the
+/// snapshot exercises every section and holds an agent of each source
+/// named in `sources`.
+fn assert_pinned(
+    market: &MarketEngine,
+    sources: &[&str],
+    text_pin: (u32, usize),
+    fingerprint: u64,
+) {
     let snapshot = market.snapshot();
     assert!(snapshot.cache.is_some(), "no live allocation cache");
     assert!(!snapshot.warm.is_empty(), "empty warm-start cache");
-    for id in 1..=4 {
-        let entry = snapshot.ledger.entry(id).unwrap();
-        assert!(!entry.window.is_empty(), "agent {id} has no ledger window");
+    for agent in &snapshot.agents {
+        let entry = snapshot.ledger.entry(agent.id).unwrap();
+        assert!(
+            !entry.window.is_empty(),
+            "agent {} has no ledger window",
+            agent.id
+        );
     }
     let text = snapshot.encode();
     assert!(
         text.lines().any(|l| l.starts_with("warm-aux ")),
         "no warm aux"
     );
-    for source in ["source truth ", "source sim histogram", "source external"] {
+    for source in sources {
         assert!(text.contains(source), "no {source:?} agent");
     }
-    assert_eq!((crc32(text.as_bytes()), text.len()), GOLDEN_TEXT);
+    assert_eq!((crc32(text.as_bytes()), text.len()), text_pin);
     assert_eq!(market.encode_snapshot(), text);
-    assert_eq!(market.state_fingerprint(), GOLDEN_FINGERPRINT);
-    assert_eq!(snapshot.fingerprint(), GOLDEN_FINGERPRINT);
+    assert_eq!(market.state_fingerprint(), fingerprint);
+    assert_eq!(snapshot.fingerprint(), fingerprint);
+}
+
+/// The format pin: `(crc32, length)` of the snapshot text of the golden
+/// market without a simulated agent, and its state fingerprint. Nothing
+/// the simulator measures reaches this market, so a change here is a
+/// change of the persisted format, of the replication audit's digest, or
+/// of what the estimators, the mechanism or the ledger compute.
+const GOLDEN_TEXT: (u32, usize) = (0x910e_c08b, 2394);
+const GOLDEN_FINGERPRINT: u64 = 0xef61_e129_d538_4d67;
+
+/// The simulator pin: the same, for the golden market with agent 3
+/// measured by `ref-sim`. It moves with the format pin and also with
+/// anything `ref-sim` measures (agent 3's observations, then its fit, the
+/// allocation and the ledger); it was re-pinned when snapshot v5 dropped
+/// the incremental-refit count, and when the simulator's DRAM token
+/// bucket kept its fractional credit (no line added or dropped). A change
+/// here alone is a change of the simulator.
+const SIMULATOR_TEXT: (u32, usize) = (0xa3f0_e115, 2981);
+const SIMULATOR_FINGERPRINT: u64 = 0x008d_ab17_3ccf_1725;
+
+#[test]
+fn snapshot_text_and_fingerprint_match_their_golden_pins() {
+    let market = golden_market(false);
+    assert!(!market.encode_snapshot().contains("source sim"));
+    let sources = ["source truth ", "source external"];
+    assert_pinned(&market, &sources, GOLDEN_TEXT, GOLDEN_FINGERPRINT);
+}
+
+#[test]
+fn a_simulated_agent_matches_the_simulator_pin() {
+    let market = golden_market(true);
+    let sources = ["source truth ", "source sim histogram", "source external"];
+    assert_pinned(&market, &sources, SIMULATOR_TEXT, SIMULATOR_FINGERPRINT);
 }
 
 #[test]
