@@ -155,9 +155,11 @@ impl EstimatorState {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// The estimator is its [`EstimatorState`] and nothing else: the number of
+/// resources is the factor's design width less the intercept.
 #[derive(Debug, Clone)]
 pub struct OnlineEstimator {
-    num_resources: usize,
     state: EstimatorState,
 }
 
@@ -169,10 +171,8 @@ impl OnlineEstimator {
     ///
     /// Returns [`CoreError::InvalidArgument`] if `num_resources == 0`.
     pub fn new(num_resources: usize) -> Result<OnlineEstimator> {
-        let state = EstimatorState::prior(num_resources)?;
         Ok(OnlineEstimator {
-            num_resources,
-            state,
+            state: EstimatorState::prior(num_resources)?,
         })
     }
 
@@ -187,16 +187,19 @@ impl OnlineEstimator {
     /// resources).
     pub fn from_state(num_resources: usize, state: EstimatorState) -> Result<OnlineEstimator> {
         state.check(num_resources)?;
-        Ok(OnlineEstimator {
-            num_resources,
-            state,
-        })
+        Ok(OnlineEstimator { state })
     }
 
     /// The estimator's state: everything it holds.
     /// [`OnlineEstimator::from_state`] rebuilds the estimator from it.
     pub fn state(&self) -> &EstimatorState {
         &self.state
+    }
+
+    /// Resources the estimator's observations cover: the factor's design
+    /// columns less the intercept.
+    fn num_resources(&self) -> usize {
+        self.state.factor.num_coefficients() - 1
     }
 
     /// The current utility estimate (the naive prior until the first
@@ -251,11 +254,12 @@ impl OnlineEstimator {
     /// strictly positive finite values.
     pub fn observe(&mut self, allocation: impl AsRef<[f64]>, performance: f64) -> Result<bool> {
         let allocation = allocation.as_ref();
-        if allocation.len() != self.num_resources {
+        let num_resources = self.num_resources();
+        if allocation.len() != num_resources {
             return Err(CoreError::InvalidArgument(format!(
                 "observation covers {} resources, estimator expects {}",
                 allocation.len(),
-                self.num_resources
+                num_resources
             )));
         }
         // Reject non-finite measurements up front: a NaN or infinite sample
@@ -275,12 +279,12 @@ impl OnlineEstimator {
         // One scratch buffer, on the stack for up to six resources: the
         // log-space design row folded in, then the coefficients.
         let (mut stack, mut heap) = ([0.0; 7], Vec::new());
-        let scratch = vec_ops::scratch(&mut stack, &mut heap, self.num_resources + 1);
+        let scratch = vec_ops::scratch(&mut stack, &mut heap, num_resources + 1);
         let factor = &mut self.state.factor;
         factor
             .append(fitting::log_row(scratch, allocation), performance.ln())
             .expect("validated observation rows are finite");
-        if factor.rows() <= self.num_resources + 1 {
+        if factor.rows() <= num_resources + 1 {
             return Ok(false);
         }
         let coefficients = scratch;
@@ -490,8 +494,7 @@ mod tests {
         assert!(OnlineEstimator::from_state(0, good.clone()).is_err());
         assert!(OnlineEstimator::from_state(3, good.clone()).is_err());
         let with_rows = |rows: usize| {
-            let triangle: Vec<f64> = good.factor.triangle().collect();
-            UpdatableLstsq::from_parts(3, &triangle, rows, good.factor.sums()).unwrap()
+            UpdatableLstsq::from_parts(3, good.factor.triangle(), rows, good.factor.sums()).unwrap()
         };
         let bad = [
             // More refit attempts than observations past the first R + 1.
@@ -576,7 +579,10 @@ mod tests {
             resumed.state().factor.triangle(),
             est.state().factor.triangle(),
         );
-        assert!(a.map(f64::to_bits).eq(b.map(f64::to_bits)));
+        assert!(a
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(b.iter().map(|x| x.to_bits())));
     }
 
     #[test]

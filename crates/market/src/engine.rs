@@ -22,7 +22,6 @@
 //! [snapshot](crate::snapshot) replays the exact observation stream — and
 //! therefore the exact allocations — the original would have produced.
 
-use std::collections::BTreeMap;
 use std::io;
 
 use rand::{Rng, SeedableRng};
@@ -40,7 +39,7 @@ use ref_sim::config::{Bandwidth, CacheSize, PlatformConfig};
 use ref_sim::MulticoreSystem;
 use ref_workloads::profiles::by_name;
 
-use crate::agent::{AgentId, AgentState, ObservationSource};
+use crate::agent::{AgentId, AgentState, ObservationSource, Population};
 use crate::audit::Auditor;
 use crate::digest::StateHasher;
 use crate::epoch::{EpochReport, ReallocationOutcome};
@@ -381,7 +380,7 @@ impl Fingerprint {
 #[derive(Debug)]
 pub struct MarketEngine {
     config: MarketConfig,
-    population: BTreeMap<AgentId, AgentState>,
+    population: Population,
     epoch: u64,
     stable_since: u64,
     cache: Option<(Fingerprint, Allocation)>,
@@ -402,7 +401,7 @@ impl MarketEngine {
         config.validate()?;
         Ok(MarketEngine {
             config,
-            population: BTreeMap::new(),
+            population: Population::default(),
             epoch: 0,
             stable_since: 0,
             cache: None,
@@ -434,19 +433,19 @@ impl MarketEngine {
         self.metrics.events += 1;
         match event {
             MarketEvent::AgentJoined { id, source } => {
-                if self.population.contains_key(&id) {
+                if self.population.contains(id) {
                     return Err(MarketError::DuplicateAgent(id));
                 }
                 let agent =
                     AgentState::new(id, self.epoch, source, self.config.capacity.num_resources())?;
-                self.population.insert(id, agent);
+                self.population.insert(agent)?;
                 self.ledger.admit(id);
                 self.metrics.joins += 1;
                 self.stable_since = self.epoch;
                 Ok(None)
             }
             MarketEvent::AgentLeft { id } => {
-                if self.population.remove(&id).is_none() {
+                if !self.population.remove(id) {
                     return Err(MarketError::UnknownAgent(id));
                 }
                 self.warm.invalidate(id);
@@ -459,7 +458,7 @@ impl MarketEngine {
                 let num_resources = self.config.capacity.num_resources();
                 let agent = self
                     .population
-                    .get_mut(&id)
+                    .get_mut(id)
                     .ok_or(MarketError::UnknownAgent(id))?;
                 if let Some(truth) = new_truth {
                     if !matches!(agent.source, ObservationSource::GroundTruth(_)) {
@@ -488,7 +487,7 @@ impl MarketEngine {
             } => {
                 let agent = self
                     .population
-                    .get_mut(&id)
+                    .get_mut(id)
                     .ok_or(MarketError::UnknownAgent(id))?;
                 if agent.source != ObservationSource::External {
                     return Err(MarketError::InvalidArgument(format!(
@@ -543,7 +542,7 @@ impl MarketEngine {
     fn run_epoch(&mut self) -> Result<EpochReport> {
         let epoch = self.epoch;
         let warm = epoch.saturating_sub(self.stable_since) < self.config.warmup_epochs;
-        let ids: Vec<AgentId> = self.population.keys().copied().collect();
+        let ids: Vec<AgentId> = self.population.ids().collect();
         self.epoch += 1;
         self.metrics.epochs += 1;
         if ids.is_empty() {
@@ -563,7 +562,7 @@ impl MarketEngine {
 
         let reported: Vec<CobbDouglas> = self
             .population
-            .values()
+            .iter()
             .map(AgentState::reported_utility)
             .collect();
         // Credit mechanisms tilt this epoch's objective by the balances
@@ -642,7 +641,7 @@ impl MarketEngine {
             .collect();
         let measured: Vec<(AgentId, f64, f64)> = self
             .population
-            .values()
+            .iter()
             .enumerate()
             .map(|(i, agent)| {
                 let u = match &agent.source {
@@ -697,25 +696,32 @@ impl MarketEngine {
         epoch: u64,
         allocation: &Allocation,
     ) -> Result<(usize, usize)> {
-        // Simulated agents run jointly in one partitioned multicore system.
-        let mut simulated: Vec<(usize, AgentId, String)> = Vec::new();
-        for (i, agent) in self.population.values().enumerate() {
+        // Simulated agents run jointly in one partitioned multicore system,
+        // one observation each, in id order.
+        let mut simulated: Vec<(usize, AgentId, &str)> = Vec::new();
+        for (i, agent) in self.population.iter().enumerate() {
             if let ObservationSource::Simulated { benchmark } = &agent.source {
-                simulated.push((i, agent.id, benchmark.clone()));
+                simulated.push((i, agent.id, benchmark));
             }
         }
         let sim_results = if simulated.is_empty() {
-            BTreeMap::new()
+            Vec::new()
         } else {
             run_simulated(&self.config, epoch, &simulated, allocation)?
         };
+        let mut sim_results = sim_results.iter();
 
         let mut totals = Ok((0, 0, 0, 0));
-        for (i, agent) in self.population.values_mut().enumerate() {
+        for i in 0..self.population.len() {
+            let agent = self.population.at_mut(i);
+            let sim_result = match agent.source {
+                ObservationSource::Simulated { .. } => sim_results.next(),
+                _ => None,
+            };
             let was_quarantined = agent.quarantined();
             let degen_before = agent.estimator.degenerate_refits();
             let bundle = allocation.bundle(i).as_slice();
-            let outcome = observe_agent(&self.config, epoch, bundle, agent, &sim_results);
+            let outcome = observe_agent(&self.config, epoch, bundle, agent, sim_result);
             let Ok((observations, refits, degenerate, quarantines)) = &mut totals else {
                 continue;
             };
@@ -761,7 +767,7 @@ impl MarketEngine {
     /// Refbench's trace calls it too (until ROADMAP item 6).
     pub fn aggregate_demand(&self) -> Vec<f64> {
         let mut demand = vec![0.0; self.config.capacity.num_resources()];
-        for agent in self.population.values() {
+        for agent in self.population.iter() {
             let reported = agent.reported_utility();
             for (d, e) in demand.iter_mut().zip(reported.elasticities()) {
                 *d += e;
@@ -777,12 +783,12 @@ impl MarketEngine {
 
     /// Live agent ids in ascending order (allocation bundle order).
     pub fn live_agents(&self) -> Vec<AgentId> {
-        self.population.keys().copied().collect()
+        self.population.ids().collect()
     }
 
     /// A live agent's state, if present.
     pub fn agent(&self, id: AgentId) -> Option<&AgentState> {
-        self.population.get(&id)
+        self.population.get(id)
     }
 
     /// The fairness auditor.
@@ -823,7 +829,7 @@ impl MarketEngine {
             ledger: self.ledger.clone(),
             agents: self
                 .population
-                .values()
+                .iter()
                 .map(|a| AgentSnapshot {
                     id: a.id,
                     joined_epoch: a.joined_epoch,
@@ -875,7 +881,7 @@ impl MarketEngine {
             cache: self.cache.as_ref(),
             warm: &self.warm,
             ledger: &self.ledger,
-            agents: self.population.values().map(|a| AgentView {
+            agents: self.population.iter().map(|a| AgentView {
                 id: a.id,
                 joined_epoch: a.joined_epoch,
                 source: &a.source,
@@ -906,7 +912,7 @@ impl MarketEngine {
         }
         snapshot.config.validate()?;
         let num_resources = snapshot.config.capacity.num_resources();
-        let mut population = BTreeMap::new();
+        let mut population = Population::with_capacity(snapshot.agents.len());
         for a in &snapshot.agents {
             a.source.validate(num_resources)?;
             let estimator = OnlineEstimator::from_state(num_resources, a.estimator.clone())
@@ -917,9 +923,7 @@ impl MarketEngine {
                 source: a.source.clone(),
                 estimator,
             };
-            if population.insert(a.id, state).is_some() {
-                return Err(MarketError::DuplicateAgent(a.id));
-            }
+            population.insert(state)?;
         }
         // Ledger ids are the live agents. An entry for an agent the
         // snapshot does not hold would never settle, and its window would
@@ -930,15 +934,15 @@ impl MarketEngine {
         if let Some((ghost, _)) = snapshot
             .ledger
             .iter()
-            .find(|(id, _)| !population.contains_key(id))
+            .find(|&(id, _)| !population.contains(id))
         {
             return Err(MarketError::Snapshot(format!(
                 "ledger entry for agent {ghost}, which the snapshot does not hold"
             )));
         }
         let mut ledger = snapshot.ledger.clone();
-        for id in population.keys() {
-            ledger.admit(*id);
+        for id in population.ids() {
+            ledger.admit(id);
         }
         Ok(MarketEngine {
             config: snapshot.config.clone(),
@@ -962,7 +966,7 @@ fn observe_agent(
     epoch: u64,
     bundle: &[f64],
     agent: &mut AgentState,
-    sim_results: &BTreeMap<AgentId, (Vec<f64>, f64)>,
+    sim_result: Option<&([f64; 2], f64)>,
 ) -> Result<(usize, usize)> {
     // A quarantined agent is held on its last good fit: feeding the
     // estimator more points would only grow a design whose aggregate fit
@@ -1002,7 +1006,7 @@ fn observe_agent(
             Ok((0, 0))
         }
         ObservationSource::Simulated { .. } => {
-            if let Some((inputs, ipc)) = sim_results.get(id) {
+            if let Some((inputs, ipc)) = sim_result {
                 if *ipc > 0.0 {
                     let refit = estimator.observe(inputs, *ipc)?;
                     return Ok((1, usize::from(refit)));
@@ -1014,15 +1018,17 @@ fn observe_agent(
     }
 }
 
-/// Runs all simulated agents jointly through the cycle-level simulator at
-/// their (jittered) granted shares; returns each agent's observation as
-/// `(resource quantities, achieved IPC)`.
+/// Runs all simulated agents — `(bundle index, id, benchmark)` each —
+/// jointly through the cycle-level simulator at their (jittered) granted
+/// shares; returns each agent's observation as `([bandwidth, cache]
+/// quantities, achieved IPC)`, in `simulated`'s order. Simulated agents
+/// live only in two-resource markets (`ObservationSource::validate`).
 fn run_simulated(
     config: &MarketConfig,
     epoch: u64,
-    simulated: &[(usize, AgentId, String)],
+    simulated: &[(usize, AgentId, &str)],
     allocation: &Allocation,
-) -> Result<BTreeMap<AgentId, (Vec<f64>, f64)>> {
+) -> Result<Vec<([f64; 2], f64)>> {
     let capacity = &config.capacity;
     let platform = PlatformConfig::asplos14()
         .with_bandwidth(Bandwidth::from_gb_per_sec(capacity.get(0)))
@@ -1048,18 +1054,17 @@ fn run_simulated(
         cache_shares.push(cache);
         dependent.push(bench.params.dependent_fraction);
         streams.push(bench.stream(mix(config.seed, epoch, *id)));
-        inputs.push(vec![bw * capacity.get(0), cache * capacity.get(1)]);
+        inputs.push([bw * capacity.get(0), cache * capacity.get(1)]);
     }
 
     let mut system = MulticoreSystem::new(&platform, &cache_shares, &bw_shares)
         .with_dependent_load_fractions(dependent);
     let reports = system.run(streams, config.sim_instructions);
 
-    Ok(simulated
-        .iter()
-        .zip(inputs)
+    Ok(inputs
+        .into_iter()
         .zip(reports)
-        .map(|(((_, id, _), input), report)| (*id, (input, report.ipc())))
+        .map(|(input, report)| (input, report.ipc()))
         .collect())
 }
 

@@ -279,8 +279,9 @@ impl<'a, A: ExactSizeIterator<Item = AgentView<'a>>> StateView<'a, A> {
             s.line("factor").int(e.factor.rows() as u64);
             s.f64(sum_y);
             s.f64(sum_yy);
-            s.len(UpdatableLstsq::triangle_len(e.factor.num_coefficients()));
-            e.factor.triangle().for_each(|x| s.f64(x));
+            let triangle = e.factor.triangle();
+            s.len(triangle.len());
+            triangle.iter().for_each(|&x| s.f64(x));
         }
         s.line("end");
         s
@@ -1213,10 +1214,15 @@ mod tests {
         let snap = busy_market().snapshot();
         let good = &snap.agents[0].estimator;
         assert!(good.refits > 0);
-        let triangle: Vec<f64> = good.factor.triangle().collect();
         let hostile = [
             EstimatorState {
-                factor: UpdatableLstsq::from_parts(3, &triangle, 2, good.factor.sums()).unwrap(),
+                factor: UpdatableLstsq::from_parts(
+                    3,
+                    good.factor.triangle(),
+                    2,
+                    good.factor.sums(),
+                )
+                .unwrap(),
                 ..good.clone()
             },
             EstimatorState {

@@ -3,18 +3,25 @@
 //!
 //! The incremental properties compare an appended triangle against an
 //! independent algorithm, the Householder reference in `support/`, to
-//! 1e-10 on well-conditioned designs. The GP property checks that a
+//! 1e-10 on well-conditioned designs, and the packed triangle against
+//! the square `p x p` buffer it replaced (`support/square_factor.rs`),
+//! bit for bit. The GP property checks that a
 //! warm-started solve of a randomized Cobb-Douglas market lands on the
 //! cold-started optimum within the solver's tolerance.
 
 use proptest::prelude::*;
 use ref_solver::gp::{GeometricProgram, GpWarmStart, Monomial, Posynomial};
 use ref_solver::update::UpdatableLstsq;
+use ref_solver::SolverError;
 
 #[path = "support/lstsq.rs"]
 mod lstsq;
 #[path = "support/qr.rs"]
 mod qr;
+#[path = "support/square_factor.rs"]
+mod square_factor;
+
+use square_factor::{Refusal, SquareLstsq};
 
 /// Covariate rows whose columns are independent by construction: an
 /// intercept, a per-row varying term, and a nonlinear cross term, plus
@@ -51,6 +58,49 @@ fn responses(rows: &[Vec<f64>], jitter: &[f64]) -> Vec<f64> {
 
 fn batch_fit(rows: &[Vec<f64>], y: &[f64]) -> Option<lstsq::Fit> {
     lstsq::fit(rows, y).ok()
+}
+
+/// A factor's exported state and its solve, as bits: the triangle and
+/// the sums, the row count, and the solve's coefficients followed by
+/// `R^2`, the residual and the total sum of squares (or its refusal).
+type Bits = (Vec<u64>, usize, Result<Vec<u64>, Refusal>);
+
+fn to_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+fn packed_bits(lstsq: &UpdatableLstsq) -> Bits {
+    let (sum_y, sum_yy) = lstsq.sums();
+    let mut c = vec![0.0; lstsq.num_coefficients()];
+    let solve = match lstsq.solve_into(&mut c) {
+        Ok(q) => {
+            let q = [
+                q.r_squared,
+                q.residual_sum_of_squares,
+                q.total_sum_of_squares,
+            ];
+            Ok(to_bits(&[&c[..], &q].concat()))
+        }
+        Err(SolverError::RankDeficient) => Err(Refusal::RankDeficient),
+        Err(e) => panic!("a solve into the right width refused: {e}"),
+    };
+    let parts = [lstsq.triangle(), &[sum_y, sum_yy]].concat();
+    (to_bits(&parts), lstsq.rows(), solve)
+}
+
+fn square_bits(lstsq: &SquareLstsq) -> Bits {
+    let (sum_y, sum_yy) = lstsq.sums();
+    let mut c = vec![0.0; lstsq.num_coefficients()];
+    let solve = lstsq.solve_into(&mut c).map(|q| {
+        let q = [
+            q.r_squared,
+            q.residual_sum_of_squares,
+            q.total_sum_of_squares,
+        ];
+        to_bits(&[&c[..], &q].concat())
+    });
+    let parts = [&lstsq.triangle()[..], &[sum_y, sum_yy]].concat();
+    (to_bits(&parts), lstsq.rows(), solve)
 }
 
 proptest! {
@@ -104,9 +154,9 @@ proptest! {
         for (r, &yi) in rows[..cut].iter().zip(&y) {
             original.append(r, yi).unwrap();
         }
-        let triangle: Vec<f64> = original.triangle().collect();
         let mut rebuilt =
-            UpdatableLstsq::from_parts(k, &triangle, original.rows(), original.sums()).unwrap();
+            UpdatableLstsq::from_parts(k, original.triangle(), original.rows(), original.sums())
+                .unwrap();
         prop_assert_eq!(&rebuilt, &original);
         for (r, &yi) in rows[cut..].iter().zip(&y[cut..]) {
             original.append(r, yi).unwrap();
@@ -114,7 +164,7 @@ proptest! {
         }
         let bits = |lstsq: &UpdatableLstsq| -> Vec<u64> {
             let (sum_y, sum_yy) = lstsq.sums();
-            lstsq.triangle().chain([sum_y, sum_yy]).map(f64::to_bits).collect()
+            lstsq.triangle().iter().chain(&[sum_y, sum_yy]).map(|x| x.to_bits()).collect()
         };
         prop_assert_eq!(bits(&rebuilt), bits(&original));
         match (rebuilt.solve(), original.solve()) {
@@ -127,6 +177,47 @@ proptest! {
             }
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "classification diverged: {a:?} vs {b:?}"),
+        }
+    }
+
+    #[test]
+    fn packed_triangle_matches_the_square_buffer_bit_for_bit(
+        k in 1usize..=6,
+        draws in prop::collection::vec(
+            (prop::collection::vec(-3.0..3.0f64, 7), -3.0..3.0f64, 0u8..10),
+            1..40,
+        ),
+    ) {
+        // Designs of one to six columns, so triangles of 3 to 28 entries:
+        // inline up to three columns, on the heap past them. One draw in
+        // ten is a row of the wrong width, one a row with a NaN, one a
+        // zero (a skipped rotation), one an infinite response.
+        let mut packed = UpdatableLstsq::new(k);
+        let mut square = SquareLstsq::new(k);
+        prop_assert_eq!(packed_bits(&packed), square_bits(&square));
+        for (values, y, kind) in draws {
+            let mut row = values[..k].to_vec();
+            let mut y = y;
+            match kind {
+                0 => row.push(1.0),
+                1 => row[k - 1] = f64::NAN,
+                2 => row[0] = 0.0,
+                3 => y = f64::INFINITY,
+                _ => {}
+            }
+            let (packed_before, square_before) = (packed.clone(), square.clone());
+            let appended = (packed.append(&row, y).is_ok(), square.append(&row, y).is_ok());
+            prop_assert_eq!(appended.0, appended.1, "row {:?} -> {}", row, y);
+            if !appended.0 {
+                prop_assert_eq!(&packed, &packed_before);
+                prop_assert_eq!(&square, &square_before);
+            }
+            prop_assert_eq!(packed_bits(&packed), square_bits(&square));
+            let rebuilt =
+                UpdatableLstsq::from_parts(k, packed.triangle(), packed.rows(), packed.sums())
+                    .unwrap();
+            prop_assert_eq!(packed_bits(&rebuilt), packed_bits(&packed));
+            prop_assert_eq!(&rebuilt, &packed);
         }
     }
 

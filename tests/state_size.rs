@@ -6,7 +6,9 @@
 //! the credit ledger keeps its balances and windows in flat columns, so
 //! neither the cached allocation's copy, nor the reported utilities, nor
 //! the jittered measurement point, nor a refit, nor a window takes a heap
-//! block per agent.
+//! block per agent. Nor does a join: the population keeps each agent's
+//! state in a slot of one column, and an estimator over two resources
+//! keeps its factor inline.
 //!
 //! This binary holds a single test on purpose. Its counting global
 //! allocator sees every thread of the process, so a second test running
@@ -121,6 +123,21 @@ fn assert_constant(agents: u64, hit_allocations: &[u64]) {
     }
 }
 
+/// The allocations of `agents` ground-truth joins into an empty
+/// two-resource market, the sources built outside the count.
+fn join_allocations(agents: u64) -> u64 {
+    let config = MarketConfig::new(Capacity::new(vec![4000.0, 2000.0]).unwrap());
+    let mut market = MarketEngine::new(config).unwrap();
+    let mut allocations = 0;
+    for id in 0..agents {
+        let source = truth(id);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        join(&mut market, id, source);
+        allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
+    }
+    allocations
+}
+
 /// (d) The tick of `epoch_ref_churn`'s market: 8 external and 1,992
 /// ground-truth agents (992 stable, a sliding window of 1,000 churning),
 /// and before every tick 10 leaves, 10 joins and 20 demand changes. Every
@@ -230,15 +247,22 @@ fn market_state_stays_flat_as_history_grows() {
     assert_constant(2_000, &hit_allocations);
 
     // (e) Live heap per agent at 2,000 agents, every window full and every
-    // estimator refit: 934 bytes (1,386 when each ledger entry sat in a
-    // B-tree with its own deque of 32 pairs, and each estimator kept two
-    // scratch rows).
+    // estimator refit: 607 bytes. It was 845 while the population was a
+    // B-tree of states and each estimator's factor a heap `p x p` block,
+    // and 1,386 when each ledger entry also sat in a B-tree with its own
+    // deque of 32 pairs, and each estimator kept two scratch rows.
     let per_agent = (LIVE_BYTES.load(Ordering::Relaxed) - before) / 2_000;
     assert!(
-        per_agent <= 1_000,
+        per_agent <= 700,
         "a 2,000-agent market holds {per_agent} live heap bytes per agent"
     );
     drop(market);
+
+    // (f) Joins: 2,000 into a two-resource market allocate 50 times, the
+    // doubling of the population's and the ledger's columns (2,364 while
+    // each join allocated a B-tree node's share and a factor).
+    let joins = join_allocations(2_000);
+    assert!(joins <= 64, "2,000 joins allocated {joins} times");
 
     // (d) The churning tick: a constant for the reallocation, the audit
     // and the ledger, 38 to 39 (53 to 54 while the epoch ran a stride
