@@ -38,7 +38,9 @@
 //! - `agent` — per-agent state: an
 //!   [`OnlineEstimator`](ref_core::online::OnlineEstimator) plus the
 //!   agent's observation source (hidden ground truth, the cycle-level
-//!   simulator, or externally reported measurements).
+//!   simulator, or externally reported measurements), and the
+//!   population that holds every live agent's state in slot columns
+//!   behind an id-ordered index.
 //! - `engine` — the [`MarketEngine`] epoch loop
 //!   with incremental reallocation (a population fingerprint keyed on
 //!   fitted elasticities skips recomputation when nothing moved beyond a
