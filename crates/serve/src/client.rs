@@ -23,7 +23,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::json::Value;
-use crate::protocol::write_line;
+use crate::protocol::{write_line, write_value};
 use crate::router::TermFloor;
 
 /// Retry policy for [`Client::call_with`].
@@ -163,9 +163,10 @@ impl ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Staging for the outgoing line ([`write_line`]) and the incoming
+    /// Staging for the outgoing line ([`write_line`], or a request
+    /// encoded in place by [`write_value`]) and the incoming
     /// one, kept across calls so a request allocates neither.
-    outgoing: Vec<u8>,
+    outgoing: String,
     incoming: String,
     /// The address of the current connection.
     current: String,
@@ -197,7 +198,7 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
-            outgoing: Vec::new(),
+            outgoing: String::new(),
             incoming: String::new(),
             current,
             seeds: Vec::new(),
@@ -315,6 +316,11 @@ impl Client {
     /// if the reply line is not valid JSON.
     pub fn call_line(&mut self, line: &str) -> Result<Value, ClientError> {
         write_line(&mut self.writer, &mut self.outgoing, line)?;
+        self.read_reply()
+    }
+
+    /// Reads the reply to the request just sent.
+    fn read_reply(&mut self) -> Result<Value, ClientError> {
         self.incoming.clear();
         if self.reader.read_line(&mut self.incoming)? == 0 {
             return Err(ClientError::Io(std::io::Error::new(
@@ -332,7 +338,8 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn call(&mut self, request: &Value) -> Result<Value, ClientError> {
-        let reply = self.call_line(&request.encode())?;
+        write_value(&mut self.writer, &mut self.outgoing, request)?;
+        let reply = self.read_reply()?;
         match reply_error(&reply) {
             Some(error) => Err(error),
             None => Ok(reply),
@@ -701,7 +708,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut writer = stream.try_clone().unwrap();
                     let mut reader = BufReader::new(stream);
-                    let (mut line, mut out) = (String::new(), Vec::new());
+                    let (mut line, mut out) = (String::new(), String::new());
                     while reader.read_line(&mut line).unwrap_or(0) > 0 {
                         if write_line(&mut writer, &mut out, canned).is_err() {
                             return;

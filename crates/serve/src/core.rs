@@ -373,11 +373,11 @@ impl ServiceCore {
     pub(crate) fn apply_logged(&mut self, event: MarketEvent, metrics: &ServeMetrics) -> Value {
         match self.apply_appended(event, false, metrics) {
             Ok(reported) => {
-                let mut fields = vec![("epoch", Value::from_u64(self.engine.epoch()))];
-                if let (true, Some(report)) = (reported, &self.last_report) {
-                    fields.push(("report", report_value(report)));
+                let epoch = ("epoch", Value::from_u64(self.engine.epoch()));
+                match (reported, &self.last_report) {
+                    (true, Some(report)) => ok_response([epoch, ("report", report_value(report))]),
+                    _ => ok_response([epoch]),
                 }
-                ok_response(fields)
             }
             Err(e) => error_response("market", Some(&e.to_string()), None),
         }
@@ -574,7 +574,7 @@ impl ServiceCore {
                         let alloc = r.allocation.as_ref()?;
                         Some(Value::num_array(alloc.bundle(slot).as_slice()))
                     });
-                    ok_response(vec![
+                    ok_response([
                         ("epoch", Value::from_u64(self.engine.epoch())),
                         ("agent", Value::from_u64(*id)),
                         ("joined_epoch", Value::from_u64(agent.joined_epoch)),
@@ -590,10 +590,9 @@ impl ServiceCore {
                     ])
                 }
             },
-            Request::Snapshot => ok_response(vec![(
-                "snapshot",
-                Value::str(self.engine.encode_snapshot()),
-            )]),
+            Request::Snapshot => {
+                ok_response([("snapshot", Value::str(self.engine.encode_snapshot()))])
+            }
             Request::Metrics { text } => {
                 let server = metrics.snapshot();
                 let ledger = self.engine.ledger();
@@ -606,9 +605,9 @@ impl ServiceCore {
                         ledger.total_abs(),
                     ));
                     out.push_str(&server.to_text());
-                    ok_response(vec![("text", Value::str(out))])
+                    ok_response([("text", Value::str(out))])
                 } else {
-                    ok_response(vec![
+                    ok_response([
                         ("market", market_metrics(self.engine.metrics()).0),
                         (
                             "ledger",
@@ -626,7 +625,7 @@ impl ServiceCore {
             Request::Journal => {
                 if !self.journal.overflowed {
                     return match self.journal.decoded(|event| event_to_value(&event)) {
-                        Ok(events) => ok_response(vec![("events", Value::Arr(events))]),
+                        Ok(events) => ok_response([("events", Value::Arr(events))]),
                         Err(e) => error_response(
                             "internal",
                             Some(&format!("journal record unreadable: {e}")),
@@ -646,7 +645,7 @@ impl ServiceCore {
                 };
                 match wal.read_events() {
                     Ok((0, events)) if events.len() as u64 == self.events_applied => {
-                        ok_response(vec![(
+                        ok_response([(
                             "events",
                             Value::Arr(events.iter().map(event_to_value).collect()),
                         )])
@@ -666,7 +665,7 @@ impl ServiceCore {
             Request::Scrub => {
                 let Some(wal) = &self.wal else {
                     // No WAL, nothing to verify: vacuously clean.
-                    return ok_response(vec![
+                    return ok_response([
                         ("clean", Value::Bool(true)),
                         ("segments", Value::from_u64(0)),
                         ("records", Value::from_u64(0)),
@@ -680,7 +679,7 @@ impl ServiceCore {
                             &metrics.wal_scrub_errors,
                             report.errors.len() as u64,
                         );
-                        ok_response(vec![
+                        ok_response([
                             ("clean", Value::Bool(report.is_clean())),
                             ("segments", Value::from_u64(report.segments)),
                             ("records", Value::from_u64(report.records)),

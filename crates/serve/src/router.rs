@@ -600,7 +600,7 @@ mod tests {
     /// Tick replies that classify as `outcomes`, the clean ones at epoch 1.
     fn said(outcomes: &[TickOutcome]) -> Vec<Value> {
         let reply = |outcome: &TickOutcome| match outcome {
-            Clean => ok_response(vec![("epoch", Value::from_u64(1))]),
+            Clean => ok_response([("epoch", Value::from_u64(1))]),
             Missed => error_response("timeout", None, None),
             Failed => error_response("internal", None, None),
             Silent => shard_unavailable_response(0, 5),
@@ -616,7 +616,7 @@ mod tests {
     #[test]
     fn tick_replies_classify_into_outcomes() {
         let table = [
-            (ok_response(vec![]), Clean),
+            (ok_response([]), Clean),
             (error_response("timeout", None, None), Missed),
             (error_response("internal", None, None), Failed),
             (error_response("shard_unavailable", None, None), Silent),
@@ -655,7 +655,7 @@ mod tests {
         // An answered probe re-enters at Suspect.
         let mut router = router(2, 1);
         router.tick_round(&said(&[Failed, Clean]));
-        assert!(router.probed(0, &ok_response(vec![])).is_some());
+        assert!(router.probed(0, &ok_response([])).is_some());
         assert_eq!(router.health(0), Suspect);
         router.tick_round(&said(&[Clean, Clean]));
         router.tick_round(&said(&[Clean, Clean]));
@@ -695,7 +695,7 @@ mod tests {
             assert_eq!(sweep, restart.into_iter().collect::<Vec<_>>());
             // A probe answer never readmits a panicked shard: its engine
             // is behind its log.
-            assert!(router.probed(1, &ok_response(vec![])).is_none());
+            assert!(router.probed(1, &ok_response([])).is_none());
             assert_eq!(router.health(1), Down);
             // Served from a recovered WAL, it re-enters at Suspect with
             // the ticks it missed, and is not swept.
@@ -726,7 +726,7 @@ mod tests {
         assert_eq!(router.clock(ms(50), true), vec![Duty::Tick, Duty::Probe(0)]);
         let refused = error_response("timeout", None, None);
         assert!(router.probed(0, &refused).is_none());
-        let readmit = router.probed(0, &ok_response(vec![])).unwrap();
+        let readmit = router.probed(0, &ok_response([])).unwrap();
         assert_eq!(readmit.catch_up, 1);
         assert!(router.clock(ms(75), false).is_empty());
     }
@@ -793,7 +793,7 @@ mod tests {
 
     #[test]
     fn catch_up_counts_the_gap_to_the_rest_of_the_fleet() {
-        let at = |epoch| ok_response(vec![("epoch", Value::from_u64(epoch))]);
+        let at = |epoch| ok_response([("epoch", Value::from_u64(epoch))]);
         let mut fleet = router(3, 1);
         fleet.tick_round(&[at(7), at(3), at(5)]);
         assert_eq!(fleet.recovered(1, 3).catch_up, 4);
@@ -960,7 +960,7 @@ mod tests {
         let down = shard_unavailable_response(7, 5);
         assert_eq!(fleet_reply(vec![], vec![down.clone()]), down);
         // One `ok` is enough for the merged shape.
-        let reply = fleet_reply(vec![], vec![down, ok_response(vec![])]);
+        let reply = fleet_reply(vec![], vec![down, ok_response([])]);
         assert_eq!(
             reply.encode(),
             r#"{"ok":true,"shards":[{"ok":false,"error":"shard_unavailable","shard":7,"detail":"the owning shard is down; retry after backoff","retry_after_ms":5},{"ok":true,"shard":1}]}"#
