@@ -6,6 +6,11 @@
 //! kernel (the commit before the envelope Cholesky, debug and release) and
 //! every entry of the four allocations must still match them exactly.
 //!
+//! The programs that keep their capacity rows apart — Nash welfare and
+//! equal slowdown without fairness — are pinned too, at 48 agents on two
+//! resources: there the Newton system is `S + U diag(c) U^T` with two
+//! columns, and every iterate solves the `2 x 2` capacitance system.
+//!
 //! REF's closed form is pinned beside them, on the paper's example, the
 //! four-agent market and a 2,000-agent one.
 //!
@@ -13,7 +18,9 @@
 //! platform it was recorded on.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use ref_core::mechanism::{EqualSlowdown, MaxWelfare, Mechanism, ProportionalElasticity};
+use ref_core::mechanism::{
+    EqualSlowdown, MaxWelfare, Mechanism, NashProgram, ProportionalElasticity,
+};
 use ref_core::resource::Capacity;
 use ref_core::utility::CobbDouglas;
 
@@ -101,17 +108,18 @@ fn egalitarian_with_fairness_is_bit_identical_to_the_dense_kernel() {
     );
 }
 
-/// 2,000 agents on the 16 elasticity levels `[a, 1 - a]`, `a` evenly
+/// `n` agents on the 16 elasticity levels `[a, 1 - a]`, `a` evenly
 /// spaced in `[0.1, 0.9]`, taken in turn by id — the population of the
-/// REF churn workload — on its capacity `(4000, 2000)`.
-fn churn_population() -> (Vec<CobbDouglas>, Capacity) {
-    let agents = (0..2000u32)
+/// REF churn workload — on its capacity per agent, `(2, 1)`.
+fn population(n: u32) -> (Vec<CobbDouglas>, Capacity) {
+    let agents = (0..n)
         .map(|i| {
             let a = 0.1 + 0.8 * (f64::from(i % 16) + 0.5) / 16.0;
             CobbDouglas::new(1.0, vec![a, 1.0 - a]).unwrap()
         })
         .collect();
-    (agents, Capacity::new(vec![4000.0, 2000.0]).unwrap())
+    let n = f64::from(n);
+    (agents, Capacity::new(vec![2.0 * n, n]).unwrap())
 }
 
 /// Every entry's bits, agent-major, folded by FNV-1a.
@@ -154,7 +162,7 @@ fn proportional_elasticity_keeps_its_bits() {
             0x3fe8000000000000,
         ],
     );
-    let (agents, capacity) = churn_population();
+    let (agents, capacity) = population(2000);
     let alloc = ProportionalElasticity.allocate(&agents, &capacity).unwrap();
     let bits = |i: usize| {
         alloc
@@ -168,4 +176,31 @@ fn proportional_elasticity_keeps_its_bits() {
     assert_eq!(bits(1), [0x3fe6666666666667, 0x3ffa666666666666]);
     assert_eq!(bits(1999), [0x400c000000000000, 0x3fd0000000000000]);
     assert_eq!(fnv_bits(&alloc), 0x01991c13d2431336);
+}
+
+/// Equal slowdown without fairness at 48 agents: a level variable, an
+/// arrow-shaped `S` and the two capacity rows kept apart as columns of
+/// `U`. The digest and the Newton count were recorded before the `2 x 2`
+/// capacitance system was eliminated in place, and must not move.
+#[test]
+fn equal_slowdown_keeps_its_bits_and_iterations_on_the_low_rank_path() {
+    let (agents, capacity) = population(48);
+    let (alloc, hint) = EqualSlowdown::new()
+        .allocate_warm(&agents, &capacity, None)
+        .unwrap();
+    let iterations = hint.unwrap().stats.newton_iterations;
+    assert_eq!((fnv_bits(&alloc), iterations), (0xf79e23e55862f458, 47));
+}
+
+/// Nash welfare under capacity alone at 48 agents: a diagonal `S` and the
+/// two capacity rows kept apart. Recorded as the equal-slowdown pin.
+#[test]
+fn nash_program_keeps_its_bits_and_iterations_on_the_low_rank_path() {
+    let (agents, capacity) = population(48);
+    let program = NashProgram::new(&agents, &capacity).unwrap();
+    let (alloc, hint) = program.solve_warm(None).unwrap();
+    assert_eq!(
+        (fnv_bits(&alloc), hint.stats.newton_iterations),
+        (0x48ed041e22728d9d, 38)
+    );
 }
