@@ -508,7 +508,6 @@ fn re_enter(
 mod tests {
     use super::*;
     use crate::func::dense::{self, Objective as _};
-    use crate::matrix::Matrix;
     use proptest::prelude::*;
 
     /// [`minimize_warm`] with no hint.
@@ -951,12 +950,12 @@ mod tests {
             &self,
             t: f64,
             independent: bool,
-        ) -> std::result::Result<(Vec<f64>, Matrix, Vec<f64>, Option<Vec<f64>>), TestCaseError>
+        ) -> std::result::Result<(Vec<f64>, Vec<Vec<f64>>, Vec<f64>, Option<Vec<f64>>), TestCaseError>
         {
             let mut centering = self.centering(t);
             let mut ws = Workspace::new(&centering);
             ws.newton_step(&mut centering, &self.x).unwrap();
-            let (h, b): (Matrix, Vec<f64>) = if independent {
+            let (h, b): (Vec<Vec<f64>>, Vec<f64>) = if independent {
                 let refs: Vec<&dyn dense::Objective> =
                     self.dense.iter().map(|c| c.as_ref()).collect();
                 let reference = dense::BarrierObjective {
@@ -971,7 +970,9 @@ mod tests {
                 let (mut g, mut h) = (vec![0.0; self.x.len()], centering.hessian());
                 centering.eval(&self.x, &mut g, &mut h);
                 let lower = h.to_lower();
-                let h = Matrix::from_fn(g.len(), g.len(), |i, j| lower[(i.max(j), i.min(j))]);
+                let h = (0..g.len())
+                    .map(|i| (0..g.len()).map(|j| lower[i.max(j)][i.min(j)]).collect())
+                    .collect();
                 (h, g.iter().map(|g| -g).collect())
             };
             let want =
@@ -982,14 +983,15 @@ mod tests {
 
     /// `||H d - b||` relative to `||H|| ||d|| + ||b||`, in the max norm
     /// (`||H||` as the largest row sum).
-    fn relative_residual(h: &Matrix, d: &[f64], b: &[f64]) -> f64 {
+    fn relative_residual(h: &[Vec<f64>], d: &[f64], b: &[f64]) -> f64 {
         let hd = crate::matrix_ops::matvec(h, d).unwrap();
         let residual = hd
             .iter()
             .zip(b)
             .fold(0.0_f64, |m, (p, q)| m.max((p - q).abs()));
-        let norm = (0..h.rows())
-            .map(|i| h.row(i).iter().map(|v| v.abs()).sum::<f64>())
+        let norm = h
+            .iter()
+            .map(|row| row.iter().map(|v| v.abs()).sum::<f64>())
             .fold(0.0_f64, f64::max);
         residual / (norm * vec_ops::norm_inf(d) + vec_ops::norm_inf(b))
     }

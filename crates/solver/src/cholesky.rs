@@ -11,7 +11,6 @@
 //! profile, not in `n^2`. A dense matrix is the full profile.
 
 use crate::error::{Result, SolverError};
-use crate::matrix::Matrix;
 
 /// A symmetric matrix whose lower triangle is stored row by row, each row
 /// from its first stored column to the diagonal (envelope, or skyline,
@@ -48,26 +47,6 @@ impl Envelope {
             starts,
             vals: vec![0.0; stored],
         }
-    }
-
-    /// The lower triangle of the square matrix `a` under the full profile;
-    /// the strict upper triangle is ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::NotSquare`] for rectangular input.
-    pub(crate) fn from_lower(a: &Matrix) -> Result<Envelope> {
-        if !a.is_square() {
-            return Err(SolverError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let mut e = Envelope::zeros(vec![0; a.rows()]);
-        for i in 0..a.rows() {
-            e.row_mut(i).copy_from_slice(&a.row(i)[..=i]);
-        }
-        Ok(e)
     }
 
     /// Dimension `n` of the `n x n` matrix.
@@ -116,16 +95,16 @@ impl Envelope {
         self.vals.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 
-    /// The lower triangle as a dense matrix (strict upper triangle zero).
+    /// The lower triangle as dense rows (strict upper triangle zero).
     #[cfg(test)]
-    pub(crate) fn to_lower(&self) -> Matrix {
-        Matrix::from_fn(self.dim(), self.dim(), |i, j| {
-            if j <= i {
-                self.get(i, j)
-            } else {
-                0.0
-            }
-        })
+    pub(crate) fn to_lower(&self) -> Vec<Vec<f64>> {
+        (0..self.dim())
+            .map(|i| {
+                (0..self.dim())
+                    .map(|j| if j <= i { self.get(i, j) } else { 0.0 })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -136,23 +115,8 @@ impl Envelope {
 /// product by a structural zero left out: a factor entry outside `A`'s
 /// envelope is an exact zero, so factor and solution are those of the
 /// dense algorithm bit for bit whatever the profile.
-///
-/// # Examples
-///
-/// ```
-/// use ref_solver::{Cholesky, Matrix};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]])?;
-/// let ch = Cholesky::new(&a)?;
-/// let x = ch.solve(&[8.0, 7.0])?;
-/// assert!((x[0] - 1.25).abs() < 1e-12);
-/// assert!((x[1] - 1.5).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone)]
-pub struct Cholesky {
+pub(crate) struct Cholesky {
     l: Envelope,
     /// Column `j` of the strict lower triangle has its stored entries in
     /// rows `col_rows[col_starts[j]..col_starts[j + 1]]`, ascending: the
@@ -162,22 +126,6 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
-    /// Factors the symmetric positive-definite matrix `a`.
-    ///
-    /// Only the lower triangle of `a` is read; the strict upper triangle is
-    /// ignored, so callers may pass matrices with round-off asymmetry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::NotSquare`] for rectangular input, and the
-    /// errors of `refactor`.
-    pub fn new(a: &Matrix) -> Result<Cholesky> {
-        let a = Envelope::from_lower(a)?;
-        let mut ch = Cholesky::with_profile(&a.first);
-        ch.refactor(&a, 0.0)?;
-        Ok(ch)
-    }
-
     /// Storage for the factor of a matrix with the given profile (see
     /// [`Envelope::zeros`]), to be filled by
     /// [`refactor`](Cholesky::refactor).
@@ -266,19 +214,8 @@ impl Cholesky {
         &self.l
     }
 
-    /// Solves `A x = b` using the stored factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::ShapeMismatch`] if `b.len()` differs from the
-    /// dimension of `A`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = b.to_vec();
-        self.solve_in_place(&mut x)?;
-        Ok(x)
-    }
-
-    /// [`solve`](Cholesky::solve) into a caller-owned buffer.
+    /// Solves `A x = b` using the stored factorization, into a
+    /// caller-owned buffer.
     ///
     /// # Errors
     ///
@@ -296,8 +233,8 @@ impl Cholesky {
         self.solve_in_place(x)
     }
 
-    /// [`solve`](Cholesky::solve) with the right-hand side in `x` on entry
-    /// and the solution there on return.
+    /// Solves `A x = b` with the right-hand side in `x` on entry and the
+    /// solution there on return.
     ///
     /// # Errors
     ///
@@ -343,26 +280,24 @@ impl Cholesky {
 /// every zero.
 #[cfg(test)]
 pub(crate) mod dense {
-    use crate::matrix::Matrix;
-
     /// The factor `L` of `a` (lower triangle read), or `None` at a
     /// non-positive or non-finite pivot.
-    pub(crate) fn factor(a: &Matrix) -> Option<Matrix> {
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
+    pub(crate) fn factor(a: &[Vec<f64>]) -> Option<Vec<Vec<f64>>> {
+        let n = a.len();
+        let mut l = crate::matrix_ops::zeros(n, n);
         for i in 0..n {
             for j in 0..=i {
-                let mut s = a[(i, j)];
+                let mut s = a[i][j];
                 for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
+                    s -= l[i][k] * l[j][k];
                 }
                 if i == j {
                     if s <= 0.0 || !s.is_finite() {
                         return None;
                     }
-                    l[(i, j)] = s.sqrt();
+                    l[i][j] = s.sqrt();
                 } else {
-                    l[(i, j)] = s / l[(j, j)];
+                    l[i][j] = s / l[j][j];
                 }
             }
         }
@@ -370,22 +305,22 @@ pub(crate) mod dense {
     }
 
     /// `x` with `L L^T x = b`.
-    pub(crate) fn solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
-        let n = l.rows();
+    pub(crate) fn solve(l: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
+        let n = l.len();
         let mut x = vec![0.0; n];
         for i in 0..n {
             let mut s = b[i];
             for k in 0..i {
-                s -= l[(i, k)] * x[k];
+                s -= l[i][k] * x[k];
             }
-            x[i] = s / l[(i, i)];
+            x[i] = s / l[i][i];
         }
         for i in (0..n).rev() {
             let mut s = x[i];
             for k in i + 1..n {
-                s -= l[(k, i)] * x[k];
+                s -= l[k][i] * x[k];
             }
-            x[i] = s / l[(i, i)];
+            x[i] = s / l[i][i];
         }
         x
     }
@@ -394,11 +329,34 @@ pub(crate) mod dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix_ops::{matmul, matvec, transpose};
+    use crate::matrix_ops::{matmul, matvec, max_abs, transpose};
+    use crate::vec_ops;
     use proptest::prelude::*;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} != {b} (tol {tol})");
+    }
+
+    /// The lower triangle of `a` under the full profile.
+    fn full(a: &[Vec<f64>]) -> Envelope {
+        let mut e = Envelope::zeros(vec![0; a.len()]);
+        for (i, row) in a.iter().enumerate() {
+            e.row_mut(i).copy_from_slice(&row[..=i]);
+        }
+        e
+    }
+
+    /// The factor of `a` under the full profile.
+    fn factor(a: &[Vec<f64>]) -> Result<Cholesky> {
+        let mut ch = Cholesky::with_profile(&vec![0; a.len()]);
+        ch.refactor(&full(a), 0.0)?;
+        Ok(ch)
+    }
+
+    fn solve(ch: &Cholesky, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        ch.solve_in_place(&mut x).unwrap();
+        x
     }
 
     #[test]
@@ -413,88 +371,68 @@ mod tests {
 
     #[test]
     fn factors_and_reconstructs() {
-        let a = Matrix::from_rows(&[
-            &[4.0, 12.0, -16.0],
-            &[12.0, 37.0, -43.0],
-            &[-16.0, -43.0, 98.0],
-        ])
-        .unwrap();
-        let ch = Cholesky::new(&a).unwrap();
-        let l = ch.l().to_lower();
+        let a = vec![
+            vec![4.0, 12.0, -16.0],
+            vec![12.0, 37.0, -43.0],
+            vec![-16.0, -43.0, 98.0],
+        ];
+        let l = factor(&a).unwrap().l().to_lower();
         let recon = matmul(&l, &transpose(&l)).unwrap();
         for i in 0..3 {
             for j in 0..3 {
-                assert_close(recon[(i, j)], a[(i, j)], 1e-10);
+                assert_close(recon[i][j], a[i][j], 1e-10);
             }
         }
         // Known factor from the classic example.
-        assert_close(l[(0, 0)], 2.0, 1e-12);
-        assert_close(l[(1, 0)], 6.0, 1e-12);
-        assert_close(l[(2, 2)], 3.0, 1e-12);
+        assert_close(l[0][0], 2.0, 1e-12);
+        assert_close(l[1][0], 6.0, 1e-12);
+        assert_close(l[2][2], 3.0, 1e-12);
     }
 
     #[test]
     fn solves_spd_system() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let x = Cholesky::new(&a).unwrap().solve(&[3.0, 3.0]).unwrap();
+        let x = solve(
+            &factor(&[vec![2.0, 1.0], vec![1.0, 2.0]]).unwrap(),
+            &[3.0, 3.0],
+        );
         assert_close(x[0], 1.0, 1e-12);
         assert_close(x[1], 1.0, 1e-12);
     }
 
     #[test]
     fn rejects_indefinite_and_non_finite() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
         assert!(matches!(
-            Cholesky::new(&a),
+            factor(&[vec![1.0, 2.0], vec![2.0, 1.0]]),
             Err(SolverError::NotPositiveDefinite)
         ));
         // A non-finite entry anywhere in a row reaches that row's pivot.
         for bad in [f64::NAN, f64::INFINITY] {
-            let a = Matrix::from_rows(&[&[1.0, 0.0], &[bad, 1.0]]).unwrap();
-            assert!(matches!(Cholesky::new(&a), Err(SolverError::NonFinite(_))));
+            let a = [vec![1.0, 0.0], vec![bad, 1.0]];
+            assert!(matches!(factor(&a), Err(SolverError::NonFinite(_))));
         }
     }
 
     #[test]
-    fn rejects_rectangular() {
-        assert!(matches!(
-            Cholesky::new(&Matrix::zeros(2, 3)),
-            Err(SolverError::NotSquare { .. })
-        ));
-    }
-
-    #[test]
     fn solve_checks_lengths() {
-        let a = Matrix::identity(2);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!(ch.solve(&[1.0]).is_err());
+        let ch = factor(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
+        assert!(ch.solve_in_place(&mut [1.0]).is_err());
         assert!(ch.solve_into(&[1.0, 1.0], &mut [0.0]).is_err());
     }
 
     #[test]
     fn a_ridge_makes_a_semidefinite_matrix_factorable() {
-        let a =
-            Envelope::from_lower(&Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap()).unwrap();
+        let a = full(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
         let mut ch = Cholesky::with_profile(&[0, 0]);
         assert!(matches!(
             ch.refactor(&a, 0.0),
             Err(SolverError::NotPositiveDefinite)
         ));
         ch.refactor(&a, 1e-6).unwrap();
-        let x = ch.solve(&[2.0, 2.0]).unwrap();
+        let x = solve(&ch, &[2.0, 2.0]);
         assert_close(x[0], x[1], 1e-6);
         assert_close(x[0] + x[1], 2.0, 1e-5);
         // The ridge is added while factoring: `a` itself is untouched.
         assert_eq!(a.get(1, 1), 1.0);
-    }
-
-    #[test]
-    fn reads_lower_triangle_only() {
-        let asym = Matrix::from_rows(&[&[4.0, 999.0], &[2.0, 3.0]]).unwrap();
-        let sym = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
-        let a = Cholesky::new(&asym).unwrap();
-        let b = Cholesky::new(&sym).unwrap();
-        assert_eq!(a.l(), b.l());
     }
 
     #[test]
@@ -506,7 +444,7 @@ mod tests {
         a.row_mut(2)[0] = 9.0;
         ch.refactor(&a, 0.0).unwrap();
         assert_eq!(ch.l().stored(), 4);
-        let x = ch.solve(&[8.0, 7.0, 18.0]).unwrap();
+        let x = solve(&ch, &[8.0, 7.0, 18.0]);
         assert_close(x[0], 1.25, 1e-12);
         assert_close(x[1], 1.5, 1e-12);
         assert_close(x[2], 2.0, 1e-12);
@@ -542,22 +480,28 @@ mod tests {
             // diagonal away from zero is positive definite, and its
             // envelope is G's.
             let first = profile(kind, n, block);
-            let g = Matrix::from_fn(n, n, |i, j| match (j >= first[i], i == j) {
-                (true, true) => 1.0 + entries[i * 12 + j].abs(),
-                (true, false) if j < i => entries[i * 12 + j],
-                _ => 0.0,
-            });
+            let g: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    (0..n)
+                        .map(|j| match (j >= first[i], i == j) {
+                            (true, true) => 1.0 + entries[i * 12 + j].abs(),
+                            (true, false) if j < i => entries[i * 12 + j],
+                            _ => 0.0,
+                        })
+                        .collect()
+                })
+                .collect();
             let a = matmul(&g, &transpose(&g)).unwrap();
             let mut env = Envelope::zeros(first.clone());
             for i in 0..n {
-                env.row_mut(i).copy_from_slice(&a.row(i)[first[i]..=i]);
-                prop_assert!(a.row(i)[..first[i]].iter().all(|&v| v == 0.0));
+                env.row_mut(i).copy_from_slice(&a[i][first[i]..=i]);
+                prop_assert!(a[i][..first[i]].iter().all(|&v| v == 0.0));
             }
             prop_assert_eq!(env.stored(), (0..n).map(|i| i - first[i] + 1).sum::<usize>());
             let mut ch = Cholesky::with_profile(&first);
             ch.refactor(&env, 0.0).unwrap();
             let b = &rhs[..n];
-            let (l, x) = (ch.l().to_lower(), ch.solve(b).unwrap());
+            let (l, x) = (ch.l().to_lower(), solve(&ch, b));
             let want_l = dense::factor(&a).expect("positive definite");
             let want_x = dense::solve(&want_l, b);
             // Skipping a product by an exact zero changes nothing but,
@@ -567,14 +511,41 @@ mod tests {
             prop_assert_eq!(&x, &want_x);
             if kind == 3 {
                 let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(l.as_slice()), bits(want_l.as_slice()));
+                prop_assert_eq!(bits(&l.concat()), bits(&want_l.concat()));
                 prop_assert_eq!(bits(&x), bits(&want_x));
             }
             // And it does solve the system.
             let ax = matvec(&a, &x).unwrap();
-            let scale = (1.0 + a.max_abs()) * (1.0 + crate::vec_ops::norm_inf(&x));
+            let scale = (1.0 + max_abs(&a)) * (1.0 + vec_ops::norm_inf(&x));
             for (got, want) in ax.iter().zip(b) {
                 prop_assert!((got - want).abs() <= 1e-13 * n as f64 * scale, "{got} vs {want}");
+            }
+        }
+    }
+
+    /// A well-conditioned entry.
+    fn entry() -> impl Strategy<Value = f64> {
+        (-100i32..=100).prop_map(|v| f64::from(v) / 10.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cholesky_solves_spd_systems(
+            a in prop::collection::vec(prop::collection::vec(entry(), 5), 5),
+            b in prop::collection::vec(entry(), 5),
+        ) {
+            // A A^T + I is symmetric positive definite; its envelope is
+            // the full profile.
+            let mut spd = matmul(&a, &transpose(&a)).unwrap();
+            for (i, row) in spd.iter_mut().enumerate() {
+                row[i] += 1.0;
+            }
+            let x = solve(&factor(&spd).unwrap(), &b);
+            for (row, r) in spd.iter().zip(&b) {
+                let l = vec_ops::dot(row, &x);
+                prop_assert!((l - r).abs() < 1e-6 * (1.0 + max_abs(&spd) * vec_ops::norm_inf(&b)));
             }
         }
     }

@@ -13,16 +13,10 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SolverError {
-    /// Operand shapes are incompatible, e.g. multiplying a `2x3` matrix by a
-    /// `2x2` matrix. Carries a human-readable description of the mismatch.
+    /// Operand shapes are incompatible, e.g. a right-hand side whose length
+    /// is not the system's dimension. Carries a human-readable description
+    /// of the mismatch.
     ShapeMismatch(String),
-    /// A square matrix was required but a rectangular one was supplied.
-    NotSquare {
-        /// Rows of the offending matrix.
-        rows: usize,
-        /// Columns of the offending matrix.
-        cols: usize,
-    },
     /// A factorization required a (numerically) non-singular matrix.
     Singular,
     /// Cholesky factorization failed: the matrix is not positive definite.
@@ -52,9 +46,6 @@ impl fmt::Display for SolverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolverError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
-            SolverError::NotSquare { rows, cols } => {
-                write!(f, "matrix must be square, got {rows}x{cols}")
-            }
             SolverError::Singular => write!(f, "matrix is singular to working precision"),
             SolverError::NotPositiveDefinite => {
                 write!(f, "matrix is not positive definite")
@@ -86,8 +77,8 @@ mod tests {
 
     #[test]
     fn display_is_lowercase_and_specific() {
-        let e = SolverError::NotSquare { rows: 2, cols: 3 };
-        assert_eq!(e.to_string(), "matrix must be square, got 2x3");
+        let e = SolverError::MaxIterationsExceeded { iterations: 3 };
+        assert_eq!(e.to_string(), "no convergence after 3 iterations");
         let e = SolverError::ShapeMismatch("2x3 * 2x2".to_string());
         assert!(e.to_string().contains("2x3 * 2x2"));
     }

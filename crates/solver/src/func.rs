@@ -165,13 +165,13 @@ impl Hessian {
 
     /// The lower triangle of `S + U diag(c) U^T` written out.
     #[cfg(test)]
-    pub(crate) fn to_lower(&self) -> crate::matrix::Matrix {
+    pub(crate) fn to_lower(&self) -> Vec<Vec<f64>> {
         let mut h = self.s.to_lower();
         for j in 0..self.rank() {
             let (c, rows, vals) = self.column(j);
             for (a, &i) in rows.iter().enumerate() {
                 for (b, &k) in rows[..=a].iter().enumerate() {
-                    h[(i, k)] += c * vals[a] * vals[b];
+                    h[i][k] += c * vals[a] * vals[b];
                 }
             }
         }
@@ -407,8 +407,7 @@ impl LogSumExp {
 /// assembly are tested against; and a quadratic test objective.
 #[cfg(test)]
 pub(crate) mod dense {
-    use crate::matrix::Matrix;
-    use crate::matrix_ops::{matvec, matvec_transposed};
+    use crate::matrix_ops::{axpy, matvec, matvec_transposed, rank_one_update, zeros};
     use crate::vec_ops;
 
     /// Convex quadratic `0.5 x^T Q x + c . x` with symmetric `Q`.
@@ -417,7 +416,7 @@ pub(crate) mod dense {
     /// step.
     #[derive(Debug, Clone, PartialEq)]
     pub(crate) struct Quadratic {
-        q: Matrix,
+        q: Vec<Vec<f64>>,
         c: Vec<f64>,
     }
 
@@ -426,10 +425,10 @@ pub(crate) mod dense {
         ///
         /// # Panics
         ///
-        /// Panics if `q` is not square or its dimension differs from `c.len()`.
-        pub(crate) fn new(q: Matrix, c: Vec<f64>) -> Quadratic {
-            assert!(q.is_square(), "quadratic form requires a square matrix");
-            assert_eq!(q.rows(), c.len(), "dimension mismatch");
+        /// Panics if `q` is not `c.len() x c.len()`.
+        pub(crate) fn new(q: Vec<Vec<f64>>, c: Vec<f64>) -> Quadratic {
+            assert_eq!(q.len(), c.len(), "dimension mismatch");
+            assert!(q.iter().all(|row| row.len() == c.len()), "not square");
             Quadratic { q, c }
         }
     }
@@ -450,7 +449,7 @@ pub(crate) mod dense {
                 *g = q + c;
             }
             for i in 0..self.dim() {
-                for (j, &q) in self.q.row(i)[..=i].iter().enumerate() {
+                for (j, &q) in self.q[i][..=i].iter().enumerate() {
                     hess.add(i, j, q);
                 }
             }
@@ -465,12 +464,12 @@ pub(crate) mod dense {
         fn dim(&self) -> usize;
         fn value(&self, x: &[f64]) -> f64;
         fn gradient(&self, x: &[f64]) -> Vec<f64>;
-        fn hessian(&self, x: &[f64]) -> Matrix;
+        fn hessian(&self, x: &[f64]) -> Vec<Vec<f64>>;
     }
 
     /// `log sum_i exp(a_i . x + b_i)` where `a_i` is row `i` of `a`.
     pub(crate) struct LogSumExpAffine {
-        pub(crate) a: Matrix,
+        pub(crate) a: Vec<Vec<f64>>,
         pub(crate) b: Vec<f64>,
     }
 
@@ -490,7 +489,7 @@ pub(crate) mod dense {
 
     impl Objective for LogSumExpAffine {
         fn dim(&self) -> usize {
-            self.a.cols()
+            self.a[0].len()
         }
 
         fn value(&self, x: &[f64]) -> f64 {
@@ -502,15 +501,15 @@ pub(crate) mod dense {
             matvec_transposed(&self.a, &w).expect("dimensions agree")
         }
 
-        fn hessian(&self, x: &[f64]) -> Matrix {
+        fn hessian(&self, x: &[f64]) -> Vec<Vec<f64>> {
             let w = self.weights_at(x);
             let n = self.dim();
-            let mut h = Matrix::zeros(n, n);
-            for (i, &wi) in w.iter().enumerate() {
-                h.rank_one_update(wi, self.a.row(i));
+            let mut h = zeros(n, n);
+            for (row, &wi) in self.a.iter().zip(&w) {
+                rank_one_update(&mut h, wi, row);
             }
             let g = matvec_transposed(&self.a, &w).expect("dimensions agree");
-            h.rank_one_update(-1.0, &g);
+            rank_one_update(&mut h, -1.0, &g);
             h
         }
     }
@@ -553,16 +552,17 @@ pub(crate) mod dense {
             g
         }
 
-        fn hessian(&self, x: &[f64]) -> Matrix {
-            let mut h = self.f0.hessian(x).scaled(self.t);
+        fn hessian(&self, x: &[f64]) -> Vec<Vec<f64>> {
+            let mut h = self.f0.hessian(x);
+            h.iter_mut().flatten().for_each(|v| *v *= self.t);
             for c in self.constraints {
                 let fi = c.value(x);
                 let gi = c.gradient(x);
                 let hi = c.hessian(x);
                 let w1 = 1.0 / (fi * fi);
                 let w2 = -1.0 / fi;
-                h.rank_one_update(w1, &gi);
-                h.axpy_matrix(w2, &hi).expect("dimensions agree");
+                rank_one_update(&mut h, w1, &gi);
+                axpy(&mut h, w2, &hi);
             }
             h
         }
@@ -577,10 +577,10 @@ pub(crate) mod dense {
         let sparse =
             super::LogSumExp::from_terms(dim, terms.iter().map(|(e, b)| (e.as_slice(), *b)))
                 .expect("valid terms");
-        let mut a = Matrix::zeros(terms.len(), dim);
-        for (k, (entries, _)) in terms.iter().enumerate() {
+        let mut a = zeros(terms.len(), dim);
+        for (row, (entries, _)) in a.iter_mut().zip(terms) {
             for &(c, v) in entries {
-                a[(k, c)] += v;
+                row[c] += v;
             }
         }
         let b = terms.iter().map(|(_, b)| *b).collect();
@@ -589,15 +589,14 @@ pub(crate) mod dense {
 
     /// Largest entry of the lower triangle of `got - want`, relative to the
     /// largest entry of `want` (at least 1).
-    pub(crate) fn lower_triangle_gap(got: &Matrix, want: &Matrix) -> f64 {
-        let n = want.rows();
+    pub(crate) fn lower_triangle_gap(got: &[Vec<f64>], want: &[Vec<f64>]) -> f64 {
         let mut gap: f64 = 0.0;
-        for i in 0..n {
-            for j in 0..=i {
-                gap = gap.max((got[(i, j)] - want[(i, j)]).abs());
+        for (i, (got, want)) in got.iter().zip(want).enumerate() {
+            for (g, w) in got[..=i].iter().zip(&want[..=i]) {
+                gap = gap.max((g - w).abs());
             }
         }
-        gap / want.max_abs().max(1.0)
+        gap / crate::matrix_ops::max_abs(want).max(1.0)
     }
 
     /// A random log-sum-exp over 1 to 6 variables, as terms, and a point:
@@ -638,7 +637,7 @@ pub(crate) mod dense {
 mod tests {
     use super::dense::{self, Objective as _};
     use super::*;
-    use crate::matrix::Matrix;
+    use crate::matrix_ops::{axpy, identity, max_abs, rank_one_update};
     use crate::vec_ops;
     use proptest::prelude::*;
 
@@ -653,14 +652,14 @@ mod tests {
 
     #[test]
     fn quadratic_value_and_derivatives() {
-        let q = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]).unwrap();
+        let q = vec![vec![2.0, 0.0], vec![0.0, 4.0]];
         let mut f = dense::Quadratic::new(q, vec![-1.0, 0.0]);
         assert_eq!(f.value(&[1.0, 1.0]), 0.5 * (2.0 + 4.0) - 1.0);
         let mut g = vec![0.0; 2];
         let mut h = f.hessian();
         assert_eq!(f.eval(&[1.0, 1.0], &mut g, &mut h), 2.0);
         assert_eq!(g, vec![1.0, 4.0]);
-        assert_eq!(h.to_lower()[(1, 1)], 4.0);
+        assert_eq!(h.to_lower()[1][1], 4.0);
     }
 
     #[test]
@@ -696,7 +695,7 @@ mod tests {
         let (mut g, mut h, mut scratch) = (vec![0.0; 2], Hessian::dense(2), vec![0.0; 2]);
         f.add_derivatives(&p, 1.0, 1.0, -1.0, &mut g, &mut h, None, &mut scratch);
         assert_eq!(g, vec![3.0, -1.0]);
-        assert_eq!(h.to_lower().max_abs(), 0.0);
+        assert_eq!(max_abs(&h.to_lower()), 0.0);
         assert_eq!(scratch, vec![0.0; 2]);
     }
 
@@ -711,7 +710,7 @@ mod tests {
 
     /// Gradient and Hessian of `f` at `x` through the fused pass, the
     /// `g g^T` piece added into a dense `S` or kept as a column of `U`.
-    fn derivatives_in(f: &LogSumExp, x: &[f64], split: bool) -> (f64, Vec<f64>, Matrix) {
+    fn derivatives_in(f: &LogSumExp, x: &[f64], split: bool) -> (f64, Vec<f64>, Vec<Vec<f64>>) {
         let n = f.dim();
         let (mut p, mut g, mut scratch) = (Vec::new(), vec![0.0; n], vec![0.0; n]);
         let mut h = if split {
@@ -729,7 +728,7 @@ mod tests {
         (v, g, h.to_lower())
     }
 
-    fn derivatives(f: &LogSumExp, x: &[f64]) -> (f64, Vec<f64>, Matrix) {
+    fn derivatives(f: &LogSumExp, x: &[f64]) -> (f64, Vec<f64>, Vec<Vec<f64>>) {
         derivatives_in(f, x, false)
     }
 
@@ -775,7 +774,7 @@ mod tests {
                 let (g_up, g_down) = (derivatives(&f, &up).1, derivatives(&f, &down).1);
                 for i in j..x.len() {
                     let curve = (g_up[i] - g_down[i]) / (2.0 * eps);
-                    prop_assert!((h[(i, j)] - curve).abs() < 1e-6, "H[{i}{j}]");
+                    prop_assert!((h[i][j] - curve).abs() < 1e-6, "H[{i}{j}]");
                 }
             }
         }
@@ -801,9 +800,10 @@ mod tests {
         f.add_derivatives(&p, alpha, beta, gamma, &mut g, &mut h, None, &mut scratch);
         let grad = reference.gradient(&x);
         // beta sum p a a^T + gamma g g^T = beta H + (beta + gamma) g g^T.
-        let mut want = reference.hessian(&x).scaled(beta);
-        want.rank_one_update(beta + gamma, &grad);
-        want.axpy_matrix(1.0, &Matrix::identity(3)).unwrap();
+        let mut want = reference.hessian(&x);
+        want.iter_mut().flatten().for_each(|v| *v *= beta);
+        rank_one_update(&mut want, beta + gamma, &grad);
+        axpy(&mut want, 1.0, &identity(3));
         assert!(dense::lower_triangle_gap(&h.to_lower(), &want) < 1e-14);
         for (got, d) in g.iter().zip(&grad) {
             assert!((got - (1.0 + alpha * d)).abs() < 1e-14);

@@ -1,16 +1,18 @@
 //! # ref-solver
 //!
-//! Dense linear algebra and convex optimization for the REF (Resource
-//! Elasticity Fairness) reproduction — the from-scratch stand-in for the
-//! Matlab + CVX toolchain used in the paper's evaluation.
+//! Structured linear algebra and convex optimization for the REF
+//! (Resource Elasticity Fairness) reproduction — the from-scratch
+//! stand-in for the Matlab + CVX toolchain used in the paper's evaluation.
 //!
 //! The crate provides three layers:
 //!
-//! 1. **Linear algebra** — [`Matrix`], Cholesky factorization in envelope
-//!    storage ([`Cholesky`]) and incremental least squares
-//!    ([`UpdatableLstsq`]), on which `ref-core` fits log-linearized
-//!    Cobb-Douglas utilities (Eq. 16 of the paper), in one batch and one
-//!    observation at a time alike.
+//! 1. **Linear algebra** — incremental least squares
+//!    ([`UpdatableLstsq`], Givens rows into a packed triangle), on which
+//!    `ref-core` fits log-linearized Cobb-Douglas utilities (Eq. 16 of
+//!    the paper), in one batch and one observation at a time alike; and,
+//!    inside the Newton step, a Cholesky factorization in envelope
+//!    storage and a `k x k` capacitance system eliminated in place. No
+//!    dense `n x n` matrix is stored anywhere.
 //! 2. **Smooth convex minimization** — damped Newton over sparse
 //!    log-sum-exp functions and the log-barrier interior-point method
 //!    built on it ([`barrier`]). The caller supplies a strictly feasible
@@ -70,16 +72,15 @@ mod cholesky;
 mod error;
 mod func;
 pub mod gp;
-mod lu;
-mod matrix;
 mod newton;
 pub mod tol;
 pub mod update;
 pub mod vec_ops;
 
 // The Householder least-squares reference the incremental factor is
-// checked against, and the dense products the tests build inputs and
-// references with. They live with the tests; no library path runs them.
+// checked against, and the dense matrices, as rows, the tests build
+// inputs and references with. They live with the tests; no library path
+// runs them.
 #[cfg(test)]
 #[path = "../tests/support/lstsq.rs"]
 mod lstsq;
@@ -90,7 +91,5 @@ mod matrix_ops;
 #[path = "../tests/support/qr.rs"]
 mod qr;
 
-pub use cholesky::Cholesky;
 pub use error::{Result, SolverError};
-pub use matrix::Matrix;
 pub use update::{FitQuality, UpdatableFit, UpdatableLstsq};

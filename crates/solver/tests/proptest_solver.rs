@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use ref_solver::gp::{GeometricProgram, Monomial, Posynomial};
 use ref_solver::vec_ops;
-use ref_solver::{Cholesky, Matrix};
 
 #[path = "support/lstsq.rs"]
 mod lstsq;
@@ -78,19 +77,6 @@ proptest! {
             .collect();
         let scale = 1.0 + vec_ops::norm_inf(&b) + max_abs(&m);
         prop_assert!(vec_ops::norm_inf(&atr) < 1e-7 * scale * scale);
-    }
-
-    #[test]
-    fn cholesky_solves_spd_systems(a in matrix(5, 5), b in prop::collection::vec(entry(), 5)) {
-        // A A^T + I is symmetric positive definite.
-        let spd = Matrix::from_fn(5, 5, |i, j| {
-            vec_ops::dot(&a[i], &a[j]) + if i == j { 1.0 } else { 0.0 }
-        });
-        let x = Cholesky::new(&spd).unwrap().solve(&b).unwrap();
-        for (i, r) in b.iter().enumerate() {
-            let l = vec_ops::dot(spd.row(i), &x);
-            prop_assert!((l - r).abs() < 1e-6 * (1.0 + spd.max_abs() * vec_ops::norm_inf(&b)));
-        }
     }
 
     #[test]
