@@ -507,14 +507,18 @@ impl MarketSnapshot {
         let warm = if num_warm == 0 {
             WarmStartCache::new()
         } else {
-            let bundles = (0..num_warm)
-                .map(|_| {
-                    let line = lines.tagged("w")?;
-                    let mut toks = line.split_whitespace();
-                    let id = next_token(&mut toks, "warm entry", line)?;
-                    Ok((id, toks.map(parse_f64).collect::<Result<_>>()?))
-                })
-                .collect::<Result<Vec<_>>>()?;
+            let mut bundles: Vec<(AgentId, Vec<f64>)> = Vec::new();
+            for _ in 0..num_warm {
+                let line = lines.tagged("w")?;
+                let mut toks = line.split_whitespace();
+                let id = next_token(&mut toks, "warm entry", line)?;
+                if bundles.last().is_some_and(|&(last, _)| last >= id) {
+                    return Err(bad(format!(
+                        "warm entry for agent {id}: ids must be strictly ascending"
+                    )));
+                }
+                bundles.push((id, toks.map(parse_f64).collect::<Result<_>>()?));
+            }
             let aux = parse_f64s(lines.tagged("warm-aux")?)?;
             let barrier_t = lines.tagged_f64("warm-t")?;
             WarmStartCache::from_parts(bundles, aux, barrier_t)
@@ -1170,6 +1174,33 @@ mod tests {
         );
         let unordered = [entry(2, 0.0, 0), entry(1, 0.0, 0)];
         refused("descending ids", &with_ledger(&unordered));
+    }
+
+    /// The busy market's document with a warm section of one entry per
+    /// id, in the order given.
+    fn with_warm(ids: &[AgentId]) -> String {
+        let bits = |v: f64| format!("{:016x}", v.to_bits());
+        let section: Vec<String> = iter::once(format!("warm {}", ids.len()))
+            .chain(
+                ids.iter()
+                    .map(|id| format!("w {id} {} {}", bits(4.0), bits(2.0))),
+            )
+            .chain(["warm-aux".to_string(), format!("warm-t {}", bits(1e4))])
+            .collect();
+        let good = busy_market().snapshot().encode();
+        assert!(good.contains("\nwarm 0\n"), "{good}");
+        good.replace("\nwarm 0\n", &format!("\n{}\n", section.join("\n")))
+    }
+
+    #[test]
+    fn decode_refuses_repeated_or_unordered_warm_ids() {
+        let ascending = with_warm(&[1, 2]);
+        let decoded = MarketSnapshot::decode(&ascending).unwrap();
+        assert_eq!(decoded.encode(), ascending);
+        let msg = refused("a repeated id", &with_warm(&[1, 1]));
+        assert!(msg.contains("strictly ascending"), "{msg}");
+        let msg = refused("descending ids", &with_warm(&[2, 1]));
+        assert!(msg.contains("strictly ascending"), "{msg}");
     }
 
     #[test]
