@@ -3,7 +3,9 @@
 //! agent leaves and its id rejoins) — on the slot columns and on the
 //! `BTreeMap`/`VecDeque` reference they replaced. Before anything is
 //! timed, both are driven through the same epochs and churn and asserted
-//! equal: every summary, verdict, balance and window pair by bits.
+//! equal: every summary, verdict, balance and window pair by bits. CI
+//! runs every bench once in `--test` mode (`cargo bench -p ref-bench
+//! --benches -- --test`), so that equality gates the build.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::{Rng, SeedableRng};

@@ -3,6 +3,12 @@
 //! The REF proportional-elasticity mechanism is a closed-form expression
 //! (Eq. 13) while the welfare-optimizing alternatives require geometric
 //! programming; this bench quantifies the gap across system sizes.
+//!
+//! In `--test` mode (CI runs every bench once: `cargo bench -p ref-bench
+//! --benches -- --test`) it makes one allocation by each mechanism it
+//! times (closed-form REF and max welfare, the fair max-welfare and
+//! equal-slowdown GPs) at 2, 4 and 8 agents: it fails if one refuses its
+//! market, panics, or the bench stops building.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ref_core::mechanism::{EqualSlowdown, MaxWelfare, Mechanism, ProportionalElasticity};

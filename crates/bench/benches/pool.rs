@@ -1,6 +1,10 @@
 //! What a fan-out costs the caller: resolving the pool width, and an
 //! empty two-wide call (the overhead alone: one scoped thread spawned and
 //! joined), which the profiler grid and `fit_benchmarks` pay per sweep.
+//!
+//! In `--test` mode (CI runs every bench once: `cargo bench -p ref-bench
+//! --benches -- --test`) it fails only if the pool panics or the bench
+//! stops building.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

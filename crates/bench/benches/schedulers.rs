@@ -1,5 +1,9 @@
 //! Per-decision cost of the enforcement schedulers: 10,000 decisions of
 //! WFQ, lottery and stride over four weighted clients.
+//!
+//! In `--test` mode (CI runs every bench once: `cargo bench -p ref-bench
+//! --benches -- --test`) this asserts nothing of its own: it fails only
+//! if a scheduler panics or the bench stops building.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::SeedableRng;

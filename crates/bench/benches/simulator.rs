@@ -3,6 +3,11 @@
 //! One Fig. 8/9 reproduction simulates 25 configurations for each of 28
 //! workloads, so instructions-per-second of the timing model bounds the
 //! wall-clock of the whole evaluation.
+//!
+//! In `--test` mode (CI runs every bench once: `cargo bench -p ref-bench
+//! --benches -- --test`) it makes one pass of the single-core runs and
+//! the cache model: it fails only if the simulator panics or the bench
+//! stops building.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ref_sim::cache::SetAssociativeCache;
